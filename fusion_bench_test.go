@@ -125,6 +125,12 @@ func TestFusionAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation accounting is noisy under -short")
 	}
+	if raceEnabled {
+		// The buffer pool is a sync.Pool, which under the race detector
+		// drops a quarter of its Puts at random: the budget would fail
+		// on the detector's behaviour, not the engine's.
+		t.Skip("sync.Pool discards entries at random under the race detector")
+	}
 	e := fusionEngine(t, true)
 	statements := float64(fuseChainReps * fuseChainStatements)
 	fused := testing.AllocsPerRun(10, func() {

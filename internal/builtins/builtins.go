@@ -50,6 +50,18 @@ func register(name string, minArgs, maxArgs, maxOuts int, impl Impl) {
 // Lookup returns the builtin with the given name, or nil.
 func Lookup(name string) *Builtin { return registry[name] }
 
+// Effectful reports whether calling the named builtin does anything
+// besides computing its results: the four builtins that write to
+// Context.Out or draw from Context.RNG. A function that calls none of
+// them (and touches no global) can be re-run without anyone noticing.
+func Effectful(name string) bool {
+	switch name {
+	case "disp", "fprintf", "rand", "randn":
+		return true
+	}
+	return false
+}
+
 // Names returns all registered builtin names, sorted.
 func Names() []string {
 	out := make([]string, 0, len(registry))

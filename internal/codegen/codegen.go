@@ -162,7 +162,7 @@ func Compile(fn *ast.Function, res *infer.Result, tbl *disambig.Table, cfg Confi
 			t = types.Top
 		}
 		class := classOf(t)
-		if forceV[name] {
+		if forceV[name] || res.Boxed[name] {
 			class = ir.BankV
 		}
 		g.vars[name] = g.newSlot(class)

@@ -352,3 +352,64 @@ end`
 		t.Error("loop with break must not unroll")
 	}
 }
+
+// TestTypedCallsUnboxBehindAGuard: a user call typed by a return summary
+// continues in registers — fibonacci's sum is an iadd — and every such
+// unbox carries the guard flag; with no summary the call stays boxed and
+// the sum is a generic operator call.
+func TestTypedCallsUnboxBehindAGuard(t *testing.T) {
+	const src = `
+function y = f(n)
+  if n < 2
+    y = n;
+  else
+    y = f(n - 1) + f(n - 2);
+  end
+end`
+	compile := func(summary types.Type) *ir.Prog {
+		file, err := parser.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn := file.Funcs[0]
+		g := cfg.Build(fn.Body)
+		tbl := disambig.Analyze(g, fn.Ins, disambig.ResolverFunc(func(n string) bool { return n == "f" }))
+		res := infer.Forward(g, map[string]types.Type{"n": types.ScalarOf(types.IInt, types.RangeTop)},
+			infer.Opts{UserFnType: func(string, []types.Type) types.Type { return summary }})
+		prog, err := Compile(fn, res, tbl, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+	guards := func(p *ir.Prog) (guarded, plain int) {
+		for _, in := range p.Ins {
+			if in.Op == ir.OpUnboxI || in.Op == ir.OpUnboxF {
+				if in.C != 0 {
+					guarded++
+				} else {
+					plain++
+				}
+			}
+		}
+		return
+	}
+
+	typed := compile(types.ScalarOf(types.IInt, types.RangeTop))
+	if g, plain := guards(typed); g != 2 || plain != 0 {
+		t.Errorf("typed calls: %d guarded and %d unguarded unboxes, want 2 and 0:\n%s", g, plain, typed.Disasm())
+	}
+	if count(typed, ir.OpGBin) != 0 || count(typed, ir.OpIAdd) == 0 {
+		t.Errorf("the sum of two typed calls is not an iadd:\n%s", typed.Disasm())
+	}
+
+	boxed := compile(types.Top)
+	if g, _ := guards(boxed); g != 0 || count(boxed, ir.OpGBin) != 1 {
+		t.Errorf("boxed calls: %d guards, %d generic operators, want 0 and 1:\n%s", g, count(boxed, ir.OpGBin), boxed.Disasm())
+	}
+
+	real := compile(types.ScalarOf(types.IReal, types.RangeTop))
+	if g, _ := guards(real); g != 2 || count(real, ir.OpFAdd) == 0 {
+		t.Errorf("real summary: %d guards, %d fadd:\n%s", g, count(real, ir.OpFAdd), real.Disasm())
+	}
+}

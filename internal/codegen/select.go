@@ -3,6 +3,7 @@ package codegen
 import (
 	"repro/internal/ast"
 	"repro/internal/builtins"
+	"repro/internal/infer"
 	"repro/internal/ir"
 	"repro/internal/types"
 )
@@ -204,8 +205,7 @@ func (g *gen) call(x *ast.Call) (ir.Bank, int32) {
 		return g.builtinCall(x)
 
 	case ast.CallUser:
-		outs := g.emitUserCall(x, 1)
-		return ir.BankV, outs[0]
+		return g.guardedResult(x, g.emitUserCall(x, 1)[0])
 	}
 	panic(unsupported("call kind %v for %s", x.Kind, x.Name))
 }
@@ -450,6 +450,28 @@ func (g *gen) emitUserCall(x *ast.Call, nout int) []int32 {
 		args[i] = g.toV(b, r)
 	}
 	return g.emitUserCallRegs(x.Name, args, nout)
+}
+
+// guardedResult unboxes a user call's boxed result v when inference
+// typed the call as a dense real or integer scalar. Only a callee's
+// return summary (infer.Opts.UserFnType) types a user call, and a
+// summary is a prediction — the callee may be redefined, or answer from
+// another entry — so the unbox carries the guard flag (C=1): a result
+// that is not such a scalar abandons the activation instead of faulting.
+// Every other annotation keeps the boxed call.
+func (g *gen) guardedResult(x *ast.Call, v int32) (ir.Bank, int32) {
+	ann := g.annOf(x)
+	if !infer.TypedCall(ann) {
+		return ir.BankV, v
+	}
+	if types.LeqI(ann.I, types.IInt) {
+		d := g.newReg(ir.BankI)
+		g.emit(ir.Instr{Op: ir.OpUnboxI, A: d, B: v, C: 1})
+		return ir.BankI, d
+	}
+	d := g.newReg(ir.BankF)
+	g.emit(ir.Instr{Op: ir.OpUnboxF, A: d, B: v, C: 1})
+	return ir.BankF, d
 }
 
 func (g *gen) emitUserCallByName(name string, args []int32, nout int) []int32 {

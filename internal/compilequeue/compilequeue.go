@@ -122,11 +122,36 @@ func jobCategory(key string) string {
 // After Close, fn runs inline on the caller's goroutine so the engine
 // keeps working (synchronously) once its pool is shut down.
 func (p *Pool) Do(key string, fn func() error) (t *Ticket, started bool) {
+	return p.DoUnless(key, nil, fn)
+}
+
+// finished is the ticket DoUnless hands out when the work already landed.
+var finished = func() *Ticket {
+	t := &Ticket{done: make(chan struct{})}
+	close(t.done)
+	return t
+}()
+
+// DoUnless is Do with a last look before submitting: when no job for key
+// is in flight and landed reports that the job's result is already
+// published, nothing is submitted and a completed ticket is returned
+// (counted as deduplicated). landed runs under the pool's lock, which is
+// what closes the single-flight window: a job retires its ticket under
+// that lock only after its closure returned, so a caller that finds no
+// ticket either precedes every job for key or sees what the last one
+// published. It must therefore be quick and must not call back into the
+// pool.
+func (p *Pool) DoUnless(key string, landed func() bool, fn func() error) (t *Ticket, started bool) {
 	p.mu.Lock()
 	if t, ok := p.inflight[key]; ok {
 		p.stats.Deduped++
 		p.mu.Unlock()
 		return t, false
+	}
+	if landed != nil && landed() {
+		p.stats.Deduped++
+		p.mu.Unlock()
+		return finished, false
 	}
 	t = &Ticket{done: make(chan struct{})}
 	p.stats.Submitted++

@@ -198,3 +198,43 @@ func TestConcurrentChurn(t *testing.T) {
 		t.Fatalf("ran %d, submitted %d", runs.Load(), st.Submitted)
 	}
 }
+
+// TestDoUnlessSkipsLandedWork pins the closed single-flight window: a
+// request that arrives after the job for its key has published and
+// retired must not run the job again.
+func TestDoUnlessSkipsLandedWork(t *testing.T) {
+	p := New(2)
+	defer p.Close()
+	var published atomic.Bool
+	var runs atomic.Int32
+	job := func() error {
+		runs.Add(1)
+		published.Store(true)
+		return nil
+	}
+	first, started := p.DoUnless("k", published.Load, job)
+	if !started {
+		t.Fatal("the first request did not start the job")
+	}
+	if err := first.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	p.Drain() // the ticket is retired
+	late, started := p.DoUnless("k", published.Load, job)
+	if started || !late.TryDone() {
+		t.Fatalf("a late request re-submitted landed work (started=%v)", started)
+	}
+	if err := late.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("the job ran %d times", n)
+	}
+	if st := p.Stats(); st.Submitted != 1 || st.Deduped != 1 {
+		t.Fatalf("stats %+v, want 1 submitted and 1 deduplicated", st)
+	}
+	// Without the check Do behaves as before.
+	if _, started := p.Do("k", job); !started {
+		t.Fatal("Do must submit when nothing is in flight")
+	}
+}

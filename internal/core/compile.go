@@ -11,7 +11,9 @@ import (
 	"repro/internal/infer"
 	"repro/internal/inline"
 	"repro/internal/opt"
+	"repro/internal/persist"
 	"repro/internal/regalloc"
+	"repro/internal/repo"
 	"repro/internal/telemetry"
 	"repro/internal/types"
 	"repro/internal/vm"
@@ -27,21 +29,51 @@ type pipelineOpts struct {
 	optimize bool
 	// generic disables type-driven code selection extras (mcc tier).
 	generic bool
+	// boxedCalls keeps every user call boxed: no return summaries, hence
+	// no guards. OSR continuations need it — a continuation resumes a
+	// half-run activation, which cannot be abandoned and re-run.
+	boxedCalls bool
+}
+
+// compiled is what the pipeline produces for one (function, signature):
+// the code, and what the repository entry records about it.
+type compiled struct {
+	code *vm.Compiled
+	// ret and deps become repo.Entry.Ret and Deps.
+	ret  []types.Type
+	deps []repo.Dep
+}
+
+// entry wraps the compile result as a repository entry.
+func (c *compiled) entry(sig types.Signature, q repo.Quality, speculative bool) *repo.Entry {
+	return &repo.Entry{Sig: sig, Code: c.code, Quality: q, Speculative: speculative, Ret: c.ret, Deps: c.deps}
 }
 
 // compile runs the full compiler (Figure 1 of the paper): inliner →
 // disambiguator → type inference → code generation, accumulating
 // per-phase times for the Figure 6 decomposition.
-func (e *Engine) compile(fn *ast.Function, sig types.Signature, po pipelineOpts) (*vm.Compiled, error) {
+func (e *Engine) compile(fn *ast.Function, sig types.Signature, po pipelineOpts) (*compiled, error) {
 	if len(sig) != len(fn.Ins) {
 		return nil, &codegen.ErrUnsupported{Reason: "arity mismatch between signature and formals"}
 	}
 
 	// Pass 1+2: inlining and disambiguation.
 	t0 := time.Now()
-	work := fn
-	if !e.opts.DisableInlining && !po.generic {
-		work = inline.Expand(fn, e)
+	var work *ast.Function
+	out := &compiled{}
+	if e.opts.DisableInlining || po.generic {
+		// Disambiguation writes on the nodes it classifies; fn is shared
+		// with every engine of the library, so it gets a private copy
+		// (the inliner makes its own).
+		work = ast.CloneFunction(fn)
+	} else {
+		var spliced []*ast.Function
+		work, spliced = inline.ExpandDeps(fn, e)
+		for _, callee := range spliced {
+			if callee.Name != fn.Name {
+				out.deps = append(out.deps, repo.Dep{Name: callee.Name, SrcHash: persist.HashSource(callee.Source)})
+			}
+		}
 	}
 	g := cfg.Build(work.Body)
 	tbl := disambig.Analyze(g, work.Ins, disambig.ResolverFunc(func(name string) bool {
@@ -64,7 +96,7 @@ func (e *Engine) compile(fn *ast.Function, sig types.Signature, po pipelineOpts)
 	for i, p := range work.Ins {
 		params[p] = sig[i]
 	}
-	res := infer.Forward(g, params, e.inferOptsFor(po))
+	res := e.inferWithSummaries(fn, work, sig, g, params, tbl, po, out)
 	d1 := time.Since(t1)
 	atomic.AddInt64(&e.timing.TypeInf, d1.Nanoseconds())
 	e.tracer.Span(telemetry.CatTypeInf, fn.Name, e.id, t1, d1)
@@ -92,14 +124,14 @@ func (e *Engine) compile(fn *ast.Function, sig types.Signature, po pipelineOpts)
 	ra := regalloc.DefaultOptions()
 	ra.SpillAll = e.opts.SpillAll
 	regalloc.Allocate(prog, ra)
-	code, err := vm.Prepare(prog)
+	out.code, err = vm.Prepare(prog)
 	d2 := time.Since(t2)
 	atomic.AddInt64(&e.timing.Codegen, d2.Nanoseconds())
 	e.tracer.Span(telemetry.CatCodegen, fn.Name, e.id, t2, d2)
 	if err != nil {
 		return nil, err
 	}
-	return code, nil
+	return out, nil
 }
 
 func (e *Engine) inferOpts() infer.Opts {
@@ -159,8 +191,10 @@ func (e *Engine) optConfig() opt.Config {
 // speculate derives the speculative signature for a function (paper
 // §2.5): backward hint propagation alternating with forward passes.
 func (e *Engine) speculate(fn *ast.Function) (types.Signature, error) {
-	work := fn
-	if !e.opts.DisableInlining {
+	var work *ast.Function
+	if e.opts.DisableInlining {
+		work = ast.CloneFunction(fn) // see compile: never analyze the shared AST
+	} else {
 		work = inline.Expand(fn, e)
 	}
 	g := cfg.Build(work.Body)

@@ -22,6 +22,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/profile"
 	"repro/internal/telemetry"
+	"repro/internal/vm"
 )
 
 // Tier selects how function calls are executed.
@@ -407,16 +408,16 @@ func (e *Engine) Precompile() {
 	if e.opts.Tier != TierSpec {
 		return
 	}
-	for _, fn := range e.lib.snapshot() {
+	for _, st := range e.lib.defined() {
 		has := false
-		for _, entry := range e.repo.r.Entries(fn.Name) {
+		for _, entry := range st.Entries {
 			if entry.Speculative {
 				has = true
 				break
 			}
 		}
 		if !has {
-			e.repo.precompile(fn)
+			e.repo.precompile(st)
 		}
 	}
 }
@@ -490,23 +491,32 @@ func (e *Engine) Call(name string, args []*mat.Value, nout int) ([]*mat.Value, e
 // as do EvalString and the workspace accessors (one MATLAB workspace,
 // like one MATLAB session).
 func (e *Engine) CallFunction(name string, args []*mat.Value, nout int) ([]*mat.Value, error) {
+	return e.CallUser(name, args, nout, nil)
+}
+
+// CallUser implements vm.Host: CallFunction on behalf of the compiled
+// activation that owns caller (nil when the call comes from anywhere
+// else), so a compiled callee runs on the next frame of its chain.
+func (e *Engine) CallUser(name string, args []*mat.Value, nout int, caller *vm.Frame) ([]*mat.Value, error) {
 	// Call-entry safepoint: loops poll the flag at back-edges, and this
 	// check covers loop-free infinite recursion (every recursive cycle
 	// contains a call).
 	if e.cancelFlag.Raised() {
 		return nil, cancel.ErrInterrupted
 	}
-	fn := e.LookupFunction(name)
-	if fn == nil {
+	// One load resolves the name to its definition, generation and
+	// compiled entries, all from the same instant.
+	st := e.lib.repo.State(name)
+	if st.Fn == nil {
 		return nil, fmt.Errorf("undefined function %q", name)
 	}
 	if nout < 1 {
 		nout = 1
 	}
 	if e.opts.Tier == TierInterp {
-		return e.in.CallFunction(fn, args, nout, e.globals)
+		return e.in.CallFunction(st.Fn, args, nout, e.globals)
 	}
-	return e.repo.invoke(fn, args, nout)
+	return e.repo.invoke(st, args, nout, caller)
 }
 
 // Interpret runs the function through the interpreter regardless of

@@ -35,8 +35,13 @@ import (
 // from another generation's source. Workspaces remain per-engine; only
 // code is shared.
 type Library struct {
-	fmu   sync.RWMutex
-	funcs map[string]*ast.Function
+	// Function definitions live in the repository's per-function state,
+	// next to the generation and the entries compiled from them, so one
+	// lock-free load resolves a name to a consistent (definition,
+	// generation, code) triple. fmu serialises the writers that decide
+	// whether a definition changes (register, LoadSnapshot,
+	// ApplyReplicated) and guards defTimes.
+	fmu sync.RWMutex
 	// defTimes stamps each function's last source change (unix nanos).
 	// Cluster replication uses it as a last-writer-wins tiebreak: a
 	// replicated redefinition is adopted only when strictly newer than
@@ -101,7 +106,6 @@ type LibraryOptions struct {
 // NewLibrary creates a shared code library.
 func NewLibrary(opts LibraryOptions) *Library {
 	l := &Library{
-		funcs:    make(map[string]*ast.Function),
 		defTimes: make(map[string]int64),
 		repo:     repo.NewBounded(opts.RepoMaxEntries),
 		profiles: profile.NewStore(),
@@ -166,40 +170,41 @@ func (l *Library) Profiles() *profile.Store { return l.profiles }
 func (l *Library) ProfileStats() profile.Stats { return l.profiles.Stats() }
 
 // Lookup resolves a registered function by name (nil if absent). Safe
-// from any goroutine.
+// from any goroutine, lock-free.
 func (l *Library) Lookup(name string) *ast.Function {
-	l.fmu.RLock()
-	defer l.fmu.RUnlock()
-	return l.funcs[name]
+	return l.repo.State(name).Fn
+}
+
+// defined returns the states of all registered functions, sorted by
+// name. Each state is one consistent cut of its function: source,
+// generation and entries belong together.
+func (l *Library) defined() []*repo.FuncState {
+	var out []*repo.FuncState
+	l.repo.Each(func(_ string, st *repo.FuncState) {
+		if st.Fn != nil {
+			out = append(out, st)
+		}
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Fn.Name < out[j].Fn.Name })
+	return out
 }
 
 // Names returns the registered function names, sorted.
 func (l *Library) Names() []string {
-	l.fmu.RLock()
-	out := make([]string, 0, len(l.funcs))
-	for n := range l.funcs {
-		out = append(out, n)
-	}
-	l.fmu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-// snapshot returns the registered functions (for Precompile sweeps).
-func (l *Library) snapshot() []*ast.Function {
-	l.fmu.RLock()
-	defer l.fmu.RUnlock()
-	out := make([]*ast.Function, 0, len(l.funcs))
-	for _, fn := range l.funcs {
-		out = append(out, fn)
+	sts := l.defined()
+	out := make([]string, len(sts))
+	for i, st := range sts {
+		out[i] = st.Fn.Name
 	}
 	return out
 }
 
-// register publishes a (re)definition. The new body is published before
-// the repository generation advances: an async job that observes the
-// new generation is then guaranteed to resolve the new body (see
-// invokeAsync's ordering note).
+// register publishes a (re)definition: the new body, the advanced
+// generation and the emptied entry list become visible in one atomic
+// store (repo.Define), so an async job that observes the new generation
+// resolves the new body, and no caller can pair the new body with old
+// code. Functions compiled against the old body — they inlined it or
+// took its return summary — are invalidated with it.
 //
 // A redefinition whose source text is byte-identical to the registered
 // one is a no-op — the paper's snooper invalidates on *change*, not on
@@ -207,21 +212,14 @@ func (l *Library) snapshot() []*ast.Function {
 // keep its loaded entries when sessions re-send the same definitions:
 // without it, every replayed definition would advance the generation
 // and drop the code the snapshot just restored.
-//
-// Publish and invalidation happen under the function-map lock, so a
-// snapshot export (which reads sources and entries under the same
-// lock) can never pair one generation's source text with another
-// generation's compiled entries.
 func (l *Library) register(fn *ast.Function) {
 	l.fmu.Lock()
-	if old, ok := l.funcs[fn.Name]; ok && old.Source != "" && old.Source == fn.Source {
-		l.fmu.Unlock()
+	defer l.fmu.Unlock()
+	if old := l.Lookup(fn.Name); old != nil && old.Source != "" && old.Source == fn.Source {
 		return
 	}
-	l.funcs[fn.Name] = fn
 	l.defTimes[fn.Name] = time.Now().UnixNano()
-	l.repo.Invalidate(fn.Name)
-	l.fmu.Unlock()
+	l.repo.Define(fn, persist.HashSource(fn.Source))
 }
 
 // DefTime returns the last-writer-wins stamp of a function's current
@@ -236,29 +234,20 @@ func (l *Library) DefTime(name string) int64 {
 // --- persistence -------------------------------------------------------------
 
 // ExportSnapshot captures the library's serializable state: every
-// registered function source plus its live compiled entries. The
-// function-map lock is held across the whole export (register takes the
-// same lock for publish+invalidate), so sources and entries are always
-// from the same generation. Safe from any goroutine; the write-behind
-// snapshotter is the main caller.
+// registered function source plus its live compiled entries. Each
+// function is exported from one load of its state, so its source and its
+// entries are always from the same generation. Safe from any goroutine;
+// the write-behind snapshotter is the main caller.
 func (l *Library) ExportSnapshot() *persist.Snapshot {
-	l.fmu.RLock()
-	defer l.fmu.RUnlock()
-	names := make([]string, 0, len(l.funcs))
-	for name := range l.funcs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	snap := &persist.Snapshot{Funcs: make([]persist.FuncState, 0, len(names))}
+	sts := l.defined()
+	snap := &persist.Snapshot{Funcs: make([]persist.FuncState, 0, len(sts))}
 	profs := make(map[string][]profile.SigDump)
 	for _, fd := range l.profiles.Export() {
 		profs[fd.Name] = fd.Sigs
 	}
-	for _, name := range names {
-		fn := l.funcs[name]
-		h := persist.HashSource(fn.Source)
-		fs := persist.FuncState{Name: name, Source: fn.Source, SrcHash: h}
-		for _, sd := range profs[name] {
+	for _, st := range sts {
+		fs := persist.FuncState{Name: st.Fn.Name, Source: st.Fn.Source, SrcHash: st.SrcHash}
+		for _, sd := range profs[fs.Name] {
 			fs.Profile = append(fs.Profile, persist.ProfileSig{
 				Key:       sd.Key,
 				Observed:  sd.Observed,
@@ -266,22 +255,58 @@ func (l *Library) ExportSnapshot() *persist.Snapshot {
 				BackEdges: sd.BackEdges,
 			})
 		}
-		for _, e := range l.repo.Entries(name) {
-			es := persist.EntryState{
-				SrcHash:     h,
-				Sig:         e.Sig,
-				Quality:     uint8(e.Quality),
-				Speculative: e.Speculative,
-				Hits:        e.Hits(),
-			}
-			if e.Code != nil {
-				es.Prog = e.Code.P
-			}
-			fs.Entries = append(fs.Entries, es)
+		for _, e := range st.Entries {
+			fs.Entries = append(fs.Entries, entryState(st.SrcHash, e))
 		}
 		snap.Funcs = append(snap.Funcs, fs)
 	}
 	return snap
+}
+
+// entryState renders a repository entry in its serializable form.
+func entryState(srcHash uint64, e *repo.Entry) persist.EntryState {
+	es := persist.EntryState{
+		SrcHash:     srcHash,
+		Sig:         e.Sig,
+		Quality:     uint8(e.Quality),
+		Speculative: e.Speculative,
+		Hits:        e.Hits(),
+		Ret:         e.Ret,
+	}
+	for _, d := range e.Deps {
+		es.Deps = append(es.Deps, persist.Dep{Name: d.Name, SrcHash: d.SrcHash})
+	}
+	if e.Code != nil {
+		es.Prog = e.Code.P
+	}
+	return es
+}
+
+// restoreEntry rebuilds a repository entry from its serialized form,
+// re-preparing the program against this build's tables. The string names
+// the validation failure ("" on success) for the ingest counters.
+func restoreEntry(es *persist.EntryState, hits int64) (*repo.Entry, string) {
+	q := repo.Quality(es.Quality)
+	if q > repo.QualityOpt {
+		return nil, "bad-quality"
+	}
+	var code *vm.Compiled
+	if es.Prog != nil {
+		var err error
+		if code, err = vm.Prepare(es.Prog); err != nil {
+			return nil, "prepare-failed"
+		}
+	} else if q != repo.QualityInterp {
+		// A compiled-quality entry with no program is damage the codec
+		// cannot see; drop it.
+		return nil, "missing-program"
+	}
+	e := repo.Restored(es.Sig, code, q, es.Speculative, hits)
+	e.Ret = es.Ret
+	for _, d := range es.Deps {
+		e.Deps = append(e.Deps, repo.Dep{Name: d.Name, SrcHash: d.SrcHash})
+	}
+	return e, ""
 }
 
 // LoadSnapshot warm-starts the library from a decoded snapshot:
@@ -296,52 +321,44 @@ func (l *Library) ExportSnapshot() *persist.Snapshot {
 //     live definition and the snapshot's entries are dropped (the
 //     cross-lifetime form of "a redefinition must not resurrect stale
 //     code");
-//   - an entry whose source hash disagrees with its function's, or
-//     whose program the current build cannot prepare, is dropped.
+//   - an entry whose source hash disagrees with its function's, whose
+//     program the current build cannot prepare, or that was compiled
+//     against another function (inlined, or asked for its return
+//     summary) whose registered source is not the one it saw, is dropped.
 func (l *Library) LoadSnapshot(snap *persist.Snapshot) persist.LoadStats {
 	var st persist.LoadStats
 	st.Attempted = true
-	for _, fs := range snap.Funcs {
-		if persist.HashSource(fs.Source) != fs.SrcHash {
-			st.RejectedFunctions++
-			st.RejectedEntries += len(fs.Entries)
-			continue
-		}
-		file, err := parser.Parse(fs.Source)
-		if err != nil || len(file.Stmts) > 0 {
-			st.RejectedFunctions++
-			st.RejectedEntries += len(fs.Entries)
-			continue
-		}
+	// First every source, then every entry: an entry is only published
+	// when the functions it was compiled against are registered with the
+	// source it saw, whatever order the snapshot lists them in.
+	accepted := make([]*persist.FuncState, 0, len(snap.Funcs))
+	for i := range snap.Funcs {
+		fs := &snap.Funcs[i]
 		var fn *ast.Function
-		for _, f := range file.Funcs {
-			if f.Name == fs.Name {
-				fn = f
-				break
+		if persist.HashSource(fs.Source) == fs.SrcHash {
+			fn = parseDefinition(fs.Source, fs.Name)
+		}
+		if fn != nil {
+			l.fmu.Lock()
+			if old := l.Lookup(fs.Name); old == nil {
+				l.repo.Define(fn, fs.SrcHash)
+			} else if old.Source != fn.Source {
+				// A live definition with different source wins over the
+				// snapshot unconditionally.
+				fn = nil
 			}
+			l.fmu.Unlock()
 		}
 		if fn == nil {
 			st.RejectedFunctions++
 			st.RejectedEntries += len(fs.Entries)
 			continue
 		}
-
-		l.fmu.Lock()
-		if old, ok := l.funcs[fs.Name]; ok {
-			if old.Source != fn.Source {
-				// A live definition with different source wins over the
-				// snapshot unconditionally.
-				l.fmu.Unlock()
-				st.RejectedFunctions++
-				st.RejectedEntries += len(fs.Entries)
-				continue
-			}
-		} else {
-			l.funcs[fs.Name] = fn
-		}
-		l.fmu.Unlock()
 		st.LoadedFunctions++
+		accepted = append(accepted, fs)
+	}
 
+	for _, fs := range accepted {
 		if len(fs.Profile) > 0 {
 			// Seed the hotness profile so a previously hot signature tiers
 			// up on its first call of the new lifetime (warm starts skip
@@ -357,35 +374,37 @@ func (l *Library) LoadSnapshot(snap *persist.Snapshot) persist.LoadStats {
 			}
 			l.profiles.Load(fs.Name, l.repo.Generation(fs.Name), sigs)
 		}
-
-		for _, es := range fs.Entries {
+		for i := range fs.Entries {
+			es := &fs.Entries[i]
 			if es.SrcHash != fs.SrcHash {
 				st.RejectedEntries++
 				continue
 			}
-			q := repo.Quality(es.Quality)
-			if q > repo.QualityOpt {
+			e, fail := restoreEntry(es, es.Hits)
+			if fail != "" || !l.repo.InsertLoaded(fs.Name, e) {
 				st.RejectedEntries++
 				continue
 			}
-			var code *vm.Compiled
-			if es.Prog != nil {
-				code, err = vm.Prepare(es.Prog)
-				if err != nil {
-					st.RejectedEntries++
-					continue
-				}
-			} else if q != repo.QualityInterp {
-				// A compiled-quality entry with no program is snapshot
-				// damage the codec cannot see; drop it.
-				st.RejectedEntries++
-				continue
-			}
-			l.repo.InsertLoaded(fs.Name, repo.Restored(es.Sig, code, q, es.Speculative, es.Hits))
 			st.LoadedEntries++
 		}
 	}
 	return st
+}
+
+// parseDefinition parses src, which must hold function definitions only,
+// and returns the one called name (nil when it is absent or src is not
+// such a file).
+func parseDefinition(src, name string) *ast.Function {
+	file, err := parser.Parse(src)
+	if err != nil || len(file.Stmts) > 0 {
+		return nil
+	}
+	for _, f := range file.Funcs {
+		if f.Name == name {
+			return f
+		}
+	}
+	return nil
 }
 
 // EnablePersistence warm-starts the library from the snapshot at path
@@ -454,6 +473,8 @@ func (l *Library) FlushPersistence() error {
 //	"applied"           the compiled entry was published
 //	"duplicate"         an equal-or-better entry (or a racing local compile) already serves the signature
 //	"stale-definition"  the record's source is older than the live definition
+//	"stale-dependency"  the entry was compiled against (inlined, or took a return
+//	                    summary from) a function whose source here is not the one it saw
 //	"source-hash-mismatch", "source-parse", "entry-hash-mismatch",
 //	"bad-quality", "missing-program", "prepare-failed"
 //	                    validation failures; the record is dropped whole
@@ -462,33 +483,24 @@ func (l *Library) FlushPersistence() error {
 // never trusted past its guards, an old definition can never clobber a
 // newer one (DefTime strictly-greater wins; an exact-stamp tie between
 // differing sources breaks deterministically on the source hash so the
-// fleet converges on one definition), and the repository generation is
-// captured under the
-// function-map lock so a local redefinition racing the apply drops the
-// entry rather than resurrecting code for dead source.
+// fleet converges on one definition), the repository generation is
+// captured under the definition lock so a local redefinition racing the
+// apply drops the entry rather than resurrecting code for dead source,
+// and an entry compiled against a function this node holds other source
+// for (or none yet) is refused until anti-entropy offers it again.
 func (l *Library) ApplyReplicated(rec *persist.EntryRecord) (bool, string) {
 	if persist.HashSource(rec.Source) != rec.SrcHash {
 		return false, "source-hash-mismatch"
 	}
-	file, err := parser.Parse(rec.Source)
-	if err != nil || len(file.Stmts) > 0 {
-		return false, "source-parse"
-	}
-	var fn *ast.Function
-	for _, f := range file.Funcs {
-		if f.Name == rec.Func {
-			fn = f
-			break
-		}
-	}
+	fn := parseDefinition(rec.Source, rec.Func)
 	if fn == nil {
 		return false, "source-parse"
 	}
 
 	l.fmu.Lock()
-	if old, ok := l.funcs[rec.Func]; !ok {
-		l.funcs[rec.Func] = fn
+	if old := l.Lookup(rec.Func); old == nil {
 		l.defTimes[rec.Func] = rec.DefTime
+		l.repo.Define(fn, rec.SrcHash)
 	} else if old.Source == rec.Source {
 		// Same definition; adopt the newer stamp so peer digests
 		// converge instead of ping-ponging in anti-entropy rounds.
@@ -497,16 +509,15 @@ func (l *Library) ApplyReplicated(rec *persist.EntryRecord) (bool, string) {
 		}
 	} else if rec.DefTime > l.defTimes[rec.Func] ||
 		(rec.DefTime == l.defTimes[rec.Func] && rec.SrcHash > persist.HashSource(old.Source)) {
-		// Genuine remote redefinition: publish then invalidate, in the
-		// same order (and under the same lock) as a local register, so
-		// no engine can pair the new source with old-generation code.
-		// An exact DefTime tie between *different* sources (two nodes
-		// registering independently within clock granularity) breaks on
-		// the source hash — higher hash wins on every node, so the fleet
-		// converges on one definition instead of diverging permanently.
-		l.funcs[rec.Func] = fn
+		// Genuine remote redefinition, published exactly like a local
+		// register so no engine can pair the new source with
+		// old-generation code. An exact DefTime tie between *different*
+		// sources (two nodes registering independently within clock
+		// granularity) breaks on the source hash — higher hash wins on
+		// every node, so the fleet converges on one definition instead of
+		// diverging permanently.
 		l.defTimes[rec.Func] = rec.DefTime
-		l.repo.Invalidate(rec.Func)
+		l.repo.Define(fn, rec.SrcHash)
 	} else {
 		l.fmu.Unlock()
 		return false, "stale-definition"
@@ -517,26 +528,19 @@ func (l *Library) ApplyReplicated(rec *persist.EntryRecord) (bool, string) {
 	if rec.Entry == nil {
 		return true, "source"
 	}
-	es := rec.Entry
-	if es.SrcHash != rec.SrcHash {
+	if rec.Entry.SrcHash != rec.SrcHash {
 		return false, "entry-hash-mismatch"
-	}
-	q := repo.Quality(es.Quality)
-	if q > repo.QualityOpt {
-		return false, "bad-quality"
-	}
-	var code *vm.Compiled
-	if es.Prog != nil {
-		if code, err = vm.Prepare(es.Prog); err != nil {
-			return false, "prepare-failed"
-		}
-	} else if q != repo.QualityInterp {
-		return false, "missing-program"
 	}
 	// Hits start at zero: the origin's hit counts rank *its* working
 	// set, and seeding them here would shield never-used replicas from
 	// least-hit eviction.
-	e := repo.Restored(es.Sig, code, q, es.Speculative, 0)
+	e, fail := restoreEntry(rec.Entry, 0)
+	if fail != "" {
+		return false, fail
+	}
+	if !l.repo.Current(e.Deps) {
+		return false, "stale-dependency"
+	}
 	if !l.repo.InsertReplicated(rec.Func, e, gen, rec.Origin) {
 		return false, "duplicate"
 	}
@@ -550,42 +554,28 @@ func (l *Library) ApplyReplicated(rec *persist.EntryRecord) (bool, string) {
 // includeReplicated is false, entries that were themselves applied from
 // a peer are skipped — the push path uses this so replicas don't echo
 // around the cluster; anti-entropy repair passes true so any node can
-// heal any other. The function-map lock is held across the export, so
-// sources, stamps, and entries are always from the same generation.
+// heal any other. Each function is exported from one load of its state
+// under the definition lock, so sources, stamps, and entries are always
+// from the same generation.
 func (l *Library) ExportRecords(origin string, includeReplicated bool) []persist.EntryRecord {
 	l.fmu.RLock()
 	defer l.fmu.RUnlock()
-	names := make([]string, 0, len(l.funcs))
-	for name := range l.funcs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var out []persist.EntryRecord
-	for _, name := range names {
-		fn := l.funcs[name]
+	for _, st := range l.defined() {
 		base := persist.EntryRecord{
 			Origin:  origin,
-			Func:    name,
-			Source:  fn.Source,
-			SrcHash: persist.HashSource(fn.Source),
-			DefTime: l.defTimes[name],
+			Func:    st.Fn.Name,
+			Source:  st.Fn.Source,
+			SrcHash: st.SrcHash,
+			DefTime: l.defTimes[st.Fn.Name],
 		}
 		n := 0
-		for _, e := range l.repo.Entries(name) {
+		for _, e := range st.Entries {
 			if e.Replicated && !includeReplicated {
 				continue
 			}
 			rec := base
-			es := persist.EntryState{
-				SrcHash:     base.SrcHash,
-				Sig:         e.Sig,
-				Quality:     uint8(e.Quality),
-				Speculative: e.Speculative,
-				Hits:        e.Hits(),
-			}
-			if e.Code != nil {
-				es.Prog = e.Code.P
-			}
+			es := entryState(st.SrcHash, e)
 			rec.Entry = &es
 			out = append(out, rec)
 			n++
@@ -605,17 +595,18 @@ func (l *Library) ExportRecords(origin string, includeReplicated bool) []persist
 func (l *Library) ExportDigest() map[string]persist.FuncDigest {
 	l.fmu.RLock()
 	defer l.fmu.RUnlock()
-	out := make(map[string]persist.FuncDigest, len(l.funcs))
-	for name, fn := range l.funcs {
+	sts := l.defined()
+	out := make(map[string]persist.FuncDigest, len(sts))
+	for _, st := range sts {
 		d := persist.FuncDigest{
-			SrcHash: persist.HashSource(fn.Source),
-			DefTime: l.defTimes[name],
+			SrcHash: st.SrcHash,
+			DefTime: l.defTimes[st.Fn.Name],
 		}
-		for _, e := range l.repo.Entries(name) {
+		for _, e := range st.Entries {
 			d.Entries = append(d.Entries, e.Sig.Key())
 		}
 		sort.Strings(d.Entries)
-		out[name] = d
+		out[st.Fn.Name] = d
 	}
 	return out
 }

@@ -162,13 +162,13 @@ func (r *repoState) requestOSR(fr *interp.Frame, loop ast.Stmt, st *profile.OSRS
 			return nil
 		}
 		t0 := time.Now()
-		code, err := e.compile(synth, sig, pipelineOpts{optimize: true})
+		c, err := e.compile(synth, sig, pipelineOpts{optimize: true, boxedCalls: true})
 		e.tracer.Span(telemetry.CatOSR, name+" compile", e.id, t0, time.Since(t0))
 		if err != nil {
 			st.Failed.Store(true)
 			return nil
 		}
-		st.Publish(&profile.OSREntry{Params: params, Sig: sig, Code: code, Gen: gen, ForLoop: forLoop})
+		st.Publish(&profile.OSREntry{Params: params, Sig: sig, Code: c.code, Deps: c.deps, Gen: gen, ForLoop: forLoop})
 		e.lib.profiles.CountOSRCompile()
 		e.lib.journal.Record(telemetry.Event{
 			Kind:   telemetry.EventOSRCompile,
@@ -230,7 +230,7 @@ func (r *repoState) osrTransfer(fr *interp.Frame, st *profile.OSRState, entry *p
 
 	// Generation guard: a redefinition (even mid-activation) deopts —
 	// the continuation must never outlive its source.
-	if entry.Gen != fr.Gen || r.r.Generation(fr.Fn.Name) != entry.Gen {
+	if entry.Gen != fr.Gen || r.r.Generation(fr.Fn.Name) != entry.Gen || !r.r.Current(entry.Deps) {
 		return deopt(profile.DeoptGeneration)
 	}
 	if entry.ForLoop != (fs != nil) {
@@ -275,7 +275,7 @@ func (r *repoState) osrTransfer(fr *interp.Frame, st *profile.OSRState, entry *p
 	if e.tracer != nil {
 		t0 = time.Now()
 	}
-	outs, err := vm.Run(entry.Code, e, vals)
+	outs, err := vm.Run(entry.Code, e, vals, nil)
 	if e.tracer != nil {
 		e.tracer.Span(telemetry.CatOSR, fr.Fn.Name+" transfer", e.id, t0, time.Since(t0))
 	}

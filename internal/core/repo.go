@@ -48,25 +48,15 @@ func newRepoState(e *Engine) *repoState {
 // a shared Library this is the library's process-wide repository.
 func (e *Engine) Repo() *repo.Repository { return e.repo.r }
 
-func (r *repoState) invalidate(name string) {
-	r.r.Invalidate(name)
-}
-
 // precompile performs the speculative ahead-of-time compilation the
 // repository does while "snooping the source code directories". In
 // async mode the job runs on the worker pool — the paper's behind-the-
 // scenes story — and publishes its entry when it lands; the single-
 // flight key prevents duplicate speculative jobs for one source
 // generation.
-func (r *repoState) precompile(fn *ast.Function) {
-	if r.e.lib.queue == nil {
-		r.precompileSync(fn)
-		return
-	}
-	name := fn.Name
-	gen := r.r.Generation(name)
-	key := fmt.Sprintf("spec\x00%s\x00%d", name, gen)
-	r.e.lib.queue.Do(key, func() error {
+func (r *repoState) precompile(st *repo.FuncState) {
+	name, gen := st.Fn.Name, st.Gen
+	job := func() error {
 		fn := r.e.LookupFunction(name)
 		if fn == nil {
 			return nil
@@ -78,44 +68,69 @@ func (r *repoState) precompile(fn *ast.Function) {
 		if r.r.Covered(name, sig) {
 			return nil
 		}
-		code, err := r.e.compile(fn, sig, pipelineOpts{optimize: true})
+		c, err := r.e.compile(fn, sig, pipelineOpts{optimize: true})
 		if err != nil {
 			return nil
 		}
-		r.r.InsertAt(name, &repo.Entry{Sig: sig, Code: code, Quality: repo.QualityOpt, Speculative: true}, gen)
+		r.r.InsertAt(name, c.entry(sig, repo.QualityOpt, true), gen)
 		return nil
-	})
-}
-
-func (r *repoState) precompileSync(fn *ast.Function) {
-	sig, err := r.e.speculate(fn)
-	if err != nil {
+	}
+	if r.e.lib.queue == nil {
+		job()
 		return
 	}
-	code, err := r.e.compile(fn, sig, pipelineOpts{optimize: true})
-	if err != nil {
-		return
-	}
-	r.r.Insert(fn.Name, &repo.Entry{Sig: sig, Code: code, Quality: repo.QualityOpt, Speculative: true})
+	r.e.lib.queue.Do(fmt.Sprintf("spec\x00%s\x00%d", name, gen), job)
 }
 
-func (r *repoState) invoke(fn *ast.Function, args []*mat.Value, nout int) ([]*mat.Value, error) {
+// sigBuf is the stack room invoke reserves for an invocation signature;
+// calls with more arguments fall back to a heap signature.
+const sigBuf = 6
+
+// invoke is the function locator's hit path, the layer every call
+// crosses — Engine.Call, compiled code's OpCallUser and the daemon's
+// evals alike. st is the callee's state as loaded once by the caller:
+// definition, generation and entries from the same instant. A hit takes
+// no lock and allocates nothing here (the signature lives in this
+// frame); everything that retains the signature is on the miss path,
+// which gets a copy.
+func (r *repoState) invoke(st *repo.FuncState, args []*mat.Value, nout int, caller *vm.Frame) ([]*mat.Value, error) {
+	var buf [sigBuf]types.Type
+	sig := types.SignatureInto(buf[:0], args)
+	entry := r.r.LookupIn(st, sig)
+	if r.e.opts.Tiered && r.e.opts.Tier == TierJIT {
+		if entry != nil && entry.Code != nil {
+			return r.runEntry(entry, st.Fn, args, nout, caller)
+		}
+		return r.invokeTiered(st, append(types.Signature(nil), sig...), args, nout)
+	}
+	if entry != nil {
+		r.maybeUpgrade(st.Fn, entry)
+		return r.runEntry(entry, st.Fn, args, nout, caller)
+	}
+	return r.miss(st, append(types.Signature(nil), sig...), args, nout, caller)
+}
+
+// miss compiles for a signature no entry serves. The signature is
+// widened when the repository has already compiled this function for
+// the same intrinsic kinds: without widening, recursive calls such as
+// fibonacci(n-1) would compile one version per distinct constant
+// argument.
+func (r *repoState) miss(st *repo.FuncState, sig types.Signature, args []*mat.Value, nout int, caller *vm.Frame) ([]*mat.Value, error) {
 	e := r.e
-	if e.opts.Tiered && e.opts.Tier == TierJIT {
-		return r.invokeTiered(fn, args, nout)
+	// A concurrent caller's compile (or a redefinition) may have landed
+	// since the lookup that missed. Everything below — whether to widen,
+	// which generation to publish at — is decided from one state, and
+	// that state must still be missing the signature; otherwise this
+	// caller would compile a widened sibling of the entry it just failed
+	// to see.
+	if fresh := r.r.State(st.Fn.Name); fresh != st {
+		st = fresh
+		if entry := r.r.LookupIn(st, sig); entry != nil {
+			return r.runEntry(entry, st.Fn, args, nout, caller)
+		}
 	}
-	sig := types.SignatureOf(args)
-	if entry := r.r.Lookup(fn.Name, sig); entry != nil {
-		r.maybeUpgrade(fn, entry)
-		return r.runEntry(entry, fn, args, nout)
-	}
-
-	// Miss → compile. The signature is widened when the repository has
-	// already compiled this function for the same intrinsic kinds:
-	// without widening, recursive calls such as fibonacci(n-1) would
-	// compile one version per distinct constant argument.
 	csig := sig
-	if r.r.SameKindsDifferentDetail(fn.Name, sig) {
+	if st.SameKinds(sig) {
 		csig = widen(sig)
 	}
 
@@ -132,24 +147,30 @@ func (r *repoState) invoke(fn *ast.Function, args []*mat.Value, nout int) ([]*ma
 	}
 
 	if e.lib.queue != nil {
-		return r.invokeAsync(fn, sig, csig, po, args, nout)
+		return r.invokeAsync(st, sig, csig, po, args, nout, caller)
 	}
-	return r.invokeSync(fn, sig, csig, po, args, nout)
+	// The original inline-compile miss path: the default, so
+	// single-threaded behaviour (and the paper's Figure 4/6
+	// reproductions) is unchanged when async mode is off. It publishes at
+	// the generation the caller resolved, so another session's
+	// redefinition landing mid-compile drops the entry instead of
+	// installing code for a dead body.
+	entry, err := r.compileEntry(st.Fn, csig, po)
+	if err != nil {
+		return nil, err
+	}
+	r.r.InsertAt(st.Fn.Name, entry, st.Gen)
+	return r.runEntry(entry, st.Fn, args, nout, caller)
 }
 
-// invokeSync is the original inline-compile miss path: the default, so
-// single-threaded behaviour (and the paper's Figure 4/6 reproductions)
-// is unchanged when async mode is off.
-func (r *repoState) invokeSync(fn *ast.Function, sig, csig types.Signature, po pipelineOpts, args []*mat.Value, nout int) ([]*mat.Value, error) {
-	e := r.e
-	code, err := e.compile(fn, csig, po)
+// compileEntry compiles fn for csig into a publishable entry. A construct
+// the compiler does not support yields an interpret-only entry — defer to
+// runtime, like MaJIC does for ambiguous symbols, and cache the decision.
+func (r *repoState) compileEntry(fn *ast.Function, csig types.Signature, po pipelineOpts) (*repo.Entry, error) {
+	c, err := r.e.compile(fn, csig, po)
 	if err != nil {
 		if _, unsupported := err.(*codegen.ErrUnsupported); unsupported {
-			// Defer to runtime, like MaJIC does for ambiguous symbols:
-			// record an interpret-only entry so the decision is cached.
-			entry := &repo.Entry{Sig: topSignature(len(sig)), Quality: repo.QualityInterp}
-			r.r.Insert(fn.Name, entry)
-			return r.runEntry(entry, fn, args, nout)
+			return &repo.Entry{Sig: topSignature(len(csig)), Quality: repo.QualityInterp}, nil
 		}
 		return nil, err
 	}
@@ -157,9 +178,7 @@ func (r *repoState) invokeSync(fn *ast.Function, sig, csig types.Signature, po p
 	if po.optimize {
 		quality = repo.QualityOpt
 	}
-	entry := &repo.Entry{Sig: csig, Code: code, Quality: quality}
-	r.r.Insert(fn.Name, entry)
-	return r.runEntry(entry, fn, args, nout)
+	return c.entry(csig, quality, false), nil
 }
 
 // invokeAsync enqueues the miss's compile job and applies the per-tier
@@ -173,25 +192,27 @@ func (r *repoState) invokeSync(fn *ast.Function, sig, csig types.Signature, po p
 //     paper's Figure 6 responsiveness story: speculative mode trades
 //     first-call speed for zero perceived compile pauses) and the
 //     compiled entry serves later calls once the job lands.
-func (r *repoState) invokeAsync(fn *ast.Function, sig, csig types.Signature, po pipelineOpts, args []*mat.Value, nout int) ([]*mat.Value, error) {
+func (r *repoState) invokeAsync(st *repo.FuncState, sig, csig types.Signature, po pipelineOpts, args []*mat.Value, nout int, caller *vm.Frame) ([]*mat.Value, error) {
 	e := r.e
-	name := fn.Name
-	// Order matters: read the generation before re-resolving the
-	// function inside the job. If a redefinition lands in between, the
-	// job compiles the new body but publishes at the old generation and
-	// is dropped — conservative, never wrong.
-	gen := r.r.Generation(name)
+	fn, name, gen := st.Fn, st.Fn.Name, st.Gen
+	// The job re-resolves the function by name. If a redefinition landed
+	// since st was loaded, the job compiles the new body but publishes at
+	// the old generation and is dropped — conservative, never wrong.
+	//
+	// Single flight only spans a job's lifetime: a caller descheduled
+	// between its miss and this submit may arrive after the job for its
+	// key has published and retired. The landed check, made under the
+	// pool's lock, sees that entry and submits nothing.
 	key := fmt.Sprintf("jit\x00%s\x00%s\x00%d", name, csig.Key(), gen)
-	arity := len(sig)
-	ticket, _ := e.lib.queue.Do(key, func() error {
-		return r.compileJob(name, csig, po, arity, gen)
-	})
+	ticket, _ := e.lib.queue.DoUnless(key,
+		func() bool { return r.r.Covered(name, csig) },
+		func() error { return r.compileJob(name, csig, po, gen) })
 
 	if e.opts.Tier == TierSpec {
 		// Non-blocking fallback: interpret now, hit compiled code later.
 		// The fallback entry is transient — not inserted — so the
 		// repository keeps exactly one (compiled) entry per key.
-		return r.runEntry(&repo.Entry{Quality: repo.QualityInterp}, fn, args, nout)
+		return r.runEntry(&repo.Entry{Quality: repo.QualityInterp}, fn, args, nout, caller)
 	}
 
 	if e.tracer != nil {
@@ -207,45 +228,44 @@ func (r *repoState) invokeAsync(fn *ast.Function, sig, csig types.Signature, po 
 		return nil, err
 	}
 	if entry := r.r.Lookup(name, sig); entry != nil {
-		return r.runEntry(entry, fn, args, nout)
+		return r.runEntry(entry, fn, args, nout, caller)
 	}
 	// The generation moved while the job was in flight (source
 	// redefined) and the publish was dropped. Interpret this call with
 	// the function the caller resolved; the next call recompiles fresh.
-	return r.runEntry(&repo.Entry{Quality: repo.QualityInterp}, fn, args, nout)
+	return r.runEntry(&repo.Entry{Quality: repo.QualityInterp}, fn, args, nout, caller)
 }
 
 // compileJob is the worker-side body of a miss job. It re-resolves the
 // function by name (see the ordering note in invokeAsync), compiles,
 // and publishes through InsertAt so stale generations are dropped.
-func (r *repoState) compileJob(name string, csig types.Signature, po pipelineOpts, arity int, gen uint64) error {
-	e := r.e
-	fn := e.LookupFunction(name)
+func (r *repoState) compileJob(name string, csig types.Signature, po pipelineOpts, gen uint64) error {
+	fn := r.e.LookupFunction(name)
 	if fn == nil {
 		return nil // deleted while queued; nothing to publish
 	}
 	if r.r.Covered(name, csig) {
-		// An equivalent entry landed between the miss and this job
-		// (single-flight only spans a job's lifetime); don't duplicate.
+		// An entry that serves csig landed while this job was queued —
+		// a job under another key (the widened sibling, say) can cover
+		// it; don't duplicate.
 		return nil
 	}
-	code, err := e.compile(fn, csig, po)
+	entry, err := r.compileEntry(fn, csig, po)
 	if err != nil {
-		if _, unsupported := err.(*codegen.ErrUnsupported); unsupported {
-			r.r.InsertAt(name, &repo.Entry{Sig: topSignature(arity), Quality: repo.QualityInterp}, gen)
-			return nil
-		}
 		return err
 	}
-	quality := repo.QualityJIT
-	if po.optimize {
-		quality = repo.QualityOpt
-	}
-	r.r.InsertAt(name, &repo.Entry{Sig: csig, Code: code, Quality: quality}, gen)
+	r.r.InsertAt(name, entry, gen)
 	return nil
 }
 
-func (r *repoState) runEntry(entry *repo.Entry, fn *ast.Function, args []*mat.Value, nout int) ([]*mat.Value, error) {
+// runEntry executes one invocation through entry: compiled code on the
+// VM, or the interpreter for an interpret-only entry. A compiled
+// activation whose return-type guard misses (vm.ErrGuardMiss) is
+// abandoned and the call re-run in the interpreter — invisible, because
+// only replay-safe functions are compiled with guards — and the entry is
+// retired in favour of an interpret-only one so later calls skip the
+// detour until a redefinition clears the slate.
+func (r *repoState) runEntry(entry *repo.Entry, fn *ast.Function, args []*mat.Value, nout int, caller *vm.Frame) ([]*mat.Value, error) {
 	depth := atomic.AddInt32(&r.callDepth, 1)
 	var t0 time.Time
 	if depth == 1 {
@@ -253,10 +273,20 @@ func (r *repoState) runEntry(entry *repo.Entry, fn *ast.Function, args []*mat.Va
 	}
 	var outs []*mat.Value
 	var err error
-	if entry.Quality == repo.QualityInterp {
+	if entry.Quality != repo.QualityInterp {
+		outs, err = vm.Run(entry.Code, r.e, args, caller)
+		if err == vm.ErrGuardMiss {
+			r.r.Replace(fn.Name, entry, &repo.Entry{Sig: entry.Sig, Quality: repo.QualityInterp})
+			r.e.lib.journal.Record(telemetry.Event{
+				Kind:  telemetry.EventDeopt,
+				Func:  fn.Name,
+				Sig:   entry.Sig.Key(),
+				Cause: telemetry.CauseReturnGuard,
+			})
+		}
+	}
+	if entry.Quality == repo.QualityInterp || err == vm.ErrGuardMiss {
 		outs, err = r.e.in.CallFunction(fn, args, nout, r.e.globals)
-	} else {
-		outs, err = vm.Run(entry.Code, r.e, args)
 	}
 	if depth == 1 {
 		d := time.Since(t0)
@@ -284,17 +314,14 @@ func (r *repoState) runEntry(entry *repo.Entry, fn *ast.Function, args []*mat.Va
 // activation carries a tiered Frame: loop back-edges count toward the
 // same bucket, and a hot loop transfers mid-run into compiled code via
 // on-stack replacement (see osr.go).
-func (r *repoState) invokeTiered(fn *ast.Function, args []*mat.Value, nout int) ([]*mat.Value, error) {
+func (r *repoState) invokeTiered(st *repo.FuncState, sig types.Signature, args []*mat.Value, nout int) ([]*mat.Value, error) {
 	e := r.e
-	sig := types.SignatureOf(args)
-	if entry := r.r.Lookup(fn.Name, sig); entry != nil && entry.Code != nil {
-		return r.runEntry(entry, fn, args, nout)
-	}
-	// Interpret-only lookup hits (cached unsupported decisions) fall
-	// through: the interpreter serves them, and the profile keeps
-	// counting in case a narrower profiled signature compiles where the
-	// widened one could not.
-	gen := r.r.Generation(fn.Name)
+	// invoke already served compiled hits. Interpret-only lookup hits
+	// (cached unsupported decisions) land here with the misses: the
+	// interpreter serves them, and the profile keeps counting in case a
+	// narrower profiled signature compiles where the widened one could
+	// not.
+	fn, gen := st.Fn, st.Gen
 	sp := e.lib.profiles.Func(fn.Name, gen).Sig(widen(sig).Key())
 	sp.Observe(sig)
 	r.maybePromote(fn.Name, sp, gen, len(sig))
@@ -357,7 +384,7 @@ func (r *repoState) maybePromote(name string, sp *profile.SigProfile, gen uint64
 			return nil
 		}
 		t0 := time.Now()
-		code, err := e.compile(e.LookupFunction(name), csig, pipelineOpts{optimize: true})
+		c, err := e.compile(e.LookupFunction(name), csig, pipelineOpts{optimize: true})
 		e.tracer.Span(telemetry.CatTierUp, name, e.id, t0, time.Since(t0))
 		if err != nil {
 			if _, unsupported := err.(*codegen.ErrUnsupported); unsupported {
@@ -368,7 +395,7 @@ func (r *repoState) maybePromote(name string, sp *profile.SigProfile, gen uint64
 			sp.PromotionFailed()
 			return nil
 		}
-		if r.r.InsertAt(name, &repo.Entry{Sig: csig, Code: code, Quality: repo.QualityOpt}, gen) {
+		if r.r.InsertAt(name, c.entry(csig, repo.QualityOpt, false), gen) {
 			e.lib.profiles.CountPromotion()
 			e.lib.journal.Record(telemetry.Event{
 				Kind:   telemetry.EventPromotion,
@@ -421,17 +448,14 @@ func (r *repoState) upgrade(name string, entry *repo.Entry) {
 	if fn == nil {
 		return
 	}
-	repl := &repo.Entry{Sig: entry.Sig, Quality: repo.QualityOpt, Speculative: entry.Speculative}
-	code, err := r.e.compile(fn, entry.Sig, pipelineOpts{optimize: true})
+	c, err := r.e.compile(fn, entry.Sig, pipelineOpts{optimize: true})
 	if err != nil {
 		// Upgrade failure is harmless; keep the JIT code and stop trying
 		// (the replacement carries QualityOpt so the threshold check
 		// never fires again for this entry).
-		repl.Code = entry.Code
-	} else {
-		repl.Code = code
+		c = &compiled{code: entry.Code, ret: entry.Ret, deps: entry.Deps}
 	}
-	r.r.Replace(name, entry, repl)
+	r.r.Replace(name, entry, c.entry(entry.Sig, repo.QualityOpt, entry.Speculative))
 }
 
 // widen relaxes ranges (and, where bounds differ across calls, shapes

@@ -38,11 +38,17 @@ func (inf *inferencer) expr(e ast.Expr, env tenv) types.Type {
 	case *ast.Binary:
 		l := inf.expr(x.L, env)
 		r := inf.expr(x.R, env)
+		if l.IsBottom() || r.IsBottom() {
+			return inf.annotate(e, types.Bottom)
+		}
 		inf.res.RuleApplications++
 		return inf.annotate(e, inf.calc.Forward(x.Op.String(), []types.Type{l, r}))
 
 	case *ast.Unary:
 		v := inf.expr(x.X, env)
+		if v.IsBottom() {
+			return inf.annotate(e, types.Bottom)
+		}
 		inf.res.RuleApplications++
 		return inf.annotate(e, inf.calc.Forward("u"+x.Op.String(), []types.Type{v}))
 
@@ -104,6 +110,9 @@ func (inf *inferencer) callN(x *ast.Call, env tenv, nout int) []types.Type {
 		for i, a := range x.Args {
 			args[i] = inf.expr(a, env)
 		}
+		if anyBottom(args) {
+			return []types.Type{inf.annotate(x, types.Bottom)}
+		}
 		inf.res.RuleApplications++
 		var first types.Type
 		if nout >= 2 {
@@ -128,7 +137,9 @@ func (inf *inferencer) callN(x *ast.Call, env tenv, nout int) []types.Type {
 			args[i] = inf.expr(a, env)
 		}
 		t := types.Top
-		if inf.opts.UserFnType != nil {
+		if anyBottom(args) {
+			t = types.Bottom
+		} else if inf.opts.UserFnType != nil {
 			t = inf.opts.UserFnType(x.Name, args)
 		}
 		t = inf.sanitize(t)
@@ -148,6 +159,19 @@ func (inf *inferencer) callN(x *ast.Call, env tenv, nout int) []types.Type {
 	}
 	inf.annotate(x, types.Top)
 	return []types.Type{types.Top}
+}
+
+// anyBottom reports an operand that no execution reaches with a value:
+// ⊥ is what Opts.UserFnType answers for a recursive call while the
+// caller's own summary is still being solved for, and operators are
+// strict in it (the rule database has no ⊥ rules and would answer ⊤).
+func anyBottom(ts []types.Type) bool {
+	for _, t := range ts {
+		if t.IsBottom() {
+			return true
+		}
+	}
+	return false
 }
 
 // baseTypes records the base array type at each indexing site, keyed by

@@ -23,8 +23,11 @@ type Opts struct {
 	// MaxIter caps per-block revisits before widening (the paper "caps
 	// the number of iterations" to keep JIT inference fast).
 	MaxIter int
-	// UserFnType resolves the result type of a (non-inlined) call to a
-	// user function; nil means ⊤ (generic boxed call).
+	// UserFnType resolves the type of the first result of a (non-inlined)
+	// call to a user function from the argument types; nil means ⊤
+	// (generic boxed call). It may answer ⊥ for a call whose result is
+	// not known yet (see anyBottom). Code generation unboxes a real or
+	// integer scalar answer behind a run-time guard.
 	UserFnType func(name string, args []types.Type) types.Type
 }
 
@@ -44,8 +47,21 @@ type Result struct {
 	// Bases records the base array type at each indexing site (read or
 	// write), used by code generation for subscript-check removal.
 	Bases map[*ast.Call]types.Type
+	// Boxed names the variables that must keep boxed storage although
+	// their joined type is scalar: variables that receive both integer-
+	// and real-class values and whose value derives from a user call
+	// typed by a return summary (Opts.UserFnType). Before summaries such a
+	// variable was ⊤, hence boxed, and every path's value kept its own
+	// kind; a scalar register would stamp one kind on all of them.
+	Boxed map[string]bool
 	// RuleApplications counts calculator invocations (statistics).
 	RuleApplications int
+}
+
+// TypedCall reports whether a user call annotated t continues unboxed:
+// a dense real or integer scalar, which only a return summary yields.
+func TypedCall(t types.Type) bool {
+	return t.IsScalar() && !t.Sp && !t.IsBottom() && types.LeqI(t.I, types.IReal)
 }
 
 // TypeOf returns the annotation for an expression (⊤ if missing).
@@ -61,6 +77,9 @@ type inferencer struct {
 	calc  *Calculator
 	res   *Result
 	graph *cfg.Graph
+	// mixed names the variables assigned values of different register
+	// classes (see Result.Boxed).
+	mixed map[string]bool
 }
 
 type tenv map[string]types.Type
@@ -176,7 +195,82 @@ func Forward(g *cfg.Graph, params map[string]types.Type, opts Opts) *Result {
 			}
 		}
 	}
+	inf.res.Boxed = inf.dynamicKinds()
 	return inf.res
+}
+
+// registerClass groups the intrinsics by the register bank a scalar of
+// that kind lives in, which is also the kind it is boxed back to.
+func registerClass(i types.Intrinsic) int {
+	switch i {
+	case types.IBool, types.IInt:
+		return 1
+	case types.IReal:
+		return 2
+	}
+	return 3
+}
+
+// dynamicKinds computes Result.Boxed: the mixed-class variables whose
+// value derives, through any chain of assignments, from a typed user
+// call.
+func (inf *inferencer) dynamicKinds() map[string]bool {
+	if len(inf.mixed) == 0 || inf.opts.UserFnType == nil {
+		return nil
+	}
+	derived := map[string]bool{}
+	derives := func(e ast.Expr) bool {
+		found := false
+		ast.Walk(e, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.Ident:
+				found = found || derived[x.Name]
+			case *ast.Call:
+				found = found || derived[x.Name] || (x.Kind == ast.CallUser && TypedCall(inf.res.Annots[x]))
+			}
+			return !found
+		})
+		return found
+	}
+	mark := func(name string) bool {
+		if derived[name] {
+			return false
+		}
+		derived[name] = true
+		return true
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, blk := range inf.graph.Blocks {
+			if f := blk.ForHead; f != nil && derives(f.Iter) {
+				changed = mark(f.Var) || changed
+			}
+			for _, s := range blk.Stmts {
+				a, ok := s.(*ast.Assign)
+				if !ok || !derives(a.RHS) {
+					continue
+				}
+				for _, l := range a.LHS {
+					switch lhs := l.(type) {
+					case *ast.Ident:
+						changed = mark(lhs.Name) || changed
+					case *ast.Call:
+						changed = mark(lhs.Name) || changed
+					}
+				}
+			}
+		}
+	}
+	var boxed map[string]bool
+	for name := range inf.mixed {
+		if derived[name] {
+			if boxed == nil {
+				boxed = map[string]bool{}
+			}
+			boxed[name] = true
+		}
+	}
+	return boxed
 }
 
 // sanitize applies the ablation switches to a type. Disabling minimum
@@ -202,6 +296,12 @@ func (inf *inferencer) sanitize(t types.Type) types.Type {
 
 func (inf *inferencer) noteVar(name string, t types.Type) {
 	if old, ok := inf.res.Vars[name]; ok {
+		if !old.IsBottom() && !t.IsBottom() && registerClass(old.I) != registerClass(t.I) {
+			if inf.mixed == nil {
+				inf.mixed = map[string]bool{}
+			}
+			inf.mixed[name] = true
+		}
 		inf.res.Vars[name] = types.Join(old, t)
 	} else {
 		inf.res.Vars[name] = t

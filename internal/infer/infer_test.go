@@ -345,3 +345,78 @@ end`)
 		t.Errorf("speculative signature %v rejects f(100)", sig)
 	}
 }
+
+// inferWithSummary runs inference over the first function of src with
+// every user call answered by summary.
+func inferWithSummary(t *testing.T, src string, params map[string]types.Type, summary types.Type) (*Result, *ast.Function) {
+	t.Helper()
+	file, err := parser.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn := file.Funcs[0]
+	g := cfg.Build(fn.Body)
+	disambig.Analyze(g, fn.Ins, disambig.ResolverFunc(func(n string) bool { return n == "callee" }))
+	return Forward(g, params, Opts{UserFnType: func(string, []types.Type) types.Type { return summary }}), fn
+}
+
+// TestUserCallsTakeReturnSummaries: Opts.UserFnType types a user call,
+// the type flows on like any other, and ⊥ — "not known yet", the seed of
+// the recursive-summary fixpoint — is absorbed by every operator and by
+// joins instead of degrading to ⊤.
+func TestUserCallsTakeReturnSummaries(t *testing.T) {
+	const src = `
+function y = f(n)
+  if n < 2
+    y = n;
+  else
+    y = callee(n - 1) + callee(n - 2);
+  end
+end`
+	intN := map[string]types.Type{"n": types.ScalarOf(types.IInt, types.RangeTop)}
+
+	res, _ := inferWithSummary(t, src, intN, types.ScalarOf(types.IInt, types.RangeTop))
+	if y := res.Vars["y"]; !y.IsScalar() || y.I != types.IInt {
+		t.Errorf("int summary: y inferred %v, want an int scalar", y)
+	}
+	if len(res.Boxed) != 0 {
+		t.Errorf("nothing mixes here, yet Boxed = %v", res.Boxed)
+	}
+
+	res, _ = inferWithSummary(t, src, intN, types.Bottom)
+	if y := res.Vars["y"]; !y.IsScalar() || y.I != types.IInt {
+		t.Errorf("⊥ summary: y inferred %v; the recursive arm must contribute nothing", y)
+	}
+
+	res, _ = inferWithSummary(t, src, intN, types.Top)
+	if y := res.Vars["y"]; y.I != types.ITop {
+		t.Errorf("⊤ summary: y inferred %v, want ⊤ (today's boxed call)", y)
+	}
+}
+
+// TestMixedClassVariablesStayBoxed: a variable that takes an integer on
+// one path and a real that derives from a typed call on another must
+// keep boxed storage (Result.Boxed) so each path's value keeps its kind;
+// a mixed variable no call feeds was a register before summaries and
+// stays one.
+func TestMixedClassVariablesStayBoxed(t *testing.T) {
+	const src = `
+function [y, z] = f(n)
+  y = 1;
+  z = 1;
+  t = callee(n);
+  if n > 2
+    y = t * 0.5;
+    z = n * 0.5;
+  end
+end`
+	res, _ := inferWithSummary(t, src,
+		map[string]types.Type{"n": types.ScalarOf(types.IInt, types.RangeTop)},
+		types.ScalarOf(types.IReal, types.RangeTop))
+	if !res.Boxed["y"] {
+		t.Errorf("y mixes int and a call-derived real but is not boxed: %v", res.Boxed)
+	}
+	if res.Boxed["z"] || res.Boxed["t"] {
+		t.Errorf("z (no call feeds it) or t (one class) is boxed: %v", res.Boxed)
+	}
+}

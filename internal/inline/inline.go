@@ -8,6 +8,7 @@ package inline
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/ast"
@@ -33,6 +34,9 @@ type inliner struct {
 	tmpCount int
 	// callee analysis cache
 	info map[string]*calleeInfo
+	// spliced collects the callees whose bodies were expanded at least
+	// once, by name.
+	spliced map[string]*ast.Function
 }
 
 type calleeInfo struct {
@@ -48,7 +52,15 @@ type calleeInfo struct {
 // pass (the paper: inlining "necessitates the re-building of the
 // symbol table").
 func Expand(fn *ast.Function, res Resolver) *ast.Function {
-	in := &inliner{res: res, depth: map[string]int{}, info: map[string]*calleeInfo{}}
+	out, _ := ExpandDeps(fn, res)
+	return out
+}
+
+// ExpandDeps is Expand that also reports the functions whose bodies it
+// spliced in (the definitions it resolved, so a caller can record exactly
+// which source the expansion depends on), sorted by name.
+func ExpandDeps(fn *ast.Function, res Resolver) (*ast.Function, []*ast.Function) {
+	in := &inliner{res: res, depth: map[string]int{}, info: map[string]*calleeInfo{}, spliced: map[string]*ast.Function{}}
 	out := ast.CloneFunction(fn)
 	// The expander needs to know which names are variables in fn itself
 	// so it only treats true user calls as candidates.
@@ -57,10 +69,19 @@ func Expand(fn *ast.Function, res Resolver) *ast.Function {
 		return res.LookupFunction(name) != nil
 	}))
 	if tbl.HasAmbiguous {
-		return out
+		return out, nil
 	}
 	out.Body = in.stmts(out.Body, tbl)
-	return out
+	names := make([]string, 0, len(in.spliced))
+	for name := range in.spliced {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	deps := make([]*ast.Function, len(names))
+	for i, name := range names {
+		deps[i] = in.spliced[name]
+	}
+	return out, deps
 }
 
 // analyze classifies a callee for inlinability.
@@ -86,7 +107,10 @@ func (in *inliner) analyze(name string) *calleeInfo {
 	if !clean {
 		return ci
 	}
-	g := cfg.Build(fn.Body)
+	// Disambiguation stamps its verdicts on the call nodes it visits, and
+	// the callee's body is shared with every engine that resolves the
+	// name, so it runs over a private copy.
+	g := cfg.Build(ast.CloneStmts(fn.Body))
 	tbl := disambig.Analyze(g, fn.Ins, disambig.ResolverFunc(func(nm string) bool {
 		return in.res.LookupFunction(nm) != nil
 	}))
@@ -302,6 +326,7 @@ func (in *inliner) expandCall(call *ast.Call, tbl *disambig.Table, nout int) ([]
 	}
 	in.depth[call.Name]++
 	defer func() { in.depth[call.Name]-- }()
+	in.spliced[call.Name] = ci.fn
 
 	in.tmpCount++
 	pfx := fmt.Sprintf("inl%d_", in.tmpCount)

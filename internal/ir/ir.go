@@ -81,8 +81,8 @@ const (
 	OpBoxF   // V[A] = scalar(F[B])
 	OpBoxI   // V[A] = int scalar(I[B])
 	OpBoxC   // V[A] = complex scalar(C[B])
-	OpUnboxF // F[A] = V[B] as real scalar (checked)
-	OpUnboxI // I[A] = V[B] as integer scalar (checked)
+	OpUnboxF // F[A] = V[B] as real scalar (checked); C=1: return-type guard, a miss abandons the activation
+	OpUnboxI // I[A] = V[B] as integer scalar (checked); C=1: return-type guard
 	OpUnboxC // C[A] = V[B] as complex scalar (checked)
 
 	// F arithmetic (scalar doubles; also 0/1 logicals)

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func wantScalar(t *testing.T, v *Value, want float64) {
@@ -611,5 +612,99 @@ func TestPropIndexAssignRoundTrip(t *testing.T) {
 		if err != nil || got != x {
 			t.Fatalf("round trip failed: %g != %g (%v)", got, x, err)
 		}
+	}
+}
+
+// TestScalarBoxIsOneAllocation: the scalar constructors keep their one
+// element inside the Value (96-byte size class), so boxing a scalar is
+// one allocation, and so are cloning one and adding two.
+func TestScalarBoxIsOneAllocation(t *testing.T) {
+	var sink *Value
+	for name, mk := range map[string]func(){
+		"Scalar":     func() { sink = Scalar(1.5) },
+		"IntScalar":  func() { sink = IntScalar(2) },
+		"BoolScalar": func() { sink = BoolScalar(true) },
+		"Clone":      func() { sink = sink.Clone() },
+		"Add":        func() { sink, _ = Add(sink, sink) },
+	} {
+		sink = Scalar(1)
+		if n := testing.AllocsPerRun(100, mk); n != 1 {
+			t.Errorf("%s: %.0f allocations, want 1", name, n)
+		}
+	}
+	if sz := unsafe.Sizeof(Value{}); sz > 96 {
+		t.Errorf("Value is %d bytes: it left the 96-byte size class", sz)
+	}
+}
+
+// TestInlineScalarStoreIsNeverPooled: Recycle must not hand the inline
+// array to the buffer pool — a later draw would scribble over a live
+// scalar.
+func TestInlineScalarStoreIsNeverPooled(t *testing.T) {
+	EnablePool()
+	before := ReadPoolStats()
+	for i := 0; i < 100; i++ {
+		Recycle(Scalar(float64(i)))
+		Recycle(IntScalar(float64(i)))
+		s, _ := Add(Scalar(1), IntScalar(2))
+		Recycle(s)
+	}
+	if after := ReadPoolStats(); after.Recycles != before.Recycles {
+		t.Fatalf("%d inline scalar stores were pooled", after.Recycles-before.Recycles)
+	}
+	v := Scalar(7)
+	Recycle(v)
+	for i := 0; i < 1000; i++ {
+		buf := getBuf(1)
+		buf[0] = -1
+	}
+	if v.MustScalar() != 7 {
+		t.Fatal("a pool draw aliased a scalar's inline store")
+	}
+}
+
+// TestScalarFastPathMatchesElementwiseLoop: scalar∘scalar takes a
+// shortcut at the top of elementwise. It must agree bit for bit, kind
+// included, with the general loop — reached here by computing the same
+// operation on 2-element vectors and reading element 0.
+func TestScalarFastPathMatchesElementwiseLoop(t *testing.T) {
+	xs := []float64{0, 1, -1, 2, 3, 0.5, -2.5, 1e308, -1e308, 5e-324, math.Inf(1), math.Inf(-1), math.NaN(), 1 << 53, math.Copysign(0, -1)}
+	kinds := []Kind{Bool, Int, Real, Char}
+	ops := map[string]func(a, b *Value) (*Value, error){"add": Add, "sub": Sub, "mul": ElemMul, "div": ElemDiv}
+	mk := func(k Kind, x float64, n int) *Value {
+		re := make([]float64, n)
+		for i := range re {
+			re[i] = x
+		}
+		return FromColMajor(k, 1, n, re, nil)
+	}
+	for name, op := range ops {
+		for _, ka := range kinds {
+			for _, kb := range kinds {
+				for _, x := range xs {
+					for _, y := range xs {
+						if (ka == Bool && x != 0 && x != 1) || (kb == Bool && y != 0 && y != 1) {
+							continue
+						}
+						fast, err1 := op(mk(ka, x, 1), mk(kb, y, 1))
+						slow, err2 := op(mk(ka, x, 2), mk(kb, y, 2))
+						if err1 != nil || err2 != nil {
+							t.Fatalf("%s: %v %v", name, err1, err2)
+						}
+						// The loop decides Int-ness over all elements; both
+						// are equal here, so the kinds must agree.
+						if fast.Kind() != slow.Kind() || math.Float64bits(fast.Re()[0]) != math.Float64bits(slow.Re()[0]) {
+							t.Fatalf("%s(%v %g, %v %g): scalar path %v %g, loop %v %g",
+								name, ka, x, kb, y, fast.Kind(), fast.Re()[0], slow.Kind(), slow.Re()[0])
+						}
+					}
+				}
+			}
+		}
+	}
+	// Complex operands bypass the shortcut.
+	z, err := Add(ComplexScalar(complex(1, 2)), Scalar(1))
+	if err != nil || z.Kind() != Complex || z.ComplexAt(0) != complex(2, 2) {
+		t.Fatalf("complex scalar add: %v %v", z, err)
 	}
 }

@@ -38,6 +38,17 @@ const elemGrain = 1 << 14
 // results for every thread count; the integrality scan AND-merges
 // per-chunk flags (order-independent).
 func elementwise(a, b *Value, fr func(x, y float64) float64, fc func(x, y complex128) complex128) (*Value, error) {
+	if a.rows*a.cols == 1 && b.rows*b.cols == 1 && a.im == nil && b.im == nil && a.sp == nil && b.sp == nil {
+		// Scalar∘scalar: the interpreter's and the boxed tiers' most common
+		// operator call. Same arithmetic and kind rule as the loops below,
+		// without their closures, parallel dispatch or pooled buffer.
+		z := fr(a.re[0], b.re[0])
+		k := PromoteKind(a.kind, b.kind)
+		if (k == Int || k == Bool) && z == math.Trunc(z) && !math.IsInf(z, 0) {
+			return scalarOf(Int, z), nil
+		}
+		return scalarOf(Real, z), nil
+	}
 	if a.sp != nil || b.sp != nil {
 		// Defensive: sparse-capable operators dispatch before reaching
 		// here; anything else works on densified copies.

@@ -78,6 +78,11 @@ type Value struct {
 	// async compilation service, one argument value can flow into
 	// concurrent invocations, each of which marks it shared on entry.
 	shared uint32
+	// one is the inline element store of the scalar constructors: re
+	// points at it, so a boxed scalar is one allocation instead of two.
+	// The struct stays in the 96-byte size class. The array is never
+	// pooled: its capacity is below the smallest pool class (see Recycle).
+	one [1]float64
 }
 
 // MarkShared flags the value as reachable through multiple bindings.
@@ -119,16 +124,20 @@ func NewKind(k Kind, rows, cols int) *Value {
 }
 
 // Scalar returns a 1x1 real value.
-func Scalar(x float64) *Value {
-	return &Value{kind: Real, rows: 1, cols: 1, re: []float64{x}}
+func Scalar(x float64) *Value { return scalarOf(Real, x) }
+
+// scalarOf builds a 1x1 value of a non-complex kind on the inline store.
+func scalarOf(k Kind, x float64) *Value {
+	v := &Value{kind: k, rows: 1, cols: 1}
+	v.one[0] = x
+	v.re = v.one[:]
+	return v
 }
 
 // IntScalar returns a 1x1 value of kind Int. The payload is stored as a
 // float64, as MATLAB does for all numeric data; Int records the static
 // knowledge that the value is integral.
-func IntScalar(x float64) *Value {
-	return &Value{kind: Int, rows: 1, cols: 1, re: []float64{x}}
-}
+func IntScalar(x float64) *Value { return scalarOf(Int, x) }
 
 // BoolScalar returns a 1x1 logical value.
 func BoolScalar(b bool) *Value {
@@ -136,7 +145,7 @@ func BoolScalar(b bool) *Value {
 	if b {
 		x = 1.0
 	}
-	return &Value{kind: Bool, rows: 1, cols: 1, re: []float64{x}}
+	return scalarOf(Bool, x)
 }
 
 // ComplexScalar returns a 1x1 complex value.
@@ -358,6 +367,9 @@ func (v *Value) Clone() *Value {
 		return &Value{kind: v.kind, rows: v.rows, cols: v.cols, sp: v.sp}
 	}
 	n := v.rows * v.cols
+	if n == 1 && v.im == nil {
+		return scalarOf(v.kind, v.re[0])
+	}
 	out := &Value{kind: v.kind, rows: v.rows, cols: v.cols, re: make([]float64, n)}
 	copy(out.re, v.re[:n])
 	if v.im != nil {

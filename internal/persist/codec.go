@@ -35,7 +35,7 @@ import (
 // Format constants. Version bumps whenever the payload layout changes.
 const (
 	magic        = "MJRP"
-	Version      = 3                     // v3 added the sparsity bit to encoded types; v2 added the per-function tiering profile section
+	Version      = 4                     // v4 added per-entry return summaries and dependencies; v3 the sparsity bit in encoded types; v2 the per-function tiering profile section
 	headerLen    = 4 + 2 + 2 + 8 + 4 + 4 // magic, version, flags, fingerprint, payload len, payload crc
 	maxSnapshotB = 1 << 30               // decode refuses payloads beyond 1 GiB
 )
@@ -87,6 +87,13 @@ type ProfileSig struct {
 // SrcHash records the hash of the source the entry was compiled from;
 // the loader drops entries whose hash disagrees with their function's
 // source — stale code from another generation must not resurrect.
+//
+// Ret and Deps (v4) are what callers and the invalidator know about the
+// code beyond its own source: the inferred result types (present only
+// for code without side effects) and the other functions it was compiled
+// against. An entry from before v4 carries no dependency list,
+// so nothing could tell that a function it inlined has since changed —
+// the Version gate cold-starts such snapshots instead.
 type EntryState struct {
 	SrcHash     uint64
 	Sig         types.Signature
@@ -94,6 +101,15 @@ type EntryState struct {
 	Speculative bool
 	Hits        int64
 	Prog        *ir.Prog
+	Ret         []types.Type
+	Deps        []Dep
+}
+
+// Dep is one function an entry was compiled against (inlined, or asked
+// for its return summary), with the hash of the source it had then.
+type Dep struct {
+	Name    string
+	SrcHash uint64
 }
 
 // HashSource returns the FNV-64a hash of a function source text — the
@@ -225,6 +241,12 @@ func (e *encoder) entry(es EntryState) {
 	e.boolean(es.Prog != nil)
 	if es.Prog != nil {
 		e.prog(es.Prog)
+	}
+	e.sig(es.Ret)
+	e.u32(uint32(len(es.Deps)))
+	for _, d := range es.Deps {
+		e.str(d.Name)
+		e.u64(d.SrcHash)
 	}
 }
 
@@ -483,6 +505,11 @@ func (d *decoder) entry() EntryState {
 	if d.boolean() {
 		es.Prog = d.prog()
 	}
+	es.Ret = d.sig()
+	nd := d.count(4 + 8) // minimal Dep
+	for i := 0; i < nd && d.err == nil; i++ {
+		es.Deps = append(es.Deps, Dep{Name: d.str(), SrcHash: d.u64()})
+	}
 	return es
 }
 
@@ -538,7 +565,7 @@ func Decode(data []byte) (*Snapshot, error) {
 		fs.Name = d.str()
 		fs.Source = d.str()
 		fs.SrcHash = d.u64()
-		ne := d.count(8 + 4 + 1 + 1 + 8 + 1) // minimal EntryState
+		ne := d.count(8 + 4 + 1 + 1 + 8 + 1 + 4 + 4) // minimal EntryState
 		for j := 0; j < ne && d.err == nil; j++ {
 			fs.Entries = append(fs.Entries, d.entry())
 		}

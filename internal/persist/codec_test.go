@@ -14,8 +14,8 @@ import (
 
 // testSnapshot exercises every encodable field: NaN/Inf range bounds,
 // complex constants, empty and non-empty pools, colon markers, spilled
-// parameter bindings, interpret-only entries, tiering profiles, and
-// multi-function files.
+// parameter bindings, interpret-only entries, return summaries and
+// dependency lists, tiering profiles, and multi-function files.
 func testSnapshot() *Snapshot {
 	prog := &ir.Prog{
 		Name: "f",
@@ -58,7 +58,9 @@ func testSnapshot() *Snapshot {
 		{
 			Name: "f", Source: src, SrcHash: h,
 			Entries: []EntryState{
-				{SrcHash: h, Sig: sig, Quality: 1, Hits: 42, Prog: prog},
+				{SrcHash: h, Sig: sig, Quality: 1, Hits: 42, Prog: prog,
+					Ret:  []types.Type{types.ScalarOf(types.IInt, types.RangeTop), types.Top},
+					Deps: []Dep{{Name: "g", SrcHash: h2}, {Name: "helper", SrcHash: 0xdeadbeef}}},
 				{SrcHash: h, Sig: types.Signature{types.Top}, Quality: 0, Speculative: true, Hits: 7},
 			},
 			Profile: []ProfileSig{
@@ -200,6 +202,22 @@ func TestFingerprintStable(t *testing.T) {
 // must never be resurrected with a reinterpreted payload, even though a
 // v2 payload is byte-wise parseable under the v3 layout up to the
 // missing trailing booleans.
+// TestDecodeRejectsPreDependencySnapshot pins the v4 gate the same way:
+// a v3 entry has no dependency list, so nothing could tell that a
+// function it inlined has changed since — it must cold-start, not load.
+func TestDecodeRejectsPreDependencySnapshot(t *testing.T) {
+	data := Encode(testSnapshot())
+	binary.LittleEndian.PutUint16(data[4:6], 3)
+	if _, err := Decode(data); !errors.Is(err, ErrVersion) {
+		t.Fatalf("v3 snapshot: want ErrVersion, got %v", err)
+	}
+	rec := EncodeRecord(&EntryRecord{Origin: "n", Func: "g", Source: "function y = g(x)\ny = x;\n"})
+	binary.LittleEndian.PutUint16(rec[4:6], 3)
+	if _, err := DecodeRecord(rec); !errors.Is(err, ErrVersion) {
+		t.Fatalf("v3 record: want ErrVersion, got %v", err)
+	}
+}
+
 func TestDecodeRejectsPreSparsitySnapshot(t *testing.T) {
 	data := Encode(testSnapshot())
 	binary.LittleEndian.PutUint16(data[4:6], 2) // forge the pre-sparsity version

@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ast"
+	"repro/internal/repo"
 	"repro/internal/types"
 	"repro/internal/vm"
 )
@@ -370,6 +371,9 @@ type OSREntry struct {
 	// Gen is the repository generation the continuation was compiled
 	// at; a transfer into another generation's activation is refused.
 	Gen uint64
+	// Deps are the functions the continuation inlined; a transfer is
+	// refused once any of them has been redefined.
+	Deps []repo.Dep
 	// ForLoop marks counted-loop continuations, which take the four
 	// synthetic induction parameters.
 	ForLoop bool

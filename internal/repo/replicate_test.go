@@ -62,7 +62,7 @@ func TestLocalCompileReplacesReplicated(t *testing.T) {
 	r := New()
 	sig := types.Signature{intScalar(20)}
 	r.InsertReplicated("f", &Entry{Sig: sig, Quality: QualityJIT}, 0, "node-a")
-	r.Entries("f")[0].addHit()
+	r.Entries("f")[0].hits.Add(1)
 	local := &Entry{Sig: sig, Quality: QualityJIT}
 	r.Insert("f", local)
 	es := r.Entries("f")

@@ -105,7 +105,7 @@ func (s *Server) handleClusterIngest(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case applied:
 		s.metrics.ingestApplied.Add(1)
-	case outcome == "duplicate" || outcome == "stale-definition":
+	case outcome == "duplicate" || outcome == "stale-definition" || outcome == "stale-dependency":
 		s.metrics.ingestDropped.Add(1)
 	default:
 		s.metrics.ingestRejected.Add(1)

@@ -21,7 +21,8 @@ const (
 	EventSnapshotLoad EventKind = "snapshot_load"
 	// EventSnapshotFlush: the write-behind writer flushed a snapshot.
 	EventSnapshotFlush EventKind = "snapshot_flush"
-	// EventDeopt: an OSR transfer was abandoned; Cause says which guard
+	// EventDeopt: an OSR transfer, or a compiled activation whose
+	// return-type guard missed, was abandoned; Cause says which guard
 	// failed (see the Cause* constants).
 	EventDeopt EventKind = "deopt"
 	// EventOSRCompile: a hot loop requested an OSR specialisation.
@@ -35,13 +36,15 @@ const (
 	EventReplication EventKind = "replication"
 )
 
-// Deopt causes — one per guard in core.osrTransfer, so every deopt in
-// the journal names the specific check that rejected the transfer.
+// Deopt causes — one per guard in core.osrTransfer plus the return-type
+// guard of typed calls, so every deopt in the journal names the specific
+// check that failed.
 const (
 	CauseGeneration      = "generation-mismatch" // code generation advanced under the loop
 	CauseBindingGuard    = "binding-guard"       // loop variable bindings didn't match the compiled frame
 	CauseRangeGuard      = "range-guard"         // runtime values escaped the inferred ranges
 	CauseBudgetExhausted = "budget-exhausted"    // repeated deopts disabled OSR for the site
+	CauseReturnGuard     = "return-guard"        // a callee's result was not the scalar its return summary promised; the activation re-ran interpreted
 )
 
 // Event is one journal entry. Func/Sig identify the compiled unit,

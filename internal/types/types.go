@@ -414,8 +414,18 @@ func OfValue(v *mat.Value) Type {
 type Signature []Type
 
 // SignatureOf derives the exact signature of an argument list.
-func SignatureOf(args []*mat.Value) Signature {
-	sig := make(Signature, len(args))
+func SignatureOf(args []*mat.Value) Signature { return SignatureInto(nil, args) }
+
+// SignatureInto is SignatureOf into a caller-owned buffer: the result
+// aliases buf when its capacity covers the argument list (the function
+// locator passes a stack array, so a repository hit allocates nothing)
+// and is freshly allocated otherwise. The caller must copy the signature
+// before retaining it past buf's lifetime.
+func SignatureInto(buf Signature, args []*mat.Value) Signature {
+	if cap(buf) < len(args) {
+		buf = make(Signature, len(args))
+	}
+	sig := buf[:len(args)]
 	for i, a := range args {
 		sig[i] = OfValue(a)
 	}

@@ -333,3 +333,30 @@ func TestWidenStabilizes(t *testing.T) {
 		t.Errorf("final range %v", cur.R)
 	}
 }
+
+// TestSignatureIntoUsesTheCallersBuffer: the function locator computes
+// the invocation signature into a stack array; only an argument list
+// longer than the buffer may allocate.
+func TestSignatureIntoUsesTheCallersBuffer(t *testing.T) {
+	args := []*mat.Value{mat.Scalar(3), mat.New(4, 4), mat.FromString("ab")}
+	want := SignatureOf(args)
+	var buf [4]Type
+	got := SignatureInto(buf[:0], args)
+	if &got[0] != &buf[0] {
+		t.Fatal("the signature does not alias the caller's buffer")
+	}
+	if got.Key() != want.Key() {
+		t.Fatalf("SignatureInto = %s, SignatureOf = %s", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		var buf [4]Type
+		if len(SignatureInto(buf[:0], args)) != 3 {
+			t.Fatal("wrong arity")
+		}
+	}); n != 0 {
+		t.Errorf("%.0f allocations with a large enough buffer", n)
+	}
+	if long := SignatureInto(buf[:0], append(args, args...)); len(long) != 6 || long.Key() != SignatureOf(append(args, args...)).Key() {
+		t.Fatalf("overflowing the buffer: %s", long)
+	}
+}

@@ -139,13 +139,18 @@ func genericBuiltin(c *Compiled, ctx *builtins.Context, aux []int32, at int, V [
 	return nil
 }
 
-func userCall(p *ir.Prog, host Host, aux []int32, at int, V []*mat.Value) error {
+// userCall dispatches OpCallUser through the host. The argument and
+// result lists live in the activation's frame scratch (sized by Prepare
+// for the program's widest call); the callee runs on the next frame of
+// the chain, so the scratch is free again as soon as the results are
+// copied out.
+func userCall(p *ir.Prog, host Host, aux []int32, at int, V, argScratch []*mat.Value, fr *Frame) error {
 	name := p.Calls[aux[at]]
 	nout := int(aux[at+1])
 	dsts := aux[at+2 : at+2+nout]
 	nargs := int(aux[at+2+nout])
 	argRegs := aux[at+3+nout : at+3+nout+nargs]
-	args := make([]*mat.Value, nargs)
+	args := argScratch[:nargs]
 	for i, r := range argRegs {
 		v := V[r]
 		if v == nil {
@@ -153,7 +158,8 @@ func userCall(p *ir.Prog, host Host, aux []int32, at int, V []*mat.Value) error 
 		}
 		args[i] = v
 	}
-	outs, err := host.CallFunction(name, args, nout)
+	outs, err := host.CallUser(name, args, nout, fr)
+	clear(args)
 	if err != nil {
 		return err
 	}
@@ -163,6 +169,7 @@ func userCall(p *ir.Prog, host Host, aux []int32, at int, V []*mat.Value) error 
 	for i, d := range dsts {
 		V[d] = outs[i]
 	}
+	clear(fr.outs)
 	return nil
 }
 

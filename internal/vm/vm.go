@@ -8,9 +8,11 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
+	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/builtins"
@@ -23,7 +25,13 @@ import (
 // dispatching calls to user functions (through the code repository) and
 // the shared builtin context.
 type Host interface {
-	CallFunction(name string, args []*mat.Value, nout int) ([]*mat.Value, error)
+	// CallUser invokes a user function on behalf of the activation that
+	// owns caller. A host that dispatches to compiled code passes caller
+	// on to Run, which then runs the callee on the next frame of the
+	// caller's chain and returns the results in the caller's scratch —
+	// a call costs no frame and no result slice. The host must not retain
+	// args or caller past the call.
+	CallUser(name string, args []*mat.Value, nout int, caller *Frame) ([]*mat.Value, error)
 	Context() *builtins.Context
 }
 
@@ -40,8 +48,9 @@ var colonMarker = mat.Empty()
 // so compiled code copy-on-writes instead of mutating them) are never
 // written again. A Compiled published to the repository by one
 // goroutine is therefore safe to execute from any other; the
-// repository's mutex provides the happens-before edge between Prepare
-// and Run.
+// repository's atomic publication of the entry (a release store, paired
+// with the locator's acquire load) provides the happens-before edge
+// between Prepare and Run.
 type Compiled struct {
 	P        *ir.Prog
 	mathFns  []func(float64) float64
@@ -53,6 +62,10 @@ type Compiled struct {
 	// math builtin whose real path promotes negatives to complex).
 	fuseBs   []*builtins.Builtin
 	fuseSqrt []bool
+	// callArgs and callOuts are the widest argument and result lists of
+	// any OpCallUser in the program: the frame reserves that much boxed
+	// scratch after the V registers and spill slots.
+	callArgs, callOuts int
 }
 
 // Prepare resolves the program's name tables.
@@ -83,6 +96,19 @@ func Prepare(p *ir.Prog) (*Compiled, error) {
 			v.MarkShared()
 			c.vpool = append(c.vpool, v)
 		}
+	}
+	for _, in := range p.Ins {
+		if in.Op != ir.OpCallUser {
+			continue
+		}
+		// aux at A: [fnID, nout, dst..., nargs, arg...]
+		at := int(in.A)
+		if at < 0 || at+2 >= len(p.Aux) || p.Aux[at+1] < 0 || at+2+int(p.Aux[at+1]) >= len(p.Aux) {
+			return nil, fmt.Errorf("vm: call operands out of range at aux %d", at)
+		}
+		nout := int(p.Aux[at+1])
+		c.callOuts = max(c.callOuts, nout)
+		c.callArgs = max(c.callArgs, int(p.Aux[at+2+nout]))
 	}
 	return c, nil
 }
@@ -129,37 +155,156 @@ type Error struct {
 func (e *Error) Error() string { return fmt.Sprintf("%s+%d: %v", e.Fn, e.PC, e.Err) }
 func (e *Error) Unwrap() error { return e.Err }
 
-// Run executes the compiled function with the given boxed arguments.
+// ErrGuardMiss is returned, unwrapped, when a return-type guard finds
+// that a callee's result is not the scalar its summary promised (the
+// callee was redefined under a running caller, or answered from another
+// entry). The code generator only emits guards in functions without
+// side effects, so the host abandons the activation and re-runs the call
+// in the interpreter.
+var ErrGuardMiss = errors.New("vm: return-type guard missed")
+
+// Frame is one activation's register file: the four banks with their
+// spill slots, plus boxed scratch for the argument and result lists of
+// the calls the activation makes. Frames form a chain that mirrors the
+// call stack: an activation runs its callees on the frame linked behind
+// its own, which is allocated on the first nested call and then kept, so
+// recursion to any depth reuses the same frames call after call — no
+// allocation, no synchronisation. The head of a chain is a root, claimed
+// from rootPool by a Run whose caller has no frame (the interpreter, the
+// engine's API, an OSR transfer) and owned by that activation alone
+// until it returns; concurrent callers of one *Compiled hold different
+// roots and therefore never share a frame.
+//
+// Scalar banks are zeroed before use — compiled code may read a scalar
+// variable no path assigned, and must see 0 as it did with fresh banks —
+// and the boxed bank is cleared after use, so an idle chain never pins a
+// matrix.
+type Frame struct {
+	f []float64
+	i []int64
+	c []complex128
+	v []*mat.Value
+	// outs is where this activation's callees leave their results: the
+	// tail of v (nil for a root, whose callee allocates its result list).
+	outs []*mat.Value
+	// next is the frame this activation's callees run on.
+	next *Frame
+}
+
+// rootPool parks idle chains. A slot changes hands by compare-and-swap
+// between nil and a root, so parking and claiming take no lock and a
+// parked chain has exactly one claimant. Unlike a sync.Pool the row
+// neither empties at a collection nor (under the race detector) drops
+// entries at random, so a single caller's allocation count is exact and
+// repeats — the benchmark's malloc metrics rely on that. A release that
+// finds every slot taken (that many activations entered from outside the
+// VM at once) leaves its chain to the collector.
+var rootPool [16]atomic.Pointer[Frame]
+
+func claimRoot() *Frame {
+	for i := range rootPool {
+		if parked := rootPool[i].Load(); parked != nil && rootPool[i].CompareAndSwap(parked, nil) {
+			return parked
+		}
+	}
+	return new(Frame)
+}
+
+// maxIdleBytes bounds the register memory a parked chain keeps. A frame
+// is a couple of kilobytes for a heavily inlined function, and recursion
+// depth is the program's to choose; without a bound one deep call would
+// leave its whole stack allocated for the life of the process. Deeper
+// recursion still runs allocation-free while it lasts and re-grows the
+// tail once per call from outside.
+const maxIdleBytes = 16 << 10
+
+// bytes is the frame's footprint: its four banks plus (roundly) the
+// struct itself, so even register-less frames count for something.
+func (fr *Frame) bytes() int {
+	return 128 + 8*(cap(fr.f)+cap(fr.i)+cap(fr.v)) + 16*cap(fr.c)
+}
+
+func parkRoot(root *Frame) {
+	kept := 0
+	for fr := root; fr.next != nil; fr = fr.next {
+		if kept += fr.next.bytes(); kept > maxIdleBytes {
+			fr.next = nil
+			break
+		}
+	}
+	for i := range rootPool {
+		if rootPool[i].Load() == nil && rootPool[i].CompareAndSwap(nil, root) {
+			return
+		}
+	}
+}
+
+// sized returns s with length n, reallocating only when the kept
+// capacity is too small. The contents are unspecified.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Run executes the compiled function with the given boxed arguments on
+// the frame behind caller's. caller is the calling activation's frame as
+// handed to Host.CallUser, or nil when the call does not come from
+// compiled code; with a caller the result list lives in the caller's
+// frame (valid until its next call), without one it is freshly
+// allocated.
 //
 // Run is re-entrant and safe for concurrent use with the same
-// *Compiled: every register bank is allocated per call, argument
-// values are marked shared on entry (so in-place mutation inside the
-// callee copy-on-writes rather than racing with a concurrent caller
-// passing the same value), and the only cross-call state reached is
-// the Host — whose Context (RNG, output writer) and CallFunction
+// *Compiled: every activation runs on its own frame (see Frame),
+// argument values are marked shared on entry (so in-place mutation
+// inside the callee copy-on-writes rather than racing with a concurrent
+// caller passing the same value), and the only cross-call state reached
+// is the Host — whose Context (RNG, output writer) and CallUser
 // (repository dispatch) are concurrency-safe in async mode. mat.Value
 // results returned by Run are fresh or marked shared, so publishing
 // them across goroutines is safe.
-func Run(c *Compiled, host Host, args []*mat.Value) ([]*mat.Value, error) {
+func Run(c *Compiled, host Host, args []*mat.Value, caller *Frame) ([]*mat.Value, error) {
 	p := c.P
 	if len(args) != len(p.Params) {
 		return nil, fmt.Errorf("vm: %s called with %d args, compiled for %d", p.Name, len(args), len(p.Params))
 	}
-	fr := make([]float64, p.NumF+p.SlotsF)
-	ir2 := make([]int64, p.NumI+p.SlotsI)
-	cr := make([]complex128, p.NumC+p.SlotsC)
-	vr := make([]*mat.Value, p.NumV+p.SlotsV)
-	F := fr[:p.NumF]
-	I := ir2[:p.NumI]
-	C := cr[:p.NumC]
-	V := vr[:p.NumV]
-	SF := fr[p.NumF:]
-	SI := ir2[p.NumI:]
-	SC := cr[p.NumC:]
-	SV := vr[p.NumV:]
-	if p.NumF == 0 {
-		F = nil
+	root := caller == nil
+	if root {
+		caller = claimRoot()
 	}
+	fr := caller.next
+	if fr == nil {
+		fr = new(Frame)
+		caller.next = fr
+	}
+	fr.f = sized(fr.f, int(p.NumF+p.SlotsF))
+	fr.i = sized(fr.i, int(p.NumI+p.SlotsI))
+	fr.c = sized(fr.c, int(p.NumC+p.SlotsC))
+	fr.v = sized(fr.v, int(p.NumV+p.SlotsV)+c.callArgs+c.callOuts)
+	clear(fr.f)
+	clear(fr.i)
+	clear(fr.c)
+	outs, err := fr.exec(c, host, args, caller.outs[:0])
+	clear(fr.v)
+	if root {
+		parkRoot(caller)
+	}
+	return outs, err
+}
+
+func (fr *Frame) exec(c *Compiled, host Host, args, dst []*mat.Value) ([]*mat.Value, error) {
+	p := c.P
+	F := fr.f[:p.NumF]
+	I := fr.i[:p.NumI]
+	C := fr.c[:p.NumC]
+	V := fr.v[:p.NumV]
+	SF := fr.f[p.NumF:]
+	SI := fr.i[p.NumI:]
+	SC := fr.c[p.NumC:]
+	SV := fr.v[p.NumV : p.NumV+p.SlotsV]
+	callArgs := fr.v[p.NumV+p.SlotsV:][:c.callArgs]
+	fr.outs = fr.v[int(p.NumV+p.SlotsV)+c.callArgs:]
 
 	ctx := host.Context()
 
@@ -231,14 +376,17 @@ func Run(c *Compiled, host Host, args []*mat.Value) ([]*mat.Value, error) {
 			}
 			continue
 		case ir.OpRet:
-			outs := make([]*mat.Value, len(p.OutRegs))
-			for i, reg := range p.OutRegs {
+			outs := dst[:0]
+			if cap(outs) < len(p.OutRegs) {
+				outs = make([]*mat.Value, 0, len(p.OutRegs))
+			}
+			for _, reg := range p.OutRegs {
 				v := V[reg]
 				if v == nil {
 					v = mat.Empty()
 				}
 				v.MarkShared()
-				outs[i] = v
+				outs = append(outs, v)
 			}
 			return outs, nil
 
@@ -351,6 +499,14 @@ func Run(c *Compiled, host Host, args []*mat.Value) ([]*mat.Value, error) {
 		case ir.OpBoxC:
 			V[in.A] = mat.ComplexScalar(C[in.B]).Demote()
 		case ir.OpUnboxF:
+			if in.C != 0 {
+				x, ok := guardedScalar(V[in.B], mat.Real)
+				if !ok {
+					return nil, ErrGuardMiss
+				}
+				F[in.A] = x
+				break
+			}
 			x, e := unboxF(V[in.B])
 			if e != nil {
 				err = e
@@ -358,6 +514,14 @@ func Run(c *Compiled, host Host, args []*mat.Value) ([]*mat.Value, error) {
 			}
 			F[in.A] = x
 		case ir.OpUnboxI:
+			if in.C != 0 {
+				x, ok := guardedScalar(V[in.B], mat.Int)
+				if !ok || x != math.Trunc(x) || math.Abs(x) > maxExactInt {
+					return nil, ErrGuardMiss
+				}
+				I[in.A] = int64(x)
+				break
+			}
 			x, e := unboxF(V[in.B])
 			if e != nil {
 				err = e
@@ -597,7 +761,7 @@ func Run(c *Compiled, host Host, args []*mat.Value) ([]*mat.Value, error) {
 				goto fail
 			}
 		case ir.OpCallUser:
-			if e := userCall(p, host, p.Aux, int(in.A), V); e != nil {
+			if e := userCall(p, host, p.Aux, int(in.A), V, callArgs, fr); e != nil {
 				err = e
 				goto fail
 			}
@@ -672,6 +836,26 @@ func vOrErr(v *mat.Value, err *error) *mat.Value {
 		*err = fmt.Errorf("use of undefined value")
 	}
 	return v
+}
+
+// maxExactInt bounds the integers a guard admits to an I register: past
+// 2^53 a float64 no longer holds every integer, so int64 arithmetic and
+// the boxed float arithmetic it replaces could part ways.
+const maxExactInt = 1 << 53
+
+// guardedScalar is the return-type guard's test: a dense 1x1 value of
+// exactly the kind the register's contents are boxed back to (Int for an
+// I register, Real for F). Unlike unboxF it admits no other kind: a
+// compiled callee that offers a summary boxes its result from a register
+// of that class, so it always passes, while an interpreted callee may
+// hand back, say, an Int-kinded 2 for x/2 — unboxing that into F and
+// boxing it again later would turn it into a double, which the boxed
+// call it replaces would not have done.
+func guardedScalar(v *mat.Value, k mat.Kind) (float64, bool) {
+	if v == nil || !v.IsScalar() || v.IsSparse() || v.Kind() != k {
+		return 0, false
+	}
+	return v.Re()[0], true
 }
 
 func unboxF(v *mat.Value) (float64, error) {

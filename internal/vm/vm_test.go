@@ -20,7 +20,7 @@ func newTestHost() *testHost {
 }
 
 func (h *testHost) Context() *builtins.Context { return h.ctx }
-func (h *testHost) CallFunction(name string, args []*mat.Value, nout int) ([]*mat.Value, error) {
+func (h *testHost) CallUser(name string, args []*mat.Value, nout int, _ *Frame) ([]*mat.Value, error) {
 	f, ok := h.calls[name]
 	if !ok {
 		return nil, mat.Errorf("no function %q", name)
@@ -36,7 +36,7 @@ func run(t *testing.T, p *ir.Prog, args ...*mat.Value) []*mat.Value {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := Run(c, newTestHost(), args)
+	outs, err := Run(c, newTestHost(), args, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func runErr(t *testing.T, p *ir.Prog, args ...*mat.Value) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(c, newTestHost(), args)
+	_, err = Run(c, newTestHost(), args, nil)
 	return err
 }
 
@@ -226,7 +226,7 @@ func TestUserCallDispatch(t *testing.T) {
 	h.calls["double_it"] = func(args []*mat.Value, nout int) ([]*mat.Value, error) {
 		return []*mat.Value{mat.Scalar(2 * args[0].MustScalar())}, nil
 	}
-	outs, err := Run(c, h, []*mat.Value{mat.Scalar(21)})
+	outs, err := Run(c, h, []*mat.Value{mat.Scalar(21)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
