@@ -64,19 +64,13 @@ func main() {
 	benches := flag.String("bench", "", "comma-separated benchmark subset (default all)")
 	seed := flag.Uint64("seed", 0, "RNG seed (0 = default)")
 	clients := flag.Int("clients", 8, "concurrent experiment: client goroutines sharing one engine")
-	async := flag.Bool("async", false, "concurrent experiment: enable the async compilation service")
-	workers := flag.Int("workers", 0, "concurrent experiment: async compile workers (0 = GOMAXPROCS)")
+	engineOptions := core.EngineFlags(flag.CommandLine)
 	calls := flag.Int("calls", 20, "concurrent experiment: steady-state calls per client; server experiment: replay calls per session")
 	sessions := flag.Int("sessions", 2, "server/cluster experiments: sessions per client")
 	nodes := flag.Int("nodes", 3, "cluster experiment: fleet size (in-process majicd nodes behind a gateway)")
 	addr := flag.String("addr", "", "server experiment: external majicd address (default: in-process daemons)")
 	repoPath := flag.String("repo-path", "", "server experiment: persist the repository to this file and add warm-vs-cold restart arms")
 	jsonOut := flag.Bool("json", false, "also write BENCH_fig4.json / BENCH_server.json for those experiments")
-	fuse := flag.Bool("fuse", false, "fuse elementwise operator trees into single kernels (with buffer recycling)")
-	threads := flag.Int("threads", 0, "dense-kernel worker threads (0 = GOMAXPROCS, 1 = serial); results are identical for every value")
-	tiered := flag.Bool("tiered", false, "fig4/server: add the profile-guided tiering arm (interp-fast first call, background promotion, OSR)")
-	tierThreshold := flag.Int("tier-threshold", 0, "tiered: calls before a hot signature is promoted (0 = default)")
-	sparseThreshold := flag.Float64("sparse-threshold", -1, "density above which sparse operator results densify (0..1, -1 = default 0.5)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON file (per-eval spans from every harness engine) on exit")
@@ -85,12 +79,7 @@ func main() {
 	// The results_*.txt files are stdout redirections, so the run
 	// configuration goes in a header and the kernel-runtime counters in
 	// a footer, keeping committed results self-describing.
-	if *threads > 0 {
-		parallel.SetDefaultThreads(*threads)
-	}
-	if *sparseThreshold >= 0 {
-		mat.SetSparseThreshold(*sparseThreshold)
-	}
+	eo := engineOptions()
 	fmt.Printf("majic-bench: kernel threads %d (GOMAXPROCS %d)\n\n", parallel.DefaultThreads(), runtime.GOMAXPROCS(0))
 	defer func() {
 		ps := mat.ReadPoolStats()
@@ -145,10 +134,10 @@ func main() {
 		Reps:          *reps,
 		Out:           os.Stdout,
 		Seed:          *seed,
-		Fuse:          *fuse,
-		Threads:       *threads,
-		Tiered:        *tiered,
-		TierThreshold: *tierThreshold,
+		Fuse:          eo.FuseElemwise,
+		Threads:       eo.Threads,
+		Tiered:        eo.Tiered,
+		TierThreshold: eo.TierThreshold,
 		Tracer:        tracer,
 	}
 	if *benches != "" {
@@ -203,7 +192,7 @@ func main() {
 			Size:    sz,
 			Reps:    *reps,
 			Out:     os.Stdout,
-			Threads: *threads,
+			Threads: eo.Threads,
 		}
 		run("sparse", func() error {
 			rep, err := scfg.Report()
@@ -219,13 +208,13 @@ func main() {
 		ccfg := bench.ConcurrentConfig{
 			Size:           sz,
 			Clients:        *clients,
-			Async:          *async,
-			Workers:        *workers,
+			Async:          eo.AsyncCompile,
+			Workers:        eo.CompileWorkers,
 			CallsPerClient: *calls,
 			Benchmarks:     cfg.Benchmarks,
 			Out:            os.Stdout,
-			Fuse:           *fuse,
-			Threads:        *threads,
+			Fuse:           eo.FuseElemwise,
+			Threads:        eo.Threads,
 		}
 		run("concurrent", ccfg.Report)
 	case "cluster":
@@ -237,9 +226,9 @@ func main() {
 			CallsPerSession:   *calls,
 			Benchmarks:        cfg.Benchmarks,
 			Out:               os.Stdout,
-			Async:             *async,
-			Workers:           *workers,
-			Threads:           *threads,
+			Async:             eo.AsyncCompile,
+			Workers:           eo.CompileWorkers,
+			Threads:           eo.Threads,
 		}
 		run("cluster", func() error {
 			rep, err := kcfg.Report()
@@ -261,12 +250,12 @@ func main() {
 			Addr:              *addr,
 			RepoPath:          *repoPath,
 			Out:               os.Stdout,
-			Async:             *async,
-			Workers:           *workers,
-			Fuse:              *fuse,
-			Threads:           *threads,
-			Tiered:            *tiered,
-			TierThreshold:     *tierThreshold,
+			Async:             eo.AsyncCompile,
+			Workers:           eo.CompileWorkers,
+			Fuse:              eo.FuseElemwise,
+			Threads:           eo.Threads,
+			Tiered:            eo.Tiered,
+			TierThreshold:     eo.TierThreshold,
 		}
 		run("server", func() error {
 			rep, err := lcfg.Report()

@@ -21,7 +21,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/mat"
 	"repro/internal/telemetry"
 )
 
@@ -30,21 +29,13 @@ func main() {
 	platFlag := flag.String("platform", "sparc", "platform profile: sparc|mips")
 	eval := flag.String("e", "", "evaluate this code and exit")
 	seed := flag.Uint64("seed", 0, "RNG seed")
-	async := flag.Bool("async", false, "compile in the background on a worker pool (asynchronous repository)")
-	workers := flag.Int("workers", 0, "async compile workers (0 = GOMAXPROCS; implies nothing unless -async)")
-	fuse := flag.Bool("fuse", false, "fuse elementwise operator trees into single kernels (with buffer recycling)")
-	threads := flag.Int("threads", 0, "dense-kernel worker threads (0 = GOMAXPROCS, 1 = serial); results are identical for every value")
-	tiered := flag.Bool("tiered", false, "profile-guided tiered recompilation: interpret first, promote hot signatures to optimized code in the background, OSR hot loops mid-run (jit tier only)")
-	tierThreshold := flag.Int("tier-threshold", 0, "calls before a hot signature is promoted (0 = default)")
-	sparseThreshold := flag.Float64("sparse-threshold", -1, "density above which sparse operator results densify (0..1, -1 = default 0.5)")
+	engineOptions := core.EngineFlags(flag.CommandLine)
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON file (per-eval spans: parse, disambig, typeinf, codegen, queue wait, exec, tier-up, OSR) on exit")
 	jitLog := flag.Bool("jit-log", false, "print the tiering event journal (promotions, evictions, cause-attributed OSR deopts) to stderr on exit")
 	flag.Parse()
 
-	if *sparseThreshold >= 0 {
-		mat.SetSparseThreshold(*sparseThreshold)
-	}
-	tier, err := parseTier(*tierFlag)
+	opts := engineOptions()
+	tier, err := core.ParseTier(*tierFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -76,12 +67,13 @@ func main() {
 		}
 	}()
 
-	e := core.New(core.Options{
-		Tier: tier, Platform: platform, Out: os.Stdout, Seed: *seed,
-		AsyncCompile: *async, CompileWorkers: *workers, FuseElemwise: *fuse,
-		Threads: *threads, Tiered: *tiered, TierThreshold: *tierThreshold,
-		Tracer: tracer, Journal: journal,
-	})
+	opts.Tier = tier
+	opts.Platform = platform
+	opts.Out = os.Stdout
+	opts.Seed = *seed
+	opts.Tracer = tracer
+	opts.Journal = journal
+	e := core.New(opts)
 	defer e.Close()
 
 	// Load .m files given on the command line into the repository.
@@ -168,20 +160,4 @@ func needsMore(src string) bool {
 		}
 	}
 	return depth > 0
-}
-
-func parseTier(s string) (core.Tier, error) {
-	switch s {
-	case "interp":
-		return core.TierInterp, nil
-	case "mcc":
-		return core.TierMCC, nil
-	case "falcon":
-		return core.TierFalcon, nil
-	case "jit":
-		return core.TierJIT, nil
-	case "spec":
-		return core.TierSpec, nil
-	}
-	return 0, fmt.Errorf("unknown tier %q (interp|mcc|falcon|jit|spec)", s)
 }

@@ -21,18 +21,3 @@ func TestNeedsMore(t *testing.T) {
 		}
 	}
 }
-
-func TestParseTier(t *testing.T) {
-	for _, name := range []string{"interp", "mcc", "falcon", "jit", "spec"} {
-		tier, err := parseTier(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if tier.String() != name {
-			t.Errorf("%s round-trips as %s", name, tier)
-		}
-	}
-	if _, err := parseTier("nope"); err == nil {
-		t.Error("unknown tier must error")
-	}
-}

@@ -44,18 +44,13 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/mat"
-	"repro/internal/parallel"
 	"repro/internal/server"
 )
 
 func main() {
 	addr := flag.String("addr", ":8757", "listen address")
 	tier := flag.String("tier", "jit", "execution tier for session engines: interp|mcc|falcon|jit|spec")
-	async := flag.Bool("async", false, "enable the asynchronous compilation service on the shared library")
-	workers := flag.Int("workers", 0, "async compile workers (0 = GOMAXPROCS)")
-	fuse := flag.Bool("fuse", false, "fuse elementwise operator trees into single kernels")
-	threads := flag.Int("threads", 0, "dense-kernel worker threads (0 = GOMAXPROCS)")
+	engineOptions := core.EngineFlags(flag.CommandLine)
 	repoMax := flag.Int("repo-max", 0, "max compiled entries per function in the shared repository (0 = unbounded)")
 	repoPath := flag.String("repo-path", "", "persist the shared repository to this file: warm-start on boot, write-behind snapshots, flush on drain")
 	maxSessions := flag.Int("max-sessions", 256, "session table cap")
@@ -64,9 +59,6 @@ func main() {
 	deadline := flag.Duration("deadline", 60*time.Second, "default and maximum per-eval deadline")
 	isolated := flag.Bool("isolated", false, "give every session a private repository (no sharing)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
-	tiered := flag.Bool("tiered", false, "profile-guided tiered recompilation: interpret first, promote hot signatures in the background, OSR hot loops mid-run (jit tier only)")
-	tierThreshold := flag.Int("tier-threshold", 0, "calls before a hot signature is promoted (0 = default)")
-	sparseThreshold := flag.Float64("sparse-threshold", -1, "density above which sparse operator results densify (0..1, -1 = default 0.5)")
 	logLevel := flag.String("log-level", "info", "structured log threshold: debug|info|warn|error (JSON lines on stderr; debug adds per-request and per-eval records)")
 	nodeID := flag.String("node-id", "", "cluster node name (required with -peers; stamped on /readyz and replicated entries)")
 	peers := flag.String("peers", "", "comma-separated peers (id=http://host:port,...) to replicate compiled entries to; may include this node, which is skipped")
@@ -103,27 +95,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "majicd: -peers: %v\n", err)
 		os.Exit(2)
 	}
-	if *threads > 0 {
-		parallel.SetDefaultThreads(*threads)
-	}
-	if *sparseThreshold >= 0 {
-		mat.SetSparseThreshold(*sparseThreshold)
-	}
-
+	engine := engineOptions()
+	engine.Tier = t
+	// server.New reconciles Engine and Library, so shared and -isolated
+	// sessions get the same -async/-workers/-repo-max/-tiered.
 	srv := server.New(server.Options{
-		Engine: core.Options{
-			Tier:          t,
-			FuseElemwise:  *fuse,
-			Threads:       *threads,
-			Tiered:        *tiered,
-			TierThreshold: *tierThreshold,
-		},
-		Library: core.LibraryOptions{
-			AsyncCompile:   *async,
-			CompileWorkers: *workers,
-			RepoMaxEntries: *repoMax,
-			Tiered:         *tiered,
-		},
+		Engine:             engine,
+		Library:            core.LibraryOptions{RepoMaxEntries: *repoMax},
 		Isolated:           *isolated,
 		RepoPath:           *repoPath,
 		MaxSessions:        *maxSessions,
@@ -162,8 +140,8 @@ func main() {
 		slog.String("addr", *addr),
 		slog.String("tier", t.String()),
 		slog.String("repo_mode", mode),
-		slog.Bool("async", *async),
-		slog.Bool("tiered", *tiered),
+		slog.Bool("async", engine.AsyncCompile),
+		slog.Bool("tiered", engine.Tiered),
 		slog.Int("max_sessions", *maxSessions))
 	if *repoPath != "" {
 		pm := srv.Metrics().Persist

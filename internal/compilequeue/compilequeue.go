@@ -108,7 +108,7 @@ func (p *Pool) SetTracer(tr *telemetry.Tracer) {
 }
 
 // jobCategory derives the span name from the single-flight key's prefix
-// (jit, tier, osr, spec, up — see the engine's key formats).
+// (jit, tier, osr, spec — see the engine's key formats).
 func jobCategory(key string) string {
 	if i := strings.IndexByte(key, 0); i > 0 {
 		return key[:i]
@@ -125,7 +125,19 @@ func (p *Pool) Do(key string, fn func() error) (t *Ticket, started bool) {
 	return p.DoUnless(key, nil, fn)
 }
 
-// finished is the ticket DoUnless hands out when the work already landed.
+// Done returns a ticket for work that has already completed with err:
+// the handle a caller holds when it ran the job itself instead of
+// submitting it, so sync and async callers share one wait path.
+func Done(err error) *Ticket {
+	if err == nil {
+		return finished
+	}
+	t := &Ticket{done: make(chan struct{}), err: err}
+	close(t.done)
+	return t
+}
+
+// finished is the ticket handed out when the work already landed.
 var finished = func() *Ticket {
 	t := &Ticket{done: make(chan struct{})}
 	close(t.done)

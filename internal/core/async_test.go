@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/mat"
-	"repro/internal/repo"
 )
 
 const asyncWorkSrc = `
@@ -118,49 +117,6 @@ func TestAsyncBlockingJITCorrectness(t *testing.T) {
 	}
 }
 
-// TestAsyncSpecNonBlocking: TierSpec's policy is interp-fallback, never
-// blocking — a miss returns (interpreted) immediately and the compiled
-// entry serves later calls once the background job lands.
-func TestAsyncSpecNonBlocking(t *testing.T) {
-	e := New(Options{Tier: TierSpec, AsyncCompile: true, Seed: 2})
-	defer e.Close()
-	if err := e.Define(asyncWorkSrc); err != nil {
-		t.Fatal(err)
-	}
-	want := asyncWorkWant(50)
-	// Cold call: no entry yet; must still return the right answer
-	// (interpreted) without waiting for the compile job.
-	outs, err := e.Call("work", []*mat.Value{mat.Scalar(50)}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := outs[0].MustScalar(); got != want {
-		t.Fatalf("cold call: %g, want %g", got, want)
-	}
-	// The fallback must not have polluted the repository.
-	for _, en := range e.Repo().Entries("work") {
-		if en.Quality == repo.QualityInterp {
-			t.Fatal("non-blocking fallback must not insert an interp entry")
-		}
-	}
-	e.Drain()
-	entries := e.Repo().Entries("work")
-	if len(entries) != 1 || entries[0].Code == nil {
-		t.Fatalf("background job did not publish a compiled entry: %v", entries)
-	}
-	pre := e.Repo().Stats().Hits
-	outs, err = e.Call("work", []*mat.Value{mat.Scalar(50)}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := outs[0].MustScalar(); got != want {
-		t.Fatalf("warm call: %g, want %g", got, want)
-	}
-	if e.Repo().Stats().Hits != pre+1 {
-		t.Fatal("warm call should hit the compiled entry")
-	}
-}
-
 // TestAsyncPrecompileBehindTheScenes: Precompile in async+spec mode
 // enqueues speculative jobs and returns immediately; after Drain the
 // speculative entries have landed and calls hit them.
@@ -191,136 +147,6 @@ func TestAsyncPrecompileBehindTheScenes(t *testing.T) {
 	e.Drain()
 	if n := len(e.Repo().Entries("work")); n != 1 {
 		t.Errorf("re-Precompile duplicated entries: %d", n)
-	}
-}
-
-// TestAsyncInvalidationDropsStaleJob: a redefinition racing with
-// in-flight compiles must never resurrect old code. Redefining
-// concurrently with 8 callers is the stress half; the deterministic
-// generation check lives in internal/repo.
-func TestAsyncInvalidationDropsStaleJob(t *testing.T) {
-	e := New(Options{Tier: TierJIT, AsyncCompile: true, Seed: 2})
-	defer e.Close()
-	if err := e.Define("function y = f(x)\n  y = x + 1;\nend"); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				outs, err := e.Call("f", []*mat.Value{mat.Scalar(float64(i))}, 1)
-				if err != nil {
-					continue // transient: fn mid-redefinition
-				}
-				got := outs[0].MustScalar()
-				if got != float64(i)+1 && got != float64(i)*100 {
-					panic(fmt.Sprintf("f(%d) = %g: neither old nor new semantics", i, got))
-				}
-			}
-		}()
-	}
-	for i := 0; i < 50; i++ {
-		src := "function y = f(x)\n  y = x + 1;\nend"
-		if i%2 == 0 {
-			src = "function y = f(x)\n  y = x * 100;\nend"
-		}
-		if err := e.Define(src); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	// Final state: last definition was i=49 → "x + 1". Every surviving
-	// entry must implement the new semantics.
-	if err := e.Define("function y = f(x)\n  y = x * 100;\nend"); err != nil {
-		t.Fatal(err)
-	}
-	e.Drain()
-	outs, err := e.Call("f", []*mat.Value{mat.Scalar(7)}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := outs[0].MustScalar(); got != 700 {
-		t.Fatalf("stale code resurrected: f(7) = %g, want 700", got)
-	}
-	e.Drain()
-	for _, en := range e.Repo().Entries("f") {
-		if en.Code == nil {
-			continue
-		}
-		// Execute each surviving compiled entry via a fresh call: the
-		// repository must only hold current-generation code.
-		outs, err := e.Call("f", []*mat.Value{mat.Scalar(3)}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := outs[0].MustScalar(); got != 300 {
-			t.Fatalf("surviving entry has stale semantics: %g", got)
-		}
-	}
-}
-
-// TestAsyncUnsupportedFallsBackToInterp: uncompilable functions (nargin
-// defeats the disambiguator) still work in async mode, and the cached
-// interp decision is a single entry.
-func TestAsyncUnsupportedFallsBackToInterp(t *testing.T) {
-	e := New(Options{Tier: TierJIT, AsyncCompile: true, Seed: 2})
-	defer e.Close()
-	if err := e.Define("function y = h(a, b)\n  y = nargin * 10;\nend"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		outs, err := e.Call("h", []*mat.Value{mat.Scalar(1), mat.Scalar(2)}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := outs[0].MustScalar(); got != 20 {
-			t.Fatalf("h = %g, want 20", got)
-		}
-	}
-	e.Drain()
-	entries := e.Repo().Entries("h")
-	if len(entries) != 1 || entries[0].Code != nil {
-		t.Fatalf("interp fallback should cache exactly one code-less entry: %v", entries)
-	}
-}
-
-// TestAsyncRecompileUpgrade: the hot-entry upgrade path works through
-// the worker pool and replaces (not mutates) the published entry.
-func TestAsyncRecompileUpgrade(t *testing.T) {
-	e := New(Options{Tier: TierJIT, AsyncCompile: true, RecompileThreshold: 5, Seed: 3})
-	defer e.Close()
-	if err := e.Define(asyncWorkSrc); err != nil {
-		t.Fatal(err)
-	}
-	want := asyncWorkWant(500)
-	arg := []*mat.Value{mat.Scalar(500)}
-	for call := 1; call <= 10; call++ {
-		outs, err := e.Call("work", arg, 1)
-		if err != nil {
-			t.Fatalf("call %d: %v", call, err)
-		}
-		if got := outs[0].MustScalar(); got != want {
-			t.Fatalf("call %d: %g, want %g", call, got, want)
-		}
-	}
-	e.Drain()
-	upgraded := false
-	for _, en := range e.Repo().Entries("work") {
-		if en.Quality == repo.QualityOpt {
-			upgraded = true
-		}
-	}
-	if !upgraded {
-		t.Error("hot entry was never upgraded through the async pool")
 	}
 }
 

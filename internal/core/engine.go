@@ -150,16 +150,10 @@ type Options struct {
 	// becomes measurable.
 	JITBackendOpts bool
 
-	// RecompileThreshold enables the repository's upgrade path ("the
-	// generated code can later be recompiled — and replaced in the
-	// repository — using a better compiler"): once a JIT-compiled entry
-	// has served this many calls, it is recompiled with the optimizing
-	// backend and the better version takes over. 0 disables upgrades
-	// (the default, so the harness's JIT measurements stay pure).
-	RecompileThreshold int
-
-	// Tiered enables profile-guided tiered recompilation for TierJIT:
-	// function calls start in the interpreter (first-eval latency stays
+	// Tiered enables profile-guided tiered recompilation for TierJIT, the
+	// repository's one upgrade path ("the generated code can later be
+	// recompiled — and replaced in the repository — using a better
+	// compiler"): calls start in the interpreter (first-eval latency stays
 	// interpreter-fast), cheap counters at call entries and loop
 	// back-edges feed a hotness profile per (function, widened
 	// signature), and hot signatures are recompiled in the background at
@@ -167,8 +161,8 @@ type Options struct {
 	// transfer mid-run into compiled code via on-stack replacement; a
 	// generation-checked guard deopts back to the interpreter on
 	// redefinition or range violation, so results are bit-identical with
-	// tiering on or off. Ignored by the other tiers (the paper-mode
-	// measurements are untouched).
+	// tiering on or off. Ignored by the other tiers, whose misses follow
+	// AsyncCompile alone (the paper-mode measurements are untouched).
 	Tiered bool
 	// TierThreshold is the hotness threshold: a signature whose call
 	// count reaches it is promoted, and an activation whose back-edge
@@ -181,9 +175,12 @@ type Options struct {
 	// miss-triggered compiles run on a bounded worker pool instead of
 	// the caller's goroutine, with single-flight deduplication so N
 	// concurrent misses on one (function, widened signature) key
-	// trigger exactly one compile. Off by default: the synchronous
-	// inline-compile path is unchanged, so the paper reproductions and
-	// single-threaded measurements are unaffected.
+	// trigger exactly one compile. A jit/mcc/falcon caller waits for its
+	// job; a spec caller never does — it interprets the call unless the
+	// job has already finished. The option selects this, not the
+	// existence of a pool: without it an engine compiles inline even on
+	// a shared Library that owns one. Off by default, so the paper
+	// reproductions and single-threaded measurements are unaffected.
 	AsyncCompile bool
 	// CompileWorkers bounds the async pool's concurrently executing
 	// compile jobs. 0 means GOMAXPROCS. Ignored unless AsyncCompile.

@@ -53,8 +53,9 @@ type Library struct {
 	// beats a restored one" is the safe default).
 	defTimes map[string]int64
 	repo     *repo.Repository
-	// queue is the async compile pool (nil in synchronous mode). It is
-	// owned by the library: engines submit jobs but never close it.
+	// queue is the background compile pool (nil unless AsyncCompile or
+	// Tiered asked for one). It is owned by the library and never leaves
+	// this file: engines reach it through submit and never close it.
 	queue *compilequeue.Pool
 	// profiles is the tiering hotness store: per-(function, widened
 	// signature) call counts, back-edge counts, and observed-type joins.
@@ -78,10 +79,10 @@ type Library struct {
 
 // LibraryOptions configure a shared library.
 type LibraryOptions struct {
-	// AsyncCompile starts a background compile pool; every engine
-	// attached to the library then compiles repository misses on the
-	// pool (single-flight deduplicated across all of them) instead of
-	// inline on the calling goroutine.
+	// AsyncCompile starts a background compile pool. An attached engine
+	// compiles on it (single-flight deduplicated across all engines) when
+	// its own Options say so — AsyncCompile, or Tiered with TierJIT — and
+	// inline on the calling goroutine otherwise.
 	AsyncCompile bool
 	// CompileWorkers bounds the pool (0 = GOMAXPROCS). Ignored unless
 	// AsyncCompile.
@@ -154,6 +155,24 @@ func (l *Library) Drain() {
 
 // Repo exposes the shared repository (stats, dumps, tests).
 func (l *Library) Repo() *repo.Repository { return l.repo }
+
+// submit is the only door to the compile pool: every compile an engine
+// starts — speculative precompile, miss, tier-up promotion, OSR
+// continuation — comes through it. background is the submitting engine's
+// policy, derived from its options. A synchronous engine (or any engine
+// on a library without a pool) runs job on the calling goroutine and
+// gets a finished ticket, leaving no trace in QueueStats. Otherwise the
+// job is submitted single-flight under key() — formatted only on this
+// branch — unless landed (nil for jobs that check for themselves)
+// reports, under the pool's lock, that the result is already published.
+// pooled tells the caller whether a wait on the ticket is a queue wait.
+func (l *Library) submit(background bool, key func() string, landed func() bool, job func() error) (t *compilequeue.Ticket, pooled bool) {
+	if !background || l.queue == nil {
+		return compilequeue.Done(job()), false
+	}
+	t, _ = l.queue.DoUnless(key(), landed, job)
+	return t, true
+}
 
 // QueueStats returns the compile pool's counters (zero in sync mode).
 func (l *Library) QueueStats() compilequeue.Stats {

@@ -71,7 +71,7 @@ func TestSharedLibraryRedefinition(t *testing.T) {
 func TestSharedLibraryConcurrentEngines(t *testing.T) {
 	lib := NewLibrary(LibraryOptions{AsyncCompile: true, CompileWorkers: 2})
 	defer lib.Close()
-	seedEng := New(Options{Tier: TierJIT, Library: lib})
+	seedEng := New(Options{Tier: TierJIT, AsyncCompile: true, Library: lib})
 	if err := seedEng.Define("function y = sq(x)\ny = x * x;\n"); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSharedLibraryConcurrentEngines(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			e := New(Options{Tier: TierJIT, Library: lib})
+			e := New(Options{Tier: TierJIT, AsyncCompile: true, Library: lib})
 			for k := 1; k <= 20; k++ {
 				outs, err := e.Call("sq", []*mat.Value{mat.Scalar(float64(k))}, 1)
 				if err != nil {

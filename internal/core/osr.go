@@ -91,7 +91,7 @@ func (e *Engine) TryOSR(fr *interp.Frame, loop ast.Stmt, env *interp.Env, fs *in
 	return nil, interp.OSRNo, nil
 }
 
-// requestOSR checks a loop site's eligibility and enqueues the
+// requestOSR checks a loop site's eligibility and submits the
 // background continuation compile. It returns false when the site can
 // never transfer (the caller latches Failed).
 func (r *repoState) requestOSR(fr *interp.Frame, loop ast.Stmt, st *profile.OSRState, env *interp.Env, fs *interp.ForOSR) bool {
@@ -180,12 +180,9 @@ func (r *repoState) requestOSR(fr *interp.Frame, loop ast.Stmt, st *profile.OSRS
 		})
 		return nil
 	}
-	if e.lib.queue != nil {
-		key := fmt.Sprintf("osr\x00%s\x00%d\x00%d\x00%s", name, gen, idx, sig.Key())
-		e.lib.queue.Do(key, job)
-	} else {
-		job()
-	}
+	e.lib.submit(r.background,
+		func() string { return fmt.Sprintf("osr\x00%s\x00%d\x00%d\x00%s", name, gen, idx, sig.Key()) },
+		nil, job)
 	return true
 }
 

@@ -19,18 +19,22 @@ import (
 // repoState adapts the code repository to the engine: it implements the
 // paper's invocation protocol — the front end passes (function name,
 // argument values) to the repository, the function locator retrieves
-// safe compiled code by type-signature matching, and a miss triggers
-// JIT compilation (or, in speculative mode, usually hits ahead-of-time
+// safe compiled code by type-signature matching, and a miss compiles and
+// publishes (or, in speculative mode, usually hits ahead-of-time
 // compiled code).
 //
-// With Options.AsyncCompile, misses do not compile on the caller's
-// goroutine: they enqueue a job on the engine's worker pool, keyed by
-// (function, widened signature, generation) so concurrent misses on the
-// same key coalesce into a single compile (single flight). The tier
-// decides what the caller does while the job runs — see invokeAsync.
+// There is one miss pipeline, submit → job → wait: every compile goes
+// through Library.submit (inline for a synchronous engine, single-flight
+// on the worker pool otherwise), every repository insert is the one job
+// body (publish), and what the caller does meanwhile is its missPolicy.
 type repoState struct {
 	e *Engine
 	r *repo.Repository
+	// policy and background are fixed from the engine's options — never
+	// from whether the library happens to own a pool: what a caller does on
+	// a miss, and whether this engine's jobs go to the pool at all.
+	policy     missPolicy
+	background bool
 	// callDepth tracks nesting so execution time is only accumulated at
 	// the outermost invocation (Figure 6 decomposition). It is atomic
 	// because async mode allows concurrent callers; under concurrency
@@ -40,46 +44,91 @@ type repoState struct {
 	callDepth int32
 }
 
+// missPolicy is what a caller does while the compile for its miss runs.
+type missPolicy uint8
+
+const (
+	// waitCompiled (jit, mcc, falcon; spec without AsyncCompile) promises
+	// compiled execution: block on the ticket, run the entry. The first
+	// caller pays the compile once and concurrent callers coalesce on its
+	// ticket. A synchronous engine's ticket is done when submit returns,
+	// so the paper reproductions' inline compile is the degenerate case.
+	waitCompiled missPolicy = iota
+	// neverBlock (spec with AsyncCompile) runs compiled code if the ticket
+	// is already done and interprets this one invocation otherwise — the
+	// paper's Figure 6 responsiveness story: speculative mode trades
+	// first-call speed for zero perceived compile pauses.
+	neverBlock
+	// interpretProfiled (jit with Tiered) never compiles for a miss: the
+	// call interprets while feeding the hotness profile (invokeProfiled).
+	interpretProfiled
+)
+
 func newRepoState(e *Engine) *repoState {
-	return &repoState{e: e, r: e.lib.repo}
+	r := &repoState{e: e, r: e.lib.repo}
+	switch o := e.opts; {
+	case o.Tiered && o.Tier == TierJIT:
+		r.policy = interpretProfiled
+	case o.AsyncCompile && o.Tier == TierSpec:
+		r.policy = neverBlock
+	}
+	r.background = e.opts.AsyncCompile || r.policy == interpretProfiled
+	return r
 }
 
 // Repo exposes the repository (stats for the harness and majicc). With
 // a shared Library this is the library's process-wide repository.
 func (e *Engine) Repo() *repo.Repository { return e.repo.r }
 
+// publish is the one job body behind every repository insert —
+// speculative precompile, miss and tier-up promotion: compile the body
+// the caller resolved (st.Fn) for csig and publish at the generation it
+// resolved (st.Gen), so a redefinition landing mid-compile drops the
+// entry (InsertAt) instead of installing code for a dead body. The entry
+// is returned whether or not the repository took it: it is valid code
+// for st.Fn and serves the invocation that asked for it. A nil entry and
+// nil error mean there was nothing to do: the function was redefined
+// while the job was queued, or an entry serving csig landed meanwhile —
+// a job under another key (the widened sibling, say) can cover it.
+func (r *repoState) publish(st *repo.FuncState, csig types.Signature, po pipelineOpts, speculative bool) (entry *repo.Entry, published bool, err error) {
+	name := st.Fn.Name
+	if now := r.r.State(name); now.Gen != st.Gen || now.Covers(csig) {
+		return nil, false, nil
+	}
+	c, err := r.e.compile(st.Fn, csig, po)
+	switch _, unsupported := err.(*codegen.ErrUnsupported); {
+	case unsupported && speculative:
+		// A rejected guess says nothing about the runtime signature.
+		return nil, false, nil
+	case unsupported:
+		// Defer to runtime, like MaJIC does for ambiguous symbols, and
+		// cache the decision as an interpret-only entry.
+		entry = &repo.Entry{Sig: topSignature(len(csig)), Quality: repo.QualityInterp}
+	case err != nil:
+		return nil, false, err
+	case po.optimize:
+		entry = c.entry(csig, repo.QualityOpt, speculative)
+	default:
+		entry = c.entry(csig, repo.QualityJIT, speculative)
+	}
+	return entry, r.r.InsertAt(name, entry, st.Gen), nil
+}
+
 // precompile performs the speculative ahead-of-time compilation the
-// repository does while "snooping the source code directories". In
-// async mode the job runs on the worker pool — the paper's behind-the-
-// scenes story — and publishes its entry when it lands; the single-
-// flight key prevents duplicate speculative jobs for one source
-// generation.
+// repository does while "snooping the source code directories" — on the
+// worker pool under AsyncCompile, the paper's behind-the-scenes story,
+// with one job per source generation. A failed speculation or compile is
+// not an error: the JIT covers the function at run time.
 func (r *repoState) precompile(st *repo.FuncState) {
-	name, gen := st.Fn.Name, st.Gen
-	job := func() error {
-		fn := r.e.LookupFunction(name)
-		if fn == nil {
+	r.e.lib.submit(r.background,
+		func() string { return fmt.Sprintf("spec\x00%s\x00%d", st.Fn.Name, st.Gen) },
+		nil,
+		func() error {
+			if sig, err := r.e.speculate(st.Fn); err == nil {
+				r.publish(st, sig, pipelineOpts{optimize: true}, true)
+			}
 			return nil
-		}
-		sig, err := r.e.speculate(fn)
-		if err != nil {
-			return nil // speculation failure is not an error; JIT covers it
-		}
-		if r.r.Covered(name, sig) {
-			return nil
-		}
-		c, err := r.e.compile(fn, sig, pipelineOpts{optimize: true})
-		if err != nil {
-			return nil
-		}
-		r.r.InsertAt(name, c.entry(sig, repo.QualityOpt, true), gen)
-		return nil
-	}
-	if r.e.lib.queue == nil {
-		job()
-		return
-	}
-	r.e.lib.queue.Do(fmt.Sprintf("spec\x00%s\x00%d", name, gen), job)
+		})
 }
 
 // sigBuf is the stack room invoke reserves for an invocation signature;
@@ -97,26 +146,27 @@ func (r *repoState) invoke(st *repo.FuncState, args []*mat.Value, nout int, call
 	var buf [sigBuf]types.Type
 	sig := types.SignatureInto(buf[:0], args)
 	entry := r.r.LookupIn(st, sig)
-	if r.e.opts.Tiered && r.e.opts.Tier == TierJIT {
-		if entry != nil && entry.Code != nil {
-			return r.runEntry(entry, st.Fn, args, nout, caller)
-		}
-		return r.invokeTiered(st, append(types.Signature(nil), sig...), args, nout)
-	}
-	if entry != nil {
-		r.maybeUpgrade(st.Fn, entry)
+	// The profiled policy serves an interpret-only hit (a cached
+	// unsupported decision) like a miss: the interpreter runs it either
+	// way, and the profile keeps counting in case a narrower profiled
+	// signature compiles where the widened one could not.
+	if entry != nil && (entry.Code != nil || r.policy != interpretProfiled) {
 		return r.runEntry(entry, st.Fn, args, nout, caller)
 	}
 	return r.miss(st, append(types.Signature(nil), sig...), args, nout, caller)
 }
 
-// miss compiles for a signature no entry serves. The signature is
-// widened when the repository has already compiled this function for
-// the same intrinsic kinds: without widening, recursive calls such as
+// miss serves a signature no entry covers: submit the compile, then do
+// what the engine's policy says. The compile signature is widened when
+// the repository has already compiled this function for the same
+// intrinsic kinds: without widening, recursive calls such as
 // fibonacci(n-1) would compile one version per distinct constant
 // argument.
 func (r *repoState) miss(st *repo.FuncState, sig types.Signature, args []*mat.Value, nout int, caller *vm.Frame) ([]*mat.Value, error) {
 	e := r.e
+	if r.policy == interpretProfiled {
+		return r.invokeProfiled(st, sig, args, nout)
+	}
 	// A concurrent caller's compile (or a redefinition) may have landed
 	// since the lookup that missed. Everything below — whether to widen,
 	// which generation to publish at — is decided from one state, and
@@ -133,7 +183,6 @@ func (r *repoState) miss(st *repo.FuncState, sig types.Signature, args []*mat.Va
 	if st.SameKinds(sig) {
 		csig = widen(sig)
 	}
-
 	var po pipelineOpts
 	switch e.opts.Tier {
 	case TierMCC:
@@ -146,116 +195,77 @@ func (r *repoState) miss(st *repo.FuncState, sig types.Signature, args []*mat.Va
 		po = pipelineOpts{optimize: e.opts.JITBackendOpts}
 	}
 
-	if e.lib.queue != nil {
-		return r.invokeAsync(st, sig, csig, po, args, nout, caller)
-	}
-	// The original inline-compile miss path: the default, so
-	// single-threaded behaviour (and the paper's Figure 4/6
-	// reproductions) is unchanged when async mode is off. It publishes at
-	// the generation the caller resolved, so another session's
-	// redefinition landing mid-compile drops the entry instead of
-	// installing code for a dead body.
-	entry, err := r.compileEntry(st.Fn, csig, po)
-	if err != nil {
-		return nil, err
-	}
-	r.r.InsertAt(st.Fn.Name, entry, st.Gen)
-	return r.runEntry(entry, st.Fn, args, nout, caller)
-}
-
-// compileEntry compiles fn for csig into a publishable entry. A construct
-// the compiler does not support yields an interpret-only entry — defer to
-// runtime, like MaJIC does for ambiguous symbols, and cache the decision.
-func (r *repoState) compileEntry(fn *ast.Function, csig types.Signature, po pipelineOpts) (*repo.Entry, error) {
-	c, err := r.e.compile(fn, csig, po)
-	if err != nil {
-		if _, unsupported := err.(*codegen.ErrUnsupported); unsupported {
-			return &repo.Entry{Sig: topSignature(len(csig)), Quality: repo.QualityInterp}, nil
-		}
-		return nil, err
-	}
-	quality := repo.QualityJIT
-	if po.optimize {
-		quality = repo.QualityOpt
-	}
-	return c.entry(csig, quality, false), nil
-}
-
-// invokeAsync enqueues the miss's compile job and applies the per-tier
-// responsiveness policy:
-//
-//   - TierJIT (and the batch tiers mcc/falcon): block on the job. The
-//     first caller pays the compile latency exactly once; concurrent
-//     callers coalesce on the single-flight ticket, so N simultaneous
-//     misses cost one compile.
-//   - TierSpec: never block. The caller interprets this invocation (the
-//     paper's Figure 6 responsiveness story: speculative mode trades
-//     first-call speed for zero perceived compile pauses) and the
-//     compiled entry serves later calls once the job lands.
-func (r *repoState) invokeAsync(st *repo.FuncState, sig, csig types.Signature, po pipelineOpts, args []*mat.Value, nout int, caller *vm.Frame) ([]*mat.Value, error) {
-	e := r.e
-	fn, name, gen := st.Fn, st.Fn.Name, st.Gen
-	// The job re-resolves the function by name. If a redefinition landed
-	// since st was loaded, the job compiles the new body but publishes at
-	// the old generation and is dropped — conservative, never wrong.
-	//
 	// Single flight only spans a job's lifetime: a caller descheduled
 	// between its miss and this submit may arrive after the job for its
 	// key has published and retired. The landed check, made under the
 	// pool's lock, sees that entry and submits nothing.
-	key := fmt.Sprintf("jit\x00%s\x00%s\x00%d", name, csig.Key(), gen)
-	ticket, _ := e.lib.queue.DoUnless(key,
+	name := st.Fn.Name
+	var mine *repo.Entry // what this caller's own job compiled; read only once the ticket is done
+	ticket, pooled := e.lib.submit(r.background,
+		func() string { return fmt.Sprintf("jit\x00%s\x00%s\x00%d", name, csig.Key(), st.Gen) },
 		func() bool { return r.r.Covered(name, csig) },
-		func() error { return r.compileJob(name, csig, po, gen) })
+		func() (err error) {
+			mine, _, err = r.publish(st, csig, po, false)
+			return err
+		})
 
-	if e.opts.Tier == TierSpec {
-		// Non-blocking fallback: interpret now, hit compiled code later.
-		// The fallback entry is transient — not inserted — so the
-		// repository keeps exactly one (compiled) entry per key.
-		return r.runEntry(&repo.Entry{Quality: repo.QualityInterp}, fn, args, nout, caller)
-	}
-
-	if e.tracer != nil {
-		// Queue-wait span: how long this caller blocked on the compile
-		// ticket (zero when the job already landed).
-		tw := time.Now()
+	var entry *repo.Entry
+	if r.policy == waitCompiled || ticket.TryDone() {
+		var tw time.Time
+		if pooled && e.tracer != nil {
+			tw = time.Now()
+		}
 		err := ticket.Wait()
-		e.tracer.Span(telemetry.CatQueue, name, e.id, tw, time.Since(tw))
+		if !tw.IsZero() {
+			// Queue-wait span: how long this caller blocked on the compile
+			// ticket (zero when the job already landed).
+			e.tracer.Span(telemetry.CatQueue, name, e.id, tw, time.Since(tw))
+		}
 		if err != nil {
 			return nil, err
 		}
-	} else if err := ticket.Wait(); err != nil {
-		return nil, err
+		if entry = mine; entry == nil {
+			// Another caller's job, or a sibling key's, compiled it.
+			entry = r.r.Lookup(name, sig)
+		}
 	}
-	if entry := r.r.Lookup(name, sig); entry != nil {
-		return r.runEntry(entry, fn, args, nout, caller)
+	if entry == nil {
+		// Interpret this one call with the function the caller resolved:
+		// the never-blocking policy while its job is in flight, and any
+		// caller whose job found the generation moved (the next call
+		// recompiles fresh). The entry is transient — never inserted — so
+		// the repository keeps exactly one (compiled) entry per key.
+		entry = &repo.Entry{Quality: repo.QualityInterp}
 	}
-	// The generation moved while the job was in flight (source
-	// redefined) and the publish was dropped. Interpret this call with
-	// the function the caller resolved; the next call recompiles fresh.
-	return r.runEntry(&repo.Entry{Quality: repo.QualityInterp}, fn, args, nout, caller)
+	return r.runEntry(entry, st.Fn, args, nout, caller)
 }
 
-// compileJob is the worker-side body of a miss job. It re-resolves the
-// function by name (see the ordering note in invokeAsync), compiles,
-// and publishes through InsertAt so stale generations are dropped.
-func (r *repoState) compileJob(name string, csig types.Signature, po pipelineOpts, gen uint64) error {
-	fn := r.e.LookupFunction(name)
-	if fn == nil {
-		return nil // deleted while queued; nothing to publish
+// enter opens one invocation's execution accounting: only the outermost
+// activation (depth 1) is timed. leave closes it.
+func (r *repoState) enter() (t0 time.Time) {
+	if atomic.AddInt32(&r.callDepth, 1) == 1 {
+		t0 = time.Now()
 	}
-	if r.r.Covered(name, csig) {
-		// An entry that serves csig landed while this job was queued —
-		// a job under another key (the widened sibling, say) can cover
-		// it; don't duplicate.
-		return nil
+	return t0
+}
+
+// leave is the epilogue every execution path shares: charge the
+// outermost activation's wall time to PhaseTimes.Exec (and its trace
+// span), and trim the outputs to what the caller asked for.
+func (r *repoState) leave(name string, t0 time.Time, nout int, outs []*mat.Value, err error) ([]*mat.Value, error) {
+	if !t0.IsZero() {
+		d := time.Since(t0)
+		atomic.AddInt64(&r.e.timing.Exec, d.Nanoseconds())
+		r.e.tracer.Span(telemetry.CatExec, name, r.e.id, t0, d)
 	}
-	entry, err := r.compileEntry(fn, csig, po)
+	atomic.AddInt32(&r.callDepth, -1)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	r.r.InsertAt(name, entry, gen)
-	return nil
+	if len(outs) > nout {
+		outs = outs[:nout]
+	}
+	return outs, nil
 }
 
 // runEntry executes one invocation through entry: compiled code on the
@@ -266,11 +276,7 @@ func (r *repoState) compileJob(name string, csig types.Signature, po pipelineOpt
 // retired in favour of an interpret-only one so later calls skip the
 // detour until a redefinition clears the slate.
 func (r *repoState) runEntry(entry *repo.Entry, fn *ast.Function, args []*mat.Value, nout int, caller *vm.Frame) ([]*mat.Value, error) {
-	depth := atomic.AddInt32(&r.callDepth, 1)
-	var t0 time.Time
-	if depth == 1 {
-		t0 = time.Now()
-	}
+	t0 := r.enter()
 	var outs []*mat.Value
 	var err error
 	if entry.Quality != repo.QualityInterp {
@@ -288,43 +294,27 @@ func (r *repoState) runEntry(entry *repo.Entry, fn *ast.Function, args []*mat.Va
 	if entry.Quality == repo.QualityInterp || err == vm.ErrGuardMiss {
 		outs, err = r.e.in.CallFunction(fn, args, nout, r.e.globals)
 	}
-	if depth == 1 {
-		d := time.Since(t0)
-		atomic.AddInt64(&r.e.timing.Exec, d.Nanoseconds())
-		r.e.tracer.Span(telemetry.CatExec, fn.Name, r.e.id, t0, d)
-	}
-	atomic.AddInt32(&r.callDepth, -1)
-	if err != nil {
-		return nil, err
-	}
-	if len(outs) > nout {
-		outs = outs[:nout]
-	}
-	return outs, nil
+	return r.leave(fn.Name, t0, nout, outs, err)
 }
 
-// invokeTiered is the profile-guided execution path (Options.Tiered,
-// TierJIT only). Calls start in the interpreter — a repository miss
-// never compiles on the caller's goroutine, so first-eval latency stays
-// interpreter-fast — while every call feeds the hotness profile for its
-// (function, widened signature) bucket. A bucket that crosses the
-// threshold enqueues a background recompile at QualityOpt with the
-// profile-narrowed joined signature (maybePromote), and the published
-// entry serves all later calls. While a call is still interpreting, the
-// activation carries a tiered Frame: loop back-edges count toward the
-// same bucket, and a hot loop transfers mid-run into compiled code via
-// on-stack replacement (see osr.go).
-func (r *repoState) invokeTiered(st *repo.FuncState, sig types.Signature, args []*mat.Value, nout int) ([]*mat.Value, error) {
+// invokeProfiled is the interpretProfiled policy (Options.Tiered,
+// TierJIT only). A repository miss never compiles on the caller's
+// goroutine, so first-eval latency stays interpreter-fast, while every
+// call feeds the hotness profile for its (function, widened signature)
+// bucket. A bucket that crosses the threshold submits a background
+// recompile at QualityOpt with the profile-narrowed joined signature
+// (maybePromote), and the published entry serves all later calls —
+// tier-up is the one mechanism that replaces code with better code.
+// While a call is still interpreting, the activation carries a tiered
+// Frame: loop back-edges count toward the same bucket, and a hot loop
+// transfers mid-run into compiled code via on-stack replacement (see
+// osr.go).
+func (r *repoState) invokeProfiled(st *repo.FuncState, sig types.Signature, args []*mat.Value, nout int) ([]*mat.Value, error) {
 	e := r.e
-	// invoke already served compiled hits. Interpret-only lookup hits
-	// (cached unsupported decisions) land here with the misses: the
-	// interpreter serves them, and the profile keeps counting in case a
-	// narrower profiled signature compiles where the widened one could
-	// not.
 	fn, gen := st.Fn, st.Gen
 	sp := e.lib.profiles.Func(fn.Name, gen).Sig(widen(sig).Key())
 	sp.Observe(sig)
-	r.maybePromote(fn.Name, sp, gen, len(sig))
+	r.maybePromote(st, sp, len(sig))
 
 	fr := &interp.Frame{
 		Fn:        fn,
@@ -335,34 +325,19 @@ func (r *repoState) invokeTiered(st *repo.FuncState, sig types.Signature, args [
 		BackEdges: sp.BackEdgeCounter(),
 		Prof:      sp,
 	}
-	depth := atomic.AddInt32(&r.callDepth, 1)
-	var t0 time.Time
-	if depth == 1 {
-		t0 = time.Now()
-	}
+	t0 := r.enter()
 	outs, err := e.in.CallFunctionTiered(fn, args, nout, e.globals, fr)
-	if depth == 1 {
-		d := time.Since(t0)
-		atomic.AddInt64(&e.timing.Exec, d.Nanoseconds())
-		e.tracer.Span(telemetry.CatExec, fn.Name, e.id, t0, d)
-	}
-	atomic.AddInt32(&r.callDepth, -1)
-	if err != nil {
-		return nil, err
-	}
-	if len(outs) > nout {
-		outs = outs[:nout]
-	}
-	return outs, nil
+	return r.leave(fn.Name, t0, nout, outs, err)
 }
 
-// maybePromote enqueues the background tier-up once a signature bucket
-// crosses the hotness threshold. The compile signature is the join of
-// every exact signature observed — strictly narrower than the widened
-// lookup key, so ranges and shapes the workload never exceeds stay
-// available to the optimizer — except on the final promotion round,
-// which compiles the fully widened form so the entry stops churning.
-func (r *repoState) maybePromote(name string, sp *profile.SigProfile, gen uint64, arity int) {
+// maybePromote submits the background tier-up once a signature bucket
+// crosses the hotness threshold: the shared job body plus the profile
+// and journal bookkeeping. The compile signature is the join of every
+// exact signature observed — strictly narrower than the widened lookup
+// key, so ranges and shapes the workload never exceeds stay available to
+// the optimizer — except on the final promotion round, which compiles
+// the fully widened form so the entry stops churning.
+func (r *repoState) maybePromote(st *repo.FuncState, sp *profile.SigProfile, arity int) {
 	e := r.e
 	if !sp.ShouldPromote(int64(e.tierThreshold())) {
 		return
@@ -374,88 +349,37 @@ func (r *repoState) maybePromote(name string, sp *profile.SigProfile, gen uint64
 	if sp.PromotionRound() >= profile.MaxPromotions-1 {
 		csig = widen(csig)
 	}
-	job := func() error {
-		if e.LookupFunction(name) == nil || r.r.Generation(name) != gen {
-			sp.PromotionDone()
-			return nil
-		}
-		if r.r.Covered(name, csig) {
-			sp.PromotionDone()
-			return nil
-		}
-		t0 := time.Now()
-		c, err := e.compile(e.LookupFunction(name), csig, pipelineOpts{optimize: true})
-		e.tracer.Span(telemetry.CatTierUp, name, e.id, t0, time.Since(t0))
-		if err != nil {
-			if _, unsupported := err.(*codegen.ErrUnsupported); unsupported {
-				// Cache the decision so plain lookups stop missing, and
-				// stop promoting this bucket.
-				r.r.InsertAt(name, &repo.Entry{Sig: topSignature(arity), Quality: repo.QualityInterp}, gen)
+	name := st.Fn.Name
+	e.lib.submit(r.background,
+		func() string { return fmt.Sprintf("tier\x00%s\x00%s\x00%d", name, csig.Key(), st.Gen) },
+		nil,
+		func() error {
+			t0 := time.Now()
+			entry, published, err := r.publish(st, csig, pipelineOpts{optimize: true}, false)
+			if entry != nil || err != nil {
+				e.tracer.Span(telemetry.CatTierUp, name, e.id, t0, time.Since(t0))
 			}
-			sp.PromotionFailed()
-			return nil
-		}
-		if r.r.InsertAt(name, c.entry(csig, repo.QualityOpt, false), gen) {
-			e.lib.profiles.CountPromotion()
-			e.lib.journal.Record(telemetry.Event{
-				Kind:   telemetry.EventPromotion,
-				Func:   name,
-				Sig:    csig.Key(),
-				Cause:  "hot-signature",
-				Gen:    gen,
-				Detail: fmt.Sprintf("entries=%d round=%d", sp.Entries(), sp.PromotionRound()+1),
-			})
-		}
-		sp.PromotionDone()
-		return nil
-	}
-	if e.lib.queue != nil {
-		key := fmt.Sprintf("tier\x00%s\x00%s\x00%d", name, csig.Key(), gen)
-		e.lib.queue.Do(key, job)
-	} else {
-		job()
-	}
-}
-
-// maybeUpgrade recompiles a hot JIT entry with the optimizing backend,
-// replacing the entry in the repository so every later lookup runs the
-// better version (paper §2: "The generated code can later be
-// recompiled (and replaced in the repository) using a better
-// compiler"). The published entry is never mutated in place — a
-// replacement entry is swapped in via Replace, which keeps concurrent
-// executors of the old code safe and refuses to resurrect invalidated
-// functions. In async mode the upgrade compiles on the worker pool.
-func (r *repoState) maybeUpgrade(fn *ast.Function, entry *repo.Entry) {
-	threshold := r.e.opts.RecompileThreshold
-	if threshold <= 0 || entry.Quality != repo.QualityJIT || entry.Hits() < int64(threshold) {
-		return
-	}
-	name := fn.Name
-	if r.e.lib.queue != nil {
-		gen := r.r.Generation(name)
-		key := fmt.Sprintf("up\x00%s\x00%s\x00%d", name, entry.Sig.Key(), gen)
-		r.e.lib.queue.Do(key, func() error {
-			r.upgrade(name, entry)
+			if err != nil || (entry != nil && entry.Quality == repo.QualityInterp) {
+				// A compiler rejection has cached its interpret-only
+				// decision, so plain lookups stop missing; either way, stop
+				// promoting this bucket.
+				sp.PromotionFailed()
+				return nil
+			}
+			if published {
+				e.lib.profiles.CountPromotion()
+				e.lib.journal.Record(telemetry.Event{
+					Kind:   telemetry.EventPromotion,
+					Func:   name,
+					Sig:    csig.Key(),
+					Cause:  "hot-signature",
+					Gen:    st.Gen,
+					Detail: fmt.Sprintf("entries=%d round=%d", sp.Entries(), sp.PromotionRound()+1),
+				})
+			}
+			sp.PromotionDone()
 			return nil
 		})
-		return
-	}
-	r.upgrade(name, entry)
-}
-
-func (r *repoState) upgrade(name string, entry *repo.Entry) {
-	fn := r.e.LookupFunction(name)
-	if fn == nil {
-		return
-	}
-	c, err := r.e.compile(fn, entry.Sig, pipelineOpts{optimize: true})
-	if err != nil {
-		// Upgrade failure is harmless; keep the JIT code and stop trying
-		// (the replacement carries QualityOpt so the threshold check
-		// never fires again for this entry).
-		c = &compiled{code: entry.Code, ret: entry.Ret, deps: entry.Deps}
-	}
-	r.r.Replace(name, entry, c.entry(entry.Sig, repo.QualityOpt, entry.Speculative))
 }
 
 // widen relaxes ranges (and, where bounds differ across calls, shapes

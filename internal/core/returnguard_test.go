@@ -196,7 +196,7 @@ func TestSideEffectsKeepCallsBoxed(t *testing.T) {
 func TestConcurrentCallsAndRedefinition(t *testing.T) {
 	lib := NewLibrary(LibraryOptions{AsyncCompile: true, CompileWorkers: 2})
 	defer lib.Close()
-	definer := New(Options{Tier: TierJIT, Library: lib})
+	definer := New(Options{Tier: TierJIT, AsyncCompile: true, Library: lib})
 	scale := func(c int) string {
 		return "function y = k(x)\n  y = x * " + string(rune('0'+c)) + ";\nend"
 	}
@@ -205,7 +205,7 @@ func TestConcurrentCallsAndRedefinition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	shared := New(Options{Tier: TierJIT, Library: lib})
+	shared := New(Options{Tier: TierJIT, AsyncCompile: true, Library: lib})
 
 	const callers = 8
 	var wg sync.WaitGroup
@@ -217,7 +217,7 @@ func TestConcurrentCallsAndRedefinition(t *testing.T) {
 			defer wg.Done()
 			e := shared
 			if g%2 == 0 {
-				e = New(Options{Tier: TierJIT, Library: lib})
+				e = New(Options{Tier: TierJIT, AsyncCompile: true, Library: lib})
 			}
 			for i := 0; ; i++ {
 				select {

@@ -100,29 +100,6 @@ func callScalar(t *testing.T, e *Engine, name string, arg float64) *mat.Value {
 	return outs[0]
 }
 
-// TestTieredFirstCallInterpreted pins the responsiveness half of the
-// contract: under the threshold, tiered calls run in the interpreter
-// and the repository holds no compiled entry — first-eval latency never
-// pays a compile.
-func TestTieredFirstCallInterpreted(t *testing.T) {
-	e := newTiered(t, 8)
-	if err := e.Define(hotForSrc); err != nil {
-		t.Fatal(err)
-	}
-	got := callScalar(t, e, "hotfor", 3)
-	e.Drain()
-	want := mustInterp(t, e, "hotfor", 3)
-	payloadEqual(t, "first call", []*mat.Value{want}, []*mat.Value{got})
-	for _, en := range e.Repo().Entries("hotfor") {
-		if en.Code != nil {
-			t.Fatalf("compiled entry published after one cold call: quality %v", en.Quality)
-		}
-	}
-	if st := e.ProfileStats(); st.Entries != 1 {
-		t.Fatalf("profile entries = %d, want 1", st.Entries)
-	}
-}
-
 // TestTieredPromotion drives a signature past the threshold and checks
 // the background tier-up: a QualityOpt entry appears, the promotion is
 // counted, and later calls hit it.
@@ -228,62 +205,6 @@ end`
 	got := callScalar(t, e, "hotfor", 500)
 	e.Drain()
 	payloadEqual(t, "redefined", []*mat.Value{want}, []*mat.Value{got})
-}
-
-// TestTieredMatchesInterpreter is the corpus-wide correctness gate: the
-// differential programs run tiered — through warm-up, promotion, and
-// any OSR transfers — must match the plain interpreter to the same
-// standard the repo holds every compiled tier to (valuesClose; the
-// optimizing backend's fused/selected kernels such as dgemv are allowed
-// ULP-level divergence from the interpreter's per-operator order).
-// Strict payload bit-identity through a mid-run OSR transfer is pinned
-// separately by the hot-loop tests above, and bit-identity across
-// thread counts by TestTieredThreadCountBitIdentity below.
-func TestTieredMatchesInterpreter(t *testing.T) {
-	for _, p := range diffPrograms {
-		ref := New(Options{Tier: TierInterp, Seed: 12345})
-		if err := ref.Define(p.src); err != nil {
-			ref.Close()
-			t.Fatalf("[%s] define: %v", p.name, err)
-		}
-		args := make([]*mat.Value, len(p.args))
-		for i, a := range p.args {
-			args[i] = mat.Scalar(a)
-		}
-		want, err := ref.Call("f", args, 1)
-		ref.Close()
-		if err != nil {
-			t.Fatalf("[%s] interp: %v", p.name, err)
-		}
-
-		e := New(Options{Tier: TierJIT, Tiered: true, TierThreshold: 2, Seed: 12345})
-		if err := e.Define(p.src); err != nil {
-			e.Close()
-			t.Fatalf("[%s] define tiered: %v", p.name, err)
-		}
-		// Enough calls to cross promotion (and, on loopy programs, OSR)
-		// thresholds, draining in between so every execution mode runs:
-		// cold interpret, mid-run transfer, compiled steady state.
-		for rep := 0; rep < 6; rep++ {
-			// The RNG is engine-global: re-seed so every rep replays the
-			// same stream the reference consumed.
-			e.Context().RNG.Seed(12345)
-			got, err := e.Call("f", args, 1)
-			if err != nil {
-				e.Close()
-				t.Fatalf("[%s] tiered rep %d: %v", p.name, rep, err)
-			}
-			if len(got) != 1 || !valuesClose(want[0], got[0]) {
-				e.Close()
-				t.Fatalf("[%s] tiered rep %d diverged from interpreter", p.name, rep)
-			}
-			if rep == 1 {
-				e.Drain()
-			}
-		}
-		e.Drain()
-		e.Close()
-	}
 }
 
 // TestTieredKillAtOSRSafepoint is the deadline-kill × background-

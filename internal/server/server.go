@@ -52,7 +52,9 @@ type Options struct {
 	// session.
 	Engine core.Options
 	// Library configures the process-wide shared code library
-	// (compile pool, repository entry cap).
+	// (compile pool, repository entry cap). AsyncCompile, CompileWorkers,
+	// RepoMaxEntries and Tiered exist on both structs; New reconciles
+	// them, so a caller sets each on whichever side it likes.
 	Library core.LibraryOptions
 	// Isolated gives every session a private library instead of the
 	// shared one — the control arm of the shared-repository
@@ -163,10 +165,33 @@ type Server struct {
 	reaperDone chan struct{}
 }
 
+// reconcile makes the compile-service settings that both option structs
+// declare agree. core.Options builds an isolated session's private
+// library and decides every engine's miss policy; core.LibraryOptions
+// builds the shared library. A value set on either side holds for both
+// (the engine's wins a disagreement), so shared and isolated sessions
+// compile the way the daemon was configured whichever struct the caller
+// filled.
+func reconcile(e *core.Options, l *core.LibraryOptions) {
+	e.AsyncCompile = e.AsyncCompile || l.AsyncCompile
+	e.Tiered = e.Tiered || l.Tiered
+	if e.CompileWorkers == 0 {
+		e.CompileWorkers = l.CompileWorkers
+	}
+	if e.RepoMaxEntries == 0 {
+		e.RepoMaxEntries = l.RepoMaxEntries
+	}
+	l.AsyncCompile = e.AsyncCompile
+	l.Tiered = e.Tiered
+	l.CompileWorkers = e.CompileWorkers
+	l.RepoMaxEntries = e.RepoMaxEntries
+}
+
 // New creates a Server (not yet listening; use Handler with an
 // http.Server, or ListenAndServe in cmd/majicd).
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
+	reconcile(&opts.Engine, &opts.Library)
 	tracer := telemetry.NewTracer(opts.TraceCapacity)
 	journal := telemetry.NewJournal(opts.JournalCapacity)
 	// Every session engine traces into the daemon's ring and journals

@@ -232,6 +232,31 @@ func TestGenerationSafeRedefinition(t *testing.T) {
 	}
 }
 
+// TestIsolatedSessionsInheritLibraryOptions is the regression test for
+// `majicd -isolated -async -workers=N -repo-max=K`: the flags filled only
+// Options.Library, isolated sessions build their private libraries from
+// Options.Engine, and so ran synchronous and unbounded. New reconciles
+// the two structs; the compile of an isolated session's first call must
+// show up as compile-queue traffic.
+func TestIsolatedSessionsInheritLibraryOptions(t *testing.T) {
+	srv, tc := startServer(t, Options{
+		Engine:   core.Options{Tier: core.TierJIT},
+		Library:  core.LibraryOptions{AsyncCompile: true, CompileWorkers: 2, RepoMaxEntries: 8},
+		Isolated: true,
+	})
+	if e := srv.opts.Engine; !e.AsyncCompile || e.CompileWorkers != 2 || e.RepoMaxEntries != 8 {
+		t.Fatalf("session engines did not inherit the library options: %+v", e)
+	}
+	id := tc.createSession()
+	tc.eval(id, "function y = inc(x)\ny = x + 1;\n")
+	if code, ok, bad := tc.eval(id, "r = inc(41)"); code != http.StatusOK || !strings.Contains(ok.Output, "42") {
+		t.Fatalf("eval: %d %+v %+v", code, ok, bad)
+	}
+	if m := tc.metrics(); m.SharedRepo || m.Queue.Submitted < 1 {
+		t.Fatalf("isolated -async daemon compiled inline: queue %+v", m.Queue)
+	}
+}
+
 // TestConcurrentSessionLifecycle is the -race workout: goroutines
 // create, eval against, and destroy sessions concurrently while two of
 // them redefine a shared function.
