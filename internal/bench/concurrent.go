@@ -39,9 +39,9 @@ type ConcurrentConfig struct {
 	// Benchmarks selects a subset of ConcurrentSet (default: all).
 	Benchmarks []string
 	Out        io.Writer
-	// Fuse enables elementwise fusion on the shared engine, which also
-	// turns on the process-wide recycling buffer pool — the race
-	// detector's stress case for pooled buffers crossing goroutines.
+	// Fuse enables elementwise fusion on the shared engine: concurrent
+	// clients then run fused kernels, each building results in buffers
+	// its own frame owns.
 	Fuse bool
 	// Threads sets the shared engine's dense-kernel worker count
 	// (0 = process default): client goroutines then fan work out to the

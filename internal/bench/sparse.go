@@ -384,7 +384,7 @@ func (c SparseConfig) spmvCompare(n int) (SpMVRow, error) {
 	// result decides correctness, the time only needs the right order
 	// of magnitude.
 	rows, _, rowPtr, colIdx, val := mat.SparseCSR(a)
-	dense := mat.NewRealUninit(rows, 1)
+	dense := mat.New(rows, 1)
 	dre := dense.Re()
 	xre := x.Re()
 	scratch := make([]float64, n)

@@ -6,29 +6,36 @@ import (
 )
 
 // EvalBinOp applies a (non-short-circuit) binary operator to boxed
-// values. The interpreter and the VM's generic instruction path share
-// this dispatcher — the analog of the MATLAB C library's polymorphic
-// operator entry points.
+// values: the interpreter's entry to the dispatcher below.
 func EvalBinOp(op ast.BinOp, l, r *mat.Value) (*mat.Value, error) {
+	return EvalBinOpInto(mat.Donors{}, op, l, r)
+}
+
+// EvalBinOpInto is the dispatcher the interpreter and the VM's generic
+// instruction path share — the analog of the MATLAB C library's
+// polymorphic operator entry points. The operators that produce a dense
+// real array (+ - * / .* ./ .\) may build it in one of d's donors; a
+// result built in an operand is returned as that operand.
+func EvalBinOpInto(d mat.Donors, op ast.BinOp, l, r *mat.Value) (*mat.Value, error) {
 	switch op {
 	case ast.OpAdd:
-		return mat.Add(l, r)
+		return d.Add(l, r)
 	case ast.OpSub:
-		return mat.Sub(l, r)
+		return d.Sub(l, r)
 	case ast.OpMul:
-		return mat.Mul(l, r)
+		return d.Mul(l, r)
 	case ast.OpDiv:
-		return mat.Div(l, r, MLDivide)
+		return d.Div(l, r, MLDivide)
 	case ast.OpLDiv:
 		return MLDivide(l, r)
 	case ast.OpPow:
 		return mat.Pow(l, r)
 	case ast.OpEMul:
-		return mat.ElemMul(l, r)
+		return d.ElemMul(l, r)
 	case ast.OpEDiv:
-		return mat.ElemDiv(l, r)
+		return d.ElemDiv(l, r)
 	case ast.OpELDiv:
-		return mat.ElemLDiv(l, r)
+		return d.ElemLDiv(l, r)
 	case ast.OpEPow:
 		return mat.ElemPow(l, r)
 	case ast.OpEq:

@@ -48,7 +48,7 @@ func sparseImpl(ctx *Context, args []*mat.Value, nout int) ([]*mat.Value, error)
 		if err != nil {
 			return nil, err
 		}
-		return []*mat.Value{s}, nil
+		return []*mat.Value{unaliased(s, args[0])}, nil
 	case 2:
 		args, err := denseArgs(args)
 		if err != nil {
@@ -160,7 +160,18 @@ func fullImpl(ctx *Context, args []*mat.Value, nout int) ([]*mat.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	return []*mat.Value{d}, nil
+	return []*mat.Value{unaliased(d, args[0])}, nil
+}
+
+// unaliased is out, or a copy of it when a conversion that had nothing
+// to do handed the argument back: a builtin's result is never its
+// argument (DESIGN.md §10), or writing through one binding would change
+// the other.
+func unaliased(out, arg *mat.Value) *mat.Value {
+	if out == arg {
+		return out.Clone()
+	}
+	return out
 }
 
 func speyeImpl(ctx *Context, args []*mat.Value, nout int) ([]*mat.Value, error) {

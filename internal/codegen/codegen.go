@@ -75,6 +75,9 @@ type gen struct {
 	prog *ir.Prog
 
 	vars map[string]slot
+	// varV[r] is set when V register r is a variable's home slot; every
+	// other V register is an expression temporary.
+	varV []bool
 
 	nextF, nextI, nextC, nextV int32
 
@@ -244,7 +247,14 @@ func classOf(t types.Type) ir.Bank {
 }
 
 func (g *gen) newSlot(b ir.Bank) slot {
-	return slot{bank: b, reg: g.newReg(b)}
+	s := slot{bank: b, reg: g.newReg(b)}
+	if b == ir.BankV {
+		for int(s.reg) >= len(g.varV) {
+			g.varV = append(g.varV, false)
+		}
+		g.varV[s.reg] = true
+	}
+	return s
 }
 
 func (g *gen) newReg(b ir.Bank) int32 {

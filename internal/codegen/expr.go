@@ -182,7 +182,7 @@ func (g *gen) binary(x *ast.Binary) (ir.Bank, int32) {
 	rb, rr := g.expr(x.R)
 	rv := g.toV(rb, rr)
 	d := g.newReg(ir.BankV)
-	g.emit(ir.Instr{Op: ir.OpGBin, A: d, B: lv, C: rv, D: int32(x.Op)})
+	g.emit(ir.Instr{Op: ir.OpGBin, A: d, B: lv, C: rv, D: int32(x.Op), Imm: float64(g.consumed(lv, rv))})
 	return ir.BankV, d
 }
 
@@ -392,7 +392,7 @@ func (g *gen) unary(x *ast.Unary) (ir.Bank, int32) {
 		}
 		v := g.toV(b, r)
 		d := g.newReg(ir.BankV)
-		g.emit(ir.Instr{Op: ir.OpGUn, A: d, B: v, D: unNeg})
+		g.emit(ir.Instr{Op: ir.OpGUn, A: d, B: v, D: unNeg, Imm: float64(g.consumed(v))})
 		return ir.BankV, d
 	case ast.OpPos:
 		if b != ir.BankV {

@@ -127,6 +127,7 @@ func (g *gen) tryFuseExpr(e ast.Expr) (ir.Bank, int32, bool) {
 	// fusion inside a leaf would otherwise clobber this kernel's slots.
 	var vRegs, slotRegs []int32
 	var code []int32
+	var consumed uint32 // mat.Donors.Consumed over vRegs
 	vIndex := func(r int32) int32 {
 		for i, vr := range vRegs {
 			if vr == r {
@@ -143,7 +144,9 @@ func (g *gen) tryFuseExpr(e ast.Expr) (ir.Bank, int32, bool) {
 			b, r := g.expr(e)
 			switch b {
 			case ir.BankV:
-				code = append(code, ir.FuseLoadV, vIndex(r))
+				k := vIndex(r)
+				code = append(code, ir.FuseLoadV, k)
+				consumed |= g.consumed(r) << k
 			case ir.BankI:
 				code = append(code, ir.FuseLoadSI, int32(len(slotRegs)))
 				slotRegs = append(slotRegs, g.toF(ir.BankI, r))
@@ -174,6 +177,6 @@ func (g *gen) tryFuseExpr(e ast.Expr) (ir.Bank, int32, bool) {
 	aux = append(aux, code...)
 	at := g.prog.AddAux(aux...)
 	d := g.newReg(ir.BankV)
-	g.emit(ir.Instr{Op: ir.OpVFused, A: d, B: at})
+	g.emit(ir.Instr{Op: ir.OpVFused, A: d, B: at, C: int32(consumed)})
 	return ir.BankV, d, true
 }

@@ -73,8 +73,10 @@ func (g *gen) stmt(s ast.Stmt) {
 // targets the value is moved by reference; callers that need value
 // semantics (B = A) emit OpVClone instead. A V-class move from a fresh
 // temporary uses swap semantics: the temp register inherits the
-// variable's old buffer so OpVEnsure can recycle it on the next loop
-// iteration (the paper's pre-allocated temporaries).
+// variable's old buffer, which the instruction that next defines the
+// temp — on the following loop iteration — finds as its displaced
+// destination and builds its result in (the paper's pre-allocated
+// temporaries; DESIGN §10).
 func (g *gen) move(dst slot, b ir.Bank, r int32) {
 	cv := g.to(dst.bank, b, r)
 	if cv == dst.reg {
@@ -99,12 +101,22 @@ func (g *gen) move(dst slot, b ir.Bank, r int32) {
 // isVarReg reports whether a V register is a variable's home slot (as
 // opposed to an expression temporary).
 func (g *gen) isVarReg(r int32) bool {
-	for _, s := range g.vars {
-		if s.bank == ir.BankV && s.reg == r {
-			return true
+	return int(r) < len(g.varV) && g.varV[r]
+}
+
+// consumed builds the mat.Donors.Consumed mask of an instruction whose
+// V operands are regs: bit k is set when operand k is an expression
+// temporary. A temporary is defined by one instruction and read by one,
+// so after the instruction that reads it nothing refers to its value
+// and that instruction may overwrite it.
+func (g *gen) consumed(regs ...int32) uint32 {
+	var mask uint32
+	for k, r := range regs {
+		if !g.isVarReg(r) {
+			mask |= 1 << k
 		}
 	}
-	return false
+	return mask
 }
 
 func (g *gen) assign(x *ast.Assign) {

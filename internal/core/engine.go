@@ -121,9 +121,8 @@ type Options struct {
 	// FuseElemwise turns on elementwise fusion (§2.6.1's
 	// temporary-elimination, extended to whole operator trees): maximal
 	// trees of elementwise operators compile to single fused kernels
-	// that run as one loop with no intermediate arrays, and the mat
-	// buffer pool recycles displaced destination buffers. Off by default
-	// so the baseline paper-mode measurements keep the
+	// that run as one loop with no intermediate arrays. Off by default so
+	// the baseline paper-mode measurements keep the
 	// one-library-call-per-operator execution model.
 	FuseElemwise bool
 	// Library attaches the engine to a shared code library (function
@@ -194,7 +193,7 @@ type Options struct {
 	// parallel kernel preserves per-element operation order, results
 	// are byte-for-byte identical for every Threads value. The setting
 	// is process-wide (the worker pool is shared), so the last engine
-	// to set a non-zero value wins — mirroring mat.EnablePool.
+	// to set a non-zero value wins.
 	Threads int
 
 	// Tracer, when set, receives per-eval trace spans: parse,
@@ -276,9 +275,6 @@ func New(opts Options) *Engine {
 	e.workspace = interp.NewEnv(e.globals)
 	e.in = interp.New(e)
 	e.repo = newRepoState(e)
-	if opts.FuseElemwise {
-		mat.EnablePool()
-	}
 	if opts.Threads > 0 {
 		parallel.SetDefaultThreads(opts.Threads)
 	}

@@ -19,7 +19,7 @@ func EngineFlags(fs *flag.FlagSet) func() Options {
 	var o Options
 	fs.BoolVar(&o.AsyncCompile, "async", false, "compile in the background on a worker pool (asynchronous repository): jit/mcc/falcon misses wait for their job, spec misses never block")
 	fs.IntVar(&o.CompileWorkers, "workers", 0, "async compile workers (0 = GOMAXPROCS; nothing unless -async)")
-	fs.BoolVar(&o.FuseElemwise, "fuse", false, "fuse elementwise operator trees into single kernels (with buffer recycling)")
+	fs.BoolVar(&o.FuseElemwise, "fuse", false, "fuse elementwise operator trees into single kernels")
 	fs.IntVar(&o.Threads, "threads", 0, "dense-kernel worker threads (0 = GOMAXPROCS, 1 = serial); results are identical for every value")
 	fs.BoolVar(&o.Tiered, "tiered", false, "profile-guided tiered recompilation: interpret first, promote hot signatures to optimized code in the background, OSR hot loops mid-run (jit tier only)")
 	fs.IntVar(&o.TierThreshold, "tier-threshold", 0, "calls before a hot signature is promoted (0 = default)")

@@ -273,20 +273,25 @@ func TestInferenceSoundnessRandom(t *testing.T) {
 
 // TestTierEquivalenceRandom: random programs wrapped into functions must
 // produce identical results under every execution tier.
+// generatedFunction is `function out = f()` around a generated body,
+// returning a checksum over all its scalars and vectors.
+func generatedFunction(seed int64) string {
+	g := newProgGen(seed)
+	body := g.generate(12)
+	var sum strings.Builder
+	sum.WriteString("  out = 0;\n")
+	for _, s := range g.scalars {
+		fmt.Fprintf(&sum, "  out = out + %s;\n", s)
+	}
+	for v := range g.vectors {
+		fmt.Fprintf(&sum, "  out = out + sum(%s);\n", v)
+	}
+	return "function out = f()\n" + body + sum.String() + "end\n"
+}
+
 func TestTierEquivalenceRandom(t *testing.T) {
 	for seed := int64(200); seed < 280; seed++ {
-		g := newProgGen(seed)
-		body := g.generate(12)
-		// checksum over all scalars and vectors
-		var sum strings.Builder
-		sum.WriteString("  out = 0;\n")
-		for _, s := range g.scalars {
-			fmt.Fprintf(&sum, "  out = out + %s;\n", s)
-		}
-		for v := range g.vectors {
-			fmt.Fprintf(&sum, "  out = out + sum(%s);\n", v)
-		}
-		src := "function out = f()\n" + body + sum.String() + "end\n"
+		src := generatedFunction(seed)
 
 		run := func(tier Tier) (float64, error) {
 			e := New(Options{Tier: tier, Seed: 99})

@@ -32,9 +32,8 @@ type Config struct {
 	// Benchmarks filters by name; empty = all.
 	Benchmarks []string
 	Seed       uint64
-	// Fuse enables elementwise fusion (and the recycling buffer pool)
-	// on every engine the harness builds — the measurement mode for the
-	// fused-kernel experiment. Off by default: paper-mode numbers use
+	// Fuse enables elementwise fusion on every engine the harness
+	// builds — the measurement mode for the fused-kernel experiment. Off by default: paper-mode numbers use
 	// the one-library-call-per-operator execution model.
 	Fuse bool
 	// Threads sets the dense-kernel worker count on every engine the

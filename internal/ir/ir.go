@@ -155,8 +155,8 @@ const (
 	OpVMarkShared // V[A].MarkShared() (aliasing assignment B = A)
 
 	// generic boxed operations (the MATLAB C library path)
-	OpGBin     // V[A] = binop[D](V[B], V[C])
-	OpGUn      // V[A] = unop[D](V[B])
+	OpGBin     // V[A] = binop[D](V[B], V[C]); Imm: bit 0/1 set when V[B]/V[C] is a consumed temporary (mat.Donors)
+	OpGUn      // V[A] = unop[D](V[B]); Imm: 1 when V[B] is a consumed temporary
 	OpGIndex   // V[A] = V[B](args); aux at C: [n, argreg...]
 	OpGAssign  // V[A](args) = V[D]; aux at C: [n, argreg...]; result back in V[A]
 	OpGColon   // V[A] = V[B]:V[C]:V[D]
@@ -173,7 +173,7 @@ const (
 	// FuseLoadV below); scalar leaves are staged into a fixed slot file by
 	// OpVFuseArgF immediately before the kernel so register allocation
 	// sees ordinary F-register uses.
-	OpVFused    // V[A] = eval of fused micro-op program; aux at B: [nv, vreg..., nslots, nops, (code,arg)...]
+	OpVFused    // V[A] = eval of fused micro-op program; aux at B: [nv, vreg..., nslots, nops, (code,arg)...]; C: bit k set when vreg k is a consumed temporary
 	OpVFuseArgF // fuse slot A = F[B] (stages a scalar operand for the next OpVFused)
 
 	// spill support: the linear-scan allocator rewrites spilled virtual
@@ -187,6 +187,11 @@ const (
 	OpCStSlot
 	OpVLdSlot
 	OpVStSlot
+
+	// test instrumentation: vm.Prepare follows V-writing instructions
+	// with it while a step hook is installed (vm.SetStepHook); no compiler
+	// pass emits it.
+	OpVCheck // run the VM's step hook on the instruction before
 )
 
 var opNames = map[Op]string{
@@ -221,6 +226,7 @@ var opNames = map[Op]string{
 	OpVFused: "vfused", OpVFuseArgF: "vfusearg.f",
 	OpFLdSlot: "fldslot", OpFStSlot: "fstslot", OpILdSlot: "ildslot", OpIStSlot: "istslot",
 	OpCLdSlot: "cldslot", OpCStSlot: "cstslot", OpVLdSlot: "vldslot", OpVStSlot: "vstslot",
+	OpVCheck: "vcheck",
 }
 
 func (o Op) String() string {

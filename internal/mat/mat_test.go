@@ -637,32 +637,6 @@ func TestScalarBoxIsOneAllocation(t *testing.T) {
 	}
 }
 
-// TestInlineScalarStoreIsNeverPooled: Recycle must not hand the inline
-// array to the buffer pool — a later draw would scribble over a live
-// scalar.
-func TestInlineScalarStoreIsNeverPooled(t *testing.T) {
-	EnablePool()
-	before := ReadPoolStats()
-	for i := 0; i < 100; i++ {
-		Recycle(Scalar(float64(i)))
-		Recycle(IntScalar(float64(i)))
-		s, _ := Add(Scalar(1), IntScalar(2))
-		Recycle(s)
-	}
-	if after := ReadPoolStats(); after.Recycles != before.Recycles {
-		t.Fatalf("%d inline scalar stores were pooled", after.Recycles-before.Recycles)
-	}
-	v := Scalar(7)
-	Recycle(v)
-	for i := 0; i < 1000; i++ {
-		buf := getBuf(1)
-		buf[0] = -1
-	}
-	if v.MustScalar() != 7 {
-		t.Fatal("a pool draw aliased a scalar's inline store")
-	}
-}
-
 // TestScalarFastPathMatchesElementwiseLoop: scalar∘scalar takes a
 // shortcut at the top of elementwise. It must agree bit for bit, kind
 // included, with the general loop — reached here by computing the same

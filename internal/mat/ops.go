@@ -29,19 +29,21 @@ func binShape(a, b *Value) (rows, cols int, err error) {
 }
 
 // elemGrain is the minimum per-chunk element count for parallel
-// elementwise loops; below it parallel.For runs the loop inline.
+// elementwise loops; results no larger run inline on the caller.
 const elemGrain = 1 << 14
 
 // elementwise applies fr (real) or fc (complex) pointwise with scalar
 // broadcasting. Each output element depends only on its own index, so
 // the loops chunk-parallelize over disjoint ranges with byte-identical
 // results for every thread count; the integrality scan AND-merges
-// per-chunk flags (order-independent).
-func elementwise(a, b *Value, fr func(x, y float64) float64, fc func(x, y complex128) complex128) (*Value, error) {
+// per-chunk flags (order-independent). The real result may be built in
+// one of d's donors, an operand included: element i is read before it
+// is written and the real loop never gives up half-way.
+func elementwise(d Donors, a, b *Value, fr func(x, y float64) float64, fc func(x, y complex128) complex128) (*Value, error) {
 	if a.rows*a.cols == 1 && b.rows*b.cols == 1 && a.im == nil && b.im == nil && a.sp == nil && b.sp == nil {
 		// Scalar∘scalar: the interpreter's and the boxed tiers' most common
 		// operator call. Same arithmetic and kind rule as the loops below,
-		// without their closures, parallel dispatch or pooled buffer.
+		// without their dispatch or result buffer.
 		z := fr(a.re[0], b.re[0])
 		k := PromoteKind(a.kind, b.kind)
 		if (k == Int || k == Bool) && z == math.Trunc(z) && !math.IsInf(z, 0) {
@@ -51,60 +53,85 @@ func elementwise(a, b *Value, fr func(x, y float64) float64, fc func(x, y comple
 	}
 	if a.sp != nil || b.sp != nil {
 		// Defensive: sparse-capable operators dispatch before reaching
-		// here; anything else works on densified copies.
+		// here; anything else works on densified copies, which are not the
+		// operands d.Consumed speaks of.
 		var derr error
 		if a, b, derr = dense2(a, b); derr != nil {
 			return nil, derr
 		}
+		d.Consumed = 0
 	}
 	rows, cols, err := binShape(a, b)
 	if err != nil {
 		return nil, err
 	}
+	// Shapes and kinds are final here: a donor's own are rewritten below.
 	k := PromoteKind(a.kind, b.kind)
 	n := rows * cols
 	if k == Complex {
-		out := NewKind(Complex, rows, cols)
-		parallel.For(0, n, elemGrain, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				z := fc(bcastC(a, i), bcastC(b, i))
-				out.re[i] = real(z)
-				out.im[i] = imag(z)
-			}
-		})
-		return out.Demote(), nil
+		return elementwiseComplex(a, b, rows, cols, fc), nil
 	}
-	out := NewRealUninit(rows, cols)
-	if k == Int || k == Bool {
-		// int-preserving ops stay integral when inputs are; callers that
-		// need exactness (e.g. plus on ints) keep Int kind. Integrality is
-		// tracked inside the main loop rather than by re-scanning the
-		// finished result.
-		var notInt atomic.Bool
-		parallel.For(0, n, elemGrain, func(lo, hi int) {
-			allInt := true
-			for i := lo; i < hi; i++ {
-				z := fr(bcastR(a, i), bcastR(b, i))
-				out.re[i] = z
-				if z != math.Trunc(z) || math.IsInf(z, 0) {
-					allInt = false
-				}
-			}
-			if !allInt {
-				notInt.Store(true)
-			}
-		})
-		if !notInt.Load() {
-			out.kind = Int
-		}
-		return out, nil
+	// int-preserving ops stay integral when inputs are; callers that
+	// need exactness (e.g. plus on ints) keep Int kind. Integrality is
+	// tracked inside the main loop rather than by re-scanning the
+	// finished result.
+	track := k == Int || k == Bool
+	out := d.NewReal(rows, cols, true, a, b)
+	var allInt bool
+	if n <= elemGrain || parallel.DefaultThreads() == 1 {
+		allInt = elementwiseRange(out.re, a, b, fr, 0, n, track)
+	} else {
+		allInt = elementwiseParallel(out.re, a, b, fr, n, track)
 	}
-	parallel.For(0, n, elemGrain, func(lo, hi int) {
+	if track && allInt {
+		out.kind = Int
+	}
+	return out, nil
+}
+
+// elementwiseRange computes elements [lo, hi) of a real elementwise
+// result into o and, when track is set, reports whether all of them are
+// integral.
+func elementwiseRange(o []float64, a, b *Value, fr func(x, y float64) float64, lo, hi int, track bool) bool {
+	if !track {
 		for i := lo; i < hi; i++ {
-			out.re[i] = fr(bcastR(a, i), bcastR(b, i))
+			o[i] = fr(bcastR(a, i), bcastR(b, i))
+		}
+		return true
+	}
+	allInt := true
+	for i := lo; i < hi; i++ {
+		z := fr(bcastR(a, i), bcastR(b, i))
+		o[i] = z
+		if z != math.Trunc(z) || math.IsInf(z, 0) {
+			allInt = false
+		}
+	}
+	return allInt
+}
+
+// elementwiseParallel is the large-result path, apart from elementwise
+// so that only calls which do fan out pay for the escaping closure.
+func elementwiseParallel(o []float64, a, b *Value, fr func(x, y float64) float64, n int, track bool) bool {
+	var notInt atomic.Bool
+	parallel.For(0, n, elemGrain, func(lo, hi int) {
+		if !elementwiseRange(o, a, b, fr, lo, hi, track) {
+			notInt.Store(true)
 		}
 	})
-	return out, nil
+	return !notInt.Load()
+}
+
+func elementwiseComplex(a, b *Value, rows, cols int, fc func(x, y complex128) complex128) *Value {
+	out := NewKind(Complex, rows, cols)
+	parallel.For(0, rows*cols, elemGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			z := fc(bcastC(a, i), bcastC(b, i))
+			out.re[i] = real(z)
+			out.im[i] = imag(z)
+		}
+	})
+	return out.Demote()
 }
 
 func bcastR(v *Value, i int) float64 {
@@ -121,51 +148,74 @@ func bcastC(v *Value, i int) complex128 {
 	return v.ComplexAt(i)
 }
 
+func addR(x, y float64) float64       { return x + y }
+func addC(x, y complex128) complex128 { return x + y }
+func subR(x, y float64) float64       { return x - y }
+func subC(x, y complex128) complex128 { return x - y }
+func mulR(x, y float64) float64       { return x * y }
+func mulC(x, y complex128) complex128 { return x * y }
+func divR(x, y float64) float64       { return x / y }
+func divC(x, y complex128) complex128 { return x / y }
+
+// The arithmetic operators come in two spellings: the package-level
+// functions (no donors — the interpreter's and the library's own calls)
+// and the methods on Donors that compiled code calls.
+
 // Add implements a+b.
-func Add(a, b *Value) (*Value, error) {
+func Add(a, b *Value) (*Value, error) { return Donors{}.Add(a, b) }
+
+// Add implements a+b, building a dense real result in a donor.
+func (d Donors) Add(a, b *Value) (*Value, error) {
 	if a.sp != nil || b.sp != nil {
-		return sparseAddSub(a, b, false)
+		return sparseAddSub(d, a, b, false)
 	}
-	return elementwise(a, b,
-		func(x, y float64) float64 { return x + y },
-		func(x, y complex128) complex128 { return x + y })
+	return elementwise(d, a, b, addR, addC)
 }
 
 // Sub implements a-b.
-func Sub(a, b *Value) (*Value, error) {
+func Sub(a, b *Value) (*Value, error) { return Donors{}.Sub(a, b) }
+
+// Sub implements a-b, building a dense real result in a donor.
+func (d Donors) Sub(a, b *Value) (*Value, error) {
 	if a.sp != nil || b.sp != nil {
-		return sparseAddSub(a, b, true)
+		return sparseAddSub(d, a, b, true)
 	}
-	return elementwise(a, b,
-		func(x, y float64) float64 { return x - y },
-		func(x, y complex128) complex128 { return x - y })
+	return elementwise(d, a, b, subR, subC)
 }
 
 // ElemMul implements a.*b.
-func ElemMul(a, b *Value) (*Value, error) {
+func ElemMul(a, b *Value) (*Value, error) { return Donors{}.ElemMul(a, b) }
+
+// ElemMul implements a.*b, building a dense real result in a donor.
+func (d Donors) ElemMul(a, b *Value) (*Value, error) {
 	if a.sp != nil || b.sp != nil {
 		return sparseElemMul(a, b)
 	}
-	return elementwise(a, b,
-		func(x, y float64) float64 { return x * y },
-		func(x, y complex128) complex128 { return x * y })
+	return elementwise(d, a, b, mulR, mulC)
 }
 
 // ElemDiv implements a./b.
-func ElemDiv(a, b *Value) (*Value, error) {
+func ElemDiv(a, b *Value) (*Value, error) { return Donors{}.ElemDiv(a, b) }
+
+// ElemDiv implements a./b, building a dense real result in a donor.
+func (d Donors) ElemDiv(a, b *Value) (*Value, error) {
 	if a.sp != nil || b.sp != nil {
 		return sparseElemDiv(a, b)
 	}
-	return elementwise(a, b,
-		func(x, y float64) float64 { return x / y },
-		func(x, y complex128) complex128 { return x / y })
+	return elementwise(d, a, b, divR, divC)
 }
 
 // ElemLDiv implements a.\b.
 func ElemLDiv(a, b *Value) (*Value, error) { return ElemDiv(b, a) }
 
+// ElemLDiv implements a.\b, building a dense real result in a donor.
+func (d Donors) ElemLDiv(a, b *Value) (*Value, error) { return d.swapped().ElemDiv(b, a) }
+
 // Neg implements -a.
-func Neg(a *Value) (*Value, error) {
+func Neg(a *Value) (*Value, error) { return Donors{}.Neg(a) }
+
+// Neg implements -a, building a dense real result in a donor.
+func (d Donors) Neg(a *Value) (*Value, error) {
 	if a.sp != nil {
 		return sparseNeg(a)
 	}
@@ -178,10 +228,15 @@ func Neg(a *Value) (*Value, error) {
 		}
 		return out, nil
 	}
-	out := NewKind(a.numKind(), a.rows, a.cols)
-	for i := 0; i < n; i++ {
-		out.re[i] = -a.re[i]
+	k := a.numKind() // before a becomes the result
+	if n == 1 {
+		return scalarOf(k, -a.re[0]), nil
 	}
+	out := d.NewReal(a.rows, a.cols, true, a)
+	for i, x := range a.re[:n] {
+		out.re[i] = -x
+	}
+	out.kind = k
 	return out, nil
 }
 
@@ -204,12 +259,16 @@ func UPlus(a *Value) (*Value, error) {
 
 // Mul implements the matrix product a*b, with scalar broadcasting when
 // either operand is 1x1. Inner dimensions must agree otherwise.
-func Mul(a, b *Value) (*Value, error) {
+func Mul(a, b *Value) (*Value, error) { return Donors{}.Mul(a, b) }
+
+// Mul implements a*b, building a dense real result in a donor. A true
+// product reads its operands throughout, so it takes d.Dst only.
+func (d Donors) Mul(a, b *Value) (*Value, error) {
 	if a.sp != nil || b.sp != nil {
-		return sparseMul(a, b)
+		return sparseMul(d, a, b)
 	}
 	if a.IsScalar() || b.IsScalar() {
-		return ElemMul(a, b)
+		return d.ElemMul(a, b)
 	}
 	if a.cols != b.rows {
 		return nil, Errorf("inner matrix dimensions must agree: %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols)
@@ -232,18 +291,25 @@ func Mul(a, b *Value) (*Value, error) {
 		return out.Demote(), nil
 	}
 	// The real product runs on the blocked, parallel dgemm. beta == 0
-	// stores, so the uninitialized (possibly pool-recycled) result
-	// buffer is never read.
-	out := NewRealUninit(a.rows, b.cols)
-	blas.Dgemm(a.rows, b.cols, a.cols, 1, a.re, a.rows, b.re, b.rows, 0, out.re, a.rows)
+	// stores, so the uninitialized (possibly donated) result buffer is
+	// never read.
+	m, n := a.rows, b.cols
+	out := d.NewReal(m, n, false, a, b)
+	blas.Dgemm(m, n, a.cols, 1, a.re, m, b.re, b.rows, 0, out.re, m)
 	return out, nil
 }
 
 // Div implements a/b (mrdivide). Scalar b reduces to elementwise; the
 // general case solves x*b = a via transposition: a/b = (b' \ a')'.
 func Div(a, b *Value, solve func(A, B *Value) (*Value, error)) (*Value, error) {
+	return Donors{}.Div(a, b, solve)
+}
+
+// Div implements a/b; the scalar-divisor case may build its result in
+// a donor.
+func (d Donors) Div(a, b *Value, solve func(A, B *Value) (*Value, error)) (*Value, error) {
 	if b.IsScalar() {
-		return ElemDiv(a, b)
+		return d.ElemDiv(a, b)
 	}
 	bt, err := Transpose(b)
 	if err != nil {
@@ -351,7 +417,7 @@ func ElemPow(a, b *Value) (*Value, error) {
 		}
 		return out.Demote(), nil
 	}
-	return elementwise(a, b, math.Pow,
+	return elementwise(Donors{}, a, b, math.Pow,
 		func(x, y complex128) complex128 { return cmplx.Pow(x, y) })
 }
 

@@ -1,118 +1,91 @@
 package mat
 
-import (
-	"math/bits"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// Size-classed recycling pool for real element buffers. The fused
-// elementwise kernel (and the generic operators' real fast path)
-// allocate one full-size result per statement; inside a loop the same
-// handful of sizes recurs every iteration, so recycling the displaced
-// destination buffers makes steady-state allocation cost near zero.
-//
-// The pool is process-wide and opt-in (core.Options.FuseElemwise turns
-// it on) so the synchronous paper-mode measurements are unchanged, and
-// it is built on sync.Pool so concurrent engines sharing the process
-// need no extra locking. Buffers are binned by power-of-two capacity:
-// a Get for n elements draws from the class whose buffers are
-// guaranteed to hold n, so a recycled buffer is never too small.
+// Result-buffer reuse for compiled code (DESIGN.md §10). An operation
+// that produces a dense real array is handed the dead values its caller
+// already owns — Donors — and builds its result in one of them instead
+// of allocating. Donors are always arguments, never package state, so
+// concurrent sessions cannot see each other's buffers, and nothing is
+// kept once the operation returns. The interpreter passes no donors.
 
-const (
-	minPoolBits = 6  // smallest pooled class: 64 elements
-	maxPoolBits = 20 // largest pooled class: 1M elements (matches oversizeLimit)
-)
-
-var (
-	poolOn   atomic.Bool
-	pools    [maxPoolBits - minPoolBits + 1]sync.Pool
-	poolGets atomic.Uint64
-	poolHits atomic.Uint64
-	poolPuts atomic.Uint64
-)
-
-// EnablePool turns the recycling buffer pool on for the whole process.
-// There is deliberately no way to turn it off again: engines created
-// with fusion enabled may hold pooled buffers for their lifetime.
-func EnablePool() { poolOn.Store(true) }
-
-// PoolEnabled reports whether the recycling pool is active.
-func PoolEnabled() bool { return poolOn.Load() }
-
-// PoolStats is cumulative pool traffic, for tests and profiling.
-type PoolStats struct {
-	Gets     uint64 `json:"gets"`     // allocation requests routed through the pool
-	Hits     uint64 `json:"hits"`     // requests satisfied by a recycled buffer
-	Recycles uint64 `json:"recycles"` // buffers returned to the pool
+// Donors names the values an array-producing operation may overwrite.
+// The caller asserts each is dead under the single-owner invariant: an
+// unshared *Value is referenced from exactly one place. Shared, complex,
+// sparse and too-small donors are passed over, so offering one
+// conservatively is always safe.
+type Donors struct {
+	// Dst is the value the result displaces (the destination register's
+	// old content). Any operation may take it unless it is also an
+	// operand.
+	Dst *Value
+	// Consumed has bit k set when operand k is a temporary that nothing
+	// reads after this operation. Only an operation that reads element i
+	// of its operands before writing element i of the result, and never
+	// abandons the loop half-way, overwrites such an operand.
+	Consumed uint32
 }
+
+// swapped is d for the same operation with its two operands exchanged.
+func (d Donors) swapped() Donors {
+	d.Consumed = d.Consumed&^3 | (d.Consumed&1)<<1 | (d.Consumed&2)>>1
+	return d
+}
+
+// PoolStats is cumulative result-buffer traffic, for tests, /metrics
+// and the benchmark.
+type PoolStats struct {
+	Gets     uint64 `json:"gets"`     // dense real result buffers requested
+	Hits     uint64 `json:"hits"`     // requests served by a donor
+	Recycles uint64 `json:"recycles"` // requests that came with a donor
+}
+
+var poolGets, poolHits, poolPuts atomic.Uint64
 
 // ReadPoolStats returns a snapshot of the counters.
 func ReadPoolStats() PoolStats {
 	return PoolStats{Gets: poolGets.Load(), Hits: poolHits.Load(), Recycles: poolPuts.Load()}
 }
 
-// getClass maps a requested element count to the pool class whose
-// buffers all have capacity >= n, or -1 when the size is not pooled.
-func getClass(n int) int {
-	if n <= 0 {
-		return -1
-	}
-	b := bits.Len(uint(n - 1)) // ceil(log2 n)
-	if b < minPoolBits {
-		b = minPoolBits
-	}
-	if b > maxPoolBits {
-		return -1
-	}
-	return b - minPoolBits
-}
-
-// getBuf returns a []float64 of length n with arbitrary contents,
-// recycled when possible. Callers must overwrite every element.
-func getBuf(n int) []float64 {
-	if poolOn.Load() {
-		if c := getClass(n); c >= 0 {
-			poolGets.Add(1)
-			if p, _ := pools[c].Get().(*[]float64); p != nil && cap(*p) >= n {
-				poolHits.Add(1)
-				return (*p)[:n]
+// NewReal returns the Real rows x cols value that an operation over ops
+// writes its result into. The elements are NOT zeroed — the caller
+// overwrites every one. inPlace says the operation may overwrite an
+// operand of exactly the result's shape (see Donors.Consumed). A result
+// built in an operand is that operand: the caller that marked it
+// consumed must drop its own reference.
+func (d Donors) NewReal(rows, cols int, inPlace bool, ops ...*Value) *Value {
+	poolGets.Add(1)
+	n := rows * cols
+	if d.Dst != nil || d.Consumed != 0 {
+		poolPuts.Add(1)
+		if v := d.Dst; v.reusable(n) {
+			operand := false
+			for _, o := range ops {
+				operand = operand || o == v
 			}
-			// Round fresh allocations up to the class capacity so Recycle
-			// bins them into the same class they were drawn for.
-			return make([]float64, n, 1<<(c+minPoolBits))
+			if !operand || (inPlace && v.rows == rows && v.cols == cols) {
+				return v.reuse(rows, cols)
+			}
+		}
+		if inPlace {
+			for k, o := range ops {
+				if d.Consumed&(1<<k) != 0 && o.reusable(n) && o.rows == rows && o.cols == cols {
+					return o.reuse(rows, cols)
+				}
+			}
 		}
 	}
-	return make([]float64, n)
+	return &Value{kind: Real, rows: rows, cols: cols, re: make([]float64, n)}
 }
 
-// NewRealUninit returns a Real rows x cols value whose elements are NOT
-// zeroed — only for callers that overwrite every element (elementwise
-// loops, the fused kernel). With the pool enabled the backing store may
-// be a recycled buffer.
-func NewRealUninit(rows, cols int) *Value {
-	return &Value{kind: Real, rows: rows, cols: cols, re: getBuf(rows * cols)}
+// reusable reports whether v's storage can hold an n-element real
+// result: v is dense, non-complex, large enough, and unshared.
+func (v *Value) reusable(n int) bool {
+	return v != nil && v.im == nil && v.sp == nil && cap(v.re) >= n && !v.IsShared()
 }
 
-// Recycle offers v's backing buffer to the pool. The caller asserts v
-// is dead: its sole owner has dropped it (a displaced destination, a
-// consumed temporary). Shared values, complex values and values the
-// pool is not managing are ignored, so calling it conservatively is
-// always safe — the same ownership condition OpVEnsure uses for its
-// in-place buffer reuse.
-func Recycle(v *Value) {
-	if v == nil || v.im != nil || v.sp != nil || !poolOn.Load() || v.IsShared() {
-		return
-	}
-	buf := v.re
-	c := bits.Len(uint(cap(buf))) - 1 // floor(log2 cap): every draw from this class fits
-	if c < minPoolBits {
-		return
-	}
-	if c > maxPoolBits {
-		c = maxPoolBits
-	}
-	buf = buf[:0]
-	poolPuts.Add(1)
-	pools[c-minPoolBits].Put(&buf)
+func (v *Value) reuse(rows, cols int) *Value {
+	poolHits.Add(1)
+	v.kind, v.rows, v.cols, v.re = Real, rows, cols, v.re[:rows*cols]
+	return v
 }

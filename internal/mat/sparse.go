@@ -442,12 +442,13 @@ func sparseMergeOp(a, b *sparseData, f func(x, y float64) float64) *sparseData {
 // sparseAddSub handles + / - when at least one operand is sparse.
 // Sparse results only arise from sparse+sparse with equal shapes; any
 // other combination (scalar broadcast, dense operand) produces a dense
-// result anyway, so the sparse operand densifies first.
-func sparseAddSub(a, b *Value, sub bool) (*Value, error) {
+// result anyway, so the sparse operand densifies first (the copies are
+// not the caller's operands, so only d.Dst stays on offer).
+func sparseAddSub(d Donors, a, b *Value, sub bool) (*Value, error) {
 	if a.sp != nil && b.sp != nil && SameShape(a, b) {
-		f := func(x, y float64) float64 { return x + y }
+		f := addR
 		if sub {
-			f = func(x, y float64) float64 { return x - y }
+			f = subR
 		}
 		return finishSparse(newSparse(sparseMergeOp(a.sp, b.sp, f))), nil
 	}
@@ -455,10 +456,11 @@ func sparseAddSub(a, b *Value, sub bool) (*Value, error) {
 	if err != nil {
 		return nil, err
 	}
+	d.Consumed = 0
 	if sub {
-		return Sub(a, b)
+		return d.Sub(a, b)
 	}
-	return Add(a, b)
+	return d.Add(a, b)
 }
 
 // mapStored applies f to every stored entry (pattern unchanged).
@@ -583,7 +585,7 @@ func sparseTranspose(a *Value) (*Value, error) {
 // the right operand (the product of two sparse operands is not kept
 // sparse). Results are always dense — the product of a sparse operator
 // with a dense vector is dense.
-func sparseMul(a, b *Value) (*Value, error) {
+func sparseMul(d Donors, a, b *Value) (*Value, error) {
 	if a.IsScalar() || b.IsScalar() {
 		return sparseElemMul(a, b)
 	}
@@ -600,7 +602,7 @@ func sparseMul(a, b *Value) (*Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		xt, err := sparseMul(bt, at)
+		xt, err := sparseMul(Donors{}, bt, at)
 		if err != nil {
 			return nil, err
 		}
@@ -616,12 +618,14 @@ func sparseMul(a, b *Value) (*Value, error) {
 	if b.kind == Complex || b.kind == Char {
 		return nil, Errorf("sparse: %s operands are not supported in sparse products", b.kind)
 	}
-	d := a.sp
-	out := NewRealUninit(a.rows, b.cols)
+	// Both kernels store every result element without reading it, so a
+	// donated buffer's old contents never show.
+	sp := a.sp
+	out := d.NewReal(a.rows, b.cols, false, a, b)
 	if b.cols == 1 {
-		sparse.SpMV(d.rows, d.rowPtr, d.colIdx, d.val, 1, b.re[:b.rows], 0, out.re[:a.rows])
+		sparse.SpMV(sp.rows, sp.rowPtr, sp.colIdx, sp.val, 1, b.re[:b.rows], 0, out.re)
 	} else {
-		sparse.SpMM(d.rows, d.rowPtr, d.colIdx, d.val, b.re[:b.rows*b.cols], b.rows, b.cols, out.re[:a.rows*b.cols], a.rows)
+		sparse.SpMM(sp.rows, sp.rowPtr, sp.colIdx, sp.val, b.re[:b.rows*b.cols], b.rows, b.cols, out.re, a.rows)
 	}
 	return out, nil
 }

@@ -18,8 +18,15 @@ import "repro/internal/ir"
 // the same basic block (nops from earlier passes may intervene) and
 // the temp d appears nowhere else in the program: the swap's only
 // effect besides x = d is to leave x's old value in d for a later
-// OpVEnsure to recycle, and a temp mentioned exactly twice (its def
-// and the swap) has no such later use.
+// instruction to build its result in, and a temp mentioned exactly
+// twice (its def and the swap) has no such later use.
+//
+// One kind of kernel keeps its temp: a kernel that can abandon its loop
+// for the boxed fallback (it contains .^ or sqrt) never writes over an
+// operand, so `x = x ./ 2 + a .^ 2` redirected to x would find its
+// displaced destination unusable on every trip and allocate. Left
+// alone it alternates between two buffers: the temp holds the x of the
+// trip before, which is not an operand.
 func FuseDst(p *ir.Prog) {
 	mentions := countVMentions(p)
 	lead := leaders(p)
@@ -37,13 +44,38 @@ func FuseDst(p *ir.Prog) {
 			continue
 		}
 		sw := &p.Ins[next]
-		if sw.Op != ir.OpVMovSwap || sw.B != in.A || mentions[in.A] != 2 {
+		if sw.Op != ir.OpVMovSwap || sw.B != in.A || mentions[in.A] != 2 || abortableOver(p, in, sw.A) {
 			continue
 		}
 		in.A = sw.A
 		*sw = ir.Instr{Op: ir.OpNop}
 	}
 	compact(p)
+}
+
+// abortableOver reports whether the fused kernel in reads register x and
+// contains a micro-op whose real path can promote to complex mid-loop.
+func abortableOver(p *ir.Prog, in *ir.Instr, x int32) bool {
+	at := int(in.B)
+	nv := int(p.Aux[at])
+	reads := false
+	for _, r := range p.Aux[at+1 : at+1+nv] {
+		reads = reads || r == x
+	}
+	if !reads {
+		return false
+	}
+	nops := int(p.Aux[at+2+nv])
+	code := p.Aux[at+3+nv : at+3+nv+2*nops]
+	for j := 0; j < nops; j++ {
+		switch {
+		case code[2*j] == ir.FusePow:
+			return true
+		case code[2*j] == ir.FuseMath && p.MathFns[code[2*j+1]] == "sqrt":
+			return true
+		}
+	}
+	return false
 }
 
 // countVMentions counts, for every V register, how many times the

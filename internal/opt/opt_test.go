@@ -167,3 +167,45 @@ end`, nil)
 		t.Errorf("disasm:\n%s", d)
 	}
 }
+
+// TestFuseDstKeepsTheTempOfAbortableKernels: a fused statement is
+// redirected into its variable's register unless the kernel reads that
+// variable and can abort (.^, sqrt) — such a kernel may not write over
+// its operand, so it keeps the swap and with it a second buffer to
+// alternate with.
+func TestFuseDstKeepsTheTempOfAbortableKernels(t *testing.T) {
+	for _, c := range []struct {
+		src       string
+		redirects bool
+	}{
+		{"x = x + a .* 2 - a ./ 4;", true},
+		{"x = x ./ 2 + a .^ 2;", false},
+		{"x = sqrt(x) + a .* 2;", false},
+		{"x = a ./ 2 + a .^ 2;", true},
+	} {
+		src := "function x = f(a)\n  x = a .* 3;\n  for k = 1:3\n    " + c.src + "\n  end\nend\n"
+		file, err := parser.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn := file.Funcs[0]
+		g := cfg.Build(fn.Body)
+		tbl := disambig.Analyze(g, fn.Ins, nil)
+		vecT := types.Type{I: types.IReal, MinShape: types.Shape{R: types.Fin(1), C: types.Fin(20)}, MaxShape: types.Shape{R: types.Fin(1), C: types.Fin(20)}}
+		res := infer.Forward(g, map[string]types.Type{"a": vecT}, infer.Opts{})
+		cfgc := codegen.DefaultConfig()
+		cfgc.FuseElemwise = true
+		p, err := codegen.Compile(fn, res, tbl, cfgc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if countOp(p, ir.OpVFused) != 1 {
+			t.Fatalf("%q: want exactly one fused kernel:\n%s", c.src, p.Disasm())
+		}
+		swaps := countOp(p, ir.OpVMovSwap)
+		FuseDst(p)
+		if got := countOp(p, ir.OpVMovSwap) == swaps-1; got != c.redirects {
+			t.Errorf("%q: kernel redirected into x = %v, want %v:\n%s", c.src, got, c.redirects, p.Disasm())
+		}
+	}
+}

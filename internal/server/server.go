@@ -712,9 +712,9 @@ func (s *Server) collectTelemetry(emit func(telemetry.Sample)) {
 	counter(emit, "majic_cluster_ingest_rejected_total", "Peer records rejected as invalid.", float64(ms.Ingest.Rejected))
 	gauge(emit, "majic_parallel_threads", "Worker threads configured for parallel loops.", float64(ms.Parallel.Threads))
 	gauge(emit, "majic_parallel_workers", "Parallel pool workers currently alive.", float64(ms.Parallel.Workers))
-	counter(emit, "majic_buffer_pool_gets_total", "Matrix allocations routed through the pool.", float64(ms.BufferPool.Gets))
-	counter(emit, "majic_buffer_pool_hits_total", "Allocations satisfied by a recycled buffer.", float64(ms.BufferPool.Hits))
-	counter(emit, "majic_buffer_pool_recycles_total", "Buffers returned to the pool.", float64(ms.BufferPool.Recycles))
+	counter(emit, "majic_buffer_pool_gets_total", "Dense real result buffers requested by array operations.", float64(ms.BufferPool.Gets))
+	counter(emit, "majic_buffer_pool_hits_total", "Result buffers built in storage the caller already owned.", float64(ms.BufferPool.Hits))
+	counter(emit, "majic_buffer_pool_recycles_total", "Result-buffer requests that came with a donor.", float64(ms.BufferPool.Recycles))
 	counter(emit, "majic_trace_spans_dropped_total", "Trace spans dropped by the bounded ring.", float64(s.tracer.Dropped()))
 
 	routes := make([]string, 0, len(s.metrics.routes))

@@ -58,13 +58,16 @@ func chunkAllInt(o []float64) bool {
 // a fractional power, sqrt of a negative) — the whole kernel falls
 // back to interpreting the micro-ops over boxed values through the
 // same mat/builtins entry points the generic instructions call.
-func fusedExec(c *Compiled, ctx *builtins.Context, aux []int32, at, dst int, V []*mat.Value, slots *[ir.MaxFuseOperands]float64) error {
+func fusedExec(c *Compiled, ctx *builtins.Context, aux []int32, at, dst int, consumed uint32, V []*mat.Value, slots *[ir.MaxFuseOperands]float64) error {
 	nv := int(aux[at])
 	vregs := aux[at+1 : at+1+nv]
 	nops := int(aux[at+2+nv])
 	prog := aux[at+3+nv : at+3+nv+2*nops]
 
+	// Operand kinds are read here, once: the destination chosen below
+	// may be an operand, whose kind tag is then the result's.
 	var ops [ir.MaxFuseOperands]*mat.Value
+	var kinds [ir.MaxFuseOperands]mat.Kind
 	boxed := false
 	for k := 0; k < nv; k++ {
 		v := V[vregs[k]]
@@ -74,7 +77,9 @@ func fusedExec(c *Compiled, ctx *builtins.Context, aux []int32, at, dst int, V [
 			// interpreter routes them through the representation-aware
 			// mat entry points.
 			boxed = true
+			continue
 		}
+		kinds[k] = v.Kind()
 	}
 	if boxed {
 		return fusedBoxed(c, ctx, prog, ops[:nv], slots, dst, V)
@@ -130,7 +135,7 @@ func fusedExec(c *Compiled, ctx *builtins.Context, aux []int32, at, dst int, V [
 	for j := 0; j < nops; j++ {
 		switch prog[2*j] {
 		case ir.FuseLoadV:
-			k := ops[prog[2*j+1]].Kind()
+			k := kinds[prog[2*j+1]]
 			maybe[sp] = k == mat.Int || k == mat.Bool
 			sp++
 		case ir.FuseLoadSF:
@@ -156,31 +161,13 @@ func fusedExec(c *Compiled, ctx *builtins.Context, aux []int32, at, dst int, V [
 		}
 	}
 
-	// Destination: reuse the displaced value's buffer when this frame
-	// is its sole owner and the shape matches. Writing in place over an
-	// operand's own buffer is safe for a pure elementwise loop (element
-	// i is fully read before it is written) — except when the kernel
-	// can abort, because the boxed fallback must recompute from intact
+	// Destination (DESIGN §10): the displaced value's buffer when this
+	// frame is its sole owner, else a consumed operand's. Writing in
+	// place over an operand is safe for a pure elementwise loop (element
+	// i is fully read before it is written) — except when the kernel can
+	// abort, because the boxed fallback must recompute from intact
 	// operands.
-	old := V[dst]
-	var out *mat.Value
-	if old != nil && !old.IsShared() && old.Im() == nil && !old.IsSparse() && old.Rows() == rows && old.Cols() == cols {
-		reuse := true
-		if canAbort {
-			for k := 0; k < nv; k++ {
-				if ops[k] == old {
-					reuse = false
-					break
-				}
-			}
-		}
-		if reuse {
-			out = old
-		}
-	}
-	if out == nil {
-		out = mat.NewRealUninit(rows, cols)
-	}
+	out := mat.Donors{Dst: V[dst], Consumed: consumed}.NewReal(rows, cols, !canAbort, ops[:nv]...)
 	outRe := out.Re()
 
 	var data [ir.MaxFuseOperands][]float64
@@ -217,7 +204,7 @@ func fusedExec(c *Compiled, ctx *builtins.Context, aux []int32, at, dst int, V [
 		// Serial: interpret every block inline on this goroutine. This
 		// branch must not touch the parallel dispatch — its closure
 		// captures would heap-allocate per statement, and the fused alloc
-		// budget is one pool draw.
+		// budget is one result buffer.
 		var abort atomic.Bool
 		fuseRunRange(c, prog, nops, n, 0, nblocks, &data, &stride, slots, &needAcc, &allInt, outRe, &abort)
 		aborted = abort.Load()
@@ -225,12 +212,8 @@ func fusedExec(c *Compiled, ctx *builtins.Context, aux []int32, at, dst int, V [
 		aborted = fuseRunParallel(c, prog, nops, n, nblocks, data, stride, *slots, needAcc, &allInt, outRe)
 	}
 	if aborted {
-		// out is either a fresh draw or the (dead) displaced old value;
-		// either way no live value aliases it, so recycle and redo the
-		// whole statement over boxed values.
-		if out != old {
-			mat.Recycle(out)
-		}
+		// out is either fresh or the (dead) displaced value, never an
+		// operand; drop it and redo the whole statement over boxed values.
 		return fusedBoxed(c, ctx, prog, ops[:nv], slots, dst, V)
 	}
 
@@ -242,7 +225,7 @@ func fusedExec(c *Compiled, ctx *builtins.Context, aux []int32, at, dst int, V [
 	for j := 0; j < nops; j++ {
 		switch prog[2*j] {
 		case ir.FuseLoadV:
-			ks[sp] = ops[prog[2*j+1]].Kind()
+			ks[sp] = kinds[prog[2*j+1]]
 			sp++
 		case ir.FuseLoadSF:
 			ks[sp] = mat.Real
@@ -271,10 +254,14 @@ func fusedExec(c *Compiled, ctx *builtins.Context, aux []int32, at, dst int, V [
 	}
 	out.SetNumericKind(ks[0])
 
-	V[dst] = out
-	if old != nil && old != out && !old.IsShared() {
-		mat.Recycle(old)
+	// A result built in a consumed operand is that operand: its register
+	// lets go, or two registers would own one value.
+	for k := 0; k < nv; k++ {
+		if ops[k] == out {
+			V[vregs[k]] = nil
+		}
 	}
+	V[dst] = out
 	return nil
 }
 
@@ -606,10 +593,6 @@ func fusedBoxed(c *Compiled, ctx *builtins.Context, prog []int32, ops []*mat.Val
 			sp--
 		}
 	}
-	old := V[dst]
 	V[dst] = stack[0]
-	if old != nil && old != stack[0] && !old.IsShared() {
-		mat.Recycle(old)
-	}
 	return nil
 }

@@ -9,14 +9,12 @@ import (
 	"repro/internal/mat"
 )
 
-// evalUnOp dispatches the generic unary opcodes.
-func evalUnOp(code int32, v *mat.Value) (*mat.Value, error) {
-	if v == nil {
-		return nil, fmt.Errorf("use of undefined value")
-	}
+// evalUnOp dispatches the generic unary opcodes. Negation may build its
+// result in one of d's donors, the operand included.
+func evalUnOp(code int32, v *mat.Value, d mat.Donors) (*mat.Value, error) {
 	switch code {
 	case 0: // neg
-		return mat.Neg(v)
+		return d.Neg(v)
 	case 1: // uplus
 		return mat.UPlus(v)
 	case 2: // not
@@ -29,11 +27,17 @@ func evalUnOp(code int32, v *mat.Value) (*mat.Value, error) {
 	return nil, fmt.Errorf("unknown unary op %d", code)
 }
 
+// maxSubs is the most subscripts an indexing instruction can carry.
+const maxSubs = 2
+
 // decodeSubs resolves boxed subscript registers (colon markers and
-// index vectors) into mat.Subscript values.
-func decodeSubs(aux []int32, at int, V []*mat.Value) ([]mat.Subscript, error) {
+// index vectors) into mat.Subscript values, in the caller's buf.
+func decodeSubs(aux []int32, at int, V []*mat.Value, buf *[maxSubs]mat.Subscript) ([]mat.Subscript, error) {
 	n := int(aux[at])
-	subs := make([]mat.Subscript, n)
+	if n > maxSubs {
+		return nil, fmt.Errorf("unsupported number of subscripts (%d)", n)
+	}
+	subs := buf[:n]
 	for i := 0; i < n; i++ {
 		v := V[aux[at+1+i]]
 		if v == nil {
@@ -57,7 +61,8 @@ func genericIndex(base *mat.Value, aux []int32, at int, V []*mat.Value) (*mat.Va
 	if base == nil {
 		return nil, fmt.Errorf("indexing an undefined value")
 	}
-	subs, err := decodeSubs(aux, at, V)
+	var buf [maxSubs]mat.Subscript
+	subs, err := decodeSubs(aux, at, V, &buf)
 	if err != nil {
 		return nil, err
 	}
@@ -67,17 +72,16 @@ func genericIndex(base *mat.Value, aux []int32, at int, V []*mat.Value) (*mat.Va
 		return base, nil
 	case 1:
 		return mat.Index1(base, subs[0])
-	case 2:
-		return mat.Index2(base, subs[0], subs[1])
 	}
-	return nil, fmt.Errorf("unsupported number of subscripts (%d)", len(subs))
+	return mat.Index2(base, subs[0], subs[1])
 }
 
 func genericAssign(base *mat.Value, aux []int32, at int, V []*mat.Value, rhs *mat.Value) error {
 	if rhs == nil {
 		return fmt.Errorf("assignment from undefined value")
 	}
-	subs, err := decodeSubs(aux, at, V)
+	var buf [maxSubs]mat.Subscript
+	subs, err := decodeSubs(aux, at, V, &buf)
 	if err != nil {
 		return err
 	}
@@ -111,13 +115,16 @@ func genericCat(aux []int32, at int, V []*mat.Value) (*mat.Value, error) {
 	return mat.Cat(parts)
 }
 
-func genericBuiltin(c *Compiled, ctx *builtins.Context, aux []int32, at int, V []*mat.Value) error {
+// genericBuiltin dispatches OpGBuiltin. Like userCall it builds the
+// argument list in the frame's scratch: a builtin reads its arguments
+// and returns, it does not keep the slice.
+func genericBuiltin(c *Compiled, ctx *builtins.Context, aux []int32, at int, V, argScratch []*mat.Value) error {
 	b := c.builtins[aux[at]]
 	nout := int(aux[at+1])
 	dsts := aux[at+2 : at+2+nout]
 	nargs := int(aux[at+2+nout])
 	argRegs := aux[at+3+nout : at+3+nout+nargs]
-	args := make([]*mat.Value, nargs)
+	args := argScratch[:nargs]
 	for i, r := range argRegs {
 		v := V[r]
 		if v == nil {
@@ -126,17 +133,17 @@ func genericBuiltin(c *Compiled, ctx *builtins.Context, aux []int32, at int, V [
 		args[i] = v
 	}
 	outs, err := builtins.Call(ctx, b, args, nout)
-	if err != nil {
-		return err
-	}
-	for i, d := range dsts {
-		if i < len(outs) {
-			V[d] = outs[i]
-		} else {
-			V[d] = mat.Empty()
+	if err == nil {
+		for i, d := range dsts {
+			if i < len(outs) {
+				V[d] = outs[i]
+			} else {
+				V[d] = mat.Empty()
+			}
 		}
 	}
-	return nil
+	clear(args)
+	return err
 }
 
 // userCall dispatches OpCallUser through the host. The argument and
@@ -201,17 +208,19 @@ func gemv(aux []int32, at int, alpha float64, dst int, V []*mat.Value) error {
 		// staged y values with β=1 in both the dense and sparse kernels,
 		// so per-element rounding order is identical across the two
 		// representations (sparse SpMV mirrors Dgemv's ascending-column
-		// accumulation exactly).
-		out := mat.New(a.Rows(), 1)
+		// accumulation exactly). The kernels read A, x and y while they
+		// write, so only a displaced destination that is none of them
+		// (x = A*x) may hold the result.
+		out := mat.Donors{Dst: V[dst]}.NewReal(a.Rows(), 1, false, a, x, y)
 		re := out.Re()
-		if y != nil && beta != 0 {
-			yre := y.Re()
-			if beta == 1 {
-				copy(re, yre)
-			} else {
-				for i := range re {
-					re[i] = beta * yre[i]
-				}
+		switch {
+		case y == nil || beta == 0:
+			clear(re)
+		case beta == 1:
+			copy(re, y.Re())
+		default:
+			for i, yi := range y.Re() {
+				re[i] = beta * yi
 			}
 		}
 		if a.IsSparse() {

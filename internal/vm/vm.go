@@ -36,8 +36,13 @@ type Host interface {
 }
 
 // colonMarker is the distinguished boxed value representing a ':'
-// subscript in generic indexing instructions.
-var colonMarker = mat.Empty()
+// subscript in generic indexing instructions. It sits in many registers
+// at once, so it is marked shared like every other boxed constant.
+var colonMarker = func() *mat.Value {
+	v := mat.Empty()
+	v.MarkShared()
+	return v
+}()
 
 // Compiled wraps a Prog with resolved builtin/math-function tables so
 // repeated invocations skip name resolution.
@@ -62,14 +67,18 @@ type Compiled struct {
 	// math builtin whose real path promotes negatives to complex).
 	fuseBs   []*builtins.Builtin
 	fuseSqrt []bool
-	// callArgs and callOuts are the widest argument and result lists of
-	// any OpCallUser in the program: the frame reserves that much boxed
-	// scratch after the V registers and spill slots.
+	// callArgs is the widest argument list of any OpCallUser or
+	// OpGBuiltin in the program and callOuts the widest OpCallUser result
+	// list: the frame reserves that much boxed scratch after the V
+	// registers and spill slots.
 	callArgs, callOuts int
 }
 
 // Prepare resolves the program's name tables.
 func Prepare(p *ir.Prog) (*Compiled, error) {
+	if stepHook.Load() != nil {
+		p = withStepChecks(p)
+	}
 	c := &Compiled{P: p}
 	for _, name := range p.MathFns {
 		f, ok := scalarMathFn(name)
@@ -98,7 +107,7 @@ func Prepare(p *ir.Prog) (*Compiled, error) {
 		}
 	}
 	for _, in := range p.Ins {
-		if in.Op != ir.OpCallUser {
+		if in.Op != ir.OpCallUser && in.Op != ir.OpGBuiltin {
 			continue
 		}
 		// aux at A: [fnID, nout, dst..., nargs, arg...]
@@ -107,7 +116,9 @@ func Prepare(p *ir.Prog) (*Compiled, error) {
 			return nil, fmt.Errorf("vm: call operands out of range at aux %d", at)
 		}
 		nout := int(p.Aux[at+1])
-		c.callOuts = max(c.callOuts, nout)
+		if in.Op == ir.OpCallUser {
+			c.callOuts = max(c.callOuts, nout)
+		}
 		c.callArgs = max(c.callArgs, int(p.Aux[at+2+nout]))
 	}
 	return c, nil
@@ -694,23 +705,35 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []*mat.Value) ([]*mat.Va
 			V[in.A] = c.vpool[in.B]
 
 		case ir.OpGBin:
-			v, e := builtins.EvalBinOp(ast.BinOp(in.D), vOrErr(V[in.B], &err), vOrErr(V[in.C], &err))
+			l, r := vOrErr(V[in.B], &err), vOrErr(V[in.C], &err)
 			if err != nil {
 				goto fail
 			}
+			v, e := builtins.EvalBinOpInto(mat.Donors{Dst: V[in.A], Consumed: uint32(in.Imm)}, ast.BinOp(in.D), l, r)
 			if e != nil {
 				err = e
 				goto fail
+			}
+			// A result built in a consumed operand is that operand: its
+			// register lets go, or two registers would own one value.
+			if v == l {
+				V[in.B] = nil
+			} else if v == r {
+				V[in.C] = nil
 			}
 			V[in.A] = v
 		case ir.OpGUn:
-			v, e := evalUnOp(in.D, vOrErr(V[in.B], &err))
+			x := vOrErr(V[in.B], &err)
 			if err != nil {
 				goto fail
 			}
+			v, e := evalUnOp(in.D, x, mat.Donors{Dst: V[in.A], Consumed: uint32(in.Imm)})
 			if e != nil {
 				err = e
 				goto fail
+			}
+			if v == x {
+				V[in.B] = nil
 			}
 			V[in.A] = v
 		case ir.OpGIndex:
@@ -756,7 +779,7 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []*mat.Value) ([]*mat.Va
 			}
 			V[in.A] = v
 		case ir.OpGBuiltin:
-			if e := genericBuiltin(c, ctx, p.Aux, int(in.A), V); e != nil {
+			if e := genericBuiltin(c, ctx, p.Aux, int(in.A), V, callArgs); e != nil {
 				err = e
 				goto fail
 			}
@@ -773,7 +796,7 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []*mat.Value) ([]*mat.Va
 		case ir.OpVFuseArgF:
 			fuseSlots[in.A] = F[in.B]
 		case ir.OpVFused:
-			if e := fusedExec(c, ctx, p.Aux, int(in.B), int(in.A), V, &fuseSlots); e != nil {
+			if e := fusedExec(c, ctx, p.Aux, int(in.B), int(in.A), uint32(in.C), V, &fuseSlots); e != nil {
 				err = e
 				goto fail
 			}
@@ -794,6 +817,9 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []*mat.Value) ([]*mat.Va
 			V[in.A] = SV[in.B]
 		case ir.OpVStSlot:
 			SV[in.A] = V[in.B]
+
+		case ir.OpVCheck:
+			fr.runStepHook(p, pc-1, args)
 
 		default:
 			err = fmt.Errorf("unimplemented opcode %v", in.Op)
