@@ -8,12 +8,23 @@ package main
 
 import (
 	"os"
+	"runtime"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/bench"
+	"repro/internal/cfg"
+	"repro/internal/codegen"
 	"repro/internal/core"
+	"repro/internal/disambig"
 	"repro/internal/harness"
+	"repro/internal/infer"
+	"repro/internal/inline"
 	"repro/internal/mat"
+	"repro/internal/opt"
+	"repro/internal/parser"
+	"repro/internal/regalloc"
+	"repro/internal/types"
 )
 
 func benchSize() bench.Size {
@@ -206,6 +217,70 @@ func BenchmarkTable2JIT(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// fileFuncs resolves calls among the functions of one source file.
+type fileFuncs map[string]*ast.Function
+
+func (f fileFuncs) LookupFunction(name string) *ast.Function { return f[name] }
+
+// BenchmarkCompile measures the compiler alone — inlining,
+// disambiguation, inference, code selection, the optimiser when asked
+// for, register allocation — on each Table 1 program at the signature
+// of its arguments, and reports the cost per IR instruction produced:
+// the figure that has to stay flat as programs grow.
+func BenchmarkCompile(b *testing.B) {
+	sz := benchSize()
+	for _, bm := range bench.All() {
+		file, err := parser.Parse(bm.Source(sz))
+		if err != nil {
+			b.Fatal(err)
+		}
+		funcs := fileFuncs{}
+		for _, fn := range file.Funcs {
+			funcs[fn.Name] = fn
+		}
+		sig := types.SignatureOf(bm.Args(sz))
+		for _, optimise := range []bool{false, true} {
+			name := bm.Name + "/jit"
+			if optimise {
+				name = bm.Name + "/optimised"
+			}
+			b.Run(name, func(b *testing.B) {
+				instrs := 0
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					work := inline.Expand(funcs[bm.Fn], funcs)
+					g := cfg.Build(work.Body)
+					tbl := disambig.Analyze(g, work.Ins, disambig.ResolverFunc(func(n string) bool { return funcs[n] != nil }))
+					params := make(map[string]types.Type, len(work.Ins))
+					for j, p := range work.Ins {
+						params[p] = sig[j]
+					}
+					ccfg := codegen.DefaultConfig()
+					if optimise {
+						ccfg.UnrollLoops = opt.DefaultConfig().UnrollFactor
+					}
+					prog, err := codegen.Compile(work, infer.Forward(g, params, infer.Opts{}), tbl, ccfg)
+					if err != nil {
+						b.Skip("deferred to the interpreter: ", err)
+					}
+					if optimise {
+						opt.Run(prog, opt.DefaultConfig())
+					}
+					regalloc.Allocate(prog, regalloc.DefaultOptions())
+					instrs = len(prog.Ins)
+				}
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				produced := float64(b.N) * float64(instrs)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/produced, "ns/instr")
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/produced, "allocs/instr")
+			})
+		}
 	}
 }
 

@@ -31,7 +31,10 @@ func init() {
 					return nil, mat.Errorf("norm: unknown norm %q", args[1].Text())
 				}
 			} else {
-				p = args[1].Re()[0]
+				var err error
+				if p, err = realScalar("norm", "p", args[1]); err != nil {
+					return nil, err
+				}
 			}
 		}
 		if a.IsVector() || a.IsEmpty() || fro {

@@ -154,17 +154,7 @@ func init() {
 	})
 
 	register("atan2", 2, 2, 1, func(ctx *Context, args []*mat.Value, nout int) ([]*mat.Value, error) {
-		y, x := args[0], args[1]
-		rows, cols := y.Rows(), y.Cols()
-		if y.IsScalar() {
-			rows, cols = x.Rows(), x.Cols()
-		}
-		out := mat.New(rows, cols)
-		re := out.Re()
-		for i := range re {
-			re[i] = math.Atan2(bval(y, i), bval(x, i))
-		}
-		return []*mat.Value{out}, nil
+		return binMap(args[0], args[1], math.Atan2)
 	})
 
 	register("mod", 2, 2, 1, func(ctx *Context, args []*mat.Value, nout int) ([]*mat.Value, error) {

@@ -6,6 +6,26 @@ import (
 	"repro/internal/mat"
 )
 
+// realScalar returns the number held by an argument that has to be a
+// single real value: a size, a count, a dimension, an endpoint. Calls
+// reach the builtins from the interpreter and from compiled code alike,
+// so a malformed argument fails here, the same way in every tier.
+func realScalar(name, what string, v *mat.Value) (float64, error) {
+	if !v.IsScalar() || v.Kind() == mat.Complex || v.Kind() == mat.Char {
+		return 0, mat.Errorf("%s: %s must be a real scalar", name, what)
+	}
+	return v.MustScalar(), nil
+}
+
+// sizeArg decodes one size argument.
+func sizeArg(name string, v *mat.Value) (int, error) {
+	x, err := realScalar(name, "size argument", v)
+	if err != nil {
+		return 0, err
+	}
+	return nonNegInt(name, x)
+}
+
 // dims decodes the (n) / (m,n) argument conventions of the constructors.
 func dims(name string, args []*mat.Value) (int, int, error) {
 	switch len(args) {
@@ -13,14 +33,7 @@ func dims(name string, args []*mat.Value) (int, int, error) {
 		return 1, 1, nil
 	case 1:
 		a := args[0]
-		if a.IsScalar() {
-			n, err := nonNegInt(name, a.Re()[0])
-			if err != nil {
-				return 0, 0, err
-			}
-			return n, n, nil
-		}
-		if a.Numel() == 2 {
+		if a.Numel() == 2 && !a.IsSparse() && a.Kind() != mat.Complex && a.Kind() != mat.Char {
 			r, err := nonNegInt(name, a.Re()[0])
 			if err != nil {
 				return 0, 0, err
@@ -31,17 +44,18 @@ func dims(name string, args []*mat.Value) (int, int, error) {
 			}
 			return r, c, nil
 		}
-		return 0, 0, mat.Errorf("%s: size argument must be scalar or a 2-element vector", name)
+		if !a.IsScalar() {
+			return 0, 0, mat.Errorf("%s: size argument must be scalar or a 2-element vector", name)
+		}
+		n, err := sizeArg(name, a)
+		return n, n, err
 	case 2:
-		r, err := nonNegInt(name, args[0].Re()[0])
+		r, err := sizeArg(name, args[0])
 		if err != nil {
 			return 0, 0, err
 		}
-		c, err := nonNegInt(name, args[1].Re()[0])
-		if err != nil {
-			return 0, 0, err
-		}
-		return r, c, nil
+		c, err := sizeArg(name, args[1])
+		return r, c, err
 	}
 	return 0, 0, mat.Errorf("%s: too many size arguments", name)
 }
@@ -118,7 +132,10 @@ func init() {
 	register("size", 1, 2, 2, func(ctx *Context, args []*mat.Value, nout int) ([]*mat.Value, error) {
 		a := args[0]
 		if len(args) == 2 {
-			d := args[1].Re()[0]
+			d, err := realScalar("size", "dimension", args[1])
+			if err != nil {
+				return nil, err
+			}
 			switch d {
 			case 1:
 				return []*mat.Value{mat.IntScalar(float64(a.Rows()))}, nil
@@ -164,12 +181,17 @@ func init() {
 	})
 
 	register("linspace", 2, 3, 1, func(ctx *Context, args []*mat.Value, nout int) ([]*mat.Value, error) {
-		a, b := args[0].Re()[0], args[1].Re()[0]
+		a, err := realScalar("linspace", "endpoint", args[0])
+		if err != nil {
+			return nil, err
+		}
+		b, err := realScalar("linspace", "endpoint", args[1])
+		if err != nil {
+			return nil, err
+		}
 		n := 100
 		if len(args) == 3 {
-			var err error
-			n, err = nonNegInt("linspace", args[2].Re()[0])
-			if err != nil {
+			if n, err = sizeArg("linspace", args[2]); err != nil {
 				return nil, err
 			}
 		}
@@ -187,11 +209,11 @@ func init() {
 
 	register("reshape", 3, 3, 1, func(ctx *Context, args []*mat.Value, nout int) ([]*mat.Value, error) {
 		a := args[0]
-		r, err := nonNegInt("reshape", args[1].Re()[0])
+		r, err := sizeArg("reshape", args[1])
 		if err != nil {
 			return nil, err
 		}
-		c, err := nonNegInt("reshape", args[2].Re()[0])
+		c, err := sizeArg("reshape", args[2])
 		if err != nil {
 			return nil, err
 		}
@@ -208,11 +230,11 @@ func init() {
 
 	register("repmat", 3, 3, 1, func(ctx *Context, args []*mat.Value, nout int) ([]*mat.Value, error) {
 		a := args[0]
-		m, err := nonNegInt("repmat", args[1].Re()[0])
+		m, err := sizeArg("repmat", args[1])
 		if err != nil {
 			return nil, err
 		}
-		n, err := nonNegInt("repmat", args[2].Re()[0])
+		n, err := sizeArg("repmat", args[2])
 		if err != nil {
 			return nil, err
 		}
@@ -322,7 +344,15 @@ func triPart(args []*mat.Value, lower bool) ([]*mat.Value, error) {
 	a := args[0]
 	k := 0
 	if len(args) == 2 {
-		k = int(args[1].Re()[0])
+		name := "triu"
+		if lower {
+			name = "tril"
+		}
+		d, err := realScalar(name, "diagonal", args[1])
+		if err != nil {
+			return nil, err
+		}
+		k = int(d)
 	}
 	out := mat.NewKind(a.Kind(), a.Rows(), a.Cols())
 	re, im := out.Re(), out.Im()

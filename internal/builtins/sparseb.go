@@ -72,10 +72,10 @@ func sparseImpl(ctx *Context, args []*mat.Value, nout int) ([]*mat.Value, error)
 		}
 		var m, n int
 		if len(args) >= 5 {
-			if m, err = nonNegInt("sparse", args[3].Re()[0]); err != nil {
+			if m, err = sizeArg("sparse", args[3]); err != nil {
 				return nil, err
 			}
-			if n, err = nonNegInt("sparse", args[4].Re()[0]); err != nil {
+			if n, err = sizeArg("sparse", args[4]); err != nil {
 				return nil, err
 			}
 		} else {
@@ -192,11 +192,11 @@ func spdiagsImpl(ctx *Context, args []*mat.Value, nout int) ([]*mat.Value, error
 		return nil, err
 	}
 	bm, dv := args[0], args[1]
-	m, err := nonNegInt("spdiags", args[2].Re()[0])
+	m, err := sizeArg("spdiags", args[2])
 	if err != nil {
 		return nil, err
 	}
-	n, err := nonNegInt("spdiags", args[3].Re()[0])
+	n, err := sizeArg("spdiags", args[3])
 	if err != nil {
 		return nil, err
 	}

@@ -26,6 +26,9 @@ type Block struct {
 	// ForHead is set on the header block of a for loop: the block
 	// defines ForHead.Var from ForHead.Iter on entry to each iteration.
 	ForHead *ast.For
+	// Most blocks have at most two edges each way; their lists start in
+	// the block itself.
+	succBuf, predBuf [2]*Block
 }
 
 // Graph is the CFG of one function body.
@@ -33,6 +36,49 @@ type Graph struct {
 	Entry  *Block
 	Exit   *Block
 	Blocks []*Block
+	// Vars numbers every name the body mentions (assigned, read, called,
+	// declared global, cleared, or the implicit ans), so that a dataflow
+	// pass keeps a block's environment in a slice indexed by VarID. A name
+	// the body never mentions has no number: no statement can bind or read
+	// it.
+	Vars  []string
+	varID map[string]int
+}
+
+// VarID returns the number of a name the body mentions.
+func (g *Graph) VarID(name string) (int, bool) {
+	id, ok := g.varID[name]
+	return id, ok
+}
+
+func (g *Graph) numberVars(body []ast.Stmt) {
+	g.varID = map[string]int{}
+	number := func(name string) {
+		if _, ok := g.varID[name]; !ok {
+			g.varID[name] = len(g.Vars)
+			g.Vars = append(g.Vars, name)
+		}
+	}
+	number("ans")
+	ast.WalkStmts(body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.Ident:
+			number(x.Name)
+		case *ast.Call:
+			number(x.Name)
+		case *ast.For:
+			number(x.Var)
+		case *ast.Global:
+			for _, name := range x.Names {
+				number(name)
+			}
+		case *ast.Clear:
+			for _, name := range x.Names {
+				number(name)
+			}
+		}
+		return true
+	})
 }
 
 type builder struct {
@@ -53,11 +99,13 @@ func Build(body []ast.Stmt) *Graph {
 		b.edge(last, exit)
 	}
 	b.prune()
+	b.g.numberVars(body)
 	return b.g
 }
 
 func (b *builder) newBlock() *Block {
 	blk := &Block{ID: len(b.g.Blocks)}
+	blk.Succs, blk.Preds = blk.succBuf[:0], blk.predBuf[:0]
 	b.g.Blocks = append(b.g.Blocks, blk)
 	return blk
 }
@@ -209,34 +257,35 @@ func (b *builder) switchStmt(x *ast.Switch, cur *Block) *Block {
 // prune removes blocks that became unreachable from the entry, keeping
 // IDs dense.
 func (b *builder) prune() {
-	reach := map[*Block]bool{}
+	reach := make([]bool, len(b.g.Blocks)) // by ID, dense until the renumbering below
 	var visit func(*Block)
 	visit = func(blk *Block) {
-		if blk == nil || reach[blk] {
+		if reach[blk.ID] {
 			return
 		}
-		reach[blk] = true
+		reach[blk.ID] = true
 		for _, s := range blk.Succs {
 			visit(s)
 		}
 	}
 	visit(b.g.Entry)
-	reach[b.g.Exit] = true
-	var kept []*Block
+	reach[b.g.Exit.ID] = true
+	kept := b.g.Blocks[:0]
 	for _, blk := range b.g.Blocks {
-		if reach[blk] {
-			blk.ID = len(kept)
-			kept = append(kept, blk)
+		if !reach[blk.ID] {
+			continue
 		}
-	}
-	for _, blk := range kept {
-		var preds []*Block
+		preds := blk.Preds[:0]
 		for _, p := range blk.Preds {
-			if reach[p] {
+			if reach[p.ID] {
 				preds = append(preds, p)
 			}
 		}
 		blk.Preds = preds
+		kept = append(kept, blk)
+	}
+	for i, blk := range kept {
+		blk.ID = i
 	}
 	b.g.Blocks = kept
 }

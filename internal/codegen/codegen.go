@@ -16,6 +16,7 @@ package codegen
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/ast"
 	"repro/internal/disambig"
@@ -159,7 +160,14 @@ func Compile(fn *ast.Function, res *infer.Result, tbl *disambig.Table, cfg Confi
 
 	// Assign storage classes to all variables from their joined types —
 	// the FALCON-style "declaration" step driven by inference.
+	// In name order, so that one function and signature always compile to
+	// the same register numbering.
+	names := make([]string, 0, len(tbl.Vars))
 	for name := range tbl.Vars {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
 		t, ok := res.Vars[name]
 		if !ok {
 			t = types.Top

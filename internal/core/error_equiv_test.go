@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/mat"
@@ -14,6 +15,9 @@ func TestRuntimeErrorsInAllTiers(t *testing.T) {
 		name string
 		src  string
 		args []float64
+		// want, when set, is the message every tier must end its error
+		// with: the builtin's own, whatever position a tier prefixes.
+		want string
 	}{
 		{name: "oob_read", src: `
 function y = f(n)
@@ -51,6 +55,36 @@ function y = f(n)
   end
   y = n;
 end`, args: []float64{5}},
+		// Malformed builtin calls: an empty or misshapen argument is an
+		// error of the call, not a crash of the process.
+		{name: "empty_count", want: "linspace: size argument must be a real scalar", src: `
+function y = f(n)
+  x = linspace(1, n, []);
+  y = n;
+end`, args: []float64{2}},
+		{name: "empty_size", want: "zeros: size argument must be a real scalar", src: `
+function y = f(n)
+  x = zeros([], n);
+  y = n;
+end`, args: []float64{2}},
+		{name: "empty_reshape", want: "reshape: size argument must be a real scalar", src: `
+function y = f(n)
+  x = reshape(zeros(1, n), [], n);
+  y = n;
+end`, args: []float64{2}},
+		{name: "empty_dimension", want: "size: dimension must be a real scalar", src: `
+function y = f(n)
+  y = size(zeros(1, n), []);
+end`, args: []float64{2}},
+		{name: "empty_norm_p", want: "norm: p must be a real scalar", src: `
+function y = f(n)
+  y = norm(zeros(1, n), []);
+end`, args: []float64{2}},
+		{name: "atan2_shapes", want: "matrix dimensions must agree", src: `
+function y = f(n)
+  a = atan2(ones(1, n), ones(1, n - 1));
+  y = a(1);
+end`, args: []float64{3}},
 		{name: "matrix_linear_growth", src: `
 function y = f(n)
   A = zeros(2, 2);
@@ -73,6 +107,8 @@ end`, args: []float64{9}},
 				}
 				if _, err := e.Call("f", args, 1); err == nil {
 					t.Errorf("[%s] expected a runtime error", tier)
+				} else if !strings.HasSuffix(err.Error(), c.want) {
+					t.Errorf("[%s] error %q, want it to end %q", tier, err, c.want)
 				}
 			}
 		})

@@ -3,9 +3,17 @@
 // a user function, or ambiguous, using a variation of reaching-definitions
 // analysis over the CFG — "a symbol that has a reaching definition as a
 // variable on all paths leading to it must be a variable".
+//
+// Cost contract: a block's environment is a byte per variable the graph
+// numbers (cfg.Graph.VarID), a row of one slab allocated per analysis;
+// copying, joining and comparing environments are loops over bytes, and
+// the worklist is a ring the size of the graph. What the pass allocates
+// beyond the two tables it returns does not grow with the function.
 package disambig
 
 import (
+	"bytes"
+
 	"repro/internal/ast"
 	"repro/internal/builtins"
 	"repro/internal/cfg"
@@ -61,32 +69,33 @@ const (
 	bitMust = 2 // assigned on all paths
 )
 
-type env map[string]uint8
+// env holds the state bits of every variable the graph numbers
+// (cfg.Graph.VarID); zero means no path assigns the name.
+type env struct {
+	g    *cfg.Graph
+	bits []uint8
+}
 
-func (e env) clone() env {
-	out := make(env, len(e))
-	for k, v := range e {
-		out[k] = v
+func (e env) get(name string) uint8 {
+	if id, ok := e.g.VarID(name); ok {
+		return e.bits[id]
 	}
-	return out
+	return 0
+}
+
+func (e env) set(name string, bits uint8) {
+	if id, ok := e.g.VarID(name); ok {
+		e.bits[id] = bits
+	}
 }
 
 // joinInto merges src into dst with join-of-all-paths semantics:
-// may = union, must = intersection (a name absent from either side
-// loses its must bit but keeps may if present on one side).
+// may = union, must = intersection (a name assigned on one side only
+// keeps may and loses must).
 func joinInto(dst, src env) {
-	for k, v := range src {
-		old, ok := dst[k]
-		if !ok {
-			dst[k] = v & bitMay
-			continue
-		}
-		dst[k] = ((old | v) & bitMay) | (old & v & bitMust)
-	}
-	for k, v := range dst {
-		if _, ok := src[k]; !ok {
-			dst[k] = v &^ bitMust
-		}
+	for i, s := range src.bits {
+		d := dst.bits[i]
+		dst.bits[i] = ((d | s) & bitMay) | (d & s & bitMust)
 	}
 }
 
@@ -98,53 +107,65 @@ func Analyze(g *cfg.Graph, params []string, res Resolver) *Table {
 		t.Vars[p] = true
 	}
 
+	// Every environment of the analysis is a row of one slab: an OUT per
+	// block, the entry state and the IN being worked on.
+	nv, nb := len(g.Vars), len(g.Blocks)
+	slab := make([]uint8, (nb+2)*nv)
+	row := func(i int) env { return env{g, slab[i*nv : (i+1)*nv : (i+1)*nv]} }
+	entryEnv, in := row(nb), row(nb+1)
+	for _, p := range params {
+		entryEnv.set(p, bitMay|bitMust)
+	}
+	visited := make([]bool, nb)
+
 	// Fixpoint over block environments: IN is recomputed as the
 	// join-of-all-paths merge of the predecessors' OUTs.
-	entryEnv := env{}
-	for _, p := range params {
-		entryEnv[p] = bitMay | bitMust
-	}
-	out := make([]env, len(g.Blocks))
-	visited := make([]bool, len(g.Blocks))
-
 	computeIn := func(blk *cfg.Block) env {
-		var in env
+		first := true
 		if blk == g.Entry {
-			in = entryEnv.clone()
+			copy(in.bits, entryEnv.bits)
+			first = false
 		}
 		for _, p := range blk.Preds {
-			if out[p.ID] == nil {
-				continue
-			}
-			if in == nil {
-				in = out[p.ID].clone()
-			} else {
-				joinInto(in, out[p.ID])
+			switch {
+			case !visited[p.ID]:
+			case first:
+				copy(in.bits, row(p.ID).bits)
+				first = false
+			default:
+				joinInto(in, row(p.ID))
 			}
 		}
-		if in == nil {
-			in = env{}
+		if first {
+			clear(in.bits)
 		}
 		return in
 	}
 
-	work := []*cfg.Block{g.Entry}
-	inWork := map[int]bool{g.Entry.ID: true}
-	for len(work) > 0 {
-		blk := work[0]
-		work = work[1:]
-		inWork[blk.ID] = false
+	// The queue holds each block at most once, so a ring of nb suffices.
+	queue := make([]*cfg.Block, nb)
+	inQueue := make([]bool, nb)
+	head, n := 0, 0
+	push := func(blk *cfg.Block) {
+		if !inQueue[blk.ID] {
+			queue[(head+n)%nb], inQueue[blk.ID] = blk, true
+			n++
+		}
+	}
+	push(g.Entry)
+	for n > 0 {
+		blk := queue[head]
+		head, n = (head+1)%nb, n-1
+		inQueue[blk.ID] = false
 		newOut := transfer(blk, computeIn(blk), t, false, res)
-		if visited[blk.ID] && envEqual(out[blk.ID], newOut) {
+		out := row(blk.ID)
+		if visited[blk.ID] && bytes.Equal(out.bits, newOut.bits) {
 			continue
 		}
 		visited[blk.ID] = true
-		out[blk.ID] = newOut
+		copy(out.bits, newOut.bits)
 		for _, s := range blk.Succs {
-			if !inWork[s.ID] {
-				work = append(work, s)
-				inWork[s.ID] = true
-			}
+			push(s)
 		}
 	}
 
@@ -153,18 +174,6 @@ func Analyze(g *cfg.Graph, params []string, res Resolver) *Table {
 		transfer(blk, computeIn(blk), t, true, res)
 	}
 	return t
-}
-
-func envEqual(a, b env) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // transfer walks a block, updating e with definitions; when classify is
@@ -213,12 +222,10 @@ func transfer(blk *cfg.Block, e env, t *Table, classify bool, res Resolver) env 
 			}
 		case *ast.Clear:
 			if len(x.Names) == 0 {
-				for k := range e {
-					delete(e, k)
-				}
+				clear(e.bits)
 			} else {
 				for _, n := range x.Names {
-					delete(e, n)
+					e.set(n, 0)
 				}
 			}
 		}
@@ -230,7 +237,7 @@ func transfer(blk *cfg.Block, e env, t *Table, classify bool, res Resolver) env 
 }
 
 func define(e env, name string, t *Table) {
-	e[name] = bitMay | bitMust
+	e.set(name, bitMay|bitMust)
 	t.Vars[name] = true
 }
 
@@ -262,7 +269,7 @@ func classifyExpr(expr ast.Expr, e env, t *Table, res Resolver) {
 }
 
 func classifyName(name string, e env, t *Table, res Resolver) Meaning {
-	bits := e[name]
+	bits := e.get(name)
 	switch {
 	case bits&bitMust != 0:
 		return Variable

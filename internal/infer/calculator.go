@@ -5,6 +5,14 @@
 // calculator runs forward (JIT inference: argument types → result types)
 // and backward (the speculator's hint rules: result/usage constraints →
 // argument types).
+//
+// Cost contract: Forward keeps every block's environment as a row of one
+// slab, a type and a defined bit per variable the graph numbers
+// (cfg.Graph.VarID), so copying, joining and comparing environments hash
+// nothing and allocate nothing, and the worklist is a ring the size of
+// the graph. A run allocates that slab and the annotation maps it
+// returns; a block is revisited at most a fixed number of times before
+// its out-set is widened.
 package infer
 
 import (

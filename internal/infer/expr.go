@@ -8,7 +8,7 @@ import (
 )
 
 // expr types an expression, annotating every node.
-func (inf *inferencer) expr(e ast.Expr, env tenv) types.Type {
+func (inf *inferencer) expr(e ast.Expr, env *tenv) types.Type {
 	switch x := e.(type) {
 	case *ast.NumberLit:
 		var t types.Type
@@ -27,7 +27,7 @@ func (inf *inferencer) expr(e ast.Expr, env tenv) types.Type {
 		return inf.annotate(e, types.Exact(types.IStrg, 1, n, types.RangeTop))
 
 	case *ast.Ident:
-		if t, ok := env[x.Name]; ok {
+		if t, ok := env.get(x.Name); ok {
 			return inf.annotate(e, t)
 		}
 		// Builtin constant or niladic call resolved by the
@@ -42,7 +42,11 @@ func (inf *inferencer) expr(e ast.Expr, env tenv) types.Type {
 			return inf.annotate(e, types.Bottom)
 		}
 		inf.res.RuleApplications++
-		return inf.annotate(e, inf.calc.Forward(x.Op.String(), []types.Type{l, r}))
+		// Rules are called through function values, so a slice literal
+		// would be a heap allocation per operator; no rule keeps its
+		// arguments or re-enters expr.
+		inf.binArgs = [2]types.Type{l, r}
+		return inf.annotate(e, inf.calc.Forward(x.Op.String(), inf.binArgs[:]))
 
 	case *ast.Unary:
 		v := inf.expr(x.X, env)
@@ -93,10 +97,10 @@ func (inf *inferencer) expr(e ast.Expr, env tenv) types.Type {
 
 // callN types a call expression with nout outputs, dispatching on the
 // disambiguator's classification.
-func (inf *inferencer) callN(x *ast.Call, env tenv, nout int) []types.Type {
+func (inf *inferencer) callN(x *ast.Call, env *tenv, nout int) []types.Type {
 	switch x.Kind {
 	case ast.CallIndex:
-		base, ok := env[x.Name]
+		base, ok := env.get(x.Name)
 		if !ok {
 			base = types.Top
 		}
@@ -320,7 +324,7 @@ func indexReadType(base types.Type, subs []types.Type, args []ast.Expr) types.Ty
 }
 
 // matrix types a bracket literal.
-func (inf *inferencer) matrix(x *ast.Matrix, env tenv) types.Type {
+func (inf *inferencer) matrix(x *ast.Matrix, env *tenv) types.Type {
 	if len(x.Rows) == 0 {
 		return types.Exact(types.IReal, 0, 0, types.RangeBot)
 	}

@@ -80,32 +80,59 @@ type inferencer struct {
 	// mixed names the variables assigned values of different register
 	// classes (see Result.Boxed).
 	mixed map[string]bool
+	// binArgs is the argument list of the binary operator being typed.
+	binArgs [2]types.Type
 }
 
-type tenv map[string]types.Type
+// tenv is a block's type environment: one slot per variable the graph
+// numbers (cfg.Graph.VarID). defined tells a name bound to ⊥ — which a
+// return summary that is not known yet produces — from an unbound name,
+// which an expression resolves as a call.
+type tenv struct {
+	g       *cfg.Graph
+	types   []types.Type
+	defined []bool
+}
 
-func (e tenv) clone() tenv {
-	out := make(tenv, len(e))
-	for k, v := range e {
-		out[k] = v
+func (e *tenv) get(name string) (types.Type, bool) {
+	if id, ok := e.g.VarID(name); ok && e.defined[id] {
+		return e.types[id], true
 	}
-	return out
+	return types.Type{}, false
 }
 
-func joinEnv(dst, src tenv) {
-	for k, v := range src {
-		if old, ok := dst[k]; ok {
-			dst[k] = types.Join(old, v)
-		} else {
-			dst[k] = v
+func (e *tenv) set(name string, t types.Type) {
+	if id, ok := e.g.VarID(name); ok {
+		e.types[id], e.defined[id] = t, true
+	}
+}
+
+func (e *tenv) unset(name string) {
+	if id, ok := e.g.VarID(name); ok {
+		e.defined[id] = false
+	}
+}
+
+func (e *tenv) copyFrom(src *tenv) {
+	copy(e.types, src.types)
+	copy(e.defined, src.defined)
+}
+
+func joinEnv(dst, src *tenv) {
+	for i, def := range src.defined {
+		switch {
+		case !def:
+		case dst.defined[i]:
+			dst.types[i] = types.Join(dst.types[i], src.types[i])
+		default:
+			dst.types[i], dst.defined[i] = src.types[i], true
 		}
 	}
 }
 
-func envLeq(a, b tenv) bool {
-	for k, v := range a {
-		bv, ok := b[k]
-		if !ok || !types.Leq(v, bv) {
+func envLeq(a, b *tenv) bool {
+	for i, def := range a.defined {
+		if def && (!b.defined[i] || !types.Leq(a.types[i], b.types[i])) {
 			return false
 		}
 	}
@@ -122,56 +149,75 @@ func Forward(g *cfg.Graph, params map[string]types.Type, opts Opts) *Result {
 		res:   &Result{Annots: make(map[ast.Node]types.Type), Vars: make(map[string]types.Type)},
 		graph: g,
 	}
-	entry := tenv{}
+	// Every environment of the run is a row of two slabs: an out-set per
+	// block (meaningful once the block has been visited), the entry state
+	// and the set being worked on.
+	nv, nb := len(g.Vars), len(g.Blocks)
+	typeSlab := make([]types.Type, (nb+2)*nv)
+	defSlab := make([]bool, (nb+2)*nv)
+	envs := make([]tenv, nb+2)
+	for i := range envs {
+		envs[i] = tenv{g, typeSlab[i*nv : (i+1)*nv : (i+1)*nv], defSlab[i*nv : (i+1)*nv : (i+1)*nv]}
+	}
+	out, entry, cur := envs[:nb], &envs[nb], &envs[nb+1]
+	visits := make([]int, nb)
 	for k, v := range params {
-		entry[k] = inf.sanitize(v)
-		inf.noteVar(k, entry[k])
+		v = inf.sanitize(v)
+		entry.set(k, v)
+		inf.noteVar(k, v)
 	}
 
-	out := make([]tenv, len(g.Blocks))
-	visits := make([]int, len(g.Blocks))
-	work := []*cfg.Block{g.Entry}
-	inWork := map[int]bool{g.Entry.ID: true}
+	// The queue holds each block at most once, so a ring of nb suffices.
+	queue := make([]*cfg.Block, nb)
+	inQueue := make([]bool, nb)
+	head, n := 0, 0
+	push := func(blk *cfg.Block) {
+		if !inQueue[blk.ID] {
+			queue[(head+n)%nb], inQueue[blk.ID] = blk, true
+			n++
+		}
+	}
 
-	computeIn := func(blk *cfg.Block) tenv {
-		var in tenv
+	computeIn := func(blk *cfg.Block) *tenv {
+		first := true
 		if blk == g.Entry {
-			in = entry.clone()
+			cur.copyFrom(entry)
+			first = false
 		}
 		for _, p := range blk.Preds {
-			if out[p.ID] == nil {
-				continue
-			}
-			if in == nil {
-				in = out[p.ID].clone()
-			} else {
-				joinEnv(in, out[p.ID])
+			switch {
+			case visits[p.ID] == 0:
+			case first:
+				cur.copyFrom(&out[p.ID])
+				first = false
+			default:
+				joinEnv(cur, &out[p.ID])
 			}
 		}
-		if in == nil {
-			in = tenv{}
+		if first {
+			clear(cur.defined)
 		}
-		return in
+		return cur
 	}
 
-	for len(work) > 0 {
-		blk := work[0]
-		work = work[1:]
-		inWork[blk.ID] = false
-		in := computeIn(blk)
-		newOut := inf.transfer(blk, in)
+	push(g.Entry)
+	for n > 0 {
+		blk := queue[head]
+		head, n = (head+1)%nb, n-1
+		inQueue[blk.ID] = false
+		newOut := inf.transfer(blk, computeIn(blk))
 		visits[blk.ID]++
-		if old := out[blk.ID]; old != nil {
+		if old := &out[blk.ID]; visits[blk.ID] > 1 {
 			if envLeq(newOut, old) && envLeq(old, newOut) {
 				continue
 			}
+			// Only a variable bound in both out-sets is widened or joined;
+			// one first appearing in this out-set has nothing to widen
+			// against.
 			if visits[blk.ID] > inf.opts.maxIter() {
-				for k, v := range newOut {
-					// Only widen against a previous binding; a variable
-					// first appearing in this out-set has nothing to
-					// widen against.
-					if o, ok := old[k]; ok {
-						newOut[k] = types.Widen(o, v)
+				for i, def := range newOut.defined {
+					if def && old.defined[i] {
+						newOut.types[i] = types.Widen(old.types[i], newOut.types[i])
 					}
 				}
 			}
@@ -180,19 +226,16 @@ func Forward(g *cfg.Graph, params map[string]types.Type, opts Opts) *Result {
 				// ordering is most-restrictive-first, which is not
 				// monotone): force monotone growth by joining with the
 				// previous out-set.
-				for k, v := range newOut {
-					if o, ok := old[k]; ok {
-						newOut[k] = types.Join(o, v)
+				for i, def := range newOut.defined {
+					if def && old.defined[i] {
+						newOut.types[i] = types.Join(old.types[i], newOut.types[i])
 					}
 				}
 			}
 		}
-		out[blk.ID] = newOut
+		out[blk.ID].copyFrom(newOut)
 		for _, s := range blk.Succs {
-			if !inWork[s.ID] {
-				work = append(work, s)
-				inWork[s.ID] = true
-			}
+			push(s)
 		}
 	}
 	inf.res.Boxed = inf.dynamicKinds()
@@ -318,40 +361,38 @@ func (inf *inferencer) annotate(e ast.Expr, t types.Type) types.Type {
 	return t
 }
 
-func (inf *inferencer) transfer(blk *cfg.Block, env tenv) tenv {
+func (inf *inferencer) transfer(blk *cfg.Block, env *tenv) *tenv {
 	if blk.ForHead != nil {
 		t := inf.loopVarType(blk.ForHead, env)
 		// The head assigns the variable on the body edge only; on the
 		// exit edge the value left by the last body iteration survives
 		// (MATLAB: a body reassignment of the loop variable sticks
 		// after the loop). One out-set serves both edges, so join.
-		if old, ok := env[blk.ForHead.Var]; ok {
+		if old, ok := env.get(blk.ForHead.Var); ok {
 			t = types.Join(t, old)
 		}
-		env[blk.ForHead.Var] = t
+		env.set(blk.ForHead.Var, t)
 		inf.noteVar(blk.ForHead.Var, t)
 	}
 	for _, s := range blk.Stmts {
 		switch x := s.(type) {
 		case *ast.ExprStmt:
 			t := inf.expr(x.X, env)
-			env["ans"] = t
+			env.set("ans", t)
 			inf.noteVar("ans", t)
 		case *ast.Assign:
 			inf.assign(x, env)
 		case *ast.Global:
 			for _, n := range x.Names {
-				env[n] = types.Top
+				env.set(n, types.Top)
 				inf.noteVar(n, types.Top)
 			}
 		case *ast.Clear:
 			if len(x.Names) == 0 {
-				for k := range env {
-					delete(env, k)
-				}
+				clear(env.defined)
 			} else {
 				for _, n := range x.Names {
-					delete(env, n)
+					env.unset(n)
 				}
 			}
 		}
@@ -363,7 +404,7 @@ func (inf *inferencer) transfer(blk *cfg.Block, env tenv) tenv {
 }
 
 // loopVarType types the loop variable from the iteration expression.
-func (inf *inferencer) loopVarType(f *ast.For, env tenv) types.Type {
+func (inf *inferencer) loopVarType(f *ast.For, env *tenv) types.Type {
 	if r, ok := f.Iter.(*ast.Range); ok {
 		lo := inf.expr(r.Lo, env)
 		step := types.ScalarOf(types.IInt, types.Const(1))
@@ -396,7 +437,7 @@ func (inf *inferencer) loopVarType(f *ast.For, env tenv) types.Type {
 	}
 }
 
-func (inf *inferencer) assign(x *ast.Assign, env tenv) {
+func (inf *inferencer) assign(x *ast.Assign, env *tenv) {
 	// Multi-assignment from a builtin/user call.
 	if len(x.LHS) > 1 {
 		call, ok := x.RHS.(*ast.Call)
@@ -417,22 +458,22 @@ func (inf *inferencer) assign(x *ast.Assign, env tenv) {
 	inf.bindLHS(x.LHS[0], t, env)
 }
 
-func (inf *inferencer) bindLHS(l ast.Expr, t types.Type, env tenv) {
+func (inf *inferencer) bindLHS(l ast.Expr, t types.Type, env *tenv) {
 	switch lhs := l.(type) {
 	case *ast.Ident:
 		t = inf.sanitize(t)
-		env[lhs.Name] = t
+		env.set(lhs.Name, t)
 		inf.noteVar(lhs.Name, t)
 	case *ast.Call:
 		// Indexed assignment A(subs) = t: update A's type.
-		old, defined := env[lhs.Name]
+		old, defined := env.get(lhs.Name)
 		if !defined {
 			old = types.Type{I: types.IBottom, MinShape: types.ShapeBot, MaxShape: types.ShapeBot, R: types.RangeBot}
 		}
 		subTypes := inf.subscripts(lhs, old, env)
 		nt := indexedAssignType(old, subTypes, t, lhs.Args)
 		nt = inf.sanitize(nt)
-		env[lhs.Name] = nt
+		env.set(lhs.Name, nt)
 		inf.noteVar(lhs.Name, nt)
 		inf.annotate(lhs, nt)
 	}
@@ -440,7 +481,7 @@ func (inf *inferencer) bindLHS(l ast.Expr, t types.Type, env tenv) {
 
 // subscripts types each subscript of an indexing expression, resolving
 // 'end' against the base type's shape bounds.
-func (inf *inferencer) subscripts(call *ast.Call, base types.Type, env tenv) []types.Type {
+func (inf *inferencer) subscripts(call *ast.Call, base types.Type, env *tenv) []types.Type {
 	out := make([]types.Type, len(call.Args))
 	for i, a := range call.Args {
 		if _, isColon := a.(*ast.Colon); isColon {
@@ -452,7 +493,7 @@ func (inf *inferencer) subscripts(call *ast.Call, base types.Type, env tenv) []t
 	return out
 }
 
-func (inf *inferencer) exprWithEnd(e ast.Expr, base types.Type, dim, ndims int, env tenv) types.Type {
+func (inf *inferencer) exprWithEnd(e ast.Expr, base types.Type, dim, ndims int, env *tenv) types.Type {
 	// 'end' nodes inside e take their value range from base's bounds.
 	// We stash the context on the inferencer via a small closure-based
 	// walk: End nodes are leaf expressions, so a pre-pass annotates them.

@@ -8,174 +8,60 @@ import "repro/internal/ir"
 // passes it works within basic blocks.
 func propagateCopies(p *ir.Prog) {
 	lead := leaders(p)
-	// copyOf maps a register to the register it currently copies.
-	copyOf := map[regKey]regKey{}
-	reset := func() { clear(copyOf) }
-	// kill removes any copy facts that mention k (as source or dest).
-	kill := func(k regKey) {
-		delete(copyOf, k)
-		for d, s := range copyOf {
-			if s == k {
-				delete(copyOf, d)
-			}
-		}
+	rs := newRegSpace(p)
+	// copies[d] says d currently holds a copy of register src: the fact
+	// is of block `block`, and it dies when src is redefined, which
+	// moves version[src] on from srcVersion.
+	type copyFact struct {
+		block      int32
+		src        int32
+		srcVersion int32
 	}
-	rewrite := func(k regKey) (int32, bool) {
-		if s, ok := copyOf[k]; ok {
-			return s.reg, true
-		}
-		return 0, false
-	}
+	copies := make([]copyFact, rs.n)
+	version := make([]int32, rs.n)
+	block := int32(0)
+	var buf [3]ir.Operand
 	for pos := range p.Ins {
 		if lead[pos] {
-			reset()
+			block++
 		}
 		in := &p.Ins[pos]
-		// rewrite sources first
-		for _, r := range sourceFields(in) {
-			if nr, ok := rewrite(regKey{r.bank, *r.field}); ok {
-				*r.field = nr
+		for _, u := range in.Uses(&buf) {
+			if c := copies[rs.of(u)]; c.block == block && version[rs.at(u.Bank, c.src)] == c.srcVersion {
+				*u.Reg = c.src
 			}
 		}
+		d, ok := in.Def()
+		if !ok {
+			continue
+		}
+		at := rs.of(d)
+		version[at]++
+		copies[at].block = 0
 		switch in.Op {
-		case ir.OpFMov:
-			kill(regKey{ir.BankF, in.A})
+		case ir.OpFMov, ir.OpIMov, ir.OpCMov:
 			if in.A != in.B {
-				copyOf[regKey{ir.BankF, in.A}] = regKey{ir.BankF, in.B}
-			}
-		case ir.OpIMov:
-			kill(regKey{ir.BankI, in.A})
-			if in.A != in.B {
-				copyOf[regKey{ir.BankI, in.A}] = regKey{ir.BankI, in.B}
-			}
-		case ir.OpCMov:
-			kill(regKey{ir.BankC, in.A})
-			if in.A != in.B {
-				copyOf[regKey{ir.BankC, in.A}] = regKey{ir.BankC, in.B}
-			}
-		default:
-			for _, d := range defsOf(in) {
-				kill(d)
+				copies[at] = copyFact{block, in.B, version[rs.at(d.Bank, in.B)]}
 			}
 		}
 	}
-}
-
-// sourceFields lists the source-operand fields of an instruction (the
-// rewritable uses; defsOf covers destinations).
-type srcRef struct {
-	field *int32
-	bank  ir.Bank
-}
-
-func sourceFields(in *ir.Instr) []srcRef {
-	var out []srcRef
-	for _, r := range refsShared(in) {
-		if !r.isDef {
-			out = append(out, srcRef{r.field, r.bank})
-		}
-	}
-	return out
-}
-
-// refsShared adapts the regalloc-style operand metadata locally (kept in
-// this package to avoid an import cycle with regalloc).
-type sharedRef struct {
-	field *int32
-	bank  ir.Bank
-	isDef bool
-}
-
-func refsShared(in *ir.Instr) []sharedRef {
-	var out []sharedRef
-	add := func(f *int32, b ir.Bank, def bool) { out = append(out, sharedRef{f, b, def}) }
-	switch in.Op {
-	case ir.OpBrTrueF, ir.OpBrFalseF:
-		add(&in.A, ir.BankF, false)
-	case ir.OpBrFLt, ir.OpBrFLe, ir.OpBrFEq, ir.OpBrFNe, ir.OpBrFNLt, ir.OpBrFNLe:
-		add(&in.A, ir.BankF, false)
-		add(&in.B, ir.BankF, false)
-	case ir.OpBrILt, ir.OpBrILe, ir.OpBrIEq, ir.OpBrINe:
-		add(&in.A, ir.BankI, false)
-		add(&in.B, ir.BankI, false)
-	case ir.OpFMov:
-		add(&in.B, ir.BankF, false)
-	case ir.OpIMov:
-		add(&in.B, ir.BankI, false)
-	case ir.OpCMov:
-		add(&in.B, ir.BankC, false)
-	case ir.OpItoF, ir.OpBoxI, ir.OpItoC:
-		add(&in.B, ir.BankI, false)
-	case ir.OpFtoI, ir.OpFtoC, ir.OpBoxF:
-		add(&in.B, ir.BankF, false)
-	case ir.OpBoxC:
-		add(&in.B, ir.BankC, false)
-	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv, ir.OpFPow, ir.OpFMod, ir.OpFRem,
-		ir.OpFAnd, ir.OpFOr, ir.OpFCmpEq, ir.OpFCmpNe, ir.OpFCmpLt, ir.OpFCmpLe:
-		add(&in.B, ir.BankF, false)
-		add(&in.C, ir.BankF, false)
-	case ir.OpFNeg, ir.OpFNot, ir.OpFMath:
-		add(&in.B, ir.BankF, false)
-	case ir.OpIAdd, ir.OpISub, ir.OpIMul, ir.OpIMod,
-		ir.OpICmpEq, ir.OpICmpNe, ir.OpICmpLt, ir.OpICmpLe:
-		add(&in.B, ir.BankI, false)
-		add(&in.C, ir.BankI, false)
-	case ir.OpINeg:
-		add(&in.B, ir.BankI, false)
-	case ir.OpCAdd, ir.OpCSub, ir.OpCMul, ir.OpCDiv, ir.OpCPow, ir.OpCCmpEq, ir.OpCCmpNe:
-		add(&in.B, ir.BankC, false)
-		add(&in.C, ir.BankC, false)
-	case ir.OpCNeg, ir.OpCMath, ir.OpCConj, ir.OpCAbs, ir.OpCReal, ir.OpCImag:
-		add(&in.B, ir.BankC, false)
-	case ir.OpFLd1:
-		add(&in.C, ir.BankF, false)
-	case ir.OpFLd1U:
-		add(&in.C, ir.BankI, false)
-	case ir.OpFLd2:
-		add(&in.C, ir.BankF, false)
-		add(&in.D, ir.BankF, false)
-	case ir.OpFLd2U:
-		add(&in.C, ir.BankI, false)
-		add(&in.D, ir.BankI, false)
-	case ir.OpFSt1:
-		add(&in.B, ir.BankF, false)
-		add(&in.C, ir.BankF, false)
-	case ir.OpFSt1U:
-		add(&in.B, ir.BankI, false)
-		add(&in.C, ir.BankF, false)
-	case ir.OpFSt2:
-		add(&in.B, ir.BankF, false)
-		add(&in.C, ir.BankF, false)
-		add(&in.D, ir.BankF, false)
-	case ir.OpFSt2U:
-		add(&in.B, ir.BankI, false)
-		add(&in.C, ir.BankI, false)
-		add(&in.D, ir.BankF, false)
-	case ir.OpVNewZeros, ir.OpVEnsure:
-		add(&in.B, ir.BankI, false)
-		add(&in.C, ir.BankI, false)
-	case ir.OpVFuseArgF:
-		add(&in.B, ir.BankF, false)
-	}
-	return out
 }
 
 // compact removes OpNop instructions, remapping branch targets, so dead
 // code stops costing dispatch time in the VM (nops are not free the way
 // they nearly are on hardware).
 func compact(p *ir.Prog) {
-	anyNop := false
-	for _, in := range p.Ins {
-		if in.Op == ir.OpNop {
-			anyNop = true
-			break
+	keep := 0
+	for i := range p.Ins {
+		if p.Ins[i].Op != ir.OpNop {
+			keep++
 		}
 	}
-	if !anyNop {
+	if keep == len(p.Ins) {
 		return
 	}
 	remap := make([]int32, len(p.Ins)+1)
-	var out []ir.Instr
+	out := make([]ir.Instr, 0, keep)
 	for pos, in := range p.Ins {
 		remap[pos] = int32(len(out))
 		if in.Op != ir.OpNop {
@@ -184,14 +70,8 @@ func compact(p *ir.Prog) {
 	}
 	remap[len(p.Ins)] = int32(len(out))
 	for i := range out {
-		in := &out[i]
-		switch in.Op {
-		case ir.OpJmp:
-			in.A = remap[in.A]
-		case ir.OpBrTrueF, ir.OpBrFalseF, ir.OpBrFalseV, ir.OpBrTrueV,
-			ir.OpBrFLt, ir.OpBrFLe, ir.OpBrFEq, ir.OpBrFNe, ir.OpBrFNLt, ir.OpBrFNLe,
-			ir.OpBrILt, ir.OpBrILe, ir.OpBrIEq, ir.OpBrINe:
-			in.C = remap[in.C]
+		if t := out[i].Target(); t != nil {
+			*t = remap[*t]
 		}
 	}
 	p.Ins = out

@@ -28,6 +28,13 @@ import "repro/internal/ir"
 // alone it alternates between two buffers: the temp holds the x of the
 // trip before, which is not an operand.
 func FuseDst(p *ir.Prog) {
+	fused := false
+	for i := range p.Ins {
+		fused = fused || p.Ins[i].Op == ir.OpVFused
+	}
+	if !fused {
+		return // most programs have no kernel to redirect
+	}
 	mentions := countVMentions(p)
 	lead := leaders(p)
 	for pos := range p.Ins {
@@ -81,8 +88,8 @@ func abortableOver(p *ir.Prog, in *ir.Instr, x int32) bool {
 // countVMentions counts, for every V register, how many times the
 // program mentions it: instruction operands, aux-block operand lists,
 // parameter bindings and output registers all count.
-func countVMentions(p *ir.Prog) map[int32]int {
-	m := map[int32]int{}
+func countVMentions(p *ir.Prog) []int32 {
+	m := make([]int32, p.NumV)
 	note := func(r int32) { m[r]++ }
 	for i := range p.Ins {
 		in := &p.Ins[i]

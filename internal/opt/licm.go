@@ -1,6 +1,43 @@
 package opt
 
-import "repro/internal/ir"
+import (
+	"sort"
+
+	"repro/internal/ir"
+)
+
+// loopReg is what LICM knows about one register inside the loop it is
+// looking at; an entry whose epoch names another loop is empty.
+type loopReg struct {
+	epoch  int32
+	defs   int32 // definitions inside the loop
+	defPos int32 // position of the last one (the only one when defs == 1)
+	first  int32 // first position that reads or writes the register
+}
+
+// licm is the state hoistInvariants keeps across loops.
+type licm struct {
+	p     *ir.Prog
+	rs    regSpace
+	regs  []loopReg
+	epoch int32
+	// entries[t] counts the branches that target position t.
+	entries []int32
+	// hoist marks the instructions of the current loop that move out.
+	hoist []bool
+	// scratch and remap are sized to the widest loop on first use.
+	scratch []ir.Instr
+	remap   []int32
+	widest  int
+}
+
+func (l *licm) reg(o ir.Operand) *loopReg {
+	r := &l.regs[l.rs.of(o)]
+	if r.epoch != l.epoch {
+		*r = loopReg{epoch: l.epoch, first: -1}
+	}
+	return r
+}
 
 // hoistInvariants performs loop-invariant code motion: pure scalar
 // instructions inside a loop whose sources are never defined in the
@@ -12,264 +49,199 @@ func hoistInvariants(p *ir.Prog) {
 	// Find loops from backedges (jump to an earlier position).
 	type loop struct{ lo, hi int }
 	var loops []loop
-	for pos, in := range p.Ins {
-		var tgt int32 = -1
-		switch in.Op {
-		case ir.OpJmp:
-			tgt = in.A
-		case ir.OpBrTrueF, ir.OpBrFalseF, ir.OpBrFalseV, ir.OpBrTrueV,
-			ir.OpBrFLt, ir.OpBrFLe, ir.OpBrFEq, ir.OpBrFNe, ir.OpBrFNLt, ir.OpBrFNLe,
-			ir.OpBrILt, ir.OpBrILe, ir.OpBrIEq, ir.OpBrINe:
-			tgt = in.C
-		}
-		if tgt >= 0 && int(tgt) <= pos {
-			loops = append(loops, loop{lo: int(tgt), hi: pos})
+	l := licm{p: p, entries: make([]int32, len(p.Ins)+1)}
+	for pos := range p.Ins {
+		if t := p.Ins[pos].Target(); t != nil {
+			l.entries[*t]++
+			if int(*t) <= pos {
+				loops = append(loops, loop{lo: int(*t), hi: pos})
+				l.widest = max(l.widest, pos-int(*t)+1)
+			}
 		}
 	}
 	if len(loops) == 0 {
 		return
 	}
-	// Process innermost-first (smallest span).
-	for iter := 0; iter < len(loops); iter++ {
-		best := -1
-		bestSpan := 1 << 30
-		for i, l := range loops {
-			if l.lo < 0 {
-				continue
-			}
-			if span := l.hi - l.lo; span < bestSpan {
-				best, bestSpan = i, span
-			}
-		}
-		if best < 0 {
-			break
-		}
-		l := loops[best]
-		loops[best].lo = -1 // mark done
-		// Hoisting moves instructions within [lo, hi]; the region size
-		// and all positions outside it are unchanged, and remaining
-		// (outer) loop records have endpoints outside the region.
-		hoistOne(p, l.lo, l.hi)
+	l.rs = newRegSpace(p)
+	l.regs = make([]loopReg, l.rs.n)
+	l.hoist = make([]bool, len(p.Ins))
+	// Innermost first: smallest span, ties in discovery order. Hoisting
+	// moves instructions within [lo, hi] only, so the spans found above
+	// stay the ones the outer loops are taken by.
+	sort.SliceStable(loops, func(i, j int) bool {
+		return loops[i].hi-loops[i].lo < loops[j].hi-loops[j].lo
+	})
+	for _, lp := range loops {
+		l.hoistOne(lp.lo, lp.hi)
 	}
 }
 
-// hoistOne moves invariant instructions out of the region [lo, hi],
-// returning how many instructions were inserted before lo.
-func hoistOne(p *ir.Prog, lo, hi int) int {
-	// Count definitions of each scalar register inside the loop, and
-	// record whether any instruction jumps into the middle of the loop
-	// from outside (irreducible shape → give up).
-	defCount := map[regKey]int{}
-	for pos := lo; pos <= hi; pos++ {
-		for _, d := range defsOf(&p.Ins[pos]) {
-			defCount[d]++
-		}
-	}
-	for pos, in := range p.Ins {
-		if pos >= lo && pos <= hi {
-			continue
-		}
-		var tgt int32 = -1
-		switch in.Op {
-		case ir.OpJmp:
-			tgt = in.A
-		case ir.OpBrTrueF, ir.OpBrFalseF, ir.OpBrFalseV, ir.OpBrTrueV,
-			ir.OpBrFLt, ir.OpBrFLe, ir.OpBrFEq, ir.OpBrFNe, ir.OpBrFNLt, ir.OpBrFNLe,
-			ir.OpBrILt, ir.OpBrILe, ir.OpBrIEq, ir.OpBrINe:
-			tgt = in.C
-		}
-		if tgt > int32(lo) && tgt <= int32(hi) {
-			return 0 // entered mid-loop from outside; bail out
-		}
-	}
-
-	// Iteratively collect hoistable instructions (a hoisted def makes
-	// its consumers potentially invariant too).
-	hoistable := map[int]bool{}
-	firstTouch := map[regKey]int{} // first position a reg is read or written
+// hoistOne moves the invariant instructions of the region [lo, hi] to
+// its front, in time proportional to the region.
+func (l *licm) hoistOne(lo, hi int) {
+	p := l.p
+	l.epoch++
+	// One walk collects definition counts, definition positions and
+	// first touches, and tells whether anything jumps into the middle of
+	// the loop from outside (irreducible shape: give up).
+	var buf [3]ir.Operand
+	entered := int32(0)
 	for pos := lo; pos <= hi; pos++ {
 		in := &p.Ins[pos]
-		for _, u := range usesOf(in) {
-			if _, ok := firstTouch[u]; !ok {
-				firstTouch[u] = pos
+		for _, u := range in.Uses(&buf) {
+			if r := l.reg(u); r.first < 0 {
+				r.first = int32(pos)
 			}
 		}
-		for _, d := range defsOf(in) {
-			if _, ok := firstTouch[d]; !ok {
-				firstTouch[d] = pos
+		if d, ok := in.Def(); ok {
+			r := l.reg(d)
+			r.defs++
+			r.defPos = int32(pos)
+			if r.first < 0 {
+				r.first = int32(pos)
 			}
 		}
-	}
-	changed := true
-	for changed {
-		changed = false
-		for pos := lo; pos <= hi; pos++ {
-			if hoistable[pos] {
-				continue
-			}
-			in := &p.Ins[pos]
-			if _, _, pure := pureKey(in, func(regKey) int { return 0 }); !pure {
-				continue
-			}
-			defs := defsOf(in)
-			if len(defs) != 1 {
-				continue
-			}
-			d := defs[0]
-			if defCount[d] != 1 || firstTouch[d] != pos {
-				continue
-			}
-			ok := true
-			for _, u := range usesOf(in) {
-				if cnt := defCount[u]; cnt > 0 {
-					// Defined in the loop: only fine if that def is
-					// itself hoisted (single def, already marked).
-					defPos, single := singleDefPos(p, lo, hi, u)
-					if !single || !hoistable[defPos] {
-						ok = false
-						break
-					}
-				}
-			}
-			if !ok {
-				continue
-			}
-			hoistable[pos] = true
-			changed = true
+		if pos > lo {
+			entered += l.entries[pos]
+		}
+		if t := in.Target(); t != nil && int(*t) > lo && int(*t) <= hi {
+			entered--
 		}
 	}
-	if len(hoistable) == 0 {
-		return 0
+	if entered != 0 {
+		return
 	}
 
-	// Rebuild: hoisted instructions move (in order) to just before lo.
-	// srcOld tracks each new position's original position so branch
-	// fixing can distinguish in-loop branches from outside entries.
-	var out []ir.Instr
-	var srcOld []int
-	for pos := 0; pos < lo; pos++ {
-		out = append(out, p.Ins[pos])
-		srcOld = append(srcOld, pos)
-	}
+	// An instruction is hoistable when it is the only definition of its
+	// destination, nothing in the loop touches the destination before
+	// it, and every source is either not defined in the loop or defined
+	// once by a hoistable instruction. Such a definition comes earlier
+	// in the loop (a later one would not be the first touch of its
+	// destination), so one forward walk reaches the least fixpoint.
+	n := 0
 	for pos := lo; pos <= hi; pos++ {
-		if hoistable[pos] {
-			out = append(out, p.Ins[pos])
-			srcOld = append(srcOld, pos)
+		in := &p.Ins[pos]
+		if !pure(in.Op) {
+			continue
+		}
+		d, _ := in.Def()
+		if r := l.reg(d); r.defs != 1 || int(r.first) != pos {
+			continue
+		}
+		ok := true
+		for _, u := range in.Uses(&buf) {
+			if r := l.reg(u); r.defs > 1 || r.defs == 1 && !l.hoist[r.defPos] {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			l.hoist[pos] = true
+			n++
 		}
 	}
-	n := len(hoistable)
-	for pos := lo; pos <= hi; pos++ {
-		if !hoistable[pos] {
-			out = append(out, p.Ins[pos])
-			srcOld = append(srcOld, pos)
-		}
-	}
-	for pos := hi + 1; pos < len(p.Ins); pos++ {
-		out = append(out, p.Ins[pos])
-		srcOld = append(srcOld, pos)
+	if n == 0 {
+		return
 	}
 
-	// Remap branch targets: old position → new position.
-	remap := make([]int32, len(p.Ins)+1)
-	for old := 0; old < lo; old++ {
-		remap[old] = int32(old)
+	// Move the hoisted instructions, in order, to the front of the
+	// region. remap[old-lo] is where a branch to old goes now: a hoisted
+	// instruction's old slot stands for the first instruction at or after
+	// it that stayed. (The backedge at hi is a branch, hence stays.)
+	if l.scratch == nil {
+		l.scratch = make([]ir.Instr, l.widest)
+		l.remap = make([]int32, l.widest+1)
 	}
-	newPos := lo + n
-	hoistedSeen := 0
-	for old := lo; old <= hi; old++ {
-		if hoistable[old] {
-			remap[old] = int32(lo + hoistedSeen)
-			hoistedSeen++
+	span := hi - lo + 1
+	old := l.scratch[:span]
+	copy(old, p.Ins[lo:hi+1])
+	remap := l.remap[:span+1]
+	remap[span] = int32(hi + 1)
+	front, back := lo, lo+n
+	for i := range old {
+		if l.hoist[lo+i] {
+			p.Ins[front] = old[i]
+			front++
 		} else {
-			remap[old] = int32(newPos)
-			newPos++
+			p.Ins[back] = old[i]
+			remap[i] = int32(back)
+			back++
 		}
 	}
-	for old := hi + 1; old <= len(p.Ins); old++ {
-		remap[old] = int32(old)
-	}
-	// A branch to a hoisted instruction's old slot lands on the first
-	// non-hoisted instruction at or after it instead. (The backedge
-	// instruction at hi is a branch, hence never hoisted.)
-	for old := hi; old >= lo; old-- {
-		if hoistable[old] {
-			remap[old] = remap[old+1]
+	for i := span - 1; i >= 0; i-- {
+		if l.hoist[lo+i] {
+			remap[i] = remap[i+1]
+			l.hoist[lo+i] = false
 		}
 	}
-	for i := range out {
-		in := &out[i]
-		insideLoop := srcOld[i] >= lo && srcOld[i] <= hi
-		fix := func(t int32) int32 {
-			if int(t) == lo && !insideLoop {
-				// A jump from outside landing on the loop head is a loop
-				// entry: it must execute the preheader first.
-				return int32(lo)
-			}
-			return remap[t]
-		}
-		switch in.Op {
-		case ir.OpJmp:
-			in.A = fix(in.A)
-		case ir.OpBrTrueF, ir.OpBrFalseF, ir.OpBrFalseV, ir.OpBrTrueV,
-			ir.OpBrFLt, ir.OpBrFLe, ir.OpBrFEq, ir.OpBrFNe, ir.OpBrFNLt, ir.OpBrFNLe,
-			ir.OpBrILt, ir.OpBrILe, ir.OpBrIEq, ir.OpBrINe:
-			in.C = fix(in.C)
-		}
-	}
-	p.Ins = out
-	return n
-}
-
-func singleDefPos(p *ir.Prog, lo, hi int, k regKey) (int, bool) {
-	found := -1
+	// Branches inside the region follow their targets; a branch from
+	// outside that lands on lo is a loop entry and now runs the
+	// preheader first, which is why entries[lo] keeps its outside share.
 	for pos := lo; pos <= hi; pos++ {
-		for _, d := range defsOf(&p.Ins[pos]) {
-			if d == k {
-				if found >= 0 {
-					return -1, false
-				}
-				found = pos
-			}
+		if t := p.Ins[pos].Target(); t != nil && int(*t) >= lo && int(*t) <= hi {
+			l.entries[*t]--
+			*t = remap[int(*t)-lo]
+			l.entries[*t]++
 		}
 	}
-	return found, found >= 0
 }
 
 // eliminateDeadCode removes pure instructions whose destinations are
 // never read (whole-program use counts; conservative for non-SSA code).
+// A register whose use count reaches zero takes all its removable
+// definitions with it, and their operands' counts fall in turn.
 func eliminateDeadCode(p *ir.Prog) {
-	for {
-		useCount := map[regKey]int{}
-		for pos := range p.Ins {
-			for _, u := range usesOf(&p.Ins[pos]) {
-				useCount[u]++
-			}
+	rs := newRegSpace(p)
+	uses := make([]int32, rs.n)
+	// defsAt[defStart[r]:defStart[r+1]] are the positions of the
+	// removable definitions of register r.
+	defStart := make([]int32, rs.n+1)
+	var buf [3]ir.Operand
+	removable := func(in *ir.Instr) (ir.Operand, bool) {
+		d, ok := in.Def()
+		return d, ok && !sideEffect(in)
+	}
+	for pos := range p.Ins {
+		in := &p.Ins[pos]
+		for _, u := range in.Uses(&buf) {
+			uses[rs.of(u)]++
 		}
-		// Output and parameter registers are implicitly used/defined.
-		removed := false
-		for pos := range p.Ins {
+		if d, ok := removable(in); ok {
+			defStart[rs.of(d)+1]++
+		}
+	}
+	for r := 0; r < rs.n; r++ {
+		defStart[r+1] += defStart[r]
+	}
+	defsAt := make([]int32, defStart[rs.n])
+	fill := make([]int32, rs.n)
+	for pos := range p.Ins {
+		if d, ok := removable(&p.Ins[pos]); ok {
+			r := rs.of(d)
+			defsAt[defStart[r]+fill[r]] = int32(pos)
+			fill[r]++
+		}
+	}
+	// fill is spent; its storage becomes the worklist of dead registers
+	// (each register enters once, when its count reaches zero).
+	dead := fill[:0]
+	for r := 0; r < rs.n; r++ {
+		if uses[r] == 0 && defStart[r] < defStart[r+1] {
+			dead = append(dead, int32(r))
+		}
+	}
+	for len(dead) > 0 {
+		r := dead[len(dead)-1]
+		dead = dead[:len(dead)-1]
+		for _, pos := range defsAt[defStart[r]:defStart[r+1]] {
 			in := &p.Ins[pos]
-			if in.Op == ir.OpNop || sideEffect(in) {
-				continue
-			}
-			defs := defsOf(in)
-			if len(defs) == 0 {
-				continue
-			}
-			dead := true
-			for _, d := range defs {
-				if useCount[d] > 0 {
-					dead = false
-					break
+			for _, u := range in.Uses(&buf) {
+				ur := rs.of(u)
+				if uses[ur]--; uses[ur] == 0 && defStart[ur] < defStart[ur+1] {
+					dead = append(dead, int32(ur))
 				}
 			}
-			if dead {
-				*in = ir.Instr{Op: ir.OpNop}
-				removed = true
-			}
-		}
-		if !removed {
-			return
+			*in = ir.Instr{Op: ir.OpNop}
 		}
 	}
 }

@@ -6,6 +6,15 @@
 // generator deliberately skips all of this ("no loop optimizations or
 // instruction scheduling are performed"); the speculative and
 // FALCON-style tiers run it.
+//
+// Cost contract: every pass is one or two walks over the instructions,
+// with its per-register facts in slices indexed by register (regSpace)
+// and made stale by a block or loop counter, never cleared; LICM costs
+// the sum of the loop spans (program length times nesting depth). A
+// pass allocates a fixed number of slices whatever the program's length,
+// value numbering's one expression table aside. Which fields of an
+// instruction are registers and which a branch target is ir's knowledge
+// (Instr.Def, Uses, Target); no pass lists opcodes to find that out.
 package opt
 
 import (
@@ -64,34 +73,33 @@ func Run(p *ir.Prog, cfg Config) {
 func leaders(p *ir.Prog) []bool {
 	l := make([]bool, len(p.Ins)+1)
 	l[0] = true
-	for pos, in := range p.Ins {
-		switch in.Op {
-		case ir.OpJmp:
-			l[in.A] = true
-			if pos+1 < len(l) {
-				l[pos+1] = true
-			}
-		case ir.OpBrTrueF, ir.OpBrFalseF, ir.OpBrFalseV, ir.OpBrTrueV,
-			ir.OpBrFLt, ir.OpBrFLe, ir.OpBrFEq, ir.OpBrFNe, ir.OpBrFNLt, ir.OpBrFNLe,
-			ir.OpBrILt, ir.OpBrILe, ir.OpBrIEq, ir.OpBrINe:
-			l[in.C] = true
-			if pos+1 < len(l) {
-				l[pos+1] = true
-			}
-		case ir.OpRet:
-			if pos+1 < len(l) {
-				l[pos+1] = true
-			}
+	for pos := range p.Ins {
+		in := &p.Ins[pos]
+		if t := in.Target(); t != nil {
+			l[*t] = true
+			l[pos+1] = true
+		} else if in.Op == ir.OpRet {
+			l[pos+1] = true
 		}
 	}
 	return l
 }
 
-// regKey identifies a register across banks.
-type regKey struct {
-	bank ir.Bank
-	reg  int32
+// regSpace numbers the scalar registers of the three banks in one dense
+// range, so a per-register table is a slice.
+type regSpace struct {
+	base [3]int
+	n    int
 }
+
+func newRegSpace(p *ir.Prog) regSpace {
+	nf, ni := int(p.NumF), int(p.NumI)
+	return regSpace{base: [3]int{0, nf, nf + ni}, n: nf + ni + int(p.NumC)}
+}
+
+func (s regSpace) at(b ir.Bank, reg int32) int { return s.base[b] + int(reg) }
+
+func (s regSpace) of(o ir.Operand) int { return s.base[o.Bank] + int(*o.Reg) }
 
 // --- constant folding ---------------------------------------------------------
 
@@ -99,53 +107,58 @@ type regKey struct {
 // and folds pure arithmetic whose operands are all constant.
 func foldConstants(p *ir.Prog) {
 	lead := leaders(p)
-	fconst := map[int32]float64{}
-	iconst := map[int32]int64{}
-	reset := func() {
-		clear(fconst)
-		clear(iconst)
+	rs := newRegSpace(p)
+	// A register holds a known constant while known[reg] names the
+	// current block.
+	known := make([]int32, rs.n)
+	fval := make([]float64, p.NumF)
+	ival := make([]int64, p.NumI)
+	block := int32(0)
+	fconst := func(r int32) (float64, bool) { return fval[r], known[rs.at(ir.BankF, r)] == block }
+	iconst := func(r int32) (int64, bool) { return ival[r], known[rs.at(ir.BankI, r)] == block }
+	setF := func(in *ir.Instr, v float64) {
+		*in = ir.Instr{Op: ir.OpFConst, A: in.A, Imm: v}
+		fval[in.A], known[rs.at(ir.BankF, in.A)] = v, block
+	}
+	setI := func(in *ir.Instr, v int64) {
+		*in = ir.Instr{Op: ir.OpIConst, A: in.A, Imm: float64(v)}
+		ival[in.A], known[rs.at(ir.BankI, in.A)] = v, block
 	}
 	for pos := range p.Ins {
 		if lead[pos] {
-			reset()
+			block++
 		}
 		in := &p.Ins[pos]
 		switch in.Op {
 		case ir.OpFConst:
-			fconst[in.A] = in.Imm
+			setF(in, in.Imm)
+			continue
 		case ir.OpIConst:
-			iconst[in.A] = int64(in.Imm)
+			setI(in, int64(in.Imm))
+			continue
 		case ir.OpFMov:
-			if v, ok := fconst[in.B]; ok {
-				*in = ir.Instr{Op: ir.OpFConst, A: in.A, Imm: v}
-				fconst[in.A] = v
-			} else {
-				delete(fconst, in.A)
+			if v, ok := fconst(in.B); ok {
+				setF(in, v)
+				continue
 			}
 		case ir.OpIMov:
-			if v, ok := iconst[in.B]; ok {
-				*in = ir.Instr{Op: ir.OpIConst, A: in.A, Imm: float64(v)}
-				iconst[in.A] = v
-			} else {
-				delete(iconst, in.A)
+			if v, ok := iconst(in.B); ok {
+				setI(in, v)
+				continue
 			}
 		case ir.OpItoF:
-			if v, ok := iconst[in.B]; ok {
-				*in = ir.Instr{Op: ir.OpFConst, A: in.A, Imm: float64(v)}
-				fconst[in.A] = float64(v)
-			} else {
-				delete(fconst, in.A)
+			if v, ok := iconst(in.B); ok {
+				setF(in, float64(v))
+				continue
 			}
 		case ir.OpFtoI:
-			if v, ok := fconst[in.B]; ok {
-				*in = ir.Instr{Op: ir.OpIConst, A: in.A, Imm: float64(int64(v))}
-				iconst[in.A] = int64(v)
-			} else {
-				delete(iconst, in.A)
+			if v, ok := fconst(in.B); ok {
+				setI(in, int64(v))
+				continue
 			}
 		case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv, ir.OpFPow:
-			b, okB := fconst[in.B]
-			c, okC := fconst[in.C]
+			b, okB := fconst(in.B)
+			c, okC := fconst(in.C)
 			if okB && okC {
 				var v float64
 				switch in.Op {
@@ -160,21 +173,17 @@ func foldConstants(p *ir.Prog) {
 				case ir.OpFPow:
 					v = math.Pow(b, c)
 				}
-				*in = ir.Instr{Op: ir.OpFConst, A: in.A, Imm: v}
-				fconst[in.A] = v
-			} else {
-				delete(fconst, in.A)
+				setF(in, v)
+				continue
 			}
 		case ir.OpFNeg:
-			if v, ok := fconst[in.B]; ok {
-				*in = ir.Instr{Op: ir.OpFConst, A: in.A, Imm: -v}
-				fconst[in.A] = -v
-			} else {
-				delete(fconst, in.A)
+			if v, ok := fconst(in.B); ok {
+				setF(in, -v)
+				continue
 			}
 		case ir.OpIAdd, ir.OpISub, ir.OpIMul:
-			b, okB := iconst[in.B]
-			c, okC := iconst[in.C]
+			b, okB := iconst(in.B)
+			c, okC := iconst(in.C)
 			if okB && okC {
 				var v int64
 				switch in.Op {
@@ -185,227 +194,143 @@ func foldConstants(p *ir.Prog) {
 				case ir.OpIMul:
 					v = b * c
 				}
-				*in = ir.Instr{Op: ir.OpIConst, A: in.A, Imm: float64(v)}
-				iconst[in.A] = v
-			} else {
-				delete(iconst, in.A)
+				setI(in, v)
+				continue
 			}
 		case ir.OpINeg:
-			if v, ok := iconst[in.B]; ok {
-				*in = ir.Instr{Op: ir.OpIConst, A: in.A, Imm: float64(-v)}
-				iconst[in.A] = -v
-			} else {
-				delete(iconst, in.A)
+			if v, ok := iconst(in.B); ok {
+				setI(in, -v)
+				continue
 			}
-		default:
-			// Any other def invalidates its destination's constness.
-			for _, d := range defsOf(in) {
-				switch d.bank {
-				case ir.BankF:
-					delete(fconst, d.reg)
-				case ir.BankI:
-					delete(iconst, d.reg)
-				}
-			}
+		}
+		// Not folded: whatever the instruction defines is no longer a
+		// known constant.
+		if d, ok := in.Def(); ok {
+			known[rs.of(d)] = 0
 		}
 	}
 }
 
 // --- local value numbering / CSE ------------------------------------------------
 
+// exprKey identifies a pure computation by opcode and operand value
+// numbers.
 type exprKey struct {
 	op     ir.Op
-	vnB    int
-	vnC    int
+	vnB    int32
+	vnC    int32
 	imm    float64
 	mathID int32
+}
+
+// availExpr is the register that holds an expression's value and the
+// value number it held it under. The table is never cleared: value
+// numbers are not reused, so an entry of an earlier block finds its
+// register's number stale and does not validate.
+type availExpr struct {
+	bank ir.Bank
+	reg  int32
+	vn   int32
 }
 
 // localCSE performs value numbering within basic blocks over pure
 // scalar ops, replacing recomputations with moves.
 func localCSE(p *ir.Prog) {
 	lead := leaders(p)
-	vn := map[regKey]int{}
-	nextVN := 1
-	avail := map[exprKey]regKey{}
-	availVN := map[exprKey]int{}
-	reset := func() {
-		clear(vn)
-		clear(avail)
-		clear(availVN)
+	rs := newRegSpace(p)
+	// vn[reg] is the register's value number while vnBlock[reg] names
+	// the current block.
+	vn := make([]int32, rs.n)
+	vnBlock := make([]int32, rs.n)
+	block, nextVN := int32(0), int32(1)
+	avail := map[exprKey]availExpr{}
+	newVN := func(i int) int32 {
+		nextVN++
+		vn[i], vnBlock[i] = nextVN, block
+		return nextVN
 	}
-	vnOf := func(k regKey) int {
-		if v, ok := vn[k]; ok {
-			return v
+	vnOf := func(o ir.Operand) int32 {
+		i := rs.of(o)
+		if vnBlock[i] == block {
+			return vn[i]
 		}
-		nextVN++
-		vn[k] = nextVN
-		return nextVN
-	}
-	newVN := func(k regKey) int {
-		nextVN++
-		vn[k] = nextVN
-		return nextVN
+		return newVN(i)
 	}
 	for pos := range p.Ins {
 		if lead[pos] {
-			reset()
+			block++
 		}
 		in := &p.Ins[pos]
-		if key, dst, ok := pureKey(in, vnOf); ok {
-			if prev, found := avail[key]; found && vn[prev] == availVN[key] {
-				// Recomputation: replace with a move.
-				mov := ir.OpFMov
-				switch dst.bank {
-				case ir.BankI:
-					mov = ir.OpIMov
-				case ir.BankC:
-					mov = ir.OpCMov
-				}
-				*in = ir.Instr{Op: mov, A: dst.reg, B: prev.reg}
-				vn[dst] = availVN[key]
-				continue
-			}
-			v := newVN(dst)
-			avail[key] = dst
-			availVN[key] = v
+		dst, hasDef := in.Def()
+		if !hasDef {
 			continue
 		}
-		// Non-pure or unkeyed instruction: invalidate defined regs.
-		for _, d := range defsOf(in) {
-			newVN(d)
+		if !pure(in.Op) {
+			newVN(rs.of(dst))
+			continue
+		}
+		key := pureKey(in, vnOf)
+		if prev, found := avail[key]; found {
+			if at := rs.at(prev.bank, prev.reg); vnBlock[at] == block && vn[at] == prev.vn {
+				// Recomputation: replace with a move.
+				mov := [...]ir.Op{ir.BankF: ir.OpFMov, ir.BankI: ir.OpIMov, ir.BankC: ir.OpCMov}[dst.Bank]
+				*in = ir.Instr{Op: mov, A: in.A, B: prev.reg}
+				i := rs.of(dst)
+				vn[i], vnBlock[i] = prev.vn, block
+				continue
+			}
+		}
+		avail[key] = availExpr{dst.Bank, in.A, newVN(rs.of(dst))}
+	}
+}
+
+// pure reports whether op computes its destination from its scalar
+// operands alone and cannot fault: the instructions value numbering may
+// merge and LICM may move.
+func pure(op ir.Op) bool {
+	switch op {
+	case ir.OpFConst, ir.OpIConst,
+		ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv, ir.OpFPow, ir.OpFMod, ir.OpFRem,
+		ir.OpFAnd, ir.OpFOr, ir.OpFCmpEq, ir.OpFCmpNe, ir.OpFCmpLt, ir.OpFCmpLe,
+		ir.OpFNeg, ir.OpFNot, ir.OpFMath, ir.OpItoF, ir.OpFtoI,
+		ir.OpIAdd, ir.OpISub, ir.OpIMul, ir.OpIMod, ir.OpINeg,
+		ir.OpICmpEq, ir.OpICmpNe, ir.OpICmpLt, ir.OpICmpLe,
+		ir.OpCAdd, ir.OpCSub, ir.OpCMul, ir.OpCDiv, ir.OpCPow, ir.OpCNeg, ir.OpCConj:
+		return true
+	}
+	return false
+}
+
+// pureKey builds the value-number key of a pure instruction: its source
+// registers are fields B and C, a constant's value is Imm and OpFMath
+// names its function in C.
+func pureKey(in *ir.Instr, vnOf func(ir.Operand) int32) exprKey {
+	key := exprKey{op: in.Op}
+	var buf [3]ir.Operand
+	for _, u := range in.Uses(&buf) {
+		if u.Reg == &in.B {
+			key.vnB = vnOf(u)
+		} else {
+			key.vnC = vnOf(u)
 		}
 	}
-}
-
-// pureKey builds a value-number key for pure scalar instructions.
-func pureKey(in *ir.Instr, vnOf func(regKey) int) (exprKey, regKey, bool) {
-	f := func(r int32) int { return vnOf(regKey{ir.BankF, r}) }
-	i := func(r int32) int { return vnOf(regKey{ir.BankI, r}) }
-	c := func(r int32) int { return vnOf(regKey{ir.BankC, r}) }
 	switch in.Op {
-	case ir.OpFConst:
-		return exprKey{op: in.Op, imm: in.Imm}, regKey{ir.BankF, in.A}, true
-	case ir.OpIConst:
-		return exprKey{op: in.Op, imm: in.Imm}, regKey{ir.BankI, in.A}, true
-	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv, ir.OpFPow, ir.OpFMod, ir.OpFRem,
-		ir.OpFAnd, ir.OpFOr, ir.OpFCmpEq, ir.OpFCmpNe, ir.OpFCmpLt, ir.OpFCmpLe:
-		return exprKey{op: in.Op, vnB: f(in.B), vnC: f(in.C)}, regKey{ir.BankF, in.A}, true
-	case ir.OpFNeg, ir.OpFNot:
-		return exprKey{op: in.Op, vnB: f(in.B)}, regKey{ir.BankF, in.A}, true
+	case ir.OpFConst, ir.OpIConst:
+		key.imm = in.Imm
 	case ir.OpFMath:
-		return exprKey{op: in.Op, vnB: f(in.B), mathID: in.C}, regKey{ir.BankF, in.A}, true
-	case ir.OpItoF:
-		return exprKey{op: in.Op, vnB: i(in.B)}, regKey{ir.BankF, in.A}, true
-	case ir.OpFtoI:
-		return exprKey{op: in.Op, vnB: f(in.B)}, regKey{ir.BankI, in.A}, true
-	case ir.OpIAdd, ir.OpISub, ir.OpIMul, ir.OpIMod:
-		return exprKey{op: in.Op, vnB: i(in.B), vnC: i(in.C)}, regKey{ir.BankI, in.A}, true
-	case ir.OpINeg:
-		return exprKey{op: in.Op, vnB: i(in.B)}, regKey{ir.BankI, in.A}, true
-	case ir.OpICmpEq, ir.OpICmpNe, ir.OpICmpLt, ir.OpICmpLe:
-		return exprKey{op: in.Op, vnB: i(in.B), vnC: i(in.C)}, regKey{ir.BankF, in.A}, true
-	case ir.OpCAdd, ir.OpCSub, ir.OpCMul, ir.OpCDiv, ir.OpCPow:
-		return exprKey{op: in.Op, vnB: c(in.B), vnC: c(in.C)}, regKey{ir.BankC, in.A}, true
-	case ir.OpCNeg, ir.OpCConj:
-		return exprKey{op: in.Op, vnB: c(in.B)}, regKey{ir.BankC, in.A}, true
+		key.mathID = in.C
 	}
-	return exprKey{}, regKey{}, false
-}
-
-// --- helpers shared with LICM/DCE ------------------------------------------------
-
-// defsOf lists the scalar registers an instruction defines.
-func defsOf(in *ir.Instr) []regKey {
-	switch in.Op {
-	case ir.OpFMov, ir.OpFConst, ir.OpItoF, ir.OpUnboxF,
-		ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv, ir.OpFNeg, ir.OpFPow, ir.OpFMod, ir.OpFRem,
-		ir.OpFMath, ir.OpFAnd, ir.OpFOr, ir.OpFNot,
-		ir.OpFCmpEq, ir.OpFCmpNe, ir.OpFCmpLt, ir.OpFCmpLe,
-		ir.OpICmpEq, ir.OpICmpNe, ir.OpICmpLt, ir.OpICmpLe,
-		ir.OpCAbs, ir.OpCReal, ir.OpCImag, ir.OpCCmpEq, ir.OpCCmpNe,
-		ir.OpFLd1, ir.OpFLd1U, ir.OpFLd2, ir.OpFLd2U:
-		return []regKey{{ir.BankF, in.A}}
-	case ir.OpIMov, ir.OpIConst, ir.OpFtoI, ir.OpUnboxI,
-		ir.OpIAdd, ir.OpISub, ir.OpIMul, ir.OpINeg, ir.OpIMod,
-		ir.OpVRows, ir.OpVCols, ir.OpVNumel:
-		return []regKey{{ir.BankI, in.A}}
-	case ir.OpCMov, ir.OpCConst, ir.OpFtoC, ir.OpItoC, ir.OpUnboxC,
-		ir.OpCAdd, ir.OpCSub, ir.OpCMul, ir.OpCDiv, ir.OpCNeg, ir.OpCPow, ir.OpCMath, ir.OpCConj:
-		return []regKey{{ir.BankC, in.A}}
-	}
-	return nil
-}
-
-// usesOf lists the scalar registers an instruction reads.
-func usesOf(in *ir.Instr) []regKey {
-	switch in.Op {
-	case ir.OpBrTrueF, ir.OpBrFalseF:
-		return []regKey{{ir.BankF, in.A}}
-	case ir.OpBrFLt, ir.OpBrFLe, ir.OpBrFEq, ir.OpBrFNe, ir.OpBrFNLt, ir.OpBrFNLe:
-		return []regKey{{ir.BankF, in.A}, {ir.BankF, in.B}}
-	case ir.OpBrILt, ir.OpBrILe, ir.OpBrIEq, ir.OpBrINe:
-		return []regKey{{ir.BankI, in.A}, {ir.BankI, in.B}}
-	case ir.OpFMov:
-		return []regKey{{ir.BankF, in.B}}
-	case ir.OpIMov:
-		return []regKey{{ir.BankI, in.B}}
-	case ir.OpCMov:
-		return []regKey{{ir.BankC, in.B}}
-	case ir.OpItoF, ir.OpBoxI:
-		return []regKey{{ir.BankI, in.B}}
-	case ir.OpFtoI, ir.OpFtoC, ir.OpBoxF:
-		return []regKey{{ir.BankF, in.B}}
-	case ir.OpItoC:
-		return []regKey{{ir.BankI, in.B}}
-	case ir.OpBoxC:
-		return []regKey{{ir.BankC, in.B}}
-	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv, ir.OpFPow, ir.OpFMod, ir.OpFRem,
-		ir.OpFAnd, ir.OpFOr, ir.OpFCmpEq, ir.OpFCmpNe, ir.OpFCmpLt, ir.OpFCmpLe:
-		return []regKey{{ir.BankF, in.B}, {ir.BankF, in.C}}
-	case ir.OpFNeg, ir.OpFNot, ir.OpFMath:
-		return []regKey{{ir.BankF, in.B}}
-	case ir.OpIAdd, ir.OpISub, ir.OpIMul, ir.OpIMod,
-		ir.OpICmpEq, ir.OpICmpNe, ir.OpICmpLt, ir.OpICmpLe:
-		return []regKey{{ir.BankI, in.B}, {ir.BankI, in.C}}
-	case ir.OpINeg:
-		return []regKey{{ir.BankI, in.B}}
-	case ir.OpCAdd, ir.OpCSub, ir.OpCMul, ir.OpCDiv, ir.OpCPow, ir.OpCCmpEq, ir.OpCCmpNe:
-		return []regKey{{ir.BankC, in.B}, {ir.BankC, in.C}}
-	case ir.OpCNeg, ir.OpCMath, ir.OpCConj, ir.OpCAbs, ir.OpCReal, ir.OpCImag:
-		return []regKey{{ir.BankC, in.B}}
-	case ir.OpFLd1:
-		return []regKey{{ir.BankF, in.C}}
-	case ir.OpFLd1U:
-		return []regKey{{ir.BankI, in.C}}
-	case ir.OpFLd2:
-		return []regKey{{ir.BankF, in.C}, {ir.BankF, in.D}}
-	case ir.OpFLd2U:
-		return []regKey{{ir.BankI, in.C}, {ir.BankI, in.D}}
-	case ir.OpFSt1:
-		return []regKey{{ir.BankF, in.B}, {ir.BankF, in.C}}
-	case ir.OpFSt1U:
-		return []regKey{{ir.BankI, in.B}, {ir.BankF, in.C}}
-	case ir.OpFSt2:
-		return []regKey{{ir.BankF, in.B}, {ir.BankF, in.C}, {ir.BankF, in.D}}
-	case ir.OpFSt2U:
-		return []regKey{{ir.BankI, in.B}, {ir.BankI, in.C}, {ir.BankF, in.D}}
-	case ir.OpVNewZeros, ir.OpVEnsure:
-		return []regKey{{ir.BankI, in.B}, {ir.BankI, in.C}}
-	case ir.OpVFuseArgF:
-		return []regKey{{ir.BankF, in.B}}
-	}
-	return nil
+	return key
 }
 
 // sideEffect reports whether an instruction must be kept regardless of
 // register liveness.
 func sideEffect(in *ir.Instr) bool {
+	if in.Target() != nil {
+		return true
+	}
 	switch in.Op {
-	case ir.OpJmp, ir.OpRet,
-		ir.OpBrTrueF, ir.OpBrFalseF, ir.OpBrFalseV, ir.OpBrTrueV,
-		ir.OpBrFLt, ir.OpBrFLe, ir.OpBrFEq, ir.OpBrFNe, ir.OpBrFNLt, ir.OpBrFNLe,
-		ir.OpBrILt, ir.OpBrILe, ir.OpBrIEq, ir.OpBrINe,
+	case ir.OpRet,
 		ir.OpFSt1, ir.OpFSt1U, ir.OpFSt2, ir.OpFSt2U,
 		ir.OpVMov, ir.OpVMovSwap, ir.OpVClone, ir.OpVNewZeros, ir.OpVEnsure, ir.OpVEnsureOwn, ir.OpVMarkShared,
 		ir.OpVConst, ir.OpVDisplay,

@@ -8,6 +8,16 @@
 //
 // Only the F, I and C banks are allocated: V registers hold array
 // pointers, which on the paper's target machines live in memory anyway.
+//
+// Cost contract: per bank, two walks over the instructions (operands
+// come from ir's Instr.Def and Uses), one walk over each loop's stretch
+// of the event list to find how the loop first touches each register,
+// a fixpoint over those per-loop tables only, one sort of the intervals
+// by the total key (start, vreg) and one scan with at most as many
+// active intervals as there are registers. Intervals and the rewritten
+// stream are one allocation each and the event list, the loop list and
+// the first-touch table grow by doubling, so a bank's allocation count
+// is all but flat in the program's length.
 package regalloc
 
 import (
@@ -27,170 +37,6 @@ type Options struct {
 // allocatable FP registers, 24 integer, 8 complex pairs.
 func DefaultOptions() Options {
 	return Options{FRegs: 24, IRegs: 24, CRegs: 8}
-}
-
-type opRef struct {
-	field *int32
-	bank  ir.Bank
-	isDef bool
-}
-
-// refs enumerates the scalar register operands of an instruction.
-func refs(in *ir.Instr, out []opRef) []opRef {
-	add := func(f *int32, b ir.Bank, def bool) {
-		out = append(out, opRef{field: f, bank: b, isDef: def})
-	}
-	switch in.Op {
-	// --- branches (uses only) ---
-	case ir.OpBrTrueF, ir.OpBrFalseF:
-		add(&in.A, ir.BankF, false)
-	case ir.OpBrFLt, ir.OpBrFLe, ir.OpBrFEq, ir.OpBrFNe, ir.OpBrFNLt, ir.OpBrFNLe:
-		add(&in.A, ir.BankF, false)
-		add(&in.B, ir.BankF, false)
-	case ir.OpBrILt, ir.OpBrILe, ir.OpBrIEq, ir.OpBrINe:
-		add(&in.A, ir.BankI, false)
-		add(&in.B, ir.BankI, false)
-
-	// --- moves/consts ---
-	case ir.OpFMov:
-		add(&in.A, ir.BankF, true)
-		add(&in.B, ir.BankF, false)
-	case ir.OpIMov:
-		add(&in.A, ir.BankI, true)
-		add(&in.B, ir.BankI, false)
-	case ir.OpCMov:
-		add(&in.A, ir.BankC, true)
-		add(&in.B, ir.BankC, false)
-	case ir.OpFConst:
-		add(&in.A, ir.BankF, true)
-	case ir.OpIConst:
-		add(&in.A, ir.BankI, true)
-	case ir.OpCConst:
-		add(&in.A, ir.BankC, true)
-
-	// --- conversions ---
-	case ir.OpItoF:
-		add(&in.A, ir.BankF, true)
-		add(&in.B, ir.BankI, false)
-	case ir.OpFtoI:
-		add(&in.A, ir.BankI, true)
-		add(&in.B, ir.BankF, false)
-	case ir.OpFtoC:
-		add(&in.A, ir.BankC, true)
-		add(&in.B, ir.BankF, false)
-	case ir.OpItoC:
-		add(&in.A, ir.BankC, true)
-		add(&in.B, ir.BankI, false)
-	case ir.OpBoxF:
-		add(&in.B, ir.BankF, false)
-	case ir.OpBoxI:
-		add(&in.B, ir.BankI, false)
-	case ir.OpBoxC:
-		add(&in.B, ir.BankC, false)
-	case ir.OpUnboxF:
-		add(&in.A, ir.BankF, true)
-	case ir.OpUnboxI:
-		add(&in.A, ir.BankI, true)
-	case ir.OpUnboxC:
-		add(&in.A, ir.BankC, true)
-
-	// --- F arithmetic ---
-	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv, ir.OpFPow, ir.OpFMod, ir.OpFRem,
-		ir.OpFAnd, ir.OpFOr, ir.OpFCmpEq, ir.OpFCmpNe, ir.OpFCmpLt, ir.OpFCmpLe:
-		add(&in.A, ir.BankF, true)
-		add(&in.B, ir.BankF, false)
-		add(&in.C, ir.BankF, false)
-	case ir.OpFNeg, ir.OpFNot:
-		add(&in.A, ir.BankF, true)
-		add(&in.B, ir.BankF, false)
-	case ir.OpFMath:
-		add(&in.A, ir.BankF, true)
-		add(&in.B, ir.BankF, false)
-		// C is a function id, not a register
-
-	// --- I arithmetic ---
-	case ir.OpIAdd, ir.OpISub, ir.OpIMul, ir.OpIMod:
-		add(&in.A, ir.BankI, true)
-		add(&in.B, ir.BankI, false)
-		add(&in.C, ir.BankI, false)
-	case ir.OpINeg:
-		add(&in.A, ir.BankI, true)
-		add(&in.B, ir.BankI, false)
-	case ir.OpICmpEq, ir.OpICmpNe, ir.OpICmpLt, ir.OpICmpLe:
-		add(&in.A, ir.BankF, true)
-		add(&in.B, ir.BankI, false)
-		add(&in.C, ir.BankI, false)
-
-	// --- C arithmetic ---
-	case ir.OpCAdd, ir.OpCSub, ir.OpCMul, ir.OpCDiv, ir.OpCPow:
-		add(&in.A, ir.BankC, true)
-		add(&in.B, ir.BankC, false)
-		add(&in.C, ir.BankC, false)
-	case ir.OpCNeg, ir.OpCConj:
-		add(&in.A, ir.BankC, true)
-		add(&in.B, ir.BankC, false)
-	case ir.OpCMath:
-		add(&in.A, ir.BankC, true)
-		add(&in.B, ir.BankC, false)
-	case ir.OpCAbs, ir.OpCReal, ir.OpCImag:
-		add(&in.A, ir.BankF, true)
-		add(&in.B, ir.BankC, false)
-	case ir.OpCCmpEq, ir.OpCCmpNe:
-		add(&in.A, ir.BankF, true)
-		add(&in.B, ir.BankC, false)
-		add(&in.C, ir.BankC, false)
-
-	// --- array access ---
-	case ir.OpFLd1:
-		add(&in.A, ir.BankF, true)
-		add(&in.C, ir.BankF, false)
-	case ir.OpFLd1U:
-		add(&in.A, ir.BankF, true)
-		add(&in.C, ir.BankI, false)
-	case ir.OpFLd2:
-		add(&in.A, ir.BankF, true)
-		add(&in.C, ir.BankF, false)
-		add(&in.D, ir.BankF, false)
-	case ir.OpFLd2U:
-		add(&in.A, ir.BankF, true)
-		add(&in.C, ir.BankI, false)
-		add(&in.D, ir.BankI, false)
-	case ir.OpFSt1:
-		add(&in.B, ir.BankF, false)
-		add(&in.C, ir.BankF, false)
-	case ir.OpFSt1U:
-		add(&in.B, ir.BankI, false)
-		add(&in.C, ir.BankF, false)
-	case ir.OpFSt2:
-		add(&in.B, ir.BankF, false)
-		add(&in.C, ir.BankF, false)
-		add(&in.D, ir.BankF, false)
-	case ir.OpFSt2U:
-		add(&in.B, ir.BankI, false)
-		add(&in.C, ir.BankI, false)
-		add(&in.D, ir.BankF, false)
-
-	case ir.OpVNewZeros, ir.OpVEnsure:
-		add(&in.B, ir.BankI, false)
-		add(&in.C, ir.BankI, false)
-	case ir.OpVFuseArgF:
-		add(&in.B, ir.BankF, false)
-	case ir.OpVRows, ir.OpVCols, ir.OpVNumel:
-		add(&in.A, ir.BankI, true)
-	}
-	return out
-}
-
-type interval struct {
-	vreg     int32
-	start    int
-	end      int
-	phys     int32
-	spilled  bool
-	slot     int32
-	hasSlot  bool
-	isParam  bool
-	assigned bool
 }
 
 // Allocate rewrites p in place from virtual to physical registers,
@@ -249,18 +95,45 @@ func physCount(opts Options, b ir.Bank) int {
 	}
 }
 
+// interval is the live range of one virtual register. The intervals of
+// a bank are one slab indexed by register; live is false for a register
+// the program never mentions.
+type interval struct {
+	vreg    int32
+	start   int
+	end     int
+	phys    int32
+	slot    int32
+	live    bool
+	spilled bool
+}
+
+// event is one read or write of a register, in program order (the reads
+// of an instruction before its write).
+type event struct {
+	pos   int
+	vreg  int32
+	isDef bool
+}
+
+// loopFirst says how a loop first touches a register: carried when the
+// first event inside the loop is a read.
+type loopFirst struct {
+	vreg    int32
+	carried bool
+}
+
 func allocateBank(p *ir.Prog, bank ir.Bank, opts Options) {
 	nv := int(*bankCount(p, bank))
 	if nv == 0 {
 		return
 	}
 	// Build live intervals.
-	ivs := make([]*interval, nv)
+	ivs := make([]interval, nv)
 	touch := func(vreg int32, pos int) {
-		iv := ivs[vreg]
-		if iv == nil {
-			iv = &interval{vreg: vreg, start: pos, end: pos}
-			ivs[vreg] = iv
+		iv := &ivs[vreg]
+		if !iv.live {
+			*iv = interval{vreg: vreg, start: pos, end: pos, live: true}
 			return
 		}
 		if pos < iv.start {
@@ -277,75 +150,63 @@ func allocateBank(p *ir.Prog, bank ir.Bank, opts Options) {
 		}
 	}
 	// Record the per-position events so loop extension can distinguish
-	// iteration-local temporaries from loop-carried values.
-	type event struct {
-		pos   int
-		vreg  int32
-		isDef bool
-	}
-	var events []event
-	var scratchRefs []opRef
-	for pos := range p.Ins {
-		scratchRefs = refs(&p.Ins[pos], scratchRefs[:0])
-		// uses happen before defs within one instruction
-		for _, r := range scratchRefs {
-			if r.bank == bank && !r.isDef {
-				touch(*r.field, pos)
-				events = append(events, event{pos, *r.field, false})
-			}
-		}
-		for _, r := range scratchRefs {
-			if r.bank == bank && r.isDef {
-				touch(*r.field, pos)
-				events = append(events, event{pos, *r.field, true})
-			}
-		}
-	}
-	// Extend intervals across loops (backward branches): a value is live
-	// around the backedge only when its first event inside the loop
-	// region is a read — either it was defined before the loop, or the
-	// previous iteration's value flows in (loop-carried). Temporaries
-	// that are always written before being read stay iteration-local,
-	// which keeps register pressure sane in unrolled loops.
-	type loop struct{ lo, hi int }
+	// iteration-local temporaries from loop-carried values, and the
+	// loops themselves (backward branches).
+	type loop struct{ lo, hi, firsts, nfirsts int }
 	var loops []loop
-	for pos, in := range p.Ins {
-		var tgt int32 = -1
-		switch in.Op {
-		case ir.OpJmp:
-			tgt = in.A
-		case ir.OpBrTrueF, ir.OpBrFalseF, ir.OpBrFalseV, ir.OpBrTrueV,
-			ir.OpBrFLt, ir.OpBrFLe, ir.OpBrFEq, ir.OpBrFNe, ir.OpBrFNLt, ir.OpBrFNLe,
-			ir.OpBrILt, ir.OpBrILe, ir.OpBrIEq, ir.OpBrINe:
-			tgt = in.C
+	var events []event
+	// eventsFrom[pos] is the index of the first event at or after pos.
+	eventsFrom := make([]int32, len(p.Ins)+1)
+	var buf [3]ir.Operand
+	for pos := range p.Ins {
+		eventsFrom[pos] = int32(len(events))
+		in := &p.Ins[pos]
+		for _, u := range in.Uses(&buf) {
+			if u.Bank == bank {
+				touch(*u.Reg, pos)
+				events = append(events, event{pos, *u.Reg, false})
+			}
 		}
-		if tgt >= 0 && int(tgt) <= pos {
-			loops = append(loops, loop{lo: int(tgt), hi: pos})
+		if d, ok := in.Def(); ok && d.Bank == bank {
+			touch(*d.Reg, pos)
+			events = append(events, event{pos, *d.Reg, true})
+		}
+		if t := in.Target(); t != nil && int(*t) <= pos {
+			loops = append(loops, loop{lo: int(*t), hi: pos})
 		}
 	}
-	changed := true
-	for changed {
+	eventsFrom[len(p.Ins)] = int32(len(events))
+
+	// Extend intervals across loops: a value is live around the backedge
+	// only when its first event inside the loop region is a read —
+	// either it was defined before the loop, or the previous iteration's
+	// value flows in (loop-carried). Temporaries that are always written
+	// before being read stay iteration-local, which keeps register
+	// pressure sane in unrolled loops. Each loop's first events are
+	// found once, in one walk over its stretch of the event list; the
+	// fixpoint below then only revisits those tables.
+	var firsts []loopFirst
+	seenIn := make([]int32, nv) // 1 + the last loop that met the register
+	for li := range loops {
+		l := &loops[li]
+		l.firsts = len(firsts)
+		for _, ev := range events[eventsFrom[l.lo]:eventsFrom[l.hi+1]] {
+			if seenIn[ev.vreg] != int32(li)+1 {
+				seenIn[ev.vreg] = int32(li) + 1
+				firsts = append(firsts, loopFirst{ev.vreg, !ev.isDef})
+			}
+		}
+		l.nfirsts = len(firsts) - l.firsts
+	}
+	for changed := true; changed; {
 		changed = false
 		for _, l := range loops {
-			// first event kind per vreg within [lo, hi]
-			firstIsUse := map[int32]bool{}
-			seen := map[int32]bool{}
-			for _, ev := range events {
-				if ev.pos < l.lo || ev.pos > l.hi || seen[ev.vreg] {
-					continue
-				}
-				seen[ev.vreg] = true
-				firstIsUse[ev.vreg] = !ev.isDef
-			}
-			for vreg, carried := range firstIsUse {
-				iv := ivs[vreg]
-				if iv == nil {
-					continue
-				}
+			for _, f := range firsts[l.firsts : l.firsts+l.nfirsts] {
+				iv := &ivs[f.vreg]
 				// Values used after the loop are live through the
 				// backedge as well when defined before/inside it.
 				usedAfter := iv.end > l.hi && iv.start <= l.hi
-				if !carried && !usedAfter {
+				if !f.carried && !usedAfter {
 					continue
 				}
 				if iv.start > l.lo {
@@ -362,10 +223,10 @@ func allocateBank(p *ir.Prog, bank ir.Bank, opts Options) {
 
 	// Linear scan.
 	k := physCount(opts, bank)
-	var sorted []*interval
-	for _, iv := range ivs {
-		if iv != nil {
-			sorted = append(sorted, iv)
+	sorted := make([]*interval, 0, nv)
+	for i := range ivs {
+		if ivs[i].live {
+			sorted = append(sorted, &ivs[i])
 		}
 	}
 	sort.Slice(sorted, func(i, j int) bool {
@@ -376,25 +237,22 @@ func allocateBank(p *ir.Prog, bank ir.Bank, opts Options) {
 	})
 
 	nextSlot := int32(0)
-	assignSlot := func(iv *interval) {
-		if !iv.hasSlot {
-			iv.slot = nextSlot
-			iv.hasSlot = true
-			nextSlot++
-		}
+	spill := func(iv *interval) {
+		iv.slot = nextSlot
 		iv.spilled = true
+		nextSlot++
 	}
 
 	if opts.SpillAll {
 		for _, iv := range sorted {
-			assignSlot(iv)
+			spill(iv)
 		}
 	} else {
 		free := make([]int32, 0, k)
 		for i := k - 1; i >= 0; i-- {
 			free = append(free, int32(i))
 		}
-		var active []*interval // sorted by end
+		active := make([]*interval, 0, k) // sorted by end
 		insertActive := func(iv *interval) {
 			at := sort.Search(len(active), func(i int) bool { return active[i].end > iv.end })
 			active = append(active, nil)
@@ -417,96 +275,79 @@ func allocateBank(p *ir.Prog, bank ir.Bank, opts Options) {
 				last := active[len(active)-1]
 				if last.end > iv.end {
 					iv.phys = last.phys
-					iv.assigned = true
-					assignSlot(last)
-					last.assigned = false
+					spill(last)
 					active = active[:len(active)-1]
 					insertActive(iv)
 				} else {
-					assignSlot(iv)
+					spill(iv)
 				}
 				continue
 			}
 			iv.phys = free[len(free)-1]
 			free = free[:len(free)-1]
-			iv.assigned = true
 			insertActive(iv)
 		}
 	}
 
 	// Rewrite the instruction stream. Scratch registers live above the
-	// allocatable set: k, k+1, k+2.
+	// allocatable set: k, k+1, k+2. A spilled source is loaded into the
+	// next scratch register before the instruction (once, however many
+	// fields name it); a spilled destination is computed into one and
+	// stored after.
 	load, store := slotOps(bank)
-	var out []ir.Instr
+	nspillRefs := 0
+	for _, ev := range events {
+		if ivs[ev.vreg].spilled {
+			nspillRefs++
+		}
+	}
+	out := make([]ir.Instr, 0, len(p.Ins)+nspillRefs)
 	newPos := make([]int32, len(p.Ins)+1)
 	for pos := range p.Ins {
 		newPos[pos] = int32(len(out))
-		in := p.Ins[pos]
-		scratchRefs = refs(&in, scratchRefs[:0])
+		in := &p.Ins[pos] // renamed where it stands: the old stream is dropped below
 		scratchNext := int32(k)
-		type defFix struct {
-			scratch int32
-			slot    int32
-		}
-		var defs []defFix
-		seen := map[int32]int32{} // vreg → scratch already loaded for this instr
+		var loaded [3]int32 // spilled sources already in k, k+1, k+2
 		// Sources first: a def of the same vreg must not shadow the load.
-		for _, r := range scratchRefs {
-			if r.bank != bank || r.isDef {
+		for _, u := range in.Uses(&buf) {
+			if u.Bank != bank {
 				continue
 			}
-			iv := ivs[*r.field]
-			if iv == nil {
-				continue
-			}
+			iv := &ivs[*u.Reg]
 			if !iv.spilled {
-				*r.field = iv.phys
+				*u.Reg = iv.phys
 				continue
 			}
-			if s, ok := seen[iv.vreg]; ok {
-				*r.field = s
-				continue
+			s := int32(k)
+			for s < scratchNext && loaded[s-int32(k)] != iv.vreg {
+				s++
 			}
-			s := scratchNext
-			scratchNext++
-			out = append(out, ir.Instr{Op: load, A: s, B: iv.slot})
-			seen[iv.vreg] = s
-			*r.field = s
+			if s == scratchNext {
+				loaded[s-int32(k)] = iv.vreg
+				scratchNext++
+				out = append(out, ir.Instr{Op: load, A: s, B: iv.slot})
+			}
+			*u.Reg = s
 		}
-		for _, r := range scratchRefs {
-			if r.bank != bank || !r.isDef {
-				continue
+		storeTo := int32(-1)
+		if d, ok := in.Def(); ok && d.Bank == bank {
+			if iv := &ivs[*d.Reg]; iv.spilled {
+				*d.Reg, storeTo = scratchNext, iv.slot
+			} else {
+				*d.Reg = iv.phys
 			}
-			iv := ivs[*r.field]
-			if iv == nil {
-				continue
-			}
-			if !iv.spilled {
-				*r.field = iv.phys
-				continue
-			}
-			s := scratchNext
-			scratchNext++
-			defs = append(defs, defFix{scratch: s, slot: iv.slot})
-			*r.field = s
 		}
-		out = append(out, in)
-		for _, d := range defs {
-			out = append(out, ir.Instr{Op: store, A: d.slot, B: d.scratch})
+		out = append(out, *in)
+		if storeTo >= 0 {
+			out = append(out, ir.Instr{Op: store, A: storeTo, B: in.A})
 		}
 	}
 	newPos[len(p.Ins)] = int32(len(out))
 
 	// Fix branch targets.
 	for i := range out {
-		in := &out[i]
-		switch in.Op {
-		case ir.OpJmp:
-			in.A = newPos[in.A]
-		case ir.OpBrTrueF, ir.OpBrFalseF, ir.OpBrFalseV, ir.OpBrTrueV,
-			ir.OpBrFLt, ir.OpBrFLe, ir.OpBrFEq, ir.OpBrFNe, ir.OpBrFNLt, ir.OpBrFNLe,
-			ir.OpBrILt, ir.OpBrILe, ir.OpBrIEq, ir.OpBrINe:
-			in.C = newPos[in.C]
+		if t := out[i].Target(); t != nil {
+			*t = newPos[*t]
 		}
 	}
 	p.Ins = out
@@ -517,11 +358,7 @@ func allocateBank(p *ir.Prog, bank ir.Bank, opts Options) {
 		if b.Bank != bank {
 			continue
 		}
-		iv := ivs[b.Reg]
-		if iv == nil {
-			b.Reg = 0
-			continue
-		}
+		iv := &ivs[b.Reg]
 		if iv.spilled {
 			b.Slot = true
 			b.Reg = iv.slot

@@ -66,8 +66,8 @@ func TestAllocationBoundsRegisters(t *testing.T) {
 	// every F register reference must now be < FRegs + 3 scratch
 	limit := int32(6 + 3)
 	for pos, in := range p.Ins {
-		for _, r := range fRegsOf(&in) {
-			if r >= limit {
+		for _, o := range fOperands(&in) {
+			if r := *o.Reg; r >= limit {
 				t.Fatalf("instr %d references f%d ≥ limit %d (had %d virtuals)\n%s",
 					pos, r, limit, virtBefore, p.Disasm())
 			}
@@ -78,12 +78,18 @@ func TestAllocationBoundsRegisters(t *testing.T) {
 	}
 }
 
-// fRegsOf extracts F-bank register references using the shared metadata.
-func fRegsOf(in *ir.Instr) []int32 {
-	var out []int32
-	for _, r := range refs(in, nil) {
-		if r.bank == ir.BankF {
-			out = append(out, *r.field)
+// fOperands lists an instruction's F-bank operands (reads, then the
+// write) using the shared metadata.
+func fOperands(in *ir.Instr) []ir.Operand {
+	var out []ir.Operand
+	var buf [3]ir.Operand
+	ops := in.Uses(&buf)
+	if d, ok := in.Def(); ok {
+		ops = append(ops, d)
+	}
+	for _, o := range ops {
+		if o.Bank == ir.BankF {
+			out = append(out, o)
 		}
 	}
 	return out
@@ -165,14 +171,11 @@ func TestNoLiveIntervalConflict(t *testing.T) {
 	type ref struct {
 		pos  int
 		vreg int32
-		def  bool
 	}
 	var frefs []ref
 	for pos := range p.Ins {
-		for _, r := range refs(&p.Ins[pos], nil) {
-			if r.bank == ir.BankF {
-				frefs = append(frefs, ref{pos, *r.field, r.isDef})
-			}
+		for _, o := range fOperands(&p.Ins[pos]) {
+			frefs = append(frefs, ref{pos, *o.Reg})
 		}
 	}
 	intervals := map[int32][2]int{}
@@ -198,15 +201,12 @@ func TestNoLiveIntervalConflict(t *testing.T) {
 	phys := map[int32]int32{}
 	i := 0
 	for pos := range p.Ins {
-		for _, r := range refs(&p.Ins[pos], nil) {
-			if r.bank != ir.BankF {
-				continue
-			}
+		for _, o := range fOperands(&p.Ins[pos]) {
 			v := frefs[i].vreg
-			if old, ok := phys[v]; ok && old != *r.field {
-				t.Fatalf("vreg %d mapped to both f%d and f%d", v, old, *r.field)
+			if old, ok := phys[v]; ok && old != *o.Reg {
+				t.Fatalf("vreg %d mapped to both f%d and f%d", v, old, *o.Reg)
 			}
-			phys[v] = *r.field
+			phys[v] = *o.Reg
 			i++
 		}
 	}
