@@ -105,9 +105,9 @@ const gemvGrainFlops = 1 << 15
 //
 // Both partitionings leave every y element's accumulation order
 // unchanged — non-trans splits the rows of y (each row still sums its
-// columns j = 0..n-1 in order), trans splits the independent dot
-// products — so results are byte-for-byte identical for every thread
-// count.
+// columns j = 0..n-1 in order, four to a pass: DESIGN.md §11), trans
+// splits the independent dot products — so results are byte-for-byte
+// identical for every thread count.
 func Dgemv(trans bool, m, n int, alpha float64, a []float64, lda int, x []float64, beta float64, y []float64) {
 	if alpha == 0 {
 		// A and x are not referenced (BLAS convention, matching Dgemm's
@@ -140,7 +140,26 @@ func Dgemv(trans bool, m, n int, alpha float64, a []float64, lda int, x []float6
 					yw[i] *= beta
 				}
 			}
-			for j := 0; j < n; j++ {
+			// Four columns per pass over yw: each y element is loaded and
+			// stored once per four terms instead of once per term, and its
+			// terms are still added one by one in ascending j (one rounded
+			// s += t*c statement per column, as in the tail loop).
+			j := 0
+			for ; j+4 <= n; j += 4 {
+				t0, t1, t2, t3 := alpha*x[j], alpha*x[j+1], alpha*x[j+2], alpha*x[j+3]
+				c0 := a[j*lda+lo : j*lda+hi][:len(yw)]
+				c1 := a[(j+1)*lda+lo : (j+1)*lda+hi][:len(yw)]
+				c2 := a[(j+2)*lda+lo : (j+2)*lda+hi][:len(yw)]
+				c3 := a[(j+3)*lda+lo : (j+3)*lda+hi][:len(yw)]
+				for i, s := range yw {
+					s += t0 * c0[i]
+					s += t1 * c1[i]
+					s += t2 * c2[i]
+					s += t3 * c3[i]
+					yw[i] = s
+				}
+			}
+			for ; j < n; j++ {
 				t := alpha * x[j]
 				col := a[j*lda+lo : j*lda+hi]
 				for i, v := range col {

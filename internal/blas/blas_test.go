@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 func TestDdot(t *testing.T) {
@@ -146,6 +148,75 @@ func TestDgemmAgainstNaive(t *testing.T) {
 		for i := range want {
 			if math.Abs(got[i]-want[i]) > 1e-10 {
 				t.Fatalf("trial %d: C[%d] = %g, want %g", trial, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// seedDgemvN is the non-transposed Dgemv as it stood before the
+// four-column pass: one column per pass over y.
+func seedDgemvN(m, n int, alpha float64, a []float64, lda int, x []float64, beta float64, y []float64) {
+	switch beta {
+	case 0:
+		for i := range y[:m] {
+			y[i] = 0
+		}
+	case 1:
+	default:
+		for i := range y[:m] {
+			y[i] *= beta
+		}
+	}
+	for j := 0; j < n; j++ {
+		t := alpha * x[j]
+		for i, v := range a[j*lda : j*lda+m] {
+			y[i] += t * v
+		}
+	}
+}
+
+// TestDgemvUnrolledIsTheSeedLoop: four columns per pass changes how
+// often y is loaded and stored, not one rounding — every element equals
+// the one-column loop's bit for bit, whatever n mod 4, the
+// coefficients, the thread count, or the NaNs and Infs in A.
+func TestDgemvUnrolledIsTheSeedLoop(t *testing.T) {
+	defer parallel.SetDefaultThreads(0)
+	r := rand.New(rand.NewSource(16))
+	for _, threads := range []int{1, 4} {
+		parallel.SetDefaultThreads(threads)
+		for _, m := range []int{1, 7, 420} {
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 420, 421, 422, 423} {
+				for _, beta := range []float64{0, 1, -1, 0.5} {
+					for _, alpha := range []float64{1, -1, 0.3} {
+						for _, specials := range []bool{false, true} {
+							lda := m + r.Intn(3)
+							a, x := make([]float64, lda*n+1), make([]float64, n)
+							for i := range a {
+								a[i] = r.Float64()*4 - 2
+							}
+							for i := range x {
+								x[i] = r.Float64()*4 - 2
+							}
+							if specials {
+								fillSpecials(r, a)
+								clear(x) // 0*NaN and 0*Inf must still reach y
+							}
+							y0 := make([]float64, m)
+							for i := range y0 {
+								y0[i] = r.Float64()*4 - 2
+							}
+							got, want := append([]float64(nil), y0...), append([]float64(nil), y0...)
+							Dgemv(false, m, n, alpha, a, lda, x, beta, got)
+							seedDgemvN(m, n, alpha, a, lda, x, beta, want)
+							for i := range want {
+								if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+									t.Fatalf("m=%d n=%d alpha=%g beta=%g specials=%v threads=%d: y[%d] = %v, seed loop %v",
+										m, n, alpha, beta, specials, threads, i, got[i], want[i])
+								}
+							}
+						}
+					}
+				}
 			}
 		}
 	}

@@ -178,10 +178,61 @@ end`
 	if n := count(p, ir.OpVFuseArgF); n != 1 {
 		t.Errorf("expected one staged scalar, got %d:\n%s", n, p.Disasm())
 	}
-	// off by default
+	// Off by default: the vector∘vector operators stay generic. Only the
+	// register scalar's operator (t - a./s, with its divisor staged
+	// instead of boxed) is a kernel, which FuseElemwise does not govern.
 	p = compileFn(t, src, params, DefaultConfig())
-	if n := count(p, ir.OpVFused); n != 0 {
-		t.Errorf("fused kernel emitted with fusion disabled:\n%s", p.Disasm())
+	if n, g := count(p, ir.OpVFused), count(p, ir.OpGBin); n != 1 || g != 2 {
+		t.Errorf("fusion disabled: %d kernels and %d generic ops, want 1 and 2:\n%s", n, g, p.Disasm())
+	}
+	if n := count(p, ir.OpBoxF); n != 0 {
+		t.Errorf("the scalar divisor was boxed:\n%s", p.Disasm())
+	}
+}
+
+// A scalar in an F or I register enters array arithmetic through the
+// kernel's slot file, never through a box — with fusion off.
+func TestRegisterScalarIsNotBoxed(t *testing.T) {
+	vec := types.Exact(types.IReal, 5000, 1, types.RangeTop)
+	params := map[string]types.Type{
+		"x": vec, "p": vec, "alpha": types.ScalarOf(types.IReal, types.RangeTop),
+	}
+	for _, c := range []struct {
+		expr         string
+		kernels, ops int // OpVFused instructions; operators of the last one
+	}{
+		{"alpha*p", 1, 1},
+		{"p/alpha", 1, 1},
+		{"p + 2", 1, 1},
+		{"x - alpha*p", 1, 2},
+		{"alpha*p + x", 1, 2},
+		{"(x + p) + alpha*p", 1, 2}, // x + p stays a generic leaf
+		{"x + p", 0, 0},
+		{"p .^ alpha", 0, 0}, // can promote to complex: not selected
+	} {
+		p := compileFn(t, "function r = f(x, p, alpha)\n  r = "+c.expr+";\nend", params, DefaultConfig())
+		if n := count(p, ir.OpVFused); n != c.kernels {
+			t.Errorf("%s: %d kernels, want %d:\n%s", c.expr, n, c.kernels, p.Disasm())
+			continue
+		}
+		if n := count(p, ir.OpBoxF, ir.OpBoxI); n != 0 && c.kernels > 0 {
+			t.Errorf("%s: %d boxes remain:\n%s", c.expr, n, p.Disasm())
+		}
+		for _, in := range p.Ins {
+			if in.Op == ir.OpVFused {
+				nv := int(p.Aux[in.B])
+				nops := 0
+				prog := p.Aux[int(in.B)+3+nv:]
+				for j := 0; j < int(p.Aux[int(in.B)+2+nv]); j++ {
+					if prog[2*j] >= ir.FuseAdd {
+						nops++
+					}
+				}
+				if nops != c.ops {
+					t.Errorf("%s: kernel of %d operators, want %d:\n%s", c.expr, nops, c.ops, p.Disasm())
+				}
+			}
+		}
 	}
 }
 

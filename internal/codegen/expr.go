@@ -176,6 +176,11 @@ func (g *gen) binary(x *ast.Binary) (ir.Bank, int32) {
 		}
 	}
 
+	// A register scalar meeting an array: one kernel, no box.
+	if b, r, ok := g.tryFuseScalar(x); ok {
+		return b, r
+	}
+
 	// Generic fallback: boxed operands, polymorphic library call.
 	lb, lr := g.expr(x.L)
 	lv := g.toV(lb, lr)
@@ -442,7 +447,7 @@ func (g *gen) transpose(x *ast.Transpose) (ir.Bank, int32) {
 	if x.Conjugate {
 		code = unCTrans
 	}
-	g.emit(ir.Instr{Op: ir.OpGUn, A: d, B: v, D: code})
+	g.emit(ir.Instr{Op: ir.OpGUn, A: d, B: v, D: code, Imm: float64(g.consumed(v))})
 	return ir.BankV, d
 }
 

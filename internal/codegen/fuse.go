@@ -95,14 +95,55 @@ func (g *gen) fuseInterior(e ast.Expr) (fuseNode, bool) {
 
 // tryFuseExpr compiles e as one fused elementwise kernel when it roots
 // a tree of at least two fusable operators (a single generic op is
-// already one memory pass). The first walk only counts — it evaluates
-// nothing, so a declined fusion leaves no stray code behind.
+// already one memory pass).
 func (g *gen) tryFuseExpr(e ast.Expr) (ir.Bank, int32, bool) {
+	return g.fuseTree(e, 2, g.fuseInterior)
+}
+
+// scalarSide classifies e like fuseInterior, accepting only + - * / .*
+// ./ over a proven real scalar and a dense real non-scalar (alpha*p,
+// D/w, b + 2): the operators whose generic form would box the scalar.
+func (g *gen) scalarSide(e ast.Expr) (fuseNode, bool) {
+	n, ok := g.fuseInterior(e)
+	if !ok || len(n.kids) != 2 || n.code == ir.FusePow {
+		return fuseNode{}, false
+	}
+	l, r := g.annOf(n.kids[0]), g.annOf(n.kids[1])
+	return n, l.IsScalar() && types.LeqI(l.I, types.IReal) || r.IsScalar() && types.LeqI(r.I, types.IReal)
+}
+
+// tryFuseScalar is the selection rule that keeps a register scalar out
+// of a box, whatever FuseElemwise says: x with a scalar side, or the
+// axpy shape x ± s*p, compiles to one kernel whose scalars travel
+// through OpVFuseArgF. Only x itself and descendants with a scalar side
+// join the kernel; every other subtree is a leaf the ordinary rules
+// compile. The result equals the generic chain's bit for bit — each
+// operator runs the same loop of mat's kernel table either way.
+func (g *gen) tryFuseScalar(x *ast.Binary) (ir.Bank, int32, bool) {
+	_, root := g.scalarSide(x)
+	_, left := g.scalarSide(x.L)
+	_, right := g.scalarSide(x.R)
+	if !root && !left && !right {
+		return 0, 0, false
+	}
+	return g.fuseTree(x, 1, func(e ast.Expr) (fuseNode, bool) {
+		if e == ast.Expr(x) {
+			return g.fuseInterior(e)
+		}
+		return g.scalarSide(e)
+	})
+}
+
+// fuseTree compiles the tree under e whose interior nodes interior
+// accepts, when it has at least minOps of them. The first walk only
+// counts — it evaluates nothing, so a declined fusion leaves no stray
+// code behind.
+func (g *gen) fuseTree(e ast.Expr, minOps int, interior func(ast.Expr) (fuseNode, bool)) (ir.Bank, int32, bool) {
 	nops, nleaves := 0, 0
 	legal := true
 	var count func(e ast.Expr)
 	count = func(e ast.Expr) {
-		n, ok := g.fuseInterior(e)
+		n, ok := interior(e)
 		if !ok {
 			if la := g.annOf(e); !types.LeqI(la.I, types.IReal) || la.Sp {
 				legal = false
@@ -116,7 +157,7 @@ func (g *gen) tryFuseExpr(e ast.Expr) (ir.Bank, int32, bool) {
 		}
 	}
 	count(e)
-	if !legal || nops < 2 || nleaves > ir.MaxFuseOperands || nops+nleaves > ir.MaxFuseOps {
+	if !legal || nops < minOps || nleaves > ir.MaxFuseOperands || nops+nleaves > ir.MaxFuseOps {
 		return 0, 0, false
 	}
 
@@ -139,7 +180,7 @@ func (g *gen) tryFuseExpr(e ast.Expr) (ir.Bank, int32, bool) {
 	}
 	var walk func(e ast.Expr)
 	walk = func(e ast.Expr) {
-		n, ok := g.fuseInterior(e)
+		n, ok := interior(e)
 		if !ok {
 			b, r := g.expr(e)
 			switch b {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/mat"
 	"repro/internal/parser"
+	"repro/internal/vm/vmtest"
 )
 
 // Programs for result-buffer reuse (DESIGN §10). Each loops at least
@@ -298,13 +299,38 @@ func bytesPerCall(t *testing.T, e *Engine, args []*mat.Value) float64 {
 	return float64(m1.TotalAlloc-m0.TotalAlloc) / runs
 }
 
+// mallocsPerCall is the number of heap objects one warm call allocates,
+// averaged.
+func mallocsPerCall(t *testing.T, e *Engine, args []*mat.Value) float64 {
+	t.Helper()
+	call := func() {
+		if _, err := e.Call("f", args, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	call() // compile
+	call() // settle the frame chain
+	const runs = 5
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		call()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.Mallocs-m0.Mallocs) / runs
+}
+
 // TestArrayResultAllocBudget pins what reuse buys. A solver loop's
 // array allocations stop after its first trips: going from 20 to 200
 // iterations costs less than a quarter of a vector per added trip
 // (dense and sparse operator alike). And one six-operator statement
 // allocates at most two result-sized buffers under plain jit, the rest
-// being built in consumed temporaries.
+// being built in consumed temporaries. Statements that mix a register
+// scalar into an array allocate no object at all per trip.
 func TestArrayResultAllocBudget(t *testing.T) {
+	if vmtest.RaceEnabled {
+		t.Skip("under -race sync.Pool drops puts, so the kernels' pooled scratch blocks are reallocated")
+	}
 	for _, c := range []struct {
 		n      int
 		sparse bool
@@ -325,6 +351,36 @@ func TestArrayResultAllocBudget(t *testing.T) {
 		if perTrip := (long - short) / 180; perTrip >= vector/4 {
 			t.Errorf("n=%d sparse=%v: each further iteration allocates %.0f bytes: the loop is not reusing its buffers", c.n, c.sparse, perTrip)
 		}
+	}
+
+	// A scalar in a register meets an array without a box: the axpy
+	// statements of a solver loop allocate nothing per trip — no boxed
+	// alpha, no alpha*p temporary, no result (it lands in x or q).
+	ax := New(Options{Tier: TierJIT})
+	defer ax.Close()
+	if err := ax.Define(`
+function x = f(x, p, n)
+  alpha = 0.5;
+  for k = 1:n
+    alpha = alpha * 1.0001;
+    q = alpha*p;
+    x = x + alpha*p;
+    x = x - q/2;
+    x = 2 + x;
+  end
+end`); err != nil {
+		t.Fatal(err)
+	}
+	xv, pv := mat.New(2048, 1), mat.New(2048, 1)
+	for i := 0; i < 2048; i++ {
+		xv.SetAt(i, 0, float64(i%7))
+		pv.SetAt(i, 0, float64(i%5)+0.25)
+	}
+	shortN := mallocsPerCall(t, ax, []*mat.Value{xv, pv, mat.Scalar(20)})
+	longN := mallocsPerCall(t, ax, []*mat.Value{xv, pv, mat.Scalar(200)})
+	t.Logf("axpy loop: %.1f mallocs/call at 20 trips, %.1f at 200", shortN, longN)
+	if perTrip := (longN - shortN) / 180; perTrip >= 0.05 {
+		t.Errorf("axpy loop allocates %.2f objects per trip, want none (a boxed scalar is one)", perTrip)
 	}
 
 	e := New(Options{Tier: TierJIT})

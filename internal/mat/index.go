@@ -64,6 +64,25 @@ func ResolveSubscript(v *Value) (Subscript, error) {
 	return Subscript{Idx: idx}, nil
 }
 
+// IndexScalar is A(s) for the common case that needs no index list:
+// a dense base and one real scalar subscript that is a positive integer
+// within numel(A). ok is false for everything else — errors included —
+// and the caller takes ResolveSubscript and Index1.
+func IndexScalar(a, s *Value) (v *Value, ok bool) {
+	if a.sp != nil || s.sp != nil || s.im != nil || s.rows*s.cols != 1 {
+		return nil, false
+	}
+	x := s.re[0]
+	if !(x >= 1 && x <= float64(a.rows*a.cols)) || x != math.Trunc(x) {
+		return nil, false
+	}
+	i := int(x) - 1
+	if a.im != nil {
+		return ComplexScalar(complex(a.re[i], a.im[i])), true
+	}
+	return scalarOf(a.kind, a.re[i]), true
+}
+
 // Index1 implements A(s) with one subscript. A colon subscript returns
 // A(:) (all elements as a column). Linear indices follow column-major
 // order. The shape of the result follows MATLAB: if the subscript is a

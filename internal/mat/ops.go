@@ -32,19 +32,19 @@ func binShape(a, b *Value) (rows, cols int, err error) {
 // elementwise loops; results no larger run inline on the caller.
 const elemGrain = 1 << 14
 
-// elementwise applies fr (real) or fc (complex) pointwise with scalar
+// elementwise applies op (real) or fc (complex) pointwise with scalar
 // broadcasting. Each output element depends only on its own index, so
 // the loops chunk-parallelize over disjoint ranges with byte-identical
 // results for every thread count; the integrality scan AND-merges
 // per-chunk flags (order-independent). The real result may be built in
-// one of d's donors, an operand included: element i is read before it
-// is written and the real loop never gives up half-way.
-func elementwise(d Donors, a, b *Value, fr func(x, y float64) float64, fc func(x, y complex128) complex128) (*Value, error) {
+// one of d's donors, an operand included: the kernels read element i
+// before they write it and never give up half-way.
+func elementwise(d Donors, a, b *Value, op ElemOp, fc func(x, y complex128) complex128) (*Value, error) {
 	if a.rows*a.cols == 1 && b.rows*b.cols == 1 && a.im == nil && b.im == nil && a.sp == nil && b.sp == nil {
 		// Scalar∘scalar: the interpreter's and the boxed tiers' most common
 		// operator call. Same arithmetic and kind rule as the loops below,
 		// without their dispatch or result buffer.
-		z := fr(a.re[0], b.re[0])
+		z := op.Apply(a.re[0], b.re[0])
 		k := PromoteKind(a.kind, b.kind)
 		if (k == Int || k == Bool) && z == math.Trunc(z) && !math.IsInf(z, 0) {
 			return scalarOf(Int, z), nil
@@ -73,15 +73,15 @@ func elementwise(d Donors, a, b *Value, fr func(x, y float64) float64, fc func(x
 	}
 	// int-preserving ops stay integral when inputs are; callers that
 	// need exactness (e.g. plus on ints) keep Int kind. Integrality is
-	// tracked inside the main loop rather than by re-scanning the
-	// finished result.
+	// tracked block by block behind the kernel rather than by re-scanning
+	// the finished result.
 	track := k == Int || k == Bool
 	out := d.NewReal(rows, cols, true, a, b)
 	var allInt bool
 	if n <= elemGrain || parallel.DefaultThreads() == 1 {
-		allInt = elementwiseRange(out.re, a, b, fr, 0, n, track)
+		allInt = elementwiseRange(op, out.re, a, b, 0, n, track)
 	} else {
-		allInt = elementwiseParallel(out.re, a, b, fr, n, track)
+		allInt = elementwiseParallel(op, out.re, a, b, n, track)
 	}
 	if track && allInt {
 		out.kind = Int
@@ -90,32 +90,36 @@ func elementwise(d Donors, a, b *Value, fr func(x, y float64) float64, fc func(x
 }
 
 // elementwiseRange computes elements [lo, hi) of a real elementwise
-// result into o and, when track is set, reports whether all of them are
-// integral.
-func elementwiseRange(o []float64, a, b *Value, fr func(x, y float64) float64, lo, hi int, track bool) bool {
-	if !track {
-		for i := lo; i < hi; i++ {
-			o[i] = fr(bcastR(a, i), bcastR(b, i))
-		}
-		return true
-	}
+// result into o — one kernel dispatch for the whole range — and, when
+// track is set, reports whether all of them are integral: each
+// KernelBlock is scanned while it is in L1, until one is not.
+func elementwiseRange(op ElemOp, o []float64, a, b *Value, lo, hi int, track bool) bool {
+	x, xs := a.operand(lo, hi)
+	y, ys := b.operand(lo, hi)
+	o = o[lo:hi]
 	allInt := true
-	for i := lo; i < hi; i++ {
-		z := fr(bcastR(a, i), bcastR(b, i))
-		o[i] = z
-		if z != math.Trunc(z) || math.IsInf(z, 0) {
-			allInt = false
+	for track && allInt && len(o) > 0 {
+		bs := min(KernelBlock, len(o))
+		ElemKernel(op, o[:bs], x, xs, y, ys)
+		allInt = ChunkAllInt(o[:bs])
+		o = o[bs:]
+		if x != nil {
+			x = x[bs:]
+		}
+		if y != nil {
+			y = y[bs:]
 		}
 	}
+	ElemKernel(op, o, x, xs, y, ys) // the rest, or all of it, unscanned
 	return allInt
 }
 
 // elementwiseParallel is the large-result path, apart from elementwise
 // so that only calls which do fan out pay for the escaping closure.
-func elementwiseParallel(o []float64, a, b *Value, fr func(x, y float64) float64, n int, track bool) bool {
+func elementwiseParallel(op ElemOp, o []float64, a, b *Value, n int, track bool) bool {
 	var notInt atomic.Bool
 	parallel.For(0, n, elemGrain, func(lo, hi int) {
-		if !elementwiseRange(o, a, b, fr, lo, hi, track) {
+		if !elementwiseRange(op, o, a, b, lo, hi, track) {
 			notInt.Store(true)
 		}
 	})
@@ -134,13 +138,6 @@ func elementwiseComplex(a, b *Value, rows, cols int, fc func(x, y complex128) co
 	return out.Demote()
 }
 
-func bcastR(v *Value, i int) float64 {
-	if v.rows*v.cols == 1 {
-		return v.re[0]
-	}
-	return v.re[i]
-}
-
 func bcastC(v *Value, i int) complex128 {
 	if v.rows*v.cols == 1 {
 		return v.ComplexAt(0)
@@ -148,13 +145,9 @@ func bcastC(v *Value, i int) complex128 {
 	return v.ComplexAt(i)
 }
 
-func addR(x, y float64) float64       { return x + y }
 func addC(x, y complex128) complex128 { return x + y }
-func subR(x, y float64) float64       { return x - y }
 func subC(x, y complex128) complex128 { return x - y }
-func mulR(x, y float64) float64       { return x * y }
 func mulC(x, y complex128) complex128 { return x * y }
-func divR(x, y float64) float64       { return x / y }
 func divC(x, y complex128) complex128 { return x / y }
 
 // The arithmetic operators come in two spellings: the package-level
@@ -169,7 +162,7 @@ func (d Donors) Add(a, b *Value) (*Value, error) {
 	if a.sp != nil || b.sp != nil {
 		return sparseAddSub(d, a, b, false)
 	}
-	return elementwise(d, a, b, addR, addC)
+	return elementwise(d, a, b, KAdd, addC)
 }
 
 // Sub implements a-b.
@@ -180,7 +173,7 @@ func (d Donors) Sub(a, b *Value) (*Value, error) {
 	if a.sp != nil || b.sp != nil {
 		return sparseAddSub(d, a, b, true)
 	}
-	return elementwise(d, a, b, subR, subC)
+	return elementwise(d, a, b, KSub, subC)
 }
 
 // ElemMul implements a.*b.
@@ -191,7 +184,7 @@ func (d Donors) ElemMul(a, b *Value) (*Value, error) {
 	if a.sp != nil || b.sp != nil {
 		return sparseElemMul(a, b)
 	}
-	return elementwise(d, a, b, mulR, mulC)
+	return elementwise(d, a, b, KMul, mulC)
 }
 
 // ElemDiv implements a./b.
@@ -202,7 +195,7 @@ func (d Donors) ElemDiv(a, b *Value) (*Value, error) {
 	if a.sp != nil || b.sp != nil {
 		return sparseElemDiv(a, b)
 	}
-	return elementwise(d, a, b, divR, divC)
+	return elementwise(d, a, b, KDiv, divC)
 }
 
 // ElemLDiv implements a.\b.
@@ -233,9 +226,7 @@ func (d Donors) Neg(a *Value) (*Value, error) {
 		return scalarOf(k, -a.re[0]), nil
 	}
 	out := d.NewReal(a.rows, a.cols, true, a)
-	for i, x := range a.re[:n] {
-		out.re[i] = -x
-	}
+	NegKernel(out.re, a.re)
 	out.kind = k
 	return out, nil
 }
@@ -290,10 +281,16 @@ func (d Donors) Mul(a, b *Value) (*Value, error) {
 		}
 		return out.Demote(), nil
 	}
+	m, n := a.rows, b.cols
+	if m == 1 && n == 1 {
+		// p'*q is a dot product. Dgemm would route it to Dgemv one column
+		// (= one element) at a time; Ddot adds the same products to the
+		// same zero in the same ascending order.
+		return Scalar(blas.Ddot(a.cols, a.re, 1, b.re, 1)), nil
+	}
 	// The real product runs on the blocked, parallel dgemm. beta == 0
 	// stores, so the uninitialized (possibly donated) result buffer is
 	// never read.
-	m, n := a.rows, b.cols
 	out := d.NewReal(m, n, false, a, b)
 	blas.Dgemm(m, n, a.cols, 1, a.re, m, b.re, b.rows, 0, out.re, m)
 	return out, nil
@@ -397,19 +394,15 @@ func ElemPow(a, b *Value) (*Value, error) {
 		return nil, err
 	}
 	// A negative base with a fractional exponent produces complex output.
+	n := rows * cols
 	needComplex := a.kind == Complex || b.kind == Complex
-	if !needComplex {
-		n := rows * cols
-		for i := 0; i < n && !needComplex; i++ {
-			x, y := bcastR(a, i), bcastR(b, i)
-			if x < 0 && y != math.Trunc(y) {
-				needComplex = true
-			}
-		}
+	if !needComplex && n > 0 {
+		x, xs := a.operand(0, n)
+		y, ys := b.operand(0, n)
+		needComplex = PowPromotes(x, xs, y, ys)
 	}
 	if needComplex {
 		out := NewKind(Complex, rows, cols)
-		n := rows * cols
 		for i := 0; i < n; i++ {
 			z := cmplx.Pow(bcastC(a, i), bcastC(b, i))
 			out.re[i] = real(z)
@@ -417,39 +410,56 @@ func ElemPow(a, b *Value) (*Value, error) {
 		}
 		return out.Demote(), nil
 	}
-	return elementwise(Donors{}, a, b, math.Pow,
+	return elementwise(Donors{}, a, b, KPow,
 		func(x, y complex128) complex128 { return cmplx.Pow(x, y) })
 }
 
 // Transpose implements a' for real values and the conjugate transpose for
 // complex values (MATLAB's ').
-func Transpose(a *Value) (*Value, error) {
+func Transpose(a *Value) (*Value, error) { return Donors{}.Transpose(a, true) }
+
+// DotTranspose implements a.' (no conjugation).
+func DotTranspose(a *Value) (*Value, error) { return Donors{}.Transpose(a, false) }
+
+// Transpose implements a' (conj) or a.', building a real result in
+// d.Dst or, for a vector that is a consumed temporary, in the operand.
+func (d Donors) Transpose(a *Value, conj bool) (*Value, error) {
 	if a.sp != nil {
-		return sparseTranspose(a)
+		return sparseTranspose(a) // sparse values are real
 	}
-	out := NewKind(a.kind, a.cols, a.rows)
-	for c := 0; c < a.cols; c++ {
-		for r := 0; r < a.rows; r++ {
-			out.re[r*a.cols+c] = a.re[c*a.rows+r]
+	n := a.rows * a.cols
+	vector := a.rows == 1 || a.cols == 1
+	var out *Value
+	switch {
+	case vector && d.Consumed&1 != 0 && !a.IsShared():
+		// The n elements of a vector lie the same way in both
+		// orientations: a dead operand only swaps its header.
+		out = a
+		out.rows, out.cols = a.cols, a.rows
+	case a.im == nil:
+		out = d.NewReal(a.cols, a.rows, false, a)
+		out.kind = a.kind
+	default:
+		out = NewKind(a.kind, a.cols, a.rows)
+	}
+	if vector {
+		if out != a {
+			copy(out.re, a.re[:n])
+			copy(out.im, a.im)
 		}
-	}
-	if a.im != nil {
+	} else {
 		for c := 0; c < a.cols; c++ {
 			for r := 0; r < a.rows; r++ {
-				out.im[r*a.cols+c] = -a.im[c*a.rows+r]
+				out.re[r*a.cols+c] = a.re[c*a.rows+r]
+			}
+		}
+		for c := 0; c < a.cols && a.im != nil; c++ {
+			for r := 0; r < a.rows; r++ {
+				out.im[r*a.cols+c] = a.im[c*a.rows+r]
 			}
 		}
 	}
-	return out, nil
-}
-
-// DotTranspose implements a.' (no conjugation).
-func DotTranspose(a *Value) (*Value, error) {
-	out, err := Transpose(a)
-	if err != nil {
-		return nil, err
-	}
-	if out.im != nil {
+	if conj {
 		for i := range out.im {
 			out.im[i] = -out.im[i]
 		}
@@ -484,50 +494,65 @@ func Compare(op CmpOp, a, b *Value) (*Value, error) {
 		return nil, err
 	}
 	out := NewKind(Bool, rows, cols)
-	n := rows * cols
-	for i := 0; i < n; i++ {
-		var t bool
-		switch op {
-		case CmpEq, CmpNe:
-			eq := bcastR(a, i) == bcastR(b, i) && imOrZero(a, i) == imOrZero(b, i)
-			t = eq == (op == CmpEq)
-		case CmpLt:
-			t = bcastR(a, i) < bcastR(b, i)
-		case CmpLe:
-			t = bcastR(a, i) <= bcastR(b, i)
-		case CmpGt:
-			t = bcastR(a, i) > bcastR(b, i)
-		case CmpGe:
-			t = bcastR(a, i) >= bcastR(b, i)
+	// The broadcast test becomes a stride and the operator is chosen
+	// once: a > b is b < a (CmpGt, CmpGe sit two past CmpLt, CmpLe), and
+	// != is the complement of ==.
+	if op == CmpGt || op == CmpGe {
+		a, b, op = b, a, op-(CmpGt-CmpLt)
+	}
+	o, x, y, sx, sy := out.re, a.re, b.re, a.stride(), b.stride()
+	switch {
+	case op == CmpLt:
+		for i := range o {
+			if x[i*sx] < y[i*sy] {
+				o[i] = 1
+			}
 		}
-		if t {
-			out.re[i] = 1
+	case op == CmpLe:
+		for i := range o {
+			if x[i*sx] <= y[i*sy] {
+				o[i] = 1
+			}
+		}
+	case a.im != nil || b.im != nil:
+		for i := range o {
+			if (x[i*sx] == y[i*sy] && imOrZero(a, i) == imOrZero(b, i)) == (op == CmpEq) {
+				o[i] = 1
+			}
+		}
+	default:
+		for i := range o {
+			if (x[i*sx] == y[i*sy]) == (op == CmpEq) {
+				o[i] = 1
+			}
 		}
 	}
 	return out, nil
+}
+
+// stride is the step between v's consecutive elements under scalar
+// broadcasting: 0 for a 1x1 value, which repeats its one element.
+func (v *Value) stride() int {
+	if v.rows*v.cols == 1 {
+		return 0
+	}
+	return 1
 }
 
 func imOrZero(v *Value, i int) float64 {
 	if v.im == nil {
 		return 0
 	}
-	if v.rows*v.cols == 1 {
-		return v.im[0]
-	}
-	return v.im[i]
+	return v.im[i*v.stride()]
 }
 
 // And implements a&b (elementwise logical and).
-func And(a, b *Value) (*Value, error) {
-	return logical(a, b, func(x, y bool) bool { return x && y })
-}
+func And(a, b *Value) (*Value, error) { return logical(a, b, false) }
 
 // Or implements a|b.
-func Or(a, b *Value) (*Value, error) {
-	return logical(a, b, func(x, y bool) bool { return x || y })
-}
+func Or(a, b *Value) (*Value, error) { return logical(a, b, true) }
 
-func logical(a, b *Value, f func(x, y bool) bool) (*Value, error) {
+func logical(a, b *Value, or bool) (*Value, error) {
 	if a.sp != nil || b.sp != nil {
 		var derr error
 		if a, b, derr = dense2(a, b); derr != nil {
@@ -539,17 +564,33 @@ func logical(a, b *Value, f func(x, y bool) bool) (*Value, error) {
 		return nil, err
 	}
 	out := NewKind(Bool, rows, cols)
-	n := rows * cols
-	for i := 0; i < n; i++ {
-		if f(truthy(a, i), truthy(b, i)) {
-			out.re[i] = 1
+	o, x, y, sx, sy := out.re, a.re, b.re, a.stride(), b.stride()
+	switch {
+	case a.im != nil || b.im != nil:
+		for i := range o {
+			if p, q := truthy(a, i*sx), truthy(b, i*sy); p && q || or && (p || q) {
+				o[i] = 1
+			}
+		}
+	case or:
+		for i := range o {
+			if x[i*sx] != 0 || y[i*sy] != 0 {
+				o[i] = 1
+			}
+		}
+	default:
+		for i := range o {
+			if x[i*sx] != 0 && y[i*sy] != 0 {
+				o[i] = 1
+			}
 		}
 	}
 	return out, nil
 }
 
+// truthy reports whether element i of v is nonzero.
 func truthy(v *Value, i int) bool {
-	return bcastR(v, i) != 0 || imOrZero(v, i) != 0
+	return v.re[i] != 0 || (v.im != nil && v.im[i] != 0)
 }
 
 // Not implements ~a.

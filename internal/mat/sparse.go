@@ -410,7 +410,7 @@ func finishSparse(v *Value) *Value {
 // by row merge. Unmatched entries still apply the operator against an
 // explicit 0.0 so IEEE edge cases (-0, NaN) match the dense result
 // exactly; computed zeros stay stored for the same reason.
-func sparseMergeOp(a, b *sparseData, f func(x, y float64) float64) *sparseData {
+func sparseMergeOp(a, b *sparseData, op ElemOp) *sparseData {
 	out := &sparseData{rows: a.rows, cols: a.cols, rowPtr: make([]int, a.rows+1)}
 	out.colIdx = make([]int, 0, len(a.val)+len(b.val))
 	out.val = make([]float64, 0, len(a.val)+len(b.val))
@@ -421,15 +421,15 @@ func sparseMergeOp(a, b *sparseData, f func(x, y float64) float64) *sparseData {
 			switch {
 			case kb >= eb || (ka < ea && a.colIdx[ka] < b.colIdx[kb]):
 				out.colIdx = append(out.colIdx, a.colIdx[ka])
-				out.val = append(out.val, f(a.val[ka], 0))
+				out.val = append(out.val, op.Apply(a.val[ka], 0))
 				ka++
 			case ka >= ea || b.colIdx[kb] < a.colIdx[ka]:
 				out.colIdx = append(out.colIdx, b.colIdx[kb])
-				out.val = append(out.val, f(0, b.val[kb]))
+				out.val = append(out.val, op.Apply(0, b.val[kb]))
 				kb++
 			default:
 				out.colIdx = append(out.colIdx, a.colIdx[ka])
-				out.val = append(out.val, f(a.val[ka], b.val[kb]))
+				out.val = append(out.val, op.Apply(a.val[ka], b.val[kb]))
 				ka++
 				kb++
 			}
@@ -446,11 +446,11 @@ func sparseMergeOp(a, b *sparseData, f func(x, y float64) float64) *sparseData {
 // not the caller's operands, so only d.Dst stays on offer).
 func sparseAddSub(d Donors, a, b *Value, sub bool) (*Value, error) {
 	if a.sp != nil && b.sp != nil && SameShape(a, b) {
-		f := addR
+		op := KAdd
 		if sub {
-			f = subR
+			op = KSub
 		}
-		return finishSparse(newSparse(sparseMergeOp(a.sp, b.sp, f))), nil
+		return finishSparse(newSparse(sparseMergeOp(a.sp, b.sp, op))), nil
 	}
 	a, b, err := dense2(a, b)
 	if err != nil {

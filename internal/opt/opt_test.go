@@ -183,7 +183,7 @@ func TestFuseDstKeepsTheTempOfAbortableKernels(t *testing.T) {
 		{"x = sqrt(x) + a .* 2;", false},
 		{"x = a ./ 2 + a .^ 2;", true},
 	} {
-		src := "function x = f(a)\n  x = a .* 3;\n  for k = 1:3\n    " + c.src + "\n  end\nend\n"
+		src := "function x = f(a)\n  x = a + a;\n  for k = 1:3\n    " + c.src + "\n  end\nend\n"
 		file, err := parser.Parse(src)
 		if err != nil {
 			t.Fatal(err)

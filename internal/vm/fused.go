@@ -17,7 +17,7 @@ import (
 // loop over a cache-resident chunk. That keeps dispatch cost at
 // ops x (n / fuseBlock) instead of ops x n, while intermediates stay in
 // L1 instead of becoming full-size temporaries.
-const fuseBlock = 512
+const fuseBlock = mat.KernelBlock
 
 // fuseGrainBlocks is the minimum number of blocks per parallel chunk
 // (~16k elements); kernels smaller than that run inline on the caller.
@@ -30,17 +30,8 @@ type fuseScratch [ir.MaxFuseOperands][fuseBlock]float64
 
 var fuseScratchPool = sync.Pool{New: func() any { return new(fuseScratch) }}
 
-// chunkAllInt reports whether every element of a produced chunk stayed
-// integral — the same per-element test the generic elementwise loop
-// applies while deciding between an Int and a Real result.
-func chunkAllInt(o []float64) bool {
-	for _, z := range o {
-		if z != math.Trunc(z) || math.IsInf(z, 0) {
-			return false
-		}
-	}
-	return true
-}
+// fuseKernel maps a binary micro-op to its entry in mat's kernel table.
+var fuseKernel = [...]mat.ElemOp{ir.FuseAdd: mat.KAdd, ir.FuseSub: mat.KSub, ir.FuseMul: mat.KMul, ir.FuseDiv: mat.KDiv, ir.FusePow: mat.KPow}
 
 // fusedExec executes one OpVFused kernel: a postfix micro-op program
 // over real operands, run as a single loop that writes each output
@@ -271,9 +262,22 @@ func fusedExec(c *Compiled, ctx *builtins.Context, aux []int32, at, dst int, con
 // [blo*fuseBlock, bhi*fuseBlock) range of outRe, so disjoint ranges run
 // concurrently; none of the pointer arguments are retained.
 func fuseRunRange(c *Compiled, prog []int32, nops, n, blo, bhi int, data *[ir.MaxFuseOperands][]float64, stride *[ir.MaxFuseOperands]int, slots *[ir.MaxFuseOperands]float64, needAcc, localInt *[ir.MaxFuseOps]bool, outRe []float64, abort *atomic.Bool) {
-	scr := fuseScratchPool.Get().(*fuseScratch)
 	var vbuf [ir.MaxFuseOperands][]float64 // nil => scalar entry in sval
 	var sval [ir.MaxFuseOperands]float64
+	// block is where micro-op j leaves a vector result: the destination
+	// itself for the root, a scratch row for an intermediate. The arena is
+	// drawn at the first intermediate, so a one-operator program (alpha*p)
+	// never visits the pool.
+	var scr *fuseScratch
+	block := func(j, slot, base, bs int) []float64 {
+		if j == nops-1 {
+			return outRe[base : base+bs]
+		}
+		if scr == nil {
+			scr = fuseScratchPool.Get().(*fuseScratch)
+		}
+		return scr[slot][:bs]
+	}
 blocks:
 	for bi := blo; bi < bhi; bi++ {
 		if abort.Load() {
@@ -306,13 +310,8 @@ blocks:
 					sval[sp-1] = -sval[sp-1]
 					continue
 				}
-				o := scr[sp-1][:bs]
-				if j == nops-1 {
-					o = outRe[base : base+bs]
-				}
-				for i := 0; i < bs; i++ {
-					o[i] = -x[i]
-				}
+				o := block(j, sp-1, base, bs)
+				mat.NegKernel(o, x)
 				vbuf[sp-1] = o
 				continue
 			case ir.FuseMath:
@@ -326,10 +325,7 @@ blocks:
 					sval[sp-1] = fn(sval[sp-1])
 					continue
 				}
-				o := scr[sp-1][:bs]
-				if j == nops-1 {
-					o = outRe[base : base+bs]
-				}
+				o := block(j, sp-1, base, bs)
 				if c.fuseSqrt[arg] {
 					for i := 0; i < bs; i++ {
 						if x[i] < 0 {
@@ -346,141 +342,27 @@ blocks:
 				vbuf[sp-1] = o
 				continue
 			}
-			// binary micro-op: pop two, push one
-			op := prog[2*j]
+			// binary micro-op: pop two, push one. The arithmetic is mat's
+			// kernel table — the loops the generic operators run.
+			op := fuseKernel[prog[2*j]]
 			x, y := vbuf[sp-2], vbuf[sp-1]
 			xs, ys := sval[sp-2], sval[sp-1]
 			sp--
+			if op == mat.KPow && mat.PowPromotes(x, xs, y, ys) {
+				abort.Store(true)
+				break blocks
+			}
 			if x == nil && y == nil {
-				var z float64
-				switch op {
-				case ir.FuseAdd:
-					z = xs + ys
-				case ir.FuseSub:
-					z = xs - ys
-				case ir.FuseMul:
-					z = xs * ys
-				case ir.FuseDiv:
-					z = xs / ys
-				case ir.FusePow:
-					if xs < 0 && ys != math.Trunc(ys) {
-						abort.Store(true)
-						break blocks
-					}
-					z = math.Pow(xs, ys)
-				}
+				z := op.Apply(xs, ys)
 				if needAcc[j] && localInt[j] && (z != math.Trunc(z) || math.IsInf(z, 0)) {
 					localInt[j] = false
 				}
 				vbuf[sp-1], sval[sp-1] = nil, z
 				continue
 			}
-			o := scr[sp-1][:bs]
-			if j == nops-1 {
-				o = outRe[base : base+bs]
-			}
-			switch op {
-			case ir.FuseAdd:
-				switch {
-				case x == nil:
-					for i := 0; i < bs; i++ {
-						o[i] = xs + y[i]
-					}
-				case y == nil:
-					for i := 0; i < bs; i++ {
-						o[i] = x[i] + ys
-					}
-				default:
-					for i := 0; i < bs; i++ {
-						o[i] = x[i] + y[i]
-					}
-				}
-			case ir.FuseSub:
-				switch {
-				case x == nil:
-					for i := 0; i < bs; i++ {
-						o[i] = xs - y[i]
-					}
-				case y == nil:
-					for i := 0; i < bs; i++ {
-						o[i] = x[i] - ys
-					}
-				default:
-					for i := 0; i < bs; i++ {
-						o[i] = x[i] - y[i]
-					}
-				}
-			case ir.FuseMul:
-				switch {
-				case x == nil:
-					for i := 0; i < bs; i++ {
-						o[i] = xs * y[i]
-					}
-				case y == nil:
-					for i := 0; i < bs; i++ {
-						o[i] = x[i] * ys
-					}
-				default:
-					for i := 0; i < bs; i++ {
-						o[i] = x[i] * y[i]
-					}
-				}
-			case ir.FuseDiv:
-				switch {
-				case x == nil:
-					for i := 0; i < bs; i++ {
-						o[i] = xs / y[i]
-					}
-				case y == nil:
-					for i := 0; i < bs; i++ {
-						o[i] = x[i] / ys
-					}
-				default:
-					for i := 0; i < bs; i++ {
-						o[i] = x[i] / y[i]
-					}
-				}
-			case ir.FusePow:
-				switch {
-				case x == nil:
-					if xs >= 0 {
-						for i := 0; i < bs; i++ {
-							o[i] = math.Pow(xs, y[i])
-						}
-					} else {
-						for i := 0; i < bs; i++ {
-							if y[i] != math.Trunc(y[i]) {
-								abort.Store(true)
-								break blocks
-							}
-							o[i] = math.Pow(xs, y[i])
-						}
-					}
-				case y == nil:
-					if ys == math.Trunc(ys) {
-						for i := 0; i < bs; i++ {
-							o[i] = math.Pow(x[i], ys)
-						}
-					} else {
-						for i := 0; i < bs; i++ {
-							if x[i] < 0 {
-								abort.Store(true)
-								break blocks
-							}
-							o[i] = math.Pow(x[i], ys)
-						}
-					}
-				default:
-					for i := 0; i < bs; i++ {
-						if x[i] < 0 && y[i] != math.Trunc(y[i]) {
-							abort.Store(true)
-							break blocks
-						}
-						o[i] = math.Pow(x[i], y[i])
-					}
-				}
-			}
-			if needAcc[j] && localInt[j] && !chunkAllInt(o) {
+			o := block(j, sp-1, base, bs)
+			mat.ElemKernel(op, o, x, xs, y, ys)
+			if needAcc[j] && localInt[j] && !mat.ChunkAllInt(o) {
 				localInt[j] = false
 			}
 			vbuf[sp-1] = o
@@ -490,7 +372,9 @@ blocks:
 			outRe[base] = sval[0]
 		}
 	}
-	fuseScratchPool.Put(scr)
+	if scr != nil {
+		fuseScratchPool.Put(scr)
+	}
 }
 
 // fuseRunParallel fans the block range out over the worker pool. State

@@ -9,8 +9,9 @@ import (
 	"repro/internal/mat"
 )
 
-// evalUnOp dispatches the generic unary opcodes. Negation may build its
-// result in one of d's donors, the operand included.
+// evalUnOp dispatches the generic unary opcodes. Negation and the
+// transposes may build their result in one of d's donors, the operand
+// included.
 func evalUnOp(code int32, v *mat.Value, d mat.Donors) (*mat.Value, error) {
 	switch code {
 	case 0: // neg
@@ -20,9 +21,9 @@ func evalUnOp(code int32, v *mat.Value, d mat.Donors) (*mat.Value, error) {
 	case 2: // not
 		return mat.Not(v)
 	case 3: // .'
-		return mat.DotTranspose(v)
+		return d.Transpose(v, false)
 	case 4: // '
-		return mat.Transpose(v)
+		return d.Transpose(v, true)
 	}
 	return nil, fmt.Errorf("unknown unary op %d", code)
 }
@@ -60,6 +61,15 @@ func decodeSubs(aux []int32, at int, V []*mat.Value, buf *[maxSubs]mat.Subscript
 func genericIndex(base *mat.Value, aux []int32, at int, V []*mat.Value) (*mat.Value, error) {
 	if base == nil {
 		return nil, fmt.Errorf("indexing an undefined value")
+	}
+	if aux[at] == 1 {
+		// e(p): one scalar subscript needs no index list. (The colon
+		// marker is 0x0, which IndexScalar declines like any non-scalar.)
+		if s := V[aux[at+1]]; s != nil {
+			if v, ok := mat.IndexScalar(base, s); ok {
+				return v, nil
+			}
+		}
 	}
 	var buf [maxSubs]mat.Subscript
 	subs, err := decodeSubs(aux, at, V, &buf)
