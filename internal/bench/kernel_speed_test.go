@@ -2,13 +2,13 @@ package bench
 
 import (
 	"math"
+	"runtime/debug"
 	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/mat"
-	"repro/internal/vm/vmtest"
 )
 
 // kernelSpeedPrograms are the ledger's steady-kernel rows (benchmark/
@@ -48,6 +48,21 @@ func kernelSpeedPrograms() []struct {
 	)
 }
 
+// raceEnabled reports whether this test binary was built with -race,
+// whose instrumentation makes a timing ratio meaningless.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
 // TestKernelProgramsNotSlowerThanInterp is ROADMAP's "specialised code
 // is never slower than the generic path it replaced", executable: on
 // every kernel-bound program a warm compiled call takes no longer than
@@ -56,7 +71,7 @@ func kernelSpeedPrograms() []struct {
 // median of the per-round ratios; 0.95 leaves room for the one row
 // (matmul) where both tiers spend all their time in the same Dgemm.
 func TestKernelProgramsNotSlowerThanInterp(t *testing.T) {
-	if testing.Short() || vmtest.RaceEnabled {
+	if testing.Short() || raceEnabled() {
 		t.Skip("timing assertion: skipped under -short and -race")
 	}
 	const rounds = 40

@@ -209,6 +209,11 @@ func TestRegisterScalarIsNotBoxed(t *testing.T) {
 		{"(x + p) + alpha*p", 1, 2}, // x + p stays a generic leaf
 		{"x + p", 0, 0},
 		{"p .^ alpha", 0, 0}, // can promote to complex: not selected
+		// Only + - * / .* ./ root a kernel with FuseElemwise off; under any
+		// other root the scalar-side child is a one-operator kernel of its own.
+		{"(alpha*p) .^ x", 1, 1},
+		{"sqrt(alpha*p)", 1, 1},
+		{"-(alpha*p)", 1, 1},
 	} {
 		p := compileFn(t, "function r = f(x, p, alpha)\n  r = "+c.expr+";\nend", params, DefaultConfig())
 		if n := count(p, ir.OpVFused); n != c.kernels {

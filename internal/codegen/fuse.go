@@ -117,13 +117,15 @@ func (g *gen) scalarSide(e ast.Expr) (fuseNode, bool) {
 // axpy shape x ± s*p, compiles to one kernel whose scalars travel
 // through OpVFuseArgF. Only x itself and descendants with a scalar side
 // join the kernel; every other subtree is a leaf the ordinary rules
-// compile. The result equals the generic chain's bit for bit — each
-// operator runs the same loop of mat's kernel table either way.
+// compile. .^ never roots one: what FuseElemwise governs (kernels that
+// can abort to the boxed path) stays behind that option. The result
+// equals the generic chain's bit for bit — each operator runs the same
+// loop of mat's kernel table either way.
 func (g *gen) tryFuseScalar(x *ast.Binary) (ir.Bank, int32, bool) {
 	_, root := g.scalarSide(x)
 	_, left := g.scalarSide(x.L)
 	_, right := g.scalarSide(x.R)
-	if !root && !left && !right {
+	if x.Op == ast.OpEPow || !root && !left && !right {
 		return 0, 0, false
 	}
 	return g.fuseTree(x, 1, func(e ast.Expr) (fuseNode, bool) {

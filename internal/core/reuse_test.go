@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/mat"
 	"repro/internal/parser"
-	"repro/internal/vm/vmtest"
 )
 
 // Programs for result-buffer reuse (DESIGN §10). Each loops at least
@@ -328,9 +327,6 @@ func mallocsPerCall(t *testing.T, e *Engine, args []*mat.Value) float64 {
 // being built in consumed temporaries. Statements that mix a register
 // scalar into an array allocate no object at all per trip.
 func TestArrayResultAllocBudget(t *testing.T) {
-	if vmtest.RaceEnabled {
-		t.Skip("under -race sync.Pool drops puts, so the kernels' pooled scratch blocks are reallocated")
-	}
 	for _, c := range []struct {
 		n      int
 		sparse bool

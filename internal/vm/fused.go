@@ -262,16 +262,41 @@ func fusedExec(c *Compiled, ctx *builtins.Context, aux []int32, at, dst int, con
 // [blo*fuseBlock, bhi*fuseBlock) range of outRe, so disjoint ranges run
 // concurrently; none of the pointer arguments are retained.
 func fuseRunRange(c *Compiled, prog []int32, nops, n, blo, bhi int, data *[ir.MaxFuseOperands][]float64, stride *[ir.MaxFuseOperands]int, slots *[ir.MaxFuseOperands]float64, needAcc, localInt *[ir.MaxFuseOps]bool, outRe []float64, abort *atomic.Bool) {
+	// The scratch row lives in this frame, and clearing it is the cost:
+	// none for load, load, operator (no intermediate), a short one for
+	// vectors as small as qmr's.
+	switch {
+	case nops <= 3:
+		fuseRunBlocks(c, prog, nops, n, blo, bhi, data, stride, slots, needAcc, localInt, outRe, abort, nil)
+	case n <= fuseBlock/8:
+		var row [fuseBlock / 8]float64
+		fuseRunBlocks(c, prog, nops, n, blo, bhi, data, stride, slots, needAcc, localInt, outRe, abort, row[:])
+	default:
+		var row [fuseBlock]float64
+		fuseRunBlocks(c, prog, nops, n, blo, bhi, data, stride, slots, needAcc, localInt, outRe, abort, row[:])
+	}
+}
+
+// fuseRunBlocks is fuseRunRange's block loop; row, when not nil, is a
+// scratch row of min(n, fuseBlock) elements in the caller's frame.
+func fuseRunBlocks(c *Compiled, prog []int32, nops, n, blo, bhi int, data *[ir.MaxFuseOperands][]float64, stride *[ir.MaxFuseOperands]int, slots *[ir.MaxFuseOperands]float64, needAcc, localInt *[ir.MaxFuseOps]bool, outRe []float64, abort *atomic.Bool, row []float64) {
 	var vbuf [ir.MaxFuseOperands][]float64 // nil => scalar entry in sval
 	var sval [ir.MaxFuseOperands]float64
 	// block is where micro-op j leaves a vector result: the destination
-	// itself for the root, a scratch row for an intermediate. The arena is
-	// drawn at the first intermediate, so a one-operator program (alpha*p)
-	// never visits the pool.
+	// itself for the root, a scratch row for an intermediate. The first
+	// stack slot that holds an intermediate gets the caller's row; the
+	// pooled arena is drawn only when a second slot is live beside it, so
+	// one-intermediate kernels (x ± alpha*p, a./(b + 2)) never visit the
+	// pool.
+	rowSlot := -1
 	var scr *fuseScratch
 	block := func(j, slot, base, bs int) []float64 {
 		if j == nops-1 {
 			return outRe[base : base+bs]
+		}
+		if row != nil && (rowSlot < 0 || rowSlot == slot) {
+			rowSlot = slot
+			return row[:bs]
 		}
 		if scr == nil {
 			scr = fuseScratchPool.Get().(*fuseScratch)
