@@ -125,63 +125,83 @@ func Dgemv(trans bool, m, n int, alpha float64, a []float64, lda int, x []float6
 		}
 		return
 	}
+	// A range that fits one grain, or a single thread, runs its body right
+	// here: a func literal handed to parallel.For is a heap object whether
+	// or not For ends up scheduling anything, and a 2x2 product in a loop
+	// should cost no object at all.
 	if !trans {
-		grain := 1 + gemvGrainFlops/(2*n+1)
-		parallel.For(0, m, grain, func(lo, hi int) {
-			yw := y[lo:hi]
-			switch beta {
-			case 0:
-				for i := range yw {
-					yw[i] = 0
-				}
-			case 1:
-			default:
-				for i := range yw {
-					yw[i] *= beta
-				}
-			}
-			// Four columns per pass over yw: each y element is loaded and
-			// stored once per four terms instead of once per term, and its
-			// terms are still added one by one in ascending j (one rounded
-			// s += t*c statement per column, as in the tail loop).
-			j := 0
-			for ; j+4 <= n; j += 4 {
-				t0, t1, t2, t3 := alpha*x[j], alpha*x[j+1], alpha*x[j+2], alpha*x[j+3]
-				c0 := a[j*lda+lo : j*lda+hi][:len(yw)]
-				c1 := a[(j+1)*lda+lo : (j+1)*lda+hi][:len(yw)]
-				c2 := a[(j+2)*lda+lo : (j+2)*lda+hi][:len(yw)]
-				c3 := a[(j+3)*lda+lo : (j+3)*lda+hi][:len(yw)]
-				for i, s := range yw {
-					s += t0 * c0[i]
-					s += t1 * c1[i]
-					s += t2 * c2[i]
-					s += t3 * c3[i]
-					yw[i] = s
-				}
-			}
-			for ; j < n; j++ {
-				t := alpha * x[j]
-				col := a[j*lda+lo : j*lda+hi]
-				for i, v := range col {
-					yw[i] += t * v
-				}
-			}
-		})
+		if grain := 1 + gemvGrainFlops/(2*n+1); m <= grain || parallel.DefaultThreads() == 1 {
+			gemvRows(0, m, n, alpha, a, lda, x, beta, y)
+		} else {
+			parallel.For(0, m, grain, func(lo, hi int) { gemvRows(lo, hi, n, alpha, a, lda, x, beta, y) })
+		}
 		return
 	}
-	grain := 1 + gemvGrainFlops/(2*m+1)
-	parallel.For(0, n, grain, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			col := a[j*lda : j*lda+m]
-			var s float64
-			for i := 0; i < m; i++ {
-				s += col[i] * x[i]
-			}
-			if beta == 0 {
-				y[j] = alpha * s
-			} else {
-				y[j] = alpha*s + beta*y[j]
-			}
+	if grain := 1 + gemvGrainFlops/(2*m+1); n <= grain || parallel.DefaultThreads() == 1 {
+		gemvDots(0, n, m, alpha, a, lda, x, beta, y)
+	} else {
+		parallel.For(0, n, grain, func(lo, hi int) { gemvDots(lo, hi, m, alpha, a, lda, x, beta, y) })
+	}
+}
+
+// gemvRows is the non-transposed product over rows [lo, hi) of y.
+func gemvRows(lo, hi, n int, alpha float64, a []float64, lda int, x []float64, beta float64, y []float64) {
+	if hi <= lo {
+		return // no rows: nothing to compute, and no column of a to slice
+	}
+	yw := y[lo:hi]
+	switch beta {
+	case 0:
+		for i := range yw {
+			yw[i] = 0
 		}
-	})
+	case 1:
+	default:
+		for i := range yw {
+			yw[i] *= beta
+		}
+	}
+	// Four columns per pass over yw: each y element is loaded and
+	// stored once per four terms instead of once per term, and its
+	// terms are still added one by one in ascending j (one rounded
+	// s += t*c statement per column, as in the tail loop).
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		t0, t1, t2, t3 := alpha*x[j], alpha*x[j+1], alpha*x[j+2], alpha*x[j+3]
+		c0 := a[j*lda+lo : j*lda+hi][:len(yw)]
+		c1 := a[(j+1)*lda+lo : (j+1)*lda+hi][:len(yw)]
+		c2 := a[(j+2)*lda+lo : (j+2)*lda+hi][:len(yw)]
+		c3 := a[(j+3)*lda+lo : (j+3)*lda+hi][:len(yw)]
+		for i, s := range yw {
+			s += t0 * c0[i]
+			s += t1 * c1[i]
+			s += t2 * c2[i]
+			s += t3 * c3[i]
+			yw[i] = s
+		}
+	}
+	for ; j < n; j++ {
+		t := alpha * x[j]
+		col := a[j*lda+lo : j*lda+hi]
+		for i, v := range col {
+			yw[i] += t * v
+		}
+	}
+}
+
+// gemvDots is the transposed product over elements [lo, hi) of y: one dot
+// product of a column of A with x each.
+func gemvDots(lo, hi, m int, alpha float64, a []float64, lda int, x []float64, beta float64, y []float64) {
+	for j := lo; j < hi; j++ {
+		col := a[j*lda : j*lda+m]
+		var s float64
+		for i := 0; i < m; i++ {
+			s += col[i] * x[i]
+		}
+		if beta == 0 {
+			y[j] = alpha * s
+		} else {
+			y[j] = alpha*s + beta*y[j]
+		}
+	}
 }

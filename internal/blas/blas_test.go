@@ -221,3 +221,34 @@ func TestDgemvUnrolledIsTheSeedLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestDgemvAllocatesNothingWhenSerial: a product that does not fan out —
+// one thread, or a row range inside one grain — runs its range body
+// directly, so the closure parallel.For would need is never built. The
+// 2x2 product is fractal's (2 000 per op), 420x420 cgopt's.
+func TestDgemvAllocatesNothingWhenSerial(t *testing.T) {
+	defer parallel.SetDefaultThreads(0)
+	parallel.SetDefaultThreads(1)
+	for _, n := range []int{2, 420} {
+		a, x, y := make([]float64, n*n), make([]float64, n), make([]float64, n)
+		for i := range a {
+			a[i] = float64(i%7) - 3
+		}
+		for i := range x {
+			x[i] = float64(i%5) - 2
+		}
+		for _, trans := range []bool{false, true} {
+			if got := testing.AllocsPerRun(50, func() { Dgemv(trans, n, n, 1, a, n, x, 0, y) }); got != 0 {
+				t.Errorf("Dgemv(trans=%v) at %dx%d, one thread: %.0f allocations per call, want 0", trans, n, n, got)
+			}
+		}
+	}
+	// Four threads: the 2x2 product still fits one grain.
+	parallel.SetDefaultThreads(4)
+	a, x, y := []float64{1, 2, 3, 4}, []float64{5, 6}, make([]float64, 2)
+	for _, trans := range []bool{false, true} {
+		if got := testing.AllocsPerRun(50, func() { Dgemv(trans, 2, 2, 1, a, 2, x, 0, y) }); got != 0 {
+			t.Errorf("Dgemv(trans=%v) at 2x2, four threads: %.0f allocations per call, want 0", trans, got)
+		}
+	}
+}

@@ -117,6 +117,11 @@ func Dgemm(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb in
 	// chunk so small-n problems run serial.
 	units := (n + gemmNR - 1) / gemmNR
 	grain := 1 + (1<<18)/(2*m*k*gemmNR)
+	if units <= grain || parallel.DefaultThreads() == 1 {
+		// No closure for a product that does not fan out (see Dgemv).
+		gemmPanels(m, 0, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+		return
+	}
 	parallel.For(0, units, grain, func(ulo, uhi int) {
 		jlo := ulo * gemmNR
 		jhi := uhi * gemmNR

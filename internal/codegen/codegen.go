@@ -191,7 +191,9 @@ func Compile(fn *ast.Function, res *infer.Result, tbl *disambig.Table, cfg Confi
 
 	g.stmts(fn.Body)
 
-	// Epilogue: box outputs.
+	// Epilogue: an output whose home is an F or I register is staged as it
+	// is (whoever receives it boxes it, if it must); a complex one is
+	// boxed here.
 	epi := len(g.prog.Ins)
 	for _, at := range g.returnPatches {
 		g.prog.Ins[at].C = int32(epi)
@@ -205,8 +207,11 @@ func Compile(fn *ast.Function, res *infer.Result, tbl *disambig.Table, cfg Confi
 			s = g.newSlot(ir.BankV)
 			g.vars[out] = s
 		}
-		v := g.toV(s.bank, s.reg)
-		g.prog.OutRegs = append(g.prog.OutRegs, v)
+		if g.stage(int32(len(g.prog.OutRegs)), s) {
+			g.prog.OutRegs = append(g.prog.OutRegs, ir.Staged)
+		} else {
+			g.prog.OutRegs = append(g.prog.OutRegs, g.toV(s.bank, s.reg))
+		}
 	}
 	g.emit(ir.Instr{Op: ir.OpRet})
 

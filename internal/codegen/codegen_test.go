@@ -410,9 +410,11 @@ end`
 }
 
 // TestTypedCallsUnboxBehindAGuard: a user call typed by a return summary
-// continues in registers — fibonacci's sum is an iadd — and every such
-// unbox carries the guard flag; with no summary the call stays boxed and
-// the sum is a generic operator call.
+// continues in registers — fibonacci's sum is an iadd — and takes its
+// result through a guarded fetch, with nothing boxed on the way in or
+// unboxed on the way out; with no summary the result stays boxed and the
+// sum is a generic operator call, but the argument still crosses in its
+// register.
 func TestTypedCallsUnboxBehindAGuard(t *testing.T) {
 	const src = `
 function y = f(n)
@@ -438,30 +440,33 @@ end`
 		}
 		return prog
 	}
-	guards := func(p *ir.Prog) (guarded, plain int) {
-		for _, in := range p.Ins {
-			if in.Op == ir.OpUnboxI || in.Op == ir.OpUnboxF {
-				if in.C != 0 {
-					guarded++
-				} else {
-					plain++
-				}
-			}
-		}
-		return
+	// guards counts the fetches; unboxes whatever still unboxes.
+	guards := func(p *ir.Prog) (guarded, unboxes int) {
+		return count(p, ir.OpFetchI, ir.OpFetchF), count(p, ir.OpUnboxI, ir.OpUnboxF)
 	}
 
 	typed := compile(types.ScalarOf(types.IInt, types.RangeTop))
-	if g, plain := guards(typed); g != 2 || plain != 0 {
-		t.Errorf("typed calls: %d guarded and %d unguarded unboxes, want 2 and 0:\n%s", g, plain, typed.Disasm())
+	if g, unboxes := guards(typed); g != 2 || unboxes != 0 {
+		t.Errorf("typed calls: %d guarded fetches and %d unboxes, want 2 and 0:\n%s", g, unboxes, typed.Disasm())
 	}
 	if count(typed, ir.OpGBin) != 0 || count(typed, ir.OpIAdd) == 0 {
 		t.Errorf("the sum of two typed calls is not an iadd:\n%s", typed.Disasm())
+	}
+	// y is an I register: both arguments and both returns are staged, and
+	// the function boxes nothing at all.
+	if st, box := count(typed, ir.OpStageI), count(typed, ir.OpBoxI, ir.OpBoxF); st != 3 || box != 0 {
+		t.Errorf("typed calls: %d stage.i and %d boxes, want 3 (two arguments, one output) and 0:\n%s", st, box, typed.Disasm())
+	}
+	if len(typed.OutRegs) != 1 || typed.OutRegs[0] != ir.Staged {
+		t.Errorf("an I-register output is not staged: OutRegs %v", typed.OutRegs)
 	}
 
 	boxed := compile(types.Top)
 	if g, _ := guards(boxed); g != 0 || count(boxed, ir.OpGBin) != 1 {
 		t.Errorf("boxed calls: %d guards, %d generic operators, want 0 and 1:\n%s", g, count(boxed, ir.OpGBin), boxed.Disasm())
+	}
+	if st := count(boxed, ir.OpStageI); st != 2 {
+		t.Errorf("boxed results: %d staged arguments, want 2:\n%s", st, boxed.Disasm())
 	}
 
 	real := compile(types.ScalarOf(types.IReal, types.RangeTop))

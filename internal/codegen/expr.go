@@ -122,7 +122,7 @@ func (g *gen) nonVarIdent(x *ast.Ident) (ir.Bank, int32) {
 		return ir.BankV, g.emitBuiltinByName(x.Name, nil, 1)[0]
 	}
 	// Niladic user function call.
-	return ir.BankV, g.emitUserCallByName(x.Name, nil, 1)[0]
+	return ir.BankV, g.emitUserCallRegs(x.Name, nil, 1, ir.BankV)[0]
 }
 
 // scalarArith reports whether a binary op on these annotations can use

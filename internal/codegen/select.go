@@ -205,7 +205,8 @@ func (g *gen) call(x *ast.Call) (ir.Bank, int32) {
 		return g.builtinCall(x)
 
 	case ast.CallUser:
-		return g.guardedResult(x, g.emitUserCall(x, 1)[0])
+		bank := g.resultBank(x)
+		return bank, g.emitUserCall(x, 1, bank)[0]
 	}
 	panic(unsupported("call kind %v for %s", x.Kind, x.Name))
 }
@@ -437,59 +438,98 @@ func (g *gen) emitBuiltinRegs(name string, args []int32, nout int) []int32 {
 	return outs
 }
 
-// emitUserCall compiles a call to another user function: boxed
-// arguments, dispatch through the engine's repository (which may run
-// compiled code or fall back to the interpreter).
-func (g *gen) emitUserCall(x *ast.Call, nout int) []int32 {
-	args := make([]int32, len(x.Args))
+// emitUserCall compiles a call to another user function, dispatched
+// through the engine's repository (which may run compiled code or fall
+// back to the interpreter). An argument that is in an F or I register
+// crosses the call in it: staged, tagged with its bank, never boxed — the
+// callee's parameter binding converts or boxes if its side needs that.
+// Staging comes after every argument is evaluated, because an argument
+// may itself contain a call and the call slots are the frame's, not the
+// call's. first is the bank the first result is wanted in; see
+// emitUserCallRegs.
+func (g *gen) emitUserCall(x *ast.Call, nout int, first ir.Bank) []int32 {
+	args := make([]slot, len(x.Args))
 	for i, a := range x.Args {
 		if _, isColon := a.(*ast.Colon); isColon {
 			panic(unsupported("':' argument to function %s", x.Name))
 		}
 		b, r := g.expr(a)
-		args[i] = g.toV(b, r)
+		if b == ir.BankC {
+			b, r = ir.BankV, g.toV(ir.BankC, r)
+		}
+		args[i] = slot{b, r}
 	}
-	return g.emitUserCallRegs(x.Name, args, nout)
+	return g.emitUserCallRegs(x.Name, args, nout, first)
 }
 
-// guardedResult unboxes a user call's boxed result v when inference
-// typed the call as a dense real or integer scalar. Only a callee's
-// return summary (infer.Opts.UserFnType) types a user call, and a
-// summary is a prediction — the callee may be redefined, or answer from
-// another entry — so the unbox carries the guard flag (C=1): a result
-// that is not such a scalar abandons the activation instead of faulting.
-// Every other annotation keeps the boxed call.
-func (g *gen) guardedResult(x *ast.Call, v int32) (ir.Bank, int32) {
+// resultBank is the bank a user call's first result continues in: I or F
+// when inference typed the call as a dense integer or real scalar, V
+// otherwise. Only a callee's return summary (infer.Opts.UserFnType)
+// types a user call, and a summary is a prediction — the callee may be
+// redefined, or answer from another entry — so a result taken in a
+// register is fetched behind a guard: one that is not such a scalar
+// abandons the activation instead of faulting.
+func (g *gen) resultBank(x *ast.Call) ir.Bank {
 	ann := g.annOf(x)
-	if !infer.TypedCall(ann) {
-		return ir.BankV, v
+	switch {
+	case !infer.TypedCall(ann):
+		return ir.BankV
+	case types.LeqI(ann.I, types.IInt):
+		return ir.BankI
 	}
-	if types.LeqI(ann.I, types.IInt) {
-		d := g.newReg(ir.BankI)
-		g.emit(ir.Instr{Op: ir.OpUnboxI, A: d, B: v, C: 1})
-		return ir.BankI, d
-	}
-	d := g.newReg(ir.BankF)
-	g.emit(ir.Instr{Op: ir.OpUnboxF, A: d, B: v, C: 1})
-	return ir.BankF, d
+	return ir.BankF
 }
 
-func (g *gen) emitUserCallByName(name string, args []int32, nout int) []int32 {
-	return g.emitUserCallRegs(name, args, nout)
+// stage puts s, when it is an F or I register, in call slot k of the
+// frame as it is — unboxed, tagged with its bank — and reports whether it
+// did: whoever takes the slot (a callee's parameter binding, a caller's
+// fetch, the boxed boundary) converts or boxes if its side needs that.
+func (g *gen) stage(k int32, s slot) bool {
+	switch s.bank {
+	case ir.BankF:
+		g.emit(ir.Instr{Op: ir.OpStageF, A: k, B: s.reg})
+	case ir.BankI:
+		g.emit(ir.Instr{Op: ir.OpStageI, A: k, B: s.reg})
+	default:
+		return false
+	}
+	return true
 }
 
-func (g *gen) emitUserCallRegs(name string, args []int32, nout int) []int32 {
+// emitUserCallRegs emits the call proper and returns the registers its
+// nout results arrive in: V registers, except that the first is an I or F
+// register when first says so — the call then leaves that result where
+// the callee put it and a guarded fetch moves it into the register.
+func (g *gen) emitUserCallRegs(name string, args []slot, nout int, first ir.Bank) []int32 {
 	outs := make([]int32, nout)
 	aux := make([]int32, 0, nout+len(args)+3)
 	aux = append(aux, g.callID(name), int32(nout))
 	for i := range outs {
+		if i == 0 && first != ir.BankV {
+			aux = append(aux, ir.Staged)
+			continue
+		}
 		outs[i] = g.newReg(ir.BankV)
 		aux = append(aux, outs[i])
 	}
 	aux = append(aux, int32(len(args)))
-	aux = append(aux, args...)
+	for i, a := range args {
+		if g.stage(int32(i), a) {
+			aux = append(aux, ir.Staged)
+		} else {
+			aux = append(aux, a.reg)
+		}
+	}
 	at := g.prog.AddAux(aux...)
 	g.emit(ir.Instr{Op: ir.OpCallUser, A: at})
+	switch first {
+	case ir.BankF:
+		outs[0] = g.newReg(ir.BankF)
+		g.emit(ir.Instr{Op: ir.OpFetchF, A: outs[0]})
+	case ir.BankI:
+		outs[0] = g.newReg(ir.BankI)
+		g.emit(ir.Instr{Op: ir.OpFetchI, A: outs[0]})
+	}
 	return outs
 }
 

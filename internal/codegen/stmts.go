@@ -159,7 +159,7 @@ func (g *gen) multiAssign(x *ast.Assign) {
 	case ast.CallBuiltin:
 		outs = g.emitBuiltin(call, nout)
 	case ast.CallUser:
-		outs = g.emitUserCall(call, nout)
+		outs = g.emitUserCall(call, nout, ir.BankV)
 	default:
 		panic(unsupported("multi-assignment from %v", call.Kind))
 	}

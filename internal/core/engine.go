@@ -21,6 +21,7 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/parser"
 	"repro/internal/profile"
+	"repro/internal/repo"
 	"repro/internal/telemetry"
 	"repro/internal/vm"
 )
@@ -474,8 +475,27 @@ func (e *Engine) Call(name string, args []*mat.Value, nout int) ([]*mat.Value, e
 	return e.CallFunction(name, args, nout)
 }
 
+// resolve is the prologue of every call: the call-entry safepoint (loops
+// poll the cancel flag at back-edges; this check covers loop-free
+// infinite recursion, every recursive cycle contains a call) and one
+// load that resolves the name to its definition, generation and compiled
+// entries, all from the same instant.
+func (e *Engine) resolve(name string) (*repo.FuncState, error) {
+	if e.cancelFlag.Raised() {
+		return nil, cancel.ErrInterrupted
+	}
+	st := e.lib.repo.State(name)
+	if st.Fn == nil {
+		return nil, fmt.Errorf("undefined function %q", name)
+	}
+	return st, nil
+}
+
 // CallFunction implements interp.Host: route a function call through
-// the configured tier.
+// the configured tier. It is the boxed side of the call boundary — the
+// interpreter, Engine.Call and the daemon's evals arrive here — so
+// whatever compiled code hands back in a register is boxed on the way
+// out, with the kind the callee's epilogue always gave it.
 //
 // Concurrency: with AsyncCompile enabled, CallFunction (and Call) may
 // be used from multiple goroutines against one shared engine — the
@@ -484,32 +504,32 @@ func (e *Engine) Call(name string, args []*mat.Value, nout int) ([]*mat.Value, e
 // as do EvalString and the workspace accessors (one MATLAB workspace,
 // like one MATLAB session).
 func (e *Engine) CallFunction(name string, args []*mat.Value, nout int) ([]*mat.Value, error) {
-	return e.CallUser(name, args, nout, nil)
-}
-
-// CallUser implements vm.Host: CallFunction on behalf of the compiled
-// activation that owns caller (nil when the call comes from anywhere
-// else), so a compiled callee runs on the next frame of its chain.
-func (e *Engine) CallUser(name string, args []*mat.Value, nout int, caller *vm.Frame) ([]*mat.Value, error) {
-	// Call-entry safepoint: loops poll the flag at back-edges, and this
-	// check covers loop-free infinite recursion (every recursive cycle
-	// contains a call).
-	if e.cancelFlag.Raised() {
-		return nil, cancel.ErrInterrupted
+	st, err := e.resolve(name)
+	if err != nil {
+		return nil, err
 	}
-	// One load resolves the name to its definition, generation and
-	// compiled entries, all from the same instant.
-	st := e.lib.repo.State(name)
-	if st.Fn == nil {
-		return nil, fmt.Errorf("undefined function %q", name)
-	}
-	if nout < 1 {
-		nout = 1
-	}
+	nout = max(nout, 1)
 	if e.opts.Tier == TierInterp {
 		return e.in.CallFunction(st.Fn, args, nout, e.globals)
 	}
-	return e.repo.invoke(st, args, nout, caller)
+	var buf [sigBuf]vm.Operand
+	outs, err := e.repo.invoke(st, vm.Boxed(buf[:0], args), nout, nil)
+	if err != nil {
+		return nil, err
+	}
+	return vm.BoxAll(nil, outs), nil
+}
+
+// CallUser implements vm.Host: a call made by the compiled activation
+// that owns caller, whose callee — when compiled too — runs on the next
+// frame of its chain, takes scalar arguments from args in the register
+// class they were computed in and returns scalar results the same way.
+func (e *Engine) CallUser(name string, args []vm.Operand, nout int, caller *vm.Frame) ([]vm.Operand, error) {
+	st, err := e.resolve(name)
+	if err != nil {
+		return nil, err
+	}
+	return e.repo.invoke(st, args, max(nout, 1), caller)
 }
 
 // Interpret runs the function through the interpreter regardless of

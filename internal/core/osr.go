@@ -17,7 +17,10 @@ package core
 // variable names in sorted order, so "materializing the frame" is
 // nothing more than an argument list built by environment lookup;
 // vm.Run's ordinary parameter binding then scatters the values into
-// F/I/C/V registers per the register allocator's decisions.
+// F/I/C/V registers per the register allocator's decisions. The transfer
+// is on the boxed side of the call boundary in both directions: boxed
+// values in, and whatever the continuation returns in a register boxed
+// on the way back to the interpreter.
 //
 // Counted loops re-derive the loop variable instead of resuming a
 // float range mid-stream: the continuation
@@ -272,7 +275,7 @@ func (r *repoState) osrTransfer(fr *interp.Frame, st *profile.OSRState, entry *p
 	if e.tracer != nil {
 		t0 = time.Now()
 	}
-	outs, err := vm.Run(entry.Code, e, vals, nil)
+	outs, err := vm.Run(entry.Code, e, vm.Boxed(nil, vals), nil)
 	if e.tracer != nil {
 		e.tracer.Span(telemetry.CatOSR, fr.Fn.Name+" transfer", e.id, t0, time.Since(t0))
 	}
@@ -296,7 +299,7 @@ func (r *repoState) osrTransfer(fr *interp.Frame, st *profile.OSRState, entry *p
 		Cause: "guards-passed",
 		Gen:   entry.Gen,
 	})
-	return outs, interp.OSRDone, nil
+	return vm.BoxAll(nil, outs), interp.OSRDone, nil
 }
 
 // synthWhileContinuation builds the continuation for a while-loop

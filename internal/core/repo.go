@@ -8,6 +8,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/codegen"
 	"repro/internal/interp"
+	"repro/internal/ir"
 	"repro/internal/mat"
 	"repro/internal/profile"
 	"repro/internal/repo"
@@ -140,11 +141,22 @@ const sigBuf = 6
 // evals alike. st is the callee's state as loaded once by the caller:
 // definition, generation and entries from the same instant. A hit takes
 // no lock and allocates nothing here (the signature lives in this
-// frame); everything that retains the signature is on the miss path,
-// which gets a copy.
-func (r *repoState) invoke(st *repo.FuncState, args []*mat.Value, nout int, caller *vm.Frame) ([]*mat.Value, error) {
+// frame, read off the operands: a scalar that arrives in a register is
+// typed as the box it replaces would be); everything that retains the
+// signature is on the miss path, which gets a copy.
+func (r *repoState) invoke(st *repo.FuncState, args []vm.Operand, nout int, caller *vm.Frame) ([]vm.Operand, error) {
 	var buf [sigBuf]types.Type
-	sig := types.SignatureInto(buf[:0], args)
+	sig := types.Signature(buf[:0]) // a longer argument list grows onto the heap
+	for i := range args {
+		switch a := &args[i]; {
+		case a.V != nil:
+			sig = append(sig, types.OfValue(a.V))
+		case a.Bank == ir.BankI:
+			sig = append(sig, types.OfScalar(mat.Int, float64(a.I)))
+		default:
+			sig = append(sig, types.OfScalar(mat.Real, a.F))
+		}
+	}
 	entry := r.r.LookupIn(st, sig)
 	// The profiled policy serves an interpret-only hit (a cached
 	// unsupported decision) like a miss: the interpreter runs it either
@@ -162,7 +174,7 @@ func (r *repoState) invoke(st *repo.FuncState, args []*mat.Value, nout int, call
 // intrinsic kinds: without widening, recursive calls such as
 // fibonacci(n-1) would compile one version per distinct constant
 // argument.
-func (r *repoState) miss(st *repo.FuncState, sig types.Signature, args []*mat.Value, nout int, caller *vm.Frame) ([]*mat.Value, error) {
+func (r *repoState) miss(st *repo.FuncState, sig types.Signature, args []vm.Operand, nout int, caller *vm.Frame) ([]vm.Operand, error) {
 	e := r.e
 	if r.policy == interpretProfiled {
 		return r.invokeProfiled(st, sig, args, nout)
@@ -252,7 +264,7 @@ func (r *repoState) enter() (t0 time.Time) {
 // leave is the epilogue every execution path shares: charge the
 // outermost activation's wall time to PhaseTimes.Exec (and its trace
 // span), and trim the outputs to what the caller asked for.
-func (r *repoState) leave(name string, t0 time.Time, nout int, outs []*mat.Value, err error) ([]*mat.Value, error) {
+func (r *repoState) leave(name string, t0 time.Time, nout int, outs []vm.Operand, err error) ([]vm.Operand, error) {
 	if !t0.IsZero() {
 		d := time.Since(t0)
 		atomic.AddInt64(&r.e.timing.Exec, d.Nanoseconds())
@@ -274,10 +286,11 @@ func (r *repoState) leave(name string, t0 time.Time, nout int, outs []*mat.Value
 // abandoned and the call re-run in the interpreter — invisible, because
 // only replay-safe functions are compiled with guards — and the entry is
 // retired in favour of an interpret-only one so later calls skip the
-// detour until a redefinition clears the slate.
-func (r *repoState) runEntry(entry *repo.Entry, fn *ast.Function, args []*mat.Value, nout int, caller *vm.Frame) ([]*mat.Value, error) {
+// detour until a redefinition clears the slate. The interpreter is on
+// the boxed side of the call boundary: its arguments are boxed here.
+func (r *repoState) runEntry(entry *repo.Entry, fn *ast.Function, args []vm.Operand, nout int, caller *vm.Frame) ([]vm.Operand, error) {
 	t0 := r.enter()
-	var outs []*mat.Value
+	var outs []vm.Operand
 	var err error
 	if entry.Quality != repo.QualityInterp {
 		outs, err = vm.Run(entry.Code, r.e, args, caller)
@@ -292,7 +305,10 @@ func (r *repoState) runEntry(entry *repo.Entry, fn *ast.Function, args []*mat.Va
 		}
 	}
 	if entry.Quality == repo.QualityInterp || err == vm.ErrGuardMiss {
-		outs, err = r.e.in.CallFunction(fn, args, nout, r.e.globals)
+		var buf [sigBuf]*mat.Value
+		var vals []*mat.Value
+		vals, err = r.e.in.CallFunction(fn, vm.BoxAll(buf[:0], args), nout, r.e.globals)
+		outs = vm.Boxed(nil, vals)
 	}
 	return r.leave(fn.Name, t0, nout, outs, err)
 }
@@ -309,7 +325,7 @@ func (r *repoState) runEntry(entry *repo.Entry, fn *ast.Function, args []*mat.Va
 // Frame: loop back-edges count toward the same bucket, and a hot loop
 // transfers mid-run into compiled code via on-stack replacement (see
 // osr.go).
-func (r *repoState) invokeProfiled(st *repo.FuncState, sig types.Signature, args []*mat.Value, nout int) ([]*mat.Value, error) {
+func (r *repoState) invokeProfiled(st *repo.FuncState, sig types.Signature, args []vm.Operand, nout int) ([]vm.Operand, error) {
 	e := r.e
 	fn, gen := st.Fn, st.Gen
 	sp := e.lib.profiles.Func(fn.Name, gen).Sig(widen(sig).Key())
@@ -326,8 +342,9 @@ func (r *repoState) invokeProfiled(st *repo.FuncState, sig types.Signature, args
 		Prof:      sp,
 	}
 	t0 := r.enter()
-	outs, err := e.in.CallFunctionTiered(fn, args, nout, e.globals, fr)
-	return r.leave(fn.Name, t0, nout, outs, err)
+	var buf [sigBuf]*mat.Value
+	vals, err := e.in.CallFunctionTiered(fn, vm.BoxAll(buf[:0], args), nout, e.globals, fr)
+	return r.leave(fn.Name, t0, nout, vm.Boxed(nil, vals), err)
 }
 
 // maybePromote submits the background tier-up once a signature bucket

@@ -8,16 +8,18 @@ import (
 	"repro/internal/ir"
 	"repro/internal/mat"
 	"repro/internal/repo"
+	"repro/internal/vm"
 )
 
-// guards counts the return-type guards in an entry's code.
+// guards counts the return-type guards in an entry's code: the fetches
+// that take a call's result in a register.
 func guards(e *repo.Entry) int {
 	n := 0
 	if e.Code == nil {
 		return 0
 	}
 	for _, in := range e.Code.P.Ins {
-		if (in.Op == ir.OpUnboxI || in.Op == ir.OpUnboxF) && in.C != 0 {
+		if in.Op == ir.OpFetchI || in.Op == ir.OpFetchF {
 			n++
 		}
 	}
@@ -98,10 +100,11 @@ func TestReturnGuardFallsBackToInterpreter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.repo.runEntry(stale, e.LookupFunction("r"), args, 1, nil)
+			ops, err := e.repo.runEntry(stale, e.LookupFunction("r"), vm.Boxed(nil, args), 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := vm.BoxAll(nil, ops)
 			if !sameValue(got[0], want[0]) {
 				t.Fatalf("stale activation returned %s %v, interpreter %s %v", got[0].Kind(), got[0], want[0].Kind(), want[0])
 			}

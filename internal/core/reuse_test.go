@@ -325,7 +325,8 @@ func mallocsPerCall(t *testing.T, e *Engine, args []*mat.Value) float64 {
 // (dense and sparse operator alike). And one six-operator statement
 // allocates at most two result-sized buffers under plain jit, the rest
 // being built in consumed temporaries. Statements that mix a register
-// scalar into an array allocate no object at all per trip.
+// scalar into an array allocate no object at all per trip, and neither
+// does copying one array variable to another.
 func TestArrayResultAllocBudget(t *testing.T) {
 	for _, c := range []struct {
 		n      int
@@ -377,6 +378,30 @@ end`); err != nil {
 	t.Logf("axpy loop: %.1f mallocs/call at 20 trips, %.1f at 200", shortN, longN)
 	if perTrip := (longN - shortN) / 180; perTrip >= 0.05 {
 		t.Errorf("axpy loop allocates %.2f objects per trip, want none (a boxed scalar is one)", perTrip)
+	}
+
+	// B = A copies into the buffer B's last value left behind (the form
+	// the inliner gives a callee's array result, k1 = deriv_inl: orbrk
+	// paid four clones per step): a copy per trip, no object.
+	cp := New(Options{Tier: TierJIT})
+	defer cp.Close()
+	if err := cp.Define(`
+function s = f(x, n)
+  s = 0;
+  for k = 1:n
+    y = x;
+    y(1) = k;
+    z = y;
+    s = s + z(1) + z(2);
+  end
+end`); err != nil {
+		t.Fatal(err)
+	}
+	shortN = mallocsPerCall(t, cp, []*mat.Value{pv, mat.Scalar(20)})
+	longN = mallocsPerCall(t, cp, []*mat.Value{pv, mat.Scalar(200)})
+	t.Logf("copy loop: %.1f mallocs/call at 20 trips, %.1f at 200", shortN, longN)
+	if perTrip := (longN - shortN) / 180; perTrip >= 0.05 {
+		t.Errorf("copy loop allocates %.2f objects per trip, want none (a clone is two)", perTrip)
 	}
 
 	e := New(Options{Tier: TierJIT})

@@ -14,10 +14,10 @@ import (
 // inference proved for its signature (repo.Entry.Ret); compiling a caller
 // asks them back through infer.Opts.UserFnType, so a call whose result is
 // a real or integer scalar continues in registers instead of through a
-// box and the generic operators (codegen's guardedResult). A summary is a
+// box and the generic operators (codegen's resultBank). A summary is a
 // prediction, not a fact — the locator may answer a call from another
 // entry, or from a newer definition than the caller was compiled against
-// — so the unbox is guarded, and a miss abandons the activation, which
+// — so the fetch is guarded, and a miss abandons the activation, which
 // the engine then re-runs in the interpreter (runEntry). Re-running is
 // only invisible for code without side effects, hence the rule: a
 // function takes and offers summaries only when it is replay-safe — no

@@ -81,8 +81,8 @@ const (
 	OpBoxF   // V[A] = scalar(F[B])
 	OpBoxI   // V[A] = int scalar(I[B])
 	OpBoxC   // V[A] = complex scalar(C[B])
-	OpUnboxF // F[A] = V[B] as real scalar (checked); C=1: return-type guard, a miss abandons the activation
-	OpUnboxI // I[A] = V[B] as integer scalar (checked); C=1: return-type guard
+	OpUnboxF // F[A] = V[B] as real scalar (checked)
+	OpUnboxI // I[A] = V[B] as integer scalar (checked)
 	OpUnboxC // C[A] = V[B] as complex scalar (checked)
 
 	// F arithmetic (scalar doubles; also 0/1 logicals)
@@ -162,7 +162,19 @@ const (
 	OpGColon   // V[A] = V[B]:V[C]:V[D]
 	OpGCat     // V[A] = [rows]; aux at B: [nrows, ncols1, regs..., ncols2, regs...]
 	OpGBuiltin // builtin call; aux at A: [builtinID, nout, dst..., nargs, arg...]
-	OpCallUser // user function call; aux at A: [fnID, nout, dst..., nargs, arg...]
+	OpCallUser // user function call; aux at A: [fnID, nout, dst..., nargs, arg...]; a dst or arg word is a V register or Staged
+	// Scalars cross a call in their register class. OpStageF/I put one in
+	// call slot A of the frame, tagged with its bank: argument A of the
+	// OpCallUser that follows, or output A of the OpRet that follows.
+	// OpFetchF/I read result B of the OpCallUser before them behind the
+	// return-type guard: a result of another class, or a box that does not
+	// hold exactly that kind of scalar, abandons the activation. The
+	// registers are ordinary A-D operands, so the optimiser and the
+	// allocator need no knowledge of the call's aux block.
+	OpStageF   // call slot A = F[B]
+	OpStageI   // call slot A = I[B]
+	OpFetchF   // F[A] = call result B (guarded)
+	OpFetchI   // I[A] = call result B (guarded)
 	OpGEMV     // V[A] = Imm*V[B]*V[C] + beta*V[D] (beta = 0 when D < 0, else ±1 encoded in aux via BetaNeg bit)
 	OpVConst   // V[A] = vpool[B] (boxed constant: string or colon marker)
 	OpVDisplay // display V[A] as name vpool[B] (echo of unsuppressed statements)
@@ -222,6 +234,7 @@ var opNames = map[Op]string{
 	OpGBin: "gbin", OpGUn: "gun", OpGIndex: "gindex", OpGAssign: "gassign",
 	OpVConst: "vconst", OpVDisplay: "vdisplay",
 	OpGColon: "gcolon", OpGCat: "gcat", OpGBuiltin: "gbuiltin", OpCallUser: "call",
+	OpStageF: "stage.f", OpStageI: "stage.i", OpFetchF: "fetch.f", OpFetchI: "fetch.i",
 	OpGEMV:   "gemv",
 	OpVFused: "vfused", OpVFuseArgF: "vfusearg.f",
 	OpFLdSlot: "fldslot", OpFStSlot: "fstslot", OpILdSlot: "ildslot", OpIStSlot: "istslot",
@@ -274,6 +287,11 @@ type ParamBinding struct {
 	Reg  int32
 	Slot bool
 }
+
+// Staged stands where a V register would in an OpCallUser aux block or in
+// Prog.OutRegs: the operand at that position is not boxed but a scalar
+// in the call slot of the same number (see OpStageF).
+const Staged int32 = -1
 
 // MathFn identifies scalar math functions for OpFMath/OpCMath.
 type MathFn int32
@@ -338,10 +356,13 @@ type Prog struct {
 	// and the ':' subscript marker.
 	VPoolStrs []VConstDesc
 
-	Params  []ParamBinding
-	OutRegs []int32 // V registers holding outputs at OpRet
-	// OutBanks/OutSrc: outputs may live in scalar banks; the epilogue
-	// boxes them. OutRegs refer post-boxing V registers.
+	Params []ParamBinding
+	// OutRegs says where each declared output is at OpRet: the V register
+	// of an output whose home is V (or C, which the epilogue boxes), or
+	// Staged for one whose home is F or I — the epilogue's OpStageF/I has
+	// put it, unboxed and tagged with its bank, in the call slot of the
+	// output's position, and whoever receives it boxes it if it must.
+	OutRegs []int32
 
 	// Stats for the harness.
 	Allocated bool // register allocation done

@@ -81,13 +81,16 @@ func TestOperandTable(t *testing.T) {
 		{op: OpFMath, def: BankF, uses: []use{{BankF, 'B'}}}, // C is a function id
 		{op: OpICmpLt, def: BankF, uses: []use{{BankI, 'B'}, {BankI, 'C'}}},
 		{op: OpCAbs, def: BankF, uses: []use{{BankC, 'B'}}},
-		{op: OpUnboxI, def: BankI}, // B is a V register, C a guard flag
+		{op: OpUnboxI, def: BankI}, // B is a V register
 		{op: OpBoxC, def: BankNone, uses: []use{{BankC, 'B'}}},
 		{op: OpFLd2U, def: BankF, uses: []use{{BankI, 'C'}, {BankI, 'D'}}},
 		{op: OpFSt2U, def: BankNone, uses: []use{{BankI, 'B'}, {BankI, 'C'}, {BankF, 'D'}}},
 		{op: OpVEnsure, def: BankNone, uses: []use{{BankI, 'B'}, {BankI, 'C'}}},
 		{op: OpVNumel, def: BankI},
 		{op: OpVFuseArgF, def: BankNone, uses: []use{{BankF, 'B'}}},
+		{op: OpStageI, def: BankNone, uses: []use{{BankI, 'B'}}}, // A is a call slot
+		{op: OpFetchF, def: BankF},                               // B is a call result
+		{op: OpCallUser, def: BankNone},                          // its scalars are staged and fetched
 		{op: OpGBin, def: BankNone},
 		{op: OpFLdSlot, def: BankNone}, // emitted by the allocator, after every reader
 	}

@@ -43,11 +43,11 @@ var operands = func() []opRoles {
 	set(opRoles{useF, useF, target}, OpBrFLt, OpBrFLe, OpBrFEq, OpBrFNe, OpBrFNLt, OpBrFNLe)
 	set(opRoles{useI, useI, target}, OpBrILt, OpBrILe, OpBrIEq, OpBrINe)
 
-	set(opRoles{defF}, OpFConst, OpUnboxF)
-	set(opRoles{defI}, OpIConst, OpUnboxI, OpVRows, OpVCols, OpVNumel)
+	set(opRoles{defF}, OpFConst, OpUnboxF, OpFetchF)
+	set(opRoles{defI}, OpIConst, OpUnboxI, OpFetchI, OpVRows, OpVCols, OpVNumel)
 	set(opRoles{defC}, OpCConst, OpUnboxC)
-	set(opRoles{none, useF}, OpBoxF, OpVFuseArgF)
-	set(opRoles{none, useI}, OpBoxI)
+	set(opRoles{none, useF}, OpBoxF, OpVFuseArgF, OpStageF)
+	set(opRoles{none, useI}, OpBoxI, OpStageI)
 	set(opRoles{none, useC}, OpBoxC)
 
 	// OpFMath and OpCMath keep a function id in C.

@@ -78,6 +78,20 @@ func (d Donors) NewReal(rows, cols int, inPlace bool, ops ...*Value) *Value {
 	return &Value{kind: Real, rows: rows, cols: cols, re: make([]float64, n)}
 }
 
+// Clone is v.Clone() built in the displaced destination when that can
+// hold it: B = A in a loop then costs a copy and no object. A sparse or
+// complex v, and a destination that is v itself, take the plain route.
+func (d Donors) Clone(v *Value) *Value {
+	n := v.rows * v.cols
+	if v.sp != nil || v.im != nil || d.Dst == v || !d.Dst.reusable(n) {
+		return v.Clone()
+	}
+	out := d.NewReal(v.rows, v.cols, false)
+	out.kind = v.kind
+	copy(out.re, v.re[:n])
+	return out
+}
+
 // reusable reports whether v's storage can hold an n-element real
 // result: v is dense, non-complex, large enough, and unshared.
 func (v *Value) reusable(n int) bool {

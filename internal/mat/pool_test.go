@@ -62,6 +62,51 @@ func TestDonorDst(t *testing.T) {
 	}
 }
 
+// TestDonorClone: a variable copy lands in the displaced destination when
+// that can hold it — whatever its old shape and kind, keeping the source's
+// kind — and is a plain Clone when the destination is shared, complex,
+// sparse, too small or the source itself, or the source is complex or
+// sparse. The copy never shares storage with its source.
+func TestDonorClone(t *testing.T) {
+	sp, _ := New(3, 1).Sparse()
+	shared := New(3, 1)
+	shared.MarkShared()
+	for _, src := range []*Value{
+		vec(Real, 1, math.Copysign(0, -1), math.NaN()), vec(Int, 4, 5, 6), vec(Bool, 1, 0, 1),
+		FromString("abc"), Scalar(7), IntScalar(7), Empty(), New(0, 3),
+	} {
+		dst := FromColMajor(Char, 2, 4, make([]float64, 8), nil)
+		got := Donors{Dst: dst}.Clone(src)
+		if got != dst || !sameBits(got, src) {
+			t.Errorf("clone of %v %dx%d into a roomy destination: reused %v, got %v", src.kind, src.rows, src.cols, got == dst, got)
+		}
+		for name, d := range map[string]*Value{
+			"none": nil, "shared": shared, "complex": NewKind(Complex, 3, 1), "sparse": sp, "itself": src,
+		} {
+			got := Donors{Dst: d}.Clone(src)
+			if got == d || got == src || !sameBits(got, src) {
+				t.Errorf("clone of %v %dx%d, %s donor: reused %v, got %v", src.kind, src.rows, src.cols, name, got == d, got)
+			}
+			if len(got.re) > 0 && len(src.re) > 0 && &got.re[0] == &src.re[0] {
+				t.Errorf("clone of %v %dx%d, %s donor: shares its source's storage", src.kind, src.rows, src.cols, name)
+			}
+		}
+	}
+	if got := (Donors{Dst: New(2, 1)}).Clone(vec(Real, 1, 2, 3)); !sameBits(got, vec(Real, 1, 2, 3)) {
+		t.Errorf("clone past a small destination: %v", got)
+	}
+	// Complex and sparse sources take the plain route whatever is offered.
+	z := NewKind(Complex, 2, 1)
+	z.im[1] = 3
+	dst := New(4, 1)
+	if got := (Donors{Dst: dst}).Clone(z); got == dst || got.kind != Complex || got.im[1] != 3 {
+		t.Errorf("clone of a complex value: %v (reused %v)", got, got == dst)
+	}
+	if got := (Donors{Dst: dst}).Clone(sp); got == dst || !got.IsSparse() {
+		t.Errorf("clone of a sparse value: %v (reused %v)", got, got == dst)
+	}
+}
+
 // TestDonorConsumedOperand: an elementwise operator overwrites a
 // consumed operand of the result's shape and no other; products and
 // broadcast scalars are never overwritten; result kinds are replayed.

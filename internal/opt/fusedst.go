@@ -90,7 +90,11 @@ func abortableOver(p *ir.Prog, in *ir.Instr, x int32) bool {
 // parameter bindings and output registers all count.
 func countVMentions(p *ir.Prog) []int32 {
 	m := make([]int32, p.NumV)
-	note := func(r int32) { m[r]++ }
+	note := func(r int32) {
+		if r != ir.Staged { // a call operand or output that is not in a V register
+			m[r]++
+		}
+	}
 	for i := range p.Ins {
 		in := &p.Ins[i]
 		switch in.Op {

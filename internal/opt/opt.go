@@ -336,6 +336,8 @@ func sideEffect(in *ir.Instr) bool {
 		ir.OpVConst, ir.OpVDisplay,
 		ir.OpGBin, ir.OpGUn, ir.OpGIndex, ir.OpGAssign, ir.OpGColon, ir.OpGCat,
 		ir.OpGBuiltin, ir.OpCallUser, ir.OpGEMV, ir.OpVFused, ir.OpVFuseArgF,
+		ir.OpStageF, ir.OpStageI,
+		ir.OpFetchF, ir.OpFetchI, // a fetch is the return-type guard
 		ir.OpBoxF, ir.OpBoxI, ir.OpBoxC,
 		ir.OpUnboxF, ir.OpUnboxI, ir.OpUnboxC: // unbox ops can fault
 		return true

@@ -32,10 +32,11 @@ import (
 	"repro/internal/types"
 )
 
-// Format constants. Version bumps whenever the payload layout changes.
+// Format constants. Version bumps whenever the payload layout changes, or
+// what the bytes mean does (v5).
 const (
 	magic        = "MJRP"
-	Version      = 4                     // v4 added per-entry return summaries and dependencies; v3 the sparsity bit in encoded types; v2 the per-function tiering profile section
+	Version      = 5                     // v5: scalars cross calls in registers (staged call operands, outputs returned unboxed); v4 added per-entry return summaries and dependencies; v3 the sparsity bit in encoded types; v2 the per-function tiering profile section
 	headerLen    = 4 + 2 + 2 + 8 + 4 + 4 // magic, version, flags, fingerprint, payload len, payload crc
 	maxSnapshotB = 1 << 30               // decode refuses payloads beyond 1 GiB
 )
@@ -94,6 +95,15 @@ type ProfileSig struct {
 // against. An entry from before v4 carries no dependency list,
 // so nothing could tell that a function it inlined has since changed —
 // the Version gate cold-starts such snapshots instead.
+//
+// v5 changes no field and no byte of the layout: it marks the calling
+// convention of the code inside Prog. A v4 program boxes every call
+// argument, leaves every output in a V register and expects its callees
+// to do the same; loaded beside v5 code it would hand boxes to fetches
+// and be handed registers it never staged. The IR fingerprint happens to
+// move with the same change (the convention came with four opcodes), but
+// it hashes opcode names, not what the aux words of a call or
+// Prog.OutRegs mean, so the version is what says it.
 type EntryState struct {
 	SrcHash     uint64
 	Sig         types.Signature

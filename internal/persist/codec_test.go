@@ -23,12 +23,16 @@ func testSnapshot() *Snapshot {
 			{Op: ir.OpFConst, A: 0, Imm: 3.5},
 			{Op: ir.OpFAdd, A: 1, B: 0, C: 0, D: -1, Imm: math.Inf(1)},
 			{Op: ir.OpGEMV, A: 2, B: 1, C: 0, D: -3, Imm: -1},
+			{Op: ir.OpStageF, A: 1, B: 0},
+			{Op: ir.OpCallUser, A: 4},
+			{Op: ir.OpFetchI, A: 1, B: 0},
+			{Op: ir.OpStageI, A: 0, B: 1},
 			{Op: ir.OpRet},
 		},
 		NumF: 4, NumI: 2, NumC: 1, NumV: 3,
 		SlotsF: 1, SlotsI: 0, SlotsC: 0, SlotsV: 2,
 		CPool: []complex128{complex(1, -2), complex(math.Inf(-1), math.NaN())},
-		Aux:   []int32{3, -1, 7, 0},
+		Aux:   []int32{3, -1, 7, 0 /* call helper: */, 0, 1, ir.Staged, 2, 2, ir.Staged},
 		MathFns: []string{
 			"sqrt", "exp",
 		},
@@ -43,7 +47,7 @@ func testSnapshot() *Snapshot {
 			{Bank: ir.BankF, Reg: 0},
 			{Bank: ir.BankV, Reg: 5, Slot: true},
 		},
-		OutRegs:   []int32{2},
+		OutRegs:   []int32{ir.Staged, 2},
 		Allocated: true,
 	}
 	sig := types.Signature{
@@ -215,6 +219,23 @@ func TestDecodeRejectsPreDependencySnapshot(t *testing.T) {
 	binary.LittleEndian.PutUint16(rec[4:6], 3)
 	if _, err := DecodeRecord(rec); !errors.Is(err, ErrVersion) {
 		t.Fatalf("v3 record: want ErrVersion, got %v", err)
+	}
+}
+
+// TestDecodeRejectsBoxedCallSnapshot pins the v5 gate: v4 code boxes what
+// it passes and returns and expects the same of its callees, and nothing
+// in the bytes says so — a v4 snapshot parses under the v5 layout to the
+// last byte. It must cold-start.
+func TestDecodeRejectsBoxedCallSnapshot(t *testing.T) {
+	data := Encode(testSnapshot())
+	binary.LittleEndian.PutUint16(data[4:6], 4)
+	if _, err := Decode(data); !errors.Is(err, ErrVersion) {
+		t.Fatalf("v4 snapshot: want ErrVersion, got %v", err)
+	}
+	rec := EncodeRecord(&EntryRecord{Origin: "n", Func: "g", Source: "function y = g(x)\ny = x;\n"})
+	binary.LittleEndian.PutUint16(rec[4:6], 4)
+	if _, err := DecodeRecord(rec); !errors.Is(err, ErrVersion) {
+		t.Fatalf("v4 record: want ErrVersion, got %v", err)
 	}
 }
 

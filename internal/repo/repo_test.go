@@ -1,6 +1,7 @@
 package repo
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -419,5 +420,41 @@ func TestOnChangeFiresOutsideLock(t *testing.T) {
 	r.Invalidate("never-compiled")
 	if fired != 5 {
 		t.Fatalf("empty invalidate: fired %d", fired)
+	}
+}
+
+// BenchmarkLookupIn times the function locator's hit path — the layer
+// every call crosses — by how many entries the function has (the locator
+// tests each for safety and ranks the safe ones by distance) and by what
+// the signature holds: two integer scalars, as a recursive call passes,
+// or a scalar and a matrix. The invocation always lands on the last
+// entry, so every entry before it is tested and rejected.
+func BenchmarkLookupIn(b *testing.B) {
+	sigs := map[string]func(k float64) types.Signature{
+		"scalar": func(k float64) types.Signature {
+			return types.Signature{intScalar(k), intScalar(k + 1)}
+		},
+		"matrix": func(k float64) types.Signature {
+			return types.Signature{intScalar(k), types.OfValue(mat.New(int(k)+2, int(k)+2))}
+		},
+	}
+	for _, kind := range []string{"scalar", "matrix"} {
+		for _, n := range []int{1, 3, 8} {
+			b.Run(fmt.Sprintf("%s/entries=%d", kind, n), func(b *testing.B) {
+				r := New()
+				for k := 0; k < n; k++ {
+					r.Insert("f", &Entry{Sig: sigs[kind](float64(k)), Quality: QualityJIT})
+				}
+				st := r.State("f")
+				q := sigs[kind](float64(n - 1))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if r.LookupIn(st, q) == nil {
+						b.Fatal("miss")
+					}
+				}
+			})
+		}
 	}
 }

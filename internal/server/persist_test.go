@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/mat"
+	"repro/internal/persist"
 )
 
 // bootPersist starts a shared-repository server persisting to path.
@@ -115,27 +117,51 @@ func TestServerWarmRestartZeroCompiles(t *testing.T) {
 	}
 }
 
-// TestServerCorruptSnapshotBootsCold: a truncated snapshot must not
-// prevent boot; the daemon cold starts and heals the file on drain.
+// TestServerCorruptSnapshotBootsCold: a snapshot the daemon cannot use
+// must not prevent boot — truncated garbage, or a well-formed snapshot of
+// the previous format version (v4: code that boxes what it passes across
+// calls, which must never run beside code that does not). The daemon
+// reports the load error, starts cold, serves, and heals the file on
+// drain.
 func TestServerCorruptSnapshotBootsCold(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "repo.bin")
-	if err := os.WriteFile(path, []byte("MJRP\x01\x00garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	v4 := persist.Encode(&persist.Snapshot{Funcs: []persist.FuncState{{
+		Name: "g", Source: "function y = g(x)\ny = x;\n", SrcHash: persist.HashSource("function y = g(x)\ny = x;\n"),
+	}}})
+	binary.LittleEndian.PutUint16(v4[4:6], 4)
+	for name, snapshot := range map[string][]byte{
+		"corrupt":          []byte("MJRP\x01\x00garbage"),
+		"previous version": v4,
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "repo.bin")
+			if err := os.WriteFile(path, snapshot, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	srv, tc := bootPersist(t, path)
-	m := tc.metrics()
-	if m.Persist.Load.Error == "" {
-		t.Fatalf("corrupt snapshot not reported: %+v", m.Persist.Load)
-	}
-	id := tc.createSession()
-	if code, _, bad := tc.eval(id, "y = 1 + 1;"); code != 200 {
-		t.Fatalf("eval on cold-started daemon: %d %s", code, bad.Error)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
+			srv, tc := bootPersist(t, path)
+			m := tc.metrics()
+			if m.Persist.Load.Error == "" || m.Persist.Load.LoadedEntries != 0 {
+				t.Fatalf("unusable snapshot not reported: %+v", m.Persist.Load)
+			}
+			id := tc.createSession()
+			for _, src := range []string{"function y = g(x)\ny = x + 1;\n", "y = g(1) + 1;"} {
+				if code, _, bad := tc.eval(id, src); code != 200 {
+					t.Fatalf("eval on cold-started daemon: %d %s", code, bad.Error)
+				}
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			healed, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := persist.Decode(healed); err != nil {
+				t.Fatalf("the drain did not leave a loadable snapshot: %v", err)
+			}
+		})
 	}
 }
 

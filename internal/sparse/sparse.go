@@ -64,25 +64,33 @@ func SpMV(m int, rowPtr, colIdx []int, val []float64, alpha float64, x []float64
 	if m > 0 {
 		avg = nnz / m
 	}
-	grain := 1 + spmvGrainFlops/(2*avg+1)
-	parallel.For(0, m, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var acc float64
-			switch beta {
-			case 0:
-				acc = 0
-			case 1:
-				acc = y[i]
-			default:
-				acc = y[i] * beta
-			}
-			for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-				t := alpha * x[colIdx[k]]
-				acc += t * val[k]
-			}
-			y[i] = acc
+	// No closure for a product that does not fan out: a func literal
+	// handed to parallel.For is a heap object either way.
+	if grain := 1 + spmvGrainFlops/(2*avg+1); m <= grain || parallel.DefaultThreads() == 1 {
+		spmvRows(0, m, rowPtr, colIdx, val, alpha, x, beta, y)
+	} else {
+		parallel.For(0, m, grain, func(lo, hi int) { spmvRows(lo, hi, rowPtr, colIdx, val, alpha, x, beta, y) })
+	}
+}
+
+// spmvRows is SpMV over rows [lo, hi).
+func spmvRows(lo, hi int, rowPtr, colIdx []int, val []float64, alpha float64, x []float64, beta float64, y []float64) {
+	for i := lo; i < hi; i++ {
+		var acc float64
+		switch beta {
+		case 0:
+			acc = 0
+		case 1:
+			acc = y[i]
+		default:
+			acc = y[i] * beta
 		}
-	})
+		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
+			t := alpha * x[colIdx[k]]
+			acc += t * val[k]
+		}
+		y[i] = acc
+	}
 }
 
 // SpMM computes the dense product C = A*B for an m-row CSR matrix A and

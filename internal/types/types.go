@@ -298,11 +298,15 @@ func Join(a, b Type) Type {
 
 // Leq is the subtype order: Q ⊑ T means a value of type Q may safely
 // flow where T was assumed (paper §2.2.1's safety condition).
-func Leq(q, t Type) bool {
-	if q.IsBottom() {
+func Leq(q, t Type) bool { return leq(&q, &t) }
+
+// leq is Leq on types where they stand: a Type is 96 bytes, and the
+// function locator compares one pair per parameter per candidate entry.
+func leq(q, t *Type) bool {
+	if q.I == IBottom {
 		return true
 	}
-	if t.IsBottom() {
+	if t.I == IBottom {
 		return false
 	}
 	return LeqI(q.I, t.I) &&
@@ -363,19 +367,10 @@ func Widen(prev, next Type) Type {
 // yield ⊤ ranges to keep signature computation O(1)-ish.
 func OfValue(v *mat.Value) Type {
 	const rangeScanLimit = 64
-	var i Intrinsic
-	switch v.Kind() {
-	case mat.Bool:
-		i = IBool
-	case mat.Int:
-		i = IInt
-	case mat.Real:
-		i = IReal
-	case mat.Complex:
-		i = ICplx
-	case mat.Char:
-		i = IStrg
+	if v.IsScalar() && !v.IsSparse() {
+		return OfScalar(v.Kind(), v.Re()[0])
 	}
+	i := intrinsicOf(v.Kind())
 	t := Exact(i, v.Rows(), v.Cols(), RangeTop)
 	if v.IsSparse() {
 		// No payload scan: sparse values always carry ⊤ ranges, and the
@@ -410,22 +405,45 @@ func OfValue(v *mat.Value) Type {
 	return t
 }
 
+// OfScalar is OfValue of a dense 1x1 value of kind k whose real part is
+// x, without the value: compiled code passes scalar arguments in
+// registers, and the function locator must type a register scalar
+// exactly as it would type the box it replaces (OfValue calls this for
+// dense scalars, so the two cannot drift apart). The range is [x, x], NaN
+// included; a real with an integral finite value is an int.
+func OfScalar(k mat.Kind, x float64) Type {
+	i := intrinsicOf(k)
+	if i == ICplx || i == IStrg {
+		return ScalarOf(i, RangeTop)
+	}
+	if i == IReal && x == math.Trunc(x) && !math.IsInf(x, 0) {
+		i = IInt
+	}
+	return ScalarOf(i, Const(x))
+}
+
+func intrinsicOf(k mat.Kind) Intrinsic {
+	switch k {
+	case mat.Bool:
+		return IBool
+	case mat.Int:
+		return IInt
+	case mat.Real:
+		return IReal
+	case mat.Complex:
+		return ICplx
+	case mat.Char:
+		return IStrg
+	}
+	return IBottom
+}
+
 // Signature is the tuple of parameter types attached to compiled code.
 type Signature []Type
 
 // SignatureOf derives the exact signature of an argument list.
-func SignatureOf(args []*mat.Value) Signature { return SignatureInto(nil, args) }
-
-// SignatureInto is SignatureOf into a caller-owned buffer: the result
-// aliases buf when its capacity covers the argument list (the function
-// locator passes a stack array, so a repository hit allocates nothing)
-// and is freshly allocated otherwise. The caller must copy the signature
-// before retaining it past buf's lifetime.
-func SignatureInto(buf Signature, args []*mat.Value) Signature {
-	if cap(buf) < len(args) {
-		buf = make(Signature, len(args))
-	}
-	sig := buf[:len(args)]
+func SignatureOf(args []*mat.Value) Signature {
+	sig := make(Signature, len(args))
 	for i, a := range args {
 		sig[i] = OfValue(a)
 	}
@@ -439,7 +457,7 @@ func (t Signature) Safe(q Signature) bool {
 		return false
 	}
 	for i := range t {
-		if !Leq(q[i], t[i]) {
+		if !leq(&q[i], &t[i]) {
 			return false
 		}
 	}
@@ -453,12 +471,12 @@ func (t Signature) Safe(q Signature) bool {
 func (t Signature) Distance(q Signature) int {
 	d := 0
 	for i := range t {
-		d += typeDistance(q[i], t[i])
+		d += typeDistance(&q[i], &t[i])
 	}
 	return d
 }
 
-func typeDistance(q, t Type) int {
+func typeDistance(q, t *Type) int {
 	d := levelI(t.I) - levelI(q.I)
 	if d < 0 {
 		d = -d

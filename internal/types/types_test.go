@@ -334,29 +334,66 @@ func TestWidenStabilizes(t *testing.T) {
 	}
 }
 
-// TestSignatureIntoUsesTheCallersBuffer: the function locator computes
-// the invocation signature into a stack array; only an argument list
-// longer than the buffer may allocate.
-func TestSignatureIntoUsesTheCallersBuffer(t *testing.T) {
-	args := []*mat.Value{mat.Scalar(3), mat.New(4, 4), mat.FromString("ab")}
-	want := SignatureOf(args)
-	var buf [4]Type
-	got := SignatureInto(buf[:0], args)
-	if &got[0] != &buf[0] {
-		t.Fatal("the signature does not alias the caller's buffer")
+// TestTypesOfScalarEqualsOfValue: the function locator types a scalar
+// that arrives in a register with OfScalar and one that arrives boxed
+// with OfValue, and the two must select the same repository entry —
+// so they must agree on every kind and every value, the ones no range
+// orders included. OfValue hands dense scalars to OfScalar; the oracle
+// here is therefore its array path, applied to a two-element value of the
+// same kind holding the scalar twice (same intrinsic refinement, same
+// range scan, only the shape differs).
+func TestTypesOfScalarEqualsOfValue(t *testing.T) {
+	same := func(a, b Type) bool {
+		return a.I == b.I && a.MinShape == b.MinShape && a.MaxShape == b.MaxShape && a.Sp == b.Sp &&
+			math.Float64bits(a.R.Lo) == math.Float64bits(b.R.Lo) && math.Float64bits(a.R.Hi) == math.Float64bits(b.R.Hi)
 	}
-	if got.Key() != want.Key() {
-		t.Fatalf("SignatureInto = %s, SignatureOf = %s", got, want)
+	values := []float64{
+		0, math.Copysign(0, -1), 1, -1, 2, 0.5, -0.5, 1e-300, math.SmallestNonzeroFloat64,
+		1 << 53, -(1 << 53), 1<<53 + 2, 1<<53 - 1, 1e300, -1e300, math.MaxFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1),
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		var buf [4]Type
-		if len(SignatureInto(buf[:0], args)) != 3 {
-			t.Fatal("wrong arity")
+	for _, k := range []mat.Kind{mat.Bool, mat.Int, mat.Real, mat.Char} {
+		for _, x := range values {
+			scalar := mat.NewKind(k, 1, 1)
+			scalar.Re()[0] = x
+			pair := mat.NewKind(k, 1, 2)
+			pair.Re()[0], pair.Re()[1] = x, x
+			want := OfValue(pair)
+			want.MinShape, want.MaxShape = ScalarShape, ScalarShape
+			if got := OfScalar(k, x); !same(got, want) {
+				t.Errorf("OfScalar(%v, %v) = %v, the array path says %v", k, x, got, want)
+			}
+			if got := OfValue(scalar); !same(got, want) {
+				t.Errorf("OfValue of a 1x1 %v %v = %v, the array path says %v", k, x, got, want)
+			}
 		}
-	}); n != 0 {
-		t.Errorf("%.0f allocations with a large enough buffer", n)
 	}
-	if long := SignatureInto(buf[:0], append(args, args...)); len(long) != 6 || long.Key() != SignatureOf(append(args, args...)).Key() {
-		t.Fatalf("overflowing the buffer: %s", long)
+	// The constructors compiled code boxes with, and the two complex cases
+	// (a complex scalar carries no range, zero imaginary part or not).
+	for _, x := range values {
+		if got, want := OfScalar(mat.Int, x), OfValue(mat.IntScalar(x)); !same(got, want) {
+			t.Errorf("a staged I %v is typed %v, its box %v", x, got, want)
+		}
+		if got, want := OfScalar(mat.Real, x), OfValue(mat.Scalar(x)); !same(got, want) {
+			t.Errorf("a staged F %v is typed %v, its box %v", x, got, want)
+		}
+		for _, im := range []float64{0, 1} {
+			pair := mat.NewKind(mat.Complex, 1, 2)
+			want := OfValue(pair)
+			want.MinShape, want.MaxShape = ScalarShape, ScalarShape
+			if got := OfValue(mat.ComplexScalar(complex(x, im))); !same(got, want) || !same(OfScalar(mat.Complex, x), want) {
+				t.Errorf("complex scalar (%v, %v): OfValue %v, OfScalar %v, the array path %v", x, im, got, OfScalar(mat.Complex, x), want)
+			}
+		}
+	}
+	if got := OfScalar(mat.Int, 3); !same(got, ScalarOf(IInt, Const(3))) {
+		t.Errorf("a staged I 3 is %v, want int <1,1> [3,3]", got)
+	}
+	// What is not a dense scalar still goes the long way round.
+	if got := OfValue(mat.SparseZeros(1, 1)); !got.Sp || !got.R.IsTop() {
+		t.Errorf("a sparse 1x1 value is typed %v", got)
+	}
+	if got := OfValue(mat.Empty()); !got.R.IsBot() || got.IsScalar() {
+		t.Errorf("the empty value is typed %v", got)
 	}
 }

@@ -11,9 +11,10 @@ import (
 )
 
 // countdown is sum(n) = n + sum(n-1), sum(0) = 0, written against the
-// register machine: the recursive call goes through the host, its result
-// comes back through a return-type guard, and an 8x8 matrix sits in a V
-// register for the whole activation.
+// register machine: the recursive call goes through the host with its
+// argument staged from an I register, its result comes back in one
+// through a return-type guard, and an 8x8 matrix sits in a V register for
+// the whole activation.
 func countdown(t *testing.T) *Compiled {
 	t.Helper()
 	p := &ir.Prog{
@@ -29,17 +30,17 @@ func countdown(t *testing.T) *Compiled {
 			{Op: ir.OpBrIEq, A: 0, B: 1, C: 10}, // n == 0 → return 0
 			{Op: ir.OpIConst, A: 1, Imm: 1},
 			{Op: ir.OpISub, A: 2, B: 0, C: 1},
-			{Op: ir.OpBoxI, A: 0, B: 2},
+			{Op: ir.OpStageI, A: 0, B: 2},
 			{Op: ir.OpCallUser, A: 0},
-			{Op: ir.OpUnboxI, A: 3, B: 1, C: 1}, // guarded
+			{Op: ir.OpFetchI, A: 3, B: 0}, // guarded
 			{Op: ir.OpIAdd, A: 1, B: 0, C: 3},
-			{Op: ir.OpBoxI, A: 2, B: 1},
+			{Op: ir.OpStageI, A: 0, B: 1},
 			{Op: ir.OpRet},
 		},
-		OutRegs:   []int32{2},
+		OutRegs:   []int32{ir.Staged},
 		Allocated: true,
 	}
-	p.AddAux(0 /*fn*/, 1 /*nout*/, 1 /*dst*/, 1 /*nargs*/, 0 /*arg reg*/)
+	p.AddAux(0 /*fn*/, 1 /*nout*/, ir.Staged /*dst*/, 1 /*nargs*/, ir.Staged /*arg*/)
 	c, err := Prepare(p)
 	if err != nil {
 		t.Fatal(err)
@@ -53,47 +54,51 @@ type recursiveHost struct {
 	ctx *builtins.Context
 	c   *Compiled
 	// bottom, when set, answers the innermost call instead of the code.
-	bottom *mat.Value
+	bottom *Operand
 }
 
 func (h *recursiveHost) Context() *builtins.Context { return h.ctx }
 
-func (h *recursiveHost) CallUser(name string, args []*mat.Value, nout int, caller *Frame) ([]*mat.Value, error) {
-	if h.bottom != nil && args[0].MustScalar() == 0 {
-		return []*mat.Value{h.bottom}, nil
+func (h *recursiveHost) CallUser(name string, args []Operand, nout int, caller *Frame) ([]Operand, error) {
+	if h.bottom != nil && args[0].Box().MustScalar() == 0 {
+		return []Operand{*h.bottom}, nil
 	}
 	return Run(h.c, h, args, caller)
 }
 
 func sumTo(t *testing.T, h *recursiveHost, n int) float64 {
 	t.Helper()
-	outs, err := Run(h.c, h, []*mat.Value{mat.IntScalar(float64(n))}, nil)
+	outs, err := runBoxed(h.c, h, []*mat.Value{mat.IntScalar(float64(n))})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if outs[0].Kind() != mat.Int {
+		t.Fatalf("an I-register output left the VM as %v", outs[0].Kind())
 	}
 	return outs[0].MustScalar()
 }
 
 // TestFramesAreReusedNotAllocated: after the first call has grown the
 // chain, a recursion that fits the idle bound allocates only what the
-// program itself boxes.
+// program itself allocates — and a scalar that both sides of a call keep
+// in a register is not among that.
 func TestFramesAreReusedNotAllocated(t *testing.T) {
 	h := &recursiveHost{ctx: builtins.NewContext(), c: countdown(t)}
 	const depth = 40
 	if got := sumTo(t, h, depth); got != depth*(depth+1)/2 {
 		t.Fatalf("sum(%d) = %g", depth, got)
 	}
-	arg := []*mat.Value{mat.IntScalar(depth)}
+	arg := []Operand{{V: mat.IntScalar(depth)}}
 	perCall := testing.AllocsPerRun(20, func() {
 		if _, err := Run(h.c, h, arg, nil); err != nil {
 			t.Fatal(err)
 		}
 	}) / (depth + 1)
-	// Per activation: the ballast matrix (value + buffer), the boxed
-	// argument and the boxed result. No banks, no argument list, no
-	// result list — except the outermost call's result list.
-	if perCall > 4.1 {
-		t.Errorf("%.2f allocations per activation, want 4: frames are being allocated", perCall)
+	// Per activation: the ballast matrix (value + buffer). No banks, no
+	// argument list, no result list — except the outermost call's — and
+	// no box for the argument or the result.
+	if perCall > 2.1 {
+		t.Errorf("%.2f allocations per activation, want 2: frames or boxes are being allocated", perCall)
 	}
 }
 
@@ -121,6 +126,11 @@ func TestIdleFramesPinNothing(t *testing.T) {
 					t.Fatalf("idle frame %d still holds a value in V[%d]", n, r)
 				}
 			}
+			for k, o := range fr.ops[:cap(fr.ops)] {
+				if o.V != nil {
+					t.Fatalf("idle frame %d still holds a value in call slot %d", n, k)
+				}
+			}
 		}
 		if kept > maxIdleBytes || n >= depth {
 			t.Errorf("an idle chain keeps %d frames, %d bytes; bound %d bytes", n, kept, maxIdleBytes)
@@ -132,21 +142,27 @@ func TestIdleFramesPinNothing(t *testing.T) {
 }
 
 // TestGuardMissAbandonsActivation: a callee result that is not the
-// promised integer scalar surfaces as ErrGuardMiss itself — not wrapped
-// in a *vm.Error, which would read as the program's own failure.
+// promised integer scalar — a box of anything else, or a register of
+// another class — surfaces as ErrGuardMiss itself, not wrapped in a
+// *vm.Error, which would read as the program's own failure.
 func TestGuardMissAbandonsActivation(t *testing.T) {
-	for name, v := range map[string]*mat.Value{
-		"matrix":   mat.New(2, 2),
-		"real":     mat.Scalar(0),
-		"bool":     mat.BoolScalar(false),
-		"char":     mat.FromString("a"),
-		"complex":  mat.ComplexScalar(complex(0, 1)),
-		"sparse":   mat.SparseZeros(1, 1),
-		"fraction": mat.IntScalar(0.5),
+	for name, o := range map[string]Operand{
+		"matrix":      {V: mat.New(2, 2)},
+		"real":        {V: mat.Scalar(0)},
+		"bool":        {V: mat.BoolScalar(false)},
+		"char":        {V: mat.FromString("a")},
+		"complex":     {V: mat.ComplexScalar(complex(0, 1))},
+		"sparse":      {V: mat.SparseZeros(1, 1)},
+		"fraction":    {V: mat.IntScalar(0.5)},
+		"empty":       {V: mat.Empty()},
+		"box > 2^53":  {V: mat.IntScalar(maxExactInt + 2)},
+		"F register":  {F: 0, Bank: ir.BankF},
+		"I > 2^53":    {I: maxExactInt + 1, Bank: ir.BankI},
+		"I < -(2^53)": {I: -maxExactInt - 1, Bank: ir.BankI},
 	} {
-		h := &recursiveHost{ctx: builtins.NewContext(), c: countdown(t), bottom: v}
+		h := &recursiveHost{ctx: builtins.NewContext(), c: countdown(t), bottom: &o}
 		// n = 1: the outermost activation is the one whose guard misses.
-		_, err := Run(h.c, h, []*mat.Value{mat.IntScalar(1)}, nil)
+		_, err := Run(h.c, h, []Operand{{V: mat.IntScalar(1)}}, nil)
 		if err != ErrGuardMiss {
 			t.Errorf("%s: err = %v, want ErrGuardMiss", name, err)
 		}
@@ -155,16 +171,28 @@ func TestGuardMissAbandonsActivation(t *testing.T) {
 			t.Errorf("%s: the guard miss came back wrapped: %v", name, err)
 		}
 	}
-	// The kind the register is boxed back to passes.
-	h := &recursiveHost{ctx: builtins.NewContext(), c: countdown(t), bottom: mat.IntScalar(100)}
-	if got := sumTo(t, h, 3); got != 106 {
-		t.Fatalf("sum(3) over a bottom of 100 = %g, want 106", got)
+	// The kind the register is boxed back to passes, and so does the
+	// register itself, up to the last integer a float64 holds exactly.
+	for name, bottom := range map[string]Operand{
+		"Int box":    {V: mat.IntScalar(100)},
+		"I register": {I: 100, Bank: ir.BankI},
+		"box = 2^53": {V: mat.IntScalar(maxExactInt)},
+		"I = 2^53":   {I: maxExactInt, Bank: ir.BankI},
+		"I = -2^53":  {I: -maxExactInt, Bank: ir.BankI},
+	} {
+		h := &recursiveHost{ctx: builtins.NewContext(), c: countdown(t), bottom: &bottom}
+		want := float64(int64(bottom.Box().MustScalar()) + 1)
+		if got := sumTo(t, h, 1); got != want {
+			t.Errorf("%s: sum(1) over the bottom = %g, want %g", name, got, want)
+		}
 	}
 }
 
 // TestConcurrentRecursionKeepsFramesApart: many goroutines recurse
-// through one *Compiled at once (more than rootPool has slots). Each
-// activation's registers must be its own. Run with -race.
+// through one *Compiled at once (more than rootPool has slots), every
+// call staging its argument and fetching its result through the call
+// slots of its own frame chain. Each activation's registers and slots
+// must be its own. Run with -race.
 func TestConcurrentRecursionKeepsFramesApart(t *testing.T) {
 	c := countdown(t)
 	var wg sync.WaitGroup
@@ -175,12 +203,18 @@ func TestConcurrentRecursionKeepsFramesApart(t *testing.T) {
 			h := &recursiveHost{ctx: builtins.NewContext(), c: c}
 			for i := 0; i < 50; i++ {
 				n := 5 + (g+i)%40
-				outs, err := Run(c, h, []*mat.Value{mat.IntScalar(float64(n))}, nil)
+				// The argument alternates between a box and a register, the
+				// two ways a call reaches the parameter binding.
+				arg := Operand{V: mat.IntScalar(float64(n))}
+				if i%2 == 1 {
+					arg = Operand{I: int64(n), Bank: ir.BankI}
+				}
+				outs, err := Run(c, h, []Operand{arg}, nil)
 				if err != nil {
 					t.Errorf("sum(%d): %v", n, err)
 					return
 				}
-				if got := outs[0].MustScalar(); got != float64(n*(n+1)/2) {
+				if got := outs[0].Box().MustScalar(); got != float64(n*(n+1)/2) {
 					t.Errorf("sum(%d) = %g: another activation wrote into this frame", n, got)
 					return
 				}

@@ -97,8 +97,8 @@ func TestFusedOneOpEqualsGBin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, werr := Run(cg, newTestHost(), args, nil)
-		got, gerr := Run(cf, newTestHost(), args, nil)
+		want, werr := runBoxed(cg, newTestHost(), args)
+		got, gerr := runBoxed(cf, newTestHost(), args)
 		// The runtime error's text, without the (fn, pc) it is located at.
 		text := func(err error) string {
 			var e *Error

@@ -125,9 +125,9 @@ func genericCat(aux []int32, at int, V []*mat.Value) (*mat.Value, error) {
 	return mat.Cat(parts)
 }
 
-// genericBuiltin dispatches OpGBuiltin. Like userCall it builds the
-// argument list in the frame's scratch: a builtin reads its arguments
-// and returns, it does not keep the slice.
+// genericBuiltin dispatches OpGBuiltin. It builds the argument list in
+// the frame's boxed scratch: a builtin reads its arguments and returns,
+// it does not keep the slice.
 func genericBuiltin(c *Compiled, ctx *builtins.Context, aux []int32, at int, V, argScratch []*mat.Value) error {
 	b := c.builtins[aux[at]]
 	nout := int(aux[at+1])
@@ -157,23 +157,28 @@ func genericBuiltin(c *Compiled, ctx *builtins.Context, aux []int32, at int, V, 
 }
 
 // userCall dispatches OpCallUser through the host. The argument and
-// result lists live in the activation's frame scratch (sized by Prepare
+// result lists live in the activation's operand scratch (sized by Prepare
 // for the program's widest call); the callee runs on the next frame of
 // the chain, so the scratch is free again as soon as the results are
-// copied out.
-func userCall(p *ir.Prog, host Host, aux []int32, at int, V, argScratch []*mat.Value, fr *Frame) error {
+// taken. A Staged argument is already in its slot, put there unboxed by
+// OpStageF/I; a Staged result stays in fr.outs, as the callee left it, for
+// the OpFetchF/I that follows. Everything else is boxed, here.
+func userCall(p *ir.Prog, host Host, aux []int32, at int, V []*mat.Value, slots []Operand, fr *Frame) error {
 	name := p.Calls[aux[at]]
 	nout := int(aux[at+1])
 	dsts := aux[at+2 : at+2+nout]
 	nargs := int(aux[at+2+nout])
-	argRegs := aux[at+3+nout : at+3+nout+nargs]
-	args := argScratch[:nargs]
-	for i, r := range argRegs {
+	args := slots[:nargs]
+	for i, r := range aux[at+3+nout : at+3+nout+nargs] {
+		if r == ir.Staged {
+			continue
+		}
 		v := V[r]
 		if v == nil {
+			clear(args)
 			return fmt.Errorf("%s: undefined argument", name)
 		}
-		args[i] = v
+		args[i] = Operand{V: v}
 	}
 	outs, err := host.CallUser(name, args, nout, fr)
 	clear(args)
@@ -184,9 +189,14 @@ func userCall(p *ir.Prog, host Host, aux []int32, at int, V, argScratch []*mat.V
 		return fmt.Errorf("%s: not enough output arguments", name)
 	}
 	for i, d := range dsts {
-		V[d] = outs[i]
+		if d == ir.Staged {
+			fr.outs[i] = outs[i] // where a callee off the chain did not put it
+		} else {
+			V[d] = outs[i].Box()
+			fr.outs[i] = Operand{}
+		}
 	}
-	clear(fr.outs)
+	clear(fr.outs[nout:]) // outputs the callee has and this call did not ask for
 	return nil
 }
 

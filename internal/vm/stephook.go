@@ -10,7 +10,8 @@ import (
 // StepHook observes an activation after an instruction that wrote a V
 // register (no other instruction can change which register owns which
 // value): p.Ins[pc] is that instruction, regs the V bank (registers,
-// then spill slots), args the activation's argument list.
+// then spill slots), args the activation's boxed arguments (nil where
+// the argument arrived in a register).
 type StepHook func(p *ir.Prog, pc int, regs, args []*mat.Value)
 
 // stepHook is test instrumentation: internal/vm/vmtest checks the
@@ -37,9 +38,13 @@ func SetStepHook(h StepHook) {
 // code should not depend on what a test hook needs.
 //
 //go:noinline
-func (fr *Frame) runStepHook(p *ir.Prog, pc int, args []*mat.Value) {
+func (fr *Frame) runStepHook(p *ir.Prog, pc int, args []Operand) {
 	if h := stepHook.Load(); h != nil {
-		(*h)(p, pc, fr.v[:p.NumV+p.SlotsV], args)
+		boxed := make([]*mat.Value, len(args))
+		for i := range args {
+			boxed[i] = args[i].V
+		}
+		(*h)(p, pc, fr.v[:p.NumV+p.SlotsV], boxed)
 	}
 }
 

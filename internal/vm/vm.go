@@ -26,12 +26,13 @@ import (
 // the shared builtin context.
 type Host interface {
 	// CallUser invokes a user function on behalf of the activation that
-	// owns caller. A host that dispatches to compiled code passes caller
-	// on to Run, which then runs the callee on the next frame of the
-	// caller's chain and returns the results in the caller's scratch —
-	// a call costs no frame and no result slice. The host must not retain
-	// args or caller past the call.
-	CallUser(name string, args []*mat.Value, nout int, caller *Frame) ([]*mat.Value, error)
+	// owns caller. A host that dispatches to compiled code passes args and
+	// caller on to Run, which then runs the callee on the next frame of
+	// the caller's chain and returns the results in the caller's scratch —
+	// a call costs no frame, no result slice and no box for a scalar that
+	// both sides keep in a register. The host must not retain args or
+	// caller past the call.
+	CallUser(name string, args []Operand, nout int, caller *Frame) ([]Operand, error)
 	Context() *builtins.Context
 }
 
@@ -67,11 +68,13 @@ type Compiled struct {
 	// math builtin whose real path promotes negatives to complex).
 	fuseBs   []*builtins.Builtin
 	fuseSqrt []bool
-	// callArgs is the widest argument list of any OpCallUser or
-	// OpGBuiltin in the program and callOuts the widest OpCallUser result
-	// list: the frame reserves that much boxed scratch after the V
-	// registers and spill slots.
-	callArgs, callOuts int
+	// builtinArgs is the widest argument list of any OpGBuiltin: the frame
+	// reserves that much boxed scratch after the V registers and spill
+	// slots. callSlots is the number of call slots (the widest OpCallUser
+	// argument list, the program's own outputs, and whatever OpStageF/I
+	// name) and callOuts the widest OpCallUser result list: together the
+	// frame's operand scratch.
+	builtinArgs, callSlots, callOuts int
 }
 
 // Prepare resolves the program's name tables.
@@ -106,20 +109,34 @@ func Prepare(p *ir.Prog) (*Compiled, error) {
 			c.vpool = append(c.vpool, v)
 		}
 	}
+	c.callSlots = len(p.OutRegs)
 	for _, in := range p.Ins {
-		if in.Op != ir.OpCallUser && in.Op != ir.OpGBuiltin {
-			continue
+		switch in.Op {
+		case ir.OpStageF, ir.OpStageI:
+			if in.A < 0 {
+				return nil, fmt.Errorf("vm: call slot %d", in.A)
+			}
+			c.callSlots = max(c.callSlots, int(in.A)+1)
+		case ir.OpFetchF, ir.OpFetchI:
+			if in.B < 0 {
+				return nil, fmt.Errorf("vm: call result %d", in.B)
+			}
+			c.callOuts = max(c.callOuts, int(in.B)+1)
+		case ir.OpCallUser, ir.OpGBuiltin:
+			// aux at A: [fnID, nout, dst..., nargs, arg...]
+			at := int(in.A)
+			if at < 0 || at+2 >= len(p.Aux) || p.Aux[at+1] < 0 || at+2+int(p.Aux[at+1]) >= len(p.Aux) {
+				return nil, fmt.Errorf("vm: call operands out of range at aux %d", at)
+			}
+			nout := int(p.Aux[at+1])
+			nargs := int(p.Aux[at+2+nout])
+			if in.Op == ir.OpGBuiltin {
+				c.builtinArgs = max(c.builtinArgs, nargs)
+			} else {
+				c.callOuts = max(c.callOuts, nout)
+				c.callSlots = max(c.callSlots, nargs)
+			}
 		}
-		// aux at A: [fnID, nout, dst..., nargs, arg...]
-		at := int(in.A)
-		if at < 0 || at+2 >= len(p.Aux) || p.Aux[at+1] < 0 || at+2+int(p.Aux[at+1]) >= len(p.Aux) {
-			return nil, fmt.Errorf("vm: call operands out of range at aux %d", at)
-		}
-		nout := int(p.Aux[at+1])
-		if in.Op == ir.OpCallUser {
-			c.callOuts = max(c.callOuts, nout)
-		}
-		c.callArgs = max(c.callArgs, int(p.Aux[at+2+nout]))
 	}
 	return c, nil
 }
@@ -175,8 +192,9 @@ func (e *Error) Unwrap() error { return e.Err }
 var ErrGuardMiss = errors.New("vm: return-type guard missed")
 
 // Frame is one activation's register file: the four banks with their
-// spill slots, plus boxed scratch for the argument and result lists of
-// the calls the activation makes. Frames form a chain that mirrors the
+// spill slots, plus scratch for the argument and result lists of the
+// calls the activation makes (boxed for builtins, operands for user
+// functions). Frames form a chain that mirrors the
 // call stack: an activation runs its callees on the frame linked behind
 // its own, which is allocated on the first nested call and then kept, so
 // recursion to any depth reuses the same frames call after call — no
@@ -195,9 +213,12 @@ type Frame struct {
 	i []int64
 	c []complex128
 	v []*mat.Value
-	// outs is where this activation's callees leave their results: the
-	// tail of v (nil for a root, whose callee allocates its result list).
-	outs []*mat.Value
+	// ops holds the call slots OpStageF/I fill — the argument list of the
+	// next user call, then this activation's own scalar outputs — and
+	// behind them outs, where this activation's callees leave their
+	// results (nil for a root, whose callee allocates its result list).
+	ops  []Operand
+	outs []Operand
 	// next is the frame this activation's callees run on.
 	next *Frame
 }
@@ -232,7 +253,7 @@ const maxIdleBytes = 16 << 10
 // bytes is the frame's footprint: its four banks plus (roundly) the
 // struct itself, so even register-less frames count for something.
 func (fr *Frame) bytes() int {
-	return 128 + 8*(cap(fr.f)+cap(fr.i)+cap(fr.v)) + 16*cap(fr.c)
+	return 128 + 8*(cap(fr.f)+cap(fr.i)+cap(fr.v)) + 16*cap(fr.c) + 32*cap(fr.ops)
 }
 
 func parkRoot(root *Frame) {
@@ -259,23 +280,24 @@ func sized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Run executes the compiled function with the given boxed arguments on
-// the frame behind caller's. caller is the calling activation's frame as
+// Run executes the compiled function with the given arguments on the
+// frame behind caller's. caller is the calling activation's frame as
 // handed to Host.CallUser, or nil when the call does not come from
 // compiled code; with a caller the result list lives in the caller's
 // frame (valid until its next call), without one it is freshly
-// allocated.
+// allocated. An output whose home is an F or I register comes back in
+// that class, unboxed.
 //
 // Run is re-entrant and safe for concurrent use with the same
 // *Compiled: every activation runs on its own frame (see Frame),
-// argument values are marked shared on entry (so in-place mutation
+// boxed argument values are marked shared on entry (so in-place mutation
 // inside the callee copy-on-writes rather than racing with a concurrent
 // caller passing the same value), and the only cross-call state reached
 // is the Host — whose Context (RNG, output writer) and CallUser
 // (repository dispatch) are concurrency-safe in async mode. mat.Value
 // results returned by Run are fresh or marked shared, so publishing
 // them across goroutines is safe.
-func Run(c *Compiled, host Host, args []*mat.Value, caller *Frame) ([]*mat.Value, error) {
+func Run(c *Compiled, host Host, args []Operand, caller *Frame) ([]Operand, error) {
 	p := c.P
 	if len(args) != len(p.Params) {
 		return nil, fmt.Errorf("vm: %s called with %d args, compiled for %d", p.Name, len(args), len(p.Params))
@@ -292,19 +314,21 @@ func Run(c *Compiled, host Host, args []*mat.Value, caller *Frame) ([]*mat.Value
 	fr.f = sized(fr.f, int(p.NumF+p.SlotsF))
 	fr.i = sized(fr.i, int(p.NumI+p.SlotsI))
 	fr.c = sized(fr.c, int(p.NumC+p.SlotsC))
-	fr.v = sized(fr.v, int(p.NumV+p.SlotsV)+c.callArgs+c.callOuts)
+	fr.v = sized(fr.v, int(p.NumV+p.SlotsV)+c.builtinArgs)
+	fr.ops = sized(fr.ops, c.callSlots+c.callOuts)
 	clear(fr.f)
 	clear(fr.i)
 	clear(fr.c)
 	outs, err := fr.exec(c, host, args, caller.outs[:0])
 	clear(fr.v)
+	clear(fr.ops)
 	if root {
 		parkRoot(caller)
 	}
 	return outs, err
 }
 
-func (fr *Frame) exec(c *Compiled, host Host, args, dst []*mat.Value) ([]*mat.Value, error) {
+func (fr *Frame) exec(c *Compiled, host Host, args, dst []Operand) ([]Operand, error) {
 	p := c.P
 	F := fr.f[:p.NumF]
 	I := fr.i[:p.NumI]
@@ -314,19 +338,24 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []*mat.Value) ([]*mat.Va
 	SI := fr.i[p.NumI:]
 	SC := fr.c[p.NumC:]
 	SV := fr.v[p.NumV : p.NumV+p.SlotsV]
-	callArgs := fr.v[p.NumV+p.SlotsV:][:c.callArgs]
-	fr.outs = fr.v[int(p.NumV+p.SlotsV)+c.callArgs:]
+	builtinArgs := fr.v[p.NumV+p.SlotsV:]
+	slots := fr.ops[:c.callSlots]
+	fr.outs = fr.ops[c.callSlots:]
 
 	ctx := host.Context()
 
+	// Parameter binding. A register scalar lands in a scalar parameter by
+	// copy or conversion; only a V-bank parameter boxes it.
 	for i, b := range p.Params {
-		a := args[i]
+		a := &args[i]
 		switch b.Bank {
 		case ir.BankV:
-			a.MarkShared()
-			V[b.Reg] = a
+			if a.V != nil {
+				a.V.MarkShared()
+			}
+			V[b.Reg] = a.Box()
 		case ir.BankF:
-			x, err := unboxF(a)
+			x, err := a.float()
 			if err != nil {
 				return nil, fmt.Errorf("vm: %s parameter %d: %v", p.Name, i+1, err)
 			}
@@ -336,23 +365,24 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []*mat.Value) ([]*mat.Va
 				F[b.Reg] = x
 			}
 		case ir.BankI:
-			x, err := unboxF(a)
-			if err != nil || x != math.Trunc(x) {
+			x, ok := a.integer()
+			if !ok {
 				return nil, fmt.Errorf("vm: %s parameter %d: expected integer scalar", p.Name, i+1)
 			}
 			if b.Slot {
-				SI[b.Reg] = int64(x)
+				SI[b.Reg] = x
 			} else {
-				I[b.Reg] = int64(x)
+				I[b.Reg] = x
 			}
 		case ir.BankC:
-			if !a.IsScalar() {
+			z, ok := a.complex()
+			if !ok {
 				return nil, fmt.Errorf("vm: %s parameter %d: expected scalar", p.Name, i+1)
 			}
 			if b.Slot {
-				SC[b.Reg] = a.ComplexAt(0)
+				SC[b.Reg] = z
 			} else {
-				C[b.Reg] = a.ComplexAt(0)
+				C[b.Reg] = z
 			}
 		}
 	}
@@ -389,15 +419,19 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []*mat.Value) ([]*mat.Va
 		case ir.OpRet:
 			outs := dst[:0]
 			if cap(outs) < len(p.OutRegs) {
-				outs = make([]*mat.Value, 0, len(p.OutRegs))
+				outs = make([]Operand, 0, len(p.OutRegs))
 			}
-			for _, reg := range p.OutRegs {
+			for k, reg := range p.OutRegs {
+				if reg == ir.Staged {
+					outs = append(outs, slots[k])
+					continue
+				}
 				v := V[reg]
 				if v == nil {
 					v = mat.Empty()
 				}
 				v.MarkShared()
-				outs = append(outs, v)
+				outs = append(outs, Operand{V: v})
 			}
 			return outs, nil
 
@@ -486,7 +520,7 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []*mat.Value) ([]*mat.Va
 			if V[in.B] == nil {
 				V[in.A] = mat.Empty()
 			} else {
-				V[in.A] = V[in.B].Clone()
+				V[in.A] = mat.Donors{Dst: V[in.A]}.Clone(V[in.B])
 			}
 		case ir.OpFConst:
 			F[in.A] = in.Imm
@@ -510,14 +544,6 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []*mat.Value) ([]*mat.Va
 		case ir.OpBoxC:
 			V[in.A] = mat.ComplexScalar(C[in.B]).Demote()
 		case ir.OpUnboxF:
-			if in.C != 0 {
-				x, ok := guardedScalar(V[in.B], mat.Real)
-				if !ok {
-					return nil, ErrGuardMiss
-				}
-				F[in.A] = x
-				break
-			}
 			x, e := unboxF(V[in.B])
 			if e != nil {
 				err = e
@@ -525,14 +551,6 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []*mat.Value) ([]*mat.Va
 			}
 			F[in.A] = x
 		case ir.OpUnboxI:
-			if in.C != 0 {
-				x, ok := guardedScalar(V[in.B], mat.Int)
-				if !ok || x != math.Trunc(x) || math.Abs(x) > maxExactInt {
-					return nil, ErrGuardMiss
-				}
-				I[in.A] = int64(x)
-				break
-			}
 			x, e := unboxF(V[in.B])
 			if e != nil {
 				err = e
@@ -779,15 +797,31 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []*mat.Value) ([]*mat.Va
 			}
 			V[in.A] = v
 		case ir.OpGBuiltin:
-			if e := genericBuiltin(c, ctx, p.Aux, int(in.A), V, callArgs); e != nil {
+			if e := genericBuiltin(c, ctx, p.Aux, int(in.A), V, builtinArgs); e != nil {
 				err = e
 				goto fail
 			}
 		case ir.OpCallUser:
-			if e := userCall(p, host, p.Aux, int(in.A), V, callArgs, fr); e != nil {
+			if e := userCall(p, host, p.Aux, int(in.A), V, slots, fr); e != nil {
 				err = e
 				goto fail
 			}
+		case ir.OpStageF:
+			slots[in.A] = Operand{F: F[in.B], Bank: ir.BankF}
+		case ir.OpStageI:
+			slots[in.A] = Operand{I: I[in.B], Bank: ir.BankI}
+		case ir.OpFetchF:
+			x, ok := fr.outs[in.B].fetchF()
+			if !ok {
+				return nil, ErrGuardMiss
+			}
+			F[in.A] = x
+		case ir.OpFetchI:
+			x, ok := fr.outs[in.B].fetchI()
+			if !ok {
+				return nil, ErrGuardMiss
+			}
+			I[in.A] = x
 		case ir.OpGEMV:
 			if e := gemv(p.Aux, int(in.B), in.Imm, int(in.A), V); e != nil {
 				err = e
@@ -862,26 +896,6 @@ func vOrErr(v *mat.Value, err *error) *mat.Value {
 		*err = fmt.Errorf("use of undefined value")
 	}
 	return v
-}
-
-// maxExactInt bounds the integers a guard admits to an I register: past
-// 2^53 a float64 no longer holds every integer, so int64 arithmetic and
-// the boxed float arithmetic it replaces could part ways.
-const maxExactInt = 1 << 53
-
-// guardedScalar is the return-type guard's test: a dense 1x1 value of
-// exactly the kind the register's contents are boxed back to (Int for an
-// I register, Real for F). Unlike unboxF it admits no other kind: a
-// compiled callee that offers a summary boxes its result from a register
-// of that class, so it always passes, while an interpreted callee may
-// hand back, say, an Int-kinded 2 for x/2 — unboxing that into F and
-// boxing it again later would turn it into a double, which the boxed
-// call it replaces would not have done.
-func guardedScalar(v *mat.Value, k mat.Kind) (float64, bool) {
-	if v == nil || !v.IsScalar() || v.IsSparse() || v.Kind() != k {
-		return 0, false
-	}
-	return v.Re()[0], true
 }
 
 func unboxF(v *mat.Value) (float64, error) {

@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -20,12 +22,23 @@ func newTestHost() *testHost {
 }
 
 func (h *testHost) Context() *builtins.Context { return h.ctx }
-func (h *testHost) CallUser(name string, args []*mat.Value, nout int, _ *Frame) ([]*mat.Value, error) {
+func (h *testHost) CallUser(name string, args []Operand, nout int, _ *Frame) ([]Operand, error) {
 	f, ok := h.calls[name]
 	if !ok {
 		return nil, mat.Errorf("no function %q", name)
 	}
-	return f(args, nout)
+	outs, err := f(BoxAll(nil, args), nout)
+	return Boxed(nil, outs), err
+}
+
+// runBoxed is Run from the boxed side of the call boundary, as the engine
+// calls it: boxed arguments in, every result boxed on the way out.
+func runBoxed(c *Compiled, h Host, args []*mat.Value) ([]*mat.Value, error) {
+	outs, err := Run(c, h, Boxed(nil, args), nil)
+	if err != nil {
+		return nil, err
+	}
+	return BoxAll(nil, outs), nil
 }
 
 // run builds a Compiled from raw instructions and executes it.
@@ -36,7 +49,7 @@ func run(t *testing.T, p *ir.Prog, args ...*mat.Value) []*mat.Value {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := Run(c, newTestHost(), args, nil)
+	outs, err := runBoxed(c, newTestHost(), args)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +63,7 @@ func runErr(t *testing.T, p *ir.Prog, args ...*mat.Value) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(c, newTestHost(), args, nil)
+	_, err = runBoxed(c, newTestHost(), args)
 	return err
 }
 
@@ -226,7 +239,7 @@ func TestUserCallDispatch(t *testing.T) {
 	h.calls["double_it"] = func(args []*mat.Value, nout int) ([]*mat.Value, error) {
 		return []*mat.Value{mat.Scalar(2 * args[0].MustScalar())}, nil
 	}
-	outs, err := Run(c, h, []*mat.Value{mat.Scalar(21)}, nil)
+	outs, err := runBoxed(c, h, []*mat.Value{mat.Scalar(21)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,5 +277,71 @@ func TestRuntimeErrorCarriesLocation(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "boom+1") {
 		t.Errorf("error lacks pc info: %v", err)
+	}
+}
+
+// TestOperandsBindLikeTheirBoxes: a scalar that arrives in a register
+// lands in a parameter of any bank exactly as the box it replaces would
+// — same bits, same kind once boxed again, same error with the same
+// words — for every class pairing, including the values no integer test
+// or range orders.
+func TestOperandsBindLikeTheirBoxes(t *testing.T) {
+	// identity(bank) returns its parameter from a register of that bank.
+	identity := func(bank ir.Bank) *Compiled {
+		p := &ir.Prog{Name: "id", NumF: 1, NumI: 1, NumC: 1, NumV: 2,
+			Params: []ir.ParamBinding{{Bank: bank, Reg: 0}}, Allocated: true}
+		switch bank {
+		case ir.BankF:
+			p.Ins = []ir.Instr{{Op: ir.OpStageF, A: 0, B: 0}, {Op: ir.OpRet}}
+			p.OutRegs = []int32{ir.Staged}
+		case ir.BankI:
+			p.Ins = []ir.Instr{{Op: ir.OpStageI, A: 0, B: 0}, {Op: ir.OpRet}}
+			p.OutRegs = []int32{ir.Staged}
+		case ir.BankC:
+			p.Ins = []ir.Instr{{Op: ir.OpBoxC, A: 1, B: 0}, {Op: ir.OpRet}}
+			p.OutRegs = []int32{1}
+		default:
+			p.Ins = []ir.Instr{{Op: ir.OpRet}}
+			p.OutRegs = []int32{0}
+		}
+		c, err := Prepare(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	var operands []Operand
+	for _, x := range []float64{0, math.Copysign(0, -1), 1, -7, 0.5, 1 << 53, -(1 << 53), 1e300, math.NaN(), math.Inf(1)} {
+		operands = append(operands, Operand{F: x, Bank: ir.BankF})
+		if x == math.Trunc(x) && math.Abs(x) <= 1<<53 {
+			operands = append(operands, Operand{I: int64(x), Bank: ir.BankI})
+		}
+	}
+	describe := func(outs []Operand, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		v := outs[0].Box()
+		s := fmt.Sprintf("%v %dx%d %016x", v.Kind(), v.Rows(), v.Cols(), math.Float64bits(v.Re()[0]))
+		if v.Kind() == mat.Complex {
+			s += fmt.Sprintf(" %016x", math.Float64bits(v.Im()[0]))
+		}
+		return s
+	}
+	h := newTestHost()
+	for _, bank := range []ir.Bank{ir.BankF, ir.BankI, ir.BankC, ir.BankV} {
+		c := identity(bank)
+		for _, o := range operands {
+			staged := describe(Run(c, h, []Operand{o}, nil))
+			boxed := describe(Run(c, h, []Operand{{V: o.Box()}}, nil))
+			if staged != boxed {
+				t.Errorf("%v parameter, operand %+v: in a register %q, boxed %q", bank, o, staged, boxed)
+			}
+		}
+	}
+	// And the register really is a register: -0 and NaN keep their bits.
+	outs, err := Run(identity(ir.BankF), h, []Operand{{F: math.Copysign(0, -1), Bank: ir.BankF}}, nil)
+	if err != nil || outs[0].V != nil || outs[0].Bank != ir.BankF || !math.Signbit(outs[0].F) {
+		t.Errorf("-0 through an F parameter and an F output: %+v, %v", outs, err)
 	}
 }
