@@ -7,6 +7,8 @@
 //	majicc -dump=ir file.m
 //	majicc -dump=types -fn=poly -sig='int,real' file.m
 //	majicc -dump=spec file.m
+//	majicc -dump=asm -tier=jit -sig=int file.m    the body a JIT engine runs
+//	majicc -dump=asm -tier=spec file.m            the speculative tier's, at its guessed signature
 package main
 
 import (
@@ -20,6 +22,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/cfg"
 	"repro/internal/codegen"
+	"repro/internal/core"
 	"repro/internal/disambig"
 	"repro/internal/infer"
 	"repro/internal/lexer"
@@ -35,6 +38,7 @@ func main() {
 	fnName := flag.String("fn", "", "function to compile (default: first in file)")
 	sigFlag := flag.String("sig", "", "comma-separated parameter types: int|real|cplx|strg|matrix (default: all matrix)")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON file (parse, disambig, typeinf, codegen stage spans) on exit")
+	tierFlag := flag.String("tier", "", "with -dump=asm: print the body an engine of this tier runs (jit|spec|falcon|mcc), compiled by the engine's own pipeline with the file's other functions defined (inlining, the tier's unroll factor); spec without -sig uses the speculated signature")
 	flag.Parse()
 
 	var tracer *telemetry.Tracer
@@ -106,6 +110,18 @@ func main() {
 			fmt.Fprintf(os.Stderr, "majicc: no function %q\n", *fnName)
 			os.Exit(1)
 		}
+	}
+
+	if *tierFlag != "" {
+		if *dump != "asm" {
+			fmt.Fprintln(os.Stderr, "majicc: -tier goes with -dump=asm")
+			os.Exit(2)
+		}
+		if err := dumpTier(src, fn, *tierFlag, *sigFlag); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		return
 	}
 
 	g := cfg.Build(fn.Body)
@@ -180,6 +196,31 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown dump kind %q\n", *dump)
 		os.Exit(2)
 	}
+}
+
+// dumpTier prints the code an engine of the named tier would run for fn.
+func dumpTier(src string, fn *ast.Function, tierName, sigSpec string) error {
+	tier, err := core.ParseTier(tierName)
+	if err != nil {
+		return err
+	}
+	e := core.New(core.Options{Tier: tier})
+	defer e.Close()
+	if err := e.Define(src); err != nil {
+		return err
+	}
+	var sig types.Signature
+	if sigSpec != "" || tier != core.TierSpec {
+		if sig, err = parseSig(sigSpec, len(fn.Ins)); err != nil {
+			return err
+		}
+	}
+	prog, sig, err := e.Lower(fn.Name, sig)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("; %s tier, signature %s\n%s", tier, sig, prog.Disasm())
+	return nil
 }
 
 // printRules dumps the type calculator's forward rule database — the

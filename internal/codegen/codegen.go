@@ -81,6 +81,11 @@ type gen struct {
 	varV []bool
 
 	nextF, nextI, nextC, nextV int32
+	// varRegs[b] is the number of registers of scalar bank b that are
+	// variables' homes: they are numbered first, so a register at or above
+	// it is an expression temporary. born[b] is the length of the code
+	// when the bank's newest register was created (see retarget).
+	varRegs, born [3]int32
 
 	// patch lists for loops
 	breakPatches    [][]int
@@ -178,6 +183,7 @@ func Compile(fn *ast.Function, res *infer.Result, tbl *disambig.Table, cfg Confi
 		}
 		g.vars[name] = g.newSlot(class)
 	}
+	g.varRegs = [3]int32{g.nextF, g.nextI, g.nextC}
 
 	// Parameter bindings.
 	for _, p := range fn.Ins {
@@ -270,21 +276,36 @@ func (g *gen) newSlot(b ir.Bank) slot {
 	return s
 }
 
+// next is the counter of bank b's registers.
+func (g *gen) next(b ir.Bank) *int32 {
+	return [...]*int32{&g.nextF, &g.nextI, &g.nextC, &g.nextV}[b]
+}
+
 func (g *gen) newReg(b ir.Bank) int32 {
-	switch b {
-	case ir.BankF:
-		g.nextF++
-		return g.nextF - 1
-	case ir.BankI:
-		g.nextI++
-		return g.nextI - 1
-	case ir.BankC:
-		g.nextC++
-		return g.nextC - 1
-	default:
-		g.nextV++
-		return g.nextV - 1
+	if b != ir.BankV {
+		g.born[b] = int32(len(g.prog.Ins))
 	}
+	n := g.next(b)
+	*n++
+	return *n - 1
+}
+
+// retarget makes the instruction that computed temporary r of bank b
+// write dst instead, when that is the instruction just emitted and r is
+// the register created for it: r then has no other definition and no use
+// yet, so nothing can tell the difference and the move is never emitted
+// (x = x + 1 is one fadd x, x, =1). It reports whether it did.
+func (g *gen) retarget(b ir.Bank, r, dst int32) bool {
+	last := len(g.prog.Ins) - 1
+	if last < 0 || r != *g.next(b)-1 || r < g.varRegs[b] || g.born[b] != int32(last) {
+		return false
+	}
+	if d, ok := g.prog.Ins[last].Def(); !ok || d.Bank != b || *d.Reg != r {
+		return false
+	}
+	g.prog.Ins[last].A = dst
+	*g.next(b)-- // r is nowhere in the code: the number is free again
+	return true
 }
 
 func (g *gen) emit(in ir.Instr) int {
@@ -335,6 +356,9 @@ func (g *gen) vconst(vc VConst) int32 {
 func (g *gen) annOf(e ast.Expr) types.Type { return g.res.TypeOf(e) }
 
 // --- conversions --------------------------------------------------------------
+//
+// A constant register (r < 0) converts at compile time, to the constant
+// of the other bank.
 
 // toF converts a (bank, reg) value to an F register.
 func (g *gen) toF(b ir.Bank, r int32) int32 {
@@ -342,11 +366,17 @@ func (g *gen) toF(b ir.Bank, r int32) int32 {
 	case ir.BankF:
 		return r
 	case ir.BankI:
+		if r < 0 {
+			return g.prog.FConst(float64(g.prog.ConstI[^r]))
+		}
 		d := g.newReg(ir.BankF)
 		g.emit(ir.Instr{Op: ir.OpItoF, A: d, B: r})
 		return d
 	case ir.BankC:
 		// real part (used only where inference proved realness)
+		if r < 0 {
+			return g.prog.FConst(real(g.prog.ConstC[^r]))
+		}
 		d := g.newReg(ir.BankF)
 		g.emit(ir.Instr{Op: ir.OpCReal, A: d, B: r})
 		return d
@@ -363,6 +393,9 @@ func (g *gen) toI(b ir.Bank, r int32) int32 {
 	case ir.BankI:
 		return r
 	case ir.BankF:
+		if r < 0 {
+			return g.prog.IConst(int64(g.prog.ConstF[^r]))
+		}
 		d := g.newReg(ir.BankI)
 		g.emit(ir.Instr{Op: ir.OpFtoI, A: d, B: r})
 		return d
@@ -382,10 +415,16 @@ func (g *gen) toC(b ir.Bank, r int32) int32 {
 	case ir.BankC:
 		return r
 	case ir.BankF:
+		if r < 0 {
+			return g.prog.CConst(complex(g.prog.ConstF[^r], 0))
+		}
 		d := g.newReg(ir.BankC)
 		g.emit(ir.Instr{Op: ir.OpFtoC, A: d, B: r})
 		return d
 	case ir.BankI:
+		if r < 0 {
+			return g.prog.CConst(complex(float64(g.prog.ConstI[^r]), 0))
+		}
 		d := g.newReg(ir.BankC)
 		g.emit(ir.Instr{Op: ir.OpItoC, A: d, B: r})
 		return d

@@ -92,8 +92,13 @@ end`
 	if n := count(p, ir.OpFLd2U, ir.OpFSt2U); n != 0 {
 		t.Errorf("%d unchecked accesses without provable bounds:\n%s", n, p.Disasm())
 	}
-	if n := count(p, ir.OpFLd2, ir.OpFSt2); n == 0 {
-		t.Error("expected checked accesses")
+	// (the subscripts are in the I bank: the bounds check stays, the
+	// integrality test and the conversions feeding it do not)
+	if n := count(p, ir.OpFLd2I, ir.OpFSt2I); n == 0 {
+		t.Errorf("expected bounds-checked accesses:\n%s", p.Disasm())
+	}
+	if n := count(p, ir.OpItoF); n != 0 {
+		t.Errorf("%d conversions of I-bank subscripts:\n%s", n, p.Disasm())
 	}
 	// with a constant n the checks disappear
 	p = compileFn(t, src, map[string]types.Type{

@@ -16,20 +16,14 @@ import (
 func (g *gen) expr(e ast.Expr) (ir.Bank, int32) {
 	switch x := e.(type) {
 	case *ast.NumberLit:
+		// A literal is a constant register: no instruction.
 		if x.Imag {
-			d := g.newReg(ir.BankC)
-			g.prog.CPool = append(g.prog.CPool, complex(0, x.Value))
-			g.emit(ir.Instr{Op: ir.OpCConst, A: d, B: int32(len(g.prog.CPool) - 1)})
-			return ir.BankC, d
+			return ir.BankC, g.prog.CConst(complex(0, x.Value))
 		}
 		if x.IsInt {
-			d := g.newReg(ir.BankI)
-			g.emit(ir.Instr{Op: ir.OpIConst, A: d, Imm: x.Value})
-			return ir.BankI, d
+			return ir.BankI, g.prog.IConst(int64(x.Value))
 		}
-		d := g.newReg(ir.BankF)
-		g.emit(ir.Instr{Op: ir.OpFConst, A: d, Imm: x.Value})
-		return ir.BankF, d
+		return ir.BankF, g.prog.FConst(x.Value)
 
 	case *ast.StringLit:
 		d := g.newReg(ir.BankV)
@@ -61,9 +55,7 @@ func (g *gen) expr(e ast.Expr) (ir.Bank, int32) {
 			sb, sr := g.expr(x.Step)
 			step = g.toV(sb, sr)
 		} else {
-			f := g.newReg(ir.BankF)
-			g.emit(ir.Instr{Op: ir.OpFConst, A: f, Imm: 1})
-			step = g.toV(ir.BankF, f)
+			step = g.toV(ir.BankF, g.prog.FConst(1))
 		}
 		hb, hr := g.expr(x.Hi)
 		hi := g.toV(hb, hr)
@@ -104,19 +96,15 @@ func (g *gen) nonVarIdent(x *ast.Ident) (ir.Bank, int32) {
 	// Constant-folded builtin constants (pi, eps, true, ...).
 	if c, ok := ann.R.IsConst(); ok && ann.IsScalar() && types.LeqI(ann.I, types.IReal) {
 		if types.LeqI(ann.I, types.IInt) {
-			d := g.newReg(ir.BankI)
-			g.emit(ir.Instr{Op: ir.OpIConst, A: d, Imm: c})
-			return ir.BankI, d
+			return ir.BankI, g.prog.IConst(int64(c))
 		}
-		d := g.newReg(ir.BankF)
-		g.emit(ir.Instr{Op: ir.OpFConst, A: d, Imm: c})
-		return ir.BankF, d
+		return ir.BankF, g.prog.FConst(c)
 	}
 	if x.Name == "i" || x.Name == "j" {
-		d := g.newReg(ir.BankC)
-		g.prog.CPool = append(g.prog.CPool, complex(0, 1))
-		g.emit(ir.Instr{Op: ir.OpCConst, A: d, B: int32(len(g.prog.CPool) - 1)})
-		return ir.BankC, d
+		return ir.BankC, g.prog.CConst(complex(0, 1))
+	}
+	if b, r, ok := g.scalarRand(x.Name, 0, ann); ok {
+		return b, r
 	}
 	if builtins.Lookup(x.Name) != nil {
 		return ir.BankV, g.emitBuiltinByName(x.Name, nil, 1)[0]
@@ -268,26 +256,23 @@ func (g *gen) scalarBinary(x *ast.Binary, bank ir.Bank) (ir.Bank, int32) {
 	switch bank {
 	case ir.BankI:
 		a, b := g.toI(lb, lr), g.toI(rb, rr)
-		d := g.newReg(ir.BankI)
+		var op ir.Op
 		switch x.Op {
 		case ast.OpAdd:
-			g.emit(ir.Instr{Op: ir.OpIAdd, A: d, B: a, C: b})
+			op = ir.OpIAdd
 		case ast.OpSub:
-			g.emit(ir.Instr{Op: ir.OpISub, A: d, B: a, C: b})
+			op = ir.OpISub
 		case ast.OpMul, ast.OpEMul:
-			g.emit(ir.Instr{Op: ir.OpIMul, A: d, B: a, C: b})
+			op = ir.OpIMul
 		case ast.OpPow, ast.OpEPow:
 			// int^int via float pow, result known integral
-			fa, fb := g.toF(ir.BankI, a), g.toF(ir.BankI, b)
-			fd := g.newReg(ir.BankF)
-			g.emit(ir.Instr{Op: ir.OpFPow, A: fd, B: fa, C: fb})
-			g.emit(ir.Instr{Op: ir.OpFtoI, A: d, B: fd})
+			_, fd := g.scalarFloatOp(x.Op, g.toF(ir.BankI, a), g.toF(ir.BankI, b))
+			return ir.BankI, g.toI(ir.BankF, fd)
 		default:
 			// int division etc. falls through to float
-			fa, fb := g.toF(ir.BankI, a), g.toF(ir.BankI, b)
-			return g.scalarFloatOp(x.Op, fa, fb)
+			return g.scalarFloatOp(x.Op, g.toF(ir.BankI, a), g.toF(ir.BankI, b))
 		}
-		return ir.BankI, d
+		return ir.BankI, g.intOp(op, a, b)
 
 	case ir.BankF:
 		a, b := g.toF(lb, lr), g.toF(rb, rr)
@@ -317,50 +302,72 @@ func (g *gen) scalarBinary(x *ast.Binary, bank ir.Bank) (ir.Bank, int32) {
 	panic(unsupported("scalar op %v", x.Op))
 }
 
+// intOp emits one I-bank arithmetic instruction — or none, when both
+// operands are literals: the JIT runs no optimiser, so what it does not
+// fold here it computes on every trip. scalarFloatOp is the F bank's.
+func (g *gen) intOp(op ir.Op, a, b int32) int32 {
+	if a < 0 && b < 0 {
+		if v, ok := ir.FoldI(op, g.prog.ConstI[^a], g.prog.ConstI[^b]); ok {
+			return g.prog.IConst(v)
+		}
+	}
+	d := g.newReg(ir.BankI)
+	g.emit(ir.Instr{Op: op, A: d, B: a, C: b})
+	return d
+}
+
 func (g *gen) scalarFloatOp(op ast.BinOp, a, b int32) (ir.Bank, int32) {
-	d := g.newReg(ir.BankF)
+	var iop ir.Op
 	switch op {
 	case ast.OpAdd:
-		g.emit(ir.Instr{Op: ir.OpFAdd, A: d, B: a, C: b})
+		iop = ir.OpFAdd
 	case ast.OpSub:
-		g.emit(ir.Instr{Op: ir.OpFSub, A: d, B: a, C: b})
+		iop = ir.OpFSub
 	case ast.OpMul, ast.OpEMul:
-		g.emit(ir.Instr{Op: ir.OpFMul, A: d, B: a, C: b})
+		iop = ir.OpFMul
 	case ast.OpDiv, ast.OpEDiv:
-		g.emit(ir.Instr{Op: ir.OpFDiv, A: d, B: a, C: b})
+		iop = ir.OpFDiv
 	case ast.OpLDiv, ast.OpELDiv:
-		g.emit(ir.Instr{Op: ir.OpFDiv, A: d, B: b, C: a})
+		iop, a, b = ir.OpFDiv, b, a
 	case ast.OpPow, ast.OpEPow:
-		g.emit(ir.Instr{Op: ir.OpFPow, A: d, B: a, C: b})
+		iop = ir.OpFPow
 	default:
 		panic(unsupported("float scalar op %v", op))
 	}
+	if a < 0 && b < 0 {
+		if v, ok := ir.FoldF(iop, g.prog.ConstF[^a], g.prog.ConstF[^b]); ok {
+			return ir.BankF, g.prog.FConst(v)
+		}
+	}
+	d := g.newReg(ir.BankF)
+	g.emit(ir.Instr{Op: iop, A: d, B: a, C: b})
 	return ir.BankF, d
 }
 
 // shortCircuit compiles && and || with lazy right-operand evaluation.
 func (g *gen) shortCircuit(x *ast.Binary) (ir.Bank, int32) {
 	d := g.newReg(ir.BankF)
+	zero, one := g.prog.FConst(0), g.prog.FConst(1)
 	if x.Op == ast.OpAndAnd {
 		falseP := g.condFalsePatches(x.L)
 		falseP = append(falseP, g.condFalsePatches(x.R)...)
-		g.emit(ir.Instr{Op: ir.OpFConst, A: d, Imm: 1})
+		g.emit(ir.Instr{Op: ir.OpFMov, A: d, B: one})
 		over := g.emit(ir.Instr{Op: ir.OpJmp})
 		g.patch(falseP, g.here())
-		g.emit(ir.Instr{Op: ir.OpFConst, A: d, Imm: 0})
+		g.emit(ir.Instr{Op: ir.OpFMov, A: d, B: zero})
 		g.patch([]int{over}, g.here())
 		return ir.BankF, d
 	}
 	falseL := g.condFalsePatches(x.L)
 	// L true:
-	g.emit(ir.Instr{Op: ir.OpFConst, A: d, Imm: 1})
+	g.emit(ir.Instr{Op: ir.OpFMov, A: d, B: one})
 	overTrue := g.emit(ir.Instr{Op: ir.OpJmp})
 	g.patch(falseL, g.here())
 	falseR := g.condFalsePatches(x.R)
-	g.emit(ir.Instr{Op: ir.OpFConst, A: d, Imm: 1})
+	g.emit(ir.Instr{Op: ir.OpFMov, A: d, B: one})
 	over2 := g.emit(ir.Instr{Op: ir.OpJmp})
 	g.patch(falseR, g.here())
-	g.emit(ir.Instr{Op: ir.OpFConst, A: d, Imm: 0})
+	g.emit(ir.Instr{Op: ir.OpFMov, A: d, B: zero})
 	g.patch([]int{overTrue, over2}, g.here())
 	return ir.BankF, d
 }
@@ -380,11 +387,17 @@ func (g *gen) unary(x *ast.Unary) (ir.Bank, int32) {
 		if ann.IsScalar() {
 			switch {
 			case types.LeqI(ann.I, types.IInt) && b == ir.BankI:
+				if r < 0 { // -1 is a literal too
+					return ir.BankI, g.prog.IConst(-g.prog.ConstI[^r])
+				}
 				d := g.newReg(ir.BankI)
 				g.emit(ir.Instr{Op: ir.OpINeg, A: d, B: r})
 				return ir.BankI, d
 			case types.LeqI(ann.I, types.IReal):
 				f := g.toF(b, r)
+				if f < 0 {
+					return ir.BankF, g.prog.FConst(-g.prog.ConstF[^f])
+				}
 				d := g.newReg(ir.BankF)
 				g.emit(ir.Instr{Op: ir.OpFNeg, A: d, B: f})
 				return ir.BankF, d

@@ -106,74 +106,66 @@ func (g *gen) typedStorePossible(call *ast.Call, rhs ast.Expr, baseT types.Type)
 	return true
 }
 
-// compileSub compiles one subscript either as an unchecked I register
-// (when provably in bounds) or a checked F register.
-func (g *gen) compileSub(e ast.Expr, call *ast.Call, minExtent types.Extent) (reg int32, unchecked bool) {
-	ann := g.annOf(e)
-	b, r := g.exprWithEnd(e, call)
-	if subInBounds(ann, minExtent) {
-		return g.toI(b, r), true
+// Opcode forms of a typed element access, by subscript count: proven in
+// bounds, proven integer only (subscripts in the I bank), neither.
+var (
+	loadForms  = [2][3]ir.Op{{ir.OpFLd1U, ir.OpFLd1I, ir.OpFLd1}, {ir.OpFLd2U, ir.OpFLd2I, ir.OpFLd2}}
+	storeForms = [2][3]ir.Op{{ir.OpFSt1U, ir.OpFSt1I, ir.OpFSt1}, {ir.OpFSt2U, ir.OpFSt2I, ir.OpFSt2}}
+)
+
+// subscripts compiles the subscripts of a typed access to base and picks
+// the access's form: unchecked I registers when every subscript is
+// provably in bounds (§2.4), I registers with the bounds check kept when
+// every subscript is at least in the I bank — the bank proves it an
+// integer, so no conversion is spent on having the access re-derive
+// that — and checked F registers otherwise.
+func (g *gen) subscripts(call *ast.Call, baseT types.Type, forms [2][3]ir.Op) (ir.Op, [2]int32) {
+	n := len(call.Args)
+	ext := [2]types.Extent{minNumel(baseT)}
+	if n == 2 {
+		ext = [2]types.Extent{baseT.MinShape.R, baseT.MinShape.C}
 	}
-	return g.toF(b, r), false
+	var regs [2]int32
+	var banks [2]ir.Bank
+	inBounds, inI := true, true
+	for k, a := range call.Args {
+		b, r := g.exprWithEnd(a, call)
+		if subInBounds(g.annOf(a), ext[k]) {
+			b, r = ir.BankI, g.toI(b, r)
+		} else {
+			inBounds = false
+		}
+		regs[k], banks[k] = r, b
+		inI = inI && b == ir.BankI
+	}
+	switch {
+	case inBounds:
+		return forms[n-1][0], regs
+	case inI:
+		return forms[n-1][1], regs
+	}
+	for k := 0; k < n; k++ {
+		regs[k] = g.toF(banks[k], regs[k])
+	}
+	return forms[n-1][2], regs
 }
 
 // emitTypedLoad compiles A(i) / A(i,j) element reads.
 func (g *gen) emitTypedLoad(call *ast.Call, base slot, baseT types.Type) (ir.Bank, int32) {
+	op, r := g.subscripts(call, baseT, loadForms)
 	d := g.newReg(ir.BankF)
-	switch len(call.Args) {
-	case 1:
-		r, unchecked := g.compileSub(call.Args[0], call, minNumel(baseT))
-		if unchecked {
-			g.emit(ir.Instr{Op: ir.OpFLd1U, A: d, B: base.reg, C: r})
-		} else {
-			g.emit(ir.Instr{Op: ir.OpFLd1, A: d, B: base.reg, C: r})
-		}
-	case 2:
-		r1, u1 := g.compileSub(call.Args[0], call, baseT.MinShape.R)
-		r2, u2 := g.compileSub(call.Args[1], call, baseT.MinShape.C)
-		if u1 && u2 {
-			g.emit(ir.Instr{Op: ir.OpFLd2U, A: d, B: base.reg, C: r1, D: r2})
-		} else {
-			// mixed: re-materialize both as checked F operands
-			f1, f2 := r1, r2
-			if u1 {
-				f1 = g.toF(ir.BankI, r1)
-			}
-			if u2 {
-				f2 = g.toF(ir.BankI, r2)
-			}
-			g.emit(ir.Instr{Op: ir.OpFLd2, A: d, B: base.reg, C: f1, D: f2})
-		}
-	}
+	g.emit(ir.Instr{Op: op, A: d, B: base.reg, C: r[0], D: r[1]})
 	return ir.BankF, d
 }
 
 // emitTypedStore compiles A(i) = f / A(i,j) = f stores; checked stores
 // implement MATLAB's growth semantics.
 func (g *gen) emitTypedStore(call *ast.Call, base slot, baseT types.Type, f int32) {
-	switch len(call.Args) {
-	case 1:
-		r, unchecked := g.compileSub(call.Args[0], call, minNumel(baseT))
-		if unchecked {
-			g.emit(ir.Instr{Op: ir.OpFSt1U, A: base.reg, B: r, C: f})
-		} else {
-			g.emit(ir.Instr{Op: ir.OpFSt1, A: base.reg, B: r, C: f})
-		}
-	case 2:
-		r1, u1 := g.compileSub(call.Args[0], call, baseT.MinShape.R)
-		r2, u2 := g.compileSub(call.Args[1], call, baseT.MinShape.C)
-		if u1 && u2 {
-			g.emit(ir.Instr{Op: ir.OpFSt2U, A: base.reg, B: r1, C: r2, D: f})
-		} else {
-			f1, f2 := r1, r2
-			if u1 {
-				f1 = g.toF(ir.BankI, r1)
-			}
-			if u2 {
-				f2 = g.toF(ir.BankI, r2)
-			}
-			g.emit(ir.Instr{Op: ir.OpFSt2, A: base.reg, B: f1, C: f2, D: f})
-		}
+	op, r := g.subscripts(call, baseT, storeForms)
+	if len(call.Args) == 1 {
+		g.emit(ir.Instr{Op: op, A: base.reg, B: r[0], C: f})
+	} else {
+		g.emit(ir.Instr{Op: op, A: base.reg, B: r[0], C: r[1], D: f})
 	}
 }
 
@@ -268,9 +260,7 @@ func (g *gen) builtinCall(x *ast.Call) (ir.Bank, int32) {
 					case "real", "conj":
 						return b, r
 					case "imag":
-						d := g.newReg(ir.BankF)
-						g.emit(ir.Instr{Op: ir.OpFConst, A: d, Imm: 0})
-						return ir.BankF, d
+						return ir.BankF, g.prog.FConst(0)
 					}
 				}
 				if types.LeqI(at.I, types.ICplx) && b != ir.BankV {
@@ -295,6 +285,10 @@ func (g *gen) builtinCall(x *ast.Call) (ir.Bank, int32) {
 				return ir.BankV, g.emitBuiltinRegs(name, []int32{v}, 1)[0]
 			}
 		}
+	}
+
+	if b, r, ok := g.scalarRand(name, len(x.Args), ann); ok {
+		return b, r
 	}
 
 	// mod/rem on typed scalars.
@@ -396,6 +390,23 @@ func (g *gen) builtinCall(x *ast.Call) (ir.Bank, int32) {
 		}
 	}
 	return ir.BankV, d
+}
+
+// scalarRand selects one typed instruction for a draw of a single
+// deviate — rand or randn without arguments, annotated a real scalar —
+// from the generator the boxed builtin draws from, so the stream and
+// every value are the same and nothing is allocated.
+func (g *gen) scalarRand(name string, nargs int, ann types.Type) (ir.Bank, int32, bool) {
+	if name != "rand" && name != "randn" || nargs != 0 || !ann.IsScalar() || !types.LeqI(ann.I, types.IReal) {
+		return 0, 0, false
+	}
+	d := g.newReg(ir.BankF)
+	in := ir.Instr{Op: ir.OpFRand, A: d}
+	if name == "randn" {
+		in.B = 1
+	}
+	g.emit(in)
+	return ir.BankF, d, true
 }
 
 func cmathSupported(name string) bool {
@@ -565,20 +576,14 @@ func (g *gen) matrixLit(x *ast.Matrix) (ir.Bank, int32) {
 					elems = append(elems, g.toF(b, r))
 				}
 			}
-			rr := g.newReg(ir.BankI)
-			g.emit(ir.Instr{Op: ir.OpIConst, A: rr, Imm: float64(rows)})
-			cr := g.newReg(ir.BankI)
-			g.emit(ir.Instr{Op: ir.OpIConst, A: cr, Imm: float64(cols)})
 			d := g.newReg(ir.BankV)
 			// VEnsure recycles the buffer this temp inherited from the
 			// previous iteration's swap (pre-allocated temporaries).
-			g.emit(ir.Instr{Op: ir.OpVEnsure, A: d, B: rr, C: cr})
+			g.emit(ir.Instr{Op: ir.OpVEnsure, A: d, B: g.prog.IConst(int64(rows)), C: g.prog.IConst(int64(cols))})
 			k := 0
 			for ri := 0; ri < rows; ri++ {
 				for ci := 0; ci < cols; ci++ {
-					idx := g.newReg(ir.BankI)
-					g.emit(ir.Instr{Op: ir.OpIConst, A: idx, Imm: float64(ci*rows + ri + 1)})
-					g.emit(ir.Instr{Op: ir.OpFSt1U, A: d, B: idx, C: elems[k]})
+					g.emit(ir.Instr{Op: ir.OpFSt1U, A: d, B: g.prog.IConst(int64(ci*rows + ri + 1)), C: elems[k]})
 					k++
 				}
 			}
@@ -644,11 +649,8 @@ func (g *gen) tryUnrollElemwise(x *ast.Binary) (ir.Bank, int32, bool) {
 		if t.IsScalar() {
 			return g.toF(b, reg)
 		}
-		v := g.toV(b, reg)
-		idx := g.newReg(ir.BankI)
-		g.emit(ir.Instr{Op: ir.OpIConst, A: idx, Imm: float64(k + 1)})
 		d := g.newReg(ir.BankF)
-		g.emit(ir.Instr{Op: ir.OpFLd1U, A: d, B: v, C: idx})
+		g.emit(ir.Instr{Op: ir.OpFLd1U, A: d, B: g.toV(b, reg), C: g.prog.IConst(int64(k + 1))})
 		return d
 	}
 	// Broadcast scalars once.
@@ -675,18 +677,12 @@ func (g *gen) tryUnrollElemwise(x *ast.Binary) (ir.Bank, int32, bool) {
 		_, res := g.scalarFloatOp(binOpNormalize(x.Op), a, b)
 		results[k] = res
 	}
-	rrg := g.newReg(ir.BankI)
-	g.emit(ir.Instr{Op: ir.OpIConst, A: rrg, Imm: float64(rows)})
-	crg := g.newReg(ir.BankI)
-	g.emit(ir.Instr{Op: ir.OpIConst, A: crg, Imm: float64(cols)})
 	d := g.newReg(ir.BankV)
 	// VEnsure recycles the previous iteration's buffer (swap semantics
 	// in move) — the paper's pre-allocated small temporaries.
-	g.emit(ir.Instr{Op: ir.OpVEnsure, A: d, B: rrg, C: crg})
+	g.emit(ir.Instr{Op: ir.OpVEnsure, A: d, B: g.prog.IConst(int64(rows)), C: g.prog.IConst(int64(cols))})
 	for k := 0; k < n; k++ {
-		idx := g.newReg(ir.BankI)
-		g.emit(ir.Instr{Op: ir.OpIConst, A: idx, Imm: float64(k + 1)})
-		g.emit(ir.Instr{Op: ir.OpFSt1U, A: d, B: idx, C: results[k]})
+		g.emit(ir.Instr{Op: ir.OpFSt1U, A: d, B: g.prog.IConst(int64(k + 1)), C: results[k]})
 	}
 	return ir.BankV, d, true
 }

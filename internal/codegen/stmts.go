@@ -76,10 +76,14 @@ func (g *gen) stmt(s ast.Stmt) {
 // variable's old buffer, which the instruction that next defines the
 // temp — on the following loop iteration — finds as its displaced
 // destination and builds its result in (the paper's pre-allocated
-// temporaries; DESIGN §10).
+// temporaries; DESIGN §10). A scalar value that the instruction just
+// emitted computed into a temporary is not moved at all: the instruction
+// writes the destination (retarget) — so r is consumed, and a caller that
+// goes on reading a register it has just created and defined must copy it
+// itself.
 func (g *gen) move(dst slot, b ir.Bank, r int32) {
 	cv := g.to(dst.bank, b, r)
-	if cv == dst.reg {
+	if cv == dst.reg || dst.bank != ir.BankV && g.retarget(dst.bank, cv, dst.reg) {
 		return
 	}
 	switch dst.bank {
@@ -190,9 +194,7 @@ func (g *gen) indexedAssign(lhs *ast.Call, rhs ast.Expr) {
 	// Typed store path: scalar rhs, scalar subscripts, real data.
 	if g.typedStorePossible(lhs, rhs, baseT) {
 		rb, rr := g.expr(rhs)
-		fr := g.toF(rb, rr)
-		g.emit(ir.Instr{Op: ir.OpVEnsureOwn, A: base.reg})
-		g.emitTypedStore(lhs, base, baseT, fr)
+		g.emitTypedStore(lhs, base, baseT, g.toF(rb, rr))
 		return
 	}
 	rb, rr := g.expr(rhs)
@@ -343,8 +345,10 @@ func (g *gen) ifStmt(x *ast.If) {
 	for i, cond := range x.Conds {
 		falseP := g.condFalsePatches(cond)
 		g.stmts(x.Blocks[i])
-		at := g.emit(ir.Instr{Op: ir.OpJmp})
-		endPatches = append(endPatches, at)
+		if i < len(x.Conds)-1 || x.Else != nil {
+			// (the last block of an if without else falls through)
+			endPatches = append(endPatches, g.emit(ir.Instr{Op: ir.OpJmp}))
+		}
 		g.patch(falseP, g.here())
 	}
 	if x.Else != nil {
@@ -429,9 +433,8 @@ func (g *gen) forStmt(x *ast.For) {
 	cols := g.newReg(ir.BankI)
 	g.emit(ir.Instr{Op: ir.OpVCols, A: cols, B: iter})
 	k := g.newReg(ir.BankI)
-	one := g.newReg(ir.BankI)
-	g.emit(ir.Instr{Op: ir.OpIConst, A: one, Imm: 1})
-	g.emit(ir.Instr{Op: ir.OpIConst, A: k, Imm: 1})
+	one := g.prog.IConst(1)
+	g.emit(ir.Instr{Op: ir.OpIMov, A: k, B: one})
 	head := g.here()
 	exit := g.emit(ir.Instr{Op: ir.OpBrILt, A: cols, B: k}) // cols < k → done
 	// var = iter(:, k)
@@ -454,133 +457,230 @@ func (g *gen) forStmt(x *ast.For) {
 	g.patch(brkP, end)
 }
 
-// forRange compiles for v = lo:step:hi over typed scalars. Iteration
-// count and values follow the same formula as mat.Colon so compiled and
-// interpreted runs agree bit for bit: v_k = lo + k*step for k = 0..n.
+// forRange compiles for v = lo:step:hi over typed scalars, in one of two
+// ways (DESIGN §19).
+//
+// An integer range whose step has a known sign is counted in integers:
+// the induction register starts at lo, steps by step and stops past hi,
+// which is exactly mat.Colon's sequence lo + k*step for k = 0..n (the
+// 1e-10 in n's formula is beyond the reach of a step below 2^31). When the
+// variable lives in the I bank and the body never assigns it, the
+// variable is its own induction register; otherwise a hidden one is
+// copied to it at the top of each trip.
+//
+// Any other range follows mat.Colon's formula to the letter, so compiled
+// and interpreted runs agree bit for bit: n = floor((hi-lo)/step + 1e-10)
+// computed once in floating point, a hidden counter k = 0..n, and
+// v = lo + k*step at the top of each trip.
+//
+// Either way the range is evaluated once, an empty range leaves the
+// variable untouched, and the variable ends at the last value iterated.
 func (g *gen) forRange(x *ast.For, r *ast.Range, loT, stepT, hiT types.Type, dst slot) {
-	intMode := types.LeqI(loT.I, types.IInt) && types.LeqI(stepT.I, types.IInt) &&
-		types.LeqI(hiT.I, types.IInt) && dst.bank == ir.BankI
-
 	lb, lr := g.expr(r.Lo)
-	loF := g.toF(lb, lr)
-	var stepF int32
+	sb, sr := ir.BankI, g.prog.IConst(1)
 	if r.Step != nil {
-		sb, sr := g.expr(r.Step)
-		stepF = g.toF(sb, sr)
-	} else {
-		stepF = g.newReg(ir.BankF)
-		g.emit(ir.Instr{Op: ir.OpFConst, A: stepF, Imm: 1})
+		sb, sr = g.expr(r.Step)
 	}
 	hb, hr := g.expr(r.Hi)
-	hiF := g.toF(hb, hr)
 
-	zero := g.newReg(ir.BankF)
-	g.emit(ir.Instr{Op: ir.OpFConst, A: zero, Imm: 0})
-
-	var skips []int
-	// step == 0 → empty
-	skips = append(skips, g.emit(ir.Instr{Op: ir.OpBrFEq, A: stepF, B: zero}))
-	// step > 0 && lo > hi → empty: encoded as two tests
-	posTest := g.emit(ir.Instr{Op: ir.OpBrFLe, A: stepF, B: zero}) // step <= 0 → check negative case
-	skips = append(skips, g.emit(ir.Instr{Op: ir.OpBrFLt, A: hiF, B: loF}))
-	skipNeg := g.emit(ir.Instr{Op: ir.OpJmp})
-	g.patch([]int{posTest}, g.here())
-	skips = append(skips, g.emit(ir.Instr{Op: ir.OpBrFLt, A: loF, B: hiF}))
-	g.patch([]int{skipNeg}, g.here())
-
-	// n = floor((hi-lo)/step + 1e-10); k = 0..n
-	diff := g.newReg(ir.BankF)
-	g.emit(ir.Instr{Op: ir.OpFSub, A: diff, B: hiF, C: loF})
-	quot := g.newReg(ir.BankF)
-	g.emit(ir.Instr{Op: ir.OpFDiv, A: quot, B: diff, C: stepF})
-	epsc := g.newReg(ir.BankF)
-	g.emit(ir.Instr{Op: ir.OpFConst, A: epsc, Imm: 1e-10})
-	sum := g.newReg(ir.BankF)
-	g.emit(ir.Instr{Op: ir.OpFAdd, A: sum, B: quot, C: epsc})
-	fl := g.newReg(ir.BankF)
-	g.emit(ir.Instr{Op: ir.OpFMath, A: fl, B: sum, C: g.mathID("floor")})
-	n := g.newReg(ir.BankI)
-	g.emit(ir.Instr{Op: ir.OpFtoI, A: n, B: fl})
-
-	k := g.newReg(ir.BankI)
-	g.emit(ir.Instr{Op: ir.OpIConst, A: k, Imm: 0})
-	one := g.newReg(ir.BankI)
-	g.emit(ir.Instr{Op: ir.OpIConst, A: one, Imm: 1})
-
-	var loI, stepI int32
-	if intMode {
-		loI = g.toI(ir.BankF, loF)
-		stepI = g.toI(ir.BankF, stepF)
+	intRange := types.LeqI(loT.I, types.IInt) && types.LeqI(stepT.I, types.IInt) && types.LeqI(hiT.I, types.IInt)
+	const maxStep = 1 << 31
+	up, down := stepT.R.Lo >= 1 && stepT.R.Hi <= maxStep, stepT.R.Hi <= -1 && stepT.R.Lo >= -maxStep
+	if intRange && (up || down) && dst.bank != ir.BankV {
+		lo, step, hi := g.toI(lb, lr), g.toI(sb, sr), g.toI(hb, hr)
+		own := dst.bank == ir.BankI && !g.assignedIn(x.Body, dst)
+		iv := dst.reg
+		if !own {
+			iv = g.newReg(ir.BankI)
+		}
+		// The loop reads step and hi on every trip: they must not move.
+		step, hi = g.pinned(x, step, iv), g.pinned(x, hi, iv)
+		g.countedLoop(x, iv, lo, step, hi, down, own, func() {
+			switch {
+			case own:
+			case dst.bank == ir.BankI:
+				// (not move, which may consume its source: see retarget)
+				g.emit(ir.Instr{Op: ir.OpIMov, A: dst.reg, B: iv})
+			default:
+				g.move(dst, ir.BankI, iv) // a conversion
+			}
+		})
+		return
 	}
 
-	// One iteration chunk: v = lo + k*step; body; k++.
-	iteration := func() (contP, brkP []int) {
+	loF, stepF, hiF := g.toF(lb, lr), g.toF(sb, sr), g.toF(hb, hr)
+	zero := g.prog.FConst(0)
+	var skips []int
+	switch {
+	case stepF < 0 && g.prog.ConstF[^stepF] > 0: // a literal step: its sign is known here
+		skips = append(skips, g.emit(ir.Instr{Op: ir.OpBrFLt, A: hiF, B: loF}))
+	case stepF < 0 && g.prog.ConstF[^stepF] < 0:
+		skips = append(skips, g.emit(ir.Instr{Op: ir.OpBrFLt, A: loF, B: hiF}))
+	default:
+		// step == 0 → empty
+		skips = append(skips, g.emit(ir.Instr{Op: ir.OpBrFEq, A: stepF, B: zero}))
+		// step > 0 && lo > hi → empty: encoded as two tests
+		posTest := g.emit(ir.Instr{Op: ir.OpBrFLe, A: stepF, B: zero}) // step <= 0 → check negative case
+		skips = append(skips, g.emit(ir.Instr{Op: ir.OpBrFLt, A: hiF, B: loF}))
+		skipNeg := g.emit(ir.Instr{Op: ir.OpJmp})
+		g.patch([]int{posTest}, g.here())
+		skips = append(skips, g.emit(ir.Instr{Op: ir.OpBrFLt, A: loF, B: hiF}))
+		g.patch([]int{skipNeg}, g.here())
+	}
+
+	// n = floor((hi-lo)/step + 1e-10); k = 0..n
+	_, diff := g.scalarFloatOp(ast.OpSub, hiF, loF)
+	_, quot := g.scalarFloatOp(ast.OpDiv, diff, stepF)
+	_, sum := g.scalarFloatOp(ast.OpAdd, quot, g.prog.FConst(1e-10))
+	fl := g.newReg(ir.BankF)
+	g.emit(ir.Instr{Op: ir.OpFMath, A: fl, B: sum, C: g.mathID("floor")})
+	n := g.toI(ir.BankF, fl)
+	k := g.newReg(ir.BankI)
+
+	intMode := intRange && dst.bank == ir.BankI
+	var loI, stepI int32
+	if intMode {
+		loI, stepI = g.toI(ir.BankF, loF), g.toI(ir.BankF, stepF)
+	}
+	// n < 0 (a NaN bound) runs no trip, like the interpreter's k <= n.
+	g.countedLoop(x, k, g.prog.IConst(0), g.prog.IConst(1), n, false, false, func() {
 		if intMode {
 			t := g.newReg(ir.BankI)
 			g.emit(ir.Instr{Op: ir.OpIMul, A: t, B: k, C: stepI})
 			g.emit(ir.Instr{Op: ir.OpIAdd, A: dst.reg, B: loI, C: t})
-		} else {
-			kf := g.newReg(ir.BankF)
-			g.emit(ir.Instr{Op: ir.OpItoF, A: kf, B: k})
-			t := g.newReg(ir.BankF)
-			g.emit(ir.Instr{Op: ir.OpFMul, A: t, B: kf, C: stepF})
-			v := g.newReg(ir.BankF)
-			g.emit(ir.Instr{Op: ir.OpFAdd, A: v, B: loF, C: t})
-			g.move(dst, ir.BankF, v)
+			return
 		}
+		t := g.toF(ir.BankI, k)
+		if stepF != g.prog.FConst(1) { // k*1 is k, to the bit
+			_, t = g.scalarFloatOp(ast.OpMul, t, stepF)
+		}
+		_, v := g.scalarFloatOp(ast.OpAdd, loF, t)
+		g.move(dst, ir.BankF, v)
+	})
+	g.patch(skips, g.here())
+}
+
+// countedLoop emits the loop both lowerings share: iv runs from lo by
+// step (negative when down) while it has not passed hi, bind and the body
+// run once per value, and the test is at the bottom — a trip costs the
+// body plus iadd and one conditional branch. step and hi must hold their
+// values for the loop's duration. With fixup the induction register is a
+// variable, left at the last value iterated on the normal exit (a break
+// leaves it where it is).
+//
+// The optimising backend's unrolling (cfg.UnrollLoops) replicates the
+// body U times in a main loop that runs while U whole trips remain
+// (iv <= hi - (U-1)*step), one branch per U trips, ahead of the plain
+// loop, which takes the remainder. Bodies with break/continue, and steps
+// that are not literals, keep the plain loop alone.
+func (g *gen) countedLoop(x *ast.For, iv, lo, step, hi int32, down, fixup bool, bind func()) {
+	// past(a, b) branches when a has passed b and returns the branch for
+	// patching; of two literals the answer is known here, and is no test
+	// or a plain jump. within branches to head when a has not passed b.
+	past := func(a, b int32) []int {
+		if down {
+			a, b = b, a
+		}
+		switch c := g.prog.ConstI; {
+		case a >= 0 || b >= 0:
+			return []int{g.emit(ir.Instr{Op: ir.OpBrILt, A: b, B: a})}
+		case c[^b] < c[^a]:
+			return []int{g.emit(ir.Instr{Op: ir.OpJmp})}
+		}
+		return nil
+	}
+	within := func(a, b int32, head int) {
+		if down {
+			a, b = b, a
+		}
+		g.emit(ir.Instr{Op: ir.OpBrILe, A: a, B: b, C: int32(head)})
+	}
+	trip := func() (brkP []int) {
+		bind()
 		g.pushLoop()
 		g.stmts(x.Body)
-		contP, brkP = g.popLoop()
+		contP, brkP := g.popLoop()
 		g.patch(contP, g.here())
-		g.emit(ir.Instr{Op: ir.OpIAdd, A: k, B: k, C: one})
-		return contP, brkP
+		g.emit(ir.Instr{Op: ir.OpIAdd, A: iv, B: iv, C: step})
+		return brkP
 	}
 
-	// Unrolled main loop for the optimizing backend: replicate the body
-	// U times per trip-count check. Bodies with break/continue keep the
-	// simple form.
-	unroll := g.cfg.UnrollLoops
-	if unroll > 1 && !bodyHasJumps(x.Body) {
-		uLim := g.newReg(ir.BankI)
-		g.emit(ir.Instr{Op: ir.OpIConst, A: uLim, Imm: float64(unroll - 1)})
-		mainHead := g.here()
-		t := g.newReg(ir.BankI)
-		g.emit(ir.Instr{Op: ir.OpIAdd, A: t, B: k, C: uLim})
-		toRem := g.emit(ir.Instr{Op: ir.OpBrILt, A: n, B: t}) // n < k+U-1 → remainder
-		for u := 0; u < unroll; u++ {
-			iteration()
+	empty := past(lo, hi)
+	if iv != lo {
+		g.emit(ir.Instr{Op: ir.OpIMov, A: iv, B: lo})
+	}
+	var exits []int
+	if u := int64(g.cfg.UnrollLoops); u > 1 && step < 0 && !bodyHasJumps(x.Body) {
+		hiU := g.intOp(ir.OpISub, hi, g.prog.IConst((u-1)*g.prog.ConstI[^step]))
+		toRem := past(lo, hiU) // (iv is lo here)
+		main := g.here()
+		for ; u > 0; u-- {
+			trip()
 		}
-		g.emit(ir.Instr{Op: ir.OpJmp, A: int32(mainHead)})
-		g.patch([]int{toRem}, g.here())
-		// remainder loop
-		remHead := g.here()
-		exit := g.emit(ir.Instr{Op: ir.OpBrILt, A: n, B: k})
-		iteration()
-		g.emit(ir.Instr{Op: ir.OpJmp, A: int32(remHead)})
-		end := g.here()
-		g.patch([]int{exit}, end)
-		g.patch(skips, end)
-		return
+		within(iv, hiU, main)
+		g.patch(toRem, g.here())
+		exits = past(iv, hi)
 	}
-
 	head := g.here()
-	exit := g.emit(ir.Instr{Op: ir.OpBrILt, A: n, B: k}) // n < k → done
-	_, brkP := iteration()
-	g.emit(ir.Instr{Op: ir.OpJmp, A: int32(head)})
-	end := g.here()
-	g.patch([]int{exit}, end)
-	g.patch(skips, end)
-	g.patch(brkP, end)
+	brkP := trip()
+	within(iv, hi, head)
+	g.patch(exits, g.here())
+	if fixup {
+		g.emit(ir.Instr{Op: ir.OpISub, A: iv, B: iv, C: step})
+	}
+	g.patch(append(brkP, empty...), g.here())
+}
+
+// assignedIn reports whether a statement of body (at any depth) assigns
+// the variable whose home is s.
+func (g *gen) assignedIn(body []ast.Stmt, s slot) bool {
+	found := false
+	is := func(name string) {
+		if v, ok := g.vars[name]; ok && v == s {
+			found = true
+		}
+	}
+	ast.WalkStmts(body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.Assign:
+			for _, l := range x.LHS {
+				switch lhs := l.(type) {
+				case *ast.Ident:
+					is(lhs.Name)
+				case *ast.Call:
+					is(lhs.Name)
+				}
+			}
+		case *ast.For:
+			is(x.Var)
+		case *ast.ExprStmt:
+			is("ans")
+		}
+		return !found
+	})
+	return found
+}
+
+// pinned returns a register that holds r's value for the whole of loop x:
+// r itself unless it is the loop's induction register or the home of a
+// variable the body assigns, in which case a copy made now.
+func (g *gen) pinned(x *ast.For, r, iv int32) int32 {
+	if r == iv || r >= 0 && r < g.varRegs[ir.BankI] && g.assignedIn(x.Body, slot{ir.BankI, r}) {
+		t := g.newReg(ir.BankI)
+		g.emit(ir.Instr{Op: ir.OpIMov, A: t, B: r})
+		return t
+	}
+	return r
 }
 
 // bodyHasJumps reports whether a statement list contains break,
 // continue or return anywhere (at any nesting depth within this
-// function's loops — conservative but cheap).
+// function's loops — conservative but cheap), or a loop.
 func bodyHasJumps(body []ast.Stmt) bool {
 	found := false
 	ast.WalkStmts(body, func(n ast.Node) bool {
 		switch n.(type) {
-		case *ast.Break, *ast.Continue, *ast.Return:
+		case *ast.Break, *ast.Continue, *ast.Return, *ast.For, *ast.While:
 			found = true
 		}
 		return !found

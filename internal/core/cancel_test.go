@@ -82,6 +82,59 @@ end
 	}
 }
 
+// TestInterruptAbortsCountedLoops pins the safepoint of the loops that
+// close with a conditional branch (DESIGN §19): a counted for loop has no
+// backward jump for the flag to be polled at, so the VM polls at every
+// backward branch taken. A counted loop that only ever leaves through
+// the while around it, and empty bodies that would spin for hours over an
+// integer range and a float one, die on Interrupt under the JIT and under
+// the optimising tier (whose unrolled main loop closes the same way).
+func TestInterruptAbortsCountedLoops(t *testing.T) {
+	const src = `function y = spinfor(which)
+y = 0;
+if which == 1
+  while 1
+    for k = 1:3
+      y = y + k;
+    end
+  end
+elseif which == 2
+  for i = 1:1000000000000
+  end
+else
+  for x = 1:1e12
+  end
+end
+`
+	for _, tier := range []Tier{TierJIT, TierFalcon} {
+		for _, inner := range []float64{1, 2, 3} {
+			e := New(Options{Tier: tier})
+			if err := e.Define(src); err != nil {
+				t.Fatal(err)
+			}
+			timer := interruptAfter(e, 50*time.Millisecond)
+			t0 := time.Now()
+			_, err := e.Call("spinfor", []*mat.Value{mat.Scalar(inner)}, 1)
+			elapsed := time.Since(t0)
+			timer.Stop()
+			if !errors.Is(err, cancel.ErrInterrupted) {
+				t.Fatalf("[%s loop %v] want ErrInterrupted, got %v", tier, inner, err)
+			}
+			if elapsed > time.Second {
+				t.Fatalf("[%s loop %v] interrupt took %v, want < 1s", tier, inner, elapsed)
+			}
+			compiled := false
+			for _, en := range e.Repo().Entries("spinfor") {
+				compiled = compiled || en.Quality != repo.QualityInterp
+			}
+			if !compiled {
+				t.Fatalf("[%s] spinfor fell back to the interpreter; VM back-edges not exercised", tier)
+			}
+			e.Close()
+		}
+	}
+}
+
 // TestInterruptAbortsRecursion covers loop-free divergence: the
 // call-entry safepoint kills infinite recursion.
 func TestInterruptAbortsRecursion(t *testing.T) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/disambig"
 	"repro/internal/infer"
 	"repro/internal/inline"
+	"repro/internal/ir"
 	"repro/internal/opt"
 	"repro/internal/persist"
 	"repro/internal/regalloc"
@@ -132,6 +134,30 @@ func (e *Engine) compile(fn *ast.Function, sig types.Signature, po pipelineOpts)
 		return nil, err
 	}
 	return out, nil
+}
+
+// Lower compiles a defined function the way the engine's tier would and
+// returns the allocated program with the signature it was compiled for —
+// what majicc -dump=asm prints: the JIT pipeline at sig under TierJIT, the
+// optimising one under any other compiling tier, at the speculated
+// signature when sig is nil. Nothing is published.
+func (e *Engine) Lower(name string, sig types.Signature) (*ir.Prog, types.Signature, error) {
+	fn := e.LookupFunction(name)
+	if fn == nil {
+		return nil, nil, fmt.Errorf("core: no function %q", name)
+	}
+	if sig == nil {
+		var err error
+		if sig, err = e.speculate(fn); err != nil {
+			return nil, nil, err
+		}
+	}
+	po := pipelineOpts{optimize: e.opts.Tier != TierJIT || e.opts.JITBackendOpts, generic: e.opts.Tier == TierMCC}
+	c, err := e.compile(fn, sig, po)
+	if err != nil {
+		return nil, nil, err
+	}
+	return c.code.P, sig, nil
 }
 
 func (e *Engine) inferOpts() infer.Opts {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/ir"
 	"repro/internal/mat"
 )
 
@@ -418,6 +419,208 @@ function s = f()
 end`},
 }
 
+// loopPrograms pin what a for loop means, whichever way it is lowered
+// (DESIGN §19): where the variable is left — after a normal exit, a break,
+// an empty range — what a body that assigns the variable or the bound's
+// source does, steps of every sign and kind, float ranges, bounds where
+// float64 runs out of integers, a variable name reused across a nest.
+// They ride in diffPrograms (every tier, platform, ablation, the
+// ownership hook) and TestLoopSemantics holds them to the interpreter's
+// bits.
+var loopPrograms = []diffProg{
+	{name: "loop_var_after_normal_exit", src: `
+function r = f()
+  s = 0;
+  for i = 1:7
+    s = s + i;
+  end
+  r = [i s];
+end`},
+	{name: "loop_var_after_break", src: `
+function r = f()
+  s = 0;
+  for i = 1:100
+    if i > 4
+      break;
+    end
+    s = s + i;
+  end
+  for k = 10:-1:1
+    if k < 7
+      break;
+    end
+  end
+  r = [i s k];
+end`},
+	{name: "loop_empty_range_keeps_var", args: []float64{0}, src: `
+function r = f(n)
+  i = 42; j = 43; k = 44; x = 45;
+  for i = 5:1
+    i = -1;
+  end
+  for j = 1:n
+    j = -1;
+  end
+  for k = 1:-1:n+2
+    k = -1;
+  end
+  for x = 0.5:0.25:n
+    x = -1;
+  end
+  r = [i j k x];
+end`},
+	{name: "loop_body_assigns_var", src: `
+function r = f()
+  s = 0; t = 0;
+  for i = 1:5
+    s = s + i;
+    i = i * 10;
+    t = t + i;
+  end
+  for k = 3:-1:1
+    k = k + 0.5;
+    t = t + k;
+  end
+  r = [i s t k];
+end`},
+	{name: "loop_body_changes_bound_source", args: []float64{5}, src: `
+function r = f(n)
+  s = 0;
+  st = 1;
+  for i = 1:st:n
+    n = n + 3;
+    st = st + 1;
+    s = s + i;
+  end
+  r = [i n s st];
+end`},
+	{name: "loop_bound_is_the_variable", src: `
+function r = f()
+  i = 4; s = 0;
+  for i = 1:i
+    s = s + i;
+  end
+  k = 2;
+  for k = k:k+3
+    s = s + k;
+  end
+  r = [i k s];
+end`},
+	{name: "loop_continue", src: `
+function r = f()
+  s = 0;
+  for i = 1:10
+    if mod(i, 3) == 0
+      continue;
+    end
+    s = s + i;
+  end
+  r = [i s];
+end`},
+	{name: "loop_negative_steps", args: []float64{9}, src: `
+function r = f(n)
+  s = 0; t = 0;
+  for i = n:-1:1
+    s = s*2 + i;
+  end
+  for k = 20:-3:n
+    t = t*2 + k;
+  end
+  for m = -n:-2:-13
+    t = t + m;
+  end
+  r = [i s k t m];
+end`},
+	{name: "loop_zero_step", src: `
+function r = f()
+  i = 7; s = 0; z = 0;
+  for i = 1:0:5
+    s = s + 1;
+  end
+  for k = 1:z:5
+    s = s + 1;
+  end
+  r = [i s];
+end`},
+	{name: "loop_step_from_argument_up", args: []float64{3}, src: `
+function r = f(st)
+  s = 0;
+  for i = 1:st:20
+    s = s*3 + i;
+  end
+  for k = 20:-st:1
+    s = s + k;
+  end
+  r = [i k s];
+end`},
+	{name: "loop_step_from_argument_down", args: []float64{-4}, src: `
+function r = f(st)
+  s = 0; i = 0;
+  for i = 1:st:20
+    s = s + 1;
+  end
+  for k = 20:st:1
+    s = s*3 + k;
+  end
+  r = [i k s];
+end`},
+	{name: "loop_float_ranges", src: `
+function r = f()
+  s = 0; t = 0;
+  for x = 0:0.1:1
+    s = s + x;
+  end
+  for y = 1:-0.25:0
+    t = t*2 + y;
+  end
+  for z = 0.5:3
+    t = t + z;
+  end
+  r = [x s y t z];
+end`},
+	{name: "loop_bounds_at_2_pow_53", src: `
+function r = f()
+  p = 2^53;
+  s = 0; t = 0;
+  for i = p-2:p
+    s = s + (i - (p - 3));
+  end
+  for k = -p:-p+2
+    t = t + (k + p + 1);
+  end
+  for m = p:-1:p-2
+    t = t*2 + (p - m);
+  end
+  r = [i s k t m];
+end`},
+	{name: "loop_var_reused_across_a_nest", src: `
+function s = f()
+  n = 12;
+  U = zeros(n, n);
+  V = zeros(1, n);
+  for i = 1:n
+    U(i,1) = i;
+  end
+  for j = 2:n
+    for i = 2:n-1
+      V(i) = U(i-1,j-1) + U(i+1,j-1) + 0.5*U(i,j-1);
+    end
+    for i = n-1:-1:1
+      V(i) = V(i) - 0.25*V(i+1);
+    end
+    for i = 1:n
+      U(i,j) = V(i)/4;
+    end
+  end
+  s = 0;
+  for i = 1:n
+    s = s + U(i,n);
+  end
+end`},
+}
+
+func init() { diffPrograms = append(diffPrograms, loopPrograms...) }
+
 var allTiers = []Tier{TierMCC, TierFalcon, TierJIT, TierSpec}
 
 func runTier(t *testing.T, p diffProg, tier Tier, platform Platform) *mat.Value {
@@ -492,6 +695,129 @@ func TestTiersMatchInterpreter(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLoopSemantics holds loopPrograms to the interpreter bit for bit:
+// under every compiling tier on both platforms (the unroll factors 2 and
+// 4), and under a tiered engine, whose first calls interpret, transfer
+// into a continuation mid-loop and then run promoted code.
+func TestLoopSemantics(t *testing.T) {
+	for _, p := range loopPrograms {
+		p := p
+		t.Run(p.name, func(t *testing.T) { bitIdenticalAcrossTiers(t, p) })
+	}
+}
+
+// bitIdenticalAcrossTiers holds one program to the interpreter's bits
+// under every way the engine can run it.
+func bitIdenticalAcrossTiers(t *testing.T, p diffProg) {
+	t.Helper()
+	want := []*mat.Value{runTier(t, p, TierInterp, PlatformSPARC)}
+	for _, tier := range allTiers {
+		for _, platform := range []Platform{PlatformSPARC, PlatformMIPS} {
+			payloadEqual(t, tier.String()+"/"+platform.String(), want, []*mat.Value{runTier(t, p, tier, platform)})
+		}
+	}
+	e := newTiered(t, 2)
+	if err := e.Define(p.src); err != nil {
+		t.Fatal(err)
+	}
+	args := make([]*mat.Value, len(p.args))
+	for i, a := range p.args {
+		args[i] = mat.Scalar(a)
+	}
+	for call := 0; call < 4; call++ {
+		outs, err := e.Call("f", args, 1)
+		if err != nil {
+			t.Fatalf("tiered call %d: %v", call, err)
+		}
+		payloadEqual(t, "tiered", want, outs)
+		e.Drain()
+	}
+}
+
+// TestConstantBitPatterns: literals are interned by bit pattern and by
+// bank (ir.Prog.FConst), so the constants a program can tell apart stay
+// apart in every tier — 0 and -0 (1/x tells), the integer 1 and the real
+// 1.0, NaN, both infinities — and folding them at compile time gives the
+// interpreter's bits. (nz is born after the loop: a -0 that is live at an
+// OSR transfer arrives as a parameter, which types.OfScalar calls an int,
+// and an I register has no -0. That is older than constant registers and
+// not theirs to fix.)
+func TestConstantBitPatterns(t *testing.T) {
+	bitIdenticalAcrossTiers(t, diffProg{name: "constant_bit_patterns", src: `
+function r = f()
+  z = 0.0; q = NaN; p = Inf; m = -Inf; one = 1; fone = 1.0;
+  s = 0;
+  for k = 1:3
+    s = s + 1/z + 1/-0.0*0 + fone/3 + one/3 + 0.1*3 + 2^0.5;
+    z = 0.0;
+  end
+  nz = -0.0;
+  r = [1/z 1/nz q p m one/2 fone/2 0.1+0.2 3*0.1 -0.0*1 s -(0.0) 1e308*10 -1e308*10];
+end`})
+}
+
+// TestLoopSemanticsOSR transfers into a counted loop mid-run: the
+// continuation's own loop is the integer-counted lowering, the variable
+// it rebinds is used after the loop, and a nested loop and a later
+// sibling reuse it.
+func TestLoopSemanticsOSR(t *testing.T) {
+	const src = `
+function r = osrloop(n)
+  s = 0;
+  for i = 1:n
+    s = s + i * 0.5;
+    for k = 1:3
+      s = s + k;
+    end
+  end
+  t = i;
+  for i = n:-2:1
+    t = t + i;
+  end
+  r = [s t i k];
+end`
+	e := newTiered(t, 8)
+	if err := e.Define(src); err != nil {
+		t.Fatal(err)
+	}
+	want := mustInterp(t, e, "osrloop", 300)
+	got := osrOnce(t, e, "osrloop", 300)
+	payloadEqual(t, "for OSR", []*mat.Value{want}, []*mat.Value{got})
+}
+
+// TestLoopVarReuseKeepsChecksOff is §2.4 on the crnich shape: a function
+// that reuses i for sibling loops inside an outer loop still gets every
+// access of the nest unchecked, because inside a body the loop variable's
+// range is the iteration range whatever the name held before.
+func TestLoopVarReuseKeepsChecksOff(t *testing.T) {
+	e := New(Options{Tier: TierJIT})
+	defer e.Close()
+	p := loopPrograms[len(loopPrograms)-1]
+	if err := e.Define(p.src); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Call("f", nil, 1); err != nil {
+		t.Fatal(err)
+	}
+	prog := e.Repo().Entries("f")[0].Code.P
+	count := func(ops ...ir.Op) (n int) {
+		for _, in := range prog.Ins {
+			for _, op := range ops {
+				if in.Op == op {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	if n := count(ir.OpFLd1, ir.OpFLd1I, ir.OpFLd2, ir.OpFLd2I, ir.OpFSt1, ir.OpFSt1I, ir.OpFSt2, ir.OpFSt2I); n != 0 {
+		t.Errorf("%d checked accesses in a nest whose subscripts are all provably in bounds:\n%s", n, prog.Disasm())
+	}
+	if count(ir.OpFLd2U) < 3 || count(ir.OpFLd1U) < 3 {
+		t.Errorf("want the nest's loads as fld2u/fld1u:\n%s", prog.Disasm())
 	}
 }
 

@@ -192,6 +192,36 @@ func TestPersistenceCorruptSnapshotColdStarts(t *testing.T) {
 	}
 }
 
+// TestPersistenceDropsEntryWithMisfitConstants: an entry whose program's
+// constant tables do not fit its register banks (bytes from disk or from a
+// peer, damaged where the CRC cannot see or never written by this
+// compiler) is dropped at load — it would read its literals from spill
+// slots, or past the frame — and the function cold-compiles.
+func TestPersistenceDropsEntryWithMisfitConstants(t *testing.T) {
+	lib := NewLibrary(LibraryOptions{})
+	compileOnce(t, lib, persistSrc, "padd")
+	snap := lib.ExportSnapshot()
+	lib.Close()
+	damaged := 0
+	for i := range snap.Funcs {
+		for j := range snap.Funcs[i].Entries {
+			if p := snap.Funcs[i].Entries[j].Prog; p != nil {
+				p.ConstF = append(p.ConstF, make([]float64, p.NumF+1)...)
+				damaged++
+			}
+		}
+	}
+	if damaged == 0 {
+		t.Fatal("no compiled entry in the snapshot")
+	}
+	warm := NewLibrary(LibraryOptions{})
+	defer warm.Close()
+	if ls := warm.LoadSnapshot(snap); ls.LoadedEntries != 0 || ls.RejectedEntries != damaged {
+		t.Fatalf("loaded %d, rejected %d of %d damaged entries: %+v", ls.LoadedEntries, ls.RejectedEntries, damaged, ls)
+	}
+	compileOnce(t, warm, persistSrc, "padd") // serves, by compiling
+}
+
 // TestPersistenceInterpEntriesRoundTrip: interpret-only decisions
 // (Quality 0, no code) persist too, so a warm start does not re-probe
 // functions the compiler already declined.

@@ -114,12 +114,38 @@ func (g *progGen) stmt(budget int) {
 			n := 1 + g.r.Intn(4)
 			v := fmt.Sprintf("k%d", g.loopVar)
 			g.loopVar++
-			g.line("for %s = 1:%d", v, n)
+			// Every way a range can be written (DESIGN §19): the loop
+			// variable is bound before a range that may be empty, so
+			// reading it afterwards is defined — and shows that an empty
+			// range leaves it alone.
+			header := fmt.Sprintf("1:%d", n)
+			switch g.r.Intn(9) {
+			case 0:
+				header = fmt.Sprintf("%d:-1:1", n)
+			case 1:
+				header = fmt.Sprintf("1:2:%d", 2*n)
+			case 2:
+				header = fmt.Sprintf("%d:-2:%d", n, -n)
+			case 3:
+				header = fmt.Sprintf("0:0.5:%d", n)
+			case 4:
+				g.line("%s = %d;", v, g.r.Intn(5))
+				header = fmt.Sprintf("%d:%d", n+1, n-1)
+			case 5:
+				g.line("t%s = %d;", v, 1+g.r.Intn(3))
+				header = fmt.Sprintf("1:t%s:%d", v, 2*n)
+			}
+			g.line("for %s = %s", v, header)
 			conditional := g.depth > 0
 			g.scalars = append(g.scalars, v)
 			g.depth++
 			for i := 0; i < 1+g.r.Intn(3); i++ {
 				g.stmt(budget - 1)
+			}
+			if jump := g.r.Intn(6); jump < 2 {
+				g.line("if %s > %d", v, g.r.Intn(3))
+				g.line("  %s;", [...]string{"break", "continue"}[jump])
+				g.line("end")
 			}
 			g.depth--
 			g.line("end")

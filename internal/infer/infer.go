@@ -77,11 +77,17 @@ type inferencer struct {
 	calc  *Calculator
 	res   *Result
 	graph *cfg.Graph
+	// loopVar[b] is what the for loop headed by block b binds its variable
+	// to on the edge into the body (see transfer).
+	loopVar []types.Type
 	// mixed names the variables assigned values of different register
 	// classes (see Result.Boxed).
 	mixed map[string]bool
-	// binArgs is the argument list of the binary operator being typed.
-	binArgs [2]types.Type
+	// binArgs is the argument list of the binary operator being typed,
+	// rangeArgs of the for range (a loop head is revisited once per level
+	// of the nest around it: no allocation per visit).
+	binArgs   [2]types.Type
+	rangeArgs [3]types.Type
 }
 
 // tenv is a block's type environment: one slot per variable the graph
@@ -161,6 +167,7 @@ func Forward(g *cfg.Graph, params map[string]types.Type, opts Opts) *Result {
 	}
 	out, entry, cur := envs[:nb], &envs[nb], &envs[nb+1]
 	visits := make([]int, nb)
+	inf.loopVar = make([]types.Type, nb)
 	for k, v := range params {
 		v = inf.sanitize(v)
 		entry.set(k, v)
@@ -196,6 +203,13 @@ func Forward(g *cfg.Graph, params map[string]types.Type, opts Opts) *Result {
 		}
 		if first {
 			clear(cur.defined)
+		}
+		// A loop body is entered from its head alone, and on that edge the
+		// head has just bound the variable: a strong update.
+		if len(blk.Preds) == 1 {
+			if h := blk.Preds[0]; h.ForHead != nil && h.Succs[0] == blk && visits[h.ID] > 0 {
+				cur.set(h.ForHead.Var, inf.loopVar[h.ID])
+			}
 		}
 		return cur
 	}
@@ -364,10 +378,14 @@ func (inf *inferencer) annotate(e ast.Expr, t types.Type) types.Type {
 func (inf *inferencer) transfer(blk *cfg.Block, env *tenv) *tenv {
 	if blk.ForHead != nil {
 		t := inf.loopVarType(blk.ForHead, env)
-		// The head assigns the variable on the body edge only; on the
-		// exit edge the value left by the last body iteration survives
-		// (MATLAB: a body reassignment of the loop variable sticks
-		// after the loop). One out-set serves both edges, so join.
+		// The head assigns the variable on the body edge only, and there
+		// its type is the iteration range, whatever the name held before
+		// (Forward's computeIn applies loopVar on that edge): reusing i in
+		// a sibling loop does not widen it here. On the exit edge the
+		// value left by the last body iteration survives (MATLAB: a body
+		// reassignment of the loop variable sticks after the loop), or
+		// the one from before an empty range: the out-set is the join.
+		inf.loopVar[blk.ID] = inf.sanitize(t)
 		if old, ok := env.get(blk.ForHead.Var); ok {
 			t = types.Join(t, old)
 		}
@@ -412,7 +430,8 @@ func (inf *inferencer) loopVarType(f *ast.For, env *tenv) types.Type {
 			step = inf.expr(r.Step, env)
 		}
 		hi := inf.expr(r.Hi, env)
-		inf.annotate(r, inf.calc.Forward(":", []types.Type{lo, step, hi}))
+		inf.rangeArgs = [3]types.Type{lo, step, hi}
+		inf.annotate(r, inf.calc.Forward(":", inf.rangeArgs[:]))
 		i := types.IInt
 		if !intLike(lo) || !intLike(step) || !intLike(hi) {
 			i = types.IReal

@@ -8,11 +8,17 @@
 // are the boxed fallback path used when inference yields ⊤ — the same
 // split as the paper's inlined scalar operations versus MATLAB C
 // library calls.
+//
+// A literal is an operand, not an instruction: each scalar bank ends in a
+// read-only constant area that Prog.ConstF/ConstI/ConstC fill (vcode's
+// immediate forms, without an opcode per operator and position). Any
+// field that reads a scalar register may name a constant; see ConstReg.
 package ir
 
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"strings"
 )
 
@@ -59,7 +65,7 @@ const (
 	OpBrIEq    // if I[A] == I[B]: pc = C
 	OpBrINe    // if I[A] != I[B]: pc = C
 
-	// moves and constants
+	// moves (from a constant register: the one way to materialise a literal)
 	OpFMov     // F[A] = F[B]
 	OpIMov     // I[A] = I[B]
 	OpCMov     // C[A] = C[B]
@@ -69,9 +75,6 @@ const (
 	// buffer, which OpVEnsure can then recycle — pre-allocated
 	// temporaries without an allocation per loop iteration)
 	OpVClone // V[A] = V[B].Clone() (value-semantics copy)
-	OpFConst // F[A] = Imm
-	OpIConst // I[A] = int64(Imm)
-	OpCConst // C[A] = cpool[B]
 
 	// conversions
 	OpItoF   // F[A] = float64(I[B])
@@ -98,6 +101,7 @@ const (
 	OpFAnd  // F[A] = F[B] != 0 && F[C] != 0
 	OpFOr   // F[A] = F[B] != 0 || F[C] != 0
 	OpFNot  // F[A] = F[B] == 0
+	OpFRand // F[A] = next uniform (B = 0) or normal (B = 1) deviate of the context's generator
 
 	// F comparisons producing 0/1
 	OpFCmpEq // F[A] = F[B] == F[C]
@@ -132,23 +136,28 @@ const (
 	OpCConj // C[A] = conj(C[B])
 
 	// typed array access; subscripts are 1-based
-	// Checked forms take F subscripts and validate positive integers,
-	// bounds (loads) and growth (stores). Unchecked forms take I
+	// Checked forms validate bounds (loads) and growth (stores): with F
+	// subscripts also that they are positive integers, with I subscripts
+	// (the I forms) the bank has proven that. Unchecked forms take I
 	// subscripts proven in-bounds by range ∧ shape analysis — the
-	// subscript-check removal of §2.4.
+	// subscript-check removal of §2.4. A store clones a shared base first
+	// (call-by-value copy for written parameters, B = A aliases).
 	OpFLd1  // F[A] = V[B](F[C]) checked linear load
+	OpFLd1I // F[A] = V[B](I[C]) bounds-checked
 	OpFLd1U // F[A] = V[B] at I[C] unchecked
 	OpFLd2  // F[A] = V[B](F[C], F[D]) checked
+	OpFLd2I // F[A] = V[B](I[C], I[D]) bounds-checked
 	OpFLd2U // F[A] = V[B] at (I[C], I[D]) unchecked
 	OpFSt1  // V[A](F[B]) = F[C] checked store with growth
+	OpFSt1I // V[A](I[B]) = F[C] bounds-checked store with growth
 	OpFSt1U // V[A] at I[B] = F[C] unchecked
 	OpFSt2  // V[A](F[B], F[C]) = F[D] checked
+	OpFSt2I // V[A](I[B], I[C]) = F[D] bounds-checked
 	OpFSt2U // V[A] at (I[B], I[C]) = F[D] unchecked
 
 	// array management
 	OpVNewZeros   // V[A] = zeros(I[B], I[C]) fast typed allocation
 	OpVEnsure     // V[A]: reuse as zeros(I[B], I[C]) if owned & matching, else allocate (pre-allocated temporaries)
-	OpVEnsureOwn  // V[A] = V[A].Clone() if shared (call-by-value copy for written parameters)
 	OpVRows       // I[A] = V[B].Rows()
 	OpVCols       // I[A] = V[B].Cols()
 	OpVNumel      // I[A] = V[B].Numel()
@@ -200,10 +209,13 @@ const (
 	OpVLdSlot
 	OpVStSlot
 
-	// test instrumentation: vm.Prepare follows V-writing instructions
-	// with it while a step hook is installed (vm.SetStepHook); no compiler
-	// pass emits it.
+	// test instrumentation: while a hook is installed vm.Prepare follows
+	// V-writing instructions with OpVCheck (vm.SetStepHook) and heads basic
+	// blocks with OpCount (vm.SetBlockHook); no compiler pass emits them.
 	OpVCheck // run the VM's step hook on the instruction before
+	OpCount  // run the VM's block hook on the A instructions after
+
+	numOps
 )
 
 var opNames = map[Op]string{
@@ -214,22 +226,21 @@ var opNames = map[Op]string{
 	OpBrILt: "br.ilt", OpBrILe: "br.ile", OpBrIEq: "br.ieq", OpBrINe: "br.ine",
 	OpFMov: "fmov", OpIMov: "imov", OpCMov: "cmov", OpVMov: "vmov",
 	OpVMovSwap: "vmovswap", OpVClone: "vclone",
-	OpFConst: "fconst", OpIConst: "iconst", OpCConst: "cconst",
 	OpItoF: "itof", OpFtoI: "ftoi", OpFtoC: "ftoc", OpItoC: "itoc",
 	OpBoxF: "box.f", OpBoxI: "box.i", OpBoxC: "box.c",
 	OpUnboxF: "unbox.f", OpUnboxI: "unbox.i", OpUnboxC: "unbox.c",
 	OpFAdd: "fadd", OpFSub: "fsub", OpFMul: "fmul", OpFDiv: "fdiv", OpFNeg: "fneg",
 	OpFPow: "fpow", OpFMod: "fmod", OpFRem: "frem", OpFMath: "fmath",
-	OpFAnd: "fand", OpFOr: "for", OpFNot: "fnot",
+	OpFAnd: "fand", OpFOr: "for", OpFNot: "fnot", OpFRand: "frand",
 	OpFCmpEq: "fcmp.eq", OpFCmpNe: "fcmp.ne", OpFCmpLt: "fcmp.lt", OpFCmpLe: "fcmp.le",
 	OpIAdd: "iadd", OpISub: "isub", OpIMul: "imul", OpINeg: "ineg", OpIMod: "imod",
 	OpICmpEq: "icmp.eq", OpICmpNe: "icmp.ne", OpICmpLt: "icmp.lt", OpICmpLe: "icmp.le",
 	OpCAdd: "cadd", OpCSub: "csub", OpCMul: "cmul", OpCDiv: "cdiv", OpCNeg: "cneg",
 	OpCPow: "cpow", OpCAbs: "cabs", OpCMath: "cmath", OpCCmpEq: "ccmp.eq", OpCCmpNe: "ccmp.ne",
 	OpCReal: "creal", OpCImag: "cimag", OpCConj: "cconj",
-	OpFLd1: "fld1", OpFLd1U: "fld1u", OpFLd2: "fld2", OpFLd2U: "fld2u",
-	OpFSt1: "fst1", OpFSt1U: "fst1u", OpFSt2: "fst2", OpFSt2U: "fst2u",
-	OpVNewZeros: "vnew", OpVEnsure: "vensure", OpVEnsureOwn: "vown",
+	OpFLd1: "fld1", OpFLd1I: "fld1i", OpFLd1U: "fld1u", OpFLd2: "fld2", OpFLd2I: "fld2i", OpFLd2U: "fld2u",
+	OpFSt1: "fst1", OpFSt1I: "fst1i", OpFSt1U: "fst1u", OpFSt2: "fst2", OpFSt2I: "fst2i", OpFSt2U: "fst2u",
+	OpVNewZeros: "vnew", OpVEnsure: "vensure",
 	OpVRows: "vrows", OpVCols: "vcols", OpVNumel: "vnumel", OpVMarkShared: "vshare",
 	OpGBin: "gbin", OpGUn: "gun", OpGIndex: "gindex", OpGAssign: "gassign",
 	OpVConst: "vconst", OpVDisplay: "vdisplay",
@@ -239,7 +250,7 @@ var opNames = map[Op]string{
 	OpVFused: "vfused", OpVFuseArgF: "vfusearg.f",
 	OpFLdSlot: "fldslot", OpFStSlot: "fstslot", OpILdSlot: "ildslot", OpIStSlot: "istslot",
 	OpCLdSlot: "cldslot", OpCStSlot: "cstslot", OpVLdSlot: "vldslot", OpVStSlot: "vstslot",
-	OpVCheck: "vcheck",
+	OpVCheck: "vcheck", OpCount: "count",
 }
 
 func (o Op) String() string {
@@ -275,9 +286,15 @@ type Instr struct {
 	Imm        float64
 }
 
-func (in Instr) String() string {
-	return fmt.Sprintf("%-9s a=%d b=%d c=%d d=%d imm=%g", in.Op, in.A, in.B, in.C, in.D, in.Imm)
-}
+// String prints the fields the opcode has; a constant register shows as
+// its table index (Prog.Disasm, which has the tables, shows the value).
+func (in Instr) String() string { return in.format(nil) }
+
+// ConstReg names entry k of a bank's constant table in code that is not
+// register-allocated yet: a negative register number, which no table
+// indexed by virtual register ever sees (Operand.Const). The allocator
+// renames it to the bank's constant area, register NumX-len(ConstX)+k.
+func ConstReg(k int) int32 { return ^int32(k) }
 
 // ParamBinding says where a function argument lands on entry: the bank
 // and register, so the VM unboxes typed scalar parameters once. Slot
@@ -346,7 +363,13 @@ type Prog struct {
 	// Spill slot counts per bank.
 	SlotsF, SlotsI, SlotsC, SlotsV int32
 
-	CPool    []complex128
+	// Constant tables: the values of the read-only registers that end
+	// each scalar bank, [NumX-len(ConstX), NumX) once allocated (vm.Run
+	// copies them in). Entries are distinct by bit pattern.
+	ConstF []float64
+	ConstI []int64
+	ConstC []complex128
+
 	Aux      []int32
 	MathFns  []string // names for OpFMath/OpCMath C-index
 	Builtins []string // names for OpGBuiltin
@@ -375,13 +398,158 @@ func (p *Prog) AddAux(words ...int32) int32 {
 	return at
 }
 
+// internWindow bounds how far back FConst/IConst/CConst look for an equal
+// entry, so that interning costs a constant per literal however many
+// distinct literals a program has; beyond it a value may get a second
+// register, which costs eight bytes of frame.
+const internWindow = 32
+
+// FConst returns the constant register holding v, by bit pattern: -0 and
+// 0, and NaNs of different payloads, are different constants.
+func (p *Prog) FConst(v float64) int32 {
+	t := p.ConstF
+	for k := len(t) - 1; k >= 0 && k >= len(t)-internWindow; k-- {
+		if math.Float64bits(t[k]) == math.Float64bits(v) {
+			return ConstReg(k)
+		}
+	}
+	p.ConstF = append(t, v)
+	return ConstReg(len(t))
+}
+
+// IConst returns the constant register holding v.
+func (p *Prog) IConst(v int64) int32 {
+	t := p.ConstI
+	for k := len(t) - 1; k >= 0 && k >= len(t)-internWindow; k-- {
+		if t[k] == v {
+			return ConstReg(k)
+		}
+	}
+	p.ConstI = append(t, v)
+	return ConstReg(len(t))
+}
+
+// CConst returns the constant register holding v, by bit pattern.
+func (p *Prog) CConst(v complex128) int32 {
+	t := p.ConstC
+	for k := len(t) - 1; k >= 0 && k >= len(t)-internWindow; k-- {
+		if math.Float64bits(real(t[k])) == math.Float64bits(real(v)) &&
+			math.Float64bits(imag(t[k])) == math.Float64bits(imag(v)) {
+			return ConstReg(k)
+		}
+	}
+	p.ConstC = append(t, v)
+	return ConstReg(len(t))
+}
+
+// FoldF computes a binary F-bank operation on constant operands exactly as
+// the VM would; ok is false for an opcode it does not fold. FoldI is the
+// I-bank's. The code generator folds literals with them as it selects,
+// the optimiser whatever else turns out constant.
+func FoldF(op Op, b, c float64) (v float64, ok bool) {
+	switch op {
+	case OpFAdd:
+		return b + c, true
+	case OpFSub:
+		return b - c, true
+	case OpFMul:
+		return b * c, true
+	case OpFDiv:
+		return b / c, true
+	case OpFPow:
+		return math.Pow(b, c), true
+	}
+	return 0, false
+}
+
+func FoldI(op Op, b, c int64) (v int64, ok bool) {
+	switch op {
+	case OpIAdd:
+		return b + c, true
+	case OpISub:
+		return b - c, true
+	case OpIMul:
+		return b * c, true
+	}
+	return 0, false
+}
+
+// ConstBase returns the first register of each scalar bank's constant
+// area in allocated code, and whether the areas fit their banks.
+func (p *Prog) ConstBase() (f, i, c int32, ok bool) {
+	f, i, c = p.NumF-int32(len(p.ConstF)), p.NumI-int32(len(p.ConstI)), p.NumC-int32(len(p.ConstC))
+	return f, i, c, f >= 0 && i >= 0 && c >= 0
+}
+
+// constText renders register r of bank b by value when it is a constant.
+func (p *Prog) constText(b Bank, r int32) (string, bool) {
+	f, i, c, _ := p.ConstBase()
+	k := int(^r)
+	if r >= 0 {
+		k = int(r - [...]int32{f, i, c}[b])
+		if !p.Allocated || k < 0 {
+			return "", false
+		}
+	}
+	switch {
+	case b == BankF && k < len(p.ConstF):
+		return fmt.Sprintf("=%v", p.ConstF[k]), true
+	case b == BankI && k < len(p.ConstI):
+		return fmt.Sprintf("=%d", p.ConstI[k]), true
+	case b == BankC && k < len(p.ConstC):
+		return fmt.Sprintf("=%v", p.ConstC[k]), true
+	}
+	return "", false
+}
+
+// format prints an instruction from its operand descriptor: registers
+// with their bank letter, constants by value (p nil: by index), branch
+// targets as @pc, other words bare, Imm when set.
+func (in Instr) format(p *Prog) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-9s", in.Op)
+	sep := " "
+	for i, r := range operands[in.Op] {
+		x := *in.field(i)
+		switch {
+		case r == none:
+			continue
+		case r == target:
+			fmt.Fprintf(&b, "%s@%d", sep, x)
+		case r == word:
+			fmt.Fprintf(&b, "%s%d", sep, x)
+		case r == regV:
+			fmt.Fprintf(&b, "%sv%d", sep, x)
+		default:
+			text, isConst := "", false
+			if p != nil {
+				text, isConst = p.constText(r.bank(), x)
+			}
+			switch {
+			case isConst:
+				fmt.Fprintf(&b, "%s%s", sep, text)
+			case x < 0:
+				fmt.Fprintf(&b, "%s=%s#%d", sep, r.bank(), ^x)
+			default:
+				fmt.Fprintf(&b, "%s%s%d", sep, r.bank(), x)
+			}
+		}
+		sep = ", "
+	}
+	if in.Imm != 0 {
+		fmt.Fprintf(&b, "%simm=%g", sep, in.Imm)
+	}
+	return strings.TrimRight(b.String(), " ")
+}
+
 // Disasm renders the program for debugging and golden tests.
 func (p *Prog) Disasm() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "func %s: f=%d i=%d c=%d v=%d (slots %d/%d/%d/%d)\n",
-		p.Name, p.NumF, p.NumI, p.NumC, p.NumV, p.SlotsF, p.SlotsI, p.SlotsC, p.SlotsV)
+	fmt.Fprintf(&b, "func %s: f=%d i=%d c=%d v=%d (slots %d/%d/%d/%d, consts %d/%d/%d)\n",
+		p.Name, p.NumF, p.NumI, p.NumC, p.NumV, p.SlotsF, p.SlotsI, p.SlotsC, p.SlotsV,
+		len(p.ConstF), len(p.ConstI), len(p.ConstC))
 	for i, in := range p.Ins {
-		fmt.Fprintf(&b, "%4d  %s\n", i, in.String())
+		fmt.Fprintf(&b, "%4d  %s\n", i, in.format(p))
 	}
 	return b.String()
 }

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -19,7 +20,7 @@ func TestAddAux(t *testing.T) {
 
 func TestOpNames(t *testing.T) {
 	// every opcode in the instruction set must have a display name
-	for op := OpNop; op <= OpVStSlot; op++ {
+	for op := OpNop; op < numOps; op++ {
 		s := op.String()
 		if strings.HasPrefix(s, "op") && s != "op" {
 			// fallback formatting means a missing entry
@@ -41,21 +42,75 @@ func TestBankString(t *testing.T) {
 	}
 }
 
+// TestDisasm: an instruction prints the fields its opcode has and no
+// others, and a constant register prints as its value — before
+// allocation (ConstReg) and after (the top of the bank).
 func TestDisasm(t *testing.T) {
-	p := &Prog{
-		Name: "demo",
-		NumF: 2,
-		Ins: []Instr{
-			{Op: OpFConst, A: 0, Imm: 3.5},
-			{Op: OpFAdd, A: 1, B: 0, C: 0},
-			{Op: OpRet},
-		},
+	p := &Prog{Name: "demo", NumF: 2, NumV: 1}
+	half := p.FConst(0.5)
+	p.Ins = []Instr{
+		{Op: OpFMov, A: 0, B: p.FConst(3.5)},
+		{Op: OpFAdd, A: 1, B: 0, C: half},
+		{Op: OpBrILe, A: 2, B: p.IConst(10), C: 1},
+		{Op: OpFSt1U, A: 0, B: p.IConst(1), C: 1},
+		{Op: OpGBin, A: 0, B: 0, C: 0, D: 3, Imm: 1},
+		{Op: OpRet},
 	}
+	want := []string{"func demo:", "fmov      f0, =3.5", "fadd      f1, f0, =0.5", "br.ile    i2, =10, @1",
+		"fst1u     v0, =1, f1", "gbin      v0, v0, v0, 3, imm=1", "   5  ret\n"}
 	d := p.Disasm()
-	for _, want := range []string{"func demo:", "fconst", "fadd", "ret", "imm=3.5"} {
-		if !strings.Contains(d, want) {
-			t.Errorf("disasm lacks %q:\n%s", want, d)
+	for _, w := range want {
+		if !strings.Contains(d, w) {
+			t.Errorf("disasm lacks %q:\n%s", w, d)
 		}
+	}
+	// Allocated: 24 registers, 3 scratch, then the constants.
+	p.Allocated, p.NumF, p.NumI = true, 27+2, 27+2
+	p.Ins[0].B, p.Ins[1].C, p.Ins[2].B, p.Ins[3].B = 28, 27, 27, 28
+	d = p.Disasm()
+	for _, w := range want {
+		if !strings.Contains(d, w) {
+			t.Errorf("allocated disasm lacks %q:\n%s", w, d)
+		}
+	}
+	if got := (Instr{Op: OpFAdd, A: 1, B: 0, C: half}).String(); got != "fadd      f1, f0, =f#0" {
+		t.Errorf("Instr.String() = %q", got)
+	}
+}
+
+// TestConstantInterning: constants are distinct by bit pattern, and by
+// bank — 1 the integer and 1.0 the real never share a register.
+func TestConstantInterning(t *testing.T) {
+	p := &Prog{}
+	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
+	regs := []int32{p.FConst(0), p.FConst(math.Copysign(0, -1)), p.FConst(1), p.FConst(math.Inf(1)),
+		p.FConst(math.Inf(-1)), p.FConst(nan1), p.FConst(nan2)}
+	for i, r := range regs {
+		if r != ConstReg(i) {
+			t.Fatalf("constant %d interned to %d, want a register of its own (%d)", i, r, ConstReg(i))
+		}
+	}
+	if p.FConst(0) != regs[0] || p.FConst(math.Copysign(0, -1)) != regs[1] || p.FConst(nan2) != regs[6] || p.FConst(1) != regs[2] {
+		t.Error("an equal bit pattern did not intern to the register it has")
+	}
+	if math.Signbit(p.ConstF[0]) || !math.Signbit(p.ConstF[1]) || math.Float64bits(p.ConstF[5]) != math.Float64bits(nan1) {
+		t.Errorf("table does not hold the bit patterns interned: %v", p.ConstF)
+	}
+	if one := p.IConst(1); one != ConstReg(0) || len(p.ConstI) != 1 || len(p.ConstF) != 7 {
+		t.Errorf("integer 1 interned to %d with tables %v / %v: the banks' tables are separate", one, p.ConstI, p.ConstF)
+	}
+	if a, b := p.CConst(complex(0, 1)), p.CConst(complex(math.Copysign(0, -1), 1)); a == b || p.CConst(complex(0, 1)) != a {
+		t.Errorf("complex constants: i -> %d, -0+i -> %d", a, b)
+	}
+	// Beyond the look-back window a value may be interned again, never
+	// wrongly shared.
+	for k := 0; k < 3*internWindow; k++ {
+		if r := p.IConst(int64(100 + k)); p.ConstI[^r] != int64(100+k) {
+			t.Fatalf("constant %d read back as %d", 100+k, p.ConstI[^r])
+		}
+	}
+	if r := p.IConst(1); p.ConstI[^r] != 1 {
+		t.Errorf("constant 1 read back as %d", p.ConstI[^r])
 	}
 }
 
@@ -93,6 +148,9 @@ func TestOperandTable(t *testing.T) {
 		{op: OpCallUser, def: BankNone},                          // its scalars are staged and fetched
 		{op: OpGBin, def: BankNone},
 		{op: OpFLdSlot, def: BankNone}, // emitted by the allocator, after every reader
+		{op: OpFLd2I, def: BankF, uses: []use{{BankI, 'C'}, {BankI, 'D'}}},
+		{op: OpFSt1I, def: BankNone, uses: []use{{BankI, 'B'}, {BankF, 'C'}}},
+		{op: OpFRand, def: BankF}, // B picks the distribution
 	}
 	for _, c := range cases {
 		in := &Instr{Op: c.op}
@@ -115,7 +173,7 @@ func TestOperandTable(t *testing.T) {
 			t.Errorf("%v: Target() does not point at field %q", c.op, c.target)
 		}
 	}
-	for op := Op(0); op <= OpVCheck; op++ {
+	for op := Op(0); op < numOps; op++ {
 		targets := 0
 		for i, r := range operands[op] {
 			if r == target {

@@ -3,9 +3,10 @@ package opt
 import "repro/internal/ir"
 
 // propagateCopies rewrites operand registers through local move chains
-// (d = mov s; use d → use s), turning the moves CSE leaves behind into
-// dead code that eliminateDeadCode then removes. Like the other local
-// passes it works within basic blocks.
+// (d = mov s; use d → use s), turning the moves CSE and constant folding
+// leave behind into dead code that eliminateDeadCode then removes. A move
+// from a constant register is a copy whose source is never redefined.
+// Like the other local passes it works within basic blocks.
 func propagateCopies(p *ir.Prog) {
 	lead := leaders(p)
 	rs := newRegSpace(p)
@@ -27,7 +28,10 @@ func propagateCopies(p *ir.Prog) {
 		}
 		in := &p.Ins[pos]
 		for _, u := range in.Uses(&buf) {
-			if c := copies[rs.of(u)]; c.block == block && version[rs.at(u.Bank, c.src)] == c.srcVersion {
+			if u.Const() {
+				continue
+			}
+			if c := copies[rs.of(u)]; c.block == block && (c.src < 0 || version[rs.at(u.Bank, c.src)] == c.srcVersion) {
 				*u.Reg = c.src
 			}
 		}
@@ -40,7 +44,10 @@ func propagateCopies(p *ir.Prog) {
 		copies[at].block = 0
 		switch in.Op {
 		case ir.OpFMov, ir.OpIMov, ir.OpCMov:
-			if in.A != in.B {
+			switch {
+			case in.B < 0:
+				copies[at] = copyFact{block: block, src: in.B}
+			case in.A != in.B:
 				copies[at] = copyFact{block, in.B, version[rs.at(d.Bank, in.B)]}
 			}
 		}

@@ -95,57 +95,21 @@ func countVMentions(p *ir.Prog) []int32 {
 			m[r]++
 		}
 	}
+	var buf [4]int32
 	for i := range p.Ins {
 		in := &p.Ins[i]
+		for _, r := range in.VRegs(&buf) {
+			note(r)
+		}
+		// The operands in aux blocks.
 		switch in.Op {
-		case ir.OpBrFalseV, ir.OpBrTrueV:
-			note(in.A)
-		case ir.OpVMov, ir.OpVMovSwap, ir.OpVClone:
-			note(in.A)
-			note(in.B)
-		case ir.OpBoxF, ir.OpBoxI, ir.OpBoxC:
-			note(in.A)
-		case ir.OpUnboxF, ir.OpUnboxI, ir.OpUnboxC:
-			note(in.B)
-		case ir.OpFLd1, ir.OpFLd1U, ir.OpFLd2, ir.OpFLd2U:
-			note(in.B)
-		case ir.OpFSt1, ir.OpFSt1U, ir.OpFSt2, ir.OpFSt2U:
-			note(in.A)
-		case ir.OpVNewZeros, ir.OpVEnsure, ir.OpVEnsureOwn, ir.OpVMarkShared,
-			ir.OpVConst, ir.OpVDisplay:
-			note(in.A)
-		case ir.OpVRows, ir.OpVCols, ir.OpVNumel:
-			note(in.B)
-		case ir.OpGBin:
-			note(in.A)
-			note(in.B)
-			note(in.C)
-		case ir.OpGUn:
-			note(in.A)
-			note(in.B)
-		case ir.OpGColon:
-			note(in.A)
-			note(in.B)
-			note(in.C)
-			note(in.D)
-		case ir.OpGIndex:
-			note(in.A)
-			note(in.B)
-			at := int(in.C)
-			n := int(p.Aux[at])
-			for _, r := range p.Aux[at+1 : at+1+n] {
-				note(r)
-			}
-		case ir.OpGAssign:
-			note(in.A)
-			note(in.D)
+		case ir.OpGIndex, ir.OpGAssign:
 			at := int(in.C)
 			n := int(p.Aux[at])
 			for _, r := range p.Aux[at+1 : at+1+n] {
 				note(r)
 			}
 		case ir.OpGCat:
-			note(in.A)
 			at := int(in.B)
 			nrows := int(p.Aux[at])
 			at++
@@ -168,7 +132,6 @@ func countVMentions(p *ir.Prog) []int32 {
 				note(r)
 			}
 		case ir.OpGEMV:
-			note(in.A)
 			at := int(in.B)
 			note(p.Aux[at])
 			note(p.Aux[at+1])
@@ -176,16 +139,11 @@ func countVMentions(p *ir.Prog) []int32 {
 				note(p.Aux[at+2])
 			}
 		case ir.OpVFused:
-			note(in.A)
 			at := int(in.B)
 			nv := int(p.Aux[at])
 			for _, r := range p.Aux[at+1 : at+1+nv] {
 				note(r)
 			}
-		case ir.OpVLdSlot:
-			note(in.A)
-		case ir.OpVStSlot:
-			note(in.B)
 		}
 	}
 	for _, b := range p.Params {

@@ -89,6 +89,9 @@ func (l *licm) hoistOne(lo, hi int) {
 	for pos := lo; pos <= hi; pos++ {
 		in := &p.Ins[pos]
 		for _, u := range in.Uses(&buf) {
+			if u.Const() {
+				continue
+			}
 			if r := l.reg(u); r.first < 0 {
 				r.first = int32(pos)
 			}
@@ -130,6 +133,9 @@ func (l *licm) hoistOne(lo, hi int) {
 		}
 		ok := true
 		for _, u := range in.Uses(&buf) {
+			if u.Const() {
+				continue
+			}
 			if r := l.reg(u); r.defs > 1 || r.defs == 1 && !l.hoist[r.defPos] {
 				ok = false
 				break
@@ -204,7 +210,9 @@ func eliminateDeadCode(p *ir.Prog) {
 	for pos := range p.Ins {
 		in := &p.Ins[pos]
 		for _, u := range in.Uses(&buf) {
-			uses[rs.of(u)]++
+			if !u.Const() {
+				uses[rs.of(u)]++
+			}
 		}
 		if d, ok := removable(in); ok {
 			defStart[rs.of(d)+1]++
@@ -236,6 +244,9 @@ func eliminateDeadCode(p *ir.Prog) {
 		for _, pos := range defsAt[defStart[r]:defStart[r+1]] {
 			in := &p.Ins[pos]
 			for _, u := range in.Uses(&buf) {
+				if u.Const() {
+					continue
+				}
 				ur := rs.of(u)
 				if uses[ur]--; uses[ur] == 0 && defStart[ur] < defStart[ur+1] {
 					dead = append(dead, int32(ur))

@@ -10,12 +10,16 @@ import (
 // the ones the code generator's loops seldom or never take, so the
 // generated-code golden (internal/core) does not pin them.
 
-func iconst(a int32, v float64) ir.Instr { return ir.Instr{Op: ir.OpIConst, A: a, Imm: v} }
-func iadd(a, b, c int32) ir.Instr        { return ir.Instr{Op: ir.OpIAdd, A: a, B: b, C: c} }
-func imul(a, b, c int32) ir.Instr        { return ir.Instr{Op: ir.OpIMul, A: a, B: b, C: c} }
-func brILe(a, b, to int32) ir.Instr      { return ir.Instr{Op: ir.OpBrILe, A: a, B: b, C: to} }
-func brIEq(a, b, to int32) ir.Instr      { return ir.Instr{Op: ir.OpBrIEq, A: a, B: b, C: to} }
-func jmp(to int32) ir.Instr              { return ir.Instr{Op: ir.OpJmp, A: to} }
+// iconst is the simplest invariant: a sum of constant registers (v names
+// one), which no loop can change.
+func iconst(a int32, v int) ir.Instr {
+	return ir.Instr{Op: ir.OpIAdd, A: a, B: ir.ConstReg(v), C: ir.ConstReg(0)}
+}
+func iadd(a, b, c int32) ir.Instr   { return ir.Instr{Op: ir.OpIAdd, A: a, B: b, C: c} }
+func imul(a, b, c int32) ir.Instr   { return ir.Instr{Op: ir.OpIMul, A: a, B: b, C: c} }
+func brILe(a, b, to int32) ir.Instr { return ir.Instr{Op: ir.OpBrILe, A: a, B: b, C: to} }
+func brIEq(a, b, to int32) ir.Instr { return ir.Instr{Op: ir.OpBrIEq, A: a, B: b, C: to} }
+func jmp(to int32) ir.Instr         { return ir.Instr{Op: ir.OpJmp, A: to} }
 
 var ret = ir.Instr{Op: ir.OpRet}
 

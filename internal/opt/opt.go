@@ -17,11 +17,7 @@
 // (Instr.Def, Uses, Target); no pass lists opcodes to find that out.
 package opt
 
-import (
-	"math"
-
-	"repro/internal/ir"
-)
+import "repro/internal/ir"
 
 // Config grades the simulated native backend.
 type Config struct {
@@ -103,8 +99,11 @@ func (s regSpace) of(o ir.Operand) int { return s.base[o.Bank] + int(*o.Reg) }
 
 // --- constant folding ---------------------------------------------------------
 
-// foldConstants propagates FConst/IConst values locally within blocks
-// and folds pure arithmetic whose operands are all constant.
+// foldConstants folds pure arithmetic whose operands are all constant —
+// constant registers, or registers a fold earlier in the block left
+// holding one — into a move from the constant register of the result.
+// Copy propagation then hands the constant to the readers and the move
+// dies: nothing is left to hoist.
 func foldConstants(p *ir.Prog) {
 	lead := leaders(p)
 	rs := newRegSpace(p)
@@ -114,14 +113,24 @@ func foldConstants(p *ir.Prog) {
 	fval := make([]float64, p.NumF)
 	ival := make([]int64, p.NumI)
 	block := int32(0)
-	fconst := func(r int32) (float64, bool) { return fval[r], known[rs.at(ir.BankF, r)] == block }
-	iconst := func(r int32) (int64, bool) { return ival[r], known[rs.at(ir.BankI, r)] == block }
+	fconst := func(r int32) (float64, bool) {
+		if r < 0 {
+			return p.ConstF[^r], true
+		}
+		return fval[r], known[rs.at(ir.BankF, r)] == block
+	}
+	iconst := func(r int32) (int64, bool) {
+		if r < 0 {
+			return p.ConstI[^r], true
+		}
+		return ival[r], known[rs.at(ir.BankI, r)] == block
+	}
 	setF := func(in *ir.Instr, v float64) {
-		*in = ir.Instr{Op: ir.OpFConst, A: in.A, Imm: v}
+		*in = ir.Instr{Op: ir.OpFMov, A: in.A, B: p.FConst(v)}
 		fval[in.A], known[rs.at(ir.BankF, in.A)] = v, block
 	}
 	setI := func(in *ir.Instr, v int64) {
-		*in = ir.Instr{Op: ir.OpIConst, A: in.A, Imm: float64(v)}
+		*in = ir.Instr{Op: ir.OpIMov, A: in.A, B: p.IConst(v)}
 		ival[in.A], known[rs.at(ir.BankI, in.A)] = v, block
 	}
 	for pos := range p.Ins {
@@ -130,12 +139,6 @@ func foldConstants(p *ir.Prog) {
 		}
 		in := &p.Ins[pos]
 		switch in.Op {
-		case ir.OpFConst:
-			setF(in, in.Imm)
-			continue
-		case ir.OpIConst:
-			setI(in, int64(in.Imm))
-			continue
 		case ir.OpFMov:
 			if v, ok := fconst(in.B); ok {
 				setF(in, v)
@@ -159,22 +162,13 @@ func foldConstants(p *ir.Prog) {
 		case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv, ir.OpFPow:
 			b, okB := fconst(in.B)
 			c, okC := fconst(in.C)
-			if okB && okC {
-				var v float64
-				switch in.Op {
-				case ir.OpFAdd:
-					v = b + c
-				case ir.OpFSub:
-					v = b - c
-				case ir.OpFMul:
-					v = b * c
-				case ir.OpFDiv:
-					v = b / c
-				case ir.OpFPow:
-					v = math.Pow(b, c)
-				}
+			if v, ok := ir.FoldF(in.Op, b, c); ok && okB && okC {
 				setF(in, v)
 				continue
+			}
+			if okC && c == 1 && (in.Op == ir.OpFMul || in.Op == ir.OpFDiv) {
+				// x*1 and x/1 are x, to the bit: a copy for propagation.
+				*in = ir.Instr{Op: ir.OpFMov, A: in.A, B: in.B}
 			}
 		case ir.OpFNeg:
 			if v, ok := fconst(in.B); ok {
@@ -184,16 +178,7 @@ func foldConstants(p *ir.Prog) {
 		case ir.OpIAdd, ir.OpISub, ir.OpIMul:
 			b, okB := iconst(in.B)
 			c, okC := iconst(in.C)
-			if okB && okC {
-				var v int64
-				switch in.Op {
-				case ir.OpIAdd:
-					v = b + c
-				case ir.OpISub:
-					v = b - c
-				case ir.OpIMul:
-					v = b * c
-				}
+			if v, ok := ir.FoldI(in.Op, b, c); ok && okB && okC {
 				setI(in, v)
 				continue
 			}
@@ -219,7 +204,6 @@ type exprKey struct {
 	op     ir.Op
 	vnB    int32
 	vnC    int32
-	imm    float64
 	mathID int32
 }
 
@@ -250,6 +234,9 @@ func localCSE(p *ir.Prog) {
 		return nextVN
 	}
 	vnOf := func(o ir.Operand) int32 {
+		if o.Const() {
+			return *o.Reg // a constant register is its own, negative, number
+		}
 		i := rs.of(o)
 		if vnBlock[i] == block {
 			return vn[i]
@@ -272,8 +259,12 @@ func localCSE(p *ir.Prog) {
 		key := pureKey(in, vnOf)
 		if prev, found := avail[key]; found {
 			if at := rs.at(prev.bank, prev.reg); vnBlock[at] == block && vn[at] == prev.vn {
-				// Recomputation: replace with a move.
+				// Recomputation: replace with a move (of a variable into
+				// itself: with nothing).
 				mov := [...]ir.Op{ir.BankF: ir.OpFMov, ir.BankI: ir.OpIMov, ir.BankC: ir.OpCMov}[dst.Bank]
+				if prev.reg == in.A {
+					mov = ir.OpNop
+				}
 				*in = ir.Instr{Op: mov, A: in.A, B: prev.reg}
 				i := rs.of(dst)
 				vn[i], vnBlock[i] = prev.vn, block
@@ -289,8 +280,7 @@ func localCSE(p *ir.Prog) {
 // merge and LICM may move.
 func pure(op ir.Op) bool {
 	switch op {
-	case ir.OpFConst, ir.OpIConst,
-		ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv, ir.OpFPow, ir.OpFMod, ir.OpFRem,
+	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv, ir.OpFPow, ir.OpFMod, ir.OpFRem,
 		ir.OpFAnd, ir.OpFOr, ir.OpFCmpEq, ir.OpFCmpNe, ir.OpFCmpLt, ir.OpFCmpLe,
 		ir.OpFNeg, ir.OpFNot, ir.OpFMath, ir.OpItoF, ir.OpFtoI,
 		ir.OpIAdd, ir.OpISub, ir.OpIMul, ir.OpIMod, ir.OpINeg,
@@ -302,8 +292,7 @@ func pure(op ir.Op) bool {
 }
 
 // pureKey builds the value-number key of a pure instruction: its source
-// registers are fields B and C, a constant's value is Imm and OpFMath
-// names its function in C.
+// registers are fields B and C, and OpFMath names its function in C.
 func pureKey(in *ir.Instr, vnOf func(ir.Operand) int32) exprKey {
 	key := exprKey{op: in.Op}
 	var buf [3]ir.Operand
@@ -314,10 +303,7 @@ func pureKey(in *ir.Instr, vnOf func(ir.Operand) int32) exprKey {
 			key.vnC = vnOf(u)
 		}
 	}
-	switch in.Op {
-	case ir.OpFConst, ir.OpIConst:
-		key.imm = in.Imm
-	case ir.OpFMath:
+	if in.Op == ir.OpFMath {
 		key.mathID = in.C
 	}
 	return key
@@ -331,8 +317,9 @@ func sideEffect(in *ir.Instr) bool {
 	}
 	switch in.Op {
 	case ir.OpRet,
-		ir.OpFSt1, ir.OpFSt1U, ir.OpFSt2, ir.OpFSt2U,
-		ir.OpVMov, ir.OpVMovSwap, ir.OpVClone, ir.OpVNewZeros, ir.OpVEnsure, ir.OpVEnsureOwn, ir.OpVMarkShared,
+		ir.OpFSt1, ir.OpFSt1I, ir.OpFSt1U, ir.OpFSt2, ir.OpFSt2I, ir.OpFSt2U,
+		ir.OpFRand, // a draw advances the generator
+		ir.OpVMov, ir.OpVMovSwap, ir.OpVClone, ir.OpVNewZeros, ir.OpVEnsure, ir.OpVMarkShared,
 		ir.OpVConst, ir.OpVDisplay,
 		ir.OpGBin, ir.OpGUn, ir.OpGIndex, ir.OpGAssign, ir.OpGColon, ir.OpGCat,
 		ir.OpGBuiltin, ir.OpCallUser, ir.OpGEMV, ir.OpVFused, ir.OpVFuseArgF,

@@ -89,16 +89,9 @@ end`, map[string]types.Type{
 	})
 	// find the loop region and check a*b's multiply moved before it
 	findLoop := func(p *ir.Prog) (lo, hi int) {
-		for pos, in := range p.Ins {
-			tgt := int32(-1)
-			switch in.Op {
-			case ir.OpJmp:
-				tgt = in.A
-			case ir.OpBrILt:
-				tgt = in.C
-			}
-			if tgt >= 0 && int(tgt) <= pos {
-				return int(tgt), pos
+		for pos := range p.Ins {
+			if tgt := p.Ins[pos].Target(); tgt != nil && int(*tgt) <= pos {
+				return int(*tgt), pos
 			}
 		}
 		return -1, -1

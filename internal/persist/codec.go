@@ -36,7 +36,7 @@ import (
 // what the bytes mean does (v5).
 const (
 	magic        = "MJRP"
-	Version      = 5                     // v5: scalars cross calls in registers (staged call operands, outputs returned unboxed); v4 added per-entry return summaries and dependencies; v3 the sparsity bit in encoded types; v2 the per-function tiering profile section
+	Version      = 6                     // v6: a program carries its constant tables (literals are registers of a constant area, not instructions); v5: scalars cross calls in registers (staged call operands, outputs returned unboxed); v4 added per-entry return summaries and dependencies; v3 the sparsity bit in encoded types; v2 the per-function tiering profile section
 	headerLen    = 4 + 2 + 2 + 8 + 4 + 4 // magic, version, flags, fingerprint, payload len, payload crc
 	maxSnapshotB = 1 << 30               // decode refuses payloads beyond 1 GiB
 )
@@ -104,6 +104,11 @@ type ProfileSig struct {
 // move with the same change (the convention came with four opcodes), but
 // it hashes opcode names, not what the aux words of a call or
 // Prog.OutRegs mean, so the version is what says it.
+//
+// v6 adds Prog's constant tables (ConstF, ConstI, ConstC in place of the
+// complex pool): a literal is a register of the constant area that ends
+// each scalar bank, and v5 code materialised it with instructions the IR
+// no longer has.
 type EntryState struct {
 	SrcHash     uint64
 	Sig         types.Signature
@@ -218,8 +223,16 @@ func (e *encoder) prog(p *ir.Prog) {
 	e.i32(p.SlotsI)
 	e.i32(p.SlotsC)
 	e.i32(p.SlotsV)
-	e.u32(uint32(len(p.CPool)))
-	for _, c := range p.CPool {
+	e.u32(uint32(len(p.ConstF)))
+	for _, x := range p.ConstF {
+		e.f64(x)
+	}
+	e.u32(uint32(len(p.ConstI)))
+	for _, x := range p.ConstI {
+		e.i64(x)
+	}
+	e.u32(uint32(len(p.ConstC)))
+	for _, c := range p.ConstC {
 		e.f64(real(c))
 		e.f64(imag(c))
 	}
@@ -464,13 +477,24 @@ func (d *decoder) prog() *ir.Prog {
 	}
 	p.NumF, p.NumI, p.NumC, p.NumV = d.i32(), d.i32(), d.i32(), d.i32()
 	p.SlotsF, p.SlotsI, p.SlotsC, p.SlotsV = d.i32(), d.i32(), d.i32(), d.i32()
-	ncp := d.count(16)
-	if ncp > 0 && d.err == nil {
-		p.CPool = make([]complex128, ncp)
-		for i := range p.CPool {
+	if n := d.count(8); n > 0 && d.err == nil {
+		p.ConstF = make([]float64, n)
+		for i := range p.ConstF {
+			p.ConstF[i] = d.f64()
+		}
+	}
+	if n := d.count(8); n > 0 && d.err == nil {
+		p.ConstI = make([]int64, n)
+		for i := range p.ConstI {
+			p.ConstI[i] = d.i64()
+		}
+	}
+	if n := d.count(16); n > 0 && d.err == nil {
+		p.ConstC = make([]complex128, n)
+		for i := range p.ConstC {
 			re := d.f64()
 			im := d.f64()
-			p.CPool[i] = complex(re, im)
+			p.ConstC[i] = complex(re, im)
 		}
 	}
 	p.Aux = d.i32s()

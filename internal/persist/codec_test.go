@@ -20,7 +20,7 @@ func testSnapshot() *Snapshot {
 	prog := &ir.Prog{
 		Name: "f",
 		Ins: []ir.Instr{
-			{Op: ir.OpFConst, A: 0, Imm: 3.5},
+			{Op: ir.OpFMov, A: 0, B: 3},
 			{Op: ir.OpFAdd, A: 1, B: 0, C: 0, D: -1, Imm: math.Inf(1)},
 			{Op: ir.OpGEMV, A: 2, B: 1, C: 0, D: -3, Imm: -1},
 			{Op: ir.OpStageF, A: 1, B: 0},
@@ -29,10 +29,12 @@ func testSnapshot() *Snapshot {
 			{Op: ir.OpStageI, A: 0, B: 1},
 			{Op: ir.OpRet},
 		},
-		NumF: 4, NumI: 2, NumC: 1, NumV: 3,
+		NumF: 6, NumI: 4, NumC: 2, NumV: 3,
 		SlotsF: 1, SlotsI: 0, SlotsC: 0, SlotsV: 2,
-		CPool: []complex128{complex(1, -2), complex(math.Inf(-1), math.NaN())},
-		Aux:   []int32{3, -1, 7, 0 /* call helper: */, 0, 1, ir.Staged, 2, 2, ir.Staged},
+		ConstF: []float64{3.5, math.Copysign(0, -1), math.Float64frombits(0x7ff8000000000123)},
+		ConstI: []int64{1, math.MinInt64},
+		ConstC: []complex128{complex(1, -2), complex(math.Inf(-1), math.NaN())},
+		Aux:    []int32{3, -1, 7, 0 /* call helper: */, 0, 1, ir.Staged, 2, 2, ir.Staged},
 		MathFns: []string{
 			"sqrt", "exp",
 		},
@@ -90,11 +92,15 @@ func TestRoundTrip(t *testing.T) {
 	}
 	// NaN must survive bit-exactly (DeepEqual can't see that).
 	p := got.Funcs[0].Entries[0].Prog
-	if !math.IsNaN(imag(p.CPool[1])) || !math.IsInf(real(p.CPool[1]), -1) {
-		t.Fatalf("CPool NaN/Inf not preserved: %v", p.CPool[1])
+	if !math.IsNaN(imag(p.ConstC[1])) || !math.IsInf(real(p.ConstC[1]), -1) {
+		t.Fatalf("ConstC NaN/Inf not preserved: %v", p.ConstC[1])
 	}
-	got.Funcs[0].Entries[0].Prog.CPool = nil
-	want.Funcs[0].Entries[0].Prog.CPool = nil
+	if !math.Signbit(p.ConstF[1]) || math.Float64bits(p.ConstF[2]) != 0x7ff8000000000123 || p.ConstI[1] != math.MinInt64 {
+		t.Fatalf("constant tables not preserved bit for bit: %v %v", p.ConstF, p.ConstI)
+	}
+	for _, q := range []*ir.Prog{p, want.Funcs[0].Entries[0].Prog} {
+		q.ConstF, q.ConstC = nil, nil
+	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("round trip mismatch:\nwant %#v\ngot  %#v", want, got)
 	}
@@ -236,6 +242,23 @@ func TestDecodeRejectsBoxedCallSnapshot(t *testing.T) {
 	binary.LittleEndian.PutUint16(rec[4:6], 4)
 	if _, err := DecodeRecord(rec); !errors.Is(err, ErrVersion) {
 		t.Fatalf("v4 record: want ErrVersion, got %v", err)
+	}
+}
+
+// TestDecodeRejectsConstantInstructionSnapshot pins the v6 gate: v5 code
+// materialises its literals with instructions the IR no longer has and
+// carries no constant tables. The IR fingerprint moves with the opcode
+// table too, but a format that changed says so itself. It must cold-start.
+func TestDecodeRejectsConstantInstructionSnapshot(t *testing.T) {
+	data := Encode(testSnapshot())
+	binary.LittleEndian.PutUint16(data[4:6], 5)
+	if _, err := Decode(data); !errors.Is(err, ErrVersion) {
+		t.Fatalf("v5 snapshot: want ErrVersion, got %v", err)
+	}
+	rec := EncodeRecord(&EntryRecord{Origin: "n", Func: "g", Source: "function y = g(x)\ny = x;\n"})
+	binary.LittleEndian.PutUint16(rec[4:6], 5)
+	if _, err := DecodeRecord(rec); !errors.Is(err, ErrVersion) {
+		t.Fatalf("v5 record: want ErrVersion, got %v", err)
 	}
 }
 

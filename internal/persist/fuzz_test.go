@@ -22,6 +22,7 @@ func FuzzDecode(f *testing.F) {
 	for _, mut := range []func(b []byte){
 		func(b []byte) { b[0] = 'X' },                                       // magic
 		func(b []byte) { binary.LittleEndian.PutUint16(b[4:6], Version^1) }, // version
+		func(b []byte) { binary.LittleEndian.PutUint16(b[4:6], Version-1) }, // the previous version
 		func(b []byte) { binary.LittleEndian.PutUint16(b[6:8], 0xffff) },    // flags
 		func(b []byte) { binary.LittleEndian.PutUint64(b[8:16], 1) },        // fingerprint
 		func(b []byte) { binary.LittleEndian.PutUint32(b[16:20], 1<<30) },   // payload len

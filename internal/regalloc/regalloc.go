@@ -8,6 +8,12 @@
 //
 // Only the F, I and C banks are allocated: V registers hold array
 // pointers, which on the paper's target machines live in memory anyway.
+// A constant register (ir.ConstReg) is an immediate, not a value: it gets
+// no interval, is never spilled — SpillAll included, as a SPARC immediate
+// was never register-allocated either — and is renamed to the bank's
+// constant area, which follows the allocatable and scratch registers:
+//
+//	[0,k) allocatable | k..k+2 scratch | constants | spill slots
 //
 // Cost contract: per bank, two walks over the instructions (operands
 // come from ir's Instr.Def and Uses), one walk over each loop's stretch
@@ -125,7 +131,8 @@ type loopFirst struct {
 
 func allocateBank(p *ir.Prog, bank ir.Bank, opts Options) {
 	nv := int(*bankCount(p, bank))
-	if nv == 0 {
+	nconst := [...]int{len(p.ConstF), len(p.ConstI), len(p.ConstC)}[bank]
+	if nv == 0 && nconst == 0 {
 		return
 	}
 	// Build live intervals.
@@ -162,7 +169,7 @@ func allocateBank(p *ir.Prog, bank ir.Bank, opts Options) {
 		eventsFrom[pos] = int32(len(events))
 		in := &p.Ins[pos]
 		for _, u := range in.Uses(&buf) {
-			if u.Bank == bank {
+			if u.Bank == bank && !u.Const() {
 				touch(*u.Reg, pos)
 				events = append(events, event{pos, *u.Reg, false})
 			}
@@ -313,6 +320,10 @@ func allocateBank(p *ir.Prog, bank ir.Bank, opts Options) {
 			if u.Bank != bank {
 				continue
 			}
+			if u.Const() {
+				*u.Reg = int32(k+3) + ^*u.Reg
+				continue
+			}
 			iv := &ivs[*u.Reg]
 			if !iv.spilled {
 				*u.Reg = iv.phys
@@ -367,6 +378,6 @@ func allocateBank(p *ir.Prog, bank ir.Bank, opts Options) {
 		}
 	}
 
-	*bankCount(p, bank) = int32(k + 3) // physical + 3 scratch
+	*bankCount(p, bank) = int32(k + 3 + nconst) // physical, 3 scratch, constants
 	*bankSlots(p, bank) = nextSlot
 }

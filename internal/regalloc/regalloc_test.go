@@ -63,18 +63,23 @@ func TestAllocationBoundsRegisters(t *testing.T) {
 	if !p.Allocated {
 		t.Fatal("Allocated flag not set")
 	}
-	// every F register reference must now be < FRegs + 3 scratch
+	// every F register written must now be < FRegs + 3 scratch, and every
+	// one read either that or a constant, in the area that follows
 	limit := int32(6 + 3)
 	for pos, in := range p.Ins {
+		d, hasDef := in.Def()
 		for _, o := range fOperands(&in) {
-			if r := *o.Reg; r >= limit {
-				t.Fatalf("instr %d references f%d ≥ limit %d (had %d virtuals)\n%s",
-					pos, r, limit, virtBefore, p.Disasm())
+			if r := *o.Reg; r >= limit+int32(len(p.ConstF)) || r >= limit && hasDef && o.Reg == d.Reg {
+				t.Fatalf("instr %d references f%d, limit %d and %d constants (had %d virtuals)\n%s",
+					pos, r, limit, len(p.ConstF), virtBefore, p.Disasm())
 			}
 		}
 	}
-	if p.NumF != limit {
-		t.Errorf("NumF = %d, want %d", p.NumF, limit)
+	if len(p.ConstF) == 0 {
+		t.Error("the program's literals are not in its constant table")
+	}
+	if want := limit + int32(len(p.ConstF)); p.NumF != want {
+		t.Errorf("NumF = %d, want %d", p.NumF, want)
 	}
 }
 

@@ -119,18 +119,17 @@ func TestServerWarmRestartZeroCompiles(t *testing.T) {
 
 // TestServerCorruptSnapshotBootsCold: a snapshot the daemon cannot use
 // must not prevent boot — truncated garbage, or a well-formed snapshot of
-// the previous format version (v4: code that boxes what it passes across
-// calls, which must never run beside code that does not). The daemon
-// reports the load error, starts cold, serves, and heals the file on
-// drain.
+// the previous format version (v5: code whose literals are instructions
+// the IR no longer has, and no constant tables). The daemon reports the
+// load error, starts cold, serves, and heals the file on drain.
 func TestServerCorruptSnapshotBootsCold(t *testing.T) {
-	v4 := persist.Encode(&persist.Snapshot{Funcs: []persist.FuncState{{
+	v5 := persist.Encode(&persist.Snapshot{Funcs: []persist.FuncState{{
 		Name: "g", Source: "function y = g(x)\ny = x;\n", SrcHash: persist.HashSource("function y = g(x)\ny = x;\n"),
 	}}})
-	binary.LittleEndian.PutUint16(v4[4:6], 4)
+	binary.LittleEndian.PutUint16(v5[4:6], 5)
 	for name, snapshot := range map[string][]byte{
 		"corrupt":          []byte("MJRP\x01\x00garbage"),
-		"previous version": v4,
+		"previous version": v5,
 	} {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "repo.bin")

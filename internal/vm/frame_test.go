@@ -19,17 +19,15 @@ func countdown(t *testing.T) *Compiled {
 	t.Helper()
 	p := &ir.Prog{
 		Name:   "sum",
-		NumI:   4,
+		NumI:   7,
+		ConstI: []int64{8, 0, 1}, // i4, i5, i6
 		NumV:   4,
 		Params: []ir.ParamBinding{{Bank: ir.BankI, Reg: 0}},
 		Calls:  []string{"sum"},
 		Ins: []ir.Instr{
-			{Op: ir.OpIConst, A: 1, Imm: 8},
-			{Op: ir.OpVNewZeros, A: 3, B: 1, C: 1}, // ballast the frame must not pin
-			{Op: ir.OpIConst, A: 1, Imm: 0},
-			{Op: ir.OpBrIEq, A: 0, B: 1, C: 10}, // n == 0 → return 0
-			{Op: ir.OpIConst, A: 1, Imm: 1},
-			{Op: ir.OpISub, A: 2, B: 0, C: 1},
+			{Op: ir.OpVNewZeros, A: 3, B: 4, C: 4}, // ballast the frame must not pin
+			{Op: ir.OpBrIEq, A: 0, B: 5, C: 7},     // n == 0 → return 0 (i1, never written)
+			{Op: ir.OpISub, A: 2, B: 0, C: 6},
 			{Op: ir.OpStageI, A: 0, B: 2},
 			{Op: ir.OpCallUser, A: 0},
 			{Op: ir.OpFetchI, A: 3, B: 0}, // guarded

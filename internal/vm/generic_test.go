@@ -79,13 +79,11 @@ func TestGColonAndGCat(t *testing.T) {
 	}
 	// v = 1:3; m = [v; v*0-1 rows]: build [1 2 3] then cat two rows
 	catAux := p.AddAux(2 /*rows*/, 1, 4 /*row1: reg4*/, 1, 4 /*row2: reg4*/)
+	one := fconst(p, 1)
 	p.Ins = []ir.Instr{
-		{Op: ir.OpFConst, A: 0, Imm: 1},
-		{Op: ir.OpFConst, A: 1, Imm: 1},
-		{Op: ir.OpFConst, A: 2, Imm: 3},
-		{Op: ir.OpBoxF, A: 0, B: 0},
-		{Op: ir.OpBoxF, A: 1, B: 1},
-		{Op: ir.OpBoxF, A: 2, B: 2},
+		{Op: ir.OpBoxF, A: 0, B: one},
+		{Op: ir.OpBoxF, A: 1, B: one},
+		{Op: ir.OpBoxF, A: 2, B: fconst(p, 3)},
 		{Op: ir.OpGColon, A: 4, B: 0, C: 1, D: 2}, // V4 = 1:1:3
 		{Op: ir.OpGCat, A: 5, B: catAux},          // V5 = [V4; V4]
 		{Op: ir.OpRet},
@@ -111,8 +109,7 @@ func TestGIndexColonMarker(t *testing.T) {
 	aux := p.AddAux(2, 1, 2) // args: V1 (colon), V2 (boxed column index)
 	p.Ins = []ir.Instr{
 		{Op: ir.OpVConst, A: 1, B: 0},
-		{Op: ir.OpIConst, A: 0, Imm: 2},
-		{Op: ir.OpBoxI, A: 2, B: 0},
+		{Op: ir.OpBoxI, A: 2, B: iconst(p, 2)},
 		{Op: ir.OpGIndex, A: 3, B: 0, C: aux}, // V3 = A(:, 2)
 		{Op: ir.OpRet},
 	}
@@ -133,10 +130,10 @@ func TestGAssignCopyOnWrite(t *testing.T) {
 		Params: []ir.ParamBinding{{Bank: ir.BankV, Reg: 0}},
 	}
 	aux := p.AddAux(1, 1) // one subscript in V1
+	one := iconst(p, 1)
 	p.Ins = []ir.Instr{
-		{Op: ir.OpIConst, A: 0, Imm: 1},
-		{Op: ir.OpBoxI, A: 1, B: 0},
-		{Op: ir.OpBoxI, A: 2, B: 0},            // rhs = 1
+		{Op: ir.OpBoxI, A: 1, B: one},
+		{Op: ir.OpBoxI, A: 2, B: one},          // rhs = 1
 		{Op: ir.OpGAssign, A: 0, C: aux, D: 2}, // A(1) = 1
 		{Op: ir.OpRet},
 	}

@@ -48,11 +48,42 @@ func (fr *Frame) runStepHook(p *ir.Prog, pc int, args []Operand) {
 	}
 }
 
+// BlockHook observes an activation entering a basic block: ins is the
+// block, every instruction of which is about to run (an instruction that
+// faults leaves the rest uncounted).
+type BlockHook func(ins []ir.Instr)
+
+// blockHook is test instrumentation built the way stepHook is: while one
+// is installed, Prepare heads every basic block with an OpCount that
+// carries the block's length, and only that instruction looks at the
+// hook. internal/vm/vmtest counts dispatched instructions through it.
+var blockHook atomic.Pointer[BlockHook]
+
+// SetBlockHook installs h for programs prepared from now on; nil removes
+// it.
+func SetBlockHook(h BlockHook) {
+	if h == nil {
+		blockHook.Store(nil)
+		return
+	}
+	blockHook.Store(&h)
+}
+
+// runBlockHook executes the OpCount at pc. Out of line, like runStepHook.
+//
+//go:noinline
+func runBlockHook(p *ir.Prog, pc int) {
+	if h := blockHook.Load(); h != nil {
+		(*h)(p.Ins[pc+1 : pc+1+int(p.Ins[pc].A)])
+	}
+}
+
 // writesV reports whether op assigns a V register or spill slot.
 func writesV(op ir.Op) bool {
 	switch op {
 	case ir.OpVMov, ir.OpVMovSwap, ir.OpVClone, ir.OpBoxF, ir.OpBoxI, ir.OpBoxC,
-		ir.OpVNewZeros, ir.OpVEnsure, ir.OpVEnsureOwn, ir.OpVConst,
+		ir.OpVNewZeros, ir.OpVEnsure, ir.OpVConst,
+		ir.OpFSt1, ir.OpFSt1I, ir.OpFSt1U, ir.OpFSt2, ir.OpFSt2I, ir.OpFSt2U, // a store clones a shared base
 		ir.OpGBin, ir.OpGUn, ir.OpGIndex, ir.OpGAssign, ir.OpGColon, ir.OpGCat,
 		ir.OpGBuiltin, ir.OpCallUser, ir.OpGEMV, ir.OpVFused, ir.OpVLdSlot, ir.OpVStSlot:
 		return true
@@ -60,27 +91,43 @@ func writesV(op ir.Op) bool {
 	return false
 }
 
-// withStepChecks returns a copy of p with an OpVCheck after every
-// V-writing instruction, jump targets moved along. A jump to the
-// instruction after a write lands past that write's check: it did not
-// execute the write.
-func withStepChecks(p *ir.Prog) *ir.Prog {
+// instrumented returns a copy of p with the installed hooks' probes,
+// jump targets moved along: an OpVCheck after every V-writing
+// instruction (checks), an OpCount in front of every basic block
+// (blocks). A jump to the instruction after a write lands past that
+// write's check — it did not execute the write — and on the count of the
+// block it enters.
+func instrumented(p *ir.Prog, checks, blocks bool) *ir.Prog {
+	leader := make([]bool, len(p.Ins)+1)
+	leader[0] = blocks
+	for pos := range p.Ins {
+		if t := p.Ins[pos].Target(); t != nil && blocks {
+			leader[*t], leader[pos+1] = true, true
+		} else if p.Ins[pos].Op == ir.OpRet {
+			leader[pos+1] = blocks
+		}
+	}
 	remap := make([]int32, len(p.Ins)+1)
 	out := make([]ir.Instr, 0, 2*len(p.Ins))
+	count := -1 // the OpCount of the block being copied
 	for pos, in := range p.Ins {
 		remap[pos] = int32(len(out))
+		if leader[pos] {
+			count = len(out)
+			out = append(out, ir.Instr{Op: ir.OpCount})
+		}
 		out = append(out, in)
-		if writesV(in.Op) {
+		if checks && writesV(in.Op) {
 			out = append(out, ir.Instr{Op: ir.OpVCheck})
+		}
+		if count >= 0 {
+			out[count].A = int32(len(out) - count - 1)
 		}
 	}
 	remap[len(p.Ins)] = int32(len(out))
 	for i := range out {
-		switch in := &out[i]; {
-		case in.Op == ir.OpJmp:
-			in.A = remap[in.A]
-		case in.Op >= ir.OpBrTrueF && in.Op <= ir.OpBrINe:
-			in.C = remap[in.C]
+		if t := out[i].Target(); t != nil {
+			*t = remap[*t]
 		}
 	}
 	q := *p

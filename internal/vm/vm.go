@@ -79,8 +79,17 @@ type Compiled struct {
 
 // Prepare resolves the program's name tables.
 func Prepare(p *ir.Prog) (*Compiled, error) {
-	if stepHook.Load() != nil {
-		p = withStepChecks(p)
+	if checks, blocks := stepHook.Load() != nil, blockHook.Load() != nil; checks || blocks {
+		p = instrumented(p, checks, blocks)
+	}
+	// The constant tables fill the top of the scalar banks, whose sizes the
+	// allocator fixes: a program that is not allocated names its constants
+	// by negative registers, and one whose tables overflow its banks was
+	// not written by this compiler (snapshots and /cluster/ingest hand
+	// Prepare bytes from outside).
+	if _, _, _, fit := p.ConstBase(); !fit || !p.Allocated && len(p.ConstF)+len(p.ConstI)+len(p.ConstC) > 0 {
+		return nil, fmt.Errorf("vm: %s: constant tables (%d/%d/%d) do not fit banks of %d/%d/%d registers (allocated: %t)",
+			p.Name, len(p.ConstF), len(p.ConstI), len(p.ConstC), p.NumF, p.NumI, p.NumC, p.Allocated)
 	}
 	c := &Compiled{P: p}
 	for _, name := range p.MathFns {
@@ -206,8 +215,9 @@ var ErrGuardMiss = errors.New("vm: return-type guard missed")
 //
 // Scalar banks are zeroed before use — compiled code may read a scalar
 // variable no path assigned, and must see 0 as it did with fresh banks —
-// and the boxed bank is cleared after use, so an idle chain never pins a
-// matrix.
+// then the program's constant tables are copied into the constant area
+// that ends each bank's registers (ir.Prog.ConstF); the boxed bank is
+// cleared after use, so an idle chain never pins a matrix.
 type Frame struct {
 	f []float64
 	i []int64
@@ -319,6 +329,9 @@ func Run(c *Compiled, host Host, args []Operand, caller *Frame) ([]Operand, erro
 	clear(fr.f)
 	clear(fr.i)
 	clear(fr.c)
+	copy(fr.f[int(p.NumF)-len(p.ConstF):], p.ConstF)
+	copy(fr.i[int(p.NumI)-len(p.ConstI):], p.ConstI)
+	copy(fr.c[int(p.NumC)-len(p.ConstC):], p.ConstC)
 	outs, err := fr.exec(c, host, args, caller.outs[:0])
 	clear(fr.v)
 	clear(fr.ops)
@@ -387,18 +400,18 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []Operand) ([]Operand, e
 		}
 	}
 
-	// The host's cancel flag (nil when it has none) is polled at
-	// backward jumps. Every loop the code generator emits closes with a
-	// backward OpJmp to its header, so this single site is a complete
-	// set of back-edge safepoints: a raised flag aborts `while 1; end`
-	// within one iteration, and forward control flow pays nothing.
+	// The host's cancel flag (nil when it has none) is polled at every
+	// backward transfer, conditional or not (a while loop closes with a
+	// jump to its test, a counted for loop with the test itself: see
+	// taken). Every cycle in the code contains one, so a raised flag
+	// aborts `while 1; end` and `for i = 1:1e12, end` within one trip.
 	var cflag *cancel.Flag
 	if c, ok := host.(cancel.Checker); ok {
 		cflag = c.CancelFlag()
 	}
 
 	ins := p.Ins
-	pc := 0
+	pc, target := 0, 0
 	var err error
 	var fuseSlots [ir.MaxFuseOperands]float64
 	for {
@@ -406,16 +419,8 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []Operand) ([]Operand, e
 		switch in.Op {
 		case ir.OpNop:
 		case ir.OpJmp:
-			if t := int(in.A); t <= pc {
-				if cflag != nil && cflag.Raised() {
-					err = cancel.ErrInterrupted
-					goto fail
-				}
-				pc = t
-			} else {
-				pc = t
-			}
-			continue
+			target = int(in.A)
+			goto taken
 		case ir.OpRet:
 			outs := dst[:0]
 			if cap(outs) < len(p.OutRegs) {
@@ -437,73 +442,73 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []Operand) ([]Operand, e
 
 		case ir.OpBrTrueF:
 			if F[in.A] != 0 {
-				pc = int(in.C)
-				continue
+				target = int(in.C)
+				goto taken
 			}
 		case ir.OpBrFalseF:
 			if F[in.A] == 0 {
-				pc = int(in.C)
-				continue
+				target = int(in.C)
+				goto taken
 			}
 		case ir.OpBrFalseV:
 			if V[in.A] == nil || !V[in.A].IsTrue() {
-				pc = int(in.C)
-				continue
+				target = int(in.C)
+				goto taken
 			}
 		case ir.OpBrTrueV:
 			if V[in.A] != nil && V[in.A].IsTrue() {
-				pc = int(in.C)
-				continue
+				target = int(in.C)
+				goto taken
 			}
 		case ir.OpBrFLt:
 			if F[in.A] < F[in.B] {
-				pc = int(in.C)
-				continue
+				target = int(in.C)
+				goto taken
 			}
 		case ir.OpBrFLe:
 			if F[in.A] <= F[in.B] {
-				pc = int(in.C)
-				continue
+				target = int(in.C)
+				goto taken
 			}
 		case ir.OpBrFEq:
 			if F[in.A] == F[in.B] {
-				pc = int(in.C)
-				continue
+				target = int(in.C)
+				goto taken
 			}
 		case ir.OpBrFNe:
 			if F[in.A] != F[in.B] {
-				pc = int(in.C)
-				continue
+				target = int(in.C)
+				goto taken
 			}
 		case ir.OpBrFNLt:
 			if !(F[in.A] < F[in.B]) {
-				pc = int(in.C)
-				continue
+				target = int(in.C)
+				goto taken
 			}
 		case ir.OpBrFNLe:
 			if !(F[in.A] <= F[in.B]) {
-				pc = int(in.C)
-				continue
+				target = int(in.C)
+				goto taken
 			}
 		case ir.OpBrILt:
 			if I[in.A] < I[in.B] {
-				pc = int(in.C)
-				continue
+				target = int(in.C)
+				goto taken
 			}
 		case ir.OpBrILe:
 			if I[in.A] <= I[in.B] {
-				pc = int(in.C)
-				continue
+				target = int(in.C)
+				goto taken
 			}
 		case ir.OpBrIEq:
 			if I[in.A] == I[in.B] {
-				pc = int(in.C)
-				continue
+				target = int(in.C)
+				goto taken
 			}
 		case ir.OpBrINe:
 			if I[in.A] != I[in.B] {
-				pc = int(in.C)
-				continue
+				target = int(in.C)
+				goto taken
 			}
 
 		case ir.OpFMov:
@@ -522,12 +527,6 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []Operand) ([]Operand, e
 			} else {
 				V[in.A] = mat.Donors{Dst: V[in.A]}.Clone(V[in.B])
 			}
-		case ir.OpFConst:
-			F[in.A] = in.Imm
-		case ir.OpIConst:
-			I[in.A] = int64(in.Imm)
-		case ir.OpCConst:
-			C[in.A] = p.CPool[in.B]
 
 		case ir.OpItoF:
 			F[in.A] = float64(I[in.B])
@@ -593,6 +592,12 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []Operand) ([]Operand, e
 			F[in.A] = b2f(F[in.B] != 0 || F[in.C] != 0)
 		case ir.OpFNot:
 			F[in.A] = b2f(F[in.B] == 0)
+		case ir.OpFRand:
+			if in.B == 0 {
+				F[in.A] = ctx.RNG.Float64()
+			} else {
+				F[in.A] = ctx.RNG.Normal()
+			}
 
 		case ir.OpFCmpEq:
 			F[in.A] = b2f(F[in.B] == F[in.C])
@@ -661,6 +666,13 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []Operand) ([]Operand, e
 				goto fail
 			}
 			F[in.A] = x
+		case ir.OpFLd1I:
+			x, e := V[in.B].CheckedGet1(float64(I[in.C]))
+			if e != nil {
+				err = e
+				goto fail
+			}
+			F[in.A] = x
 		case ir.OpFLd1U:
 			F[in.A] = V[in.B].FastGet1(int(I[in.C]) - 1)
 		case ir.OpFLd2:
@@ -670,22 +682,66 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []Operand) ([]Operand, e
 				goto fail
 			}
 			F[in.A] = x
+		case ir.OpFLd2I:
+			x, e := V[in.B].CheckedGet2(float64(I[in.C]), float64(I[in.D]))
+			if e != nil {
+				err = e
+				goto fail
+			}
+			F[in.A] = x
 		case ir.OpFLd2U:
 			F[in.A] = V[in.B].FastGet2(int(I[in.C])-1, int(I[in.D])-1)
+		// A store writes through the value its base register owns: owned
+		// is one predictable branch on the fast path (written out, because
+		// with a call in it the check does not inline).
 		case ir.OpFSt1:
-			if e := V[in.A].CheckedSet1(F[in.B], F[in.C]); e != nil {
+			v := V[in.A]
+			if v == nil || v.IsShared() {
+				v = owned(&V[in.A])
+			}
+			if e := v.CheckedSet1(F[in.B], F[in.C]); e != nil {
+				err = e
+				goto fail
+			}
+		case ir.OpFSt1I:
+			v := V[in.A]
+			if v == nil || v.IsShared() {
+				v = owned(&V[in.A])
+			}
+			if e := v.CheckedSet1(float64(I[in.B]), F[in.C]); e != nil {
 				err = e
 				goto fail
 			}
 		case ir.OpFSt1U:
-			V[in.A].FastSet1(int(I[in.B])-1, F[in.C])
+			v := V[in.A]
+			if v == nil || v.IsShared() {
+				v = owned(&V[in.A])
+			}
+			v.FastSet1(int(I[in.B])-1, F[in.C])
 		case ir.OpFSt2:
-			if e := V[in.A].CheckedSet2(F[in.B], F[in.C], F[in.D]); e != nil {
+			v := V[in.A]
+			if v == nil || v.IsShared() {
+				v = owned(&V[in.A])
+			}
+			if e := v.CheckedSet2(F[in.B], F[in.C], F[in.D]); e != nil {
+				err = e
+				goto fail
+			}
+		case ir.OpFSt2I:
+			v := V[in.A]
+			if v == nil || v.IsShared() {
+				v = owned(&V[in.A])
+			}
+			if e := v.CheckedSet2(float64(I[in.B]), float64(I[in.C]), F[in.D]); e != nil {
 				err = e
 				goto fail
 			}
 		case ir.OpFSt2U:
-			V[in.A].FastSet2(int(I[in.B])-1, int(I[in.C])-1, F[in.D])
+			v := V[in.A]
+			if v == nil || v.IsShared() {
+				v = owned(&V[in.A])
+			}
+			v.FastSet2(int(I[in.B])-1, int(I[in.C])-1, F[in.D])
 
 		case ir.OpVNewZeros:
 			v := mat.New(int(I[in.B]), int(I[in.C]))
@@ -701,13 +757,6 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []Operand) ([]Operand, e
 			r, cc := int(I[in.B]), int(I[in.C])
 			if v == nil || v.IsShared() || v.IsSparse() || v.Rows() != r || v.Cols() != cc || v.Kind() != mat.Real {
 				V[in.A] = mat.New(r, cc)
-			}
-		case ir.OpVEnsureOwn:
-			v := V[in.A]
-			if v == nil {
-				V[in.A] = mat.Empty()
-			} else if v.IsShared() {
-				V[in.A] = v.Clone()
 			}
 		case ir.OpVRows:
 			I[in.A] = int64(vOrEmpty(V[in.B]).Rows())
@@ -854,6 +903,8 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []Operand) ([]Operand, e
 
 		case ir.OpVCheck:
 			fr.runStepHook(p, pc-1, args)
+		case ir.OpCount:
+			runBlockHook(p, pc)
 
 		default:
 			err = fmt.Errorf("unimplemented opcode %v", in.Op)
@@ -861,9 +912,30 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []Operand) ([]Operand, e
 		}
 		pc++
 		continue
+	taken:
+		if target <= pc && cflag != nil && cflag.Raised() {
+			err = cancel.ErrInterrupted
+			goto fail
+		}
+		pc = target
+		continue
 	fail:
 		return nil, &Error{Fn: p.Name, PC: pc, Err: err}
 	}
+}
+
+// owned gives a V register a value of its own for a store to write
+// through, when it holds none or a shared one: the call-by-value copy of a
+// written parameter or of a B = A alias is made here, by the store that
+// needs it, and a register no path assigned starts as the empty matrix a
+// store grows.
+func owned(reg **mat.Value) *mat.Value {
+	v := mat.Empty()
+	if *reg != nil {
+		v = (*reg).Clone()
+	}
+	*reg = v
+	return v
 }
 
 func b2f(b bool) float64 {

@@ -41,6 +41,18 @@ func runBoxed(c *Compiled, h Host, args []*mat.Value) ([]*mat.Value, error) {
 	return BoxAll(nil, outs), nil
 }
 
+// fconst and iconst give a hand-written program one more constant and
+// return its register: the next of the bank, whose top the tables fill.
+func fconst(p *ir.Prog, v float64) int32 {
+	p.ConstF, p.NumF = append(p.ConstF, v), p.NumF+1
+	return p.NumF - 1
+}
+
+func iconst(p *ir.Prog, v int64) int32 {
+	p.ConstI, p.NumI = append(p.ConstI, v), p.NumI+1
+	return p.NumI - 1
+}
+
 // run builds a Compiled from raw instructions and executes it.
 func run(t *testing.T, p *ir.Prog, args ...*mat.Value) []*mat.Value {
 	t.Helper()
@@ -72,16 +84,14 @@ func TestScalarArithmeticProgram(t *testing.T) {
 	p := &ir.Prog{
 		Name: "t",
 		NumF: 4, NumV: 1,
-		Params: []ir.ParamBinding{{Bank: ir.BankF, Reg: 0}},
-		Ins: []ir.Instr{
-			{Op: ir.OpFConst, A: 1, Imm: 2},
-			{Op: ir.OpFAdd, A: 2, B: 0, C: 1},
-			{Op: ir.OpFConst, A: 1, Imm: 3},
-			{Op: ir.OpFMul, A: 3, B: 2, C: 1},
-			{Op: ir.OpBoxF, A: 0, B: 3},
-			{Op: ir.OpRet},
-		},
+		Params:  []ir.ParamBinding{{Bank: ir.BankF, Reg: 0}},
 		OutRegs: []int32{0},
+	}
+	p.Ins = []ir.Instr{
+		{Op: ir.OpFAdd, A: 2, B: 0, C: fconst(p, 2)},
+		{Op: ir.OpFMul, A: 3, B: 2, C: fconst(p, 3)},
+		{Op: ir.OpBoxF, A: 0, B: 3},
+		{Op: ir.OpRet},
 	}
 	outs := run(t, p, mat.Scalar(5))
 	if got := outs[0].MustScalar(); got != 21 {
@@ -93,21 +103,21 @@ func TestLoopProgram(t *testing.T) {
 	// sum 1..n with I registers and a fused branch
 	p := &ir.Prog{
 		Name: "sum",
-		NumI: 4, NumV: 1,
-		Params: []ir.ParamBinding{{Bank: ir.BankI, Reg: 0}},
-		Ins: []ir.Instr{
-			{Op: ir.OpIConst, A: 1, Imm: 0}, // acc
-			{Op: ir.OpIConst, A: 2, Imm: 1}, // i
-			{Op: ir.OpIConst, A: 3, Imm: 1}, // one
-			// head: if n < i goto exit(7)
-			{Op: ir.OpBrILt, A: 0, B: 2, C: 7},
-			{Op: ir.OpIAdd, A: 1, B: 1, C: 2},
-			{Op: ir.OpIAdd, A: 2, B: 2, C: 3},
-			{Op: ir.OpJmp, A: 3},
-			{Op: ir.OpBoxI, A: 0, B: 1},
-			{Op: ir.OpRet},
-		},
+		NumI: 3, NumV: 1,
+		Params:  []ir.ParamBinding{{Bank: ir.BankI, Reg: 0}},
 		OutRegs: []int32{0},
+	}
+	one := iconst(p, 1)
+	p.Ins = []ir.Instr{
+		{Op: ir.OpIMov, A: 1, B: iconst(p, 0)}, // acc
+		{Op: ir.OpIMov, A: 2, B: one},          // i
+		// head: if n < i goto exit(6)
+		{Op: ir.OpBrILt, A: 0, B: 2, C: 6},
+		{Op: ir.OpIAdd, A: 1, B: 1, C: 2},
+		{Op: ir.OpIAdd, A: 2, B: 2, C: one},
+		{Op: ir.OpJmp, A: 2},
+		{Op: ir.OpBoxI, A: 0, B: 1},
+		{Op: ir.OpRet},
 	}
 	outs := run(t, p, mat.Scalar(100))
 	if got := outs[0].MustScalar(); got != 5050 {
@@ -117,18 +127,18 @@ func TestLoopProgram(t *testing.T) {
 
 func TestCheckedLoadErrors(t *testing.T) {
 	mk := func(idx float64) *ir.Prog {
-		return &ir.Prog{
+		p := &ir.Prog{
 			Name: "ld",
 			NumF: 2, NumV: 2,
-			Params: []ir.ParamBinding{{Bank: ir.BankV, Reg: 0}},
-			Ins: []ir.Instr{
-				{Op: ir.OpFConst, A: 0, Imm: idx},
-				{Op: ir.OpFLd1, A: 1, B: 0, C: 0},
-				{Op: ir.OpBoxF, A: 1, B: 1},
-				{Op: ir.OpRet},
-			},
+			Params:  []ir.ParamBinding{{Bank: ir.BankV, Reg: 0}},
 			OutRegs: []int32{1},
 		}
+		p.Ins = []ir.Instr{
+			{Op: ir.OpFLd1, A: 1, B: 0, C: fconst(p, idx)},
+			{Op: ir.OpBoxF, A: 1, B: 1},
+			{Op: ir.OpRet},
+		}
+		return p
 	}
 	v := mat.FromSlice(1, 3, []float64{10, 20, 30})
 	outs := run(t, mk(2), v)
@@ -143,18 +153,16 @@ func TestCheckedLoadErrors(t *testing.T) {
 }
 
 func TestCheckedStoreGrows(t *testing.T) {
+	// The store itself clones the shared argument before it grows it.
 	p := &ir.Prog{
-		Name: "st",
-		NumF: 2, NumV: 1,
-		Params: []ir.ParamBinding{{Bank: ir.BankV, Reg: 0}},
-		Ins: []ir.Instr{
-			{Op: ir.OpVEnsureOwn, A: 0},
-			{Op: ir.OpFConst, A: 0, Imm: 5},
-			{Op: ir.OpFConst, A: 1, Imm: 42},
-			{Op: ir.OpFSt1, A: 0, B: 0, C: 1},
-			{Op: ir.OpRet},
-		},
+		Name:    "st",
+		NumV:    1,
+		Params:  []ir.ParamBinding{{Bank: ir.BankV, Reg: 0}},
 		OutRegs: []int32{0},
+	}
+	p.Ins = []ir.Instr{
+		{Op: ir.OpFSt1, A: 0, B: fconst(p, 5), C: fconst(p, 42)},
+		{Op: ir.OpRet},
 	}
 	v := mat.FromSlice(1, 2, []float64{1, 2})
 	outs := run(t, p, v)
@@ -259,17 +267,40 @@ func TestPrepareRejectsUnknownNames(t *testing.T) {
 	}
 }
 
+// TestPrepareRejectsMisfitConstantTables: the constant tables fill the top
+// of the scalar banks, so a program whose tables are larger than its
+// banks, or that has tables but was never allocated (its constants are
+// still negative register numbers), cannot have come from this compiler.
+// Programs reach Prepare from snapshots and /cluster/ingest too.
+func TestPrepareRejectsMisfitConstantTables(t *testing.T) {
+	ret := []ir.Instr{{Op: ir.OpRet}}
+	for name, p := range map[string]*ir.Prog{
+		"F table over its bank": {Name: "f", NumF: 2, ConstF: []float64{1, 2, 3}, Ins: ret, Allocated: true},
+		"I table over its bank": {Name: "i", NumF: 4, ConstI: []int64{7}, Ins: ret, Allocated: true},
+		"C table over its bank": {Name: "c", NumC: 1, ConstC: []complex128{1i, 2i}, Ins: ret, Allocated: true},
+		"tables, not allocated": {Name: "u", NumF: 8, ConstF: []float64{1}, Ins: ret},
+	} {
+		if _, err := Prepare(p); err == nil {
+			t.Errorf("%s: Prepare accepted it", name)
+		}
+	}
+	ok := &ir.Prog{Name: "ok", NumF: 3, NumI: 1, ConstF: []float64{1, 2}, ConstI: []int64{7}, Ins: ret, Allocated: true}
+	if _, err := Prepare(ok); err != nil {
+		t.Errorf("tables that fit: %v", err)
+	}
+}
+
 func TestRuntimeErrorCarriesLocation(t *testing.T) {
 	p := &ir.Prog{
 		Name: "boom",
 		NumF: 1, NumV: 1,
-		Params: []ir.ParamBinding{{Bank: ir.BankV, Reg: 0}},
-		Ins: []ir.Instr{
-			{Op: ir.OpFConst, A: 0, Imm: 99},
-			{Op: ir.OpFLd1, A: 0, B: 0, C: 0},
-			{Op: ir.OpRet},
-		},
+		Params:  []ir.ParamBinding{{Bank: ir.BankV, Reg: 0}},
 		OutRegs: []int32{0},
+	}
+	p.Ins = []ir.Instr{
+		{Op: ir.OpNop},
+		{Op: ir.OpFLd1, A: 0, B: 0, C: fconst(p, 99)},
+		{Op: ir.OpRet},
 	}
 	err := runErr(t, p, mat.Scalar(1))
 	if err == nil {
