@@ -4,24 +4,17 @@
 //	majic-bench -exp=table1 -size=medium
 //	majic-bench -exp=fig4 -reps=5
 //	majic-bench -exp=all -size=paper -bench=dirich,finedif
-//	majic-bench -exp=concurrent -clients=8 -async -workers=4
-//	majic-bench -exp=server -clients=8 -sessions=2 -json
 //	majic-bench -exp=fig4 -fuse                # fused elementwise kernels
 //	majic-bench -exp=fig4 -threads=4           # 4 dense-kernel worker threads
 //	majic-bench -exp=table1 -cpuprofile=cpu.pb.gz -memprofile=mem.pb.gz
 //
 // Experiments: table1, fig4, fig5, fig6, fig7, table2, sec5, resp,
-// sparse, concurrent, server, all. The sparse, concurrent, and server
-// experiments are not part of "all": sparse runs the iterative-solver
-// tier over CSR operators at sizes a dense representation cannot reach
-// (with -json it writes BENCH_sparse.json); concurrent measures the
-// asynchronous compilation
-// service (first-call latency and steady-state throughput for M
-// goroutines sharing one engine repository); server drives a live
-// majicd daemon with N clients x M sessions replaying fig4 programs
-// and compares shared- vs isolated-repository hit rates and latency
-// quantiles. With -json, fig4 also writes BENCH_fig4.json and server
-// writes BENCH_server.json.
+// sparse, all. The sparse experiment is not part of "all": it runs the
+// iterative-solver tier over CSR operators at sizes a dense
+// representation cannot reach. With -json, fig4 also writes
+// BENCH_fig4.json and sparse writes BENCH_sparse.json. The shared engine
+// flags (-async, -fuse, -tiered, ...) apply to every engine the harness
+// builds.
 package main
 
 import (
@@ -34,12 +27,10 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/mat"
 	"repro/internal/parallel"
-	"repro/internal/server"
 	"repro/internal/telemetry"
 )
 
@@ -58,19 +49,13 @@ func writeJSONFile(path string, v any) error {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1|fig4|fig5|fig6|fig7|table2|sec5|resp|sparse|concurrent|server|cluster|all")
+	exp := flag.String("exp", "all", "experiment: table1|fig4|fig5|fig6|fig7|table2|sec5|resp|sparse|all")
 	size := flag.String("size", "medium", "problem size preset: small|medium|paper")
 	reps := flag.Int("reps", 3, "best-of repetitions (paper used 10)")
 	benches := flag.String("bench", "", "comma-separated benchmark subset (default all)")
 	seed := flag.Uint64("seed", 0, "RNG seed (0 = default)")
-	clients := flag.Int("clients", 8, "concurrent experiment: client goroutines sharing one engine")
 	engineOptions := core.EngineFlags(flag.CommandLine)
-	calls := flag.Int("calls", 20, "concurrent experiment: steady-state calls per client; server experiment: replay calls per session")
-	sessions := flag.Int("sessions", 2, "server/cluster experiments: sessions per client")
-	nodes := flag.Int("nodes", 3, "cluster experiment: fleet size (in-process majicd nodes behind a gateway)")
-	addr := flag.String("addr", "", "server experiment: external majicd address (default: in-process daemons)")
-	repoPath := flag.String("repo-path", "", "server experiment: persist the repository to this file and add warm-vs-cold restart arms")
-	jsonOut := flag.Bool("json", false, "also write BENCH_fig4.json / BENCH_server.json for those experiments")
+	jsonOut := flag.Bool("json", false, "also write BENCH_fig4.json / BENCH_sparse.json for those experiments")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON file (per-eval spans from every harness engine) on exit")
@@ -83,7 +68,7 @@ func main() {
 	fmt.Printf("majic-bench: kernel threads %d (GOMAXPROCS %d)\n\n", parallel.DefaultThreads(), runtime.GOMAXPROCS(0))
 	defer func() {
 		ps := mat.ReadPoolStats()
-		fmt.Printf("\nkernel runtime: threads %d, pool workers started %d; buffer pool gets %d hits %d recycles %d\n",
+		fmt.Printf("\nkernel runtime: threads %d, pool workers started %d; result buffers requested %d, built in a donor %d, offered a donor %d\n",
 			parallel.DefaultThreads(), parallel.Workers(), ps.Gets, ps.Hits, ps.Recycles)
 	}()
 
@@ -130,15 +115,13 @@ func main() {
 		}()
 	}
 	cfg := harness.Config{
-		Size:          sz,
-		Reps:          *reps,
-		Out:           os.Stdout,
-		Seed:          *seed,
-		Fuse:          eo.FuseElemwise,
-		Threads:       eo.Threads,
-		Tiered:        eo.Tiered,
-		TierThreshold: eo.TierThreshold,
-		Tracer:        tracer,
+		Size:   sz,
+		Reps:   *reps,
+		Out:    os.Stdout,
+		Seed:   *seed,
+		Engine: eo,
+		Tiered: eo.Tiered,
+		Tracer: tracer,
 	}
 	if *benches != "" {
 		for _, name := range strings.Split(*benches, ",") {
@@ -201,69 +184,6 @@ func main() {
 			}
 			if *jsonOut {
 				return writeJSONFile("BENCH_sparse.json", rep)
-			}
-			return nil
-		})
-	case "concurrent":
-		ccfg := bench.ConcurrentConfig{
-			Size:           sz,
-			Clients:        *clients,
-			Async:          eo.AsyncCompile,
-			Workers:        eo.CompileWorkers,
-			CallsPerClient: *calls,
-			Benchmarks:     cfg.Benchmarks,
-			Out:            os.Stdout,
-			Fuse:           eo.FuseElemwise,
-			Threads:        eo.Threads,
-		}
-		run("concurrent", ccfg.Report)
-	case "cluster":
-		kcfg := cluster.BenchConfig{
-			Size:              sz,
-			Nodes:             *nodes,
-			Clients:           *clients,
-			SessionsPerClient: *sessions,
-			CallsPerSession:   *calls,
-			Benchmarks:        cfg.Benchmarks,
-			Out:               os.Stdout,
-			Async:             eo.AsyncCompile,
-			Workers:           eo.CompileWorkers,
-			Threads:           eo.Threads,
-		}
-		run("cluster", func() error {
-			rep, err := kcfg.Report()
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return writeJSONFile("BENCH_cluster.json", rep)
-			}
-			return nil
-		})
-	case "server":
-		lcfg := server.LoadConfig{
-			Size:              sz,
-			Clients:           *clients,
-			SessionsPerClient: *sessions,
-			CallsPerSession:   *calls,
-			Benchmarks:        cfg.Benchmarks,
-			Addr:              *addr,
-			RepoPath:          *repoPath,
-			Out:               os.Stdout,
-			Async:             eo.AsyncCompile,
-			Workers:           eo.CompileWorkers,
-			Fuse:              eo.FuseElemwise,
-			Threads:           eo.Threads,
-			Tiered:            eo.Tiered,
-			TierThreshold:     eo.TierThreshold,
-		}
-		run("server", func() error {
-			rep, err := lcfg.Report()
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return writeJSONFile("BENCH_server.json", rep)
 			}
 			return nil
 		})

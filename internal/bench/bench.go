@@ -101,6 +101,12 @@ func ByName(name string) *Benchmark {
 	return nil
 }
 
+// ConcurrentSet lists the Table 1 benchmarks a daemon's clients call
+// concurrently (the ledger's serve-mixed workload): deterministic,
+// argument-taking programs with no globals and no output, so concurrent
+// invocations are independent.
+var ConcurrentSet = []string{"fibonacci", "adapt", "cgopt", "sor", "qmr"}
+
 // --- deterministic matrix builders for parameterized benchmarks ---------------
 
 // spdMatrix builds a symmetric positive-definite, diagonally dominant

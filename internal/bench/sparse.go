@@ -337,7 +337,7 @@ func (c SparseConfig) runSolver(solver, operator, src, fn string, iters, n int, 
 		}
 		if res == nil {
 			res = outs[0]
-		} else if !sameValues([]*mat.Value{res}, outs[:1]) {
+		} else if !sameValue(res, outs[0]) {
 			return row, fmt.Errorf("repetition %d diverged", r)
 		}
 		if best == 0 || el < best {
@@ -404,7 +404,7 @@ func (c SparseConfig) spmvCompare(n int) (SpMVRow, error) {
 		dre[i] = acc
 	}
 	row.DensifiedUS = time.Since(t0).Microseconds()
-	row.Match = sameValues([]*mat.Value{sp}, []*mat.Value{dense})
+	row.Match = sameValue(sp, dense)
 	if row.SparseUS > 0 {
 		row.Speedup = float64(row.DensifiedUS) / float64(row.SparseUS)
 	}
@@ -440,4 +440,20 @@ func (c SparseConfig) Report() (*SparseReport, error) {
 			r.Solver, r.Operator, r.N, r.NNZ, r.Iters, r.TimeUS, r.Residual)
 	}
 	return rep, nil
+}
+
+// sameValue reports bit-for-bit equality of two results: a repeated
+// solve, and the sparse against the densified product, must agree
+// exactly.
+func sameValue(x, y *mat.Value) bool {
+	if x.Rows() != y.Rows() || x.Cols() != y.Cols() || x.Kind() != y.Kind() {
+		return false
+	}
+	xr, yr := x.Re(), y.Re()
+	for k := range xr {
+		if xr[k] != yr[k] {
+			return false
+		}
+	}
+	return true
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/mat"
+	"repro/internal/parallel"
 	"repro/internal/parser"
 )
 
@@ -236,46 +237,63 @@ func cgSystem(t testing.TB, n int, seed float64, sparse bool) (A, b *mat.Value) 
 // the same compiled loop on different systems at once; every result
 // must be the interpreter's for that session's system. Donors travel as
 // arguments, so no session can be served another's buffer (run under
-// -race).
+// -race). The threaded row compiles in the background and fans the
+// dense kernels out to four worker threads from inside every session's
+// calls: nested parallelism, at a size past the Dgemv grain.
 func TestResultReuseConcurrentSessions(t *testing.T) {
-	const sessions, n, iters = 6, 96, 12
-	ref := New(Options{Tier: TierInterp})
-	if err := ref.Define(cgShapedSrc); err != nil {
-		t.Fatal(err)
-	}
-	lib := NewLibrary(LibraryOptions{})
-	defer lib.Close()
-	var wg sync.WaitGroup
-	for s := 0; s < sessions; s++ {
-		A, b := cgSystem(t, n, float64(s), s%2 == 1)
-		outs, err := ref.Call("f", []*mat.Value{A, b, mat.Scalar(iters)}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := outs[0]
-		e := New(Options{Tier: TierJIT, Library: lib, FuseElemwise: s%3 == 2})
-		if s == 0 {
-			if err := e.Define(cgShapedSrc); err != nil {
+	defer parallel.SetDefaultThreads(0)
+	for _, row := range []struct {
+		name     string
+		lib      LibraryOptions
+		opts     Options
+		n, calls int
+	}{
+		{"sync", LibraryOptions{}, Options{}, 96, 20},
+		{"async-threads", LibraryOptions{AsyncCompile: true, CompileWorkers: 2}, Options{AsyncCompile: true, Threads: 4}, 256, 6},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			const sessions, iters = 6, 12
+			ref := New(Options{Tier: TierInterp})
+			if err := ref.Define(cgShapedSrc); err != nil {
 				t.Fatal(err)
 			}
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for call := 0; call < 20; call++ {
-				outs, err := e.Call("f", []*mat.Value{A, b, mat.Scalar(iters)}, 1)
+			lib := NewLibrary(row.lib)
+			defer lib.Close()
+			var wg sync.WaitGroup
+			for s := 0; s < sessions; s++ {
+				A, b := cgSystem(t, row.n, float64(s), s%2 == 1)
+				outs, err := ref.Call("f", []*mat.Value{A, b, mat.Scalar(iters)}, 1)
 				if err != nil {
-					t.Errorf("session %d: %v", s, err)
-					return
+					t.Fatal(err)
 				}
-				if !valuesExact(want, outs[0]) {
-					t.Errorf("session %d call %d: got %s, want %s", s, call, outs[0], want)
-					return
+				want := outs[0]
+				opts := row.opts
+				opts.Tier, opts.Library, opts.FuseElemwise = TierJIT, lib, s%3 == 2
+				e := New(opts)
+				if s == 0 {
+					if err := e.Define(cgShapedSrc); err != nil {
+						t.Fatal(err)
+					}
 				}
+				wg.Add(1)
+				go func(s int) {
+					defer wg.Done()
+					for call := 0; call < row.calls; call++ {
+						outs, err := e.Call("f", []*mat.Value{A, b, mat.Scalar(iters)}, 1)
+						if err != nil {
+							t.Errorf("session %d: %v", s, err)
+							return
+						}
+						if !valuesExact(want, outs[0]) {
+							t.Errorf("session %d call %d: got %s, want %s", s, call, outs[0], want)
+							return
+						}
+					}
+				}(s)
 			}
-		}(s)
+			wg.Wait()
+		})
 	}
-	wg.Wait()
 }
 
 // bytesPerCall is the heap allocated by one warm call, averaged.

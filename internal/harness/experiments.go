@@ -102,6 +102,7 @@ func (c Config) MeasurePhases(b *bench.Benchmark) (PhaseBreakdown, error) {
 	if err != nil {
 		return PhaseBreakdown{}, err
 	}
+	defer e.Close()
 	e.ResetTiming()
 	if _, err := e.Call(b.Fn, b.Args(c.Size), 1); err != nil {
 		return PhaseBreakdown{}, err
@@ -249,17 +250,19 @@ func (c Config) measureSpecSteady(b *bench.Benchmark) (time.Duration, bool, erro
 			return 0, false, err
 		}
 		e.Precompile()
-		if _, err := runOnce(e, b, b.Args(c.Size)); err != nil {
-			return 0, false, err
+		var d time.Duration
+		if _, err = runOnce(e, b, b.Args(c.Size)); err == nil {
+			d, err = runOnce(e, b, b.Args(c.Size))
 		}
-		d, err := runOnce(e, b, b.Args(c.Size))
+		specHits := e.Repo().Stats().SpecHits
+		e.Close()
 		if err != nil {
 			return 0, false, err
 		}
 		if d < best {
 			best = d
 		}
-		if e.Repo().Stats().SpecHits > 0 {
+		if specHits > 0 {
 			specOK = true
 		}
 	}

@@ -32,23 +32,19 @@ type Config struct {
 	// Benchmarks filters by name; empty = all.
 	Benchmarks []string
 	Seed       uint64
-	// Fuse enables elementwise fusion on every engine the harness
-	// builds — the measurement mode for the fused-kernel experiment. Off by default: paper-mode numbers use
-	// the one-library-call-per-operator execution model.
-	Fuse bool
-	// Threads sets the dense-kernel worker count on every engine the
-	// harness builds (0 = process default). Results are byte-identical
-	// across thread counts; only timings change.
-	Threads int
+	// Engine is the base every engine the harness builds copies before
+	// it sets the arm's tier, platform and ablation switches: the shared
+	// engine flags (-async, -workers, -fuse, -threads, -tier-threshold)
+	// land here. Its Tiered is cleared for every arm but the tiered one.
+	// The zero value is paper mode: synchronous compiles, one library
+	// call per operator, the process's kernel threads.
+	Engine core.Options
 	// Tiered adds the profile-guided tiering arm to the speedup charts:
 	// each benchmark also runs under -tiered (interpreter first call,
 	// background promotion to optimized code, OSR for hot loops), and
 	// the rows carry the tier-up counters. Off by default so paper-mode
 	// figures are untouched.
 	Tiered bool
-	// TierThreshold overrides the promotion threshold for the tiered
-	// arm (0 = engine default).
-	TierThreshold int
 	// Tracer, when set, receives per-eval spans (parse, disambiguation,
 	// type inference, codegen, queue wait, exec, tier-up, OSR) from
 	// every engine the harness builds — the -trace=FILE flight-recorder
@@ -93,15 +89,15 @@ func (c Config) list() []*bench.Benchmark {
 	return out
 }
 
-// newEngine builds a fresh engine for one measurement.
-func (c Config) newEngine(b *bench.Benchmark, opts core.Options) (*core.Engine, error) {
+// newEngine builds a fresh engine for one measurement: a copy of the
+// Engine base with the arm's tier, platform, tiering and ablation
+// switches set over it.
+func (c Config) newEngine(b *bench.Benchmark, arm core.Options) (*core.Engine, error) {
+	opts := c.Engine
+	opts.Tier, opts.Platform, opts.Tiered = arm.Tier, arm.Platform, arm.Tiered
+	opts.DisableRanges, opts.DisableMinShapes, opts.SpillAll = arm.DisableRanges, arm.DisableMinShapes, arm.SpillAll
+	opts.JITBackendOpts = arm.JITBackendOpts
 	opts.Seed = c.seed()
-	if c.Fuse {
-		opts.FuseElemwise = true
-	}
-	if c.Threads > 0 {
-		opts.Threads = c.Threads
-	}
 	opts.Tracer = c.Tracer
 	opts.Journal = c.Journal
 	e := core.New(opts)
@@ -127,6 +123,7 @@ func (c Config) MeasureInterp(b *bench.Benchmark) (time.Duration, error) {
 			return 0, err
 		}
 		d, err := runOnce(e, b, b.Args(c.Size))
+		e.Close()
 		if err != nil {
 			return 0, err
 		}
@@ -143,7 +140,6 @@ func (c Config) MeasureInterp(b *bench.Benchmark) (time.Duration, error) {
 // calls after warming, with speculative entries precompiled ahead of
 // time.
 func (c Config) MeasureTier(b *bench.Benchmark, opts core.Options) (time.Duration, error) {
-	opts.Seed = c.seed()
 	best := time.Duration(math.MaxInt64)
 	includeCompile := opts.Tier == core.TierJIT
 	for r := 0; r < c.reps(); r++ {
@@ -152,13 +148,15 @@ func (c Config) MeasureTier(b *bench.Benchmark, opts core.Options) (time.Duratio
 			return 0, err
 		}
 		e.Precompile()
+		var d time.Duration
 		if !includeCompile {
 			// warm: compile outside the measured window
-			if _, err := runOnce(e, b, b.Args(c.Size)); err != nil {
-				return 0, err
-			}
+			_, err = runOnce(e, b, b.Args(c.Size))
 		}
-		d, err := runOnce(e, b, b.Args(c.Size))
+		if err == nil {
+			d, err = runOnce(e, b, b.Args(c.Size))
+		}
+		e.Close()
 		if err != nil {
 			return 0, err
 		}
@@ -197,10 +195,7 @@ type TieredResult struct {
 func (c Config) MeasureTiered(b *bench.Benchmark, platform core.Platform) (TieredResult, error) {
 	res := TieredResult{First: time.Duration(math.MaxInt64), Steady: time.Duration(math.MaxInt64)}
 	for r := 0; r < c.reps(); r++ {
-		e, err := c.newEngine(b, core.Options{
-			Tier: core.TierJIT, Platform: platform,
-			Tiered: true, TierThreshold: c.TierThreshold,
-		})
+		e, err := c.newEngine(b, core.Options{Tier: core.TierJIT, Platform: platform, Tiered: true})
 		if err != nil {
 			return TieredResult{}, err
 		}
@@ -211,7 +206,7 @@ func (c Config) MeasureTiered(b *bench.Benchmark, platform core.Platform) (Tiere
 		}
 		// Cross the promotion threshold (the first call already counted),
 		// let the background compiles land, then time the promoted path.
-		threshold := c.TierThreshold
+		threshold := c.Engine.TierThreshold
 		if threshold <= 0 {
 			threshold = core.DefaultTierThreshold
 		}

@@ -151,3 +151,79 @@ func TestExperimentPrintersRun(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineBase: every harness engine copies Config.Engine (where
+// majic-bench puts the shared engine flags) and sets only its arm's tier,
+// platform, tiering and ablation switches over it, so the base's Tiered
+// never leaks into a non-tiered arm. A zero base builds the arm alone:
+// paper mode.
+func TestEngineBase(t *testing.T) {
+	b := bench.ByName("fibonacci")
+	base := core.Options{AsyncCompile: true, CompileWorkers: 2, FuseElemwise: true, Tiered: true, TierThreshold: 5}
+	for _, c := range []struct {
+		base, arm core.Options
+	}{
+		{base, core.Options{Tier: core.TierInterp}},
+		{base, core.Options{Tier: core.TierFalcon, Platform: core.PlatformMIPS, SpillAll: true}},
+		{base, core.Options{Tier: core.TierJIT, JITBackendOpts: true}},
+		{base, core.Options{Tier: core.TierJIT, Tiered: true}},
+		{core.Options{}, core.Options{Tier: core.TierSpec, DisableRanges: true}},
+	} {
+		cfg := Config{Size: bench.Small, Engine: c.base}
+		e, err := cfg.newEngine(b, c.arm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := e.Options()
+		e.Close()
+		want := c.base
+		want.Tier, want.Platform, want.Tiered = c.arm.Tier, c.arm.Platform, c.arm.Tiered
+		want.DisableRanges, want.SpillAll, want.JITBackendOpts = c.arm.DisableRanges, c.arm.SpillAll, c.arm.JITBackendOpts
+		want.Seed = cfg.seed()
+		if got != want {
+			t.Errorf("arm %+v over base %+v:\n got %+v\nwant %+v", c.arm, c.base, got, want)
+		}
+	}
+}
+
+// TestHarnessSmoke exercises every speedup-chart and table experiment
+// end to end at the small preset, on the benchmarks each is most likely
+// to break on, writing the reports to the test log on -v.
+func TestHarnessSmoke(t *testing.T) {
+	cfg := Config{Size: bench.Small, Reps: 1, Out: testWriter{t}}
+	for name, f := range map[string]func() error{
+		"table1": cfg.Table1,
+		"fig6":   cfg.Fig6,
+		"fig7": func() error {
+			sub := cfg
+			sub.Benchmarks = []string{"dirich", "orbec", "fibonacci"}
+			return sub.Fig7()
+		},
+		"table2": func() error {
+			sub := cfg
+			sub.Benchmarks = []string{"dirich", "qmr", "fibonacci"}
+			return sub.Table2()
+		},
+		"fig4": func() error {
+			sub := cfg
+			sub.Benchmarks = []string{"mandel"}
+			return sub.Fig4()
+		},
+		"fig5": func() error {
+			sub := cfg
+			sub.Benchmarks = []string{"mandel"}
+			return sub.Fig5()
+		},
+	} {
+		if err := f(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+type testWriter struct{ t *testing.T }
+
+func (w testWriter) Write(p []byte) (int, error) {
+	w.t.Log(string(p))
+	return len(p), nil
+}

@@ -60,6 +60,7 @@ func (c Config) measureResponse(b *bench.Benchmark) (RespRow, error) {
 				e.Precompile()
 			}
 			d, err := runOnce(e, b, b.Args(c.Size))
+			e.Close()
 			if err != nil {
 				return 0, err
 			}

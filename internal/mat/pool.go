@@ -33,11 +33,14 @@ func (d Donors) swapped() Donors {
 }
 
 // PoolStats is cumulative result-buffer traffic, for tests, /metrics
-// and the benchmark.
+// and the benchmark: dense real result buffers requested, built in a
+// donor, and offered a donor. There is no pool; the type and field
+// names are the deleted buffer pool's, kept because benchmark/ compiles
+// against them.
 type PoolStats struct {
-	Gets     uint64 `json:"gets"`     // dense real result buffers requested
-	Hits     uint64 `json:"hits"`     // requests served by a donor
-	Recycles uint64 `json:"recycles"` // requests that came with a donor
+	Gets     uint64 `json:"gets"`     // result buffers requested
+	Hits     uint64 `json:"hits"`     // requests built in a donor
+	Recycles uint64 `json:"recycles"` // requests offered a donor
 }
 
 var poolGets, poolHits, poolPuts atomic.Uint64

@@ -26,7 +26,7 @@ func bootPersist(t *testing.T, path string) (*Server, *testClient) {
 
 // replayFig4 evals every fig4 benchmark in one session — define, bind
 // args through the workspace API, call — and returns the final
-// metrics. This is the same traffic the load generator replays.
+// metrics.
 func replayFig4(t *testing.T, tc *testClient) MetricsSnapshot {
 	t.Helper()
 	id := tc.createSession()
@@ -161,48 +161,5 @@ func TestServerCorruptSnapshotBootsCold(t *testing.T) {
 				t.Fatalf("the drain did not leave a loadable snapshot: %v", err)
 			}
 		})
-	}
-}
-
-// TestLoadGeneratorWarmArm: with RepoPath set, the load generator adds
-// cold and warm arms, and the warm arm performs zero compiles.
-func TestLoadGeneratorWarmArm(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs four load-generator arms")
-	}
-	path := filepath.Join(t.TempDir(), "repo.bin")
-	rep, err := LoadConfig{
-		Clients:           2,
-		SessionsPerClient: 2,
-		CallsPerSession:   3,
-		Benchmarks:        []string{"fibonacci"},
-		RepoPath:          path,
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Arms) != 4 {
-		t.Fatalf("arms = %d, want 4 (shared, isolated, cold, warm)", len(rep.Arms))
-	}
-	var cold, warm *LoadArm
-	for i := range rep.Arms {
-		switch rep.Arms[i].Mode {
-		case "cold":
-			cold = &rep.Arms[i]
-		case "warm":
-			warm = &rep.Arms[i]
-		}
-	}
-	if cold == nil || warm == nil {
-		t.Fatalf("cold/warm arms missing: %+v", rep.Arms)
-	}
-	if cold.RepoInsert == 0 {
-		t.Fatalf("cold arm compiled nothing: %+v", cold)
-	}
-	if warm.RepoInsert != 0 || warm.RepoMisses != 0 {
-		t.Fatalf("warm arm compiled/missed (want 0/0): %+v", warm)
-	}
-	if warm.RepoLoaded == 0 {
-		t.Fatalf("warm arm loaded nothing: %+v", warm)
 	}
 }

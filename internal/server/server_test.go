@@ -174,43 +174,68 @@ func TestDeadlineKillsInfiniteLoop(t *testing.T) {
 
 // TestSharedRepositoryAcrossSessions: one session defines and JIT-
 // compiles a function; a second session's call hits the shared entry
-// without recompiling.
+// without recompiling. The isolated row is the control (majicd
+// -isolated): session b has its own namespace, so it must define cube
+// itself, and its call compiles again.
 func TestSharedRepositoryAcrossSessions(t *testing.T) {
-	_, tc := startServer(t, Options{Engine: core.Options{Tier: core.TierJIT}})
-	a := tc.createSession()
-	b := tc.createSession()
+	for _, isolated := range []bool{false, true} {
+		name := "shared"
+		if isolated {
+			name = "isolated"
+		}
+		t.Run(name, func(t *testing.T) {
+			_, tc := startServer(t, Options{Engine: core.Options{Tier: core.TierJIT}, Isolated: isolated})
+			a := tc.createSession()
+			b := tc.createSession()
 
-	if code, _, bad := tc.eval(a, "function y = cube(x)\ny = x * x * x;\n"); code != http.StatusOK {
-		t.Fatalf("define: %+v", bad)
-	}
-	if code, _, bad := tc.eval(a, "r = cube(3);"); code != http.StatusOK {
-		t.Fatalf("a call: %+v", bad)
-	}
-	inserts := tc.metrics().Repo.Inserts
-	if inserts == 0 {
-		t.Fatal("no repository insert after first call")
-	}
-	// b calls the function it never defined: shared library resolves
-	// it, shared repository serves the compiled entry.
-	code, _, bad := tc.eval(b, "r = cube(3);")
-	if code != http.StatusOK {
-		t.Fatalf("b call: %+v", bad)
-	}
-	m := tc.metrics()
-	if m.Repo.Inserts != inserts {
-		t.Fatalf("second session recompiled: inserts %d -> %d", inserts, m.Repo.Inserts)
-	}
-	if m.Repo.Hits == 0 {
-		t.Fatal("second session's call did not hit the shared repository")
-	}
-	if !m.SharedRepo {
-		t.Fatal("metrics must report shared_repo=true")
-	}
-	code, body := tc.do("GET", "/sessions/"+b+"/workspace/r", nil)
-	var wv workspaceValue
-	json.Unmarshal(body, &wv)
-	if code != http.StatusOK || len(wv.Re) != 1 || wv.Re[0] != 27 {
-		t.Fatalf("b result = %+v (%d)", wv, code)
+			const cube = "function y = cube(x)\ny = x * x * x;\n"
+			if code, _, bad := tc.eval(a, cube); code != http.StatusOK {
+				t.Fatalf("define: %+v", bad)
+			}
+			if code, _, bad := tc.eval(a, "r = cube(3);"); code != http.StatusOK {
+				t.Fatalf("a call: %+v", bad)
+			}
+			before := tc.metrics().Repo
+			if before.Inserts == 0 {
+				t.Fatal("no repository insert after first call")
+			}
+			if isolated {
+				if code, _, _ := tc.eval(b, "r = cube(3);"); code == http.StatusOK {
+					t.Fatal("an isolated session called a function only another session defined")
+				}
+				if code, _, bad := tc.eval(b, cube); code != http.StatusOK {
+					t.Fatalf("b define: %+v", bad)
+				}
+			}
+			// Shared: b calls the function it never defined; the shared
+			// library resolves it, the shared repository serves the entry.
+			code, _, bad := tc.eval(b, "r = cube(3);")
+			if code != http.StatusOK {
+				t.Fatalf("b call: %+v", bad)
+			}
+			m := tc.metrics()
+			if m.SharedRepo == isolated {
+				t.Fatalf("metrics report shared_repo=%v", m.SharedRepo)
+			}
+			if isolated {
+				if m.Repo.Inserts <= before.Inserts || m.Repo.Hits != before.Hits {
+					t.Fatalf("isolated session reused another's code: repo %+v -> %+v", before, m.Repo)
+				}
+			} else {
+				if m.Repo.Inserts != before.Inserts {
+					t.Fatalf("second session recompiled: inserts %d -> %d", before.Inserts, m.Repo.Inserts)
+				}
+				if m.Repo.Hits == before.Hits {
+					t.Fatal("second session's call did not hit the shared repository")
+				}
+			}
+			code, body := tc.do("GET", "/sessions/"+b+"/workspace/r", nil)
+			var wv workspaceValue
+			json.Unmarshal(body, &wv)
+			if code != http.StatusOK || len(wv.Re) != 1 || wv.Re[0] != 27 {
+				t.Fatalf("b result = %+v (%d)", wv, code)
+			}
+		})
 	}
 }
 
@@ -508,38 +533,5 @@ func TestFlightRecorderEndpoints(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		_, body = tc.do("GET", "/debug/events", nil)
 		json.Unmarshal(body, &ev)
-	}
-}
-
-// TestLoadGeneratorSmoke runs the -exp=server experiment at toy scale:
-// both arms complete, the shared arm compiles no more than the
-// isolated arm, and its hit rate is at least as high.
-func TestLoadGeneratorSmoke(t *testing.T) {
-	rep, err := LoadConfig{
-		Clients:           2,
-		SessionsPerClient: 2,
-		CallsPerSession:   3,
-		Benchmarks:        []string{"fibonacci"},
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Arms) != 2 {
-		t.Fatalf("arms = %d", len(rep.Arms))
-	}
-	shared, isolated := rep.Arms[0], rep.Arms[1]
-	if shared.Mode != "shared" || isolated.Mode != "isolated" {
-		t.Fatalf("arm order: %+v", rep.Arms)
-	}
-	for _, a := range rep.Arms {
-		if a.Errors != 0 || a.Requests != 2*2*3 {
-			t.Fatalf("%s arm: %+v", a.Mode, a)
-		}
-	}
-	if shared.RepoInsert > isolated.RepoInsert {
-		t.Fatalf("shared compiled more than isolated: %d > %d", shared.RepoInsert, isolated.RepoInsert)
-	}
-	if shared.HitRate < isolated.HitRate {
-		t.Fatalf("shared hit rate %f < isolated %f", shared.HitRate, isolated.HitRate)
 	}
 }
