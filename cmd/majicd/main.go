@@ -121,7 +121,6 @@ func main() {
 			Logger:   logger,
 		})
 		srv.SetClusterMetrics(func() any { return repl.Stats() })
-		srv.RegisterClusterTelemetry("cluster", repl.CollectTelemetry)
 		repl.Start()
 	}
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}

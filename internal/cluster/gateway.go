@@ -61,17 +61,18 @@ type gatewayStats struct {
 	replayEvicted   atomic.Uint64 // defining ops dropped from full replay logs
 }
 
-// GatewayStats is the JSON view of the gateway's own counters.
+// GatewayStats is the JSON view of the gateway's own counters; its
+// metric tags are the gateway's majic_gate_* families.
 type GatewayStats struct {
-	SessionsActive  int    `json:"sessions_active"`
-	SessionsCreated uint64 `json:"sessions_created"`
-	Placements      uint64 `json:"placements"`
-	Failovers       uint64 `json:"failovers"`
-	Proxied         uint64 `json:"proxied"`
-	Retries         uint64 `json:"retries"`
-	Errors          uint64 `json:"errors"`
-	ReplayedOps     uint64 `json:"replayed_ops"`
-	ReplayEvicted   uint64 `json:"replay_evicted"`
+	SessionsActive  int    `json:"sessions_active" metric:"majic_gate_sessions_active,gauge" help:"Live gateway sessions."`
+	SessionsCreated uint64 `json:"sessions_created" metric:"majic_gate_sessions_created_total,counter" help:"Gateway sessions ever created."`
+	Placements      uint64 `json:"placements" metric:"majic_gate_placements_total,counter" help:"Backend sessions created (initial + failover)."`
+	Failovers       uint64 `json:"failovers" metric:"majic_gate_failovers_total,counter" help:"Sessions moved to another node."`
+	Proxied         uint64 `json:"proxied" metric:"majic_gate_proxied_total,counter" help:"Requests forwarded to the fleet."`
+	Retries         uint64 `json:"retries" metric:"majic_gate_retries_total,counter" help:"Forward attempts beyond the first."`
+	Errors          uint64 `json:"errors" metric:"majic_gate_errors_total,counter" help:"Requests that exhausted failover."`
+	ReplayedOps     uint64 `json:"replayed_ops" metric:"majic_gate_replayed_ops_total,counter" help:"Replay-log operations re-applied on failover."`
+	ReplayEvicted   uint64 `json:"replay_evicted" metric:"majic_gate_replay_evicted_total,counter" help:"Defining ops evicted from full replay logs (lost to future failovers)."`
 }
 
 // replayOp is one logged operation: a workspace PUT or a defining eval.
@@ -585,13 +586,15 @@ type NodeMetrics struct {
 type FleetMetrics struct {
 	Gateway GatewayStats  `json:"gateway"`
 	Nodes   []NodeMetrics `json:"nodes"`
-	Fleet   struct {
+	// Fleet sums the nodes' own families; /metrics.prom does not
+	// re-export them.
+	Fleet struct {
 		Evals       uint64 `json:"evals"`
 		RepoLookups int    `json:"repo_lookups"`
 		RepoHits    int    `json:"repo_hits"`
 		RepoInserts int    `json:"repo_inserts"`
 		Replicated  int    `json:"repo_replicated"`
-	} `json:"fleet"`
+	} `json:"fleet" metric:"-"`
 }
 
 // Metrics gathers the fleet view (also served at /metrics).
@@ -661,23 +664,13 @@ func (g *Gateway) handleNodes(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) collectTelemetry(emit func(telemetry.Sample)) {
-	st := g.Stats()
-	counter := telemetry.EmitCounter
-	gauge := telemetry.EmitGauge
-	gauge(emit, "majic_gate_sessions_active", "Live gateway sessions.", float64(st.SessionsActive))
-	counter(emit, "majic_gate_sessions_created_total", "Gateway sessions ever created.", float64(st.SessionsCreated))
-	counter(emit, "majic_gate_placements_total", "Backend sessions created (initial + failover).", float64(st.Placements))
-	counter(emit, "majic_gate_failovers_total", "Sessions moved to another node.", float64(st.Failovers))
-	counter(emit, "majic_gate_proxied_total", "Requests forwarded to the fleet.", float64(st.Proxied))
-	counter(emit, "majic_gate_retries_total", "Forward attempts beyond the first.", float64(st.Retries))
-	counter(emit, "majic_gate_errors_total", "Requests that exhausted failover.", float64(st.Errors))
-	counter(emit, "majic_gate_replayed_ops_total", "Replay-log operations re-applied on failover.", float64(st.ReplayedOps))
-	counter(emit, "majic_gate_replay_evicted_total", "Defining ops evicted from full replay logs (lost to future failovers).", float64(st.ReplayEvicted))
+	telemetry.Emit(emit, g.Stats())
 	ready := 0
 	for _, n := range g.health.Snapshot() {
 		if n.Ready {
 			ready++
 		}
 	}
-	gauge(emit, "majic_gate_nodes_ready", "Fleet nodes currently passing readiness.", float64(ready))
+	emit(telemetry.Sample{Name: "majic_gate_nodes_ready", Help: "Fleet nodes currently passing readiness.",
+		Kind: telemetry.KindGauge, Value: float64(ready)})
 }

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/persist"
-	"repro/internal/telemetry"
 )
 
 // Replicator pushes one node's newly compiled repository entries to its
@@ -79,19 +78,20 @@ type replicatorStats struct {
 	lastScanNano atomic.Int64
 }
 
-// ReplicatorStats is the JSON /metrics "cluster" section.
+// ReplicatorStats is the JSON /metrics "cluster" section; its metric
+// tags are the daemon's majic_cluster_* families.
 type ReplicatorStats struct {
-	NodeID      string `json:"node_id"`
-	Peers       int    `json:"peers"`
-	Scans       uint64 `json:"scans"`
-	Pushed      uint64 `json:"pushed"`
-	PushApplied uint64 `json:"push_applied"`
-	PushErrors  uint64 `json:"push_errors"`
-	Retries     uint64 `json:"retries"`
-	QueueDrops  uint64 `json:"queue_drops"`
-	AERounds    uint64 `json:"anti_entropy_rounds"`
-	AERepairs   uint64 `json:"anti_entropy_repairs"`
-	AEFailures  uint64 `json:"anti_entropy_failures"`
+	NodeID      string `json:"node_id" metric:"-"`
+	Peers       int    `json:"peers" metric:"majic_cluster_peers,gauge" help:"Configured replication peers."`
+	Scans       uint64 `json:"scans" metric:"majic_cluster_scans_total,counter" help:"Repository change scans."`
+	Pushed      uint64 `json:"pushed" metric:"majic_cluster_pushed_total,counter" help:"Records delivered to peers."`
+	PushApplied uint64 `json:"push_applied" metric:"majic_cluster_push_applied_total,counter" help:"Delivered records the peer applied."`
+	PushErrors  uint64 `json:"push_errors" metric:"majic_cluster_push_errors_total,counter" help:"Records abandoned after delivery retries."`
+	Retries     uint64 `json:"retries" metric:"majic_cluster_push_retries_total,counter" help:"Delivery retries."`
+	QueueDrops  uint64 `json:"queue_drops" metric:"majic_cluster_queue_drops_total,counter" help:"Records dropped on full peer queues."`
+	AERounds    uint64 `json:"anti_entropy_rounds" metric:"majic_cluster_anti_entropy_rounds_total,counter" help:"Digest reconciliation rounds."`
+	AERepairs   uint64 `json:"anti_entropy_repairs" metric:"majic_cluster_anti_entropy_repairs_total,counter" help:"Records re-sent after a digest diff."`
+	AEFailures  uint64 `json:"anti_entropy_failures" metric:"majic_cluster_anti_entropy_failures_total,counter" help:"Digest fetches that failed."`
 }
 
 // ReplicatorOptions configure NewReplicator.
@@ -423,21 +423,4 @@ func (r *Replicator) Stats() ReplicatorStats {
 		AERepairs:   r.stats.aeRepairs.Load(),
 		AEFailures:  r.stats.aeFailures.Load(),
 	}
-}
-
-// CollectTelemetry emits the replicator's Prometheus families; register
-// it on the daemon's registry via server.RegisterClusterTelemetry.
-func (r *Replicator) CollectTelemetry(emit func(telemetry.Sample)) {
-	st := r.Stats()
-	counter := telemetry.EmitCounter
-	telemetry.EmitGauge(emit, "majic_cluster_peers", "Configured replication peers.", float64(st.Peers))
-	counter(emit, "majic_cluster_scans_total", "Repository change scans.", float64(st.Scans))
-	counter(emit, "majic_cluster_pushed_total", "Records delivered to peers.", float64(st.Pushed))
-	counter(emit, "majic_cluster_push_applied_total", "Delivered records the peer applied.", float64(st.PushApplied))
-	counter(emit, "majic_cluster_push_errors_total", "Records abandoned after delivery retries.", float64(st.PushErrors))
-	counter(emit, "majic_cluster_push_retries_total", "Delivery retries.", float64(st.Retries))
-	counter(emit, "majic_cluster_queue_drops_total", "Records dropped on full peer queues.", float64(st.QueueDrops))
-	counter(emit, "majic_cluster_anti_entropy_rounds_total", "Digest reconciliation rounds.", float64(st.AERounds))
-	counter(emit, "majic_cluster_anti_entropy_repairs_total", "Records re-sent after a digest diff.", float64(st.AERepairs))
-	counter(emit, "majic_cluster_anti_entropy_failures_total", "Digest fetches that failed.", float64(st.AEFailures))
 }

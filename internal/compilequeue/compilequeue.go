@@ -48,11 +48,11 @@ func (t *Ticket) TryDone() bool {
 
 // Stats counts pool traffic.
 type Stats struct {
-	Submitted int `json:"submitted"` // unique jobs accepted (queued or run inline)
-	Deduped   int `json:"deduped"`   // requests coalesced onto an in-flight job
-	Completed int `json:"completed"` // jobs finished (with or without error)
-	Errors    int `json:"errors"`    // jobs that returned a non-nil error
-	Inline    int `json:"inline"`    // jobs run on the caller's goroutine (pool closed)
+	Submitted int `json:"submitted" metric:"majic_queue_submitted_total,counter" help:"Unique compile jobs accepted by the pool."` // queued or run inline
+	Deduped   int `json:"deduped" metric:"majic_queue_deduped_total,counter" help:"Requests coalesced onto an in-flight job."`
+	Completed int `json:"completed" metric:"majic_queue_completed_total,counter" help:"Compile jobs finished."` // with or without error
+	Errors    int `json:"errors" metric:"majic_queue_errors_total,counter" help:"Compile jobs that returned an error."`
+	Inline    int `json:"inline" metric:"majic_queue_inline_total,counter" help:"Jobs run inline after pool shutdown."`
 }
 
 type job struct {

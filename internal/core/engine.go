@@ -186,15 +186,17 @@ type Options struct {
 	// compile jobs. 0 means GOMAXPROCS. Ignored unless AsyncCompile.
 	CompileWorkers int
 
-	// Threads sets the dense-kernel worker count (internal/parallel):
-	// blocked dgemm/dgemv, fused elementwise kernels, and the generic
-	// elementwise loops partition their work across this many threads.
-	// 0 inherits the process default (GOMAXPROCS unless some engine
-	// already set it); 1 forces the serial code paths. Because every
-	// parallel kernel preserves per-element operation order, results
-	// are byte-for-byte identical for every Threads value. The setting
-	// is process-wide (the worker pool is shared), so the last engine
-	// to set a non-zero value wins.
+	// Threads sets the process-wide dense-kernel worker count
+	// (internal/parallel): blocked dgemm/dgemv, fused elementwise
+	// kernels, and the generic elementwise loops partition their work
+	// across parallel.DefaultThreads() threads, and New sets that default
+	// from a non-zero Threads. It is not a per-engine setting: the last
+	// engine built with a non-zero value sets it for every engine in the
+	// process, those built earlier included. 0 leaves the default alone
+	// (GOMAXPROCS unless something set it); 1 forces the serial code
+	// paths. Because every parallel kernel preserves per-element
+	// operation order, results are byte-for-byte identical for every
+	// value.
 	Threads int
 
 	// Tracer, when set, receives per-eval trace spans: parse,
@@ -347,17 +349,6 @@ func (e *Engine) ResetInterrupt() { e.cancelFlag.Clear() }
 
 // Options returns the engine's configuration.
 func (e *Engine) Options() Options { return e.opts }
-
-// EffectiveThreads returns the dense-kernel thread count this engine's
-// kernels actually run with: its Threads option if set, otherwise the
-// process default (which another engine or SetDefaultThreads may have
-// configured).
-func (e *Engine) EffectiveThreads() int {
-	if e.opts.Threads > 0 {
-		return e.opts.Threads
-	}
-	return parallel.DefaultThreads()
-}
 
 // Context implements interp.Host.
 func (e *Engine) Context() *builtins.Context { return e.ctx }

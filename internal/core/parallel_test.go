@@ -86,21 +86,23 @@ func TestSerialParallelBitIdentity(t *testing.T) {
 }
 
 // TestEngineThreadsOption checks the Options.Threads wiring: a non-zero
-// value becomes the process default and EffectiveThreads reports it;
-// zero inherits whatever the process default is.
+// value becomes the process default, zero leaves it alone, and the last
+// non-zero value wins for every engine (the setting is process-wide).
 func TestEngineThreadsOption(t *testing.T) {
 	defer parallel.SetDefaultThreads(0)
 	e := New(Options{Tier: TierJIT, Threads: 3})
 	defer e.Close()
-	if got := e.EffectiveThreads(); got != 3 {
-		t.Errorf("EffectiveThreads = %d, want 3", got)
-	}
 	if got := parallel.DefaultThreads(); got != 3 {
 		t.Errorf("DefaultThreads after New = %d, want 3", got)
 	}
 	e2 := New(Options{Tier: TierJIT})
 	defer e2.Close()
-	if got := e2.EffectiveThreads(); got != 3 {
-		t.Errorf("inheriting engine EffectiveThreads = %d, want 3", got)
+	if got := parallel.DefaultThreads(); got != 3 {
+		t.Errorf("DefaultThreads after an engine without Threads = %d, want 3", got)
+	}
+	e3 := New(Options{Tier: TierJIT, Threads: 2})
+	defer e3.Close()
+	if got := parallel.DefaultThreads(); got != 2 {
+		t.Errorf("DefaultThreads after a second Threads engine = %d, want 2 (last wins)", got)
 	}
 }

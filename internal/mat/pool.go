@@ -38,9 +38,9 @@ func (d Donors) swapped() Donors {
 // names are the deleted buffer pool's, kept because benchmark/ compiles
 // against them.
 type PoolStats struct {
-	Gets     uint64 `json:"gets"`     // result buffers requested
-	Hits     uint64 `json:"hits"`     // requests built in a donor
-	Recycles uint64 `json:"recycles"` // requests offered a donor
+	Gets     uint64 `json:"gets" metric:"majic_buffer_pool_gets_total,counter" help:"Dense real result buffers requested by array operations."`
+	Hits     uint64 `json:"hits" metric:"majic_buffer_pool_hits_total,counter" help:"Result buffers built in storage the caller already owned."`
+	Recycles uint64 `json:"recycles" metric:"majic_buffer_pool_recycles_total,counter" help:"Result-buffer requests that came with a donor."`
 }
 
 var poolGets, poolHits, poolPuts atomic.Uint64

@@ -1,25 +1,32 @@
-package parser
+package parser_test
 
 import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/lexer"
+	"repro/internal/parser"
 )
 
+// tokenPieces are the lexical atoms the random-soup test strings
+// together and FuzzParse starts from.
+var tokenPieces = []string{
+	"x", "y", "foo", "if", "else", "elseif", "end", "for", "while",
+	"function", "return", "break", "continue", "switch", "case",
+	"otherwise", "global", "clear",
+	"1", "2.5", "1e3", "3i", "'str'", "'it''s'",
+	"+", "-", "*", "/", "\\", "^", ".*", "./", ".^", "'", ".'",
+	"==", "~=", "<", "<=", ">", ">=", "&", "|", "&&", "||", "~",
+	"(", ")", "[", "]", ",", ";", ":", "=", "\n", " ", "...",
+	"%comment", "@",
+}
+
 // TestParserNeverPanics feeds the parser random token soup: it must
-// return an error or an AST, never crash. (Go's native fuzzing is
-// unavailable offline, so this is a deterministic mini-fuzzer.)
+// return an error or an AST, never crash.
 func TestParserNeverPanics(t *testing.T) {
-	pieces := []string{
-		"x", "y", "foo", "if", "else", "elseif", "end", "for", "while",
-		"function", "return", "break", "continue", "switch", "case",
-		"otherwise", "global", "clear",
-		"1", "2.5", "1e3", "3i", "'str'", "'it''s'",
-		"+", "-", "*", "/", "\\", "^", ".*", "./", ".^", "'", ".'",
-		"==", "~=", "<", "<=", ">", ">=", "&", "|", "&&", "||", "~",
-		"(", ")", "[", "]", ",", ";", ":", "=", "\n", " ", "...",
-		"%comment", "@",
-	}
+	pieces := tokenPieces
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 3000; trial++ {
 		var b strings.Builder
@@ -37,30 +44,39 @@ func TestParserNeverPanics(t *testing.T) {
 					t.Fatalf("parser panicked on %q: %v", src, rec)
 				}
 			}()
-			_, _ = Parse(src) // error or AST; both fine
+			_, _ = parser.Parse(src) // error or AST; both fine
 		}()
 	}
 }
 
-// TestParserNeverPanicsOnBytes pushes raw byte noise through.
-func TestParserNeverPanicsOnBytes(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 2000; trial++ {
-		n := r.Intn(60)
-		buf := make([]byte, n)
-		for i := range buf {
-			buf[i] = byte(r.Intn(128))
-		}
-		src := string(buf)
-		func() {
-			defer func() {
-				if rec := recover(); rec != nil {
-					t.Fatalf("parser panicked on %q: %v", src, rec)
-				}
-			}()
-			_, _ = Parse(src)
-		}()
+// FuzzParse: on any input the parser returns an AST or a positioned
+// error — a *parser.Error or *lexer.Error on a line ≥ 1 — and never panics.
+// Seeded with every Table 1 program and the token pieces above; random
+// bytes are the fuzzer's own mutations. Run it with
+// go test -run='^$' -fuzz=FuzzParse ./internal/parser.
+func FuzzParse(f *testing.F) {
+	for _, b := range bench.All() {
+		f.Add(b.Source(bench.Small))
 	}
+	for _, p := range tokenPieces {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		_, err := parser.Parse(src)
+		line := 1
+		switch e := err.(type) {
+		case nil:
+		case *parser.Error:
+			line = e.Line
+		case *lexer.Error:
+			line = e.Line
+		default:
+			t.Fatalf("parser.Parse(%q): unpositioned error %T: %v", src, err, err)
+		}
+		if line < 1 {
+			t.Fatalf("parser.Parse(%q): error on line %d: %v", src, line, err)
+		}
+	})
 }
 
 // TestParseExprNeverPanics covers the expression entry point too.
@@ -79,7 +95,7 @@ func TestParseExprNeverPanics(t *testing.T) {
 					t.Fatalf("ParseExpr panicked on %q: %v", src, rec)
 				}
 			}()
-			_, _ = ParseExpr(src)
+			_, _ = parser.ParseExpr(src)
 		}()
 	}
 }

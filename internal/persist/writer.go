@@ -14,11 +14,11 @@ import (
 // WriterStats counts snapshot-writer traffic (all fields are updated
 // atomically; read them through Writer.Stats).
 type WriterStats struct {
-	Notifies        uint64 `json:"notifies"`
-	Saves           uint64 `json:"saves"`
-	SaveErrors      uint64 `json:"save_errors"`
-	SnapshotBytes   uint64 `json:"snapshot_bytes"`   // size of the last written snapshot
-	SnapshotEntries uint64 `json:"snapshot_entries"` // compiled entries in the last written snapshot
+	Notifies        uint64 `json:"notifies" metric:"majic_persist_notifies_total,counter" help:"Repository mutations notified to the snapshotter."`
+	Saves           uint64 `json:"saves" metric:"majic_persist_saves_total,counter" help:"Snapshots written."`
+	SaveErrors      uint64 `json:"save_errors" metric:"majic_persist_save_errors_total,counter" help:"Snapshot writes that failed."`
+	SnapshotBytes   uint64 `json:"snapshot_bytes" metric:"majic_persist_snapshot_bytes,gauge" help:"Size of the last written snapshot."`
+	SnapshotEntries uint64 `json:"snapshot_entries" metric:"majic_persist_snapshot_entries,gauge" help:"Compiled entries in the last written snapshot."`
 }
 
 // Writer is the write-behind snapshotter: repository mutations call
@@ -241,26 +241,26 @@ func (w *Writer) Stats() WriterStats {
 // LoadStats describes one warm-start attempt (the /metrics surface).
 type LoadStats struct {
 	// Attempted is true when a snapshot file existed.
-	Attempted bool `json:"attempted"`
+	Attempted bool `json:"attempted" metric:"-"`
 	// Error is the whole-snapshot rejection reason ("" when the file
 	// decoded cleanly or did not exist). A rejected snapshot means a
 	// cold start, not a failure.
-	Error string `json:"error,omitempty"`
+	Error string `json:"error,omitempty" metric:"-"`
 	// LoadedFunctions / LoadedEntries count what the warm start
 	// restored.
-	LoadedFunctions int `json:"loaded_functions"`
-	LoadedEntries   int `json:"loaded_entries"`
+	LoadedFunctions int `json:"loaded_functions" metric:"-"`
+	LoadedEntries   int `json:"loaded_entries" metric:"majic_persist_loaded_entries,gauge" help:"Entries restored by the warm start."`
 	// RejectedFunctions / RejectedEntries count snapshot content dropped
 	// by validation: source-hash mismatches (stale code), unparseable
 	// sources, or programs the current build cannot prepare.
-	RejectedFunctions int `json:"rejected_functions"`
-	RejectedEntries   int `json:"rejected_entries"`
+	RejectedFunctions int `json:"rejected_functions" metric:"-"`
+	RejectedEntries   int `json:"rejected_entries" metric:"majic_persist_rejected_entries,gauge" help:"Snapshot entries dropped by validation."`
 }
 
 // Metrics is the combined persistence surface exposed at /metrics.
 type Metrics struct {
-	Enabled bool        `json:"enabled"`
-	Path    string      `json:"path,omitempty"`
+	Enabled bool        `json:"enabled" metric:"majic_persist_enabled,gauge,gate" help:"1 when write-behind persistence is attached."`
+	Path    string      `json:"path,omitempty" metric:"-"`
 	Load    LoadStats   `json:"load"`
 	Writer  WriterStats `json:"writer"`
 }

@@ -124,22 +124,22 @@ func (s *Store) CountDeoptBudgetExhausted() { s.budgetExhaust.Add(1) }
 
 // Stats is the tiering surface for /metrics and the benchmark JSON.
 type Stats struct {
-	Functions    int   `json:"functions"`
-	Signatures   int   `json:"signatures"`
-	Entries      int64 `json:"entries"`    // function-entry safepoint count
-	BackEdges    int64 `json:"back_edges"` // loop back-edge safepoint count
-	Promotions   int64 `json:"promotions"`
-	OSRRequests  int64 `json:"osr_requests"`
-	OSRCompiles  int64 `json:"osr_compiles"`
-	OSRTransfers int64 `json:"osr_transfers"`
-	OSRDeopts    int64 `json:"osr_deopts"` // sum of the per-cause counters below
+	Functions    int   `json:"functions" metric:"majic_profile_functions,gauge" help:"Functions with a tiering profile."`
+	Signatures   int   `json:"signatures" metric:"majic_profile_signatures,gauge" help:"Widened signatures being profiled."`
+	Entries      int64 `json:"entries" metric:"majic_profile_entries_total,counter" help:"Function-entry safepoints observed."`
+	BackEdges    int64 `json:"back_edges" metric:"majic_profile_back_edges_total,counter" help:"Loop back-edge safepoints observed."`
+	Promotions   int64 `json:"promotions" metric:"majic_tier_promotions_total,counter" help:"Hot signatures promoted to compiled code."`
+	OSRRequests  int64 `json:"osr_requests" metric:"majic_osr_requests_total,counter" help:"OSR continuation compiles requested."`
+	OSRCompiles  int64 `json:"osr_compiles" metric:"majic_osr_compiles_total,counter" help:"OSR continuations compiled and published."`
+	OSRTransfers int64 `json:"osr_transfers" metric:"majic_osr_transfers_total,counter" help:"Mid-loop transfers into compiled code."`
+	OSRDeopts    int64 `json:"osr_deopts" metric:"-"` // sum of the per-cause counters below
 	// Per-cause deopt attribution: which guard rejected the transfer.
-	OSRDeoptsGeneration int64 `json:"osr_deopts_generation"`
-	OSRDeoptsBinding    int64 `json:"osr_deopts_binding"`
-	OSRDeoptsRange      int64 `json:"osr_deopts_range"`
+	OSRDeoptsGeneration int64 `json:"osr_deopts_generation" metric:"majic_osr_deopts_total,counter,cause=generation-mismatch" help:"OSR transfers rejected by a guard, by cause."`
+	OSRDeoptsBinding    int64 `json:"osr_deopts_binding" metric:"majic_osr_deopts_total,counter,cause=binding-guard" help:"OSR transfers rejected by a guard, by cause."`
+	OSRDeoptsRange      int64 `json:"osr_deopts_range" metric:"majic_osr_deopts_total,counter,cause=range-guard" help:"OSR transfers rejected by a guard, by cause."`
 	// DeoptBudgetExhausted counts OSR sites abandoned because they kept
 	// deopting after their single adaptive recompile.
-	DeoptBudgetExhausted int64 `json:"deopt_budget_exhausted"`
+	DeoptBudgetExhausted int64 `json:"deopt_budget_exhausted" metric:"majic_osr_budget_exhausted_total,counter" help:"OSR sites abandoned after the deopt budget."`
 }
 
 // Stats returns a snapshot of the store's counters.

@@ -122,24 +122,24 @@ type funcSlot struct {
 
 // Stats counts repository traffic.
 type Stats struct {
-	Lookups      int `json:"lookups"`
-	Hits         int `json:"hits"`
-	Misses       int `json:"misses"`
-	Inserts      int `json:"inserts"`
-	SpecHits     int `json:"spec_hits"` // hits on speculative entries
-	Invalidation int `json:"invalidations"`
-	StaleDrops   int `json:"stale_drops"` // publishes dropped by a generation or dependency mismatch
-	Evictions    int `json:"evictions"`   // entries evicted by the per-function cap
-	Replaces     int `json:"replaces"`    // upgrade swaps (tier-ups and hot recompiles)
-	Loaded       int `json:"loaded"`      // entries restored from a warm-start snapshot (not Inserts)
+	Lookups      int `json:"lookups" metric:"majic_repo_lookups_total,counter" help:"Repository locator lookups."`
+	Hits         int `json:"hits" metric:"majic_repo_hits_total,counter" help:"Lookups served by a safe compiled entry."`
+	Misses       int `json:"misses" metric:"majic_repo_misses_total,counter" help:"Lookups that found no safe entry."`
+	Inserts      int `json:"inserts" metric:"majic_repo_inserts_total,counter" help:"Compiled entries published this lifetime."`
+	SpecHits     int `json:"spec_hits" metric:"majic_repo_spec_hits_total,counter" help:"Hits on speculatively compiled entries."`
+	Invalidation int `json:"invalidations" metric:"majic_repo_invalidations_total,counter" help:"Function redefinitions that dropped entries."`
+	StaleDrops   int `json:"stale_drops" metric:"majic_repo_stale_drops_total,counter" help:"Async publishes dropped by a generation mismatch."` // or a dependency mismatch
+	Evictions    int `json:"evictions" metric:"majic_repo_evictions_total,counter" help:"Entries evicted by the per-function cap."`
+	Replaces     int `json:"replaces" metric:"majic_repo_replaces_total,counter" help:"Upgrade swaps (tier-ups and hot recompiles)."`
+	Loaded       int `json:"loaded" metric:"majic_repo_loaded_total,counter" help:"Entries restored from a warm-start snapshot."`
 	// Replicated counts entries applied from cluster peers — code this
 	// node serves but never compiled, distinct from both Inserts (local
 	// compiles) and Loaded (warm-start restores). ReplicatedDrops counts
 	// replicated applies discarded by the duplicate or generation guard.
-	Replicated      int `json:"replicated"`
-	ReplicatedDrops int `json:"replicated_drops"`
-	Functions       int `json:"functions"` // functions with at least one live entry (snapshot)
-	Entries         int `json:"entries"`   // live compiled entries across all functions (snapshot)
+	Replicated      int `json:"replicated" metric:"majic_repo_replicated_total,counter" help:"Entries applied from cluster peers (never compiled here)."`
+	ReplicatedDrops int `json:"replicated_drops" metric:"majic_repo_replicated_drops_total,counter" help:"Replicated applies dropped by the duplicate or generation guard."`
+	Functions       int `json:"functions" metric:"majic_repo_functions,gauge" help:"Functions with at least one live compiled entry."`
+	Entries         int `json:"entries" metric:"majic_repo_entries,gauge" help:"Live compiled entries across all functions."`
 }
 
 // Repository is the signature-keyed code database.

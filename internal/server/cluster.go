@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/persist"
-	"repro/internal/telemetry"
 )
 
 // Cluster-facing surface of one daemon: the readiness probe a gateway
@@ -140,16 +139,10 @@ func (s *Server) Library() *core.Library { return s.lib }
 func (s *Server) NodeID() string { return s.opts.NodeID }
 
 // SetClusterMetrics attaches a callback whose result is embedded as the
-// "cluster" section of the JSON /metrics payload.
+// "cluster" section of the JSON /metrics payload; its metric-tagged
+// fields are exposed at /metrics.prom with the rest of the snapshot.
 func (s *Server) SetClusterMetrics(fn func() any) {
 	s.cmu.Lock()
 	s.clusterMetrics = fn
 	s.cmu.Unlock()
-}
-
-// RegisterClusterTelemetry adds a collector to the daemon's Prometheus
-// registry under the given component name (the replicator registers its
-// majic_cluster_* families this way).
-func (s *Server) RegisterClusterTelemetry(component string, collect func(emit func(telemetry.Sample))) {
-	s.registry.RegisterFunc(component, collect)
 }

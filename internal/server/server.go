@@ -154,7 +154,7 @@ type Server struct {
 	sessions map[string]*session
 	nextID   uint64
 	draining bool
-	// retiredRepo/retiredQueue accumulate counters from destroyed
+	// retiredRepo/Queue/Profile accumulate counters from destroyed
 	// sessions in isolated mode, so /metrics hit rates survive session
 	// churn (gauges — live functions/entries — are not carried over).
 	retiredRepo    repo.Stats
@@ -369,7 +369,7 @@ func (s *Server) handleDestroy(w http.ResponseWriter, r *http.Request) {
 }
 
 // retire closes a session removed from the table, folding its private
-// repository and queue counters into the retired totals when the
+// repository, queue and profile counters into the retired totals when the
 // server runs isolated (shared-mode counters live in the shared
 // library and need no carry-over).
 func (s *Server) retire(sess *session) {
@@ -378,50 +378,12 @@ func (s *Server) retire(sess *session) {
 		qs := sess.eng.QueueStats()
 		ps := sess.eng.ProfileStats()
 		s.mu.Lock()
-		addRepoCounters(&s.retiredRepo, st)
-		addQueueCounters(&s.retiredQueue, qs)
-		addProfileCounters(&s.retiredProfile, ps)
+		telemetry.Add(&s.retiredRepo, st, false)
+		telemetry.Add(&s.retiredQueue, qs, false)
+		telemetry.Add(&s.retiredProfile, ps, false)
 		s.mu.Unlock()
 	}
 	sess.close()
-}
-
-// addRepoCounters folds one repository's counters (not its live-entry
-// gauges) into an aggregate.
-func addRepoCounters(dst *repo.Stats, st repo.Stats) {
-	dst.Lookups += st.Lookups
-	dst.Hits += st.Hits
-	dst.Misses += st.Misses
-	dst.Inserts += st.Inserts
-	dst.SpecHits += st.SpecHits
-	dst.Invalidation += st.Invalidation
-	dst.StaleDrops += st.StaleDrops
-	dst.Evictions += st.Evictions
-	dst.Replaces += st.Replaces
-}
-
-// addProfileCounters folds one engine's tiering counters (not its live
-// function/signature gauges) into an aggregate.
-func addProfileCounters(dst *profile.Stats, ps profile.Stats) {
-	dst.Entries += ps.Entries
-	dst.BackEdges += ps.BackEdges
-	dst.Promotions += ps.Promotions
-	dst.OSRRequests += ps.OSRRequests
-	dst.OSRCompiles += ps.OSRCompiles
-	dst.OSRTransfers += ps.OSRTransfers
-	dst.OSRDeopts += ps.OSRDeopts
-	dst.OSRDeoptsGeneration += ps.OSRDeoptsGeneration
-	dst.OSRDeoptsBinding += ps.OSRDeoptsBinding
-	dst.OSRDeoptsRange += ps.OSRDeoptsRange
-	dst.DeoptBudgetExhausted += ps.DeoptBudgetExhausted
-}
-
-func addQueueCounters(dst *compilequeue.Stats, qs compilequeue.Stats) {
-	dst.Submitted += qs.Submitted
-	dst.Deduped += qs.Deduped
-	dst.Completed += qs.Completed
-	dst.Errors += qs.Errors
-	dst.Inline += qs.Inline
 }
 
 // --- evaluation --------------------------------------------------------------
@@ -535,20 +497,22 @@ func (s *Server) handleWorkspaceSet(w http.ResponseWriter, r *http.Request) {
 
 // --- metrics -----------------------------------------------------------------
 
-// MetricsSnapshot is the /metrics JSON payload.
+// MetricsSnapshot is the /metrics JSON payload. Its metric tags (and
+// those of the Stats structs it nests) declare the /metrics.prom
+// families; see internal/telemetry/fields.go.
 type MetricsSnapshot struct {
 	Sessions struct {
-		Active   int    `json:"active"`
-		Created  uint64 `json:"created"`
-		Evicted  uint64 `json:"evicted_idle"`
-		Rejected uint64 `json:"rejected"`
+		Active   int    `json:"active" metric:"majic_sessions_active,gauge" help:"Live sessions in the table."`
+		Created  uint64 `json:"created" metric:"majic_sessions_created_total,counter" help:"Sessions ever created."`
+		Evicted  uint64 `json:"evicted_idle" metric:"majic_sessions_evicted_total,counter" help:"Sessions reaped by the idle TTL."`
+		Rejected uint64 `json:"rejected" metric:"majic_sessions_rejected_total,counter" help:"Creates bounced by the session cap."`
 	} `json:"sessions"`
 	Evals struct {
-		Total    uint64 `json:"total"`
-		Errors   uint64 `json:"errors"`
-		Timeouts uint64 `json:"timeouts"`
-		Rejected uint64 `json:"rejected"`
-		Inflight int64  `json:"inflight"`
+		Total    uint64 `json:"total" metric:"majic_evals_total,counter" help:"Evaluations executed."`
+		Errors   uint64 `json:"errors" metric:"majic_eval_errors_total,counter" help:"Evaluations that returned a program error."`
+		Timeouts uint64 `json:"timeouts" metric:"majic_eval_timeouts_total,counter" help:"Evaluations killed by their deadline."`
+		Rejected uint64 `json:"rejected" metric:"majic_eval_rejected_total,counter" help:"Evaluations bounced by admission control."`
+		Inflight int64  `json:"inflight" metric:"majic_evals_inflight,gauge" help:"Evaluations currently executing."`
 	} `json:"evals"`
 	Repo  repo.Stats         `json:"repo"`
 	Queue compilequeue.Stats `json:"queue"`
@@ -557,20 +521,21 @@ type MetricsSnapshot struct {
 	// session runs tiered.
 	Profile  profile.Stats `json:"profile"`
 	Parallel struct {
-		Threads int `json:"threads"`
-		Workers int `json:"workers"`
+		Threads int `json:"threads" metric:"majic_parallel_threads,gauge" help:"Worker threads configured for parallel loops."`
+		Workers int `json:"workers" metric:"majic_parallel_workers,gauge" help:"Parallel pool workers currently alive."`
 	} `json:"parallel"`
 	BufferPool mat.PoolStats           `json:"buffer_pool"`
-	Routes     map[string]RouteMetrics `json:"routes"`
-	SharedRepo bool                    `json:"shared_repo"`
+	Routes     map[string]RouteMetrics `json:"routes" metric:"-"` // exposed as majic_route_latency_seconds
+	SharedRepo bool                    `json:"shared_repo" metric:"-"`
 	// Persist reports the repository persistence surface: warm-start
 	// load/reject counters and write-behind save counters. Enabled is
 	// false when the daemon runs without -repo-path (or isolated).
 	Persist persist.Metrics `json:"persist"`
 	// Node is the cluster node ID (empty standalone). Ingest counts
 	// replication records received from peers; Cluster carries the
-	// replicator's own counters when one is attached.
-	Node    string      `json:"node,omitempty"`
+	// replicator's own counters when one is attached, and its metric
+	// tags join /metrics.prom.
+	Node    string      `json:"node,omitempty" metric:"-"`
 	Ingest  IngestStats `json:"ingest"`
 	Cluster any         `json:"cluster,omitempty"`
 }
@@ -578,9 +543,9 @@ type MetricsSnapshot struct {
 // IngestStats counts /cluster/ingest traffic (records received from
 // peers), by outcome.
 type IngestStats struct {
-	Applied  uint64 `json:"applied"`  // records that changed this node (source or entry)
-	Dropped  uint64 `json:"dropped"`  // valid records rejected by staleness/duplicate guards
-	Rejected uint64 `json:"rejected"` // undecodable or invalid records
+	Applied  uint64 `json:"applied" metric:"majic_cluster_ingest_applied_total,counter" help:"Peer replication records applied."`
+	Dropped  uint64 `json:"dropped" metric:"majic_cluster_ingest_dropped_total,counter" help:"Peer records dropped by staleness/duplicate guards."`
+	Rejected uint64 `json:"rejected" metric:"majic_cluster_ingest_rejected_total,counter" help:"Peer records rejected as invalid."`
 }
 
 // Metrics returns the current snapshot (also served at /metrics).
@@ -616,15 +581,9 @@ func (s *Server) Metrics() MetricsSnapshot {
 		// endpoint.
 		ms.Repo, ms.Queue, ms.Profile = retiredRepo, retiredQueue, retiredProfile
 		for _, sess := range sessions {
-			st := sess.eng.Repo().Stats()
-			addRepoCounters(&ms.Repo, st)
-			ms.Repo.Functions += st.Functions
-			ms.Repo.Entries += st.Entries
-			addQueueCounters(&ms.Queue, sess.eng.QueueStats())
-			ps := sess.eng.ProfileStats()
-			addProfileCounters(&ms.Profile, ps)
-			ms.Profile.Functions += ps.Functions
-			ms.Profile.Signatures += ps.Signatures
+			telemetry.Add(&ms.Repo, sess.eng.Repo().Stats(), true)
+			telemetry.Add(&ms.Queue, sess.eng.QueueStats(), true)
+			telemetry.Add(&ms.Profile, sess.eng.ProfileStats(), true)
 		}
 	}
 	ms.Node = s.opts.NodeID
@@ -688,34 +647,19 @@ func (s *Server) Tracer() *telemetry.Tracer { return s.tracer }
 func (s *Server) Journal() *telemetry.Journal { return s.journal }
 
 // collectTelemetry renders the full daemon state as telemetry samples:
-// the library families (repository, queue, profile, persistence — the
-// isolated-mode aggregate reuses the same names), daemon counters, and
-// per-route latency histograms. It reads the same snapshot as the JSON
-// /metrics surface, so the two endpoints can never disagree.
+// every metric-tagged field of the /metrics snapshot (library, daemon
+// and replicator families alike — the isolated-mode aggregate carries
+// the same names), then the samples that are not snapshot fields. Both
+// endpoints read one snapshot, so they can never disagree
+// (TestMetricsViewsAgree).
 func (s *Server) collectTelemetry(emit func(telemetry.Sample)) {
-	ms := s.Metrics()
-	core.EmitLibrarySamples(emit, ms.Repo, ms.Queue, ms.Profile, ms.Persist, s.journal)
-
-	counter := telemetry.EmitCounter
-	gauge := telemetry.EmitGauge
-	gauge(emit, "majic_sessions_active", "Live sessions in the table.", float64(ms.Sessions.Active))
-	counter(emit, "majic_sessions_created_total", "Sessions ever created.", float64(ms.Sessions.Created))
-	counter(emit, "majic_sessions_evicted_total", "Sessions reaped by the idle TTL.", float64(ms.Sessions.Evicted))
-	counter(emit, "majic_sessions_rejected_total", "Creates bounced by the session cap.", float64(ms.Sessions.Rejected))
-	counter(emit, "majic_evals_total", "Evaluations executed.", float64(ms.Evals.Total))
-	counter(emit, "majic_eval_errors_total", "Evaluations that returned a program error.", float64(ms.Evals.Errors))
-	counter(emit, "majic_eval_timeouts_total", "Evaluations killed by their deadline.", float64(ms.Evals.Timeouts))
-	counter(emit, "majic_eval_rejected_total", "Evaluations bounced by admission control.", float64(ms.Evals.Rejected))
-	gauge(emit, "majic_evals_inflight", "Evaluations currently executing.", float64(ms.Evals.Inflight))
-	counter(emit, "majic_cluster_ingest_applied_total", "Peer replication records applied.", float64(ms.Ingest.Applied))
-	counter(emit, "majic_cluster_ingest_dropped_total", "Peer records dropped by staleness/duplicate guards.", float64(ms.Ingest.Dropped))
-	counter(emit, "majic_cluster_ingest_rejected_total", "Peer records rejected as invalid.", float64(ms.Ingest.Rejected))
-	gauge(emit, "majic_parallel_threads", "Worker threads configured for parallel loops.", float64(ms.Parallel.Threads))
-	gauge(emit, "majic_parallel_workers", "Parallel pool workers currently alive.", float64(ms.Parallel.Workers))
-	counter(emit, "majic_buffer_pool_gets_total", "Dense real result buffers requested by array operations.", float64(ms.BufferPool.Gets))
-	counter(emit, "majic_buffer_pool_hits_total", "Result buffers built in storage the caller already owned.", float64(ms.BufferPool.Hits))
-	counter(emit, "majic_buffer_pool_recycles_total", "Result-buffer requests that came with a donor.", float64(ms.BufferPool.Recycles))
-	counter(emit, "majic_trace_spans_dropped_total", "Trace spans dropped by the bounded ring.", float64(s.tracer.Dropped()))
+	telemetry.Emit(emit, s.Metrics())
+	emit(telemetry.Sample{Name: "majic_journal_events_total", Help: "Tiering events ever recorded.",
+		Kind: telemetry.KindCounter, Value: float64(s.journal.Total())})
+	emit(telemetry.Sample{Name: "majic_journal_retained", Help: "Tiering events currently retained.",
+		Kind: telemetry.KindGauge, Value: float64(s.journal.Len())})
+	emit(telemetry.Sample{Name: "majic_trace_spans_dropped_total", Help: "Trace spans dropped by the bounded ring.",
+		Kind: telemetry.KindCounter, Value: float64(s.tracer.Dropped())})
 
 	routes := make([]string, 0, len(s.metrics.routes))
 	for name := range s.metrics.routes {

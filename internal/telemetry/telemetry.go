@@ -9,9 +9,11 @@
 // Three pieces:
 //
 //   - Registry: named Collectors emit Samples (counter/gauge/histogram)
-//     at scrape time. Subsystems keep their cheap atomic Stats structs
-//     and adapt them into samples when asked, so recording stays exactly
-//     as it was — the registry adds no hot-path work at all. The
+//     at scrape time. Subsystems keep their cheap atomic Stats structs;
+//     each metric is a tag on the Stats field that carries its JSON name
+//     (fields.go), and Emit turns a snapshot into samples when asked, so
+//     recording stays exactly as it was — the registry adds no hot-path
+//     work at all. The
 //     registry renders both the samples themselves (for tests and JSON
 //     surfaces) and the Prometheus text exposition format (see
 //     prometheus.go), served by majicd at /metrics.prom.
@@ -37,7 +39,6 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -238,32 +239,4 @@ func labelKey(labels []Label) string {
 		b.WriteByte(2)
 	}
 	return b.String()
-}
-
-// --- emit helpers --------------------------------------------------------------
-
-// EmitCounter is the collector-side shorthand for a labelless counter.
-func EmitCounter(emit func(Sample), name, help string, v float64) {
-	emit(Sample{Name: name, Help: help, Kind: KindCounter, Value: v})
-}
-
-// EmitGauge is the collector-side shorthand for a labelless gauge.
-func EmitGauge(emit func(Sample), name, help string, v float64) {
-	emit(Sample{Name: name, Help: help, Kind: KindGauge, Value: v})
-}
-
-// EmitCounterL emits one labelled counter sample.
-func EmitCounterL(emit func(Sample), name, help string, v float64, labels ...Label) {
-	emit(Sample{Name: name, Help: help, Kind: KindCounter, Value: v, Labels: labels})
-}
-
-// EmitGaugeL emits one labelled gauge sample.
-func EmitGaugeL(emit func(Sample), name, help string, v float64, labels ...Label) {
-	emit(Sample{Name: name, Help: help, Kind: KindGauge, Value: v, Labels: labels})
-}
-
-// SortLabels orders a label list by key (exposition determinism for
-// collectors that build labels from maps).
-func SortLabels(labels []Label) {
-	sort.Slice(labels, func(i, j int) bool { return labels[i].Key < labels[j].Key })
 }

@@ -8,14 +8,18 @@ import (
 	"time"
 )
 
+func sample(kind Kind, name, help string, v float64, labels ...Label) Sample {
+	return Sample{Name: name, Help: help, Kind: kind, Value: v, Labels: labels}
+}
+
 func TestRegistryGatherOrderAndMerge(t *testing.T) {
 	r := NewRegistry()
 	r.RegisterFunc("b", func(emit func(Sample)) {
-		EmitCounter(emit, "majic_evals_total", "evals", 3)
-		EmitGauge(emit, "majic_sessions", "sessions", 2)
+		emit(sample(KindCounter, "majic_evals_total", "evals", 3))
+		emit(sample(KindGauge, "majic_sessions", "sessions", 2))
 	})
 	r.RegisterFunc("a", func(emit func(Sample)) {
-		EmitCounter(emit, "majic_evals_total", "evals", 4)
+		emit(sample(KindCounter, "majic_evals_total", "evals", 4))
 	})
 	got := r.Gather()
 	if len(got) != 2 {
@@ -32,9 +36,9 @@ func TestRegistryGatherOrderAndMerge(t *testing.T) {
 func TestRegistryLabelsNotMerged(t *testing.T) {
 	r := NewRegistry()
 	r.RegisterFunc("x", func(emit func(Sample)) {
-		EmitCounterL(emit, "majic_route_total", "h", 1, Label{"route", "eval"})
-		EmitCounterL(emit, "majic_route_total", "h", 5, Label{"route", "create"})
-		EmitCounterL(emit, "majic_route_total", "h", 2, Label{"route", "eval"})
+		emit(sample(KindCounter, "majic_route_total", "h", 1, Label{"route", "eval"}))
+		emit(sample(KindCounter, "majic_route_total", "h", 5, Label{"route", "create"}))
+		emit(sample(KindCounter, "majic_route_total", "h", 2, Label{"route", "eval"}))
 	})
 	got := r.Gather()
 	if len(got) != 2 {
@@ -47,8 +51,8 @@ func TestRegistryLabelsNotMerged(t *testing.T) {
 
 func TestRegistryReplaceAndUnregister(t *testing.T) {
 	r := NewRegistry()
-	r.RegisterFunc("s", func(emit func(Sample)) { EmitCounter(emit, "c_total", "", 1) })
-	r.RegisterFunc("s", func(emit func(Sample)) { EmitCounter(emit, "c_total", "", 9) })
+	r.RegisterFunc("s", func(emit func(Sample)) { emit(sample(KindCounter, "c_total", "", 1)) })
+	r.RegisterFunc("s", func(emit func(Sample)) { emit(sample(KindCounter, "c_total", "", 9)) })
 	if got := r.Gather(); len(got) != 1 || got[0].Value != 9 {
 		t.Fatalf("replace failed: %+v", got)
 	}
@@ -80,8 +84,8 @@ func TestNilReceiversSafe(t *testing.T) {
 func TestWritePrometheusValidates(t *testing.T) {
 	r := NewRegistry()
 	r.RegisterFunc("core", func(emit func(Sample)) {
-		EmitCounter(emit, "majic_repo_hits_total", "repository locator hits", 12)
-		EmitGaugeL(emit, "majic_queue_depth", "queue depth", 3, Label{"pool", `a"b\c`})
+		emit(sample(KindCounter, "majic_repo_hits_total", "repository locator hits", 12))
+		emit(sample(KindGauge, "majic_queue_depth", "queue depth", 3, Label{"pool", `a"b\c`}))
 		emit(Sample{
 			Name: "majic_eval_latency_seconds",
 			Help: "eval latency",
@@ -235,7 +239,7 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				r.RegisterFunc("g", func(emit func(Sample)) {
-					EmitCounter(emit, "c_total", "", 1)
+					emit(sample(KindCounter, "c_total", "", 1))
 				})
 				tr.Span(CatQueue, "job", g, time.Now(), time.Microsecond)
 				j.Record(Event{Kind: EventPromotion, Func: "f", Cause: "hot-signature"})
@@ -252,5 +256,64 @@ func TestConcurrentUse(t *testing.T) {
 	}
 	if _, err := ValidatePrometheus(b.String()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+type walkInner struct {
+	Hits    int    `json:"hits" metric:"t_hits_total,counter" help:"hits"`
+	Level   uint64 `json:"level" metric:"t_level,gauge" help:"level"`
+	Derived int    `json:"derived" metric:"-"`
+}
+
+type walkOuter struct {
+	On     bool      `metric:"t_on,gauge,gate" help:"on"`
+	Inner  walkInner `json:"inner"`
+	ByKind int       `metric:"t_by_total,counter,cause=a" help:"by"`
+	Name   string    `metric:"-"`
+	Any    any
+}
+
+// Emit renders tagged fields with their labels, walks untagged structs
+// and interfaces, skips metric:"-", and stops at a false gate.
+func TestEmitWalksTags(t *testing.T) {
+	collect := func(v any) map[string]Sample {
+		var raw []Sample
+		Emit(func(s Sample) { raw = append(raw, s) }, v)
+		out := map[string]Sample{}
+		for _, s := range mergeSamples(raw) {
+			out[s.Name+labelKey(s.Labels)] = s
+		}
+		return out
+	}
+	got := collect(walkOuter{On: true, Inner: walkInner{Hits: 3, Level: 4, Derived: 5}, ByKind: 6,
+		Any: &walkInner{Hits: 7}})
+	if len(got) != 4 {
+		t.Fatalf("samples = %v, want t_on, t_hits_total, t_level, t_by_total", got)
+	}
+	if s := got["t_on"]; s.Value != 1 || s.Kind != KindGauge || s.Help != "on" {
+		t.Errorf("t_on = %+v", s)
+	}
+	if s := got["t_hits_total"]; s.Kind != KindCounter || s.Value != 10 {
+		t.Errorf("t_hits_total = %+v, want 3 from the struct plus 7 through the interface", s)
+	}
+	if s := got["t_by_total"+labelKey([]Label{{"cause", "a"}})]; s.Value != 6 {
+		t.Errorf("labelled sample = %+v", s)
+	}
+	if off := collect(walkOuter{Inner: walkInner{Hits: 3}}); len(off) != 1 || off["t_on"].Value != 0 {
+		t.Errorf("a false gate must emit only itself: %v", off)
+	}
+}
+
+// Add sums counters and fields kept out of the exposition, and gauges
+// only when asked.
+func TestAddSumsCounters(t *testing.T) {
+	dst := walkInner{Hits: 1, Level: 10, Derived: 100}
+	Add(&dst, walkInner{Hits: 2, Level: 20, Derived: 200}, false)
+	if dst != (walkInner{Hits: 3, Level: 10, Derived: 300}) {
+		t.Fatalf("counters only: %+v", dst)
+	}
+	Add(&dst, walkInner{Hits: 2, Level: 20, Derived: 200}, true)
+	if dst != (walkInner{Hits: 5, Level: 30, Derived: 500}) {
+		t.Fatalf("with gauges: %+v", dst)
 	}
 }
