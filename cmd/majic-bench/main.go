@@ -4,21 +4,17 @@
 //	majic-bench -exp=table1 -size=medium
 //	majic-bench -exp=fig4 -reps=5
 //	majic-bench -exp=all -size=paper -bench=dirich,finedif
-//	majic-bench -exp=fig4 -fuse                # fused elementwise kernels
-//	majic-bench -exp=fig4 -threads=4           # 4 dense-kernel worker threads
 //	majic-bench -exp=table1 -cpuprofile=cpu.pb.gz -memprofile=mem.pb.gz
 //
 // Experiments: table1, fig4, fig5, fig6, fig7, table2, sec5, resp,
 // sparse, all. The sparse experiment is not part of "all": it runs the
 // iterative-solver tier over CSR operators at sizes a dense
-// representation cannot reach. With -json, fig4 also writes
-// BENCH_fig4.json and sparse writes BENCH_sparse.json. The shared engine
-// flags (-async, -fuse, -tiered, ...) apply to every engine the harness
-// builds.
+// representation cannot reach. Every engine the harness builds is a
+// paper-mode engine of the tier its column names; the production
+// configuration is measured by the ledger (go run ./benchmark).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -27,26 +23,11 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/mat"
 	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
-
-// writeJSONFile writes a machine-readable result file next to the
-// results_*.txt redirections.
-func writeJSONFile(path string, v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: table1|fig4|fig5|fig6|fig7|table2|sec5|resp|sparse|all")
@@ -54,8 +35,6 @@ func main() {
 	reps := flag.Int("reps", 3, "best-of repetitions (paper used 10)")
 	benches := flag.String("bench", "", "comma-separated benchmark subset (default all)")
 	seed := flag.Uint64("seed", 0, "RNG seed (0 = default)")
-	engineOptions := core.EngineFlags(flag.CommandLine)
-	jsonOut := flag.Bool("json", false, "also write BENCH_fig4.json / BENCH_sparse.json for those experiments")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON file (per-eval spans from every harness engine) on exit")
@@ -64,7 +43,6 @@ func main() {
 	// The results_*.txt files are stdout redirections, so the run
 	// configuration goes in a header and the kernel-runtime counters in
 	// a footer, keeping committed results self-describing.
-	eo := engineOptions()
 	fmt.Printf("majic-bench: kernel threads %d (GOMAXPROCS %d)\n\n", parallel.DefaultThreads(), runtime.GOMAXPROCS(0))
 	defer func() {
 		ps := mat.ReadPoolStats()
@@ -119,8 +97,6 @@ func main() {
 		Reps:   *reps,
 		Out:    os.Stdout,
 		Seed:   *seed,
-		Engine: eo,
-		Tiered: eo.Tiered,
 		Tracer: tracer,
 	}
 	if *benches != "" {
@@ -144,20 +120,7 @@ func main() {
 	case "table1":
 		run("table1", cfg.Table1)
 	case "fig4":
-		if *jsonOut {
-			run("fig4", func() error {
-				rows, err := cfg.SpeedupChart(core.PlatformSPARC)
-				if err != nil {
-					return err
-				}
-				harness.PrintSpeedups(os.Stdout, "Figure 4: Performance on the SPARC platform (speedup vs interpreter)", rows)
-				return writeJSONFile("BENCH_fig4.json", map[string]any{
-					"size": sz.String(), "reps": cfg.Reps, "rows": harness.SpeedupsJSON(rows),
-				})
-			})
-		} else {
-			run("fig4", cfg.Fig4)
-		}
+		run("fig4", cfg.Fig4)
 	case "fig5":
 		run("fig5", cfg.Fig5)
 	case "fig6":
@@ -171,21 +134,9 @@ func main() {
 	case "resp":
 		run("resp", cfg.Responsiveness)
 	case "sparse":
-		scfg := bench.SparseConfig{
-			Size:    sz,
-			Reps:    *reps,
-			Out:     os.Stdout,
-			Threads: eo.Threads,
-		}
 		run("sparse", func() error {
-			rep, err := scfg.Report()
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return writeJSONFile("BENCH_sparse.json", rep)
-			}
-			return nil
+			_, err := bench.SparseConfig{Size: sz, Reps: *reps, Out: os.Stdout}.Report()
+			return err
 		})
 	case "all":
 		run("table1", cfg.Table1)

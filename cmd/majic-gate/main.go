@@ -49,7 +49,7 @@ func main() {
 	}
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
-	fleet, err := parseNodes(*nodes)
+	fleet, err := cluster.ParseNodes(*nodes, "", "")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "majic-gate: -nodes: %v\n", err)
 		os.Exit(2)
@@ -99,26 +99,4 @@ func main() {
 	}
 	health.Stop()
 	logger.Info("stopped")
-}
-
-func parseNodes(spec string) ([]cluster.Node, error) {
-	if spec == "" {
-		return nil, fmt.Errorf("required (id=http://host:port,...)")
-	}
-	var out []cluster.Node
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, addr, ok := strings.Cut(part, "=")
-		if !ok || id == "" || addr == "" {
-			return nil, fmt.Errorf("bad node %q (want id=http://host:port)", part)
-		}
-		if !strings.HasPrefix(addr, "http://") && !strings.HasPrefix(addr, "https://") {
-			return nil, fmt.Errorf("node %q: address must be a base URL", part)
-		}
-		out = append(out, cluster.Node{ID: id, Addr: strings.TrimSuffix(addr, "/")})
-	}
-	return out, nil
 }

@@ -6,11 +6,9 @@
 //	majic                      # interactive session, JIT tier
 //	majic -tier=spec f.m g.m   # load files, speculative precompilation
 //	majic -e 'x = fib(20)' f.m # one-shot evaluation
-//	majic -async -workers=4    # background compilation service:
-//	                           # compiles run on a bounded worker pool
-//	                           # off the REPL thread (single-flight
-//	                           # deduplicated), so -tier=spec sessions
-//	                           # never stall on speculative compiles
+//	majic -tier=prod -jit-log  # the daemon's fast path (tiered JIT,
+//	                           # background compiles, fused kernels);
+//	                           # the journal lists its promotions
 package main
 
 import (
@@ -25,17 +23,15 @@ import (
 )
 
 func main() {
-	tierFlag := flag.String("tier", "jit", "execution tier: interp|mcc|falcon|jit|spec")
+	tierFlag := flag.String("tier", "jit", "execution strategy: interp|mcc|falcon|jit|spec in paper mode, or prod (tiered JIT, background compiles, fused kernels)")
 	platFlag := flag.String("platform", "sparc", "platform profile: sparc|mips")
 	eval := flag.String("e", "", "evaluate this code and exit")
 	seed := flag.Uint64("seed", 0, "RNG seed")
-	engineOptions := core.EngineFlags(flag.CommandLine)
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON file (per-eval spans: parse, disambig, typeinf, codegen, queue wait, exec, tier-up, OSR) on exit")
 	jitLog := flag.Bool("jit-log", false, "print the tiering event journal (promotions, evictions, cause-attributed OSR deopts) to stderr on exit")
 	flag.Parse()
 
-	opts := engineOptions()
-	tier, err := core.ParseTier(*tierFlag)
+	opts, err := core.Preset(*tierFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -67,7 +63,6 @@ func main() {
 		}
 	}()
 
-	opts.Tier = tier
 	opts.Platform = platform
 	opts.Out = os.Stdout
 	opts.Seed = *seed
@@ -98,7 +93,7 @@ func main() {
 		return
 	}
 
-	fmt.Println("MaJIC reproduction — MATLAB-like front end (tier " + tier.String() + ")")
+	fmt.Println("MaJIC reproduction — MATLAB-like front end (tier " + *tierFlag + ")")
 	fmt.Println("Type MATLAB statements; 'exit' or Ctrl-D quits.")
 	sc := bufio.NewScanner(os.Stdin)
 	var pending strings.Builder

@@ -3,7 +3,8 @@
 // process-wide code repository and compile queue, so one session's JIT
 // compile warms every other session's locator.
 //
-//	majicd -addr :8757 -async -workers 4
+//	majicd -addr :8757              # the fast path: -tier=prod
+//	majicd -addr :8757 -tier=jit    # paper-mode JIT sessions
 //
 // Protocol (JSON bodies throughout):
 //
@@ -38,7 +39,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -49,8 +49,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8757", "listen address")
-	tier := flag.String("tier", "jit", "execution tier for session engines: interp|mcc|falcon|jit|spec")
-	engineOptions := core.EngineFlags(flag.CommandLine)
+	tier := flag.String("tier", "prod", "session engines' execution strategy: prod (tiered JIT, background compiles, fused kernels), or interp|mcc|falcon|jit|spec in paper mode")
 	repoMax := flag.Int("repo-max", 0, "max compiled entries per function in the shared repository (0 = unbounded)")
 	repoPath := flag.String("repo-path", "", "persist the shared repository to this file: warm-start on boot, write-behind snapshots, flush on drain")
 	maxSessions := flag.Int("max-sessions", 256, "session table cap")
@@ -73,7 +72,7 @@ func main() {
 	}
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
-	t, err := core.ParseTier(*tier)
+	engine, err := core.Preset(*tier)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -90,15 +89,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "majicd: -peers requires -node-id")
 		os.Exit(2)
 	}
-	peerNodes, err := parsePeers(*peers, *nodeID, *advertise)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "majicd: -peers: %v\n", err)
-		os.Exit(2)
+	var peerNodes []cluster.Node
+	if *peers != "" {
+		if peerNodes, err = cluster.ParseNodes(*peers, *nodeID, *advertise); err != nil {
+			fmt.Fprintf(os.Stderr, "majicd: -peers: %v\n", err)
+			os.Exit(2)
+		}
 	}
-	engine := engineOptions()
-	engine.Tier = t
 	// server.New reconciles Engine and Library, so shared and -isolated
-	// sessions get the same -async/-workers/-repo-max/-tiered.
+	// sessions get the same compile policy and -repo-max.
 	srv := server.New(server.Options{
 		Engine:             engine,
 		Library:            core.LibraryOptions{RepoMaxEntries: *repoMax},
@@ -137,10 +136,8 @@ func main() {
 	}
 	logger.Info("listening",
 		slog.String("addr", *addr),
-		slog.String("tier", t.String()),
+		slog.String("tier", *tier),
 		slog.String("repo_mode", mode),
-		slog.Bool("async", engine.AsyncCompile),
-		slog.Bool("tiered", engine.Tiered),
 		slog.Int("max_sessions", *maxSessions))
 	if *repoPath != "" {
 		pm := srv.Metrics().Persist
@@ -185,31 +182,4 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Info("stopped")
-}
-
-// parsePeers parses -peers ("id=url,id=url"), dropping this node's own
-// entry (matched by node ID or by the -advertise URL).
-func parsePeers(spec, selfID, selfAddr string) ([]cluster.Node, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var out []cluster.Node
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, addr, ok := strings.Cut(part, "=")
-		if !ok || id == "" || addr == "" {
-			return nil, fmt.Errorf("bad peer %q (want id=http://host:port)", part)
-		}
-		if !strings.HasPrefix(addr, "http://") && !strings.HasPrefix(addr, "https://") {
-			return nil, fmt.Errorf("peer %q: address must be a base URL", part)
-		}
-		if id == selfID || (selfAddr != "" && strings.TrimSuffix(addr, "/") == strings.TrimSuffix(selfAddr, "/")) {
-			continue
-		}
-		out = append(out, cluster.Node{ID: id, Addr: strings.TrimSuffix(addr, "/")})
-	}
-	return out, nil
 }

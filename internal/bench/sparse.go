@@ -22,9 +22,6 @@ type SparseConfig struct {
 	Size Size
 	Reps int // best-of repetitions
 	Out  io.Writer
-	// Threads sets the engine's kernel worker count (0 = process
-	// default). Results are identical for every value.
-	Threads int
 }
 
 // sparseSizes returns the operator dimensions per preset.
@@ -46,35 +43,36 @@ const spmvDenseCap = 100_000
 
 // SparseSolverRow is one (solver, operator, n) measurement.
 type SparseSolverRow struct {
-	Solver   string  `json:"solver"`
-	Operator string  `json:"operator"`
-	N        int     `json:"n"`
-	NNZ      int     `json:"nnz"`
-	Iters    int     `json:"iters"`
-	TimeUS   int64   `json:"time_us"`
-	Residual float64 `json:"residual"`
+	Solver   string
+	Operator string
+	N        int
+	NNZ      int
+	Iters    int
+	TimeUS   int64
+	Residual float64
 }
 
 // SpMVRow is one SpMV-vs-densified comparison.
 type SpMVRow struct {
-	Operator    string  `json:"operator"`
-	N           int     `json:"n"`
-	NNZ         int     `json:"nnz"`
-	SparseUS    int64   `json:"sparse_us"`
-	DensifiedUS int64   `json:"densified_us"`
-	Speedup     float64 `json:"speedup"`
+	Operator    string
+	N           int
+	NNZ         int
+	SparseUS    int64
+	DensifiedUS int64
+	Speedup     float64
 	// Match records that the sparse product and the densified-path
 	// product agreed bit-for-bit.
-	Match bool `json:"match"`
+	Match bool
 }
 
-// SparseReport is the BENCH_sparse.json payload.
+// SparseReport is one run of the tier: the SpMV comparisons and the
+// solver rows.
 type SparseReport struct {
-	Size    string            `json:"size"`
-	Reps    int               `json:"reps"`
-	Threads int               `json:"threads"`
-	SpMV    []SpMVRow         `json:"spmv"`
-	Solvers []SparseSolverRow `json:"solvers"`
+	Size    string
+	Reps    int
+	Threads int
+	SpMV    []SpMVRow
+	Solvers []SparseSolverRow
 }
 
 func (c SparseConfig) defaults() SparseConfig {
@@ -267,11 +265,7 @@ end`
 // Run executes the sparse tier and returns the report.
 func (c SparseConfig) Run() (*SparseReport, error) {
 	c = c.defaults()
-	threads := c.Threads
-	if threads <= 0 {
-		threads = parallel.DefaultThreads()
-	}
-	rep := &SparseReport{Size: c.Size.String(), Reps: c.Reps, Threads: threads}
+	rep := &SparseReport{Size: c.Size.String(), Reps: c.Reps, Threads: parallel.DefaultThreads()}
 
 	for _, n := range sparseSizes(c.Size) {
 		row, err := c.spmvCompare(n)
@@ -317,7 +311,7 @@ func (c SparseConfig) Run() (*SparseReport, error) {
 }
 
 func (c SparseConfig) runSolver(solver, operator, src, fn string, iters, n int, mkArgs func(int) ([]*mat.Value, int)) (SparseSolverRow, error) {
-	e := core.New(core.Options{Tier: core.TierJIT, Seed: 1, Threads: c.Threads})
+	e := core.New(core.Options{Tier: core.TierJIT, Seed: 1})
 	defer e.Close()
 	if err := e.Define(src); err != nil {
 		return SparseSolverRow{}, err

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strings"
 )
 
 // Node identifies one majicd in the fleet.
@@ -25,6 +26,38 @@ type Node struct {
 	ID string `json:"id"`
 	// Addr is the node's base URL ("http://127.0.0.1:7101").
 	Addr string `json:"addr"`
+}
+
+// ParseNodes parses fleet membership as majic-gate's -nodes and majicd's
+// -peers spell it: "id=http://host:port,...". Blank parts are skipped;
+// every other part needs an id and an http(s) base URL, whose trailing
+// slash is dropped. The entry named selfID or addressed selfAddr is the
+// calling node's own and is left out (either may be empty).
+func ParseNodes(spec, selfID, selfAddr string) ([]Node, error) {
+	var out []Node
+	parts := 0
+	for _, part := range strings.Split(spec, ",") {
+		if part = strings.TrimSpace(part); part == "" {
+			continue
+		}
+		parts++
+		id, addr, ok := strings.Cut(part, "=")
+		if !ok || id == "" || addr == "" {
+			return nil, fmt.Errorf("bad node %q (want id=http://host:port)", part)
+		}
+		if !strings.HasPrefix(addr, "http://") && !strings.HasPrefix(addr, "https://") {
+			return nil, fmt.Errorf("node %q: address must be a base URL", part)
+		}
+		addr = strings.TrimSuffix(addr, "/")
+		if id == selfID || addr == strings.TrimSuffix(selfAddr, "/") {
+			continue
+		}
+		out = append(out, Node{ID: id, Addr: addr})
+	}
+	if parts == 0 {
+		return nil, fmt.Errorf("no nodes (want id=http://host:port,...)")
+	}
+	return out, nil
 }
 
 // DefaultVnodes is the virtual-node count per physical node. 64 points

@@ -297,7 +297,9 @@ func (g *gen) builtinCall(x *ast.Call) (ir.Bank, int32) {
 		if a0.IsScalar() && a1.IsScalar() && types.LeqI(a0.I, types.IReal) && types.LeqI(a1.I, types.IReal) {
 			b0, r0 := g.expr(x.Args[0])
 			b1, r1 := g.expr(x.Args[1])
-			if name == "mod" && b0 == ir.BankI && b1 == ir.BankI {
+			// Integer mod only where its result is an int: a negative
+			// dividend's −0 needs the F path.
+			if name == "mod" && b0 == ir.BankI && b1 == ir.BankI && types.LeqI(ann.I, types.IInt) {
 				d := g.newReg(ir.BankI)
 				g.emit(ir.Instr{Op: ir.OpIMod, A: d, B: r0, C: r1})
 				return ir.BankI, d

@@ -619,7 +619,26 @@ function s = f()
 end`},
 }
 
-func init() { diffPrograms = append(diffPrograms, loopPrograms...) }
+// signedZeroPrograms take −0 into compiled code: as an argument, which
+// the function locator types (types.OfScalar), and as the result of a
+// rounding builtin (infer's rules). IInt means integral and not −0, so
+// both stay in F registers and 1/x keeps its sign.
+var signedZeroPrograms = []diffProg{
+	{name: "signed_zero_argument", args: []float64{math.Copysign(0, -1)}, src: `
+function r = f(x)
+  r = 1/x;
+end`},
+	{name: "signed_zero_ceil", args: []float64{-0.5}, src: `
+function r = f(x)
+  b = ceil(x);
+  r = 1/b;
+end`},
+}
+
+func init() {
+	diffPrograms = append(diffPrograms, loopPrograms...)
+	diffPrograms = append(diffPrograms, signedZeroPrograms...)
+}
 
 var allTiers = []Tier{TierMCC, TierFalcon, TierJIT, TierSpec}
 
@@ -673,6 +692,9 @@ func valuesClose(a, b *mat.Value) bool {
 func scalarClose(x, y float64) bool {
 	if math.IsNaN(x) && math.IsNaN(y) {
 		return true
+	}
+	if math.IsInf(x, 0) || math.IsInf(y, 0) {
+		return x == y // the relative bound below holds for any two infinities
 	}
 	diff := math.Abs(x - y)
 	return diff <= 1e-9*(1+math.Max(math.Abs(x), math.Abs(y)))
@@ -741,21 +763,23 @@ func bitIdenticalAcrossTiers(t *testing.T, p diffProg) {
 // bank (ir.Prog.FConst), so the constants a program can tell apart stay
 // apart in every tier — 0 and -0 (1/x tells), the integer 1 and the real
 // 1.0, NaN, both infinities — and folding them at compile time gives the
-// interpreter's bits. (nz is born after the loop: a -0 that is live at an
-// OSR transfer arrives as a parameter, which types.OfScalar calls an int,
-// and an I register has no -0. That is older than constant registers and
-// not theirs to fix.)
+// interpreter's bits. nz holds -0 across the loop, so it is live at an
+// OSR transfer, where it arrives as a parameter, and it crosses a user
+// call both ways: types.OfScalar types it real, never int.
 func TestConstantBitPatterns(t *testing.T) {
 	bitIdenticalAcrossTiers(t, diffProg{name: "constant_bit_patterns", src: `
 function r = f()
   z = 0.0; q = NaN; p = Inf; m = -Inf; one = 1; fone = 1.0;
+  nz = -0.0;
   s = 0;
   for k = 1:3
     s = s + 1/z + 1/-0.0*0 + fone/3 + one/3 + 0.1*3 + 2^0.5;
     z = 0.0;
   end
-  nz = -0.0;
-  r = [1/z 1/nz q p m one/2 fone/2 0.1+0.2 3*0.1 -0.0*1 s -(0.0) 1e308*10 -1e308*10];
+  r = [1/z 1/nz 1/same(nz) q p m one/2 fone/2 0.1+0.2 3*0.1 -0.0*1 s -(0.0) 1e308*10 -1e308*10];
+end
+function y = same(x)
+  y = x;
 end`})
 }
 

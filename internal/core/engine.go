@@ -82,6 +82,29 @@ func ParseTier(s string) (Tier, error) {
 	return 0, fmt.Errorf("unknown tier %q (interp|mcc|falcon|jit|spec)", s)
 }
 
+// Production is the fast path, the configuration the daemon starts in:
+// tiered JIT (interpret first, promote hot signatures, OSR hot loops)
+// with compiles on the background pool and elementwise trees fused into
+// single kernels. Compile workers and kernel threads stay at their
+// GOMAXPROCS defaults.
+func Production() Options {
+	return Options{Tier: TierJIT, Tiered: true, AsyncCompile: true, FuseElemwise: true}
+}
+
+// Preset maps a -tier value to the configuration it names: one of the
+// paper's five execution strategies in paper mode (synchronous compiles,
+// one library call per operator), or prod for Production.
+func Preset(name string) (Options, error) {
+	if name == "prod" {
+		return Production(), nil
+	}
+	t, err := ParseTier(name)
+	if err != nil {
+		return Options{}, fmt.Errorf("unknown tier %q (interp|mcc|falcon|jit|spec|prod)", name)
+	}
+	return Options{Tier: t}, nil
+}
+
 // Platform selects the simulated backend-quality profile used to
 // reproduce the paper's SPARC vs MIPS contrast (see DESIGN.md §2).
 type Platform uint8
@@ -501,7 +524,7 @@ func (e *Engine) CallFunction(name string, args []*mat.Value, nout int) ([]*mat.
 	}
 	nout = max(nout, 1)
 	if e.opts.Tier == TierInterp {
-		return e.in.CallFunction(st.Fn, args, nout, e.globals)
+		return e.in.CallFunction(st.Fn, args, nout, e.globals, nil)
 	}
 	var buf [sigBuf]vm.Operand
 	outs, err := e.repo.invoke(st, vm.Boxed(buf[:0], args), nout, nil)
@@ -530,7 +553,7 @@ func (e *Engine) Interpret(name string, args []*mat.Value, nout int) ([]*mat.Val
 	if fn == nil {
 		return nil, fmt.Errorf("undefined function %q", name)
 	}
-	return e.in.CallFunction(fn, args, nout, e.globals)
+	return e.in.CallFunction(fn, args, nout, e.globals, nil)
 }
 
 // PhaseTimes accumulates per-phase compilation time, reproducing the

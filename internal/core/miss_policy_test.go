@@ -7,26 +7,30 @@ import (
 	"testing"
 
 	"repro/internal/compilequeue"
+	"repro/internal/ir"
 	"repro/internal/mat"
 	"repro/internal/repo"
 )
 
 // The miss pipeline has one code path and three wait policies; this file
 // is its one test table. Rows are the option sets users actually write
-// (sync, AsyncCompile, Tiered), columns the four compiling tiers, and
+// (sync, AsyncCompile, Tiered, and Production, which is a JIT engine),
+// columns the four compiling tiers, and
 // every cell runs the same programs through the same assertions. What a
 // cell may differ in is exactly what missPolicy says: whether the first
 // call ran compiled code and whether the compile pool saw traffic.
 
 type policyRow struct {
-	name string
-	opts Options
+	name  string
+	opts  Options
+	tiers []Tier // nil: every compiling tier
 }
 
 var policyRows = []policyRow{
-	{"sync", Options{}},
-	{"async", Options{AsyncCompile: true, CompileWorkers: 2}},
-	{"tiered", Options{Tiered: true, TierThreshold: 2}},
+	{name: "sync", opts: Options{}},
+	{name: "async", opts: Options{AsyncCompile: true, CompileWorkers: 2}},
+	{name: "tiered", opts: Options{Tiered: true, TierThreshold: 2}},
+	{name: "prod", opts: Production(), tiers: []Tier{TierJIT}},
 }
 
 func (p policyRow) options(tier Tier) Options {
@@ -41,7 +45,7 @@ func (p policyRow) options(tier Tier) Options {
 // rather than derived from newRepoState.
 func wantPolicy(row string, tier Tier) (policy missPolicy, background bool) {
 	switch {
-	case row == "tiered" && tier == TierJIT:
+	case (row == "tiered" || row == "prod") && tier == TierJIT:
 		return interpretProfiled, true
 	case row == "async" && tier == TierSpec:
 		return neverBlock, true
@@ -54,7 +58,11 @@ func wantPolicy(row string, tier Tier) (policy missPolicy, background bool) {
 
 func eachPolicy(t *testing.T, f func(t *testing.T, row policyRow, tier Tier)) {
 	for _, row := range policyRows {
-		for _, tier := range allTiers {
+		tiers := row.tiers
+		if tiers == nil {
+			tiers = allTiers
+		}
+		for _, tier := range tiers {
 			t.Run(row.name+"/"+tier.String(), func(t *testing.T) { f(t, row, tier) })
 		}
 	}
@@ -188,6 +196,87 @@ func TestMissPolicies(t *testing.T) {
 		})
 	})
 
+	// Production, the daemon's default, past its own threshold: the hot
+	// signature is promoted by a job on the pool into a body whose
+	// elementwise tree is one fused kernel. Through cold calls, OSR,
+	// promotion and the promoted body, every differential program gives
+	// the bits of an unfused, synchronous tiered engine on the same
+	// schedule (fusion and the pool change no result) and agrees with the
+	// interpreter to the standard of the "results" rows.
+	t.Run("prod", func(t *testing.T) {
+		e := New(Production())
+		defer e.Close()
+		if err := e.Define("function y = chain(x)\n  y = (x + x) .* x - x;\nend"); err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]float64, 100)
+		for i := range vals {
+			vals[i] = float64(i)*0.25 - 7
+		}
+		x := mat.FromSlice(1, len(vals), vals)
+		want, err := e.Interpret("chain", []*mat.Value{x}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i <= DefaultTierThreshold; i++ {
+			got, err := e.Call("chain", []*mat.Value{x}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payloadEqual(t, fmt.Sprintf("chain call %d", i), want, got)
+			e.Drain()
+		}
+		if qs := e.QueueStats(); qs.Submitted < 1 {
+			t.Fatalf("no job reached the pool: %+v", qs)
+		}
+		var fused bool
+		for _, en := range e.Repo().Entries("chain") {
+			if en.Quality == repo.QualityOpt && en.Code != nil {
+				for _, in := range en.Code.P.Ins {
+					fused = fused || in.Op == ir.OpVFused
+				}
+			}
+		}
+		if !fused {
+			t.Fatalf("no promoted body with a fused kernel: %v", e.Repo().Entries("chain"))
+		}
+
+		for _, p := range diffPrograms {
+			want := runTier(t, p, TierInterp, PlatformSPARC)
+			prod := Production()
+			prod.Seed = 12345
+			engines := []*Engine{New(prod), New(Options{Tier: TierJIT, Tiered: true, Seed: 12345})}
+			args := make([]*mat.Value, len(p.args))
+			for i, a := range p.args {
+				args[i] = mat.Scalar(a)
+			}
+			for _, e := range engines {
+				if err := e.Define(p.src); err != nil {
+					t.Fatalf("[%s] define: %v", p.name, err)
+				}
+			}
+			for rep := 0; rep <= DefaultTierThreshold; rep++ {
+				var outs [2][]*mat.Value
+				for k, e := range engines {
+					e.Context().RNG.Seed(12345)
+					got, err := e.Call("f", args, 1)
+					if err != nil {
+						t.Fatalf("[%s] rep %d: %v", p.name, rep, err)
+					}
+					outs[k] = got
+					e.Drain()
+				}
+				payloadEqual(t, fmt.Sprintf("[%s] rep %d, prod vs unfused tiered", p.name, rep), outs[1], outs[0])
+				if !valuesClose(want, outs[0][0]) {
+					t.Fatalf("[%s] rep %d: got %s, want %s", p.name, rep, outs[0][0], want)
+				}
+			}
+			for _, e := range engines {
+				e.Close()
+			}
+		}
+	})
+
 	// Widening and single flight hold under every policy: however many
 	// distinct constants are passed, each compile signature is inserted
 	// once and no two live entries share a signature.
@@ -226,7 +315,8 @@ func TestMissPolicies(t *testing.T) {
 
 	// A construct the compiler rejects (nargin defeats the disambiguator)
 	// still runs, and the decision is cached as exactly one code-less
-	// placeholder so later lookups stop missing.
+	// placeholder so later lookups stop missing (profiled rows: once the
+	// signature is hot).
 	t.Run("unsupported", func(t *testing.T) {
 		eachPolicy(t, func(t *testing.T, row policyRow, tier Tier) {
 			e := New(row.options(tier))
@@ -234,7 +324,7 @@ func TestMissPolicies(t *testing.T) {
 			if err := e.Define(unsupportedSrc); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 4; i++ {
+			for i := 0; i < DefaultTierThreshold; i++ {
 				outs, err := e.Call("h", []*mat.Value{mat.Scalar(1), mat.Scalar(2)}, 1)
 				if err != nil {
 					t.Fatal(err)

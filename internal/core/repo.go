@@ -307,7 +307,7 @@ func (r *repoState) runEntry(entry *repo.Entry, fn *ast.Function, args []vm.Oper
 	if entry.Quality == repo.QualityInterp || err == vm.ErrGuardMiss {
 		var buf [sigBuf]*mat.Value
 		var vals []*mat.Value
-		vals, err = r.e.in.CallFunction(fn, vm.BoxAll(buf[:0], args), nout, r.e.globals)
+		vals, err = r.e.in.CallFunction(fn, vm.BoxAll(buf[:0], args), nout, r.e.globals, nil)
 		outs = vm.Boxed(nil, vals)
 	}
 	return r.leave(fn.Name, t0, nout, outs, err)
@@ -343,7 +343,7 @@ func (r *repoState) invokeProfiled(st *repo.FuncState, sig types.Signature, args
 	}
 	t0 := r.enter()
 	var buf [sigBuf]*mat.Value
-	vals, err := e.in.CallFunctionTiered(fn, vm.BoxAll(buf[:0], args), nout, e.globals, fr)
+	vals, err := e.in.CallFunction(fn, vm.BoxAll(buf[:0], args), nout, e.globals, fr)
 	return r.leave(fn.Name, t0, nout, vm.Boxed(nil, vals), err)
 }
 

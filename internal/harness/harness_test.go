@@ -152,36 +152,28 @@ func TestExperimentPrintersRun(t *testing.T) {
 	}
 }
 
-// TestEngineBase: every harness engine copies Config.Engine (where
-// majic-bench puts the shared engine flags) and sets only its arm's tier,
-// platform, tiering and ablation switches over it, so the base's Tiered
-// never leaks into a non-tiered arm. A zero base builds the arm alone:
-// paper mode.
-func TestEngineBase(t *testing.T) {
+// TestEnginesAreTheirArm: every harness engine is the paper-mode arm it
+// measures (tier, platform, ablation switches) plus the run's seed, and
+// nothing else: no background compiles, fusion or tiering.
+func TestEnginesAreTheirArm(t *testing.T) {
 	b := bench.ByName("fibonacci")
-	base := core.Options{AsyncCompile: true, CompileWorkers: 2, FuseElemwise: true, Tiered: true, TierThreshold: 5}
-	for _, c := range []struct {
-		base, arm core.Options
-	}{
-		{base, core.Options{Tier: core.TierInterp}},
-		{base, core.Options{Tier: core.TierFalcon, Platform: core.PlatformMIPS, SpillAll: true}},
-		{base, core.Options{Tier: core.TierJIT, JITBackendOpts: true}},
-		{base, core.Options{Tier: core.TierJIT, Tiered: true}},
-		{core.Options{}, core.Options{Tier: core.TierSpec, DisableRanges: true}},
+	cfg := Config{Size: bench.Small}
+	for _, arm := range []core.Options{
+		{Tier: core.TierInterp},
+		{Tier: core.TierFalcon, Platform: core.PlatformMIPS, SpillAll: true},
+		{Tier: core.TierJIT, JITBackendOpts: true},
+		{Tier: core.TierSpec, DisableRanges: true},
 	} {
-		cfg := Config{Size: bench.Small, Engine: c.base}
-		e, err := cfg.newEngine(b, c.arm)
+		e, err := cfg.newEngine(b, arm)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := e.Options()
 		e.Close()
-		want := c.base
-		want.Tier, want.Platform, want.Tiered = c.arm.Tier, c.arm.Platform, c.arm.Tiered
-		want.DisableRanges, want.SpillAll, want.JITBackendOpts = c.arm.DisableRanges, c.arm.SpillAll, c.arm.JITBackendOpts
+		want := arm
 		want.Seed = cfg.seed()
 		if got != want {
-			t.Errorf("arm %+v over base %+v:\n got %+v\nwant %+v", c.arm, c.base, got, want)
+			t.Errorf("arm %+v:\n got %+v\nwant %+v", arm, got, want)
 		}
 	}
 }

@@ -35,7 +35,6 @@ func TestFig4OutputsBitIdenticalWithTelemetry(t *testing.T) {
 			plain := smallCfg(b.Name)
 			traced := smallCfg(b.Name)
 			traced.Tracer = telemetry.NewTracer(0)
-			traced.Journal = telemetry.NewJournal(0)
 
 			want := runOne(t, plain, b)
 			got := runOne(t, traced, b)

@@ -176,13 +176,28 @@ func registerBuiltinRules(c *Calculator) {
 			return types.Type{I: types.ICplx, MinShape: t.MinShape, MaxShape: t.MaxShape, R: types.RangeTop}
 		}, nil, name)
 	}
-	unary("floor", func(t types.Type) types.Type { return elemInt(t, monoR(t.R, math.Floor)) }, nil, "floor")
-	unary("ceil", func(t types.Type) types.Type { return elemInt(t, monoR(t.R, math.Ceil)) }, nil, "ceil")
-	unary("round", func(t types.Type) types.Type {
-		return elemInt(t, monoR(t.R, func(x float64) float64 { return math.Floor(x + 0.5) }))
-	}, nil, "round")
-	unary("fix", func(t types.Type) types.Type { return elemInt(t, monoR(t.R, math.Trunc)) }, nil, "fix")
-	unary("sign", func(t types.Type) types.Type { return elemInt(t, types.MkRange(-1, 1)) }, nil, "sign")
+	// The rounding builtins return integral values, but IInt also means
+	// "not −0" (an I register has none): the result is an int only when
+	// the argument is one (its own rounding) or its range misses every
+	// value that rounds to −0 — [lo, 0], open at lo when loOpen. A range
+	// that holds 0 may hold −0.
+	rounding := func(name string, r func(types.Range) types.Range, lo float64, loOpen bool) {
+		unary(name, func(t types.Type) types.Type {
+			out := elemInt(t, r(t.R))
+			if !types.LeqI(t.I, types.IInt) && !t.R.IsBot() && t.R.Lo <= 0 && (t.R.Hi > lo || !loOpen && t.R.Hi == lo) {
+				out.I = types.IReal
+			}
+			return out
+		}, nil, name)
+	}
+	mono := func(f func(float64) float64) func(types.Range) types.Range {
+		return func(r types.Range) types.Range { return monoR(r, f) }
+	}
+	rounding("floor", mono(math.Floor), 0, false)
+	rounding("ceil", mono(math.Ceil), -1, true)
+	rounding("round", mono(func(x float64) float64 { return math.Floor(x + 0.5) }), -0.5, false)
+	rounding("fix", mono(math.Trunc), -1, true)
+	rounding("sign", func(types.Range) types.Range { return types.MkRange(-1, 1) }, 0, false)
 	unary("real", func(t types.Type) types.Type { return elemReal(t, numericRange(t)) }, nil, "real part")
 	unary("imag", func(t types.Type) types.Type { return elemReal(t, types.RangeTop) }, nil, "imag part")
 	unary("conj", func(t types.Type) types.Type { return t }, nil, "conjugate")
@@ -201,8 +216,7 @@ func registerBuiltinRules(c *Calculator) {
 	}, func(a []types.Type) types.Type {
 		m, _ := a[1].R.IsConst()
 		minS, maxS := elemShape(a[0], a[1])
-		i := arithI(a[0].I, a[1].I, types.IBool)
-		return types.Type{I: i, MinShape: minS, MaxShape: maxS, R: types.MkRange(0, m)}
+		return types.Type{I: remI(a), MinShape: minS, MaxShape: maxS, R: types.MkRange(0, m)}
 	})
 	reg("mod", "mod", nArgs(2), func(a []types.Type) types.Type {
 		minS, maxS := elemShape(a[0], a[1])
@@ -210,8 +224,7 @@ func registerBuiltinRules(c *Calculator) {
 	})
 	reg("rem", "rem", nArgs(2), func(a []types.Type) types.Type {
 		minS, maxS := elemShape(a[0], a[1])
-		i := arithI(a[0].I, a[1].I, types.IBool)
-		return types.Type{I: i, MinShape: minS, MaxShape: maxS, R: types.RangeTop}
+		return types.Type{I: remI(a), MinShape: minS, MaxShape: maxS, R: types.RangeTop}
 	})
 
 	// --- reductions ----------------------------------------------------------------
@@ -422,6 +435,17 @@ func registerBuiltinRules(c *Calculator) {
 }
 
 func anyArgs([]types.Type) bool { return true }
+
+// remI is the intrinsic of mod(x, m) and rem(x, m): arithmetic on the
+// operands, except that a negative multiple of m gives −0, which IInt
+// cannot hold, so an int result needs a dividend that is never negative.
+func remI(a []types.Type) types.Intrinsic {
+	i := arithI(a[0].I, a[1].I, types.IBool)
+	if i == types.IInt && !(a[0].R.Lo >= 0) {
+		return types.IReal
+	}
+	return i
+}
 
 func nArgs0toN(n int) func([]types.Type) bool {
 	return func(a []types.Type) bool { return len(a) <= n }

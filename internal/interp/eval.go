@@ -224,12 +224,16 @@ func (in *Interp) evalCallCtx(x *ast.Call, env *Env, nout int, ctx *evalCtx) ([]
 }
 
 // CallFunction interprets a user function body with call-by-value
-// argument binding in a fresh frame.
-func (in *Interp) CallFunction(fn *ast.Function, args []*mat.Value, nout int, globals map[string]*mat.Value) ([]*mat.Value, error) {
+// argument binding in a fresh frame. A non-nil fr attaches a tiered
+// execution frame: loop safepoints feed its counters, and a hot loop may
+// transfer the activation into compiled code mid-run, in which case the
+// compiled continuation's outputs are returned. A nil fr is untiered.
+func (in *Interp) CallFunction(fn *ast.Function, args []*mat.Value, nout int, globals map[string]*mat.Value, fr *Frame) ([]*mat.Value, error) {
 	if len(args) > len(fn.Ins) {
 		return nil, tooManyArgs(fn)
 	}
 	env := NewEnv(globals)
+	env.frame = fr
 	for i, a := range args {
 		// Call-by-value: the callee sees a private copy. Like MATLAB's
 		// refcounted arrays, the copy is deferred: the value is marked
@@ -239,8 +243,16 @@ func (in *Interp) CallFunction(fn *ast.Function, args []*mat.Value, nout int, gl
 	}
 	env.Bind("nargin", mat.IntScalar(float64(len(args))))
 	env.Bind("nargout", mat.IntScalar(float64(nout)))
-	if err := in.ExecStmts(fn.Body, env); err != nil {
+	c, err := in.execBlock(fn.Body, env)
+	switch {
+	case err != nil:
 		return nil, err
+	case c == ctlOSR:
+		// The compiled continuation already ran to the function's
+		// return and produced the outputs.
+		return fr.osrOuts, nil
+	case c == ctlBreak || c == ctlContinue:
+		return nil, errLooseBreak()
 	}
 	return collectOuts(fn, env, nout)
 }

@@ -141,7 +141,7 @@ func (in *Interp) ExecStmts(stmts []ast.Stmt, env *Env) error {
 		return err
 	}
 	if c == ctlBreak || c == ctlContinue {
-		return fmt.Errorf("break/continue outside a loop")
+		return errLooseBreak()
 	}
 	return nil
 }

@@ -40,7 +40,7 @@ func (h *host) CallFunction(name string, args []*mat.Value, nout int) ([]*mat.Va
 	if fn == nil {
 		return nil, mat.Errorf("no function %q", name)
 	}
-	return h.in.CallFunction(fn, args, nout, h.glob)
+	return h.in.CallFunction(fn, args, nout, h.glob, nil)
 }
 
 func (h *host) run(t *testing.T, src string) *Env {

@@ -135,34 +135,3 @@ func (e *Env) HasGlobals() bool {
 	}
 	return false
 }
-
-// CallFunctionTiered is CallFunction with a tiered-execution frame
-// attached: loop safepoints feed fr's counters, and a hot loop may
-// transfer the activation into compiled code mid-run, in which case the
-// compiled continuation's outputs are returned.
-func (in *Interp) CallFunctionTiered(fn *ast.Function, args []*mat.Value, nout int, globals map[string]*mat.Value, fr *Frame) ([]*mat.Value, error) {
-	if len(args) > len(fn.Ins) {
-		return nil, tooManyArgs(fn)
-	}
-	env := NewEnv(globals)
-	env.frame = fr
-	for i, a := range args {
-		a.MarkShared()
-		env.Bind(fn.Ins[i], a)
-	}
-	env.Bind("nargin", mat.IntScalar(float64(len(args))))
-	env.Bind("nargout", mat.IntScalar(float64(nout)))
-	c, err := in.execBlock(fn.Body, env)
-	if err != nil {
-		return nil, err
-	}
-	if c == ctlOSR {
-		// The compiled continuation already ran to the function's
-		// return and produced the outputs.
-		return fr.osrOuts, nil
-	}
-	if c == ctlBreak || c == ctlContinue {
-		return nil, errLooseBreak()
-	}
-	return collectOuts(fn, env, nout)
-}

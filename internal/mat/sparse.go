@@ -2,7 +2,6 @@ package mat
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -51,30 +50,9 @@ type sparseData struct {
 // (an n=10^6 operand would need 8 TB dense).
 const denseGuardLimit = 1 << 27
 
-// sparseThresholdBits holds the -sparse-threshold density cutoff
-// (float64 bits). Results of sparse-preserving operators denser than
-// this auto-densify. Process-global, like OversizeEnabled.
-var sparseThresholdBits atomic.Uint64
-
-func init() { sparseThresholdBits.Store(math.Float64bits(0.5)) }
-
-// SetSparseThreshold sets the density above which sparse operator
-// results auto-densify (constructors are exempt). Values are clamped to
-// [0, 1]; 1 keeps every result sparse.
-func SetSparseThreshold(d float64) {
-	if d < 0 {
-		d = 0
-	}
-	if d > 1 {
-		d = 1
-	}
-	sparseThresholdBits.Store(math.Float64bits(d))
-}
-
-// SparseThresholdValue returns the current density cutoff.
-func SparseThresholdValue() float64 {
-	return math.Float64frombits(sparseThresholdBits.Load())
-}
+// SparseThreshold is the density above which the result of a
+// sparse-preserving operator densifies (constructors are exempt).
+const SparseThreshold = 0.5
 
 // IsSparse reports whether the value uses the CSR storage form.
 func (v *Value) IsSparse() bool { return v.sp != nil }
@@ -307,7 +285,7 @@ func (v *Value) Dense() (*Value, error) {
 func (d *sparseData) dense() ([]float64, error) {
 	n := d.rows * d.cols
 	if n > denseGuardLimit {
-		return nil, Errorf("sparse: refusing to densify a %dx%d matrix (%d elements exceeds the densification guard; raise -sparse-threshold or restructure with sparse-aware operations)", d.rows, d.cols, n)
+		return nil, Errorf("sparse: refusing to densify a %dx%d matrix (%d elements exceeds the densification guard; keep it sparse with sparse-aware operations)", d.rows, d.cols, n)
 	}
 	re := make([]float64, n)
 	for i := 0; i < d.rows; i++ {
@@ -392,11 +370,14 @@ func (d *sparseData) triangularity() sparse.Triangularity {
 // results denser than SparseThreshold densify (unless the guard
 // refuses, in which case the sparse form is kept — it is always the
 // safe representation).
-func finishSparse(v *Value) *Value {
+func finishSparse(v *Value) *Value { return densifyAbove(v, SparseThreshold) }
+
+// densifyAbove is finishSparse at an arbitrary cutoff.
+func densifyAbove(v *Value, threshold float64) *Value {
 	if v.sp == nil {
 		return v
 	}
-	if v.Density() > SparseThresholdValue() {
+	if v.Density() > threshold {
 		if d, err := v.Dense(); err == nil {
 			return d
 		}

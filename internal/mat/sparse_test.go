@@ -256,10 +256,8 @@ func TestSparseTransposeCached(t *testing.T) {
 }
 
 func TestSparseThresholdDensifiesResults(t *testing.T) {
-	defer SetSparseThreshold(0.5)
-	SetSparseThreshold(0.1)
-	// Operator result at density 0.5 > 0.1: densifies.
-	a, _ := denseFrom(2, 2, []float64{1, 0, 2, 0}).Sparse()
+	// Operator result at density 0.75 > SparseThreshold: densifies.
+	a, _ := denseFrom(2, 2, []float64{1, 0, 2, 3}).Sparse()
 	sum, err := Add(a, a)
 	if err != nil {
 		t.Fatal(err)
@@ -267,17 +265,19 @@ func TestSparseThresholdDensifiesResults(t *testing.T) {
 	if sum.IsSparse() {
 		t.Fatal("result above the density cutoff must densify")
 	}
-	// Constructors are exempt: speye(2) has density 0.5 and stays sparse.
-	if !SparseEye(2, 2).IsSparse() {
-		t.Fatal("constructors must not densify")
+	// At the cutoff itself (density 0.5) the result stays sparse.
+	b, _ := denseFrom(2, 2, []float64{1, 0, 2, 0}).Sparse()
+	if sum, err = Add(b, b); err != nil || !sum.IsSparse() {
+		t.Fatalf("result at the density cutoff must stay sparse (err %v)", err)
+	}
+	// Constructors are exempt: a 3x3 matrix with 7 stored entries stays
+	// sparse.
+	c, err := SparseFromTriplets(3, 3, []int{0, 0, 0, 1, 1, 2, 2}, []int{0, 1, 2, 0, 1, 0, 2}, []float64{1, 1, 1, 1, 1, 1, 1})
+	if err != nil || !c.IsSparse() {
+		t.Fatalf("constructors must not densify (err %v)", err)
 	}
 	// Threshold 1 keeps everything sparse.
-	SetSparseThreshold(1)
-	sum2, err := Add(a, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sum2.IsSparse() {
+	if !densifyAbove(a, 1).IsSparse() {
 		t.Fatal("threshold 1 must keep results sparse")
 	}
 }
@@ -290,13 +290,7 @@ func TestSparseDenseGuard(t *testing.T) {
 	if _, err := big.Dense(); err == nil || !strings.Contains(err.Error(), "refusing to densify") {
 		t.Fatalf("dense guard: err = %v", err)
 	}
-	defer SetSparseThreshold(0.5)
-	SetSparseThreshold(0)
-	sum, err := Add(big, big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sum.IsSparse() {
+	if !densifyAbove(big, 0).IsSparse() {
 		t.Fatal("guard-refused densification must keep the sparse form")
 	}
 }

@@ -13,7 +13,6 @@ package mat
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"sync/atomic"
 )
@@ -399,33 +398,6 @@ func (v *Value) IsTrue() bool {
 	}
 	for i := 0; i < n; i++ {
 		if v.re[i] == 0 && (v.im == nil || v.im[i] == 0) {
-			return false
-		}
-	}
-	return true
-}
-
-// AllIntegral reports whether every element is a real integral value (used
-// to refine Real results back to Int and for subscript validation).
-func (v *Value) AllIntegral() bool {
-	if v.sp != nil {
-		// Implicit zeros are integral; only stored entries need scanning.
-		for _, x := range v.sp.val {
-			if x != math.Trunc(x) || math.IsInf(x, 0) || math.IsNaN(x) {
-				return false
-			}
-		}
-		return true
-	}
-	if v.im != nil {
-		for _, x := range v.Im() {
-			if x != 0 {
-				return false
-			}
-		}
-	}
-	for _, x := range v.Re() {
-		if x != math.Trunc(x) || math.IsInf(x, 0) || math.IsNaN(x) {
 			return false
 		}
 	}

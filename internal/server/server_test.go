@@ -258,9 +258,10 @@ func TestGenerationSafeRedefinition(t *testing.T) {
 }
 
 // TestIsolatedSessionsInheritLibraryOptions is the regression test for
-// `majicd -isolated -async -workers=N -repo-max=K`: the flags filled only
-// Options.Library, isolated sessions build their private libraries from
-// Options.Engine, and so ran synchronous and unbounded. New reconciles
+// a daemon whose compile settings fill only Options.Library (as
+// `majicd -isolated -repo-max=K` does): isolated sessions build their
+// private libraries from Options.Engine, and so ran synchronous and
+// unbounded. New reconciles
 // the two structs; the compile of an isolated session's first call must
 // show up as compile-queue traffic.
 func TestIsolatedSessionsInheritLibraryOptions(t *testing.T) {
@@ -278,7 +279,7 @@ func TestIsolatedSessionsInheritLibraryOptions(t *testing.T) {
 		t.Fatalf("eval: %d %+v %+v", code, ok, bad)
 	}
 	if m := tc.metrics(); m.SharedRepo || m.Queue.Submitted < 1 {
-		t.Fatalf("isolated -async daemon compiled inline: queue %+v", m.Queue)
+		t.Fatalf("isolated async daemon compiled inline: queue %+v", m.Queue)
 	}
 }
 
@@ -533,5 +534,26 @@ func TestFlightRecorderEndpoints(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		_, body = tc.do("GET", "/debug/events", nil)
 		json.Unmarshal(body, &ev)
+	}
+}
+
+// TestDefaultDaemonRunsProduction: a majicd started without -tier builds
+// Options{Engine: core.Production()}. Its sessions start interpreted, and
+// DefaultTierThreshold calls of a hot function promote it with a job on
+// the shared library's compile pool.
+func TestDefaultDaemonRunsProduction(t *testing.T) {
+	srv, tc := startServer(t, Options{Engine: core.Production()})
+	id := tc.createSession()
+	if code, _, bad := tc.eval(id, "function y = hot(x)\ny = x * 2 + 1;\n"); code != http.StatusOK {
+		t.Fatalf("define: %+v", bad)
+	}
+	for i := 0; i < core.DefaultTierThreshold; i++ {
+		if code, _, bad := tc.eval(id, "r = hot(3);"); code != http.StatusOK {
+			t.Fatalf("eval %d: %+v", i, bad)
+		}
+	}
+	srv.Library().Drain()
+	if m := tc.metrics(); m.Queue.Submitted < 1 || m.Profile.Promotions < 1 {
+		t.Fatalf("queue %+v, profile %+v: want a promotion compiled on the pool", m.Queue, m.Profile)
 	}
 }

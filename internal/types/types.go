@@ -389,18 +389,19 @@ func OfValue(v *mat.Value) Type {
 	if n <= rangeScanLimit {
 		re := v.Re()
 		lo, hi := re[0], re[0]
-		for _, x := range re[1:] {
+		integral, negZero := true, false
+		for _, x := range re {
 			if x < lo {
 				lo = x
 			}
 			if x > hi {
 				hi = x
 			}
+			integral = integral && x == math.Trunc(x) && !math.IsInf(x, 0)
+			negZero = negZero || isNegZero(x)
 		}
 		t.R = Range{lo, hi}
-		if i == IReal && v.AllIntegral() {
-			t.I = IInt
-		}
+		t.I = refineInt(i, integral, negZero)
 	}
 	return t
 }
@@ -410,17 +411,30 @@ func OfValue(v *mat.Value) Type {
 // registers, and the function locator must type a register scalar
 // exactly as it would type the box it replaces (OfValue calls this for
 // dense scalars, so the two cannot drift apart). The range is [x, x], NaN
-// included; a real with an integral finite value is an int.
+// included; a real with an integral finite value is an int, unless it
+// is −0.
 func OfScalar(k mat.Kind, x float64) Type {
 	i := intrinsicOf(k)
 	if i == ICplx || i == IStrg {
 		return ScalarOf(i, RangeTop)
 	}
-	if i == IReal && x == math.Trunc(x) && !math.IsInf(x, 0) {
-		i = IInt
-	}
-	return ScalarOf(i, Const(x))
+	return ScalarOf(refineInt(i, x == math.Trunc(x) && !math.IsInf(x, 0), isNegZero(x)), Const(x))
 }
+
+// refineInt is the int/real decision of OfValue and OfScalar. IInt means
+// integral and not −0: an int lives in an I register, which has no −0, so
+// a value holding a signed zero is real whatever its kind says.
+func refineInt(i Intrinsic, integral, negZero bool) Intrinsic {
+	switch {
+	case (i == IInt || i == IReal) && negZero:
+		return IReal
+	case i == IReal && integral:
+		return IInt
+	}
+	return i
+}
+
+func isNegZero(x float64) bool { return x == 0 && math.Signbit(x) }
 
 func intrinsicOf(k mat.Kind) Intrinsic {
 	switch k {

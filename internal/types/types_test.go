@@ -389,6 +389,23 @@ func TestTypesOfScalarEqualsOfValue(t *testing.T) {
 	if got := OfScalar(mat.Int, 3); !same(got, ScalarOf(IInt, Const(3))) {
 		t.Errorf("a staged I 3 is %v, want int <1,1> [3,3]", got)
 	}
+	// IInt means integral and not −0 (an I register has no −0): +0 is an
+	// int, −0 is a real whatever the kind, boxed or staged, alone or in an
+	// array.
+	negZero := math.Copysign(0, -1)
+	for _, k := range []mat.Kind{mat.Int, mat.Real} {
+		if got := OfScalar(k, 0).I; got != IInt {
+			t.Errorf("%v +0 is %v, want int", k, got)
+		}
+		if got := OfScalar(k, negZero).I; got != IReal {
+			t.Errorf("%v -0 is %v, want real", k, got)
+		}
+		arr := mat.NewKind(k, 1, 3)
+		arr.Re()[0], arr.Re()[1], arr.Re()[2] = 1, negZero, 2
+		if got := OfValue(arr).I; got != IReal {
+			t.Errorf("%v [1 -0 2] is %v, want real", k, got)
+		}
+	}
 	// What is not a dense scalar still goes the long way round.
 	if got := OfValue(mat.SparseZeros(1, 1)); !got.Sp || !got.R.IsTop() {
 		t.Errorf("a sparse 1x1 value is typed %v", got)
