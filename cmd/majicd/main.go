@@ -56,7 +56,6 @@ func main() {
 	maxEvals := flag.Int("max-evals", 0, "max concurrently executing evals (0 = 2x GOMAXPROCS)")
 	idleTTL := flag.Duration("idle-ttl", 15*time.Minute, "evict sessions idle longer than this")
 	deadline := flag.Duration("deadline", 60*time.Second, "default and maximum per-eval deadline")
-	isolated := flag.Bool("isolated", false, "give every session a private repository (no sharing)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	logLevel := flag.String("log-level", "info", "structured log threshold: debug|info|warn|error (JSON lines on stderr; debug adds per-request and per-eval records)")
 	nodeID := flag.String("node-id", "", "cluster node name (required with -peers; stamped on /readyz and replicated entries)")
@@ -77,14 +76,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *repoPath != "" && *isolated {
-		fmt.Fprintln(os.Stderr, "majicd: -repo-path requires the shared repository (drop -isolated)")
-		os.Exit(2)
-	}
-	if *peers != "" && *isolated {
-		fmt.Fprintln(os.Stderr, "majicd: -peers requires the shared repository (drop -isolated)")
-		os.Exit(2)
-	}
 	if *peers != "" && *nodeID == "" {
 		fmt.Fprintln(os.Stderr, "majicd: -peers requires -node-id")
 		os.Exit(2)
@@ -96,12 +87,9 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	// server.New reconciles Engine and Library, so shared and -isolated
-	// sessions get the same compile policy and -repo-max.
 	srv := server.New(server.Options{
 		Engine:             engine,
 		Library:            core.LibraryOptions{RepoMaxEntries: *repoMax},
-		Isolated:           *isolated,
 		RepoPath:           *repoPath,
 		MaxSessions:        *maxSessions,
 		MaxConcurrentEvals: *maxEvals,
@@ -130,14 +118,9 @@ func main() {
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 
-	mode := "shared"
-	if *isolated {
-		mode = "isolated"
-	}
 	logger.Info("listening",
 		slog.String("addr", *addr),
 		slog.String("tier", *tier),
-		slog.String("repo_mode", mode),
 		slog.Int("max_sessions", *maxSessions))
 	if *repoPath != "" {
 		pm := srv.Metrics().Persist

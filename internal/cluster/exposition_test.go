@@ -23,7 +23,7 @@ import (
 
 var updateExposition = flag.Bool("update-exposition", false, "rewrite testdata/exposition.golden")
 
-// expositionScenarios boots the four fixed deployments whose scrapes the
+// expositionScenarios boots the three fixed deployments whose scrapes the
 // exposition golden pins, drives each a little, and returns the base URL
 // to scrape, keyed by scenario name.
 func expositionScenarios(t *testing.T) map[string]string {
@@ -40,18 +40,6 @@ func expositionScenarios(t *testing.T) map[string]string {
 	gwEval(t, out["shared-tiered"], id, "function y = fr(x)\ny = x + 1;\n")
 	for i := 0; i < 8; i++ {
 		gwEval(t, out["shared-tiered"], id, "r = fr(2);")
-	}
-
-	// An isolated daemon: one live session, one destroyed.
-	isolated := server.New(server.Options{Engine: core.Options{Tier: core.TierJIT}, Isolated: true})
-	out["isolated"] = serve(t, isolated)
-	for i := 0; i < 2; i++ {
-		id := nodeCreate(t, out["isolated"])
-		gwEval(t, out["isolated"], id, "function y = sq(x)\ny = x * x;\n")
-		gwEval(t, out["isolated"], id, "r = sq(3);")
-		if i == 0 {
-			gwDo(t, "DELETE", out["isolated"]+"/sessions/"+id, nil)
-		}
 	}
 
 	// A gateway over one node.
@@ -334,7 +322,7 @@ func checkViews(t *testing.T, path string, v reflect.Value, samples map[string]f
 // and every majic_cluster_* sample a ReplicatorStats or IngestStats one.
 func TestMetricsViewsAgree(t *testing.T) {
 	urls := expositionScenarios(t)
-	for _, name := range []string{"shared-tiered", "isolated", "gateway", "replicator"} {
+	for _, name := range []string{"shared-tiered", "gateway", "replicator"} {
 		js, samples := settledScrape(t, urls[name])
 		var view any
 		if name == "gateway" {
@@ -347,12 +335,6 @@ func TestMetricsViewsAgree(t *testing.T) {
 			var ms server.MetricsSnapshot
 			if err := json.Unmarshal(js, &ms); err != nil {
 				t.Fatal(err)
-			}
-			// Isolated sums: each session compiled sq once, and only the
-			// live one still holds it — a retired session keeps its
-			// counters and drops its gauges.
-			if r := ms.Repo; name == "isolated" && (r.Inserts != 2 || r.Misses != 2 || r.Functions != 1 || r.Entries != 1) {
-				t.Errorf("isolated repo sums = %+v, want inserts 2, misses 2, functions 1, entries 1", r)
 			}
 			if ms.Cluster != nil {
 				var rs struct {

@@ -40,8 +40,6 @@ type Gateway struct {
 	logger       *slog.Logger
 	maxReplayOps int
 
-	registry *telemetry.Registry
-
 	mu       sync.Mutex
 	sessions map[string]*gwSession
 	nextID   uint64
@@ -130,18 +128,15 @@ func NewGateway(opts GatewayOptions) *Gateway {
 	if maxOps <= 0 {
 		maxOps = DefaultMaxReplayOps
 	}
-	g := &Gateway{
+	return &Gateway{
 		ring:         opts.Ring,
 		health:       opts.Health,
 		client:       client,
 		logger:       logger,
 		maxReplayOps: maxOps,
-		registry:     telemetry.NewRegistry(),
 		sessions:     make(map[string]*gwSession),
 		rng:          rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
-	g.registry.RegisterFunc("gateway", g.collectTelemetry)
-	return g
 }
 
 // Handler returns the gateway's HTTP handler (the daemon session API
@@ -651,7 +646,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := g.registry.WritePrometheus(w); err != nil {
+	if err := telemetry.WritePrometheus(w, g.samples()); err != nil {
 		g.logger.Warn("prometheus write failed", slog.String("error", err.Error()))
 	}
 }
@@ -663,14 +658,15 @@ func (g *Gateway) handleNodes(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (g *Gateway) collectTelemetry(emit func(telemetry.Sample)) {
-	telemetry.Emit(emit, g.Stats())
+// samples renders the gateway's counters and its ready-node count.
+func (g *Gateway) samples() []telemetry.Sample {
 	ready := 0
 	for _, n := range g.health.Snapshot() {
 		if n.Ready {
 			ready++
 		}
 	}
-	emit(telemetry.Sample{Name: "majic_gate_nodes_ready", Help: "Fleet nodes currently passing readiness.",
-		Kind: telemetry.KindGauge, Value: float64(ready)})
+	return append(telemetry.Emit(nil, g.Stats()),
+		telemetry.Sample{Name: "majic_gate_nodes_ready", Help: "Fleet nodes currently passing readiness.",
+			Kind: telemetry.KindGauge, Value: float64(ready)})
 }

@@ -313,8 +313,8 @@ func (r *Replicator) post(peer Node, body []byte) (applied bool, err error) {
 		// Transient (node restarting, proxy hiccup): retryable.
 		return false, fmt.Errorf("HTTP %d: %s", resp.StatusCode, raw)
 	default:
-		// 4xx (version skew, isolated peer): retrying can't help; treat
-		// as delivered-and-refused so the worker moves on.
+		// 4xx (version or IR-fingerprint skew): retrying can't help;
+		// treat as delivered-and-refused so the worker moves on.
 		return false, nil
 	}
 }

@@ -29,8 +29,9 @@ func asyncWorkWant(n int) float64 {
 // key against one shared engine repository must trigger exactly one
 // compile — stats assert Inserts == 1.
 func TestAsyncSingleFlight(t *testing.T) {
-	e := New(Options{Tier: TierJIT, AsyncCompile: true, CompileWorkers: 4, Seed: 2})
-	defer e.Close()
+	lib := NewLibrary(LibraryOptions{AsyncCompile: true, CompileWorkers: 4})
+	defer lib.Close()
+	e := New(Options{Tier: TierJIT, AsyncCompile: true, Library: lib, Seed: 2})
 	if err := e.Define(asyncWorkSrc); err != nil {
 		t.Fatal(err)
 	}

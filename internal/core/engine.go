@@ -157,14 +157,11 @@ type Options struct {
 	// invalidates for all of them (generation-counted, so stale
 	// in-flight compiles never resurrect). The evaluation daemon uses
 	// this to amortize compilation across sessions. When nil (the
-	// default), the engine builds a private library from AsyncCompile /
-	// CompileWorkers / RepoMaxEntries and closes it on Close.
+	// default), the engine builds a private library from AsyncCompile
+	// and Tiered (unbounded, GOMAXPROCS compile workers) and closes it on
+	// Close; a caller that wants a repository cap or a worker count
+	// builds the Library with LibraryOptions.
 	Library *Library
-
-	// RepoMaxEntries caps the live compiled entries per function in the
-	// engine's private repository (least-hit eviction; 0 = unbounded).
-	// Ignored when Library is set — the shared library's own cap rules.
-	RepoMaxEntries int
 
 	// JITBackendOpts runs the backend optimization passes inside the JIT
 	// pipeline too — the paper's §5 what-if experiment ("room for future
@@ -205,9 +202,6 @@ type Options struct {
 	// a shared Library that owns one. Off by default, so the paper
 	// reproductions and single-threaded measurements are unaffected.
 	AsyncCompile bool
-	// CompileWorkers bounds the async pool's concurrently executing
-	// compile jobs. 0 means GOMAXPROCS. Ignored unless AsyncCompile.
-	CompileWorkers int
 
 	// Threads sets the process-wide dense-kernel worker count
 	// (internal/parallel): blocked dgemm/dgemv, fused elementwise
@@ -289,12 +283,10 @@ func New(opts Options) *Engine {
 		e.lib = opts.Library
 	} else {
 		e.lib = NewLibrary(LibraryOptions{
-			AsyncCompile:   opts.AsyncCompile,
-			CompileWorkers: opts.CompileWorkers,
-			RepoMaxEntries: opts.RepoMaxEntries,
-			Tiered:         opts.Tiered,
-			Tracer:         opts.Tracer,
-			Journal:        opts.Journal,
+			AsyncCompile: opts.AsyncCompile,
+			Tiered:       opts.Tiered,
+			Tracer:       opts.Tracer,
+			Journal:      opts.Journal,
 		})
 		e.ownLib = true
 	}

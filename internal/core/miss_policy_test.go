@@ -28,7 +28,7 @@ type policyRow struct {
 
 var policyRows = []policyRow{
 	{name: "sync", opts: Options{}},
-	{name: "async", opts: Options{AsyncCompile: true, CompileWorkers: 2}},
+	{name: "async", opts: Options{AsyncCompile: true}},
 	{name: "tiered", opts: Options{Tiered: true, TierThreshold: 2}},
 	{name: "prod", opts: Production(), tiers: []Tier{TierJIT}},
 }
@@ -379,7 +379,7 @@ func TestMissPolicies(t *testing.T) {
 		eachPolicy(t, func(t *testing.T, row policyRow, tier Tier) {
 			opts := row.options(tier)
 			lib := NewLibrary(LibraryOptions{
-				AsyncCompile: opts.AsyncCompile, CompileWorkers: opts.CompileWorkers, Tiered: opts.Tiered,
+				AsyncCompile: opts.AsyncCompile, CompileWorkers: 2, Tiered: opts.Tiered,
 			})
 			defer lib.Close()
 			opts.Library = lib

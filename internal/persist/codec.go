@@ -273,6 +273,55 @@ func (e *encoder) entry(es EntryState) {
 	}
 }
 
+// frame prefixes payload with the header both wire formats share:
+// magic, version, flags (reserved), IR fingerprint, payload length and
+// payload CRC.
+func frame(magic string, payload []byte) []byte {
+	var h encoder
+	h.buf = make([]byte, 0, headerLen+len(payload))
+	h.buf = append(h.buf, magic...)
+	h.u16(Version)
+	h.u16(0) // flags, reserved
+	h.u64(ir.Fingerprint())
+	h.u32(uint32(len(payload)))
+	h.u32(crc32.ChecksumIEEE(payload))
+	return append(h.buf, payload...)
+}
+
+// unframe checks a framed message's header against magic, this build's
+// version and IR fingerprint, its declared length and its CRC, and
+// returns the payload.
+func unframe(magic string, data []byte) ([]byte, error) {
+	if len(data) < headerLen {
+		return nil, errShortSnapshot
+	}
+	if string(data[:4]) != magic {
+		if magic == recordMagic {
+			return nil, ErrBadRecord
+		}
+		return nil, ErrBadMagic
+	}
+	version := binary.LittleEndian.Uint16(data[4:6])
+	if version != Version {
+		return nil, fmt.Errorf("%w: got v%d, want v%d", ErrVersion, version, Version)
+	}
+	if binary.LittleEndian.Uint64(data[8:16]) != ir.Fingerprint() {
+		return nil, ErrFingerprint
+	}
+	n := binary.LittleEndian.Uint32(data[16:20])
+	if int64(n) > maxSnapshotB {
+		return nil, errLengthOverflow
+	}
+	if int(n) != len(data)-headerLen {
+		return nil, fmt.Errorf("%w: payload length %d, have %d bytes", ErrCorrupt, n, len(data)-headerLen)
+	}
+	payload := data[headerLen:]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[20:24]) {
+		return nil, errChecksum
+	}
+	return payload, nil
+}
+
 // Encode serializes a snapshot: header (magic, version, IR fingerprint,
 // payload length, payload CRC) followed by the payload.
 func Encode(s *Snapshot) []byte {
@@ -294,17 +343,7 @@ func Encode(s *Snapshot) []byte {
 			e.i64(ps.BackEdges)
 		}
 	}
-	payload := e.buf
-
-	var h encoder
-	h.buf = make([]byte, 0, headerLen+len(payload))
-	h.buf = append(h.buf, magic...)
-	h.u16(Version)
-	h.u16(0) // flags, reserved
-	h.u64(ir.Fingerprint())
-	h.u32(uint32(len(payload)))
-	h.u32(crc32.ChecksumIEEE(payload))
-	return append(h.buf, payload...)
+	return frame(magic, e.buf)
 }
 
 // --- decoding ----------------------------------------------------------------
@@ -547,47 +586,26 @@ func (d *decoder) entry() EntryState {
 	return es
 }
 
-// DecodeHeader validates only the fixed header and returns the declared
-// payload length. It is the first gate Decode applies; the fuzzer
-// drives it directly.
-func DecodeHeader(data []byte) (payloadLen int, err error) {
-	if len(data) < headerLen {
-		return 0, errShortSnapshot
+// end reports the first decode error, or trailing bytes after a payload
+// that should have been consumed whole.
+func (d *decoder) end() error {
+	if d.err != nil {
+		return d.err
 	}
-	if string(data[:4]) != magic {
-		return 0, ErrBadMagic
+	if d.remaining() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, d.remaining())
 	}
-	version := binary.LittleEndian.Uint16(data[4:6])
-	if version != Version {
-		return 0, fmt.Errorf("%w: got v%d, want v%d", ErrVersion, version, Version)
-	}
-	fp := binary.LittleEndian.Uint64(data[8:16])
-	if fp != ir.Fingerprint() {
-		return 0, ErrFingerprint
-	}
-	n := binary.LittleEndian.Uint32(data[16:20])
-	if int64(n) > maxSnapshotB {
-		return 0, errLengthOverflow
-	}
-	if int(n) != len(data)-headerLen {
-		return 0, fmt.Errorf("%w: payload length %d, have %d bytes", ErrCorrupt, n, len(data)-headerLen)
-	}
-	return int(n), nil
+	return nil
 }
 
 // Decode parses a snapshot. Every failure mode — truncation, bit rot,
 // foreign builds, hostile length fields — returns an error; Decode
 // never panics and never returns a partially valid snapshot.
 func Decode(data []byte) (*Snapshot, error) {
-	if _, err := DecodeHeader(data); err != nil {
+	payload, err := unframe(magic, data)
+	if err != nil {
 		return nil, err
 	}
-	payload := data[headerLen:]
-	wantCRC := binary.LittleEndian.Uint32(data[20:24])
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return nil, errChecksum
-	}
-
 	d := &decoder{buf: payload}
 	nf := d.count(4 + 4 + 8 + 4) // minimal FuncState
 	s := &Snapshot{}
@@ -614,11 +632,8 @@ func Decode(data []byte) (*Snapshot, error) {
 		}
 		s.Funcs = append(s.Funcs, fs)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, d.remaining())
+	if err := d.end(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

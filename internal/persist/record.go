@@ -1,13 +1,6 @@
 package persist
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc32"
-
-	"repro/internal/ir"
-)
+import "errors"
 
 // Entry records are the cluster replication wire format: one function's
 // source plus (optionally) one compiled repository entry, framed with
@@ -67,17 +60,7 @@ func EncodeRecord(rec *EntryRecord) []byte {
 	if rec.Entry != nil {
 		e.entry(*rec.Entry)
 	}
-	payload := e.buf
-
-	var h encoder
-	h.buf = make([]byte, 0, headerLen+len(payload))
-	h.buf = append(h.buf, recordMagic...)
-	h.u16(Version)
-	h.u16(0) // flags, reserved
-	h.u64(ir.Fingerprint())
-	h.u32(uint32(len(payload)))
-	h.u32(crc32.ChecksumIEEE(payload))
-	return append(h.buf, payload...)
+	return frame(recordMagic, e.buf)
 }
 
 // DecodeRecord parses one record. Every failure mode — wrong magic,
@@ -85,32 +68,10 @@ func EncodeRecord(rec *EntryRecord) []byte {
 // fields, trailing bytes — returns an error; it never panics and never
 // returns a partially valid record.
 func DecodeRecord(data []byte) (*EntryRecord, error) {
-	if len(data) < headerLen {
-		return nil, errShortSnapshot
+	payload, err := unframe(recordMagic, data)
+	if err != nil {
+		return nil, err
 	}
-	if string(data[:4]) != recordMagic {
-		return nil, ErrBadRecord
-	}
-	version := binary.LittleEndian.Uint16(data[4:6])
-	if version != Version {
-		return nil, fmt.Errorf("%w: got v%d, want v%d", ErrVersion, version, Version)
-	}
-	fp := binary.LittleEndian.Uint64(data[8:16])
-	if fp != ir.Fingerprint() {
-		return nil, ErrFingerprint
-	}
-	n := binary.LittleEndian.Uint32(data[16:20])
-	if int64(n) > maxSnapshotB {
-		return nil, errLengthOverflow
-	}
-	if int(n) != len(data)-headerLen {
-		return nil, fmt.Errorf("%w: payload length %d, have %d bytes", ErrCorrupt, n, len(data)-headerLen)
-	}
-	payload := data[headerLen:]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[20:24]) {
-		return nil, errChecksum
-	}
-
 	d := &decoder{buf: payload}
 	rec := &EntryRecord{}
 	rec.Origin = d.str()
@@ -122,11 +83,8 @@ func DecodeRecord(data []byte) (*EntryRecord, error) {
 		es := d.entry()
 		rec.Entry = &es
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, d.remaining())
+	if err := d.end(); err != nil {
+		return nil, err
 	}
 	return rec, nil
 }

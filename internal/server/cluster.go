@@ -76,16 +76,8 @@ type ingestResponse struct {
 // single-entry wire format) from a peer and applies it to the shared
 // library. Guard failures are reported in-band with 200 — a stale or
 // duplicate record is a normal race outcome the sender should count,
-// not retry — while undecodable bodies get 400 and a daemon that has no
-// shared library to apply into (isolated mode) gets 409.
+// not retry — while undecodable bodies get 400.
 func (s *Server) handleClusterIngest(w http.ResponseWriter, r *http.Request) {
-	if s.lib == nil {
-		s.metrics.ingestRejected.Add(1)
-		writeJSON(w, http.StatusConflict, errorBody{
-			Error: "isolated daemon has no shared repository", Kind: "isolated",
-		})
-		return
-	}
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestBytes))
 	if err != nil {
 		s.metrics.ingestRejected.Add(1)
@@ -122,17 +114,11 @@ type digestResponse struct {
 // function, the source hash, definition stamp, and live entry keys. A
 // peer diffs this against its own digest and pushes what's missing.
 func (s *Server) handleClusterDigest(w http.ResponseWriter, r *http.Request) {
-	if s.lib == nil {
-		writeJSON(w, http.StatusConflict, errorBody{
-			Error: "isolated daemon has no shared repository", Kind: "isolated",
-		})
-		return
-	}
 	writeJSON(w, http.StatusOK, digestResponse{Node: s.opts.NodeID, Funcs: s.lib.ExportDigest()})
 }
 
-// Library returns the shared code library (nil when Isolated). The
-// cluster replicator in cmd/majicd wires its push hooks through this.
+// Library returns the shared code library. The cluster replicator in
+// cmd/majicd wires its push hooks through this.
 func (s *Server) Library() *core.Library { return s.lib }
 
 // NodeID returns the configured cluster node ID ("" standalone).

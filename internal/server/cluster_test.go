@@ -111,26 +111,6 @@ func TestClusterIngest(t *testing.T) {
 	}
 }
 
-func TestClusterIngestIsolated(t *testing.T) {
-	wire := donorRecord(t, "function y = add2(x)\ny = x + 2;\n", "add2")
-	_, tc := startServer(t, Options{Engine: core.Options{Tier: core.TierJIT}, Isolated: true})
-	resp, err := http.Post(tc.base+"/cluster/ingest", "application/octet-stream", strings.NewReader(string(wire)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("isolated ingest must 409, got %d", resp.StatusCode)
-	}
-	if resp, err = http.Get(tc.base + "/cluster/digest"); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("isolated digest must 409, got %d", resp.StatusCode)
-	}
-}
-
 func TestClusterDigest(t *testing.T) {
 	wire := donorRecord(t, "function y = add2(x)\ny = x + 2;\n", "add2")
 	_, tc := startServer(t, Options{Engine: core.Options{Tier: core.TierJIT}, NodeID: "node-b"})

@@ -102,10 +102,8 @@ func TestHistPrometheusSample(t *testing.T) {
 		prev = b.Count
 	}
 	// And the whole family round-trips through the text exposition.
-	reg := telemetry.NewRegistry()
-	reg.RegisterFunc("route", func(emit func(telemetry.Sample)) { emit(s) })
 	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
+	if err := telemetry.WritePrometheus(&sb, []telemetry.Sample{s}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := telemetry.ValidatePrometheus(sb.String()); err != nil {

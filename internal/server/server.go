@@ -51,24 +51,15 @@ type Options struct {
 	// fusion, threads, ...). Library and Out are overwritten per
 	// session.
 	Engine core.Options
-	// Library configures the process-wide shared code library
-	// (compile pool, repository entry cap). AsyncCompile, CompileWorkers,
-	// RepoMaxEntries and Tiered exist on both structs; New reconciles
-	// them, so a caller sets each on whichever side it likes.
+	// Library configures the process-wide shared code library every
+	// session attaches to (compile pool, repository entry cap). New
+	// starts its pool whenever Engine compiles in the background.
 	Library core.LibraryOptions
-	// Isolated gives every session a private library instead of the
-	// shared one — the control arm of the shared-repository
-	// experiment, and a containment mode for hostile multi-tenancy.
-	Isolated bool
 	// RepoPath persists the shared repository to this file: warm-start
 	// on boot (stale/corrupt snapshots fall back to a cold start), then
 	// write-behind snapshots on repository changes and a final flush on
-	// drain. Requires the shared library (ignored when Isolated — the
-	// CLI rejects the combination).
+	// drain.
 	RepoPath string
-	// PersistDebounce overrides the write-behind debounce interval
-	// (0 = the persist package default; tests shorten it).
-	PersistDebounce time.Duration
 	// NodeID names this daemon in a cluster: stamped on /readyz,
 	// /cluster/digest, and /metrics, and recorded as the origin of
 	// entries this node replicates to peers. Empty for a standalone
@@ -81,11 +72,8 @@ type Options struct {
 	MaxSessions int
 	// MaxConcurrentEvals caps simultaneously executing evaluations
 	// (default 2×GOMAXPROCS). Arrivals beyond the cap queue up to
-	// AdmissionTimeout, then bounce with 503.
+	// admissionTimeout, then bounce with 503.
 	MaxConcurrentEvals int
-	// AdmissionTimeout bounds how long an eval waits for an execution
-	// slot (default 10s).
-	AdmissionTimeout time.Duration
 	// IdleTTL evicts sessions idle longer than this (default 15m;
 	// negative disables eviction).
 	IdleTTL time.Duration
@@ -101,10 +89,10 @@ type Options struct {
 	// the most recent window, which is what an operator debugging "why
 	// is it slow now" wants from a long-lived daemon.
 	TraceCapacity int
-	// JournalCapacity bounds the tiering event journal served at
-	// /debug/events (0 = telemetry.DefaultJournalCapacity).
-	JournalCapacity int
 }
+
+// admissionTimeout bounds how long an eval waits for an execution slot.
+const admissionTimeout = 10 * time.Second
 
 func (o Options) withDefaults() Options {
 	if o.MaxSessions == 0 {
@@ -112,9 +100,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxConcurrentEvals == 0 {
 		o.MaxConcurrentEvals = 2 * runtime.GOMAXPROCS(0)
-	}
-	if o.AdmissionTimeout == 0 {
-		o.AdmissionTimeout = 10 * time.Second
 	}
 	if o.IdleTTL == 0 {
 		o.IdleTTL = 15 * time.Minute
@@ -128,20 +113,18 @@ func (o Options) withDefaults() Options {
 // Server is the evaluation daemon.
 type Server struct {
 	opts Options
-	// lib is the shared code library (nil when Isolated: each session
-	// then owns a private one).
+	// lib is the shared code library every session engine attaches to.
 	lib     *core.Library
 	metrics *serverMetrics
 	evalSem chan struct{}
 	mux     *http.ServeMux
 	logger  *slog.Logger
 
-	// The flight-recorder surfaces: registry → /metrics.prom, tracer →
-	// /debug/trace, journal → /debug/events. All three are shared by
-	// every session engine (and, in shared mode, the library).
-	registry *telemetry.Registry
-	tracer   *telemetry.Tracer
-	journal  *telemetry.Journal
+	// The flight-recorder rings: tracer → /debug/trace, journal →
+	// /debug/events. Both are shared by every session engine and the
+	// library.
+	tracer  *telemetry.Tracer
+	journal *telemetry.Journal
 
 	// clusterMetrics, when set (SetClusterMetrics), contributes a
 	// "cluster" section to the JSON /metrics payload — the replicator in
@@ -154,51 +137,25 @@ type Server struct {
 	sessions map[string]*session
 	nextID   uint64
 	draining bool
-	// retiredRepo/Queue/Profile accumulate counters from destroyed
-	// sessions in isolated mode, so /metrics hit rates survive session
-	// churn (gauges — live functions/entries — are not carried over).
-	retiredRepo    repo.Stats
-	retiredQueue   compilequeue.Stats
-	retiredProfile profile.Stats
 
 	reaperStop chan struct{}
 	reaperDone chan struct{}
-}
-
-// reconcile makes the compile-service settings that both option structs
-// declare agree. core.Options builds an isolated session's private
-// library and decides every engine's miss policy; core.LibraryOptions
-// builds the shared library. A value set on either side holds for both
-// (the engine's wins a disagreement), so shared and isolated sessions
-// compile the way the daemon was configured whichever struct the caller
-// filled.
-func reconcile(e *core.Options, l *core.LibraryOptions) {
-	e.AsyncCompile = e.AsyncCompile || l.AsyncCompile
-	e.Tiered = e.Tiered || l.Tiered
-	if e.CompileWorkers == 0 {
-		e.CompileWorkers = l.CompileWorkers
-	}
-	if e.RepoMaxEntries == 0 {
-		e.RepoMaxEntries = l.RepoMaxEntries
-	}
-	l.AsyncCompile = e.AsyncCompile
-	l.Tiered = e.Tiered
-	l.CompileWorkers = e.CompileWorkers
-	l.RepoMaxEntries = e.RepoMaxEntries
 }
 
 // New creates a Server (not yet listening; use Handler with an
 // http.Server, or ListenAndServe in cmd/majicd).
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
-	reconcile(&opts.Engine, &opts.Library)
+	// Sessions that compile in the background need the shared library's
+	// pool; without one they would compile inline.
+	if opts.Engine.AsyncCompile || opts.Engine.Tiered {
+		opts.Library.AsyncCompile = true
+	}
 	tracer := telemetry.NewTracer(opts.TraceCapacity)
-	journal := telemetry.NewJournal(opts.JournalCapacity)
-	// Every session engine traces into the daemon's ring and journals
-	// into the daemon's event buffer (isolated sessions too: their
-	// private libraries share the process-wide journal).
+	// Every session engine traces into the daemon's ring; the library
+	// journals into the daemon's event buffer.
+	journal := telemetry.NewJournal(telemetry.DefaultJournalCapacity)
 	opts.Engine.Tracer = tracer
-	opts.Engine.Journal = journal
 	opts.Library.Tracer = tracer
 	opts.Library.Journal = journal
 	logger := opts.Logger
@@ -213,19 +170,15 @@ func New(opts Options) *Server {
 		reaperStop: make(chan struct{}),
 		reaperDone: make(chan struct{}),
 		logger:     logger,
-		registry:   telemetry.NewRegistry(),
+		lib:        core.NewLibrary(opts.Library),
 		tracer:     tracer,
 		journal:    journal,
 	}
-	s.registry.RegisterFunc("server", s.collectTelemetry)
-	if !opts.Isolated {
-		s.lib = core.NewLibrary(opts.Library)
-		if opts.RepoPath != "" {
-			// Warm start before the first session exists; any load
-			// failure is recorded in /metrics and means a cold start,
-			// never a refusal to boot.
-			s.lib.EnablePersistence(opts.RepoPath, opts.PersistDebounce)
-		}
+	if opts.RepoPath != "" {
+		// Warm start before the first session exists; any load failure
+		// is recorded in /metrics and means a cold start, never a
+		// refusal to boot. Saves use the writer's default debounce.
+		s.lib.EnablePersistence(opts.RepoPath, 0)
 	}
 	s.mux = http.NewServeMux()
 	s.routes()
@@ -364,26 +317,8 @@ func (s *Server) handleDestroy(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown session", Kind: "no_session"})
 		return
 	}
-	s.retire(sess)
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// retire closes a session removed from the table, folding its private
-// repository, queue and profile counters into the retired totals when the
-// server runs isolated (shared-mode counters live in the shared
-// library and need no carry-over).
-func (s *Server) retire(sess *session) {
-	if s.lib == nil {
-		st := sess.eng.Repo().Stats()
-		qs := sess.eng.QueueStats()
-		ps := sess.eng.ProfileStats()
-		s.mu.Lock()
-		telemetry.Add(&s.retiredRepo, st, false)
-		telemetry.Add(&s.retiredQueue, qs, false)
-		telemetry.Add(&s.retiredProfile, ps, false)
-		s.mu.Unlock()
-	}
 	sess.close()
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // --- evaluation --------------------------------------------------------------
@@ -411,8 +346,8 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Bounded admission: wait for an execution slot, give up after
-	// AdmissionTimeout (or when the client hangs up).
-	admit := time.NewTimer(s.opts.AdmissionTimeout)
+	// admissionTimeout (or when the client hangs up).
+	admit := time.NewTimer(admissionTimeout)
 	defer admit.Stop()
 	select {
 	case s.evalSem <- struct{}{}:
@@ -526,10 +461,9 @@ type MetricsSnapshot struct {
 	} `json:"parallel"`
 	BufferPool mat.PoolStats           `json:"buffer_pool"`
 	Routes     map[string]RouteMetrics `json:"routes" metric:"-"` // exposed as majic_route_latency_seconds
-	SharedRepo bool                    `json:"shared_repo" metric:"-"`
 	// Persist reports the repository persistence surface: warm-start
 	// load/reject counters and write-behind save counters. Enabled is
-	// false when the daemon runs without -repo-path (or isolated).
+	// false when the daemon runs without -repo-path.
 	Persist persist.Metrics `json:"persist"`
 	// Node is the cluster node ID (empty standalone). Ingest counts
 	// replication records received from peers; Cluster carries the
@@ -553,11 +487,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 	var ms MetricsSnapshot
 	s.mu.Lock()
 	ms.Sessions.Active = len(s.sessions)
-	sessions := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	retiredRepo, retiredQueue, retiredProfile := s.retiredRepo, s.retiredQueue, s.retiredProfile
 	s.mu.Unlock()
 
 	ms.Sessions.Created = s.metrics.sessionsCreated.Load()
@@ -569,23 +498,10 @@ func (s *Server) Metrics() MetricsSnapshot {
 	ms.Evals.Rejected = s.metrics.evalsRejected.Load()
 	ms.Evals.Inflight = s.metrics.evalsInflight.Load()
 
-	if s.lib != nil {
-		ms.Repo = s.lib.Repo().Stats()
-		ms.Queue = s.lib.QueueStats()
-		ms.Profile = s.lib.ProfileStats()
-		ms.SharedRepo = true
-		ms.Persist = s.lib.PersistMetrics()
-	} else {
-		// Isolated mode: aggregate per-session repositories (live plus
-		// retired) so the hit-rate comparison reads from the same
-		// endpoint.
-		ms.Repo, ms.Queue, ms.Profile = retiredRepo, retiredQueue, retiredProfile
-		for _, sess := range sessions {
-			telemetry.Add(&ms.Repo, sess.eng.Repo().Stats(), true)
-			telemetry.Add(&ms.Queue, sess.eng.QueueStats(), true)
-			telemetry.Add(&ms.Profile, sess.eng.ProfileStats(), true)
-		}
-	}
+	ms.Repo = s.lib.Repo().Stats()
+	ms.Queue = s.lib.QueueStats()
+	ms.Profile = s.lib.ProfileStats()
+	ms.Persist = s.lib.PersistMetrics()
 	ms.Node = s.opts.NodeID
 	ms.Ingest.Applied = s.metrics.ingestApplied.Load()
 	ms.Ingest.Dropped = s.metrics.ingestDropped.Load()
@@ -613,7 +529,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // text exposition format 0.0.4.
 func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.registry.WritePrometheus(w); err != nil {
+	if err := telemetry.WritePrometheus(w, s.samples()); err != nil {
 		s.logger.Warn("prometheus write failed", slog.String("error", err.Error()))
 	}
 }
@@ -637,29 +553,26 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// Registry exposes the telemetry registry (tests and embedders).
-func (s *Server) Registry() *telemetry.Registry { return s.registry }
-
 // Tracer exposes the daemon-wide span ring.
 func (s *Server) Tracer() *telemetry.Tracer { return s.tracer }
 
 // Journal exposes the daemon-wide tiering event journal.
 func (s *Server) Journal() *telemetry.Journal { return s.journal }
 
-// collectTelemetry renders the full daemon state as telemetry samples:
-// every metric-tagged field of the /metrics snapshot (library, daemon
-// and replicator families alike — the isolated-mode aggregate carries
-// the same names), then the samples that are not snapshot fields. Both
-// endpoints read one snapshot, so they can never disagree
+// samples renders the full daemon state as telemetry samples: every
+// metric-tagged field of the /metrics snapshot (library, daemon and
+// replicator families alike), then the samples that are not snapshot
+// fields. Both endpoints read one snapshot, so they can never disagree
 // (TestMetricsViewsAgree).
-func (s *Server) collectTelemetry(emit func(telemetry.Sample)) {
-	telemetry.Emit(emit, s.Metrics())
-	emit(telemetry.Sample{Name: "majic_journal_events_total", Help: "Tiering events ever recorded.",
-		Kind: telemetry.KindCounter, Value: float64(s.journal.Total())})
-	emit(telemetry.Sample{Name: "majic_journal_retained", Help: "Tiering events currently retained.",
-		Kind: telemetry.KindGauge, Value: float64(s.journal.Len())})
-	emit(telemetry.Sample{Name: "majic_trace_spans_dropped_total", Help: "Trace spans dropped by the bounded ring.",
-		Kind: telemetry.KindCounter, Value: float64(s.tracer.Dropped())})
+func (s *Server) samples() []telemetry.Sample {
+	out := telemetry.Emit(nil, s.Metrics())
+	out = append(out,
+		telemetry.Sample{Name: "majic_journal_events_total", Help: "Tiering events ever recorded.",
+			Kind: telemetry.KindCounter, Value: float64(s.journal.Total())},
+		telemetry.Sample{Name: "majic_journal_retained", Help: "Tiering events currently retained.",
+			Kind: telemetry.KindGauge, Value: float64(s.journal.Len())},
+		telemetry.Sample{Name: "majic_trace_spans_dropped_total", Help: "Trace spans dropped by the bounded ring.",
+			Kind: telemetry.KindCounter, Value: float64(s.tracer.Dropped())})
 
 	routes := make([]string, 0, len(s.metrics.routes))
 	for name := range s.metrics.routes {
@@ -667,10 +580,11 @@ func (s *Server) collectTelemetry(emit func(telemetry.Sample)) {
 	}
 	sort.Strings(routes)
 	for _, name := range routes {
-		emit(s.metrics.routes[name].sample(
+		out = append(out, s.metrics.routes[name].sample(
 			"majic_route_latency_seconds", "Request latency by route.",
 			telemetry.Label{Key: "route", Value: name}))
 	}
+	return out
 }
 
 // --- idle eviction -----------------------------------------------------------
@@ -702,7 +616,7 @@ func (s *Server) reaper() {
 			}
 			s.mu.Unlock()
 			for _, sess := range dead {
-				s.retire(sess)
+				sess.close()
 				s.metrics.sessionsEvicted.Add(1)
 			}
 		}
@@ -754,10 +668,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	close(s.reaperStop)
 	<-s.reaperDone
 	for _, sess := range sessions {
-		s.retire(sess)
+		sess.close()
 	}
-	if s.lib != nil {
-		s.lib.Close()
-	}
+	s.lib.Close()
 	return err
 }

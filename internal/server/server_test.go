@@ -174,69 +174,44 @@ func TestDeadlineKillsInfiniteLoop(t *testing.T) {
 
 // TestSharedRepositoryAcrossSessions: one session defines and JIT-
 // compiles a function; a second session's call hits the shared entry
-// without recompiling. The isolated row is the control (majicd
-// -isolated): session b has its own namespace, so it must define cube
-// itself, and its call compiles again.
+// without recompiling.
 func TestSharedRepositoryAcrossSessions(t *testing.T) {
-	for _, isolated := range []bool{false, true} {
-		name := "shared"
-		if isolated {
-			name = "isolated"
-		}
-		t.Run(name, func(t *testing.T) {
-			_, tc := startServer(t, Options{Engine: core.Options{Tier: core.TierJIT}, Isolated: isolated})
-			a := tc.createSession()
-			b := tc.createSession()
+	t.Run("shared", func(t *testing.T) {
+		_, tc := startServer(t, Options{Engine: core.Options{Tier: core.TierJIT}})
+		a := tc.createSession()
+		b := tc.createSession()
 
-			const cube = "function y = cube(x)\ny = x * x * x;\n"
-			if code, _, bad := tc.eval(a, cube); code != http.StatusOK {
-				t.Fatalf("define: %+v", bad)
-			}
-			if code, _, bad := tc.eval(a, "r = cube(3);"); code != http.StatusOK {
-				t.Fatalf("a call: %+v", bad)
-			}
-			before := tc.metrics().Repo
-			if before.Inserts == 0 {
-				t.Fatal("no repository insert after first call")
-			}
-			if isolated {
-				if code, _, _ := tc.eval(b, "r = cube(3);"); code == http.StatusOK {
-					t.Fatal("an isolated session called a function only another session defined")
-				}
-				if code, _, bad := tc.eval(b, cube); code != http.StatusOK {
-					t.Fatalf("b define: %+v", bad)
-				}
-			}
-			// Shared: b calls the function it never defined; the shared
-			// library resolves it, the shared repository serves the entry.
-			code, _, bad := tc.eval(b, "r = cube(3);")
-			if code != http.StatusOK {
-				t.Fatalf("b call: %+v", bad)
-			}
-			m := tc.metrics()
-			if m.SharedRepo == isolated {
-				t.Fatalf("metrics report shared_repo=%v", m.SharedRepo)
-			}
-			if isolated {
-				if m.Repo.Inserts <= before.Inserts || m.Repo.Hits != before.Hits {
-					t.Fatalf("isolated session reused another's code: repo %+v -> %+v", before, m.Repo)
-				}
-			} else {
-				if m.Repo.Inserts != before.Inserts {
-					t.Fatalf("second session recompiled: inserts %d -> %d", before.Inserts, m.Repo.Inserts)
-				}
-				if m.Repo.Hits == before.Hits {
-					t.Fatal("second session's call did not hit the shared repository")
-				}
-			}
-			code, body := tc.do("GET", "/sessions/"+b+"/workspace/r", nil)
-			var wv workspaceValue
-			json.Unmarshal(body, &wv)
-			if code != http.StatusOK || len(wv.Re) != 1 || wv.Re[0] != 27 {
-				t.Fatalf("b result = %+v (%d)", wv, code)
-			}
-		})
-	}
+		const cube = "function y = cube(x)\ny = x * x * x;\n"
+		if code, _, bad := tc.eval(a, cube); code != http.StatusOK {
+			t.Fatalf("define: %+v", bad)
+		}
+		if code, _, bad := tc.eval(a, "r = cube(3);"); code != http.StatusOK {
+			t.Fatalf("a call: %+v", bad)
+		}
+		before := tc.metrics().Repo
+		if before.Inserts == 0 {
+			t.Fatal("no repository insert after first call")
+		}
+		// b calls the function it never defined; the shared library
+		// resolves it, the shared repository serves the entry.
+		code, _, bad := tc.eval(b, "r = cube(3);")
+		if code != http.StatusOK {
+			t.Fatalf("b call: %+v", bad)
+		}
+		m := tc.metrics()
+		if m.Repo.Inserts != before.Inserts {
+			t.Fatalf("second session recompiled: inserts %d -> %d", before.Inserts, m.Repo.Inserts)
+		}
+		if m.Repo.Hits == before.Hits {
+			t.Fatal("second session's call did not hit the shared repository")
+		}
+		code, body := tc.do("GET", "/sessions/"+b+"/workspace/r", nil)
+		var wv workspaceValue
+		json.Unmarshal(body, &wv)
+		if code != http.StatusOK || len(wv.Re) != 1 || wv.Re[0] != 27 {
+			t.Fatalf("b result = %+v (%d)", wv, code)
+		}
+	})
 }
 
 // TestGenerationSafeRedefinition: session b redefines a function while
@@ -257,39 +232,13 @@ func TestGenerationSafeRedefinition(t *testing.T) {
 	}
 }
 
-// TestIsolatedSessionsInheritLibraryOptions is the regression test for
-// a daemon whose compile settings fill only Options.Library (as
-// `majicd -isolated -repo-max=K` does): isolated sessions build their
-// private libraries from Options.Engine, and so ran synchronous and
-// unbounded. New reconciles
-// the two structs; the compile of an isolated session's first call must
-// show up as compile-queue traffic.
-func TestIsolatedSessionsInheritLibraryOptions(t *testing.T) {
-	srv, tc := startServer(t, Options{
-		Engine:   core.Options{Tier: core.TierJIT},
-		Library:  core.LibraryOptions{AsyncCompile: true, CompileWorkers: 2, RepoMaxEntries: 8},
-		Isolated: true,
-	})
-	if e := srv.opts.Engine; !e.AsyncCompile || e.CompileWorkers != 2 || e.RepoMaxEntries != 8 {
-		t.Fatalf("session engines did not inherit the library options: %+v", e)
-	}
-	id := tc.createSession()
-	tc.eval(id, "function y = inc(x)\ny = x + 1;\n")
-	if code, ok, bad := tc.eval(id, "r = inc(41)"); code != http.StatusOK || !strings.Contains(ok.Output, "42") {
-		t.Fatalf("eval: %d %+v %+v", code, ok, bad)
-	}
-	if m := tc.metrics(); m.SharedRepo || m.Queue.Submitted < 1 {
-		t.Fatalf("isolated async daemon compiled inline: queue %+v", m.Queue)
-	}
-}
-
 // TestConcurrentSessionLifecycle is the -race workout: goroutines
 // create, eval against, and destroy sessions concurrently while two of
 // them redefine a shared function.
 func TestConcurrentSessionLifecycle(t *testing.T) {
 	_, tc := startServer(t, Options{
-		Engine:  core.Options{Tier: core.TierJIT},
-		Library: core.LibraryOptions{AsyncCompile: true, CompileWorkers: 2, RepoMaxEntries: 8},
+		Engine:  core.Options{Tier: core.TierJIT, AsyncCompile: true},
+		Library: core.LibraryOptions{CompileWorkers: 2, RepoMaxEntries: 8},
 	})
 	seed := tc.createSession()
 	if code, _, bad := tc.eval(seed, "function y = inc(x)\ny = x + 1;\n"); code != http.StatusOK {
@@ -392,8 +341,7 @@ func TestIdleTTLEviction(t *testing.T) {
 // in flight, and the shared queue closes without wedging.
 func TestGracefulShutdown(t *testing.T) {
 	srv, tc := startServer(t, Options{
-		Engine:  core.Options{Tier: core.TierJIT},
-		Library: core.LibraryOptions{AsyncCompile: true},
+		Engine: core.Options{Tier: core.TierJIT, AsyncCompile: true},
 	})
 	id := tc.createSession()
 	tc.eval(id, "function y = s2(x)\ny = x * 2;\n")
@@ -539,21 +487,44 @@ func TestFlightRecorderEndpoints(t *testing.T) {
 
 // TestDefaultDaemonRunsProduction: a majicd started without -tier builds
 // Options{Engine: core.Production()}. Its sessions start interpreted, and
-// DefaultTierThreshold calls of a hot function promote it with a job on
-// the shared library's compile pool.
+// DefaultTierThreshold calls of a hot signature promote it with a job on
+// the shared library's compile pool. The pool exists because the session
+// configuration compiles in the background: -repo-max=1 keeps it (and
+// evicts when a second signature is promoted), -tier=jit has none.
 func TestDefaultDaemonRunsProduction(t *testing.T) {
-	srv, tc := startServer(t, Options{Engine: core.Production()})
-	id := tc.createSession()
-	if code, _, bad := tc.eval(id, "function y = hot(x)\ny = x * 2 + 1;\n"); code != http.StatusOK {
-		t.Fatalf("define: %+v", bad)
-	}
-	for i := 0; i < core.DefaultTierThreshold; i++ {
-		if code, _, bad := tc.eval(id, "r = hot(3);"); code != http.StatusOK {
-			t.Fatalf("eval %d: %+v", i, bad)
-		}
-	}
-	srv.Library().Drain()
-	if m := tc.metrics(); m.Queue.Submitted < 1 || m.Profile.Promotions < 1 {
-		t.Fatalf("queue %+v, profile %+v: want a promotion compiled on the pool", m.Queue, m.Profile)
+	for _, row := range []struct {
+		name          string
+		opts          Options
+		pooled, evict bool
+	}{
+		{"default", Options{Engine: core.Production()}, true, false},
+		{"repo-max=1", Options{Engine: core.Production(), Library: core.LibraryOptions{RepoMaxEntries: 1}}, true, true},
+		{"tier=jit", Options{Engine: core.Options{Tier: core.TierJIT}}, false, false},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			srv, tc := startServer(t, row.opts)
+			id := tc.createSession()
+			if code, _, bad := tc.eval(id, "function y = hot(x)\ny = x * 2 + 1;\n"); code != http.StatusOK {
+				t.Fatalf("define: %+v", bad)
+			}
+			for _, call := range []string{"r = hot(3);", "r = hot([1 2 3]);"} {
+				for i := 0; i < core.DefaultTierThreshold; i++ {
+					if code, _, bad := tc.eval(id, call); code != http.StatusOK {
+						t.Fatalf("%s %d: %+v", call, i, bad)
+					}
+				}
+				srv.Library().Drain()
+			}
+			m := tc.metrics()
+			if row.pooled && (m.Queue.Submitted < 1 || m.Profile.Promotions < 1) {
+				t.Fatalf("queue %+v, profile %+v: want a promotion compiled on the pool", m.Queue, m.Profile)
+			}
+			if !row.pooled && m.Queue.Submitted != 0 {
+				t.Fatalf("queue %+v: a daemon whose sessions compile inline started a pool", m.Queue)
+			}
+			if (m.Repo.Evictions >= 1) != row.evict {
+				t.Fatalf("repo %+v: evictions under the cap = %v, want %v", m.Repo, m.Repo.Evictions >= 1, row.evict)
+			}
+		})
 	}
 }

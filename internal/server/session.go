@@ -39,9 +39,9 @@ func (c *captureOut) set(w io.Writer) {
 	c.mu.Unlock()
 }
 
-// session is one client workspace: a private engine (attached to the
-// server's shared library unless the server runs isolated) plus the
-// bookkeeping for deadlines and idle eviction.
+// session is one client workspace: a private engine attached to the
+// server's shared library, plus the bookkeeping for deadlines and idle
+// eviction.
 type session struct {
 	id  string
 	eng *core.Engine
@@ -67,7 +67,7 @@ type session struct {
 func newSession(id string, opts core.Options, lib *core.Library) *session {
 	out := &captureOut{}
 	opts.Out = out
-	opts.Library = lib // nil = private library (isolated mode)
+	opts.Library = lib
 	return &session{id: id, eng: core.New(opts), out: out, gen: 1}
 }
 
@@ -190,16 +190,15 @@ func (s *session) workspaceSet(name string, wv *workspaceValue) error {
 	return nil
 }
 
-// close marks the session dead, interrupts any in-flight eval, and
-// shuts the engine down (a no-op for shared-library engines). It does
-// not wait for the eval to observe the interrupt — the admission
-// semaphore and http draining bound that.
+// close marks the session dead and interrupts any in-flight eval. It
+// does not wait for the eval to observe the interrupt — the admission
+// semaphore and http draining bound that. The engine has nothing of its
+// own to shut down: its library is the server's.
 func (s *session) close() {
 	if s.closed.Swap(true) {
 		return
 	}
 	s.eng.Interrupt()
-	s.eng.Close()
 }
 
 // workspaceValue is the JSON shape of a workspace variable.

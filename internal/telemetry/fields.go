@@ -15,9 +15,8 @@ import (
 // any key=value labels. A bool tagged "gate" hides the rest of its
 // struct when false. metric:"-" keeps a field out of the exposition; an
 // untagged struct field (or interface holding a struct) is walked into.
-// Emit renders the tagged fields as samples and Add sums them, so the
-// JSON view, the Prometheus view and the isolated-mode sums all read the
-// one declaration.
+// Emit renders the tagged fields as samples, so the JSON view and the
+// Prometheus view both read the one declaration.
 
 // fieldMetric is one parsed metric tag.
 type fieldMetric struct {
@@ -49,20 +48,20 @@ func parseMetric(tag string) fieldMetric {
 	return m
 }
 
-// Emit emits one sample for every metric-tagged field of v (a struct, or
-// a pointer or interface holding one), walking into untagged nested
-// structs.
-func Emit(emit func(Sample), v any) { emitStruct(emit, reflect.ValueOf(v)) }
+// Emit appends to dst one sample for every metric-tagged field of v (a
+// struct, or a pointer or interface holding one), walking into untagged
+// nested structs, and returns the extended slice.
+func Emit(dst []Sample, v any) []Sample { return emitStruct(dst, reflect.ValueOf(v)) }
 
-func emitStruct(emit func(Sample), v reflect.Value) {
+func emitStruct(dst []Sample, v reflect.Value) []Sample {
 	for v.Kind() == reflect.Pointer || v.Kind() == reflect.Interface {
 		if v.IsNil() {
-			return
+			return dst
 		}
 		v = v.Elem()
 	}
 	if v.Kind() != reflect.Struct {
-		return
+		return dst
 	}
 	t := v.Type()
 	for i := 0; i < t.NumField(); i++ {
@@ -72,16 +71,17 @@ func emitStruct(emit func(Sample), v reflect.Value) {
 		case "-":
 			continue
 		case "":
-			emitStruct(emit, v.Field(i))
+			dst = emitStruct(dst, v.Field(i))
 			continue
 		}
 		m := parseMetric(tag)
 		x := number(v.Field(i), f.Name)
-		emit(Sample{Name: m.name, Help: f.Tag.Get("help"), Kind: m.kind, Labels: m.labels, Value: x})
+		dst = append(dst, Sample{Name: m.name, Help: f.Tag.Get("help"), Kind: m.kind, Labels: m.labels, Value: x})
 		if m.gate && x == 0 {
-			return
+			return dst
 		}
 	}
+	return dst
 }
 
 func number(v reflect.Value, field string) float64 {
@@ -99,24 +99,4 @@ func number(v reflect.Value, field string) float64 {
 		return 0
 	}
 	panic(fmt.Sprintf("telemetry: metric field %s is a %s, not a number", field, v.Kind()))
-}
-
-// Add adds src's counters into dst, a pointer to a struct of src's type:
-// every integer field except those tagged as gauges, which are added
-// only when gauges is set (a live session's level adds to a total, a
-// retired one's does not). A field kept out of the exposition is summed
-// too — a derived sum of counters is a counter.
-func Add(dst, src any, gauges bool) {
-	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src)
-	for i := 0; i < d.NumField(); i++ {
-		if !gauges && parseMetric(d.Type().Field(i).Tag.Get("metric")).kind == KindGauge {
-			continue
-		}
-		switch f := d.Field(i); f.Kind() {
-		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-			f.SetInt(f.Int() + s.Field(i).Int())
-		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-			f.SetUint(f.Uint() + s.Field(i).Uint())
-		}
-	}
 }

@@ -10,15 +10,15 @@ import (
 	"strings"
 )
 
-// WritePrometheus renders the registry in the Prometheus text
-// exposition format (version 0.0.4): one HELP/TYPE header per metric
-// family, then the family's samples; histograms expand into cumulative
-// _bucket{le=...} series plus _sum and _count. majicd serves this at
-// /metrics.prom.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+// WritePrometheus renders samples in the Prometheus text exposition
+// format (version 0.0.4): one HELP/TYPE header per metric family, then
+// the family's samples; histograms expand into cumulative
+// _bucket{le=...} series plus _sum and _count. majicd and majic-gate
+// serve this at /metrics.prom.
+func WritePrometheus(w io.Writer, samples []Sample) error {
 	bw := bufio.NewWriter(w)
 	var lastName string
-	for _, s := range r.Gather() {
+	for _, s := range byFamily(samples) {
 		if s.Name != lastName {
 			if s.Help != "" {
 				fmt.Fprintf(bw, "# HELP %s %s\n", s.Name, escapeHelp(s.Help))
@@ -29,6 +29,26 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		writeSample(bw, s)
 	}
 	return bw.Flush()
+}
+
+// byFamily orders samples so that each family's are adjacent, as the
+// exposition format requires (one HELP/TYPE header per family), so an
+// emitter need not keep a family's samples together: families in
+// first-seen order, samples within one in emission order.
+func byFamily(samples []Sample) []Sample {
+	var names []string
+	family := make(map[string][]Sample)
+	for _, s := range samples {
+		if _, seen := family[s.Name]; !seen {
+			names = append(names, s.Name)
+		}
+		family[s.Name] = append(family[s.Name], s)
+	}
+	out := make([]Sample, 0, len(samples))
+	for _, name := range names {
+		out = append(out, family[name]...)
+	}
+	return out
 }
 
 func writeSample(w io.Writer, s Sample) {

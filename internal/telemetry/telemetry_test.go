@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -12,63 +13,49 @@ func sample(kind Kind, name, help string, v float64, labels ...Label) Sample {
 	return Sample{Name: name, Help: help, Kind: kind, Value: v, Labels: labels}
 }
 
+// prom renders samples and fails the test on an invalid exposition.
+func prom(t *testing.T, samples ...Sample) string {
+	t.Helper()
+	var b strings.Builder
+	if err := WritePrometheus(&b, samples); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ValidatePrometheus(b.String()); err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, b.String())
+	}
+	return b.String()
+}
+
+// Samples of one family are merged under one header, families in
+// first-seen order, however the emitter interleaved them.
 func TestRegistryGatherOrderAndMerge(t *testing.T) {
-	r := NewRegistry()
-	r.RegisterFunc("b", func(emit func(Sample)) {
-		emit(sample(KindCounter, "majic_evals_total", "evals", 3))
-		emit(sample(KindGauge, "majic_sessions", "sessions", 2))
-	})
-	r.RegisterFunc("a", func(emit func(Sample)) {
-		emit(sample(KindCounter, "majic_evals_total", "evals", 4))
-	})
-	got := r.Gather()
-	if len(got) != 2 {
-		t.Fatalf("Gather() = %d samples, want 2 (merged): %+v", len(got), got)
-	}
-	if got[0].Name != "majic_evals_total" || got[0].Value != 7 {
-		t.Fatalf("merged counter = %+v, want majic_evals_total=7", got[0])
-	}
-	if got[1].Name != "majic_sessions" || got[1].Value != 2 {
-		t.Fatalf("gauge = %+v", got[1])
+	got := prom(t,
+		sample(KindCounter, "majic_evals_total", "evals", 3, Label{"pool", "a"}),
+		sample(KindGauge, "majic_sessions", "sessions", 2),
+		sample(KindCounter, "majic_evals_total", "evals", 4, Label{"pool", "b"}))
+	want := "# HELP majic_evals_total evals\n# TYPE majic_evals_total counter\n" +
+		"majic_evals_total{pool=\"a\"} 3\nmajic_evals_total{pool=\"b\"} 4\n" +
+		"# HELP majic_sessions sessions\n# TYPE majic_sessions gauge\nmajic_sessions 2\n"
+	if got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
 	}
 }
 
+// A family's labelled samples stay separate series, in emission order.
 func TestRegistryLabelsNotMerged(t *testing.T) {
-	r := NewRegistry()
-	r.RegisterFunc("x", func(emit func(Sample)) {
-		emit(sample(KindCounter, "majic_route_total", "h", 1, Label{"route", "eval"}))
-		emit(sample(KindCounter, "majic_route_total", "h", 5, Label{"route", "create"}))
-		emit(sample(KindCounter, "majic_route_total", "h", 2, Label{"route", "eval"}))
-	})
-	got := r.Gather()
-	if len(got) != 2 {
-		t.Fatalf("Gather() = %d samples, want 2: %+v", len(got), got)
-	}
-	if got[0].Value != 3 || got[1].Value != 5 {
-		t.Fatalf("label merge wrong: %+v", got)
-	}
-}
-
-func TestRegistryReplaceAndUnregister(t *testing.T) {
-	r := NewRegistry()
-	r.RegisterFunc("s", func(emit func(Sample)) { emit(sample(KindCounter, "c_total", "", 1)) })
-	r.RegisterFunc("s", func(emit func(Sample)) { emit(sample(KindCounter, "c_total", "", 9)) })
-	if got := r.Gather(); len(got) != 1 || got[0].Value != 9 {
-		t.Fatalf("replace failed: %+v", got)
-	}
-	r.Unregister("s")
-	if got := r.Gather(); len(got) != 0 {
-		t.Fatalf("unregister failed: %+v", got)
+	got := prom(t,
+		sample(KindCounter, "majic_route_total", "h", 1, Label{"route", "eval"}),
+		sample(KindCounter, "majic_route_total", "h", 5, Label{"route", "create"}),
+		sample(KindCounter, "majic_route_total", "h", 2, Label{"route", "compile"}))
+	want := "# HELP majic_route_total h\n# TYPE majic_route_total counter\n" +
+		"majic_route_total{route=\"eval\"} 1\nmajic_route_total{route=\"create\"} 5\n" +
+		"majic_route_total{route=\"compile\"} 2\n"
+	if got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
 	}
 }
 
 func TestNilReceiversSafe(t *testing.T) {
-	var r *Registry
-	r.Register("x", CollectorFunc(func(func(Sample)) {}))
-	r.Unregister("x")
-	if r.Gather() != nil {
-		t.Fatal("nil registry Gather should be nil")
-	}
 	var tr *Tracer
 	tr.Span(CatEval, "e", 0, time.Now(), time.Millisecond)
 	if tr.Events() != nil || tr.Dropped() != 0 {
@@ -82,11 +69,11 @@ func TestNilReceiversSafe(t *testing.T) {
 }
 
 func TestWritePrometheusValidates(t *testing.T) {
-	r := NewRegistry()
-	r.RegisterFunc("core", func(emit func(Sample)) {
-		emit(sample(KindCounter, "majic_repo_hits_total", "repository locator hits", 12))
-		emit(sample(KindGauge, "majic_queue_depth", "queue depth", 3, Label{"pool", `a"b\c`}))
-		emit(Sample{
+	var b strings.Builder
+	if err := WritePrometheus(&b, []Sample{
+		sample(KindCounter, "majic_repo_hits_total", "repository locator hits", 12),
+		sample(KindGauge, "majic_queue_depth", "queue depth", 3, Label{"pool", `a"b\c`}),
+		{
 			Name: "majic_eval_latency_seconds",
 			Help: "eval latency",
 			Kind: KindHistogram,
@@ -97,10 +84,8 @@ func TestWritePrometheusValidates(t *testing.T) {
 			},
 			Sum:   0.042,
 			Count: 7,
-		})
-	})
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+		},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -126,20 +111,10 @@ func TestWritePrometheusValidates(t *testing.T) {
 }
 
 func TestWritePrometheusAddsInfBucket(t *testing.T) {
-	r := NewRegistry()
-	r.RegisterFunc("h", func(emit func(Sample)) {
-		emit(Sample{Name: "h_hist", Kind: KindHistogram,
-			Buckets: []Bucket{{UpperBound: 1, Count: 3}}, Sum: 1.5, Count: 4})
-	})
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), `h_hist_bucket{le="+Inf"} 4`) {
-		t.Fatalf("missing synthesized +Inf bucket:\n%s", b.String())
-	}
-	if _, err := ValidatePrometheus(b.String()); err != nil {
-		t.Fatal(err)
+	out := prom(t, Sample{Name: "h_hist", Kind: KindHistogram,
+		Buckets: []Bucket{{UpperBound: 1, Count: 3}}, Sum: 1.5, Count: 4})
+	if !strings.Contains(out, `h_hist_bucket{le="+Inf"} 4`) {
+		t.Fatalf("missing synthesized +Inf bucket:\n%s", out)
 	}
 }
 
@@ -226,10 +201,8 @@ func TestJournalRingSeqAndCauses(t *testing.T) {
 	}
 }
 
-// Concurrency smoke for -race: scrapes racing registration, spans and
-// journal events racing reads.
+// Concurrency smoke for -race: spans and journal events racing reads.
 func TestConcurrentUse(t *testing.T) {
-	r := NewRegistry()
 	tr := NewTracer(128)
 	j := NewJournal(128)
 	var wg sync.WaitGroup
@@ -238,25 +211,14 @@ func TestConcurrentUse(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				r.RegisterFunc("g", func(emit func(Sample)) {
-					emit(sample(KindCounter, "c_total", "", 1))
-				})
 				tr.Span(CatQueue, "job", g, time.Now(), time.Microsecond)
 				j.Record(Event{Kind: EventPromotion, Func: "f", Cause: "hot-signature"})
-				_ = r.Gather()
 				_ = tr.Events()
 				_ = j.Events()
 			}
 		}(g)
 	}
 	wg.Wait()
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ValidatePrometheus(b.String()); err != nil {
-		t.Fatal(err)
-	}
 }
 
 type walkInner struct {
@@ -273,47 +235,26 @@ type walkOuter struct {
 	Any    any
 }
 
-// Emit renders tagged fields with their labels, walks untagged structs
-// and interfaces, skips metric:"-", and stops at a false gate.
+// Emit renders tagged fields with their labels, in declaration order,
+// walks untagged structs and interfaces, skips metric:"-", and stops at
+// a false gate.
 func TestEmitWalksTags(t *testing.T) {
-	collect := func(v any) map[string]Sample {
-		var raw []Sample
-		Emit(func(s Sample) { raw = append(raw, s) }, v)
-		out := map[string]Sample{}
-		for _, s := range mergeSamples(raw) {
-			out[s.Name+labelKey(s.Labels)] = s
+	render := func(v any) string {
+		var out []string
+		for _, s := range Emit(nil, v) {
+			out = append(out, fmt.Sprintf("%s%v=%g", s.Name, s.Labels, s.Value))
 		}
-		return out
+		return strings.Join(out, " ")
 	}
-	got := collect(walkOuter{On: true, Inner: walkInner{Hits: 3, Level: 4, Derived: 5}, ByKind: 6,
-		Any: &walkInner{Hits: 7}})
-	if len(got) != 4 {
-		t.Fatalf("samples = %v, want t_on, t_hits_total, t_level, t_by_total", got)
+	on := walkOuter{On: true, Inner: walkInner{Hits: 3, Level: 4, Derived: 5}, ByKind: 6, Any: &walkInner{Hits: 7}}
+	if got, want := render(on),
+		"t_on[]=1 t_hits_total[]=3 t_level[]=4 t_by_total[{cause a}]=6 t_hits_total[]=7 t_level[]=0"; got != want {
+		t.Errorf("samples = %s\nwant      %s", got, want)
 	}
-	if s := got["t_on"]; s.Value != 1 || s.Kind != KindGauge || s.Help != "on" {
+	if s := Emit(nil, on)[0]; s.Kind != KindGauge || s.Help != "on" {
 		t.Errorf("t_on = %+v", s)
 	}
-	if s := got["t_hits_total"]; s.Kind != KindCounter || s.Value != 10 {
-		t.Errorf("t_hits_total = %+v, want 3 from the struct plus 7 through the interface", s)
-	}
-	if s := got["t_by_total"+labelKey([]Label{{"cause", "a"}})]; s.Value != 6 {
-		t.Errorf("labelled sample = %+v", s)
-	}
-	if off := collect(walkOuter{Inner: walkInner{Hits: 3}}); len(off) != 1 || off["t_on"].Value != 0 {
-		t.Errorf("a false gate must emit only itself: %v", off)
-	}
-}
-
-// Add sums counters and fields kept out of the exposition, and gauges
-// only when asked.
-func TestAddSumsCounters(t *testing.T) {
-	dst := walkInner{Hits: 1, Level: 10, Derived: 100}
-	Add(&dst, walkInner{Hits: 2, Level: 20, Derived: 200}, false)
-	if dst != (walkInner{Hits: 3, Level: 10, Derived: 300}) {
-		t.Fatalf("counters only: %+v", dst)
-	}
-	Add(&dst, walkInner{Hits: 2, Level: 20, Derived: 200}, true)
-	if dst != (walkInner{Hits: 5, Level: 30, Derived: 500}) {
-		t.Fatalf("with gauges: %+v", dst)
+	if got := render(walkOuter{Inner: walkInner{Hits: 3}}); got != "t_on[]=0" {
+		t.Errorf("a false gate must emit only itself: %s", got)
 	}
 }
