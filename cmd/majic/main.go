@@ -15,6 +15,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -23,18 +24,30 @@ import (
 )
 
 func main() {
-	tierFlag := flag.String("tier", "jit", "execution strategy: interp|mcc|falcon|jit|spec in paper mode, or prod (tiered JIT, background compiles, fused kernels)")
-	platFlag := flag.String("platform", "sparc", "platform profile: sparc|mips")
-	eval := flag.String("e", "", "evaluate this code and exit")
-	seed := flag.Uint64("seed", 0, "RNG seed")
-	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON file (per-eval spans: parse, disambig, typeinf, codegen, queue wait, exec, tier-up, OSR) on exit")
-	jitLog := flag.Bool("jit-log", false, "print the tiering event journal (promotions, evictions, cause-attributed OSR deopts) to stderr on exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, evaluates or runs the REPL over
+// stdin, and returns the exit status.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("majic", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	tierFlag := fs.String("tier", "jit", "execution strategy: interp|mcc|falcon|jit|spec in paper mode, or prod (tiered JIT, background compiles, fused kernels)")
+	platFlag := fs.String("platform", "sparc", "platform profile: sparc|mips")
+	eval := fs.String("e", "", "evaluate this code and exit")
+	seed := fs.Uint64("seed", 0, "RNG seed")
+	traceFile := fs.String("trace", "", "write a Chrome trace-event JSON file (per-eval spans: parse, disambig, typeinf, codegen, queue wait, exec, tier-up, OSR) on exit")
+	jitLog := fs.Bool("jit-log", false, "print the tiering event journal (promotions, evictions, cause-attributed OSR deopts) to stderr on exit")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	opts, err := core.Preset(*tierFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	platform := core.PlatformSPARC
 	if *platFlag == "mips" {
@@ -55,16 +68,16 @@ func main() {
 	defer func() {
 		if tracer != nil {
 			if err := tracer.WriteFile(*traceFile); err != nil {
-				fmt.Fprintf(os.Stderr, "majic: -trace: %v\n", err)
+				fmt.Fprintf(stderr, "majic: -trace: %v\n", err)
 			}
 		}
 		if journal != nil {
-			journal.WriteText(os.Stderr)
+			journal.WriteText(stderr)
 		}
 	}()
 
 	opts.Platform = platform
-	opts.Out = os.Stdout
+	opts.Out = stdout
 	opts.Seed = *seed
 	opts.Tracer = tracer
 	opts.Journal = journal
@@ -72,49 +85,49 @@ func main() {
 	defer e.Close()
 
 	// Load .m files given on the command line into the repository.
-	for _, path := range flag.Args() {
+	for _, path := range fs.Args() {
 		src, err := os.ReadFile(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "majic: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "majic: %v\n", err)
+			return 1
 		}
 		if err := e.EvalString(string(src)); err != nil {
-			fmt.Fprintf(os.Stderr, "majic: %s: %v\n", path, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "majic: %s: %v\n", path, err)
+			return 1
 		}
 	}
 	e.Precompile()
 
 	if *eval != "" {
 		if err := e.EvalString(*eval); err != nil {
-			fmt.Fprintf(os.Stderr, "majic: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "majic: %v\n", err)
+			return 1
 		}
-		return
+		return 0
 	}
 
-	fmt.Println("MaJIC reproduction — MATLAB-like front end (tier " + *tierFlag + ")")
-	fmt.Println("Type MATLAB statements; 'exit' or Ctrl-D quits.")
-	sc := bufio.NewScanner(os.Stdin)
+	fmt.Fprintln(stdout, "MaJIC reproduction — MATLAB-like front end (tier "+*tierFlag+")")
+	fmt.Fprintln(stdout, "Type MATLAB statements; 'exit' or Ctrl-D quits.")
+	sc := bufio.NewScanner(stdin)
 	var pending strings.Builder
 	prompt := ">> "
 	for {
-		fmt.Print(prompt)
+		fmt.Fprint(stdout, prompt)
 		if !sc.Scan() {
-			fmt.Println()
-			return
+			fmt.Fprintln(stdout)
+			return 0
 		}
 		line := sc.Text()
 		if pending.Len() == 0 {
 			switch strings.TrimSpace(line) {
 			case "exit", "quit":
-				return
+				return 0
 			case "":
 				continue
 			case "who", "whos":
 				for _, name := range e.WorkspaceNames() {
 					v, _ := e.Workspace(name)
-					fmt.Printf("  %-12s %dx%d %s\n", name, v.Rows(), v.Cols(), v.Kind())
+					fmt.Fprintf(stdout, "  %-12s %dx%d %s\n", name, v.Rows(), v.Cols(), v.Kind())
 				}
 				continue
 			}
@@ -129,7 +142,7 @@ func main() {
 		pending.Reset()
 		prompt = ">> "
 		if err := e.EvalString(src); err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
+			fmt.Fprintf(stderr, "error: %v\n", err)
 		}
 	}
 }

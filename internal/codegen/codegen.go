@@ -177,7 +177,7 @@ func Compile(fn *ast.Function, res *infer.Result, tbl *disambig.Table, cfg Confi
 		if !ok {
 			t = types.Top
 		}
-		class := classOf(t)
+		class := ClassOf(t)
 		if forceV[name] || res.Boxed[name] {
 			class = ir.BankV
 		}
@@ -245,8 +245,10 @@ func finalizePools(g *gen) {
 	}
 }
 
-// classOf picks a register bank from a variable's joined type.
-func classOf(t types.Type) ir.Bank {
+// ClassOf picks a register bank from a variable's joined type. The
+// repository reads it too: a speculative entry whose scalar parameters
+// keep arriving in a lower class than this is replaced (core.specialise).
+func ClassOf(t types.Type) ir.Bank {
 	if t.Sp {
 		// A possibly-sparse value keeps its CSR representation only in a
 		// boxed register; unboxing would force densification.

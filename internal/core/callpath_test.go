@@ -119,20 +119,7 @@ func TestCallPathAllocationBudget(t *testing.T) {
 	}
 	for _, tier := range tiers {
 		for _, p := range progs {
-			budget := 0.01
-			if p.fn == "ackermann" && tier.name == "spec" {
-				// Measured 3.22, pinned with 5 % headroom (5.07 before the
-				// calls stopped boxing m-1 and the literal 1). What is left
-				// is not the call: the speculator types both parameters
-				// real, while the literal 1 of ackermann(m-1, 1) makes the
-				// inlined levels compute in integers, so y and the inlined
-				// levels' n receive values of both classes and stay boxed
-				// so each keeps its kind (infer.Result.Boxed) — a box for
-				// the constant of every boxed n == 0, n - 1 and n + 1, the
-				// generic operator's result, and a clone of y per inlined
-				// level.
-				budget = 3.39
-			}
+			const budget = 0.01
 			calls, per := dynamicCalls(t, tier.opts, p.src, p.fn, p.args...)
 			t.Logf("%s/%s: %d dynamic calls, %.4f allocations each", p.fn, tier.name, calls, per)
 			if calls < 50 {

@@ -188,9 +188,13 @@ func topOps(mix map[ir.Op]int64, total int64) string {
 
 // TestSpecExecutesNoMoreThanJIT holds the optimising tier to the JIT's
 // instruction count on the ledger's ten loop programs. The two recursive
-// programs are excepted: fibonacci's bodies are the same code either way
-// and ackermann's speculative signature is real ⊤ where the JIT sees
-// integers, so its inlined levels run boxed (ROADMAP, the tier-up item).
+// programs are excepted because a warm call here is the paper's: the
+// speculative entry itself, three calls in, below the replacement
+// threshold. fibonacci's bodies are the same code either way, and
+// ackermann's speculative signature is real ⊤ where the JIT sees
+// integers, so its inlined levels run boxed. A session that keeps calling
+// replaces that entry, and TestHotSpeculationTiersUp holds the hot
+// ackermann/spec to the JIT's count.
 func TestSpecExecutesNoMoreThanJIT(t *testing.T) {
 	counts, _ := dynamicInstrs(t)
 	for _, name := range ledgerScalar[:10] {

@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -185,8 +186,11 @@ type Options struct {
 	// AsyncCompile alone (the paper-mode measurements are untouched).
 	Tiered bool
 	// TierThreshold is the hotness threshold: a signature whose call
-	// count reaches it is promoted, and an activation whose back-edge
-	// count reaches it offers OSR. 0 means DefaultTierThreshold.
+	// count reaches it is promoted, an activation whose back-edge count
+	// reaches it offers OSR, and a speculative entry that this many calls
+	// from outside compiled code reached with narrower scalar classes is
+	// replaced by one compiled for them (any tier that holds speculative
+	// entries). 0 means DefaultTierThreshold.
 	TierThreshold int
 
 	// AsyncCompile turns the repository into a background compilation
@@ -404,19 +408,15 @@ func (e *Engine) registerFunction(fn *ast.Function) {
 // compilation over every registered function — the paper's scenario
 // where "MaJIC's repository had ample time to find them and compile
 // them speculatively". It is a no-op unless the engine runs TierSpec.
+// A function that already holds optimised code at its generation — the
+// speculator's entry, or the one that replaced it with the classes its
+// calls brought (specialise) — is not speculated again.
 func (e *Engine) Precompile() {
 	if e.opts.Tier != TierSpec {
 		return
 	}
 	for _, st := range e.lib.defined() {
-		has := false
-		for _, entry := range st.Entries {
-			if entry.Speculative {
-				has = true
-				break
-			}
-		}
-		if !has {
+		if !slices.ContainsFunc(st.Entries, func(en *repo.Entry) bool { return en.Quality == repo.QualityOpt }) {
 			e.repo.precompile(st)
 		}
 	}

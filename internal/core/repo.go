@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -26,7 +27,7 @@ import (
 //
 // There is one miss pipeline, submit → job → wait: every compile goes
 // through Library.submit (inline for a synchronous engine, single-flight
-// on the worker pool otherwise), every repository insert is the one job
+// on the worker pool otherwise), every repository write is the one job
 // body (publish), and what the caller does meanwhile is its missPolicy.
 type repoState struct {
 	e *Engine
@@ -81,25 +82,30 @@ func newRepoState(e *Engine) *repoState {
 // a shared Library this is the library's process-wide repository.
 func (e *Engine) Repo() *repo.Repository { return e.repo.r }
 
-// publish is the one job body behind every repository insert —
-// speculative precompile, miss and tier-up promotion: compile the body
-// the caller resolved (st.Fn) for csig and publish at the generation it
-// resolved (st.Gen), so a redefinition landing mid-compile drops the
-// entry (InsertAt) instead of installing code for a dead body. The entry
-// is returned whether or not the repository took it: it is valid code
-// for st.Fn and serves the invocation that asked for it. A nil entry and
-// nil error mean there was nothing to do: the function was redefined
-// while the job was queued, or an entry serving csig landed meanwhile —
-// a job under another key (the widened sibling, say) can cover it.
-func (r *repoState) publish(st *repo.FuncState, csig types.Signature, po pipelineOpts, speculative bool) (entry *repo.Entry, published bool, err error) {
+// publish is the one job body behind every repository write —
+// speculative precompile, miss, tier-up promotion and the replacement of
+// a speculative entry: compile the body the caller resolved (st.Fn) for
+// csig and publish at the generation it resolved (st.Gen), so a
+// redefinition landing mid-compile drops the entry (InsertAt) instead of
+// installing code for a dead body. With old set the entry replaces old
+// (Replace), which only succeeds while old is still published, so it is
+// generation-safe the same way. The entry is returned whether or not the
+// repository took it: it is valid code for st.Fn and serves the
+// invocation that asked for it. A nil entry and nil error mean there was
+// nothing to do: the function was redefined while the job was queued, an
+// entry serving csig landed meanwhile — a job under another key (the
+// widened sibling, say) can cover it — or old is gone.
+func (r *repoState) publish(st *repo.FuncState, csig types.Signature, po pipelineOpts, speculative bool, old *repo.Entry) (entry *repo.Entry, published bool, err error) {
 	name := st.Fn.Name
-	if now := r.r.State(name); now.Gen != st.Gen || now.Covers(csig) {
+	now := r.r.State(name)
+	if now.Gen != st.Gen || old == nil && now.Covers(csig) || old != nil && !slices.Contains(now.Entries, old) {
 		return nil, false, nil
 	}
 	c, err := r.e.compile(st.Fn, csig, po)
 	switch _, unsupported := err.(*codegen.ErrUnsupported); {
-	case unsupported && speculative:
-		// A rejected guess says nothing about the runtime signature.
+	case unsupported && (speculative || old != nil):
+		// A rejected guess says nothing about the runtime signature, and a
+		// rejected replacement leaves the entry it was for serving.
 		return nil, false, nil
 	case unsupported:
 		// Defer to runtime, like MaJIC does for ambiguous symbols, and
@@ -111,6 +117,9 @@ func (r *repoState) publish(st *repo.FuncState, csig types.Signature, po pipelin
 		entry = c.entry(csig, repo.QualityOpt, speculative)
 	default:
 		entry = c.entry(csig, repo.QualityJIT, speculative)
+	}
+	if old != nil {
+		return entry, r.r.Replace(name, old, entry), nil
 	}
 	return entry, r.r.InsertAt(name, entry, st.Gen), nil
 }
@@ -126,7 +135,7 @@ func (r *repoState) precompile(st *repo.FuncState) {
 		nil,
 		func() error {
 			if sig, err := r.e.speculate(st.Fn); err == nil {
-				r.publish(st, sig, pipelineOpts{optimize: true}, true)
+				r.publish(st, sig, pipelineOpts{optimize: true}, true, nil)
 			}
 			return nil
 		})
@@ -146,7 +155,33 @@ const sigBuf = 6
 // signature is on the miss path, which gets a copy.
 func (r *repoState) invoke(st *repo.FuncState, args []vm.Operand, nout int, caller *vm.Frame) ([]vm.Operand, error) {
 	var buf [sigBuf]types.Type
-	sig := types.Signature(buf[:0]) // a longer argument list grows onto the heap
+	sig := observedSig(buf[:0], args)
+	entry := r.r.LookupIn(st, sig)
+	// The profiled policy serves an interpret-only hit (a cached
+	// unsupported decision) like a miss: the interpreter runs it either
+	// way, and the profile keeps counting in case a narrower profiled
+	// signature compiles where the widened one could not.
+	if entry != nil && (entry.Code != nil || r.policy != interpretProfiled) {
+		// Only calls from the boxed side count towards replacing a
+		// speculative entry: a recursion's own calls would cross the
+		// threshold inside the first call.
+		if caller == nil && entry.Speculative && narrowerClass(entry.Sig, sig) &&
+			entry.CountNarrower() == int64(r.e.tierThreshold()) {
+			if repl := r.specialise(st, entry, sig, causeObservedClasses); repl != nil {
+				entry = repl
+			}
+		}
+		return r.runEntry(entry, st.Fn, args, nout, caller)
+	}
+	return r.miss(st, append(types.Signature(nil), sig...), args, nout, caller)
+}
+
+// observedSig types the operands of a call as the function locator sees
+// them, into buf (a longer argument list grows onto the heap): a boxed
+// argument by its value, a scalar that arrives in a register as the box
+// it replaces would be.
+func observedSig(buf []types.Type, args []vm.Operand) types.Signature {
+	sig := types.Signature(buf)
 	for i := range args {
 		switch a := &args[i]; {
 		case a.V != nil:
@@ -157,15 +192,88 @@ func (r *repoState) invoke(st *repo.FuncState, args []vm.Operand, nout int, call
 			sig = append(sig, types.OfScalar(mat.Real, a.F))
 		}
 	}
-	entry := r.r.LookupIn(st, sig)
-	// The profiled policy serves an interpret-only hit (a cached
-	// unsupported decision) like a miss: the interpreter runs it either
-	// way, and the profile keeps counting in case a narrower profiled
-	// signature compiles where the widened one could not.
-	if entry != nil && (entry.Code != nil || r.policy != interpretProfiled) {
-		return r.runEntry(entry, st.Fn, args, nout, caller)
+	return sig
+}
+
+// causeObservedClasses is the journaled cause of a speculative entry
+// replaced because its calls kept bringing narrower classes; one replaced
+// because its return guard missed carries telemetry.CauseReturnGuard.
+const causeObservedClasses = "observed-classes"
+
+// classRank orders the register classes codegen homes a scalar of type t
+// in (codegen.ClassOf): int < real < complex. A boxed type ranks 0.
+func classRank(t *types.Type) int {
+	switch codegen.ClassOf(*t) {
+	case ir.BankI:
+		return 1
+	case ir.BankF:
+		return 2
+	case ir.BankC:
+		return 3
 	}
-	return r.miss(st, append(types.Signature(nil), sig...), args, nout, caller)
+	return 0
+}
+
+// narrowerClass reports whether some parameter that sig holds in a scalar
+// register arrives, in observed, in a strictly lower class: an int where
+// the entry expects a real, say. Boxed (⊤, array) parameters never count.
+func narrowerClass(sig, observed types.Signature) bool {
+	for i := range sig {
+		if c := classRank(&sig[i]); c > 0 && classRank(&observed[i]) < c {
+			return true
+		}
+	}
+	return false
+}
+
+// specialise replaces the speculative entry spec with one compiled at
+// QualityOpt for the register classes a call observed. Every parameter
+// spec holds in a scalar register takes the observed class at range ⊤ —
+// what a JIT's second miss compiles (widen) — and the others keep the
+// speculator's type. This is Julia's bargain on top of the paper's
+// speculation: specialise on the types actually seen. The replacement
+// takes spec's place (publish with old): the function keeps one entry,
+// with spec's hits, and a call the new classes no longer cover misses
+// and is compiled like any other miss. The new entry is returned when
+// the job ran on this goroutine and published; a background engine keeps
+// spec serving until the job lands, and gets nil.
+func (r *repoState) specialise(st *repo.FuncState, spec *repo.Entry, observed types.Signature, cause string) *repo.Entry {
+	e := r.e
+	csig := widen(observed)
+	for i := range csig {
+		if classRank(&spec.Sig[i]) == 0 {
+			csig[i] = spec.Sig[i]
+		}
+	}
+	name := st.Fn.Name
+	var repl *repo.Entry
+	_, pooled := e.lib.submit(r.background,
+		func() string { return fmt.Sprintf("respec\x00%s\x00%s\x00%d", name, csig.Key(), st.Gen) },
+		nil,
+		func() error {
+			t0 := time.Now()
+			entry, published, err := r.publish(st, csig, pipelineOpts{optimize: true}, false, spec)
+			if entry != nil || err != nil {
+				e.tracer.Span(telemetry.CatTierUp, name, e.id, t0, time.Since(t0))
+			}
+			if published {
+				e.lib.profiles.CountPromotion()
+				e.lib.journal.Record(telemetry.Event{
+					Kind:   telemetry.EventPromotion,
+					Func:   name,
+					Sig:    csig.Key(),
+					Cause:  cause,
+					Gen:    st.Gen,
+					Detail: "replaces " + spec.Sig.Key(),
+				})
+				repl = entry
+			}
+			return nil
+		})
+	if pooled {
+		return nil
+	}
+	return repl
 }
 
 // miss serves a signature no entry covers: submit the compile, then do
@@ -217,7 +325,7 @@ func (r *repoState) miss(st *repo.FuncState, sig types.Signature, args []vm.Oper
 		func() string { return fmt.Sprintf("jit\x00%s\x00%s\x00%d", name, csig.Key(), st.Gen) },
 		func() bool { return r.r.Covered(name, csig) },
 		func() (err error) {
-			mine, _, err = r.publish(st, csig, po, false)
+			mine, _, err = r.publish(st, csig, po, false, nil)
 			return err
 		})
 
@@ -284,10 +392,12 @@ func (r *repoState) leave(name string, t0 time.Time, nout int, outs []vm.Operand
 // VM, or the interpreter for an interpret-only entry. A compiled
 // activation whose return-type guard misses (vm.ErrGuardMiss) is
 // abandoned and the call re-run in the interpreter — invisible, because
-// only replay-safe functions are compiled with guards — and the entry is
-// retired in favour of an interpret-only one so later calls skip the
-// detour until a redefinition clears the slate. The interpreter is on
-// the boxed side of the call boundary: its arguments are boxed here.
+// only replay-safe functions are compiled with guards. A speculative
+// entry is then replaced by one compiled for the classes this call
+// brought (specialise); any other is retired in favour of an
+// interpret-only one, so later calls skip the detour until a
+// redefinition clears the slate. The interpreter is on the boxed side of
+// the call boundary: its arguments are boxed here.
 func (r *repoState) runEntry(entry *repo.Entry, fn *ast.Function, args []vm.Operand, nout int, caller *vm.Frame) ([]vm.Operand, error) {
 	t0 := r.enter()
 	var outs []vm.Operand
@@ -295,13 +405,18 @@ func (r *repoState) runEntry(entry *repo.Entry, fn *ast.Function, args []vm.Oper
 	if entry.Quality != repo.QualityInterp {
 		outs, err = vm.Run(entry.Code, r.e, args, caller)
 		if err == vm.ErrGuardMiss {
-			r.r.Replace(fn.Name, entry, &repo.Entry{Sig: entry.Sig, Quality: repo.QualityInterp})
 			r.e.lib.journal.Record(telemetry.Event{
 				Kind:  telemetry.EventDeopt,
 				Func:  fn.Name,
 				Sig:   entry.Sig.Key(),
 				Cause: telemetry.CauseReturnGuard,
 			})
+			if entry.Speculative {
+				var buf [sigBuf]types.Type
+				r.specialise(r.r.State(fn.Name), entry, observedSig(buf[:0], args), telemetry.CauseReturnGuard)
+			} else {
+				r.r.Replace(fn.Name, entry, &repo.Entry{Sig: entry.Sig, Quality: repo.QualityInterp})
+			}
 		}
 	}
 	if entry.Quality == repo.QualityInterp || err == vm.ErrGuardMiss {
@@ -372,7 +487,7 @@ func (r *repoState) maybePromote(st *repo.FuncState, sp *profile.SigProfile, ari
 		nil,
 		func() error {
 			t0 := time.Now()
-			entry, published, err := r.publish(st, csig, pipelineOpts{optimize: true}, false)
+			entry, published, err := r.publish(st, csig, pipelineOpts{optimize: true}, false, nil)
 			if entry != nil || err != nil {
 				e.tracer.Span(telemetry.CatTierUp, name, e.id, t0, time.Since(t0))
 			}

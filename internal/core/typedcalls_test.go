@@ -31,8 +31,9 @@ import (
 // inc, half and keep are called with integers and reals alike, so a
 // caller compiled late is typed against the join of their entries'
 // summaries (real), meets the integer entry's I register at its F
-// fetch, and is retired to the interpreter — the guard doing its job,
-// and part of what the table runs through. incint, halfint and keepint
+// fetch, and is retired to the interpreter, or replaced when it is
+// speculative — the guard doing its job, and part of what the table runs
+// through. incint, halfint and keepint
 // only ever see integers: their callers keep their fetches.
 const typedCallsSrc = `
 function y = inc(x)

@@ -94,10 +94,18 @@ type Entry struct {
 	// Invalidating any of them invalidates this entry's function too.
 	Deps []Dep
 	hits atomic.Int64
+	// narrower counts the calls the engine saw arrive with some parameter
+	// in a lower register class than this entry's signature holds it in.
+	narrower atomic.Int64
 }
 
 // Hits returns the number of Lookup hits this entry has served.
 func (e *Entry) Hits() int64 { return e.hits.Load() }
+
+// CountNarrower records one call whose arguments were narrower than the
+// entry's register classes and returns the running count. An entry that
+// replaces this one starts again from zero.
+func (e *Entry) CountNarrower() int64 { return e.narrower.Add(1) }
 
 // FuncState is everything the repository knows about one function name
 // at one instant. A published FuncState is never modified; readers hold
