@@ -172,13 +172,17 @@ func Compile(fn *ast.Function, res *infer.Result, tbl *disambig.Table, cfg Confi
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	var carriers map[string]bool // asked for once a variable is complex
 	for _, name := range names {
 		t, ok := res.Vars[name]
 		if !ok {
 			t = types.Top
 		}
 		class := ClassOf(t)
-		if forceV[name] || res.Boxed[name] {
+		if class == ir.BankC && carriers == nil {
+			carriers = g.kindCarriers(fn)
+		}
+		if forceV[name] || res.Boxed[name] || class == ir.BankC && carriers[name] {
 			class = ir.BankV
 		}
 		g.vars[name] = g.newSlot(class)

@@ -17,6 +17,13 @@ func (g *gen) expr(e ast.Expr) (ir.Bank, int32) {
 	switch x := e.(type) {
 	case *ast.NumberLit:
 		// A literal is a constant register: no instruction.
+		if x.Imag && x.Value == 0 {
+			// 0i is complex with a zero imaginary part, which no C
+			// register can say (kinds.go): its box keeps the kind.
+			d := g.newReg(ir.BankV)
+			g.emit(ir.Instr{Op: ir.OpBoxC, A: d, B: g.prog.CConst(0), Imm: 1})
+			return ir.BankV, d
+		}
 		if x.Imag {
 			return ir.BankC, g.prog.CConst(complex(0, x.Value))
 		}
@@ -83,8 +90,7 @@ func (g *gen) expr(e ast.Expr) (ir.Bank, int32) {
 func (g *gen) isVarUse(x *ast.Ident) bool {
 	m, ok := g.tbl.Uses[x]
 	if !ok {
-		_, isVar := g.vars[x.Name]
-		return isVar
+		return g.tbl.Vars[x.Name]
 	}
 	return m == disambig.Variable
 }
@@ -181,8 +187,12 @@ func (g *gen) binary(x *ast.Binary) (ir.Bank, int32) {
 
 // scalarBinary emits typed scalar instructions.
 func (g *gen) scalarBinary(x *ast.Binary, bank ir.Bank) (ir.Bank, int32) {
-	lb, lr := g.expr(x.L)
-	rb, rr := g.expr(x.R)
+	compile := g.expr
+	if bank == ir.BankC {
+		compile = g.operand // complex arithmetic
+	}
+	lb, lr := compile(x.L)
+	rb, rr := compile(x.R)
 
 	if x.Op.IsRelational() {
 		// Complex equality uses C compares; ordering uses F.
@@ -401,10 +411,10 @@ func (g *gen) unary(x *ast.Unary) (ir.Bank, int32) {
 				d := g.newReg(ir.BankF)
 				g.emit(ir.Instr{Op: ir.OpFNeg, A: d, B: f})
 				return ir.BankF, d
-			case types.LeqI(ann.I, types.ICplx):
-				c := g.toC(b, r)
+			case types.LeqI(ann.I, types.ICplx) && b != ir.BankV:
+				// (a boxed operand may carry a kind a C register drops: kinds.go)
 				d := g.newReg(ir.BankC)
-				g.emit(ir.Instr{Op: ir.OpCNeg, A: d, B: c})
+				g.emit(ir.Instr{Op: ir.OpCNeg, A: d, B: g.toC(b, r)})
 				return ir.BankC, d
 			}
 		}

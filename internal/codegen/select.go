@@ -48,29 +48,42 @@ func minNumel(t types.Type) types.Extent {
 	return types.Fin(n)
 }
 
-// typedLoadPossible: base is a real (or narrower) array variable and
-// every subscript is a scalar annotation.
-func (g *gen) typedLoadPossible(call *ast.Call, baseT types.Type) bool {
+// typedLoadPossible reports the bank a typed read of call lands in: the
+// bank of the access's annotation, F for a real (or narrower) element and
+// C for a complex one. The base must be a dense array variable no wider
+// than that, and every subscript a real scalar.
+func (g *gen) typedLoadPossible(call *ast.Call, baseT types.Type) (ir.Bank, bool) {
 	if s, ok := g.vars[call.Name]; !ok || s.bank != ir.BankV {
-		return false
+		return 0, false
 	}
-	if !types.LeqI(baseT.I, types.IReal) || baseT.I == types.IBottom || baseT.Sp {
+	ann := g.annOf(call)
+	bank, widest := ir.BankF, types.IReal
+	switch {
+	case !ann.IsScalar():
+		return 0, false
+	case types.LeqI(ann.I, types.IReal):
+	case types.LeqI(ann.I, types.ICplx):
+		bank, widest = ir.BankC, types.ICplx
+	default:
+		return 0, false
+	}
+	if !types.LeqI(baseT.I, widest) || baseT.I == types.IBottom || baseT.Sp {
 		// Possibly-sparse bases have no dense payload to load from.
-		return false
+		return 0, false
 	}
 	if len(call.Args) != 1 && len(call.Args) != 2 {
-		return false
+		return 0, false
 	}
 	for _, a := range call.Args {
 		switch a.(type) {
 		case *ast.Colon:
-			return false
+			return 0, false
 		}
 		if !g.annOf(a).IsScalar() || !types.LeqI(g.annOf(a).I, types.IReal) {
-			return false
+			return 0, false
 		}
 	}
-	return true
+	return bank, true
 }
 
 // typedStorePossible mirrors typedLoadPossible for stores; the rhs must
@@ -107,9 +120,13 @@ func (g *gen) typedStorePossible(call *ast.Call, rhs ast.Expr, baseT types.Type)
 }
 
 // Opcode forms of a typed element access, by subscript count: proven in
-// bounds, proven integer only (subscripts in the I bank), neither.
+// bounds, proven integer only (subscripts in the I bank), neither. Loads
+// come in the two banks a read can land in.
 var (
-	loadForms  = [2][3]ir.Op{{ir.OpFLd1U, ir.OpFLd1I, ir.OpFLd1}, {ir.OpFLd2U, ir.OpFLd2I, ir.OpFLd2}}
+	loadForms = map[ir.Bank][2][3]ir.Op{
+		ir.BankF: {{ir.OpFLd1U, ir.OpFLd1I, ir.OpFLd1}, {ir.OpFLd2U, ir.OpFLd2I, ir.OpFLd2}},
+		ir.BankC: {{ir.OpCLd1U, ir.OpCLd1I, ir.OpCLd1}, {ir.OpCLd2U, ir.OpCLd2I, ir.OpCLd2}},
+	}
 	storeForms = [2][3]ir.Op{{ir.OpFSt1U, ir.OpFSt1I, ir.OpFSt1}, {ir.OpFSt2U, ir.OpFSt2I, ir.OpFSt2}}
 )
 
@@ -150,12 +167,28 @@ func (g *gen) subscripts(call *ast.Call, baseT types.Type, forms [2][3]ir.Op) (i
 	return forms[n-1][2], regs
 }
 
-// emitTypedLoad compiles A(i) / A(i,j) element reads.
-func (g *gen) emitTypedLoad(call *ast.Call, base slot, baseT types.Type) (ir.Bank, int32) {
-	op, r := g.subscripts(call, baseT, loadForms)
-	d := g.newReg(ir.BankF)
+// emitTypedLoad compiles A(i) / A(i,j) element reads into a register of
+// bank (typedLoadPossible's).
+func (g *gen) emitTypedLoad(call *ast.Call, base slot, baseT types.Type, bank ir.Bank) (ir.Bank, int32) {
+	op, r := g.subscripts(call, baseT, loadForms[bank])
+	d := g.newReg(bank)
 	g.emit(ir.Instr{Op: op, A: d, B: base.reg, C: r[0], D: r[1]})
-	return ir.BankF, d
+	return bank, d
+}
+
+// operand compiles e for a consumer that never boxes it unchanged:
+// complex arithmetic, abs, real, imag or an elementary math function.
+// Only here does an element read of a complex array land in a C register:
+// a box made from one would demote a zero imaginary part, where the
+// interpreter's read keeps the array's kind (kinds.go).
+func (g *gen) operand(e ast.Expr) (ir.Bank, int32) {
+	if x, ok := e.(*ast.Call); ok && x.Kind == ast.CallIndex {
+		baseT := g.baseTypeOf(x)
+		if bank, ok := g.typedLoadPossible(x, baseT); ok {
+			return g.emitTypedLoad(x, g.vars[x.Name], baseT, bank)
+		}
+	}
+	return g.expr(e)
 }
 
 // emitTypedStore compiles A(i) = f / A(i,j) = f stores; checked stores
@@ -176,9 +209,8 @@ func (g *gen) call(x *ast.Call) (ir.Bank, int32) {
 	case ast.CallIndex:
 		base := g.vars[x.Name]
 		baseT := g.baseTypeOf(x)
-		ann := g.annOf(x)
-		if g.typedLoadPossible(x, baseT) && ann.IsScalar() && types.LeqI(ann.I, types.IReal) {
-			return g.emitTypedLoad(x, base, baseT)
+		if bank, ok := g.typedLoadPossible(x, baseT); ok && bank == ir.BankF {
+			return g.emitTypedLoad(x, base, baseT, bank)
 		}
 		if base.bank != ir.BankV {
 			panic(unsupported("indexing a scalar-classed variable %s", x.Name))
@@ -237,7 +269,7 @@ func (g *gen) builtinCall(x *ast.Call) (ir.Bank, int32) {
 					return ir.BankF, d
 				}
 				if types.LeqI(at.I, types.ICplx) && cmathSupported(name) {
-					b, r := g.expr(x.Args[0])
+					b, r := g.operand(x.Args[0])
 					c := g.toC(b, r)
 					d := g.newReg(ir.BankC)
 					g.emit(ir.Instr{Op: ir.OpCMath, A: d, B: c, C: g.mathID(name)})
@@ -246,7 +278,7 @@ func (g *gen) builtinCall(x *ast.Call) (ir.Bank, int32) {
 			}
 			// abs of a complex scalar → F
 			if name == "abs" && types.LeqI(at.I, types.ICplx) {
-				b, r := g.expr(x.Args[0])
+				b, r := g.operand(x.Args[0])
 				c := g.toC(b, r)
 				d := g.newReg(ir.BankF)
 				g.emit(ir.Instr{Op: ir.OpCAbs, A: d, B: c})
@@ -254,7 +286,11 @@ func (g *gen) builtinCall(x *ast.Call) (ir.Bank, int32) {
 			}
 			switch name {
 			case "real", "imag", "conj", "angle":
-				b, r := g.expr(x.Args[0])
+				compile := g.expr
+				if name == "real" || name == "imag" {
+					compile = g.operand
+				}
+				b, r := compile(x.Args[0])
 				if types.LeqI(at.I, types.IReal) && b != ir.BankV {
 					switch name {
 					case "real", "conj":

@@ -16,6 +16,7 @@ import (
 	"repro/internal/infer"
 	"repro/internal/inline"
 	"repro/internal/ir"
+	"repro/internal/mat"
 	"repro/internal/opt"
 	"repro/internal/parser"
 	"repro/internal/types"
@@ -300,6 +301,67 @@ func TestLoopsCarryNoWaste(t *testing.T) {
 			t.Errorf("%s: innermost loops hold %+v, pinned %+v", key, got, want)
 		}
 	})
+}
+
+// TestComplexReadsDoNotBox: an element of a complex array that abs
+// consumes is read into a C register (cld*), not boxed with its subscript
+// and unboxed again, so mei's loop allocates nothing per trip — a call
+// costs the same at n = 10 and n = 1000 — and mei's own bodies hold no
+// gindex, under jit, spec and tiered engines. eig's result is complex by
+// annotation (Table 2) and real at run time here, as it is in mei.
+func TestComplexReadsDoNotBox(t *testing.T) {
+	const src = `
+function t = meish(H, n)
+  e = eig(H'*H);
+  m = size(H, 2);
+  t = 0;
+  for p = 1:n
+    t = t + abs(e(mod(p, m) + 1))^0.5;
+  end
+end`
+	mei := bench.ByName("mei")
+	for _, v := range []struct {
+		name string
+		opts core.Options
+	}{
+		{"jit", core.Options{Tier: core.TierJIT}},
+		{"spec", core.Options{Tier: core.TierSpec}},
+		{"tiered", core.Options{Tier: core.TierJIT, Tiered: true, TierThreshold: 2}},
+	} {
+		opts := v.opts
+		opts.Seed = 12345
+		opts.Library = core.NewLibrary(core.LibraryOptions{})
+		e := core.New(opts)
+		if err := e.Define(src + "\n" + mei.Source(bench.Small)); err != nil {
+			t.Fatal(err)
+		}
+		H := mei.Args(bench.Small)[0]
+		call := func(fn string, args ...*mat.Value) func() {
+			return func() {
+				if _, err := e.Call(fn, args, 1); err != nil {
+					t.Fatalf("%s/%s: %v", fn, v.name, err)
+				}
+			}
+		}
+		short, long := call("meish", H, mat.Scalar(10)), call("meish", H, mat.Scalar(1000))
+		for warm := 0; warm < 4; warm++ {
+			short()
+			long()
+			call("mei", H)()
+			e.Drain()
+		}
+		if a, b := testing.AllocsPerRun(5, short), testing.AllocsPerRun(5, long); a != b {
+			t.Errorf("%s: a call allocates %v objects at n = 10 and %v at n = 1000", v.name, a, b)
+		}
+		for _, en := range e.Repo().Entries("mei") {
+			for pos, in := range en.Code.P.Ins {
+				if in.Op == ir.OpGIndex {
+					t.Errorf("%s: mei%v reads e(p) generically at +%d:\n%s", v.name, en.Sig, pos, en.Code.P.Disasm())
+				}
+			}
+		}
+		e.Close()
+	}
 }
 
 type fileResolver map[string]*ast.Function

@@ -171,19 +171,22 @@ type Options struct {
 	// becomes measurable.
 	JITBackendOpts bool
 
-	// Tiered enables profile-guided tiered recompilation for TierJIT, the
-	// repository's one upgrade path ("the generated code can later be
-	// recompiled — and replaced in the repository — using a better
-	// compiler"): calls start in the interpreter (first-eval latency stays
-	// interpreter-fast), cheap counters at call entries and loop
-	// back-edges feed a hotness profile per (function, widened
-	// signature), and hot signatures are recompiled in the background at
-	// QualityOpt with profile-narrowed types. Hot interpreter loops
-	// transfer mid-run into compiled code via on-stack replacement; a
-	// generation-checked guard deopts back to the interpreter on
-	// redefinition or range violation, so results are bit-identical with
-	// tiering on or off. Ignored by the other tiers, whose misses follow
-	// AsyncCompile alone (the paper-mode measurements are untouched).
+	// Tiered enables profile-guided tiered recompilation for TierJIT, one
+	// of the repository's two upgrade paths ("the generated code can later
+	// be recompiled — and replaced in the repository — using a better
+	// compiler"); the other replaces a speculative entry that its calls
+	// keep reaching with narrower classes (TierThreshold, specialise).
+	// ROADMAP item 2 makes the two one rule. Calls start in the
+	// interpreter (first-eval latency stays interpreter-fast), cheap
+	// counters at call entries and loop back-edges feed a hotness profile
+	// per (function, widened signature), and hot signatures are
+	// recompiled in the background at QualityOpt with profile-narrowed
+	// types. Hot interpreter loops transfer mid-run into compiled code via
+	// on-stack replacement; a generation-checked guard deopts back to the
+	// interpreter on redefinition or range violation, so results are
+	// bit-identical with tiering on or off. Ignored by the other tiers,
+	// whose misses follow AsyncCompile alone (the paper-mode measurements
+	// are untouched).
 	Tiered bool
 	// TierThreshold is the hotness threshold: a signature whose call
 	// count reaches it is promoted, an activation whose back-edge count

@@ -83,7 +83,7 @@ const (
 	OpItoC   // C[A] = complex(float64(I[B]), 0)
 	OpBoxF   // V[A] = scalar(F[B])
 	OpBoxI   // V[A] = int scalar(I[B])
-	OpBoxC   // V[A] = complex scalar(C[B])
+	OpBoxC   // V[A] = complex scalar(C[B]), real when its imaginary part is 0 unless Imm is 1
 	OpUnboxF // F[A] = V[B] as real scalar (checked)
 	OpUnboxI // I[A] = V[B] as integer scalar (checked)
 	OpUnboxC // C[A] = V[B] as complex scalar (checked)
@@ -154,6 +154,14 @@ const (
 	OpFSt2  // V[A](F[B], F[C]) = F[D] checked
 	OpFSt2I // V[A](I[B], I[C]) = F[D] bounds-checked
 	OpFSt2U // V[A] at (I[B], I[C]) = F[D] unchecked
+	// The complex twins of the loads: C[A] = complex(re, im or 0), with the
+	// F forms' subscripts and the F forms' checks.
+	OpCLd1  // C[A] = V[B](F[C]) checked linear load
+	OpCLd1I // C[A] = V[B](I[C]) bounds-checked
+	OpCLd1U // C[A] = V[B] at I[C] unchecked
+	OpCLd2  // C[A] = V[B](F[C], F[D]) checked
+	OpCLd2I // C[A] = V[B](I[C], I[D]) bounds-checked
+	OpCLd2U // C[A] = V[B] at (I[C], I[D]) unchecked
 
 	// array management
 	OpVNewZeros   // V[A] = zeros(I[B], I[C]) fast typed allocation
@@ -240,6 +248,7 @@ var opNames = map[Op]string{
 	OpCReal: "creal", OpCImag: "cimag", OpCConj: "cconj",
 	OpFLd1: "fld1", OpFLd1I: "fld1i", OpFLd1U: "fld1u", OpFLd2: "fld2", OpFLd2I: "fld2i", OpFLd2U: "fld2u",
 	OpFSt1: "fst1", OpFSt1I: "fst1i", OpFSt1U: "fst1u", OpFSt2: "fst2", OpFSt2I: "fst2i", OpFSt2U: "fst2u",
+	OpCLd1: "cld1", OpCLd1I: "cld1i", OpCLd1U: "cld1u", OpCLd2: "cld2", OpCLd2I: "cld2i", OpCLd2U: "cld2u",
 	OpVNewZeros: "vnew", OpVEnsure: "vensure",
 	OpVRows: "vrows", OpVCols: "vcols", OpVNumel: "vnumel", OpVMarkShared: "vshare",
 	OpGBin: "gbin", OpGUn: "gun", OpGIndex: "gindex", OpGAssign: "gassign",

@@ -150,7 +150,13 @@ func TestOperandTable(t *testing.T) {
 		{op: OpFLdSlot, def: BankNone}, // emitted by the allocator, after every reader
 		{op: OpFLd2I, def: BankF, uses: []use{{BankI, 'C'}, {BankI, 'D'}}},
 		{op: OpFSt1I, def: BankNone, uses: []use{{BankI, 'B'}, {BankF, 'C'}}},
-		{op: OpFRand, def: BankF}, // B picks the distribution
+		{op: OpFRand, def: BankF},                           // B picks the distribution
+		{op: OpCLd1, def: BankC, uses: []use{{BankF, 'C'}}}, // B is the array
+		{op: OpCLd1I, def: BankC, uses: []use{{BankI, 'C'}}},
+		{op: OpCLd1U, def: BankC, uses: []use{{BankI, 'C'}}},
+		{op: OpCLd2, def: BankC, uses: []use{{BankF, 'C'}, {BankF, 'D'}}},
+		{op: OpCLd2I, def: BankC, uses: []use{{BankI, 'C'}, {BankI, 'D'}}},
+		{op: OpCLd2U, def: BankC, uses: []use{{BankI, 'C'}, {BankI, 'D'}}},
 	}
 	for _, c := range cases {
 		in := &Instr{Op: c.op}

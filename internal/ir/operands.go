@@ -92,6 +92,10 @@ var operands = func() []opRoles {
 	set(opRoles{defF, regV, useI}, OpFLd1I, OpFLd1U)
 	set(opRoles{defF, regV, useF, useF}, OpFLd2)
 	set(opRoles{defF, regV, useI, useI}, OpFLd2I, OpFLd2U)
+	set(opRoles{defC, regV, useF}, OpCLd1)
+	set(opRoles{defC, regV, useI}, OpCLd1I, OpCLd1U)
+	set(opRoles{defC, regV, useF, useF}, OpCLd2)
+	set(opRoles{defC, regV, useI, useI}, OpCLd2I, OpCLd2U)
 	set(opRoles{regV, useF, useF}, OpFSt1)
 	set(opRoles{regV, useI, useF}, OpFSt1I, OpFSt1U)
 	set(opRoles{regV, useF, useF, useF}, OpFSt2)

@@ -443,6 +443,19 @@ func (a *Value) CheckedGet1(x float64) (float64, error) {
 	return a.re[i-1], nil
 }
 
+// CheckedGet1C is CheckedGet1's complex twin: the element with its
+// imaginary part (0 when a is not complex), behind CheckedGet1's check.
+func (a *Value) CheckedGet1C(x float64) (complex128, error) {
+	re, err := a.CheckedGet1(x)
+	if err != nil || a.im == nil {
+		return complex(re, 0), err
+	}
+	return complex(re, a.im[int(x)-1]), nil
+}
+
+// FastGet1C is FastGet1's complex twin.
+func (a *Value) FastGet1C(i int) complex128 { return a.ComplexAt(i) }
+
 // CheckedSet1 is the checked linear store with growth semantics.
 func (a *Value) CheckedSet1(x float64, val float64) error {
 	if x != math.Trunc(x) || x < 1 {
@@ -476,6 +489,15 @@ func (a *Value) CheckedGet2(xr, xc float64) (float64, error) {
 	return a.re[(c-1)*a.rows+(r-1)], nil
 }
 
+// CheckedGet2C is CheckedGet2's complex twin, behind CheckedGet2's check.
+func (a *Value) CheckedGet2C(xr, xc float64) (complex128, error) {
+	re, err := a.CheckedGet2(xr, xc)
+	if err != nil || a.im == nil {
+		return complex(re, 0), err
+	}
+	return complex(re, a.im[(int(xc)-1)*a.rows+int(xr)-1]), nil
+}
+
 // CheckedSet2 is the checked 2-D store with growth semantics.
 func (a *Value) CheckedSet2(xr, xc float64, val float64) error {
 	if xr != math.Trunc(xr) || xr < 1 || xc != math.Trunc(xc) || xc < 1 {
@@ -494,6 +516,9 @@ func (a *Value) CheckedSet2(xr, xc float64, val float64) error {
 
 // FastGet2 is the unchecked 2-D load (0-based).
 func (a *Value) FastGet2(r, c int) float64 { return a.re[c*a.rows+r] }
+
+// FastGet2C is FastGet2's complex twin.
+func (a *Value) FastGet2C(r, c int) complex128 { return a.ComplexAt(c*a.rows + r) }
 
 // FastSet2 is the unchecked 2-D store (0-based).
 func (a *Value) FastSet2(r, c int, x float64) { a.re[c*a.rows+r] = x }

@@ -541,7 +541,11 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []Operand) ([]Operand, e
 		case ir.OpBoxI:
 			V[in.A] = mat.IntScalar(float64(I[in.B]))
 		case ir.OpBoxC:
-			V[in.A] = mat.ComplexScalar(C[in.B]).Demote()
+			v := mat.ComplexScalar(C[in.B])
+			if in.Imm == 0 {
+				v = v.Demote()
+			}
+			V[in.A] = v
 		case ir.OpUnboxF:
 			x, e := unboxF(V[in.B])
 			if e != nil {
@@ -691,6 +695,38 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []Operand) ([]Operand, e
 			F[in.A] = x
 		case ir.OpFLd2U:
 			F[in.A] = V[in.B].FastGet2(int(I[in.C])-1, int(I[in.D])-1)
+		case ir.OpCLd1:
+			z, e := V[in.B].CheckedGet1C(F[in.C])
+			if e != nil {
+				err = e
+				goto fail
+			}
+			C[in.A] = z
+		case ir.OpCLd1I:
+			z, e := V[in.B].CheckedGet1C(float64(I[in.C]))
+			if e != nil {
+				err = e
+				goto fail
+			}
+			C[in.A] = z
+		case ir.OpCLd1U:
+			C[in.A] = V[in.B].FastGet1C(int(I[in.C]) - 1)
+		case ir.OpCLd2:
+			z, e := V[in.B].CheckedGet2C(F[in.C], F[in.D])
+			if e != nil {
+				err = e
+				goto fail
+			}
+			C[in.A] = z
+		case ir.OpCLd2I:
+			z, e := V[in.B].CheckedGet2C(float64(I[in.C]), float64(I[in.D]))
+			if e != nil {
+				err = e
+				goto fail
+			}
+			C[in.A] = z
+		case ir.OpCLd2U:
+			C[in.A] = V[in.B].FastGet2C(int(I[in.C])-1, int(I[in.D])-1)
 		// A store writes through the value its base register owns: owned
 		// is one predictable branch on the fast path (written out, because
 		// with a call in it the check does not inline).

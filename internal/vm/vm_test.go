@@ -152,6 +152,56 @@ func TestCheckedLoadErrors(t *testing.T) {
 	}
 }
 
+// TestComplexLoadsShareTheChecks: the complex loads read the imaginary
+// part, sign and NaN included, and fail on exactly the subscripts their
+// real twins fail on, with the same words.
+func TestComplexLoadsShareTheChecks(t *testing.T) {
+	// The load writes register 0 of its bank, which box (keeping the kind)
+	// reads; the subscripts are the F constants above it.
+	mk := func(op, box ir.Op, subs ...float64) *ir.Prog {
+		return &ir.Prog{
+			Name: "ld",
+			NumF: int32(1 + len(subs)), NumC: 1, NumV: 2,
+			ConstF:  subs,
+			Params:  []ir.ParamBinding{{Bank: ir.BankV, Reg: 0}},
+			OutRegs: []int32{1},
+			Ins:     []ir.Instr{{Op: op, B: 0, C: 1, D: 2}, {Op: box, A: 1, Imm: 1}, {Op: ir.OpRet}},
+		}
+	}
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	v := mat.NewKind(mat.Complex, 2, 2)
+	copy(v.Re(), []float64{1, 2, 3, 4})
+	copy(v.Im(), []float64{5, negZero, nan, 0})
+	for _, sub := range [][]float64{{2}, {3}, {2, 1}, {1, 2}} {
+		cld, fld := ir.OpCLd1, ir.OpFLd1
+		if len(sub) == 2 {
+			cld, fld = ir.OpCLd2, ir.OpFLd2
+		}
+		got := run(t, mk(cld, ir.OpBoxC, sub...), v)[0]
+		k := int(sub[0]) - 1
+		if len(sub) == 2 {
+			k += 2 * (int(sub[1]) - 1)
+		}
+		if got.Kind() != mat.Complex || got.Re()[0] != v.Re()[k] ||
+			math.Float64bits(got.Im()[0]) != math.Float64bits(v.Im()[k]) {
+			t.Errorf("%v%v read %v, want element %d of %v", cld, sub, got, k, v)
+		}
+		if re := run(t, mk(fld, ir.OpBoxF, sub...), v)[0].MustScalar(); re != v.Re()[k] {
+			t.Errorf("%v%v read %v", fld, sub, re)
+		}
+	}
+	for _, bad := range [][]float64{{0}, {5}, {1.5}, {-1}, {3, 1}, {1, 0.5}, {0, 1}} {
+		cld, fld := ir.OpCLd1, ir.OpFLd1
+		if len(bad) == 2 {
+			cld, fld = ir.OpCLd2, ir.OpFLd2
+		}
+		cerr, ferr := runErr(t, mk(cld, ir.OpBoxC, bad...), v), runErr(t, mk(fld, ir.OpBoxF, bad...), v)
+		if cerr == nil || ferr == nil || cerr.Error() != ferr.Error() {
+			t.Errorf("subscripts %v: %v fails with %v, %v with %v", bad, cld, cerr, fld, ferr)
+		}
+	}
+}
+
 func TestCheckedStoreGrows(t *testing.T) {
 	// The store itself clones the shared argument before it grows it.
 	p := &ir.Prog{
