@@ -142,12 +142,10 @@ func init() {
 		if a.Rows() != a.Cols() {
 			return nil, mat.Errorf("inv: matrix must be square")
 		}
-		x, err := linalg.Inv(a.Re(), a.Rows())
-		if err != nil {
+		out := mat.New(a.Rows(), a.Cols())
+		if err := linalg.Inv(a.Re(), a.Rows(), out.Re()); err != nil {
 			return nil, mat.Errorf("inv: %v", err)
 		}
-		out := mat.New(a.Rows(), a.Cols())
-		copy(out.Re(), x)
 		return []*mat.Value{out}, nil
 	})
 
@@ -268,11 +266,9 @@ func MLDivide(a, b *mat.Value) (*mat.Value, error) {
 		}
 		a = d
 	}
-	x, err := linalg.Solve(a.Re(), a.Rows(), b.Re(), b.Cols())
-	if err != nil {
+	out := mat.New(a.Rows(), b.Cols())
+	if err := linalg.Solve(a.Re(), a.Rows(), b.Re(), b.Cols(), out.Re()); err != nil {
 		return nil, mat.Errorf("mldivide: %v", err)
 	}
-	out := mat.New(a.Rows(), b.Cols())
-	copy(out.Re(), x)
 	return out, nil
 }

@@ -34,7 +34,8 @@ end`
 // keeps the measurement on the call path: entering the VM from outside
 // costs the root call's result lists and the box of its result, and a
 // recursion deeper than the frame chain's idle bound (vm's maxIdleBytes)
-// re-grows the frames past it once per entry. Neither is the price of a
+// grows the frames past it back, as one segment, once per entry
+// (entryAllocs measures both). Neither is the price of a
 // call between two compiled functions, and one entry that recurses reps
 // times pays both once.
 func dynamicCalls(t *testing.T, opts Options, src, fn string, args ...float64) (calls int, allocsPerCall float64) {
@@ -65,25 +66,9 @@ func dynamicCalls(t *testing.T, opts Options, src, fn string, args ...float64) (
 	// whichever class the tier returns — stays in a register): compile
 	// every signature reached, tier up, and grow the frame chain to the
 	// recursion's depth.
-	for _, warm := range []struct {
-		src, fn string
-		args    []float64
-	}{{src, fn, args}, {once, "once", args}, {drive, "drive", []float64{reps}}} {
-		if err := e.Define(warm.src); err != nil {
-			t.Fatal(err)
-		}
-		e.Precompile()
-		argv := make([]*mat.Value, len(warm.args))
-		for i, a := range warm.args {
-			argv[i] = mat.Scalar(a)
-		}
-		for i := 0; i < 2*DefaultTierThreshold; i++ {
-			if _, err := e.Call(warm.fn, argv, 1); err != nil {
-				t.Fatal(err)
-			}
-			e.Drain()
-		}
-	}
+	warmUp(t, e, src, fn, args...)
+	warmUp(t, e, once, "once", args...)
+	warmUp(t, e, drive, "drive", reps)
 	before := e.Repo().Stats()
 	call()
 	after := e.Repo().Stats()
@@ -129,5 +114,50 @@ func TestCallPathAllocationBudget(t *testing.T) {
 				t.Errorf("%s/%s: %.4f allocations per dynamic call, budget %.2f", p.fn, tier.name, per, budget)
 			}
 		}
+		// A call from outside that recurses past what a parked frame chain
+		// keeps (vm's maxIdleBytes) grows the rest back as one segment.
+		const entryBudget = 8
+		if per := entryAllocs(t, tier.opts, ackermannSrc, "ackermann", 3, 4); per > entryBudget {
+			t.Errorf("ackermann(3,4)/%s: %.1f allocations per call from outside, budget %d", tier.name, per, entryBudget)
+		}
 	}
+}
+
+// warmUp defines src and calls fn(args) past the tier-up threshold, so
+// every signature the call reaches is compiled and tiered up, and the
+// frame chain has grown to the recursion's depth. It returns the boxed
+// arguments.
+func warmUp(t *testing.T, e *Engine, src, fn string, args ...float64) []*mat.Value {
+	t.Helper()
+	if err := e.Define(src); err != nil {
+		t.Fatal(err)
+	}
+	e.Precompile()
+	argv := make([]*mat.Value, len(args))
+	for i, a := range args {
+		argv[i] = mat.Scalar(a)
+	}
+	for i := 0; i < 2*DefaultTierThreshold; i++ {
+		if _, err := e.Call(fn, argv, 1); err != nil {
+			t.Fatal(err)
+		}
+		e.Drain()
+	}
+	return argv
+}
+
+// entryAllocs warms fn(args) up and returns the heap allocations of one
+// warm call from outside the VM.
+func entryAllocs(t *testing.T, opts Options, src, fn string, args ...float64) float64 {
+	t.Helper()
+	e := New(opts)
+	defer e.Close()
+	argv := warmUp(t, e, src, fn, args...)
+	per := testing.AllocsPerRun(10, func() {
+		if _, err := e.Call(fn, argv, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%s%v from outside: %.1f allocations per call", fn, args, per)
+	return per
 }

@@ -621,8 +621,9 @@ end`},
 
 // signedZeroPrograms take −0 into compiled code: as an argument, which
 // the function locator types (types.OfScalar), and as the result of a
-// rounding builtin (infer's rules). IInt means integral and not −0, so
-// both stay in F registers and 1/x keeps its sign.
+// rounding builtin, a negation or a product of integers (infer's rules).
+// IInt means integral and not −0, so each stays in F registers and 1/x
+// keeps its sign.
 var signedZeroPrograms = []diffProg{
 	{name: "signed_zero_argument", args: []float64{math.Copysign(0, -1)}, src: `
 function r = f(x)
@@ -632,6 +633,21 @@ end`},
 function r = f(x)
   b = ceil(x);
   r = 1/b;
+end`},
+	{name: "signed_zero_negation", args: []float64{0}, src: `
+function r = f(x)
+  y = -x;
+  r = 1/y;
+end`},
+	{name: "signed_zero_product", args: []float64{0, -3}, src: `
+function r = f(x, y)
+  z = x*y;
+  r = 1/z;
+end`},
+	{name: "signed_zero_elementwise_product", args: []float64{-2, 0}, src: `
+function r = f(x, y)
+  z = x.*y;
+  r = 1/z;
 end`},
 }
 

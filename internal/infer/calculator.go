@@ -183,6 +183,19 @@ func divR(a, b types.Range) types.Range {
 	return types.MkRange(lo, hi)
 }
 
+// mayBeZero reports whether a value in r may be 0 (an empty range says
+// nothing, so it may).
+func mayBeZero(r types.Range) bool { return r.IsBot() || r.Lo <= 0 && r.Hi >= 0 }
+
+// mayMakeNegZero reports whether a product of values in a and b may be
+// −0: a 0 operand meeting a negative one. Negating a value that may be 0
+// is the same question (−x = −1·x), which mayBeZero answers. IInt
+// excludes −0 (DESIGN §7), so neither result may be typed int.
+func mayMakeNegZero(a, b types.Range) bool {
+	mayBeNeg := func(r types.Range) bool { return r.IsBot() || r.Lo < 0 }
+	return mayBeZero(a) && mayBeNeg(b) || mayBeZero(b) && mayBeNeg(a)
+}
+
 func negR(a types.Range) types.Range {
 	if a.IsBot() {
 		return a

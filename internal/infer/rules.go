@@ -35,7 +35,8 @@ func newCalculator() *Calculator {
 	} {
 		op := op
 		reg(op.name, "int scalar "+op.name, func(a []types.Type) bool {
-			return len(a) == 2 && isIntScalar(a[0]) && isIntScalar(a[1]) && op.floor != types.IReal
+			return len(a) == 2 && isIntScalar(a[0]) && isIntScalar(a[1]) && op.floor != types.IReal &&
+				(op.name != ".*" || !mayMakeNegZero(a[0].R, a[1].R))
 		}, func(a []types.Type) types.Type {
 			return types.ScalarOf(types.IInt, op.rng(a[0].R, a[1].R))
 		})
@@ -65,12 +66,13 @@ func newCalculator() *Calculator {
 			return types.Type{I: i, MinShape: minS, MaxShape: maxS, R: r}
 		})
 	}
-	// Integer-preservation fix for + - .*: int op int stays int.
+	// Integer-preservation fix for + - .*: int op int stays int, except a
+	// product that may be 0 times a negative, which is −0 and so real.
 	// (Division is never integer-preserving; handled by floor above.)
 
 	// ---- * (matrix product) ----------------------------------------------
 	reg("*", "integer scalar multiply", func(a []types.Type) bool {
-		return len(a) == 2 && isIntScalar(a[0]) && isIntScalar(a[1])
+		return len(a) == 2 && isIntScalar(a[0]) && isIntScalar(a[1]) && !mayMakeNegZero(a[0].R, a[1].R)
 	}, func(a []types.Type) types.Type {
 		return types.ScalarOf(types.IInt, mulR(a[0].R, a[1].R))
 	})
@@ -236,7 +238,7 @@ func newCalculator() *Calculator {
 	}
 
 	// ---- unary ---------------------------------------------------------------
-	reg("u-", "negate int scalar", func(a []types.Type) bool { return isIntScalar(a[0]) },
+	reg("u-", "negate int scalar", func(a []types.Type) bool { return isIntScalar(a[0]) && !mayBeZero(a[0].R) },
 		func(a []types.Type) types.Type { return types.ScalarOf(types.IInt, negR(a[0].R)) })
 	reg("u-", "negate real scalar", func(a []types.Type) bool { return isRealScalar(a[0]) },
 		func(a []types.Type) types.Type { return types.ScalarOf(types.IReal, negR(a[0].R)) })

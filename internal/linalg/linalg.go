@@ -64,16 +64,16 @@ func LU(a []float64, n int) (piv []int, singular bool) {
 }
 
 // Solve solves A X = B for the n x n column-major A and n x m column-major
-// B, returning X (column-major). A and B are not modified.
-func Solve(a []float64, n int, b []float64, m int) ([]float64, error) {
+// B, writing X (column-major) into x[:n*m], which may be B itself; x is
+// left untouched when A is singular. A is not modified.
+func Solve(a []float64, n int, b []float64, m int, x []float64) error {
 	lu := make([]float64, n*n)
 	copy(lu, a[:n*n])
 	piv, singular := LU(lu, n)
 	if singular {
-		return nil, ErrSingular
+		return ErrSingular
 	}
-	x := make([]float64, n*m)
-	copy(x, b[:n*m])
+	copy(x[:n*m], b[:n*m])
 	for j := 0; j < m; j++ {
 		col := x[j*n : (j+1)*n]
 		// apply pivots
@@ -96,7 +96,7 @@ func Solve(a []float64, n int, b []float64, m int) ([]float64, error) {
 			}
 		}
 	}
-	return x, nil
+	return nil
 }
 
 // Det returns the determinant of the n x n column-major matrix a.
@@ -117,13 +117,15 @@ func Det(a []float64, n int) float64 {
 	return det
 }
 
-// Inv returns the inverse of the n x n column-major matrix a.
-func Inv(a []float64, n int) ([]float64, error) {
-	eye := make([]float64, n*n)
+// Inv writes the inverse of the n x n column-major matrix a into x[:n*n]
+// (whose contents are unspecified when a is singular).
+func Inv(a []float64, n int, x []float64) error {
+	x = x[:n*n]
+	clear(x)
 	for i := 0; i < n; i++ {
-		eye[i*n+i] = 1
+		x[i*n+i] = 1
 	}
-	return Solve(a, n, eye, n)
+	return Solve(a, n, x, n, x)
 }
 
 // Chol computes the upper-triangular Cholesky factor R (column-major)

@@ -39,8 +39,8 @@ func TestSolveRandomSystems(t *testing.T) {
 			want[i] = r.Float64()*4 - 2
 		}
 		b := matVec(a, n, want)
-		got, err := Solve(a, n, b, 1)
-		if err != nil {
+		got := make([]float64, n)
+		if err := Solve(a, n, b, 1, got); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
@@ -54,8 +54,8 @@ func TestSolveRandomSystems(t *testing.T) {
 func TestSolveMultipleRHS(t *testing.T) {
 	a := []float64{4, 1, 1, 3} // column-major [[4,1],[1,3]]
 	b := []float64{1, 0, 0, 1} // identity → X = inv(A)
-	x, err := Solve(a, 2, b, 2)
-	if err != nil {
+	x := make([]float64, 4)
+	if err := Solve(a, 2, b, 2, x); err != nil {
 		t.Fatal(err)
 	}
 	det := 4*3 - 1*1
@@ -69,7 +69,7 @@ func TestSolveMultipleRHS(t *testing.T) {
 
 func TestSingular(t *testing.T) {
 	a := []float64{1, 2, 2, 4} // rank 1
-	if _, err := Solve(a, 2, []float64{1, 1}, 1); err == nil {
+	if err := Solve(a, 2, []float64{1, 1}, 1, make([]float64, 2)); err == nil {
 		t.Fatal("singular system must error")
 	}
 	if d := Det(a, 2); d != 0 {
@@ -93,8 +93,11 @@ func TestInv(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	n := 6
 	a := randSys(r, n)
-	inv, err := Inv(a, n)
-	if err != nil {
+	inv := make([]float64, n*n)
+	for i := range inv {
+		inv[i] = math.NaN() // Inv must not read what the buffer held
+	}
+	if err := Inv(a, n, inv); err != nil {
 		t.Fatal(err)
 	}
 	// A * inv(A) ≈ I
@@ -263,12 +266,42 @@ func TestEigGeneralTrace(t *testing.T) {
 func TestLUPivoting(t *testing.T) {
 	// requires pivoting: zero in the leading position
 	a := []float64{0, 1, 1, 0} // [[0,1],[1,0]]
-	x, err := Solve(a, 2, []float64{2, 3}, 1)
-	if err != nil {
+	x := make([]float64, 2)
+	if err := Solve(a, 2, []float64{2, 3}, 1, x); err != nil {
 		t.Fatal(err)
 	}
 	// [[0,1],[1,0]] x = [2,3] → x = [3,2]
 	if math.Abs(x[0]-3) > 1e-12 || math.Abs(x[1]-2) > 1e-12 {
 		t.Fatalf("x = %v", x)
+	}
+}
+
+// TestSolveIntoCallerBuffer: Solve allocates only its factorisation (the
+// LU copy and the pivots), never X, and solving in place over B gives the
+// same bits as solving into a separate buffer.
+func TestSolveIntoCallerBuffer(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	const n, m = 9, 3
+	a := randSys(r, n)
+	b := make([]float64, n*m)
+	for i := range b {
+		b[i] = r.Float64()*4 - 2
+	}
+	x := make([]float64, n*m)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := Solve(a, n, b, m, x); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Errorf("Solve allocates %.0f objects, want 2 (LU copy, pivots)", allocs)
+	}
+	inPlace := append([]float64(nil), b...)
+	if err := Solve(a, n, inPlace, m, inPlace); err != nil {
+		t.Fatal(err)
+	}
+	for i := range x {
+		if math.Float64bits(inPlace[i]) != math.Float64bits(x[i]) {
+			t.Fatalf("x[%d]: in place %v, into a buffer %v", i, inPlace[i], x[i])
+		}
 	}
 }

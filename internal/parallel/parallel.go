@@ -27,6 +27,10 @@
 //     completes even when every pool worker is busy (or the task queue
 //     is full) — the caller just runs all chunks itself. Wait edges go
 //     strictly from a nesting depth to the next, so cycles cannot form.
+//
+//  4. One allocation per fan-out. Everything the chunks of one For share
+//     (the chunk counter, the completion count, the first panic) lives in
+//     one job, and the pool workers receive the job itself.
 package parallel
 
 import (
@@ -50,7 +54,7 @@ var (
 	defaultThreads atomic.Int64
 
 	poolOnce sync.Once
-	tasks    chan func()
+	tasks    chan *job
 	nworkers atomic.Int64
 )
 
@@ -81,7 +85,7 @@ func Workers() int { return int(nworkers.Load()) }
 
 func ensurePool(helpers int) {
 	poolOnce.Do(func() {
-		tasks = make(chan func(), 4*maxWorkers)
+		tasks = make(chan *job, 4*maxWorkers)
 	})
 	if helpers > maxWorkers {
 		helpers = maxWorkers
@@ -93,8 +97,8 @@ func ensurePool(helpers int) {
 		}
 		if nworkers.CompareAndSwap(cur, cur+1) {
 			go func() {
-				for f := range tasks {
-					f()
+				for j := range tasks {
+					j.run()
 				}
 			}()
 		}
@@ -139,44 +143,8 @@ func For(threads, n, grain int, fn func(lo, hi int)) {
 	per = (per + grain - 1) / grain * grain
 	chunks = (n + per - 1) / per
 
-	var (
-		next   atomic.Int64
-		wg     sync.WaitGroup
-		failed atomic.Bool
-		pmu    sync.Mutex
-		pval   any
-	)
-	wg.Add(chunks)
-	runChunks := func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= chunks {
-				return
-			}
-			func() {
-				defer wg.Done()
-				if failed.Load() {
-					return // drain remaining chunks after a panic
-				}
-				defer func() {
-					if r := recover(); r != nil {
-						failed.Store(true)
-						pmu.Lock()
-						if pval == nil {
-							pval = r
-						}
-						pmu.Unlock()
-					}
-				}()
-				lo := i * per
-				hi := lo + per
-				if hi > n {
-					hi = n
-				}
-				fn(lo, hi)
-			}()
-		}
-	}
+	j := &job{fn: fn, n: n, per: per, chunks: chunks}
+	j.wg.Add(chunks)
 
 	helpers := threads - 1
 	if helpers > chunks-1 {
@@ -186,16 +154,59 @@ func For(threads, n, grain int, fn func(lo, hi int)) {
 submit:
 	for i := 0; i < helpers; i++ {
 		select {
-		case tasks <- runChunks:
+		case tasks <- j:
 		default:
 			// Queue full (heavy concurrent For traffic): stop — the
 			// caller and already-queued workers cover every chunk.
 			break submit
 		}
 	}
-	runChunks()
-	wg.Wait()
-	if failed.Load() {
-		panic(pval)
+	j.run()
+	j.wg.Wait()
+	if j.failed.Load() {
+		panic(j.pval)
 	}
+}
+
+// job is one fanned-out For: the range, its chunking and fn, plus what
+// the goroutines running its chunks share.
+type job struct {
+	fn             func(lo, hi int)
+	n, per, chunks int
+
+	next   atomic.Int64 // chunks claimed so far
+	wg     sync.WaitGroup
+	failed atomic.Bool
+	pmu    sync.Mutex
+	pval   any // the first panic, re-raised on the calling goroutine
+}
+
+// run claims and runs chunks until none is left.
+func (j *job) run() {
+	for {
+		i := int(j.next.Add(1)) - 1
+		if i >= j.chunks {
+			return
+		}
+		j.chunk(i)
+	}
+}
+
+func (j *job) chunk(i int) {
+	defer j.wg.Done()
+	if j.failed.Load() {
+		return // drain remaining chunks after a panic
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			j.failed.Store(true)
+			j.pmu.Lock()
+			if j.pval == nil {
+				j.pval = r
+			}
+			j.pmu.Unlock()
+		}
+	}()
+	lo := i * j.per
+	j.fn(lo, min(lo+j.per, j.n))
 }

@@ -137,6 +137,21 @@ func TestForConcurrentCallers(t *testing.T) {
 	wg.Wait()
 }
 
+// TestForAllocatesOneJob: a fanned-out For allocates its job and nothing
+// else: no closure, counter, WaitGroup or mutex of its own.
+func TestForAllocatesOneJob(t *testing.T) {
+	var sum atomic.Int64
+	fn := func(lo, hi int) { sum.Add(int64(hi - lo)) }
+	const n = 4096
+	allocs := testing.AllocsPerRun(50, func() { For(4, n, 64, fn) })
+	if allocs > 1 {
+		t.Errorf("a fanned-out For allocates %.2f objects, want <= 1", allocs)
+	}
+	if got := sum.Load(); got != 51*n {
+		t.Fatalf("covered %d indices over 51 calls, want %d", got, 51*n)
+	}
+}
+
 func TestDefaultThreads(t *testing.T) {
 	old := int(defaultThreads.Load())
 	defer defaultThreads.Store(int64(old))

@@ -161,9 +161,9 @@ func genericBuiltin(c *Compiled, ctx *builtins.Context, aux []int32, at int, V, 
 // for the program's widest call); the callee runs on the next frame of
 // the chain, so the scratch is free again as soon as the results are
 // taken. A Staged argument is already in its slot, put there unboxed by
-// OpStageF/I; a Staged result stays in fr.outs, as the callee left it, for
+// OpStageF/I; a Staged result stays in outs, as the callee left it, for
 // the OpFetchF/I that follows. Everything else is boxed, here.
-func userCall(p *ir.Prog, host Host, aux []int32, at int, V []*mat.Value, slots []Operand, fr *Frame) error {
+func userCall(p *ir.Prog, host Host, aux []int32, at int, V []*mat.Value, slots, outs []Operand, fr *Frame) error {
 	name := p.Calls[aux[at]]
 	nout := int(aux[at+1])
 	dsts := aux[at+2 : at+2+nout]
@@ -180,23 +180,23 @@ func userCall(p *ir.Prog, host Host, aux []int32, at int, V []*mat.Value, slots 
 		}
 		args[i] = Operand{V: v}
 	}
-	outs, err := host.CallUser(name, args, nout, fr)
+	res, err := host.CallUser(name, args, nout, fr)
 	clear(args)
 	if err != nil {
 		return err
 	}
-	if len(outs) < nout {
+	if len(res) < nout {
 		return fmt.Errorf("%s: not enough output arguments", name)
 	}
 	for i, d := range dsts {
 		if d == ir.Staged {
-			fr.outs[i] = outs[i] // where a callee off the chain did not put it
+			outs[i] = res[i] // where a callee off the chain did not put it
 		} else {
-			V[d] = outs[i].Box()
-			fr.outs[i] = Operand{}
+			V[d] = res[i].Box()
+			outs[i] = Operand{}
 		}
 	}
-	clear(fr.outs[nout:]) // outputs the callee has and this call did not ask for
+	clear(outs[nout:]) // outputs the callee has and this call did not ask for
 	return nil
 }
 

@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/cmplx"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/ast"
 	"repro/internal/builtins"
@@ -75,6 +76,16 @@ type Compiled struct {
 	// name) and callOuts the widest OpCallUser result list: together the
 	// frame's operand scratch.
 	builtinArgs, callSlots, callOuts int
+	// w is the width of each bank a frame running this program needs.
+	w widths
+}
+
+// widths are the lengths of a frame's five banks.
+type widths struct{ f, i, c, v, ops int }
+
+// bytes is what one frame's banks of these widths occupy.
+func (w widths) bytes() int {
+	return 8*(w.f+w.i+w.v) + 16*w.c + int(unsafe.Sizeof(Operand{}))*w.ops
 }
 
 // Prepare resolves the program's name tables.
@@ -147,6 +158,13 @@ func Prepare(p *ir.Prog) (*Compiled, error) {
 			}
 		}
 	}
+	c.w = widths{
+		f:   int(p.NumF + p.SlotsF),
+		i:   int(p.NumI + p.SlotsI),
+		c:   int(p.NumC + p.SlotsC),
+		v:   int(p.NumV+p.SlotsV) + c.builtinArgs,
+		ops: c.callSlots + c.callOuts,
+	}
 	return c, nil
 }
 
@@ -203,15 +221,19 @@ var ErrGuardMiss = errors.New("vm: return-type guard missed")
 // Frame is one activation's register file: the four banks with their
 // spill slots, plus scratch for the argument and result lists of the
 // calls the activation makes (boxed for builtins, operands for user
-// functions). Frames form a chain that mirrors the
-// call stack: an activation runs its callees on the frame linked behind
-// its own, which is allocated on the first nested call and then kept, so
-// recursion to any depth reuses the same frames call after call — no
-// allocation, no synchronisation. The head of a chain is a root, claimed
-// from rootPool by a Run whose caller has no frame (the interpreter, the
-// engine's API, an OSR transfer) and owned by that activation alone
-// until it returns; concurrent callers of one *Compiled hold different
-// roots and therefore never share a frame.
+// functions). Frames form a chain that mirrors the call stack: an
+// activation runs its callees on the frame linked behind its own. The
+// head of a chain is a root, claimed from rootPool by a Run whose caller
+// has no frame (the interpreter, the engine's API, an OSR transfer) and
+// owned by that activation alone until it returns; concurrent callers of
+// one *Compiled hold different roots and therefore never share a frame.
+//
+// A chain grows a segment at a time (root.grow) and keeps what it grew,
+// so recursion to any depth reuses the same frames call after call — no
+// allocation, no synchronisation. Parking trims the chain to
+// maxIdleBytes, whole segments at a time (root.park); a recursion deeper
+// than what stays parked grows the rest back as one segment per call from
+// outside.
 //
 // Scalar banks are zeroed before use — compiled code may read a scalar
 // variable no path assigned, and must see 0 as it did with fresh banks —
@@ -224,13 +246,40 @@ type Frame struct {
 	c []complex128
 	v []*mat.Value
 	// ops holds the call slots OpStageF/I fill — the argument list of the
-	// next user call, then this activation's own scalar outputs — and
-	// behind them outs, where this activation's callees leave their
-	// results (nil for a root, whose callee allocates its result list).
-	ops  []Operand
-	outs []Operand
+	// next user call, then this activation's own scalar outputs — and from
+	// outsAt on the outs, where this activation's callees leave their
+	// results (none on a root, whose callee allocates its result list).
+	ops    []Operand
+	outsAt int32
+	// depth is the frame's distance from root, whose chain it belongs to
+	// for good.
+	depth int32
+	root  *root
 	// next is the frame this activation's callees run on.
 	next *Frame
+}
+
+// root heads a chain and remembers how deep the chain has had to go.
+type root struct {
+	Frame
+	// segs are the chain's segments, outward from the root.
+	segs []segment
+	// reached is the deepest frame the current activation has run on, and
+	// hint the depth the chain last had to grow to: a segment grown short
+	// of it ends there.
+	reached, hint int32
+}
+
+// segment is a run of frames grown together: one []Frame and, for each
+// bank the growing program uses, one slab holding that bank of every
+// frame at the program's exact width.
+type segment struct {
+	tail *Frame // the segment's deepest frame
+	w    widths // each frame's share of the slabs
+	// pinned is what the segment keeps reachable: its frames and slabs,
+	// which stay whole while any of its frames is kept, plus the banks
+	// regrown on their own since.
+	pinned int
 }
 
 // rootPool parks idle chains. A slot changes hands by compare-and-swap
@@ -241,53 +290,148 @@ type Frame struct {
 // repeats — the benchmark's malloc metrics rely on that. A release that
 // finds every slot taken (that many activations entered from outside the
 // VM at once) leaves its chain to the collector.
-var rootPool [16]atomic.Pointer[Frame]
+var rootPool [16]atomic.Pointer[root]
 
-func claimRoot() *Frame {
+func claimRoot() *root {
 	for i := range rootPool {
 		if parked := rootPool[i].Load(); parked != nil && rootPool[i].CompareAndSwap(parked, nil) {
 			return parked
 		}
 	}
-	return new(Frame)
+	r := new(root)
+	r.root = r
+	return r
 }
 
-// maxIdleBytes bounds the register memory a parked chain keeps. A frame
-// is a couple of kilobytes for a heavily inlined function, and recursion
-// depth is the program's to choose; without a bound one deep call would
-// leave its whole stack allocated for the life of the process. Deeper
-// recursion still runs allocation-free while it lasts and re-grows the
-// tail once per call from outside.
+// maxIdleBytes bounds the memory a parked chain pins. A frame is a
+// couple of kilobytes for a heavily inlined function, and recursion depth
+// is the program's to choose; without a bound one deep call would leave
+// its whole stack allocated for the life of the process. Deeper recursion
+// still runs allocation-free while it lasts and grows the rest back as
+// one segment per call from outside.
 const maxIdleBytes = 16 << 10
 
-// bytes is the frame's footprint: its four banks plus (roundly) the
-// struct itself, so even register-less frames count for something.
-func (fr *Frame) bytes() int {
-	return 128 + 8*(cap(fr.f)+cap(fr.i)+cap(fr.v)) + 16*cap(fr.c) + 32*cap(fr.ops)
+// frameBytes is a frame's own footprint, banks aside.
+const frameBytes = int(unsafe.Sizeof(Frame{}))
+
+// grow links a new segment behind last, the chain's deepest frame, and
+// returns its first frame. c is the program about to run there: the
+// segment's banks are carved at its widths. Short of the hint the segment
+// ends exactly at it; past the hint each segment doubles the chain's
+// excess over the hint, so a recursion a little deeper than the last one
+// grows a little.
+func (r *root) grow(last *Frame, c *Compiled) *Frame {
+	d := last.depth
+	k := int(r.hint - d)
+	if k <= 0 {
+		k = max(-k, 1)
+	}
+	w := c.w
+	frames := make([]Frame, k)
+	fs := make([]float64, k*w.f)
+	is := make([]int64, k*w.i)
+	cs := make([]complex128, k*w.c)
+	vs := make([]*mat.Value, k*w.v)
+	ops := make([]Operand, k*w.ops)
+	for j := range frames {
+		fr := &frames[j]
+		fr.f, fr.i, fr.c = carve(fs, j, w.f), carve(is, j, w.i), carve(cs, j, w.c)
+		fr.v, fr.ops = carve(vs, j, w.v), carve(ops, j, w.ops)
+		fr.depth = d + 1 + int32(j)
+		fr.root = r
+		if j+1 < k {
+			fr.next = &frames[j+1]
+		}
+	}
+	r.segs = append(r.segs, segment{tail: &frames[k-1], w: w, pinned: k * (frameBytes + w.bytes())})
+	last.next = &frames[0]
+	return &frames[0]
 }
 
-func parkRoot(root *Frame) {
+// carve is the j-th bank of width n in slab, its capacity exact so that a
+// wider program regrows it instead of reaching into the next frame's.
+func carve[T any](slab []T, j, n int) []T {
+	return slab[j*n : (j+1)*n : (j+1)*n]
+}
+
+// park trims the chain to maxIdleBytes, dropping whole segments from the
+// first that does not fit, updates the hint and returns the root to the
+// pool. The hint moves only when the activation went deeper than what
+// stays parked: the one case in which running it again grows the chain.
+func (r *root) park() {
 	kept := 0
-	for fr := root; fr.next != nil; fr = fr.next {
-		if kept += fr.next.bytes(); kept > maxIdleBytes {
-			fr.next = nil
+	for s := range r.segs {
+		if kept += r.segs[s].pinned; kept > maxIdleBytes {
+			last := &r.Frame
+			if s > 0 {
+				last = r.segs[s-1].tail
+			}
+			last.next = nil
+			clear(r.segs[s:]) // the dropped tails
+			r.segs = r.segs[:s]
 			break
 		}
 	}
+	parked := int32(0)
+	if n := len(r.segs); n > 0 {
+		parked = r.segs[n-1].tail.depth
+	}
+	if r.reached > parked {
+		r.hint = r.reached
+	}
+	r.reached = 0
 	for i := range rootPool {
-		if rootPool[i].Load() == nil && rootPool[i].CompareAndSwap(nil, root) {
+		if rootPool[i].Load() == nil && rootPool[i].CompareAndSwap(nil, r) {
 			return
 		}
 	}
 }
 
-// sized returns s with length n, reallocating only when the kept
-// capacity is too small. The contents are unspecified.
-func sized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
+// fit readies the frame for c: banks at c's widths, the scalar ones
+// zeroed and holding c's constant tables.
+func (fr *Frame) fit(c *Compiled) {
+	p, w := c.P, c.w
+	if cap(fr.f) < w.f || cap(fr.i) < w.i || cap(fr.c) < w.c || cap(fr.v) < w.v || cap(fr.ops) < w.ops {
+		fr.regrow(w)
 	}
-	return s[:n]
+	fr.f, fr.i, fr.c, fr.v, fr.ops = fr.f[:w.f], fr.i[:w.i], fr.c[:w.c], fr.v[:w.v], fr.ops[:w.ops]
+	clear(fr.f)
+	clear(fr.i)
+	clear(fr.c)
+	copy(fr.f[int(p.NumF)-len(p.ConstF):], p.ConstF)
+	copy(fr.i[int(p.NumI)-len(p.ConstI):], p.ConstI)
+	copy(fr.c[int(p.NumC)-len(p.ConstC):], p.ConstC)
+}
+
+// regrow gives each bank narrower than w one of its own — the frame was
+// carved for a smaller program — and keeps its segment's count exact.
+func (fr *Frame) regrow(w widths) {
+	segs := fr.root.segs
+	s := 0
+	for segs[s].tail.depth < fr.depth {
+		s++
+	}
+	seg := &segs[s]
+	seg.pinned += regrown(&fr.f, w.f, seg.w.f) + regrown(&fr.i, w.i, seg.w.i) + regrown(&fr.c, w.c, seg.w.c) +
+		regrown(&fr.v, w.v, seg.w.v) + regrown(&fr.ops, w.ops, seg.w.ops)
+}
+
+// regrown replaces *bank with one of n elements when it is narrower and
+// returns the bytes this adds to what its segment pins: the new bank, less
+// the old one unless that was the frame's share of the slab, which stays
+// pinned. A bank's capacity only grows, so it is the slab's share exactly
+// while it equals the carved width.
+func regrown[T any](bank *[]T, n, carved int) int {
+	old := cap(*bank)
+	if old >= n {
+		return 0
+	}
+	*bank = make([]T, n)
+	var elem T
+	if old != carved {
+		n -= old
+	}
+	return n * int(unsafe.Sizeof(elem))
 }
 
 // Run executes the compiled function with the given arguments on the
@@ -312,31 +456,25 @@ func Run(c *Compiled, host Host, args []Operand, caller *Frame) ([]Operand, erro
 	if len(args) != len(p.Params) {
 		return nil, fmt.Errorf("vm: %s called with %d args, compiled for %d", p.Name, len(args), len(p.Params))
 	}
-	root := caller == nil
-	if root {
-		caller = claimRoot()
+	var claimed *root
+	if caller == nil {
+		claimed = claimRoot()
+		caller = &claimed.Frame
 	}
+	r := caller.root
 	fr := caller.next
 	if fr == nil {
-		fr = new(Frame)
-		caller.next = fr
+		fr = r.grow(caller, c)
 	}
-	fr.f = sized(fr.f, int(p.NumF+p.SlotsF))
-	fr.i = sized(fr.i, int(p.NumI+p.SlotsI))
-	fr.c = sized(fr.c, int(p.NumC+p.SlotsC))
-	fr.v = sized(fr.v, int(p.NumV+p.SlotsV)+c.builtinArgs)
-	fr.ops = sized(fr.ops, c.callSlots+c.callOuts)
-	clear(fr.f)
-	clear(fr.i)
-	clear(fr.c)
-	copy(fr.f[int(p.NumF)-len(p.ConstF):], p.ConstF)
-	copy(fr.i[int(p.NumI)-len(p.ConstI):], p.ConstI)
-	copy(fr.c[int(p.NumC)-len(p.ConstC):], p.ConstC)
-	outs, err := fr.exec(c, host, args, caller.outs[:0])
+	if fr.depth > r.reached {
+		r.reached = fr.depth
+	}
+	fr.fit(c)
+	outs, err := fr.exec(c, host, args, caller.ops[caller.outsAt:][:0])
 	clear(fr.v)
 	clear(fr.ops)
-	if root {
-		parkRoot(caller)
+	if claimed != nil {
+		claimed.park()
 	}
 	return outs, err
 }
@@ -353,7 +491,8 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []Operand) ([]Operand, e
 	SV := fr.v[p.NumV : p.NumV+p.SlotsV]
 	builtinArgs := fr.v[p.NumV+p.SlotsV:]
 	slots := fr.ops[:c.callSlots]
-	fr.outs = fr.ops[c.callSlots:]
+	calleeOuts := fr.ops[c.callSlots:]
+	fr.outsAt = int32(c.callSlots)
 
 	ctx := host.Context()
 
@@ -887,7 +1026,7 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []Operand) ([]Operand, e
 				goto fail
 			}
 		case ir.OpCallUser:
-			if e := userCall(p, host, p.Aux, int(in.A), V, slots, fr); e != nil {
+			if e := userCall(p, host, p.Aux, int(in.A), V, slots, calleeOuts, fr); e != nil {
 				err = e
 				goto fail
 			}
@@ -896,13 +1035,13 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []Operand) ([]Operand, e
 		case ir.OpStageI:
 			slots[in.A] = Operand{I: I[in.B], Bank: ir.BankI}
 		case ir.OpFetchF:
-			x, ok := fr.outs[in.B].fetchF()
+			x, ok := calleeOuts[in.B].fetchF()
 			if !ok {
 				return nil, ErrGuardMiss
 			}
 			F[in.A] = x
 		case ir.OpFetchI:
-			x, ok := fr.outs[in.B].fetchI()
+			x, ok := calleeOuts[in.B].fetchI()
 			if !ok {
 				return nil, ErrGuardMiss
 			}
