@@ -18,17 +18,27 @@ func TestJitLogShowsReplacedSpeculation(t *testing.T) {
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-tier=spec", "-jit-log", "-e", "for k = 1:10, x = fib(12); end, x", path}, strings.NewReader(""), &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "144") {
-		t.Errorf("stdout %q, want x = 144", stdout.String())
-	}
-	log := stderr.String()
-	if !strings.Contains(log, "promotion fib sig=int") || !strings.Contains(log, "cause=observed-classes") || !strings.Contains(log, "(replaces real") {
-		t.Errorf("-jit-log has no replacement of fib's speculative entry:\n%s", log)
+	// Every tier-up is a replacement journaled in one form: the speculative
+	// real entry replaced for the integers its calls bring, and under prod
+	// the placeholder the first miss parked at the widened signature.
+	for _, row := range []struct{ tier, cause, replaces string }{
+		{"spec", "cause=observed-classes", "(replaces real"},
+		{"prod", "cause=hot-signature", "(replaces int|<1,1>|<1,1>|⊤"},
+	} {
+		t.Run(row.tier, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			code := run([]string{"-tier=" + row.tier, "-jit-log", "-e", "for k = 1:10, x = fib(12); end, x", path}, strings.NewReader(""), &stdout, &stderr)
+			if code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr.String())
+			}
+			if !strings.Contains(stdout.String(), "144") {
+				t.Errorf("stdout %q, want x = 144", stdout.String())
+			}
+			log := stderr.String()
+			if !strings.Contains(log, "promotion fib sig=int") || !strings.Contains(log, row.cause) || !strings.Contains(log, row.replaces) {
+				t.Errorf("-jit-log has no replacement of fib's %s entry:\n%s", row.tier, log)
+			}
+		})
 	}
 }
 

@@ -171,29 +171,27 @@ type Options struct {
 	// becomes measurable.
 	JITBackendOpts bool
 
-	// Tiered enables profile-guided tiered recompilation for TierJIT, one
-	// of the repository's two upgrade paths ("the generated code can later
-	// be recompiled — and replaced in the repository — using a better
-	// compiler"); the other replaces a speculative entry that its calls
-	// keep reaching with narrower classes (TierThreshold, specialise).
-	// ROADMAP item 2 makes the two one rule. Calls start in the
-	// interpreter (first-eval latency stays interpreter-fast), cheap
-	// counters at call entries and loop back-edges feed a hotness profile
-	// per (function, widened signature), and hot signatures are
-	// recompiled in the background at QualityOpt with profile-narrowed
-	// types. Hot interpreter loops transfer mid-run into compiled code via
-	// on-stack replacement; a generation-checked guard deopts back to the
-	// interpreter on redefinition or range violation, so results are
-	// bit-identical with tiering on or off. Ignored by the other tiers,
-	// whose misses follow AsyncCompile alone (the paper-mode measurements
-	// are untouched).
+	// Tiered enables tiered recompilation for TierJIT: "the generated
+	// code can later be recompiled — and replaced in the repository —
+	// using a better compiler". A miss compiles nothing; it parks an
+	// interpret-only placeholder for the widened signature, so first-eval
+	// latency stays interpreter-fast. The placeholder counts the calls it
+	// serves, and at TierThreshold it is replaced by code compiled in the
+	// background at QualityOpt for the signatures it actually served —
+	// the one tier-up rule, which also replaces a speculative entry whose
+	// calls keep bringing narrower classes. Hot interpreter loops transfer
+	// mid-run into compiled code via on-stack replacement; a
+	// generation-checked guard deopts back to the interpreter on
+	// redefinition or range violation, so results are bit-identical with
+	// tiering on or off. Ignored by the other tiers, whose misses follow
+	// AsyncCompile alone (the paper-mode measurements are untouched).
 	Tiered bool
-	// TierThreshold is the hotness threshold: a signature whose call
-	// count reaches it is promoted, an activation whose back-edge count
-	// reaches it offers OSR, and a speculative entry that this many calls
-	// from outside compiled code reached with narrower scalar classes is
-	// replaced by one compiled for them (any tier that holds speculative
-	// entries). 0 means DefaultTierThreshold.
+	// TierThreshold is the hotness threshold: the number of calls after
+	// which an entry a better compile could replace is replaced (every
+	// call a Tiered placeholder serves; the calls from outside compiled
+	// code that bring a speculative entry, on any tier that holds them,
+	// a narrower scalar class), and the back-edge count after which an
+	// interpreted activation offers OSR. 0 means DefaultTierThreshold.
 	TierThreshold int
 
 	// AsyncCompile turns the repository into a background compilation
@@ -331,8 +329,7 @@ func (e *Engine) QueueStats() compilequeue.Stats {
 
 // DefaultTierThreshold is the hotness threshold used when Options.Tiered
 // is set without an explicit TierThreshold: promotion after 8 calls of a
-// widened signature, OSR offer after 8 loop back-edges in one
-// activation. Low enough that a hot loop tiers up within its first eval,
+// placeholder, OSR offer after 8 loop back-edges in one activation. Low enough that a hot loop tiers up within its first eval,
 // high enough that one-shot scripts never pay a compile.
 const DefaultTierThreshold = 8
 
@@ -344,8 +341,8 @@ func (e *Engine) tierThreshold() int {
 	return DefaultTierThreshold
 }
 
-// ProfileStats returns the tiering profile's counters (all zero when
-// tiered execution never ran on this library).
+// ProfileStats returns the tiering counters (all zero when
+// nothing on this library ran tiered or tiered up).
 func (e *Engine) ProfileStats() profile.Stats {
 	return e.lib.ProfileStats()
 }

@@ -11,11 +11,12 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ast"
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/mat"
+	"repro/internal/profile"
+	"repro/internal/repo"
 )
 
 var updateGenerated = flag.Bool("update-generated", false,
@@ -125,9 +126,20 @@ func generatedCode(t *testing.T) []string {
 						t.Fatalf("%s: %v", gp.name, err)
 					}
 					e.Precompile()
+					// OSR continuations hang off the interpret-only entries
+					// whose hot loops asked for them, and a promotion replaces
+					// such an entry: collect them after every call.
+					interpreted := map[*repo.Entry]string{}
 					for call := 0; call < 3; call++ {
 						if _, err := e.Call(gp.fn, gp.args, 1); err != nil {
 							t.Fatalf("%s/%s: %v", gp.name, v.name, err)
+						}
+						for _, fname := range e.Functions() {
+							for _, en := range e.Repo().Entries(fname) {
+								if en.Code == nil {
+									interpreted[en] = fname
+								}
+							}
 						}
 					}
 					prefix := fmt.Sprintf("%s %s fuse=%t spill=%t", gp.name, v.name, fuse, spill)
@@ -138,16 +150,11 @@ func generatedCode(t *testing.T) []string {
 							}
 						}
 					}
-					for _, fd := range e.Library().Profiles().Export() {
-						fn := e.LookupFunction(fd.Name)
-						fp := e.Library().Profiles().Func(fd.Name, e.Repo().Generation(fd.Name))
-						for _, sd := range fd.Sigs {
-							for i, s := range fn.Body {
-								switch s.(type) {
-								case *ast.For, *ast.While:
-									if en := fp.Sig(sd.Key).OSRSite(s).Entry(); en != nil {
-										add(fmt.Sprintf("%s %s@osr%d(%s)", prefix, fd.Name, i, en.Sig.Key()), en.Code.P)
-									}
+					for en, fname := range interpreted {
+						for i, s := range e.LookupFunction(fname).Body {
+							if site, ok := en.OSRSites().Load(s); ok {
+								if c := site.(*profile.OSRState).Entry(); c != nil {
+									add(fmt.Sprintf("%s %s@osr%d(%s)", prefix, fname, i, c.Sig.Key()), c.Code.P)
 								}
 							}
 						}

@@ -57,10 +57,9 @@ type Library struct {
 	// Tiered asked for one). It is owned by the library and never leaves
 	// this file: engines reach it through submit and never close it.
 	queue *compilequeue.Pool
-	// profiles is the tiering hotness store: per-(function, widened
-	// signature) call counts, back-edge counts, and observed-type joins.
-	// Always present (so /metrics can read it unconditionally); it only
-	// accumulates when an attached engine runs with Options.Tiered.
+	// profiles holds the tiering counters. Always present (so /metrics
+	// can read it unconditionally); it only accumulates when an attached
+	// engine tiers up or runs with Options.Tiered.
 	profiles *profile.Store
 
 	// writer is the write-behind snapshotter (nil unless
@@ -182,10 +181,7 @@ func (l *Library) QueueStats() compilequeue.Stats {
 	return l.queue.Stats()
 }
 
-// Profiles exposes the tiering hotness store.
-func (l *Library) Profiles() *profile.Store { return l.profiles }
-
-// ProfileStats returns the tiering profile's counters for /metrics.
+// ProfileStats returns the tiering counters for /metrics.
 func (l *Library) ProfileStats() profile.Stats { return l.profiles.Stats() }
 
 // Lookup resolves a registered function by name (nil if absent). Safe
@@ -260,20 +256,8 @@ func (l *Library) DefTime(name string) int64 {
 func (l *Library) ExportSnapshot() *persist.Snapshot {
 	sts := l.defined()
 	snap := &persist.Snapshot{Funcs: make([]persist.FuncState, 0, len(sts))}
-	profs := make(map[string][]profile.SigDump)
-	for _, fd := range l.profiles.Export() {
-		profs[fd.Name] = fd.Sigs
-	}
 	for _, st := range sts {
 		fs := persist.FuncState{Name: st.Fn.Name, Source: st.Fn.Source, SrcHash: st.SrcHash}
-		for _, sd := range profs[fs.Name] {
-			fs.Profile = append(fs.Profile, persist.ProfileSig{
-				Key:       sd.Key,
-				Observed:  sd.Observed,
-				Entries:   sd.Entries,
-				BackEdges: sd.BackEdges,
-			})
-		}
 		for _, e := range st.Entries {
 			fs.Entries = append(fs.Entries, entryState(st.SrcHash, e))
 		}
@@ -289,6 +273,7 @@ func entryState(srcHash uint64, e *repo.Entry) persist.EntryState {
 		Sig:         e.Sig,
 		Quality:     uint8(e.Quality),
 		Speculative: e.Speculative,
+		Placeholder: e.Placeholder,
 		Hits:        e.Hits(),
 		Ret:         e.Ret,
 	}
@@ -321,6 +306,7 @@ func restoreEntry(es *persist.EntryState, hits int64) (*repo.Entry, string) {
 		return nil, "missing-program"
 	}
 	e := repo.Restored(es.Sig, code, q, es.Speculative, hits)
+	e.Placeholder = es.Placeholder && q == repo.QualityInterp
 	e.Ret = es.Ret
 	for _, d := range es.Deps {
 		e.Deps = append(e.Deps, repo.Dep{Name: d.Name, SrcHash: d.SrcHash})
@@ -378,21 +364,6 @@ func (l *Library) LoadSnapshot(snap *persist.Snapshot) persist.LoadStats {
 	}
 
 	for _, fs := range accepted {
-		if len(fs.Profile) > 0 {
-			// Seed the hotness profile so a previously hot signature tiers
-			// up on its first call of the new lifetime (warm starts skip
-			// the warm-up period entirely).
-			sigs := make([]profile.SigDump, 0, len(fs.Profile))
-			for _, ps := range fs.Profile {
-				sigs = append(sigs, profile.SigDump{
-					Key:       ps.Key,
-					Observed:  ps.Observed,
-					Entries:   ps.Entries,
-					BackEdges: ps.BackEdges,
-				})
-			}
-			l.profiles.Load(fs.Name, l.repo.Generation(fs.Name), sigs)
-		}
 		for i := range fs.Entries {
 			es := &fs.Entries[i]
 			if es.SrcHash != fs.SrcHash {

@@ -48,6 +48,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/mat"
 	"repro/internal/profile"
+	"repro/internal/repo"
 	"repro/internal/telemetry"
 	"repro/internal/types"
 	"repro/internal/vm"
@@ -74,11 +75,11 @@ var _ interp.OSRHost = (*Engine)(nil)
 // TryOSR implements interp.OSRHost: the interpreter offers a hot
 // activation at a loop back-edge safepoint.
 func (e *Engine) TryOSR(fr *interp.Frame, loop ast.Stmt, env *interp.Env, fs *interp.ForOSR) ([]*mat.Value, interp.OSRResult, error) {
-	sp, ok := fr.Prof.(*profile.SigProfile)
-	if !ok || sp == nil {
+	entry, ok := fr.Entry.(*repo.Entry)
+	if !ok {
 		return nil, interp.OSRNever, nil
 	}
-	st := sp.OSRSite(loop)
+	st := profile.Site(entry.OSRSites(), loop)
 	if st.Failed.Load() {
 		return nil, interp.OSRNever, nil
 	}

@@ -93,6 +93,50 @@ func TestPersistenceWarmRestart(t *testing.T) {
 	if !m.Enabled || m.Path != path || m.Load.LoadedEntries != ls.LoadedEntries {
 		t.Fatalf("metrics: %+v", m)
 	}
+
+	// A tiered signature that was warming up keeps its count across the
+	// restart: the placeholder restores with its hits, and the new
+	// lifetime tiers it up after the calls the old one had left to make.
+	t.Run("hot-placeholder", func(t *testing.T) {
+		const threshold, before = 8, 5
+		path := filepath.Join(t.TempDir(), "repo.bin")
+		tiered := func(lib *Library) *Engine {
+			e := New(Options{Tier: TierJIT, Tiered: true, TierThreshold: threshold, Library: lib})
+			if err := e.Define(persistSrc); err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+		lib := NewLibrary(LibraryOptions{})
+		lib.EnablePersistence(path, time.Hour)
+		e := tiered(lib)
+		for i := 0; i < before; i++ {
+			callScalar(t, e, "padd", 41)
+		}
+		e.Close()
+		lib.Close()
+
+		warm := NewLibrary(LibraryOptions{})
+		defer warm.Close()
+		if ls := warm.EnablePersistence(path, time.Hour); ls.LoadedEntries != 1 {
+			t.Fatalf("warm boot: %+v, want the placeholder", ls)
+		}
+		e = tiered(warm)
+		defer e.Close()
+		// The parking call counted without a hit: one call more than the
+		// old lifetime's remainder.
+		for i := 0; i < threshold-before+1; i++ {
+			if e.ProfileStats().Promotions != 0 {
+				t.Fatalf("promoted after %d calls of the new lifetime", i)
+			}
+			if got := callScalar(t, e, "padd", 41).MustScalar(); got != 42 {
+				t.Fatalf("padd(41) = %g", got)
+			}
+		}
+		if st := warm.Repo().Stats(); e.ProfileStats().Promotions != 1 || st.Misses != 0 || st.Inserts != 0 {
+			t.Fatalf("promotions %d, %+v: want one tier-up of the restored placeholder", e.ProfileStats().Promotions, st)
+		}
+	})
 }
 
 // TestPersistenceDropsRedefinedFunction pins the bugfix satellite: a

@@ -6,12 +6,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ast"
 	"repro/internal/codegen"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/mat"
-	"repro/internal/profile"
 	"repro/internal/repo"
 	"repro/internal/telemetry"
 	"repro/internal/types"
@@ -61,8 +59,10 @@ const (
 	// paper's Figure 6 responsiveness story: speculative mode trades
 	// first-call speed for zero perceived compile pauses.
 	neverBlock
-	// interpretProfiled (jit with Tiered) never compiles for a miss: the
-	// call interprets while feeding the hotness profile (invokeProfiled).
+	// interpretProfiled (jit with Tiered) never compiles for a miss: it
+	// parks a placeholder for the widened signature, which the call and
+	// its successors interpret while the placeholder counts them toward
+	// its replacement (upgradeCause).
 	interpretProfiled
 )
 
@@ -82,9 +82,9 @@ func newRepoState(e *Engine) *repoState {
 // a shared Library this is the library's process-wide repository.
 func (e *Engine) Repo() *repo.Repository { return e.repo.r }
 
-// publish is the one job body behind every repository write —
-// speculative precompile, miss, tier-up promotion and the replacement of
-// a speculative entry: compile the body the caller resolved (st.Fn) for
+// publish is the one job body behind every repository write of compiled
+// code — speculative precompile, miss and the replacement of a hot
+// entry: compile the body the caller resolved (st.Fn) for
 // csig and publish at the generation it resolved (st.Gen), so a
 // redefinition landing mid-compile drops the entry (InsertAt) instead of
 // installing code for a dead body. With old set the entry replaces old
@@ -157,23 +157,18 @@ func (r *repoState) invoke(st *repo.FuncState, args []vm.Operand, nout int, call
 	var buf [sigBuf]types.Type
 	sig := observedSig(buf[:0], args)
 	entry := r.r.LookupIn(st, sig)
-	// The profiled policy serves an interpret-only hit (a cached
-	// unsupported decision) like a miss: the interpreter runs it either
-	// way, and the profile keeps counting in case a narrower profiled
-	// signature compiles where the widened one could not.
-	if entry != nil && (entry.Code != nil || r.policy != interpretProfiled) {
-		// Only calls from the boxed side count towards replacing a
-		// speculative entry: a recursion's own calls would cross the
-		// threshold inside the first call.
-		if caller == nil && entry.Speculative && narrowerClass(entry.Sig, sig) &&
-			entry.CountNarrower() == int64(r.e.tierThreshold()) {
-			if repl := r.specialise(st, entry, sig, causeObservedClasses); repl != nil {
-				entry = repl
-			}
+	if entry == nil {
+		if r.policy != interpretProfiled {
+			return r.miss(st, append(types.Signature(nil), sig...), args, nout, caller)
 		}
-		return r.runEntry(entry, st.Fn, args, nout, caller)
+		entry = r.park(st, sig)
 	}
-	return r.miss(st, append(types.Signature(nil), sig...), args, nout, caller)
+	if cause := r.upgradeCause(entry, sig, caller); cause != "" {
+		if repl := r.specialise(st, entry, upgradeSig(st, entry, sig), cause); repl != nil {
+			entry = repl
+		}
+	}
+	return r.runEntry(entry, st, args, nout, caller)
 }
 
 // observedSig types the operands of a call as the function locator sees
@@ -195,10 +190,87 @@ func observedSig(buf []types.Type, args []vm.Operand) types.Signature {
 	return sig
 }
 
-// causeObservedClasses is the journaled cause of a speculative entry
-// replaced because its calls kept bringing narrower classes; one replaced
-// because its return guard missed carries telemetry.CauseReturnGuard.
-const causeObservedClasses = "observed-classes"
+// The journaled causes of a replacement: a placeholder whose calls made
+// it hot, a speculative entry whose calls kept bringing narrower classes.
+// One replaced because its return guard missed carries
+// telemetry.CauseReturnGuard.
+const (
+	causeHotSignature    = "hot-signature"
+	causeObservedClasses = "observed-classes"
+)
+
+// park is the interpretProfiled miss: it publishes a placeholder for the
+// widened signature — no compile, so the first call of anything stays
+// interpreter-fast — and returns the entry to run, the placeholder or
+// one a concurrent caller published first. When a redefinition moved the
+// generation the placeholder serves this one call unpublished.
+func (r *repoState) park(st *repo.FuncState, sig types.Signature) *repo.Entry {
+	p := &repo.Entry{Sig: widen(sig), Quality: repo.QualityInterp, Placeholder: true}
+	if entry := r.r.Park(st.Fn.Name, p, st.Gen, sig); entry != nil {
+		return entry
+	}
+	return p
+}
+
+// upgradeCause counts a call toward replacing entry, when a better
+// compile would serve it better, and returns the cause to journal on the
+// call that reaches the engine's threshold ("" on every other call).
+//
+//   - A placeholder counts every call it serves and joins the call's
+//     signature into what it observed.
+//   - A speculative entry counts the calls from the boxed side that bring
+//     some scalar in a lower class than it holds. A recursion's own calls
+//     (caller != nil) would cross the threshold inside the first call.
+//
+// Nothing else counts. Compiled code that is not speculative is the best
+// this function gets, and the other interpret-only entries are decisions
+// (a compiler rejection, a retired return guard) that a retry would only
+// repeat. The count is exact, so each entry submits one replacement.
+func (r *repoState) upgradeCause(entry *repo.Entry, sig types.Signature, caller *vm.Frame) string {
+	cause := causeHotSignature
+	switch {
+	case entry.Placeholder:
+		entry.Observe(sig)
+	case caller == nil && entry.Speculative && narrowerClass(entry.Sig, sig):
+		cause = causeObservedClasses
+	default:
+		return ""
+	}
+	if entry.CountUpgrade() != int64(r.e.tierThreshold()) {
+		return ""
+	}
+	return cause
+}
+
+// upgradeSig is the signature old's replacement is compiled for, from the
+// call that made it hot.
+//
+//   - A placeholder compiles the join of the exact signatures it served,
+//     so ranges and shapes the workload never exceeds stay available to
+//     the optimizer. When the function already holds a compiled entry of
+//     the same kinds, this is the second round for those kinds, and it
+//     compiles the widened join, as a JIT's second miss does.
+//   - A speculative entry compiles the classes the call brought. Every
+//     parameter it holds in a scalar register takes the observed class at
+//     range ⊤ (widen), and the others keep the speculator's type. This is
+//     Julia's bargain on top of the paper's speculation: specialise on
+//     the types actually seen.
+func upgradeSig(st *repo.FuncState, old *repo.Entry, sig types.Signature) types.Signature {
+	if old.Placeholder {
+		csig := old.Observed()
+		if st.SameKinds(csig) {
+			csig = widen(csig)
+		}
+		return csig
+	}
+	csig := widen(sig)
+	for i := range csig {
+		if classRank(&old.Sig[i]) == 0 {
+			csig[i] = old.Sig[i]
+		}
+	}
+	return csig
+}
 
 // classRank orders the register classes codegen homes a scalar of type t
 // in (codegen.ClassOf): int < real < complex. A boxed type ranks 0.
@@ -226,33 +298,23 @@ func narrowerClass(sig, observed types.Signature) bool {
 	return false
 }
 
-// specialise replaces the speculative entry spec with one compiled at
-// QualityOpt for the register classes a call observed. Every parameter
-// spec holds in a scalar register takes the observed class at range ⊤ —
-// what a JIT's second miss compiles (widen) — and the others keep the
-// speculator's type. This is Julia's bargain on top of the paper's
-// speculation: specialise on the types actually seen. The replacement
-// takes spec's place (publish with old): the function keeps one entry,
-// with spec's hits, and a call the new classes no longer cover misses
-// and is compiled like any other miss. The new entry is returned when
-// the job ran on this goroutine and published; a background engine keeps
-// spec serving until the job lands, and gets nil.
-func (r *repoState) specialise(st *repo.FuncState, spec *repo.Entry, observed types.Signature, cause string) *repo.Entry {
+// specialise replaces old with an entry compiled at QualityOpt for csig:
+// the one tier-up, whatever made old hot. The replacement takes old's
+// place (publish with old): the function keeps one entry, with old's
+// hits, and a call csig does not cover misses and is served like any
+// other miss. The new entry is returned when the job ran on this
+// goroutine and published; a background engine keeps old serving until
+// the job lands, and gets nil.
+func (r *repoState) specialise(st *repo.FuncState, old *repo.Entry, csig types.Signature, cause string) *repo.Entry {
 	e := r.e
-	csig := widen(observed)
-	for i := range csig {
-		if classRank(&spec.Sig[i]) == 0 {
-			csig[i] = spec.Sig[i]
-		}
-	}
 	name := st.Fn.Name
 	var repl *repo.Entry
 	_, pooled := e.lib.submit(r.background,
-		func() string { return fmt.Sprintf("respec\x00%s\x00%s\x00%d", name, csig.Key(), st.Gen) },
+		func() string { return fmt.Sprintf("tier\x00%s\x00%s\x00%d", name, csig.Key(), st.Gen) },
 		nil,
 		func() error {
 			t0 := time.Now()
-			entry, published, err := r.publish(st, csig, pipelineOpts{optimize: true}, false, spec)
+			entry, published, err := r.publish(st, csig, pipelineOpts{optimize: true}, false, old)
 			if entry != nil || err != nil {
 				e.tracer.Span(telemetry.CatTierUp, name, e.id, t0, time.Since(t0))
 			}
@@ -264,7 +326,7 @@ func (r *repoState) specialise(st *repo.FuncState, spec *repo.Entry, observed ty
 					Sig:    csig.Key(),
 					Cause:  cause,
 					Gen:    st.Gen,
-					Detail: "replaces " + spec.Sig.Key(),
+					Detail: "replaces " + old.Sig.Key(),
 				})
 				repl = entry
 			}
@@ -284,9 +346,6 @@ func (r *repoState) specialise(st *repo.FuncState, spec *repo.Entry, observed ty
 // argument.
 func (r *repoState) miss(st *repo.FuncState, sig types.Signature, args []vm.Operand, nout int, caller *vm.Frame) ([]vm.Operand, error) {
 	e := r.e
-	if r.policy == interpretProfiled {
-		return r.invokeProfiled(st, sig, args, nout)
-	}
 	// A concurrent caller's compile (or a redefinition) may have landed
 	// since the lookup that missed. Everything below — whether to widen,
 	// which generation to publish at — is decided from one state, and
@@ -296,7 +355,7 @@ func (r *repoState) miss(st *repo.FuncState, sig types.Signature, args []vm.Oper
 	if fresh := r.r.State(st.Fn.Name); fresh != st {
 		st = fresh
 		if entry := r.r.LookupIn(st, sig); entry != nil {
-			return r.runEntry(entry, st.Fn, args, nout, caller)
+			return r.runEntry(entry, st, args, nout, caller)
 		}
 	}
 	csig := sig
@@ -357,7 +416,7 @@ func (r *repoState) miss(st *repo.FuncState, sig types.Signature, args []vm.Oper
 		// the repository keeps exactly one (compiled) entry per key.
 		entry = &repo.Entry{Quality: repo.QualityInterp}
 	}
-	return r.runEntry(entry, st.Fn, args, nout, caller)
+	return r.runEntry(entry, st, args, nout, caller)
 }
 
 // enter opens one invocation's execution accounting: only the outermost
@@ -388,24 +447,27 @@ func (r *repoState) leave(name string, t0 time.Time, nout int, outs []vm.Operand
 	return outs, nil
 }
 
-// runEntry executes one invocation through entry: compiled code on the
-// VM, or the interpreter for an interpret-only entry. A compiled
-// activation whose return-type guard misses (vm.ErrGuardMiss) is
-// abandoned and the call re-run in the interpreter — invisible, because
-// only replay-safe functions are compiled with guards. A speculative
-// entry is then replaced by one compiled for the classes this call
-// brought (specialise); any other is retired in favour of an
-// interpret-only one, so later calls skip the detour until a
-// redefinition clears the slate. The interpreter is on the boxed side of
-// the call boundary: its arguments are boxed here.
-func (r *repoState) runEntry(entry *repo.Entry, fn *ast.Function, args []vm.Operand, nout int, caller *vm.Frame) ([]vm.Operand, error) {
+// runEntry executes one invocation through entry, an entry of st:
+// compiled code on the VM, or the interpreter for an interpret-only
+// entry, which on a tiered engine runs with a Frame so its hot loops can
+// transfer into compiled code (osr.go). A compiled activation whose
+// return-type guard misses (vm.ErrGuardMiss) is abandoned and the call
+// re-run in the interpreter — invisible, because only replay-safe
+// functions are compiled with guards. A speculative entry is then
+// replaced by one compiled for the classes this call brought
+// (specialise); any other is retired in favour of an interpret-only one,
+// so later calls skip the detour until a redefinition clears the slate.
+// The interpreter is on the boxed side of the call boundary: its
+// arguments are boxed here.
+func (r *repoState) runEntry(entry *repo.Entry, st *repo.FuncState, args []vm.Operand, nout int, caller *vm.Frame) ([]vm.Operand, error) {
+	e, fn := r.e, st.Fn
 	t0 := r.enter()
 	var outs []vm.Operand
 	var err error
 	if entry.Quality != repo.QualityInterp {
-		outs, err = vm.Run(entry.Code, r.e, args, caller)
+		outs, err = vm.Run(entry.Code, e, args, caller)
 		if err == vm.ErrGuardMiss {
-			r.e.lib.journal.Record(telemetry.Event{
+			e.lib.journal.Record(telemetry.Event{
 				Kind:  telemetry.EventDeopt,
 				Func:  fn.Name,
 				Sig:   entry.Sig.Key(),
@@ -413,105 +475,26 @@ func (r *repoState) runEntry(entry *repo.Entry, fn *ast.Function, args []vm.Oper
 			})
 			if entry.Speculative {
 				var buf [sigBuf]types.Type
-				r.specialise(r.r.State(fn.Name), entry, observedSig(buf[:0], args), telemetry.CauseReturnGuard)
+				r.specialise(st, entry, upgradeSig(st, entry, observedSig(buf[:0], args)), telemetry.CauseReturnGuard)
 			} else {
 				r.r.Replace(fn.Name, entry, &repo.Entry{Sig: entry.Sig, Quality: repo.QualityInterp})
 			}
 		}
 	}
 	if entry.Quality == repo.QualityInterp || err == vm.ErrGuardMiss {
+		var fr *interp.Frame
+		if r.policy == interpretProfiled && entry.Quality == repo.QualityInterp {
+			fr = &interp.Frame{Fn: fn, Nout: nout, Host: e, Gen: st.Gen, Threshold: int64(e.tierThreshold()), Entry: entry}
+		}
 		var buf [sigBuf]*mat.Value
 		var vals []*mat.Value
-		vals, err = r.e.in.CallFunction(fn, vm.BoxAll(buf[:0], args), nout, r.e.globals, nil)
+		vals, err = e.in.CallFunction(fn, vm.BoxAll(buf[:0], args), nout, e.globals, fr)
+		if fr != nil {
+			e.lib.profiles.CountActivation(fr.BackEdges())
+		}
 		outs = vm.Boxed(nil, vals)
 	}
 	return r.leave(fn.Name, t0, nout, outs, err)
-}
-
-// invokeProfiled is the interpretProfiled policy (Options.Tiered,
-// TierJIT only). A repository miss never compiles on the caller's
-// goroutine, so first-eval latency stays interpreter-fast, while every
-// call feeds the hotness profile for its (function, widened signature)
-// bucket. A bucket that crosses the threshold submits a background
-// recompile at QualityOpt with the profile-narrowed joined signature
-// (maybePromote), and the published entry serves all later calls —
-// tier-up is the one mechanism that replaces code with better code.
-// While a call is still interpreting, the activation carries a tiered
-// Frame: loop back-edges count toward the same bucket, and a hot loop
-// transfers mid-run into compiled code via on-stack replacement (see
-// osr.go).
-func (r *repoState) invokeProfiled(st *repo.FuncState, sig types.Signature, args []vm.Operand, nout int) ([]vm.Operand, error) {
-	e := r.e
-	fn, gen := st.Fn, st.Gen
-	sp := e.lib.profiles.Func(fn.Name, gen).Sig(widen(sig).Key())
-	sp.Observe(sig)
-	r.maybePromote(st, sp, len(sig))
-
-	fr := &interp.Frame{
-		Fn:        fn,
-		Nout:      nout,
-		Host:      e,
-		Gen:       gen,
-		Threshold: int64(e.tierThreshold()),
-		BackEdges: sp.BackEdgeCounter(),
-		Prof:      sp,
-	}
-	t0 := r.enter()
-	var buf [sigBuf]*mat.Value
-	vals, err := e.in.CallFunction(fn, vm.BoxAll(buf[:0], args), nout, e.globals, fr)
-	return r.leave(fn.Name, t0, nout, vm.Boxed(nil, vals), err)
-}
-
-// maybePromote submits the background tier-up once a signature bucket
-// crosses the hotness threshold: the shared job body plus the profile
-// and journal bookkeeping. The compile signature is the join of every
-// exact signature observed — strictly narrower than the widened lookup
-// key, so ranges and shapes the workload never exceeds stay available to
-// the optimizer — except on the final promotion round, which compiles
-// the fully widened form so the entry stops churning.
-func (r *repoState) maybePromote(st *repo.FuncState, sp *profile.SigProfile, arity int) {
-	e := r.e
-	if !sp.ShouldPromote(int64(e.tierThreshold())) {
-		return
-	}
-	csig := sp.Observed()
-	if len(csig) == 0 {
-		csig = topSignature(arity)
-	}
-	if sp.PromotionRound() >= profile.MaxPromotions-1 {
-		csig = widen(csig)
-	}
-	name := st.Fn.Name
-	e.lib.submit(r.background,
-		func() string { return fmt.Sprintf("tier\x00%s\x00%s\x00%d", name, csig.Key(), st.Gen) },
-		nil,
-		func() error {
-			t0 := time.Now()
-			entry, published, err := r.publish(st, csig, pipelineOpts{optimize: true}, false, nil)
-			if entry != nil || err != nil {
-				e.tracer.Span(telemetry.CatTierUp, name, e.id, t0, time.Since(t0))
-			}
-			if err != nil || (entry != nil && entry.Quality == repo.QualityInterp) {
-				// A compiler rejection has cached its interpret-only
-				// decision, so plain lookups stop missing; either way, stop
-				// promoting this bucket.
-				sp.PromotionFailed()
-				return nil
-			}
-			if published {
-				e.lib.profiles.CountPromotion()
-				e.lib.journal.Record(telemetry.Event{
-					Kind:   telemetry.EventPromotion,
-					Func:   name,
-					Sig:    csig.Key(),
-					Cause:  "hot-signature",
-					Gen:    st.Gen,
-					Detail: fmt.Sprintf("entries=%d round=%d", sp.Entries(), sp.PromotionRound()+1),
-				})
-			}
-			sp.PromotionDone()
-			return nil
-		})
 }
 
 // widen relaxes ranges (and, where bounds differ across calls, shapes

@@ -100,7 +100,7 @@ func TestReturnGuardFallsBackToInterpreter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ops, err := e.repo.runEntry(stale, e.LookupFunction("r"), vm.Boxed(nil, args), 1, nil)
+			ops, err := e.repo.runEntry(stale, e.repo.r.State("r"), vm.Boxed(nil, args), 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

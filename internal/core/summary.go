@@ -133,17 +133,26 @@ func (s *summaries) replaySafe(work *ast.Function, tbl *disambig.Table) bool {
 	return safe
 }
 
-// vouch checks that every compiled version of callee is replay-safe and
-// records the dependency.
+// vouch checks that callee has a compiled version and that every one is
+// replay-safe, and records the dependency. A placeholder is no version:
+// it is the interpreter, waiting for one.
 func (s *summaries) vouch(callee string) bool {
 	st := s.r.State(callee)
-	if st.Fn == nil || len(st.Entries) == 0 {
+	if st.Fn == nil {
 		return false
 	}
+	versions := 0
 	for _, e := range st.Entries {
+		if e.Placeholder {
+			continue
+		}
 		if e.Ret == nil {
 			return false
 		}
+		versions++
+	}
+	if versions == 0 {
+		return false
 	}
 	s.depend(callee, st.SrcHash)
 	return true
@@ -163,7 +172,8 @@ func (s *summaries) depend(name string, srcHash uint64) {
 // compilation gets the current assumption — it predicts that siblings
 // compiled for other ranges return the same kind, which the guard then
 // checks; any other call gets the join over every published entry that
-// could serve it, or ⊤ when none could or one of them has no summary.
+// could serve it, placeholders aside, or ⊤ when none could or one of
+// them has no summary.
 func (s *summaries) resultType(name string, args []types.Type) types.Type {
 	if name == s.self && s.family.Safe(widen(args)) {
 		s.usedSelf = true
@@ -172,7 +182,7 @@ func (s *summaries) resultType(name string, args []types.Type) types.Type {
 	st := s.r.State(name)
 	t := types.Bottom
 	for _, e := range st.Entries {
-		if !e.Sig.Safe(args) {
+		if e.Placeholder || !e.Sig.Safe(args) {
 			continue
 		}
 		if e.Ret == nil {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/parallel"
 	"repro/internal/repo"
+	"repro/internal/types"
 )
 
 // The tiered-execution suite: profile-guided promotion, on-stack
@@ -294,4 +295,110 @@ func mustInterp(t *testing.T, e *Engine, name string, arg float64) *mat.Value {
 		t.Fatalf("interpret %s(%v): %v", name, arg, err)
 	}
 	return outs[0]
+}
+
+// TestGuardMissRecompilesBounded: an entry retired after its return guard
+// missed is a decision, not a placeholder, so it never counts. A prod
+// function whose compiled code keeps missing its guard is compiled once,
+// however often it is called, instead of every threshold calls. Here the
+// miss is forced by a summary of q that does not hold: r is compiled to
+// take q's result as an integer, and q returns a matrix.
+func TestGuardMissRecompilesBounded(t *testing.T) {
+	lib := NewLibrary(LibraryOptions{AsyncCompile: true, CompileWorkers: 1})
+	defer lib.Close()
+	jit := New(Options{Tier: TierJIT, Library: lib})
+	defer jit.Close()
+	for _, src := range []string{depRSrc, "function y = q(x)\n  y = [x 2 3];\n  return;\nend"} {
+		if err := jit.Define(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	args := []*mat.Value{mat.Scalar(3)}
+	if _, err := jit.Call("q", args, 1); err != nil {
+		t.Fatal(err)
+	}
+	qe := lib.Repo().Entries("q")[0]
+	lib.Repo().Replace("q", qe, &repo.Entry{Sig: qe.Sig, Code: qe.Code, Quality: qe.Quality, Ret: []types.Type{intScalarType()}})
+
+	prod := Production()
+	prod.Library = lib
+	e := New(prod)
+	defer e.Close()
+	want, err := e.Interpret("r", args, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10*DefaultTierThreshold; i++ {
+		got, err := e.Call("r", args, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameValue(got[0], want[0]) {
+			t.Fatalf("call %d: r(3) = %v, interpreter %v", i, got[0], want[0])
+		}
+		e.Drain()
+	}
+	if n := e.ProfileStats().Promotions; n != 1 {
+		t.Fatalf("r was compiled %d times over %d calls, want once", n, 10*DefaultTierThreshold)
+	}
+	entries := e.Repo().Entries("r")
+	if len(entries) != 1 || entries[0].Quality != repo.QualityInterp || entries[0].Placeholder {
+		t.Fatalf("r after its guard missed: %v, want one retired interpret-only entry", entries)
+	}
+}
+
+// TestRejectedTierUpTriedOnce: a placeholder whose replacement the
+// compiler rejects (nargin defeats the disambiguator) keeps serving, and
+// its count, past the threshold, never submits the compile again.
+func TestRejectedTierUpTriedOnce(t *testing.T) {
+	e := New(Production())
+	defer e.Close()
+	if err := e.Define(unsupportedSrc); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10*DefaultTierThreshold; i++ {
+		outs, err := e.Call("h", []*mat.Value{mat.Scalar(1), mat.Scalar(2)}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := outs[0].MustScalar(); got != 20 {
+			t.Fatalf("h = %g, want 20", got)
+		}
+		e.Drain()
+	}
+	if qs := e.QueueStats(); qs.Submitted != 1 {
+		t.Fatalf("%d compiles submitted over %d calls, want 1: %+v", qs.Submitted, 10*DefaultTierThreshold, qs)
+	}
+	if entries := e.Repo().Entries("h"); len(entries) != 1 || !entries[0].Placeholder {
+		t.Fatalf("want the placeholder still serving, have %v", entries)
+	}
+}
+
+// TestRedefinitionRestartsTierCount: the count lives on the placeholder,
+// and a redefinition drops it with the old body's entries, so calls of the
+// old body never bring the new one's tier-up forward.
+func TestRedefinitionRestartsTierCount(t *testing.T) {
+	const threshold = 4
+	e := newTiered(t, threshold)
+	if err := e.Define(hotForSrc); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < threshold-1; i++ {
+		callScalar(t, e, "hotfor", 5)
+	}
+	if err := e.Define("function s = hotfor(n)\n  s = n + 1;\nend"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < threshold; i++ {
+		if n := e.ProfileStats().Promotions; n != 0 {
+			t.Fatalf("promoted after %d calls of the new body", i)
+		}
+		if got := callScalar(t, e, "hotfor", 5).MustScalar(); got != 6 {
+			t.Fatalf("hotfor(5) = %g, want 6", got)
+		}
+		e.Drain()
+	}
+	if n := e.ProfileStats().Promotions; n != 1 {
+		t.Fatalf("%d promotions after %d calls of the new body, want 1", n, threshold)
+	}
 }

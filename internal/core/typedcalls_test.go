@@ -387,7 +387,7 @@ func TestRedefinedCalleeMissesTheClassCheck(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := journal.Total()
-			ops, err := e.repo.runEntry(stale, e.LookupFunction("r"), vm.Boxed(nil, args), 1, nil)
+			ops, err := e.repo.runEntry(stale, e.repo.r.State("r"), vm.Boxed(nil, args), 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,15 +1,13 @@
-// Tiered-execution support: the interpreter's half of profile-guided
+// Tiered-execution support: the interpreter's half of tiered
 // recompilation with on-stack replacement. The engine attaches a Frame
 // to a function activation; the loop safepoints that already poll the
-// cancel flag then also bump the frame's back-edge counter (one atomic
-// add — no new work on untiered activations beyond a nil check), and a
-// hot activation offers its host the chance to transfer mid-loop into
-// compiled code.
+// cancel flag then also count the activation's back-edges (no new work
+// on untiered activations beyond a nil check), and a hot activation
+// offers its host the chance to transfer mid-loop into compiled code.
 package interp
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/mat"
@@ -54,8 +52,7 @@ type ForOSR struct {
 }
 
 // Frame is the tiered state of one function activation. It is created
-// by the engine per call (single goroutine); only BackEdges is shared
-// with the profile store.
+// by the engine per call and used by one goroutine.
 type Frame struct {
 	Fn   *ast.Function
 	Nout int
@@ -64,14 +61,11 @@ type Frame struct {
 	// OSR entries compiled at another generation must not transfer in.
 	Gen uint64
 	// Threshold is the back-edge count after which the activation is
-	// hot; <= 0 disables OSR (counters still feed the profile).
+	// hot; <= 0 disables OSR (back-edges are still counted).
 	Threshold int64
-	// BackEdges is the shared profile counter (may be nil).
-	BackEdges *atomic.Int64
-	// Prof is the engine's per-signature profile record, carried
-	// opaquely so the interpreter stays decoupled from the profile
-	// package.
-	Prof any
+	// Entry is the repository entry the activation serves, carried
+	// opaquely for the host: its OSR sites hang off it.
+	Entry any
 
 	count   int64
 	denied  map[ast.Stmt]bool
@@ -82,11 +76,11 @@ type Frame struct {
 // enough to offer the host a transfer at this loop.
 func (fr *Frame) tick(loop ast.Stmt) bool {
 	fr.count++
-	if fr.BackEdges != nil {
-		fr.BackEdges.Add(1)
-	}
 	return fr.Host != nil && fr.Threshold > 0 && fr.count >= fr.Threshold && !fr.denied[loop]
 }
+
+// BackEdges returns the loop back-edges the activation has run.
+func (fr *Frame) BackEdges() int64 { return fr.count }
 
 // deny stops further transfer offers for a loop this activation.
 func (fr *Frame) deny(loop ast.Stmt) {

@@ -36,7 +36,7 @@ import (
 // what the bytes mean does (v5).
 const (
 	magic        = "MJRP"
-	Version      = 6                     // v6: a program carries its constant tables (literals are registers of a constant area, not instructions); v5: scalars cross calls in registers (staged call operands, outputs returned unboxed); v4 added per-entry return summaries and dependencies; v3 the sparsity bit in encoded types; v2 the per-function tiering profile section
+	Version      = 7                     // v7: a placeholder bit per entry, and no tiering profile section (hotness is counted on the entries); v6: a program carries its constant tables (literals are registers of a constant area, not instructions); v5: scalars cross calls in registers (staged call operands, outputs returned unboxed); v4 added per-entry return summaries and dependencies; v3 the sparsity bit in encoded types; v2 the per-function tiering profile section (dropped in v7)
 	headerLen    = 4 + 2 + 2 + 8 + 4 + 4 // magic, version, flags, fingerprint, payload len, payload crc
 	maxSnapshotB = 1 << 30               // decode refuses payloads beyond 1 GiB
 )
@@ -67,20 +67,6 @@ type FuncState struct {
 	Source  string
 	SrcHash uint64
 	Entries []EntryState
-	// Profile is the function's tiering profile (per widened signature):
-	// persisted hotness means a warm-started process re-promotes hot
-	// signatures immediately instead of re-warming from zero. Promotion
-	// latches and OSR state are not persisted — they are re-derived
-	// against the new lifetime's code.
-	Profile []ProfileSig
-}
-
-// ProfileSig is one persisted (widened signature → hotness) record.
-type ProfileSig struct {
-	Key       string
-	Observed  types.Signature
-	Entries   int64
-	BackEdges int64
 }
 
 // EntryState is one compiled repository entry in serializable form.
@@ -109,11 +95,21 @@ type ProfileSig struct {
 // complex pool): a literal is a register of the constant area that ends
 // each scalar bank, and v5 code materialised it with instructions the IR
 // no longer has.
+//
+// v7 adds Placeholder and drops the per-function tiering profile: the
+// hotness a warm start keeps is a placeholder's Hits, which its count
+// toward a tier-up starts from, so a signature that was hot before a
+// restart tiers up early after it. A v6 snapshot's interpret-only entries
+// would all restore as decisions that never count, its hot signatures
+// interpreted for good.
 type EntryState struct {
 	SrcHash     uint64
 	Sig         types.Signature
 	Quality     uint8
 	Speculative bool
+	// Placeholder marks an interpret-only entry that counts its calls
+	// toward a tier-up (repo.Entry.Placeholder).
+	Placeholder bool
 	Hits        int64
 	Prog        *ir.Prog
 	Ret         []types.Type
@@ -260,6 +256,7 @@ func (e *encoder) entry(es EntryState) {
 	e.sig(es.Sig)
 	e.u8(es.Quality)
 	e.boolean(es.Speculative)
+	e.boolean(es.Placeholder)
 	e.i64(es.Hits)
 	e.boolean(es.Prog != nil)
 	if es.Prog != nil {
@@ -334,13 +331,6 @@ func Encode(s *Snapshot) []byte {
 		e.u32(uint32(len(fs.Entries)))
 		for _, es := range fs.Entries {
 			e.entry(es)
-		}
-		e.u32(uint32(len(fs.Profile)))
-		for _, ps := range fs.Profile {
-			e.str(ps.Key)
-			e.sig(ps.Observed)
-			e.i64(ps.Entries)
-			e.i64(ps.BackEdges)
 		}
 	}
 	return frame(magic, e.buf)
@@ -574,6 +564,7 @@ func (d *decoder) entry() EntryState {
 	es.Sig = d.sig()
 	es.Quality = d.u8()
 	es.Speculative = d.boolean()
+	es.Placeholder = d.boolean()
 	es.Hits = d.i64()
 	if d.boolean() {
 		es.Prog = d.prog()
@@ -617,18 +608,9 @@ func Decode(data []byte) (*Snapshot, error) {
 		fs.Name = d.str()
 		fs.Source = d.str()
 		fs.SrcHash = d.u64()
-		ne := d.count(8 + 4 + 1 + 1 + 8 + 1 + 4 + 4) // minimal EntryState
+		ne := d.count(8 + 4 + 1 + 1 + 1 + 8 + 1 + 4 + 4) // minimal EntryState
 		for j := 0; j < ne && d.err == nil; j++ {
 			fs.Entries = append(fs.Entries, d.entry())
-		}
-		np := d.count(4 + 4 + 8 + 8) // minimal ProfileSig
-		for j := 0; j < np && d.err == nil; j++ {
-			var ps ProfileSig
-			ps.Key = d.str()
-			ps.Observed = d.sig()
-			ps.Entries = d.i64()
-			ps.BackEdges = d.i64()
-			fs.Profile = append(fs.Profile, ps)
 		}
 		s.Funcs = append(s.Funcs, fs)
 	}

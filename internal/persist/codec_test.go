@@ -15,7 +15,7 @@ import (
 // testSnapshot exercises every encodable field: NaN/Inf range bounds,
 // complex constants, empty and non-empty pools, colon markers, spilled
 // parameter bindings, interpret-only entries, return summaries and
-// dependency lists, tiering profiles, and multi-function files.
+// dependency lists, placeholder bits, and multi-function files.
 func testSnapshot() *Snapshot {
 	prog := &ir.Prog{
 		Name: "f",
@@ -68,10 +68,7 @@ func testSnapshot() *Snapshot {
 					Ret:  []types.Type{types.ScalarOf(types.IInt, types.RangeTop), types.Top},
 					Deps: []Dep{{Name: "g", SrcHash: h2}, {Name: "helper", SrcHash: 0xdeadbeef}}},
 				{SrcHash: h, Sig: types.Signature{types.Top}, Quality: 0, Speculative: true, Hits: 7},
-			},
-			Profile: []ProfileSig{
-				{Key: sig.Key(), Observed: sig, Entries: 17, BackEdges: 4096},
-				{Key: "top", Observed: types.Signature{types.Top}, Entries: 1},
+				{SrcHash: h, Sig: sig, Quality: 0, Placeholder: true, Hits: 5},
 			},
 		},
 		{Name: "g", Source: src2, SrcHash: h2},
@@ -89,6 +86,9 @@ func TestRoundTrip(t *testing.T) {
 	// re-encoded bytes: bit-exact round trip including NaN payloads.
 	if again := Encode(got); !reflect.DeepEqual(data, again) {
 		t.Fatalf("re-encode mismatch: %d vs %d bytes", len(data), len(again))
+	}
+	if es := got.Funcs[0].Entries; !es[2].Placeholder || es[1].Placeholder {
+		t.Fatalf("placeholder bits not preserved: %v %v", es[1].Placeholder, es[2].Placeholder)
 	}
 	// NaN must survive bit-exactly (DeepEqual can't see that).
 	p := got.Funcs[0].Entries[0].Prog

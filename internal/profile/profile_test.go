@@ -7,157 +7,19 @@ import (
 	"testing"
 
 	"repro/internal/ast"
-	"repro/internal/types"
 )
 
-func scalarSig(rs ...types.Range) types.Signature {
-	sig := make(types.Signature, 0, len(rs))
-	for _, r := range rs {
-		sig = append(sig, types.ScalarOf(types.IReal, r))
-	}
-	return sig
-}
-
-func TestFuncGenerationReset(t *testing.T) {
-	s := NewStore()
-	fp := s.Func("f", 1)
-	fp.Sig("k").Observe(scalarSig(types.Range{Lo: 1, Hi: 1}))
-	if got := s.Func("f", 1); got != fp {
-		t.Fatalf("same generation must return the same profile")
-	}
-	fp2 := s.Func("f", 2)
-	if fp2 == fp {
-		t.Fatalf("generation change must reset the profile")
-	}
-	if n := fp2.Sig("k").Entries(); n != 0 {
-		t.Fatalf("reset profile has %d entries, want 0", n)
-	}
-}
-
-func TestObserveJoins(t *testing.T) {
-	sp := &SigProfile{key: "k"}
-	sp.Observe(scalarSig(types.Range{Lo: 1, Hi: 1}))
-	sp.Observe(scalarSig(types.Range{Lo: 5, Hi: 5}))
-	obs := sp.Observed()
-	if len(obs) != 1 {
-		t.Fatalf("observed arity %d, want 1", len(obs))
-	}
-	want := types.Join(
-		types.ScalarOf(types.IReal, types.Range{Lo: 1, Hi: 1}),
-		types.ScalarOf(types.IReal, types.Range{Lo: 5, Hi: 5}))
-	if obs[0] != want {
-		t.Fatalf("observed = %v, want join %v", obs[0], want)
-	}
-	if sp.Entries() != 2 {
-		t.Fatalf("entries = %d, want 2", sp.Entries())
-	}
-}
-
-func TestShouldPromoteLatch(t *testing.T) {
-	sp := &SigProfile{key: "k"}
-	sig := scalarSig(types.RangeTop)
-	for i := 0; i < 3; i++ {
-		sp.Observe(sig)
-	}
-	if sp.ShouldPromote(4) {
-		t.Fatalf("promoted below threshold")
-	}
-	sp.Observe(sig)
-	if !sp.ShouldPromote(4) {
-		t.Fatalf("did not promote at threshold")
-	}
-	// Latched in-flight: no double promotion while the compile runs.
-	if sp.ShouldPromote(4) {
-		t.Fatalf("promoted while in flight")
-	}
-	sp.PromotionDone()
-	if sp.PromotionRound() != 1 {
-		t.Fatalf("round = %d, want 1", sp.PromotionRound())
-	}
-	// Round 2 needs another threshold's worth of entries.
-	if sp.ShouldPromote(4) {
-		t.Fatalf("round 2 promoted without fresh entries")
-	}
-	for i := 0; i < 4; i++ {
-		sp.Observe(sig)
-	}
-	if !sp.ShouldPromote(4) {
-		t.Fatalf("round 2 did not promote")
-	}
-	sp.PromotionFailed()
-	if !sp.Unsupported() {
-		t.Fatalf("PromotionFailed did not latch unsupported")
-	}
-	for i := 0; i < 100; i++ {
-		sp.Observe(sig)
-	}
-	if sp.ShouldPromote(4) {
-		t.Fatalf("unsupported signature promoted")
-	}
-}
-
-func TestShouldPromoteMaxRounds(t *testing.T) {
-	sp := &SigProfile{key: "k"}
-	sig := scalarSig(types.RangeTop)
-	for round := 0; round < MaxPromotions; round++ {
-		for i := 0; i < 2; i++ {
-			sp.Observe(sig)
-		}
-		if !sp.ShouldPromote(2) {
-			t.Fatalf("round %d did not promote", round)
-		}
-		sp.PromotionDone()
-	}
-	for i := 0; i < 100; i++ {
-		sp.Observe(sig)
-	}
-	if sp.ShouldPromote(2) {
-		t.Fatalf("promoted past MaxPromotions")
-	}
-	if sp.ShouldPromote(0) {
-		t.Fatalf("threshold 0 must disable promotion")
-	}
-}
-
-func TestShouldPromoteSingleWinner(t *testing.T) {
-	sp := &SigProfile{key: "k"}
-	sig := scalarSig(types.RangeTop)
-	for i := 0; i < 64; i++ {
-		sp.Observe(sig)
-	}
-	var wg sync.WaitGroup
-	wins := make(chan bool, 16)
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if sp.ShouldPromote(1) {
-				wins <- true
-			}
-		}()
-	}
-	wg.Wait()
-	close(wins)
-	n := 0
-	for range wins {
-		n++
-	}
-	if n != 1 {
-		t.Fatalf("%d concurrent winners, want exactly 1", n)
-	}
-}
-
 func TestOSRSiteIdentity(t *testing.T) {
-	sp := &SigProfile{key: "k"}
+	var sites sync.Map
 	a := ast.Stmt(&ast.While{})
 	b := ast.Stmt(&ast.While{})
-	if sp.OSRSite(a) != sp.OSRSite(a) {
+	if Site(&sites, a) != Site(&sites, a) {
 		t.Fatalf("same loop node must map to the same site")
 	}
-	if sp.OSRSite(a) == sp.OSRSite(b) {
+	if Site(&sites, a) == Site(&sites, b) {
 		t.Fatalf("distinct loop nodes must map to distinct sites")
 	}
-	st := sp.OSRSite(a)
+	st := Site(&sites, a)
 	if st.Entry() != nil {
 		t.Fatalf("fresh site has an entry")
 	}
@@ -174,12 +36,9 @@ func TestOSRSiteIdentity(t *testing.T) {
 
 func TestStatsAggregation(t *testing.T) {
 	s := NewStore()
-	sig := scalarSig(types.RangeTop)
-	sp := s.Func("f", 1).Sig("a")
-	sp.Observe(sig)
-	sp.Observe(sig)
-	sp.BackEdgeCounter().Add(10)
-	s.Func("g", 1).Sig("b").Observe(sig)
+	s.CountActivation(10)
+	s.CountActivation(0)
+	s.CountActivation(0)
 	s.CountPromotion()
 	s.CountOSRRequest()
 	s.CountOSRCompile()
@@ -188,47 +47,11 @@ func TestStatsAggregation(t *testing.T) {
 	s.CountOSRDeopt(DeoptRange)
 	s.CountOSRDeopt(DeoptRange)
 	st := s.Stats()
-	want := Stats{Functions: 2, Signatures: 2, Entries: 3, BackEdges: 10,
+	want := Stats{Entries: 3, BackEdges: 10,
 		Promotions: 1, OSRRequests: 1, OSRCompiles: 1, OSRTransfers: 1, OSRDeopts: 3,
 		OSRDeoptsGeneration: 1, OSRDeoptsRange: 2}
 	if st != want {
 		t.Fatalf("stats = %+v, want %+v", st, want)
-	}
-}
-
-func TestExportLoadRoundTrip(t *testing.T) {
-	s := NewStore()
-	sig := scalarSig(types.Range{Lo: 2, Hi: 9})
-	sp := s.Func("f", 3).Sig("key")
-	sp.Observe(sig)
-	sp.Observe(sig)
-	sp.BackEdgeCounter().Add(42)
-	// A bucket never observed exports nothing.
-	s.Func("empty", 1)
-
-	dump := s.Export()
-	if len(dump) != 1 || dump[0].Name != "f" || len(dump[0].Sigs) != 1 {
-		t.Fatalf("export = %+v", dump)
-	}
-	sd := dump[0].Sigs[0]
-	if sd.Key != "key" || sd.Entries != 2 || sd.BackEdges != 42 {
-		t.Fatalf("sig dump = %+v", sd)
-	}
-
-	s2 := NewStore()
-	s2.Load("f", 3, dump[0].Sigs)
-	got := s2.Func("f", 3).Sig("key")
-	if got.Entries() != 2 || got.BackEdges() != 42 {
-		t.Fatalf("loaded entries=%d backEdges=%d", got.Entries(), got.BackEdges())
-	}
-	if obs := got.Observed(); len(obs) != 1 || obs[0] != sig[0] {
-		t.Fatalf("loaded observed = %v, want %v", obs, sig)
-	}
-
-	// Load never clobbers live in-memory state.
-	s2.Load("f", 3, []SigDump{{Key: "key", Observed: sig, Entries: 999, BackEdges: 999}})
-	if got.Entries() != 2 {
-		t.Fatalf("Load overwrote a live profile")
 	}
 }
 

@@ -16,7 +16,8 @@
 // (read-copy-update), so a reader's one load is always a consistent cut:
 // it can never pair one generation's definition with another
 // generation's code. An *Entry is immutable once published except for
-// its hit counter, which is atomic, so entries handed out by
+// its counters, its observed join and its OSR sites, which are
+// synchronised, so entries handed out by
 // Lookup/Entries can be read (and their code executed) from any
 // goroutine. Upgrades never mutate a published entry's code in place —
 // they swap in a replacement entry via Replace. Asynchronous compile
@@ -67,8 +68,8 @@ type Dep struct {
 }
 
 // Entry is one compiled version of a function. Every exported field is
-// immutable after the entry is published to a repository; the hit
-// counter is atomic.
+// immutable after the entry is published to a repository; the counters
+// are atomic.
 type Entry struct {
 	Sig     types.Signature
 	Code    *vm.Compiled // nil for QualityInterp
@@ -76,6 +77,12 @@ type Entry struct {
 	// Speculative marks entries produced ahead of time by the
 	// speculator (for the harness's hit/miss statistics).
 	Speculative bool
+	// Placeholder marks the interpret-only entry a tiered miss parks for a
+	// signature no entry serves yet (Park): it counts the calls it serves
+	// and is replaced by compiled code once they make it hot. The other
+	// interpret-only entries — a compiler rejection, an entry retired
+	// after its return guard missed — are decisions and never count.
+	Placeholder bool
 	// Replicated marks entries applied from a cluster peer rather than
 	// compiled locally. A local compile publishing the same exact
 	// signature replaces a replicated entry in place (local code wins),
@@ -94,18 +101,72 @@ type Entry struct {
 	// Invalidating any of them invalidates this entry's function too.
 	Deps []Dep
 	hits atomic.Int64
-	// narrower counts the calls the engine saw arrive with some parameter
-	// in a lower register class than this entry's signature holds it in.
-	narrower atomic.Int64
+	// upgrade counts the calls a better compile of this entry would serve
+	// better: every call a placeholder serves, the calls that bring a
+	// speculative entry a narrower class than it holds.
+	upgrade atomic.Int64
+	// observed is the join of the exact signatures a placeholder served.
+	observed atomic.Pointer[types.Signature]
+	// osr is the engine's on-stack-replacement state for the loops of the
+	// calls an interpret-only entry serves, keyed by loop statement.
+	osr sync.Map
 }
 
 // Hits returns the number of Lookup hits this entry has served.
 func (e *Entry) Hits() int64 { return e.hits.Load() }
 
-// CountNarrower records one call whose arguments were narrower than the
-// entry's register classes and returns the running count. An entry that
-// replaces this one starts again from zero.
-func (e *Entry) CountNarrower() int64 { return e.narrower.Add(1) }
+// CountUpgrade records one call a better compile of the entry would serve
+// better and returns the running count. An entry that replaces this one
+// starts again from zero.
+func (e *Entry) CountUpgrade() int64 { return e.upgrade.Add(1) }
+
+// Observe joins one exact call signature into what the entry has served.
+// A call inside the join so far changes nothing and allocates nothing.
+func (e *Entry) Observe(sig types.Signature) {
+	for {
+		p := e.observed.Load()
+		if p != nil && !grows(*p, sig) {
+			return
+		}
+		next := append(types.Signature(nil), sig...)
+		if p != nil {
+			for i := range next {
+				next[i] = types.Join((*p)[i], sig[i])
+			}
+		}
+		if e.observed.CompareAndSwap(p, &next) {
+			return
+		}
+	}
+}
+
+// grows reports whether joining sig into join would change it. A call of
+// another arity never joins.
+func grows(join, sig types.Signature) bool {
+	if len(join) != len(sig) {
+		return false
+	}
+	for i := range sig {
+		if types.Join(join[i], sig[i]) != join[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// Observed returns a copy of the join of the signatures the entry has
+// observed (nil before the first Observe).
+func (e *Entry) Observed() types.Signature {
+	if p := e.observed.Load(); p != nil {
+		return append(types.Signature{}, *p...)
+	}
+	return nil
+}
+
+// OSRSites is the entry's table of on-stack-replacement sites, keyed by
+// loop statement: the engine's, opaque to the repository, and dropped
+// with the entry.
+func (e *Entry) OSRSites() *sync.Map { return &e.osr }
 
 // FuncState is everything the repository knows about one function name
 // at one instant. A published FuncState is never modified; readers hold
@@ -225,6 +286,22 @@ func (r *Repository) Lookup(name string, q types.Signature) *Entry {
 // load serves the definition, the generation and the locator.
 func (r *Repository) LookupIn(st *FuncState, q types.Signature) *Entry {
 	r.lookups.Add(1)
+	best := st.best(q)
+	if best == nil {
+		r.misses.Add(1)
+		return nil
+	}
+	r.hits.Add(1)
+	best.hits.Add(1)
+	if best.Speculative {
+		r.specHits.Add(1)
+	}
+	return best
+}
+
+// best is the locator without its counters: the safe entry for q at the
+// least distance, ties broken by quality (nil when none is safe).
+func (st *FuncState) best(q types.Signature) *Entry {
 	var best *Entry
 	bestDist := 0
 	for _, e := range st.Entries {
@@ -235,15 +312,6 @@ func (r *Repository) LookupIn(st *FuncState, q types.Signature) *Entry {
 		if best == nil || d < bestDist || (d == bestDist && e.Quality > best.Quality) {
 			best, bestDist = e, d
 		}
-	}
-	if best == nil {
-		r.misses.Add(1)
-		return nil
-	}
-	r.hits.Add(1)
-	best.hits.Add(1)
-	if best.Speculative {
-		r.specHits.Add(1)
 	}
 	return best
 }
@@ -299,11 +367,12 @@ func (r *Repository) SameKindsDifferentDetail(name string, q types.Signature) bo
 	return r.State(name).SameKinds(q)
 }
 
-// SameKinds reports whether some entry of this state has q's arity and
-// intrinsic kinds (see SameKindsDifferentDetail).
+// SameKinds reports whether some entry of this state other than a
+// placeholder has q's arity and intrinsic kinds (see
+// SameKindsDifferentDetail).
 func (st *FuncState) SameKinds(q types.Signature) bool {
 	for _, e := range st.Entries {
-		if len(e.Sig) != len(q) {
+		if e.Placeholder || len(e.Sig) != len(q) {
 			continue
 		}
 		same := true
@@ -532,12 +601,42 @@ func (r *Repository) InsertAt(name string, e *Entry, gen uint64) bool {
 	return true
 }
 
+// Park publishes the placeholder e for an invocation signature q that no
+// entry served when the caller looked. It returns the entry that serves
+// q: e, or one that landed first — concurrent misses of one signature
+// park one placeholder — and nil, dropping e, when the function's
+// generation moved past gen. A parked placeholder counts as an insert.
+func (r *Repository) Park(name string, e *Entry, gen uint64, q types.Signature) *Entry {
+	r.mu.Lock()
+	slot := r.slotLocked(name)
+	st := slot.state.Load()
+	if st.Gen != gen {
+		r.stats.StaleDrops++
+		r.mu.Unlock()
+		return nil
+	}
+	if landed := st.best(q); landed != nil {
+		r.mu.Unlock()
+		return landed
+	}
+	r.insertLocked(name, slot, e)
+	onChange := r.onChange
+	r.mu.Unlock()
+	notify(onChange)
+	return e
+}
+
 // Restored builds an entry recovered from a warm-start snapshot,
 // carrying the persisted hit count over so least-hit eviction keeps
-// ranking the working set correctly across restarts.
+// ranking the working set correctly across restarts. An interpret-only
+// entry's upgrade count starts from its hits too, so a placeholder that
+// was hot before the restart tiers up early in the new lifetime.
 func Restored(sig types.Signature, code *vm.Compiled, q Quality, speculative bool, hits int64) *Entry {
 	e := &Entry{Sig: sig, Code: code, Quality: q, Speculative: speculative}
 	e.hits.Store(hits)
+	if q == QualityInterp {
+		e.upgrade.Store(hits)
+	}
 	return e
 }
 

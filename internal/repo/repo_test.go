@@ -458,3 +458,90 @@ func BenchmarkLookupIn(b *testing.B) {
 		}
 	}
 }
+
+// TestObserveJoins: a placeholder's observed signature is the join of
+// the exact signatures it served, and a call inside the join allocates
+// nothing.
+func TestObserveJoins(t *testing.T) {
+	e := &Entry{Placeholder: true}
+	if e.Observed() != nil {
+		t.Fatal("a fresh entry has observed something")
+	}
+	e.Observe(types.Signature{intScalar(1)})
+	e.Observe(types.Signature{intScalar(5)})
+	want := types.Join(intScalar(1), intScalar(5))
+	if obs := e.Observed(); len(obs) != 1 || obs[0] != want {
+		t.Fatalf("observed = %v, want the join %v", obs, want)
+	}
+	inside := types.Signature{intScalar(3)}
+	if n := testing.AllocsPerRun(10, func() { e.Observe(inside) }); n != 0 {
+		t.Fatalf("a call inside the join allocates %v objects", n)
+	}
+	if obs := e.Observed(); obs[0] != want {
+		t.Fatalf("a call inside the join moved it to %v", obs[0])
+	}
+}
+
+// TestCountUpgradeSingleWinner: however many goroutines count one entry,
+// exactly one sees the threshold, so a hot entry submits one replacement.
+func TestCountUpgradeSingleWinner(t *testing.T) {
+	const threshold = 8
+	e := &Entry{Placeholder: true}
+	var wg sync.WaitGroup
+	wins := make(chan struct{}, 64)
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				e.Observe(types.Signature{intScalar(float64(g))})
+				if e.CountUpgrade() == threshold {
+					wins <- struct{}{}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(wins)
+	if n := len(wins); n != 1 {
+		t.Fatalf("%d callers saw the threshold, want exactly 1", n)
+	}
+	if obs := e.Observed(); obs[0].R != types.Join(intScalar(0), intScalar(15)).R {
+		t.Fatalf("concurrent observations lost: %v", obs)
+	}
+}
+
+// TestParkOnePlaceholder: a miss parks one placeholder per signature
+// family — a caller that lost the race runs the winner's — and parks
+// nothing once the generation moved.
+func TestParkOnePlaceholder(t *testing.T) {
+	r := New()
+	q := types.Signature{intScalar(3)}
+	wide := types.Signature{types.ScalarOf(types.IInt, types.RangeTop)}
+	first := &Entry{Sig: wide, Quality: QualityInterp, Placeholder: true}
+	if got := r.Park("f", first, 0, q); got != first {
+		t.Fatalf("Park returned %v, want the placeholder", got)
+	}
+	second := &Entry{Sig: wide, Quality: QualityInterp, Placeholder: true}
+	if got := r.Park("f", second, 0, types.Signature{intScalar(4)}); got != first {
+		t.Fatalf("a second miss parked %v, want the first placeholder", got)
+	}
+	if got := r.Park("f", second, 7, q); got != nil {
+		t.Fatalf("Park at a dead generation returned %v", got)
+	}
+	if n := len(r.Entries("f")); n != 1 || r.Stats().Inserts != 1 {
+		t.Fatalf("%d entries, %+v: want one parked placeholder", n, r.Stats())
+	}
+}
+
+// TestRestoredPlaceholderCountsFromHits: a placeholder restored from a
+// snapshot resumes counting where its hits left off.
+func TestRestoredPlaceholderCountsFromHits(t *testing.T) {
+	e := Restored(types.Signature{intScalar(3)}, nil, QualityInterp, false, 5)
+	if n := e.CountUpgrade(); n != 6 {
+		t.Fatalf("first count after restore = %d, want 6", n)
+	}
+	if n := Restored(nil, nil, QualityJIT, false, 5).CountUpgrade(); n != 1 {
+		t.Fatalf("a compiled entry's count starts at %d, want 1", n-1)
+	}
+}

@@ -119,17 +119,19 @@ func TestServerWarmRestartZeroCompiles(t *testing.T) {
 
 // TestServerCorruptSnapshotBootsCold: a snapshot the daemon cannot use
 // must not prevent boot — truncated garbage, or a well-formed snapshot of
-// the previous format version (v5: code whose literals are instructions
-// the IR no longer has, and no constant tables). The daemon reports the
-// load error, starts cold, serves, and heals the file on drain.
+// the previous format version (v6: no placeholder bits, so every
+// interpret-only entry would restore as a decision that never tiers up,
+// and a tiering profile section this build no longer reads). The daemon
+// reports the load error, starts cold, serves, and heals the file on
+// drain.
 func TestServerCorruptSnapshotBootsCold(t *testing.T) {
-	v5 := persist.Encode(&persist.Snapshot{Funcs: []persist.FuncState{{
+	v6 := persist.Encode(&persist.Snapshot{Funcs: []persist.FuncState{{
 		Name: "g", Source: "function y = g(x)\ny = x;\n", SrcHash: persist.HashSource("function y = g(x)\ny = x;\n"),
 	}}})
-	binary.LittleEndian.PutUint16(v5[4:6], 5)
+	binary.LittleEndian.PutUint16(v6[4:6], 6)
 	for name, snapshot := range map[string][]byte{
 		"corrupt":          []byte("MJRP\x01\x00garbage"),
-		"previous version": v5,
+		"previous version": v6,
 	} {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "repo.bin")
