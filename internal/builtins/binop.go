@@ -14,7 +14,7 @@ func EvalBinOp(op ast.BinOp, l, r *mat.Value) (*mat.Value, error) {
 // EvalBinOpInto is the dispatcher the interpreter and the VM's generic
 // instruction path share — the analog of the MATLAB C library's
 // polymorphic operator entry points. The operators that produce a dense
-// real array (+ - * / .* ./ .\) may build it in one of d's donors; a
+// real array (+ - * / \ .* ./ .\) may build it in one of d's donors; a
 // result built in an operand is returned as that operand.
 func EvalBinOpInto(d mat.Donors, op ast.BinOp, l, r *mat.Value) (*mat.Value, error) {
 	switch op {
@@ -25,9 +25,9 @@ func EvalBinOpInto(d mat.Donors, op ast.BinOp, l, r *mat.Value) (*mat.Value, err
 	case ast.OpMul:
 		return d.Mul(l, r)
 	case ast.OpDiv:
-		return d.Div(l, r, MLDivide)
+		return d.Div(l, r, func(a, b *mat.Value) (*mat.Value, error) { return MLDivide(mat.Donors{}, a, b) })
 	case ast.OpLDiv:
-		return MLDivide(l, r)
+		return MLDivide(d, l, r)
 	case ast.OpPow:
 		return mat.Pow(l, r)
 	case ast.OpEMul:

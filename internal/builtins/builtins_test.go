@@ -2,6 +2,7 @@ package builtins
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -229,7 +230,7 @@ func TestMatrixBuiltins(t *testing.T) {
 func TestMLDivide(t *testing.T) {
 	a := mat.FromSlice(2, 2, []float64{4, 1, 1, 3})
 	b := mat.FromSlice(2, 1, []float64{6, 4})
-	x, err := MLDivide(a, b)
+	x, err := MLDivide(mat.Donors{}, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +242,78 @@ func TestMLDivide(t *testing.T) {
 		}
 	}
 	// scalar division
-	wantNum(t, must(MLDivide(mat.Scalar(2), mat.Scalar(10))), 5)
+	wantNum(t, must(MLDivide(mat.Donors{}, mat.Scalar(2), mat.Scalar(10))), 5)
 	// shape errors
-	if _, err := MLDivide(a, mat.New(3, 1)); err == nil {
+	if _, err := MLDivide(mat.Donors{}, a, mat.New(3, 1)); err == nil {
 		t.Fatal("dimension mismatch must error")
+	}
+}
+
+// TestMLDivideIntoDestination: a banded A\b builds its result in the
+// displaced destination, allocating only the band factor and the pivots;
+// a singular system leaves the destination as it was; and a destination
+// that is also an operand is never overwritten.
+func TestMLDivideIntoDestination(t *testing.T) {
+	const n = 40
+	k := mat.New(n, n)
+	for i := 0; i < n; i++ {
+		k.SetAt(i, i, 2)
+		if i > 0 {
+			k.SetAt(i, i-1, -1)
+			k.SetAt(i-1, i, -1)
+		}
+	}
+	f := mat.New(n, 1)
+	for i := range f.Re() {
+		f.Re()[i] = float64(i%7) + 1
+	}
+	want := must(MLDivide(mat.Donors{}, k, f))
+	u := mat.New(n, 1)
+	solve := func() {
+		x, err := MLDivide(mat.Donors{Dst: u}, k, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x != u {
+			t.Fatal("the result was not built in the displaced destination")
+		}
+	}
+	solve()
+	for i, v := range want.Re() {
+		if math.Float64bits(u.Re()[i]) != math.Float64bits(v) {
+			t.Fatalf("u[%d] = %v in the destination, %v fresh", i, u.Re()[i], v)
+		}
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, solve)
+	runtime.ReadMemStats(&after)
+	if bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1); allocs > 2 || bytes >= 2048 {
+		t.Errorf("a tridiagonal 40x40 \\ allocates %.0f objects and %.0f bytes, want <= 2 (band factor, pivots) and < 2 KiB", allocs, bytes)
+	}
+
+	singular := mat.New(n, n)
+	dst := mat.FromSlice(2, 1, []float64{7, 8})
+	if _, err := MLDivide(mat.Donors{Dst: dst}, singular, f); err == nil {
+		t.Fatal("a singular system must error")
+	}
+	if dst.Rows() != 2 || dst.Cols() != 1 || dst.Re()[0] != 7 || dst.Re()[1] != 8 {
+		t.Fatalf("a singular system changed the destination to %dx%d %v", dst.Rows(), dst.Cols(), dst.Re())
+	}
+
+	x := f.Clone()
+	got, err := MLDivide(mat.Donors{Dst: x}, k, x) // x = K \ x
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == x {
+		t.Fatal("x = K \\ x overwrote its operand")
+	}
+	for i, v := range want.Re() {
+		if math.Float64bits(got.Re()[i]) != math.Float64bits(v) || x.Re()[i] != f.Re()[i] {
+			t.Fatalf("x = K \\ x: x[%d] = %v (want %v), operand %v (was %v)", i, got.Re()[i], v, x.Re()[i], f.Re()[i])
+		}
 	}
 }
 

@@ -231,9 +231,11 @@ func transposeOf(a *mat.Value) []float64 {
 }
 
 // MLDivide implements the backslash operator A\b using LU with partial
-// pivoting (square systems) — exposed here because both the interpreter
-// and compiled code route '\' through it.
-func MLDivide(a, b *mat.Value) (*mat.Value, error) {
+// pivoting (square systems), over the band when A is banded — exposed
+// here because both the interpreter and compiled code route '\' through
+// it. A dense result is built in d's destination once A has factored, so
+// a singular system leaves that destination as it was.
+func MLDivide(d mat.Donors, a, b *mat.Value) (*mat.Value, error) {
 	if a.IsScalar() {
 		return mat.ElemDiv(b, a)
 	}
@@ -247,11 +249,11 @@ func MLDivide(a, b *mat.Value) (*mat.Value, error) {
 		return nil, mat.Errorf("mldivide: dimension mismatch (%dx%d \\ %dx%d)", a.Rows(), a.Cols(), b.Rows(), b.Cols())
 	}
 	if b.IsSparse() {
-		d, err := b.Dense() // the solvers read b's column-major payload
+		dense, err := b.Dense() // the solvers read b's column-major payload
 		if err != nil {
 			return nil, err
 		}
-		b = d
+		b = dense
 	}
 	if a.IsSparse() {
 		if mat.SparseTriangularity(a) != sparse.General {
@@ -260,15 +262,18 @@ func MLDivide(a, b *mat.Value) (*mat.Value, error) {
 			// preconditioner solves in the iterative tier land here.
 			return mat.SparseTriSolve(a, b)
 		}
-		d, err := a.Dense() // general sparse system: densify, then LU
+		dense, err := a.Dense() // general sparse system: densify, then LU
 		if err != nil {
 			return nil, err
 		}
-		a = d
+		a = dense
 	}
-	out := mat.New(a.Rows(), b.Cols())
-	if err := linalg.Solve(a.Re(), a.Rows(), b.Re(), b.Cols(), out.Re()); err != nil {
+	n, m := a.Rows(), b.Cols()
+	f, err := linalg.Factor(a.Re(), n)
+	if err != nil {
 		return nil, mat.Errorf("mldivide: %v", err)
 	}
+	out := d.NewReal(n, m, false, a, b)
+	f.Solve(b.Re(), m, out.Re())
 	return out, nil
 }

@@ -145,7 +145,7 @@ func TestSparseMldivideTriangular(t *testing.T) {
 	}
 	l := call1(t, "spdiags", b, vec(-1, 0), mat.Scalar(float64(n)), mat.Scalar(float64(n)))
 	rhs := colv(1, 2, 3, 4, 5)
-	x, err := MLDivide(l, rhs)
+	x, err := MLDivide(mat.Donors{}, l, rhs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +162,11 @@ func TestSparseMldivideTriangular(t *testing.T) {
 	// the dense path.
 	g := call1(t, "sparse", mat.FromSlice(2, 2, []float64{4, 1, 1, 3}))
 	gd := call1(t, "full", g)
-	xs, err := MLDivide(g, colv(1, 2))
+	xs, err := MLDivide(mat.Donors{}, g, colv(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	xd, err := MLDivide(gd, colv(1, 2))
+	xd, err := MLDivide(mat.Donors{}, gd, colv(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

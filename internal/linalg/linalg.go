@@ -1,9 +1,11 @@
 // Package linalg implements the dense linear-algebra substrate MaJIC's
 // built-in functions stand on: LU factorization with partial pivoting
-// (mldivide), Cholesky factorization, QR decomposition, determinant,
-// inverse, and eigenvalues via Hessenberg reduction plus the shifted QR
-// iteration. It plays the LAPACK role of the original system: built-in
-// library code whose speed is unaffected by compiling its callers.
+// (mldivide), over the band alone when the system is banded, Cholesky
+// factorization, QR decomposition, determinant, inverse, and eigenvalues
+// via cyclic Jacobi for a symmetric matrix and Hessenberg reduction plus
+// the shifted QR iteration otherwise. It plays the LAPACK role of the
+// original system: built-in library code whose speed is unaffected by
+// compiling its callers.
 package linalg
 
 import (
@@ -65,56 +67,24 @@ func LU(a []float64, n int) (piv []int, singular bool) {
 
 // Solve solves A X = B for the n x n column-major A and n x m column-major
 // B, writing X (column-major) into x[:n*m], which may be B itself; x is
-// left untouched when A is singular. A is not modified.
+// left untouched when A is singular. A is not modified. A banded A is
+// factored over its band unless x is B.
 func Solve(a []float64, n int, b []float64, m int, x []float64) error {
-	lu := make([]float64, n*n)
-	copy(lu, a[:n*n])
-	piv, singular := LU(lu, n)
-	if singular {
-		return ErrSingular
+	f, err := factor(a, n, !aliases(x, b, n*m))
+	if err != nil {
+		return err
 	}
-	copy(x[:n*m], b[:n*m])
-	for j := 0; j < m; j++ {
-		col := x[j*n : (j+1)*n]
-		// apply pivots
-		for k := 0; k < n; k++ {
-			if piv[k] != k {
-				col[k], col[piv[k]] = col[piv[k]], col[k]
-			}
-		}
-		// forward substitution (unit lower)
-		for k := 0; k < n; k++ {
-			for i := k + 1; i < n; i++ {
-				col[i] -= lu[k*n+i] * col[k]
-			}
-		}
-		// back substitution
-		for k := n - 1; k >= 0; k-- {
-			col[k] /= lu[k*n+k]
-			for i := 0; i < k; i++ {
-				col[i] -= lu[k*n+i] * col[k]
-			}
-		}
-	}
+	f.Solve(b, m, x)
 	return nil
 }
 
 // Det returns the determinant of the n x n column-major matrix a.
 func Det(a []float64, n int) float64 {
-	lu := make([]float64, n*n)
-	copy(lu, a[:n*n])
-	piv, singular := LU(lu, n)
-	if singular {
+	f, err := Factor(a, n)
+	if err != nil {
 		return 0
 	}
-	det := 1.0
-	for k := 0; k < n; k++ {
-		det *= lu[k*n+k]
-		if piv[k] != k {
-			det = -det
-		}
-	}
-	return det
+	return f.det()
 }
 
 // Inv writes the inverse of the n x n column-major matrix a into x[:n*n]

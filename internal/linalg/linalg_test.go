@@ -89,6 +89,33 @@ func TestDet(t *testing.T) {
 	}
 }
 
+// TestDetBandIsDense: Det of a banded matrix is the dense LU's
+// determinant bit for bit, the band factor answering most of them; and a
+// band factor that overflows hands the matrix to the dense LU, whose NaN
+// comes back rather than the band's Inf.
+func TestDetBandIsDense(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	banded := 0
+	for trial := 0; trial < 200; trial++ {
+		n := 4 + r.Intn(20)
+		a := bandSys(n, 1, 1+r.Intn(2), func() float64 { return float64(r.Intn(7) - 3) }, func() float64 { return 0 })
+		if d, want := Det(a, n), denseDet(a, n); math.Float64bits(d) != math.Float64bits(want) {
+			t.Fatalf("n=%d a=%v: det %v, dense LU %v", n, a, d, want)
+		}
+		if f, err := Factor(a, n); err == nil && f.band {
+			banded++
+		}
+	}
+	if banded < 100 {
+		t.Fatalf("the band factor answered %d of 200 determinants", banded)
+	}
+	over := bandSys(9, 1, 3, func() float64 { return 1e300 }, func() float64 { return 0 })
+	over[0], over[27], over[28] = -1e300, 1.5e308, 1.5e308 // A(0,0), A(0,3), A(1,3)
+	if d := Det(over, 9); !math.IsNaN(d) {
+		t.Fatalf("det of the overflowing band = %v, want the dense LU's NaN", d)
+	}
+}
+
 func TestInv(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	n := 6
