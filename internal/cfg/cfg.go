@@ -43,6 +43,9 @@ type Graph struct {
 	// it.
 	Vars  []string
 	varID map[string]int
+	// Exprs counts the expression nodes of the body: the size of a
+	// per-expression table over it.
+	Exprs int
 }
 
 // VarID returns the number of a name the body mentions.
@@ -61,6 +64,9 @@ func (g *Graph) numberVars(body []ast.Stmt) {
 	}
 	number("ans")
 	ast.WalkStmts(body, func(n ast.Node) bool {
+		if _, ok := n.(ast.Expr); ok {
+			g.Exprs++
+		}
 		switch x := n.(type) {
 		case *ast.Ident:
 			number(x.Name)

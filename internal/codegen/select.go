@@ -33,10 +33,10 @@ func subInBounds(sub types.Type, minExtent types.Extent) bool {
 	if sub.R.IsBot() || sub.R.Lo < 1 {
 		return false
 	}
-	if minExtent.Inf {
+	if minExtent.IsInf() {
 		return true // guaranteed at least ∞ rows can't happen; defensive
 	}
-	return sub.R.Hi <= float64(minExtent.N)
+	return sub.R.Hi <= float64(minExtent.Int())
 }
 
 // minNumel returns the guaranteed element count of a base type.
@@ -783,7 +783,7 @@ func (g *gen) matchGEMV(x *ast.Binary) (mul *ast.Binary, other ast.Expr, alpha, 
 			return nil, false
 		}
 		// x must be a column vector.
-		if xt.MaxShape.C.Inf || xt.MaxShape.C.N != 1 {
+		if xt.MaxShape.C != types.Fin(1) {
 			return nil, false
 		}
 		return bin, true
@@ -819,7 +819,7 @@ func (g *gen) realVector(e ast.Expr) bool {
 	if !types.LeqI(t.I, types.IReal) || t.MaybeScalar() {
 		return false
 	}
-	return !t.MaxShape.C.Inf && t.MaxShape.C.N == 1
+	return t.MaxShape.C == types.Fin(1)
 }
 
 func betaCode(beta float64) int {

@@ -103,14 +103,23 @@ func TestHotSpeculationTiersUp(t *testing.T) {
 			hotWant = jitOut
 		}
 
-		for _, async := range []bool{false, true} {
-			mode := "sync"
-			if async {
-				mode = "async"
-			}
+		modes := []string{"sync", "async"}
+		if row.name == "fibonacci" {
+			modes = append(modes, "landed-mid-call")
+		}
+		for _, mode := range modes {
+			async, midCall := mode != "sync", mode == "landed-mid-call"
 			t.Run(row.name+"/"+mode, func(t *testing.T) {
 				journal := telemetry.NewJournal(0)
-				e := hotEngine(t, core.Options{Tier: core.TierSpec, AsyncCompile: async, Journal: journal}, src)
+				opts := core.Options{Tier: core.TierSpec, Journal: journal}
+				var lib *core.Library
+				if async {
+					// One worker, so that holding it holds the replacement.
+					lib = core.NewLibrary(core.LibraryOptions{AsyncCompile: true, CompileWorkers: 1, Journal: journal})
+					defer lib.Close()
+					opts.AsyncCompile, opts.Library = true, lib
+				}
+				e := hotEngine(t, opts, src)
 				defer e.Close()
 				entries := e.Repo().Entries(b.Fn)
 				if len(entries) != 1 || !entries[0].Speculative {
@@ -132,9 +141,35 @@ func TestHotSpeculationTiersUp(t *testing.T) {
 					t.Fatalf("below the threshold: %+v -> %+v", before, st)
 				}
 
+				// A background replacement waits for the held worker, so the
+				// old entry serves the whole crossing call. Released from
+				// inside the call, it lands before the call's first block
+				// runs, and fibonacci's recursive calls, which go through the
+				// repository, are served by it.
+				var release func()
+				crossWant := hotWant
+				if async {
+					release = lib.HoldPool()
+					crossWant = want
+				}
+				landed := false
+				if midCall {
+					counter.OnNextBlock(func() {
+						landed = true
+						release()
+						e.Drain()
+					})
+					crossWant = hotWant
+				}
 				got := hotCall(t, e, b.Fn, args)
-				if async && !sameBits(got, want) || !async && !sameBits(got, hotWant) {
-					t.Fatalf("the crossing call answered %v %v", got.Kind(), got)
+				if async && !landed {
+					release()
+				}
+				if midCall && !landed {
+					t.Fatal("the crossing call ran no compiled block")
+				}
+				if !sameBits(got, crossWant) {
+					t.Fatalf("the crossing call answered %v %v, want %v %v", got.Kind(), got, crossWant.Kind(), crossWant)
 				}
 				e.Drain()
 				after := e.Repo().Stats()

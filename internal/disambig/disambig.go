@@ -102,7 +102,7 @@ func joinInto(dst, src env) {
 // Analyze runs the pass over a function. params and outs seed the
 // variable set (parameters are definitely assigned at entry).
 func Analyze(g *cfg.Graph, params []string, res Resolver) *Table {
-	t := &Table{Uses: make(map[ast.Node]Meaning), Vars: make(map[string]bool)}
+	t := &Table{Uses: make(map[ast.Node]Meaning, g.Exprs), Vars: make(map[string]bool)}
 	for _, p := range params {
 		t.Vars[p] = true
 	}

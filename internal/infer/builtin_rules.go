@@ -64,9 +64,9 @@ func registerBuiltinRules(c *Calculator) {
 		lo, hi := 0.0, math.Inf(1)
 		if isC {
 			minE, maxE := extentAlong(a[0], int(d))
-			lo = float64(minE.N)
-			if !maxE.Inf {
-				hi = float64(maxE.N)
+			lo = float64(minE.Int())
+			if !maxE.IsInf() {
+				hi = float64(maxE.Int())
 			}
 		}
 		return types.ScalarOf(types.IInt, types.MkRange(lo, hi))
@@ -96,8 +96,8 @@ func registerBuiltinRules(c *Calculator) {
 	reg("length", "length", nArgs(1), func(a []types.Type) types.Type {
 		lo := 0.0
 		hi := math.Inf(1)
-		if !a[0].MaxShape.R.Inf && !a[0].MaxShape.C.Inf {
-			hi = math.Max(float64(a[0].MaxShape.R.N), float64(a[0].MaxShape.C.N))
+		if !a[0].MaxShape.R.IsInf() && !a[0].MaxShape.C.IsInf() {
+			hi = math.Max(float64(a[0].MaxShape.R.Int()), float64(a[0].MaxShape.C.Int()))
 		}
 		return types.ScalarOf(types.IInt, types.MkRange(lo, hi))
 	})
@@ -506,7 +506,7 @@ func reduceShape(t types.Type) (types.Shape, types.Shape) {
 		return types.ScalarShape, types.ScalarShape
 	}
 	isVec := func(s types.Shape) bool {
-		return (!s.R.Inf && s.R.N <= 1) || (!s.C.Inf && s.C.N <= 1)
+		return types.LeqE(s.R, types.Fin(1)) || types.LeqE(s.C, types.Fin(1))
 	}
 	if isVec(t.MaxShape) {
 		return types.ScalarShape, types.ScalarShape

@@ -264,10 +264,10 @@ func indexReadType(base types.Type, subs []types.Type, args []ast.Expr) types.Ty
 				maxE = types.Fin(maxN)
 			}
 			switch {
-			case !base.MaxShape.R.Inf && base.MaxShape.R.N <= 1:
+			case types.LeqE(base.MaxShape.R, types.Fin(1)):
 				// base is a row vector → row result
 				return mk(types.Shape{R: types.Fin(1), C: minE}, types.Shape{R: types.Fin(1), C: maxE})
-			case !base.MaxShape.C.Inf && base.MaxShape.C.N <= 1:
+			case types.LeqE(base.MaxShape.C, types.Fin(1)):
 				// base is a column vector → column result
 				return mk(types.Shape{R: minE, C: types.Fin(1)}, types.Shape{R: maxE, C: types.Fin(1)})
 			default:

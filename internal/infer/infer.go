@@ -152,7 +152,7 @@ func Forward(g *cfg.Graph, params map[string]types.Type, opts Opts) *Result {
 	inf := &inferencer{
 		opts:  opts,
 		calc:  DefaultCalc,
-		res:   &Result{Annots: make(map[ast.Node]types.Type), Vars: make(map[string]types.Type)},
+		res:   &Result{Annots: make(map[ast.Node]types.Type, g.Exprs), Vars: make(map[string]types.Type)},
 		graph: g,
 	}
 	// Every environment of the run is a row of two slabs: an out-set per
@@ -536,10 +536,10 @@ func (inf *inferencer) exprWithEnd(e ast.Expr, base types.Type, dim, ndims int, 
 				minE, maxE = base.MinShape.C, base.MaxShape.C
 			}
 			hi := math.Inf(1)
-			if !maxE.Inf {
-				hi = float64(maxE.N)
+			if !maxE.IsInf() {
+				hi = float64(maxE.Int())
 			}
-			inf.res.Annots[en] = inf.sanitize(types.ScalarOf(types.IInt, types.MkRange(float64(minE.N), hi)))
+			inf.res.Annots[en] = inf.sanitize(types.ScalarOf(types.IInt, types.MkRange(float64(minE.Int()), hi)))
 		}
 		_, isCall := n.(*ast.Call)
 		return !isCall || n == e
@@ -575,19 +575,11 @@ func indexedAssignType(old types.Type, subs []types.Type, rhs types.Type, args [
 		lo, hi := t.R.Lo, t.R.Hi
 		minE := oldMin
 		if !t.R.IsBot() && !math.IsInf(lo, -1) && lo >= 1 {
-			g := types.Fin(int(math.Ceil(lo - 1e-9)))
-			if types.LeqE(minE, g) {
-				minE = g
-			}
+			minE = max(minE, types.Fin(int(math.Ceil(lo-1e-9))))
 		}
-		maxE := oldMax
-		if t.R.IsBot() || math.IsInf(hi, 1) {
-			maxE = types.InfExt
-		} else {
-			h := types.Fin(int(hi))
-			if types.LeqE(maxE, h) {
-				maxE = h
-			}
+		maxE := types.InfExt
+		if !t.R.IsBot() && !math.IsInf(hi, 1) {
+			maxE = max(oldMax, types.Fin(int(hi)))
 		}
 		return minE, maxE
 	}
@@ -604,25 +596,15 @@ func indexedAssignType(old types.Type, subs []types.Type, rhs types.Type, args [
 		// vectors we extend the free dimension.
 		minE, maxE := extFromSub(subs[0], false, types.Fin(0), types.Fin(0))
 		switch {
-		case old.MaxShape.R.N == 1 && !old.MaxShape.R.Inf:
+		case old.MaxShape.R == types.Fin(1):
 			// row vector (or new array: MATLAB creates 1 x n)
-			if old.MinShape.R.N <= 1 {
-				newMinC := minE
-				if types.LeqE(newMinC, old.MinShape.C) {
-					newMinC = old.MinShape.C
-				}
-				newMaxC := types.JoinS(types.Shape{C: maxE}, types.Shape{C: old.MaxShape.C}).C
-				minS = types.Shape{R: types.Fin(1), C: newMinC}
-				maxS = types.Shape{R: types.Fin(1), C: newMaxC}
+			if old.MinShape.R.Int() <= 1 {
+				minS = types.Shape{R: types.Fin(1), C: max(minE, old.MinShape.C)}
+				maxS = types.Shape{R: types.Fin(1), C: max(maxE, old.MaxShape.C)}
 			}
-		case old.MaxShape.C.N == 1 && !old.MaxShape.C.Inf:
-			newMinR := minE
-			if types.LeqE(newMinR, old.MinShape.R) {
-				newMinR = old.MinShape.R
-			}
-			newMaxR := types.JoinS(types.Shape{R: maxE}, types.Shape{R: old.MaxShape.R}).R
-			minS = types.Shape{R: newMinR, C: types.Fin(1)}
-			maxS = types.Shape{R: newMaxR, C: types.Fin(1)}
+		case old.MaxShape.C == types.Fin(1):
+			minS = types.Shape{R: max(minE, old.MinShape.R), C: types.Fin(1)}
+			maxS = types.Shape{R: max(maxE, old.MaxShape.R), C: types.Fin(1)}
 		default:
 			// Unknown orientation: numel ≥ subscript lower bound is not
 			// representable per-dimension; keep weak bounds.
@@ -634,17 +616,10 @@ func indexedAssignType(old types.Type, subs []types.Type, rhs types.Type, args [
 		_, c1 := args[1].(*ast.Colon)
 		minR, maxR := extFromSub(subs[0], c0, old.MinShape.R, old.MaxShape.R)
 		minC, maxC := extFromSub(subs[1], c1, old.MinShape.C, old.MaxShape.C)
-		minS = types.Shape{R: extMax(old.MinShape.R, minR), C: extMax(old.MinShape.C, minC)}
-		maxS = types.Shape{R: extMax(old.MaxShape.R, maxR), C: extMax(old.MaxShape.C, maxC)}
+		// After a store both the old extent and the subscript's reach
+		// hold, for guarantees and bounds alike.
+		minS = types.Shape{R: max(old.MinShape.R, minR), C: max(old.MinShape.C, minC)}
+		maxS = types.Shape{R: max(old.MaxShape.R, maxR), C: max(old.MaxShape.C, maxC)}
 	}
 	return types.Type{I: i, MinShape: minS, MaxShape: maxS, R: r}
-}
-
-// extMax returns the larger extent: after a store both the old extent
-// and the subscript's reach hold, for guarantees and bounds alike.
-func extMax(a, b types.Extent) types.Extent {
-	if types.LeqE(a, b) {
-		return b
-	}
-	return a
 }

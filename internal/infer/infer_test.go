@@ -107,10 +107,10 @@ function v = f()
 end`
 	res, _ := inferFn(t, src, nil)
 	v := res.Vars["v"]
-	if v.MaxShape.C.Inf || v.MaxShape.C.N < 50 {
+	if v.MaxShape.C.IsInf() || v.MaxShape.C < 50 {
 		t.Errorf("v upper shape %v", v.MaxShape)
 	}
-	if v.MinShape.R.N != 1 {
+	if v.MinShape.R != 1 {
 		t.Errorf("v must stay a row vector: %v", v)
 	}
 }

@@ -314,7 +314,7 @@ func rangeResult(lo, step, hi types.Type, i types.Intrinsic) types.Type {
 			}
 		}
 	}
-	if maxC.Inf && !lo.R.IsBot() && !hi.R.IsBot() && !step.R.IsBot() {
+	if maxC.IsInf() && !lo.R.IsBot() && !hi.R.IsBot() && !step.R.IsBot() {
 		if sv, ok := step.R.IsConst(); ok && sv == 1 && !math.IsInf(hi.R.Hi, 1) && !math.IsInf(lo.R.Lo, -1) {
 			n := int(hi.R.Hi-lo.R.Lo) + 1
 			if n < 0 {

@@ -8,6 +8,7 @@ package lexer
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -347,8 +348,8 @@ func (lx *Lexer) number(line, col int, space bool) (Token, error) {
 		}
 	}
 	text := string(lx.src[start:lx.pos])
-	var num float64
-	if _, err := fmt.Sscanf(text, "%g", &num); err != nil {
+	num, err := strconv.ParseFloat(text, 64)
+	if err != nil {
 		return Token{}, lx.errf("malformed number %q", text)
 	}
 	// Trailing i/j makes an imaginary literal; the parser handles it by

@@ -1,6 +1,7 @@
 package lexer
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -56,6 +57,38 @@ func TestNumbers(t *testing.T) {
 		if toks[0].Kind != Number || toks[0].Num != want {
 			t.Errorf("%q: got %v (%g), want %g", src, toks[0].Kind, toks[0].Num, want)
 		}
+	}
+}
+
+// TestNumberLiteral pins the value of the literal forms at the edges of
+// strconv.ParseFloat: a trailing dot, a leading zero, an explicit
+// exponent sign, underflow to zero and to the least subnormal, an
+// imaginary suffix, and overflow, which is an error rather than Inf.
+func TestNumberLiteral(t *testing.T) {
+	cases := []struct {
+		src, text string
+		want      float64
+	}{
+		{"1.", "1.", 1},
+		{"08", "08", 8},
+		{"3.25e+2", "3.25e+2", 325},
+		{"1e-400", "1e-400", 0},
+		{"4e-324", "4e-324", math.SmallestNonzeroFloat64},
+		{"2i", "2i", 2},
+	}
+	for _, c := range cases {
+		toks, err := Tokenize(c.src)
+		if err != nil {
+			t.Fatalf("%q: %v", c.src, err)
+		}
+		tok := toks[0]
+		if tok.Kind != Number || tok.Text != c.text || math.Float64bits(tok.Num) != math.Float64bits(c.want) {
+			t.Errorf("%q: got %v %q %g, want Number %q %g", c.src, tok.Kind, tok.Text, tok.Num, c.text, c.want)
+		}
+	}
+	_, err := Tokenize("1e999")
+	if err == nil || !strings.Contains(err.Error(), `malformed number "1e999"`) {
+		t.Errorf("1e999: got error %v, want malformed number", err)
 	}
 }
 

@@ -561,6 +561,22 @@ func (p *parser) switchStmt() (ast.Stmt, error) {
 
 func (p *parser) expr() (ast.Expr, error) { return p.orOr() }
 
+// The operator table of each binaryLevel, built once.
+var (
+	orOrOps       = map[lexer.Kind]ast.BinOp{lexer.OrOr: ast.OpOrOr}
+	andAndOps     = map[lexer.Kind]ast.BinOp{lexer.AndAnd: ast.OpAndAnd}
+	orOps         = map[lexer.Kind]ast.BinOp{lexer.Or: ast.OpOr}
+	andOps        = map[lexer.Kind]ast.BinOp{lexer.And: ast.OpAnd}
+	relationalOps = map[lexer.Kind]ast.BinOp{
+		lexer.Eq: ast.OpEq, lexer.Ne: ast.OpNe, lexer.Lt: ast.OpLt,
+		lexer.Le: ast.OpLe, lexer.Gt: ast.OpGt, lexer.Ge: ast.OpGe,
+	}
+	multiplicativeOps = map[lexer.Kind]ast.BinOp{
+		lexer.Star: ast.OpMul, lexer.Slash: ast.OpDiv, lexer.BSlash: ast.OpLDiv,
+		lexer.DotStar: ast.OpEMul, lexer.DotSlash: ast.OpEDiv, lexer.DotBSlash: ast.OpELDiv,
+	}
+)
+
 func (p *parser) binaryLevel(sub func() (ast.Expr, error), ops map[lexer.Kind]ast.BinOp) (ast.Expr, error) {
 	l, err := sub()
 	if err != nil {
@@ -581,26 +597,23 @@ func (p *parser) binaryLevel(sub func() (ast.Expr, error), ops map[lexer.Kind]as
 }
 
 func (p *parser) orOr() (ast.Expr, error) {
-	return p.binaryLevel(p.andAnd, map[lexer.Kind]ast.BinOp{lexer.OrOr: ast.OpOrOr})
+	return p.binaryLevel(p.andAnd, orOrOps)
 }
 
 func (p *parser) andAnd() (ast.Expr, error) {
-	return p.binaryLevel(p.orExpr, map[lexer.Kind]ast.BinOp{lexer.AndAnd: ast.OpAndAnd})
+	return p.binaryLevel(p.orExpr, andAndOps)
 }
 
 func (p *parser) orExpr() (ast.Expr, error) {
-	return p.binaryLevel(p.andExpr, map[lexer.Kind]ast.BinOp{lexer.Or: ast.OpOr})
+	return p.binaryLevel(p.andExpr, orOps)
 }
 
 func (p *parser) andExpr() (ast.Expr, error) {
-	return p.binaryLevel(p.relational, map[lexer.Kind]ast.BinOp{lexer.And: ast.OpAnd})
+	return p.binaryLevel(p.relational, andOps)
 }
 
 func (p *parser) relational() (ast.Expr, error) {
-	return p.binaryLevel(p.rangeExpr, map[lexer.Kind]ast.BinOp{
-		lexer.Eq: ast.OpEq, lexer.Ne: ast.OpNe, lexer.Lt: ast.OpLt,
-		lexer.Le: ast.OpLe, lexer.Gt: ast.OpGt, lexer.Ge: ast.OpGe,
-	})
+	return p.binaryLevel(p.rangeExpr, relationalOps)
 }
 
 // rangeExpr parses a:b and a:s:b. The colon here is the range operator;
@@ -658,10 +671,7 @@ func (p *parser) additive() (ast.Expr, error) {
 }
 
 func (p *parser) multiplicative() (ast.Expr, error) {
-	return p.binaryLevel(p.unary, map[lexer.Kind]ast.BinOp{
-		lexer.Star: ast.OpMul, lexer.Slash: ast.OpDiv, lexer.BSlash: ast.OpLDiv,
-		lexer.DotStar: ast.OpEMul, lexer.DotSlash: ast.OpEDiv, lexer.DotBSlash: ast.OpELDiv,
-	})
+	return p.binaryLevel(p.unary, multiplicativeOps)
 }
 
 func (p *parser) unary() (ast.Expr, error) {

@@ -170,9 +170,10 @@ func (e *encoder) i32s(vs []int32) {
 	}
 }
 
+// extent writes the Inf flag, then the value: 0 for ∞.
 func (e *encoder) extent(x types.Extent) {
-	e.boolean(x.Inf)
-	e.i64(int64(x.N))
+	e.boolean(x.IsInf())
+	e.i64(int64(x.Int()))
 }
 
 func (e *encoder) shape(s types.Shape) {
@@ -452,10 +453,21 @@ func (d *decoder) i32s() []int32 {
 	return out
 }
 
+// extent reads what encoder.extent writes and nothing else: ∞ with a
+// nonzero value, or a finite value equal to ∞'s, has no encoding.
 func (d *decoder) extent() types.Extent {
 	inf := d.boolean()
-	n := d.i64()
-	return types.Extent{N: int(n), Inf: inf}
+	n := types.Extent(d.i64())
+	switch {
+	case d.err != nil:
+		return 0
+	case inf && n == 0:
+		return types.InfExt
+	case inf || n.IsInf():
+		d.err = fmt.Errorf("%w: non-canonical extent", ErrCorrupt)
+		return 0
+	}
+	return n
 }
 
 func (d *decoder) shape() types.Shape {

@@ -17,6 +17,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte(magic))
 	f.Add(valid[:headerLen])
 	f.Add(valid[:len(valid)-3])
+	for _, data := range nonCanonicalExtents(f) {
+		f.Add(data)
+	}
 
 	// Seed header mutants: each fixed header field individually damaged.
 	for _, mut := range []func(b []byte){

@@ -10,6 +10,7 @@ package types
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"repro/internal/mat"
@@ -85,48 +86,37 @@ func levelI(i Intrinsic) int {
 }
 
 // Extent is one dimension of a shape descriptor: a natural number or ∞.
-type Extent struct {
-	N   int
-	Inf bool
-}
+// ∞ is the largest int64, so the order of extents is the order of the
+// integers and a Shape is two words. A finite extent is below it: no
+// array has 2⁶³−1 rows.
+type Extent int64
 
 // Fin returns a finite extent.
-func Fin(n int) Extent { return Extent{N: n} }
+func Fin(n int) Extent { return Extent(n) }
 
 // InfExt is the infinite extent.
-var InfExt = Extent{Inf: true}
+const InfExt = Extent(math.MaxInt64)
+
+// IsInf reports the infinite extent.
+func (e Extent) IsInf() bool { return e == InfExt }
+
+// Int returns a finite extent's value, and 0 for ∞.
+func (e Extent) Int() int {
+	if e.IsInf() {
+		return 0
+	}
+	return int(e)
+}
 
 func (e Extent) String() string {
-	if e.Inf {
+	if e.IsInf() {
 		return "∞"
 	}
-	return fmt.Sprintf("%d", e.N)
+	return strconv.FormatInt(int64(e), 10)
 }
 
 // LeqE compares extents.
-func LeqE(a, b Extent) bool {
-	if b.Inf {
-		return true
-	}
-	if a.Inf {
-		return false
-	}
-	return a.N <= b.N
-}
-
-func minE(a, b Extent) Extent {
-	if LeqE(a, b) {
-		return a
-	}
-	return b
-}
-
-func maxE(a, b Extent) Extent {
-	if LeqE(a, b) {
-		return b
-	}
-	return a
-}
+func LeqE(a, b Extent) bool { return a <= b }
 
 // Shape is an element of Ls: a ⟨rows, cols⟩ pair. ⊥s = ⟨0,0⟩ and
 // ⊤s = ⟨∞,∞⟩; the order is componentwise (paper §2.2).
@@ -149,13 +139,13 @@ func (s Shape) String() string { return fmt.Sprintf("<%s,%s>", s.R, s.C) }
 func LeqS(a, b Shape) bool { return LeqE(a.R, b.R) && LeqE(a.C, b.C) }
 
 // MeetS is the componentwise minimum (used when joining lower bounds).
-func MeetS(a, b Shape) Shape { return Shape{minE(a.R, b.R), minE(a.C, b.C)} }
+func MeetS(a, b Shape) Shape { return Shape{min(a.R, b.R), min(a.C, b.C)} }
 
 // JoinS is the componentwise maximum (used when joining upper bounds).
-func JoinS(a, b Shape) Shape { return Shape{maxE(a.R, b.R), maxE(a.C, b.C)} }
+func JoinS(a, b Shape) Shape { return Shape{max(a.R, b.R), max(a.C, b.C)} }
 
 // Exact reports whether the shape has both extents finite.
-func (s Shape) Exact() bool { return !s.R.Inf && !s.C.Inf }
+func (s Shape) Exact() bool { return !s.R.IsInf() && !s.C.IsInf() }
 
 // IsScalar reports a 1x1 shape.
 func (s Shape) IsScalar() bool { return s == ScalarShape }
@@ -165,7 +155,7 @@ func (s Shape) Numel() (int, bool) {
 	if !s.Exact() {
 		return 0, false
 	}
-	return s.R.N * s.C.N, true
+	return int(s.R) * int(s.C), true
 }
 
 // Range is an element of Ll: a real interval [Lo, Hi]. The bottom
@@ -237,17 +227,18 @@ func JoinR(a, b Range) Range {
 // guaranteed lower bound on the shape, MaxShape the conservative upper
 // bound; an exact shape has MinShape == MaxShape. The range applies
 // only to real-chain values; complex and string types carry ⊤/⊥ ranges.
+// The two one-byte fields lead, so a Type is 56 bytes.
 type Type struct {
-	I        Intrinsic
-	MinShape Shape
-	MaxShape Shape
-	R        Range
+	I Intrinsic
 	// Sp is the sparsity dimension of the lattice: true means the value
 	// MAY use the sparse (CSR) storage form, false means it is provably
 	// dense. The two-point lattice is dense ⊑ sparse — joins go sparse
 	// ("may be sparse"), so typed code compiled for Sp=false never sees
 	// a sparse representation at runtime (Leq enforces it).
-	Sp bool
+	Sp       bool
+	MinShape Shape
+	MaxShape Shape
+	R        Range
 }
 
 // Bottom is the least type.
@@ -300,7 +291,7 @@ func Join(a, b Type) Type {
 // flow where T was assumed (paper §2.2.1's safety condition).
 func Leq(q, t Type) bool { return leq(&q, &t) }
 
-// leq is Leq on types where they stand: a Type is 96 bytes, and the
+// leq is Leq on types where they stand: a Type is 56 bytes, and the
 // function locator compares one pair per parameter per candidate entry.
 func leq(q, t *Type) bool {
 	if q.I == IBottom {
@@ -320,7 +311,7 @@ func leq(q, t *Type) bool {
 // finite), returning it.
 func (t Type) ExactShape() (rows, cols int, ok bool) {
 	if t.MinShape == t.MaxShape && t.MinShape.Exact() {
-		return t.MinShape.R.N, t.MinShape.C.N, true
+		return int(t.MinShape.R), int(t.MinShape.C), true
 	}
 	return 0, 0, false
 }

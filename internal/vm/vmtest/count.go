@@ -10,7 +10,8 @@ import (
 
 // InstrCounter counts the instructions compiled code dispatches.
 type InstrCounter struct {
-	mix [256]atomic.Int64 // by opcode
+	mix  [256]atomic.Int64 // by opcode
+	next atomic.Pointer[func()]
 }
 
 // CountInstrs makes every program compiled until the end of the test
@@ -22,6 +23,11 @@ func CountInstrs(t testing.TB) *InstrCounter {
 	t.Helper()
 	c := &InstrCounter{}
 	vm.SetBlockHook(func(ins []ir.Instr) {
+		if c.next.Load() != nil {
+			if f := c.next.Swap(nil); f != nil {
+				(*f)()
+			}
+		}
 		for i := range ins {
 			if op := ins[i].Op; op != ir.OpVCheck && int(op) < len(c.mix) {
 				c.mix[op].Add(1)
@@ -31,6 +37,11 @@ func CountInstrs(t testing.TB) *InstrCounter {
 	t.Cleanup(func() { vm.SetBlockHook(nil) })
 	return c
 }
+
+// OnNextBlock runs f once, when the next basic block of a counted
+// program is entered, on the goroutine that enters it: a test's way to
+// act in the middle of a call.
+func (c *InstrCounter) OnNextBlock(f func()) { c.next.Store(&f) }
 
 // Reset zeroes the counts.
 func (c *InstrCounter) Reset() {
