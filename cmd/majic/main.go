@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/lexer"
 	"repro/internal/telemetry"
 )
 
@@ -49,9 +50,15 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	platform := core.PlatformSPARC
-	if *platFlag == "mips" {
+	var platform core.Platform
+	switch *platFlag {
+	case "sparc":
+		platform = core.PlatformSPARC
+	case "mips":
 		platform = core.PlatformMIPS
+	default:
+		fmt.Fprintf(stderr, "unknown platform %q (sparc|mips)\n", *platFlag)
+		return 2
 	}
 
 	var tracer *telemetry.Tracer
@@ -147,23 +154,30 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 }
 
-// needsMore reports whether the accumulated source has unclosed blocks
-// (a crude but effective multi-line heuristic for the REPL).
+// needsMore reports whether the accumulated source has unclosed blocks.
+// An end inside parentheses or brackets is a subscript (x(end+1)), and
+// the lexer already skips strings and comments. Source that does not
+// lex needs no more lines: evaluating it reports the error.
 func needsMore(src string) bool {
-	depth := 0
-	for _, line := range strings.Split(src, "\n") {
-		code := line
-		if i := strings.IndexByte(code, '%'); i >= 0 {
-			code = code[:i]
-		}
-		for _, tok := range strings.FieldsFunc(code, func(r rune) bool {
-			return !(r == '_' || r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9')
-		}) {
-			switch tok {
+	toks, err := lexer.Tokenize(src)
+	if err != nil {
+		return false
+	}
+	depth, nest := 0, 0
+	for _, tok := range toks {
+		switch tok.Kind {
+		case lexer.LParen, lexer.LBracket:
+			nest++
+		case lexer.RParen, lexer.RBracket:
+			nest--
+		case lexer.Keyword:
+			switch tok.Text {
 			case "if", "while", "for", "switch", "function":
 				depth++
 			case "end":
-				depth--
+				if nest <= 0 {
+					depth--
+				}
 			}
 		}
 	}

@@ -54,10 +54,31 @@ func TestNeedsMore(t *testing.T) {
 		"x = v(2); % end in comment\n":          false,
 		"for i = 1:3\n  if i > 1\n":             true,
 		"for i = 1:3\n  if i > 1\n  end\nend\n": false,
+		"for k = 1:3\n  x(end+1) = k;\n":        true,
+		"for k = 1:3\n  x(end+1) = k;\nend\n":   false,
+		"if a\n  disp('end')\n":                 true,
+		"y = [v(end) 1];\n":                     false,
 	}
 	for src, want := range cases {
 		if got := needsMore(src); got != want {
 			t.Errorf("needsMore(%q) = %v, want %v", src, got, want)
+		}
+	}
+}
+
+// TestUnknownFlagValueExits2: a -tier or -platform value the command
+// does not know is a usage error, never a silent default.
+func TestUnknownFlagValueExits2(t *testing.T) {
+	for _, row := range []struct{ flag, msg string }{
+		{"-tier=bogus", `unknown tier "bogus"`},
+		{"-platform=mipz", `unknown platform "mipz"`},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{row.flag, "-e", "x = 1"}, strings.NewReader(""), &stdout, &stderr); code != 2 {
+			t.Fatalf("%s: exit %d, want 2 (stderr %q)", row.flag, code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), row.msg) || stdout.Len() != 0 {
+			t.Errorf("%s: stdout %q, stderr %q", row.flag, stdout.String(), stderr.String())
 		}
 	}
 }

@@ -186,10 +186,10 @@ func main() {
 	case "ir":
 		fmt.Print(prog.Disasm())
 	case "optir":
-		opt.Run(prog, opt.DefaultConfig())
+		opt.Run(prog)
 		fmt.Print(prog.Disasm())
 	case "asm":
-		opt.Run(prog, opt.DefaultConfig())
+		opt.Run(prog)
 		regalloc.Allocate(prog, regalloc.DefaultOptions())
 		fmt.Print(prog.Disasm())
 	default:

@@ -84,14 +84,14 @@ func TestBenchmarksAgreeAcrossTiers(t *testing.T) {
 	}
 }
 
-// TestBenchmarksUnderAblations runs the Figure 7 ablation switches over
+// TestBenchmarksUnderAblations runs the Figure 7 ablations over
 // the full suite at the small preset.
 func TestBenchmarksUnderAblations(t *testing.T) {
 	ablations := []core.Options{
-		{Tier: core.TierJIT, DisableRanges: true},
-		{Tier: core.TierJIT, DisableMinShapes: true},
-		{Tier: core.TierJIT, SpillAll: true},
-		{Tier: core.TierJIT, DisableInlining: true},
+		{Tier: core.TierJIT, Ablation: core.AblateRanges},
+		{Tier: core.TierJIT, Ablation: core.AblateMinShapes},
+		{Tier: core.TierJIT, Ablation: core.AblateRegalloc},
+		{Tier: core.TierJIT, Ablation: core.AblateInlining},
 		{Tier: core.TierJIT, FuseElemwise: true},
 	}
 	for _, b := range bench.All() {

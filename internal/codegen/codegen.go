@@ -38,18 +38,19 @@ type Config struct {
 	// paper-mode measurements keep the one-library-call-per-operator
 	// execution model.
 	FuseElemwise bool
-	// MaxUnrollElems caps the unrolled element count (paper: "very
-	// effective on small (up to 3x3) matrices").
-	MaxUnrollElems int
 	// UnrollLoops replicates simple counted-loop bodies this many times
 	// (1 = off). The JIT generator never unrolls ("no loop
 	// optimizations are performed"); the optimizing backend does.
 	UnrollLoops int
 }
 
+// maxUnrollElems caps the unrolled element count (paper: "very
+// effective on small (up to 3x3) matrices").
+const maxUnrollElems = 9
+
 // DefaultConfig matches the JIT code generator.
 func DefaultConfig() Config {
-	return Config{UnrollSmallVectors: true, FuseGEMV: true, MaxUnrollElems: 9, UnrollLoops: 1}
+	return Config{UnrollSmallVectors: true, FuseGEMV: true, UnrollLoops: 1}
 }
 
 // ErrUnsupported reports a construct the compiler does not handle;
@@ -129,9 +130,6 @@ func Compile(fn *ast.Function, res *infer.Result, tbl *disambig.Table, cfg Confi
 	}()
 	if tbl.HasAmbiguous {
 		return nil, unsupported("function %s contains ambiguous or undefined symbols", fn.Name)
-	}
-	if cfg.MaxUnrollElems == 0 {
-		cfg.MaxUnrollElems = 9
 	}
 	g := &gen{
 		cfg:        cfg,

@@ -588,7 +588,7 @@ func (g *gen) matrixLit(x *ast.Matrix) (ir.Bank, int32) {
 	ann := g.annOf(x)
 	// Fully unrolled construction for small exactly-shaped literals of
 	// real scalars ("vector concatenation completely unrolled").
-	if rows, cols, ok := ann.ExactShape(); ok && rows*cols <= g.cfg.MaxUnrollElems &&
+	if rows, cols, ok := ann.ExactShape(); ok && rows*cols <= maxUnrollElems &&
 		types.LeqI(ann.I, types.IReal) && rows == len(x.Rows) && rows*cols > 0 {
 		allScalar := true
 		for _, row := range x.Rows {
@@ -661,7 +661,7 @@ func (g *gen) tryUnrollElemwise(x *ast.Binary) (ir.Bank, int32, bool) {
 	ann := g.annOf(x)
 	rows, cols, ok := ann.ExactShape()
 	n := rows * cols
-	if !ok || n == 0 || n > g.cfg.MaxUnrollElems || !types.LeqI(ann.I, types.IReal) || ann.Sp {
+	if !ok || n == 0 || n > maxUnrollElems || !types.LeqI(ann.I, types.IReal) || ann.Sp {
 		return 0, 0, false
 	}
 	lt, rt := g.annOf(x.L), g.annOf(x.R)

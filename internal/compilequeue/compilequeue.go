@@ -35,17 +35,6 @@ func (t *Ticket) Wait() error {
 	return t.err
 }
 
-// TryDone reports whether the job has already completed, without
-// blocking (the non-blocking fallback policy polls this).
-func (t *Ticket) TryDone() bool {
-	select {
-	case <-t.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // Stats counts pool traffic.
 type Stats struct {
 	Submitted int `json:"submitted" metric:"majic_queue_submitted_total,counter" help:"Unique compile jobs accepted by the pool."` // queued or run inline

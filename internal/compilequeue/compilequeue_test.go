@@ -157,7 +157,7 @@ func TestDoAfterCloseRunsInline(t *testing.T) {
 	if !started || !ran {
 		t.Fatal("Do after Close must run the job inline")
 	}
-	if !tk.TryDone() {
+	if !done(tk) {
 		t.Fatal("inline ticket must already be done")
 	}
 	if st := p.Stats(); st.Inline != 1 {
@@ -221,7 +221,7 @@ func TestDoUnlessSkipsLandedWork(t *testing.T) {
 	}
 	p.Drain() // the ticket is retired
 	late, started := p.DoUnless("k", published.Load, job)
-	if started || !late.TryDone() {
+	if started || !done(late) {
 		t.Fatalf("a late request re-submitted landed work (started=%v)", started)
 	}
 	if err := late.Wait(); err != nil {
@@ -236,5 +236,15 @@ func TestDoUnlessSkipsLandedWork(t *testing.T) {
 	// Without the check Do behaves as before.
 	if _, started := p.Do("k", job); !started {
 		t.Fatal("Do must submit when nothing is in flight")
+	}
+}
+
+// done reports whether the ticket's job has completed, without blocking.
+func done(t *Ticket) bool {
+	select {
+	case <-t.done:
+		return true
+	default:
+		return false
 	}
 }

@@ -64,14 +64,14 @@ func BenchmarkCompile(b *testing.B) {
 					}
 					ccfg := codegen.DefaultConfig()
 					if optimise {
-						ccfg.UnrollLoops = opt.DefaultConfig().UnrollFactor
+						ccfg.UnrollLoops = 2 // the SPARC backend's
 					}
 					prog, err := codegen.Compile(work, infer.Forward(g, params, infer.Opts{}), tbl, ccfg)
 					if err != nil {
 						b.Skip("deferred to the interpreter: ", err)
 					}
 					if optimise {
-						opt.Run(prog, opt.DefaultConfig())
+						opt.Run(prog)
 					}
 					regalloc.Allocate(prog, regalloc.DefaultOptions())
 					instrs = len(prog.Ins)
@@ -151,13 +151,13 @@ end`
 func BenchmarkAblationGEMV(b *testing.B) {
 	for _, name := range []string{"cgopt", "qmr"} {
 		bm := bench.ByName(name)
-		for _, disabled := range []bool{false, true} {
+		for _, abl := range []core.Ablation{core.AblateNone, core.AblateGEMV} {
 			label := name + "/fused"
-			if disabled {
+			if abl == core.AblateGEMV {
 				label = name + "/unfused"
 			}
 			b.Run(label, func(b *testing.B) {
-				e, args := warmBench(b, bm, core.Options{Tier: core.TierFalcon, DisableGEMV: disabled}, bench.Medium)
+				e, args := warmBench(b, bm, core.Options{Tier: core.TierFalcon, Ablation: abl}, bench.Medium)
 				timeCalls(b, e, bm.Fn, args)
 			})
 		}
@@ -170,13 +170,13 @@ func BenchmarkAblationGEMV(b *testing.B) {
 func BenchmarkAblationInlining(b *testing.B) {
 	for _, name := range []string{"orbrk", "fibonacci"} {
 		bm := bench.ByName(name)
-		for _, disabled := range []bool{false, true} {
+		for _, abl := range []core.Ablation{core.AblateNone, core.AblateInlining} {
 			label := name + "/inlined"
-			if disabled {
+			if abl == core.AblateInlining {
 				label = name + "/calls"
 			}
 			b.Run(label, func(b *testing.B) {
-				e, args := warmBench(b, bm, core.Options{Tier: core.TierFalcon, DisableInlining: disabled}, bench.Small)
+				e, args := warmBench(b, bm, core.Options{Tier: core.TierFalcon, Ablation: abl}, bench.Small)
 				timeCalls(b, e, bm.Fn, args)
 			})
 		}
@@ -204,16 +204,16 @@ func BenchmarkAblationFusion(b *testing.B) {
 	}
 }
 
-// TestAblationSwitchesPreserveResults guards the ablation switches the
+// TestAblationSwitchesPreserveResults guards the ablations the
 // benchmarks above rely on.
 func TestAblationSwitchesPreserveResults(t *testing.T) {
 	bm := bench.ByName("cgopt")
 	ref := runChecksum(t, bm, core.Options{Tier: core.TierInterp})
 	for _, opts := range []core.Options{
-		{Tier: core.TierFalcon, DisableGEMV: true},
-		{Tier: core.TierJIT, DisableInlining: true},
+		{Tier: core.TierFalcon, Ablation: core.AblateGEMV},
+		{Tier: core.TierJIT, Ablation: core.AblateInlining},
 		{Tier: core.TierFalcon, FuseElemwise: true},
-		{Tier: core.TierJIT, FuseElemwise: true, DisableGEMV: true},
+		{Tier: core.TierJIT, FuseElemwise: true, Ablation: core.AblateGEMV},
 	} {
 		if got := runChecksum(t, bm, opts); !closeEnough(ref, got) {
 			t.Errorf("%+v: %g != %g", opts, got, ref)

@@ -401,7 +401,7 @@ func TestAssignmentsWriteTheirDestination(t *testing.T) {
 		}
 		for _, stage := range []string{"selected", "optimised"} {
 			if stage == "optimised" {
-				opt.Run(prog, opt.DefaultConfig())
+				opt.Run(prog)
 			}
 			mentions := [3]map[int32]int{{}, {}, {}}
 			leader := map[int]bool{}

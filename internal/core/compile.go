@@ -63,7 +63,7 @@ func (e *Engine) compile(fn *ast.Function, sig types.Signature, po pipelineOpts)
 	t0 := time.Now()
 	var work *ast.Function
 	out := &compiled{}
-	if e.opts.DisableInlining || po.generic {
+	if e.opts.Ablation == AblateInlining || po.generic {
 		// Disambiguation writes on the nodes it classifies; fn is shared
 		// with every engine of the library, so it gets a private copy
 		// (the inliner makes its own).
@@ -114,7 +114,7 @@ func (e *Engine) compile(fn *ast.Function, sig types.Signature, po pipelineOpts)
 		return nil, err
 	}
 	if po.optimize {
-		opt.Run(prog, e.optConfig())
+		opt.Run(prog)
 	}
 	if ccfg.FuseElemwise {
 		// Redirect fused kernels to write into the assigned variable's
@@ -124,7 +124,7 @@ func (e *Engine) compile(fn *ast.Function, sig types.Signature, po pipelineOpts)
 		opt.FuseDst(prog)
 	}
 	ra := regalloc.DefaultOptions()
-	ra.SpillAll = e.opts.SpillAll
+	ra.SpillAll = e.opts.Ablation == AblateRegalloc
 	regalloc.Allocate(prog, ra)
 	out.code, err = vm.Prepare(prog)
 	d2 := time.Since(t2)
@@ -152,7 +152,7 @@ func (e *Engine) Lower(name string, sig types.Signature) (*ir.Prog, types.Signat
 			return nil, nil, err
 		}
 	}
-	po := pipelineOpts{optimize: e.opts.Tier != TierJIT || e.opts.JITBackendOpts, generic: e.opts.Tier == TierMCC}
+	po := pipelineOpts{optimize: e.opts.Tier != TierJIT, generic: e.opts.Tier == TierMCC}
 	c, err := e.compile(fn, sig, po)
 	if err != nil {
 		return nil, nil, err
@@ -162,8 +162,8 @@ func (e *Engine) Lower(name string, sig types.Signature) (*ir.Prog, types.Signat
 
 func (e *Engine) inferOpts() infer.Opts {
 	return infer.Opts{
-		NoRanges:    e.opts.DisableRanges,
-		NoMinShapes: e.opts.DisableMinShapes,
+		NoRanges:    e.opts.Ablation == AblateRanges,
+		NoMinShapes: e.opts.Ablation == AblateMinShapes,
 	}
 }
 
@@ -194,31 +194,25 @@ func (e *Engine) codegenConfig(po pipelineOpts) codegen.Config {
 		cfg.FuseElemwise = false
 	}
 	if po.optimize {
-		cfg.UnrollLoops = e.optConfig().UnrollFactor
+		// The simulated native backend unrolls counted loops: the MIPS
+		// compiler is "excellent" (deeper unrolling), the SPARC one
+		// mediocre.
+		cfg.UnrollLoops = 2
+		if e.opts.Platform == PlatformMIPS {
+			cfg.UnrollLoops = 4
+		}
 	}
-	if e.opts.DisableGEMV {
+	if e.opts.Ablation == AblateGEMV {
 		cfg.FuseGEMV = false
 	}
 	return cfg
-}
-
-// optConfig grades the simulated native backend: the MIPS compiler is
-// "excellent" (deeper unrolling), the SPARC one mediocre.
-func (e *Engine) optConfig() opt.Config {
-	c := opt.DefaultConfig()
-	if e.opts.Platform == PlatformMIPS {
-		c.UnrollFactor = 4
-	} else {
-		c.UnrollFactor = 2
-	}
-	return c
 }
 
 // speculate derives the speculative signature for a function (paper
 // §2.5): backward hint propagation alternating with forward passes.
 func (e *Engine) speculate(fn *ast.Function) (types.Signature, error) {
 	var work *ast.Function
-	if e.opts.DisableInlining {
+	if e.opts.Ablation == AblateInlining {
 		work = ast.CloneFunction(fn) // see compile: never analyze the shared AST
 	} else {
 		work = inline.Expand(fn, e)

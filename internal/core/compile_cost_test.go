@@ -83,7 +83,7 @@ func stagesOf(t *testing.T, src string) *stages {
 	s.tbl = disambig.Analyze(s.g, work.Ins, nil)
 	s.params = map[string]types.Type{work.Ins[0]: s.sig[0]}
 	ccfg := codegen.DefaultConfig()
-	ccfg.UnrollLoops = opt.DefaultConfig().UnrollFactor
+	ccfg.UnrollLoops = 2 // the SPARC backend's
 	if s.prog, err = codegen.Compile(work, infer.Forward(s.g, s.params, infer.Opts{}), s.tbl, ccfg); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestCompileCostIsLinear(t *testing.T) {
 		}{
 			{name: "disambig.Analyze", run: func(s *stages) { disambig.Analyze(s.g, s.fn.Ins, nil) }},
 			{name: "infer.Forward", run: func(s *stages) { infer.Forward(s.g, s.params, infer.Opts{}) }},
-			{name: "opt.Run", flat: true, run: func(s *stages) { opt.Run(s.fresh(), opt.DefaultConfig()) }},
+			{name: "opt.Run", flat: true, run: func(s *stages) { opt.Run(s.fresh()) }},
 			{name: "regalloc.Allocate", flat: true, run: func(s *stages) { regalloc.Allocate(s.fresh(), regalloc.DefaultOptions()) }},
 			{name: "regalloc.Allocate(SpillAll)", flat: true, run: func(s *stages) {
 				regalloc.Allocate(s.fresh(), regalloc.Options{FRegs: 24, IRegs: 24, CRegs: 8, SpillAll: true})

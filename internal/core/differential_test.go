@@ -861,19 +861,17 @@ func TestLoopVarReuseKeepsChecksOff(t *testing.T) {
 	}
 }
 
-// TestAblationsPreserveSemantics checks that the Figure 7 ablation
-// switches never change results, only performance.
+// TestAblationsPreserveSemantics checks that no ablation changes
+// results, only performance: every Ablation value under jit and spec,
+// and fusion alone and beside one.
 func TestAblationsPreserveSemantics(t *testing.T) {
-	ablations := []Options{
-		{Tier: TierJIT, DisableRanges: true},
-		{Tier: TierJIT, DisableMinShapes: true},
-		{Tier: TierJIT, SpillAll: true},
-		{Tier: TierJIT, DisableRanges: true, DisableMinShapes: true, SpillAll: true},
-		{Tier: TierJIT, DisableInlining: true},
-		{Tier: TierSpec, DisableRanges: true, SpillAll: true},
-		{Tier: TierJIT, FuseElemwise: true},
-		{Tier: TierSpec, FuseElemwise: true, DisableMinShapes: true},
+	var ablations []Options
+	for a := range numAblations {
+		ablations = append(ablations, Options{Tier: TierJIT, Ablation: a}, Options{Tier: TierSpec, Ablation: a})
 	}
+	ablations = append(ablations,
+		Options{Tier: TierJIT, FuseElemwise: true},
+		Options{Tier: TierSpec, FuseElemwise: true, Ablation: AblateMinShapes})
 	for _, p := range diffPrograms {
 		p := p
 		t.Run(p.name, func(t *testing.T) {

@@ -127,6 +127,30 @@ func (p Platform) String() string {
 	return "sparc"
 }
 
+// Ablation names one optimization an engine leaves out, so an
+// experiment can measure what it is worth: one value per Figure 7 bar
+// and per design-choice ablation. Results never change, only speed.
+type Ablation uint8
+
+const (
+	// AblateNone leaves every optimization on.
+	AblateNone Ablation = iota
+	// AblateRanges drops range propagation: every range is ⊤, so
+	// subscript checks stay.
+	AblateRanges
+	// AblateMinShapes drops minimum-shape propagation: no exact shapes,
+	// so no unrolling of small vector operations.
+	AblateMinShapes
+	// AblateRegalloc has the register allocator spill every variable.
+	AblateRegalloc
+	// AblateInlining compiles every user call as a call.
+	AblateInlining
+	// AblateGEMV drops the a*A*x + b*y → dgemv code selection (§2.6.1).
+	AblateGEMV
+
+	numAblations // the count of values above, for tests that visit each
+)
+
 // Options configure an Engine.
 type Options struct {
 	Tier     Tier
@@ -134,15 +158,9 @@ type Options struct {
 	Out      io.Writer
 	Seed     uint64
 
-	// Optimization switches for the Figure 7 ablations. They affect the
-	// JIT pipeline (and, where meaningful, the optimizing backend).
-	DisableRanges    bool // no range propagation → subscript checks stay
-	DisableMinShapes bool // no minimum-shape propagation → no unrolling
-	SpillAll         bool // register allocator spills every variable
-	DisableInlining  bool // no function inlining
-	// DisableGEMV turns off the a*A*x + b*y → dgemv code selection
-	// (ablation for the fusion rule of §2.6.1).
-	DisableGEMV bool
+	// Ablation disables one optimization for the Figure 7 and
+	// design-choice ablations; the zero value disables none.
+	Ablation Ablation
 	// FuseElemwise turns on elementwise fusion (§2.6.1's
 	// temporary-elimination, extended to whole operator trees): maximal
 	// trees of elementwise operators compile to single fused kernels
@@ -163,13 +181,6 @@ type Options struct {
 	// Close; a caller that wants a repository cap or a worker count
 	// builds the Library with LibraryOptions.
 	Library *Library
-
-	// JITBackendOpts runs the backend optimization passes inside the JIT
-	// pipeline too — the paper's §5 what-if experiment ("room for future
-	// enhancements of the JIT compiler"): compile time is still counted,
-	// so the trade-off between optimization effort and compile latency
-	// becomes measurable.
-	JITBackendOpts bool
 
 	// Tiered enables tiered recompilation for TierJIT: "the generated
 	// code can later be recompiled — and replaced in the repository —
@@ -200,12 +211,13 @@ type Options struct {
 	// miss-triggered compiles run on a bounded worker pool instead of
 	// the caller's goroutine, with single-flight deduplication so N
 	// concurrent misses on one (function, widened signature) key
-	// trigger exactly one compile. A jit/mcc/falcon caller waits for its
-	// job; a spec caller never does — it interprets the call unless the
-	// job has already finished. The option selects this, not the
-	// existence of a pool: without it an engine compiles inline even on
-	// a shared Library that owns one. Off by default, so the paper
-	// reproductions and single-threaded measurements are unaffected.
+	// trigger exactly one compile. The caller waits for its job on every
+	// compiling tier: a spec caller's miss is the JIT fallback for a
+	// signature its speculation did not cover, and it runs that code as
+	// a jit caller does. The option selects this, not the existence of
+	// a pool: without it an engine compiles inline even on a shared
+	// Library that owns one. Off by default, so the paper reproductions
+	// and single-threaded measurements are unaffected.
 	AsyncCompile bool
 
 	// Threads sets the process-wide dense-kernel worker count

@@ -117,7 +117,10 @@ func generatedCode(t *testing.T) []string {
 			for _, fuse := range []bool{false, true} {
 				for _, spill := range []bool{false, true} {
 					opts := v.opts
-					opts.FuseElemwise, opts.SpillAll, opts.Seed = fuse, spill, 12345
+					opts.FuseElemwise, opts.Seed = fuse, 12345
+					if spill {
+						opts.Ablation = core.AblateRegalloc
+					}
 					// A library without a pool compiles promotions and OSR
 					// continuations inline, at a point the program fixes.
 					opts.Library = core.NewLibrary(core.LibraryOptions{})

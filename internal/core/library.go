@@ -84,7 +84,7 @@ type LibraryOptions struct {
 	// inline on the calling goroutine otherwise.
 	AsyncCompile bool
 	// CompileWorkers bounds the pool (0 = GOMAXPROCS). Ignored unless
-	// AsyncCompile.
+	// AsyncCompile or Tiered starts one.
 	CompileWorkers int
 	// RepoMaxEntries caps the live compiled entries per function name,
 	// evicting the least-hit entry on overflow. 0 = unbounded. A

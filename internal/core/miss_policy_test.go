@@ -12,13 +12,13 @@ import (
 	"repro/internal/repo"
 )
 
-// The miss pipeline has one code path and three wait policies; this file
-// is its one test table. Rows are the option sets users actually write
-// (sync, AsyncCompile, Tiered, and Production, which is a JIT engine),
-// columns the four compiling tiers, and
-// every cell runs the same programs through the same assertions. What a
-// cell may differ in is exactly what missPolicy says: whether the first
-// call ran compiled code and whether the compile pool saw traffic.
+// The miss pipeline has one code path and two policies, wait or park;
+// this file is its one test table. Rows are the option sets users
+// actually write (sync, AsyncCompile, Tiered, and Production, which is
+// a JIT engine), columns the four compiling tiers, and every cell runs
+// the same programs through the same assertions. What a cell may differ
+// in is exactly what repoState.parks and background say: whether the
+// first call ran compiled code and whether the compile pool saw traffic.
 
 type policyRow struct {
 	name  string
@@ -43,17 +43,15 @@ func (p policyRow) options(tier Tier) Options {
 // wantPolicy is the table the implementation must agree with, written
 // out from the documentation of Options.AsyncCompile and Options.Tiered
 // rather than derived from newRepoState.
-func wantPolicy(row string, tier Tier) (policy missPolicy, background bool) {
+func wantPolicy(row string, tier Tier) (parks, background bool) {
 	switch {
 	case (row == "tiered" || row == "prod") && tier == TierJIT:
-		return interpretProfiled, true
-	case row == "async" && tier == TierSpec:
-		return neverBlock, true
+		return true, true
 	case row == "async":
-		return waitCompiled, true
+		return false, true
 	}
 	// sync, and Tiered on a tier that ignores it.
-	return waitCompiled, false
+	return false, false
 }
 
 func eachPolicy(t *testing.T, f func(t *testing.T, row policyRow, tier Tier)) {
@@ -85,9 +83,9 @@ func TestMissPolicies(t *testing.T) {
 		eachPolicy(t, func(t *testing.T, row policyRow, tier Tier) {
 			e := New(row.options(tier))
 			defer e.Close()
-			policy, background := wantPolicy(row.name, tier)
-			if e.repo.policy != policy || e.repo.background != background {
-				t.Fatalf("policy %d background %v, want %d %v", e.repo.policy, e.repo.background, policy, background)
+			parks, background := wantPolicy(row.name, tier)
+			if e.repo.parks != parks || e.repo.background != background {
+				t.Fatalf("parks %v background %v, want %v %v", e.repo.parks, e.repo.background, parks, background)
 			}
 			if err := e.Define(asyncWorkSrc); err != nil {
 				t.Fatal(err)
@@ -100,17 +98,10 @@ func TestMissPolicies(t *testing.T) {
 			if !background && qs != (compilequeue.Stats{}) {
 				t.Fatalf("synchronous policy used the compile pool: %+v", qs)
 			}
-			if background && policy != interpretProfiled && qs.Submitted+qs.Deduped == 0 {
+			if background && !parks && qs.Submitted+qs.Deduped == 0 {
 				t.Fatalf("a miss under AsyncCompile never reached the compile pool: %+v", qs)
 			}
-			switch policy {
-			case waitCompiled:
-				// The caller waited (inline or on the ticket): compiled
-				// code is published before the first call returns.
-				if !hasCompiled(e, "work") {
-					t.Fatal("first call returned without a published compiled entry")
-				}
-			case interpretProfiled:
+			if parks {
 				e.Drain()
 				if hasCompiled(e, "work") {
 					t.Fatal("compiled entry published after one cold call under the threshold")
@@ -120,9 +111,13 @@ func TestMissPolicies(t *testing.T) {
 				}
 				return
 			}
-			// The interpret-this-once fallback is transient: it must not
-			// have polluted the repository, and once the job lands a warm
-			// call hits the one compiled entry.
+			// The caller waited (inline or on the ticket): compiled code
+			// is published before the first call returns.
+			if !hasCompiled(e, "work") {
+				t.Fatal("first call returned without a published compiled entry")
+			}
+			// Exactly one entry once every job has landed, and a warm
+			// call hits it.
 			e.Drain()
 			entries := e.Repo().Entries("work")
 			if len(entries) != 1 || entries[0].Code == nil {
@@ -292,8 +287,8 @@ func TestMissPolicies(t *testing.T) {
 					if got, want := callScalar(t, e, "work", float64(n)).MustScalar(), asyncWorkWant(n); got != want {
 						t.Fatalf("work(%d) = %g, want %g", n, got, want)
 					}
-					// Widening keys off entries that have landed; a caller
-					// that never blocks can outrun its own compile.
+					// Widening keys off entries that have landed; a parking
+					// engine's compiles land in the background.
 					e.Drain()
 				}
 			}

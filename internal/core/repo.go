@@ -30,10 +30,18 @@ import (
 type repoState struct {
 	e *Engine
 	r *repo.Repository
-	// policy and background are fixed from the engine's options — never
-	// from whether the library happens to own a pool: what a caller does on
-	// a miss, and whether this engine's jobs go to the pool at all.
-	policy     missPolicy
+	// parks and background are fixed from the engine's options — never
+	// from whether the library happens to own a pool: what a caller does
+	// on a miss, and whether this engine's jobs go to the pool at all.
+	// An engine that parks (jit with Tiered) never compiles for a miss:
+	// it parks a placeholder for the widened signature, which the call
+	// and its successors interpret while the placeholder counts them
+	// toward its replacement (upgradeCause). Every other engine waits for
+	// its miss compile and runs the entry: the first caller pays the
+	// compile once and concurrent callers coalesce on its ticket. A
+	// synchronous engine's ticket is done when submit returns, so the
+	// paper reproductions' inline compile is the degenerate case.
+	parks      bool
 	background bool
 	// callDepth tracks nesting so execution time is only accumulated at
 	// the outermost invocation (Figure 6 decomposition). It is atomic
@@ -44,38 +52,9 @@ type repoState struct {
 	callDepth int32
 }
 
-// missPolicy is what a caller does while the compile for its miss runs.
-type missPolicy uint8
-
-const (
-	// waitCompiled (jit, mcc, falcon; spec without AsyncCompile) promises
-	// compiled execution: block on the ticket, run the entry. The first
-	// caller pays the compile once and concurrent callers coalesce on its
-	// ticket. A synchronous engine's ticket is done when submit returns,
-	// so the paper reproductions' inline compile is the degenerate case.
-	waitCompiled missPolicy = iota
-	// neverBlock (spec with AsyncCompile) runs compiled code if the ticket
-	// is already done and interprets this one invocation otherwise — the
-	// paper's Figure 6 responsiveness story: speculative mode trades
-	// first-call speed for zero perceived compile pauses.
-	neverBlock
-	// interpretProfiled (jit with Tiered) never compiles for a miss: it
-	// parks a placeholder for the widened signature, which the call and
-	// its successors interpret while the placeholder counts them toward
-	// its replacement (upgradeCause).
-	interpretProfiled
-)
-
 func newRepoState(e *Engine) *repoState {
-	r := &repoState{e: e, r: e.lib.repo}
-	switch o := e.opts; {
-	case o.Tiered && o.Tier == TierJIT:
-		r.policy = interpretProfiled
-	case o.AsyncCompile && o.Tier == TierSpec:
-		r.policy = neverBlock
-	}
-	r.background = e.opts.AsyncCompile || r.policy == interpretProfiled
-	return r
+	parks := e.opts.Tiered && e.opts.Tier == TierJIT
+	return &repoState{e: e, r: e.lib.repo, parks: parks, background: e.opts.AsyncCompile || parks}
 }
 
 // Repo exposes the repository (stats for the harness and majicc). With
@@ -158,7 +137,7 @@ func (r *repoState) invoke(st *repo.FuncState, args []vm.Operand, nout int, call
 	sig := observedSig(buf[:0], args)
 	entry := r.r.LookupIn(st, sig)
 	if entry == nil {
-		if r.policy != interpretProfiled {
+		if !r.parks {
 			return r.miss(st, append(types.Signature(nil), sig...), args, nout, caller)
 		}
 		entry = r.park(st, sig)
@@ -199,9 +178,9 @@ const (
 	causeObservedClasses = "observed-classes"
 )
 
-// park is the interpretProfiled miss: it publishes a placeholder for the
-// widened signature — no compile, so the first call of anything stays
-// interpreter-fast — and returns the entry to run, the placeholder or
+// park is the miss of an engine that parks: it publishes a placeholder
+// for the widened signature — no compile, so the first call of anything
+// stays interpreter-fast — and returns the entry to run, the placeholder or
 // one a concurrent caller published first. When a redefinition moved the
 // generation the placeholder serves this one call unpublished.
 func (r *repoState) park(st *repo.FuncState, sig types.Signature) *repo.Entry {
@@ -338,8 +317,8 @@ func (r *repoState) specialise(st *repo.FuncState, old *repo.Entry, csig types.S
 	return repl
 }
 
-// miss serves a signature no entry covers: submit the compile, then do
-// what the engine's policy says. The compile signature is widened when
+// miss serves a signature no entry covers: submit the compile, wait for
+// it and run what it published. The compile signature is widened when
 // the repository has already compiled this function for the same
 // intrinsic kinds: without widening, recursive calls such as
 // fibonacci(n-1) would compile one version per distinct constant
@@ -362,7 +341,7 @@ func (r *repoState) miss(st *repo.FuncState, sig types.Signature, args []vm.Oper
 	if st.SameKinds(sig) {
 		csig = widen(sig)
 	}
-	var po pipelineOpts
+	var po pipelineOpts // TierJIT, and TierSpec's runtime fallback
 	switch e.opts.Tier {
 	case TierMCC:
 		// Generic batch compilation: every parameter typed ⊤.
@@ -370,8 +349,6 @@ func (r *repoState) miss(st *repo.FuncState, sig types.Signature, args []vm.Oper
 		po = pipelineOpts{generic: true}
 	case TierFalcon:
 		po = pipelineOpts{optimize: true}
-	default: // TierJIT, and TierSpec's runtime fallback
-		po = pipelineOpts{optimize: e.opts.JITBackendOpts}
 	}
 
 	// Single flight only spans a job's lifetime: a caller descheduled
@@ -388,32 +365,29 @@ func (r *repoState) miss(st *repo.FuncState, sig types.Signature, args []vm.Oper
 			return err
 		})
 
-	var entry *repo.Entry
-	if r.policy == waitCompiled || ticket.TryDone() {
-		var tw time.Time
-		if pooled && e.tracer != nil {
-			tw = time.Now()
-		}
-		err := ticket.Wait()
-		if !tw.IsZero() {
-			// Queue-wait span: how long this caller blocked on the compile
-			// ticket (zero when the job already landed).
-			e.tracer.Span(telemetry.CatQueue, name, e.id, tw, time.Since(tw))
-		}
-		if err != nil {
-			return nil, err
-		}
-		if entry = mine; entry == nil {
-			// Another caller's job, or a sibling key's, compiled it.
-			entry = r.r.Lookup(name, sig)
-		}
+	var tw time.Time
+	if pooled && e.tracer != nil {
+		tw = time.Now()
+	}
+	err := ticket.Wait()
+	if !tw.IsZero() {
+		// Queue-wait span: how long this caller blocked on the compile
+		// ticket (zero when the job already landed).
+		e.tracer.Span(telemetry.CatQueue, name, e.id, tw, time.Since(tw))
+	}
+	if err != nil {
+		return nil, err
+	}
+	entry := mine
+	if entry == nil {
+		// Another caller's job, or a sibling key's, compiled it.
+		entry = r.r.Lookup(name, sig)
 	}
 	if entry == nil {
-		// Interpret this one call with the function the caller resolved:
-		// the never-blocking policy while its job is in flight, and any
-		// caller whose job found the generation moved (the next call
-		// recompiles fresh). The entry is transient — never inserted — so
-		// the repository keeps exactly one (compiled) entry per key.
+		// The job found the generation moved: interpret this one call
+		// with the function the caller resolved (the next call recompiles
+		// fresh). The entry is transient — never inserted — so the
+		// repository keeps exactly one (compiled) entry per key.
 		entry = &repo.Entry{Quality: repo.QualityInterp}
 	}
 	return r.runEntry(entry, st, args, nout, caller)
@@ -483,7 +457,7 @@ func (r *repoState) runEntry(entry *repo.Entry, st *repo.FuncState, args []vm.Op
 	}
 	if entry.Quality == repo.QualityInterp || err == vm.ErrGuardMiss {
 		var fr *interp.Frame
-		if r.policy == interpretProfiled && entry.Quality == repo.QualityInterp {
+		if r.parks && entry.Quality == repo.QualityInterp {
 			fr = &interp.Frame{Fn: fn, Nout: nout, Host: e, Gen: st.Gen, Threshold: int64(e.tierThreshold()), Entry: entry}
 		}
 		var buf [sigBuf]*mat.Value

@@ -129,8 +129,9 @@ var reuseConfigs = []Options{
 	{Tier: TierSpec},
 	{Tier: TierJIT, FuseElemwise: true},
 	{Tier: TierSpec, FuseElemwise: true},
-	{Tier: TierJIT, DisableInlining: true},
-	{Tier: TierJIT, DisableGEMV: true, DisableMinShapes: true},
+	{Tier: TierJIT, Ablation: AblateInlining},
+	{Tier: TierJIT, Ablation: AblateGEMV},
+	{Tier: TierJIT, Ablation: AblateMinShapes},
 }
 
 func callAll(t *testing.T, opts Options, src string, nout int) []*mat.Value {
@@ -171,8 +172,8 @@ func TestResultReuseBitIdentical(t *testing.T) {
 				got := callAll(t, opts, p.src, nout)
 				for i := range want {
 					if !valuesExact(want[i], got[i]) {
-						t.Errorf("%s fuse=%v noinline=%v nogemv=%v: output %s =\n%s (%s), want\n%s (%s)",
-							opts.Tier, opts.FuseElemwise, opts.DisableInlining, opts.DisableGEMV,
+						t.Errorf("%s fuse=%v ablation=%v: output %s =\n%s (%s), want\n%s (%s)",
+							opts.Tier, opts.FuseElemwise, opts.Ablation,
 							fn.Outs[i], got[i], got[i].Kind(), want[i], want[i].Kind())
 					}
 				}

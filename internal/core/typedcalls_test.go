@@ -208,7 +208,7 @@ func describeValue(v *mat.Value) string {
 }
 
 // TestTypedCallsMatchBoxedCalls runs every pairing through every tier
-// under the three miss policies — so through cold, interpreted, profiled,
+// under both miss policies and every pool setting — so through cold, interpreted, profiled,
 // OSR-entered and warm compiled calls alike — and demands the
 // interpreter's answer bit for bit, kind included: registers crossing a
 // call must be invisible.

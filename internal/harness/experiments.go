@@ -143,36 +143,24 @@ func (c Config) Fig7() error {
 	return nil
 }
 
-// Ablations measures the Figure 7 switches. Steady-state (post-compile)
-// runtimes isolate code quality from compile time.
+// Ablations measures the Figure 7 ablations. Steady-state
+// (post-compile) runtimes isolate code quality from compile time: the
+// falcon tier compiles at the exact signature, outside the timed call.
 func (c Config) Ablations() ([]AblationRow, error) {
 	var out []AblationRow
-	steady := func(b *bench.Benchmark, opts core.Options) (time.Duration, error) {
-		opts.Tier = core.TierFalcon // exact signature, compile excluded
-		return c.MeasureTier(b, opts)
-	}
 	for _, b := range c.list() {
-		full, err := steady(b, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		noR, err := steady(b, core.Options{DisableRanges: true})
-		if err != nil {
-			return nil, err
-		}
-		noS, err := steady(b, core.Options{DisableMinShapes: true})
-		if err != nil {
-			return nil, err
-		}
-		spill, err := steady(b, core.Options{SpillAll: true})
-		if err != nil {
-			return nil, err
+		var t [4]time.Duration // full, then one per bar
+		for i, a := range []core.Ablation{core.AblateNone, core.AblateRanges, core.AblateMinShapes, core.AblateRegalloc} {
+			var err error
+			if t[i], err = c.MeasureTier(b, core.Options{Tier: core.TierFalcon, Ablation: a}); err != nil {
+				return nil, err
+			}
 		}
 		out = append(out, AblationRow{
 			Bench:       b.Name,
-			NoRanges:    float64(full) / float64(noR),
-			NoMinShapes: float64(full) / float64(noS),
-			SpillAll:    float64(full) / float64(spill),
+			NoRanges:    float64(t[0]) / float64(t[1]),
+			NoMinShapes: float64(t[0]) / float64(t[2]),
+			SpillAll:    float64(t[0]) / float64(t[3]),
 		})
 	}
 	return out, nil

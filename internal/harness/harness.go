@@ -71,7 +71,7 @@ func (c Config) list() []*bench.Benchmark {
 }
 
 // newEngine builds a fresh engine for one measurement: the arm (a
-// paper-mode tier, platform and ablation switches) with the run's seed
+// paper-mode tier, platform and ablation) with the run's seed
 // and tracer.
 func (c Config) newEngine(b *bench.Benchmark, arm core.Options) (*core.Engine, error) {
 	opts := arm
@@ -117,8 +117,13 @@ func (c Config) MeasureInterp(b *bench.Benchmark) (time.Duration, error) {
 // calls after warming, with speculative entries precompiled ahead of
 // time.
 func (c Config) MeasureTier(b *bench.Benchmark, opts core.Options) (time.Duration, error) {
+	return c.measure(b, opts, opts.Tier == core.TierJIT)
+}
+
+// measure is MeasureTier with the choice made by the caller: cold times
+// the call that compiles, otherwise a warm-up call compiles first.
+func (c Config) measure(b *bench.Benchmark, opts core.Options, cold bool) (time.Duration, error) {
 	best := time.Duration(math.MaxInt64)
-	includeCompile := opts.Tier == core.TierJIT
 	for r := 0; r < c.reps(); r++ {
 		e, err := c.newEngine(b, opts)
 		if err != nil {
@@ -126,7 +131,7 @@ func (c Config) MeasureTier(b *bench.Benchmark, opts core.Options) (time.Duratio
 		}
 		e.Precompile()
 		var d time.Duration
-		if !includeCompile {
+		if !cold {
 			// warm: compile outside the measured window
 			_, err = runOnce(e, b, b.Args(c.Size))
 		}

@@ -153,16 +153,16 @@ func TestExperimentPrintersRun(t *testing.T) {
 }
 
 // TestEnginesAreTheirArm: every harness engine is the paper-mode arm it
-// measures (tier, platform, ablation switches) plus the run's seed, and
+// measures (tier, platform, ablation) plus the run's seed, and
 // nothing else: no background compiles, fusion or tiering.
 func TestEnginesAreTheirArm(t *testing.T) {
 	b := bench.ByName("fibonacci")
 	cfg := Config{Size: bench.Small}
 	for _, arm := range []core.Options{
 		{Tier: core.TierInterp},
-		{Tier: core.TierFalcon, Platform: core.PlatformMIPS, SpillAll: true},
-		{Tier: core.TierJIT, JITBackendOpts: true},
-		{Tier: core.TierSpec, DisableRanges: true},
+		{Tier: core.TierFalcon, Platform: core.PlatformMIPS, Ablation: core.AblateRegalloc},
+		{Tier: core.TierJIT},
+		{Tier: core.TierSpec, Ablation: core.AblateRanges},
 	} {
 		e, err := cfg.newEngine(b, arm)
 		if err != nil {

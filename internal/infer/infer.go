@@ -20,9 +20,6 @@ type Opts struct {
 	// compilation that removes interpretation but performs no type
 	// specialization at all.
 	AllTop bool
-	// MaxIter caps per-block revisits before widening (the paper "caps
-	// the number of iterations" to keep JIT inference fast).
-	MaxIter int
 	// UserFnType resolves the type of the first result of a (non-inlined)
 	// call to a user function from the argument types; nil means ⊤
 	// (generic boxed call). It may answer ⊥ for a call whose result is
@@ -31,12 +28,9 @@ type Opts struct {
 	UserFnType func(name string, args []types.Type) types.Type
 }
 
-func (o Opts) maxIter() int {
-	if o.MaxIter <= 0 {
-		return 4
-	}
-	return o.MaxIter
-}
+// maxIter caps per-block revisits before widening (the paper "caps
+// the number of iterations" to keep JIT inference fast).
+const maxIter = 4
 
 // Result carries the inference output: one conservative type annotation
 // per expression node (the paper's set S), plus the per-variable joined
@@ -228,14 +222,14 @@ func Forward(g *cfg.Graph, params map[string]types.Type, opts Opts) *Result {
 			// Only a variable bound in both out-sets is widened or joined;
 			// one first appearing in this out-set has nothing to widen
 			// against.
-			if visits[blk.ID] > inf.opts.maxIter() {
+			if visits[blk.ID] > maxIter {
 				for i, def := range newOut.defined {
 					if def && old.defined[i] {
 						newOut.types[i] = types.Widen(old.types[i], newOut.types[i])
 					}
 				}
 			}
-			if visits[blk.ID] > 8*inf.opts.maxIter() {
+			if visits[blk.ID] > 8*maxIter {
 				// Safety valve against transfer non-monotonicity (rule
 				// ordering is most-restrictive-first, which is not
 				// monotone): force monotone growth by joining with the

@@ -19,47 +19,19 @@ package opt
 
 import "repro/internal/ir"
 
-// Config grades the simulated native backend.
-type Config struct {
-	// Passes toggles (all on by default).
-	Fold     bool
-	CSE      bool
-	CopyProp bool
-	LICM     bool
-	DCE      bool
-	// UnrollFactor is consumed by the code generator (loop unrolling
-	// happens during lowering); recorded here for reporting.
-	UnrollFactor int
-}
-
-// DefaultConfig enables every pass.
-func DefaultConfig() Config {
-	return Config{Fold: true, CSE: true, CopyProp: true, LICM: true, DCE: true, UnrollFactor: 2}
-}
-
-// Run optimizes p in place. It must run before register allocation.
-// Copy propagation turns the moves CSE leaves behind into dead code;
-// DCE nops them out; compaction deletes the nops (a VM dispatches nops
-// at full price, unlike hardware).
-func Run(p *ir.Prog, cfg Config) {
+// Run optimizes p in place with the fixed pass pipeline. It must run
+// before register allocation. Copy propagation turns the moves CSE
+// leaves behind into dead code; DCE nops them out; compaction deletes
+// the nops (a VM dispatches nops at full price, unlike hardware).
+func Run(p *ir.Prog) {
 	if p.Allocated {
 		panic("opt: program already register-allocated")
 	}
-	if cfg.Fold {
-		foldConstants(p)
-	}
-	if cfg.CSE {
-		localCSE(p)
-	}
-	if cfg.CopyProp {
-		propagateCopies(p)
-	}
-	if cfg.LICM {
-		hoistInvariants(p)
-	}
-	if cfg.DCE {
-		eliminateDeadCode(p)
-	}
+	foldConstants(p)
+	localCSE(p)
+	propagateCopies(p)
+	hoistInvariants(p)
+	eliminateDeadCode(p)
 	compact(p)
 }
 

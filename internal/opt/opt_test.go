@@ -44,6 +44,14 @@ func countOp(p *ir.Prog, op ir.Op) int {
 	return n
 }
 
+// runPasses runs a subset of Run's pipeline, then compacts as Run does.
+func runPasses(p *ir.Prog, passes ...func(*ir.Prog)) {
+	for _, pass := range passes {
+		pass(p)
+	}
+	compact(p)
+}
+
 func TestConstantFolding(t *testing.T) {
 	p := compileSrc(t, `
 function y = f()
@@ -51,7 +59,7 @@ function y = f()
   b = a * 4;
   y = b - 1;
 end`, nil)
-	Run(p, Config{Fold: true, DCE: true})
+	runPasses(p, foldConstants, eliminateDeadCode)
 	// all arithmetic folds away; only constants and the epilogue remain
 	for _, op := range []ir.Op{ir.OpFAdd, ir.OpFMul, ir.OpFSub, ir.OpIAdd, ir.OpIMul, ir.OpISub} {
 		if n := countOp(p, op); n > 0 {
@@ -69,7 +77,7 @@ end`, map[string]types.Type{
 		"b": types.ScalarOf(types.IReal, types.RangeTop),
 	})
 	before := countOp(p, ir.OpFMul)
-	Run(p, Config{CSE: true, DCE: true})
+	runPasses(p, localCSE, eliminateDeadCode)
 	after := countOp(p, ir.OpFMul)
 	if after >= before {
 		t.Errorf("CSE did not reduce multiplies: %d → %d\n%s", before, after, p.Disasm())
@@ -107,7 +115,7 @@ end`, map[string]types.Type{
 		return n
 	}
 	before := mulsInLoop(p)
-	Run(p, Config{LICM: true, DCE: true})
+	runPasses(p, hoistInvariants, eliminateDeadCode)
 	after := mulsInLoop(p)
 	if before == 0 {
 		t.Skip("no multiply found in loop (codegen changed)")
@@ -125,7 +133,7 @@ function y = f(a)
 end`, map[string]types.Type{
 		"a": types.ScalarOf(types.IReal, types.RangeTop),
 	})
-	Run(p, Config{DCE: true})
+	runPasses(p, eliminateDeadCode)
 	// the dead multiply must be gone (dead's value is never used)
 	if n := countOp(p, ir.OpFMul); n != 0 {
 		t.Errorf("dead multiply survived DCE:\n%s", p.Disasm())
@@ -147,7 +155,7 @@ end`, nil)
 			t.Error("Run on an allocated program must panic")
 		}
 	}()
-	Run(p, DefaultConfig())
+	Run(p)
 }
 
 func TestDisasmStable(t *testing.T) {

@@ -29,7 +29,9 @@
 // Call functions through one shared Engine concurrently; compiles run
 // on a bounded background worker pool with single-flight deduplication,
 // and the repository handles concurrent lookup, insertion, and
-// invalidation (see DESIGN.md §9). Call Close to shut the pool down.
+// invalidation (see DESIGN.md §9). A caller whose call misses waits for
+// that compile on every tier, spec included. Call Close to shut the
+// pool down.
 // Without AsyncCompile the engine is single-client throughout: create
 // one Engine per goroutine for parallel work.
 package majic
@@ -46,9 +48,22 @@ import (
 type Engine = core.Engine
 
 // Options configures an Engine: execution tier, simulated platform
-// profile, output writer, RNG seed, and the paper's Figure 7 ablation
-// switches.
+// profile, output writer, RNG seed, and the ablation (Figure 7) that
+// the engine leaves out.
 type Options = core.Options
+
+// Ablation names the one optimization an engine leaves out.
+type Ablation = core.Ablation
+
+// Ablations (paper Figure 7, plus inlining and dgemv selection).
+const (
+	AblateNone      = core.AblateNone
+	AblateRanges    = core.AblateRanges
+	AblateMinShapes = core.AblateMinShapes
+	AblateRegalloc  = core.AblateRegalloc
+	AblateInlining  = core.AblateInlining
+	AblateGEMV      = core.AblateGEMV
+)
 
 // Tier selects how function calls execute.
 type Tier = core.Tier
