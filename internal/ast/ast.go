@@ -1,7 +1,7 @@
 // Package ast defines the abstract syntax tree the MaJIC pipeline
-// operates on: the parser produces it, the disambiguator and type
-// inference annotate it, the inliner rewrites it, and both the
-// interpreter and the code generators consume it.
+// operates on: the parser produces it, the analyses number and classify
+// it (on a compile's private copy), the inliner rewrites it, and both
+// the interpreter and the code generators consume it.
 package ast
 
 import "fmt"
@@ -18,11 +18,20 @@ type Node interface {
 	Pos() Pos
 }
 
-// Expr is an expression node.
+// Expr is an expression node. Every expression embeds an ExprID.
 type Expr interface {
 	Node
-	exprNode()
+	ID() int
+	SetID(id int)
 }
+
+// ExprID is an expression's number in the control-flow graph of the body
+// that holds it (cfg.Build numbers 1..Graph.Exprs; 0 is unnumbered). A
+// node embeds it where it fills padding.
+type ExprID struct{ id int32 }
+
+func (x *ExprID) ID() int      { return int(x.id) }
+func (x *ExprID) SetID(id int) { x.id = int32(id) }
 
 // Stmt is a statement node.
 type Stmt interface {
@@ -40,20 +49,22 @@ type NumberLit struct {
 	// IsInt records whether the literal was written as an integer, which
 	// seeds the intrinsic type lattice at int rather than real.
 	IsInt bool
+	ExprID
 }
 
 // StringLit is a single-quoted character literal.
 type StringLit struct {
 	P     Pos
 	Value string
+	ExprID
 }
 
-// Ident is a name use. Its meaning (variable, builtin, user function) is
-// resolved by the disambiguator and recorded in the symbol table, not in
-// the node.
+// Ident is a name use. The disambiguator records its meaning in Kind.
 type Ident struct {
 	P    Pos
 	Name string
+	Kind Kind
+	ExprID
 }
 
 // BinOp enumerates binary operators.
@@ -100,8 +111,9 @@ func (op BinOp) IsLogical() bool { return op >= OpAnd && op <= OpOrOr }
 
 // Binary is a binary operation.
 type Binary struct {
-	P    Pos
-	Op   BinOp
+	P  Pos
+	Op BinOp
+	ExprID
 	L, R Expr
 }
 
@@ -120,7 +132,8 @@ func (op UnOp) String() string { return [...]string{"-", "+", "~"}[op] }
 type Unary struct {
 	P  Pos
 	Op UnOp
-	X  Expr
+	ExprID
+	X Expr
 }
 
 // Transpose is x' (conjugate) or x.' (plain).
@@ -128,6 +141,7 @@ type Transpose struct {
 	P         Pos
 	X         Expr
 	Conjugate bool
+	ExprID
 }
 
 // Range is lo:hi or lo:step:hi. Step is nil for the two-operand form.
@@ -135,11 +149,13 @@ type Range struct {
 	P        Pos
 	Lo, Step Expr
 	Hi       Expr
+	ExprID
 }
 
 // Colon is the bare ':' subscript magic.
 type Colon struct {
 	P Pos
+	ExprID
 }
 
 // End is the 'end' keyword inside a subscript. Dim and NumDims record
@@ -148,31 +164,40 @@ type End struct {
 	P       Pos
 	Dim     int // 0-based subscript position
 	NumDims int // total number of subscripts in the enclosing index
+	ExprID
 }
 
-// Call is the syntactically ambiguous form name(args) or name alone when
-// name is not a variable: indexing, builtin call, or user function call.
-// The disambiguator decides; Kind records the decision.
-type CallKind uint8
+// Kind is the disambiguator's verdict on a name occurrence (an Ident or
+// a Call), written on the compile's private copy of the tree; a clone
+// carries it.
+type Kind uint8
 
 const (
-	CallUnresolved CallKind = iota
-	CallIndex               // variable indexing A(i,j)
-	CallBuiltin             // builtin function
-	CallUser                // user-defined function
-	CallAmbiguous           // defer to runtime (rare; the paper defers these)
+	Unresolved Kind = iota // not disambiguated
+	Variable               // a variable; a Call on it indexes, A(i,j)
+	Builtin                // a builtin function or constant
+	UserFunc               // a user-defined function
+	// Ambiguous is a variable on some paths only (the paper's Figure 2),
+	// and Undefined neither a variable nor a known function. MaJIC defers
+	// the first to runtime; our pipeline compiles neither, and the engine
+	// interprets the function.
+	Ambiguous
+	Undefined
 )
 
-func (k CallKind) String() string {
-	return [...]string{"unresolved", "index", "builtin", "user", "ambiguous"}[k]
+func (k Kind) String() string {
+	return [...]string{"unresolved", "variable", "builtin", "user", "ambiguous", "undefined"}[k]
 }
 
-// Call represents name, name(...), or expr(...) uses.
+// Call is the syntactically ambiguous form name(args), or name alone
+// when name is not a variable: indexing, builtin call, or user function
+// call. The disambiguator decides and records the decision in Kind.
 type Call struct {
 	P    Pos
 	Name string // callee/array name
 	Args []Expr
-	Kind CallKind
+	Kind Kind
+	ExprID
 	// NArgsOut is set for calls in multi-assignment contexts.
 	NArgsOut int
 }
@@ -181,6 +206,7 @@ type Call struct {
 type Matrix struct {
 	P    Pos
 	Rows [][]Expr
+	ExprID
 }
 
 // --- Statements -----------------------------------------------------------
@@ -295,18 +321,6 @@ func (n *Colon) Pos() Pos     { return n.P }
 func (n *End) Pos() Pos       { return n.P }
 func (n *Call) Pos() Pos      { return n.P }
 func (n *Matrix) Pos() Pos    { return n.P }
-
-func (n *NumberLit) exprNode() {}
-func (n *StringLit) exprNode() {}
-func (n *Ident) exprNode()     {}
-func (n *Binary) exprNode()    {}
-func (n *Unary) exprNode()     {}
-func (n *Transpose) exprNode() {}
-func (n *Range) exprNode()     {}
-func (n *Colon) exprNode()     {}
-func (n *End) exprNode()       {}
-func (n *Call) exprNode()      {}
-func (n *Matrix) exprNode()    {}
 
 func (n *ExprStmt) Pos() Pos { return n.P }
 func (n *Assign) Pos() Pos   { return n.P }

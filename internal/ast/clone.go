@@ -1,6 +1,7 @@
 package ast
 
-// CloneExpr returns a deep copy of an expression tree.
+// CloneExpr returns a deep copy of an expression tree. A copy carries
+// what the analyses recorded on each node: its number and its verdict.
 func CloneExpr(e Expr) Expr {
 	switch x := e.(type) {
 	case nil:
@@ -15,17 +16,15 @@ func CloneExpr(e Expr) Expr {
 		c := *x
 		return &c
 	case *Binary:
-		return &Binary{P: x.P, Op: x.Op, L: CloneExpr(x.L), R: CloneExpr(x.R)}
+		return &Binary{P: x.P, Op: x.Op, L: CloneExpr(x.L), R: CloneExpr(x.R), ExprID: x.ExprID}
 	case *Unary:
-		return &Unary{P: x.P, Op: x.Op, X: CloneExpr(x.X)}
+		return &Unary{P: x.P, Op: x.Op, X: CloneExpr(x.X), ExprID: x.ExprID}
 	case *Transpose:
-		return &Transpose{P: x.P, X: CloneExpr(x.X), Conjugate: x.Conjugate}
+		return &Transpose{P: x.P, X: CloneExpr(x.X), Conjugate: x.Conjugate, ExprID: x.ExprID}
 	case *Range:
-		r := &Range{P: x.P, Lo: CloneExpr(x.Lo), Hi: CloneExpr(x.Hi)}
-		if x.Step != nil {
-			r.Step = CloneExpr(x.Step)
-		}
-		return r
+		c := *x
+		c.Lo, c.Step, c.Hi = CloneExpr(x.Lo), CloneExpr(x.Step), CloneExpr(x.Hi)
+		return &c
 	case *Colon:
 		c := *x
 		return &c
@@ -33,21 +32,23 @@ func CloneExpr(e Expr) Expr {
 		c := *x
 		return &c
 	case *Call:
-		c := &Call{P: x.P, Name: x.Name, Kind: x.Kind, NArgsOut: x.NArgsOut}
+		c := *x
+		c.Args = nil
 		for _, a := range x.Args {
 			c.Args = append(c.Args, CloneExpr(a))
 		}
-		return c
+		return &c
 	case *Matrix:
-		m := &Matrix{P: x.P}
+		c := *x
+		c.Rows = nil
 		for _, row := range x.Rows {
 			nr := make([]Expr, len(row))
 			for i, e := range row {
 				nr[i] = CloneExpr(e)
 			}
-			m.Rows = append(m.Rows, nr)
+			c.Rows = append(c.Rows, nr)
 		}
-		return m
+		return &c
 	}
 	panic("ast: CloneExpr: unknown node")
 }

@@ -194,7 +194,7 @@ func ExprString(e Expr) string {
 	case *End:
 		return "end"
 	case *Call:
-		if len(x.Args) == 0 && x.Kind != CallUser && x.Kind != CallBuiltin {
+		if len(x.Args) == 0 && x.Kind != UserFunc && x.Kind != Builtin {
 			return x.Name
 		}
 		parts := make([]string, len(x.Args))

@@ -43,8 +43,9 @@ type Graph struct {
 	// it.
 	Vars  []string
 	varID map[string]int
-	// Exprs counts the expression nodes of the body: the size of a
-	// per-expression table over it.
+	// Exprs counts the expression nodes of the body, which Build numbers
+	// 1..Exprs (ast.Expr.ID): a per-expression table over the body has
+	// Exprs+1 slots.
 	Exprs int
 }
 
@@ -54,33 +55,34 @@ func (g *Graph) VarID(name string) (int, bool) {
 	return id, ok
 }
 
-func (g *Graph) numberVars(body []ast.Stmt) {
+func (g *Graph) number(body []ast.Stmt) {
 	g.varID = map[string]int{}
-	number := func(name string) {
+	intern := func(name string) {
 		if _, ok := g.varID[name]; !ok {
 			g.varID[name] = len(g.Vars)
 			g.Vars = append(g.Vars, name)
 		}
 	}
-	number("ans")
+	intern("ans")
 	ast.WalkStmts(body, func(n ast.Node) bool {
-		if _, ok := n.(ast.Expr); ok {
+		if e, ok := n.(ast.Expr); ok {
 			g.Exprs++
+			e.SetID(g.Exprs)
 		}
 		switch x := n.(type) {
 		case *ast.Ident:
-			number(x.Name)
+			intern(x.Name)
 		case *ast.Call:
-			number(x.Name)
+			intern(x.Name)
 		case *ast.For:
-			number(x.Var)
+			intern(x.Var)
 		case *ast.Global:
 			for _, name := range x.Names {
-				number(name)
+				intern(name)
 			}
 		case *ast.Clear:
 			for _, name := range x.Names {
-				number(name)
+				intern(name)
 			}
 		}
 		return true
@@ -105,7 +107,7 @@ func Build(body []ast.Stmt) *Graph {
 		b.edge(last, exit)
 	}
 	b.prune()
-	b.g.numberVars(body)
+	b.g.number(body)
 	return b.g
 }
 

@@ -148,7 +148,7 @@ func Compile(fn *ast.Function, res *infer.Result, tbl *disambig.Table, cfg Confi
 	ast.WalkStmts(fn.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.Call:
-			if x.Kind == ast.CallIndex {
+			if x.Kind == ast.Variable {
 				forceV[x.Name] = true
 			}
 		case *ast.Assign:

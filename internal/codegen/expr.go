@@ -3,7 +3,6 @@ package codegen
 import (
 	"repro/internal/ast"
 	"repro/internal/builtins"
-	"repro/internal/disambig"
 	"repro/internal/ir"
 	"repro/internal/types"
 )
@@ -88,11 +87,10 @@ func (g *gen) expr(e ast.Expr) (ir.Bank, int32) {
 // isVarUse reports whether the disambiguator classified the identifier
 // occurrence as a variable.
 func (g *gen) isVarUse(x *ast.Ident) bool {
-	m, ok := g.tbl.Uses[x]
-	if !ok {
+	if x.Kind == ast.Unresolved {
 		return g.tbl.Vars[x.Name]
 	}
-	return m == disambig.Variable
+	return x.Kind == ast.Variable
 }
 
 // nonVarIdent compiles an identifier that names a builtin constant or a

@@ -84,7 +84,7 @@ func (g *gen) fuseInterior(e ast.Expr) (fuseNode, bool) {
 			return fuseNode{code: ir.FuseNeg, kids: []ast.Expr{x.X}}, true
 		}
 	case *ast.Call:
-		if x.Kind == ast.CallBuiltin && len(x.Args) == 1 {
+		if x.Kind == ast.Builtin && len(x.Args) == 1 {
 			if _, ok := builtins.ScalarMathFunc(x.Name); ok {
 				return fuseNode{code: ir.FuseMath, math: x.Name, kids: []ast.Expr{x.Args[0]}}, true
 			}

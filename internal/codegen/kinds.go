@@ -53,29 +53,29 @@ func (g *gen) kindCarriers(fn *ast.Function) map[string]bool {
 	for _, o := range fn.Outs {
 		boxed[o] = true
 	}
-	demoted := map[*ast.Ident]bool{} // uses that are demoting operands, and definitions
+	demoted := make([]bool, len(g.res.Annots)) // by ast.Expr.ID: uses that are demoting operands, and definitions
 	ast.WalkStmts(fn.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.Assign:
 			for _, l := range x.LHS {
 				if id, ok := l.(*ast.Ident); ok {
-					demoted[id] = true
+					demoted[id.ID()] = true
 				}
 			}
 		case *ast.Binary:
 			for _, e := range []ast.Expr{x.L, x.R} {
 				if id, ok := e.(*ast.Ident); ok {
-					demoted[id] = true
+					demoted[id.ID()] = true
 				}
 			}
 		case *ast.Call:
-			if x.Kind == ast.CallBuiltin && demotes(x.Name) && len(x.Args) == 1 {
+			if x.Kind == ast.Builtin && demotes(x.Name) && len(x.Args) == 1 {
 				if id, ok := x.Args[0].(*ast.Ident); ok {
-					demoted[id] = true
+					demoted[id.ID()] = true
 				}
 			}
 		case *ast.Ident:
-			if !demoted[x] && g.isVarUse(x) {
+			if !demoted[x.ID()] && g.isVarUse(x) {
 				boxed[x.Name] = true
 			}
 		}
@@ -111,7 +111,7 @@ func (g *gen) carries(e ast.Expr, raw map[string]bool) bool {
 		}
 		return x.Name != "i" && x.Name != "j"
 	case *ast.Call:
-		return x.Kind != ast.CallBuiltin || !demotes(x.Name)
+		return x.Kind != ast.Builtin || !demotes(x.Name)
 	}
 	return true
 }

@@ -11,10 +11,8 @@ import (
 // baseTypeOf returns the inferred type of the base array at an indexing
 // site, falling back to the variable's joined type.
 func (g *gen) baseTypeOf(call *ast.Call) types.Type {
-	if g.res.Bases != nil {
-		if t, ok := g.res.Bases[call]; ok {
-			return t
-		}
+	if t, ok := g.res.BaseOf(call); ok {
+		return t
 	}
 	if t, ok := g.res.Vars[call.Name]; ok {
 		return t
@@ -182,7 +180,7 @@ func (g *gen) emitTypedLoad(call *ast.Call, base slot, baseT types.Type, bank ir
 // a box made from one would demote a zero imaginary part, where the
 // interpreter's read keeps the array's kind (kinds.go).
 func (g *gen) operand(e ast.Expr) (ir.Bank, int32) {
-	if x, ok := e.(*ast.Call); ok && x.Kind == ast.CallIndex {
+	if x, ok := e.(*ast.Call); ok && x.Kind == ast.Variable {
 		baseT := g.baseTypeOf(x)
 		if bank, ok := g.typedLoadPossible(x, baseT); ok {
 			return g.emitTypedLoad(x, g.vars[x.Name], baseT, bank)
@@ -206,7 +204,7 @@ func (g *gen) emitTypedStore(call *ast.Call, base slot, baseT types.Type, f int3
 
 func (g *gen) call(x *ast.Call) (ir.Bank, int32) {
 	switch x.Kind {
-	case ast.CallIndex:
+	case ast.Variable:
 		base := g.vars[x.Name]
 		baseT := g.baseTypeOf(x)
 		if bank, ok := g.typedLoadPossible(x, baseT); ok && bank == ir.BankF {
@@ -225,10 +223,10 @@ func (g *gen) call(x *ast.Call) (ir.Bank, int32) {
 		g.emit(ir.Instr{Op: ir.OpGIndex, A: d, B: base.reg, C: at})
 		return ir.BankV, d
 
-	case ast.CallBuiltin:
+	case ast.Builtin:
 		return g.builtinCall(x)
 
-	case ast.CallUser:
+	case ast.UserFunc:
 		bank := g.resultBank(x)
 		return bank, g.emitUserCall(x, 1, bank)[0]
 	}

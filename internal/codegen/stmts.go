@@ -160,9 +160,9 @@ func (g *gen) multiAssign(x *ast.Assign) {
 	nout := len(x.LHS)
 	var outs []int32
 	switch call.Kind {
-	case ast.CallBuiltin:
+	case ast.Builtin:
 		outs = g.emitBuiltin(call, nout)
-	case ast.CallUser:
+	case ast.UserFunc:
 		outs = g.emitUserCall(call, nout, ir.BankV)
 	default:
 		panic(unsupported("multi-assignment from %v", call.Kind))

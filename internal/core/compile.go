@@ -64,9 +64,10 @@ func (e *Engine) compile(fn *ast.Function, sig types.Signature, po pipelineOpts)
 	var work *ast.Function
 	out := &compiled{}
 	if e.opts.Ablation == AblateInlining || po.generic {
-		// Disambiguation writes on the nodes it classifies; fn is shared
-		// with every engine of the library, so it gets a private copy
-		// (the inliner makes its own).
+		// cfg.Build numbers the expressions and disambiguation writes its
+		// verdicts on the nodes; fn is shared with every engine of the
+		// library, so both write on a private copy (the inliner makes its
+		// own, and a clone carries what they wrote).
 		work = ast.CloneFunction(fn)
 	} else {
 		var spliced []*ast.Function
@@ -98,7 +99,7 @@ func (e *Engine) compile(fn *ast.Function, sig types.Signature, po pipelineOpts)
 	for i, p := range work.Ins {
 		params[p] = sig[i]
 	}
-	res := e.inferWithSummaries(fn, work, sig, g, params, tbl, po, out)
+	res := e.inferWithSummaries(fn, work, sig, g, params, po, out)
 	d1 := time.Since(t1)
 	atomic.AddInt64(&e.timing.TypeInf, d1.Nanoseconds())
 	e.tracer.Span(telemetry.CatTypeInf, fn.Name, e.id, t1, d1)

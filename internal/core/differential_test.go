@@ -417,6 +417,29 @@ function s = f()
   end
   s = k + sum(A(:));
 end`},
+	// A callee's builtin or user call must not be captured by a caller
+	// variable of the same name once the callee is spliced in.
+	{name: "inline_capture_builtin", args: []float64{2}, src: `
+function r = f(x)
+  sum = [5 6 7];
+  r = g(x) + sum(1);
+end
+function z = g(a)
+  z = sum(a)*2;
+end`},
+	{name: "inline_capture_user", args: []float64{2}, src: `
+function r = f(x)
+  h = [5 6 7];
+  r = g(x) + h(1);
+end
+function z = g(a)
+  z = h(a)*2;
+end
+function y = h(b)
+  % return: h itself is never spliced
+  y = b*10 + 3;
+  return
+end`},
 }
 
 // loopPrograms pin what a for loop means, whichever way it is lowered

@@ -4,7 +4,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/builtins"
 	"repro/internal/cfg"
-	"repro/internal/disambig"
 	"repro/internal/infer"
 	"repro/internal/repo"
 	"repro/internal/types"
@@ -54,10 +53,10 @@ type summaries struct {
 // siblings it is the prediction resultType describes). At most two extra passes run; the second already
 // assumes ⊤, which is today's boxed call and trivially stable.
 func (e *Engine) inferWithSummaries(fn, work *ast.Function, sig types.Signature, g *cfg.Graph,
-	params map[string]types.Type, tbl *disambig.Table, po pipelineOpts, out *compiled) *infer.Result {
+	params map[string]types.Type, po pipelineOpts, out *compiled) *infer.Result {
 	opts := e.inferOptsFor(po)
 	s := &summaries{r: e.lib.repo, self: fn.Name, family: widen(sig), assume: types.Bottom}
-	if po.generic || po.boxedCalls || !s.replaySafe(work, tbl) {
+	if po.generic || po.boxedCalls || !s.replaySafe(work) {
 		return infer.Forward(g, params, opts)
 	}
 	opts.UserFnType = s.resultType
@@ -106,10 +105,11 @@ func resultTypes(fn *ast.Function, res *infer.Result) []types.Type {
 // callee other than itself whose every compiled version is not known to
 // be replay-safe too. The callees vouched for become dependencies: a
 // redefinition that makes one of them print must recompile this caller.
-func (s *summaries) replaySafe(work *ast.Function, tbl *disambig.Table) bool {
+func (s *summaries) replaySafe(work *ast.Function) bool {
 	safe := true
 	ast.WalkStmts(work.Body, func(n ast.Node) bool {
 		var name string
+		var kind ast.Kind
 		switch x := n.(type) {
 		case *ast.Global:
 			safe = false
@@ -118,14 +118,14 @@ func (s *summaries) replaySafe(work *ast.Function, tbl *disambig.Table) bool {
 		case *ast.Assign:
 			safe = safe && !x.Display
 		case *ast.Ident:
-			name = x.Name
+			name, kind = x.Name, x.Kind
 		case *ast.Call:
-			name = x.Name
+			name, kind = x.Name, x.Kind
 		}
-		switch tbl.Uses[n] {
-		case disambig.Builtin:
-			safe = safe && !(name != "" && builtins.Effectful(name))
-		case disambig.UserFunc:
+		switch kind {
+		case ast.Builtin:
+			safe = safe && !builtins.Effectful(name)
+		case ast.UserFunc:
 			safe = safe && (name == s.self || s.vouch(name))
 		}
 		return safe

@@ -7,8 +7,10 @@
 // Cost contract: a block's environment is a byte per variable the graph
 // numbers (cfg.Graph.VarID), a row of one slab allocated per analysis;
 // copying, joining and comparing environments are loops over bytes, and
-// the worklist is a ring the size of the graph. What the pass allocates
-// beyond the two tables it returns does not grow with the function.
+// the worklist is a ring the size of the graph. The verdicts are written
+// on the nodes (ast.Ident.Kind, ast.Call.Kind) of the compile's private
+// copy, so beyond the Vars set it returns, what the pass allocates does
+// not grow with the function.
 package disambig
 
 import (
@@ -19,31 +21,10 @@ import (
 	"repro/internal/cfg"
 )
 
-// Meaning classifies one symbol occurrence.
-type Meaning uint8
-
-const (
-	Variable Meaning = iota
-	Builtin
-	UserFunc
-	// Ambiguous marks occurrences that are a variable on some but not
-	// all paths (Figure 2 of the paper). MaJIC defers these to runtime;
-	// our pipeline refuses to compile functions containing them and the
-	// engine falls back to interpretation.
-	Ambiguous
-	// Undefined is a name that is neither assigned nor known as a
-	// builtin or user function.
-	Undefined
-)
-
-func (m Meaning) String() string {
-	return [...]string{"variable", "builtin", "user", "ambiguous", "undefined"}[m]
-}
-
-// Table is the static symbol table the pass produces.
+// Table is the static symbol table the pass produces. The verdict on
+// each occurrence is not in it: Analyze writes that on the node, in
+// ast.Ident.Kind and ast.Call.Kind.
 type Table struct {
-	// Uses classifies each Ident and Call node (by pointer).
-	Uses map[ast.Node]Meaning
 	// Vars is the set of names that are variables anywhere in the
 	// function (parameters, outputs, assigned names, loop variables).
 	Vars map[string]bool
@@ -102,7 +83,7 @@ func joinInto(dst, src env) {
 // Analyze runs the pass over a function. params and outs seed the
 // variable set (parameters are definitely assigned at entry).
 func Analyze(g *cfg.Graph, params []string, res Resolver) *Table {
-	t := &Table{Uses: make(map[ast.Node]Meaning, g.Exprs), Vars: make(map[string]bool)}
+	t := &Table{Vars: make(map[string]bool)}
 	for _, p := range params {
 		t.Vars[p] = true
 	}
@@ -177,7 +158,7 @@ func Analyze(g *cfg.Graph, params []string, res Resolver) *Table {
 }
 
 // transfer walks a block, updating e with definitions; when classify is
-// set it also records the meaning of every use.
+// set it also records the verdict on every occurrence.
 func transfer(blk *cfg.Block, e env, t *Table, classify bool, res Resolver) env {
 	if blk.ForHead != nil {
 		if classify {
@@ -201,7 +182,7 @@ func transfer(blk *cfg.Block, e env, t *Table, classify bool, res Resolver) env 
 				case *ast.Ident:
 					define(e, lhs.Name, t)
 					if classify {
-						t.Uses[lhs] = Variable
+						lhs.Kind = ast.Variable
 					}
 				case *ast.Call:
 					// Indexed assignment: subscripts are uses; the base
@@ -210,8 +191,7 @@ func transfer(blk *cfg.Block, e env, t *Table, classify bool, res Resolver) env 
 						for _, a := range lhs.Args {
 							classifyExpr(a, e, t, res)
 						}
-						t.Uses[lhs] = Variable
-						lhs.Kind = ast.CallIndex
+						lhs.Kind = ast.Variable
 					}
 					define(e, lhs.Name, t)
 				}
@@ -245,43 +225,32 @@ func classifyExpr(expr ast.Expr, e env, t *Table, res Resolver) {
 	ast.Walk(expr, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.Ident:
-			t.Uses[x] = classifyName(x.Name, e, t, res)
-			if t.Uses[x] == Ambiguous || t.Uses[x] == Undefined {
-				t.HasAmbiguous = true
-			}
+			x.Kind = classifyName(x.Name, e, t, res)
 		case *ast.Call:
-			m := classifyName(x.Name, e, t, res)
-			t.Uses[x] = m
-			switch m {
-			case Variable:
-				x.Kind = ast.CallIndex
-			case Builtin:
-				x.Kind = ast.CallBuiltin
-			case UserFunc:
-				x.Kind = ast.CallUser
-			default:
-				x.Kind = ast.CallAmbiguous
-				t.HasAmbiguous = true
-			}
+			x.Kind = classifyName(x.Name, e, t, res)
 		}
 		return true
 	})
 }
 
-func classifyName(name string, e env, t *Table, res Resolver) Meaning {
+// classifyName returns the verdict on one occurrence of name, and notes
+// in t a verdict that blocks compilation.
+func classifyName(name string, e env, t *Table, res Resolver) ast.Kind {
 	bits := e.get(name)
 	switch {
 	case bits&bitMust != 0:
-		return Variable
+		return ast.Variable
 	case bits&bitMay != 0:
 		// Variable on some paths only: ambiguous (paper Figure 2).
-		return Ambiguous
+		t.HasAmbiguous = true
+		return ast.Ambiguous
 	}
 	if builtins.Lookup(name) != nil {
-		return Builtin
+		return ast.Builtin
 	}
 	if res != nil && res.IsUserFunction(name) {
-		return UserFunc
+		return ast.UserFunc
 	}
-	return Undefined
+	t.HasAmbiguous = true
+	return ast.Undefined
 }

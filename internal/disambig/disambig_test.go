@@ -36,32 +36,26 @@ func analyze(t *testing.T, src string, params []string, userFns ...string) (*Tab
 	return Analyze(g, params, ResolverFunc(func(n string) bool { return known[n] })), fn
 }
 
-// meaningOf finds the classification of the first use of name.
-func meaningOf(t *testing.T, tbl *Table, body []ast.Stmt, name string) (Meaning, bool) {
+// meaningOf finds the verdict on the first classified use of name.
+func meaningOf(t *testing.T, body []ast.Stmt, name string) (ast.Kind, bool) {
 	t.Helper()
-	var m Meaning
-	found := false
+	m := ast.Unresolved
 	ast.WalkStmts(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch x := n.(type) {
-		case *ast.Ident:
-			if x.Name == name {
-				if mm, ok := tbl.Uses[x]; ok {
-					m, found = mm, true
+		if m == ast.Unresolved {
+			switch x := n.(type) {
+			case *ast.Ident:
+				if x.Name == name {
+					m = x.Kind
 				}
-			}
-		case *ast.Call:
-			if x.Name == name {
-				if mm, ok := tbl.Uses[x]; ok {
-					m, found = mm, true
+			case *ast.Call:
+				if x.Name == name {
+					m = x.Kind
 				}
 			}
 		}
-		return true
+		return m == ast.Unresolved
 	})
-	return m, found
+	return m, m != ast.Unresolved
 }
 
 func TestBasicClassification(t *testing.T) {
@@ -77,16 +71,16 @@ end`
 	if tbl.HasAmbiguous {
 		t.Fatal("no ambiguity expected")
 	}
-	if m, ok := meaningOf(t, tbl, fn.Body, "a"); !ok || m != Variable {
+	if m, ok := meaningOf(t, fn.Body, "a"); !ok || m != ast.Variable {
 		t.Errorf("a classified %v", m)
 	}
-	if m, ok := meaningOf(t, tbl, fn.Body, "sin"); !ok || m != Builtin {
+	if m, ok := meaningOf(t, fn.Body, "sin"); !ok || m != ast.Builtin {
 		t.Errorf("sin classified %v", m)
 	}
-	if m, ok := meaningOf(t, tbl, fn.Body, "g"); !ok || m != UserFunc {
+	if m, ok := meaningOf(t, fn.Body, "g"); !ok || m != ast.UserFunc {
 		t.Errorf("g classified %v", m)
 	}
-	if m, ok := meaningOf(t, tbl, fn.Body, "x"); !ok || m != Variable {
+	if m, ok := meaningOf(t, fn.Body, "x"); !ok || m != ast.Variable {
 		t.Errorf("param x classified %v", m)
 	}
 }
@@ -107,7 +101,7 @@ end`
 	if !tbl.HasAmbiguous {
 		t.Fatal("the Figure 2 i-loop must be flagged ambiguous")
 	}
-	if m, ok := meaningOf(t, tbl, fn.Body, "i"); !ok || m != Ambiguous {
+	if m, ok := meaningOf(t, fn.Body, "i"); !ok || m != ast.Ambiguous {
 		t.Errorf("i classified %v, want ambiguous", m)
 	}
 }
@@ -129,12 +123,12 @@ function x = f(N)
     y = p;
   end
 end`
-	tbl, fn := analyze(t, src, nil)
-	m, ok := meaningOf(t, tbl, fn.Body, "y")
+	_, fn := analyze(t, src, nil)
+	m, ok := meaningOf(t, fn.Body, "y")
 	if !ok {
 		t.Fatal("y not classified")
 	}
-	if m != Ambiguous && m != Variable {
+	if m != ast.Ambiguous && m != ast.Variable {
 		t.Errorf("y classified %v", m)
 	}
 }
@@ -153,7 +147,7 @@ end`
 	if tbl.HasAmbiguous {
 		t.Fatal("v assigned on all paths must not be ambiguous")
 	}
-	if m, _ := meaningOf(t, tbl, fn.Body, "v"); m != Variable {
+	if m, _ := meaningOf(t, fn.Body, "v"); m != ast.Variable {
 		t.Errorf("v classified %v", m)
 	}
 }
@@ -184,7 +178,7 @@ end`
 	if tbl.HasAmbiguous {
 		t.Fatal("loop variable must not be ambiguous")
 	}
-	if m, _ := meaningOf(t, tbl, fn.Body, "i"); m != Variable {
+	if m, _ := meaningOf(t, fn.Body, "i"); m != ast.Variable {
 		t.Errorf("loop var i classified %v", m)
 	}
 }
@@ -200,7 +194,7 @@ end`
 	if tbl.HasAmbiguous {
 		t.Fatal("no ambiguity")
 	}
-	if m, _ := meaningOf(t, tbl, fn.Body, "sin"); m != Variable {
+	if m, _ := meaningOf(t, fn.Body, "sin"); m != ast.Variable {
 		t.Errorf("shadowed sin classified %v", m)
 	}
 }
@@ -214,7 +208,7 @@ end`
 	if !tbl.HasAmbiguous {
 		t.Fatal("undefined name must block compilation")
 	}
-	if m, _ := meaningOf(t, tbl, fn.Body, "totally_undefined_thing"); m != Undefined {
+	if m, _ := meaningOf(t, fn.Body, "totally_undefined_thing"); m != ast.Undefined {
 		t.Errorf("classified %v", m)
 	}
 }
@@ -241,10 +235,10 @@ end`
 		}
 		return true
 	})
-	if aCall == nil || aCall.Kind != ast.CallIndex {
+	if aCall == nil || aCall.Kind != ast.Variable {
 		t.Errorf("A(2,2) kind = %v", aCall.Kind)
 	}
-	if sinCall == nil || sinCall.Kind != ast.CallBuiltin {
+	if sinCall == nil || sinCall.Kind != ast.Builtin {
 		t.Errorf("sin(x) kind = %v", sinCall.Kind)
 	}
 }

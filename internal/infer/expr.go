@@ -74,7 +74,7 @@ func (inf *inferencer) expr(e ast.Expr, env *tenv) types.Type {
 	case *ast.End:
 		// Annotated by exprWithEnd before evaluation; fall back to a
 		// generic positive integer.
-		if t, ok := inf.res.Annots[e]; ok {
+		if t, ok := inf.res.slot(inf.res.Annots, annotWritten, e); ok {
 			return t
 		}
 		return inf.annotate(e, types.ScalarOf(types.IInt, types.MkRange(0, math.Inf(1))))
@@ -99,7 +99,7 @@ func (inf *inferencer) expr(e ast.Expr, env *tenv) types.Type {
 // disambiguator's classification.
 func (inf *inferencer) callN(x *ast.Call, env *tenv, nout int) []types.Type {
 	switch x.Kind {
-	case ast.CallIndex:
+	case ast.Variable:
 		base, ok := env.get(x.Name)
 		if !ok {
 			base = types.Top
@@ -109,7 +109,7 @@ func (inf *inferencer) callN(x *ast.Call, env *tenv, nout int) []types.Type {
 		inf.noteBase(x, base)
 		return []types.Type{t}
 
-	case ast.CallBuiltin:
+	case ast.Builtin:
 		args := make([]types.Type, len(x.Args))
 		for i, a := range x.Args {
 			args[i] = inf.expr(a, env)
@@ -135,7 +135,7 @@ func (inf *inferencer) callN(x *ast.Call, env *tenv, nout int) []types.Type {
 		inf.annotate(x, first)
 		return outs
 
-	case ast.CallUser:
+	case ast.UserFunc:
 		args := make([]types.Type, len(x.Args))
 		for i, a := range x.Args {
 			args[i] = inf.expr(a, env)
@@ -178,16 +178,10 @@ func anyBottom(ts []types.Type) bool {
 	return false
 }
 
-// baseTypes records the base array type at each indexing site, keyed by
-// the Call node; the code generator uses it for subscript-check removal.
+// noteBase records the base array type at an indexing site; the code
+// generator uses it for subscript-check removal.
 func (inf *inferencer) noteBase(x *ast.Call, base types.Type) {
-	if inf.res.Bases == nil {
-		inf.res.Bases = make(map[*ast.Call]types.Type)
-	}
-	if old, ok := inf.res.Bases[x]; ok {
-		base = types.Join(old, base)
-	}
-	inf.res.Bases[x] = inf.sanitize(base)
+	inf.res.join(inf.res.Bases, baseWritten, x, inf.sanitize(base))
 }
 
 // builtinFirstOutN types the first output of a builtin called in a

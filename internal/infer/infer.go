@@ -36,11 +36,14 @@ const maxIter = 4
 // per expression node (the paper's set S), plus the per-variable joined
 // type that drives code generation's storage-class choice.
 type Result struct {
-	Annots map[ast.Node]types.Type
-	Vars   map[string]types.Type
-	// Bases records the base array type at each indexing site (read or
-	// write), used by code generation for subscript-check removal.
-	Bases map[*ast.Call]types.Type
+	// Annots holds each expression's annotation and Bases, at each
+	// indexing read, the base array's type, which code generation uses
+	// for subscript-check removal. Both are indexed by
+	// expression number (ast.Expr.ID), and wrote marks the slots written
+	// (annotWritten, baseWritten): read them through TypeOf and BaseOf.
+	Annots, Bases []types.Type
+	wrote         []uint8
+	Vars          map[string]types.Type
 	// Boxed names the variables that must keep boxed storage although
 	// their joined type is scalar: variables that receive both integer-
 	// and real-class values and whose value derives from a user call
@@ -52,6 +55,34 @@ type Result struct {
 	RuleApplications int
 }
 
+const (
+	annotWritten = 1 << iota
+	baseWritten
+)
+
+func newResult(exprs int) *Result {
+	n := exprs + 1 // slot 0 is an unnumbered node's, never written
+	slab := make([]types.Type, 2*n)
+	return &Result{Annots: slab[:n:n], Bases: slab[n:], wrote: make([]uint8, n), Vars: make(map[string]types.Type)}
+}
+
+// slot reads e's slot of ts, which bit marks written.
+func (r *Result) slot(ts []types.Type, bit uint8, e ast.Expr) (types.Type, bool) {
+	if id := e.ID(); id < len(r.wrote) && r.wrote[id]&bit != 0 {
+		return ts[id], true
+	}
+	return types.Type{}, false
+}
+
+// join joins t into e's slot of ts and marks it written.
+func (r *Result) join(ts []types.Type, bit uint8, e ast.Expr, t types.Type) types.Type {
+	if old, ok := r.slot(ts, bit, e); ok {
+		t = types.Join(old, t)
+	}
+	ts[e.ID()], r.wrote[e.ID()] = t, r.wrote[e.ID()]|bit
+	return t
+}
+
 // TypedCall reports whether a user call annotated t continues unboxed:
 // a dense real or integer scalar, which only a return summary yields.
 func TypedCall(t types.Type) bool {
@@ -60,11 +91,14 @@ func TypedCall(t types.Type) bool {
 
 // TypeOf returns the annotation for an expression (⊤ if missing).
 func (r *Result) TypeOf(e ast.Expr) types.Type {
-	if t, ok := r.Annots[e]; ok {
+	if t, ok := r.slot(r.Annots, annotWritten, e); ok {
 		return t
 	}
 	return types.Top
 }
+
+// BaseOf returns the base array type recorded at an indexing site.
+func (r *Result) BaseOf(x *ast.Call) (types.Type, bool) { return r.slot(r.Bases, baseWritten, x) }
 
 type inferencer struct {
 	opts  Opts
@@ -146,7 +180,7 @@ func Forward(g *cfg.Graph, params map[string]types.Type, opts Opts) *Result {
 	inf := &inferencer{
 		opts:  opts,
 		calc:  DefaultCalc,
-		res:   &Result{Annots: make(map[ast.Node]types.Type, g.Exprs), Vars: make(map[string]types.Type)},
+		res:   newResult(g.Exprs),
 		graph: g,
 	}
 	// Every environment of the run is a row of two slabs: an out-set per
@@ -277,7 +311,7 @@ func (inf *inferencer) dynamicKinds() map[string]bool {
 			case *ast.Ident:
 				found = found || derived[x.Name]
 			case *ast.Call:
-				found = found || derived[x.Name] || (x.Kind == ast.CallUser && TypedCall(inf.res.Annots[x]))
+				found = found || derived[x.Name] || (x.Kind == ast.UserFunc && TypedCall(inf.res.TypeOf(x)))
 			}
 			return !found
 		})
@@ -361,12 +395,7 @@ func (inf *inferencer) noteVar(name string, t types.Type) {
 
 // annotate records (joins) an expression annotation.
 func (inf *inferencer) annotate(e ast.Expr, t types.Type) types.Type {
-	t = inf.sanitize(t)
-	if old, ok := inf.res.Annots[e]; ok {
-		t = types.Join(old, t)
-	}
-	inf.res.Annots[e] = t
-	return t
+	return inf.res.join(inf.res.Annots, annotWritten, e, inf.sanitize(t))
 }
 
 func (inf *inferencer) transfer(blk *cfg.Block, env *tenv) *tenv {
@@ -533,7 +562,8 @@ func (inf *inferencer) exprWithEnd(e ast.Expr, base types.Type, dim, ndims int, 
 			if !maxE.IsInf() {
 				hi = float64(maxE.Int())
 			}
-			inf.res.Annots[en] = inf.sanitize(types.ScalarOf(types.IInt, types.MkRange(float64(minE.Int()), hi)))
+			t := inf.sanitize(types.ScalarOf(types.IInt, types.MkRange(float64(minE.Int()), hi)))
+			inf.res.Annots[en.ID()], inf.res.wrote[en.ID()] = t, inf.res.wrote[en.ID()]|annotWritten
 		}
 		_, isCall := n.(*ast.Call)
 		return !isCall || n == e

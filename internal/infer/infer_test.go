@@ -204,7 +204,7 @@ end`
 	res, fn := inferFn(t, src, nil)
 	var call *ast.Call
 	ast.WalkStmts(fn.Body, func(n ast.Node) bool {
-		if c, ok := n.(*ast.Call); ok && c.Name == "A" && c.Kind == ast.CallIndex {
+		if c, ok := n.(*ast.Call); ok && c.Name == "A" && c.Kind == ast.Variable {
 			call = c
 		}
 		return true
@@ -212,7 +212,10 @@ end`
 	if call == nil {
 		t.Fatal("A(i,j) not found")
 	}
-	base := res.Bases[call]
+	base, ok := res.BaseOf(call)
+	if !ok {
+		t.Fatal("A(i,j) has no base type")
+	}
 	r, c, ok := base.ExactShape()
 	if !ok || r != 10 || c != 10 {
 		t.Fatalf("base type %v", base)

@@ -198,9 +198,9 @@ func (h *hinter) collectExpr(e ast.Expr) {
 			}
 		case *ast.Call:
 			switch x.Kind {
-			case ast.CallIndex:
+			case ast.Variable:
 				h.subscriptHints(x)
-			case ast.CallBuiltin:
+			case ast.Builtin:
 				if intArgBuiltins[x.Name] {
 					for _, a := range x.Args {
 						h.constrain(a, intScalarGuess, 0)

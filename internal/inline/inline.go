@@ -9,10 +9,8 @@ package inline
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/ast"
-	"repro/internal/builtins"
 	"repro/internal/cfg"
 	"repro/internal/disambig"
 )
@@ -37,20 +35,31 @@ type inliner struct {
 	// spliced collects the callees whose bodies were expanded at least
 	// once, by name.
 	spliced map[string]*ast.Function
+	// callerVars are the variables of the function being expanded.
+	callerVars map[string]bool
 }
 
 type calleeInfo struct {
-	fn       *ast.Function
-	vars     map[string]bool // callee-local variable names
-	writes   map[string]bool // names (re)assigned in the body
-	ok       bool            // inlinable at all
-	analyzed bool
+	fn *ast.Function
+	// body is the analysed copy of fn.Body: its nodes carry the callee's
+	// verdicts, and every splice is a clone of it.
+	body   []ast.Stmt
+	vars   map[string]bool // callee-local variable names
+	writes map[string]bool // names (re)assigned in the body
+	// free names the builtins and user functions the body refers to. A
+	// caller variable of the same name would capture them once spliced.
+	free map[string]bool
+	ok   bool // inlinable at all
 }
 
 // Expand returns a copy of fn with eligible calls inlined. The input is
-// never modified. The returned function needs a fresh disambiguation
-// pass (the paper: inlining "necessitates the re-building of the
-// symbol table").
+// never modified. Each splice is a clone of the callee body the inliner
+// analysed, so a spliced call carries its callee's verdict (ast.Call.Kind)
+// and is expanded by it. The returned function needs a fresh
+// disambiguation pass (the paper: inlining "necessitates the re-building
+// of the symbol table"), which classifies the spliced names in fn's scope:
+// a callee is therefore not spliced where a variable of fn would capture
+// one of its builtin or user calls.
 func Expand(fn *ast.Function, res Resolver) *ast.Function {
 	out, _ := ExpandDeps(fn, res)
 	return out
@@ -62,8 +71,8 @@ func Expand(fn *ast.Function, res Resolver) *ast.Function {
 func ExpandDeps(fn *ast.Function, res Resolver) (*ast.Function, []*ast.Function) {
 	in := &inliner{res: res, depth: map[string]int{}, info: map[string]*calleeInfo{}, spliced: map[string]*ast.Function{}}
 	out := ast.CloneFunction(fn)
-	// The expander needs to know which names are variables in fn itself
-	// so it only treats true user calls as candidates.
+	// Disambiguating fn marks its user calls, the candidates, and names
+	// its variables, which no splice may capture.
 	g := cfg.Build(out.Body)
 	tbl := disambig.Analyze(g, out.Ins, disambig.ResolverFunc(func(name string) bool {
 		return res.LookupFunction(name) != nil
@@ -71,7 +80,8 @@ func ExpandDeps(fn *ast.Function, res Resolver) (*ast.Function, []*ast.Function)
 	if tbl.HasAmbiguous {
 		return out, nil
 	}
-	out.Body = in.stmts(out.Body, tbl)
+	in.callerVars = tbl.Vars
+	out.Body = in.stmts(out.Body)
 	names := make([]string, 0, len(in.spliced))
 	for name := range in.spliced {
 		names = append(names, name)
@@ -89,7 +99,7 @@ func (in *inliner) analyze(name string) *calleeInfo {
 	if ci, ok := in.info[name]; ok {
 		return ci
 	}
-	ci := &calleeInfo{analyzed: true}
+	ci := &calleeInfo{}
 	in.info[name] = ci
 	fn := in.res.LookupFunction(name)
 	if fn == nil || fn.LineCount >= MaxLines || len(fn.Outs) == 0 {
@@ -107,20 +117,20 @@ func (in *inliner) analyze(name string) *calleeInfo {
 	if !clean {
 		return ci
 	}
-	// Disambiguation stamps its verdicts on the call nodes it visits, and
-	// the callee's body is shared with every engine that resolves the
-	// name, so it runs over a private copy.
-	g := cfg.Build(ast.CloneStmts(fn.Body))
-	tbl := disambig.Analyze(g, fn.Ins, disambig.ResolverFunc(func(nm string) bool {
+	// Disambiguation stamps its verdicts on the nodes it visits, and the
+	// callee's body is shared with every engine that resolves the name,
+	// so it runs over a private copy, which the splices then clone.
+	body := ast.CloneStmts(fn.Body)
+	tbl := disambig.Analyze(cfg.Build(body), fn.Ins, disambig.ResolverFunc(func(nm string) bool {
 		return in.res.LookupFunction(nm) != nil
 	}))
 	if tbl.HasAmbiguous {
 		return ci
 	}
-	ci.fn = fn
+	ci.fn, ci.body = fn, body
 	ci.vars = tbl.Vars
-	ci.writes = map[string]bool{}
-	ast.WalkStmts(fn.Body, func(n ast.Node) bool {
+	ci.writes, ci.free = map[string]bool{}, map[string]bool{}
+	ast.WalkStmts(body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.Assign:
 			for _, l := range x.LHS {
@@ -133,6 +143,14 @@ func (in *inliner) analyze(name string) *calleeInfo {
 			}
 		case *ast.For:
 			ci.writes[x.Var] = true
+		case *ast.Ident:
+			if x.Kind == ast.Builtin || x.Kind == ast.UserFunc {
+				ci.free[x.Name] = true
+			}
+		case *ast.Call:
+			if x.Kind == ast.Builtin || x.Kind == ast.UserFunc {
+				ci.free[x.Name] = true
+			}
 		}
 		return true
 	})
@@ -141,25 +159,25 @@ func (in *inliner) analyze(name string) *calleeInfo {
 }
 
 // stmts expands calls in a statement list.
-func (in *inliner) stmts(list []ast.Stmt, tbl *disambig.Table) []ast.Stmt {
+func (in *inliner) stmts(list []ast.Stmt) []ast.Stmt {
 	var out []ast.Stmt
 	for _, s := range list {
-		out = append(out, in.stmt(s, tbl)...)
+		out = append(out, in.stmt(s)...)
 	}
 	return out
 }
 
 // stmt expands one statement, possibly into several.
-func (in *inliner) stmt(s ast.Stmt, tbl *disambig.Table) []ast.Stmt {
+func (in *inliner) stmt(s ast.Stmt) []ast.Stmt {
 	switch x := s.(type) {
 	case *ast.ExprStmt:
-		pre, e := in.expr(x.X, tbl, true)
+		pre, e := in.expr(x.X, true)
 		x.X = e
 		return append(pre, x)
 	case *ast.Assign:
 		// Whole-call multi-assignment [a,b] = f(...) inlines specially.
-		if call, ok := x.RHS.(*ast.Call); ok && in.isInlinableCall(call, tbl) && len(x.LHS) >= 1 {
-			if pre, outs, ok := in.expandCall(call, tbl, len(x.LHS)); ok {
+		if call, ok := x.RHS.(*ast.Call); ok && in.isInlinableCall(call) && len(x.LHS) >= 1 {
+			if pre, outs, ok := in.expandCall(call, len(x.LHS)); ok {
 				stmts := pre
 				for i, l := range x.LHS {
 					stmts = append(stmts, &ast.Assign{P: x.P, LHS: []ast.Expr{l}, RHS: outs[i]})
@@ -172,13 +190,13 @@ func (in *inliner) stmt(s ast.Stmt, tbl *disambig.Table) []ast.Stmt {
 			if call, ok := l.(*ast.Call); ok {
 				// subscripts of an indexed assignment target
 				for i, a := range call.Args {
-					p, e := in.expr(a, tbl, true)
+					p, e := in.expr(a, true)
 					pre = append(pre, p...)
 					call.Args[i] = e
 				}
 			}
 		}
-		p, e := in.expr(x.RHS, tbl, true)
+		p, e := in.expr(x.RHS, true)
 		pre = append(pre, p...)
 		x.RHS = e
 		return append(pre, x)
@@ -186,7 +204,7 @@ func (in *inliner) stmt(s ast.Stmt, tbl *disambig.Table) []ast.Stmt {
 		var result []ast.Stmt
 		var pre []ast.Stmt
 		for i, c := range x.Conds {
-			p, e := in.expr(c, tbl, true)
+			p, e := in.expr(c, true)
 			if i == 0 {
 				pre = append(pre, p...)
 			} else if len(p) > 0 {
@@ -195,31 +213,31 @@ func (in *inliner) stmt(s ast.Stmt, tbl *disambig.Table) []ast.Stmt {
 				e = c
 			}
 			x.Conds[i] = e
-			x.Blocks[i] = in.stmts(x.Blocks[i], tbl)
+			x.Blocks[i] = in.stmts(x.Blocks[i])
 		}
 		if x.Else != nil {
-			x.Else = in.stmts(x.Else, tbl)
+			x.Else = in.stmts(x.Else)
 		}
 		result = append(pre, x)
 		return result
 	case *ast.While:
 		// Never hoist out of a while condition (re-evaluated per
 		// iteration); only the body is expanded.
-		x.Body = in.stmts(x.Body, tbl)
+		x.Body = in.stmts(x.Body)
 		return []ast.Stmt{x}
 	case *ast.For:
-		pre, e := in.expr(x.Iter, tbl, true)
+		pre, e := in.expr(x.Iter, true)
 		x.Iter = e
-		x.Body = in.stmts(x.Body, tbl)
+		x.Body = in.stmts(x.Body)
 		return append(pre, x)
 	case *ast.Switch:
-		pre, e := in.expr(x.Subject, tbl, true)
+		pre, e := in.expr(x.Subject, true)
 		x.Subject = e
 		for i := range x.CaseBlks {
-			x.CaseBlks[i] = in.stmts(x.CaseBlks[i], tbl)
+			x.CaseBlks[i] = in.stmts(x.CaseBlks[i])
 		}
 		if x.Otherwise != nil {
-			x.Otherwise = in.stmts(x.Otherwise, tbl)
+			x.Otherwise = in.stmts(x.Otherwise)
 		}
 		return append(pre, x)
 	}
@@ -229,48 +247,48 @@ func (in *inliner) stmt(s ast.Stmt, tbl *disambig.Table) []ast.Stmt {
 // expr rewrites an expression, hoisting inlined calls into pre. hoist
 // is false inside contexts where unconditional evaluation would change
 // semantics (short-circuit right operands).
-func (in *inliner) expr(e ast.Expr, tbl *disambig.Table, hoist bool) ([]ast.Stmt, ast.Expr) {
+func (in *inliner) expr(e ast.Expr, hoist bool) ([]ast.Stmt, ast.Expr) {
 	switch x := e.(type) {
 	case *ast.Binary:
 		if x.Op == ast.OpAndAnd || x.Op == ast.OpOrOr {
-			pre, l := in.expr(x.L, tbl, hoist)
-			_, r := in.expr(x.R, tbl, false)
+			pre, l := in.expr(x.L, hoist)
+			_, r := in.expr(x.R, false)
 			x.L, x.R = l, r
 			return pre, x
 		}
-		p1, l := in.expr(x.L, tbl, hoist)
-		p2, r := in.expr(x.R, tbl, hoist)
+		p1, l := in.expr(x.L, hoist)
+		p2, r := in.expr(x.R, hoist)
 		x.L, x.R = l, r
 		return append(p1, p2...), x
 	case *ast.Unary:
-		p, v := in.expr(x.X, tbl, hoist)
+		p, v := in.expr(x.X, hoist)
 		x.X = v
 		return p, x
 	case *ast.Transpose:
-		p, v := in.expr(x.X, tbl, hoist)
+		p, v := in.expr(x.X, hoist)
 		x.X = v
 		return p, x
 	case *ast.Range:
-		p1, lo := in.expr(x.Lo, tbl, hoist)
+		p1, lo := in.expr(x.Lo, hoist)
 		x.Lo = lo
 		var p2 []ast.Stmt
 		if x.Step != nil {
 			var st ast.Expr
-			p2, st = in.expr(x.Step, tbl, hoist)
+			p2, st = in.expr(x.Step, hoist)
 			x.Step = st
 		}
-		p3, hi := in.expr(x.Hi, tbl, hoist)
+		p3, hi := in.expr(x.Hi, hoist)
 		x.Hi = hi
 		return append(append(p1, p2...), p3...), x
 	case *ast.Call:
 		var pre []ast.Stmt
 		for i, a := range x.Args {
-			p, v := in.expr(a, tbl, hoist)
+			p, v := in.expr(a, hoist)
 			pre = append(pre, p...)
 			x.Args[i] = v
 		}
-		if hoist && in.isInlinableCall(x, tbl) {
-			if p, outs, ok := in.expandCall(x, tbl, 1); ok {
+		if hoist && in.isInlinableCall(x) {
+			if p, outs, ok := in.expandCall(x, 1); ok {
 				pre = append(pre, p...)
 				return pre, outs[0]
 			}
@@ -280,7 +298,7 @@ func (in *inliner) expr(e ast.Expr, tbl *disambig.Table, hoist bool) ([]ast.Stmt
 		var pre []ast.Stmt
 		for _, row := range x.Rows {
 			for i, el := range row {
-				p, v := in.expr(el, tbl, hoist)
+				p, v := in.expr(el, hoist)
 				pre = append(pre, p...)
 				row[i] = v
 			}
@@ -290,36 +308,29 @@ func (in *inliner) expr(e ast.Expr, tbl *disambig.Table, hoist bool) ([]ast.Stmt
 	return nil, e
 }
 
-// isInlinableCall checks the call site: a user call with matching arity.
-func (in *inliner) isInlinableCall(call *ast.Call, tbl *disambig.Table) bool {
-	if m, ok := tbl.Uses[call]; ok {
-		if m != disambig.UserFunc {
-			return false
-		}
-	} else {
-		// Cloned node from an already-inlined body: reclassify by name.
-		// Renamed locals carry the inlN_ prefix; caller variables are in
-		// tbl.Vars; otherwise a known user function name is a call.
-		if tbl.Vars[call.Name] || strings.HasPrefix(call.Name, "inl") {
-			return false
-		}
-		if builtins.Lookup(call.Name) != nil {
-			return false
-		}
-		if in.res.LookupFunction(call.Name) == nil {
-			return false
-		}
+// isInlinableCall checks the call site: a user call with matching arity,
+// whose callee refers to no builtin or user function that a variable of
+// the function being expanded would capture once spliced. A spliced call
+// carries the verdict of its callee's analysis.
+func (in *inliner) isInlinableCall(call *ast.Call) bool {
+	if call.Kind != ast.UserFunc {
+		return false
 	}
 	ci := in.analyze(call.Name)
 	if !ci.ok || len(call.Args) != len(ci.fn.Ins) {
 		return false
+	}
+	for name := range ci.free {
+		if in.callerVars[name] {
+			return false
+		}
 	}
 	return in.depth[call.Name] < MaxRecursion
 }
 
 // expandCall splices the callee body, returning the prelude statements
 // and the expressions holding the outputs.
-func (in *inliner) expandCall(call *ast.Call, tbl *disambig.Table, nout int) ([]ast.Stmt, []ast.Expr, bool) {
+func (in *inliner) expandCall(call *ast.Call, nout int) ([]ast.Stmt, []ast.Expr, bool) {
 	ci := in.analyze(call.Name)
 	if !ci.ok || nout > len(ci.fn.Outs) {
 		return nil, nil, false
@@ -344,7 +355,7 @@ func (in *inliner) expandCall(call *ast.Call, tbl *disambig.Table, nout int) ([]
 	for i, formal := range ci.fn.Ins {
 		arg := call.Args[i]
 		argIdent, argIsIdent := arg.(*ast.Ident)
-		if !ci.writes[formal] && argIsIdent && tbl.Uses[argIdent] == disambig.Variable {
+		if !ci.writes[formal] && argIsIdent && argIdent.Kind == ast.Variable {
 			subst[formal] = argIdent
 			delete(rename, formal)
 			continue
@@ -357,10 +368,10 @@ func (in *inliner) expandCall(call *ast.Call, tbl *disambig.Table, nout int) ([]
 	}
 
 	// Splice the renamed body.
-	body := ast.CloneStmts(ci.fn.Body)
+	body := ast.CloneStmts(ci.body)
 	renameStmts(body, rename, subst)
 	// Recursively expand calls inside the inlined body.
-	body = in.stmts(body, tbl)
+	body = in.stmts(body)
 	pre = append(pre, body...)
 
 	outs := make([]ast.Expr, nout)
@@ -369,7 +380,8 @@ func (in *inliner) expandCall(call *ast.Call, tbl *disambig.Table, nout int) ([]
 		if nn, ok := rename[name]; ok {
 			name = nn
 		}
-		outs[i] = &ast.Ident{P: call.P, Name: name}
+		// An output is a variable, which a call it is passed to may substitute.
+		outs[i] = &ast.Ident{P: call.P, Name: name, Kind: ast.Variable}
 	}
 	return pre, outs, true
 }

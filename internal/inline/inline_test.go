@@ -225,3 +225,75 @@ end`)
 		t.Errorf("callee local not renamed:\n%s", printed)
 	}
 }
+
+// TestSplicedCallsKeepTheirVerdict: a call spliced in from a callee's
+// body is expanded by the verdict the callee's analysis gave it, whatever
+// its name; and a callee is not spliced where a variable of the function
+// being expanded would capture one of its builtin or user calls.
+func TestSplicedCallsKeepTheirVerdict(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		spliced   []string
+		left      string // a call that must stay
+	}{
+		{"inlet", `
+function y = f(x)
+  y = g(x) + 1;
+end
+function y = g(a)
+  y = inlet(a) * 2;
+end
+function y = inlet(b)
+  y = b + 3;
+end`, []string{"g", "inlet"}, ""},
+		{"sq", `
+function y = f(x)
+  y = g(x) + 1;
+end
+function y = g(a)
+  y = sq(a) * 2;
+end
+function y = sq(b)
+  y = b * b;
+end`, []string{"g", "sq"}, ""},
+		{"builtin captured", `
+function r = f(x)
+  sum = [5 6 7];
+  r = g(x) + sum(1);
+end
+function z = g(a)
+  z = sum(a) * 2;
+end`, nil, "g"},
+		{"user captured", `
+function r = f(x)
+  h = [5 6 7];
+  r = g(x) + h(1);
+end
+function z = g(a)
+  z = h(a) * 2;
+end
+function y = h(b)
+  y = b * 10;
+end`, nil, "g"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, fn := parseAll(t, tc.src)
+			out, deps := ExpandDeps(fn, res)
+			var names []string
+			for _, d := range deps {
+				names = append(names, d.Name)
+			}
+			if strings.Join(names, " ") != strings.Join(tc.spliced, " ") {
+				t.Errorf("spliced %v, want %v:\n%s", names, tc.spliced, ast.Print(out))
+			}
+			for _, name := range tc.spliced {
+				if countCalls(out, name) != 0 {
+					t.Errorf("a call to %s is left:\n%s", name, ast.Print(out))
+				}
+			}
+			if tc.left != "" && countCalls(out, tc.left) != 1 {
+				t.Errorf("the call to %s is not left alone:\n%s", tc.left, ast.Print(out))
+			}
+		})
+	}
+}
