@@ -13,15 +13,6 @@ func Print(n Node) string {
 	return b.String()
 }
 
-// PrintStmts renders a statement list.
-func PrintStmts(stmts []Stmt) string {
-	var b strings.Builder
-	for _, s := range stmts {
-		fprint(&b, s, 0)
-	}
-	return b.String()
-}
-
 func ind(b *strings.Builder, depth int) {
 	for i := 0; i < depth; i++ {
 		b.WriteString("  ")

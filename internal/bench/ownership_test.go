@@ -1,8 +1,10 @@
 package bench_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -14,8 +16,9 @@ import (
 // TestOwnershipInvariantOnBenchmarks runs the Table 1 set and the three
 // kernel programs of benchmark/programs under the VM's ownership hook
 // (see internal/core's TestOwnershipInvariant): jit, spec, and the
-// tiered pipeline with fusion, three calls each so that tiered engines
-// get from profiling through OSR to promoted code.
+// tiered pipeline with fusion: three calls each, and for tiered engines
+// one past the tier-up threshold on the warmBackEdges source, so that
+// they get from profiling through OSR to promoted code.
 func TestOwnershipInvariantOnBenchmarks(t *testing.T) {
 	vmtest.CheckOwnership(t)
 	type program struct {
@@ -68,15 +71,19 @@ func TestOwnershipInvariantOnBenchmarks(t *testing.T) {
 			for _, opts := range []core.Options{
 				{Tier: core.TierJIT},
 				{Tier: core.TierSpec},
-				{Tier: core.TierJIT, Tiered: true, TierThreshold: 2, FuseElemwise: true},
+				{Tier: core.TierJIT, Tiered: true, FuseElemwise: true},
 			} {
 				opts.Seed = 424242
 				e := core.New(opts)
-				if err := e.Define(p.src); err != nil {
+				calls, src := 3, p.src
+				if opts.Tiered {
+					calls, src = core.DefaultTierThreshold+1, warmBackEdges(p.src)
+				}
+				if err := e.Define(src); err != nil {
 					t.Fatalf("define: %v", err)
 				}
 				e.Precompile()
-				for call := 0; call < 3; call++ {
+				for call := 0; call < calls; call++ {
 					if _, err := e.Call(p.fn, p.args, 1); err != nil {
 						t.Fatalf("[%s tiered=%v] call %d: %v", opts.Tier, opts.Tiered, call, err)
 					}
@@ -86,4 +93,16 @@ func TestOwnershipInvariantOnBenchmarks(t *testing.T) {
 			}
 		})
 	}
+}
+
+// warmBackEdges prefixes the first function of src with a loop of
+// DefaultTierThreshold-2 empty iterations, as internal/core's helper of
+// that name does: a tiered activation then reaches the threshold at the
+// second iteration of the program's own first loop, so programs whose
+// loops are shorter than the threshold (sor at Small runs 3) still
+// transfer mid-loop.
+func warmBackEdges(src string) string {
+	i := strings.Index(src, "function ")
+	i += strings.IndexByte(src[i:], '\n') + 1
+	return src[:i] + fmt.Sprintf("  for warmup = 1:%d\n  end\n", core.DefaultTierThreshold-2) + src[i:]
 }

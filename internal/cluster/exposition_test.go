@@ -32,13 +32,13 @@ func expositionScenarios(t *testing.T) map[string]string {
 
 	// A shared tiered daemon with persistence, hot enough to promote.
 	shared := server.New(server.Options{
-		Engine:   core.Options{Tier: core.TierJIT, Tiered: true, TierThreshold: 3},
+		Engine:   core.Options{Tier: core.TierJIT, Tiered: true},
 		RepoPath: filepath.Join(t.TempDir(), "repo.bin"),
 	})
 	out["shared-tiered"] = serve(t, shared)
 	id := nodeCreate(t, out["shared-tiered"])
 	gwEval(t, out["shared-tiered"], id, "function y = fr(x)\ny = x + 1;\n")
-	for i := 0; i < 8; i++ {
+	for i := 0; i < core.DefaultTierThreshold+5; i++ {
 		gwEval(t, out["shared-tiered"], id, "r = fr(2);")
 	}
 

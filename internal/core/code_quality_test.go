@@ -2,7 +2,12 @@ package core_test
 
 import (
 	"fmt"
+	goast "go/ast"
+	goparser "go/parser"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -47,18 +52,20 @@ func ledgerSize(name string) bench.Size {
 }
 
 // eachWarmBody brings every Table 1 program, at the size the ledger runs
-// it, to steady state under jit, spec and tiered engines — three calls —
-// and hands each engine over, keyed "program/variant", with a function
-// that makes one more call.
+// it, to steady state under jit, spec and tiered engines — three calls,
+// and one past the tier-up threshold for tiered — and hands each engine
+// over, keyed "program/variant", with a function that makes one more
+// call.
 func eachWarmBody(t *testing.T, visit func(key string, e *core.Engine, call func())) {
 	t.Helper()
 	variants := []struct {
 		name string
 		opts core.Options
+		warm int
 	}{
-		{"jit", core.Options{Tier: core.TierJIT}},
-		{"spec", core.Options{Tier: core.TierSpec}},
-		{"tiered", core.Options{Tier: core.TierJIT, Tiered: true, TierThreshold: 2}},
+		{"jit", core.Options{Tier: core.TierJIT}, 3},
+		{"spec", core.Options{Tier: core.TierSpec}, 3},
+		{"tiered", core.Options{Tier: core.TierJIT, Tiered: true}, core.DefaultTierThreshold + 1},
 	}
 	for _, b := range bench.All() {
 		size := ledgerSize(b.Name)
@@ -80,7 +87,7 @@ func eachWarmBody(t *testing.T, visit func(key string, e *core.Engine, call func
 					t.Fatalf("%s/%s: %v", b.Name, v.name, err)
 				}
 			}
-			for warm := 0; warm < 3; warm++ {
+			for warm := 0; warm < v.warm; warm++ {
 				call()
 			}
 			visit(b.Name+"/"+v.name, e, call)
@@ -323,10 +330,11 @@ end`
 	for _, v := range []struct {
 		name string
 		opts core.Options
+		warm int
 	}{
-		{"jit", core.Options{Tier: core.TierJIT}},
-		{"spec", core.Options{Tier: core.TierSpec}},
-		{"tiered", core.Options{Tier: core.TierJIT, Tiered: true, TierThreshold: 2}},
+		{"jit", core.Options{Tier: core.TierJIT}, 4},
+		{"spec", core.Options{Tier: core.TierSpec}, 4},
+		{"tiered", core.Options{Tier: core.TierJIT, Tiered: true}, core.DefaultTierThreshold + 1},
 	} {
 		opts := v.opts
 		opts.Seed = 12345
@@ -344,7 +352,7 @@ end`
 			}
 		}
 		short, long := call("meish", H, mat.Scalar(10)), call("meish", H, mat.Scalar(1000))
-		for warm := 0; warm < 4; warm++ {
+		for warm := 0; warm < v.warm; warm++ {
 			short()
 			long()
 			call("mei", H)()
@@ -432,6 +440,72 @@ func TestAssignmentsWriteTheirDestination(t *testing.T) {
 			if len(found) != pinned[b.Name+" "+stage] {
 				t.Errorf("%s (%s): %d such moves, pinned %d:\n  %s", b.Name, stage, len(found), pinned[b.Name+" "+stage], strings.Join(found, "\n  "))
 			}
+		}
+	}
+}
+
+// standardMethods are the exported method names a type declares to
+// satisfy an interface of the standard library, which calls them where no
+// source of this module names them.
+var standardMethods = map[string]bool{"String": true, "Error": true, "Unwrap": true}
+
+// TestNoUnreferencedExports: every exported function or method declared
+// outside tests under internal/ and cmd/ is named somewhere in the module
+// besides its own declaration — by a caller, a test, a benchmark, the
+// public package or an example — unless a standard interface calls it.
+// Names are matched as identifiers, not resolved, so a name shared with
+// another declaration that is used passes.
+func TestNoUnreferencedExports(t *testing.T) {
+	root := filepath.Join("..", "..")
+	fset := token.NewFileSet()
+	refs := map[string]int{}
+	type decl struct{ name, pos string }
+	var decls []decl
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := goparser.ParseFile(fset, path, nil, goparser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		own := map[*goast.Ident]bool{}
+		if !strings.HasSuffix(rel, "_test.go") && (strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/")) {
+			for _, dl := range f.Decls {
+				if fd, ok := dl.(*goast.FuncDecl); ok && fd.Name.IsExported() {
+					own[fd.Name] = true
+					decls = append(decls, decl{fd.Name.Name, fset.Position(fd.Pos()).String()})
+				}
+			}
+		}
+		goast.Inspect(f, func(n goast.Node) bool {
+			if id, ok := n.(*goast.Ident); ok && !own[id] {
+				refs[id.Name]++
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decls) == 0 {
+		t.Fatal("no exported function found under internal/ or cmd/")
+	}
+	for _, d := range decls {
+		if refs[d.name] == 0 && !standardMethods[d.name] {
+			t.Errorf("%s: %s is exported and named nowhere else in the module", d.pos, d.name)
 		}
 	}
 }

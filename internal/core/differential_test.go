@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
@@ -15,6 +17,9 @@ type diffProg struct {
 	name string
 	src  string
 	args []float64 // scalar args for f
+	// noOSR marks a program that runs no loop iteration of its own, so
+	// a tiered activation never reaches the threshold to transfer at.
+	noOSR bool
 }
 
 var diffPrograms = []diffProg{
@@ -475,7 +480,7 @@ function r = f()
   end
   r = [i s k];
 end`},
-	{name: "loop_empty_range_keeps_var", args: []float64{0}, src: `
+	{name: "loop_empty_range_keeps_var", args: []float64{0}, noOSR: true, src: `
 function r = f(n)
   i = 42; j = 43; k = 44; x = 45;
   for i = 5:1
@@ -554,7 +559,7 @@ function r = f(n)
   end
   r = [i s k t m];
 end`},
-	{name: "loop_zero_step", src: `
+	{name: "loop_zero_step", noOSR: true, src: `
 function r = f()
   i = 7; s = 0; z = 0;
   for i = 1:0:5
@@ -762,7 +767,8 @@ func TestTiersMatchInterpreter(t *testing.T) {
 // TestLoopSemantics holds loopPrograms to the interpreter bit for bit:
 // under every compiling tier on both platforms (the unroll factors 2 and
 // 4), and under a tiered engine, whose first calls interpret, transfer
-// into a continuation mid-loop and then run promoted code.
+// into a continuation at the second iteration of the program's first
+// loop (warmBackEdges) and then run promoted code.
 func TestLoopSemantics(t *testing.T) {
 	for _, p := range loopPrograms {
 		p := p
@@ -780,15 +786,15 @@ func bitIdenticalAcrossTiers(t *testing.T, p diffProg) {
 			payloadEqual(t, tier.String()+"/"+platform.String(), want, []*mat.Value{runTier(t, p, tier, platform)})
 		}
 	}
-	e := newTiered(t, 2)
-	if err := e.Define(p.src); err != nil {
+	e := newTiered(t)
+	if err := e.Define(warmBackEdges(p.src)); err != nil {
 		t.Fatal(err)
 	}
 	args := make([]*mat.Value, len(p.args))
 	for i, a := range p.args {
 		args[i] = mat.Scalar(a)
 	}
-	for call := 0; call < 4; call++ {
+	for call := 0; call < DefaultTierThreshold+2; call++ {
 		outs, err := e.Call("f", args, 1)
 		if err != nil {
 			t.Fatalf("tiered call %d: %v", call, err)
@@ -796,15 +802,30 @@ func bitIdenticalAcrossTiers(t *testing.T, p diffProg) {
 		payloadEqual(t, "tiered", want, outs)
 		e.Drain()
 	}
+	if n := e.ProfileStats().OSRTransfers; (n > 0) == p.noOSR {
+		t.Fatalf("tiered: %d OSR transfers (noOSR %v)", n, p.noOSR)
+	}
+}
+
+// warmBackEdges prefixes the first function of src with a loop of
+// DefaultTierThreshold-2 empty iterations. A tiered activation counts
+// back-edges across all its loops, so it then crosses the threshold at
+// the second iteration of the program's own first loop: the transfer
+// lands mid-loop in the shape under test, however short its loops are.
+func warmBackEdges(src string) string {
+	i := strings.Index(src, "function ")
+	i += strings.IndexByte(src[i:], '\n') + 1
+	return src[:i] + fmt.Sprintf("  for warmup = 1:%d\n  end\n", DefaultTierThreshold-2) + src[i:]
 }
 
 // TestConstantBitPatterns: literals are interned by bit pattern and by
 // bank (ir.Prog.FConst), so the constants a program can tell apart stay
 // apart in every tier — 0 and -0 (1/x tells), the integer 1 and the real
 // 1.0, NaN, both infinities — and folding them at compile time gives the
-// interpreter's bits. nz holds -0 across the loop, so it is live at an
-// OSR transfer, where it arrives as a parameter, and it crosses a user
-// call both ways: types.OfScalar types it real, never int.
+// interpreter's bits. nz holds -0 across the loop, so it is live at the
+// OSR transfer in its second iteration (warmBackEdges), where it arrives
+// as a parameter, and it crosses a user call both ways: types.OfScalar
+// types it real, never int.
 func TestConstantBitPatterns(t *testing.T) {
 	bitIdenticalAcrossTiers(t, diffProg{name: "constant_bit_patterns", src: `
 function r = f()
@@ -842,7 +863,7 @@ function r = osrloop(n)
   end
   r = [s t i k];
 end`
-	e := newTiered(t, 8)
+	e := newTiered(t)
 	if err := e.Define(src); err != nil {
 		t.Fatal(err)
 	}

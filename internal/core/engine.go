@@ -187,8 +187,8 @@ type Options struct {
 	// using a better compiler". A miss compiles nothing; it parks an
 	// interpret-only placeholder for the widened signature, so first-eval
 	// latency stays interpreter-fast. The placeholder counts the calls it
-	// serves, and at TierThreshold it is replaced by code compiled in the
-	// background at QualityOpt for the signatures it actually served —
+	// serves, and at DefaultTierThreshold it is replaced by code compiled
+	// in the background at QualityOpt at the signature it was parked at —
 	// the one tier-up rule, which also replaces a speculative entry whose
 	// calls keep bringing narrower classes. Hot interpreter loops transfer
 	// mid-run into compiled code via on-stack replacement; a
@@ -197,13 +197,6 @@ type Options struct {
 	// tiering on or off. Ignored by the other tiers, whose misses follow
 	// AsyncCompile alone (the paper-mode measurements are untouched).
 	Tiered bool
-	// TierThreshold is the hotness threshold: the number of calls after
-	// which an entry a better compile could replace is replaced (every
-	// call a Tiered placeholder serves; the calls from outside compiled
-	// code that bring a speculative entry, on any tier that holds them,
-	// a narrower scalar class), and the back-edge count after which an
-	// interpreted activation offers OSR. 0 means DefaultTierThreshold.
-	TierThreshold int
 
 	// AsyncCompile turns the repository into a background compilation
 	// service (the paper's front end "defers function calls" while the
@@ -339,19 +332,15 @@ func (e *Engine) QueueStats() compilequeue.Stats {
 	return e.lib.QueueStats()
 }
 
-// DefaultTierThreshold is the hotness threshold used when Options.Tiered
-// is set without an explicit TierThreshold: promotion after 8 calls of a
-// placeholder, OSR offer after 8 loop back-edges in one activation. Low enough that a hot loop tiers up within its first eval,
-// high enough that one-shot scripts never pay a compile.
+// DefaultTierThreshold is the hotness threshold: the number of calls
+// after which an entry a better compile could replace is replaced (every
+// call a Tiered placeholder serves; the calls from outside compiled code
+// that bring a speculative entry, on any tier that holds them, a narrower
+// scalar class), and the back-edge count after which an interpreted
+// activation of a Tiered engine offers OSR. Low enough that a hot loop
+// tiers up within its first eval, high enough that one-shot scripts never
+// pay a compile.
 const DefaultTierThreshold = 8
-
-// tierThreshold resolves the engine's hotness threshold.
-func (e *Engine) tierThreshold() int {
-	if e.opts.TierThreshold > 0 {
-		return e.opts.TierThreshold
-	}
-	return DefaultTierThreshold
-}
 
 // ProfileStats returns the tiering counters (all zero when
 // nothing on this library ran tiered or tiered up).

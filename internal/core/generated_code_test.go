@@ -98,12 +98,13 @@ func progLine(p *ir.Prog) string {
 func generatedCode(t *testing.T) []string {
 	t.Helper()
 	variants := []struct {
-		name string
-		opts core.Options
+		name  string
+		opts  core.Options
+		calls int
 	}{
-		{"jit", core.Options{Tier: core.TierJIT}},
-		{"spec", core.Options{Tier: core.TierSpec}},
-		{"tiered", core.Options{Tier: core.TierJIT, Tiered: true, TierThreshold: 2}},
+		{"jit", core.Options{Tier: core.TierJIT}, 3},
+		{"spec", core.Options{Tier: core.TierSpec}, 3},
+		{"tiered", core.Options{Tier: core.TierJIT, Tiered: true}, core.DefaultTierThreshold + 1},
 	}
 	lines := map[string]string{}
 	add := func(key string, p *ir.Prog) {
@@ -133,7 +134,7 @@ func generatedCode(t *testing.T) []string {
 					// whose hot loops asked for them, and a promotion replaces
 					// such an entry: collect them after every call.
 					interpreted := map[*repo.Entry]string{}
-					for call := 0; call < 3; call++ {
+					for call := 0; call < v.calls; call++ {
 						if _, err := e.Call(gp.fn, gp.args, 1); err != nil {
 							t.Fatalf("%s/%s: %v", gp.name, v.name, err)
 						}

@@ -267,20 +267,22 @@ func TestHotSpeculationTiersUp(t *testing.T) {
 
 	// Counting is an atomic add: a boundary call below the threshold
 	// allocates what the same code allocates as a non-speculative entry,
-	// which nothing counts.
+	// which nothing counts. The first call, AllocsPerRun's warm-up and its
+	// runs stay below DefaultTierThreshold, so the counted entry serves
+	// them all.
 	t.Run("allocations", func(t *testing.T) {
 		for _, row := range hotSpecRows {
 			b := bench.ByName(row.name)
 			args := b.Args(bench.Small)
 			var allocs [2]float64
 			for k := range allocs {
-				e := hotEngine(t, core.Options{Tier: core.TierSpec, TierThreshold: 1 << 30}, b.Source(bench.Small))
+				e := hotEngine(t, core.Options{Tier: core.TierSpec}, b.Source(bench.Small))
 				if k == 1 {
 					spec := e.Repo().Entries(b.Fn)[0]
 					e.Repo().Replace(b.Fn, spec, &repo.Entry{Sig: spec.Sig, Code: spec.Code, Quality: spec.Quality, Ret: spec.Ret, Deps: spec.Deps})
 				}
 				hotCall(t, e, b.Fn, args)
-				allocs[k] = testing.AllocsPerRun(5, func() { hotCall(t, e, b.Fn, args) })
+				allocs[k] = testing.AllocsPerRun(core.DefaultTierThreshold-3, func() { hotCall(t, e, b.Fn, args) })
 				e.Close()
 			}
 			t.Logf("%s/spec: %.0f allocations per boundary call", row.name, allocs[0])

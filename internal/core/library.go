@@ -438,18 +438,6 @@ func (l *Library) EnablePersistence(path string, debounce time.Duration) persist
 	return st
 }
 
-// FlushPersistence synchronously writes any unsaved repository state (a
-// no-op when persistence is disabled or the snapshot is current).
-func (l *Library) FlushPersistence() error {
-	l.pmu.Lock()
-	w := l.writer
-	l.pmu.Unlock()
-	if w == nil {
-		return nil
-	}
-	return w.Flush()
-}
-
 // --- cluster replication -----------------------------------------------------
 
 // ApplyReplicated applies one replication record received from a

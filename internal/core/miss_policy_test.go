@@ -29,7 +29,7 @@ type policyRow struct {
 var policyRows = []policyRow{
 	{name: "sync", opts: Options{}},
 	{name: "async", opts: Options{AsyncCompile: true}},
-	{name: "tiered", opts: Options{Tiered: true, TierThreshold: 2}},
+	{name: "tiered", opts: Options{Tiered: true}},
 	{name: "prod", opts: Production(), tiers: []Tier{TierJIT}},
 }
 
@@ -149,7 +149,7 @@ func TestMissPolicies(t *testing.T) {
 				}
 				e.Precompile()
 				want := mustInterp(t, e, p.fn, p.arg)
-				for rep := 0; rep < 6; rep++ {
+				for rep := 0; rep < DefaultTierThreshold+2; rep++ {
 					got := callScalar(t, e, p.fn, p.arg)
 					payloadEqual(t, fmt.Sprintf("%s rep %d", p.fn, rep), []*mat.Value{want}, []*mat.Value{got})
 					if rep%2 == 1 {
@@ -171,7 +171,7 @@ func TestMissPolicies(t *testing.T) {
 				// Enough calls to cross promotion (and, on loopy programs,
 				// OSR) thresholds, draining in between so every execution
 				// mode runs: cold, mid-run transfer, compiled steady state.
-				for rep := 0; rep < 6; rep++ {
+				for rep := 0; rep < DefaultTierThreshold+2; rep++ {
 					// The RNG is engine-global: re-seed so every rep replays
 					// the stream the reference consumed.
 					e.Context().RNG.Seed(12345)
@@ -182,7 +182,7 @@ func TestMissPolicies(t *testing.T) {
 					if len(got) != 1 || !valuesClose(want, got[0]) {
 						t.Fatalf("[%s] rep %d: got %v, want %s", p.name, rep, got, want)
 					}
-					if rep == 1 {
+					if rep == 1 || rep == DefaultTierThreshold-1 {
 						e.Drain()
 					}
 				}
@@ -300,8 +300,9 @@ func TestMissPolicies(t *testing.T) {
 				}
 				seen[en.Sig.Key()] = true
 			}
-			// One exact entry plus its widened sibling (or, profiled, the
-			// promotion rounds), never one per constant.
+			// One exact entry plus its widened sibling (or, parked, the
+			// widened placeholder and then its replacement), never one per
+			// constant.
 			if st := e.Repo().Stats(); st.Inserts != len(entries) || len(entries) == 0 || len(entries) > 3 {
 				t.Fatalf("%d inserts for %d live entries (36 calls, 12 constants): %+v", st.Inserts, len(entries), st)
 			}

@@ -14,25 +14,31 @@ import (
 var ownershipConfigs = []Options{
 	{Tier: TierJIT},
 	{Tier: TierSpec},
-	{Tier: TierJIT, Tiered: true, TierThreshold: 2, FuseElemwise: true},
+	{Tier: TierJIT, Tiered: true, FuseElemwise: true},
 }
 
 // checkOwnershipOf runs f under every configuration with the VM's
 // ownership hook installed by the caller. Three calls with a drain after
-// each take a tiered engine through profiling, OSR and promotion; the
-// other tiers re-enter their reused frames.
+// each re-enter the reused frames of the untiered engines; a tiered
+// engine makes one call past DefaultTierThreshold on the warmBackEdges
+// source, which takes it through profiling, OSR at the second iteration
+// of f's first loop, and promotion.
 func checkOwnershipOf(t *testing.T, src string, args func() []*mat.Value) {
 	t.Helper()
 	for _, opts := range ownershipConfigs {
 		opts.Seed = 12345
 		e := New(opts)
-		if err := e.Define(src); err != nil {
-			t.Fatalf("define: %v\n%s", err, src)
+		calls, body := 3, src
+		if opts.Tiered {
+			calls, body = DefaultTierThreshold+1, warmBackEdges(src)
+		}
+		if err := e.Define(body); err != nil {
+			t.Fatalf("define: %v\n%s", err, body)
 		}
 		e.Precompile()
-		for call := 0; call < 3; call++ {
+		for call := 0; call < calls; call++ {
 			if _, err := e.Call("f", args(), 1); err != nil {
-				t.Fatalf("%+v call %d: %v\n%s", opts, call, err, src)
+				t.Fatalf("%+v call %d: %v\n%s", opts, call, err, body)
 			}
 			e.Drain()
 		}

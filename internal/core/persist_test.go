@@ -98,10 +98,10 @@ func TestPersistenceWarmRestart(t *testing.T) {
 	// restart: the placeholder restores with its hits, and the new
 	// lifetime tiers it up after the calls the old one had left to make.
 	t.Run("hot-placeholder", func(t *testing.T) {
-		const threshold, before = 8, 5
+		const threshold, before = DefaultTierThreshold, DefaultTierThreshold - 3
 		path := filepath.Join(t.TempDir(), "repo.bin")
 		tiered := func(lib *Library) *Engine {
-			e := New(Options{Tier: TierJIT, Tiered: true, TierThreshold: threshold, Library: lib})
+			e := New(Options{Tier: TierJIT, Tiered: true, Library: lib})
 			if err := e.Define(persistSrc); err != nil {
 				t.Fatal(err)
 			}

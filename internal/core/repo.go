@@ -143,7 +143,7 @@ func (r *repoState) invoke(st *repo.FuncState, args []vm.Operand, nout int, call
 		entry = r.park(st, sig)
 	}
 	if cause := r.upgradeCause(entry, sig, caller); cause != "" {
-		if repl := r.specialise(st, entry, upgradeSig(st, entry, sig), cause); repl != nil {
+		if repl := r.specialise(st, entry, upgradeSig(entry, sig), cause); repl != nil {
 			entry = repl
 		}
 	}
@@ -193,10 +193,9 @@ func (r *repoState) park(st *repo.FuncState, sig types.Signature) *repo.Entry {
 
 // upgradeCause counts a call toward replacing entry, when a better
 // compile would serve it better, and returns the cause to journal on the
-// call that reaches the engine's threshold ("" on every other call).
+// call that reaches DefaultTierThreshold ("" on every other call).
 //
-//   - A placeholder counts every call it serves and joins the call's
-//     signature into what it observed.
+//   - A placeholder counts every call it serves.
 //   - A speculative entry counts the calls from the boxed side that bring
 //     some scalar in a lower class than it holds. A recursion's own calls
 //     (caller != nil) would cross the threshold inside the first call.
@@ -209,13 +208,12 @@ func (r *repoState) upgradeCause(entry *repo.Entry, sig types.Signature, caller 
 	cause := causeHotSignature
 	switch {
 	case entry.Placeholder:
-		entry.Observe(sig)
 	case caller == nil && entry.Speculative && narrowerClass(entry.Sig, sig):
 		cause = causeObservedClasses
 	default:
 		return ""
 	}
-	if entry.CountUpgrade() != int64(r.e.tierThreshold()) {
+	if entry.CountUpgrade() != DefaultTierThreshold {
 		return ""
 	}
 	return cause
@@ -224,23 +222,18 @@ func (r *repoState) upgradeCause(entry *repo.Entry, sig types.Signature, caller 
 // upgradeSig is the signature old's replacement is compiled for, from the
 // call that made it hot.
 //
-//   - A placeholder compiles the join of the exact signatures it served,
-//     so ranges and shapes the workload never exceeds stay available to
-//     the optimizer. When the function already holds a compiled entry of
-//     the same kinds, this is the second round for those kinds, and it
-//     compiles the widened join, as a JIT's second miss does.
+//   - A placeholder compiles the signature it was parked at. That is the
+//     widened signature of its kind tuple, so every call it served is
+//     safe under it, and the replacement takes its key: one compile per
+//     kind tuple, the signature a JIT's second miss compiles.
 //   - A speculative entry compiles the classes the call brought. Every
 //     parameter it holds in a scalar register takes the observed class at
 //     range ⊤ (widen), and the others keep the speculator's type. This is
 //     Julia's bargain on top of the paper's speculation: specialise on
 //     the types actually seen.
-func upgradeSig(st *repo.FuncState, old *repo.Entry, sig types.Signature) types.Signature {
+func upgradeSig(old *repo.Entry, sig types.Signature) types.Signature {
 	if old.Placeholder {
-		csig := old.Observed()
-		if st.SameKinds(csig) {
-			csig = widen(csig)
-		}
-		return csig
+		return slices.Clone(old.Sig)
 	}
 	csig := widen(sig)
 	for i := range csig {
@@ -449,7 +442,7 @@ func (r *repoState) runEntry(entry *repo.Entry, st *repo.FuncState, args []vm.Op
 			})
 			if entry.Speculative {
 				var buf [sigBuf]types.Type
-				r.specialise(st, entry, upgradeSig(st, entry, observedSig(buf[:0], args)), telemetry.CauseReturnGuard)
+				r.specialise(st, entry, upgradeSig(entry, observedSig(buf[:0], args)), telemetry.CauseReturnGuard)
 			} else {
 				r.r.Replace(fn.Name, entry, &repo.Entry{Sig: entry.Sig, Quality: repo.QualityInterp})
 			}
@@ -458,7 +451,7 @@ func (r *repoState) runEntry(entry *repo.Entry, st *repo.FuncState, args []vm.Op
 	if entry.Quality == repo.QualityInterp || err == vm.ErrGuardMiss {
 		var fr *interp.Frame
 		if r.parks && entry.Quality == repo.QualityInterp {
-			fr = &interp.Frame{Fn: fn, Nout: nout, Host: e, Gen: st.Gen, Threshold: int64(e.tierThreshold()), Entry: entry}
+			fr = &interp.Frame{Fn: fn, Nout: nout, Host: e, Gen: st.Gen, Threshold: DefaultTierThreshold, Entry: entry}
 		}
 		var buf [sigBuf]*mat.Value
 		var vals []*mat.Value

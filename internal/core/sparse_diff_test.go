@@ -172,7 +172,7 @@ func TestSparseDenseOracleSolvers(t *testing.T) {
 	tiers := []Options{
 		{Tier: TierInterp},
 		{Tier: TierJIT},
-		{Tier: TierJIT, Tiered: true, TierThreshold: 2},
+		{Tier: TierJIT, Tiered: true},
 	}
 	oldThreads := parallel.DefaultThreads()
 	defer parallel.SetDefaultThreads(oldThreads)
@@ -190,7 +190,10 @@ func TestSparseDenseOracleSolvers(t *testing.T) {
 					// Tiered engines interpret the first calls and promote
 					// in the background; extra calls reach compiled code.
 					calls := 1
-					if opt.Tier == TierJIT {
+					switch {
+					case opt.Tiered:
+						calls = DefaultTierThreshold + 2
+					case opt.Tier == TierJIT:
 						calls = 4
 					}
 					gotDense := runSparseDiff(t, opt, c.src, c.dense, calls)

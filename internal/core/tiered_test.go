@@ -38,9 +38,9 @@ function s = hotwhile(n)
   s = s - n;
 end`
 
-func newTiered(t *testing.T, threshold int) *Engine {
+func newTiered(t *testing.T) *Engine {
 	t.Helper()
-	e := New(Options{Tier: TierJIT, Tiered: true, TierThreshold: threshold, Seed: 12345})
+	e := New(Options{Tier: TierJIT, Tiered: true, Seed: 12345})
 	t.Cleanup(e.Close)
 	return e
 }
@@ -105,12 +105,12 @@ func callScalar(t *testing.T, e *Engine, name string, arg float64) *mat.Value {
 // the background tier-up: a QualityOpt entry appears, the promotion is
 // counted, and later calls hit it.
 func TestTieredPromotion(t *testing.T) {
-	e := newTiered(t, 4)
+	e := newTiered(t)
 	if err := e.Define(hotForSrc); err != nil {
 		t.Fatal(err)
 	}
 	want := mustInterp(t, e, "hotfor", 5)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < DefaultTierThreshold; i++ {
 		got := callScalar(t, e, "hotfor", 5)
 		payloadEqual(t, "warming call", []*mat.Value{want}, []*mat.Value{got})
 	}
@@ -160,7 +160,7 @@ func osrOnce(t *testing.T, e *Engine, name string, n float64) *mat.Value {
 // range activation resumes in compiled code mid-run and produces the
 // interpreter's bits, including the post-loop tail.
 func TestTieredOSRForLoop(t *testing.T) {
-	e := newTiered(t, 8)
+	e := newTiered(t)
 	if err := e.Define(hotForSrc); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestTieredOSRForLoop(t *testing.T) {
 // TestTieredOSRWhileLoop checks the while transfer: the continuation
 // starts at the loop header and re-evaluates the condition.
 func TestTieredOSRWhileLoop(t *testing.T) {
-	e := newTiered(t, 8)
+	e := newTiered(t)
 	if err := e.Define(hotWhileSrc); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestTieredOSRWhileLoop(t *testing.T) {
 // published, redefining the function must make it unreachable — the new
 // body's results, never the old code's.
 func TestTieredRedefinitionNeverResurrects(t *testing.T) {
-	e := newTiered(t, 8)
+	e := newTiered(t)
 	if err := e.Define(hotForSrc); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ end`
 // leak no pending tier-up past Drain, publish no half-built entry, and
 // leave the engine able to tier up normally afterwards.
 func TestTieredKillAtOSRSafepoint(t *testing.T) {
-	e := newTiered(t, 8)
+	e := newTiered(t)
 	if err := e.Define(hotWhileSrc); err != nil {
 		t.Fatal(err)
 	}
@@ -265,13 +265,13 @@ func TestTieredThreadCountBitIdentity(t *testing.T) {
 	defer parallel.SetDefaultThreads(0)
 	run := func(threads int) []*mat.Value {
 		t.Helper()
-		e := New(Options{Tier: TierJIT, Tiered: true, TierThreshold: 2, Seed: 7, Threads: threads})
+		e := New(Options{Tier: TierJIT, Tiered: true, Seed: 7, Threads: threads})
 		defer e.Close()
 		if err := e.Define(parWorkSrc); err != nil {
 			t.Fatal(err)
 		}
 		var outs []*mat.Value
-		for rep := 0; rep < 4; rep++ {
+		for rep := 0; rep < DefaultTierThreshold+2; rep++ {
 			e.Context().RNG.Seed(7)
 			var err error
 			outs, err = e.Call("parwork", []*mat.Value{mat.Scalar(72), mat.Scalar(50000)}, 3)
@@ -302,7 +302,10 @@ func mustInterp(t *testing.T, e *Engine, name string, arg float64) *mat.Value {
 // function whose compiled code keeps missing its guard is compiled once,
 // however often it is called, instead of every threshold calls. Here the
 // miss is forced by a summary of q that does not hold: r is compiled to
-// take q's result as an integer, and q returns a matrix.
+// take q's result as an integer, and q returns a matrix. r's replacement
+// is compiled at the signature its placeholder was parked at, range ⊤,
+// so q's entry carries the forged summary at the widened signature that
+// compile reads.
 func TestGuardMissRecompilesBounded(t *testing.T) {
 	lib := NewLibrary(LibraryOptions{AsyncCompile: true, CompileWorkers: 1})
 	defer lib.Close()
@@ -318,7 +321,7 @@ func TestGuardMissRecompilesBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	qe := lib.Repo().Entries("q")[0]
-	lib.Repo().Replace("q", qe, &repo.Entry{Sig: qe.Sig, Code: qe.Code, Quality: qe.Quality, Ret: []types.Type{intScalarType()}})
+	lib.Repo().Replace("q", qe, &repo.Entry{Sig: widen(qe.Sig), Code: qe.Code, Quality: qe.Quality, Ret: []types.Type{intScalarType()}})
 
 	prod := Production()
 	prod.Library = lib
@@ -378,8 +381,8 @@ func TestRejectedTierUpTriedOnce(t *testing.T) {
 // and a redefinition drops it with the old body's entries, so calls of the
 // old body never bring the new one's tier-up forward.
 func TestRedefinitionRestartsTierCount(t *testing.T) {
-	const threshold = 4
-	e := newTiered(t, threshold)
+	const threshold = DefaultTierThreshold
+	e := newTiered(t)
 	if err := e.Define(hotForSrc); err != nil {
 		t.Fatal(err)
 	}

@@ -52,9 +52,6 @@ func (c *Calculator) NumRules() int {
 	return n
 }
 
-// HasRules reports whether any rule is registered under name.
-func (c *Calculator) HasRules(name string) bool { return len(c.forward[name]) > 0 }
-
 // Rules returns the registered rule descriptions grouped by operator or
 // builtin name, in precedence order (most restrictive first) — the
 // paper's rule-database view.

@@ -61,7 +61,7 @@ type Frame struct {
 	// OSR entries compiled at another generation must not transfer in.
 	Gen uint64
 	// Threshold is the back-edge count after which the activation is
-	// hot; <= 0 disables OSR (back-edges are still counted).
+	// hot.
 	Threshold int64
 	// Entry is the repository entry the activation serves, carried
 	// opaquely for the host: its OSR sites hang off it.
@@ -76,7 +76,7 @@ type Frame struct {
 // enough to offer the host a transfer at this loop.
 func (fr *Frame) tick(loop ast.Stmt) bool {
 	fr.count++
-	return fr.Host != nil && fr.Threshold > 0 && fr.count >= fr.Threshold && !fr.denied[loop]
+	return fr.Host != nil && fr.count >= fr.Threshold && !fr.denied[loop]
 }
 
 // BackEdges returns the loop back-edges the activation has run.

@@ -97,31 +97,6 @@ func newSparse(d *sparseData) *Value {
 	return &Value{kind: Real, rows: d.rows, cols: d.cols, sp: d}
 }
 
-// NewSparseCSR builds a sparse value from canonical CSR arrays (colIdx
-// strictly ascending per row). The slices are adopted, not copied.
-func NewSparseCSR(rows, cols int, rowPtr, colIdx []int, val []float64) (*Value, error) {
-	if rows < 0 || cols < 0 || len(rowPtr) != rows+1 || len(colIdx) != len(val) {
-		return nil, Errorf("sparse: malformed CSR arrays")
-	}
-	for i := 0; i < rows; i++ {
-		if rowPtr[i] > rowPtr[i+1] {
-			return nil, Errorf("sparse: malformed CSR row pointers")
-		}
-		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			if colIdx[k] < 0 || colIdx[k] >= cols {
-				return nil, Errorf("sparse: column index out of range")
-			}
-			if k > rowPtr[i] && colIdx[k] <= colIdx[k-1] {
-				return nil, Errorf("sparse: column indices must be strictly ascending per row")
-			}
-		}
-	}
-	if rowPtr[rows] != len(val) {
-		return nil, Errorf("sparse: malformed CSR arrays")
-	}
-	return newSparse(&sparseData{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, val: val}), nil
-}
-
 // SparseZeros returns an all-zero sparse rows x cols value.
 func SparseZeros(rows, cols int) *Value {
 	if rows < 0 || cols < 0 {

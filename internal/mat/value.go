@@ -226,9 +226,6 @@ func (v *Value) IsVector() bool {
 	return (v.rows == 1 && v.cols >= 1) || (v.cols == 1 && v.rows >= 1)
 }
 
-// IsRowVector reports whether the value is 1xN.
-func (v *Value) IsRowVector() bool { return v.rows == 1 }
-
 // Re returns the real payload, exactly rows*cols elements, column-major.
 // The returned slice aliases the value. Sparse values have no dense
 // payload; reaching here with one means a densify guard is missing.
@@ -402,19 +399,6 @@ func (v *Value) IsTrue() bool {
 		}
 	}
 	return true
-}
-
-// HasImag reports whether any element has a nonzero imaginary part.
-func (v *Value) HasImag() bool {
-	if v.im == nil {
-		return false
-	}
-	for _, x := range v.Im() {
-		if x != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // ToComplex returns a value of kind Complex with the same content. If v is

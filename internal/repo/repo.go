@@ -16,10 +16,9 @@
 // (read-copy-update), so a reader's one load is always a consistent cut:
 // it can never pair one generation's definition with another
 // generation's code. An *Entry is immutable once published except for
-// its counters, its observed join and its OSR sites, which are
-// synchronised, so entries handed out by
-// Lookup/Entries can be read (and their code executed) from any
-// goroutine. Upgrades never mutate a published entry's code in place —
+// its counters and its OSR sites, which are synchronised, so entries
+// handed out by Lookup/Entries can be read (and their code executed)
+// from any goroutine. Upgrades never mutate a published entry's code in place —
 // they swap in a replacement entry via Replace. Asynchronous compile
 // jobs capture the generation at enqueue time and publish through
 // InsertAt, which drops the result if the generation moved (a stale job
@@ -77,9 +76,10 @@ type Entry struct {
 	// Speculative marks entries produced ahead of time by the
 	// speculator (for the harness's hit/miss statistics).
 	Speculative bool
-	// Placeholder marks the interpret-only entry a tiered miss parks for a
-	// signature no entry serves yet (Park): it counts the calls it serves
-	// and is replaced by compiled code once they make it hot. The other
+	// Placeholder marks the interpret-only entry a tiered miss parks at the
+	// widened signature of a call no entry serves yet (Park): it counts
+	// the calls it serves and, once they make it hot, is replaced by code
+	// compiled for its own Sig, which keeps its key. The other
 	// interpret-only entries — a compiler rejection, an entry retired
 	// after its return guard missed — are decisions and never count.
 	Placeholder bool
@@ -105,8 +105,6 @@ type Entry struct {
 	// better: every call a placeholder serves, the calls that bring a
 	// speculative entry a narrower class than it holds.
 	upgrade atomic.Int64
-	// observed is the join of the exact signatures a placeholder served.
-	observed atomic.Pointer[types.Signature]
 	// osr is the engine's on-stack-replacement state for the loops of the
 	// calls an interpret-only entry serves, keyed by loop statement.
 	osr sync.Map
@@ -119,49 +117,6 @@ func (e *Entry) Hits() int64 { return e.hits.Load() }
 // better and returns the running count. An entry that replaces this one
 // starts again from zero.
 func (e *Entry) CountUpgrade() int64 { return e.upgrade.Add(1) }
-
-// Observe joins one exact call signature into what the entry has served.
-// A call inside the join so far changes nothing and allocates nothing.
-func (e *Entry) Observe(sig types.Signature) {
-	for {
-		p := e.observed.Load()
-		if p != nil && !grows(*p, sig) {
-			return
-		}
-		next := append(types.Signature(nil), sig...)
-		if p != nil {
-			for i := range next {
-				next[i] = types.Join((*p)[i], sig[i])
-			}
-		}
-		if e.observed.CompareAndSwap(p, &next) {
-			return
-		}
-	}
-}
-
-// grows reports whether joining sig into join would change it. A call of
-// another arity never joins.
-func grows(join, sig types.Signature) bool {
-	if len(join) != len(sig) {
-		return false
-	}
-	for i := range sig {
-		if types.Join(join[i], sig[i]) != join[i] {
-			return true
-		}
-	}
-	return false
-}
-
-// Observed returns a copy of the join of the signatures the entry has
-// observed (nil before the first Observe).
-func (e *Entry) Observed() types.Signature {
-	if p := e.observed.Load(); p != nil {
-		return append(types.Signature{}, *p...)
-	}
-	return nil
-}
 
 // OSRSites is the entry's table of on-stack-replacement sites, keyed by
 // loop statement: the engine's, opaque to the repository, and dropped
@@ -257,14 +212,6 @@ func NewBounded(maxPerFunc int) *Repository {
 	return r
 }
 
-// MaxEntriesPerFunction returns the per-function entry cap (0 =
-// unbounded).
-func (r *Repository) MaxEntriesPerFunction() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.maxPerFunc
-}
-
 // --- read path (no lock, no allocation) --------------------------------------
 
 // State returns the current state of a function name: one atomic load,
@@ -358,18 +305,12 @@ func (r *Repository) Current(deps []Dep) bool {
 	return true
 }
 
-// SameKindsDifferentDetail reports whether an existing entry matches
-// the requested signature's intrinsic kinds and arity but not its
-// ranges/shapes — the trigger for the widening policy that prevents
-// compiling one version per distinct constant argument (recursive
-// calls like fibonacci(n-1) would otherwise recompile for every n).
-func (r *Repository) SameKindsDifferentDetail(name string, q types.Signature) bool {
-	return r.State(name).SameKinds(q)
-}
-
 // SameKinds reports whether some entry of this state other than a
-// placeholder has q's arity and intrinsic kinds (see
-// SameKindsDifferentDetail).
+// placeholder matches q's arity and intrinsic kinds, whatever its ranges
+// and shapes: the trigger for the widening policy that keeps a compiling
+// miss from building one version per distinct constant argument
+// (recursive calls like fibonacci(n-1) would otherwise recompile for
+// every n).
 func (st *FuncState) SameKinds(q types.Signature) bool {
 	for _, e := range st.Entries {
 		if e.Placeholder || len(e.Sig) != len(q) {
@@ -397,18 +338,6 @@ func (r *Repository) Each(fn func(name string, st *FuncState)) {
 	}
 }
 
-// FunctionNames returns every function name with at least one live
-// entry (snapshot export order is the caller's concern).
-func (r *Repository) FunctionNames() []string {
-	var out []string
-	r.Each(func(name string, st *FuncState) {
-		if len(st.Entries) > 0 {
-			out = append(out, name)
-		}
-	})
-	return out
-}
-
 // Stats returns a copy of the counters plus a snapshot of the live
 // function and entry counts (the daemon's /metrics surface).
 func (r *Repository) Stats() Stats {
@@ -428,35 +357,15 @@ func (r *Repository) Stats() Stats {
 	return s
 }
 
-// ResetStats clears the counters.
-func (r *Repository) ResetStats() {
-	r.mu.Lock()
-	r.stats = Stats{}
-	r.mu.Unlock()
-	r.lookups.Store(0)
-	r.hits.Store(0)
-	r.misses.Store(0)
-	r.specHits.Store(0)
-}
-
 // --- hooks ---------------------------------------------------------------------
 
-// SetOnChange registers the snapshot-dirtying callback, invoked after
-// every insert, replace, and invalidation (outside the repository
-// lock, so the callback may call Entries/Stats/FunctionNames),
-// replacing any callbacks registered so far. Set it before the
-// repository sees concurrent traffic — the warm-start sequence
-// installs it right after loading, before the daemon listens.
-func (r *Repository) SetOnChange(fn func()) {
-	r.mu.Lock()
-	r.onChange = []func(){fn}
-	r.mu.Unlock()
-}
-
-// AddOnChange appends a mutation callback without displacing the ones
-// already registered — the persistence snapshotter and the cluster
-// replicator both observe the same repository this way. Like
-// SetOnChange, register before concurrent traffic starts.
+// AddOnChange registers a mutation callback, invoked after every insert,
+// replace and invalidation (outside the repository lock, so the callback
+// may call Entries/Stats), beside the ones already registered — the
+// persistence snapshotter and the cluster replicator both observe the
+// same repository this way. Register before the repository sees
+// concurrent traffic: the warm-start sequence registers right after
+// loading, before the daemon listens.
 func (r *Repository) AddOnChange(fn func()) {
 	r.mu.Lock()
 	r.onChange = append(r.onChange, fn)
@@ -473,7 +382,7 @@ func notify(fns []func()) {
 
 // SetJournal attaches the tiering event journal; capacity evictions are
 // recorded with the victim's signature and hit count. Set it before the
-// repository sees concurrent traffic, like SetOnChange.
+// repository sees concurrent traffic, like AddOnChange.
 func (r *Repository) SetJournal(j *telemetry.Journal) {
 	r.mu.Lock()
 	r.journal = j

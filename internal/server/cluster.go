@@ -56,14 +56,6 @@ func (s *Server) StartDraining() {
 	s.mu.Unlock()
 }
 
-// Draining reports whether the daemon has stopped accepting new
-// sessions.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // ingestResponse is the /cluster/ingest payload: whether the record
 // changed this node, and the library's outcome string (see
 // core.Library.ApplyReplicated for the vocabulary).

@@ -401,11 +401,11 @@ func TestShutdownInterruptsRunaway(t *testing.T) {
 // Chrome trace has eval/exec spans, and the journal attributes events.
 func TestFlightRecorderEndpoints(t *testing.T) {
 	_, tc := startServer(t, Options{
-		Engine: core.Options{Tier: core.TierJIT, Tiered: true, TierThreshold: 3},
+		Engine: core.Options{Tier: core.TierJIT, Tiered: true},
 	})
 	id := tc.createSession()
 	tc.eval(id, "function y = fr(x)\ny = x + 1;\n")
-	for i := 0; i < 12; i++ {
+	for i := 0; i < core.DefaultTierThreshold+4; i++ {
 		if code, _, bad := tc.eval(id, "r = fr(2);"); code != http.StatusOK {
 			t.Fatalf("eval %d: %+v", i, bad)
 		}
