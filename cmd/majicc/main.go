@@ -1,102 +1,122 @@
-// Command majicc is the batch compiler driver: it runs MaJIC's
-// compilation pipeline over a .m file and dumps the intermediate
-// results — tokens, AST, the CFG, the disambiguator's symbol table,
-// type annotations, speculative signatures, and the generated IR
-// before and after backend optimization and register allocation.
+// Command majicc is the batch compiler driver: it compiles one function
+// of a .m file through the engine and dumps what each stage produced —
+// tokens, AST, the inlined body's CFG and variables, type annotations,
+// the speculative signature, and the generated IR as selected, after the
+// backend passes and after register allocation. Every dump past the AST
+// is the engine's own compile (core.Engine.Lower), so -dump=asm prints
+// the code the -tier engine runs for that signature.
 //
 //	majicc -dump=ir file.m
 //	majicc -dump=types -fn=poly -sig='int,real' file.m
 //	majicc -dump=spec file.m
-//	majicc -dump=asm -tier=jit -sig=int file.m    the body a JIT engine runs
-//	majicc -dump=asm -tier=spec file.m            the speculative tier's, at its guessed signature
+//	majicc -dump=asm -sig=int file.m         the body a JIT engine runs
+//	majicc -dump=asm -tier=spec file.m       the speculative tier's, at its guessed signature
+//	majicc -dump=asm -tier=prod -sig=int file.m   the tiered engine's tier-up
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/ast"
-	"repro/internal/cfg"
-	"repro/internal/codegen"
 	"repro/internal/core"
-	"repro/internal/disambig"
 	"repro/internal/infer"
 	"repro/internal/lexer"
-	"repro/internal/opt"
 	"repro/internal/parser"
-	"repro/internal/regalloc"
 	"repro/internal/telemetry"
 	"repro/internal/types"
 )
 
+// dumps are the kinds -dump takes; tokens, ast and rules need no compile.
+var dumps = []string{"tokens", "ast", "cfg", "symbols", "types", "spec", "ir", "optir", "asm", "rules"}
+
 func main() {
-	dump := flag.String("dump", "ir", "what to print: tokens|ast|cfg|symbols|types|spec|ir|optir|asm|rules")
-	fnName := flag.String("fn", "", "function to compile (default: first in file)")
-	sigFlag := flag.String("sig", "", "comma-separated parameter types: int|real|cplx|strg|matrix (default: all matrix)")
-	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON file (parse, disambig, typeinf, codegen stage spans) on exit")
-	tierFlag := flag.String("tier", "", "with -dump=asm: print the body an engine of this tier runs (jit|spec|falcon|mcc), compiled by the engine's own pipeline with the file's other functions defined (inlining, the tier's unroll factor); spec without -sig uses the speculated signature")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var tracer *telemetry.Tracer
-	if *traceFile != "" {
-		tracer = telemetry.NewTracer(0)
-		defer func() {
-			if err := tracer.WriteFile(*traceFile); err != nil {
-				fmt.Fprintf(os.Stderr, "majicc: -trace: %v\n", err)
-			}
-		}()
+// run is the command: it parses args, compiles and prints the dump, and
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("majicc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	dump := fs.String("dump", "ir", "what to print: "+strings.Join(dumps, "|"))
+	fnName := fs.String("fn", "", "function to compile (default: first in file)")
+	sigFlag := fs.String("sig", "", "comma-separated parameter types: int|real|cplx|strg|matrix|top (default: all top; under -tier=spec, the speculated signature)")
+	traceFile := fs.String("trace", "", "write a Chrome trace-event JSON file (parse, disambig, typeinf, codegen stage spans) on exit")
+	tierFlag := fs.String("tier", "jit", "the engine whose compile to print: mcc|falcon|jit|spec in paper mode, or prod (tiered JIT: the tier-up's optimising pipeline)")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
 	}
-	// span times one pipeline stage; inert when -trace is unset (nil
-	// tracer receivers are no-ops).
-	span := func(cat, name string, t0 time.Time) {
-		tracer.Span(cat, name, 0, t0, time.Since(t0))
+	if !slices.Contains(dumps, *dump) {
+		fmt.Fprintf(stderr, "unknown dump kind %q\n", *dump)
+		return 2
 	}
-
-	if *dump == "rules" {
-		printRules()
-		return
-	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: majicc [-dump=...] file.m")
-		os.Exit(2)
-	}
-	srcBytes, err := os.ReadFile(flag.Arg(0))
+	opts, err := core.Preset(*tierFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	if opts.Tier == core.TierInterp {
+		fmt.Fprintln(stderr, "majicc: the interp tier compiles nothing")
+		return 2
+	}
+	if *dump == "rules" {
+		printRules(stdout)
+		return 0
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: majicc [-dump=...] file.m")
+		return 2
+	}
+	srcBytes, err := os.ReadFile(fs.Arg(0))
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	src := string(srcBytes)
 
 	if *dump == "tokens" {
 		toks, err := lexer.Tokenize(src)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		for _, t := range toks {
-			fmt.Printf("%d:%d\t%s\n", t.Line, t.Col, t)
+			fmt.Fprintf(stdout, "%d:%d\t%s\n", t.Line, t.Col, t)
 		}
-		return
+		return 0
 	}
 
+	if *traceFile != "" {
+		opts.Tracer = telemetry.NewTracer(0)
+		defer func() {
+			if err := opts.Tracer.WriteFile(*traceFile); err != nil {
+				fmt.Fprintf(stderr, "majicc: -trace: %v\n", err)
+			}
+		}()
+	}
 	t0 := time.Now()
 	file, err := parser.Parse(src)
-	span(telemetry.CatParse, flag.Arg(0), t0)
+	opts.Tracer.Span(telemetry.CatParse, fs.Arg(0), 0, t0, time.Since(t0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	if *dump == "ast" {
-		fmt.Print(ast.Print(file))
-		return
+		fmt.Fprint(stdout, ast.Print(file))
+		return 0
 	}
 	if len(file.Funcs) == 0 {
-		fmt.Fprintln(os.Stderr, "majicc: no function definitions in file")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "majicc: no function definitions in file")
+		return 1
 	}
 	fn := file.Funcs[0]
 	if *fnName != "" {
@@ -107,125 +127,78 @@ func main() {
 			}
 		}
 		if fn == nil {
-			fmt.Fprintf(os.Stderr, "majicc: no function %q\n", *fnName)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "majicc: no function %q\n", *fnName)
+			return 1
 		}
 	}
 
-	if *tierFlag != "" {
-		if *dump != "asm" {
-			fmt.Fprintln(os.Stderr, "majicc: -tier goes with -dump=asm")
-			os.Exit(2)
-		}
-		if err := dumpTier(src, fn, *tierFlag, *sigFlag); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	g := cfg.Build(fn.Body)
-	if *dump == "cfg" {
-		fmt.Print(g.String())
-		return
-	}
-	known := map[string]bool{}
-	for _, f := range file.Funcs {
-		known[f.Name] = true
-	}
-	t0 = time.Now()
-	tbl := disambig.Analyze(g, fn.Ins, disambig.ResolverFunc(func(n string) bool { return known[n] }))
-	span(telemetry.CatDisambig, fn.Name, t0)
-	if *dump == "symbols" {
-		fmt.Printf("variables of %s:\n", fn.Name)
-		for v := range tbl.Vars {
-			fmt.Printf("  %s\n", v)
-		}
-		if tbl.HasAmbiguous {
-			fmt.Println("warning: function contains ambiguous or undefined symbols")
-		}
-		return
-	}
-
-	if *dump == "spec" {
-		sig := infer.Speculate(fn, g, infer.Opts{})
-		fmt.Printf("speculative signature of %s: %s\n", fn.Name, sig)
-		return
-	}
-
-	sig, err := parseSig(*sigFlag, len(fn.Ins))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	params := map[string]types.Type{}
-	for i, p := range fn.Ins {
-		params[p] = sig[i]
-	}
-	t0 = time.Now()
-	res := infer.Forward(g, params, infer.Opts{})
-	span(telemetry.CatTypeInf, fn.Name, t0)
-	if *dump == "types" {
-		fmt.Printf("signature: %s\n", sig)
-		fmt.Printf("%d calculator rule applications\n", res.RuleApplications)
-		fmt.Println("variable types:")
-		for name, t := range res.Vars {
-			fmt.Printf("  %-12s %s\n", name, t)
-		}
-		return
-	}
-
-	t0 = time.Now()
-	prog, err := codegen.Compile(fn, res, tbl, codegen.DefaultConfig())
-	span(telemetry.CatCodegen, fn.Name, t0)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	switch *dump {
-	case "ir":
-		fmt.Print(prog.Disasm())
-	case "optir":
-		opt.Run(prog)
-		fmt.Print(prog.Disasm())
-	case "asm":
-		opt.Run(prog)
-		regalloc.Allocate(prog, regalloc.DefaultOptions())
-		fmt.Print(prog.Disasm())
-	default:
-		fmt.Fprintf(os.Stderr, "unknown dump kind %q\n", *dump)
-		os.Exit(2)
-	}
-}
-
-// dumpTier prints the code an engine of the named tier would run for fn.
-func dumpTier(src string, fn *ast.Function, tierName, sigSpec string) error {
-	tier, err := core.ParseTier(tierName)
-	if err != nil {
-		return err
-	}
-	e := core.New(core.Options{Tier: tier})
+	e := core.New(opts)
 	defer e.Close()
 	if err := e.Define(src); err != nil {
-		return err
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	var sig types.Signature
-	if sigSpec != "" || tier != core.TierSpec {
-		if sig, err = parseSig(sigSpec, len(fn.Ins)); err != nil {
-			return err
+	if *dump != "spec" && (*sigFlag != "" || opts.Tier != core.TierSpec) {
+		if sig, err = parseSig(*sigFlag, len(fn.Ins)); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
-	prog, sig, err := e.Lower(fn.Name, sig)
-	if err != nil {
-		return err
+	low, err := e.Lower(fn.Name, sig)
+	if text := stage(low, *dump, fn.Name, *tierFlag); text != "" {
+		fmt.Fprint(stdout, text)
+		return 0
 	}
-	fmt.Printf("; %s tier, signature %s\n%s", tier, sig, prog.Disasm())
-	return nil
+	fmt.Fprintln(stderr, err)
+	return 1
+}
+
+// stage renders one dump kind from what Lower recorded, or "" when the
+// compile did not get that far.
+func stage(low *core.Lowering, dump, fn, tier string) string {
+	var b strings.Builder
+	switch {
+	case low == nil:
+	case dump == "spec" && low.Sig != nil:
+		fmt.Fprintf(&b, "speculative signature of %s: %s\n", fn, low.Sig)
+	case dump == "cfg" && low.Graph != nil:
+		b.WriteString(low.Graph.String())
+	case dump == "symbols" && low.Symbols != nil:
+		fmt.Fprintf(&b, "variables of %s:\n", fn)
+		for _, v := range sortedKeys(low.Symbols.Vars) {
+			fmt.Fprintf(&b, "  %s\n", v)
+		}
+		if low.Symbols.HasAmbiguous {
+			b.WriteString("warning: function contains ambiguous or undefined symbols\n")
+		}
+	case dump == "types" && low.Types != nil:
+		fmt.Fprintf(&b, "signature: %s\n", low.Sig)
+		fmt.Fprintf(&b, "%d calculator rule applications\n", low.Types.RuleApplications)
+		b.WriteString("variable types:\n")
+		for _, name := range sortedKeys(low.Types.Vars) {
+			fmt.Fprintf(&b, "  %-12s %s\n", name, low.Types.Vars[name])
+		}
+	default:
+		if code := map[string]string{"ir": low.IR, "optir": low.OptIR, "asm": low.Asm}[dump]; code != "" {
+			fmt.Fprintf(&b, "; %s tier, signature %s\n%s", tier, low.Sig, code)
+		}
+	}
+	return b.String()
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // printRules dumps the type calculator's forward rule database — the
 // paper's "about 250 rules", ordered most-restrictive-first per entry.
-func printRules() {
+func printRules(w io.Writer) {
 	rules := infer.DefaultCalc.Rules()
 	names := make([]string, 0, len(rules))
 	for n := range rules {
@@ -234,13 +207,13 @@ func printRules() {
 	sort.Strings(names)
 	total := 0
 	for _, n := range names {
-		fmt.Printf("%s:\n", n)
+		fmt.Fprintf(w, "%s:\n", n)
 		for i, d := range rules[n] {
-			fmt.Printf("  %2d. %s\n", i+1, d)
+			fmt.Fprintf(w, "  %2d. %s\n", i+1, d)
 			total++
 		}
 	}
-	fmt.Printf("\n%d forward rules across %d operators/builtins\n", total, len(names))
+	fmt.Fprintf(w, "\n%d forward rules across %d operators/builtins\n", total, len(names))
 }
 
 func parseSig(s string, n int) (types.Signature, error) {

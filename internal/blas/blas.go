@@ -48,21 +48,6 @@ func Daxpy(n int, a float64, x []float64, incx int, y []float64, incy int) {
 	}
 }
 
-// Dscal computes x = a*x over n elements.
-func Dscal(n int, a float64, x []float64, incx int) {
-	if incx == 1 {
-		for i := 0; i < n; i++ {
-			x[i] *= a
-		}
-		return
-	}
-	ix := 0
-	for i := 0; i < n; i++ {
-		x[ix] *= a
-		ix += incx
-	}
-}
-
 // Dnrm2 returns the Euclidean norm of x with scaling for overflow safety.
 func Dnrm2(n int, x []float64, incx int) float64 {
 	var scale, ssq float64

@@ -57,14 +57,6 @@ func TestDnrm2(t *testing.T) {
 	}
 }
 
-func TestDscal(t *testing.T) {
-	x := []float64{1, 2, 3}
-	Dscal(3, 10, x, 1)
-	if x[2] != 30 {
-		t.Fatalf("dscal: %v", x)
-	}
-}
-
 // Dgemv against a straightforward reference implementation.
 func TestDgemvAgainstNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(4))

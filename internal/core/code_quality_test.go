@@ -453,14 +453,17 @@ var standardMethods = map[string]bool{"String": true, "Error": true, "Unwrap": t
 // outside tests under internal/ and cmd/ is named somewhere in the module
 // besides its own declaration — by a caller, a test, a benchmark, the
 // public package or an example — unless a standard interface calls it.
-// Names are matched as identifiers, not resolved, so a name shared with
-// another declaration that is used passes.
+// Every unexported package-level function declared there is named
+// somewhere in its own package (its directory, tests included) besides
+// its declaration. Names are matched as identifiers, not resolved, so a
+// name shared with another declaration that is used passes.
 func TestNoUnreferencedExports(t *testing.T) {
 	root := filepath.Join("..", "..")
 	fset := token.NewFileSet()
 	refs := map[string]int{}
-	type decl struct{ name, pos string }
-	var decls []decl
+	pkgRefs := map[string]map[string]int{} // directory → identifier → uses
+	type decl struct{ dir, name, pos string }
+	var exported, unexported []decl
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -480,18 +483,33 @@ func TestNoUnreferencedExports(t *testing.T) {
 		}
 		rel, _ := filepath.Rel(root, path)
 		rel = filepath.ToSlash(rel)
+		dir := filepath.Dir(rel)
 		own := map[*goast.Ident]bool{}
 		if !strings.HasSuffix(rel, "_test.go") && (strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/")) {
 			for _, dl := range f.Decls {
-				if fd, ok := dl.(*goast.FuncDecl); ok && fd.Name.IsExported() {
-					own[fd.Name] = true
-					decls = append(decls, decl{fd.Name.Name, fset.Position(fd.Pos()).String()})
+				fd, ok := dl.(*goast.FuncDecl)
+				if !ok {
+					continue
 				}
+				dc := decl{dir, fd.Name.Name, fset.Position(fd.Pos()).String()}
+				switch {
+				case fd.Name.IsExported():
+					exported = append(exported, dc)
+				case fd.Recv == nil && fd.Name.Name != "main" && fd.Name.Name != "init":
+					unexported = append(unexported, dc)
+				default:
+					continue
+				}
+				own[fd.Name] = true
 			}
+		}
+		if pkgRefs[dir] == nil {
+			pkgRefs[dir] = map[string]int{}
 		}
 		goast.Inspect(f, func(n goast.Node) bool {
 			if id, ok := n.(*goast.Ident); ok && !own[id] {
 				refs[id.Name]++
+				pkgRefs[dir][id.Name]++
 			}
 			return true
 		})
@@ -500,12 +518,17 @@ func TestNoUnreferencedExports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(decls) == 0 {
-		t.Fatal("no exported function found under internal/ or cmd/")
+	if len(exported) == 0 || len(unexported) == 0 {
+		t.Fatal("no function found under internal/ or cmd/")
 	}
-	for _, d := range decls {
+	for _, d := range exported {
 		if refs[d.name] == 0 && !standardMethods[d.name] {
 			t.Errorf("%s: %s is exported and named nowhere else in the module", d.pos, d.name)
+		}
+	}
+	for _, d := range unexported {
+		if pkgRefs[d.dir][d.name] == 0 {
+			t.Errorf("%s: %s is named nowhere else in its package", d.pos, d.name)
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/disambig"
 	"repro/internal/infer"
 	"repro/internal/inline"
-	"repro/internal/ir"
 	"repro/internal/opt"
 	"repro/internal/persist"
 	"repro/internal/regalloc"
@@ -51,68 +50,100 @@ func (c *compiled) entry(sig types.Signature, q repo.Quality, speculative bool) 
 	return &repo.Entry{Sig: sig, Code: c.code, Quality: q, Speculative: speculative, Ret: c.ret, Deps: c.deps}
 }
 
-// compile runs the full compiler (Figure 1 of the paper): inliner →
-// disambiguator → type inference → code generation, accumulating
-// per-phase times for the Figure 6 decomposition.
-func (e *Engine) compile(fn *ast.Function, sig types.Signature, po pipelineOpts) (*compiled, error) {
-	if len(sig) != len(fn.Ins) {
-		return nil, &codegen.ErrUnsupported{Reason: "arity mismatch between signature and formals"}
-	}
+// frontEnd is passes 1–2 of the compiler: the body the later passes
+// compile (inlined, or a private copy where nothing is inlined), its
+// graph and the disambiguator's table. cfg.Build numbers the expressions
+// and disambiguation writes its verdicts on the nodes; fn is shared with
+// every engine of the library, so both write on the private copy (the
+// inliner makes its own, and a clone carries what they wrote).
+type frontEnd struct {
+	work *ast.Function
+	g    *cfg.Graph
+	tbl  *disambig.Table
+	// deps are the callees spliced in; they become repo.Entry.Deps.
+	deps []repo.Dep
+}
 
-	// Pass 1+2: inlining and disambiguation.
+// frontEnd runs passes 1–2 for fn, timed as the disambig phase, and
+// records them in low when Lower asks. generic (the mcc tier) and the
+// inlining ablation inline nothing.
+func (e *Engine) frontEnd(fn *ast.Function, generic bool, low *Lowering) (fe frontEnd, err error) {
 	t0 := time.Now()
-	var work *ast.Function
-	out := &compiled{}
-	if e.opts.Ablation == AblateInlining || po.generic {
-		// cfg.Build numbers the expressions and disambiguation writes its
-		// verdicts on the nodes; fn is shared with every engine of the
-		// library, so both write on a private copy (the inliner makes its
-		// own, and a clone carries what they wrote).
-		work = ast.CloneFunction(fn)
+	if e.opts.Ablation == AblateInlining || generic {
+		fe.work = ast.CloneFunction(fn)
 	} else {
 		var spliced []*ast.Function
-		work, spliced = inline.ExpandDeps(fn, e)
+		fe.work, spliced = inline.ExpandDeps(fn, e)
 		for _, callee := range spliced {
 			if callee.Name != fn.Name {
-				out.deps = append(out.deps, repo.Dep{Name: callee.Name, SrcHash: persist.HashSource(callee.Source)})
+				fe.deps = append(fe.deps, repo.Dep{Name: callee.Name, SrcHash: persist.HashSource(callee.Source)})
 			}
 		}
 	}
-	g := cfg.Build(work.Body)
-	tbl := disambig.Analyze(g, work.Ins, disambig.ResolverFunc(func(name string) bool {
+	fe.g = cfg.Build(fe.work.Body)
+	fe.tbl = disambig.Analyze(fe.g, fe.work.Ins, disambig.ResolverFunc(func(name string) bool {
 		return e.LookupFunction(name) != nil
 	}))
-	// Each phase duration is measured once and fed to both the
-	// PhaseTimes atomic and the trace span, so span-category totals
-	// reconcile with the Figure 6 decomposition exactly (modulo the
-	// trace format's microsecond granularity).
-	d0 := time.Since(t0)
-	atomic.AddInt64(&e.timing.Disambig, d0.Nanoseconds())
-	e.tracer.Span(telemetry.CatDisambig, fn.Name, e.id, t0, d0)
-	if tbl.HasAmbiguous {
-		return nil, &codegen.ErrUnsupported{Reason: "ambiguous or undefined symbols"}
+	e.phase(&e.timing.Disambig, telemetry.CatDisambig, fn.Name, t0)
+	if low != nil {
+		low.Body, low.Graph, low.Symbols = fe.work, fe.g, fe.tbl
 	}
+	if fe.tbl.HasAmbiguous {
+		return fe, &codegen.ErrUnsupported{Reason: "ambiguous or undefined symbols"}
+	}
+	return fe, nil
+}
+
+// phase charges the time since t0 to one PhaseTimes field and to a trace
+// span of category cat. The duration is measured once and fed to both,
+// so span-category totals reconcile with the Figure 6 decomposition
+// exactly (modulo the trace format's microsecond granularity).
+func (e *Engine) phase(acc *int64, cat, name string, t0 time.Time) {
+	d := time.Since(t0)
+	atomic.AddInt64(acc, d.Nanoseconds())
+	e.tracer.Span(cat, name, e.id, t0, d)
+}
+
+// compile runs the full compiler (Figure 1 of the paper): inliner →
+// disambiguator → type inference → code generation, accumulating
+// per-phase times for the Figure 6 decomposition. fe, when set, is the
+// front end the caller already ran for fn (speculation hands over its
+// own); otherwise compile runs one. low, when set, records every stage.
+func (e *Engine) compile(fn *ast.Function, sig types.Signature, po pipelineOpts, fe *frontEnd, low *Lowering) (*compiled, error) {
+	if len(sig) != len(fn.Ins) {
+		return nil, &codegen.ErrUnsupported{Reason: "arity mismatch between signature and formals"}
+	}
+	if fe == nil {
+		own, err := e.frontEnd(fn, po.generic, low)
+		if err != nil {
+			return nil, err
+		}
+		fe = &own
+	}
+	out := &compiled{deps: fe.deps}
 
 	// Pass 3: type inference.
 	t1 := time.Now()
-	params := make(map[string]types.Type, len(work.Ins))
-	for i, p := range work.Ins {
+	params := make(map[string]types.Type, len(fe.work.Ins))
+	for i, p := range fe.work.Ins {
 		params[p] = sig[i]
 	}
-	res := e.inferWithSummaries(fn, work, sig, g, params, po, out)
-	d1 := time.Since(t1)
-	atomic.AddInt64(&e.timing.TypeInf, d1.Nanoseconds())
-	e.tracer.Span(telemetry.CatTypeInf, fn.Name, e.id, t1, d1)
+	res := e.inferWithSummaries(fn, fe.work, sig, fe.g, params, po, out)
+	e.phase(&e.timing.TypeInf, telemetry.CatTypeInf, fn.Name, t1)
+	if low != nil {
+		low.Types = res
+	}
 
 	// Pass 4: code generation (+ backend optimization + regalloc).
 	t2 := time.Now()
+	defer e.phase(&e.timing.Codegen, telemetry.CatCodegen, fn.Name, t2)
 	ccfg := e.codegenConfig(po)
-	prog, err := codegen.Compile(work, res, tbl, ccfg)
+	prog, err := codegen.Compile(fe.work, res, fe.tbl, ccfg)
 	if err != nil {
-		d2 := time.Since(t2)
-		atomic.AddInt64(&e.timing.Codegen, d2.Nanoseconds())
-		e.tracer.Span(telemetry.CatCodegen, fn.Name, e.id, t2, d2)
 		return nil, err
+	}
+	if low != nil {
+		low.IR = prog.Disasm()
 	}
 	if po.optimize {
 		opt.Run(prog)
@@ -124,41 +155,72 @@ func (e *Engine) compile(fn *ast.Function, sig types.Signature, po pipelineOpts)
 		// is a single peephole, cheap enough for compile-latency mode.
 		opt.FuseDst(prog)
 	}
+	if low != nil {
+		low.OptIR = prog.Disasm()
+	}
 	ra := regalloc.DefaultOptions()
 	ra.SpillAll = e.opts.Ablation == AblateRegalloc
 	regalloc.Allocate(prog, ra)
-	out.code, err = vm.Prepare(prog)
-	d2 := time.Since(t2)
-	atomic.AddInt64(&e.timing.Codegen, d2.Nanoseconds())
-	e.tracer.Span(telemetry.CatCodegen, fn.Name, e.id, t2, d2)
-	if err != nil {
+	if low != nil {
+		low.Asm = prog.Disasm()
+	}
+	if out.code, err = vm.Prepare(prog); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// Lower compiles a defined function the way the engine's tier would and
-// returns the allocated program with the signature it was compiled for —
-// what majicc -dump=asm prints: the JIT pipeline at sig under TierJIT, the
-// optimising one under any other compiling tier, at the speculated
-// signature when sig is nil. Nothing is published.
-func (e *Engine) Lower(name string, sig types.Signature) (*ir.Prog, types.Signature, error) {
+// Lowering is every stage of one compile, as Lower records it. When a
+// stage fails, the stages before it are still recorded.
+type Lowering struct {
+	// Sig is the signature compiled for: the one asked for, ⊤ throughout
+	// under the mcc tier, or the speculated one.
+	Sig types.Signature
+	// Body is the inlined body, Graph its control-flow graph and Symbols
+	// the disambiguator's table (its variables).
+	Body    *ast.Function
+	Graph   *cfg.Graph
+	Symbols *disambig.Table
+	// Types is the inference result at Sig.
+	Types *infer.Result
+	// IR, OptIR and Asm are the code as selected, after the backend
+	// passes, and allocated: Asm is what the engine runs.
+	IR, OptIR, Asm string
+}
+
+// Lower compiles a defined function the way the engine's tier does and
+// returns every stage; nothing is published. The pipeline is the one
+// whose code the engine runs at sig: a jit engine's miss compile, mcc's
+// generic one at ⊤, and the optimising pipeline under falcon, spec (its
+// speculative compile) and a tiered engine (its tier-up). A nil sig is
+// the speculated signature, and the speculation's front end is the
+// compile's. The interp tier compiles nothing.
+func (e *Engine) Lower(name string, sig types.Signature) (*Lowering, error) {
 	fn := e.LookupFunction(name)
 	if fn == nil {
-		return nil, nil, fmt.Errorf("core: no function %q", name)
+		return nil, fmt.Errorf("core: no function %q", name)
 	}
+	var po pipelineOpts
+	switch {
+	case e.opts.Tier == TierInterp:
+		return nil, fmt.Errorf("core: the %s tier compiles nothing", e.opts.Tier)
+	case e.opts.Tier == TierMCC:
+		po.generic = true
+		sig = topSignature(len(fn.Ins))
+	case e.opts.Tier != TierJIT || e.repo.parks:
+		po.optimize = true
+	}
+	low := &Lowering{Sig: sig}
+	var fe *frontEnd
 	if sig == nil {
-		var err error
-		if sig, err = e.speculate(fn); err != nil {
-			return nil, nil, err
+		spec, own, err := e.speculate(fn, low)
+		if err != nil {
+			return low, err
 		}
+		low.Sig, fe = spec, &own
 	}
-	po := pipelineOpts{optimize: e.opts.Tier != TierJIT, generic: e.opts.Tier == TierMCC}
-	c, err := e.compile(fn, sig, po)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c.code.P, sig, nil
+	_, err := e.compile(fn, low.Sig, po, fe, low)
+	return low, err
 }
 
 func (e *Engine) inferOpts() infer.Opts {
@@ -210,26 +272,16 @@ func (e *Engine) codegenConfig(po pipelineOpts) codegen.Config {
 }
 
 // speculate derives the speculative signature for a function (paper
-// §2.5): backward hint propagation alternating with forward passes.
-func (e *Engine) speculate(fn *ast.Function) (types.Signature, error) {
-	var work *ast.Function
-	if e.opts.Ablation == AblateInlining {
-		work = ast.CloneFunction(fn) // see compile: never analyze the shared AST
-	} else {
-		work = inline.Expand(fn, e)
+// §2.5): backward hint propagation alternating with forward passes, timed
+// as the typeinf phase. It returns its front end for the compile of the
+// signature it found.
+func (e *Engine) speculate(fn *ast.Function, low *Lowering) (types.Signature, frontEnd, error) {
+	fe, err := e.frontEnd(fn, false, low)
+	if err != nil {
+		return nil, fe, err
 	}
-	g := cfg.Build(work.Body)
-	tbl := disambig.Analyze(g, work.Ins, disambig.ResolverFunc(func(name string) bool {
-		return e.LookupFunction(name) != nil
-	}))
-	if tbl.HasAmbiguous {
-		return nil, &codegen.ErrUnsupported{Reason: "ambiguous or undefined symbols"}
-	}
-	// The speculator needs the same formals the compile step will see;
-	// speculation maps guesses back onto the original formal list.
-	sig := infer.Speculate(work, g, e.inferOpts())
-	if len(sig) != len(fn.Ins) {
-		return nil, &codegen.ErrUnsupported{Reason: "speculation arity mismatch"}
-	}
-	return sig, nil
+	t0 := time.Now()
+	sig := infer.Speculate(fe.work, fe.g, e.inferOpts())
+	e.phase(&e.timing.TypeInf, telemetry.CatTypeInf, fn.Name, t0)
+	return sig, fe, nil
 }

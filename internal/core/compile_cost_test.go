@@ -143,7 +143,7 @@ func TestCompileCostIsLinear(t *testing.T) {
 				regalloc.Allocate(s.fresh(), regalloc.Options{FRegs: 24, IRegs: 24, CRegs: 8, SpillAll: true})
 			}},
 			{name: "Engine.compile", run: func(s *stages) {
-				if _, err := e.compile(s.fn, s.sig, pipelineOpts{optimize: true}); err != nil {
+				if _, err := e.compile(s.fn, s.sig, pipelineOpts{optimize: true}, nil, nil); err != nil {
 					t.Fatal(err)
 				}
 			}},

@@ -445,6 +445,26 @@ function y = h(b)
   y = b*10 + 3;
   return
 end`},
+	// && and || as values, not branch conditions: the right operand runs
+	// only when the left one does not decide, so v(0) is never indexed.
+	{name: "and_value_short_circuits", args: []float64{0}, src: `
+function a = f(n)
+  v = [1 2 3];
+  a = n > 0 && v(n) > 1;
+end`},
+	{name: "or_value_short_circuits", args: []float64{0}, src: `
+function a = f(n)
+  v = [1 2 3];
+  a = n < 1 || v(n) > 1;
+end`},
+	{name: "and_value_accumulates", src: `
+function s = f()
+  s = 0;
+  for i = 1:10
+    t = i > 2 && mod(i, 2) == 1;
+    s = s + t;
+  end
+end`},
 }
 
 // loopPrograms pin what a for loop means, whichever way it is lowered

@@ -121,37 +121,27 @@ func (r *repoState) requestOSR(fr *interp.Frame, loop ast.Stmt, st *profile.OSRS
 		}
 	}
 
-	var synth *ast.Function
+	// The interpreter offers a counted for loop with its induction state
+	// and a while loop without; no other loop offers.
+	synth := synthWhileContinuation(fn, idx, live)
 	params := append([]string(nil), live...)
-	forLoop := fs != nil
-	if forLoop {
-		x, ok := loop.(*ast.For)
-		if !ok {
-			return false
-		}
-		synth = synthForContinuation(fn, x, idx, live)
+	if fs != nil {
+		synth = synthForContinuation(fn, loop.(*ast.For), idx, live)
 		params = append(params, osrIv0, osrN, osrLo, osrStep)
-	} else {
-		if _, ok := loop.(*ast.While); !ok {
-			return false
-		}
-		synth = synthWhileContinuation(fn, idx, live)
 	}
 
 	// The compile signature is the widened frame signature: ranges and
 	// non-scalar shapes open, so one continuation serves every later
 	// activation of the same kind tuple (transfer points vary, so exact
-	// ranges would deopt constantly).
+	// ranges would deopt constantly). Every live name is bound here, and
+	// none globally (HasGlobals above).
 	vals := make([]*mat.Value, 0, len(live))
 	for _, n := range live {
-		v, ok := env.Lookup(n)
-		if !ok {
-			return false
-		}
+		v, _ := env.Lookup(n)
 		vals = append(vals, v)
 	}
 	sig := widen(types.SignatureOf(vals))
-	if forLoop {
+	if fs != nil {
 		sig = append(sig, intScalarType(), intScalarType(), realScalarType(), realScalarType())
 	}
 
@@ -166,13 +156,13 @@ func (r *repoState) requestOSR(fr *interp.Frame, loop ast.Stmt, st *profile.OSRS
 			return nil
 		}
 		t0 := time.Now()
-		c, err := e.compile(synth, sig, pipelineOpts{optimize: true, boxedCalls: true})
+		c, err := e.compile(synth, sig, pipelineOpts{optimize: true, boxedCalls: true}, nil, nil)
 		e.tracer.Span(telemetry.CatOSR, name+" compile", e.id, t0, time.Since(t0))
 		if err != nil {
 			st.Failed.Store(true)
 			return nil
 		}
-		st.Publish(&profile.OSREntry{Params: params, Sig: sig, Code: c.code, Deps: c.deps, Gen: gen, ForLoop: forLoop})
+		st.Publish(&profile.OSREntry{Params: params, Sig: sig, Code: c.code, Deps: c.deps, Gen: gen})
 		e.lib.profiles.CountOSRCompile()
 		e.lib.journal.Record(telemetry.Event{
 			Kind:   telemetry.EventOSRCompile,
@@ -234,9 +224,6 @@ func (r *repoState) osrTransfer(fr *interp.Frame, st *profile.OSRState, entry *p
 	if entry.Gen != fr.Gen || r.r.Generation(fr.Fn.Name) != entry.Gen || !r.r.Current(entry.Deps) {
 		return deopt(profile.DeoptGeneration)
 	}
-	if entry.ForLoop != (fs != nil) {
-		return deopt(profile.DeoptBinding)
-	}
 
 	// Materialize the frame: live values in compiled formal order. A
 	// compiled-in name that is no longer bound deopts — except the
@@ -244,14 +231,14 @@ func (r *repoState) osrTransfer(fr *interp.Frame, st *profile.OSRState, entry *p
 	// definition lo + k*step (the continuation rebinds it before the
 	// body runs either way).
 	nlive := len(entry.Params)
-	if entry.ForLoop {
+	if fs != nil {
 		nlive -= 4
 	}
 	vals := make([]*mat.Value, 0, len(entry.Params))
 	for _, n := range entry.Params[:nlive] {
 		v, ok := env.Lookup(n)
 		if !ok {
-			if entry.ForLoop && n == fs.Var {
+			if fs != nil && n == fs.Var {
 				v = mat.Scalar(fs.Lo + float64(fs.K)*fs.Step)
 			} else {
 				return deopt(profile.DeoptBinding)
@@ -259,7 +246,7 @@ func (r *repoState) osrTransfer(fr *interp.Frame, st *profile.OSRState, entry *p
 		}
 		vals = append(vals, v)
 	}
-	if entry.ForLoop {
+	if fs != nil {
 		vals = append(vals,
 			mat.IntScalar(float64(fs.K)), mat.IntScalar(float64(fs.N)),
 			mat.Scalar(fs.Lo), mat.Scalar(fs.Step))

@@ -73,14 +73,15 @@ func (e *Engine) Repo() *repo.Repository { return e.repo.r }
 // invocation that asked for it. A nil entry and nil error mean there was
 // nothing to do: the function was redefined while the job was queued, an
 // entry serving csig landed meanwhile — a job under another key (the
-// widened sibling, say) can cover it — or old is gone.
-func (r *repoState) publish(st *repo.FuncState, csig types.Signature, po pipelineOpts, speculative bool, old *repo.Entry) (entry *repo.Entry, published bool, err error) {
+// widened sibling, say) can cover it — or old is gone. fe is the front
+// end the speculator ran, nil for every other compile.
+func (r *repoState) publish(st *repo.FuncState, csig types.Signature, po pipelineOpts, speculative bool, old *repo.Entry, fe *frontEnd) (entry *repo.Entry, published bool, err error) {
 	name := st.Fn.Name
 	now := r.r.State(name)
 	if now.Gen != st.Gen || old == nil && now.Covers(csig) || old != nil && !slices.Contains(now.Entries, old) {
 		return nil, false, nil
 	}
-	c, err := r.e.compile(st.Fn, csig, po)
+	c, err := r.e.compile(st.Fn, csig, po, fe, nil)
 	switch _, unsupported := err.(*codegen.ErrUnsupported); {
 	case unsupported && (speculative || old != nil):
 		// A rejected guess says nothing about the runtime signature, and a
@@ -113,8 +114,8 @@ func (r *repoState) precompile(st *repo.FuncState) {
 		func() string { return fmt.Sprintf("spec\x00%s\x00%d", st.Fn.Name, st.Gen) },
 		nil,
 		func() error {
-			if sig, err := r.e.speculate(st.Fn); err == nil {
-				r.publish(st, sig, pipelineOpts{optimize: true}, true, nil)
+			if sig, fe, err := r.e.speculate(st.Fn, nil); err == nil {
+				r.publish(st, sig, pipelineOpts{optimize: true}, true, nil, &fe)
 			}
 			return nil
 		})
@@ -286,7 +287,7 @@ func (r *repoState) specialise(st *repo.FuncState, old *repo.Entry, csig types.S
 		nil,
 		func() error {
 			t0 := time.Now()
-			entry, published, err := r.publish(st, csig, pipelineOpts{optimize: true}, false, old)
+			entry, published, err := r.publish(st, csig, pipelineOpts{optimize: true}, false, old, nil)
 			if entry != nil || err != nil {
 				e.tracer.Span(telemetry.CatTierUp, name, e.id, t0, time.Since(t0))
 			}
@@ -354,7 +355,7 @@ func (r *repoState) miss(st *repo.FuncState, sig types.Signature, args []vm.Oper
 		func() string { return fmt.Sprintf("jit\x00%s\x00%s\x00%d", name, csig.Key(), st.Gen) },
 		func() bool { return r.r.Covered(name, csig) },
 		func() (err error) {
-			mine, _, err = r.publish(st, csig, po, false, nil)
+			mine, _, err = r.publish(st, csig, po, false, nil, nil)
 			return err
 		})
 

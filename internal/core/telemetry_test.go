@@ -119,6 +119,44 @@ end`); err != nil {
 	}
 }
 
+// TestSpeculationIsTimedOnce: a spec engine's Precompile of one function
+// runs one front end, shared by the speculator and the compile of the
+// signature it found, so the trace has one disambig span; and it has two
+// typeinf spans, the speculation's and the compile's.
+func TestSpeculationIsTimedOnce(t *testing.T) {
+	tr := telemetry.NewTracer(0)
+	e := New(Options{Tier: TierSpec, Tracer: tr})
+	defer e.Close()
+	if err := e.Define(`
+function s = f(n)
+  s = 0;
+  for i = 1:n
+    s = s + sq(i);
+  end
+end
+function y = sq(x)
+  y = x * x;
+end`); err != nil {
+		t.Fatal(err)
+	}
+	e.Precompile()
+	spans := map[string]int{}
+	for _, ev := range tr.Events() {
+		if ev.Name == "f" {
+			spans[ev.Cat]++
+		}
+	}
+	if n := spans[telemetry.CatDisambig]; n != 1 {
+		t.Errorf("%d disambig spans for f, want 1: the front end runs once", n)
+	}
+	if n := spans[telemetry.CatTypeInf]; n != 2 {
+		t.Errorf("%d typeinf spans for f, want 2: the speculation's and the compile's", n)
+	}
+	if len(e.Repo().Entries("f")) != 1 {
+		t.Errorf("f's entries after Precompile: %v, want the speculative one", e.Repo().Entries("f"))
+	}
+}
+
 // Steady-state overhead pair: the same hot call with the flight
 // recorder off and on. EXPERIMENTS.md records the measured delta; the
 // acceptance bound is <2%.

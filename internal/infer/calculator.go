@@ -88,15 +88,6 @@ func (c *Calculator) Forward(name string, args []types.Type) types.Type {
 
 // --- predicate helpers -------------------------------------------------------
 
-func allScalar(a []types.Type) bool {
-	for _, t := range a {
-		if !t.IsScalar() {
-			return false
-		}
-	}
-	return true
-}
-
 func allNumericLeq(top types.Intrinsic) func([]types.Type) bool {
 	return func(a []types.Type) bool {
 		for _, t := range a {
@@ -110,17 +101,6 @@ func allNumericLeq(top types.Intrinsic) func([]types.Type) bool {
 
 func nArgs(n int) func([]types.Type) bool {
 	return func(a []types.Type) bool { return len(a) == n }
-}
-
-func and(ps ...func([]types.Type) bool) func([]types.Type) bool {
-	return func(a []types.Type) bool {
-		for _, p := range ps {
-			if !p(a) {
-				return false
-			}
-		}
-		return true
-	}
 }
 
 func isIntScalar(t types.Type) bool { return t.IsScalar() && types.LeqI(t.I, types.IInt) }

@@ -1,9 +1,9 @@
 // Package linalg implements the dense linear-algebra substrate MaJIC's
 // built-in functions stand on: LU factorization with partial pivoting
 // (mldivide), over the band alone when the system is banded, Cholesky
-// factorization, QR decomposition, determinant, inverse, and eigenvalues
-// via cyclic Jacobi for a symmetric matrix and Hessenberg reduction plus
-// the shifted QR iteration otherwise. It plays the LAPACK role of the
+// factorization, determinant, inverse, and eigenvalues via cyclic Jacobi
+// for a symmetric matrix and Hessenberg reduction plus the shifted QR
+// iteration otherwise. It plays the LAPACK role of the
 // original system: built-in library code whose speed is unaffected by
 // compiling its callers.
 package linalg
@@ -119,75 +119,4 @@ func Chol(a []float64, n int) ([]float64, error) {
 		}
 	}
 	return r, nil
-}
-
-// QR computes a Householder QR decomposition of the m x n column-major
-// matrix a, returning Q (m x m) and R (m x n).
-func QR(a []float64, m, n int) (q, r []float64) {
-	r = make([]float64, m*n)
-	copy(r, a[:m*n])
-	q = make([]float64, m*m)
-	for i := 0; i < m; i++ {
-		q[i*m+i] = 1
-	}
-	steps := n
-	if m-1 < steps {
-		steps = m - 1
-	}
-	v := make([]float64, m)
-	for k := 0; k < steps; k++ {
-		// Householder vector for column k below the diagonal.
-		var norm float64
-		for i := k; i < m; i++ {
-			norm += r[k*m+i] * r[k*m+i]
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			continue
-		}
-		alpha := -norm
-		if r[k*m+k] < 0 {
-			alpha = norm
-		}
-		vnorm2 := 0.0
-		for i := k; i < m; i++ {
-			v[i] = r[k*m+i]
-			if i == k {
-				v[i] -= alpha
-			}
-			vnorm2 += v[i] * v[i]
-		}
-		if vnorm2 == 0 {
-			continue
-		}
-		// Apply H = I - 2vvᵀ/vᵀv to R (columns k..n-1) and Q.
-		for j := k; j < n; j++ {
-			var dot float64
-			for i := k; i < m; i++ {
-				dot += v[i] * r[j*m+i]
-			}
-			f := 2 * dot / vnorm2
-			for i := k; i < m; i++ {
-				r[j*m+i] -= f * v[i]
-			}
-		}
-		for j := 0; j < m; j++ {
-			var dot float64
-			for i := k; i < m; i++ {
-				dot += v[i] * q[j*m+i]
-			}
-			f := 2 * dot / vnorm2
-			for i := k; i < m; i++ {
-				q[j*m+i] -= f * v[i]
-			}
-		}
-	}
-	// Q accumulated as the product of reflectors applied to I gives Qᵀ in
-	// the columns; transpose in place to return Q with A = Q R.
-	for j := 0; j < m; j++ {
-		for i := 0; i < j; i++ {
-			q[j*m+i], q[i*m+j] = q[i*m+j], q[j*m+i]
-		}
-	}
-	return q, r
 }

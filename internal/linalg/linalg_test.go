@@ -169,52 +169,6 @@ func TestChol(t *testing.T) {
 	}
 }
 
-func TestQR(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	m, n := 5, 3
-	a := make([]float64, m*n)
-	for i := range a {
-		a[i] = r.Float64()*2 - 1
-	}
-	q, rr := QR(a, m, n)
-	// Q orthogonal: QᵀQ = I
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			var s float64
-			for k := 0; k < m; k++ {
-				s += q[i*m+k] * q[j*m+k]
-			}
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if math.Abs(s-want) > 1e-10 {
-				t.Fatalf("QtQ[%d,%d] = %g", i, j, s)
-			}
-		}
-	}
-	// A = QR
-	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			var s float64
-			for k := 0; k < m; k++ {
-				s += q[k*m+i] * rr[j*m+k]
-			}
-			if math.Abs(s-a[j*m+i]) > 1e-10 {
-				t.Fatalf("QR[%d,%d] = %g, want %g", i, j, s, a[j*m+i])
-			}
-		}
-	}
-	// R upper triangular
-	for j := 0; j < n; j++ {
-		for i := j + 1; i < m; i++ {
-			if math.Abs(rr[j*m+i]) > 1e-10 {
-				t.Fatalf("R[%d,%d] = %g, not upper triangular", i, j, rr[j*m+i])
-			}
-		}
-	}
-}
-
 func TestEigSymmetric(t *testing.T) {
 	// [[2,1],[1,2]] has eigenvalues 1 and 3
 	a := []float64{2, 1, 1, 2}

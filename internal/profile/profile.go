@@ -48,7 +48,7 @@ const (
 	// function was redefined while the continuation was compiling).
 	DeoptGeneration DeoptCause = iota
 	// DeoptBinding: the live-variable frame didn't match the compiled
-	// continuation (missing binding or counted/while loop mismatch).
+	// continuation (a compiled-in variable is not bound).
 	DeoptBinding
 	// DeoptRange: a live value escaped the ranges the continuation was
 	// specialised for (Sig.Safe failed).
@@ -199,7 +199,4 @@ type OSREntry struct {
 	// Deps are the functions the continuation inlined; a transfer is
 	// refused once any of them has been redefined.
 	Deps []repo.Dep
-	// ForLoop marks counted-loop continuations, which take the four
-	// synthetic induction parameters.
-	ForLoop bool
 }
