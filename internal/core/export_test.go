@@ -14,3 +14,13 @@ func (l *Library) HoldPool() (release func()) {
 	<-started
 	return func() { close(done) }
 }
+
+// DiffSource is the source of the differential program of that name.
+func DiffSource(name string) string {
+	for _, p := range diffPrograms {
+		if p.name == name {
+			return p.src
+		}
+	}
+	panic("no differential program " + name)
+}

@@ -426,6 +426,10 @@ func (a *Value) FastGet1(i int) float64 { return a.re[i] }
 // FastSet1 is the unchecked linear store (0-based).
 func (a *Value) FastSet1(i int, x float64) { a.re[i] = x }
 
+// maxSubscript bounds a store's subscripts: past it a float64 no longer
+// holds every integer, and int() of an infinite one is garbage.
+const maxSubscript = 1 << 53
+
 // CheckedGet1 is the checked linear load used by compiled code when
 // subscript checks could not be removed (1-based index, validates
 // integrality and bounds as MATLAB mandates).
@@ -433,10 +437,10 @@ func (a *Value) CheckedGet1(x float64) (float64, error) {
 	if x != math.Trunc(x) || x < 1 {
 		return 0, Errorf("subscript indices must be positive integers (got %g)", x)
 	}
-	i := int(x)
-	if i > a.rows*a.cols {
-		return 0, Errorf("index exceeds matrix dimensions (index %d, numel %d)", i, a.rows*a.cols)
+	if x > float64(a.rows*a.cols) { // compared as a float: past int64, int(x) is garbage
+		return 0, Errorf("index exceeds matrix dimensions (index %.0f, numel %d)", x, a.rows*a.cols)
 	}
+	i := int(x)
 	if a.sp != nil {
 		return a.sp.linear(i - 1), nil
 	}
@@ -461,6 +465,9 @@ func (a *Value) CheckedSet1(x float64, val float64) error {
 	if x != math.Trunc(x) || x < 1 {
 		return Errorf("subscript indices must be positive integers (got %g)", x)
 	}
+	if x > maxSubscript {
+		return Errorf("maximum variable size exceeded (index %g)", x)
+	}
 	if err := a.densifyInPlace(); err != nil {
 		return err
 	}
@@ -479,10 +486,10 @@ func (a *Value) CheckedGet2(xr, xc float64) (float64, error) {
 	if xr != math.Trunc(xr) || xr < 1 || xc != math.Trunc(xc) || xc < 1 {
 		return 0, Errorf("subscript indices must be positive integers")
 	}
-	r, c := int(xr), int(xc)
-	if r > a.rows || c > a.cols {
-		return 0, Errorf("index exceeds matrix dimensions (%d,%d of %dx%d)", r, c, a.rows, a.cols)
+	if xr > float64(a.rows) || xc > float64(a.cols) {
+		return 0, Errorf("index exceeds matrix dimensions (%.0f,%.0f of %dx%d)", xr, xc, a.rows, a.cols)
 	}
+	r, c := int(xr), int(xc)
 	if a.sp != nil {
 		return a.sp.at(r-1, c-1), nil
 	}
@@ -503,6 +510,9 @@ func (a *Value) CheckedSet2(xr, xc float64, val float64) error {
 	if xr != math.Trunc(xr) || xr < 1 || xc != math.Trunc(xc) || xc < 1 {
 		return Errorf("subscript indices must be positive integers")
 	}
+	if xr > maxSubscript || xc > maxSubscript {
+		return Errorf("maximum variable size exceeded (index %g,%g)", xr, xc)
+	}
 	if err := a.densifyInPlace(); err != nil {
 		return err
 	}
@@ -512,6 +522,96 @@ func (a *Value) CheckedSet2(xr, xc float64, val float64) error {
 	}
 	a.re[(c-1)*a.rows+(r-1)] = val
 	return nil
+}
+
+// The Try accessors are the common case of the checked loads and stores,
+// small enough to inline into the VM's dispatch loop: an in-range
+// integral subscript into a dense payload (and, for a store, one the
+// caller owns, so it writes in place). They answer false wherever the
+// checked form would fail, grow, densify or copy — and on a sparse load,
+// which the checked form reads the slow way — and the caller then runs
+// the checked form. Where they answer true they read or write the
+// element the checked form would. The I forms take the subscript a
+// caller would convert to float64 for the checked form.
+
+// TryGet1 is CheckedGet1's common case.
+func (a *Value) TryGet1(x float64) (float64, bool) {
+	if a == nil || a.sp != nil || !(x >= 1 && x <= float64(a.rows*a.cols)) || x != float64(int(x)) {
+		return 0, false
+	}
+	return a.re[int(x)-1], true
+}
+
+// TryGet1I is TryGet1 for an integer subscript.
+func (a *Value) TryGet1I(k int64) (float64, bool) {
+	if a == nil || a.sp != nil || uint64(k-1) >= uint64(a.rows*a.cols) {
+		return 0, false
+	}
+	return a.re[k-1], true
+}
+
+// TryGet2 is CheckedGet2's common case.
+func (a *Value) TryGet2(xr, xc float64) (float64, bool) {
+	if a == nil || a.sp != nil || !(xr >= 1 && xr <= float64(a.rows) && xc >= 1 && xc <= float64(a.cols)) ||
+		xr != float64(int(xr)) || xc != float64(int(xc)) {
+		return 0, false
+	}
+	return a.re[(int(xc)-1)*a.rows+int(xr)-1], true
+}
+
+// TryGet2I is TryGet2 for integer subscripts.
+func (a *Value) TryGet2I(r, c int64) (float64, bool) {
+	if a == nil || a.sp != nil || uint64(r-1) >= uint64(a.rows) || uint64(c-1) >= uint64(a.cols) {
+		return 0, false
+	}
+	return a.re[(c-1)*int64(a.rows)+r-1], true
+}
+
+// TrySet1 is CheckedSet1's common case on a value the caller owns.
+func (a *Value) TrySet1(x, val float64) bool {
+	if a == nil || a.IsShared() || a.sp != nil || !(x >= 1 && x <= float64(a.rows*a.cols)) || x != float64(int(x)) {
+		return false
+	}
+	a.re[int(x)-1] = val
+	return true
+}
+
+// TrySet1I is TrySet1 for an integer subscript.
+func (a *Value) TrySet1I(k int64, val float64) bool {
+	if a == nil || a.IsShared() || a.sp != nil || uint64(k-1) >= uint64(a.rows*a.cols) {
+		return false
+	}
+	a.re[k-1] = val
+	return true
+}
+
+// TrySet2 is CheckedSet2's common case on a value the caller owns.
+func (a *Value) TrySet2(xr, xc, val float64) bool {
+	if a == nil || a.IsShared() || a.sp != nil || !(xr >= 1 && xr <= float64(a.rows) && xc >= 1 && xc <= float64(a.cols)) ||
+		xr != float64(int(xr)) || xc != float64(int(xc)) {
+		return false
+	}
+	a.re[(int(xc)-1)*a.rows+int(xr)-1] = val
+	return true
+}
+
+// TrySet2I is TrySet2 for integer subscripts.
+func (a *Value) TrySet2I(r, c int64, val float64) bool {
+	if a == nil || a.IsShared() || a.sp != nil || uint64(r-1) >= uint64(a.rows) || uint64(c-1) >= uint64(a.cols) {
+		return false
+	}
+	a.re[(c-1)*int64(a.rows)+r-1] = val
+	return true
+}
+
+// Owned reports whether a store may write through a in place: it is
+// set and not shared.
+func (a *Value) Owned() bool { return a != nil && !a.IsShared() }
+
+// Reusable reports whether a can stand for zeros(rows, cols) without a
+// new allocation: an owned dense real matrix of that shape.
+func (a *Value) Reusable(rows, cols int) bool {
+	return a.Owned() && a.sp == nil && a.kind == Real && a.rows == rows && a.cols == cols
 }
 
 // FastGet2 is the unchecked 2-D load (0-based).

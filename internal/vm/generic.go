@@ -223,30 +223,51 @@ func gemv(aux []int32, at int, alpha float64, dst int, V []*mat.Value) error {
 		fastOK = !y.IsSparse() && y.Kind() != mat.Complex && y.Kind() != mat.Char &&
 			y.Cols() == 1 && y.Rows() == a.Rows()
 	}
+	// Both paths apply the interpreter's operators in the interpreter's
+	// order: A*x, computed from zero (Dgemv and SpMV with α = 1 add a
+	// row's terms in the order mat.Mul's kernels do), then the source's
+	// own + or - of y — y - A*x is a subtraction from y, not the sum of a
+	// negated product, whose NaNs would carry the other sign. The code
+	// generator emits α ∈ {1, -1} and β ∈ {0, 1, -1}, so the result is
+	// the interpreter's bit for bit.
+	subFromY := alpha == -1 && beta == 1 && y != nil
 	if fastOK {
-		// Shared β prologue; the α*A*x accumulation then starts from the
-		// staged y values with β=1 in both the dense and sparse kernels,
-		// so per-element rounding order is identical across the two
-		// representations (sparse SpMV mirrors Dgemv's ascending-column
-		// accumulation exactly). The kernels read A, x and y while they
-		// write, so only a displaced destination that is none of them
-		// (x = A*x) may hold the result.
+		// The kernel reads A and x while it writes, and y is read after,
+		// so only a displaced destination that is none of them (x = A*x)
+		// may hold the result.
 		out := mat.Donors{Dst: V[dst]}.NewReal(a.Rows(), 1, false, a, x, y)
 		re := out.Re()
+		if a.IsSparse() {
+			mat.SparseSpMVInto(a, 1, x.Re(), 0, re)
+		} else {
+			blas.Dgemv(false, a.Rows(), a.Cols(), 1, a.Re(), a.Rows(), x.Re(), 0, re)
+		}
 		switch {
-		case y == nil || beta == 0:
-			clear(re)
-		case beta == 1:
-			copy(re, y.Re())
-		default:
+		case subFromY:
 			for i, yi := range y.Re() {
-				re[i] = beta * yi
+				re[i] = yi - re[i]
+			}
+		case alpha == -1:
+			for i := range re {
+				re[i] = -re[i]
+			}
+		case alpha != 1:
+			for i := range re {
+				re[i] *= alpha
 			}
 		}
-		if a.IsSparse() {
-			mat.SparseSpMVInto(a, alpha, x.Re(), 1, re)
-		} else {
-			blas.Dgemv(false, a.Rows(), a.Cols(), alpha, a.Re(), a.Rows(), x.Re(), 1, re)
+		if y != nil && !subFromY {
+			for i, yi := range y.Re() {
+				switch beta {
+				case 0:
+				case 1:
+					re[i] += yi
+				case -1:
+					re[i] -= yi
+				default:
+					re[i] += beta * yi
+				}
+			}
 		}
 		V[dst] = out
 		return nil
@@ -257,37 +278,32 @@ func gemv(aux []int32, at int, alpha float64, dst int, V []*mat.Value) error {
 	if err != nil {
 		return err
 	}
-	if alpha == -1 {
+	switch {
+	case subFromY:
+		prod, err = mat.Sub(y, prod)
+	case alpha == -1:
 		prod, err = mat.Neg(prod)
-		if err != nil {
-			return err
-		}
-	} else if alpha != 1 {
+	case alpha != 1:
 		prod, err = mat.ElemMul(mat.Scalar(alpha), prod)
-		if err != nil {
-			return err
-		}
 	}
-	if y == nil || beta == 0 {
-		V[dst] = prod
-		return nil
-	}
-	yTerm := y
-	if beta == -1 {
-		yTerm, err = mat.Neg(y)
-		if err != nil {
-			return err
-		}
-	} else if beta != 1 {
-		yTerm, err = mat.ElemMul(mat.Scalar(beta), y)
-		if err != nil {
-			return err
-		}
-	}
-	out, err := mat.Add(prod, yTerm)
 	if err != nil {
 		return err
 	}
-	V[dst] = out
+	switch {
+	case subFromY || y == nil || beta == 0:
+	case beta == 1:
+		prod, err = mat.Add(prod, y)
+	case beta == -1:
+		prod, err = mat.Sub(prod, y)
+	default:
+		var yTerm *mat.Value
+		if yTerm, err = mat.ElemMul(mat.Scalar(beta), y); err == nil {
+			prod, err = mat.Add(prod, yTerm)
+		}
+	}
+	if err != nil {
+		return err
+	}
+	V[dst] = prod
 	return nil
 }

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/ir"
@@ -145,5 +146,64 @@ func TestGAssignCopyOnWrite(t *testing.T) {
 	}
 	if caller.Re()[0] != 7 {
 		t.Fatalf("caller's array mutated through GAssign: %v", caller)
+	}
+}
+
+// TestGEMVMatchesTheBoxedOperators: the fast path applies the operators
+// its fallback spells out, the interpreter's for each source form —
+// A*x, A*x + y, y - A*x, A*x - y (and -A*x, -A*x - y) — bit for bit,
+// over a dense and a sparse A whose row sums round differently depending
+// on where y is added. A NaN in y must come out where the boxed operators
+// put it (its payload is the compiler's to choose: it may swap the
+// operands of an addition).
+func TestGEMVMatchesTheBoxedOperators(t *testing.T) {
+	const n = 7
+	dense := mat.New(n, n)
+	var ri, ci []int
+	var vs []float64
+	for i := range n {
+		for j := range n {
+			if v := 1/float64(i+j+1) + float64((i*j)%3)*1e-3; (i+j)%4 != 3 {
+				dense.SetAt(i, j, v)
+				ri, ci, vs = append(ri, i), append(ci, j), append(vs, v)
+			}
+		}
+	}
+	sparse, err := mat.SparseFromTriplets(n, n, ri, ci, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y := mat.New(n, 1), mat.New(n, 1)
+	for i := range n {
+		x.Re()[i] = 1 + float64(i)/3
+		y.Re()[i] = 1e3 / float64(i+3)
+	}
+	y.Re()[5] = math.NaN()
+	for _, a := range []*mat.Value{dense, sparse} {
+		for _, alpha := range []float64{1, -1} {
+			for _, beta := range []int32{0, 1, -1} {
+				got := run(t, gemvProg(alpha, beta, beta != 0), a, x, y)[0]
+				want, _ := mat.Mul(a, x)
+				switch {
+				case alpha == -1 && beta == 1:
+					want, _ = mat.Sub(y, want)
+				case alpha == -1:
+					want, _ = mat.Neg(want)
+				}
+				switch {
+				case alpha == -1 && beta == 1:
+				case beta == 1:
+					want, _ = mat.Add(want, y)
+				case beta == -1:
+					want, _ = mat.Sub(want, y)
+				}
+				for i, w := range want.Re() {
+					if g := got.Re()[i]; math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+						t.Errorf("sparse %v, α %g, β %d: element %d = %v (%x), boxed %v (%x)",
+							a.IsSparse(), alpha, beta, i, g, math.Float64bits(g), w, math.Float64bits(w))
+					}
+				}
+			}
+		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/builtins"
-	"repro/internal/cancel"
 	"repro/internal/ir"
 	"repro/internal/mat"
 )
@@ -88,8 +87,12 @@ func (w widths) bytes() int {
 	return 8*(w.f+w.i+w.v) + 16*w.c + int(unsafe.Sizeof(Operand{}))*w.ops
 }
 
-// Prepare resolves the program's name tables.
+// Prepare verifies the program (see verify) and resolves its name
+// tables.
 func Prepare(p *ir.Prog) (*Compiled, error) {
+	if err := verify(p); err != nil {
+		return nil, err
+	}
 	if checks, blocks := stepHook.Load() != nil, blockHook.Load() != nil; checks || blocks {
 		p = instrumented(p, checks, blocks)
 	}
@@ -268,6 +271,10 @@ type root struct {
 	// hint the depth the chain last had to grow to: a segment grown short
 	// of it ends there.
 	reached, hint int32
+	// fuse is the slot file OpVFuseArgF stages a fused kernel's scalars
+	// in for the OpVFused that follows, with no call between: one per
+	// chain serves all its activations.
+	fuse [ir.MaxFuseOperands]float64
 }
 
 // segment is a run of frames grown together: one []Frame and, for each
@@ -479,25 +486,16 @@ func Run(c *Compiled, host Host, args []Operand, caller *Frame) ([]Operand, erro
 	return outs, err
 }
 
-func (fr *Frame) exec(c *Compiled, host Host, args, dst []Operand) ([]Operand, error) {
+// banks are the frame's registers for c as checked slices, bank by bank.
+func (fr *Frame) banks(c *Compiled) ([]float64, []int64, []complex128, []*mat.Value) {
 	p := c.P
-	F := fr.f[:p.NumF]
-	I := fr.i[:p.NumI]
-	C := fr.c[:p.NumC]
-	V := fr.v[:p.NumV]
-	SF := fr.f[p.NumF:]
-	SI := fr.i[p.NumI:]
-	SC := fr.c[p.NumC:]
-	SV := fr.v[p.NumV : p.NumV+p.SlotsV]
-	builtinArgs := fr.v[p.NumV+p.SlotsV:]
-	slots := fr.ops[:c.callSlots]
-	calleeOuts := fr.ops[c.callSlots:]
-	fr.outsAt = int32(c.callSlots)
+	return fr.f[:p.NumF], fr.i[:p.NumI], fr.c[:p.NumC], fr.v[:p.NumV]
+}
 
-	ctx := host.Context()
-
-	// Parameter binding. A register scalar lands in a scalar parameter by
-	// copy or conversion; only a V-bank parameter boxes it.
+// bind puts the arguments in their parameters. A register scalar lands in
+// a scalar parameter by copy or conversion; only a V-bank parameter boxes
+// it.
+func (fr *Frame) bind(p *ir.Prog, args []Operand) error {
 	for i, b := range p.Params {
 		a := &args[i]
 		switch b.Bank {
@@ -505,598 +503,314 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []Operand) ([]Operand, e
 			if a.V != nil {
 				a.V.MarkShared()
 			}
-			V[b.Reg] = a.Box()
+			fr.v[:p.NumV][b.Reg] = a.Box()
 		case ir.BankF:
 			x, err := a.float()
 			if err != nil {
-				return nil, fmt.Errorf("vm: %s parameter %d: %v", p.Name, i+1, err)
+				return fmt.Errorf("vm: %s parameter %d: %v", p.Name, i+1, err)
 			}
 			if b.Slot {
-				SF[b.Reg] = x
+				fr.f[p.NumF:][b.Reg] = x
 			} else {
-				F[b.Reg] = x
+				fr.f[:p.NumF][b.Reg] = x
 			}
 		case ir.BankI:
 			x, ok := a.integer()
 			if !ok {
-				return nil, fmt.Errorf("vm: %s parameter %d: expected integer scalar", p.Name, i+1)
+				return fmt.Errorf("vm: %s parameter %d: expected integer scalar", p.Name, i+1)
 			}
 			if b.Slot {
-				SI[b.Reg] = x
+				fr.i[p.NumI:][b.Reg] = x
 			} else {
-				I[b.Reg] = x
+				fr.i[:p.NumI][b.Reg] = x
 			}
 		case ir.BankC:
 			z, ok := a.complex()
 			if !ok {
-				return nil, fmt.Errorf("vm: %s parameter %d: expected scalar", p.Name, i+1)
+				return fmt.Errorf("vm: %s parameter %d: expected scalar", p.Name, i+1)
 			}
 			if b.Slot {
-				SC[b.Reg] = z
+				fr.c[p.NumC:][b.Reg] = z
 			} else {
-				C[b.Reg] = z
+				fr.c[:p.NumC][b.Reg] = z
 			}
 		}
 	}
+	return nil
+}
 
-	// The host's cancel flag (nil when it has none) is polled at every
-	// backward transfer, conditional or not (a while loop closes with a
-	// jump to its test, a counted for loop with the test itself: see
-	// taken). Every cycle in the code contains one, so a raised flag
-	// aborts `while 1; end` and `for i = 1:1e12, end` within one trip.
-	var cflag *cancel.Flag
-	if c, ok := host.(cancel.Checker); ok {
-		cflag = c.CancelFlag()
+// ret is OpRet: the outputs, in dst when it is large enough.
+func (fr *Frame) ret(c *Compiled, dst []Operand) []Operand {
+	p := c.P
+	outs := dst[:0]
+	if cap(outs) < len(p.OutRegs) {
+		outs = make([]Operand, 0, len(p.OutRegs))
 	}
+	for k, reg := range p.OutRegs {
+		if reg == ir.Staged {
+			outs = append(outs, fr.ops[k])
+			continue
+		}
+		v := fr.v[:p.NumV][reg]
+		if v == nil {
+			v = mat.Empty()
+		}
+		v.MarkShared()
+		outs = append(outs, Operand{V: v})
+	}
+	return outs
+}
 
-	ins := p.Ins
-	pc, target := 0, 0
+// step executes the instruction at pc, one the loop does not run or
+// whose common case it missed: everything that allocates, boxes, calls a
+// builtin, can fail or touches a spill slot, the fused kernels and the
+// test hooks. Its banks are checked slices, so an operand the verifier
+// does not cover (an aux block's, a slot's) is bounds-checked here.
+func (fr *Frame) step(c *Compiled, host Host, args []Operand, in *ir.Instr, pc int) error {
+	p := c.P
+	F, I, C, V := fr.banks(c)
+	switch in.Op {
+	case ir.OpVClone:
+		if V[in.B] == nil {
+			V[in.A] = mat.Empty()
+		} else {
+			V[in.A] = mat.Donors{Dst: V[in.A]}.Clone(V[in.B])
+		}
+	case ir.OpBoxF:
+		V[in.A] = mat.Scalar(F[in.B])
+	case ir.OpBoxI:
+		V[in.A] = mat.IntScalar(float64(I[in.B]))
+	case ir.OpBoxC:
+		v := mat.ComplexScalar(C[in.B])
+		if in.Imm == 0 {
+			v = v.Demote()
+		}
+		V[in.A] = v
+	case ir.OpUnboxF:
+		x, err := unboxF(V[in.B])
+		if err != nil {
+			return err
+		}
+		F[in.A] = x
+	case ir.OpUnboxI:
+		x, err := unboxF(V[in.B])
+		if err != nil {
+			return err
+		}
+		if x != math.Trunc(x) {
+			return fmt.Errorf("expected an integer value, got %g", x)
+		}
+		I[in.A] = int64(x)
+	case ir.OpUnboxC:
+		v := V[in.B]
+		if v == nil || !v.IsScalar() {
+			return fmt.Errorf("expected a scalar")
+		}
+		C[in.A] = v.ComplexAt(0)
+	case ir.OpFRand:
+		if in.B == 0 {
+			F[in.A] = host.Context().RNG.Float64()
+		} else {
+			F[in.A] = host.Context().RNG.Normal()
+		}
+	case ir.OpCMath:
+		f := c.cmathFns[in.C]
+		if f == nil {
+			return fmt.Errorf("complex math function not supported")
+		}
+		C[in.A] = f(C[in.B])
+
+	// The checked loads, the stores and vensure in full: the loop runs
+	// the common case of all but the complex loads.
+	case ir.OpFLd1, ir.OpFLd1I, ir.OpFLd2, ir.OpFLd2I, ir.OpCLd1, ir.OpCLd1I, ir.OpCLd2, ir.OpCLd2I:
+		return fr.load(c, in)
+	// A store writes through the value its base register owns, made here
+	// when the register holds none or a shared one.
+	case ir.OpFSt1:
+		return owned(&V[in.A]).CheckedSet1(F[in.B], F[in.C])
+	case ir.OpFSt1I:
+		return owned(&V[in.A]).CheckedSet1(float64(I[in.B]), F[in.C])
+	case ir.OpFSt1U:
+		owned(&V[in.A]).FastSet1(int(I[in.B])-1, F[in.C])
+	case ir.OpFSt2:
+		return owned(&V[in.A]).CheckedSet2(F[in.B], F[in.C], F[in.D])
+	case ir.OpFSt2I:
+		return owned(&V[in.A]).CheckedSet2(float64(I[in.B]), float64(I[in.C]), F[in.D])
+	case ir.OpFSt2U:
+		owned(&V[in.A]).FastSet2(int(I[in.B])-1, int(I[in.C])-1, F[in.D])
+	case ir.OpVEnsure:
+		if r, cc := int(I[in.B]), int(I[in.C]); !V[in.A].Reusable(r, cc) {
+			V[in.A] = mat.New(r, cc)
+		}
+
+	case ir.OpVNewZeros:
+		v := mat.New(int(I[in.B]), int(I[in.C]))
+		if in.Imm != 0 {
+			re := v.Re()
+			for i := range re {
+				re[i] = in.Imm
+			}
+		}
+		V[in.A] = v
+	case ir.OpVRows:
+		I[in.A] = int64(vOrEmpty(V[in.B]).Rows())
+	case ir.OpVCols:
+		I[in.A] = int64(vOrEmpty(V[in.B]).Cols())
+	case ir.OpVNumel:
+		I[in.A] = int64(vOrEmpty(V[in.B]).Numel())
+	case ir.OpVMarkShared:
+		if V[in.A] != nil {
+			V[in.A].MarkShared()
+		}
+	case ir.OpVConst:
+		V[in.A] = c.vpool[in.B]
+
+	case ir.OpGBin:
+		var err error
+		l, r := vOrErr(V[in.B], &err), vOrErr(V[in.C], &err)
+		if err != nil {
+			return err
+		}
+		v, err := builtins.EvalBinOpInto(mat.Donors{Dst: V[in.A], Consumed: uint32(in.Imm)}, ast.BinOp(in.D), l, r)
+		if err != nil {
+			return err
+		}
+		// A result built in a consumed operand is that operand: its
+		// register lets go, or two registers would own one value.
+		if v == l {
+			V[in.B] = nil
+		} else if v == r {
+			V[in.C] = nil
+		}
+		V[in.A] = v
+	case ir.OpGUn:
+		var err error
+		x := vOrErr(V[in.B], &err)
+		if err != nil {
+			return err
+		}
+		v, err := evalUnOp(in.D, x, mat.Donors{Dst: V[in.A], Consumed: uint32(in.Imm)})
+		if err != nil {
+			return err
+		}
+		if v == x {
+			V[in.B] = nil
+		}
+		V[in.A] = v
+	case ir.OpGIndex:
+		var err error
+		v, e := genericIndex(vOrErr(V[in.B], &err), p.Aux, int(in.C), V)
+		if err != nil {
+			return err
+		}
+		if e != nil {
+			return e
+		}
+		V[in.A] = v
+	case ir.OpGAssign:
+		base := V[in.A]
+		if base == nil {
+			base = mat.Empty()
+		} else if base.IsShared() {
+			base = base.Clone()
+		}
+		var err error
+		if e := genericAssign(base, p.Aux, int(in.C), V, vOrErr(V[in.D], &err)); e != nil {
+			return e
+		}
+		if err != nil {
+			return err
+		}
+		V[in.A] = base
+	case ir.OpGColon:
+		var err error
+		v, e := mat.Colon(vOrErr(V[in.B], &err), vOrErr(V[in.C], &err), vOrErr(V[in.D], &err))
+		if err != nil {
+			return err
+		}
+		if e != nil {
+			return e
+		}
+		V[in.A] = v
+	case ir.OpGCat:
+		v, err := genericCat(p.Aux, int(in.B), V)
+		if err != nil {
+			return err
+		}
+		V[in.A] = v
+	case ir.OpGBuiltin:
+		return genericBuiltin(c, host.Context(), p.Aux, int(in.A), V, fr.v[p.NumV+p.SlotsV:])
+	case ir.OpGEMV:
+		return gemv(p.Aux, int(in.B), in.Imm, int(in.A), V)
+	case ir.OpVFuseArgF:
+		fr.root.fuse[in.A] = F[in.B]
+	case ir.OpVFused:
+		return fusedExec(c, host.Context(), p.Aux, int(in.B), int(in.A), uint32(in.C), V, &fr.root.fuse)
+
+	case ir.OpFLdSlot:
+		F[in.A] = fr.f[p.NumF:][in.B]
+	case ir.OpFStSlot:
+		fr.f[p.NumF:][in.A] = F[in.B]
+	case ir.OpILdSlot:
+		I[in.A] = fr.i[p.NumI:][in.B]
+	case ir.OpIStSlot:
+		fr.i[p.NumI:][in.A] = I[in.B]
+	case ir.OpCLdSlot:
+		C[in.A] = fr.c[p.NumC:][in.B]
+	case ir.OpCStSlot:
+		fr.c[p.NumC:][in.A] = C[in.B]
+	case ir.OpVLdSlot:
+		V[in.A] = fr.v[p.NumV : p.NumV+p.SlotsV][in.B]
+	case ir.OpVStSlot:
+		fr.v[p.NumV : p.NumV+p.SlotsV][in.A] = V[in.B]
+
+	case ir.OpVCheck:
+		fr.runStepHook(p, pc-1, args)
+	case ir.OpCount:
+		runBlockHook(p, pc)
+
+	case ir.OpVDisplay: // no compiler pass emits it
+		return fmt.Errorf("unimplemented opcode %v", in.Op)
+	default:
+		return fmt.Errorf("unimplemented opcode %v", in.Op)
+	}
+	return nil
+}
+
+// load executes a checked load.
+func (fr *Frame) load(c *Compiled, in *ir.Instr) error {
+	F, I, C, V := fr.banks(c)
+	v := V[in.B]
+	if v == nil {
+		return errUndefined
+	}
+	var x float64
+	var z complex128
 	var err error
-	var fuseSlots [ir.MaxFuseOperands]float64
-	for {
-		in := &ins[pc]
-		switch in.Op {
-		case ir.OpNop:
-		case ir.OpJmp:
-			target = int(in.A)
-			goto taken
-		case ir.OpRet:
-			outs := dst[:0]
-			if cap(outs) < len(p.OutRegs) {
-				outs = make([]Operand, 0, len(p.OutRegs))
-			}
-			for k, reg := range p.OutRegs {
-				if reg == ir.Staged {
-					outs = append(outs, slots[k])
-					continue
-				}
-				v := V[reg]
-				if v == nil {
-					v = mat.Empty()
-				}
-				v.MarkShared()
-				outs = append(outs, Operand{V: v})
-			}
-			return outs, nil
-
-		case ir.OpBrTrueF:
-			if F[in.A] != 0 {
-				target = int(in.C)
-				goto taken
-			}
-		case ir.OpBrFalseF:
-			if F[in.A] == 0 {
-				target = int(in.C)
-				goto taken
-			}
-		case ir.OpBrFalseV:
-			if V[in.A] == nil || !V[in.A].IsTrue() {
-				target = int(in.C)
-				goto taken
-			}
-		case ir.OpBrTrueV:
-			if V[in.A] != nil && V[in.A].IsTrue() {
-				target = int(in.C)
-				goto taken
-			}
-		case ir.OpBrFLt:
-			if F[in.A] < F[in.B] {
-				target = int(in.C)
-				goto taken
-			}
-		case ir.OpBrFLe:
-			if F[in.A] <= F[in.B] {
-				target = int(in.C)
-				goto taken
-			}
-		case ir.OpBrFEq:
-			if F[in.A] == F[in.B] {
-				target = int(in.C)
-				goto taken
-			}
-		case ir.OpBrFNe:
-			if F[in.A] != F[in.B] {
-				target = int(in.C)
-				goto taken
-			}
-		case ir.OpBrFNLt:
-			if !(F[in.A] < F[in.B]) {
-				target = int(in.C)
-				goto taken
-			}
-		case ir.OpBrFNLe:
-			if !(F[in.A] <= F[in.B]) {
-				target = int(in.C)
-				goto taken
-			}
-		case ir.OpBrILt:
-			if I[in.A] < I[in.B] {
-				target = int(in.C)
-				goto taken
-			}
-		case ir.OpBrILe:
-			if I[in.A] <= I[in.B] {
-				target = int(in.C)
-				goto taken
-			}
-		case ir.OpBrIEq:
-			if I[in.A] == I[in.B] {
-				target = int(in.C)
-				goto taken
-			}
-		case ir.OpBrINe:
-			if I[in.A] != I[in.B] {
-				target = int(in.C)
-				goto taken
-			}
-
-		case ir.OpFMov:
-			F[in.A] = F[in.B]
-		case ir.OpIMov:
-			I[in.A] = I[in.B]
-		case ir.OpCMov:
-			C[in.A] = C[in.B]
-		case ir.OpVMov:
-			V[in.A] = V[in.B]
-		case ir.OpVMovSwap:
-			V[in.A], V[in.B] = V[in.B], V[in.A]
-		case ir.OpVClone:
-			if V[in.B] == nil {
-				V[in.A] = mat.Empty()
-			} else {
-				V[in.A] = mat.Donors{Dst: V[in.A]}.Clone(V[in.B])
-			}
-
-		case ir.OpItoF:
-			F[in.A] = float64(I[in.B])
-		case ir.OpFtoI:
-			I[in.A] = int64(F[in.B])
-		case ir.OpFtoC:
-			C[in.A] = complex(F[in.B], 0)
-		case ir.OpItoC:
-			C[in.A] = complex(float64(I[in.B]), 0)
-		case ir.OpBoxF:
-			V[in.A] = mat.Scalar(F[in.B])
-		case ir.OpBoxI:
-			V[in.A] = mat.IntScalar(float64(I[in.B]))
-		case ir.OpBoxC:
-			v := mat.ComplexScalar(C[in.B])
-			if in.Imm == 0 {
-				v = v.Demote()
-			}
-			V[in.A] = v
-		case ir.OpUnboxF:
-			x, e := unboxF(V[in.B])
-			if e != nil {
-				err = e
-				goto fail
-			}
-			F[in.A] = x
-		case ir.OpUnboxI:
-			x, e := unboxF(V[in.B])
-			if e != nil {
-				err = e
-				goto fail
-			}
-			if x != math.Trunc(x) {
-				err = fmt.Errorf("expected an integer value, got %g", x)
-				goto fail
-			}
-			I[in.A] = int64(x)
-		case ir.OpUnboxC:
-			v := V[in.B]
-			if v == nil || !v.IsScalar() {
-				err = fmt.Errorf("expected a scalar")
-				goto fail
-			}
-			C[in.A] = v.ComplexAt(0)
-
-		case ir.OpFAdd:
-			F[in.A] = F[in.B] + F[in.C]
-		case ir.OpFSub:
-			F[in.A] = F[in.B] - F[in.C]
-		case ir.OpFMul:
-			F[in.A] = F[in.B] * F[in.C]
-		case ir.OpFDiv:
-			F[in.A] = F[in.B] / F[in.C]
-		case ir.OpFNeg:
-			F[in.A] = -F[in.B]
-		case ir.OpFPow:
-			F[in.A] = math.Pow(F[in.B], F[in.C])
-		case ir.OpFMod:
-			F[in.A] = builtins.Mod(F[in.B], F[in.C])
-		case ir.OpFRem:
-			F[in.A] = builtins.Rem(F[in.B], F[in.C])
-		case ir.OpFMath:
-			F[in.A] = c.mathFns[in.C](F[in.B])
-		case ir.OpFAnd:
-			F[in.A] = b2f(F[in.B] != 0 && F[in.C] != 0)
-		case ir.OpFOr:
-			F[in.A] = b2f(F[in.B] != 0 || F[in.C] != 0)
-		case ir.OpFNot:
-			F[in.A] = b2f(F[in.B] == 0)
-		case ir.OpFRand:
-			if in.B == 0 {
-				F[in.A] = ctx.RNG.Float64()
-			} else {
-				F[in.A] = ctx.RNG.Normal()
-			}
-
-		case ir.OpFCmpEq:
-			F[in.A] = b2f(F[in.B] == F[in.C])
-		case ir.OpFCmpNe:
-			F[in.A] = b2f(F[in.B] != F[in.C])
-		case ir.OpFCmpLt:
-			F[in.A] = b2f(F[in.B] < F[in.C])
-		case ir.OpFCmpLe:
-			F[in.A] = b2f(F[in.B] <= F[in.C])
-
-		case ir.OpIAdd:
-			I[in.A] = I[in.B] + I[in.C]
-		case ir.OpISub:
-			I[in.A] = I[in.B] - I[in.C]
-		case ir.OpIMul:
-			I[in.A] = I[in.B] * I[in.C]
-		case ir.OpINeg:
-			I[in.A] = -I[in.B]
-		case ir.OpIMod:
-			I[in.A] = imod(I[in.B], I[in.C])
-		case ir.OpICmpEq:
-			F[in.A] = b2f(I[in.B] == I[in.C])
-		case ir.OpICmpNe:
-			F[in.A] = b2f(I[in.B] != I[in.C])
-		case ir.OpICmpLt:
-			F[in.A] = b2f(I[in.B] < I[in.C])
-		case ir.OpICmpLe:
-			F[in.A] = b2f(I[in.B] <= I[in.C])
-
-		case ir.OpCAdd:
-			C[in.A] = C[in.B] + C[in.C]
-		case ir.OpCSub:
-			C[in.A] = C[in.B] - C[in.C]
-		case ir.OpCMul:
-			C[in.A] = C[in.B] * C[in.C]
-		case ir.OpCDiv:
-			C[in.A] = C[in.B] / C[in.C]
-		case ir.OpCNeg:
-			C[in.A] = -C[in.B]
-		case ir.OpCPow:
-			C[in.A] = cmplx.Pow(C[in.B], C[in.C])
-		case ir.OpCAbs:
-			F[in.A] = cmplx.Abs(C[in.B])
-		case ir.OpCMath:
-			f := c.cmathFns[in.C]
-			if f == nil {
-				err = fmt.Errorf("complex math function not supported")
-				goto fail
-			}
-			C[in.A] = f(C[in.B])
-		case ir.OpCCmpEq:
-			F[in.A] = b2f(C[in.B] == C[in.C])
-		case ir.OpCCmpNe:
-			F[in.A] = b2f(C[in.B] != C[in.C])
-		case ir.OpCReal:
-			F[in.A] = real(C[in.B])
-		case ir.OpCImag:
-			F[in.A] = imag(C[in.B])
-		case ir.OpCConj:
-			C[in.A] = cmplx.Conj(C[in.B])
-
-		case ir.OpFLd1:
-			x, e := V[in.B].CheckedGet1(F[in.C])
-			if e != nil {
-				err = e
-				goto fail
-			}
-			F[in.A] = x
-		case ir.OpFLd1I:
-			x, e := V[in.B].CheckedGet1(float64(I[in.C]))
-			if e != nil {
-				err = e
-				goto fail
-			}
-			F[in.A] = x
-		case ir.OpFLd1U:
-			F[in.A] = V[in.B].FastGet1(int(I[in.C]) - 1)
-		case ir.OpFLd2:
-			x, e := V[in.B].CheckedGet2(F[in.C], F[in.D])
-			if e != nil {
-				err = e
-				goto fail
-			}
-			F[in.A] = x
-		case ir.OpFLd2I:
-			x, e := V[in.B].CheckedGet2(float64(I[in.C]), float64(I[in.D]))
-			if e != nil {
-				err = e
-				goto fail
-			}
-			F[in.A] = x
-		case ir.OpFLd2U:
-			F[in.A] = V[in.B].FastGet2(int(I[in.C])-1, int(I[in.D])-1)
-		case ir.OpCLd1:
-			z, e := V[in.B].CheckedGet1C(F[in.C])
-			if e != nil {
-				err = e
-				goto fail
-			}
-			C[in.A] = z
-		case ir.OpCLd1I:
-			z, e := V[in.B].CheckedGet1C(float64(I[in.C]))
-			if e != nil {
-				err = e
-				goto fail
-			}
-			C[in.A] = z
-		case ir.OpCLd1U:
-			C[in.A] = V[in.B].FastGet1C(int(I[in.C]) - 1)
-		case ir.OpCLd2:
-			z, e := V[in.B].CheckedGet2C(F[in.C], F[in.D])
-			if e != nil {
-				err = e
-				goto fail
-			}
-			C[in.A] = z
-		case ir.OpCLd2I:
-			z, e := V[in.B].CheckedGet2C(float64(I[in.C]), float64(I[in.D]))
-			if e != nil {
-				err = e
-				goto fail
-			}
-			C[in.A] = z
-		case ir.OpCLd2U:
-			C[in.A] = V[in.B].FastGet2C(int(I[in.C])-1, int(I[in.D])-1)
-		// A store writes through the value its base register owns: owned
-		// is one predictable branch on the fast path (written out, because
-		// with a call in it the check does not inline).
-		case ir.OpFSt1:
-			v := V[in.A]
-			if v == nil || v.IsShared() {
-				v = owned(&V[in.A])
-			}
-			if e := v.CheckedSet1(F[in.B], F[in.C]); e != nil {
-				err = e
-				goto fail
-			}
-		case ir.OpFSt1I:
-			v := V[in.A]
-			if v == nil || v.IsShared() {
-				v = owned(&V[in.A])
-			}
-			if e := v.CheckedSet1(float64(I[in.B]), F[in.C]); e != nil {
-				err = e
-				goto fail
-			}
-		case ir.OpFSt1U:
-			v := V[in.A]
-			if v == nil || v.IsShared() {
-				v = owned(&V[in.A])
-			}
-			v.FastSet1(int(I[in.B])-1, F[in.C])
-		case ir.OpFSt2:
-			v := V[in.A]
-			if v == nil || v.IsShared() {
-				v = owned(&V[in.A])
-			}
-			if e := v.CheckedSet2(F[in.B], F[in.C], F[in.D]); e != nil {
-				err = e
-				goto fail
-			}
-		case ir.OpFSt2I:
-			v := V[in.A]
-			if v == nil || v.IsShared() {
-				v = owned(&V[in.A])
-			}
-			if e := v.CheckedSet2(float64(I[in.B]), float64(I[in.C]), F[in.D]); e != nil {
-				err = e
-				goto fail
-			}
-		case ir.OpFSt2U:
-			v := V[in.A]
-			if v == nil || v.IsShared() {
-				v = owned(&V[in.A])
-			}
-			v.FastSet2(int(I[in.B])-1, int(I[in.C])-1, F[in.D])
-
-		case ir.OpVNewZeros:
-			v := mat.New(int(I[in.B]), int(I[in.C]))
-			if in.Imm != 0 {
-				re := v.Re()
-				for i := range re {
-					re[i] = in.Imm
-				}
-			}
-			V[in.A] = v
-		case ir.OpVEnsure:
-			v := V[in.A]
-			r, cc := int(I[in.B]), int(I[in.C])
-			if v == nil || v.IsShared() || v.IsSparse() || v.Rows() != r || v.Cols() != cc || v.Kind() != mat.Real {
-				V[in.A] = mat.New(r, cc)
-			}
-		case ir.OpVRows:
-			I[in.A] = int64(vOrEmpty(V[in.B]).Rows())
-		case ir.OpVCols:
-			I[in.A] = int64(vOrEmpty(V[in.B]).Cols())
-		case ir.OpVNumel:
-			I[in.A] = int64(vOrEmpty(V[in.B]).Numel())
-		case ir.OpVMarkShared:
-			if V[in.A] != nil {
-				V[in.A].MarkShared()
-			}
-		case ir.OpVConst:
-			V[in.A] = c.vpool[in.B]
-
-		case ir.OpGBin:
-			l, r := vOrErr(V[in.B], &err), vOrErr(V[in.C], &err)
-			if err != nil {
-				goto fail
-			}
-			v, e := builtins.EvalBinOpInto(mat.Donors{Dst: V[in.A], Consumed: uint32(in.Imm)}, ast.BinOp(in.D), l, r)
-			if e != nil {
-				err = e
-				goto fail
-			}
-			// A result built in a consumed operand is that operand: its
-			// register lets go, or two registers would own one value.
-			if v == l {
-				V[in.B] = nil
-			} else if v == r {
-				V[in.C] = nil
-			}
-			V[in.A] = v
-		case ir.OpGUn:
-			x := vOrErr(V[in.B], &err)
-			if err != nil {
-				goto fail
-			}
-			v, e := evalUnOp(in.D, x, mat.Donors{Dst: V[in.A], Consumed: uint32(in.Imm)})
-			if e != nil {
-				err = e
-				goto fail
-			}
-			if v == x {
-				V[in.B] = nil
-			}
-			V[in.A] = v
-		case ir.OpGIndex:
-			v, e := genericIndex(vOrErr(V[in.B], &err), p.Aux, int(in.C), V)
-			if err != nil {
-				goto fail
-			}
-			if e != nil {
-				err = e
-				goto fail
-			}
-			V[in.A] = v
-		case ir.OpGAssign:
-			base := V[in.A]
-			if base == nil {
-				base = mat.Empty()
-			} else if base.IsShared() {
-				base = base.Clone()
-			}
-			if e := genericAssign(base, p.Aux, int(in.C), V, vOrErr(V[in.D], &err)); e != nil {
-				err = e
-				goto fail
-			}
-			if err != nil {
-				goto fail
-			}
-			V[in.A] = base
-		case ir.OpGColon:
-			v, e := mat.Colon(vOrErr(V[in.B], &err), vOrErr(V[in.C], &err), vOrErr(V[in.D], &err))
-			if err != nil {
-				goto fail
-			}
-			if e != nil {
-				err = e
-				goto fail
-			}
-			V[in.A] = v
-		case ir.OpGCat:
-			v, e := genericCat(p.Aux, int(in.B), V)
-			if e != nil {
-				err = e
-				goto fail
-			}
-			V[in.A] = v
-		case ir.OpGBuiltin:
-			if e := genericBuiltin(c, ctx, p.Aux, int(in.A), V, builtinArgs); e != nil {
-				err = e
-				goto fail
-			}
-		case ir.OpCallUser:
-			if e := userCall(p, host, p.Aux, int(in.A), V, slots, calleeOuts, fr); e != nil {
-				err = e
-				goto fail
-			}
-		case ir.OpStageF:
-			slots[in.A] = Operand{F: F[in.B], Bank: ir.BankF}
-		case ir.OpStageI:
-			slots[in.A] = Operand{I: I[in.B], Bank: ir.BankI}
-		case ir.OpFetchF:
-			x, ok := calleeOuts[in.B].fetchF()
-			if !ok {
-				return nil, ErrGuardMiss
-			}
-			F[in.A] = x
-		case ir.OpFetchI:
-			x, ok := calleeOuts[in.B].fetchI()
-			if !ok {
-				return nil, ErrGuardMiss
-			}
-			I[in.A] = x
-		case ir.OpGEMV:
-			if e := gemv(p.Aux, int(in.B), in.Imm, int(in.A), V); e != nil {
-				err = e
-				goto fail
-			}
-		case ir.OpVFuseArgF:
-			fuseSlots[in.A] = F[in.B]
-		case ir.OpVFused:
-			if e := fusedExec(c, ctx, p.Aux, int(in.B), int(in.A), uint32(in.C), V, &fuseSlots); e != nil {
-				err = e
-				goto fail
-			}
-
-		case ir.OpFLdSlot:
-			F[in.A] = SF[in.B]
-		case ir.OpFStSlot:
-			SF[in.A] = F[in.B]
-		case ir.OpILdSlot:
-			I[in.A] = SI[in.B]
-		case ir.OpIStSlot:
-			SI[in.A] = I[in.B]
-		case ir.OpCLdSlot:
-			C[in.A] = SC[in.B]
-		case ir.OpCStSlot:
-			SC[in.A] = C[in.B]
-		case ir.OpVLdSlot:
-			V[in.A] = SV[in.B]
-		case ir.OpVStSlot:
-			SV[in.A] = V[in.B]
-
-		case ir.OpVCheck:
-			fr.runStepHook(p, pc-1, args)
-		case ir.OpCount:
-			runBlockHook(p, pc)
-
-		default:
-			err = fmt.Errorf("unimplemented opcode %v", in.Op)
-			goto fail
-		}
-		pc++
-		continue
-	taken:
-		if target <= pc && cflag != nil && cflag.Raised() {
-			err = cancel.ErrInterrupted
-			goto fail
-		}
-		pc = target
-		continue
-	fail:
-		return nil, &Error{Fn: p.Name, PC: pc, Err: err}
+	switch in.Op {
+	case ir.OpFLd1:
+		x, err = v.CheckedGet1(F[in.C])
+	case ir.OpFLd1I:
+		x, err = v.CheckedGet1(float64(I[in.C]))
+	case ir.OpFLd2:
+		x, err = v.CheckedGet2(F[in.C], F[in.D])
+	case ir.OpFLd2I:
+		x, err = v.CheckedGet2(float64(I[in.C]), float64(I[in.D]))
+	case ir.OpCLd1:
+		z, err = v.CheckedGet1C(F[in.C])
+	case ir.OpCLd1I:
+		z, err = v.CheckedGet1C(float64(I[in.C]))
+	case ir.OpCLd2:
+		z, err = v.CheckedGet2C(F[in.C], F[in.D])
+	case ir.OpCLd2I:
+		z, err = v.CheckedGet2C(float64(I[in.C]), float64(I[in.D]))
 	}
+	if d, _ := in.Def(); err == nil && d.Bank == ir.BankC {
+		C[in.A] = z
+	} else if err == nil {
+		F[in.A] = x
+	}
+	return err
 }
 
 // owned gives a V register a value of its own for a store to write
@@ -1105,6 +819,9 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []Operand) ([]Operand, e
 // needs it, and a register no path assigned starts as the empty matrix a
 // store grows.
 func owned(reg **mat.Value) *mat.Value {
+	if (*reg).Owned() {
+		return *reg
+	}
 	v := mat.Empty()
 	if *reg != nil {
 		v = (*reg).Clone()
@@ -1138,9 +855,11 @@ func vOrEmpty(v *mat.Value) *mat.Value {
 	return v
 }
 
+var errUndefined = errors.New("use of undefined value")
+
 func vOrErr(v *mat.Value, err *error) *mat.Value {
 	if v == nil && *err == nil {
-		*err = fmt.Errorf("use of undefined value")
+		*err = errUndefined
 	}
 	return v
 }
