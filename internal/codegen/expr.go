@@ -1,8 +1,11 @@
 package codegen
 
 import (
+	"math"
+
 	"repro/internal/ast"
 	"repro/internal/builtins"
+	"repro/internal/infer"
 	"repro/internal/ir"
 	"repro/internal/types"
 )
@@ -26,7 +29,7 @@ func (g *gen) expr(e ast.Expr) (ir.Bank, int32) {
 		if x.Imag {
 			return ir.BankC, g.prog.CConst(complex(0, x.Value))
 		}
-		if x.IsInt {
+		if x.IsInt && math.Abs(x.Value) <= infer.MaxExactInt { // inference types a larger one real
 			return ir.BankI, g.prog.IConst(int64(x.Value))
 		}
 		return ir.BankF, g.prog.FConst(x.Value)
@@ -287,6 +290,14 @@ func (g *gen) scalarBinary(x *ast.Binary, bank ir.Bank) (ir.Bank, int32) {
 		return g.scalarFloatOp(x.Op, a, b)
 
 	case ir.BankC:
+		if (x.Op == ast.OpPow || x.Op == ast.OpEPow) && lb != ir.BankC && lb != ir.BankV && rb != ir.BankC && rb != ir.BankV {
+			// Two reals keep the interpreter's rule: the result is complex
+			// only for a negative base and a non-integral exponent.
+			a, b := g.toF(lb, lr), g.toF(rb, rr)
+			d := g.newReg(ir.BankC)
+			g.emit(ir.Instr{Op: ir.OpFPowC, A: d, B: a, C: b})
+			return ir.BankC, d
+		}
 		a, b := g.toC(lb, lr), g.toC(rb, rr)
 		d := g.newReg(ir.BankC)
 		switch x.Op {

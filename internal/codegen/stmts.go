@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"math"
 	"repro/internal/ast"
 	"repro/internal/ir"
 	"repro/internal/types"
@@ -239,6 +240,9 @@ func (g *gen) boxedSubscripts(call *ast.Call) []int32 {
 func (g *gen) condFalsePatches(cond ast.Expr) []int {
 	// Fused relational compare-and-branch on typed scalars.
 	if bin, ok := cond.(*ast.Binary); ok && bin.Op.IsRelational() {
+		if at, ok := g.absCompare(bin); ok {
+			return []int{at}
+		}
 		lt, rt := g.annOf(bin.L), g.annOf(bin.R)
 		if lt.IsScalar() && rt.IsScalar() &&
 			types.LeqI(lt.I, types.IReal) && types.LeqI(rt.I, types.IReal) {
@@ -315,6 +319,42 @@ func (g *gen) condFalsePatches(cond ast.Expr) []int {
 	fr := g.toF(b, r)
 	at := g.emit(ir.Instr{Op: ir.OpBrFalseF, A: fr})
 	return []int{at}
+}
+
+// absCompare emits the branch on the negation of abs(z) OP c, for a
+// complex scalar z and a positive literal c on either side whose square
+// is normal: one OpBrNCAbs where cabs and an F branch would go, which
+// compares re²+im² with c² unless they are too close to call.
+func (g *gen) absCompare(bin *ast.Binary) (int, bool) {
+	op, side, lit := bin.Op, bin.L, bin.R
+	if _, ok := side.(*ast.NumberLit); ok {
+		side, lit = bin.R, bin.L
+		switch op { // c OP abs(z) is abs(z) OP' c
+		case ast.OpLt:
+			op = ast.OpGt
+		case ast.OpLe:
+			op = ast.OpGe
+		case ast.OpGt:
+			op = ast.OpLt
+		case ast.OpGe:
+			op = ast.OpLe
+		}
+	}
+	n, isLit := lit.(*ast.NumberLit)
+	call, isCall := side.(*ast.Call)
+	if !isLit || n.Imag || !isCall || call.Kind != ast.Builtin || call.Name != "abs" || len(call.Args) != 1 {
+		return 0, false
+	}
+	c, c2 := n.Value, n.Value*n.Value
+	if !(c > 0 && c2 >= 0x1p-1022 && c2 <= math.MaxFloat64) {
+		return 0, false
+	}
+	at := g.annOf(call.Args[0])
+	if !at.IsScalar() || !g.annOf(call).IsScalar() || at.I != types.ICplx {
+		return 0, false
+	}
+	z := g.toC(g.operand(call.Args[0]))
+	return g.emit(ir.Instr{Op: ir.OpBrNCAbs, A: z, B: int32(op), Imm: c}), true
 }
 
 // condTruePatches emits a jump taken when cond is true.

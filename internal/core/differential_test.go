@@ -465,6 +465,36 @@ function s = f()
     s = s + t;
   end
 end`},
+	// x^y of two reals is complex only for a negative base and a
+	// non-integral exponent, also once pw holds code for (int, real):
+	// r(k + 5) flags an imaginary part the interpreter does not make.
+	{name: "real_pow_keeps_the_scalar_rule", src: `
+function r = f()
+  xs = [-2, -3, 2, -1, -2];
+  ys = [2.5, 2, Inf, Inf, 3];
+  r = zeros(1, 10);
+  for k = 1:5
+    z = pw(xs(k), ys(k));
+    r(k) = real(z);
+    r(k + 5) = imag(z) ~= 0;
+  end
+end
+function z = pw(x, y)
+  z = x^y;
+end`},
+	// Integral results past 2^53 are doubles, never wrapped int64s.
+	{name: "int_product_past_2p53", args: []float64{3e18, 4}, src: `
+function r = f(x, y)
+  r = x*y + 1;
+end`},
+	{name: "int_power_past_2p53", args: []float64{3, 40}, src: `
+function r = f(x, y)
+  r = x^y + 1;
+end`},
+	{name: "int_literal_past_2p53", src: `
+function r = f()
+  r = 30000000000000000000 + 1;
+end`},
 }
 
 // loopPrograms pin what a for loop means, whichever way it is lowered

@@ -520,7 +520,7 @@ func (e *Engine) CallFunction(name string, args []*mat.Value, nout int) ([]*mat.
 		return e.in.CallFunction(st.Fn, args, nout, e.globals, nil)
 	}
 	var buf [sigBuf]vm.Operand
-	outs, err := e.repo.invoke(st, vm.Boxed(buf[:0], args), nout, nil)
+	outs, err := e.repo.invoke(st, vm.Boxed(buf[:0], args), nout, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -531,12 +531,17 @@ func (e *Engine) CallFunction(name string, args []*mat.Value, nout int) ([]*mat.
 // that owns caller, whose callee — when compiled too — runs on the next
 // frame of its chain, takes scalar arguments from args in the register
 // class they were computed in and returns scalar results the same way.
-func (e *Engine) CallUser(name string, args []vm.Operand, nout int, caller *vm.Frame) ([]vm.Operand, error) {
-	st, err := e.resolve(name)
+// A call its site's record answers (siteRecord) skips the locator.
+func (e *Engine) CallUser(site *vm.CallSite, args []vm.Operand, nout int, caller *vm.Frame) ([]vm.Operand, error) {
+	nout = max(nout, 1)
+	if rec, _ := site.Memo().(*siteRecord); rec != nil && !e.cancelFlag.Raised() && rec.serves(e.repo.r, args) {
+		return e.repo.runSite(rec, args, nout, caller)
+	}
+	st, err := e.resolve(site.Name)
 	if err != nil {
 		return nil, err
 	}
-	return e.repo.invoke(st, args, max(nout, 1), caller)
+	return e.repo.invoke(st, args, nout, caller, site)
 }
 
 // Interpret runs the function through the interpreter regardless of

@@ -132,16 +132,20 @@ const sigBuf = 6
 // no lock and allocates nothing here (the signature lives in this
 // frame, read off the operands: a scalar that arrives in a register is
 // typed as the box it replaces would be); everything that retains the
-// signature is on the miss path, which gets a copy.
-func (r *repoState) invoke(st *repo.FuncState, args []vm.Operand, nout int, caller *vm.Frame) ([]vm.Operand, error) {
+// signature is on the miss path, which gets a copy. site is the calling
+// instruction of compiled code (nil from the boxed side), where a hit is
+// remembered.
+func (r *repoState) invoke(st *repo.FuncState, args []vm.Operand, nout int, caller *vm.Frame, site *vm.CallSite) ([]vm.Operand, error) {
 	var buf [sigBuf]types.Type
 	sig := observedSig(buf[:0], args)
 	entry := r.r.LookupIn(st, sig)
-	if entry == nil {
-		if !r.parks {
-			return r.miss(st, append(types.Signature(nil), sig...), args, nout, caller)
-		}
+	switch {
+	case entry == nil && !r.parks:
+		return r.miss(st, append(types.Signature(nil), sig...), args, nout, caller)
+	case entry == nil:
 		entry = r.park(st, sig)
+	case site != nil:
+		r.remember(site, st, sig, args, entry)
 	}
 	if cause := r.upgradeCause(entry, sig, caller); cause != "" {
 		if repl := r.specialise(st, entry, upgradeSig(entry, sig), cause); repl != nil {
@@ -428,41 +432,47 @@ func (r *repoState) leave(name string, t0 time.Time, nout int, outs []vm.Operand
 // The interpreter is on the boxed side of the call boundary: its
 // arguments are boxed here.
 func (r *repoState) runEntry(entry *repo.Entry, st *repo.FuncState, args []vm.Operand, nout int, caller *vm.Frame) ([]vm.Operand, error) {
-	e, fn := r.e, st.Fn
 	t0 := r.enter()
 	var outs []vm.Operand
 	var err error
 	if entry.Quality != repo.QualityInterp {
-		outs, err = vm.Run(entry.Code, e, args, caller)
-		if err == vm.ErrGuardMiss {
-			e.lib.journal.Record(telemetry.Event{
-				Kind:  telemetry.EventDeopt,
-				Func:  fn.Name,
-				Sig:   entry.Sig.Key(),
-				Cause: telemetry.CauseReturnGuard,
-			})
-			if entry.Speculative {
-				var buf [sigBuf]types.Type
-				r.specialise(st, entry, upgradeSig(entry, observedSig(buf[:0], args)), telemetry.CauseReturnGuard)
-			} else {
-				r.r.Replace(fn.Name, entry, &repo.Entry{Sig: entry.Sig, Quality: repo.QualityInterp})
-			}
-		}
+		outs, err = vm.Run(entry.Code, r.e, args, caller)
 	}
 	if entry.Quality == repo.QualityInterp || err == vm.ErrGuardMiss {
-		var fr *interp.Frame
-		if r.parks && entry.Quality == repo.QualityInterp {
-			fr = &interp.Frame{Fn: fn, Nout: nout, Host: e, Gen: st.Gen, Threshold: DefaultTierThreshold, Entry: entry}
-		}
-		var buf [sigBuf]*mat.Value
-		var vals []*mat.Value
-		vals, err = e.in.CallFunction(fn, vm.BoxAll(buf[:0], args), nout, e.globals, fr)
-		if fr != nil {
-			e.lib.profiles.CountActivation(fr.BackEdges())
-		}
-		outs = vm.Boxed(nil, vals)
+		outs, err = r.interpret(entry, st, args, nout, err == vm.ErrGuardMiss)
 	}
-	return r.leave(fn.Name, t0, nout, outs, err)
+	return r.leave(st.Fn.Name, t0, nout, outs, err)
+}
+
+// interpret runs the call through the interpreter, for an interpret-only
+// entry or, when missed, for compiled code whose return guard missed:
+// that entry is journaled and then replaced (runEntry).
+func (r *repoState) interpret(entry *repo.Entry, st *repo.FuncState, args []vm.Operand, nout int, missed bool) ([]vm.Operand, error) {
+	e, fn := r.e, st.Fn
+	if missed {
+		e.lib.journal.Record(telemetry.Event{
+			Kind:  telemetry.EventDeopt,
+			Func:  fn.Name,
+			Sig:   entry.Sig.Key(),
+			Cause: telemetry.CauseReturnGuard,
+		})
+		if entry.Speculative {
+			var buf [sigBuf]types.Type
+			r.specialise(st, entry, upgradeSig(entry, observedSig(buf[:0], args)), telemetry.CauseReturnGuard)
+		} else {
+			r.r.Replace(fn.Name, entry, &repo.Entry{Sig: entry.Sig, Quality: repo.QualityInterp})
+		}
+	}
+	var fr *interp.Frame
+	if r.parks && entry.Quality == repo.QualityInterp {
+		fr = &interp.Frame{Fn: fn, Nout: nout, Host: e, Gen: st.Gen, Threshold: DefaultTierThreshold, Entry: entry}
+	}
+	var buf [sigBuf]*mat.Value
+	vals, err := e.in.CallFunction(fn, vm.BoxAll(buf[:0], args), nout, e.globals, fr)
+	if fr != nil {
+		e.lib.profiles.CountActivation(fr.BackEdges())
+	}
+	return vm.Boxed(nil, vals), err
 }
 
 // widen relaxes ranges (and, where bounds differ across calls, shapes

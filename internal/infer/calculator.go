@@ -80,10 +80,26 @@ func (c *Calculator) Forward(name string, args []types.Type) types.Type {
 			// The rule bodies predate the sparsity dimension; the
 			// adjustment layer computes the result's Sp bit from the
 			// operator's runtime representation rules (sparse.go).
-			return sparseAdjust(name, args, r.App(args))
+			return exactInt(sparseAdjust(name, args, r.App(args)))
 		}
 	}
 	return types.Top
+}
+
+// MaxExactInt bounds the integers an int type may promise: past 2^53 a
+// float64 no longer holds every integer, so I-register arithmetic would
+// part ways with the interpreter's doubles (and past 2^63 wrap).
+const MaxExactInt = 1 << 53
+
+// exactInt types as real an int whose range reaches past ±2^53 at a
+// finite end. An infinite end says nothing about the values, so a ⊤ or
+// widened range keeps its int.
+func exactInt(t types.Type) types.Type {
+	past := func(x float64) bool { return !math.IsInf(x, 0) && math.Abs(x) > MaxExactInt }
+	if t.I == types.IInt && (past(t.R.Lo) || past(t.R.Hi)) {
+		t.I = types.IReal
+	}
+	return t
 }
 
 // --- predicate helpers -------------------------------------------------------

@@ -16,7 +16,7 @@ func (inf *inferencer) expr(e ast.Expr, env *tenv) types.Type {
 		case x.Imag:
 			t = types.ScalarOf(types.ICplx, types.RangeTop)
 		case x.IsInt:
-			t = types.ScalarOf(types.IInt, types.Const(x.Value))
+			t = exactInt(types.ScalarOf(types.IInt, types.Const(x.Value)))
 		default:
 			t = types.ScalarOf(types.IReal, types.Const(x.Value))
 		}

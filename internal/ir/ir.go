@@ -64,6 +64,11 @@ const (
 	OpBrILe    // if I[A] <= I[B]: pc = C
 	OpBrIEq    // if I[A] == I[B]: pc = C
 	OpBrINe    // if I[A] != I[B]: pc = C
+	// The abs(z) OP c of a loop or if test, selected when z is complex and
+	// c a positive literal whose square is normal: B holds OP (an ast
+	// relational operator), Imm holds c, and the branch goes where cabs
+	// and the F branch on its negation would send it.
+	OpBrNCAbs // if !(|C[A]| OP_B Imm): pc = C
 
 	// moves (from a constant register: the one way to materialise a literal)
 	OpFMov     // F[A] = F[B]
@@ -127,6 +132,7 @@ const (
 	OpCDiv
 	OpCNeg
 	OpCPow
+	OpFPowC // C[A] = F[B]^F[C], complex only for a negative base and a non-integral exponent
 	OpCAbs  // F[A] = |C[B]|
 	OpCMath // C[A] = cmathfn[C](C[B])
 	OpCCmpEq
@@ -231,7 +237,7 @@ var opNames = map[Op]string{
 	OpBrTrueF: "brtrue.f", OpBrFalseF: "brfalse.f", OpBrFalseV: "brfalse.v", OpBrTrueV: "brtrue.v",
 	OpBrFLt: "br.flt", OpBrFLe: "br.fle", OpBrFEq: "br.feq", OpBrFNe: "br.fne",
 	OpBrFNLt: "br.fnlt", OpBrFNLe: "br.fnle",
-	OpBrILt: "br.ilt", OpBrILe: "br.ile", OpBrIEq: "br.ieq", OpBrINe: "br.ine",
+	OpBrILt: "br.ilt", OpBrILe: "br.ile", OpBrIEq: "br.ieq", OpBrINe: "br.ine", OpBrNCAbs: "br.ncabs",
 	OpFMov: "fmov", OpIMov: "imov", OpCMov: "cmov", OpVMov: "vmov",
 	OpVMovSwap: "vmovswap", OpVClone: "vclone",
 	OpItoF: "itof", OpFtoI: "ftoi", OpFtoC: "ftoc", OpItoC: "itoc",
@@ -244,7 +250,7 @@ var opNames = map[Op]string{
 	OpIAdd: "iadd", OpISub: "isub", OpIMul: "imul", OpINeg: "ineg", OpIMod: "imod",
 	OpICmpEq: "icmp.eq", OpICmpNe: "icmp.ne", OpICmpLt: "icmp.lt", OpICmpLe: "icmp.le",
 	OpCAdd: "cadd", OpCSub: "csub", OpCMul: "cmul", OpCDiv: "cdiv", OpCNeg: "cneg",
-	OpCPow: "cpow", OpCAbs: "cabs", OpCMath: "cmath", OpCCmpEq: "ccmp.eq", OpCCmpNe: "ccmp.ne",
+	OpCPow: "cpow", OpFPowC: "fpow.c", OpCAbs: "cabs", OpCMath: "cmath", OpCCmpEq: "ccmp.eq", OpCCmpNe: "ccmp.ne",
 	OpCReal: "creal", OpCImag: "cimag", OpCConj: "cconj",
 	OpFLd1: "fld1", OpFLd1I: "fld1i", OpFLd1U: "fld1u", OpFLd2: "fld2", OpFLd2I: "fld2i", OpFLd2U: "fld2u",
 	OpFSt1: "fst1", OpFSt1I: "fst1i", OpFSt1U: "fst1u", OpFSt2: "fst2", OpFSt2I: "fst2i", OpFSt2U: "fst2u",

@@ -56,6 +56,7 @@ var operands = func() []opRoles {
 	set(opRoles{useF, none, target}, OpBrTrueF, OpBrFalseF)
 	set(opRoles{useF, useF, target}, OpBrFLt, OpBrFLe, OpBrFEq, OpBrFNe, OpBrFNLt, OpBrFNLe)
 	set(opRoles{useI, useI, target}, OpBrILt, OpBrILe, OpBrIEq, OpBrINe)
+	set(opRoles{useC, word, target}, OpBrNCAbs)
 
 	set(opRoles{defF, regV}, OpUnboxF)
 	set(opRoles{defI, regV}, OpUnboxI, OpVRows, OpVCols, OpVNumel)
@@ -84,6 +85,7 @@ var operands = func() []opRoles {
 	set(opRoles{defI, useI, useI}, OpIAdd, OpISub, OpIMul, OpIMod)
 	set(opRoles{defF, useI, useI}, OpICmpEq, OpICmpNe, OpICmpLt, OpICmpLe)
 	set(opRoles{defC, useC, useC}, OpCAdd, OpCSub, OpCMul, OpCDiv, OpCPow)
+	set(opRoles{defC, useF, useF}, OpFPowC)
 	set(opRoles{defF, useC, useC}, OpCCmpEq, OpCCmpNe)
 
 	// Array access: the array itself is a V register (B of a load, A of

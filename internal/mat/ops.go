@@ -378,7 +378,62 @@ func scalarPow(a, b *Value) (*Value, error) {
 		z := cmplx.Pow(complex(x, 0), complex(y, 0))
 		return ComplexScalar(z).Demote(), nil
 	}
-	return Scalar(math.Pow(x, y)), nil
+	return Scalar(FPow(x, y)), nil
+}
+
+// RealPow is x^y for two real scalars by scalarPow's rule: complex only
+// when a negative base meets a non-integral exponent, real otherwise.
+func RealPow(x, y float64) complex128 {
+	if x < 0 && y != math.Trunc(y) {
+		return cmplx.Pow(complex(x, 0), complex(y, 0))
+	}
+	return complex(FPow(x, y), 0)
+}
+
+// FPow is math.Pow(x, y), bit for bit. For an integral y in [-64, 64]
+// and a normal x it runs math.Pow's own repeated squaring on x itself
+// rather than on x's mantissa with the exponent kept apart: a product of
+// normal numbers rounds the same at any power-of-two scale, so while
+// every intermediate is normal the two computations round alike. The
+// first intermediate that is not normal hands the pair to math.Pow.
+func FPow(x, y float64) float64 {
+	if !(y >= -64 && y <= 64) || !normal(x) {
+		return math.Pow(x, y)
+	}
+	n := int64(y)
+	if float64(n) != y {
+		return math.Pow(x, y)
+	}
+	k := n
+	if k < 0 {
+		k = -k
+	}
+	a, s := 1.0, x
+	for {
+		if k&1 == 1 {
+			if a *= s; !normal(a) {
+				return math.Pow(x, y)
+			}
+		}
+		if k >>= 1; k == 0 {
+			break
+		}
+		if s *= s; !normal(s) {
+			return math.Pow(x, y)
+		}
+	}
+	if n < 0 {
+		if a = 1 / a; !normal(a) {
+			return math.Pow(x, y)
+		}
+	}
+	return a
+}
+
+// normal reports a finite, nonzero x that is not subnormal: its biased
+// exponent is neither 0 nor all ones.
+func normal(x float64) bool {
+	return math.Float64bits(x)>>52&0x7ff-1 < 0x7fe
 }
 
 // ElemPow implements a.^b.

@@ -257,7 +257,7 @@ func pure(op ir.Op) bool {
 		ir.OpFNeg, ir.OpFNot, ir.OpFMath, ir.OpItoF, ir.OpFtoI,
 		ir.OpIAdd, ir.OpISub, ir.OpIMul, ir.OpIMod, ir.OpINeg,
 		ir.OpICmpEq, ir.OpICmpNe, ir.OpICmpLt, ir.OpICmpLe,
-		ir.OpCAdd, ir.OpCSub, ir.OpCMul, ir.OpCDiv, ir.OpCPow, ir.OpCNeg, ir.OpCConj:
+		ir.OpCAdd, ir.OpCSub, ir.OpCMul, ir.OpCDiv, ir.OpCPow, ir.OpFPowC, ir.OpCNeg, ir.OpCConj:
 		return true
 	}
 	return false

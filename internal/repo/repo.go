@@ -139,10 +139,16 @@ type FuncState struct {
 // noState is what State returns for a name the repository never saw.
 var noState = &FuncState{}
 
-// funcSlot is the per-name publication point.
-type funcSlot struct {
+// Slot is the per-name publication point. A name's slot is made the
+// first time the repository sees the name and never moves, so a caller
+// that holds it reads the name's current state with one load and no map
+// lookup.
+type Slot struct {
 	state atomic.Pointer[FuncState]
 }
+
+// State returns the slot's current state.
+func (s *Slot) State() *FuncState { return s.state.Load() }
 
 // Stats counts repository traffic.
 type Stats struct {
@@ -171,10 +177,11 @@ type Repository struct {
 	// funcs maps a name to its publication slot. The map itself is
 	// immutable and replaced (under mu) only when a new name appears, so
 	// readers index it without a lock.
-	funcs atomic.Pointer[map[string]*funcSlot]
+	funcs atomic.Pointer[map[string]*Slot]
 
-	// The lookup counters are bumped on the lock-free read path.
-	lookups, hits, misses, specHits atomic.Int64
+	// The lookup counters are bumped on the lock-free read path. Every
+	// lookup is a hit or a miss, so Stats adds the two for Lookups.
+	hits, misses, specHits atomic.Int64
 
 	// mu serialises writers and guards everything below.
 	mu    sync.Mutex
@@ -199,7 +206,7 @@ type Repository struct {
 // New returns an empty, unbounded repository.
 func New() *Repository {
 	r := &Repository{}
-	r.funcs.Store(&map[string]*funcSlot{})
+	r.funcs.Store(&map[string]*Slot{})
 	return r
 }
 
@@ -223,6 +230,10 @@ func (r *Repository) State(name string) *FuncState {
 	return noState
 }
 
+// Slot returns name's publication slot, nil for a name the repository
+// never saw.
+func (r *Repository) Slot(name string) *Slot { return (*r.funcs.Load())[name] }
+
 // Lookup returns the best safe entry for an invocation signature, or
 // nil. Best = minimal Manhattan distance, ties broken by quality.
 func (r *Repository) Lookup(name string, q types.Signature) *Entry {
@@ -232,18 +243,24 @@ func (r *Repository) Lookup(name string, q types.Signature) *Entry {
 // LookupIn is Lookup against a state the caller already loaded, so one
 // load serves the definition, the generation and the locator.
 func (r *Repository) LookupIn(st *FuncState, q types.Signature) *Entry {
-	r.lookups.Add(1)
 	best := st.best(q)
 	if best == nil {
 		r.misses.Add(1)
 		return nil
 	}
+	r.CountHit(best)
+	return best
+}
+
+// CountHit counts a lookup that e answered, as LookupIn does: for a
+// caller that found e without the locator (a call site's cache), since
+// eviction ranks entries by their hits.
+func (r *Repository) CountHit(e *Entry) {
 	r.hits.Add(1)
-	best.hits.Add(1)
-	if best.Speculative {
+	e.hits.Add(1)
+	if e.Speculative {
 		r.specHits.Add(1)
 	}
-	return best
 }
 
 // best is the locator without its counters: the safe entry for q at the
@@ -344,9 +361,9 @@ func (r *Repository) Stats() Stats {
 	r.mu.Lock()
 	s := r.stats
 	r.mu.Unlock()
-	s.Lookups = int(r.lookups.Load())
 	s.Hits = int(r.hits.Load())
 	s.Misses = int(r.misses.Load())
+	s.Lookups = s.Hits + s.Misses
 	s.SpecHits = int(r.specHits.Load())
 	r.Each(func(_ string, st *FuncState) {
 		if n := len(st.Entries); n > 0 {
@@ -393,14 +410,14 @@ func (r *Repository) SetJournal(j *telemetry.Journal) {
 
 // slotLocked returns the publication slot for name, creating it (and
 // republishing the name map) on first sight.
-func (r *Repository) slotLocked(name string) *funcSlot {
+func (r *Repository) slotLocked(name string) *Slot {
 	old := *r.funcs.Load()
 	if slot := old[name]; slot != nil {
 		return slot
 	}
-	slot := &funcSlot{}
+	slot := &Slot{}
 	slot.state.Store(noState)
-	m := make(map[string]*funcSlot, len(old)+1)
+	m := make(map[string]*Slot, len(old)+1)
 	for k, v := range old {
 		m[k] = v
 	}
@@ -411,7 +428,7 @@ func (r *Repository) slotLocked(name string) *funcSlot {
 
 // publishLocked replaces name's entry list, keeping definition and
 // generation.
-func (r *Repository) publishLocked(slot *funcSlot, entries []*Entry) {
+func (r *Repository) publishLocked(slot *Slot, entries []*Entry) {
 	st := *slot.state.Load()
 	st.Entries = entries
 	slot.state.Store(&st)
@@ -568,7 +585,7 @@ func (r *Repository) InsertLoaded(name string, e *Entry) bool {
 	return true
 }
 
-func (r *Repository) insertLocked(name string, slot *funcSlot, e *Entry) {
+func (r *Repository) insertLocked(name string, slot *Slot, e *Entry) {
 	r.stats.Inserts++
 	// A local compile for a signature already served by a replicated
 	// entry replaces it in place instead of appending a duplicate: the
@@ -587,7 +604,7 @@ func (r *Repository) insertLocked(name string, slot *funcSlot, e *Entry) {
 }
 
 // appendLocked publishes entries+e, evicting down to the cap.
-func (r *Repository) appendLocked(name string, slot *funcSlot, e *Entry) {
+func (r *Repository) appendLocked(name string, slot *Slot, e *Entry) {
 	old := slot.state.Load().Entries
 	entries := make([]*Entry, len(old), len(old)+1)
 	copy(entries, old)
@@ -668,7 +685,7 @@ func (r *Repository) InsertReplicated(name string, e *Entry, gen uint64, origin 
 // (an interpret-only marker is just a cached decision; compiled code
 // cost a JIT or optimizing compile), and the oldest entry wins a full
 // tie.
-func (r *Repository) evictLocked(name string, slot *funcSlot, entries []*Entry, keep *Entry) []*Entry {
+func (r *Repository) evictLocked(name string, slot *Slot, entries []*Entry, keep *Entry) []*Entry {
 	victim := -1
 	var victimHits int64
 	for i, e := range entries {

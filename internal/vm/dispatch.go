@@ -6,6 +6,7 @@ import (
 	"math/cmplx"
 	"unsafe"
 
+	"repro/internal/ast"
 	"repro/internal/builtins"
 	"repro/internal/cancel"
 	"repro/internal/ir"
@@ -68,6 +69,9 @@ func verify(p *ir.Prog) error {
 		}
 		if (in.Op == ir.OpFMath || in.Op == ir.OpCMath) && (in.C < 0 || int(in.C) >= len(p.MathFns)) {
 			return fmt.Errorf("vm: %s+%d: math function %d of %d", p.Name, pc, in.C, len(p.MathFns))
+		}
+		if in.Op == ir.OpBrNCAbs && !ast.BinOp(in.B).IsRelational() {
+			return fmt.Errorf("vm: %s+%d: relation %d", p.Name, pc, in.B)
 		}
 	}
 	return nil
@@ -156,7 +160,7 @@ func (fr *Frame) exec(c *Compiled, host Host, args, dst []Operand) ([]Operand, e
 			var err error
 			switch in.Op {
 			case ir.OpCallUser:
-				err = userCall(p, host, p.Aux, int(in.A), fr.v[:p.NumV], fr.ops[:c.callSlots], fr.ops[c.callSlots:], fr)
+				err = userCall(c.site(pc), host, p.Aux, int(in.A), fr.v[:p.NumV], fr.ops[:c.callSlots], fr.ops[c.callSlots:], fr)
 			case ir.OpFetchF:
 				x, ok := callSlot(ops, fr.outsAt+in.B).fetchF()
 				if !ok {
@@ -267,7 +271,7 @@ func loop(f *float64, i *int64, c *complex128, v **mat.Value, ops *Operand, ins 
 		// The instructions that call a function share one call site:
 		// Go keeps no register across a call, so the loop's state spills
 		// and reloads around that site alone.
-		case ir.OpBrFalseV, ir.OpBrTrueV, ir.OpFPow, ir.OpFMod, ir.OpFRem, ir.OpFMath, ir.OpCDiv, ir.OpCPow, ir.OpCAbs:
+		case ir.OpBrFalseV, ir.OpBrTrueV, ir.OpBrNCAbs, ir.OpFPow, ir.OpFMod, ir.OpFRem, ir.OpFMath, ir.OpCDiv, ir.OpCPow, ir.OpFPowC, ir.OpCAbs:
 			var interrupted bool
 			if in, interrupted = calling(in, ins, f, c, v, fns, cflag); interrupted {
 				return pcOf(ins, in), true
@@ -458,8 +462,10 @@ func calling(in, ins *ir.Instr, f *float64, c *complex128, v **mat.Value, fns *f
 	case ir.OpBrTrueV:
 		x := *regV(v, in.A)
 		taken = x != nil && x.IsTrue()
+	case ir.OpBrNCAbs:
+		taken = !absHolds(*regC(c, in.A), ast.BinOp(in.B), in.Imm)
 	case ir.OpFPow:
-		*regF(f, in.A) = math.Pow(*regF(f, in.B), *regF(f, in.C))
+		*regF(f, in.A) = mat.FPow(*regF(f, in.B), *regF(f, in.C))
 	case ir.OpFMod:
 		*regF(f, in.A) = builtins.Mod(*regF(f, in.B), *regF(f, in.C))
 	case ir.OpFRem:
@@ -470,6 +476,8 @@ func calling(in, ins *ir.Instr, f *float64, c *complex128, v **mat.Value, fns *f
 		*regC(c, in.A) = *regC(c, in.B) / *regC(c, in.C)
 	case ir.OpCPow:
 		*regC(c, in.A) = cmplx.Pow(*regC(c, in.B), *regC(c, in.C))
+	case ir.OpFPowC:
+		*regC(c, in.A) = mat.RealPow(*regF(f, in.B), *regF(f, in.C))
 	case ir.OpCAbs:
 		*regF(f, in.A) = cmplx.Abs(*regC(c, in.B))
 	}
@@ -481,4 +489,46 @@ func calling(in, ins *ir.Instr, f *float64, c *complex128, v **mat.Value, fns *f
 		return in, true
 	}
 	return to, false
+}
+
+// absBand is the relative half-width of the band around c² inside which
+// absHolds takes the square root after all. Outside it re²+im², whose
+// rounding error is a few units in the last place, cannot fall on the
+// other side of c² from |z|², and math.Hypot, within one unit of |z|,
+// cannot fall on the other side of c.
+const absBand = 0x1p-40
+
+// absHolds is cmplx.Abs(z) rel c for a c whose square is normal and
+// positive, decided from re²+im² where that is outside the band around
+// c²; inside it, and for NaN, it calls cmplx.Abs. An overflowing square
+// decides |z| > c rightly: c² is finite, so c is below the part that
+// overflowed, and math.Hypot is never below its larger part.
+func absHolds(z complex128, rel ast.BinOp, c float64) bool {
+	re, im := real(z), imag(z)
+	s, c2 := re*re+im*im, c*c
+	// a is |z| or, outside the band, a value on the same side of c.
+	var a float64
+	switch {
+	case s < c2*(1-absBand):
+		a = 0
+	case s > c2*(1+absBand):
+		a = math.Inf(1)
+	default:
+		a = cmplx.Abs(z)
+	}
+	switch rel {
+	case ast.OpLt:
+		return a < c
+	case ast.OpLe:
+		return a <= c
+	case ast.OpGt:
+		return a > c
+	case ast.OpGe:
+		return a >= c
+	case ast.OpEq:
+		return a == c
+	case ast.OpNe:
+		return a != c
+	}
+	return false
 }

@@ -32,6 +32,7 @@ func TestPrepareRejects(t *testing.T) {
 		"negative jump":            {Ins: []ir.Instr{{Op: ir.OpJmp, A: -1}, ret}},
 		"fmath id past MathFns":    {NumF: 1, MathFns: []string{"sin"}, Ins: []ir.Instr{{Op: ir.OpFMath, A: 0, B: 0, C: 1}, ret}},
 		"negative cmath id":        {NumC: 1, MathFns: []string{"sin"}, Ins: []ir.Instr{{Op: ir.OpCMath, A: 0, B: 0, C: -1}, ret}},
+		"abs compare, no relation": {NumC: 1, Ins: []ir.Instr{{Op: ir.OpBrNCAbs, A: 0, B: -1, C: 1, Imm: 2}, ret}},
 		"unknown opcode":           {Ins: []ir.Instr{{Op: lastOp + 1}, ret}},
 		"falls off the end":        {NumF: 1, Ins: []ir.Instr{{Op: ir.OpFMov, A: 0, B: 0}}},
 		"no instructions":          {},

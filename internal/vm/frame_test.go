@@ -71,7 +71,7 @@ type recursiveHost struct {
 
 func (h *recursiveHost) Context() *builtins.Context { return h.ctx }
 
-func (h *recursiveHost) CallUser(name string, args []Operand, nout int, caller *Frame) ([]Operand, error) {
+func (h *recursiveHost) CallUser(_ *CallSite, args []Operand, nout int, caller *Frame) ([]Operand, error) {
 	if h.bottom != nil && args[0].Box().MustScalar() == 0 {
 		return []Operand{*h.bottom}, nil
 	}

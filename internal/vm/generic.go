@@ -163,8 +163,8 @@ func genericBuiltin(c *Compiled, ctx *builtins.Context, aux []int32, at int, V, 
 // taken. A Staged argument is already in its slot, put there unboxed by
 // OpStageF/I; a Staged result stays in outs, as the callee left it, for
 // the OpFetchF/I that follows. Everything else is boxed, here.
-func userCall(p *ir.Prog, host Host, aux []int32, at int, V []*mat.Value, slots, outs []Operand, fr *Frame) error {
-	name := p.Calls[aux[at]]
+func userCall(site *CallSite, host Host, aux []int32, at int, V []*mat.Value, slots, outs []Operand, fr *Frame) error {
+	name := site.Name
 	nout := int(aux[at+1])
 	dsts := aux[at+2 : at+2+nout]
 	nargs := int(aux[at+2+nout])
@@ -180,7 +180,7 @@ func userCall(p *ir.Prog, host Host, aux []int32, at int, V []*mat.Value, slots,
 		}
 		args[i] = Operand{V: v}
 	}
-	res, err := host.CallUser(name, args, nout, fr)
+	res, err := host.CallUser(site, args, nout, fr)
 	clear(args)
 	if err != nil {
 		return err

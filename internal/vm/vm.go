@@ -32,9 +32,28 @@ type Host interface {
 	// a call costs no frame, no result slice and no box for a scalar that
 	// both sides keep in a register. The host must not retain args or
 	// caller past the call.
-	CallUser(name string, args []Operand, nout int, caller *Frame) ([]Operand, error)
+	// site is the calling instruction's, where the host may keep what it
+	// resolved the call to (CallSite.Memo).
+	CallUser(site *CallSite, args []Operand, nout int, caller *Frame) ([]Operand, error)
 	Context() *builtins.Context
 }
+
+// CallSite is one OpCallUser instruction of a Compiled: the name it calls
+// and the host's memo of what the call resolved to. The memo is one
+// immutable record the host replaces whole, so the activations of a
+// Compiled on any goroutine read a consistent record or none.
+type CallSite struct {
+	Name string
+	pc   int32
+	memo atomic.Value
+}
+
+// Memo returns the host's record, nil before the first SetMemo.
+func (s *CallSite) Memo() any { return s.memo.Load() }
+
+// SetMemo replaces the record; every record a host keeps at its sites
+// has one dynamic type.
+func (s *CallSite) SetMemo(m any) { s.memo.Store(m) }
 
 // colonMarker is the distinguished boxed value representing a ':'
 // subscript in generic indexing instructions. It sits in many registers
@@ -52,7 +71,8 @@ var colonMarker = func() *mat.Value {
 // immutable after Prepare returns — the instruction stream, resolved
 // function tables, and the vpool constants (which Prepare marks shared,
 // so compiled code copy-on-writes instead of mutating them) are never
-// written again. A Compiled published to the repository by one
+// written again, and a call site's memo is swapped atomically. A
+// Compiled published to the repository by one
 // goroutine is therefore safe to execute from any other; the
 // repository's atomic publication of the entry (a release store, paired
 // with the locator's acquire load) provides the happens-before edge
@@ -77,6 +97,20 @@ type Compiled struct {
 	builtinArgs, callSlots, callOuts int
 	// w is the width of each bank a frame running this program needs.
 	w widths
+	// sites are the program's OpCallUser instructions, in program order:
+	// the only part of a Compiled written after Prepare, through each
+	// site's memo.
+	sites []CallSite
+}
+
+// site is the call site at pc, an OpCallUser. A program has a handful,
+// so a scan beats a search.
+func (c *Compiled) site(pc int) *CallSite {
+	k := 0
+	for c.sites[k].pc != int32(pc) {
+		k++
+	}
+	return &c.sites[k]
 }
 
 // widths are the lengths of a frame's five banks.
@@ -133,6 +167,7 @@ func Prepare(p *ir.Prog) (*Compiled, error) {
 		}
 	}
 	c.callSlots = len(p.OutRegs)
+	nsites := 0
 	for _, in := range p.Ins {
 		switch in.Op {
 		case ir.OpStageF, ir.OpStageI:
@@ -155,9 +190,21 @@ func Prepare(p *ir.Prog) (*Compiled, error) {
 			nargs := int(p.Aux[at+2+nout])
 			if in.Op == ir.OpGBuiltin {
 				c.builtinArgs = max(c.builtinArgs, nargs)
-			} else {
-				c.callOuts = max(c.callOuts, nout)
-				c.callSlots = max(c.callSlots, nargs)
+				continue
+			}
+			if id := p.Aux[at]; id < 0 || int(id) >= len(p.Calls) {
+				return nil, fmt.Errorf("vm: call of function %d of %d", id, len(p.Calls))
+			}
+			c.callOuts = max(c.callOuts, nout)
+			c.callSlots = max(c.callSlots, nargs)
+			nsites++
+		}
+	}
+	if nsites > 0 {
+		c.sites = make([]CallSite, 0, nsites)
+		for pc, in := range p.Ins {
+			if in.Op == ir.OpCallUser {
+				c.sites = append(c.sites, CallSite{Name: p.Calls[p.Aux[in.A]], pc: int32(pc)})
 			}
 		}
 	}

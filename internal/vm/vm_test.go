@@ -22,10 +22,10 @@ func newTestHost() *testHost {
 }
 
 func (h *testHost) Context() *builtins.Context { return h.ctx }
-func (h *testHost) CallUser(name string, args []Operand, nout int, _ *Frame) ([]Operand, error) {
-	f, ok := h.calls[name]
+func (h *testHost) CallUser(site *CallSite, args []Operand, nout int, _ *Frame) ([]Operand, error) {
+	f, ok := h.calls[site.Name]
 	if !ok {
-		return nil, mat.Errorf("no function %q", name)
+		return nil, mat.Errorf("no function %q", site.Name)
 	}
 	outs, err := f(BoxAll(nil, args), nout)
 	return Boxed(nil, outs), err

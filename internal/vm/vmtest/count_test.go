@@ -11,7 +11,7 @@ import (
 type host struct{ ctx *builtins.Context }
 
 func (h host) Context() *builtins.Context { return h.ctx }
-func (h host) CallUser(string, []vm.Operand, int, *vm.Frame) ([]vm.Operand, error) {
+func (h host) CallUser(*vm.CallSite, []vm.Operand, int, *vm.Frame) ([]vm.Operand, error) {
 	return nil, nil
 }
 
