@@ -114,7 +114,7 @@ func (g *gen) nonVarIdent(x *ast.Ident) (ir.Bank, int32) {
 		return b, r
 	}
 	if builtins.Lookup(x.Name) != nil {
-		return ir.BankV, g.emitBuiltinByName(x.Name, nil, 1)[0]
+		return ir.BankV, g.emitBuiltinRegs(x.Name, nil, 1)[0]
 	}
 	// Niladic user function call.
 	return ir.BankV, g.emitUserCallRegs(x.Name, nil, 1, ir.BankV)[0]

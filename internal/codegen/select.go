@@ -466,10 +466,6 @@ func (g *gen) emitBuiltin(x *ast.Call, nout int) []int32 {
 	return g.emitBuiltinRegs(x.Name, args, nout)
 }
 
-func (g *gen) emitBuiltinByName(name string, args []int32, nout int) []int32 {
-	return g.emitBuiltinRegs(name, args, nout)
-}
-
 func (g *gen) emitBuiltinRegs(name string, args []int32, nout int) []int32 {
 	outs := make([]int32, nout)
 	aux := make([]int32, 0, nout+len(args)+3)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/ir"
 	"repro/internal/mat"
@@ -150,23 +149,11 @@ func (r *repoState) remember(site *vm.CallSite, st *repo.FuncState, sig types.Si
 var siteHitCheck func(rec *siteRecord, args []vm.Operand)
 
 // runSite runs a call its site's record answered: the entry's code,
-// counted as a locator hit. A nested call skips enter and leave, which
-// only time the outermost activation; one whose return guard misses
-// takes runEntry's way out.
+// counted as a locator hit.
 func (r *repoState) runSite(rec *siteRecord, args []vm.Operand, nout int, caller *vm.Frame) ([]vm.Operand, error) {
 	if siteHitCheck != nil {
 		siteHitCheck(rec, args)
 	}
 	r.r.CountHit(rec.entry)
-	if atomic.LoadInt32(&r.callDepth) == 0 {
-		return r.runEntry(rec.entry, rec.state, args, nout, caller)
-	}
-	outs, err := vm.Run(rec.entry.Code, r.e, args, caller)
-	if err == vm.ErrGuardMiss {
-		outs, err = r.interpret(rec.entry, rec.state, args, nout, true)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return outs[:min(len(outs), nout)], nil
+	return r.runEntry(rec.entry, rec.state, args, nout, caller)
 }

@@ -65,7 +65,7 @@ func TestCallSiteAgreesWithLocator(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s: %v", p.name, name, err)
 				}
-				if !valuesClose(want[0], outs[0]) {
+				if !sameBitsAnyKind(want[0], outs[0]) {
 					t.Fatalf("%s/%s call %d: got %s, want %s", p.name, name, k, outs[0], want[0])
 				}
 				e.Drain()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ast"
@@ -84,7 +83,7 @@ func (e *Engine) frontEnd(fn *ast.Function, generic bool, low *Lowering) (fe fro
 	fe.tbl = disambig.Analyze(fe.g, fe.work.Ins, disambig.ResolverFunc(func(name string) bool {
 		return e.LookupFunction(name) != nil
 	}))
-	e.phase(&e.timing.Disambig, telemetry.CatDisambig, fn.Name, t0)
+	e.phase(telemetry.CatDisambig, fn.Name, t0)
 	if low != nil {
 		low.Body, low.Graph, low.Symbols = fe.work, fe.g, fe.tbl
 	}
@@ -94,19 +93,14 @@ func (e *Engine) frontEnd(fn *ast.Function, generic bool, low *Lowering) (fe fro
 	return fe, nil
 }
 
-// phase charges the time since t0 to one PhaseTimes field and to a trace
-// span of category cat. The duration is measured once and fed to both,
-// so span-category totals reconcile with the Figure 6 decomposition
-// exactly (modulo the trace format's microsecond granularity).
-func (e *Engine) phase(acc *int64, cat, name string, t0 time.Time) {
-	d := time.Since(t0)
-	atomic.AddInt64(acc, d.Nanoseconds())
-	e.tracer.Span(cat, name, e.id, t0, d)
+// phase records the time since t0 as a trace span of category cat.
+func (e *Engine) phase(cat, name string, t0 time.Time) {
+	e.tracer.Span(cat, name, e.id, t0, time.Since(t0))
 }
 
 // compile runs the full compiler (Figure 1 of the paper): inliner →
-// disambiguator → type inference → code generation, accumulating
-// per-phase times for the Figure 6 decomposition. fe, when set, is the
+// disambiguator → type inference → code generation, each phase a trace
+// span for the Figure 6 decomposition. fe, when set, is the
 // front end the caller already ran for fn (speculation hands over its
 // own); otherwise compile runs one. low, when set, records every stage.
 func (e *Engine) compile(fn *ast.Function, sig types.Signature, po pipelineOpts, fe *frontEnd, low *Lowering) (*compiled, error) {
@@ -129,14 +123,14 @@ func (e *Engine) compile(fn *ast.Function, sig types.Signature, po pipelineOpts,
 		params[p] = sig[i]
 	}
 	res := e.inferWithSummaries(fn, fe.work, sig, fe.g, params, po, out)
-	e.phase(&e.timing.TypeInf, telemetry.CatTypeInf, fn.Name, t1)
+	e.phase(telemetry.CatTypeInf, fn.Name, t1)
 	if low != nil {
 		low.Types = res
 	}
 
 	// Pass 4: code generation (+ backend optimization + regalloc).
 	t2 := time.Now()
-	defer e.phase(&e.timing.Codegen, telemetry.CatCodegen, fn.Name, t2)
+	defer e.phase(telemetry.CatCodegen, fn.Name, t2)
 	ccfg := e.codegenConfig(po)
 	prog, err := codegen.Compile(fe.work, res, fe.tbl, ccfg)
 	if err != nil {
@@ -282,6 +276,6 @@ func (e *Engine) speculate(fn *ast.Function, low *Lowering) (types.Signature, fr
 	}
 	t0 := time.Now()
 	sig := infer.Speculate(fe.work, fe.g, e.inferOpts())
-	e.phase(&e.timing.TypeInf, telemetry.CatTypeInf, fn.Name, t0)
+	e.phase(telemetry.CatTypeInf, fn.Name, t0)
 	return sig, fe, nil
 }

@@ -757,13 +757,17 @@ func runTier(t *testing.T, p diffProg, tier Tier, platform Platform) *mat.Value 
 	return outs[0]
 }
 
-func valuesClose(a, b *mat.Value) bool {
+// sameBitsAnyKind reports whether a and b have the same shape and the
+// same float bits in every element, a missing imaginary part reading as
+// +0. The kind tag is not compared: compiled code and the interpreter
+// may still tag one value double, int or logical differently.
+func sameBitsAnyKind(a, b *mat.Value) bool {
 	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
 		return false
 	}
 	ar, br := a.Re(), b.Re()
 	for i := range ar {
-		if !scalarClose(ar[i], br[i]) {
+		if math.Float64bits(ar[i]) != math.Float64bits(br[i]) {
 			return false
 		}
 	}
@@ -776,22 +780,11 @@ func valuesClose(a, b *mat.Value) bool {
 		if bi != nil {
 			y = bi[i]
 		}
-		if !scalarClose(x, y) {
+		if math.Float64bits(x) != math.Float64bits(y) {
 			return false
 		}
 	}
 	return true
-}
-
-func scalarClose(x, y float64) bool {
-	if math.IsNaN(x) && math.IsNaN(y) {
-		return true
-	}
-	if math.IsInf(x, 0) || math.IsInf(y, 0) {
-		return x == y // the relative bound below holds for any two infinities
-	}
-	diff := math.Abs(x - y)
-	return diff <= 1e-9*(1+math.Max(math.Abs(x), math.Abs(y)))
 }
 
 // TestTiersMatchInterpreter is the central differential test: every
@@ -805,7 +798,7 @@ func TestTiersMatchInterpreter(t *testing.T) {
 			for _, tier := range allTiers {
 				for _, platform := range []Platform{PlatformSPARC, PlatformMIPS} {
 					got := runTier(t, p, tier, platform)
-					if !valuesClose(want, got) {
+					if !sameBitsAnyKind(want, got) {
 						t.Errorf("tier %s/%s: got %s, want %s", tier, platform, got, want)
 					}
 				}
@@ -985,7 +978,7 @@ func TestAblationsPreserveSemantics(t *testing.T) {
 				if err != nil {
 					t.Fatalf("ablation %d: %v", i, err)
 				}
-				if !valuesClose(want, outs[0]) {
+				if !sameBitsAnyKind(want, outs[0]) {
 					t.Errorf("ablation %+v: got %s, want %s", abl, outs[0], want)
 				}
 			}

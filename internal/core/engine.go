@@ -228,11 +228,10 @@ type Options struct {
 
 	// Tracer, when set, receives per-eval trace spans: parse,
 	// disambiguation, type inference, code generation, compile-queue
-	// wait, execution, tier-up, and OSR transfer — each recorded with
-	// the very same duration the engine adds to PhaseTimes, so a trace's
-	// per-category totals reconcile with the Figure 6 decomposition. Nil
-	// (the default) records nothing and adds no timing calls beyond the
-	// ones PhaseTimes already makes.
+	// wait, execution, tier-up, and OSR transfer. The trace is the
+	// engine's only record of phase time: the Figure 6 decomposition is
+	// its per-category self time. Nil (the default) records nothing, and
+	// an untraced call reads no clock.
 	Tracer *telemetry.Tracer
 
 	// Journal, when set (and Library is nil), attaches the tiering
@@ -260,9 +259,6 @@ type Engine struct {
 	// cancelFlag is the cooperative-interruption flag polled at
 	// interpreter and VM loop back-edges; Interrupt raises it.
 	cancelFlag cancel.Flag
-	// phase timing for Figure 6; accumulated with atomics because async
-	// mode compiles on worker goroutines.
-	timing PhaseTimes
 	// tracer is Options.Tracer (nil-safe everywhere it is used); id is
 	// the engine's trace lane (tid), distinct per engine so a daemon's
 	// sessions separate in chrome://tracing.
@@ -439,7 +435,7 @@ func (e *Engine) EvalString(src string) error {
 	}
 
 	// Traced path: one eval span enclosing a parse span (the compile and
-	// exec spans inside are emitted where PhaseTimes is accumulated).
+	// exec spans inside are emitted where those phases run).
 	t0 := time.Now()
 	file, err := parser.Parse(src)
 	e.tracer.Span(telemetry.CatParse, "parse", e.id, t0, time.Since(t0))
@@ -545,40 +541,11 @@ func (e *Engine) CallUser(site *vm.CallSite, args []vm.Operand, nout int, caller
 }
 
 // Interpret runs the function through the interpreter regardless of
-// tier (used by differential tests and the harness baseline).
+// tier (the differential tests' reference).
 func (e *Engine) Interpret(name string, args []*mat.Value, nout int) ([]*mat.Value, error) {
 	fn := e.LookupFunction(name)
 	if fn == nil {
 		return nil, fmt.Errorf("undefined function %q", name)
 	}
 	return e.in.CallFunction(fn, args, nout, e.globals, nil)
-}
-
-// PhaseTimes accumulates per-phase compilation time, reproducing the
-// decomposition of Figure 6 (disambiguation, type inference, code
-// generation) plus execution.
-type PhaseTimes struct {
-	Disambig int64 // nanoseconds
-	TypeInf  int64
-	Codegen  int64
-	Exec     int64
-}
-
-// Timing returns the accumulated phase times (atomic snapshot: async
-// compile jobs accumulate from worker goroutines).
-func (e *Engine) Timing() PhaseTimes {
-	return PhaseTimes{
-		Disambig: atomic.LoadInt64(&e.timing.Disambig),
-		TypeInf:  atomic.LoadInt64(&e.timing.TypeInf),
-		Codegen:  atomic.LoadInt64(&e.timing.Codegen),
-		Exec:     atomic.LoadInt64(&e.timing.Exec),
-	}
-}
-
-// ResetTiming clears accumulated phase times.
-func (e *Engine) ResetTiming() {
-	atomic.StoreInt64(&e.timing.Disambig, 0)
-	atomic.StoreInt64(&e.timing.TypeInf, 0)
-	atomic.StoreInt64(&e.timing.Codegen, 0)
-	atomic.StoreInt64(&e.timing.Exec, 0)
 }

@@ -168,7 +168,7 @@ func TestFusionBitIdentical(t *testing.T) {
 			// and fused results still agree with the interpreter
 			ref := runWithOpts(t, p, Options{Tier: TierInterp})
 			got := runWithOpts(t, p, Options{Tier: TierFalcon, FuseElemwise: true})
-			if !valuesExact(ref, got) && !valuesClose(ref, got) {
+			if !sameBitsAnyKind(ref, got) {
 				t.Errorf("fused falcon diverged from interpreter: got %s, want %s", got, ref)
 			}
 		})

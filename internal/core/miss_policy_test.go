@@ -133,10 +133,9 @@ func TestMissPolicies(t *testing.T) {
 	})
 
 	// Same values as the interpreter, whatever the policy: the loop
-	// programs bit for bit through warm-up, promotion and OSR, the
-	// differential corpus to the standard every compiled tier is held to
-	// (valuesClose: the optimizing backend's selected kernels may differ
-	// from the interpreter's per-operator order in the last place).
+	// programs through warm-up, promotion and OSR and the differential
+	// corpus, bit for bit (sameBitsAnyKind: the kind tag is not yet held
+	// to the interpreter's).
 	t.Run("results", func(t *testing.T) {
 		eachPolicy(t, func(t *testing.T, row policyRow, tier Tier) {
 			for _, p := range []struct {
@@ -179,7 +178,7 @@ func TestMissPolicies(t *testing.T) {
 					if err != nil {
 						t.Fatalf("[%s] rep %d: %v", p.name, rep, err)
 					}
-					if len(got) != 1 || !valuesClose(want, got[0]) {
+					if len(got) != 1 || !sameBitsAnyKind(want, got[0]) {
 						t.Fatalf("[%s] rep %d: got %v, want %s", p.name, rep, got, want)
 					}
 					if rep == 1 || rep == DefaultTierThreshold-1 {
@@ -262,7 +261,7 @@ func TestMissPolicies(t *testing.T) {
 					e.Drain()
 				}
 				payloadEqual(t, fmt.Sprintf("[%s] rep %d, prod vs unfused tiered", p.name, rep), outs[1], outs[0])
-				if !valuesClose(want, outs[0][0]) {
+				if !sameBitsAnyKind(want, outs[0][0]) {
 					t.Fatalf("[%s] rep %d: got %s, want %s", p.name, rep, outs[0][0], want)
 				}
 			}

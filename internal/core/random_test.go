@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -340,7 +341,7 @@ func TestTierEquivalenceRandom(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d [%s]: %v\n%s", seed, tier, err, src)
 			}
-			if !scalarClose(want, got) {
+			if math.Float64bits(want) != math.Float64bits(got) {
 				t.Errorf("seed %d [%s]: %g != %g\n%s", seed, tier, got, want, src)
 			}
 		}

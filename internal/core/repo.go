@@ -43,13 +43,13 @@ type repoState struct {
 	// paper reproductions' inline compile is the degenerate case.
 	parks      bool
 	background bool
-	// callDepth tracks nesting so execution time is only accumulated at
-	// the outermost invocation (Figure 6 decomposition). It is atomic
-	// because async mode allows concurrent callers; under concurrency
-	// the "outermost" attribution becomes approximate (only the first
-	// in-flight call times itself), which keeps the counter meaningful
-	// without a per-goroutine side table.
-	callDepth int32
+	// clockHeld is 1 while an activation of a traced engine holds the
+	// exec clock: the outermost one claims it (enter), so a call records
+	// one exec span and a nested call only reads the flag. Async mode
+	// allows concurrent callers; under concurrency the first in-flight
+	// call times itself and the others record no span, which needs no
+	// per-goroutine side table. An untraced engine never touches it.
+	clockHeld int32
 }
 
 func newRepoState(e *Engine) *repoState {
@@ -391,25 +391,24 @@ func (r *repoState) miss(st *repo.FuncState, sig types.Signature, args []vm.Oper
 	return r.runEntry(entry, st, args, nout, caller)
 }
 
-// enter opens one invocation's execution accounting: only the outermost
-// activation (depth 1) is timed. leave closes it.
+// enter opens one invocation's execution accounting: on a traced
+// engine, the activation that finds the exec clock free claims it and is
+// timed. leave closes it.
 func (r *repoState) enter() (t0 time.Time) {
-	if atomic.AddInt32(&r.callDepth, 1) == 1 {
+	if r.e.tracer != nil && atomic.LoadInt32(&r.clockHeld) == 0 && atomic.CompareAndSwapInt32(&r.clockHeld, 0, 1) {
 		t0 = time.Now()
 	}
 	return t0
 }
 
-// leave is the epilogue every execution path shares: charge the
-// outermost activation's wall time to PhaseTimes.Exec (and its trace
-// span), and trim the outputs to what the caller asked for.
+// leave is the epilogue every execution path shares: record the timed
+// activation's exec span and free the clock, and trim the outputs to
+// what the caller asked for.
 func (r *repoState) leave(name string, t0 time.Time, nout int, outs []vm.Operand, err error) ([]vm.Operand, error) {
 	if !t0.IsZero() {
-		d := time.Since(t0)
-		atomic.AddInt64(&r.e.timing.Exec, d.Nanoseconds())
-		r.e.tracer.Span(telemetry.CatExec, name, r.e.id, t0, d)
+		r.e.tracer.Span(telemetry.CatExec, name, r.e.id, t0, time.Since(t0))
+		atomic.StoreInt32(&r.clockHeld, 0)
 	}
-	atomic.AddInt32(&r.callDepth, -1)
 	if err != nil {
 		return nil, err
 	}

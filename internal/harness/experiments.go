@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/telemetry"
 )
 
 // Table1 prints the benchmark inventory with measured interpreter
@@ -60,10 +61,13 @@ func (c Config) Fig5() error {
 	return nil
 }
 
-// PhaseBreakdown is one benchmark's Figure 6 row.
+// PhaseBreakdown is one benchmark's Figure 6 row: the self time of each
+// phase in one JIT call, and the call's wall time, which the phases sum
+// to no more than.
 type PhaseBreakdown struct {
 	Bench                            string
 	Disambig, TypeInf, Codegen, Exec time.Duration
+	Wall                             time.Duration
 }
 
 // Fig6 reproduces Figure 6: the composition of JIT execution —
@@ -96,24 +100,39 @@ func (c Config) Fig6() error {
 }
 
 // MeasurePhases runs one JIT invocation with an empty repository and
-// reads the engine's phase timers.
+// reads its phases off the trace: each category's self time across the
+// call (telemetry.Tracer.SelfTotals), so a compile nested in the call's
+// execution counts once, as compile. The engine records into the run's
+// tracer when -trace set one, otherwise into its own. A call during
+// which the ring dropped spans is an error: its phases would undercount.
 func (c Config) MeasurePhases(b *bench.Benchmark) (PhaseBreakdown, error) {
-	e, err := c.newEngine(b, core.Options{Tier: core.TierJIT})
+	tr := c.Tracer
+	if tr == nil {
+		tr = telemetry.NewTracer(0)
+	}
+	e, err := c.newEngine(b, core.Options{Tier: core.TierJIT, Tracer: tr})
 	if err != nil {
 		return PhaseBreakdown{}, err
 	}
 	defer e.Close()
-	e.ResetTiming()
-	if _, err := e.Call(b.Fn, b.Args(c.Size), 1); err != nil {
+	args := b.Args(c.Size)
+	dropped, before := tr.Dropped(), tr.SelfTotals()
+	wall, err := runOnce(e, b, args)
+	if err != nil {
 		return PhaseBreakdown{}, err
 	}
-	t := e.Timing()
+	if tr.Dropped() != dropped {
+		return PhaseBreakdown{}, fmt.Errorf("%s: the trace ring dropped spans during the call", b.Name)
+	}
+	after := tr.SelfTotals()
+	self := func(cat string) time.Duration { return after[cat] - before[cat] }
 	return PhaseBreakdown{
 		Bench:    b.Name,
-		Disambig: time.Duration(t.Disambig),
-		TypeInf:  time.Duration(t.TypeInf),
-		Codegen:  time.Duration(t.Codegen),
-		Exec:     time.Duration(t.Exec),
+		Disambig: self(telemetry.CatDisambig),
+		TypeInf:  self(telemetry.CatTypeInf),
+		Codegen:  self(telemetry.CatCodegen),
+		Exec:     self(telemetry.CatExec),
+		Wall:     wall,
 	}, nil
 }
 
@@ -230,29 +249,9 @@ func (c Config) SpecVsJIT() ([]Table2Row, error) {
 // measureSpecSteady measures speculative-mode steady state and reports
 // whether the speculative entry actually served the call.
 func (c Config) measureSpecSteady(b *bench.Benchmark) (time.Duration, bool, error) {
-	var best time.Duration = 1<<63 - 1
 	specOK := false
-	for r := 0; r < c.reps(); r++ {
-		e, err := c.newEngine(b, core.Options{Tier: core.TierSpec})
-		if err != nil {
-			return 0, false, err
-		}
-		e.Precompile()
-		var d time.Duration
-		if _, err = runOnce(e, b, b.Args(c.Size)); err == nil {
-			d, err = runOnce(e, b, b.Args(c.Size))
-		}
-		specHits := e.Repo().Stats().SpecHits
-		e.Close()
-		if err != nil {
-			return 0, false, err
-		}
-		if d < best {
-			best = d
-		}
-		if specHits > 0 {
-			specOK = true
-		}
-	}
-	return best, specOK, nil
+	d, err := c.measure(b, core.Options{Tier: core.TierSpec}, false, func(e *core.Engine) {
+		specOK = specOK || e.Repo().Stats().SpecHits > 0
+	})
+	return d, specOK, err
 }

@@ -71,12 +71,14 @@ func (c Config) list() []*bench.Benchmark {
 }
 
 // newEngine builds a fresh engine for one measurement: the arm (a
-// paper-mode tier, platform and ablation) with the run's seed
-// and tracer.
+// paper-mode tier, platform and ablation) with the run's seed, and the
+// run's tracer unless the arm brings its own.
 func (c Config) newEngine(b *bench.Benchmark, arm core.Options) (*core.Engine, error) {
 	opts := arm
 	opts.Seed = c.seed()
-	opts.Tracer = c.Tracer
+	if opts.Tracer == nil {
+		opts.Tracer = c.Tracer
+	}
 	e := core.New(opts)
 	if err := e.Define(b.Source(c.Size)); err != nil {
 		return nil, fmt.Errorf("%s: %w", b.Name, err)
@@ -93,22 +95,7 @@ func runOnce(e *core.Engine, b *bench.Benchmark, args []*mat.Value) (time.Durati
 
 // MeasureInterp measures the interpreter baseline ti (best of reps).
 func (c Config) MeasureInterp(b *bench.Benchmark) (time.Duration, error) {
-	best := time.Duration(math.MaxInt64)
-	for r := 0; r < c.reps(); r++ {
-		e, err := c.newEngine(b, core.Options{Tier: core.TierInterp})
-		if err != nil {
-			return 0, err
-		}
-		d, err := runOnce(e, b, b.Args(c.Size))
-		e.Close()
-		if err != nil {
-			return 0, err
-		}
-		if d < best {
-			best = d
-		}
-	}
-	return best, nil
+	return c.measure(b, core.Options{Tier: core.TierInterp}, true, nil)
 }
 
 // MeasureTier measures a compiled tier. JIT includes compile time
@@ -117,12 +104,16 @@ func (c Config) MeasureInterp(b *bench.Benchmark) (time.Duration, error) {
 // calls after warming, with speculative entries precompiled ahead of
 // time.
 func (c Config) MeasureTier(b *bench.Benchmark, opts core.Options) (time.Duration, error) {
-	return c.measure(b, opts, opts.Tier == core.TierJIT)
+	return c.measure(b, opts, opts.Tier == core.TierJIT, nil)
 }
 
-// measure is MeasureTier with the choice made by the caller: cold times
-// the call that compiles, otherwise a warm-up call compiles first.
-func (c Config) measure(b *bench.Benchmark, opts core.Options, cold bool) (time.Duration, error) {
+// measure is the harness's one timing loop: the best of reps calls of
+// the benchmark, each on a fresh engine built for opts whose speculative
+// entries, under TierSpec, are precompiled first. cold times the
+// engine's first call, compile included; otherwise a warm-up call
+// compiles first. each, when set, sees every engine after its timed
+// call.
+func (c Config) measure(b *bench.Benchmark, opts core.Options, cold bool, each func(*core.Engine)) (time.Duration, error) {
 	best := time.Duration(math.MaxInt64)
 	for r := 0; r < c.reps(); r++ {
 		e, err := c.newEngine(b, opts)
@@ -138,13 +129,14 @@ func (c Config) measure(b *bench.Benchmark, opts core.Options, cold bool) (time.
 		if err == nil {
 			d, err = runOnce(e, b, b.Args(c.Size))
 		}
+		if err == nil && each != nil {
+			each(e)
+		}
 		e.Close()
 		if err != nil {
 			return 0, err
 		}
-		if d < best {
-			best = d
-		}
+		best = min(best, d)
 	}
 	return best, nil
 }

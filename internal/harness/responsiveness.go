@@ -47,41 +47,18 @@ func (c Config) Responsiveness() error {
 	return nil
 }
 
+// measureResponse times each strategy's first call on a fresh engine;
+// the speculative one has precompiled (measure).
 func (c Config) measureResponse(b *bench.Benchmark) (RespRow, error) {
 	row := RespRow{Bench: b.Name}
-	firstCall := func(opts core.Options, precompile bool) (time.Duration, error) {
-		best := time.Duration(1<<63 - 1)
-		for r := 0; r < c.reps(); r++ {
-			e, err := c.newEngine(b, opts)
-			if err != nil {
-				return 0, err
-			}
-			if precompile {
-				e.Precompile()
-			}
-			d, err := runOnce(e, b, b.Args(c.Size))
-			e.Close()
-			if err != nil {
-				return 0, err
-			}
-			if d < best {
-				best = d
-			}
+	for _, arm := range []struct {
+		tier core.Tier
+		d    *time.Duration
+	}{{core.TierInterp, &row.Interp}, {core.TierJIT, &row.JIT}, {core.TierFalcon, &row.Batch}, {core.TierSpec, &row.Spec}} {
+		var err error
+		if *arm.d, err = c.measure(b, core.Options{Tier: arm.tier}, true, nil); err != nil {
+			return row, err
 		}
-		return best, nil
-	}
-	var err error
-	if row.Interp, err = firstCall(core.Options{Tier: core.TierInterp}, false); err != nil {
-		return row, err
-	}
-	if row.JIT, err = firstCall(core.Options{Tier: core.TierJIT}, false); err != nil {
-		return row, err
-	}
-	if row.Batch, err = firstCall(core.Options{Tier: core.TierFalcon}, false); err != nil {
-		return row, err
-	}
-	if row.Spec, err = firstCall(core.Options{Tier: core.TierSpec}, true); err != nil {
-		return row, err
 	}
 	return row, nil
 }

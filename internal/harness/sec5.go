@@ -69,7 +69,7 @@ func (c Config) Sec5Rows() ([]Sec5Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		jitOpt, err := c.measure(b, core.Options{Tier: core.TierFalcon}, true)
+		jitOpt, err := c.measure(b, core.Options{Tier: core.TierFalcon}, true, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -164,12 +164,6 @@ func (in *Interp) evalBinary(x *ast.Binary, env *Env, ctx *evalCtx) (*mat.Value,
 	return builtins.EvalBinOp(x.Op, l, r)
 }
 
-// EvalBinOp applies a (non-short-circuit) binary operator to boxed
-// values (shared dispatcher in package builtins).
-func EvalBinOp(op ast.BinOp, l, r *mat.Value) (*mat.Value, error) {
-	return builtins.EvalBinOp(op, l, r)
-}
-
 // evalCallN evaluates a call expression requesting nout outputs.
 func (in *Interp) evalCallN(x *ast.Call, env *Env, nout int) ([]*mat.Value, error) {
 	return in.evalCallCtx(x, env, nout, nil)

@@ -152,7 +152,7 @@ func TestErrorsCarryPosition(t *testing.T) {
 }
 
 func TestEvalBinOpShim(t *testing.T) {
-	out, err := EvalBinOp(ast.OpMul, mat.Scalar(6), mat.Scalar(7))
+	out, err := builtins.EvalBinOp(ast.OpMul, mat.Scalar(6), mat.Scalar(7))
 	if err != nil || out.MustScalar() != 42 {
 		t.Fatalf("EvalBinOp: %v %v", out, err)
 	}

@@ -17,11 +17,10 @@
 //     prometheus.go), served by majicd and majic-gate at /metrics.prom.
 //
 //   - Tracer: a bounded ring of Chrome trace-event spans (trace.go),
-//     written by the phase timers the engine already keeps for the
-//     paper's Figure 6 decomposition — the span durations are the very
-//     same measurements that feed core.PhaseTimes, so span-tree totals
-//     reconcile with the figure by construction. Load a dump in
-//     chrome://tracing or Perfetto.
+//     the engine's only record of phase time: each phase is measured
+//     once and reported once, as a span, and the paper's Figure 6
+//     decomposition is the trace's per-category self time
+//     (Tracer.SelfTotals). Load a dump in chrome://tracing or Perfetto.
 //
 //   - Journal: a bounded ring of tiering events (journal.go) — each
 //     promotion, eviction, snapshot load/flush, and deopt, with its

@@ -136,7 +136,7 @@ func TestTracerRingAndTotals(t *testing.T) {
 	tr := NewTracer(4)
 	base := time.Now()
 	for i := 0; i < 6; i++ {
-		tr.Span(CatExec, "run", 1, base.Add(time.Duration(i)*time.Millisecond), 2*time.Millisecond)
+		tr.Span(CatExec, "run", i, base.Add(time.Duration(i)*time.Millisecond), 2*time.Millisecond)
 	}
 	evs := tr.Events()
 	if len(evs) != 4 {
@@ -150,8 +150,41 @@ func TestTracerRingAndTotals(t *testing.T) {
 			t.Fatalf("events not oldest-first: %+v", evs)
 		}
 	}
-	if got := tr.CatTotals()[CatExec]; got != 8*time.Millisecond {
-		t.Fatalf("CatTotals[exec] = %v, want 8ms", got)
+	// Each kept span is alone on its lane.
+	if got := tr.SelfTotals()[CatExec]; got != 8*time.Millisecond {
+		t.Fatalf("SelfTotals[exec] = %v, want 8ms", got)
+	}
+}
+
+// TestSelfTotals: a span's self time is its duration less what its
+// same-lane children cover; a grandchild is charged to its own parent
+// only, a child that truncation carries past its parent's end covers
+// the parent only up to that end, and another lane's span is no child.
+func TestSelfTotals(t *testing.T) {
+	tr := NewTracer(0)
+	base := time.Now()
+	ms := func(n int) time.Time { return base.Add(time.Duration(n) * time.Millisecond) }
+	// Recorded as they end: children before their parent.
+	tr.Span(CatDisambig, "f", 1, ms(1), time.Millisecond)
+	tr.Span(CatTypeInf, "f", 1, ms(3), time.Millisecond) // inside codegen, itself inside exec
+	tr.Span(CatCodegen, "f", 1, ms(2), 3*time.Millisecond)
+	tr.Span(CatExec, "f", 2, ms(1), 10*time.Millisecond) // another lane
+	tr.Span(CatExec, "f", 1, ms(0), 10*time.Millisecond)
+	// Truncation can carry a child past its parent: this one starts
+	// inside the parent and ends 1ms after it.
+	tr.Span(CatTypeInf, "g", 1, ms(20).Add(500*time.Microsecond), 1500*time.Microsecond)
+	tr.Span(CatCodegen, "g", 1, ms(20), time.Millisecond)
+
+	got := tr.SelfTotals()
+	for cat, want := range map[string]time.Duration{
+		CatDisambig: time.Millisecond,
+		CatTypeInf:  time.Millisecond + 1500*time.Microsecond,
+		CatCodegen:  2*time.Millisecond + 500*time.Microsecond,
+		CatExec:     6*time.Millisecond + 10*time.Millisecond,
+	} {
+		if got[cat] != want {
+			t.Errorf("SelfTotals[%s] = %v, want %v", cat, got[cat], want)
+		}
 	}
 }
 

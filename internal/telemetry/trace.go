@@ -1,18 +1,19 @@
 package telemetry
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // Span categories. Each maps to one stage of the pipeline the paper's
-// Figure 6 decomposes; the engine emits them with the very same
-// durations it adds to core.PhaseTimes, so a trace's per-category
-// totals reconcile with the figure exactly.
+// Figure 6 decomposes; the trace is the engine's only record of phase
+// time, and the figure is its per-category self time (SelfTotals).
 const (
 	CatEval     = "eval"     // whole EvalString call
 	CatParse    = "parse"    // front-end parse
@@ -71,10 +72,9 @@ func NewTracer(capacity int) *Tracer {
 }
 
 // Span records one completed span. begin is the span's wall-clock start
-// and d its duration — pass the same time.Since value the caller feeds
-// into its PhaseTimes atomic, never a second measurement. tid picks the
-// lane (engine id for eval-thread spans, compile-worker index for queue
-// jobs).
+// and d its duration. tid picks the lane (engine id for eval-thread
+// spans, compile-worker index for queue jobs); a span nests in another
+// of its lane that encloses it (SelfTotals).
 func (t *Tracer) Span(cat, name string, tid int, begin time.Time, d time.Duration) {
 	t.span(cat, name, tid, begin, d, nil)
 }
@@ -129,12 +129,63 @@ func (t *Tracer) Dropped() int64 {
 	return t.dropped.Load()
 }
 
-// CatTotals sums span durations per category — the reconciliation
-// surface for the PhaseTimes guard test.
-func (t *Tracer) CatTotals() map[string]time.Duration {
+// SelfTotals sums each category's self time: a span's duration minus
+// what its child spans on the same lane cover, so a compile that runs
+// inside an exec span counts once, as compile. A child is a
+// later-starting span that begins before its parent ends; what it covers
+// is clipped to its parent, because microsecond truncation can push a
+// child's end past its parent's, so self time is never below zero.
+// Spans of one lane that overlap without nesting (concurrent callers of
+// one engine) are read the same way.
+func (t *Tracer) SelfTotals() map[string]time.Duration {
+	events := t.Events()
+	order := make([]int, len(events))
+	for i := range order {
+		order[i] = i
+	}
+	// Lane, then start, then longest first; of two spans alike in both,
+	// the later-recorded one encloses the other (a span is recorded when
+	// it ends).
+	slices.SortFunc(order, func(a, b int) int {
+		x, y := &events[a], &events[b]
+		if c := cmp.Compare(x.TID, y.TID); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.TS, y.TS); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(y.Dur, x.Dur); c != 0 {
+			return c
+		}
+		return cmp.Compare(b, a)
+	})
+	type open struct {
+		ev       *TraceEvent
+		end      int64 // clipped to the enclosing span's end
+		children int64
+	}
 	totals := make(map[string]time.Duration)
-	for _, ev := range t.Events() {
-		totals[ev.Cat] += time.Duration(ev.Dur) * time.Microsecond
+	var stack []open
+	closeTop := func() {
+		top := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		totals[top.ev.Cat] += time.Duration(top.ev.Dur-top.children) * time.Microsecond
+	}
+	for _, i := range order {
+		ev := &events[i]
+		for len(stack) > 0 && (stack[len(stack)-1].ev.TID != ev.TID || stack[len(stack)-1].end <= ev.TS) {
+			closeTop()
+		}
+		end := ev.TS + ev.Dur
+		if len(stack) > 0 {
+			parent := &stack[len(stack)-1]
+			end = min(end, parent.end)
+			parent.children += end - ev.TS
+		}
+		stack = append(stack, open{ev: ev, end: end})
+	}
+	for len(stack) > 0 {
+		closeTop()
 	}
 	return totals
 }

@@ -39,7 +39,6 @@ package majic
 import (
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/harness"
 	"repro/internal/mat"
 )
 
@@ -121,10 +120,6 @@ func Zeros(rows, cols int) *Value { return mat.New(rows, cols) }
 
 // Benchmarks exposes the paper's Table 1 suite.
 func Benchmarks() []*bench.Benchmark { return bench.All() }
-
-// HarnessConfig configures experiment reproduction (Table 1, Figures
-// 4-7, Table 2); see package repro/internal/harness for the methods.
-type HarnessConfig = harness.Config
 
 // Size presets for the benchmark suite.
 const (
