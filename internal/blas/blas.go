@@ -75,9 +75,14 @@ func Dnrm2(n int, x []float64, incx int) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// gemvGrainFlops is the approximate per-chunk work below which a Dgemv
-// partition is not worth scheduling (the parallel.For serial fallback).
-const gemvGrainFlops = 1 << 15
+// gemvGrainFlops is the least work per chunk of a split Dgemv, so a
+// product of no more work runs on the caller's thread. Below it the
+// join costs more than the second thread saves: on the reference 2-vCPU
+// box a 420 x 420 product takes 34 us on one thread and 60 us split in
+// two, and a split first wins at 840 x 840, 1.4e6 flops, when the box is
+// quiet (later when it is busy). The grain is the largest power of two
+// below that (EXPERIMENTS.md, "Fan-out break-even"; BenchmarkGemvFanOut).
+const gemvGrainFlops = 1 << 20
 
 // Dgemv computes y = alpha*A*x + beta*y (trans=false) or
 // y = alpha*Aᵀ*x + beta*y (trans=true). A is m x n, column-major with
@@ -149,23 +154,32 @@ func gemvRows(lo, hi, n int, alpha float64, a []float64, lda int, x []float64, b
 	// Four columns per pass over yw: each y element is loaded and
 	// stored once per four terms instead of once per term, and its
 	// terms are still added one by one in ascending j (one rounded
-	// s += t*c statement per column, as in the tail loop).
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		t0, t1, t2, t3 := alpha*x[j], alpha*x[j+1], alpha*x[j+2], alpha*x[j+3]
-		c0 := a[j*lda+lo : j*lda+hi][:len(yw)]
-		c1 := a[(j+1)*lda+lo : (j+1)*lda+hi][:len(yw)]
-		c2 := a[(j+2)*lda+lo : (j+2)*lda+hi][:len(yw)]
-		c3 := a[(j+3)*lda+lo : (j+3)*lda+hi][:len(yw)]
-		for i, s := range yw {
-			s += t0 * c0[i]
-			s += t1 * c1[i]
-			s += t2 * c2[i]
-			s += t3 * c3[i]
-			yw[i] = s
+	// s += t*c statement per column, as in the tail loop). The vector
+	// pass, where the CPU has one, takes the rows in groups of four;
+	// the Go loop takes the rest.
+	quads, i0 := n/4, 0
+	if quadsKernel != nil && quads > 0 && len(yw) >= 4 {
+		i0 = len(yw) &^ 3
+		_ = a[(4*quads-1)*lda+lo+i0-1] // the kernel reads what the Go loop would
+		quadsKernel(i0, quads, alpha, a[lo:], lda, x[:4*quads], yw[:i0])
+	}
+	if yt := yw[i0:]; len(yt) > 0 {
+		for j := 0; j < 4*quads; j += 4 {
+			t0, t1, t2, t3 := alpha*x[j], alpha*x[j+1], alpha*x[j+2], alpha*x[j+3]
+			c0 := a[j*lda+lo+i0 : j*lda+hi][:len(yt)]
+			c1 := a[(j+1)*lda+lo+i0 : (j+1)*lda+hi][:len(yt)]
+			c2 := a[(j+2)*lda+lo+i0 : (j+2)*lda+hi][:len(yt)]
+			c3 := a[(j+3)*lda+lo+i0 : (j+3)*lda+hi][:len(yt)]
+			for i, s := range yt {
+				s += t0 * c0[i]
+				s += t1 * c1[i]
+				s += t2 * c2[i]
+				s += t3 * c3[i]
+				yt[i] = s
+			}
 		}
 	}
-	for ; j < n; j++ {
+	for j := 4 * quads; j < n; j++ {
 		t := alpha * x[j]
 		col := a[j*lda+lo : j*lda+hi]
 		for i, v := range col {
@@ -174,19 +188,49 @@ func gemvRows(lo, hi, n int, alpha float64, a []float64, lda int, x []float64, b
 	}
 }
 
+// quadsKernel, when the CPU has a vector unit the package uses
+// (gemv_amd64.s), adds the first 4*quads columns of a times alpha*x to
+// y[0:rows] four columns per pass, with gemvRows' roundings in its
+// order; rows is a positive multiple of 4.
+var quadsKernel func(rows, quads int, alpha float64, a []float64, lda int, x, y []float64)
+
 // gemvDots is the transposed product over elements [lo, hi) of y: one dot
-// product of a column of A with x each.
+// product of a column of A with x each, added from zero in ascending
+// row order. Four columns share a pass over x, so four independent sums
+// are in flight instead of one chain of dependent adds.
 func gemvDots(lo, hi, m int, alpha float64, a []float64, lda int, x []float64, beta float64, y []float64) {
-	for j := lo; j < hi; j++ {
-		col := a[j*lda : j*lda+m]
-		var s float64
-		for i := 0; i < m; i++ {
-			s += col[i] * x[i]
-		}
+	x = x[:m]
+	put := func(j int, s float64) {
 		if beta == 0 {
 			y[j] = alpha * s
 		} else {
 			y[j] = alpha*s + beta*y[j]
 		}
+	}
+	j := lo
+	for ; j+4 <= hi; j += 4 {
+		c0 := a[j*lda : j*lda+m][:len(x)]
+		c1 := a[(j+1)*lda : (j+1)*lda+m][:len(x)]
+		c2 := a[(j+2)*lda : (j+2)*lda+m][:len(x)]
+		c3 := a[(j+3)*lda : (j+3)*lda+m][:len(x)]
+		var s0, s1, s2, s3 float64
+		for i, xi := range x {
+			s0 += c0[i] * xi
+			s1 += c1[i] * xi
+			s2 += c2[i] * xi
+			s3 += c3[i] * xi
+		}
+		put(j, s0)
+		put(j+1, s1)
+		put(j+2, s2)
+		put(j+3, s3)
+	}
+	for ; j < hi; j++ {
+		col := a[j*lda : j*lda+m][:len(x)]
+		var s float64
+		for i, xi := range x {
+			s += col[i] * xi
+		}
+		put(j, s)
 	}
 }

@@ -119,17 +119,49 @@ func Dgemm(m, n, k int, alpha float64, a []float64, lda int, b []float64, ldb in
 	grain := 1 + (1<<18)/(2*m*k*gemmNR)
 	if units <= grain || parallel.DefaultThreads() == 1 {
 		// No closure for a product that does not fan out (see Dgemv).
-		gemmPanels(m, 0, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+		gemmPanels(m, 0, n, k, alpha, a, lda, b, ldb, beta, c, ldc, nil, nil)
 		return
 	}
-	parallel.For(0, units, grain, func(ulo, uhi int) {
-		jlo := ulo * gemmNR
-		jhi := uhi * gemmNR
-		if jhi > n {
-			jhi = n
+	// Every column chunk multiplies the same blocks of A: pack them once,
+	// here, and share them read-only, so that each chunk packs only its
+	// own B panels. One pool buffer holds all of packed A and a B slot
+	// for every column, so the fan-out draws one buffer where one per
+	// worker would do. A product too large for that packs A block by
+	// block in every worker, each drawing its own buffer.
+	bufp := packPool.Get().(*[]float64)
+	var packedA, packedB []float64
+	aSize, kcMax := packedASize(m, k), min(k, gemmKC)
+	if bSize := units * gemmNR * kcMax; aSize+bSize <= len(*bufp) {
+		packedA, packedB = (*bufp)[:aSize], (*bufp)[aSize:aSize+bSize]
+		mPad := aSize / k
+		for pc := 0; pc < k; pc += gemmKC {
+			kc := min(k-pc, gemmKC)
+			for ic := 0; ic < m; ic += gemmMC {
+				packAPanel(min(m-ic, gemmMC), kc, a[pc*lda+ic:], lda, packedA[pc*mPad+ic*kc:])
+			}
 		}
-		gemmPanels(m, jlo, jhi, k, alpha, a, lda, b, ldb, beta, c, ldc)
+	} else {
+		packPool.Put(bufp)
+		bufp = nil
+	}
+	parallel.For(0, units, grain, func(ulo, uhi int) {
+		jlo, jhi := ulo*gemmNR, min(uhi*gemmNR, n)
+		var packB []float64
+		if packedA != nil {
+			packB = packedB[jlo*kcMax : uhi*gemmNR*kcMax]
+		}
+		gemmPanels(m, jlo, jhi, k, alpha, a, lda, b, ldb, beta, c, ldc, packedA, packB)
 	})
+	if bufp != nil {
+		packPool.Put(bufp)
+	}
+}
+
+// packedASize is the length of all of A(m x k) packed: every (kc, mc)
+// block's micro-panels, the block at (pc, ic) starting at pc*mPad +
+// ic*kc, where mPad is m rounded up to whole micro-panels.
+func packedASize(m, k int) int {
+	return (m + gemmMR - 1) / gemmMR * gemmMR * k
 }
 
 // gemmRef is the reference jki kernel (the seed implementation with the
@@ -180,12 +212,17 @@ func gemmBetaPass(mi, jlo, jhi int, beta float64, c []float64, ldc int) {
 }
 
 // gemmPanels computes C[:, jlo:jhi) for one worker: beta prologue, then
-// KC x MC blocked accumulation with packed operands.
-func gemmPanels(m, jlo, jhi, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	bufp := packPool.Get().(*[]float64)
-	buf := *bufp
-	packA := buf[:packASize]
-	packB := buf[packASize:]
+// KC x MC blocked accumulation with packed operands. packedA, when not
+// nil, holds all of A packed (packedASize) and packB this worker's B
+// slot; otherwise both are drawn from the pool here and each block of A
+// is packed as it is needed.
+func gemmPanels(m, jlo, jhi, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int, packedA, packB []float64) {
+	var bufp *[]float64
+	var packA []float64
+	if packedA == nil {
+		bufp = packPool.Get().(*[]float64)
+		packA, packB = (*bufp)[:packASize], (*bufp)[packASize:]
+	}
 
 	gemmBetaPass(m, jlo, jhi, beta, c, ldc)
 
@@ -205,12 +242,19 @@ func gemmPanels(m, jlo, jhi, k int, alpha float64, a []float64, lda int, b []flo
 				if mc > gemmMC {
 					mc = gemmMC
 				}
-				packAPanel(mc, kc, a[pc*lda+ic:], lda, packA)
-				gemmMacro(mc, nc, kc, packA, packB, c[jc*ldc+ic:], ldc)
+				ap := packA
+				if packedA != nil {
+					ap = packedA[pc*(len(packedA)/k)+ic*kc:]
+				} else {
+					packAPanel(mc, kc, a[pc*lda+ic:], lda, packA)
+				}
+				gemmMacro(mc, nc, kc, ap, packB, c[jc*ldc+ic:], ldc)
 			}
 		}
 	}
-	packPool.Put(bufp)
+	if bufp != nil {
+		packPool.Put(bufp)
+	}
 }
 
 // packAPanel packs A[0:mc, 0:kc] (column-major, leading dim lda) into

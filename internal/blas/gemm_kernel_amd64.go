@@ -21,11 +21,22 @@ func cpuSupportsAVX2FMA() bool
 //go:noescape
 func gemmKernel8x4(kc int64, ap, bp, c *float64, ldc int64)
 
+// gemvQuads is gemvRows' four-column pass over rows [0, rows) of y,
+// rows a positive multiple of 4 (gemv_amd64.s). It multiplies and adds
+// in separate instructions, so it needs AVX2 only; it is selected with
+// the gemm kernel so that one CPU check decides both.
+//
+//go:noescape
+func gemvQuads(rows, quads int64, alpha float64, a *float64, lda int64, x, y *float64)
+
 func init() {
 	if cpuSupportsAVX2FMA() {
 		gemmMR = 8
 		microKernel = func(kc int, ap, bp []float64, c []float64, ldc int) {
 			gemmKernel8x4(int64(kc), &ap[0], &bp[0], &c[0], int64(ldc))
+		}
+		quadsKernel = func(rows, quads int, alpha float64, a []float64, lda int, x, y []float64) {
+			gemvQuads(int64(rows), int64(quads), alpha, &a[0], int64(lda), &x[0], &y[0])
 		}
 	}
 }

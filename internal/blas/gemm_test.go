@@ -153,6 +153,9 @@ func TestDgemmBitIdenticalAcrossThreads(t *testing.T) {
 	shapes := [][3]int{
 		{8, 8, 8}, {33, 65, 17}, {64, 64, 64}, {100, 100, 100},
 		{129, 127, 128}, {256, 31, 77},
+		// A packed once and shared, over several (kc, mc) blocks; and
+		// an A too large to share, packed in every worker.
+		{200, 48, 520}, {300, 40, 600},
 	}
 	for _, sh := range shapes {
 		m, n, k := sh[0], sh[1], sh[2]

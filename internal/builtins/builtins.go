@@ -182,10 +182,35 @@ func (r *RNG) Float64() float64 {
 	return r.float64Locked()
 }
 
+// Fill sets every element of dst to a uniform deviate in [0,1): the
+// values successive Float64 calls would return, drawn under one lock.
+func (r *RNG) Fill(dst []float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range dst {
+		dst[i] = r.float64Locked()
+	}
+}
+
+// FillNormal sets every element of dst to a standard normal deviate:
+// the values successive Normal calls would return, the cached second
+// deviate of a pair carried in and out, drawn under one lock.
+func (r *RNG) FillNormal(dst []float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range dst {
+		dst[i] = r.normalLocked()
+	}
+}
+
 // Normal returns a standard normal deviate (Box-Muller).
 func (r *RNG) Normal() float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.normalLocked()
+}
+
+func (r *RNG) normalLocked() float64 {
 	if r.haveGauss {
 		r.haveGauss = false
 		return r.gauss

@@ -407,6 +407,38 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
+// TestRNGFillsAreThePerElementDraws: an array drawn under one lock is
+// the sequence of single draws, bit for bit — odd lengths included,
+// so a normal pair's cached second deviate carries from one fill into
+// the next call and from a single call into a fill.
+func TestRNGFillsAreThePerElementDraws(t *testing.T) {
+	filled, single := NewRNG(99), NewRNG(99)
+	for _, n := range []int{0, 1, 2, 3, 7, 434} {
+		got, want := make([]float64, n), make([]float64, n)
+		filled.Fill(got)
+		for i := range want {
+			want[i] = single.Float64()
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("Fill of %d: element %d = %v, Float64 gave %v", n, i, got[i], want[i])
+			}
+		}
+		filled.FillNormal(got)
+		for i := range want {
+			want[i] = single.Normal()
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("FillNormal of %d: element %d = %v, Normal gave %v", n, i, got[i], want[i])
+			}
+		}
+		if a, b := filled.Normal(), single.Normal(); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("after filling %d: Normal = %v, per-element stream %v", n, a, b)
+		}
+	}
+}
+
 func TestEvalBinOpDispatch(t *testing.T) {
 	// spot-check the shared dispatcher used by interpreter and VM
 	out, err := EvalBinOp(0 /* OpAdd */, mat.Scalar(2), mat.Scalar(3))

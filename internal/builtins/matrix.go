@@ -110,10 +110,7 @@ func init() {
 			return nil, err
 		}
 		v := mat.New(r, c)
-		re := v.Re()
-		for i := range re {
-			re[i] = ctx.RNG.Float64()
-		}
+		ctx.RNG.Fill(v.Re())
 		return []*mat.Value{v}, nil
 	})
 	register("randn", 0, 2, 1, func(ctx *Context, args []*mat.Value, nout int) ([]*mat.Value, error) {
@@ -122,10 +119,7 @@ func init() {
 			return nil, err
 		}
 		v := mat.New(r, c)
-		re := v.Re()
-		for i := range re {
-			re[i] = ctx.RNG.Normal()
-		}
+		ctx.RNG.FillNormal(v.Re())
 		return []*mat.Value{v}, nil
 	})
 

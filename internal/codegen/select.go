@@ -742,8 +742,17 @@ func (g *gen) tryGEMV(x *ast.Binary) (ir.Bank, int32, bool) {
 		return 0, 0, false
 	}
 	// OpGEMV: A=dst, B=aux index; aux = [Areg, xreg, yreg|-1, betaCode];
-	// Imm carries alpha. betaCode 0 → β=0, 1 → β=1, -1 → β=-1.
-	ab, ar := g.expr(mul.L)
+	// Imm carries alpha, C the transposed-operand flag. betaCode 0 → β=0,
+	// 1 → β=1, -1 → β=-1. A real matrix transposed on the left is read
+	// in place (A'*x), not copied first.
+	left, flag := mul.L, ir.GEMVNoTrans
+	if t, ok := left.(*ast.Transpose); ok && g.realMatrix(t.X) {
+		left, flag = t.X, ir.GEMVTrans
+		if t.Conjugate {
+			flag = ir.GEMVConjTrans
+		}
+	}
+	ab, ar := g.expr(left)
 	av := g.toV(ab, ar)
 	xb, xr := g.expr(mul.R)
 	xv := g.toV(xb, xr)
@@ -754,7 +763,7 @@ func (g *gen) tryGEMV(x *ast.Binary) (ir.Bank, int32, bool) {
 	}
 	d := g.newReg(ir.BankV)
 	aux := g.prog.AddAux(av, xv, yv, int32(betaCode(beta)))
-	g.emit(ir.Instr{Op: ir.OpGEMV, A: d, B: aux, Imm: alpha})
+	g.emit(ir.Instr{Op: ir.OpGEMV, A: d, B: aux, C: flag, Imm: alpha})
 	return ir.BankV, d, true
 }
 
@@ -806,6 +815,12 @@ func (g *gen) matchGEMV(x *ast.Binary) (mul *ast.Binary, other ast.Expr, alpha, 
 		}
 	}
 	return nil, nil, 0, 0, false
+}
+
+// realMatrix reports whether e is real and never a scalar.
+func (g *gen) realMatrix(e ast.Expr) bool {
+	t := g.annOf(e)
+	return types.LeqI(t.I, types.IReal) && !t.MaybeScalar()
 }
 
 func (g *gen) realVector(e ast.Expr) bool {

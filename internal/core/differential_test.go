@@ -142,6 +142,29 @@ function s = f()
   q = b + A*x;
   s = norm(r) + sum(b) + sum(q);
 end`},
+	{name: "matvec_gemv_trans", src: `
+function s = f()
+  n = 31;
+  A = zeros(n, n);
+  for i = 1:n
+    for j = 1:n
+      A(i,j) = 1/(i+2*j) - 0.01*j;
+    end
+  end
+  A(3,5) = -0;
+  x = ones(n, 1);
+  x(4) = -0;
+  y = (1:n)'/7;
+  a = A'*x;
+  b = y - A'*x;
+  c = A'*x + y;
+  d = A.'*x - y;
+  p = x/3;
+  e = p'*y;
+  S = sparse(A);
+  g = S'*x;
+  s = sum(a) + sum(b) + sum(c) + sum(d) + e + sum(g);
+end`},
 	{name: "complex_scalar", src: `
 function s = f()
   z = 0;

@@ -14,11 +14,13 @@ import (
 // TestGEMVKeepsTheInterpretersBits: a matrix-vector product fused into
 // gemv (A*x, A*x + y, y - A*x, A*x - y) computes A*x first and then adds
 // y, as the interpreter does, so every compiling tier returns the
-// interpreter's bits — fractal's p = B*p + c among them.
+// interpreter's bits — fractal's p = B*p + c among them. A transposed
+// matrix on the left (A'*x, p'*q) is read in place, with the same bits.
 func TestGEMVKeepsTheInterpretersBits(t *testing.T) {
-	for _, prog := range []struct{ name, fn, src string }{
-		{"matvec_gemv", "f", core.DiffSource("matvec_gemv")},
-		{"fractal", "fractal", bench.ByName("fractal").Source(bench.Medium)},
+	for _, prog := range []struct{ name, fn, src, want string }{
+		{"matvec_gemv", "f", core.DiffSource("matvec_gemv"), "gemv"},
+		{"matvec_gemv_trans", "f", core.DiffSource("matvec_gemv_trans"), "ctrans"},
+		{"fractal", "fractal", bench.ByName("fractal").Source(bench.Medium), "gemv"},
 	} {
 		t.Run(prog.name, func(t *testing.T) {
 			want := runOnce(t, core.TierInterp, prog.fn, prog.src)
@@ -36,8 +38,8 @@ func TestGEMVKeepsTheInterpretersBits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !strings.Contains(low.Asm, "gemv") {
-				t.Fatalf("no gemv selected:\n%s", low.Asm)
+			if !strings.Contains(low.Asm, prog.want) {
+				t.Fatalf("no %s selected:\n%s", prog.want, low.Asm)
 			}
 		})
 	}

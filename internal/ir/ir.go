@@ -198,7 +198,7 @@ const (
 	OpStageI   // call slot A = I[B]
 	OpFetchF   // F[A] = call result B (guarded)
 	OpFetchI   // I[A] = call result B (guarded)
-	OpGEMV     // V[A] = Imm*V[B]*V[C] + beta*V[D] (beta = 0 when D < 0, else ±1 encoded in aux via BetaNeg bit)
+	OpGEMV     // V[A] = Imm*op(M)*x + β*y: aux[B:] = [M, x, y or -1, β], C the transposed-operand flag (GEMVTrans...)
 	OpVConst   // V[A] = vpool[B] (boxed constant: string or colon marker)
 	OpVDisplay // display V[A] as name vpool[B] (echo of unsuppressed statements)
 
@@ -275,8 +275,19 @@ func (o Op) String() string {
 	return fmt.Sprintf("op%d", uint16(o))
 }
 
+// Values of OpGEMV's field C: the product's matrix operand is M itself,
+// M.' or M' — the transpose the source wrote, which the VM applies by
+// reading M's columns as rows instead of copying it.
+const (
+	GEMVNoTrans   int32 = iota
+	GEMVTrans           // M.'
+	GEMVConjTrans       // M'
+)
+
 // Fingerprint hashes the IR's codec-relevant shape: the opcode table
-// (numbering and mnemonics), the fuse micro-op codes, and the bank
+// (numbering and mnemonics), each opcode's operand roles (so a field
+// that starts to mean something, like gemv's transposed-operand flag,
+// retires old snapshots), the fuse micro-op codes, and the bank
 // count. A serialized program is only meaningful to a build whose IR
 // assigns the same numbers to the same operations — opcodes are
 // iota-assigned, so inserting an opcode renumbers everything after it.
@@ -287,7 +298,7 @@ func Fingerprint() uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "banks=%d ops=%d", int(BankNone)+1, len(opNames))
 	for o := Op(0); int(o) < len(opNames); o++ {
-		fmt.Fprintf(h, "|%d=%s", uint16(o), opNames[o])
+		fmt.Fprintf(h, "|%d=%s%v", uint16(o), opNames[o], operands[o])
 	}
 	fmt.Fprintf(h, "|fuse=%d..%d lim=%d/%d",
 		FuseLoadV, FuseMath, MaxFuseOperands, MaxFuseOps)
@@ -519,7 +530,8 @@ func (p *Prog) constText(b Bank, r int32) (string, bool) {
 
 // format prints an instruction from its operand descriptor: registers
 // with their bank letter, constants by value (p nil: by index), branch
-// targets as @pc, other words bare, Imm when set.
+// targets as @pc, a transposed-operand flag by name when set, other
+// words bare, Imm when set.
 func (in Instr) format(p *Prog) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-9s", in.Op)
@@ -533,6 +545,11 @@ func (in Instr) format(p *Prog) string {
 			fmt.Fprintf(&b, "%s@%d", sep, x)
 		case r == word:
 			fmt.Fprintf(&b, "%s%d", sep, x)
+		case r == trans:
+			if x == GEMVNoTrans {
+				continue
+			}
+			fmt.Fprintf(&b, "%s%s", sep, [...]string{GEMVTrans: "trans", GEMVConjTrans: "ctrans"}[x])
 		case r == regV:
 			fmt.Fprintf(&b, "%sv%d", sep, x)
 		default:

@@ -7,8 +7,8 @@ package ir
 // keeps a per-opcode operand list. V operands are never renamed, and half
 // of them live in aux blocks: the table names the ones in fields (VRegs),
 // and for the disassembler plain words (aux offsets, call slots, spill
-// slots, function ids) and the registers of the allocator's own slot
-// instructions.
+// slots, function ids), gemv's transposed-operand flag and the registers
+// of the allocator's own slot instructions.
 
 // role says what one instruction field holds.
 type role uint8
@@ -25,6 +25,7 @@ const (
 	// Invisible to Def and Uses:
 	regV  // a V register (VRegs)
 	word  // an integer that is not a register
+	trans // a transposed-operand flag (GEMVNoTrans, GEMVTrans, GEMVConjTrans)
 	physF // a register of a spill instruction, which the allocator
 	physI // emits after every pass that asks for defs and uses
 	physC
@@ -111,7 +112,8 @@ var operands = func() []opRoles {
 	set(opRoles{regV, regV, word}, OpGIndex)
 	set(opRoles{regV, none, word, regV}, OpGAssign)
 	set(opRoles{regV, regV, regV, regV}, OpGColon)
-	set(opRoles{regV, word}, OpGCat, OpGEMV, OpVConst, OpVDisplay)
+	set(opRoles{regV, word}, OpGCat, OpVConst, OpVDisplay)
+	set(opRoles{regV, word, trans}, OpGEMV)
 	set(opRoles{regV, word, word}, OpVFused)
 	set(opRoles{word}, OpGBuiltin, OpCallUser, OpCount)
 

@@ -36,9 +36,15 @@ import (
 // ErrSingular reports a zero or missing diagonal in a triangular solve.
 var ErrSingular = errors.New("sparse: matrix is singular to working precision")
 
-// spmvGrainFlops matches the dense gemv grain: below ~2^15 flops per
-// chunk a partition is not worth scheduling.
-const spmvGrainFlops = 1 << 15
+// spmvGrainFlops is the least work per chunk of a split sparse product,
+// so a product of no more work runs on the caller's thread. A CSR row
+// is a chain of dependent adds, not a stream through memory, so a
+// second thread pays off far sooner than in the dense gemv: on the
+// reference 2-vCPU box the pentadiagonal product split in two first
+// wins at 7 500 rows, 7.5e4 flops, and loses at 5 000, when the box is
+// quiet (later when it is busy). The grain is the largest power of two
+// below that (EXPERIMENTS.md, "Fan-out break-even"; BenchmarkSpMVFanOut).
+const spmvGrainFlops = 1 << 16
 
 // SpMV computes y = alpha*A*x + beta*y for an m-row CSR matrix A.
 //

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -359,5 +360,47 @@ func TestTriSolveSingular(t *testing.T) {
 	// Entry on the wrong side of a "lower" solve.
 	if _, err := TriSolve(2, []int{0, 2, 3}, []int{0, 1, 1}, []float64{1, 5, 1}, true, []float64{1, 1}); err != ErrSingular {
 		t.Errorf("wrong-side entry: err = %v, want ErrSingular", err)
+	}
+}
+
+// pentaCSR is the m-row pentadiagonal operator the spcg program uses:
+// 4 on the diagonal, -1 at distances 1 and 2 on either side.
+func pentaCSR(m int) (rowPtr, colIdx []int, val []float64) {
+	rowPtr = make([]int, m+1)
+	for i := 0; i < m; i++ {
+		for j := i - 2; j <= i+2; j++ {
+			if j < 0 || j >= m {
+				continue
+			}
+			colIdx = append(colIdx, j)
+			if j == i {
+				val = append(val, 4)
+			} else {
+				val = append(val, -1)
+			}
+		}
+		rowPtr[i+1] = len(colIdx)
+	}
+	return rowPtr, colIdx, val
+}
+
+// BenchmarkSpMVFanOut times the pentadiagonal product over a size sweep
+// on one thread and split in as many chunks as threads: the measurement
+// spmvGrainFlops is set from (EXPERIMENTS.md). At two threads each
+// chunk does about 5*m flops, the whole product 10*m.
+func BenchmarkSpMVFanOut(b *testing.B) {
+	for _, m := range []int{2500, 5000, 7500, 10000, 15000, 30000, 100000} {
+		rowPtr, colIdx, val := pentaCSR(m)
+		x, y := make([]float64, m), make([]float64, m)
+		for i := range x {
+			x[i] = float64(i%5) - 2
+		}
+		for _, threads := range []int{1, 2} {
+			b.Run(fmt.Sprintf("m=%d/threads=%d", m, threads), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					parallel.For(threads, m, (m+threads-1)/threads, func(lo, hi int) { spmvRows(lo, hi, rowPtr, colIdx, val, 1, x, 0, y) })
+				}
+			})
+		}
 	}
 }

@@ -73,6 +73,9 @@ func verify(p *ir.Prog) error {
 		if in.Op == ir.OpBrNCAbs && !ast.BinOp(in.B).IsRelational() {
 			return fmt.Errorf("vm: %s+%d: relation %d", p.Name, pc, in.B)
 		}
+		if in.Op == ir.OpGEMV && (in.C < ir.GEMVNoTrans || in.C > ir.GEMVConjTrans) {
+			return fmt.Errorf("vm: %s+%d: transposed-operand flag %d", p.Name, pc, in.C)
+		}
 	}
 	return nil
 }

@@ -33,6 +33,7 @@ func TestPrepareRejects(t *testing.T) {
 		"fmath id past MathFns":    {NumF: 1, MathFns: []string{"sin"}, Ins: []ir.Instr{{Op: ir.OpFMath, A: 0, B: 0, C: 1}, ret}},
 		"negative cmath id":        {NumC: 1, MathFns: []string{"sin"}, Ins: []ir.Instr{{Op: ir.OpCMath, A: 0, B: 0, C: -1}, ret}},
 		"abs compare, no relation": {NumC: 1, Ins: []ir.Instr{{Op: ir.OpBrNCAbs, A: 0, B: -1, C: 1, Imm: 2}, ret}},
+		"gemv flag out of range":   {NumV: 1, Aux: []int32{0, 0, -1, 0}, Ins: []ir.Instr{{Op: ir.OpGEMV, A: 0, B: 0, C: 3}, ret}},
 		"unknown opcode":           {Ins: []ir.Instr{{Op: lastOp + 1}, ret}},
 		"falls off the end":        {NumF: 1, Ins: []ir.Instr{{Op: ir.OpFMov, A: 0, B: 0}}},
 		"no instructions":          {},

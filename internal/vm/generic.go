@@ -200,10 +200,11 @@ func userCall(site *CallSite, host Host, aux []int32, at int, V []*mat.Value, sl
 	return nil
 }
 
-// gemv executes the fused dgemv instruction: dst = alpha*A*x + beta*y.
-// Shape or kind mismatches fall back to the generic operators so the
-// fusion is never observable semantically.
-func gemv(aux []int32, at int, alpha float64, dst int, V []*mat.Value) error {
+// gemv executes the fused dgemv instruction: dst = alpha*op(A)*x + beta*y,
+// op the transpose trans names (ir.GEMVTrans...) or none. Shape or kind
+// mismatches fall back to the generic operators so the fusion is never
+// observable semantically.
+func gemv(aux []int32, at int, trans int32, alpha float64, dst int, V []*mat.Value) error {
 	a := V[aux[at]]
 	x := V[aux[at+1]]
 	var y *mat.Value
@@ -215,13 +216,29 @@ func gemv(aux []int32, at int, alpha float64, dst int, V []*mat.Value) error {
 		return fmt.Errorf("gemv: undefined operand")
 	}
 
+	rows, inner := a.Rows(), a.Cols()
+	if trans != ir.GEMVNoTrans {
+		rows, inner = inner, rows
+	}
 	fastOK := !x.IsSparse() &&
 		a.Kind() != mat.Complex && a.Kind() != mat.Char &&
 		x.Kind() != mat.Complex && x.Kind() != mat.Char &&
-		x.Cols() == 1 && a.Cols() == x.Rows() && a.Rows() > 0
+		x.Cols() == 1 && inner == x.Rows() && rows > 0
 	if fastOK && y != nil {
 		fastOK = !y.IsSparse() && y.Kind() != mat.Complex && y.Kind() != mat.Char &&
-			y.Cols() == 1 && y.Rows() == a.Rows()
+			y.Cols() == 1 && y.Rows() == rows
+	}
+	// Dense A' is read in place: the dot product of each column of A
+	// with x adds A(k,i)*x(k) in ascending k from zero, the sums the
+	// interpreter's product over the transposed copy makes. A sparse A,
+	// and whatever the fast path does not take, is transposed first, as
+	// the interpreter does.
+	if trans != ir.GEMVNoTrans && (!fastOK || a.IsSparse()) {
+		var err error
+		if a, err = (mat.Donors{}).Transpose(a, trans == ir.GEMVConjTrans); err != nil {
+			return err
+		}
+		trans = ir.GEMVNoTrans
 	}
 	// Both paths apply the interpreter's operators in the interpreter's
 	// order: A*x, computed from zero (Dgemv and SpMV with α = 1 add a
@@ -235,11 +252,14 @@ func gemv(aux []int32, at int, alpha float64, dst int, V []*mat.Value) error {
 		// The kernel reads A and x while it writes, and y is read after,
 		// so only a displaced destination that is none of them (x = A*x)
 		// may hold the result.
-		out := mat.Donors{Dst: V[dst]}.NewReal(a.Rows(), 1, false, a, x, y)
+		out := mat.Donors{Dst: V[dst]}.NewReal(rows, 1, false, a, x, y)
 		re := out.Re()
-		if a.IsSparse() {
+		switch {
+		case a.IsSparse():
 			mat.SparseSpMVInto(a, 1, x.Re(), 0, re)
-		} else {
+		case trans != ir.GEMVNoTrans:
+			blas.Dgemv(true, a.Rows(), a.Cols(), 1, a.Re(), a.Rows(), x.Re(), 0, re)
+		default:
 			blas.Dgemv(false, a.Rows(), a.Cols(), 1, a.Re(), a.Rows(), x.Re(), 0, re)
 		}
 		switch {

@@ -2,10 +2,12 @@ package vm
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/ir"
 	"repro/internal/mat"
+	"repro/internal/parallel"
 )
 
 // gemvProg builds dst = alpha*A*x + beta*y through OpGEMV.
@@ -183,24 +185,120 @@ func TestGEMVMatchesTheBoxedOperators(t *testing.T) {
 		for _, alpha := range []float64{1, -1} {
 			for _, beta := range []int32{0, 1, -1} {
 				got := run(t, gemvProg(alpha, beta, beta != 0), a, x, y)[0]
-				want, _ := mat.Mul(a, x)
-				switch {
-				case alpha == -1 && beta == 1:
-					want, _ = mat.Sub(y, want)
-				case alpha == -1:
-					want, _ = mat.Neg(want)
-				}
-				switch {
-				case alpha == -1 && beta == 1:
-				case beta == 1:
-					want, _ = mat.Add(want, y)
-				case beta == -1:
-					want, _ = mat.Sub(want, y)
-				}
+				want := boxedGEMV(t, a, x, y, alpha, beta)
 				for i, w := range want.Re() {
 					if g := got.Re()[i]; math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
 						t.Errorf("sparse %v, α %g, β %d: element %d = %v (%x), boxed %v (%x)",
 							a.IsSparse(), alpha, beta, i, g, math.Float64bits(g), w, math.Float64bits(w))
+					}
+				}
+			}
+		}
+	}
+}
+
+// boxedGEMV is what the interpreter computes for the source form gemv
+// fuses with coefficients alpha and beta: A*x, then the source's own +
+// or - of y.
+func boxedGEMV(t *testing.T, a, x, y *mat.Value, alpha float64, beta int32) *mat.Value {
+	t.Helper()
+	want, err := mat.Mul(a, x)
+	switch {
+	case err != nil:
+	case alpha == -1 && beta == 1:
+		want, err = mat.Sub(y, want)
+	case alpha == -1:
+		want, err = mat.Neg(want)
+	}
+	switch {
+	case err != nil, alpha == -1 && beta == 1:
+	case beta == 1:
+		want, err = mat.Add(want, y)
+	case beta == -1:
+		want, err = mat.Sub(want, y)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestTransposedGEMVIsTransposeThenMultiply: gemv with a transposed
+// operand reads A in place, and returns bit for bit what the boxed
+// operators give for A' followed by the product — for every shape
+// around the vector pass's widths, NaNs, Infs and signed zeros in A
+// and x, every coefficient the code generator emits, one thread or
+// four. A p'*q of two columns is the dot product the interpreter
+// computes. A sparse A takes the fallback: transposed first.
+func TestTransposedGEMVIsTransposeThenMultiply(t *testing.T) {
+	defer parallel.SetDefaultThreads(0)
+	r := rand.New(rand.NewSource(44))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	// mode 0: finite values; 1: some NaNs, Infs and signed zeros; 2: x
+	// all signed zeros, so that every sum is a zero whose sign shows.
+	fill := func(v []float64, mode int) {
+		for i := range v {
+			v[i] = r.Float64()*4 - 2
+			if mode == 1 && r.Intn(8) == 0 {
+				v[i] = specials[r.Intn(len(specials))]
+			}
+		}
+	}
+	sizes := []int{1, 2, 3, 4, 5, 7, 8, 60, 61}
+	for _, threads := range []int{1, 4} {
+		parallel.SetDefaultThreads(threads)
+		for _, m := range sizes[1:] { // an x of one row is a scalar, which gemv is never handed
+			for _, n := range sizes {
+				for mode := range 3 {
+					a, x, y := mat.New(m, n), mat.New(m, 1), mat.New(n, 1)
+					fill(a.Re(), mode)
+					fill(x.Re(), mode)
+					fill(y.Re(), mode)
+					if mode == 2 {
+						for i := range x.Re() {
+							x.Re()[i] = math.Copysign(0, float64(r.Intn(2))-0.5)
+						}
+					}
+					operands := []*mat.Value{a}
+					if mode == 0 {
+						var ri, ci []int
+						var vs []float64
+						for k, v := range a.Re() {
+							if k%3 != 1 {
+								ri, ci, vs = append(ri, k%m), append(ci, k/m), append(vs, v)
+							}
+						}
+						sp, err := mat.SparseFromTriplets(m, n, ri, ci, vs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						operands = append(operands, sp)
+					}
+					for _, op := range operands {
+						for _, flag := range []int32{ir.GEMVTrans, ir.GEMVConjTrans} {
+							at, err := mat.Transpose(op)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for _, alpha := range []float64{1, -1} {
+								for _, beta := range []int32{0, 1, -1} {
+									p := gemvProg(alpha, beta, beta != 0)
+									p.Ins[0].C = flag
+									got := run(t, p, op, x, y)[0]
+									want := boxedGEMV(t, at, x, y, alpha, beta)
+									if got.Rows() != want.Rows() || got.Cols() != want.Cols() {
+										t.Fatalf("%dx%d sparse %v: %dx%d result, boxed %dx%d", m, n, op.IsSparse(),
+											got.Rows(), got.Cols(), want.Rows(), want.Cols())
+									}
+									for i, w := range want.Re() {
+										if g := got.Re()[i]; math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+											t.Fatalf("%dx%d sparse %v mode %d, α %g, β %d, %d threads: element %d = %v (%x), boxed %v (%x)",
+												m, n, op.IsSparse(), mode, alpha, beta, threads, i, g, math.Float64bits(g), w, math.Float64bits(w))
+										}
+									}
+								}
+							}
+						}
 					}
 				}
 			}

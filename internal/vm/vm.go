@@ -788,7 +788,7 @@ func (fr *Frame) step(c *Compiled, host Host, args []Operand, in *ir.Instr, pc i
 	case ir.OpGBuiltin:
 		return genericBuiltin(c, host.Context(), p.Aux, int(in.A), V, fr.v[p.NumV+p.SlotsV:])
 	case ir.OpGEMV:
-		return gemv(p.Aux, int(in.B), in.Imm, int(in.A), V)
+		return gemv(p.Aux, int(in.B), in.C, in.Imm, int(in.A), V)
 	case ir.OpVFuseArgF:
 		fr.root.fuse[in.A] = F[in.B]
 	case ir.OpVFused:
