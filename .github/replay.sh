@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# replay.sh PORT: the CI smoke jobs' client. One session on the majicd or
-# majic-gate at 127.0.0.1:PORT defines hotloop and sumsq (a caller of sq)
-# and calls each three times. Any non-2xx answer fails the script. The
+# replay.sh PORT: the CI smoke jobs' client. One session on the majicd
+# at 127.0.0.1:PORT defines hotloop and sumsq (a caller of sq) and calls
+# each three times. Any non-2xx answer fails the script. The
 # warm-start job replays it against a -tier=jit and a -tier=prod daemon:
 # restarted from its first lifetime's snapshot, each answers the replay
 # with zero inserts and zero misses.

@@ -23,12 +23,13 @@
 //	POST   /cluster/ingest                  ← a peer's replication record (binary)
 //	GET    /cluster/digest                  → per-function anti-entropy digest
 //
-// Clustering: -node-id a -peers b=http://...,c=http://... replicates
-// newly compiled repository entries to the named peers (see
-// internal/cluster and cmd/majic-gate for the session router).
+// The two /cluster routes stay for the benchmark's in-process fleet
+// probe; majicd itself replicates nothing.
 //
-// SIGINT/SIGTERM mark the node not-ready, drain in-flight evaluations,
-// close every session and the shared compile queue, then exit 0.
+// SIGINT/SIGTERM mark the daemon not-ready, drain in-flight
+// evaluations, close every session and the shared compile queue, then
+// exit 0. A restart keeps compiled code when -repo-path is set; it
+// loses every session and its workspace.
 package main
 
 import (
@@ -42,7 +43,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/server"
 )
@@ -58,10 +58,6 @@ func main() {
 	deadline := flag.Duration("deadline", 60*time.Second, "default and maximum per-eval deadline")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	logLevel := flag.String("log-level", "info", "structured log threshold: debug|info|warn|error (JSON lines on stderr; debug adds per-request and per-eval records)")
-	nodeID := flag.String("node-id", "", "cluster node name (required with -peers; stamped on /readyz and replicated entries)")
-	peers := flag.String("peers", "", "comma-separated peers (id=http://host:port,...) to replicate compiled entries to; may include this node, which is skipped")
-	advertise := flag.String("advertise", "", "this node's own base URL, filtered out of -peers (in addition to its -node-id entry)")
-	antiEntropy := flag.Duration("anti-entropy", 0, "peer digest reconciliation period (0 = default 5s)")
 	flag.Parse()
 
 	var level slog.Level
@@ -76,17 +72,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *peers != "" && *nodeID == "" {
-		fmt.Fprintln(os.Stderr, "majicd: -peers requires -node-id")
-		os.Exit(2)
-	}
-	var peerNodes []cluster.Node
-	if *peers != "" {
-		if peerNodes, err = cluster.ParseNodes(*peers, *nodeID, *advertise); err != nil {
-			fmt.Fprintf(os.Stderr, "majicd: -peers: %v\n", err)
-			os.Exit(2)
-		}
-	}
 	srv := server.New(server.Options{
 		Engine:             engine,
 		Library:            core.LibraryOptions{RepoMaxEntries: *repoMax},
@@ -96,20 +81,7 @@ func main() {
 		IdleTTL:            *idleTTL,
 		MaxDeadline:        *deadline,
 		Logger:             logger,
-		NodeID:             *nodeID,
 	})
-	var repl *cluster.Replicator
-	if len(peerNodes) > 0 {
-		repl = cluster.NewReplicator(cluster.ReplicatorOptions{
-			NodeID:   *nodeID,
-			Lib:      srv.Library(),
-			Peers:    peerNodes,
-			Interval: *antiEntropy,
-			Logger:   logger,
-		})
-		srv.SetClusterMetrics(func() any { return repl.Stats() })
-		repl.Start()
-	}
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
 	errc := make(chan error, 1)
@@ -148,17 +120,14 @@ func main() {
 		logger.Info("draining", slog.String("signal", sig.String()))
 	}
 
-	// Flip /readyz to 503 before the listener stops: a cluster gateway
-	// probing readiness fails new placements over to peers while this
-	// node is still answering its in-flight evals.
+	// Flip /readyz to 503 before the listener stops: a load balancer
+	// probing readiness stops sending new sessions while this daemon is
+	// still answering its in-flight evals.
 	srv.StartDraining()
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := hs.Shutdown(ctx); err != nil {
 		logger.Warn("http shutdown", slog.String("error", err.Error()))
-	}
-	if repl != nil {
-		repl.Close()
 	}
 	if err := srv.Shutdown(ctx); err != nil {
 		logger.Error("drain incomplete", slog.String("error", err.Error()))

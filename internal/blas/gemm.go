@@ -57,7 +57,10 @@ var gemmMR = 4
 
 // microKernel computes a full gemmMR x gemmNR tile of C (column-major,
 // leading dimension ldc) += ap x bp over kc packed steps.
-var microKernel = func(kc int, ap, bp []float64, c []float64, ldc int) {
+var microKernel = portableKernel
+
+// portableKernel is the pure-Go micro-kernel, 4x4 (gemmMR 4).
+func portableKernel(kc int, ap, bp []float64, c []float64, ldc int) {
 	kernel4x4(kc, ap, bp, c, c[ldc:], c[2*ldc:], c[3*ldc:])
 }
 

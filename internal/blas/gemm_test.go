@@ -183,6 +183,61 @@ func TestDgemmBitIdenticalAcrossThreads(t *testing.T) {
 	}
 }
 
+// TestPortableGemmMicroKernel runs Dgemm on the pure-Go 4x4
+// micro-kernel, the only one on arm64 and on amd64 without AVX2+FMA: an
+// amd64 test run with those selects the assembly kernel at init and
+// never reaches kernel4x4 otherwise. The portable kernel must match
+// gemmRef to 1e-12 relative error, and give the same bits at 1, 2 and
+// 8 threads.
+func TestPortableGemmMicroKernel(t *testing.T) {
+	defer func(k func(int, []float64, []float64, []float64, int), mr int) {
+		microKernel, gemmMR = k, mr
+	}(microKernel, gemmMR)
+	microKernel, gemmMR = portableKernel, 4
+	defer parallel.SetDefaultThreads(0)
+
+	r := rand.New(rand.NewSource(17))
+	for _, sh := range [][3]int{{33, 65, 17}, {64, 64, 64}, {129, 127, 128}, {200, 48, 520}, {300, 40, 600}} {
+		m, n, k := sh[0], sh[1], sh[2]
+		a := make([]float64, m*k)
+		b := make([]float64, k*n)
+		c0 := make([]float64, m*n)
+		for _, v := range [][]float64{a, b, c0} {
+			for i := range v {
+				v[i] = r.Float64()*4 - 2
+			}
+		}
+		ref := append([]float64(nil), c0...)
+		gemmRef(m, n, k, 1.5, a, m, b, k, -0.5, ref, m)
+		var scale float64
+		for _, v := range ref {
+			scale = max(scale, math.Abs(v))
+		}
+
+		var serial []float64
+		for _, threads := range []int{1, 2, 8} {
+			parallel.SetDefaultThreads(threads)
+			got := append([]float64(nil), c0...)
+			Dgemm(m, n, k, 1.5, a, m, b, k, -0.5, got, m)
+			if serial == nil {
+				serial = got
+				for i := range got {
+					if d := math.Abs(got[i] - ref[i]); d > 1e-12*scale {
+						t.Fatalf("m,n,k=%d,%d,%d: C[%d]=%v, gemmRef %v (error %.2g of max |C| %.3g)", m, n, k, i, got[i], ref[i], d, scale)
+					}
+				}
+				continue
+			}
+			for i := range serial {
+				if math.Float64bits(got[i]) != math.Float64bits(serial[i]) {
+					t.Fatalf("m,n,k=%d,%d,%d threads=%d: C[%d]=%x, 1 thread %x",
+						m, n, k, threads, i, math.Float64bits(got[i]), math.Float64bits(serial[i]))
+				}
+			}
+		}
+	}
+}
+
 // TestDgemvDifferential mirrors the Dgemm differential for both
 // orientations of Dgemv.
 func TestDgemvDifferential(t *testing.T) {

@@ -72,8 +72,8 @@ func serve(t *testing.T, srv *server.Server) string {
 	return hs.URL
 }
 
-// attachReplicator wires a replicator from node a to node b the way
-// cmd/majicd does and starts it.
+// attachReplicator wires a replicator from node a to node b and starts
+// it.
 func attachReplicator(t *testing.T, a, b gwTestNode) *Replicator {
 	t.Helper()
 	repl := NewReplicator(ReplicatorOptions{
@@ -83,7 +83,6 @@ func attachReplicator(t *testing.T, a, b gwTestNode) *Replicator {
 		Interval: time.Hour,
 		Client:   &http.Client{Timeout: 5 * time.Second},
 	})
-	a.srv.SetClusterMetrics(func() any { return repl.Stats() })
 	repl.Start()
 	t.Cleanup(repl.Close)
 	return repl
@@ -319,7 +318,7 @@ func checkViews(t *testing.T, path string, v reflect.Value, samples map[string]f
 // metric-tagged field of the /metrics view has a /metrics.prom sample of
 // the same value. The fleet families get the same check — every
 // majic_gate_* sample is a GatewayStats field (bar the ready-node count)
-// and every majic_cluster_* sample a ReplicatorStats or IngestStats one.
+// and every majic_cluster_* sample an IngestStats one.
 func TestMetricsViewsAgree(t *testing.T) {
 	urls := expositionScenarios(t)
 	for _, name := range []string{"shared-tiered", "gateway", "replicator"} {
@@ -335,15 +334,6 @@ func TestMetricsViewsAgree(t *testing.T) {
 			var ms server.MetricsSnapshot
 			if err := json.Unmarshal(js, &ms); err != nil {
 				t.Fatal(err)
-			}
-			if ms.Cluster != nil {
-				var rs struct {
-					Cluster ReplicatorStats `json:"cluster"`
-				}
-				if err := json.Unmarshal(js, &rs); err != nil {
-					t.Fatal(err)
-				}
-				ms.Cluster = rs.Cluster
 			}
 			view = ms
 		}
@@ -365,7 +355,7 @@ func TestMetricsViewsAgree(t *testing.T) {
 				t.Errorf("%s: %s matches no field of the /metrics view", name, key)
 			}
 		}
-		if want := map[string]int{"gateway": 10, "replicator": 13}[name]; name == "gateway" || name == "replicator" {
+		if want := map[string]int{"gateway": 10, "replicator": 3}[name]; name == "gateway" || name == "replicator" {
 			if fleet != want {
 				t.Errorf("%s: %d majic_gate_*/majic_cluster_* samples, want %d", name, fleet, want)
 			}

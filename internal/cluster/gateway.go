@@ -484,7 +484,7 @@ func definesFunction(body []byte) bool {
 // workspace binding) once the log exceeds g.maxReplayOps. Every
 // eviction narrows what a failover can restore, so each one is counted
 // and logged — a session evicting steadily needs a bigger cap
-// (-max-replay-ops on majic-gate).
+// (GatewayOptions.MaxReplayOps).
 func (g *Gateway) appendLog(s *gwSession, op replayOp) {
 	s.log = append(s.log, op)
 	if len(s.log) <= g.maxReplayOps {

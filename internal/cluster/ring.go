@@ -1,10 +1,14 @@
 // Package cluster shards majicd horizontally: a consistent-hash ring
-// places sessions on nodes, a gateway (cmd/majic-gate) proxies the
-// daemon's session API along that placement with health-checked
-// failover, and a replicator pushes newly compiled repository entries
-// between peers — so a (function, widened signature) is JIT-compiled
-// roughly once fleet-wide instead of once per node, extending the
-// paper's repository-amortization story from one process to a fleet.
+// places sessions on nodes, a gateway proxies the daemon's session API
+// along that placement with health-checked failover, and a replicator
+// pushes newly compiled repository entries between peers — so a
+// (function, widened signature) is JIT-compiled roughly once fleet-wide
+// instead of once per node.
+//
+// No binary links this package: one majicd already compiles each
+// function once (its sessions share one library), so a fleet saves no
+// compiles. It stays only for the benchmark's fleet probe, and goes
+// with that probe.
 //
 // The package builds strictly on top of internal/server's HTTP surface
 // (/readyz, /cluster/ingest, /cluster/digest, and the session routes);
@@ -15,7 +19,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strings"
 )
 
 // Node identifies one majicd in the fleet.
@@ -26,38 +29,6 @@ type Node struct {
 	ID string `json:"id"`
 	// Addr is the node's base URL ("http://127.0.0.1:7101").
 	Addr string `json:"addr"`
-}
-
-// ParseNodes parses fleet membership as majic-gate's -nodes and majicd's
-// -peers spell it: "id=http://host:port,...". Blank parts are skipped;
-// every other part needs an id and an http(s) base URL, whose trailing
-// slash is dropped. The entry named selfID or addressed selfAddr is the
-// calling node's own and is left out (either may be empty).
-func ParseNodes(spec, selfID, selfAddr string) ([]Node, error) {
-	var out []Node
-	parts := 0
-	for _, part := range strings.Split(spec, ",") {
-		if part = strings.TrimSpace(part); part == "" {
-			continue
-		}
-		parts++
-		id, addr, ok := strings.Cut(part, "=")
-		if !ok || id == "" || addr == "" {
-			return nil, fmt.Errorf("bad node %q (want id=http://host:port)", part)
-		}
-		if !strings.HasPrefix(addr, "http://") && !strings.HasPrefix(addr, "https://") {
-			return nil, fmt.Errorf("node %q: address must be a base URL", part)
-		}
-		addr = strings.TrimSuffix(addr, "/")
-		if id == selfID || addr == strings.TrimSuffix(selfAddr, "/") {
-			continue
-		}
-		out = append(out, Node{ID: id, Addr: addr})
-	}
-	if parts == 0 {
-		return nil, fmt.Errorf("no nodes (want id=http://host:port,...)")
-	}
-	return out, nil
 }
 
 // DefaultVnodes is the virtual-node count per physical node. 64 points

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -122,40 +120,5 @@ func TestRingRejectsBadMembership(t *testing.T) {
 	}
 	if _, err := NewRing(0, ringNodes("a", "a")); err == nil {
 		t.Fatal("duplicate node IDs must be rejected")
-	}
-}
-
-// TestParseNodes: majic-gate's -nodes and majicd's -peers share one
-// grammar, id=http://host:port joined by commas.
-func TestParseNodes(t *testing.T) {
-	ab := []Node{{ID: "a", Addr: "http://h:1"}, {ID: "b", Addr: "https://h:2"}}
-	for _, c := range []struct {
-		name, spec, selfID, selfAddr string
-		want                         []Node
-		err                          string // substring of the error; "" = no error
-	}{
-		{name: "empty", spec: "", err: "no nodes"},
-		{name: "only blanks", spec: " , ,", err: "no nodes"},
-		{name: "two nodes", spec: "a=http://h:1,b=https://h:2", want: ab},
-		{name: "blank parts and spaces", spec: " a=http://h:1 ,, b=https://h:2,", want: ab},
-		{name: "trailing slash dropped", spec: "a=http://h:1/,b=https://h:2/", want: ab},
-		{name: "missing =", spec: "a=http://h:1,bhttp://h:2", err: "bad node"},
-		{name: "missing id", spec: "=http://h:1", err: "bad node"},
-		{name: "missing address", spec: "a=", err: "bad node"},
-		{name: "not a URL", spec: "a=h:1", err: "base URL"},
-		{name: "self by id", spec: "a=http://h:1,b=https://h:2,c=http://h:3", selfID: "c", want: ab},
-		{name: "self by address", spec: "a=http://h:1,b=https://h:2,c=http://h:3/", selfAddr: "http://h:3", want: ab},
-		{name: "self by address with slash", spec: "a=http://h:1,b=https://h:2,c=http://h:3", selfAddr: "http://h:3/", want: ab},
-		{name: "only self", spec: "c=http://h:3", selfID: "c", want: nil},
-	} {
-		got, err := ParseNodes(c.spec, c.selfID, c.selfAddr)
-		switch {
-		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
-			t.Errorf("%s: err %v, want one saying %q", c.name, err, c.err)
-		case c.err == "" && err != nil:
-			t.Errorf("%s: %v", c.name, err)
-		case !reflect.DeepEqual(got, c.want):
-			t.Errorf("%s: %+v, want %+v", c.name, got, c.want)
-		}
 	}
 }

@@ -423,31 +423,27 @@ func (e *Engine) Precompile() {
 // definitions in src are registered; script statements execute in the
 // interactive front end (interpreted, with calls deferred per the tier).
 func (e *Engine) EvalString(src string) error {
-	if e.tracer == nil {
-		file, err := parser.Parse(src)
-		if err != nil {
-			return err
-		}
+	// Traced, one eval span encloses a parse span (the compile and exec
+	// spans inside are emitted where those phases run); untraced, no
+	// clock is read.
+	traced := e.tracer != nil
+	var t0 time.Time
+	if traced {
+		t0 = time.Now()
+	}
+	file, err := parser.Parse(src)
+	if traced {
+		e.tracer.Span(telemetry.CatParse, "parse", e.id, t0, time.Since(t0))
+	}
+	if err == nil {
 		for _, fn := range file.Funcs {
 			e.registerFunction(fn)
 		}
-		return e.in.ExecStmts(file.Stmts, e.workspace)
+		err = e.in.ExecStmts(file.Stmts, e.workspace)
 	}
-
-	// Traced path: one eval span enclosing a parse span (the compile and
-	// exec spans inside are emitted where those phases run).
-	t0 := time.Now()
-	file, err := parser.Parse(src)
-	e.tracer.Span(telemetry.CatParse, "parse", e.id, t0, time.Since(t0))
-	if err != nil {
+	if traced {
 		e.tracer.Span(telemetry.CatEval, "eval", e.id, t0, time.Since(t0))
-		return err
 	}
-	for _, fn := range file.Funcs {
-		e.registerFunction(fn)
-	}
-	err = e.in.ExecStmts(file.Stmts, e.workspace)
-	e.tracer.Span(telemetry.CatEval, "eval", e.id, t0, time.Since(t0))
 	return err
 }
 

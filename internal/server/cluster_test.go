@@ -11,34 +11,6 @@ import (
 	"repro/internal/persist"
 )
 
-// TestReadyzSplitsFromHealthz pins the liveness/readiness split: a
-// draining node keeps answering /healthz 200 (the process is alive)
-// while /readyz flips to 503 with the "draining" reason a gateway keys
-// failover on.
-func TestReadyzSplitsFromHealthz(t *testing.T) {
-	srv, tc := startServer(t, Options{Engine: core.Options{Tier: core.TierJIT}, NodeID: "node-a"})
-	code, body := tc.do("GET", "/readyz", nil)
-	if code != http.StatusOK {
-		t.Fatalf("ready node: /readyz = %d %s", code, body)
-	}
-	var rr readyResponse
-	if err := json.Unmarshal(body, &rr); err != nil || !rr.Ready || rr.Node != "node-a" {
-		t.Fatalf("readyz body: %s (%v)", body, err)
-	}
-
-	srv.StartDraining()
-	code, body = tc.do("GET", "/readyz", nil)
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("draining node: /readyz = %d %s", code, body)
-	}
-	if err := json.Unmarshal(body, &rr); err != nil || rr.Ready || rr.Reason != "draining" {
-		t.Fatalf("draining readyz body: %s (%v)", body, err)
-	}
-	if code, _ = tc.do("GET", "/healthz", nil); code != http.StatusOK {
-		t.Fatalf("draining node must stay live: /healthz = %d", code)
-	}
-}
-
 // donorRecord compiles src on a scratch library and returns the wire
 // bytes of its compiled-entry record — exactly what a peer would push.
 func donorRecord(t *testing.T, src, fn string) []byte {

@@ -62,8 +62,8 @@ type Options struct {
 	RepoPath string
 	// NodeID names this daemon in a cluster: stamped on /readyz,
 	// /cluster/digest, and /metrics, and recorded as the origin of
-	// entries this node replicates to peers. Empty for a standalone
-	// daemon.
+	// entries this node replicates to peers. majicd leaves it empty;
+	// only the benchmark's fleet probe sets it.
 	NodeID string
 
 	// MaxSessions caps the session table (default 256); creates beyond
@@ -125,13 +125,6 @@ type Server struct {
 	// library.
 	tracer  *telemetry.Tracer
 	journal *telemetry.Journal
-
-	// clusterMetrics, when set (SetClusterMetrics), contributes a
-	// "cluster" section to the JSON /metrics payload — the replicator in
-	// cmd/majicd hooks its push/anti-entropy counters in here without
-	// the server package importing the cluster package.
-	cmu            sync.Mutex
-	clusterMetrics func() any
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -203,7 +196,7 @@ func (s *Server) routes() {
 	// never flips — a draining daemon is still alive and must not be
 	// restarted by its supervisor mid-drain. /readyz answers "should a
 	// router send traffic here" and goes 503 the moment draining starts,
-	// so a cluster gateway fails sessions over before shutdown bites.
+	// so a load balancer stops placing sessions before shutdown bites.
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -270,10 +263,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 type errorBody struct {
 	Error string `json:"error"`
 	// Kind machine-classifies the error. Session-scoped 404s use
-	// "no_session" (unknown or closed session) while a missing workspace
-	// variable is "no_variable" — the cluster gateway fails a session
-	// over on the former and must relay the latter untouched.
-	Kind string `json:"kind,omitempty"` // "timeout" | "saturated" | "no_session" | "no_variable" | ...
+	// "no_session" (unknown or closed session: a client must create a
+	// new one and rebuild its workspace) while a missing workspace
+	// variable is "no_variable" (the session lives on). A create refused
+	// by a draining daemon is "draining".
+	Kind string `json:"kind,omitempty"` // "timeout" | "saturated" | "no_session" | "no_variable" | "draining"
 }
 
 // --- session lifecycle -------------------------------------------------------
@@ -466,12 +460,9 @@ type MetricsSnapshot struct {
 	// false when the daemon runs without -repo-path.
 	Persist persist.Metrics `json:"persist"`
 	// Node is the cluster node ID (empty standalone). Ingest counts
-	// replication records received from peers; Cluster carries the
-	// replicator's own counters when one is attached, and its metric
-	// tags join /metrics.prom.
-	Node    string      `json:"node,omitempty" metric:"-"`
-	Ingest  IngestStats `json:"ingest"`
-	Cluster any         `json:"cluster,omitempty"`
+	// replication records received from peers.
+	Node   string      `json:"node,omitempty" metric:"-"`
+	Ingest IngestStats `json:"ingest"`
 }
 
 // IngestStats counts /cluster/ingest traffic (records received from
@@ -506,11 +497,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 	ms.Ingest.Applied = s.metrics.ingestApplied.Load()
 	ms.Ingest.Dropped = s.metrics.ingestDropped.Load()
 	ms.Ingest.Rejected = s.metrics.ingestRejected.Load()
-	s.cmu.Lock()
-	if s.clusterMetrics != nil {
-		ms.Cluster = s.clusterMetrics()
-	}
-	s.cmu.Unlock()
 	ms.Parallel.Threads = parallel.DefaultThreads()
 	ms.Parallel.Workers = parallel.Workers()
 	ms.BufferPool = mat.ReadPoolStats()
@@ -553,6 +539,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// Library returns the shared code library every session attaches to.
+func (s *Server) Library() *core.Library { return s.lib }
+
 // Tracer exposes the daemon-wide span ring.
 func (s *Server) Tracer() *telemetry.Tracer { return s.tracer }
 
@@ -560,8 +549,8 @@ func (s *Server) Tracer() *telemetry.Tracer { return s.tracer }
 func (s *Server) Journal() *telemetry.Journal { return s.journal }
 
 // samples renders the full daemon state as telemetry samples: every
-// metric-tagged field of the /metrics snapshot (library, daemon and
-// replicator families alike), then the samples that are not snapshot
+// metric-tagged field of the /metrics snapshot (library and daemon
+// families alike), then the samples that are not snapshot
 // fields. Both endpoints read one snapshot, so they can never disagree
 // (TestMetricsViewsAgree).
 func (s *Server) samples() []telemetry.Sample {
@@ -623,7 +612,49 @@ func (s *Server) reaper() {
 	}
 }
 
-// --- shutdown ----------------------------------------------------------------
+// --- readiness and shutdown --------------------------------------------------
+//
+// The drain contract (DESIGN §12): between StartDraining and Shutdown a
+// create answers 503 "draining" and an eval on a live session is still
+// served; Shutdown closes every session, so an old session id answers
+// 404 "no_session" after it. Compiled code outlives a restart only
+// through RepoPath's snapshot; workspaces never do.
+
+// readyResponse is the /readyz payload.
+type readyResponse struct {
+	Ready bool   `json:"ready"`
+	Node  string `json:"node,omitempty"`
+	// Reason explains a not-ready answer ("draining").
+	Reason string `json:"reason,omitempty"`
+}
+
+// handleReady is the readiness probe: 200 while the daemon accepts new
+// work, 503 once draining starts. Distinct from /healthz (liveness),
+// which stays 200 through a drain.
+func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	draining := s.draining
+	s.mu.Unlock()
+	if draining {
+		writeJSON(w, http.StatusServiceUnavailable, readyResponse{
+			Ready: false, Node: s.opts.NodeID, Reason: "draining",
+		})
+		return
+	}
+	writeJSON(w, http.StatusOK, readyResponse{Ready: true, Node: s.opts.NodeID})
+}
+
+// StartDraining flips the daemon to not-ready: /readyz answers 503 and
+// new session creates are refused with 503 "draining", while existing
+// sessions keep evaluating. cmd/majicd calls it on the first
+// termination signal so a load balancer stops placing sessions here
+// before Shutdown stops the listener; Shutdown itself also sets the
+// flag, so callers that never probe readiness see no behavior change.
+func (s *Server) StartDraining() {
+	s.mu.Lock()
+	s.draining = true
+	s.mu.Unlock()
+}
 
 // Shutdown drains and stops the daemon: new session creates are
 // refused, the HTTP server (if one was attached via Serve) has already

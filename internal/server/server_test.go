@@ -395,6 +395,76 @@ func TestShutdownInterruptsRunaway(t *testing.T) {
 	}
 }
 
+// TestReadyzSplitsFromHealthz pins the liveness/readiness split: a
+// draining daemon keeps answering /healthz 200 (the process is alive)
+// while /readyz flips to 503 with the "draining" reason a load balancer
+// keys on.
+func TestReadyzSplitsFromHealthz(t *testing.T) {
+	srv, tc := startServer(t, Options{Engine: core.Options{Tier: core.TierJIT}, NodeID: "node-a"})
+	code, body := tc.do("GET", "/readyz", nil)
+	if code != http.StatusOK {
+		t.Fatalf("ready node: /readyz = %d %s", code, body)
+	}
+	var rr readyResponse
+	if err := json.Unmarshal(body, &rr); err != nil || !rr.Ready || rr.Node != "node-a" {
+		t.Fatalf("readyz body: %s (%v)", body, err)
+	}
+
+	srv.StartDraining()
+	code, body = tc.do("GET", "/readyz", nil)
+	if code != http.StatusServiceUnavailable {
+		t.Fatalf("draining node: /readyz = %d %s", code, body)
+	}
+	if err := json.Unmarshal(body, &rr); err != nil || rr.Ready || rr.Reason != "draining" {
+		t.Fatalf("draining readyz body: %s (%v)", body, err)
+	}
+	if code, _ = tc.do("GET", "/healthz", nil); code != http.StatusOK {
+		t.Fatalf("draining node must stay live: /healthz = %d", code)
+	}
+}
+
+// TestDrainContract pins what a client keeps across a drain of the one
+// daemon: between StartDraining and Shutdown a create answers 503
+// "draining" while a live session is still served, and after Shutdown
+// the old session id answers 404 "no_session" — the workspace is gone.
+func TestDrainContract(t *testing.T) {
+	srv, tc := startServer(t, Options{Engine: core.Options{Tier: core.TierJIT}})
+	id := tc.createSession()
+	if code, _, eb := tc.eval(id, "function y = dc(x)\ny = x + 1;\n"); code != http.StatusOK {
+		t.Fatalf("define: %d %+v", code, eb)
+	}
+	if code, _, eb := tc.eval(id, "v = dc(1);"); code != http.StatusOK {
+		t.Fatalf("eval before drain: %d %+v", code, eb)
+	}
+
+	srv.StartDraining()
+	code, body := tc.do("POST", "/sessions", nil)
+	var eb errorBody
+	if err := json.Unmarshal(body, &eb); err != nil || code != http.StatusServiceUnavailable || eb.Kind != "draining" {
+		t.Fatalf("create while draining: %d %s (%v), want 503 draining", code, body, err)
+	}
+	code, ev, eb := tc.eval(id, "w = dc(v)")
+	if code != http.StatusOK || !strings.Contains(ev.Output, "3") {
+		t.Fatalf("eval on a live session while draining: %d %+v %+v", code, ev, eb)
+	}
+	if code, body := tc.do("GET", "/sessions/"+id+"/workspace/w", nil); code != http.StatusOK {
+		t.Fatalf("workspace read while draining: %d %s", code, body)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if code, _, eb := tc.eval(id, "w = dc(v)"); code != http.StatusNotFound || eb.Kind != "no_session" {
+		t.Fatalf("eval on an old session after shutdown: %d %+v, want 404 no_session", code, eb)
+	}
+	code, body = tc.do("GET", "/sessions/"+id+"/workspace/w", nil)
+	if err := json.Unmarshal(body, &eb); err != nil || code != http.StatusNotFound || eb.Kind != "no_session" {
+		t.Fatalf("workspace after shutdown: %d %s (%v), want 404 no_session", code, body, err)
+	}
+}
+
 // TestFlightRecorderEndpoints drives a tiered session hot enough to
 // promote, then checks the three flight-recorder surfaces: the
 // Prometheus exposition parses and covers the library families, the

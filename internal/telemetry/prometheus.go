@@ -13,8 +13,8 @@ import (
 // WritePrometheus renders samples in the Prometheus text exposition
 // format (version 0.0.4): one HELP/TYPE header per metric family, then
 // the family's samples; histograms expand into cumulative
-// _bucket{le=...} series plus _sum and _count. majicd and majic-gate
-// serve this at /metrics.prom.
+// _bucket{le=...} series plus _sum and _count. majicd serves this at
+// /metrics.prom.
 func WritePrometheus(w io.Writer, samples []Sample) error {
 	bw := bufio.NewWriter(w)
 	var lastName string

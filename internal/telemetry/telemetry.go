@@ -14,7 +14,7 @@
 //     a snapshot into samples when asked, so recording stays exactly as
 //     it was — scraping adds no hot-path work at all. WritePrometheus
 //     renders the samples in the Prometheus text exposition format (see
-//     prometheus.go), served by majicd and majic-gate at /metrics.prom.
+//     prometheus.go), served by majicd at /metrics.prom.
 //
 //   - Tracer: a bounded ring of Chrome trace-event spans (trace.go),
 //     the engine's only record of phase time: each phase is measured
