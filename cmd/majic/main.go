@@ -37,8 +37,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	platFlag := fs.String("platform", "sparc", "platform profile: sparc|mips")
 	eval := fs.String("e", "", "evaluate this code and exit")
 	seed := fs.Uint64("seed", 0, "RNG seed")
-	traceFile := fs.String("trace", "", "write a Chrome trace-event JSON file (per-eval spans: parse, disambig, typeinf, codegen, queue wait, exec, tier-up, OSR) on exit")
-	jitLog := fs.Bool("jit-log", false, "print the tiering event journal (promotions, evictions, cause-attributed OSR deopts) to stderr on exit")
+	traceFile := fs.String("trace", "", "write a Chrome trace-event JSON file (per-eval spans: parse, disambig, typeinf, codegen, queue wait, exec, tier-up) on exit")
+	jitLog := fs.Bool("jit-log", false, "print the tiering event journal (promotions, evictions, return-guard deopts) to stderr on exit")
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
 	} else if err != nil {

@@ -72,3 +72,16 @@ func WalkStmts(stmts []Stmt, f func(Node) bool) {
 		Walk(s, f)
 	}
 }
+
+// HasLoop reports whether stmts hold a for or while loop at any depth.
+func HasLoop(stmts []Stmt) bool {
+	found := false
+	WalkStmts(stmts, func(n Node) bool {
+		switch n.(type) {
+		case *For, *While:
+			found = true
+		}
+		return !found
+	})
+	return found
+}

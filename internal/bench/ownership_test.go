@@ -1,10 +1,8 @@
 package bench_test
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -17,8 +15,8 @@ import (
 // kernel programs of benchmark/programs under the VM's ownership hook
 // (see internal/core's TestOwnershipInvariant): jit, spec, and the
 // tiered pipeline with fusion: three calls each, and for tiered engines
-// one past the tier-up threshold on the warmBackEdges source, so that
-// they get from profiling through OSR to promoted code.
+// one past the tier-up threshold, so that a loop-free callee gets from
+// its placeholder to promoted code.
 func TestOwnershipInvariantOnBenchmarks(t *testing.T) {
 	vmtest.CheckOwnership(t)
 	type program struct {
@@ -75,11 +73,11 @@ func TestOwnershipInvariantOnBenchmarks(t *testing.T) {
 			} {
 				opts.Seed = 424242
 				e := core.New(opts)
-				calls, src := 3, p.src
+				calls := 3
 				if opts.Tiered {
-					calls, src = core.DefaultTierThreshold+1, warmBackEdges(p.src)
+					calls = core.DefaultTierThreshold + 1
 				}
-				if err := e.Define(src); err != nil {
+				if err := e.Define(p.src); err != nil {
 					t.Fatalf("define: %v", err)
 				}
 				e.Precompile()
@@ -93,16 +91,4 @@ func TestOwnershipInvariantOnBenchmarks(t *testing.T) {
 			}
 		})
 	}
-}
-
-// warmBackEdges prefixes the first function of src with a loop of
-// DefaultTierThreshold-2 empty iterations, as internal/core's helper of
-// that name does: a tiered activation then reaches the threshold at the
-// second iteration of the program's own first loop, so programs whose
-// loops are shorter than the threshold (sor at Small runs 3) still
-// transfer mid-loop.
-func warmBackEdges(src string) string {
-	i := strings.Index(src, "function ")
-	i += strings.IndexByte(src[i:], '\n') + 1
-	return src[:i] + fmt.Sprintf("  for warmup = 1:%d\n  end\n", core.DefaultTierThreshold-2) + src[i:]
 }

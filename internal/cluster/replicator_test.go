@@ -77,9 +77,16 @@ func TestReplicatorPushWarmsPeer(t *testing.T) {
 	if bm.Ingest.Applied == 0 {
 		t.Fatalf("ingest counter not advanced: %+v", bm.Ingest)
 	}
-	st := repl.Stats()
-	if st.Pushed == 0 || st.PushApplied == 0 {
-		t.Fatalf("push not recorded: %+v", st)
+	// A counts the push when it reads B's answer, which can land after B
+	// has applied the record.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		st := repl.Stats()
+		if st.Pushed > 0 && st.PushApplied > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("push not recorded: %+v", st)
+		}
 	}
 
 	// B's first call for the signature is a warm hit on the replica.

@@ -97,7 +97,7 @@ func (p *Pool) SetTracer(tr *telemetry.Tracer) {
 }
 
 // jobCategory derives the span name from the single-flight key's prefix
-// (jit, tier, osr, spec — see the engine's key formats).
+// (jit, tier, spec — see the engine's key formats).
 func jobCategory(key string) string {
 	if i := strings.IndexByte(key, 0); i > 0 {
 		return key[:i]

@@ -29,10 +29,6 @@ type pipelineOpts struct {
 	optimize bool
 	// generic disables type-driven code selection extras (mcc tier).
 	generic bool
-	// boxedCalls keeps every user call boxed: no return summaries, hence
-	// no guards. OSR continuations need it — a continuation resumes a
-	// half-run activation, which cannot be abandoned and re-run.
-	boxedCalls bool
 }
 
 // compiled is what the pipeline produces for one (function, signature):

@@ -36,7 +36,7 @@ function r = f(n)
   end
   r = [s, 1/real(z(m)), 1/imag(z(m))];
 end`},
-	{name: "complex_read_1d_checked", args: []float64{4}, noOSR: true, src: `
+	{name: "complex_read_1d_checked", args: []float64{4}, src: `
 function r = f(n)
   z = [1+2i, 3-1i, 2i];
   x = n/2;
@@ -77,7 +77,7 @@ function r = f()
     r = r + isreal(z(k));
   end
 end`},
-	{name: "complex_element_returned", args: []float64{2}, noOSR: true, src: `
+	{name: "complex_element_returned", args: []float64{2}, src: `
 function r = f(k)
   r = g(k);
 end
@@ -85,7 +85,7 @@ function r = g(k)
   z = [1+2i, 3, -0-0i];
   r = z(k);
 end`},
-	{name: "complex_parameter_returned", noOSR: true, src: `
+	{name: "complex_parameter_returned", src: `
 function r = f()
   y = [1+2i 3];
   r = isreal(id(y(2))) + 10*isreal(id(y(1))) + 100*isreal(twice(y(2)));
@@ -96,7 +96,7 @@ end
 function r = twice(x)
   r = x + x;
 end`},
-	{name: "complex_kind_kept_through_unary", noOSR: true, src: `
+	{name: "complex_kind_kept_through_unary", src: `
 function r = f()
   z = [1+2i, 3];
   w = z(2);

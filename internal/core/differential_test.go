@@ -1,9 +1,7 @@
 package core
 
 import (
-	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/ir"
@@ -17,9 +15,6 @@ type diffProg struct {
 	name string
 	src  string
 	args []float64 // scalar args for f
-	// noOSR marks a program that runs no loop iteration of its own, so
-	// a tiered activation never reaches the threshold to transfer at.
-	noOSR bool
 }
 
 var diffPrograms = []diffProg{
@@ -553,7 +548,7 @@ function r = f()
   end
   r = [i s k];
 end`},
-	{name: "loop_empty_range_keeps_var", args: []float64{0}, noOSR: true, src: `
+	{name: "loop_empty_range_keeps_var", args: []float64{0}, src: `
 function r = f(n)
   i = 42; j = 43; k = 44; x = 45;
   for i = 5:1
@@ -632,7 +627,7 @@ function r = f(n)
   end
   r = [i s k t m];
 end`},
-	{name: "loop_zero_step", noOSR: true, src: `
+	{name: "loop_zero_step", src: `
 function r = f()
   i = 7; s = 0; z = 0;
   for i = 1:0:5
@@ -693,6 +688,23 @@ function r = f()
     t = t*2 + (p - m);
   end
   r = [i s k t m];
+end`},
+	// The counted loop's variable is read after the loop, a nested loop
+	// runs inside it, and a later sibling counts it down again.
+	{name: "loop_var_read_after_a_nest_and_rebound", args: []float64{300}, src: `
+function r = f(n)
+  s = 0; i = 0; k = 0;
+  for i = 1:n
+    s = s + i * 0.5;
+    for k = 1:3
+      s = s + k;
+    end
+  end
+  t = i;
+  for i = n:-2:1
+    t = t + i;
+  end
+  r = [s t i k];
 end`},
 	{name: "loop_var_reused_across_a_nest", src: `
 function s = f()
@@ -832,9 +844,8 @@ func TestTiersMatchInterpreter(t *testing.T) {
 
 // TestLoopSemantics holds loopPrograms to the interpreter bit for bit:
 // under every compiling tier on both platforms (the unroll factors 2 and
-// 4), and under a tiered engine, whose first calls interpret, transfer
-// into a continuation at the second iteration of the program's first
-// loop (warmBackEdges) and then run promoted code.
+// 4), and under a tiered engine, whose first call of a function that
+// loops runs the code it compiled for it.
 func TestLoopSemantics(t *testing.T) {
 	for _, p := range loopPrograms {
 		p := p
@@ -853,7 +864,7 @@ func bitIdenticalAcrossTiers(t *testing.T, p diffProg) {
 		}
 	}
 	e := newTiered(t)
-	if err := e.Define(warmBackEdges(p.src)); err != nil {
+	if err := e.Define(p.src); err != nil {
 		t.Fatal(err)
 	}
 	args := make([]*mat.Value, len(p.args))
@@ -866,32 +877,19 @@ func bitIdenticalAcrossTiers(t *testing.T, p diffProg) {
 			t.Fatalf("tiered call %d: %v", call, err)
 		}
 		payloadEqual(t, "tiered", want, outs)
+		if call == 0 {
+			checkFirstCall(t, e, "f", args, FirstFunctionLoops(p.src))
+		}
 		e.Drain()
 	}
-	if n := e.ProfileStats().OSRTransfers; (n > 0) == p.noOSR {
-		t.Fatalf("tiered: %d OSR transfers (noOSR %v)", n, p.noOSR)
-	}
-}
-
-// warmBackEdges prefixes the first function of src with a loop of
-// DefaultTierThreshold-2 empty iterations. A tiered activation counts
-// back-edges across all its loops, so it then crosses the threshold at
-// the second iteration of the program's own first loop: the transfer
-// lands mid-loop in the shape under test, however short its loops are.
-func warmBackEdges(src string) string {
-	i := strings.Index(src, "function ")
-	i += strings.IndexByte(src[i:], '\n') + 1
-	return src[:i] + fmt.Sprintf("  for warmup = 1:%d\n  end\n", DefaultTierThreshold-2) + src[i:]
 }
 
 // TestConstantBitPatterns: literals are interned by bit pattern and by
 // bank (ir.Prog.FConst), so the constants a program can tell apart stay
 // apart in every tier — 0 and -0 (1/x tells), the integer 1 and the real
 // 1.0, NaN, both infinities — and folding them at compile time gives the
-// interpreter's bits. nz holds -0 across the loop, so it is live at the
-// OSR transfer in its second iteration (warmBackEdges), where it arrives
-// as a parameter, and it crosses a user call both ways: types.OfScalar
-// types it real, never int.
+// interpreter's bits. nz holds -0 across the loop, and it crosses a user
+// call both ways: types.OfScalar types it real, never int.
 func TestConstantBitPatterns(t *testing.T) {
 	bitIdenticalAcrossTiers(t, diffProg{name: "constant_bit_patterns", src: `
 function r = f()
@@ -907,35 +905,6 @@ end
 function y = same(x)
   y = x;
 end`})
-}
-
-// TestLoopSemanticsOSR transfers into a counted loop mid-run: the
-// continuation's own loop is the integer-counted lowering, the variable
-// it rebinds is used after the loop, and a nested loop and a later
-// sibling reuse it.
-func TestLoopSemanticsOSR(t *testing.T) {
-	const src = `
-function r = osrloop(n)
-  s = 0;
-  for i = 1:n
-    s = s + i * 0.5;
-    for k = 1:3
-      s = s + k;
-    end
-  end
-  t = i;
-  for i = n:-2:1
-    t = t + i;
-  end
-  r = [s t i k];
-end`
-	e := newTiered(t)
-	if err := e.Define(src); err != nil {
-		t.Fatal(err)
-	}
-	want := mustInterp(t, e, "osrloop", 300)
-	got := osrOnce(t, e, "osrloop", 300)
-	payloadEqual(t, "for OSR", []*mat.Value{want}, []*mat.Value{got})
 }
 
 // TestLoopVarReuseKeepsChecksOff is §2.4 on the crnich shape: a function

@@ -84,7 +84,8 @@ func ParseTier(s string) (Tier, error) {
 }
 
 // Production is the fast path, the configuration the daemon starts in:
-// tiered JIT (interpret first, promote hot signatures, OSR hot loops)
+// tiered JIT (compile a function that loops before its first run,
+// interpret the others first and promote their hot signatures)
 // with compiles on the background pool and elementwise trees fused into
 // single kernels. Compile workers and kernel threads stay at their
 // GOMAXPROCS defaults.
@@ -184,18 +185,19 @@ type Options struct {
 
 	// Tiered enables tiered recompilation for TierJIT: "the generated
 	// code can later be recompiled — and replaced in the repository —
-	// using a better compiler". A miss compiles nothing; it parks an
-	// interpret-only placeholder for the widened signature, so first-eval
-	// latency stays interpreter-fast. The placeholder counts the calls it
+	// using a better compiler". A miss on a function with no for or while
+	// in its body compiles nothing; it parks an interpret-only placeholder
+	// for the widened signature, so a call that runs each statement once
+	// is never held up by a compile. The placeholder counts the calls it
 	// serves, and at DefaultTierThreshold it is replaced by code compiled
 	// in the background at QualityOpt at the signature it was parked at —
 	// the one tier-up rule, which also replaces a speculative entry whose
-	// calls keep bringing narrower classes. Hot interpreter loops transfer
-	// mid-run into compiled code via on-stack replacement; a
-	// generation-checked guard deopts back to the interpreter on
-	// redefinition or range violation, so results are bit-identical with
-	// tiering on or off. Ignored by the other tiers, whose misses follow
-	// AsyncCompile alone (the paper-mode measurements are untouched).
+	// calls keep bringing narrower classes. A miss on a function that
+	// loops compiles that same widened signature at QualityOpt before the
+	// call runs, as the paper's JIT compiles before a first call, and the
+	// call runs the result. Results are bit-identical with tiering on or
+	// off. Ignored by the other tiers, whose misses follow AsyncCompile
+	// alone (the paper-mode measurements are untouched).
 	Tiered bool
 
 	// AsyncCompile turns the repository into a background compilation
@@ -228,10 +230,10 @@ type Options struct {
 
 	// Tracer, when set, receives per-eval trace spans: parse,
 	// disambiguation, type inference, code generation, compile-queue
-	// wait, execution, tier-up, and OSR transfer. The trace is the
-	// engine's only record of phase time: the Figure 6 decomposition is
-	// its per-category self time. Nil (the default) records nothing, and
-	// an untraced call reads no clock.
+	// wait, execution and tier-up. The trace is the engine's only record
+	// of phase time: the Figure 6 decomposition is its per-category self
+	// time. Nil (the default) records nothing, and an untraced call reads
+	// no clock.
 	Tracer *telemetry.Tracer
 
 	// Journal, when set (and Library is nil), attaches the tiering
@@ -332,10 +334,10 @@ func (e *Engine) QueueStats() compilequeue.Stats {
 // after which an entry a better compile could replace is replaced (every
 // call a Tiered placeholder serves; the calls from outside compiled code
 // that bring a speculative entry, on any tier that holds them, a narrower
-// scalar class), and the back-edge count after which an interpreted
-// activation of a Tiered engine offers OSR. Low enough that a hot loop
-// tiers up within its first eval, high enough that one-shot scripts never
-// pay a compile.
+// scalar class). A placeholder only serves a loop-free function, whose
+// calls cost about as much interpreted as the compile would: low enough
+// that a function called from a hot loop tiers up within its first eval,
+// high enough that one-shot scripts never pay a compile.
 const DefaultTierThreshold = 8
 
 // ProfileStats returns the tiering counters (all zero when
@@ -509,7 +511,7 @@ func (e *Engine) CallFunction(name string, args []*mat.Value, nout int) ([]*mat.
 	}
 	nout = max(nout, 1)
 	if e.opts.Tier == TierInterp {
-		return e.in.CallFunction(st.Fn, args, nout, e.globals, nil)
+		return e.in.CallFunction(st.Fn, args, nout, e.globals)
 	}
 	var buf [sigBuf]vm.Operand
 	outs, err := e.repo.invoke(st, vm.Boxed(buf[:0], args), nout, nil, nil)
@@ -543,5 +545,5 @@ func (e *Engine) Interpret(name string, args []*mat.Value, nout int) ([]*mat.Val
 	if fn == nil {
 		return nil, fmt.Errorf("undefined function %q", name)
 	}
-	return e.in.CallFunction(fn, args, nout, e.globals, nil)
+	return e.in.CallFunction(fn, args, nout, e.globals)
 }

@@ -1,5 +1,30 @@
 package core
 
+import (
+	"regexp"
+	"strings"
+)
+
+// Widen and SameBitsAnyKind serve the external tests.
+var (
+	Widen           = widen
+	SameBitsAnyKind = sameBitsAnyKind
+)
+
+// loopHeader finds a for or while statement at the start of a line.
+var loopHeader = regexp.MustCompile(`(?m)^\s*(for|while)\b`)
+
+// FirstFunctionLoops reads off the source text whether the first
+// function of src holds a for or while loop: what a tiered engine's
+// first call of it must do, decided without asking the engine.
+func FirstFunctionLoops(src string) bool {
+	body := src[strings.Index(src, "function "):]
+	if end := strings.Index(body[1:], "\nfunction "); end >= 0 {
+		body = body[:end+1]
+	}
+	return loopHeader.MatchString(body)
+}
+
 // HoldPool occupies one worker of the library's compile pool until the
 // returned release is called, so that a test can land a redefinition
 // while a job it submitted waits for the worker. The library must own a

@@ -15,8 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/mat"
-	"repro/internal/profile"
-	"repro/internal/repo"
 )
 
 var updateGenerated = flag.Bool("update-generated", false,
@@ -122,28 +120,17 @@ func generatedCode(t *testing.T) []string {
 					if spill {
 						opts.Ablation = core.AblateRegalloc
 					}
-					// A library without a pool compiles promotions and OSR
-					// continuations inline, at a point the program fixes.
+					// A library without a pool compiles every miss and
+					// promotion inline, at a point the program fixes.
 					opts.Library = core.NewLibrary(core.LibraryOptions{})
 					e := core.New(opts)
 					if err := e.Define(gp.src); err != nil {
 						t.Fatalf("%s: %v", gp.name, err)
 					}
 					e.Precompile()
-					// OSR continuations hang off the interpret-only entries
-					// whose hot loops asked for them, and a promotion replaces
-					// such an entry: collect them after every call.
-					interpreted := map[*repo.Entry]string{}
 					for call := 0; call < v.calls; call++ {
 						if _, err := e.Call(gp.fn, gp.args, 1); err != nil {
 							t.Fatalf("%s/%s: %v", gp.name, v.name, err)
-						}
-						for _, fname := range e.Functions() {
-							for _, en := range e.Repo().Entries(fname) {
-								if en.Code == nil {
-									interpreted[en] = fname
-								}
-							}
 						}
 					}
 					prefix := fmt.Sprintf("%s %s fuse=%t spill=%t", gp.name, v.name, fuse, spill)
@@ -151,15 +138,6 @@ func generatedCode(t *testing.T) []string {
 						for _, en := range e.Repo().Entries(fname) {
 							if en.Code != nil {
 								add(fmt.Sprintf("%s %s(%s) q=%d", prefix, fname, en.Sig.Key(), en.Quality), en.Code.P)
-							}
-						}
-					}
-					for en, fname := range interpreted {
-						for i, s := range e.LookupFunction(fname).Body {
-							if site, ok := en.OSRSites().Load(s); ok {
-								if c := site.(*profile.OSRState).Entry(); c != nil {
-									add(fmt.Sprintf("%s %s@osr%d(%s)", prefix, fname, i, c.Sig.Key()), c.Code.P)
-								}
 							}
 						}
 					}
@@ -178,23 +156,22 @@ func generatedCode(t *testing.T) []string {
 
 // TestGeneratedCodeUnchanged pins the instructions the compiler emits:
 // the 16 Table 1 programs and benchmark/programs/*.m, compiled by the
-// JIT, by the optimising pipeline at speculated and profiled signatures
-// and as OSR continuations, with fusion off and on, allocated and
-// spilled. An optimiser or allocator change that is meant to keep the
+// JIT and by the optimising pipeline at speculated and tiered
+// signatures, with fusion off and on, allocated and spilled. An optimiser or allocator change that is meant to keep the
 // generated code leaves the golden alone; one that is meant to change it
 // regenerates the file with -update-generated and reviews the diff.
 func TestGeneratedCodeUnchanged(t *testing.T) {
 	got := generatedCode(t)
 	var kinds [3]int
 	for _, l := range got {
-		for i, k := range []string{" jit ", " spec ", "@osr"} {
+		for i, k := range []string{" jit ", " spec ", " tiered "} {
 			if strings.Contains(l, k) {
 				kinds[i]++
 			}
 		}
 	}
 	if kinds[0] == 0 || kinds[1] == 0 || kinds[2] == 0 {
-		t.Fatalf("coverage hole: jit/spec/osr bodies = %v", kinds)
+		t.Fatalf("coverage hole: jit/spec/tiered bodies = %v", kinds)
 	}
 	text := strings.Join(got, "\n") + "\n"
 	if *updateGenerated {

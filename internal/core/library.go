@@ -92,8 +92,8 @@ type LibraryOptions struct {
 	// repository without bound.
 	RepoMaxEntries int
 	// Tiered starts the compile pool even without AsyncCompile: tiered
-	// execution promotes hot signatures and compiles OSR continuations
-	// in the background, which needs workers.
+	// execution compiles first calls of functions that loop and promotes
+	// hot signatures on the pool, which needs workers.
 	Tiered bool
 	// Tracer, when set, records queue-wait and job-run spans for every
 	// background compile job on the library's pool.
@@ -156,9 +156,9 @@ func (l *Library) Drain() {
 func (l *Library) Repo() *repo.Repository { return l.repo }
 
 // submit is the only door to the compile pool: every compile an engine
-// starts — speculative precompile, miss, tier-up promotion, OSR
-// continuation — comes through it. background is the submitting engine's
-// policy, derived from its options. A synchronous engine (or any engine
+// starts — speculative precompile, miss, tier-up promotion — comes
+// through it. background is the submitting engine's policy, derived from
+// its options. A synchronous engine (or any engine
 // on a library without a pool) runs job on the calling goroutine and
 // gets a finished ticket, leaving no trace in QueueStats. Otherwise the
 // job is submitted single-flight under key() — formatted only on this

@@ -17,8 +17,9 @@ import (
 // actually write (sync, AsyncCompile, Tiered, and Production, which is
 // a JIT engine), columns the four compiling tiers, and every cell runs
 // the same programs through the same assertions. What a cell may differ
-// in is exactly what repoState.parks and background say: whether the
-// first call ran compiled code and whether the compile pool saw traffic.
+// in is exactly what repoState.parks and background say: whether a
+// loop-free function's first call ran compiled code and whether the
+// compile pool saw traffic.
 
 type policyRow struct {
 	name  string
@@ -98,23 +99,31 @@ func TestMissPolicies(t *testing.T) {
 			if !background && qs != (compilequeue.Stats{}) {
 				t.Fatalf("synchronous policy used the compile pool: %+v", qs)
 			}
-			if background && !parks && qs.Submitted+qs.Deduped == 0 {
-				t.Fatalf("a miss under AsyncCompile never reached the compile pool: %+v", qs)
+			if background && qs.Submitted+qs.Deduped == 0 {
+				t.Fatalf("a background miss never reached the compile pool: %+v", qs)
+			}
+			// The caller waited (inline or on the ticket): compiled code
+			// is published before the first call returns. work loops, so
+			// a parking engine compiled it too, what its promotion would.
+			if !hasCompiled(e, "work") {
+				t.Fatal("first call returned without a published compiled entry")
 			}
 			if parks {
+				checkFirstCall(t, e, "work", []*mat.Value{mat.Scalar(50)}, true)
+				// A loop-free function is parked: its first call interprets
+				// and compiles nothing.
+				if err := e.Define(sqSrc); err != nil {
+					t.Fatal(err)
+				}
+				payloadEqual(t, "cold sq", []*mat.Value{mustInterp(t, e, "sq", 3)}, []*mat.Value{callScalar(t, e, "sq", 3)})
+				checkFirstCall(t, e, "sq", []*mat.Value{mat.Scalar(3)}, false)
 				e.Drain()
-				if hasCompiled(e, "work") {
+				if hasCompiled(e, "sq") {
 					t.Fatal("compiled entry published after one cold call under the threshold")
 				}
 				if st := e.ProfileStats(); st.Entries != 1 {
 					t.Fatalf("profile entries = %d, want 1", st.Entries)
 				}
-				return
-			}
-			// The caller waited (inline or on the ticket): compiled code
-			// is published before the first call returns.
-			if !hasCompiled(e, "work") {
-				t.Fatal("first call returned without a published compiled entry")
 			}
 			// Exactly one entry once every job has landed, and a warm
 			// call hits it.
@@ -133,7 +142,7 @@ func TestMissPolicies(t *testing.T) {
 	})
 
 	// Same values as the interpreter, whatever the policy: the loop
-	// programs through warm-up, promotion and OSR and the differential
+	// programs through warm-up and promotion and the differential
 	// corpus, bit for bit (sameBitsAnyKind: the kind tag is not yet held
 	// to the interpreter's).
 	t.Run("results", func(t *testing.T) {
@@ -167,9 +176,9 @@ func TestMissPolicies(t *testing.T) {
 				for i, a := range p.args {
 					args[i] = mat.Scalar(a)
 				}
-				// Enough calls to cross promotion (and, on loopy programs,
-				// OSR) thresholds, draining in between so every execution
-				// mode runs: cold, mid-run transfer, compiled steady state.
+				// Enough calls to cross the promotion threshold, draining in
+				// between so every execution mode runs: cold, placeholder,
+				// compiled steady state.
 				for rep := 0; rep < DefaultTierThreshold+2; rep++ {
 					// The RNG is engine-global: re-seed so every rep replays
 					// the stream the reference consumed.
@@ -192,7 +201,7 @@ func TestMissPolicies(t *testing.T) {
 
 	// Production, the daemon's default, past its own threshold: the hot
 	// signature is promoted by a job on the pool into a body whose
-	// elementwise tree is one fused kernel. Through cold calls, OSR,
+	// elementwise tree is one fused kernel. Through cold calls,
 	// promotion and the promoted body, every differential program gives
 	// the bits of an unfused, synchronous tiered engine on the same
 	// schedule (fusion and the pool change no result) and agrees with the

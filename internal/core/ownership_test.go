@@ -9,8 +9,8 @@ import (
 
 // ownershipConfigs are the engine configurations the single-owner
 // invariant is checked under: plain jit, the speculative tier, and the
-// tiered pipeline with fusion (interpreter → OSR continuation →
-// promoted code, all in one engine).
+// tiered pipeline with fusion (compile-first code for a function that
+// loops, placeholder → promoted code for one that does not).
 var ownershipConfigs = []Options{
 	{Tier: TierJIT},
 	{Tier: TierSpec},
@@ -20,25 +20,24 @@ var ownershipConfigs = []Options{
 // checkOwnershipOf runs f under every configuration with the VM's
 // ownership hook installed by the caller. Three calls with a drain after
 // each re-enter the reused frames of the untiered engines; a tiered
-// engine makes one call past DefaultTierThreshold on the warmBackEdges
-// source, which takes it through profiling, OSR at the second iteration
-// of f's first loop, and promotion.
+// engine makes one call past DefaultTierThreshold, which takes a
+// loop-free function through its placeholder and promotion.
 func checkOwnershipOf(t *testing.T, src string, args func() []*mat.Value) {
 	t.Helper()
 	for _, opts := range ownershipConfigs {
 		opts.Seed = 12345
 		e := New(opts)
-		calls, body := 3, src
+		calls := 3
 		if opts.Tiered {
-			calls, body = DefaultTierThreshold+1, warmBackEdges(src)
+			calls = DefaultTierThreshold + 1
 		}
-		if err := e.Define(body); err != nil {
-			t.Fatalf("define: %v\n%s", err, body)
+		if err := e.Define(src); err != nil {
+			t.Fatalf("define: %v\n%s", err, src)
 		}
 		e.Precompile()
 		for call := 0; call < calls; call++ {
 			if _, err := e.Call("f", args(), 1); err != nil {
-				t.Fatalf("%+v call %d: %v\n%s", opts, call, err, body)
+				t.Fatalf("%+v call %d: %v\n%s", opts, call, err, src)
 			}
 			e.Drain()
 		}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/codegen"
-	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/mat"
 	"repro/internal/repo"
@@ -33,14 +32,16 @@ type repoState struct {
 	// parks and background are fixed from the engine's options — never
 	// from whether the library happens to own a pool: what a caller does
 	// on a miss, and whether this engine's jobs go to the pool at all.
-	// An engine that parks (jit with Tiered) never compiles for a miss:
-	// it parks a placeholder for the widened signature, which the call
+	// An engine that parks (jit with Tiered) parks a placeholder for the
+	// widened signature of a miss on a loop-free function, which the call
 	// and its successors interpret while the placeholder counts them
-	// toward its replacement (upgradeCause). Every other engine waits for
-	// its miss compile and runs the entry: the first caller pays the
-	// compile once and concurrent callers coalesce on its ticket. A
-	// synchronous engine's ticket is done when submit returns, so the
-	// paper reproductions' inline compile is the degenerate case.
+	// toward its replacement (upgradeCause); a function that loops it
+	// compiles at once, at QualityOpt, for that same widened signature.
+	// Every other miss waits for its compile and runs the entry: the
+	// first caller pays the compile once and concurrent callers coalesce
+	// on its ticket. A synchronous engine's ticket is done when submit
+	// returns, so the paper reproductions' inline compile is the
+	// degenerate case.
 	parks      bool
 	background bool
 	// clockHeld is 1 while an activation of a traced engine holds the
@@ -140,7 +141,7 @@ func (r *repoState) invoke(st *repo.FuncState, args []vm.Operand, nout int, call
 	sig := observedSig(buf[:0], args)
 	entry := r.r.LookupIn(st, sig)
 	switch {
-	case entry == nil && !r.parks:
+	case entry == nil && (!r.parks || st.Loops):
 		return r.miss(st, append(types.Signature(nil), sig...), args, nout, caller)
 	case entry == nil:
 		entry = r.park(st, sig)
@@ -183,11 +184,12 @@ const (
 	causeObservedClasses = "observed-classes"
 )
 
-// park is the miss of an engine that parks: it publishes a placeholder
-// for the widened signature — no compile, so the first call of anything
-// stays interpreter-fast — and returns the entry to run, the placeholder or
-// one a concurrent caller published first. When a redefinition moved the
-// generation the placeholder serves this one call unpublished.
+// park is the miss of an engine that parks, on a loop-free function: it
+// publishes a placeholder for the widened signature — no compile, so a
+// call that runs each statement once stays interpreter-fast — and returns
+// the entry to run, the placeholder or one a concurrent caller published
+// first. When a redefinition moved the generation the placeholder serves
+// this one call unpublished.
 func (r *repoState) park(st *repo.FuncState, sig types.Signature) *repo.Entry {
 	p := &repo.Entry{Sig: widen(sig), Quality: repo.QualityInterp, Placeholder: true}
 	if entry := r.r.Park(st.Fn.Name, p, st.Gen, sig); entry != nil {
@@ -320,7 +322,9 @@ func (r *repoState) specialise(st *repo.FuncState, old *repo.Entry, csig types.S
 // the repository has already compiled this function for the same
 // intrinsic kinds: without widening, recursive calls such as
 // fibonacci(n-1) would compile one version per distinct constant
-// argument.
+// argument. An engine that parks reaches here only for a function that
+// loops, and compiles what promoting its placeholder would: the widened
+// signature, at QualityOpt.
 func (r *repoState) miss(st *repo.FuncState, sig types.Signature, args []vm.Operand, nout int, caller *vm.Frame) ([]vm.Operand, error) {
 	e := r.e
 	// A concurrent caller's compile (or a redefinition) may have landed
@@ -336,16 +340,18 @@ func (r *repoState) miss(st *repo.FuncState, sig types.Signature, args []vm.Oper
 		}
 	}
 	csig := sig
-	if st.SameKinds(sig) {
+	if r.parks || st.SameKinds(sig) {
 		csig = widen(sig)
 	}
 	var po pipelineOpts // TierJIT, and TierSpec's runtime fallback
-	switch e.opts.Tier {
-	case TierMCC:
+	switch {
+	case r.parks:
+		po = pipelineOpts{optimize: true}
+	case e.opts.Tier == TierMCC:
 		// Generic batch compilation: every parameter typed ⊤.
 		csig = topSignature(len(sig))
 		po = pipelineOpts{generic: true}
-	case TierFalcon:
+	case e.opts.Tier == TierFalcon:
 		po = pipelineOpts{optimize: true}
 	}
 
@@ -420,8 +426,7 @@ func (r *repoState) leave(name string, t0 time.Time, nout int, outs []vm.Operand
 
 // runEntry executes one invocation through entry, an entry of st:
 // compiled code on the VM, or the interpreter for an interpret-only
-// entry, which on a tiered engine runs with a Frame so its hot loops can
-// transfer into compiled code (osr.go). A compiled activation whose
+// entry, which runs to completion there. A compiled activation whose
 // return-type guard misses (vm.ErrGuardMiss) is abandoned and the call
 // re-run in the interpreter — invisible, because only replay-safe
 // functions are compiled with guards. A speculative entry is then
@@ -462,15 +467,11 @@ func (r *repoState) interpret(entry *repo.Entry, st *repo.FuncState, args []vm.O
 			r.r.Replace(fn.Name, entry, &repo.Entry{Sig: entry.Sig, Quality: repo.QualityInterp})
 		}
 	}
-	var fr *interp.Frame
 	if r.parks && entry.Quality == repo.QualityInterp {
-		fr = &interp.Frame{Fn: fn, Nout: nout, Host: e, Gen: st.Gen, Threshold: DefaultTierThreshold, Entry: entry}
+		e.lib.profiles.CountActivation()
 	}
 	var buf [sigBuf]*mat.Value
-	vals, err := e.in.CallFunction(fn, vm.BoxAll(buf[:0], args), nout, e.globals, fr)
-	if fr != nil {
-		e.lib.profiles.CountActivation(fr.BackEdges())
-	}
+	vals, err := e.in.CallFunction(fn, vm.BoxAll(buf[:0], args), nout, e.globals)
 	return vm.Boxed(nil, vals), err
 }
 

@@ -56,7 +56,7 @@ func (e *Engine) inferWithSummaries(fn, work *ast.Function, sig types.Signature,
 	params map[string]types.Type, po pipelineOpts, out *compiled) *infer.Result {
 	opts := e.inferOptsFor(po)
 	s := &summaries{r: e.lib.repo, self: fn.Name, family: widen(sig), assume: types.Bottom}
-	if po.generic || po.boxedCalls || !s.replaySafe(work) {
+	if po.generic || !s.replaySafe(work) {
 		return infer.Forward(g, params, opts)
 	}
 	opts.UserFnType = s.resultType

@@ -13,10 +13,11 @@ import (
 	"repro/internal/types"
 )
 
-// The tiered-execution suite: profile-guided promotion, on-stack
-// replacement, and the invariants the tiering pipeline must preserve —
-// results bit-identical with tiering on or off, deopts never wrong, and
-// interrupted requests never leaking half-built state.
+// The tiered-execution suite: compile-first for functions that loop,
+// placeholders and profile-guided promotion for the rest, and the
+// invariants the tiering pipeline must preserve — results bit-identical
+// with tiering on or off, and interrupted requests never leaking
+// half-built state.
 
 const hotForSrc = `
 function s = hotfor(n)
@@ -37,6 +38,32 @@ function s = hotwhile(n)
   end
   s = s - n;
 end`
+
+// sqSrc is loop-free: a tiered engine parks a placeholder for it and
+// promotes the placeholder on its DefaultTierThreshold-th call.
+const sqSrc = `
+function y = sq(x)
+  y = x*x + 1;
+end`
+
+// checkFirstCall checks what a tiered engine's first call of fn with
+// args published: code compiled at QualityOpt for the widened signature
+// when fn loops, which is what that call ran (a miss runs the entry it
+// waited for), and a placeholder at the same signature otherwise.
+func checkFirstCall(t *testing.T, e *Engine, fn string, args []*mat.Value, loops bool) {
+	t.Helper()
+	want := widen(types.SignatureOf(args)).Key()
+	entries := e.Repo().Entries(fn)
+	if len(entries) != 1 || entries[0].Sig.Key() != want {
+		t.Fatalf("%s after its first call: %v, want one entry at %s", fn, entries, want)
+	}
+	switch en := entries[0]; {
+	case loops && (en.Code == nil || en.Quality != repo.QualityOpt || en.Speculative):
+		t.Fatalf("%s loops, and its first call published %+v, not QualityOpt code", fn, en)
+	case !loops && !en.Placeholder:
+		t.Fatalf("%s is loop-free, and its first call published %+v, not a placeholder", fn, en)
+	}
+}
 
 func newTiered(t *testing.T) *Engine {
 	t.Helper()
@@ -101,89 +128,59 @@ func callScalar(t *testing.T, e *Engine, name string, arg float64) *mat.Value {
 	return outs[0]
 }
 
-// TestTieredPromotion drives a signature past the threshold and checks
-// the background tier-up: a QualityOpt entry appears, the promotion is
-// counted, and later calls hit it.
+// TestTieredPromotion drives both first-call paths of a tiered engine:
+// a loop-free function's placeholder is replaced by a QualityOpt entry on
+// the DefaultTierThreshold-th call, a promotion that later calls hit,
+// and a function that loops has that entry from its first call on,
+// without a promotion.
 func TestTieredPromotion(t *testing.T) {
 	e := newTiered(t)
-	if err := e.Define(hotForSrc); err != nil {
-		t.Fatal(err)
-	}
-	want := mustInterp(t, e, "hotfor", 5)
-	for i := 0; i < DefaultTierThreshold; i++ {
-		got := callScalar(t, e, "hotfor", 5)
-		payloadEqual(t, "warming call", []*mat.Value{want}, []*mat.Value{got})
-	}
-	e.Drain()
-	var opt bool
-	for _, en := range e.Repo().Entries("hotfor") {
-		if en.Quality == repo.QualityOpt && en.Code != nil {
-			opt = true
+	for _, src := range []string{sqSrc, hotForSrc} {
+		if err := e.Define(src); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !opt {
-		t.Fatal("no QualityOpt entry after crossing the promotion threshold")
+	args := []*mat.Value{mat.Scalar(5)}
+	want := mustInterp(t, e, "sq", 5)
+	for i := 0; i < DefaultTierThreshold; i++ {
+		got := callScalar(t, e, "sq", 5)
+		payloadEqual(t, "warming call", []*mat.Value{want}, []*mat.Value{got})
+		if i == 0 {
+			checkFirstCall(t, e, "sq", args, false)
+		}
 	}
-	if st := e.ProfileStats(); st.Promotions < 1 {
-		t.Fatalf("promotions = %d, want >= 1", st.Promotions)
+	e.Drain()
+	entries := e.Repo().Entries("sq")
+	if len(entries) != 1 || entries[0].Quality != repo.QualityOpt || entries[0].Code == nil {
+		t.Fatalf("sq after crossing the promotion threshold: %v, want one QualityOpt entry", entries)
+	}
+	if st := e.ProfileStats(); st.Promotions != 1 || st.Entries != DefaultTierThreshold {
+		t.Fatalf("promotions %d, interpreted activations %d; want 1 and %d", st.Promotions, st.Entries, DefaultTierThreshold)
 	}
 	hitsBefore := e.Repo().Stats().Hits
-	got := callScalar(t, e, "hotfor", 5)
+	got := callScalar(t, e, "sq", 5)
 	payloadEqual(t, "post-promotion call", []*mat.Value{want}, []*mat.Value{got})
 	if hits := e.Repo().Stats().Hits; hits <= hitsBefore {
 		t.Fatalf("post-promotion call did not hit the compiled entry (hits %d -> %d)", hitsBefore, hits)
 	}
+
+	want = mustInterp(t, e, "hotfor", 5)
+	for i := 0; i <= DefaultTierThreshold; i++ {
+		got := callScalar(t, e, "hotfor", 5)
+		payloadEqual(t, "hotfor call", []*mat.Value{want}, []*mat.Value{got})
+		if i == 0 {
+			checkFirstCall(t, e, "hotfor", args, true)
+		}
+		e.Drain()
+	}
+	if st := e.ProfileStats(); st.Promotions != 1 || st.Entries != DefaultTierThreshold {
+		t.Fatalf("hotfor was promoted or interpreted: %+v", st)
+	}
 }
 
-// osrOnce drives the deterministic OSR sequence for one function: the
-// first call's back-edges cross the threshold and enqueue the
-// continuation compile, Drain lands it, and the second call transfers
-// mid-loop. Returns the second call's result.
-func osrOnce(t *testing.T, e *Engine, name string, n float64) *mat.Value {
-	t.Helper()
-	callScalar(t, e, name, n)
-	e.Drain()
-	if st := e.ProfileStats(); st.OSRCompiles < 1 {
-		t.Fatalf("%s: no OSR continuation compiled after first hot call (requests %d, failed compile?)",
-			name, st.OSRRequests)
-	}
-	before := e.ProfileStats().OSRTransfers
-	out := callScalar(t, e, name, n)
-	if after := e.ProfileStats().OSRTransfers; after <= before {
-		t.Fatalf("%s: second hot call did not OSR-transfer (transfers %d -> %d, deopts %d)",
-			name, before, after, e.ProfileStats().OSRDeopts)
-	}
-	return out
-}
-
-// TestTieredOSRForLoop checks the counted-loop transfer: a hot for
-// range activation resumes in compiled code mid-run and produces the
-// interpreter's bits, including the post-loop tail.
-func TestTieredOSRForLoop(t *testing.T) {
-	e := newTiered(t)
-	if err := e.Define(hotForSrc); err != nil {
-		t.Fatal(err)
-	}
-	want := mustInterp(t, e, "hotfor", 500)
-	got := osrOnce(t, e, "hotfor", 500)
-	payloadEqual(t, "for OSR", []*mat.Value{want}, []*mat.Value{got})
-}
-
-// TestTieredOSRWhileLoop checks the while transfer: the continuation
-// starts at the loop header and re-evaluates the condition.
-func TestTieredOSRWhileLoop(t *testing.T) {
-	e := newTiered(t)
-	if err := e.Define(hotWhileSrc); err != nil {
-		t.Fatal(err)
-	}
-	want := mustInterp(t, e, "hotwhile", 400)
-	got := osrOnce(t, e, "hotwhile", 400)
-	payloadEqual(t, "while OSR", []*mat.Value{want}, []*mat.Value{got})
-}
-
-// TestTieredRedefinitionNeverResurrects: after a continuation is
-// published, redefining the function must make it unreachable — the new
-// body's results, never the old code's.
+// TestTieredRedefinitionNeverResurrects: after the first call published
+// compiled code, redefining the function must make it unreachable — the
+// new body's results, never the old code's.
 func TestTieredRedefinitionNeverResurrects(t *testing.T) {
 	e := newTiered(t)
 	if err := e.Define(hotForSrc); err != nil {
@@ -208,12 +205,14 @@ end`
 	payloadEqual(t, "redefined", []*mat.Value{want}, []*mat.Value{got})
 }
 
-// TestTieredKillAtOSRSafepoint is the deadline-kill × background-
-// recompile interaction: a request interrupted while interpreting a hot
-// loop (i.e. at the very safepoints that offer OSR) must abort promptly,
-// leak no pending tier-up past Drain, publish no half-built entry, and
-// leave the engine able to tier up normally afterwards.
-func TestTieredKillAtOSRSafepoint(t *testing.T) {
+// TestTieredKillDuringFirstCall is the deadline-kill × background-
+// compile interaction: the first call of a function that loops compiles
+// on the pool and runs that code, and a kill landing in the compile or in
+// the compiled loop (at the back-edge safepoint that polls the cancel
+// flag) must abort promptly, leak no pending compile past Drain, publish
+// no half-built entry, and leave the engine computing the interpreter's
+// bits in compiled code afterwards.
+func TestTieredKillDuringFirstCall(t *testing.T) {
 	e := newTiered(t)
 	if err := e.Define(hotWhileSrc); err != nil {
 		t.Fatal(err)
@@ -237,9 +236,8 @@ func TestTieredKillAtOSRSafepoint(t *testing.T) {
 	}
 	e.ResetInterrupt()
 
-	// Any tier-up or OSR compile the killed request enqueued must be
-	// fully resolved by Drain — published whole or dropped, never
-	// pending, never partial.
+	// The compile the killed request submitted must be fully resolved by
+	// Drain — published whole or dropped, never pending, never partial.
 	e.Drain()
 	for _, en := range e.Repo().Entries("hotwhile") {
 		if en.Quality != repo.QualityInterp && en.Code == nil {
@@ -250,11 +248,18 @@ func TestTieredKillAtOSRSafepoint(t *testing.T) {
 		t.Fatalf("leaked pending compile after Drain: %+v", qs)
 	}
 
-	// The engine must recover: the same workload tiers up and agrees
-	// with the interpreter.
+	// The engine must recover: the same function runs compiled code and
+	// agrees with the interpreter.
 	want := mustInterp(t, e, "hotwhile", 400)
-	got := osrOnce(t, e, "hotwhile", 400)
-	payloadEqual(t, "post-kill OSR", []*mat.Value{want}, []*mat.Value{got})
+	hits := e.Repo().Stats().Hits
+	got := callScalar(t, e, "hotwhile", 400)
+	payloadEqual(t, "post-kill call", []*mat.Value{want}, []*mat.Value{got})
+	if e.Repo().Stats().Hits != hits+1 || !hasCompiled(e, "hotwhile") {
+		t.Fatalf("post-kill call did not run the compiled entry: %v", e.Repo().Entries("hotwhile"))
+	}
+	if n := e.ProfileStats().Entries; n != 0 {
+		t.Fatalf("%d interpreted activations of a function that loops", n)
+	}
 }
 
 // TestTieredThreadCountBitIdentity runs the parallel-kernel workload
@@ -321,7 +326,7 @@ func TestGuardMissRecompilesBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	qe := lib.Repo().Entries("q")[0]
-	lib.Repo().Replace("q", qe, &repo.Entry{Sig: widen(qe.Sig), Code: qe.Code, Quality: qe.Quality, Ret: []types.Type{intScalarType()}})
+	lib.Repo().Replace("q", qe, &repo.Entry{Sig: widen(qe.Sig), Code: qe.Code, Quality: qe.Quality, Ret: []types.Type{types.ScalarOf(types.IInt, types.RangeTop)}})
 
 	prod := Production()
 	prod.Library = lib

@@ -208,8 +208,8 @@ func describeValue(v *mat.Value) string {
 }
 
 // TestTypedCallsMatchBoxedCalls runs every pairing through every tier
-// under both miss policies and every pool setting — so through cold, interpreted, profiled,
-// OSR-entered and warm compiled calls alike — and demands the
+// under both miss policies and every pool setting — so through cold, interpreted, profiled
+// and warm compiled calls alike — and demands the
 // interpreter's answer bit for bit, kind included: registers crossing a
 // call must be invisible.
 func TestTypedCallsMatchBoxedCalls(t *testing.T) {

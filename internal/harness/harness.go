@@ -30,7 +30,7 @@ type Config struct {
 	Benchmarks []string
 	Seed       uint64
 	// Tracer, when set, receives per-eval spans (parse, disambiguation,
-	// type inference, codegen, queue wait, exec, tier-up, OSR) from
+	// type inference, codegen, queue wait, exec, tier-up) from
 	// every engine the harness builds — the -trace=FILE flight-recorder
 	// path. Nil keeps measurement engines untraced (paper mode).
 	Tracer *telemetry.Tracer

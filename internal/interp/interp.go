@@ -62,11 +62,6 @@ type Env struct {
 	vars    map[string]*mat.Value
 	globals map[string]*mat.Value // engine-wide global workspace
 	isGlob  map[string]bool
-	// frame is the tiered-execution state of this activation (nil for
-	// untiered calls and the interactive workspace): loop safepoints
-	// feed its back-edge counter and may transfer the activation into
-	// compiled code (see osr.go).
-	frame *Frame
 }
 
 // NewEnv returns an empty environment sharing the given global space.
@@ -110,9 +105,6 @@ const (
 	ctlBreak
 	ctlContinue
 	ctlReturn
-	// ctlOSR unwinds an activation whose loop transferred to compiled
-	// code: the frame already holds the function's outputs.
-	ctlOSR
 )
 
 // posErr annotates a runtime error with a source position once.
@@ -200,16 +192,6 @@ func (in *Interp) execStmt(s ast.Stmt, env *Env) (ctl, error) {
 			if err := in.checkCancel(); err != nil {
 				return ctlNone, posErr(x.Cond.Pos(), err)
 			}
-			// Back-edge safepoint: same site as the cancel poll. A hot
-			// tiered activation may transfer into compiled code here —
-			// at the header, before the condition, so the continuation
-			// (which starts with this while) re-evaluates it.
-			if fr := env.frame; fr != nil && fr.tick() {
-				c, err := fr.offer(x, env, nil)
-				if err != nil || c == ctlOSR {
-					return c, err
-				}
-			}
 			v, err := in.eval(x.Cond, env)
 			if err != nil {
 				return ctlNone, posErr(x.Cond.Pos(), err)
@@ -224,7 +206,7 @@ func (in *Interp) execStmt(s ast.Stmt, env *Env) (ctl, error) {
 			if c == ctlBreak {
 				return ctlNone, nil
 			}
-			if c == ctlReturn || c == ctlOSR {
+			if c == ctlReturn {
 				return c, nil
 			}
 		}
@@ -329,16 +311,6 @@ func (in *Interp) execFor(x *ast.For, env *Env) (ctl, error) {
 			if err := in.checkCancel(); err != nil {
 				return ctlNone, posErr(x.P, err)
 			}
-			// Back-edge safepoint (same site as the cancel poll). The
-			// transfer point is the top of iteration k, before the loop
-			// variable is bound: a continuation resumes with iterations
-			// k..n, re-deriving v = lo + j*step exactly as below.
-			if fr := env.frame; fr != nil && fr.tick() {
-				c, err := fr.offer(x, env, &ForOSR{Var: x.Var, Lo: lo, Step: step, K: k, N: n})
-				if err != nil || c == ctlOSR {
-					return c, err
-				}
-			}
 			v := lo + float64(k)*step
 			env.Bind(x.Var, mat.Scalar(v))
 			c, err := in.execBlock(x.Body, env)
@@ -348,7 +320,7 @@ func (in *Interp) execFor(x *ast.For, env *Env) (ctl, error) {
 			if c == ctlBreak {
 				return ctlNone, nil
 			}
-			if c == ctlReturn || c == ctlOSR {
+			if c == ctlReturn {
 				return c, nil
 			}
 		}
@@ -362,12 +334,6 @@ func (in *Interp) execFor(x *ast.For, env *Env) (ctl, error) {
 	for c := 0; c < iter.Cols(); c++ {
 		if err := in.checkCancel(); err != nil {
 			return ctlNone, posErr(x.P, err)
-		}
-		// Column iteration counts toward hotness (promotion) but never
-		// transfers: the materialized iterator has no compact induction
-		// state to hand to a continuation.
-		if fr := env.frame; fr != nil {
-			fr.tick()
 		}
 		col := mat.NewKind(iter.Kind(), iter.Rows(), 1)
 		for r := 0; r < iter.Rows(); r++ {
@@ -384,7 +350,7 @@ func (in *Interp) execFor(x *ast.For, env *Env) (ctl, error) {
 		if cl == ctlBreak {
 			return ctlNone, nil
 		}
-		if cl == ctlReturn || cl == ctlOSR {
+		if cl == ctlReturn {
 			return cl, nil
 		}
 	}

@@ -686,3 +686,39 @@ func TestScalarFastPathMatchesElementwiseLoop(t *testing.T) {
 		t.Fatalf("complex scalar add: %v %v", z, err)
 	}
 }
+
+// TestFromColMajorRejectsBadShapes: a negative shape, an element count
+// that overflows int (2³²×2³² wraps to 0 elements) and data shorter than
+// the shape, a Complex value's imaginary part included, panic instead of
+// building a value whose reads run off its data.
+func TestFromColMajorRejectsBadShapes(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		kind       Kind
+		rows, cols int
+		re, im     []float64
+		ok         bool
+	}{
+		{"2^32 x 2^32", Real, 1 << 32, 1 << 32, nil, nil, false},
+		{"-1 x 3", Real, -1, 3, []float64{1, 2, 3}, nil, false},
+		{"3 x -1", Real, 3, -1, nil, nil, false},
+		{"short re", Real, 2, 2, []float64{1, 2, 3}, nil, false},
+		{"short im", Complex, 1, 3, []float64{1, 2, 3}, []float64{1}, false},
+		{"complex without im", Complex, 1, 2, []float64{1, 2}, nil, false},
+		{"2 x 2", Real, 2, 2, []float64{1, 2, 3, 4}, nil, true},
+		{"1 x 2 complex", Complex, 1, 2, []float64{1, 2}, []float64{3, 4}, true},
+		{"0 x 2^40", Real, 0, 1 << 40, nil, nil, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); (r == nil) != tc.ok {
+					t.Fatalf("FromColMajor(%v, %d, %d, %d re, %d im): panic %v, want ok %v", tc.kind, tc.rows, tc.cols, len(tc.re), len(tc.im), r, tc.ok)
+				}
+			}()
+			v := FromColMajor(tc.kind, tc.rows, tc.cols, tc.re, tc.im)
+			if v.Rows() != tc.rows || v.Cols() != tc.cols {
+				t.Fatalf("shape %dx%d, want %dx%d", v.Rows(), v.Cols(), tc.rows, tc.cols)
+			}
+		})
+	}
+}

@@ -13,6 +13,7 @@ package mat
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 )
@@ -180,9 +181,14 @@ func FromSlice(rows, cols int, rowMajor []float64) *Value {
 	return v
 }
 
-// FromColMajor wraps column-major data directly (no copy).
+// FromColMajor wraps column-major data directly (no copy). It panics on
+// a negative shape, on an element count that overflows int, and on re,
+// or for a Complex value im, shorter than the element count.
 func FromColMajor(kind Kind, rows, cols int, re, im []float64) *Value {
-	if len(re) < rows*cols {
+	if rows < 0 || cols < 0 || cols > 0 && rows > math.MaxInt/cols {
+		panic("mat: FromColMajor: bad shape")
+	}
+	if n := rows * cols; len(re) < n || kind == Complex && len(im) < n {
 		panic("mat: FromColMajor: short data")
 	}
 	return &Value{kind: kind, rows: rows, cols: cols, re: re, im: im}

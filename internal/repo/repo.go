@@ -16,7 +16,7 @@
 // (read-copy-update), so a reader's one load is always a consistent cut:
 // it can never pair one generation's definition with another
 // generation's code. An *Entry is immutable once published except for
-// its counters and its OSR sites, which are synchronised, so entries
+// its counters, which are atomic, so entries
 // handed out by Lookup/Entries can be read (and their code executed)
 // from any goroutine. Upgrades never mutate a published entry's code in place —
 // they swap in a replacement entry via Replace. Asynchronous compile
@@ -105,9 +105,6 @@ type Entry struct {
 	// better: every call a placeholder serves, the calls that bring a
 	// speculative entry a narrower class than it holds.
 	upgrade atomic.Int64
-	// osr is the engine's on-stack-replacement state for the loops of the
-	// calls an interpret-only entry serves, keyed by loop statement.
-	osr sync.Map
 }
 
 // Hits returns the number of Lookup hits this entry has served.
@@ -118,11 +115,6 @@ func (e *Entry) Hits() int64 { return e.hits.Load() }
 // starts again from zero.
 func (e *Entry) CountUpgrade() int64 { return e.upgrade.Add(1) }
 
-// OSRSites is the entry's table of on-stack-replacement sites, keyed by
-// loop statement: the engine's, opaque to the repository, and dropped
-// with the entry.
-func (e *Entry) OSRSites() *sync.Map { return &e.osr }
-
 // FuncState is everything the repository knows about one function name
 // at one instant. A published FuncState is never modified; readers hold
 // it as long as they like.
@@ -131,6 +123,9 @@ type FuncState struct {
 	// Insert — the repository works standalone, without sources).
 	Fn      *ast.Function
 	SrcHash uint64
+	// Loops reports whether Fn's body holds a for or while loop, decided
+	// once per definition (Define).
+	Loops bool
 	// Gen advances on every Define and Invalidate of the name.
 	Gen     uint64
 	Entries []*Entry
@@ -444,7 +439,7 @@ func (r *Repository) Define(fn *ast.Function, srcHash uint64) {
 	r.mu.Lock()
 	slot := r.slotLocked(fn.Name)
 	old := slot.state.Load()
-	slot.state.Store(&FuncState{Fn: fn, SrcHash: srcHash, Gen: old.Gen + 1})
+	slot.state.Store(&FuncState{Fn: fn, SrcHash: srcHash, Loops: ast.HasLoop(fn.Body), Gen: old.Gen + 1})
 	if len(old.Entries) > 0 {
 		r.stats.Invalidation++
 	}
@@ -472,7 +467,7 @@ func (r *Repository) Invalidate(name string) {
 func (r *Repository) invalidateLocked(name string) {
 	slot := r.slotLocked(name)
 	old := slot.state.Load()
-	slot.state.Store(&FuncState{Fn: old.Fn, SrcHash: old.SrcHash, Gen: old.Gen + 1})
+	slot.state.Store(&FuncState{Fn: old.Fn, SrcHash: old.SrcHash, Loops: old.Loops, Gen: old.Gen + 1})
 	if len(old.Entries) > 0 {
 		r.stats.Invalidation++
 	}

@@ -105,6 +105,7 @@ func FuzzWorkspaceSet(f *testing.F) {
 	f.Add([]byte(`{"rows":-1,"cols":-1,"kind":"double","re":[1]}`))
 	f.Add([]byte(`{"rows":1,"cols":2,"kind":"double","re":[1,2],"im":[3]}`))
 	f.Add([]byte(`{"rows":1e30,"cols":1}`))
+	f.Add(bytes.Repeat([]byte{' '}, maxWorkspaceBytes+1)) // 413 before it is read
 	srv, id := fuzzServer(f)
 	path := "/sessions/" + id + "/workspace/x"
 	f.Fuzz(func(t *testing.T, body []byte) {

@@ -25,6 +25,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -276,8 +277,38 @@ type errorBody struct {
 	// "no_session" (unknown or closed session: a client must create a
 	// new one and rebuild its workspace) while a missing workspace
 	// variable is "no_variable" (the session lives on). A create refused
-	// by a draining daemon is "draining".
-	Kind string `json:"kind,omitempty"` // "timeout" | "saturated" | "no_session" | "no_variable" | "draining"
+	// by a draining daemon is "draining", and a request body past its
+	// limit "too_large".
+	Kind string `json:"kind,omitempty"` // "timeout" | "saturated" | "no_session" | "no_variable" | "draining" | "too_large"
+}
+
+// Request body limits: an eval body carries one program's source, a
+// workspace PUT one value's elements as JSON numbers.
+const (
+	maxEvalBytes      = 1 << 20
+	maxWorkspaceBytes = 64 << 20
+)
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes.
+// When the body is too large (413, before reading any of it when its
+// declared length already is) or does not decode (400), it answers the
+// request itself and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	var err error
+	if r.ContentLength > limit {
+		err = &http.MaxBytesError{Limit: limit}
+	} else {
+		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	}
+	if err == nil {
+		return true
+	}
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", limit), Kind: "too_large"})
+	} else {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+	}
+	return false
 }
 
 // --- session lifecycle -------------------------------------------------------
@@ -344,8 +375,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req evalRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, maxEvalBytes, &req) {
 		return
 	}
 
@@ -419,8 +449,7 @@ func (s *Server) handleWorkspaceSet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var wv workspaceValue
-	if err := json.NewDecoder(r.Body).Decode(&wv); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, maxWorkspaceBytes, &wv) {
 		return
 	}
 	if err := sess.workspaceSet(r.PathValue("name"), &wv); err != nil {
@@ -455,9 +484,8 @@ type MetricsSnapshot struct {
 	} `json:"evals"`
 	Repo  repo.Stats         `json:"repo"`
 	Queue compilequeue.Stats `json:"queue"`
-	// Profile reports the tiering pipeline: safepoint counts, promotions
-	// to QualityOpt, and on-stack-replacement activity. All zero when no
-	// session runs tiered.
+	// Profile reports the tiering pipeline: interpreted activations and
+	// promotions to QualityOpt. All zero when no session runs tiered.
 	Profile  profile.Stats `json:"profile"`
 	Parallel struct {
 		Threads int `json:"threads" metric:"majic_parallel_threads,gauge" help:"Worker threads configured for parallel loops."`
@@ -541,7 +569,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents serves the tiering event journal: promotions,
-// evictions, snapshot I/O, and cause-attributed OSR deopts.
+// evictions, snapshot I/O, and return-guard deopts.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"total":  s.journal.Total(),

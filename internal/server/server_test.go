@@ -600,7 +600,7 @@ func TestFlightRecorderEndpoints(t *testing.T) {
 	}
 	for _, want := range []string{
 		"majic_repo_lookups_total", "majic_queue_submitted_total",
-		"majic_profile_entries_total", "majic_osr_deopts_total",
+		"majic_profile_entries_total", "majic_tier_promotions_total",
 		"majic_persist_enabled", "majic_evals_total",
 		"majic_route_latency_seconds_bucket", "majic_sessions_active",
 	} {
@@ -701,5 +701,56 @@ func TestDefaultDaemonRunsProduction(t *testing.T) {
 				t.Fatalf("repo %+v: evictions under the cap = %v, want %v", m.Repo, m.Repo.Evictions >= 1, row.evict)
 			}
 		})
+	}
+}
+
+// repeatByte reads as an endless run of one byte.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestRequestBodiesAreBounded: an eval body past maxEvalBytes and a
+// workspace body past maxWorkspaceBytes get a 413 with an errorBody of
+// kind too_large, whether the length is declared up front or the body
+// streams past the limit, and the session evaluates on afterwards.
+func TestRequestBodiesAreBounded(t *testing.T) {
+	srv := New(Options{Engine: core.Options{Tier: core.TierJIT}})
+	defer srv.Shutdown(context.Background())
+	rec := serve(t, srv, "POST", "/sessions", nil)
+	var sess struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &sess); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		method, path, prefix string
+		limit                int64
+	}{
+		{"POST", "/sessions/" + sess.ID + "/eval", `{"src":"x = 1; % `, maxEvalBytes},
+		{"PUT", "/sessions/" + sess.ID + "/workspace/w", `{"rows":1,"cols":1,"kind":"double","re":[1],"name":"`, maxWorkspaceBytes},
+	} {
+		for _, declared := range []bool{true, false} {
+			n := int64(len(tc.prefix)) + tc.limit
+			req := httptest.NewRequest(tc.method, tc.path, io.MultiReader(strings.NewReader(tc.prefix), io.LimitReader(repeatByte('a'), tc.limit)))
+			if declared {
+				req.ContentLength = n
+			}
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, req)
+			var eb errorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || rec.Code != http.StatusRequestEntityTooLarge || eb.Kind != "too_large" {
+				t.Fatalf("%s %s, %d bytes (declared %v): %d %s, want 413 too_large", tc.method, tc.path, n, declared, rec.Code, rec.Body)
+			}
+		}
+	}
+	body, _ := json.Marshal(evalRequest{Src: "x = 6 * 7"})
+	if rec := serve(t, srv, "POST", "/sessions/"+sess.ID+"/eval", body); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "42") {
+		t.Fatalf("eval after the refused bodies: %d %s", rec.Code, rec.Body)
 	}
 }

@@ -155,8 +155,10 @@ func (s *session) workspaceGet(name string) (v *workspaceValue, ok bool) {
 }
 
 // workspaceSet binds a variable in the session workspace from its JSON
-// shape. The load generator uses this to install benchmark arguments
-// without serializing large matrices into MATLAB source.
+// shape, taking the slices wv decoded into: the request owns them and
+// keeps no other reference. The load generator uses this to install
+// benchmark arguments without serializing large matrices into MATLAB
+// source.
 func (s *session) workspaceSet(name string, wv *workspaceValue) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -182,9 +184,9 @@ func (s *session) workspaceSet(name string, wv *workspaceValue) error {
 				return fmt.Errorf("imaginary part has %d elements, want %d", len(wv.Im), n)
 			}
 			kind = mat.Complex
-			im = append([]float64(nil), wv.Im...)
+			im = wv.Im
 		}
-		v = mat.FromColMajor(kind, wv.Rows, wv.Cols, append([]float64(nil), wv.Re...), im)
+		v = mat.FromColMajor(kind, wv.Rows, wv.Cols, wv.Re, im)
 	}
 	s.eng.SetWorkspace(name, v)
 	return nil

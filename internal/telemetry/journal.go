@@ -21,36 +21,24 @@ const (
 	EventSnapshotLoad EventKind = "snapshot_load"
 	// EventSnapshotFlush: the write-behind writer flushed a snapshot.
 	EventSnapshotFlush EventKind = "snapshot_flush"
-	// EventDeopt: an OSR transfer, or a compiled activation whose
-	// return-type guard missed, was abandoned; Cause says which guard
-	// failed (see the Cause* constants).
+	// EventDeopt: a compiled activation whose return-type guard missed
+	// was abandoned and re-run in the interpreter (CauseReturnGuard).
 	EventDeopt EventKind = "deopt"
-	// EventOSRCompile: a hot loop requested an OSR specialisation.
-	EventOSRCompile EventKind = "osr_compile"
-	// EventOSRTransfer: interpreter state moved onto compiled code
-	// mid-loop.
-	EventOSRTransfer EventKind = "osr_transfer"
 	// EventReplication: a repository entry compiled on a cluster peer
 	// was applied locally (Cause "peer-apply", Detail names the origin
 	// node).
 	EventReplication EventKind = "replication"
 )
 
-// Deopt causes — one per guard in core.osrTransfer plus the return-type
-// guard of typed calls, so every deopt in the journal names the specific
-// check that failed.
-const (
-	CauseGeneration      = "generation-mismatch" // code generation advanced under the loop
-	CauseBindingGuard    = "binding-guard"       // loop variable bindings didn't match the compiled frame
-	CauseRangeGuard      = "range-guard"         // runtime values escaped the inferred ranges
-	CauseBudgetExhausted = "budget-exhausted"    // repeated deopts disabled OSR for the site
-	CauseReturnGuard     = "return-guard"        // a callee's result was not the scalar its return summary promised; the activation re-ran interpreted
-)
+// CauseReturnGuard is the one deopt cause: a callee's result was not the
+// scalar its return summary promised, and the activation re-ran
+// interpreted.
+const CauseReturnGuard = "return-guard"
 
 // Event is one journal entry. Func/Sig identify the compiled unit,
 // Cause explains the transition, Gen is the repository generation
 // involved, Detail is free-form context (victim signature, entry
-// counts, loop id).
+// counts).
 type Event struct {
 	Seq          int64     `json:"seq"`
 	TimeUnixNano int64     `json:"time_unix_nano"`

@@ -213,15 +213,15 @@ func TestTracerWriteJSON(t *testing.T) {
 
 func TestJournalRingSeqAndCauses(t *testing.T) {
 	j := NewJournal(3)
-	causes := []string{CauseGeneration, CauseBindingGuard, CauseRangeGuard, CauseBudgetExhausted}
+	causes := []string{"hot-signature", CauseReturnGuard, "observed-classes", CauseReturnGuard}
 	for _, c := range causes {
-		j.Record(Event{Kind: EventDeopt, Func: "hotloop", Sig: "(f64)", Cause: c})
+		j.Record(Event{Kind: EventPromotion, Func: "hot", Sig: "(f64)", Cause: c})
 	}
 	if j.Len() != 3 || j.Total() != 4 {
 		t.Fatalf("Len=%d Total=%d, want 3/4", j.Len(), j.Total())
 	}
 	evs := j.Events()
-	if evs[0].Cause != CauseBindingGuard || evs[2].Cause != CauseBudgetExhausted {
+	if evs[0].Cause != CauseReturnGuard || evs[1].Cause != "observed-classes" {
 		t.Fatalf("ring order wrong: %+v", evs)
 	}
 	for i, ev := range evs {

@@ -24,7 +24,6 @@ const (
 	CatCompile  = "compile"  // background compile job execution
 	CatExec     = "exec"     // program execution
 	CatTierUp   = "tierup"   // tier promotion compile
-	CatOSR      = "osr"      // on-stack replacement compile/transfer
 )
 
 // TraceEvent is one Chrome trace-event ("X" complete event): load the

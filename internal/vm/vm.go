@@ -241,7 +241,7 @@ var ErrGuardMiss = errors.New("vm: return-type guard missed")
 // functions). Frames form a chain that mirrors the call stack: an
 // activation runs its callees on the frame linked behind its own. The
 // head of a chain is a root, claimed from rootPool by a Run whose caller
-// has no frame (the interpreter, the engine's API, an OSR transfer) and
+// has no frame (the interpreter, the engine's API) and
 // owned by that activation alone until it returns; concurrent callers of
 // one *Compiled hold different roots and therefore never share a frame.
 //
