@@ -1,6 +1,7 @@
 package ast_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -124,6 +125,90 @@ end`)
 	c2 := ast.CloneFunction(f2.Funcs[0])
 	if ast.Print(c2) != ast.Print(f2.Funcs[0]) {
 		t.Error("clone prints differently")
+	}
+
+	// Every kind of node and list: the clone shares no node and no list
+	// backing with the source.
+	f3 := parse(t, `
+function [y, z] = h(a, b)
+  global g1 g2
+  v = [1 2; a b];
+  [m, k] = max(v(:, end));
+  if a > 0 && b < 1
+    y = g(a, b) + g(b, a)';
+  elseif a == 0
+    y = -a;
+  else
+    y = 'str';
+  end
+  while k < 3
+    k = k + 1;
+    if k == 2, break; end
+    continue;
+  end
+  for i = 1:2:9
+    z(i) = i;
+  end
+  switch m
+  case 1
+    z = 2;
+  otherwise
+    return;
+  end
+  clear v
+end`)
+	src := f3.Funcs[0]
+	clone = ast.CloneFunction(src)
+	if ast.Print(clone) != ast.Print(src) {
+		t.Fatal("clone prints differently")
+	}
+	mem := map[uintptr]bool{}
+	parts(reflect.ValueOf(src), func(p uintptr) { mem[p] = true })
+	parts(reflect.ValueOf(clone), func(p uintptr) {
+		if mem[p] {
+			t.Errorf("clone shares %#x with the source", p)
+		}
+	})
+
+	// A list a clone hands out has no spare capacity: appending to one
+	// call's arguments copies them, and leaves the call beside it alone.
+	want := ast.Print(clone)
+	ast.Walk(clone, func(n ast.Node) bool {
+		if c, ok := n.(*ast.Call); ok {
+			_ = append(c.Args, &ast.Ident{Name: "zz"})
+		}
+		if a, ok := n.(*ast.Assign); ok {
+			_ = append(a.LHS, &ast.Ident{Name: "zz"})
+		}
+		return true
+	})
+	if got := ast.Print(clone); got != want {
+		t.Errorf("an append to a cloned list wrote its neighbour:\n%s", got)
+	}
+}
+
+// parts reports the address of every node and of every non-empty list
+// backing reachable from v.
+func parts(v reflect.Value, f func(uintptr)) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			f(v.Pointer())
+			parts(v.Elem(), f)
+		}
+	case reflect.Interface:
+		parts(v.Elem(), f)
+	case reflect.Slice:
+		if v.Len() > 0 {
+			f(v.Pointer())
+		}
+		for i := 0; i < v.Len(); i++ {
+			parts(v.Index(i), f)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			parts(v.Field(i), f)
+		}
 	}
 }
 

@@ -447,3 +447,65 @@ func TestEvalBinOpDispatch(t *testing.T) {
 	}
 	wantNum(t, out, 5)
 }
+
+// TestElemFnAtMatchesBuiltin: the C-register form of an elementary
+// function that can promote, applied to a real argument, gives the
+// builtin's bits on that scalar: real where the argument is in the real
+// domain (−0 and NaN included), the promoted complex value outside it.
+func TestElemFnAtMatchesBuiltin(t *testing.T) {
+	args := []float64{0.5, 1, 2, 0, math.Copysign(0, -1), math.NaN(), -0.5, -1, -2, math.Inf(-1), math.Inf(1)}
+	for name, f := range elementary {
+		if f.Promotes == nil {
+			continue
+		}
+		for _, x := range args {
+			outs, err := Call(NewContext(), Lookup(name), []*mat.Value{mat.Scalar(x)}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, got := outs[0].ComplexAt(0), f.At(complex(x, 0))
+			if !sameFloat(real(got), real(want)) || !sameFloat(imag(got), imag(want)) {
+				t.Errorf("%s(%v): At %v, builtin %v", name, x, got, want)
+			}
+		}
+	}
+}
+
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// TestRealDomainPromotion: log, log2 and log10 of a negative real, and
+// asin and acos of a real outside [-1, 1], are complex, with MATLAB's
+// values (log(-2) + asin(-6) is -0.8777+5.6195i there, asin(2) is
+// 1.5708-1.3170i); −0 and NaN stay real.
+func TestRealDomainPromotion(t *testing.T) {
+	for _, c := range []struct {
+		expr string
+		got  complex128
+		want complex128
+	}{
+		{"log(-2) + asin(-6)", callB(t, "log", 1, mat.Scalar(-2))[0].ComplexAt(0) + callB(t, "asin", 1, mat.Scalar(-6))[0].ComplexAt(0), complex(-0.8776, 5.6195)},
+		{"asin(2)", callB(t, "asin", 1, mat.Scalar(2))[0].ComplexAt(0), complex(1.5708, -1.3170)},
+		{"acos(2)", callB(t, "acos", 1, mat.Scalar(2))[0].ComplexAt(0), complex(0, 1.3170)},
+		{"acos(-2)", callB(t, "acos", 1, mat.Scalar(-2))[0].ComplexAt(0), complex(3.1416, -1.3170)},
+		{"log10(-100)", callB(t, "log10", 1, mat.Scalar(-100))[0].ComplexAt(0), complex(2, 1.3644)},
+	} {
+		if math.Abs(real(c.got)-real(c.want)) > 1e-4 || math.Abs(imag(c.got)-imag(c.want)) > 1e-4 {
+			t.Errorf("%s = %v, want %v", c.expr, c.got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		x    float64
+		cplx bool
+	}{
+		{"log", -1, true}, {"log2", -1, true}, {"log10", -1e-300, true}, {"asin", 1.5, true}, {"acos", -1.5, true},
+		{"log", math.Copysign(0, -1), false}, {"log", math.NaN(), false}, {"asin", 1, false}, {"acos", -1, false},
+		{"asin", math.NaN(), false}, {"atan", -5, false},
+	} {
+		if got := callB(t, c.name, 1, mat.Scalar(c.x))[0].Kind() == mat.Complex; got != c.cplx {
+			t.Errorf("%s(%v) complex = %t, want %t", c.name, c.x, got, c.cplx)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package builtins
 import (
 	"math"
 	"math/cmplx"
+	"slices"
 
 	"repro/internal/mat"
 )
@@ -39,14 +40,44 @@ func mapElem(a *mat.Value, f func(float64) float64, fc func(complex128) complex1
 
 // ElemFn is an elementary math function of one argument (§2.6.1: MaJIC
 // "inlines … elementary math functions"): its real form, its complex
-// form (nil when the builtin rejects a complex argument), and whether a
-// C register may hold its complex argument and result, i.e. whether
+// form (nil when the builtin rejects a complex argument), whether a C
+// register may hold its complex argument and result, i.e. whether
 // compiled code may apply Complex to a complex scalar and get the
-// builtin's answer.
+// builtin's answer, and the real arguments outside its real domain.
 type ElemFn struct {
 	Real    func(float64) float64
 	Complex func(complex128) complex128
 	InC     bool
+	// Promotes reports a real argument whose result is complex, as
+	// MATLAB's sqrt(-1) is; nil when every real result is real. The
+	// builtin promotes a real array holding one to complex.
+	Promotes func(float64) bool
+}
+
+// At applies f to a C register's value as the builtin does: the real
+// form where the value is a real (imaginary part +0) in f's real domain,
+// the complex form otherwise.
+func (f ElemFn) At(z complex128) complex128 {
+	if f.Promotes != nil && math.Float64bits(imag(z)) == 0 && !f.Promotes(real(z)) {
+		return complex(f.Real(real(z)), 0)
+	}
+	return f.Complex(z)
+}
+
+func negative(x float64) bool    { return x < 0 }
+func outsideUnit(x float64) bool { return x < -1 || x > 1 }
+
+// fromBelow gives asin and acos of a real x > 1, which lies on their
+// branch cut, MATLAB's value: the one from below the cut, at x − 0i
+// (asin(2) is 1.5708 − 1.3170i). Below −1 MATLAB's is the one x + 0i
+// gives.
+func fromBelow(f func(complex128) complex128) func(complex128) complex128 {
+	return func(z complex128) complex128 {
+		if math.Float64bits(imag(z)) == 0 && real(z) > 1 {
+			z = complex(real(z), math.Copysign(0, -1))
+		}
+		return f(z)
+	}
 }
 
 // Elementary returns the elementary function the builtin name is, if it
@@ -59,25 +90,25 @@ func Elementary(name string) (ElemFn, bool) {
 }
 
 // elementary is the one table of elementary functions. init registers
-// each as a builtin from it, except abs and sqrt, whose results change
-// kind (abs of a complex value is real, sqrt of a negative real is
-// complex).
+// each as a builtin from it, except abs, whose result changes kind (abs
+// of a complex value is real). The real form runs only where inference
+// proves the result real, or where Promotes clears the argument.
 var elementary = map[string]ElemFn{
 	"abs":   {Real: math.Abs},
-	"sqrt":  {math.Sqrt, cmplx.Sqrt, true}, // the real form only where inference proves the result real
-	"exp":   {math.Exp, cmplx.Exp, true},
-	"log":   {math.Log, cmplx.Log, true},
-	"log2":  {math.Log2, func(z complex128) complex128 { return cmplx.Log(z) / complex(math.Ln2, 0) }, false},
-	"log10": {math.Log10, cmplx.Log10, false},
-	"sin":   {math.Sin, cmplx.Sin, true},
-	"cos":   {math.Cos, cmplx.Cos, true},
-	"tan":   {math.Tan, cmplx.Tan, true},
-	"asin":  {math.Asin, cmplx.Asin, false},
-	"acos":  {math.Acos, cmplx.Acos, false},
-	"atan":  {math.Atan, cmplx.Atan, false},
-	"sinh":  {math.Sinh, cmplx.Sinh, true},
-	"cosh":  {math.Cosh, cmplx.Cosh, true},
-	"tanh":  {math.Tanh, cmplx.Tanh, true},
+	"sqrt":  {math.Sqrt, cmplx.Sqrt, true, negative},
+	"exp":   {math.Exp, cmplx.Exp, true, nil},
+	"log":   {math.Log, cmplx.Log, true, negative},
+	"log2":  {math.Log2, func(z complex128) complex128 { return cmplx.Log(z) / complex(math.Ln2, 0) }, false, negative},
+	"log10": {math.Log10, cmplx.Log10, false, negative},
+	"sin":   {math.Sin, cmplx.Sin, true, nil},
+	"cos":   {math.Cos, cmplx.Cos, true, nil},
+	"tan":   {math.Tan, cmplx.Tan, true, nil},
+	"asin":  {math.Asin, fromBelow(cmplx.Asin), false, outsideUnit},
+	"acos":  {math.Acos, fromBelow(cmplx.Acos), false, outsideUnit},
+	"atan":  {math.Atan, cmplx.Atan, false, nil},
+	"sinh":  {math.Sinh, cmplx.Sinh, true, nil},
+	"cosh":  {math.Cosh, cmplx.Cosh, true, nil},
+	"tanh":  {math.Tanh, cmplx.Tanh, true, nil},
 	"floor": {Real: math.Floor},
 	"ceil":  {Real: math.Ceil},
 	"round": {Real: func(x float64) float64 { return math.Floor(x + 0.5) }},
@@ -98,9 +129,15 @@ var elementary = map[string]ElemFn{
 	}},
 }
 
-func registerUnaryMath(name string, f func(float64) float64, fc func(complex128) complex128) {
+func registerUnaryMath(name string, f ElemFn) {
 	register(name, 1, 1, 1, func(ctx *Context, args []*mat.Value, nout int) ([]*mat.Value, error) {
-		v, err := mapElem(args[0], f, fc)
+		a := args[0]
+		// A real argument outside the real domain promotes to complex,
+		// as in MATLAB.
+		if a.Kind() != mat.Complex && f.Promotes != nil && slices.ContainsFunc(a.Re(), f.Promotes) {
+			a = a.ToComplex()
+		}
+		v, err := mapElem(a, f.Real, f.Complex)
 		if err != nil {
 			return nil, mat.Errorf("%s: %s", name, err)
 		}
@@ -110,31 +147,10 @@ func registerUnaryMath(name string, f func(float64) float64, fc func(complex128)
 
 func init() {
 	for name, f := range elementary {
-		if name != "abs" && name != "sqrt" {
-			registerUnaryMath(name, f.Real, f.Complex)
+		if name != "abs" {
+			registerUnaryMath(name, f)
 		}
 	}
-
-	// sqrt: negative real input promotes to complex, as in MATLAB.
-	register("sqrt", 1, 1, 1, func(ctx *Context, args []*mat.Value, nout int) ([]*mat.Value, error) {
-		a := args[0]
-		if a.Kind() != mat.Complex {
-			neg := false
-			for _, x := range a.Re() {
-				if x < 0 {
-					neg = true
-					break
-				}
-			}
-			if !neg {
-				v, err := mapElem(a, math.Sqrt, nil)
-				return []*mat.Value{v}, err
-			}
-			a = a.ToComplex()
-		}
-		v, err := mapElem(a, nil, cmplx.Sqrt)
-		return []*mat.Value{v}, err
-	})
 
 	// abs: complex input yields real magnitudes.
 	register("abs", 1, 1, 1, func(ctx *Context, args []*mat.Value, nout int) ([]*mat.Value, error) {

@@ -1,7 +1,8 @@
 // Package cfg builds control-flow graphs from MaJIC ASTs. Both the
 // disambiguator's reaching-definitions analysis and the type inference
 // engine are iterative join-of-all-paths dataflow frameworks over this
-// graph (paper §2.1, §2.3).
+// graph (paper §2.1, §2.3). A graph's blocks come from one chunk, and a
+// block holds a window onto the body's own statement list, not a copy.
 package cfg
 
 import (
@@ -15,8 +16,13 @@ import (
 // terminated by a branch condition. ForHead marks loop-header blocks
 // that define the loop variable from the iteration expression.
 type Block struct {
-	ID    int
-	Stmts []ast.Stmt // Assign / ExprStmt / Global / Clear only
+	ID int
+	// Stmts are Assign, ExprStmt, Global and Clear statements, and last a
+	// Switch whose subject the block evaluates (into ans, as an ExprStmt
+	// would) before its case tests. They are a window onto the body's own
+	// list, whose capacity is its length: nothing writes through it, and
+	// an append copies.
+	Stmts []ast.Stmt
 	// Cond, when non-nil, is evaluated at block end; Succs[0] is the
 	// true edge and Succs[1] the false edge. With Cond nil there is at
 	// most one successor.
@@ -91,6 +97,8 @@ func (g *Graph) number(body []ast.Stmt) {
 
 type builder struct {
 	g *Graph
+	// free is the chunk newBlock takes blocks from.
+	free []Block
 	// loop stack for break/continue targets
 	breaks    []*Block
 	continues []*Block
@@ -98,7 +106,16 @@ type builder struct {
 
 // Build constructs the CFG of a statement list.
 func Build(body []ast.Stmt) *Graph {
-	b := &builder{g: &Graph{}}
+	b := lower(body)
+	b.prune()
+	b.g.number(body)
+	return b.g
+}
+
+// lower makes the blocks of body and their edges.
+func lower(body []ast.Stmt) *builder {
+	n := 2 + blocks(body)
+	b := &builder{g: &Graph{Blocks: make([]*Block, 0, n)}, free: make([]Block, n)}
 	entry := b.newBlock()
 	exit := b.newBlock()
 	b.g.Entry, b.g.Exit = entry, exit
@@ -106,13 +123,47 @@ func Build(body []ast.Stmt) *Graph {
 	if last != nil {
 		b.edge(last, exit)
 	}
-	b.prune()
-	b.g.number(body)
-	return b.g
+	return b
 }
 
+// blocks counts the blocks the builder makes for list, so that they come
+// from one chunk.
+func blocks(list []ast.Stmt) int {
+	n := 0
+	for i, s := range list {
+		switch x := s.(type) {
+		case *ast.If:
+			n += 1 + 3*len(x.Conds) + blocks(x.Else)
+			for _, blk := range x.Blocks {
+				n += blocks(blk)
+			}
+		case *ast.While:
+			n += 3 + blocks(x.Body)
+		case *ast.For:
+			n += 3 + blocks(x.Body)
+		case *ast.Switch:
+			n += 1 + 3*len(x.CaseVals) + blocks(x.Otherwise)
+			for _, blk := range x.CaseBlks {
+				n += blocks(blk)
+			}
+		case *ast.Break, *ast.Continue, *ast.Return:
+			if i+1 < len(list) {
+				n++ // the unreachable code after it
+			}
+		}
+	}
+	return n
+}
+
+// newBlock takes a block from the chunk, or a new chunk should the count
+// have fallen short.
 func (b *builder) newBlock() *Block {
-	blk := &Block{ID: len(b.g.Blocks)}
+	if len(b.free) == 0 {
+		b.free = make([]Block, 8)
+	}
+	blk := &b.free[0]
+	b.free = b.free[1:]
+	blk.ID = len(b.g.Blocks)
 	blk.Succs, blk.Preds = blk.succBuf[:0], blk.predBuf[:0]
 	b.g.Blocks = append(b.g.Blocks, blk)
 	return blk
@@ -125,18 +176,29 @@ func (b *builder) edge(from, to *Block) {
 
 // stmts lowers a statement list starting in cur; it returns the block
 // control falls out of, or nil when the list always transfers away
-// (return/break/continue).
+// (return/break/continue). The simple statements of a block are a run of
+// list, list[run:i], which the block takes as a window when the run ends.
 func (b *builder) stmts(list []ast.Stmt, cur *Block) *Block {
-	for _, s := range list {
+	run := 0
+	for i, s := range list {
 		if cur == nil {
 			// unreachable code after return/break: still lower it so the
 			// disambiguator sees its symbols, but disconnected.
 			cur = b.newBlock()
+			run = i
 		}
+		end := i
 		switch x := s.(type) {
 		case *ast.ExprStmt, *ast.Assign, *ast.Global, *ast.Clear:
-			cur.Stmts = append(cur.Stmts, s)
-
+			continue
+		case *ast.Switch:
+			if len(x.CaseVals) > 0 {
+				end = i + 1 // the block before the case tests evaluates the subject
+			}
+		}
+		hold(cur, list[run:end])
+		run = i + 1
+		switch x := s.(type) {
 		case *ast.If:
 			cur = b.ifStmt(x, cur)
 
@@ -194,12 +256,25 @@ func (b *builder) stmts(list []ast.Stmt, cur *Block) *Block {
 		case *ast.Return:
 			b.edge(cur, b.g.Exit)
 			cur = nil
-
-		default:
-			cur.Stmts = append(cur.Stmts, s)
 		}
 	}
+	if cur != nil {
+		hold(cur, list[run:])
+	}
 	return cur
+}
+
+// hold gives blk the statements of run, as a window onto the body's list
+// when blk holds none yet. Only the otherwise of a switch without cases
+// continues a block begun in another list; its statements are copied.
+func hold(blk *Block, run []ast.Stmt) {
+	switch {
+	case len(run) == 0:
+	case len(blk.Stmts) == 0:
+		blk.Stmts = run[:len(run):len(run)]
+	default:
+		blk.Stmts = append(blk.Stmts, run...)
+	}
 }
 
 func (b *builder) ifStmt(x *ast.If, cur *Block) *Block {
@@ -230,16 +305,13 @@ func (b *builder) ifStmt(x *ast.If, cur *Block) *Block {
 }
 
 func (b *builder) switchStmt(x *ast.Switch, cur *Block) *Block {
-	// Lower as an if-chain on the subject; the subject expression is
-	// carried on each test block's Cond for annotation purposes.
+	// Lower as an if-chain on the subject, which the dispatching block
+	// evaluates (the switch ends its Stmts); each test block's Cond is a
+	// case value.
 	after := b.newBlock()
 	for i := range x.CaseVals {
 		test := b.newBlock()
 		test.Cond = x.CaseVals[i]
-		// subject evaluated in the dispatching block
-		if i == 0 {
-			cur.Stmts = append(cur.Stmts, &ast.ExprStmt{P: x.P, X: x.Subject})
-		}
 		b.edge(cur, test)
 		blk := b.newBlock()
 		b.edge(test, blk)
@@ -321,6 +393,10 @@ func (g *Graph) String() string {
 		}
 		sb.WriteString("\n")
 		for _, s := range blk.Stmts {
+			if sw, ok := s.(*ast.Switch); ok {
+				sb.WriteString("  switch " + ast.ExprString(sw.Subject) + "\n")
+				continue
+			}
 			sb.WriteString("  " + strings.TrimRight(ast.Print(s), "\n") + "\n")
 		}
 	}

@@ -190,6 +190,24 @@ z = y;`)
 	}
 }
 
+// TestSwitchWithoutCases: a switch with only an otherwise evaluates no
+// subject, and its otherwise continues the block before it: the one block
+// whose statements come from two lists, so they are a copy.
+func TestSwitchWithoutCases(t *testing.T) {
+	file, err := parser.Parse("a = 1;\nswitch a\notherwise\n  b = 2;\nend\nc = 3;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := Build(file.Stmts)
+	checkInvariants(t, g)
+	if len(g.Entry.Stmts) != 2 || ast.Print(g.Entry.Stmts[1]) != "b = 2;\n" {
+		t.Fatalf("entry block:\n%s", g)
+	}
+	if _, ok := file.Stmts[1].(*ast.Switch); !ok {
+		t.Fatal("building the graph wrote the body")
+	}
+}
+
 func TestUnreachableAfterReturnPruned(t *testing.T) {
 	g := build(t, `
 function y = f(x)
@@ -209,6 +227,114 @@ func TestStringRendering(t *testing.T) {
 	out := g.String()
 	if !strings.Contains(out, "for i") || !strings.Contains(out, "(entry)") {
 		t.Errorf("render:\n%s", out)
+	}
+}
+
+// TestBlockStmtsAreWindows: a block's statements are a window onto the
+// list that holds them in the body, with no spare capacity, so an append
+// to one copies and never writes the body; and Build counts the blocks it
+// makes, so that they come from one chunk.
+func TestBlockStmtsAreWindows(t *testing.T) {
+	file, err := parser.Parse(`
+function y = f(x)
+  a = 1;
+  b = 2;
+  if x > 0
+    c = 3;
+    d = 4;
+  elseif x < -1
+    c = 5;
+  else
+    c = 6;
+  end
+  e = 7;
+  for i = 1:3
+    a = a + i;
+    if i == 2, break; end
+    b = b + 1;
+  end
+  while a < 10
+    a = a + 1;
+    continue;
+    b = 0;
+  end
+  switch b
+  case 1
+    y = 1;
+  otherwise
+    y = 2;
+  end
+  y = y + a;
+  return;
+  y = 0;
+end`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := file.Funcs[0].Body
+	var lists [][]ast.Stmt
+	var collect func([]ast.Stmt)
+	collect = func(l []ast.Stmt) {
+		lists = append(lists, l)
+		for _, s := range l {
+			switch x := s.(type) {
+			case *ast.If:
+				for _, b := range x.Blocks {
+					collect(b)
+				}
+				collect(x.Else)
+			case *ast.For:
+				collect(x.Body)
+			case *ast.While:
+				collect(x.Body)
+			case *ast.Switch:
+				for _, b := range x.CaseBlks {
+					collect(b)
+				}
+				collect(x.Otherwise)
+			}
+		}
+	}
+	collect(body)
+	before := make([][]ast.Stmt, len(lists))
+	for i, l := range lists {
+		before[i] = append([]ast.Stmt(nil), l...)
+	}
+	within := func(w []ast.Stmt) bool {
+		for _, l := range lists {
+			for i := range l {
+				if &l[i] == &w[0] && i+len(w) <= len(l) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	g := Build(body)
+	checkInvariants(t, g)
+	held := 0
+	for _, blk := range g.Blocks {
+		if len(blk.Stmts) == 0 {
+			continue
+		}
+		held += len(blk.Stmts)
+		if cap(blk.Stmts) != len(blk.Stmts) || !within(blk.Stmts) {
+			t.Errorf("B%d's statements are not a window onto the body (len %d, cap %d)", blk.ID, len(blk.Stmts), cap(blk.Stmts))
+		}
+		_ = append(blk.Stmts, &ast.Break{})
+	}
+	if held != 14 { // the statements after continue and return are pruned
+		t.Fatalf("the blocks hold %d statements, want 14", held)
+	}
+	for i, l := range lists {
+		for j := range l {
+			if l[j] != before[i][j] {
+				t.Fatalf("an append to a block's statements wrote the body's list %d at %d", i, j)
+			}
+		}
+	}
+	if made, counted := len(lower(body).g.Blocks), 2+blocks(body); made != counted {
+		t.Errorf("Build made %d blocks, counted %d", made, counted)
 	}
 }
 

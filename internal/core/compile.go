@@ -67,18 +67,22 @@ func (e *Engine) frontEnd(fn *ast.Function, generic bool, low *Lowering) (fe fro
 	if e.opts.Ablation == AblateInlining || generic {
 		fe.work = ast.CloneFunction(fn)
 	} else {
+		// The inliner analysed fn's body to find what to splice; where it
+		// spliced nothing, that analysis is the front end's.
 		var spliced []*ast.Function
-		fe.work, spliced = inline.ExpandDeps(fn, e)
+		fe.work, spliced, fe.g, fe.tbl = inline.ExpandDeps(fn, e)
 		for _, callee := range spliced {
 			if callee.Name != fn.Name {
 				fe.deps = append(fe.deps, repo.Dep{Name: callee.Name, SrcHash: persist.HashSource(callee.Source)})
 			}
 		}
 	}
-	fe.g = cfg.Build(fe.work.Body)
-	fe.tbl = disambig.Analyze(fe.g, fe.work.Ins, disambig.ResolverFunc(func(name string) bool {
-		return e.LookupFunction(name) != nil
-	}))
+	if fe.g == nil {
+		fe.g = cfg.Build(fe.work.Body)
+		fe.tbl = disambig.Analyze(fe.g, fe.work.Ins, disambig.ResolverFunc(func(name string) bool {
+			return e.LookupFunction(name) != nil
+		}))
+	}
 	e.phase(telemetry.CatDisambig, fn.Name, t0)
 	if low != nil {
 		low.Body, low.Graph, low.Symbols = fe.work, fe.g, fe.tbl

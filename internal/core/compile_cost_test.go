@@ -10,6 +10,7 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/disambig"
 	"repro/internal/infer"
+	"repro/internal/inline"
 	"repro/internal/ir"
 	"repro/internal/mat"
 	"repro/internal/opt"
@@ -64,6 +65,7 @@ func longBody(n int) string {
 // starts from.
 type stages struct {
 	fn     *ast.Function
+	nodes  int // the AST nodes of fn
 	sig    types.Signature
 	g      *cfg.Graph
 	tbl    *disambig.Table
@@ -78,6 +80,7 @@ func stagesOf(t *testing.T, src string) *stages {
 		t.Fatal(err)
 	}
 	s := &stages{fn: file.Funcs[0], sig: types.SignatureOf([]*mat.Value{mat.IntScalar(10)})}
+	ast.Walk(s.fn, func(ast.Node) bool { s.nodes++; return true })
 	work := ast.CloneFunction(s.fn)
 	s.g = cfg.Build(work.Body)
 	s.tbl = disambig.Analyze(s.g, work.Ins, nil)
@@ -102,7 +105,9 @@ func (s *stages) fresh() *ir.Prog {
 // instruction produced than it did before (twice the code, at most 2.2
 // times the allocations), and the optimiser and the allocator — whose
 // scratch is a fixed number of tables — stay under a flat budget per
-// hundred instructions. The measure is per instruction because the
+// hundred instructions. The front end's clone, graph and inliner, which
+// allocate per kind of node rather than per node, stay under the same
+// budget per hundred AST nodes. The measure is per instruction because the
 // families do not exactly double (only an innermost loop is unrolled, so
 // a nest twice as deep is a little under twice the code). Allocation
 // counts are exact, so the test is deterministic; time follows them
@@ -134,7 +139,12 @@ func TestCompileCostIsLinear(t *testing.T) {
 			name string
 			run  func(*stages)
 			flat bool // also held to the per-instruction budget
+			// perNode holds a flat phase to the budget per AST node.
+			perNode bool
 		}{
+			{name: "ast.CloneFunction", flat: true, perNode: true, run: func(s *stages) { ast.CloneFunction(s.fn) }},
+			{name: "cfg.Build", flat: true, perNode: true, run: func(s *stages) { cfg.Build(s.fn.Body) }},
+			{name: "inline.ExpandDeps", flat: true, perNode: true, run: func(s *stages) { inline.ExpandDeps(s.fn, e) }},
 			{name: "disambig.Analyze", run: func(s *stages) { disambig.Analyze(s.g, s.fn.Ins, nil) }},
 			{name: "infer.Forward", run: func(s *stages) { infer.Forward(s.g, s.params, infer.Opts{}) }},
 			{name: "opt.Run", flat: true, run: func(s *stages) { opt.Run(s.fresh()) }},
@@ -157,9 +167,13 @@ func TestCompileCostIsLinear(t *testing.T) {
 				t.Errorf("%s, %s: %.0f allocations at size %d, %.0f at size %d: ×%.2f for ×%.2f the code",
 					fam.name, ph.name, a, fam.small, b, fam.large, b/a, grew)
 			}
-			if limit := fixed + budget*float64(len(large.prog.Ins))/100; ph.flat && b > limit {
-				t.Errorf("%s, %s: %.0f allocations for %d instructions, budget %.0f",
-					fam.name, ph.name, b, len(large.prog.Ins), limit)
+			size, unit := len(large.prog.Ins), "instructions"
+			if ph.perNode {
+				size, unit = large.nodes, "AST nodes"
+			}
+			if limit := fixed + budget*float64(size)/100; ph.flat && b > limit {
+				t.Errorf("%s, %s: %.0f allocations for %d %s, budget %.0f",
+					fam.name, ph.name, b, size, unit, limit)
 			}
 		}
 	}

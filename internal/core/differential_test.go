@@ -513,6 +513,24 @@ end`},
 function r = f()
   r = 30000000000000000000 + 1;
 end`},
+	// The logarithms promote a negative real to complex, and asin and acos
+	// a real outside [-1, 1], in every tier; −0, NaN, log(0) and asin(±1)
+	// stay real. v reaches the fused kernels and z, −0, the C registers.
+	{name: "real_domain_promotion", args: []float64{-2}, src: `
+function r = f(x)
+  z = 0*x;
+  nan = 0/0;
+  inf = -1/0;
+  v = [x 0 z 1 nan inf 0.5 3];
+  y = 0;
+  for k = 1:2
+    y = log(x) + asin(3*x);
+  end
+  w = log(v) .* 2 + asin(v./2) + 1;
+  r = [y log(z) log(-z) log(0) log(nan) log(inf) log2(x) log2(z) log10(inf) ...
+       asin(1) asin(-1) acos(1) acos(-1) asin(nan) acos(3*x) asin(inf) ...
+       sqrt(z) log(x)*0 w log2(v) + 0 acos(v) .* 1];
+end`},
 }
 
 // loopPrograms pin what a for loop means, whichever way it is lowered

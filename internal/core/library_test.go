@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/mat"
+	"repro/internal/types"
 )
 
 // TestSharedLibraryWarmsOtherEngines pins the daemon's amortization
@@ -95,6 +98,75 @@ func TestSharedLibraryConcurrentEngines(t *testing.T) {
 				}
 			}
 		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("engine %d: %v", i, err)
+		}
+	}
+}
+
+// TestCallersOfOneCalleeCompileInParallel: two engines on one library
+// compile callers of one shared callee at once (run under -race). Each
+// compile splices its own clone of the callee's body and builds its own
+// graph over windows of it, so neither writes what the other reads, and
+// every call answers as the source says.
+func TestCallersOfOneCalleeCompileInParallel(t *testing.T) {
+	lib := NewLibrary(LibraryOptions{})
+	defer lib.Close()
+	seed := New(Options{Tier: TierJIT, Library: lib})
+	if err := seed.Define(`
+function y = sq(x)
+  y = 0;
+  for k = 1:2
+    y = y + x * x / 2;
+  end
+end
+function y = f1(x)
+  y = sq(x) + 1;
+end
+function y = f2(x)
+  y = 2 * sq(x) + sq(x + 1);
+end`); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i, caller := range []string{"f1", "f2"} {
+		wg.Add(1)
+		go func(i int, caller string) {
+			defer wg.Done()
+			e := New(Options{Tier: TierJIT, Library: lib})
+			defer e.Close()
+			for k := 1; k <= 20; k++ {
+				x := float64(k) + 0.5
+				// Lower runs the whole compile and publishes nothing, so
+				// every round compiles; the call checks the answer.
+				low, err := e.Lower(caller, types.SignatureOf([]*mat.Value{mat.Scalar(x)}))
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				if !strings.Contains(ast.Print(low.Body), "inl") {
+					errs[i] = fmt.Errorf("%s: sq was not spliced:\n%s", caller, ast.Print(low.Body))
+					return
+				}
+				outs, err := e.Call(caller, []*mat.Value{mat.Scalar(x)}, 1)
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				want := x*x + 1
+				if caller == "f2" {
+					want = 2*x*x + (x+1)*(x+1)
+				}
+				if got := outs[0].Re()[0]; got != want {
+					errs[i] = fmt.Errorf("%s(%g) = %g, want %g", caller, x, got, want)
+					return
+				}
+			}
+		}(i, caller)
 	}
 	wg.Wait()
 	for i, err := range errs {

@@ -154,12 +154,24 @@ func registerBuiltinRules(c *Calculator) {
 		}
 		return types.Type{I: types.ICplx, MinShape: t.MinShape, MaxShape: t.MaxShape, R: types.RangeTop}
 	}, nil, "exp")
-	unary("log", func(t types.Type) types.Type {
-		if types.LeqI(t.I, types.IReal) && !t.R.IsBot() && t.R.Lo > 0 {
-			return elemReal(t, monoR(t.R, math.Log))
-		}
-		return types.Type{I: types.ICplx, MinShape: t.MinShape, MaxShape: t.MaxShape, R: types.RangeTop}
-	}, nil, "log")
+	// The logarithms and asin and acos are real on a real argument in
+	// their real domain only; elsewhere the builtin promotes to complex.
+	inDomain := func(name string, in func(types.Range) bool, r func(types.Range) types.Range) {
+		unary(name, func(t types.Type) types.Type {
+			if types.LeqI(t.I, types.IReal) && !t.R.IsBot() && in(t.R) {
+				return elemReal(t, r(t.R))
+			}
+			return types.Type{I: types.ICplx, MinShape: t.MinShape, MaxShape: t.MaxShape, R: types.RangeTop}
+		}, nil, name)
+	}
+	positive := func(r types.Range) bool { return r.Lo > 0 }
+	unit := func(r types.Range) bool { return r.Lo >= -1 && r.Hi <= 1 }
+	anyRange := func(types.Range) types.Range { return types.RangeTop }
+	inDomain("log", positive, func(r types.Range) types.Range { return monoR(r, math.Log) })
+	inDomain("log2", positive, anyRange)
+	inDomain("log10", positive, anyRange)
+	inDomain("asin", unit, anyRange)
+	inDomain("acos", unit, anyRange)
 	for _, name := range []string{"sin", "cos"} {
 		unary(name, func(t types.Type) types.Type {
 			if types.LeqI(t.I, types.IReal) {
@@ -168,7 +180,7 @@ func registerBuiltinRules(c *Calculator) {
 			return types.Type{I: types.ICplx, MinShape: t.MinShape, MaxShape: t.MaxShape, R: types.RangeTop}
 		}, nil, name)
 	}
-	for _, name := range []string{"tan", "asin", "acos", "atan", "sinh", "cosh", "tanh", "log2", "log10"} {
+	for _, name := range []string{"tan", "atan", "sinh", "cosh", "tanh"} {
 		unary(name, func(t types.Type) types.Type {
 			if types.LeqI(t.I, types.IReal) {
 				return elemReal(t, types.RangeTop)

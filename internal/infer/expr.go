@@ -83,11 +83,7 @@ func (inf *inferencer) expr(e ast.Expr, env *tenv) types.Type {
 		return types.Top
 
 	case *ast.Call:
-		ts := inf.callN(x, env, 1)
-		if len(ts) == 0 {
-			return inf.annotate(e, types.Top)
-		}
-		return inf.annotate(e, ts[0])
+		return inf.annotate(e, inf.callN(x, env, nil))
 
 	case *ast.Matrix:
 		return inf.annotate(e, inf.matrix(x, env))
@@ -95,9 +91,11 @@ func (inf *inferencer) expr(e ast.Expr, env *tenv) types.Type {
 	return inf.annotate(e, types.Top)
 }
 
-// callN types a call expression with nout outputs, dispatching on the
-// disambiguator's classification.
-func (inf *inferencer) callN(x *ast.Call, env *tenv, nout int) []types.Type {
+// callN types a call expression, dispatching on the disambiguator's
+// classification. It returns the type of the first output and writes
+// those of the outputs after it into rest, which a multi-assignment
+// passes in filled with ⊤ (nil elsewhere).
+func (inf *inferencer) callN(x *ast.Call, env *tenv, rest []types.Type) types.Type {
 	switch x.Kind {
 	case ast.Variable:
 		base, ok := env.get(x.Name)
@@ -106,20 +104,19 @@ func (inf *inferencer) callN(x *ast.Call, env *tenv, nout int) []types.Type {
 		}
 		subs := inf.subscripts(x, base, env)
 		t := inf.annotate(x, indexReadType(base, subs, x.Args))
+		inf.pop(subs)
 		inf.noteBase(x, base)
-		return []types.Type{t}
+		return t
 
 	case ast.Builtin:
-		args := make([]types.Type, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = inf.expr(a, env)
-		}
+		args := inf.argTypes(x, env)
+		defer inf.pop(args)
 		if anyBottom(args) {
-			return []types.Type{inf.annotate(x, types.Bottom)}
+			return inf.annotate(x, types.Bottom)
 		}
 		inf.res.RuleApplications++
 		var first types.Type
-		if nout >= 2 {
+		if len(rest) > 0 {
 			// Multi-output forms change the first output's meaning
 			// ([r,c] = size(A) returns scalars, not the size vector).
 			first = builtinFirstOutN(x.Name, args, inf.calc)
@@ -127,33 +124,24 @@ func (inf *inferencer) callN(x *ast.Call, env *tenv, nout int) []types.Type {
 			first = inf.calc.Forward(x.Name, args)
 		}
 		first = inf.sanitize(first)
-		outs := make([]types.Type, nout)
-		outs[0] = first
-		for i := 1; i < nout; i++ {
-			outs[i] = inf.sanitize(builtinExtraOut(x.Name, i, args))
+		for i := range rest {
+			rest[i] = inf.sanitize(builtinExtraOut(x.Name, i+1, args))
 		}
 		inf.annotate(x, first)
-		return outs
+		return first
 
 	case ast.UserFunc:
-		args := make([]types.Type, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = inf.expr(a, env)
-		}
+		args := inf.argTypes(x, env)
 		t := types.Top
 		if anyBottom(args) {
 			t = types.Bottom
 		} else if inf.opts.UserFnType != nil {
 			t = inf.opts.UserFnType(x.Name, args)
 		}
+		inf.pop(args)
 		t = inf.sanitize(t)
 		inf.annotate(x, t)
-		outs := make([]types.Type, nout)
-		outs[0] = t
-		for i := 1; i < nout; i++ {
-			outs[i] = types.Top
-		}
-		return outs
+		return t
 	}
 	// Ambiguous/unresolved: evaluate args for annotations, result ⊤.
 	for _, a := range x.Args {
@@ -162,7 +150,24 @@ func (inf *inferencer) callN(x *ast.Call, env *tenv, nout int) []types.Type {
 		}
 	}
 	inf.annotate(x, types.Top)
-	return []types.Type{types.Top}
+	return types.Top
+}
+
+// argTypes types x's arguments onto the inferencer's stack, where a call
+// nested in an argument pushes and pops above them, and returns them; the
+// caller pops them once it has typed the call.
+func (inf *inferencer) argTypes(x *ast.Call, env *tenv) []types.Type {
+	base := len(inf.stack)
+	for _, a := range x.Args {
+		t := inf.expr(a, env)
+		inf.stack = append(inf.stack, t)
+	}
+	return inf.stack[base:]
+}
+
+// pop drops the top of the stack, ts, which argTypes or subscripts pushed.
+func (inf *inferencer) pop(ts []types.Type) {
+	inf.stack = inf.stack[:len(inf.stack)-len(ts)]
 }
 
 // anyBottom reports an operand that no execution reaches with a value:

@@ -116,6 +116,11 @@ type inferencer struct {
 	// of the nest around it: no allocation per visit).
 	binArgs   [2]types.Type
 	rangeArgs [3]types.Type
+	// stack holds the argument and subscript types of the calls being
+	// typed, innermost last (argTypes); rest is a multi-assignment's
+	// outputs after the first.
+	stack []types.Type
+	rest  []types.Type
 }
 
 // tenv is a block's type environment: one slot per variable the graph
@@ -421,6 +426,10 @@ func (inf *inferencer) transfer(blk *cfg.Block, env *tenv) *tenv {
 			t := inf.expr(x.X, env)
 			env.set("ans", t)
 			inf.noteVar("ans", t)
+		case *ast.Switch: // the block evaluates its subject (cfg.Block)
+			t := inf.expr(x.Subject, env)
+			env.set("ans", t)
+			inf.noteVar("ans", t)
 		case *ast.Assign:
 			inf.assign(x, env)
 		case *ast.Global:
@@ -486,13 +495,14 @@ func (inf *inferencer) assign(x *ast.Assign, env *tenv) {
 		if !ok {
 			return
 		}
-		outs := inf.callN(call, env, len(x.LHS))
-		for i, l := range x.LHS {
-			t := types.Top
-			if i < len(outs) {
-				t = outs[i]
-			}
-			inf.bindLHS(l, t, env)
+		rest := inf.rest[:0]
+		for range x.LHS[1:] {
+			rest = append(rest, types.Top)
+		}
+		inf.rest = rest
+		inf.bindLHS(x.LHS[0], inf.callN(call, env, rest), env)
+		for i, l := range x.LHS[1:] {
+			inf.bindLHS(l, rest[i], env)
 		}
 		return
 	}
@@ -514,6 +524,7 @@ func (inf *inferencer) bindLHS(l ast.Expr, t types.Type, env *tenv) {
 		}
 		subTypes := inf.subscripts(lhs, old, env)
 		nt := indexedAssignType(old, subTypes, t, lhs.Args)
+		inf.pop(subTypes)
 		nt = inf.sanitize(nt)
 		env.set(lhs.Name, nt)
 		inf.noteVar(lhs.Name, nt)
@@ -522,17 +533,18 @@ func (inf *inferencer) bindLHS(l ast.Expr, t types.Type, env *tenv) {
 }
 
 // subscripts types each subscript of an indexing expression, resolving
-// 'end' against the base type's shape bounds.
+// 'end' against the base type's shape bounds. The types are pushed on the
+// stack as argTypes pushes arguments, and the caller pops them.
 func (inf *inferencer) subscripts(call *ast.Call, base types.Type, env *tenv) []types.Type {
-	out := make([]types.Type, len(call.Args))
+	top := len(inf.stack)
 	for i, a := range call.Args {
-		if _, isColon := a.(*ast.Colon); isColon {
-			out[i] = types.Type{} // marker; consumers check the node kind
-			continue
+		t := types.Type{} // a colon's marker; consumers check the node kind
+		if _, isColon := a.(*ast.Colon); !isColon {
+			t = inf.exprWithEnd(a, base, i, len(call.Args), env)
 		}
-		out[i] = inf.exprWithEnd(a, base, i, len(call.Args), env)
+		inf.stack = append(inf.stack, t)
 	}
-	return out
+	return inf.stack[top:]
 }
 
 func (inf *inferencer) exprWithEnd(e ast.Expr, base types.Type, dim, ndims int, env *tenv) types.Type {

@@ -61,37 +61,43 @@ type calleeInfo struct {
 // a callee is therefore not spliced where a variable of fn would capture
 // one of its builtin or user calls.
 func Expand(fn *ast.Function, res Resolver) *ast.Function {
-	out, _ := ExpandDeps(fn, res)
+	out, _, _, _ := ExpandDeps(fn, res)
 	return out
 }
 
 // ExpandDeps is Expand that also reports the functions whose bodies it
 // spliced in (the definitions it resolved, so a caller can record exactly
-// which source the expansion depends on), sorted by name.
-func ExpandDeps(fn *ast.Function, res Resolver) (*ast.Function, []*ast.Function) {
+// which source the expansion depends on), sorted by name. When it splices
+// nothing, out's body is the one it analysed to find the candidates, and
+// g and tbl are that body's graph and table; otherwise they are nil, and
+// the expanded body needs its own.
+func ExpandDeps(fn *ast.Function, res Resolver) (out *ast.Function, deps []*ast.Function, g *cfg.Graph, tbl *disambig.Table) {
 	in := &inliner{res: res, depth: map[string]int{}, info: map[string]*calleeInfo{}, spliced: map[string]*ast.Function{}}
-	out := ast.CloneFunction(fn)
+	out = ast.CloneFunction(fn)
 	// Disambiguating fn marks its user calls, the candidates, and names
 	// its variables, which no splice may capture.
-	g := cfg.Build(out.Body)
-	tbl := disambig.Analyze(g, out.Ins, disambig.ResolverFunc(func(name string) bool {
+	g = cfg.Build(out.Body)
+	tbl = disambig.Analyze(g, out.Ins, disambig.ResolverFunc(func(name string) bool {
 		return res.LookupFunction(name) != nil
 	}))
 	if tbl.HasAmbiguous {
-		return out, nil
+		return out, nil, g, tbl
 	}
 	in.callerVars = tbl.Vars
 	out.Body = in.stmts(out.Body)
+	if len(in.spliced) == 0 {
+		return out, nil, g, tbl
+	}
 	names := make([]string, 0, len(in.spliced))
 	for name := range in.spliced {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	deps := make([]*ast.Function, len(names))
+	deps = make([]*ast.Function, len(names))
 	for i, name := range names {
 		deps[i] = in.spliced[name]
 	}
-	return out, deps
+	return out, deps, nil, nil
 }
 
 // analyze classifies a callee for inlinability.
@@ -158,22 +164,38 @@ func (in *inliner) analyze(name string) *calleeInfo {
 	return ci
 }
 
-// stmts expands calls in a statement list.
+// stmts expands calls in a statement list. It returns list itself when
+// no statement in it expands into several (a statement may still be
+// rewritten in place), and a new list otherwise.
 func (in *inliner) stmts(list []ast.Stmt) []ast.Stmt {
-	var out []ast.Stmt
-	for _, s := range list {
-		out = append(out, in.stmt(s)...)
+	var out []ast.Stmt // nil until a statement expands
+	for i, s := range list {
+		repl := in.stmt(s)
+		if repl != nil && out == nil {
+			out = append(make([]ast.Stmt, 0, len(list)+len(repl)), list[:i]...)
+		}
+		switch {
+		case repl != nil:
+			out = append(out, repl...)
+		case out != nil:
+			out = append(out, s)
+		}
+	}
+	if out == nil {
+		return list
 	}
 	return out
 }
 
-// stmt expands one statement, possibly into several.
+// stmt expands one statement in place. It returns nil when s stays the
+// one statement, and otherwise the statements that replace it: the
+// prelude of its spliced calls followed by s, or by what replaces s.
 func (in *inliner) stmt(s ast.Stmt) []ast.Stmt {
 	switch x := s.(type) {
 	case *ast.ExprStmt:
 		pre, e := in.expr(x.X, true)
 		x.X = e
-		return append(pre, x)
+		return with(pre, x)
 	case *ast.Assign:
 		// Whole-call multi-assignment [a,b] = f(...) inlines specially.
 		if call, ok := x.RHS.(*ast.Call); ok && in.isInlinableCall(call) && len(x.LHS) >= 1 {
@@ -199,18 +221,15 @@ func (in *inliner) stmt(s ast.Stmt) []ast.Stmt {
 		p, e := in.expr(x.RHS, true)
 		pre = append(pre, p...)
 		x.RHS = e
-		return append(pre, x)
+		return with(pre, x)
 	case *ast.If:
-		var result []ast.Stmt
 		var pre []ast.Stmt
 		for i, c := range x.Conds {
-			p, e := in.expr(c, true)
+			// Hoisting from an elseif condition would evaluate it
+			// unconditionally: only the first condition inlines.
+			p, e := in.expr(c, i == 0)
 			if i == 0 {
-				pre = append(pre, p...)
-			} else if len(p) > 0 {
-				// Hoisting from elseif conditions would evaluate them
-				// unconditionally; skip inlining there.
-				e = c
+				pre = p
 			}
 			x.Conds[i] = e
 			x.Blocks[i] = in.stmts(x.Blocks[i])
@@ -218,18 +237,16 @@ func (in *inliner) stmt(s ast.Stmt) []ast.Stmt {
 		if x.Else != nil {
 			x.Else = in.stmts(x.Else)
 		}
-		result = append(pre, x)
-		return result
+		return with(pre, x)
 	case *ast.While:
 		// Never hoist out of a while condition (re-evaluated per
 		// iteration); only the body is expanded.
 		x.Body = in.stmts(x.Body)
-		return []ast.Stmt{x}
 	case *ast.For:
 		pre, e := in.expr(x.Iter, true)
 		x.Iter = e
 		x.Body = in.stmts(x.Body)
-		return append(pre, x)
+		return with(pre, x)
 	case *ast.Switch:
 		pre, e := in.expr(x.Subject, true)
 		x.Subject = e
@@ -239,9 +256,17 @@ func (in *inliner) stmt(s ast.Stmt) []ast.Stmt {
 		if x.Otherwise != nil {
 			x.Otherwise = in.stmts(x.Otherwise)
 		}
-		return append(pre, x)
+		return with(pre, x)
 	}
-	return []ast.Stmt{s}
+	return nil
+}
+
+// with is pre followed by s, or nil when there is no prelude.
+func with(pre []ast.Stmt, s ast.Stmt) []ast.Stmt {
+	if len(pre) == 0 {
+		return nil
+	}
+	return append(pre, s)
 }
 
 // expr rewrites an expression, hoisting inlined calls into pre. hoist

@@ -171,6 +171,59 @@ end`)
 	}
 }
 
+// TestNoHoistFromElseifCond: a call nested in an elseif condition stays
+// a call, whole; before, its operand was rewritten to a spliced output
+// whose prelude was then dropped, and the function did not compile.
+func TestNoHoistFromElseifCond(t *testing.T) {
+	res, fn := parseAll(t, `
+function y = f(x)
+  if x > 5
+    y = 1;
+  elseif x > g(x)
+    y = 2;
+  else
+    y = 3;
+  end
+end
+function z = g(x)
+  z = x - 1;
+end`)
+	out, deps, g, tbl := ExpandDeps(fn, res)
+	if countCalls(out, "g") != 1 || len(deps) != 0 || strings.Contains(ast.Print(out), "inl") {
+		t.Errorf("the elseif condition must keep its call:\n%s", ast.Print(out))
+	}
+	if g == nil || tbl == nil || tbl.HasAmbiguous {
+		t.Errorf("an expansion that splices nothing hands back its own analysis (graph %v, table %+v)", g, tbl)
+	}
+}
+
+// TestNothingSplicedCopiesNothing: where no statement expands, the
+// inliner hands back the lists it was given, nested ones included, and
+// allocates nothing on the way.
+func TestNothingSplicedCopiesNothing(t *testing.T) {
+	res, fn := parseAll(t, `
+function y = f(x)
+  y = 0;
+  for k = 1:x
+    if k > 2
+      y = y + sin(k);
+    else
+      y = y - k;
+    end
+  end
+end`)
+	body := ast.CloneStmts(fn.Body)
+	in := &inliner{res: res, depth: map[string]int{}, info: map[string]*calleeInfo{}, spliced: map[string]*ast.Function{}}
+	loop := body[1].(*ast.For)
+	inner := loop.Body
+	if got := in.stmts(body); &got[0] != &body[0] || len(got) != len(body) || &loop.Body[0] != &inner[0] {
+		t.Error("an expansion that splices nothing copied a list")
+	}
+	if n := testing.AllocsPerRun(10, func() { in.stmts(body) }); n != 0 {
+		t.Errorf("an expansion that splices nothing allocated %v times", n)
+	}
+}
+
 func TestMultiOutputInline(t *testing.T) {
 	res, fn := parseAll(t, `
 function s = f(x)
@@ -278,7 +331,7 @@ end`, nil, "g"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, fn := parseAll(t, tc.src)
-			out, deps := ExpandDeps(fn, res)
+			out, deps, _, _ := ExpandDeps(fn, res)
 			var names []string
 			for _, d := range deps {
 				names = append(names, d.Name)

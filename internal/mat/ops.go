@@ -476,6 +476,30 @@ func Transpose(a *Value) (*Value, error) { return Donors{}.Transpose(a, true) }
 // DotTranspose implements a.' (no conjugation).
 func DotTranspose(a *Value) (*Value, error) { return Donors{}.Transpose(a, false) }
 
+// transposeTile is the side of the square tiles transposeTiles copies:
+// the 32 columns a tile reads and the 32 rows it writes are 8 KiB each,
+// so both stay in L1 while the tile is copied, where the element loop
+// strides the whole matrix for every element it writes.
+const transposeTile = 32
+
+// transposeTiles writes src, rows×cols column-major, into dst transposed
+// (cols×rows), one tile at a time. Each element is one copy, so the bits
+// are the element loop's.
+func transposeTiles(dst, src []float64, rows, cols int) {
+	for c0 := 0; c0 < cols; c0 += transposeTile {
+		c1 := min(c0+transposeTile, cols)
+		for r0 := 0; r0 < rows; r0 += transposeTile {
+			r1 := min(r0+transposeTile, rows)
+			for c := c0; c < c1; c++ {
+				col := src[c*rows+r0 : c*rows+r1]
+				for i, x := range col {
+					dst[(r0+i)*cols+c] = x
+				}
+			}
+		}
+	}
+}
+
 // Transpose implements a' (conj) or a.', building a real result in
 // d.Dst or, for a vector that is a consumed temporary, in the operand.
 func (d Donors) Transpose(a *Value, conj bool) (*Value, error) {
@@ -503,15 +527,9 @@ func (d Donors) Transpose(a *Value, conj bool) (*Value, error) {
 			copy(out.im, a.im)
 		}
 	} else if n > 0 { // an empty matrix moves nothing, however long its other side
-		for c := 0; c < a.cols; c++ {
-			for r := 0; r < a.rows; r++ {
-				out.re[r*a.cols+c] = a.re[c*a.rows+r]
-			}
-		}
-		for c := 0; c < a.cols && a.im != nil; c++ {
-			for r := 0; r < a.rows; r++ {
-				out.im[r*a.cols+c] = a.im[c*a.rows+r]
-			}
+		transposeTiles(out.re, a.re, a.rows, a.cols)
+		if a.im != nil {
+			transposeTiles(out.im, a.im, a.rows, a.cols)
 		}
 	}
 	if conj {

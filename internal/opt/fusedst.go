@@ -1,6 +1,9 @@
 package opt
 
-import "repro/internal/ir"
+import (
+	"repro/internal/builtins"
+	"repro/internal/ir"
+)
 
 // FuseDst redirects a fused elementwise kernel to write straight into
 // the assigned variable's register. The statement compiler emits
@@ -22,7 +25,8 @@ import "repro/internal/ir"
 // twice (its def and the swap) has no such later use.
 //
 // One kind of kernel keeps its temp: a kernel that can abandon its loop
-// for the boxed fallback (it contains .^ or sqrt) never writes over an
+// for the boxed fallback (it contains .^, or sqrt or another function
+// whose real path can promote) never writes over an
 // operand, so `x = x ./ 2 + a .^ 2` redirected to x would find its
 // displaced destination unusable on every trip and allocate. Left
 // alone it alternates between two buffers: the temp holds the x of the
@@ -78,8 +82,10 @@ func abortableOver(p *ir.Prog, in *ir.Instr, x int32) bool {
 		switch {
 		case code[2*j] == ir.FusePow:
 			return true
-		case code[2*j] == ir.FuseMath && p.MathFns[code[2*j+1]] == "sqrt":
-			return true
+		case code[2*j] == ir.FuseMath:
+			if f, _ := builtins.Elementary(p.MathFns[code[2*j+1]]); f.Promotes != nil {
+				return true
+			}
 		}
 	}
 	return false

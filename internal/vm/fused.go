@@ -46,7 +46,7 @@ var fuseKernel = [...]mat.ElemOp{ir.FuseAdd: mat.KAdd, ir.FuseSub: mat.KSub, ir.
 // reproduced by replaying the operators' promotion rules. Whenever the
 // fast path cannot preserve those semantics — an operand is complex or
 // undefined, or an element would promote to complex (negative base to
-// a fractional power, sqrt of a negative) — the whole kernel falls
+// a fractional power, sqrt or log of a negative) — the whole kernel falls
 // back to interpreting the micro-ops over boxed values through the
 // same mat/builtins entry points the generic instructions call.
 func fusedExec(c *Compiled, ctx *builtins.Context, aux []int32, at, dst int, consumed uint32, V []*mat.Value, slots *[ir.MaxFuseOperands]float64) error {
@@ -112,7 +112,7 @@ func fusedExec(c *Compiled, ctx *builtins.Context, aux []int32, at, dst int, con
 
 	// canAbort: the program contains an op whose real path can promote
 	// to complex mid-loop (.^ with a negative base and fractional
-	// exponent, sqrt of a negative). needAcc: which binary ops might
+	// exponent, sqrt of a negative: ElemFn.Promotes). needAcc: which binary ops might
 	// produce an Int/Bool-kinded result and so must track whether every
 	// element stays integral — the same in-loop test mat.elementwise
 	// applies. maybe[] is a conservative "could be Int or Bool" lattice
@@ -139,7 +139,7 @@ func fusedExec(c *Compiled, ctx *builtins.Context, aux []int32, at, dst int, con
 			// numKind keeps Int, turns Bool into Real: leave the flag.
 		case ir.FuseMath:
 			maybe[sp-1] = false
-			if c.fuseSqrt[prog[2*j+1]] {
+			if c.elemFns[prog[2*j+1]].Promotes != nil {
 				canAbort = true
 			}
 		default:
@@ -340,10 +340,10 @@ blocks:
 				vbuf[sp-1] = o
 				continue
 			case ir.FuseMath:
-				fn := c.mathFns[arg]
+				fn, promotes := c.mathFns[arg], c.elemFns[arg].Promotes
 				x := vbuf[sp-1]
 				if x == nil {
-					if c.fuseSqrt[arg] && sval[sp-1] < 0 {
+					if promotes != nil && promotes(sval[sp-1]) {
 						abort.Store(true)
 						break blocks
 					}
@@ -351,9 +351,9 @@ blocks:
 					continue
 				}
 				o := block(j, sp-1, base, bs)
-				if c.fuseSqrt[arg] {
+				if promotes != nil {
 					for i := 0; i < bs; i++ {
-						if x[i] < 0 {
+						if promotes(x[i]) {
 							abort.Store(true)
 							break blocks
 						}

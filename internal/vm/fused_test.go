@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/builtins"
 	"repro/internal/ir"
 	"repro/internal/mat"
 )
@@ -145,4 +146,49 @@ func TestFusedOneOpEqualsGBin(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFusedMathMatchesBuiltin: a kernel applying one elementary function
+// gives the builtin's bits, also where an element lies outside the
+// function's real domain and the builtin promotes the whole array to
+// complex: the kernel abandons its loop for the boxed builtin.
+func TestFusedMathMatchesBuiltin(t *testing.T) {
+	x := mat.FromColMajor(mat.Real, 1, 12, []float64{0.5, 1, 2, 0, math.Copysign(0, -1), math.NaN(),
+		-0.5, -1, -2, math.Inf(-1), math.Inf(1), 1e308}, nil)
+	inDomain := mat.FromColMajor(mat.Real, 1, 4, []float64{0.5, 1, 0, math.Copysign(0, -1)}, nil)
+	for _, name := range []string{"sqrt", "log", "log2", "log10", "asin", "acos", "exp", "atan"} {
+		p := &ir.Prog{Name: "f", NumV: 2, Params: []ir.ParamBinding{{Bank: ir.BankV, Reg: 0}},
+			Ins:     []ir.Instr{{Op: ir.OpVFused, A: 1, B: 0}, {Op: ir.OpRet}},
+			OutRegs: []int32{1}, MathFns: []string{name}, Allocated: true,
+			Aux: []int32{1, 0, 0, 2, ir.FuseLoadV, 0, ir.FuseMath, 0}}
+		c, err := Prepare(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, arg := range []*mat.Value{x, inDomain} {
+			got, err := runBoxed(c, newTestHost(), []*mat.Value{arg})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, err := builtins.Call(builtins.NewContext(), builtins.Lookup(name), []*mat.Value{arg}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := got[0], want[0]; g.Kind() != w.Kind() || !sameBits(g.Re(), w.Re()) || !sameBits(g.Im(), w.Im()) {
+				t.Errorf("%s(%v): kernel %v, builtin %v", name, arg, g, w)
+			}
+		}
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) && !(math.IsNaN(a[i]) && math.IsNaN(b[i])) {
+			return false
+		}
+	}
+	return true
 }

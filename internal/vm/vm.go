@@ -77,16 +77,17 @@ var colonMarker = func() *mat.Value {
 // with the locator's acquire load) provides the happens-before edge
 // between Prepare and Run.
 type Compiled struct {
-	P          *ir.Prog
-	mathFns    []func(float64) float64
-	complexFns []func(complex128) complex128
-	builtins   []*builtins.Builtin
-	vpool      []*mat.Value
-	// Fused-kernel tables, indexed like mathFns: the boxed builtin each
-	// FuseMath micro-op falls back to, and whether it is sqrt (the one
-	// math builtin whose real path promotes negatives to complex).
-	fuseBs   []*builtins.Builtin
-	fuseSqrt []bool
+	P *ir.Prog
+	// mathFns are the real forms of elemFns, the program's math
+	// functions, which OpFMath applies.
+	mathFns  []func(float64) float64
+	elemFns  []builtins.ElemFn
+	builtins []*builtins.Builtin
+	vpool    []*mat.Value
+	// fuseBs, indexed like mathFns, are the boxed builtins each FuseMath
+	// micro-op falls back to, also where its real path would promote an
+	// element to complex (ElemFn.Promotes).
+	fuseBs []*builtins.Builtin
 	// builtinArgs is the widest argument list of any OpGBuiltin: the frame
 	// reserves that much boxed scratch after the V registers. callSlots
 	// is the number of call slots (the widest OpCallUser argument list,
@@ -145,9 +146,8 @@ func Prepare(p *ir.Prog) (*Compiled, error) {
 			return nil, fmt.Errorf("vm: unknown math function %q", name)
 		}
 		c.mathFns = append(c.mathFns, f.Real)
-		c.complexFns = append(c.complexFns, f.Complex)
+		c.elemFns = append(c.elemFns, f)
 		c.fuseBs = append(c.fuseBs, builtins.Lookup(name))
-		c.fuseSqrt = append(c.fuseSqrt, name == "sqrt")
 	}
 	for _, name := range p.Builtins {
 		b := builtins.Lookup(name)
@@ -628,7 +628,7 @@ func (fr *Frame) step(c *Compiled, host Host, args []Operand, in *ir.Instr, pc i
 			F[in.A] = host.Context().RNG.Normal()
 		}
 	case ir.OpCMath:
-		C[in.A] = c.complexFns[in.C](C[in.B])
+		C[in.A] = c.elemFns[in.C].At(C[in.B])
 
 	// The checked loads, the stores and vensure in full: the loop runs
 	// the common case of all but the complex loads.
