@@ -100,6 +100,9 @@ type gen struct {
 
 	// endCtx is the stack of index contexts for 'end' compilation.
 	endCtx []endCtx
+	// elems is the stack of the element registers of the unrolled matrix
+	// literals being compiled, innermost last.
+	elems []int32
 }
 
 // VConst is a boxed constant (strings, the colon marker).

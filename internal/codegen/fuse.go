@@ -34,9 +34,10 @@ import (
 
 // fuseNode describes an interior node of a fusable elementwise tree.
 type fuseNode struct {
-	code int32      // ir.FuseAdd .. ir.FuseMath
-	math string     // math-builtin name when code == ir.FuseMath
-	kids []ast.Expr // operand subtrees in evaluation order
+	code  int32       // ir.FuseAdd .. ir.FuseMath
+	math  string      // math-builtin name when code == ir.FuseMath
+	kids  [2]ast.Expr // operand subtrees in evaluation order
+	arity int         // how many of kids there are
 }
 
 // fuseInterior classifies e as an interior node of a fused kernel.
@@ -51,7 +52,7 @@ func (g *gen) fuseInterior(e ast.Expr) (fuseNode, bool) {
 	}
 	switch x := e.(type) {
 	case *ast.Binary:
-		kids := []ast.Expr{x.L, x.R}
+		kids := [2]ast.Expr{x.L, x.R}
 		switch x.Op {
 		case ast.OpAdd, ast.OpSub:
 			if g.cfg.FuseGEMV {
@@ -60,33 +61,33 @@ func (g *gen) fuseInterior(e ast.Expr) (fuseNode, bool) {
 				}
 			}
 			if x.Op == ast.OpAdd {
-				return fuseNode{code: ir.FuseAdd, kids: kids}, true
+				return fuseNode{code: ir.FuseAdd, kids: kids, arity: 2}, true
 			}
-			return fuseNode{code: ir.FuseSub, kids: kids}, true
+			return fuseNode{code: ir.FuseSub, kids: kids, arity: 2}, true
 		case ast.OpEMul:
-			return fuseNode{code: ir.FuseMul, kids: kids}, true
+			return fuseNode{code: ir.FuseMul, kids: kids, arity: 2}, true
 		case ast.OpEDiv:
-			return fuseNode{code: ir.FuseDiv, kids: kids}, true
+			return fuseNode{code: ir.FuseDiv, kids: kids, arity: 2}, true
 		case ast.OpEPow:
-			return fuseNode{code: ir.FusePow, kids: kids}, true
+			return fuseNode{code: ir.FusePow, kids: kids, arity: 2}, true
 		case ast.OpMul:
 			// * is elementwise exactly when a side is a proven scalar.
 			if g.annOf(x.L).IsScalar() || g.annOf(x.R).IsScalar() {
-				return fuseNode{code: ir.FuseMul, kids: kids}, true
+				return fuseNode{code: ir.FuseMul, kids: kids, arity: 2}, true
 			}
 		case ast.OpDiv:
 			if g.annOf(x.R).IsScalar() {
-				return fuseNode{code: ir.FuseDiv, kids: kids}, true
+				return fuseNode{code: ir.FuseDiv, kids: kids, arity: 2}, true
 			}
 		}
 	case *ast.Unary:
 		if x.Op == ast.OpNeg {
-			return fuseNode{code: ir.FuseNeg, kids: []ast.Expr{x.X}}, true
+			return fuseNode{code: ir.FuseNeg, kids: [2]ast.Expr{x.X}, arity: 1}, true
 		}
 	case *ast.Call:
 		if x.Kind == ast.Builtin && len(x.Args) == 1 {
 			if _, ok := builtins.Elementary(x.Name); ok {
-				return fuseNode{code: ir.FuseMath, math: x.Name, kids: []ast.Expr{x.Args[0]}}, true
+				return fuseNode{code: ir.FuseMath, math: x.Name, kids: [2]ast.Expr{x.Args[0]}, arity: 1}, true
 			}
 		}
 	}
@@ -105,7 +106,7 @@ func (g *gen) tryFuseExpr(e ast.Expr) (ir.Bank, int32, bool) {
 // D/w, b + 2): the operators whose generic form would box the scalar.
 func (g *gen) scalarSide(e ast.Expr) (fuseNode, bool) {
 	n, ok := g.fuseInterior(e)
-	if !ok || len(n.kids) != 2 || n.code == ir.FusePow {
+	if !ok || n.arity != 2 || n.code == ir.FusePow {
 		return fuseNode{}, false
 	}
 	l, r := g.annOf(n.kids[0]), g.annOf(n.kids[1])
@@ -154,7 +155,7 @@ func (g *gen) fuseTree(e ast.Expr, minOps int, interior func(ast.Expr) (fuseNode
 			return
 		}
 		nops++
-		for _, k := range n.kids {
+		for _, k := range n.kids[:n.arity] {
 			count(k)
 		}
 	}
@@ -199,7 +200,7 @@ func (g *gen) fuseTree(e ast.Expr, minOps int, interior func(ast.Expr) (fuseNode
 			}
 			return
 		}
-		for _, k := range n.kids {
+		for _, k := range n.kids[:n.arity] {
 			walk(k)
 		}
 		var arg int32

@@ -593,13 +593,14 @@ func (g *gen) matrixLit(x *ast.Matrix) (ir.Bank, int32) {
 		if allScalar {
 			// Compute all elements first, then allocate and store, so a
 			// literal like [v(2) v(1)] never reads a half-written dst.
-			elems := make([]int32, 0, rows*cols)
+			top := len(g.elems)
 			for _, row := range x.Rows {
 				for _, e := range row {
 					b, r := g.expr(e)
-					elems = append(elems, g.toF(b, r))
+					g.elems = append(g.elems, g.toF(b, r))
 				}
 			}
+			elems := g.elems[top:]
 			d := g.newReg(ir.BankV)
 			// VEnsure recycles the buffer this temp inherited from the
 			// previous iteration's swap (pre-allocated temporaries).
@@ -611,6 +612,7 @@ func (g *gen) matrixLit(x *ast.Matrix) (ir.Bank, int32) {
 					k++
 				}
 			}
+			g.elems = g.elems[:top]
 			return ir.BankV, d
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -782,9 +783,48 @@ function r = f(x, y)
 end`},
 }
 
+// realComplexPrograms run complex arithmetic on real values: a tiered
+// engine compiles f at a signature whose range admits negatives, so
+// sqrt(x) sits in a C register even where it is real. With both
+// imaginary parts zero, C-register *, / and ^ must give the
+// interpreter's real result: 1/sqrt(-0) is -Inf, not -Inf-NaNi, and
+// sqrt(-0)^-1 is -Inf, not +Inf.
+var realComplexPrograms = func() []diffProg {
+	const src = `
+function r = f(x)
+  a = 0; b = 0; c = 0;
+  for k = 1:1
+    a = 1/sqrt(x);
+  end
+  for k = 1:1
+    b = sqrt(x)*Inf;
+  end
+  for k = 1:1
+    c = sqrt(x)^-1;
+  end
+  r = [a b c];
+end`
+	var ps []diffProg
+	for _, x := range []float64{math.Copysign(0, -1), 0, -4, 4, math.Inf(1), math.Inf(-1)} {
+		ps = append(ps, diffProg{name: fmt.Sprintf("real_complex_arith_%v", x), args: []float64{x}, src: src})
+	}
+	ps[0].name = "real_complex_arith_-0"
+	return ps
+}()
+
+// TestRealValuedComplexArithmetic holds realComplexPrograms to the
+// interpreter's bits and kind under every tier and a tiered engine.
+func TestRealValuedComplexArithmetic(t *testing.T) {
+	for _, p := range realComplexPrograms {
+		p := p
+		t.Run(p.name, func(t *testing.T) { bitIdenticalAcrossTiers(t, p) })
+	}
+}
+
 func init() {
 	diffPrograms = append(diffPrograms, loopPrograms...)
 	diffPrograms = append(diffPrograms, signedZeroPrograms...)
+	diffPrograms = append(diffPrograms, realComplexPrograms...)
 }
 
 var allTiers = []Tier{TierMCC, TierFalcon, TierJIT, TierSpec}

@@ -10,10 +10,11 @@
 // slab, a type and a defined bit per variable the graph numbers
 // (cfg.Graph.VarID), so copying, joining and comparing environments hash
 // nothing and allocate nothing, and the worklist is a ring the size of
-// the graph. A run allocates that slab and the annotation slices it
-// returns, one slot per expression the graph numbers (ast.Expr.ID), so
-// recording an annotation hashes nothing either; a block is revisited at
-// most a fixed number of times before its out-set is widened.
+// the graph. The slab and the ring come from a pool (see scratch), so a
+// warm run allocates only the annotation slices it returns, one slot per
+// expression the graph numbers (ast.Expr.ID): recording an annotation
+// hashes nothing either. A block is revisited at most a fixed number of
+// times before its out-set is widened.
 package infer
 
 import (

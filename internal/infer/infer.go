@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/cfg"
+	"repro/internal/reuse"
 	"repro/internal/types"
 )
 
@@ -178,29 +179,69 @@ func envLeq(a, b *tenv) bool {
 	return true
 }
 
+// scratch is one Forward run's working memory: every environment is a
+// row of the two slabs (an out-set per block, meaningful once the block
+// has been visited, then the entry state and the set being worked on),
+// with the visit counts, the loop-variable bindings and the worklist
+// ring. It comes from scratchPool and grows only when a graph needs more.
+// A run clears only what it reads ungated — the defined bits, visits and
+// inQueue — since a stale type is read only behind a defined bit, a
+// stale loopVar only behind a visit, and a queue slot only once pushed.
+type scratch struct {
+	types   []types.Type
+	defined []bool
+	envs    []tenv
+	visits  []int
+	loopVar []types.Type
+	queue   []*cfg.Block
+	inQueue []bool
+}
+
+var scratchPool reuse.Pool[scratch]
+
+// take sizes the scratch for g and lays out its environments.
+func (s *scratch) take(g *cfg.Graph) {
+	nv, nb := len(g.Vars), len(g.Blocks)
+	s.types = reuse.Resize(s.types, (nb+2)*nv)
+	s.defined = reuse.Resize(s.defined, (nb+2)*nv)
+	s.envs = reuse.Resize(s.envs, nb+2)
+	s.visits = reuse.Resize(s.visits, nb)
+	s.loopVar = reuse.Resize(s.loopVar, nb)
+	s.queue = reuse.Resize(s.queue, nb)
+	s.inQueue = reuse.Resize(s.inQueue, nb)
+	clear(s.defined)
+	clear(s.visits)
+	clear(s.inQueue)
+	for i := range s.envs {
+		s.envs[i] = tenv{g, s.types[i*nv : (i+1)*nv : (i+1)*nv], s.defined[i*nv : (i+1)*nv : (i+1)*nv]}
+	}
+}
+
+// release drops every pointer the scratch holds to the run's graph and
+// returns it to the pool.
+func (s *scratch) release() {
+	clear(s.envs)
+	clear(s.queue)
+	scratchPool.Put(s)
+}
+
 // Forward runs JIT-style forward type inference over a function body.
 // params maps parameter names to their signature types (exact types in
 // JIT mode, speculative guesses in speculative mode).
 func Forward(g *cfg.Graph, params map[string]types.Type, opts Opts) *Result {
+	sc := scratchPool.Get()
+	defer sc.release()
+	sc.take(g)
 	inf := &inferencer{
-		opts:  opts,
-		calc:  DefaultCalc,
-		res:   newResult(g.Exprs),
-		graph: g,
+		opts:    opts,
+		calc:    DefaultCalc,
+		res:     newResult(g.Exprs),
+		graph:   g,
+		loopVar: sc.loopVar,
 	}
-	// Every environment of the run is a row of two slabs: an out-set per
-	// block (meaningful once the block has been visited), the entry state
-	// and the set being worked on.
-	nv, nb := len(g.Vars), len(g.Blocks)
-	typeSlab := make([]types.Type, (nb+2)*nv)
-	defSlab := make([]bool, (nb+2)*nv)
-	envs := make([]tenv, nb+2)
-	for i := range envs {
-		envs[i] = tenv{g, typeSlab[i*nv : (i+1)*nv : (i+1)*nv], defSlab[i*nv : (i+1)*nv : (i+1)*nv]}
-	}
+	nb := len(g.Blocks)
+	envs, visits := sc.envs, sc.visits
 	out, entry, cur := envs[:nb], &envs[nb], &envs[nb+1]
-	visits := make([]int, nb)
-	inf.loopVar = make([]types.Type, nb)
 	for k, v := range params {
 		v = inf.sanitize(v)
 		entry.set(k, v)
@@ -208,8 +249,7 @@ func Forward(g *cfg.Graph, params map[string]types.Type, opts Opts) *Result {
 	}
 
 	// The queue holds each block at most once, so a ring of nb suffices.
-	queue := make([]*cfg.Block, nb)
-	inQueue := make([]bool, nb)
+	queue, inQueue := sc.queue, sc.inQueue
 	head, n := 0, 0
 	push := func(blk *cfg.Block) {
 		if !inQueue[blk.ID] {

@@ -119,9 +119,11 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("lex error at %d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
-// Lexer scans MATLAB source.
+// Lexer scans MATLAB source in place: identifier, keyword, number and
+// string texts are substrings of the source, and only a string with a
+// doubled quote or a number with a j suffix copies its text.
 type Lexer struct {
-	src       []byte
+	src       string
 	pos       int
 	line, col int
 	// prevValueEnd tracks whether the previous token can end a value
@@ -132,22 +134,33 @@ type Lexer struct {
 
 // New returns a Lexer over src.
 func New(src string) *Lexer {
-	return &Lexer{src: []byte(src), line: 1, col: 1}
+	return &Lexer{src: src, line: 1, col: 1}
 }
 
 // Tokenize scans all of src and returns the token stream (terminated by
 // an EOF token).
 func Tokenize(src string) ([]Token, error) {
-	lx := New(src)
-	var toks []Token
+	toks, err := AppendTokens(nil, src)
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
+}
+
+// AppendTokens scans all of src and appends its token stream (terminated
+// by an EOF token) to dst. On a lexical error it returns dst with the
+// tokens before the error appended, so a caller that reuses the slice
+// can clear what it holds.
+func AppendTokens(dst []Token, src string) ([]Token, error) {
+	lx := Lexer{src: src, line: 1, col: 1}
 	for {
 		t, err := lx.Next()
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		toks = append(toks, t)
+		dst = append(dst, t)
 		if t.Kind == EOF {
-			return toks, nil
+			return dst, nil
 		}
 	}
 }
@@ -232,7 +245,7 @@ func (lx *Lexer) Next() (Token, error) {
 		for lx.pos < len(lx.src) && isAlnum(lx.peek()) {
 			lx.advance()
 		}
-		word := string(lx.src[start:lx.pos])
+		word := lx.src[start:lx.pos]
 		if keywords[word] {
 			// the keyword "end" acts as a value inside subscripts; the
 			// parser decides, but for quote disambiguation it ends a value.
@@ -347,7 +360,7 @@ func (lx *Lexer) number(line, col int, space bool) (Token, error) {
 			}
 		}
 	}
-	text := string(lx.src[start:lx.pos])
+	text := lx.src[start:lx.pos]
 	num, err := strconv.ParseFloat(text, 64)
 	if err != nil {
 		return Token{}, lx.errf("malformed number %q", text)
@@ -357,8 +370,11 @@ func (lx *Lexer) number(line, col int, space bool) (Token, error) {
 	if c := lx.peek(); c == 'i' || c == 'j' {
 		// Only when not followed by more identifier chars (2i but not 2if).
 		if lx.pos+1 >= len(lx.src) || !isAlnum(lx.src[lx.pos+1]) {
-			lx.advance()
-			text += "i"
+			if lx.advance() == 'i' {
+				text = lx.src[start:lx.pos]
+			} else {
+				text += "i"
+			}
 		}
 	}
 	lx.prevValueEnd = true
@@ -367,22 +383,26 @@ func (lx *Lexer) number(line, col int, space bool) (Token, error) {
 
 func (lx *Lexer) str(line, col int, space bool) (Token, error) {
 	lx.advance() // opening quote
-	var b strings.Builder
+	start := lx.pos
+	escaped := false // a doubled quote: the text is not a substring
 	for {
 		if lx.pos >= len(lx.src) || lx.peek() == '\n' {
 			return Token{}, lx.errf("unterminated string literal")
 		}
-		ch := lx.advance()
-		if ch == '\'' {
-			if lx.peek() == '\'' { // escaped quote
-				lx.advance()
-				b.WriteByte('\'')
-				continue
-			}
-			lx.prevValueEnd = true
-			return Token{Kind: Str, Text: b.String(), Line: line, Col: col, SpaceBefore: space}, nil
+		if lx.advance() != '\'' {
+			continue
 		}
-		b.WriteByte(ch)
+		if lx.peek() == '\'' { // escaped quote
+			lx.advance()
+			escaped = true
+			continue
+		}
+		text := lx.src[start : lx.pos-1]
+		if escaped {
+			text = strings.ReplaceAll(text, "''", "'")
+		}
+		lx.prevValueEnd = true
+		return Token{Kind: Str, Text: text, Line: line, Col: col, SpaceBefore: space}, nil
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func kinds(t *testing.T, src string) []Kind {
@@ -202,5 +203,55 @@ func TestErrorPosition(t *testing.T) {
 	le, ok := err.(*Error)
 	if !ok || le.Line != 1 {
 		t.Fatalf("error %v", err)
+	}
+}
+
+// TestLexerReadsInPlace: identifier, keyword, number and string texts are
+// substrings of the source, so lexing into a slice that has room
+// allocates nothing, and Tokenize allocates only its token slice. Only a
+// doubled quote and a j suffix copy their text; every text is what it was.
+func TestLexerReadsInPlace(t *testing.T) {
+	const src = "if x1 >= 2.5e3, y = A(end, :)' + 'it''s' .* 3i - 4j; else z = [1 -2]; end % done\n"
+	want := []string{"if", "x1", ">=", "2.5e3", ",", "y", "=", "A", "(", "end", ",", ":", ")", "'", "+", "it's",
+		".*", "3i", "-", "4i", ";", "else", "z", "=", "[", "1", "-", "2", "]", ";", "end", "\n", ""}
+	toks, err := Tokenize(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(toks) != len(want) {
+		t.Fatalf("%d tokens, want %d: %v", len(toks), len(want), toks)
+	}
+	inSource := func(s string) bool {
+		lo, hi := uintptr(unsafe.Pointer(unsafe.StringData(src))), uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return hi >= lo && hi < lo+uintptr(len(src))
+	}
+	for i, tok := range toks {
+		if tok.Text != want[i] {
+			t.Errorf("token %d: text %q, want %q", i, tok.Text, want[i])
+		}
+		copied := tok.Text == "it's" || tok.Text == "4i"
+		if k := tok.Kind; (k == Ident || k == Keyword || k == Number || k == Str) && !copied && !inSource(tok.Text) {
+			t.Errorf("token %d (%s) copied its text out of the source", i, tok)
+		}
+	}
+
+	buf := make([]Token, 0, len(toks))
+	if n := testing.AllocsPerRun(100, func() { buf, _ = AppendTokens(buf[:0], src) }); n != 2 {
+		t.Errorf("AppendTokens into a slice with room: %v allocations, want 2 (the doubled quote and the j suffix)", n)
+	}
+	const plain = "for k = 1:n, s = s + A(k, end) * 2.5; t = 'ok'; end\n"
+	if n := testing.AllocsPerRun(100, func() { buf, _ = AppendTokens(buf[:0], plain) }); n != 0 {
+		t.Errorf("AppendTokens of %q into a slice with room: %v allocations, want 0", plain, n)
+	}
+	// Tokenize allocates what growing its token slice takes, and no more.
+	ntoks := len(kinds(t, plain))
+	grow := testing.AllocsPerRun(100, func() {
+		var s []Token
+		for range ntoks {
+			s = append(s, Token{})
+		}
+	})
+	if n := testing.AllocsPerRun(100, func() { Tokenize(plain) }); n != grow {
+		t.Errorf("Tokenize of %q: %v allocations, want %v (its token slice's growth)", plain, n, grow)
 	}
 }

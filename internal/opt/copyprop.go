@@ -7,19 +7,11 @@ import "repro/internal/ir"
 // leave behind into dead code that eliminateDeadCode then removes. A move
 // from a constant register is a copy whose source is never redefined.
 // Like the other local passes it works within basic blocks.
-func propagateCopies(p *ir.Prog) {
-	lead := leaders(p)
+func propagateCopies(p *ir.Prog, sc *scratch) {
+	lead := sc.leaders(p)
 	rs := newRegSpace(p)
-	// copies[d] says d currently holds a copy of register src: the fact
-	// is of block `block`, and it dies when src is redefined, which
-	// moves version[src] on from srcVersion.
-	type copyFact struct {
-		block      int32
-		src        int32
-		srcVersion int32
-	}
-	copies := make([]copyFact, rs.n)
-	version := make([]int32, rs.n)
+	copies := zeroed(&sc.copies, rs.n)
+	version := zeroed(&sc.ints[0], rs.n)
 	block := int32(0)
 	var buf [3]ir.Operand
 	for pos := range p.Ins {
@@ -54,10 +46,19 @@ func propagateCopies(p *ir.Prog) {
 	}
 }
 
+// copyFact says a register currently holds a copy of register src: the
+// fact is of block `block`, and it dies when src is redefined, which
+// moves version[src] on from srcVersion.
+type copyFact struct {
+	block      int32
+	src        int32
+	srcVersion int32
+}
+
 // compact removes OpNop instructions, remapping branch targets, so dead
 // code stops costing dispatch time in the VM (nops are not free the way
 // they nearly are on hardware).
-func compact(p *ir.Prog) {
+func compact(p *ir.Prog, sc *scratch) {
 	keep := 0
 	for i := range p.Ins {
 		if p.Ins[i].Op != ir.OpNop {
@@ -67,7 +68,7 @@ func compact(p *ir.Prog) {
 	if keep == len(p.Ins) {
 		return
 	}
-	remap := make([]int32, len(p.Ins)+1)
+	remap := zeroed(&sc.ints[0], len(p.Ins)+1)
 	out := make([]ir.Instr, 0, keep)
 	for pos, in := range p.Ins {
 		remap[pos] = int32(len(out))

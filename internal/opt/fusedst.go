@@ -39,8 +39,10 @@ func FuseDst(p *ir.Prog) {
 	if !fused {
 		return // most programs have no kernel to redirect
 	}
+	sc := scratchPool.Get()
+	defer sc.put()
 	mentions := countVMentions(p)
-	lead := leaders(p)
+	lead := sc.leaders(p)
 	for pos := range p.Ins {
 		in := &p.Ins[pos]
 		if in.Op != ir.OpVFused {
@@ -61,7 +63,7 @@ func FuseDst(p *ir.Prog) {
 		in.A = sw.A
 		*sw = ir.Instr{Op: ir.OpNop}
 	}
-	compact(p)
+	compact(p, sc)
 }
 
 // abortableOver reports whether the fused kernel in reads register x and

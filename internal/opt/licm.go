@@ -1,7 +1,7 @@
 package opt
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/ir"
 )
@@ -25,11 +25,13 @@ type licm struct {
 	entries []int32
 	// hoist marks the instructions of the current loop that move out.
 	hoist []bool
-	// scratch and remap are sized to the widest loop on first use.
-	scratch []ir.Instr
-	remap   []int32
-	widest  int
+	// old and remap are sized to the widest loop.
+	old   []ir.Instr
+	remap []int32
 }
+
+// span is a loop: the stretch [lo, hi] of a backward branch at hi.
+type span struct{ lo, hi int }
 
 func (l *licm) reg(o ir.Operand) *loopReg {
 	r := &l.regs[l.rs.of(o)]
@@ -45,32 +47,32 @@ func (l *licm) reg(o ir.Operand) *loopReg {
 // instruction) and never read earlier in the loop body, move to a
 // preheader in front of the loop. Pure scalar ops cannot fault, so
 // hoisting past a zero-trip loop is safe.
-func hoistInvariants(p *ir.Prog) {
+func hoistInvariants(p *ir.Prog, sc *scratch) {
 	// Find loops from backedges (jump to an earlier position).
-	type loop struct{ lo, hi int }
-	var loops []loop
-	l := licm{p: p, entries: make([]int32, len(p.Ins)+1)}
+	loops, widest := sc.loops[:0], 0
+	l := licm{p: p, entries: zeroed(&sc.ints[0], len(p.Ins)+1)}
 	for pos := range p.Ins {
 		if t := p.Ins[pos].Target(); t != nil {
 			l.entries[*t]++
 			if int(*t) <= pos {
-				loops = append(loops, loop{lo: int(*t), hi: pos})
-				l.widest = max(l.widest, pos-int(*t)+1)
+				loops = append(loops, span{lo: int(*t), hi: pos})
+				widest = max(widest, pos-int(*t)+1)
 			}
 		}
 	}
+	sc.loops = loops
 	if len(loops) == 0 {
 		return
 	}
 	l.rs = newRegSpace(p)
-	l.regs = make([]loopReg, l.rs.n)
-	l.hoist = make([]bool, len(p.Ins))
+	l.regs = zeroed(&sc.regs, l.rs.n)
+	l.hoist = zeroed(&sc.hoist, len(p.Ins))
+	l.old = zeroed(&sc.instrs, widest)
+	l.remap = zeroed(&sc.ints[1], widest+1)
 	// Innermost first: smallest span, ties in discovery order. Hoisting
 	// moves instructions within [lo, hi] only, so the spans found above
 	// stay the ones the outer loops are taken by.
-	sort.SliceStable(loops, func(i, j int) bool {
-		return loops[i].hi-loops[i].lo < loops[j].hi-loops[j].lo
-	})
+	slices.SortStableFunc(loops, func(a, b span) int { return (a.hi - a.lo) - (b.hi - b.lo) })
 	for _, lp := range loops {
 		l.hoistOne(lp.lo, lp.hi)
 	}
@@ -154,15 +156,11 @@ func (l *licm) hoistOne(lo, hi int) {
 	// region. remap[old-lo] is where a branch to old goes now: a hoisted
 	// instruction's old slot stands for the first instruction at or after
 	// it that stayed. (The backedge at hi is a branch, hence stays.)
-	if l.scratch == nil {
-		l.scratch = make([]ir.Instr, l.widest)
-		l.remap = make([]int32, l.widest+1)
-	}
-	span := hi - lo + 1
-	old := l.scratch[:span]
+	width := hi - lo + 1
+	old := l.old[:width]
 	copy(old, p.Ins[lo:hi+1])
-	remap := l.remap[:span+1]
-	remap[span] = int32(hi + 1)
+	remap := l.remap[:width+1]
+	remap[width] = int32(hi + 1)
 	front, back := lo, lo+n
 	for i := range old {
 		if l.hoist[lo+i] {
@@ -174,7 +172,7 @@ func (l *licm) hoistOne(lo, hi int) {
 			back++
 		}
 	}
-	for i := span - 1; i >= 0; i-- {
+	for i := width - 1; i >= 0; i-- {
 		if l.hoist[lo+i] {
 			remap[i] = remap[i+1]
 			l.hoist[lo+i] = false
@@ -196,12 +194,12 @@ func (l *licm) hoistOne(lo, hi int) {
 // never read (whole-program use counts; conservative for non-SSA code).
 // A register whose use count reaches zero takes all its removable
 // definitions with it, and their operands' counts fall in turn.
-func eliminateDeadCode(p *ir.Prog) {
+func eliminateDeadCode(p *ir.Prog, sc *scratch) {
 	rs := newRegSpace(p)
-	uses := make([]int32, rs.n)
+	uses := zeroed(&sc.ints[0], rs.n)
 	// defsAt[defStart[r]:defStart[r+1]] are the positions of the
 	// removable definitions of register r.
-	defStart := make([]int32, rs.n+1)
+	defStart := zeroed(&sc.ints[1], rs.n+1)
 	var buf [3]ir.Operand
 	removable := func(in *ir.Instr) (ir.Operand, bool) {
 		d, ok := in.Def()
@@ -221,8 +219,8 @@ func eliminateDeadCode(p *ir.Prog) {
 	for r := 0; r < rs.n; r++ {
 		defStart[r+1] += defStart[r]
 	}
-	defsAt := make([]int32, defStart[rs.n])
-	fill := make([]int32, rs.n)
+	defsAt := zeroed(&sc.ints[2], int(defStart[rs.n]))
+	fill := zeroed(&sc.ints[3], rs.n)
 	for pos := range p.Ins {
 		if d, ok := removable(&p.Ins[pos]); ok {
 			r := rs.of(d)

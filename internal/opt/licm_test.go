@@ -150,7 +150,7 @@ func TestLICMShapes(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := &ir.Prog{Name: c.name, Ins: append([]ir.Instr(nil), c.before...), NumI: 8}
-		hoistInvariants(p)
+		hoistInvariants(p, scratchPool.Get())
 		want := c.want
 		if want == nil {
 			want = c.before

@@ -11,8 +11,8 @@
 // with its per-register facts in slices indexed by register (regSpace)
 // and made stale by a block or loop counter, never cleared; LICM costs
 // the sum of the loop spans (program length times nesting depth). A
-// pass allocates a fixed number of slices whatever the program's length,
-// value numbering's one expression table aside. Which fields of an
+// pipeline takes its tables from one pooled scratch (scratch.go), so a
+// warm pipeline allocates only compact's new stream. Which fields of an
 // instruction are registers and which a branch target is ir's knowledge
 // (Instr.Def, Uses, Target); no pass lists opcodes to find that out.
 package opt
@@ -27,30 +27,14 @@ func Run(p *ir.Prog) {
 	if p.Allocated {
 		panic("opt: program already register-allocated")
 	}
-	foldConstants(p)
-	localCSE(p)
-	propagateCopies(p)
-	hoistInvariants(p)
-	eliminateDeadCode(p)
-	compact(p)
-}
-
-// --- block structure ---------------------------------------------------------
-
-// leaders marks basic-block leader positions.
-func leaders(p *ir.Prog) []bool {
-	l := make([]bool, len(p.Ins)+1)
-	l[0] = true
-	for pos := range p.Ins {
-		in := &p.Ins[pos]
-		if t := in.Target(); t != nil {
-			l[*t] = true
-			l[pos+1] = true
-		} else if in.Op == ir.OpRet {
-			l[pos+1] = true
-		}
-	}
-	return l
+	sc := scratchPool.Get()
+	defer sc.put()
+	foldConstants(p, sc)
+	localCSE(p, sc)
+	propagateCopies(p, sc)
+	hoistInvariants(p, sc)
+	eliminateDeadCode(p, sc)
+	compact(p, sc)
 }
 
 // regSpace numbers the scalar registers of the three banks in one dense
@@ -76,14 +60,14 @@ func (s regSpace) of(o ir.Operand) int { return s.base[o.Bank] + int(*o.Reg) }
 // holding one — into a move from the constant register of the result.
 // Copy propagation then hands the constant to the readers and the move
 // dies: nothing is left to hoist.
-func foldConstants(p *ir.Prog) {
-	lead := leaders(p)
+func foldConstants(p *ir.Prog, sc *scratch) {
+	lead := sc.leaders(p)
 	rs := newRegSpace(p)
 	// A register holds a known constant while known[reg] names the
 	// current block.
-	known := make([]int32, rs.n)
-	fval := make([]float64, p.NumF)
-	ival := make([]int64, p.NumI)
+	known := zeroed(&sc.ints[0], rs.n)
+	fval := zeroed(&sc.fval, int(p.NumF))
+	ival := zeroed(&sc.ival, int(p.NumI))
 	block := int32(0)
 	fconst := func(r int32) (float64, bool) {
 		if r < 0 {
@@ -191,15 +175,18 @@ type availExpr struct {
 
 // localCSE performs value numbering within basic blocks over pure
 // scalar ops, replacing recomputations with moves.
-func localCSE(p *ir.Prog) {
-	lead := leaders(p)
+func localCSE(p *ir.Prog, sc *scratch) {
+	lead := sc.leaders(p)
 	rs := newRegSpace(p)
 	// vn[reg] is the register's value number while vnBlock[reg] names
 	// the current block.
-	vn := make([]int32, rs.n)
-	vnBlock := make([]int32, rs.n)
+	vn := zeroed(&sc.ints[0], rs.n)
+	vnBlock := zeroed(&sc.ints[1], rs.n)
 	block, nextVN := int32(0), int32(1)
-	avail := map[exprKey]availExpr{}
+	if sc.avail == nil {
+		sc.avail = map[exprKey]availExpr{}
+	}
+	avail := sc.avail
 	newVN := func(i int) int32 {
 		nextVN++
 		vn[i], vnBlock[i] = nextVN, block

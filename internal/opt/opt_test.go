@@ -45,11 +45,13 @@ func countOp(p *ir.Prog, op ir.Op) int {
 }
 
 // runPasses runs a subset of Run's pipeline, then compacts as Run does.
-func runPasses(p *ir.Prog, passes ...func(*ir.Prog)) {
+func runPasses(p *ir.Prog, passes ...func(*ir.Prog, *scratch)) {
+	sc := scratchPool.Get()
+	defer sc.put()
 	for _, pass := range passes {
-		pass(p)
+		pass(p, sc)
 	}
-	compact(p)
+	compact(p, sc)
 }
 
 func TestConstantFolding(t *testing.T) {

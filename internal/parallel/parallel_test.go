@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // coverage checks that For covers [0, n) exactly once by counting
@@ -192,6 +193,88 @@ func BenchmarkForLarge(b *testing.B) {
 			for j := lo; j < hi; j++ {
 				buf[j] = float64(j) * 1.5
 			}
+		})
+	}
+}
+
+// BenchmarkForJoinWait times what a two-thread fan-out waits for when the
+// fan-outs are spaced as spcg's are. spcg's conjugate-gradient loop at
+// the ledger's size (n = 10⁴, pentadiagonal) fans one CSR SpMV out per
+// iteration, split by sparse.SpMV's grain into chunks of 5 958 and 4 042
+// rows, about 270 µs apart under jit (p10 186 µs, p90 410 µs), the caller
+// computing in between. Each fan-out here is that SpMV, after the caller
+// spins for the gap. It reports:
+//
+//   - wake-ns: from the fan-out to the start of the worker's chunk, over
+//     the fan-outs where the worker ran one;
+//   - join-ns: from the end of the caller's last chunk to For's return,
+//     the join's wait for the worker, over the same fan-outs;
+//   - late-%: the fan-outs whose worker came too late to run a chunk, so
+//     that the caller ran both.
+//
+// gap=0 is the back-to-back case the ledger's parallel.for_overhead_ns
+// times, where the worker never parks; serial is the same SpMV on the
+// caller alone at spcg's gap, for its ns/op to compare.
+func BenchmarkForJoinWait(b *testing.B) {
+	const n, nnz = 10000, 5
+	const grain = 1 + (1<<16)/(2*nnz+1) // sparse.SpMV's grain at 5 nonzeros a row
+	col := make([]int, n*nnz)
+	val := make([]float64, n*nnz)
+	for i := range n {
+		for k, off := range []int{-100, -1, 0, 1, 100} {
+			col[i*nnz+k] = min(max(i+off, 0), n-1)
+			val[i*nnz+k] = float64(k) - 1.5
+		}
+	}
+	x, y := make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i] = float64(i%7) + 0.5
+	}
+	spmv := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			s := 0.0
+			for k := i * nnz; k < (i+1)*nnz; k++ {
+				s += val[k] * x[col[k]]
+			}
+			y[i] = s
+		}
+	}
+	b.Run("serial", func(b *testing.B) {
+		for range b.N {
+			for t := time.Now(); time.Since(t) < 270*time.Microsecond; {
+			}
+			For(1, n, grain, spmv)
+		}
+	})
+	for _, gap := range []time.Duration{0, 50 * time.Microsecond, 270 * time.Microsecond, time.Millisecond} {
+		b.Run("gap="+gap.String(), func(b *testing.B) {
+			var start, end [2]time.Time
+			var wake, join time.Duration
+			ran := 0
+			for range b.N {
+				for t := time.Now(); time.Since(t) < gap; {
+				}
+				t0 := time.Now()
+				For(2, n, grain, func(lo, hi int) {
+					c := lo / grain
+					start[c] = time.Now()
+					spmv(lo, hi)
+					end[c] = time.Now()
+				})
+				done := time.Now()
+				// The caller claims chunk 0 first: chunk 1 ran on the worker
+				// when it started before chunk 0 ended.
+				if start[1].Before(end[0]) {
+					ran++
+					wake += start[1].Sub(t0)
+					join += done.Sub(end[0])
+				}
+			}
+			if ran > 0 {
+				b.ReportMetric(float64(wake.Nanoseconds())/float64(ran), "wake-ns")
+				b.ReportMetric(float64(join.Nanoseconds())/float64(ran), "join-ns")
+			}
+			b.ReportMetric(100*float64(b.N-ran)/float64(b.N), "late-%")
 		})
 	}
 }

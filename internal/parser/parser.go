@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/lexer"
+	"repro/internal/reuse"
 )
 
 // Error is a parse error with position information.
@@ -39,9 +40,20 @@ type endCtx struct {
 	numDims int // filled when the subscript list is complete; -1 = unknown yet
 }
 
+// tokenPool holds the token slices Parse lexes into: a token stream is
+// dead once its parse returns, since the AST keeps texts, not tokens.
+// A slice goes back cleared, so a pooled one pins no source text.
+var tokenPool reuse.Pool[[]lexer.Token]
+
 // Parse parses a full source file (script statements and/or functions).
 func Parse(src string) (*ast.File, error) {
-	toks, err := lexer.Tokenize(src)
+	buf := tokenPool.Get()
+	toks, err := lexer.AppendTokens((*buf)[:0], src)
+	defer func() {
+		clear(toks)
+		*buf = toks[:0]
+		tokenPool.Put(buf)
+	}()
 	if err != nil {
 		return nil, err
 	}

@@ -20,16 +20,18 @@
 // of the event list to find how the loop first touches each register,
 // a fixpoint over those per-loop tables only, one sort of the intervals
 // by the total key (start, vreg) and one scan with at most as many
-// active intervals as there are registers. Intervals and the rewritten
-// stream are one allocation each and the event list, the loop list and
-// the first-touch table grow by doubling, so a bank's allocation count
-// is all but flat in the program's length.
+// active intervals as there are registers. The rewritten stream is one
+// allocation per bank. The intervals, the event list, the loop list, the
+// first-touch table and the scan's lists are one pooled scratch that the
+// three banks share, so a warm allocation allocates little but streams.
 package regalloc
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/ir"
+	"repro/internal/reuse"
 )
 
 // Options configures allocation.
@@ -52,9 +54,56 @@ func Allocate(p *ir.Prog, opts Options) {
 		return
 	}
 	p.Allocated = true
+	sc := scratchPool.Get()
+	defer sc.release()
+	sc.reserve(p, opts)
 	for _, bank := range []ir.Bank{ir.BankF, ir.BankI, ir.BankC} {
-		allocateBank(p, bank, opts)
+		allocateBank(p, bank, opts, sc)
 	}
+}
+
+// scratch is the working memory of one Allocate: the three banks reuse
+// it, and it goes back to scratchPool holding no pointer.
+type scratch struct {
+	ivs        []interval
+	events     []event
+	eventsFrom []int32
+	loops      []loop
+	firsts     []loopFirst
+	seenIn     []int32
+	sorted     []*interval
+	free       []int32
+	active     []*interval
+	newPos     []int32
+}
+
+var scratchPool reuse.Pool[scratch]
+
+// reserve sizes the scratch for the largest bank, so that a new one is
+// one allocation per table: most instructions touch two registers of a
+// bank at most. Spill code that a bank inserts can still grow the stream
+// past what the position tables hold.
+func (sc *scratch) reserve(p *ir.Prog, opts Options) {
+	nv := int(max(p.NumF, p.NumI, p.NumC))
+	k := max(opts.FRegs, opts.IRegs, opts.CRegs)
+	n := len(p.Ins) + len(p.Ins)/8 + 1
+	sc.ivs = reuse.Reserve(sc.ivs, nv)
+	sc.seenIn = reuse.Reserve(sc.seenIn, nv)
+	sc.sorted = reuse.Reserve(sc.sorted, nv)
+	sc.free = reuse.Reserve(sc.free, k)
+	sc.active = reuse.Reserve(sc.active, k)
+	sc.eventsFrom = reuse.Reserve(sc.eventsFrom, n)
+	sc.newPos = reuse.Reserve(sc.newPos, n)
+	sc.events = reuse.Reserve(sc.events, 2*n)
+	sc.firsts = reuse.Reserve(sc.firsts, 2*n)
+}
+
+// release drops the pointers into the intervals and returns the scratch
+// to the pool.
+func (sc *scratch) release() {
+	clear(sc.sorted[:cap(sc.sorted)])
+	clear(sc.active[:cap(sc.active)])
+	scratchPool.Put(sc)
 }
 
 func bankCount(p *ir.Prog, b ir.Bank) *int32 {
@@ -129,14 +178,19 @@ type loopFirst struct {
 	carried bool
 }
 
-func allocateBank(p *ir.Prog, bank ir.Bank, opts Options) {
+// loop is a backward branch's stretch [lo, hi] and its run of firsts.
+type loop struct{ lo, hi, firsts, nfirsts int }
+
+func allocateBank(p *ir.Prog, bank ir.Bank, opts Options, sc *scratch) {
 	nv := int(*bankCount(p, bank))
 	nconst := [...]int{len(p.ConstF), len(p.ConstI), len(p.ConstC)}[bank]
 	if nv == 0 && nconst == 0 {
 		return
 	}
 	// Build live intervals.
-	ivs := make([]interval, nv)
+	ivs := reuse.Resize(sc.ivs, nv)
+	clear(ivs)
+	sc.ivs = ivs
 	touch := func(vreg int32, pos int) {
 		iv := &ivs[vreg]
 		if !iv.live {
@@ -159,11 +213,10 @@ func allocateBank(p *ir.Prog, bank ir.Bank, opts Options) {
 	// Record the per-position events so loop extension can distinguish
 	// iteration-local temporaries from loop-carried values, and the
 	// loops themselves (backward branches).
-	type loop struct{ lo, hi, firsts, nfirsts int }
-	var loops []loop
-	var events []event
+	loops, events := sc.loops[:0], sc.events[:0]
 	// eventsFrom[pos] is the index of the first event at or after pos.
-	eventsFrom := make([]int32, len(p.Ins)+1)
+	eventsFrom := reuse.Resize(sc.eventsFrom, len(p.Ins)+1)
+	sc.eventsFrom = eventsFrom
 	var buf [3]ir.Operand
 	for pos := range p.Ins {
 		eventsFrom[pos] = int32(len(events))
@@ -183,6 +236,7 @@ func allocateBank(p *ir.Prog, bank ir.Bank, opts Options) {
 		}
 	}
 	eventsFrom[len(p.Ins)] = int32(len(events))
+	sc.loops, sc.events = loops, events
 
 	// Extend intervals across loops: a value is live around the backedge
 	// only when its first event inside the loop region is a read —
@@ -192,8 +246,10 @@ func allocateBank(p *ir.Prog, bank ir.Bank, opts Options) {
 	// pressure sane in unrolled loops. Each loop's first events are
 	// found once, in one walk over its stretch of the event list; the
 	// fixpoint below then only revisits those tables.
-	var firsts []loopFirst
-	seenIn := make([]int32, nv) // 1 + the last loop that met the register
+	firsts := sc.firsts[:0]
+	seenIn := reuse.Resize(sc.seenIn, nv) // 1 + the last loop that met the register
+	clear(seenIn)
+	sc.seenIn = seenIn
 	for li := range loops {
 		l := &loops[li]
 		l.firsts = len(firsts)
@@ -205,6 +261,7 @@ func allocateBank(p *ir.Prog, bank ir.Bank, opts Options) {
 		}
 		l.nfirsts = len(firsts) - l.firsts
 	}
+	sc.firsts = firsts
 	for changed := true; changed; {
 		changed = false
 		for _, l := range loops {
@@ -230,17 +287,18 @@ func allocateBank(p *ir.Prog, bank ir.Bank, opts Options) {
 
 	// Linear scan.
 	k := physCount(opts, bank)
-	sorted := make([]*interval, 0, nv)
+	sorted := reuse.Reserve(sc.sorted, nv)
 	for i := range ivs {
 		if ivs[i].live {
 			sorted = append(sorted, &ivs[i])
 		}
 	}
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].start != sorted[j].start {
-			return sorted[i].start < sorted[j].start
+	sc.sorted = sorted
+	slices.SortFunc(sorted, func(a, b *interval) int {
+		if a.start != b.start {
+			return a.start - b.start
 		}
-		return sorted[i].vreg < sorted[j].vreg
+		return int(a.vreg - b.vreg)
 	})
 
 	nextSlot := int32(0)
@@ -255,11 +313,11 @@ func allocateBank(p *ir.Prog, bank ir.Bank, opts Options) {
 			spill(iv)
 		}
 	} else {
-		free := make([]int32, 0, k)
+		free := reuse.Reserve(sc.free, k)
 		for i := k - 1; i >= 0; i-- {
 			free = append(free, int32(i))
 		}
-		active := make([]*interval, 0, k) // sorted by end
+		active := reuse.Reserve(sc.active, k) // sorted by end
 		insertActive := func(iv *interval) {
 			at := sort.Search(len(active), func(i int) bool { return active[i].end > iv.end })
 			active = append(active, nil)
@@ -294,6 +352,7 @@ func allocateBank(p *ir.Prog, bank ir.Bank, opts Options) {
 			free = free[:len(free)-1]
 			insertActive(iv)
 		}
+		sc.free, sc.active = free, active
 	}
 
 	// Rewrite the instruction stream. Scratch registers live above the
@@ -309,7 +368,8 @@ func allocateBank(p *ir.Prog, bank ir.Bank, opts Options) {
 		}
 	}
 	out := make([]ir.Instr, 0, len(p.Ins)+nspillRefs)
-	newPos := make([]int32, len(p.Ins)+1)
+	newPos := reuse.Resize(sc.newPos, len(p.Ins)+1)
+	sc.newPos = newPos
 	for pos := range p.Ins {
 		newPos[pos] = int32(len(out))
 		in := &p.Ins[pos] // renamed where it stands: the old stream is dropped below

@@ -374,7 +374,7 @@ func loop(f *float64, i *int64, c *complex128, v **mat.Value, ops *Operand, ins 
 		case ir.OpCSub:
 			*regC(c, in.A) = *regC(c, in.B) - *regC(c, in.C)
 		case ir.OpCMul:
-			*regC(c, in.A) = *regC(c, in.B) * *regC(c, in.C)
+			*regC(c, in.A) = cmul(*regC(c, in.B), *regC(c, in.C))
 		case ir.OpCNeg:
 			*regC(c, in.A) = -*regC(c, in.B)
 		case ir.OpCCmpEq:
@@ -500,9 +500,9 @@ func calling(in, ins *ir.Instr, f *float64, c *complex128, v **mat.Value, fns *f
 	case ir.OpFMath:
 		*regF(f, in.A) = mathFn(fns, in.C)(*regF(f, in.B))
 	case ir.OpCDiv:
-		*regC(c, in.A) = *regC(c, in.B) / *regC(c, in.C)
+		*regC(c, in.A) = cdiv(*regC(c, in.B), *regC(c, in.C))
 	case ir.OpCPow:
-		*regC(c, in.A) = cmplx.Pow(*regC(c, in.B), *regC(c, in.C))
+		*regC(c, in.A) = cpow(*regC(c, in.B), *regC(c, in.C))
 	case ir.OpFPowC:
 		*regC(c, in.A) = mat.RealPow(*regF(f, in.B), *regF(f, in.C))
 	case ir.OpCAbs:

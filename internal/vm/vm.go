@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/cmplx"
 	"sync/atomic"
 	"unsafe"
 
@@ -841,6 +842,33 @@ func b2f(b bool) float64 {
 		return 1
 	}
 	return 0
+}
+
+// cmul, cdiv and cpow are a C register's *, / and ^. The interpreter
+// demotes a zero imaginary part after every operation, so when both
+// operands' imaginary parts are zero they compute its real result with
+// a +0 imaginary part: 2*Inf is Inf, not Inf+NaNi, and (-0)^-1 is -Inf.
+func cmul(x, y complex128) complex128 {
+	if imag(x) == 0 && imag(y) == 0 {
+		return complex(real(x)*real(y), 0)
+	}
+	return x * y
+}
+
+func cdiv(x, y complex128) complex128 {
+	if imag(x) == 0 && imag(y) == 0 {
+		return complex(real(x)/real(y), 0)
+	}
+	return x / y
+}
+
+// cpow goes through mat.RealPow, which still promotes a negative base
+// with a fractional exponent.
+func cpow(x, y complex128) complex128 {
+	if imag(x) == 0 && imag(y) == 0 {
+		return mat.RealPow(real(x), real(y))
+	}
+	return cmplx.Pow(x, y)
 }
 
 func imod(x, y int64) int64 {
