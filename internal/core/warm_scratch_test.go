@@ -13,8 +13,12 @@ import (
 
 // bytesPerRun is what one call of f allocates, averaged over runs after
 // a warm-up call, with the collector off so that nothing empties a pool
-// in between.
+// in between, and on one P: a sync.Pool keeps what is put back with the
+// P that put it, so a goroutine that moved between a Put and the next Get
+// would miss and allocate a whole scratch (a loaded box read regalloc's
+// long body at 75 bytes an instruction instead of 63).
 func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	f()
 	var before, after runtime.MemStats
@@ -36,10 +40,11 @@ func bytesPerRun(runs int, f func()) float64 {
 // budget on the larger programs.
 func TestWarmCompileScratchIsReused(t *testing.T) {
 	// Budgets in bytes. With the pools the three families measure at most
-	// 76 per node parsing, 135 per node inferring and 114 per instruction
-	// allocating registers (three rewritten streams); without them, at
-	// least 305, 195 and 231, and inference 1 718 on sibling loops.
-	const parseBudget, inferBudget, regallocBudget = 128, 256, 160
+	// 76 per node parsing, 135 per node inferring and 63 per instruction
+	// allocating registers (the one stream a program keeps; a stream per
+	// bank read 114 on long body); without them, at least 305, 195 and
+	// 231, and inference 1 718 on sibling loops.
+	const parseBudget, inferBudget, regallocBudget = 128, 256, 64
 	for _, fam := range []struct {
 		name string
 		src  string

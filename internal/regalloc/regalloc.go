@@ -20,10 +20,12 @@
 // of the event list to find how the loop first touches each register,
 // a fixpoint over those per-loop tables only, one sort of the intervals
 // by the total key (start, vreg) and one scan with at most as many
-// active intervals as there are registers. The rewritten stream is one
-// allocation per bank. The intervals, the event list, the loop list, the
-// first-touch table and the scan's lists are one pooled scratch that the
-// three banks share, so a warm allocation allocates little but streams.
+// active intervals as there are registers. A bank that spills nothing is
+// renamed in place; one that spills rewrites the stream into the
+// scratch, and only the final stream is copied out, so a program costs
+// one stream. The intervals, the event list, the loop list, the
+// first-touch table, the scan's lists and the streams are one pooled
+// scratch that the three banks share.
 package regalloc
 
 import (
@@ -60,6 +62,9 @@ func Allocate(p *ir.Prog, opts Options) {
 	for _, bank := range []ir.Bank{ir.BankF, ir.BankI, ir.BankC} {
 		allocateBank(p, bank, opts, sc)
 	}
+	// The final stream may be the scratch's, or code generation's with
+	// append's slack; the program keeps an exact copy.
+	p.Ins = slices.Clone(p.Ins)
 }
 
 // scratch is the working memory of one Allocate: the three banks reuse
@@ -75,6 +80,9 @@ type scratch struct {
 	free       []int32
 	active     []*interval
 	newPos     []int32
+	// A bank that spills writes its stream into spare; live is the
+	// stream an earlier bank wrote, which p.Ins may still be.
+	spare, live []ir.Instr
 }
 
 var scratchPool reuse.Pool[scratch]
@@ -359,7 +367,8 @@ func allocateBank(p *ir.Prog, bank ir.Bank, opts Options, sc *scratch) {
 	// allocatable set: k, k+1, k+2. A spilled source is loaded into the
 	// next scratch register before the instruction (once, however many
 	// fields name it); a spilled destination is computed into one and
-	// stored after.
+	// stored after. With no spill code the stream keeps its length, and
+	// out is p.Ins itself: each instruction is appended where it stands.
 	load, store := slotOps(bank)
 	nspillRefs := 0
 	for _, ev := range events {
@@ -367,7 +376,11 @@ func allocateBank(p *ir.Prog, bank ir.Bank, opts Options, sc *scratch) {
 			nspillRefs++
 		}
 	}
-	out := make([]ir.Instr, 0, len(p.Ins)+nspillRefs)
+	rewrite := nspillRefs > 0
+	out := p.Ins[:0]
+	if rewrite {
+		out = reuse.Reserve(sc.spare, len(p.Ins)+nspillRefs)
+	}
 	newPos := reuse.Resize(sc.newPos, len(p.Ins)+1)
 	sc.newPos = newPos
 	for pos := range p.Ins {
@@ -416,10 +429,13 @@ func allocateBank(p *ir.Prog, bank ir.Bank, opts Options, sc *scratch) {
 	newPos[len(p.Ins)] = int32(len(out))
 
 	// Fix branch targets.
-	for i := range out {
-		if t := out[i].Target(); t != nil {
-			*t = newPos[*t]
+	if rewrite {
+		for i := range out {
+			if t := out[i].Target(); t != nil {
+				*t = newPos[*t]
+			}
 		}
+		sc.spare, sc.live = sc.live, out
 	}
 	p.Ins = out
 

@@ -89,8 +89,9 @@ func isEvalSeed(src string) bool {
 	return false
 }
 
-// FuzzWorkspaceSet fuzzes the body of PUT /sessions/{id}/workspace/x; a
-// value it binds is read back and used by a program.
+// FuzzWorkspaceSet fuzzes the body of PUT /sessions/{id}/workspace/x. A
+// value it binds must be what encoding/json decodes the body into, bit
+// for bit; it is then read back and used by a program.
 func FuzzWorkspaceSet(f *testing.F) {
 	for _, wv := range []workspaceValue{
 		{Name: "x", Rows: 2, Cols: 2, Kind: "double", Re: []float64{1, 2, 3, 4}},
@@ -106,11 +107,16 @@ func FuzzWorkspaceSet(f *testing.F) {
 	f.Add([]byte(`{"rows":1,"cols":2,"kind":"double","re":[1,2],"im":[3]}`))
 	f.Add([]byte(`{"rows":1e30,"cols":1}`))
 	f.Add(bytes.Repeat([]byte{' '}, maxWorkspaceBytes+1)) // 413 before it is read
+	f.Add([]byte(`{"rows":1,"cols":3,"re":[-0,null,5e-324],"RE":[1e21,null],"im":null}`))
+	f.Add([]byte(`{"rows":1,"cols":2,"re":[1,1e400]}`))
 	srv, id := fuzzServer(f)
 	path := "/sessions/" + id + "/workspace/x"
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if serve(t, srv, "PUT", path, body).Code != http.StatusNoContent {
 			return
+		}
+		if d := boundAs(srv, id, "x", body); d != "" {
+			t.Fatalf("PUT %q: %s", body, d)
 		}
 		serve(t, srv, "GET", path, nil)
 		prog, _ := json.Marshal(evalRequest{Src: "y = size(x,1); z = x'; n = numel(z);"})

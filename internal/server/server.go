@@ -23,17 +23,20 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -44,6 +47,7 @@ import (
 	"repro/internal/persist"
 	"repro/internal/profile"
 	"repro/internal/repo"
+	"repro/internal/reuse"
 	"repro/internal/telemetry"
 )
 
@@ -85,7 +89,7 @@ type Options struct {
 	MaxDeadline time.Duration
 
 	// Logger receives structured request logs (route, session, status,
-	// duration, deadline). Nil disables request logging.
+	// duration, deadline). Nil discards them, and no record is built.
 	Logger *slog.Logger
 	// TraceCapacity bounds the in-memory span ring served at
 	// /debug/trace (0 = telemetry.DefaultTraceCapacity). The ring keeps
@@ -161,7 +165,10 @@ func New(opts Options) *Server {
 	opts.Library.Journal = journal
 	logger := opts.Logger
 	if logger == nil {
-		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		// A handler no level reaches, so Enabled is false and no record
+		// is built (slog.DiscardHandler, which the module's go line
+		// predates).
+		logger = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 	}
 	s := &Server{
 		opts:       opts,
@@ -240,7 +247,8 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 }
 
 // timed wraps a handler with its route's latency histogram and a
-// structured request log (route, method, session, status, duration).
+// structured request log (route, method, session, status, duration),
+// whose attributes are built only when the logger takes the record.
 func (s *Server) timed(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
@@ -248,11 +256,15 @@ func (s *Server) timed(route string, h http.HandlerFunc) http.HandlerFunc {
 		h(sr, r)
 		d := time.Since(t0)
 		s.metrics.observe(route, d)
+		ctx := r.Context()
+		if !s.logger.Enabled(ctx, slog.LevelInfo) {
+			return
+		}
 		status := sr.status
 		if status == 0 {
 			status = http.StatusOK
 		}
-		attrs := []any{
+		attrs := []slog.Attr{
 			slog.String("route", route),
 			slog.String("method", r.Method),
 			slog.Int("status", status),
@@ -261,14 +273,52 @@ func (s *Server) timed(route string, h http.HandlerFunc) http.HandlerFunc {
 		if id := r.PathValue("id"); id != "" {
 			attrs = append(attrs, slog.String("session", id))
 		}
-		s.logger.Info("request", attrs...)
+		s.logger.LogAttrs(ctx, slog.LevelInfo, "request", attrs...)
 	}
 }
 
+// Request and response bodies pass through pooled buffers. A request
+// buffer is sized from the declared length, but never above
+// maxPooledBuffer up front, and grows as bytes arrive up to the route's
+// limit; a buffer that grew past maxPooledBuffer goes to the collector,
+// not back to the pool.
+const maxPooledBuffer = 1 << 20
+
+var buffers reuse.Pool[bytes.Buffer]
+
+func takeBuffer() *bytes.Buffer {
+	b := buffers.Get()
+	b.Reset()
+	return b
+}
+
+func releaseBuffer(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledBuffer {
+		buffers.Put(b)
+	}
+}
+
+// writeJSON answers with v's encoding and its Content-Length. It encodes
+// before it writes the status, so a value that does not encode is a 500
+// with an errorBody, never a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := takeBuffer()
+	defer releaseBuffer(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		json.NewEncoder(buf).Encode(errorBody{Error: "response does not encode: " + err.Error()})
+		status = http.StatusInternalServerError
+	}
+	writeBuffer(w, status, buf)
+}
+
+// writeBuffer answers with the JSON document in buf.
+func writeBuffer(w http.ResponseWriter, status int, buf *bytes.Buffer) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf.Bytes())
 }
 
 type errorBody struct {
@@ -277,9 +327,10 @@ type errorBody struct {
 	// "no_session" (unknown or closed session: a client must create a
 	// new one and rebuild its workspace) while a missing workspace
 	// variable is "no_variable" (the session lives on). A create refused
-	// by a draining daemon is "draining", and a request body past its
-	// limit "too_large".
-	Kind string `json:"kind,omitempty"` // "timeout" | "saturated" | "no_session" | "no_variable" | "draining" | "too_large"
+	// by a draining daemon is "draining", a request body past its limit
+	// "too_large", and a GET of a variable holding NaN or ±Inf, which
+	// JSON cannot carry, "non_finite".
+	Kind string `json:"kind,omitempty"` // "timeout" | "saturated" | "no_session" | "no_variable" | "draining" | "too_large" | "non_finite"
 }
 
 // Request body limits: an eval body carries one program's source, a
@@ -289,16 +340,28 @@ const (
 	maxWorkspaceBytes = 64 << 20
 )
 
-// decodeBody decodes r's JSON body into v, reading at most limit bytes.
-// When the body is too large (413, before reading any of it when its
-// declared length already is) or does not decode (400), it answers the
-// request itself and returns false.
+// decodeBody reads r's body once into a pooled buffer, reading at most
+// limit bytes, and decodes the buffer into v with json.Unmarshal. When
+// the body is too large (413, before reading any of it when its declared
+// length already is) or does not decode (400: bytes after the JSON value
+// included), it answers the request itself and returns false. v keeps
+// no reference into the buffer: json.Unmarshal copies strings, and
+// floats parses its numbers out.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	buf := takeBuffer()
+	defer releaseBuffer(buf)
 	var err error
 	if r.ContentLength > limit {
 		err = &http.MaxBytesError{Limit: limit}
 	} else {
-		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+		if r.ContentLength > 0 {
+			// MinRead of headroom: ReadFrom asks for that much free space
+			// before the read that finds the end of the body.
+			buf.Grow(int(min(r.ContentLength+bytes.MinRead, maxPooledBuffer)))
+		}
+		if _, err = buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err == nil {
+			err = json.Unmarshal(buf.Bytes(), v)
+		}
 	}
 	if err == nil {
 		return true
@@ -400,10 +463,12 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	if s.opts.MaxDeadline > 0 && (deadline <= 0 || deadline > s.opts.MaxDeadline) {
 		deadline = s.opts.MaxDeadline
 	}
-	s.logger.Debug("eval",
-		slog.String("session", r.PathValue("id")),
-		slog.Duration("deadline", deadline),
-		slog.Int("src_bytes", len(req.Src)))
+	if ctx := r.Context(); s.logger.Enabled(ctx, slog.LevelDebug) {
+		s.logger.LogAttrs(ctx, slog.LevelDebug, "eval",
+			slog.String("session", r.PathValue("id")),
+			slog.Duration("deadline", deadline),
+			slog.Int("src_bytes", len(req.Src)))
+	}
 
 	s.metrics.evalsInflight.Add(1)
 	defer s.metrics.evalsInflight.Add(-1) // on every exit, a panic in the engine included
@@ -434,12 +499,17 @@ func (s *Server) handleWorkspace(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown session", Kind: "no_session"})
 		return
 	}
-	v, ok := sess.workspaceGet(r.PathValue("name"))
-	if !ok {
+	buf := takeBuffer()
+	defer releaseBuffer(buf)
+	ok, err := sess.workspaceGet(r.PathValue("name"), buf)
+	switch {
+	case !ok:
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such variable", Kind: "no_variable"})
-		return
+	case err != nil:
+		writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: err.Error(), Kind: "non_finite"})
+	default:
+		writeBuffer(w, http.StatusOK, buf)
 	}
-	writeJSON(w, http.StatusOK, v)
 }
 
 func (s *Server) handleWorkspaceSet(w http.ResponseWriter, r *http.Request) {

@@ -2,10 +2,13 @@ package server
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,34 +127,47 @@ func (s *session) eval(src string, deadline time.Duration) (output string, timed
 	return buf.String(), errors.Is(err, cancel.ErrInterrupted) && fired.Load(), err
 }
 
-// workspaceGet reads a variable from the session workspace.
-func (s *session) workspaceGet(name string) (v *workspaceValue, ok bool) {
+// workspaceGet encodes a variable of the session workspace into buf,
+// under the session lock and straight from the value's own slices. It
+// reports whether the variable exists, and an error naming the first
+// element JSON cannot carry (NaN or ±Inf), in which case buf holds
+// nothing.
+func (s *session) workspaceGet(name string, buf *bytes.Buffer) (found bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
-		return nil, false
+		return false, nil
 	}
 	s.touch()
 	mv, ok := s.eng.Workspace(name)
 	if !ok {
-		return nil, false
+		return false, nil
 	}
-	wv := &workspaceValue{
+	wv := workspaceValue{
 		Name: name,
 		Rows: mv.Rows(),
 		Cols: mv.Cols(),
 		Kind: mv.Kind().String(),
 	}
-	switch {
-	case mv.Kind().IsNumeric():
-		wv.Re = append([]float64(nil), mv.Re()...)
-		if im := mv.Im(); im != nil {
-			wv.Im = append([]float64(nil), im...)
+	if mv.Kind().IsNumeric() {
+		wv.Re, wv.Im = mv.Re(), mv.Im()
+		if err := cmp.Or(nonFinite(name, "re", wv.Re), nonFinite(name, "im", wv.Im)); err != nil {
+			return true, err
 		}
-	default: // char
+	} else {
 		wv.Text = mv.Text()
 	}
-	return wv, true
+	return true, json.NewEncoder(buf).Encode(&wv)
+}
+
+// nonFinite names the first element of a part that JSON cannot carry.
+func nonFinite(name, part string, xs []float64) error {
+	for i, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("%s: %s[%d] is %v, and a JSON number is finite", name, part, i, x)
+		}
+	}
+	return nil
 }
 
 // workspaceSet binds a variable in the session workspace from its JSON
@@ -205,11 +221,62 @@ func (s *session) close() {
 
 // workspaceValue is the JSON shape of a workspace variable.
 type workspaceValue struct {
-	Name string    `json:"name"`
-	Rows int       `json:"rows"`
-	Cols int       `json:"cols"`
-	Kind string    `json:"kind"`
-	Re   []float64 `json:"re,omitempty"`
-	Im   []float64 `json:"im,omitempty"`
-	Text string    `json:"text,omitempty"`
+	Name string `json:"name"`
+	Rows int    `json:"rows"`
+	Cols int    `json:"cols"`
+	Kind string `json:"kind"`
+	Re   floats `json:"re,omitempty"`
+	Im   floats `json:"im,omitempty"`
+	Text string `json:"text,omitempty"`
+}
+
+// floats is a value's re or im part. It encodes as []float64 does, and
+// decodes an array that encoding/json has already validated in one pass
+// into a slice of exactly the element count, each number parsed by
+// strconv.ParseFloat as encoding/json parses it, so the bits are
+// encoding/json's. A null element is 0. Any other element that is not a
+// number, and a number out of range, is an error.
+type floats []float64
+
+func (f *floats) UnmarshalJSON(data []byte) error {
+	if *f != nil {
+		// A repeated key: encoding/json decodes it over the earlier
+		// array, where a null element keeps what that array held.
+		return json.Unmarshal(data, (*[]float64)(f))
+	}
+	if string(data) == "null" {
+		return nil
+	}
+	if len(data) < 2 || data[0] != '[' {
+		return errors.New("want an array of numbers")
+	}
+	elems := data[1 : len(data)-1]
+	if len(bytes.TrimSpace(elems)) == 0 {
+		*f = floats{}
+		return nil
+	}
+	// Numbers and nulls hold no comma, so the count is exact for every
+	// array that decodes.
+	out := make(floats, 0, bytes.Count(elems, []byte{','})+1)
+	for len(out) < cap(out) {
+		el := elems
+		if i := bytes.IndexByte(elems, ','); i >= 0 {
+			el, elems = elems[:i], elems[i+1:]
+		}
+		el = bytes.TrimSpace(el)
+		switch {
+		case string(el) == "null":
+			out = append(out, 0)
+		case len(el) > 0 && (el[0] == '-' || '0' <= el[0] && el[0] <= '9'):
+			x, err := strconv.ParseFloat(string(el), 64)
+			if err != nil {
+				return fmt.Errorf("element %d: %w", len(out), err)
+			}
+			out = append(out, x)
+		default:
+			return fmt.Errorf("element %d is not a number", len(out))
+		}
+	}
+	*f = out
+	return nil
 }
