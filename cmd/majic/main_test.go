@@ -12,22 +12,25 @@ import (
 // speculated function with integers crosses the tier-up threshold, and
 // `majic -tier=spec -jit-log` lists the replacement of the speculative
 // entry as a promotion with its cause and the signature it replaced.
+// Under prod the recursive fib compiles on its first call and is never
+// replaced; the loop-free twice is parked, and its placeholder is.
 func TestJitLogShowsReplacedSpeculation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fib.m")
-	src := "function y = fib(n)\n  if n < 2\n    y = n;\n  else\n    y = fib(n-1) + fib(n-2);\n  end\nend\n"
+	src := "function y = fib(n)\n  if n < 2\n    y = n;\n  else\n    y = fib(n-1) + fib(n-2);\n  end\nend\n" +
+		"function y = twice(n)\n  y = 2*n;\nend\n"
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Every tier-up is a replacement journaled in one form: the speculative
 	// real entry replaced for the integers its calls bring, and under prod
 	// the placeholder the first miss parked at the widened signature.
-	for _, row := range []struct{ tier, cause, replaces string }{
-		{"spec", "cause=observed-classes", "(replaces real"},
-		{"prod", "cause=hot-signature", "(replaces int|<1,1>|<1,1>|⊤"},
+	for _, row := range []struct{ tier, promoted, cause, replaces, never string }{
+		{"spec", "promotion fib sig=int", "cause=observed-classes", "(replaces real", ""},
+		{"prod", "promotion twice sig=int", "cause=hot-signature", "(replaces int|<1,1>|<1,1>|⊤", "promotion fib"},
 	} {
 		t.Run(row.tier, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			code := run([]string{"-tier=" + row.tier, "-jit-log", "-e", "for k = 1:10, x = fib(12); end, x", path}, strings.NewReader(""), &stdout, &stderr)
+			code := run([]string{"-tier=" + row.tier, "-jit-log", "-e", "for k = 1:10, x = fib(12); z = twice(k); end, x", path}, strings.NewReader(""), &stdout, &stderr)
 			if code != 0 {
 				t.Fatalf("exit %d: %s", code, stderr.String())
 			}
@@ -35,8 +38,11 @@ func TestJitLogShowsReplacedSpeculation(t *testing.T) {
 				t.Errorf("stdout %q, want x = 144", stdout.String())
 			}
 			log := stderr.String()
-			if !strings.Contains(log, "promotion fib sig=int") || !strings.Contains(log, row.cause) || !strings.Contains(log, row.replaces) {
-				t.Errorf("-jit-log has no replacement of fib's %s entry:\n%s", row.tier, log)
+			if !strings.Contains(log, row.promoted) || !strings.Contains(log, row.cause) || !strings.Contains(log, row.replaces) {
+				t.Errorf("-jit-log has no %q replacing its %s entry:\n%s", row.promoted, row.tier, log)
+			}
+			if row.never != "" && strings.Contains(log, row.never) {
+				t.Errorf("-jit-log has %q, but a recursive function compiles on its first call:\n%s", row.never, log)
 			}
 		})
 	}

@@ -2,143 +2,45 @@ package ast
 
 // A clone allocates per kind of node rather than per node: it counts the
 // tree first, then takes every node, and the backing of every list, from
-// a slab of exactly that many. Each list it hands out is a window whose
-// capacity is its length, so an append to a cloned list copies instead of
-// writing over its neighbour in the slab. Should a count fall short, the
-// slab allocates: a wrong count costs allocations, never a shared node.
+// a slab of exactly that many (Slab).
 
-// slab hands out values of one kind, taken from one exactly sized array.
-type slab[T any] struct {
-	need int // what the count found
-	free []T
-}
-
-func (s *slab[T]) alloc() {
-	if s.need > 0 {
-		s.free = make([]T, s.need)
-	}
-}
-
-// node takes one value, or allocates one when the slab is spent.
-func (s *slab[T]) node() *T {
-	if len(s.free) == 0 {
-		return new(T)
-	}
-	p := &s.free[0]
-	s.free = s.free[1:]
-	return p
-}
-
-// window takes n values as a list of capacity n; it is nil when n is 0.
-func (s *slab[T]) window(n int) []T {
-	switch {
-	case n == 0:
-		return nil
-	case len(s.free) < n:
-		return make([]T, n)
-	}
-	w := s.free[:n:n]
-	s.free = s.free[n:]
-	return w
-}
-
-// cloner holds one slab per node kind and per kind of list.
-type cloner struct {
-	nums       slab[NumberLit]
-	strs       slab[StringLit]
-	idents     slab[Ident]
-	binaries   slab[Binary]
-	unaries    slab[Unary]
-	transposes slab[Transpose]
-	ranges     slab[Range]
-	colons     slab[Colon]
-	ends       slab[End]
-	calls      slab[Call]
-	matrices   slab[Matrix]
-
-	exprStmts slab[ExprStmt]
-	assigns   slab[Assign]
-	ifs       slab[If]
-	whiles    slab[While]
-	fors      slab[For]
-	switches  slab[Switch]
-	breaks    slab[Break]
-	continues slab[Continue]
-	returns   slab[Return]
-	globals   slab[Global]
-	clears    slab[Clear]
-
-	exprs slab[Expr]   // Call.Args, Assign.LHS, If.Conds, Switch.CaseVals, matrix rows
-	stmts slab[Stmt]   // statement lists
-	lists slab[[]Stmt] // If.Blocks, Switch.CaseBlks
-	rows  slab[[]Expr] // Matrix.Rows
-	names slab[string] // Function.Ins and Outs, Global and Clear names
-}
-
-func (c *cloner) alloc() {
-	c.nums.alloc()
-	c.strs.alloc()
-	c.idents.alloc()
-	c.binaries.alloc()
-	c.unaries.alloc()
-	c.transposes.alloc()
-	c.ranges.alloc()
-	c.colons.alloc()
-	c.ends.alloc()
-	c.calls.alloc()
-	c.matrices.alloc()
-	c.exprStmts.alloc()
-	c.assigns.alloc()
-	c.ifs.alloc()
-	c.whiles.alloc()
-	c.fors.alloc()
-	c.switches.alloc()
-	c.breaks.alloc()
-	c.continues.alloc()
-	c.returns.alloc()
-	c.globals.alloc()
-	c.clears.alloc()
-	c.exprs.alloc()
-	c.stmts.alloc()
-	c.lists.alloc()
-	c.rows.alloc()
-	c.names.alloc()
-}
+// cloner counts into, and takes from, one slab per kind.
+type cloner struct{ Slabs }
 
 // countExpr adds what cloning e takes to the slabs' needs.
 func (c *cloner) countExpr(e Expr) {
 	switch x := e.(type) {
 	case *NumberLit:
-		c.nums.need++
+		c.NumberLits.Need++
 	case *StringLit:
-		c.strs.need++
+		c.StringLits.Need++
 	case *Ident:
-		c.idents.need++
+		c.Idents.Need++
 	case *Binary:
-		c.binaries.need++
+		c.Binaries.Need++
 		c.countExpr(x.L)
 		c.countExpr(x.R)
 	case *Unary:
-		c.unaries.need++
+		c.Unaries.Need++
 		c.countExpr(x.X)
 	case *Transpose:
-		c.transposes.need++
+		c.Transposes.Need++
 		c.countExpr(x.X)
 	case *Range:
-		c.ranges.need++
+		c.Ranges.Need++
 		c.countExpr(x.Lo)
 		c.countExpr(x.Step)
 		c.countExpr(x.Hi)
 	case *Colon:
-		c.colons.need++
+		c.Colons.Need++
 	case *End:
-		c.ends.need++
+		c.Ends.Need++
 	case *Call:
-		c.calls.need++
+		c.Calls.Need++
 		c.countExprs(x.Args)
 	case *Matrix:
-		c.matrices.need++
-		c.rows.need += len(x.Rows)
+		c.Matrices.Need++
+		c.Rows.Need += len(x.Rows)
 		for _, row := range x.Rows {
 			c.countExprs(row)
 		}
@@ -146,7 +48,7 @@ func (c *cloner) countExpr(e Expr) {
 }
 
 func (c *cloner) countExprs(list []Expr) {
-	c.exprs.need += len(list)
+	c.Exprs.Need += len(list)
 	for _, e := range list {
 		c.countExpr(e)
 	}
@@ -154,62 +56,55 @@ func (c *cloner) countExprs(list []Expr) {
 
 // countStmts adds what cloning list takes, its own backing included.
 func (c *cloner) countStmts(list []Stmt) {
-	c.stmts.need += len(list)
+	c.Stmts.Need += len(list)
 	for _, s := range list {
 		switch x := s.(type) {
 		case *ExprStmt:
-			c.exprStmts.need++
+			c.ExprStmts.Need++
 			c.countExpr(x.X)
 		case *Assign:
-			c.assigns.need++
+			c.Assigns.Need++
 			c.countExprs(x.LHS)
 			c.countExpr(x.RHS)
 		case *If:
-			c.ifs.need++
+			c.Ifs.Need++
 			c.countExprs(x.Conds)
-			c.lists.need += len(x.Blocks)
+			c.Lists.Need += len(x.Blocks)
 			for _, b := range x.Blocks {
 				c.countStmts(b)
 			}
 			c.countStmts(x.Else)
 		case *While:
-			c.whiles.need++
+			c.Whiles.Need++
 			c.countExpr(x.Cond)
 			c.countStmts(x.Body)
 		case *For:
-			c.fors.need++
+			c.Fors.Need++
 			c.countExpr(x.Iter)
 			c.countStmts(x.Body)
 		case *Switch:
-			c.switches.need++
+			c.Switches.Need++
 			c.countExpr(x.Subject)
 			c.countExprs(x.CaseVals)
-			c.lists.need += len(x.CaseBlks)
+			c.Lists.Need += len(x.CaseBlks)
 			for _, b := range x.CaseBlks {
 				c.countStmts(b)
 			}
 			c.countStmts(x.Otherwise)
 		case *Break:
-			c.breaks.need++
+			c.Breaks.Need++
 		case *Continue:
-			c.continues.need++
+			c.Continues.Need++
 		case *Return:
-			c.returns.need++
+			c.Returns.Need++
 		case *Global:
-			c.globals.need++
-			c.names.need += len(x.Names)
+			c.Globals.Need++
+			c.Names.Need += len(x.Names)
 		case *Clear:
-			c.clears.need++
-			c.names.need += len(x.Names)
+			c.Clears.Need++
+			c.Names.Need += len(x.Names)
 		}
 	}
-}
-
-// take copies *x into a node of s.
-func take[T any](s *slab[T], x *T) *T {
-	n := s.node()
-	*n = *x
-	return n
 }
 
 func (c *cloner) expr(e Expr) Expr {
@@ -217,38 +112,38 @@ func (c *cloner) expr(e Expr) Expr {
 	case nil:
 		return nil
 	case *NumberLit:
-		return take(&c.nums, x)
+		return c.NumberLits.New(*x)
 	case *StringLit:
-		return take(&c.strs, x)
+		return c.StringLits.New(*x)
 	case *Ident:
-		return take(&c.idents, x)
+		return c.Idents.New(*x)
 	case *Binary:
-		n := take(&c.binaries, x)
+		n := c.Binaries.New(*x)
 		n.L, n.R = c.expr(x.L), c.expr(x.R)
 		return n
 	case *Unary:
-		n := take(&c.unaries, x)
+		n := c.Unaries.New(*x)
 		n.X = c.expr(x.X)
 		return n
 	case *Transpose:
-		n := take(&c.transposes, x)
+		n := c.Transposes.New(*x)
 		n.X = c.expr(x.X)
 		return n
 	case *Range:
-		n := take(&c.ranges, x)
+		n := c.Ranges.New(*x)
 		n.Lo, n.Step, n.Hi = c.expr(x.Lo), c.expr(x.Step), c.expr(x.Hi)
 		return n
 	case *Colon:
-		return take(&c.colons, x)
+		return c.Colons.New(*x)
 	case *End:
-		return take(&c.ends, x)
+		return c.Ends.New(*x)
 	case *Call:
-		n := take(&c.calls, x)
+		n := c.Calls.New(*x)
 		n.Args = c.exprList(x.Args)
 		return n
 	case *Matrix:
-		n := take(&c.matrices, x)
-		n.Rows = c.rows.window(len(x.Rows))
+		n := c.Matrices.New(*x)
+		n.Rows = c.Rows.Window(len(x.Rows))
 		for i, row := range x.Rows {
 			n.Rows[i] = c.exprList(row)
 		}
@@ -258,22 +153,16 @@ func (c *cloner) expr(e Expr) Expr {
 }
 
 func (c *cloner) exprList(list []Expr) []Expr {
-	out := c.exprs.window(len(list))
+	out := c.Exprs.Window(len(list))
 	for i, e := range list {
 		out[i] = c.expr(e)
 	}
 	return out
 }
 
-func (c *cloner) nameList(list []string) []string {
-	out := c.names.window(len(list))
-	copy(out, list)
-	return out
-}
-
 // stmtList clones a statement list; the copy is never nil.
 func (c *cloner) stmtList(list []Stmt) []Stmt {
-	out := c.stmts.window(len(list))
+	out := c.Stmts.Window(len(list))
 	if out == nil {
 		out = []Stmt{}
 	}
@@ -284,7 +173,7 @@ func (c *cloner) stmtList(list []Stmt) []Stmt {
 }
 
 func (c *cloner) stmtLists(lists [][]Stmt) [][]Stmt {
-	out := c.lists.window(len(lists))
+	out := c.Lists.Window(len(lists))
 	for i, l := range lists {
 		out[i] = c.stmtList(l)
 	}
@@ -294,30 +183,30 @@ func (c *cloner) stmtLists(lists [][]Stmt) [][]Stmt {
 func (c *cloner) stmt(s Stmt) Stmt {
 	switch x := s.(type) {
 	case *ExprStmt:
-		n := take(&c.exprStmts, x)
+		n := c.ExprStmts.New(*x)
 		n.X = c.expr(x.X)
 		return n
 	case *Assign:
-		n := take(&c.assigns, x)
+		n := c.Assigns.New(*x)
 		n.LHS, n.RHS = c.exprList(x.LHS), c.expr(x.RHS)
 		return n
 	case *If:
-		n := take(&c.ifs, x)
+		n := c.Ifs.New(*x)
 		n.Conds, n.Blocks = c.exprList(x.Conds), c.stmtLists(x.Blocks)
 		if x.Else != nil { // an absent else stays absent
 			n.Else = c.stmtList(x.Else)
 		}
 		return n
 	case *While:
-		n := take(&c.whiles, x)
+		n := c.Whiles.New(*x)
 		n.Cond, n.Body = c.expr(x.Cond), c.stmtList(x.Body)
 		return n
 	case *For:
-		n := take(&c.fors, x)
+		n := c.Fors.New(*x)
 		n.Iter, n.Body = c.expr(x.Iter), c.stmtList(x.Body)
 		return n
 	case *Switch:
-		n := take(&c.switches, x)
+		n := c.Switches.New(*x)
 		n.Subject, n.CaseVals = c.expr(x.Subject), c.exprList(x.CaseVals)
 		n.CaseBlks = c.stmtLists(x.CaseBlks)
 		if x.Otherwise != nil {
@@ -325,18 +214,18 @@ func (c *cloner) stmt(s Stmt) Stmt {
 		}
 		return n
 	case *Break:
-		return take(&c.breaks, x)
+		return c.Breaks.New(*x)
 	case *Continue:
-		return take(&c.continues, x)
+		return c.Continues.New(*x)
 	case *Return:
-		return take(&c.returns, x)
+		return c.Returns.New(*x)
 	case *Global:
-		n := take(&c.globals, x)
-		n.Names = c.nameList(x.Names)
+		n := c.Globals.New(*x)
+		n.Names = c.Names.Copy(x.Names)
 		return n
 	case *Clear:
-		n := take(&c.clears, x)
-		n.Names = c.nameList(x.Names)
+		n := c.Clears.New(*x)
+		n.Names = c.Names.Copy(x.Names)
 		return n
 	}
 	panic("ast: clone: unknown statement")
@@ -347,7 +236,7 @@ func (c *cloner) stmt(s Stmt) Stmt {
 func CloneExpr(e Expr) Expr {
 	var c cloner
 	c.countExpr(e)
-	c.alloc()
+	c.Alloc()
 	return c.expr(e)
 }
 
@@ -355,18 +244,18 @@ func CloneExpr(e Expr) Expr {
 func CloneStmts(list []Stmt) []Stmt {
 	var c cloner
 	c.countStmts(list)
-	c.alloc()
+	c.Alloc()
 	return c.stmtList(list)
 }
 
 // CloneFunction deep-copies a function definition.
 func CloneFunction(f *Function) *Function {
 	var c cloner
-	c.names.need = len(f.Ins) + len(f.Outs)
+	c.Names.Need = len(f.Ins) + len(f.Outs)
 	c.countStmts(f.Body)
-	c.alloc()
+	c.Alloc()
 	n := *f
-	n.Ins, n.Outs = c.nameList(f.Ins), c.nameList(f.Outs)
+	n.Ins, n.Outs = c.Names.Copy(f.Ins), c.Names.Copy(f.Outs)
 	n.Body = c.stmtList(f.Body)
 	return &n
 }

@@ -85,3 +85,21 @@ func HasLoop(stmts []Stmt) bool {
 	})
 	return found
 }
+
+// Calls reports whether stmts name the function name at any depth: a
+// call, or a bare identifier, which MATLAB reads as a call with no
+// arguments when no variable holds that name. A variable that happens
+// to share the name also counts.
+func Calls(stmts []Stmt, name string) bool {
+	found := false
+	WalkStmts(stmts, func(n Node) bool {
+		switch x := n.(type) {
+		case *Call:
+			found = found || x.Name == name
+		case *Ident:
+			found = found || x.Name == name
+		}
+		return !found
+	})
+	return found
+}

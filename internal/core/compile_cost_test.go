@@ -64,6 +64,7 @@ func longBody(n int) string {
 // stages holds one function at every point of the pipeline a pass
 // starts from.
 type stages struct {
+	src    string
 	fn     *ast.Function
 	nodes  int // the AST nodes of fn
 	sig    types.Signature
@@ -79,7 +80,7 @@ func stagesOf(t *testing.T, src string) *stages {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &stages{fn: file.Funcs[0], sig: types.SignatureOf([]*mat.Value{mat.IntScalar(10)})}
+	s := &stages{src: src, fn: file.Funcs[0], sig: types.SignatureOf([]*mat.Value{mat.IntScalar(10)})}
 	ast.Walk(s.fn, func(ast.Node) bool { s.nodes++; return true })
 	work := ast.CloneFunction(s.fn)
 	s.g = cfg.Build(work.Body)
@@ -105,9 +106,9 @@ func (s *stages) fresh() *ir.Prog {
 // instruction produced than it did before (twice the code, at most 2.2
 // times the allocations), and the optimiser and the allocator — whose
 // scratch is a fixed number of tables — stay under a flat budget per
-// hundred instructions. The front end's clone, graph and inliner, which
-// allocate per kind of node rather than per node, stay under the same
-// budget per hundred AST nodes. The measure is per instruction because the
+// hundred instructions. The front end's parser, clone, graph and inliner,
+// which allocate per kind of node rather than per node, stay under the
+// same budget per hundred AST nodes. The measure is per instruction because the
 // families do not exactly double (only an innermost loop is unrolled, so
 // a nest twice as deep is a little under twice the code). Allocation
 // counts are exact, so the test is deterministic; time follows them
@@ -142,6 +143,7 @@ func TestCompileCostIsLinear(t *testing.T) {
 			// perNode holds a flat phase to the budget per AST node.
 			perNode bool
 		}{
+			{name: "parser.Parse", flat: true, perNode: true, run: func(s *stages) { parser.Parse(s.src) }},
 			{name: "ast.CloneFunction", flat: true, perNode: true, run: func(s *stages) { ast.CloneFunction(s.fn) }},
 			{name: "cfg.Build", flat: true, perNode: true, run: func(s *stages) { cfg.Build(s.fn.Body) }},
 			{name: "inline.ExpandDeps", flat: true, perNode: true, run: func(s *stages) { inline.ExpandDeps(s.fn, e) }},

@@ -11,18 +11,28 @@ var (
 	SameBitsAnyKind = sameBitsAnyKind
 )
 
-// loopHeader finds a for or while statement at the start of a line.
-var loopHeader = regexp.MustCompile(`(?m)^\s*(for|while)\b`)
+// loopHeader finds a for or while statement at the start of a line, and
+// fnHeader the name a function header defines.
+var (
+	loopHeader = regexp.MustCompile(`(?m)^\s*(for|while)\b`)
+	fnHeader   = regexp.MustCompile(`^function\s+(?:(?:\[[^\]]*\]|\w+)\s*=\s*)?(\w+)`)
+)
 
 // FirstFunctionLoops reads off the source text whether the first
-// function of src holds a for or while loop: what a tiered engine's
-// first call of it must do, decided without asking the engine.
+// function of src holds a for or while loop or names itself in its body:
+// what a tiered engine's first call of it must do (compile first, not
+// park), decided without asking the engine.
 func FirstFunctionLoops(src string) bool {
 	body := src[strings.Index(src, "function "):]
 	if end := strings.Index(body[1:], "\nfunction "); end >= 0 {
 		body = body[:end+1]
 	}
-	return loopHeader.MatchString(body)
+	if loopHeader.MatchString(body) {
+		return true
+	}
+	header, rest, _ := strings.Cut(body, "\n")
+	self := regexp.MustCompile(`\b` + fnHeader.FindStringSubmatch(header)[1] + `\b`)
+	return self.MatchString(rest)
 }
 
 // HoldPool occupies one worker of the library's compile pool until the

@@ -14,14 +14,14 @@ import (
 // of every Table 1 program at Small to the compile-first policy:
 //
 //   - it publishes code compiled at QualityOpt for the widened signature
-//     when the function loops, and runs it without interpreting;
-//     otherwise it parks a placeholder at that signature and interprets
-//     through it (a recursion's own calls may promote the placeholder
-//     before the first call returns);
+//     when the function loops or calls itself (fibonacci, ackermann), and
+//     runs it without interpreting; otherwise it parks a placeholder at
+//     that signature and interprets through it;
 //   - it returns the interpreter's bits;
-//   - for a function that loops, it allocates no more objects than the
-//     jit tier's first call, times 1.5: interpreting a loop allocates a
-//     box per scalar per iteration, compiled code does not.
+//   - for a function that loops or recurses, it allocates no more
+//     objects than the jit tier's first call, times 1.5: interpreting a
+//     loop allocates a box per scalar per iteration, compiled code does
+//     not.
 func TestFirstCallCompilesLoops(t *testing.T) {
 	const seed = 12345
 	prod := core.Production()
@@ -90,5 +90,92 @@ func TestFirstCallCompilesLoops(t *testing.T) {
 				t.Fatalf("prod's first call allocated %.0f objects, more than 1.5 × jit's %.0f", prodAllocs, jitAllocs)
 			}
 		})
+	}
+}
+
+// mutualSrc is a mutual recursion: neither body names itself, so the
+// body scan that makes a self-call compile first does not see it.
+const mutualSrc = `function y = iseven(n)
+  if n == 0
+    y = 1;
+  else
+    y = isodd(n - 1);
+  end
+end
+function y = isodd(n)
+  if n == 0
+    y = 0;
+  else
+    y = iseven(n - 1);
+  end
+end
+`
+
+// TestMutualRecursionIsParked pins what Production does with a mutual
+// recursion: each function is loop-free and never names itself, so its
+// first call parks a placeholder for each and interprets, with the
+// interpreter's bits, and both are promoted to compiled code once their
+// placeholders have served DefaultTierThreshold calls. Compiling such a
+// cycle before its first call would take a run-time check, which the
+// tiered engine does not make.
+func TestMutualRecursionIsParked(t *testing.T) {
+	const n = 3 // iseven(3) → isodd(2) → iseven(1) → isodd(0): two calls each
+	ref := core.New(core.Options{Tier: core.TierInterp})
+	defer ref.Close()
+	if err := ref.Define(mutualSrc); err != nil {
+		t.Fatal(err)
+	}
+	e := core.New(core.Production())
+	defer e.Close()
+	if err := e.Define(mutualSrc); err != nil {
+		t.Fatal(err)
+	}
+	call := func(e *core.Engine) *mat.Value {
+		outs, err := e.Call("iseven", []*mat.Value{mat.Scalar(n)}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outs[0]
+	}
+	want := call(ref)
+	// entries reads fn's one entry once every job has landed.
+	entry := func(fn string) *repo.Entry {
+		e.Drain()
+		entries := e.Repo().Entries(fn)
+		if len(entries) != 1 {
+			t.Fatalf("%s: %d entries %v, want one", fn, len(entries), entries)
+		}
+		return entries[0]
+	}
+
+	if got := call(e); !core.SameBitsAnyKind(want, got) {
+		t.Fatalf("first call = %s, interpreter %s", got, want)
+	}
+	for _, fn := range []string{"iseven", "isodd"} {
+		if en := entry(fn); !en.Placeholder {
+			t.Fatalf("%s after the first call: %+v, want a parked placeholder", fn, en)
+		}
+	}
+	if st := e.ProfileStats(); st.Entries != 2*2 || st.Promotions != 0 {
+		t.Fatalf("first call: tiering %+v, want 4 interpreted activations and no promotion", st)
+	}
+
+	// Each call serves each placeholder twice: the threshold is reached
+	// within DefaultTierThreshold/2 calls, and one more runs what replaced it.
+	for range core.DefaultTierThreshold / 2 {
+		if got := call(e); !core.SameBitsAnyKind(want, got) {
+			t.Fatalf("call = %s, interpreter %s", got, want)
+		}
+	}
+	for _, fn := range []string{"iseven", "isodd"} {
+		if en := entry(fn); en.Placeholder || en.Code == nil || en.Quality != repo.QualityOpt {
+			t.Fatalf("%s after %d calls: %+v, want compiled code that replaced its placeholder", fn, core.DefaultTierThreshold, en)
+		}
+	}
+	if st := e.ProfileStats(); st.Promotions != 2 {
+		t.Fatalf("tiering %+v, want both placeholders promoted", st)
+	}
+	if got := call(e); !core.SameBitsAnyKind(want, got) {
+		t.Fatalf("compiled call = %s, interpreter %s", got, want)
 	}
 }

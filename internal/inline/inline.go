@@ -7,8 +7,9 @@
 package inline
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/cfg"
@@ -72,7 +73,9 @@ func Expand(fn *ast.Function, res Resolver) *ast.Function {
 // g and tbl are that body's graph and table; otherwise they are nil, and
 // the expanded body needs its own.
 func ExpandDeps(fn *ast.Function, res Resolver) (out *ast.Function, deps []*ast.Function, g *cfg.Graph, tbl *disambig.Table) {
-	in := &inliner{res: res, depth: map[string]int{}, info: map[string]*calleeInfo{}, spliced: map[string]*ast.Function{}}
+	// The maps are made when the first candidate is met: most bodies
+	// call no user function.
+	in := &inliner{res: res}
 	out = ast.CloneFunction(fn)
 	// Disambiguating fn marks its user calls, the candidates, and names
 	// its variables, which no splice may capture.
@@ -106,6 +109,9 @@ func (in *inliner) analyze(name string) *calleeInfo {
 		return ci
 	}
 	ci := &calleeInfo{}
+	if in.info == nil {
+		in.info = map[string]*calleeInfo{}
+	}
 	in.info[name] = ci
 	fn := in.res.LookupFunction(name)
 	if fn == nil || fn.LineCount >= MaxLines || len(fn.Outs) == 0 {
@@ -360,17 +366,15 @@ func (in *inliner) expandCall(call *ast.Call, nout int) ([]ast.Stmt, []ast.Expr,
 	if !ci.ok || nout > len(ci.fn.Outs) {
 		return nil, nil, false
 	}
+	if in.depth == nil {
+		in.depth, in.spliced = map[string]int{}, map[string]*ast.Function{}
+	}
 	in.depth[call.Name]++
 	defer func() { in.depth[call.Name]-- }()
 	in.spliced[call.Name] = ci.fn
 
 	in.tmpCount++
-	pfx := fmt.Sprintf("inl%d_", in.tmpCount)
-
-	rename := map[string]string{}
-	for v := range ci.vars {
-		rename[v] = pfx + v
-	}
+	rename := renames(ci.vars, in.tmpCount)
 
 	var pre []ast.Stmt
 	// Bind parameters. Read-only identifier arguments substitute
@@ -409,6 +413,30 @@ func (in *inliner) expandCall(call *ast.Call, nout int) ([]ast.Stmt, []ast.Expr,
 		outs[i] = &ast.Ident{P: call.P, Name: name, Kind: ast.Variable}
 	}
 	return pre, outs, true
+}
+
+// renames maps each of vars to its name in splice n, inl<n>_<v>. Every
+// name is a slice of one string: the builder is grown to hold them all
+// first, so it writes each in place and never moves what it wrote.
+func renames(vars map[string]bool, n int) map[string]string {
+	var num [20]byte
+	pfx := strconv.AppendInt(num[:0], int64(n), 10)
+	size := 0
+	for v := range vars {
+		size += len("inl_") + len(pfx) + len(v)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	rename := make(map[string]string, len(vars))
+	for v := range vars {
+		lo := b.Len()
+		b.WriteString("inl")
+		b.Write(pfx)
+		b.WriteByte('_')
+		b.WriteString(v)
+		rename[v] = b.String()[lo:]
+	}
+	return rename
 }
 
 // renameStmts rewrites identifier and call-base names per the rename

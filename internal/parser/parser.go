@@ -31,8 +31,26 @@ type parser struct {
 	// where space is insignificant again.
 	matrixDepth int
 	parenDepth  []int
-	// endDims carries the subscript context for the 'end' keyword.
+	// endDims carries the subscript context for the 'end' keyword; ends
+	// holds the End nodes whose subscript list is still open.
 	endDims []endCtx
+	ends    []*ast.End
+
+	// a is where every node and every list of the tree comes from: one
+	// slab per kind, sized by count before the parse starts.
+	a ast.Slabs
+	// A list is built on its kind's stack and copied, once complete, into
+	// a window of its kind's slab (done). Lists nest, and a nested list
+	// is complete before its enclosing one goes on, so each stack holds
+	// the lists under construction one above the other.
+	exprs []ast.Expr
+	stmts []ast.Stmt
+	lists [][]ast.Stmt
+	rows  [][]ast.Expr
+	names []string
+	// made counts the statements made, which gives a function its
+	// LineCount.
+	made int
 }
 
 type endCtx struct {
@@ -40,25 +58,65 @@ type endCtx struct {
 	numDims int // filled when the subscript list is complete; -1 = unknown yet
 }
 
-// tokenPool holds the token slices Parse lexes into: a token stream is
-// dead once its parse returns, since the AST keeps texts, not tokens.
-// A slice goes back cleared, so a pooled one pins no source text.
-var tokenPool reuse.Pool[[]lexer.Token]
+// parsers holds the parsers Parse and ParseExpr work in: the token slice
+// and the stacks are dead once a parse returns, since the tree keeps
+// texts, not tokens, and lists copied off the stacks. A parser goes back
+// holding no pointer: not into the source, not into the tree, whose
+// slabs are never pooled (the tree lives as long as the definition that
+// holds it).
+var parsers reuse.Pool[parser]
+
+// newParser lexes src into a pooled parser and makes its slabs. The
+// caller releases it.
+func newParser(src string) (*parser, error) {
+	p := parsers.Get()
+	var err error
+	p.toks, err = lexer.AppendTokens(p.toks[:0], src)
+	if err == nil {
+		p.count()
+		p.a.Alloc()
+	}
+	return p, err
+}
+
+func (p *parser) release() {
+	clear(p.toks)
+	clear(p.ends[:cap(p.ends)])
+	clear(p.exprs[:cap(p.exprs)])
+	clear(p.stmts[:cap(p.stmts)])
+	clear(p.lists[:cap(p.lists)])
+	clear(p.rows[:cap(p.rows)])
+	clear(p.names[:cap(p.names)])
+	*p = parser{
+		toks: p.toks[:0], parenDepth: p.parenDepth[:0], endDims: p.endDims[:0], ends: p.ends[:0],
+		exprs: p.exprs[:0], stmts: p.stmts[:0], lists: p.lists[:0], rows: p.rows[:0], names: p.names[:0],
+	}
+	parsers.Put(p)
+}
+
+// done copies the list that starts at mark on stack into a window of s
+// and takes it off the stack.
+func done[T any](stack *[]T, mark int, s *ast.Slab[T]) []T {
+	list := s.Copy((*stack)[mark:])
+	*stack = (*stack)[:mark]
+	return list
+}
 
 // Parse parses a full source file (script statements and/or functions).
 func Parse(src string) (*ast.File, error) {
-	buf := tokenPool.Get()
-	toks, err := lexer.AppendTokens((*buf)[:0], src)
-	defer func() {
-		clear(toks)
-		*buf = toks[:0]
-		tokenPool.Put(buf)
-	}()
+	p, err := newParser(src)
+	defer p.release()
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	return p.file(src)
+}
+
+func (p *parser) file(src string) (*ast.File, error) {
 	file := &ast.File{P: ast.Pos{Line: 1, Col: 1}}
+	if n := p.a.Functions.Need; n > 0 {
+		file.Funcs = make([]*ast.Function, 0, n)
+	}
 	p.skipTerms()
 	for !p.at(lexer.EOF) {
 		if p.atKeyword("function") {
@@ -73,21 +131,22 @@ func Parse(src string) (*ast.File, error) {
 				return nil, err
 			}
 			if s != nil {
-				file.Stmts = append(file.Stmts, s)
+				p.stmts = append(p.stmts, s)
 			}
 		}
 		p.skipTerms()
 	}
+	file.Stmts = done(&p.stmts, 0, &p.a.Stmts)
 	return file, nil
 }
 
 // ParseExpr parses a single expression (REPL convenience).
 func ParseExpr(src string) (ast.Expr, error) {
-	toks, err := lexer.Tokenize(src)
+	p, err := newParser(src)
+	defer p.release()
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
 	e, err := p.expr()
 	if err != nil {
 		return nil, err
@@ -158,7 +217,8 @@ func (p *parser) skipTerms() {
 func (p *parser) function(fullSrc string) (*ast.Function, error) {
 	start := p.cur()
 	p.next() // 'function'
-	fn := &ast.Function{P: p.posOf(start)}
+	fn := p.a.Functions.New(ast.Function{P: p.posOf(start)})
+	made := p.made
 
 	// Forms:
 	//   function name
@@ -167,15 +227,17 @@ func (p *parser) function(fullSrc string) (*ast.Function, error) {
 	//   function [o1,o2] = name(ins)
 	if p.at(lexer.LBracket) {
 		p.next()
+		mark := len(p.names)
 		for !p.at(lexer.RBracket) {
 			t, err := p.expect(lexer.Ident)
 			if err != nil {
 				return nil, err
 			}
-			fn.Outs = append(fn.Outs, t.Text)
+			p.names = append(p.names, t.Text)
 			p.eat(lexer.Comma)
 		}
 		p.next() // ]
+		fn.Outs = done(&p.names, mark, &p.a.Names)
 		if _, err := p.expect(lexer.Assign); err != nil {
 			return nil, err
 		}
@@ -190,7 +252,8 @@ func (p *parser) function(fullSrc string) (*ast.Function, error) {
 			return nil, err
 		}
 		if p.at(lexer.Assign) {
-			fn.Outs = []string{t.Text}
+			p.names = append(p.names, t.Text)
+			fn.Outs = done(&p.names, len(p.names)-1, &p.a.Names)
 			p.next()
 			t2, err := p.expect(lexer.Ident)
 			if err != nil {
@@ -202,15 +265,17 @@ func (p *parser) function(fullSrc string) (*ast.Function, error) {
 		}
 	}
 	if p.eat(lexer.LParen) {
+		mark := len(p.names)
 		for !p.at(lexer.RParen) {
 			t, err := p.expect(lexer.Ident)
 			if err != nil {
 				return nil, err
 			}
-			fn.Ins = append(fn.Ins, t.Text)
+			p.names = append(p.names, t.Text)
 			p.eat(lexer.Comma)
 		}
 		p.next() // )
+		fn.Ins = done(&p.names, mark, &p.a.Names)
 	}
 	p.skipTerms()
 	body, err := p.block("end", "function")
@@ -223,39 +288,28 @@ func (p *parser) function(fullSrc string) (*ast.Function, error) {
 	if p.atKeyword("end") {
 		p.next()
 	}
-	fn.LineCount = countFunctionLines(body)
+	// The paper's "lines of code" inlining metric is approximated by the
+	// statements of the body, at every depth.
+	fn.LineCount = p.made - made
 	fn.Source = fullSrc
 	return fn, nil
-}
-
-// countFunctionLines approximates the paper's "lines of code" inlining
-// metric by counting statements recursively.
-func countFunctionLines(body []ast.Stmt) int {
-	n := 0
-	ast.WalkStmts(body, func(node ast.Node) bool {
-		if _, ok := node.(ast.Stmt); ok {
-			n++
-		}
-		return true
-	})
-	return n
 }
 
 // block parses statements until one of the stop keywords is at the front
 // (not consumed). stops are keyword texts; "function" and EOF always stop.
 func (p *parser) block(stops ...string) ([]ast.Stmt, error) {
-	var out []ast.Stmt
+	mark := len(p.stmts)
 	p.skipTerms()
 	for {
 		if p.at(lexer.EOF) || p.atKeyword(stops...) || p.atKeyword("function") {
-			return out, nil
+			return done(&p.stmts, mark, &p.a.Stmts), nil
 		}
 		s, err := p.statement()
 		if err != nil {
 			return nil, err
 		}
 		if s != nil {
-			out = append(out, s)
+			p.stmts = append(p.stmts, s)
 		}
 		p.skipTerms()
 	}
@@ -264,6 +318,14 @@ func (p *parser) block(stops ...string) ([]ast.Stmt, error) {
 // --- statements --------------------------------------------------------------
 
 func (p *parser) statement() (ast.Stmt, error) {
+	s, err := p.stmt()
+	if s != nil {
+		p.made++
+	}
+	return s, err
+}
+
+func (p *parser) stmt() (ast.Stmt, error) {
 	t := p.cur()
 	if t.Kind == lexer.Keyword {
 		switch t.Text {
@@ -278,38 +340,37 @@ func (p *parser) statement() (ast.Stmt, error) {
 		case "break":
 			p.next()
 			p.eatSemi()
-			return &ast.Break{P: p.posOf(t)}, nil
+			return p.a.Breaks.New(ast.Break{P: p.posOf(t)}), nil
 		case "continue":
 			p.next()
 			p.eatSemi()
-			return &ast.Continue{P: p.posOf(t)}, nil
+			return p.a.Continues.New(ast.Continue{P: p.posOf(t)}), nil
 		case "return":
 			p.next()
 			p.eatSemi()
-			return &ast.Return{P: p.posOf(t)}, nil
+			return p.a.Returns.New(ast.Return{P: p.posOf(t)}), nil
 		case "global":
 			p.next()
-			var names []string
-			for p.at(lexer.Ident) {
-				names = append(names, p.next().Text)
-				p.eat(lexer.Comma)
-			}
-			p.eatSemi()
-			return &ast.Global{P: p.posOf(t), Names: names}, nil
+			return p.a.Globals.New(ast.Global{P: p.posOf(t), Names: p.nameList()}), nil
 		case "clear":
 			p.next()
-			var names []string
-			for p.at(lexer.Ident) {
-				names = append(names, p.next().Text)
-				p.eat(lexer.Comma)
-			}
-			p.eatSemi()
-			return &ast.Clear{P: p.posOf(t), Names: names}, nil
+			return p.a.Clears.New(ast.Clear{P: p.posOf(t), Names: p.nameList()}), nil
 		case "end", "else", "elseif", "case", "otherwise":
 			return nil, p.errf("unexpected %q", t.Text)
 		}
 	}
 	return p.simpleStmt()
+}
+
+// nameList parses the names of a global or clear statement.
+func (p *parser) nameList() []string {
+	mark := len(p.names)
+	for p.at(lexer.Ident) {
+		p.names = append(p.names, p.next().Text)
+		p.eat(lexer.Comma)
+	}
+	p.eatSemi()
+	return done(&p.names, mark, &p.a.Names)
 }
 
 // eatSemi consumes one optional statement terminator, recording display
@@ -351,7 +412,9 @@ func (p *parser) simpleStmt() (ast.Stmt, error) {
 				return nil, err
 			}
 		}
-		return &ast.Assign{P: p.posOf(start), LHS: []ast.Expr{e}, RHS: rhs, Display: display}, nil
+		p.exprs = append(p.exprs, e)
+		lhs := done(&p.exprs, len(p.exprs)-1, &p.a.Exprs)
+		return p.a.Assigns.New(ast.Assign{P: p.posOf(start), LHS: lhs, RHS: rhs, Display: display}), nil
 	}
 	display := !p.eatSemi()
 	if display {
@@ -359,7 +422,7 @@ func (p *parser) simpleStmt() (ast.Stmt, error) {
 			return nil, err
 		}
 	}
-	return &ast.ExprStmt{P: p.posOf(start), X: e, Display: display}, nil
+	return p.a.ExprStmts.New(ast.ExprStmt{P: p.posOf(start), X: e, Display: display}), nil
 }
 
 // requireTerm checks that a simple statement is properly terminated:
@@ -411,7 +474,7 @@ func (p *parser) isMultiAssign() bool {
 func (p *parser) multiAssign() (ast.Stmt, error) {
 	start := p.cur()
 	p.next() // [
-	var lhs []ast.Expr
+	mark := len(p.exprs)
 	for !p.at(lexer.RBracket) {
 		e, err := p.postfixExpr()
 		if err != nil {
@@ -420,10 +483,11 @@ func (p *parser) multiAssign() (ast.Stmt, error) {
 		if !isAssignable(e) {
 			return nil, p.errf("invalid assignment target in multi-assignment")
 		}
-		lhs = append(lhs, e)
+		p.exprs = append(p.exprs, e)
 		p.eat(lexer.Comma)
 	}
 	p.next() // ]
+	lhs := done(&p.exprs, mark, &p.a.Exprs)
 	if _, err := p.expect(lexer.Assign); err != nil {
 		return nil, err
 	}
@@ -435,24 +499,14 @@ func (p *parser) multiAssign() (ast.Stmt, error) {
 		call.NArgsOut = len(lhs)
 	}
 	display := !p.eatSemi()
-	return &ast.Assign{P: p.posOf(start), LHS: lhs, RHS: rhs, Display: display}, nil
+	return p.a.Assigns.New(ast.Assign{P: p.posOf(start), LHS: lhs, RHS: rhs, Display: display}), nil
 }
 
 func (p *parser) ifStmt() (ast.Stmt, error) {
 	start := p.next() // if
-	node := &ast.If{P: p.posOf(start)}
-	cond, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
-	node.Conds = append(node.Conds, cond)
-	blk, err := p.block("end", "else", "elseif")
-	if err != nil {
-		return nil, err
-	}
-	node.Blocks = append(node.Blocks, blk)
-	for p.atKeyword("elseif") {
-		p.next()
+	node := p.a.Ifs.New(ast.If{P: p.posOf(start)})
+	conds, blocks := len(p.exprs), len(p.lists)
+	for {
 		c, err := p.expr()
 		if err != nil {
 			return nil, err
@@ -461,9 +515,15 @@ func (p *parser) ifStmt() (ast.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		node.Conds = append(node.Conds, c)
-		node.Blocks = append(node.Blocks, b)
+		p.exprs = append(p.exprs, c)
+		p.lists = append(p.lists, b)
+		if !p.atKeyword("elseif") {
+			break
+		}
+		p.next()
 	}
+	node.Conds = done(&p.exprs, conds, &p.a.Exprs)
+	node.Blocks = done(&p.lists, blocks, &p.a.Lists)
 	if p.atKeyword("else") {
 		p.next()
 		b, err := p.block("end")
@@ -498,7 +558,7 @@ func (p *parser) whileStmt() (ast.Stmt, error) {
 	}
 	p.next()
 	p.eatSemi()
-	return &ast.While{P: p.posOf(start), Cond: cond, Body: body}, nil
+	return p.a.Whiles.New(ast.While{P: p.posOf(start), Cond: cond, Body: body}), nil
 }
 
 func (p *parser) forStmt() (ast.Stmt, error) {
@@ -523,7 +583,7 @@ func (p *parser) forStmt() (ast.Stmt, error) {
 	}
 	p.next()
 	p.eatSemi()
-	return &ast.For{P: p.posOf(start), Var: v.Text, Iter: iter, Body: body}, nil
+	return p.a.Fors.New(ast.For{P: p.posOf(start), Var: v.Text, Iter: iter, Body: body}), nil
 }
 
 func (p *parser) switchStmt() (ast.Stmt, error) {
@@ -532,7 +592,8 @@ func (p *parser) switchStmt() (ast.Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	node := &ast.Switch{P: p.posOf(start), Subject: subj}
+	node := p.a.Switches.New(ast.Switch{P: p.posOf(start), Subject: subj})
+	vals, blks := len(p.exprs), len(p.lists)
 	p.skipTerms()
 	for p.atKeyword("case") {
 		p.next()
@@ -544,9 +605,11 @@ func (p *parser) switchStmt() (ast.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		node.CaseVals = append(node.CaseVals, cv)
-		node.CaseBlks = append(node.CaseBlks, blk)
+		p.exprs = append(p.exprs, cv)
+		p.lists = append(p.lists, blk)
 	}
+	node.CaseVals = done(&p.exprs, vals, &p.a.Exprs)
+	node.CaseBlks = done(&p.lists, blks, &p.a.Lists)
 	if p.atKeyword("otherwise") {
 		p.next()
 		blk, err := p.block("end")
@@ -604,7 +667,7 @@ func (p *parser) binaryLevel(sub func() (ast.Expr, error), ops map[lexer.Kind]as
 		if err != nil {
 			return nil, err
 		}
-		l = &ast.Binary{P: p.posOf(t), Op: op, L: l, R: r}
+		l = p.a.Binaries.New(ast.Binary{P: p.posOf(t), Op: op, L: l, R: r})
 	}
 }
 
@@ -649,9 +712,9 @@ func (p *parser) rangeExpr() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Range{P: p.posOf(t), Lo: lo, Step: mid, Hi: hi}, nil
+		return p.a.Ranges.New(ast.Range{P: p.posOf(t), Lo: lo, Step: mid, Hi: hi}), nil
 	}
-	return &ast.Range{P: p.posOf(t), Lo: lo, Hi: mid}, nil
+	return p.a.Ranges.New(ast.Range{P: p.posOf(t), Lo: lo, Hi: mid}), nil
 }
 
 func (p *parser) additive() (ast.Expr, error) {
@@ -678,7 +741,7 @@ func (p *parser) additive() (ast.Expr, error) {
 		if k == lexer.Minus {
 			op = ast.OpSub
 		}
-		l = &ast.Binary{P: p.posOf(t), Op: op, L: l, R: r}
+		l = p.a.Binaries.New(ast.Binary{P: p.posOf(t), Op: op, L: l, R: r})
 	}
 }
 
@@ -695,21 +758,21 @@ func (p *parser) unary() (ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Unary{P: p.posOf(t), Op: ast.OpNeg, X: x}, nil
+		return p.a.Unaries.New(ast.Unary{P: p.posOf(t), Op: ast.OpNeg, X: x}), nil
 	case lexer.Plus:
 		p.next()
 		x, err := p.unary()
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Unary{P: p.posOf(t), Op: ast.OpPos, X: x}, nil
+		return p.a.Unaries.New(ast.Unary{P: p.posOf(t), Op: ast.OpPos, X: x}), nil
 	case lexer.Not:
 		p.next()
 		x, err := p.unary()
 		if err != nil {
 			return nil, err
 		}
-		return &ast.Unary{P: p.posOf(t), Op: ast.OpNot, X: x}, nil
+		return p.a.Unaries.New(ast.Unary{P: p.posOf(t), Op: ast.OpNot, X: x}), nil
 	}
 	return p.power()
 }
@@ -740,7 +803,7 @@ func (p *parser) power() (ast.Expr, error) {
 			if st.Kind == lexer.Minus {
 				op = ast.OpNeg
 			}
-			r = &ast.Unary{P: p.posOf(st), Op: op, X: x}
+			r = p.a.Unaries.New(ast.Unary{P: p.posOf(st), Op: op, X: x})
 		} else {
 			x, err := p.postfixExpr()
 			if err != nil {
@@ -752,7 +815,7 @@ func (p *parser) power() (ast.Expr, error) {
 		if k == lexer.DotCaret {
 			op = ast.OpEPow
 		}
-		l = &ast.Binary{P: p.posOf(t), Op: op, L: l, R: r}
+		l = p.a.Binaries.New(ast.Binary{P: p.posOf(t), Op: op, L: l, R: r})
 	}
 }
 
@@ -767,10 +830,10 @@ func (p *parser) postfixExpr() (ast.Expr, error) {
 		switch {
 		case p.at(lexer.Quote):
 			t := p.next()
-			e = &ast.Transpose{P: p.posOf(t), X: e, Conjugate: true}
+			e = p.a.Transposes.New(ast.Transpose{P: p.posOf(t), X: e, Conjugate: true})
 		case p.at(lexer.DotQuote):
 			t := p.next()
-			e = &ast.Transpose{P: p.posOf(t), X: e, Conjugate: false}
+			e = p.a.Transposes.New(ast.Transpose{P: p.posOf(t), X: e, Conjugate: false})
 		default:
 			return e, nil
 		}
@@ -784,10 +847,10 @@ func (p *parser) primary() (ast.Expr, error) {
 		p.next()
 		imag := strings.HasSuffix(t.Text, "i") || strings.HasSuffix(t.Text, "j")
 		isInt := !imag && !strings.ContainsAny(t.Text, ".eE")
-		return &ast.NumberLit{P: p.posOf(t), Value: t.Num, Imag: imag, IsInt: isInt}, nil
+		return p.a.NumberLits.New(ast.NumberLit{P: p.posOf(t), Value: t.Num, Imag: imag, IsInt: isInt}), nil
 	case lexer.Str:
 		p.next()
-		return &ast.StringLit{P: p.posOf(t), Value: t.Text}, nil
+		return p.a.StringLits.New(ast.StringLit{P: p.posOf(t), Value: t.Text}), nil
 	case lexer.Ident:
 		p.next()
 		if p.at(lexer.LParen) {
@@ -795,9 +858,9 @@ func (p *parser) primary() (ast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &ast.Call{P: p.posOf(t), Name: t.Text, Args: args}, nil
+			return p.a.Calls.New(ast.Call{P: p.posOf(t), Name: t.Text, Args: args}), nil
 		}
-		return &ast.Ident{P: p.posOf(t), Name: t.Text}, nil
+		return p.a.Idents.New(ast.Ident{P: p.posOf(t), Name: t.Text}), nil
 	case lexer.LParen:
 		p.next()
 		p.pushParen()
@@ -816,7 +879,9 @@ func (p *parser) primary() (ast.Expr, error) {
 		if t.Text == "end" && len(p.endDims) > 0 {
 			p.next()
 			ctx := p.endDims[len(p.endDims)-1]
-			return &ast.End{P: p.posOf(t), Dim: ctx.dim, NumDims: ctx.numDims}, nil
+			e := p.a.Ends.New(ast.End{P: p.posOf(t), Dim: ctx.dim, NumDims: ctx.numDims})
+			p.ends = append(p.ends, e)
+			return e, nil
 		}
 	}
 	return nil, p.errf("unexpected %s in expression", t)
@@ -828,18 +893,18 @@ func (p *parser) argList(nameTok lexer.Token) ([]ast.Expr, error) {
 	p.next() // (
 	p.pushParen()
 	defer p.popParen()
-	var args []ast.Expr
 	if p.at(lexer.RParen) {
 		p.next()
-		return args, nil
+		return nil, nil
 	}
+	mark, ends := len(p.exprs), len(p.ends)
 	for {
-		p.endDims = append(p.endDims, endCtx{dim: len(args), numDims: -1})
+		p.endDims = append(p.endDims, endCtx{dim: len(p.exprs) - mark, numDims: -1})
 		var a ast.Expr
 		var err error
 		if p.at(lexer.Colon) && (p.peekAt(1).Kind == lexer.Comma || p.peekAt(1).Kind == lexer.RParen) {
 			t := p.next()
-			a = &ast.Colon{P: p.posOf(t)}
+			a = p.a.Colons.New(ast.Colon{P: p.posOf(t)})
 		} else {
 			a, err = p.expr()
 		}
@@ -847,7 +912,7 @@ func (p *parser) argList(nameTok lexer.Token) ([]ast.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		args = append(args, a)
+		p.exprs = append(p.exprs, a)
 		if p.eat(lexer.Comma) {
 			continue
 		}
@@ -856,21 +921,13 @@ func (p *parser) argList(nameTok lexer.Token) ([]ast.Expr, error) {
 	if _, err := p.expect(lexer.RParen); err != nil {
 		return nil, err
 	}
-	// Fill NumDims on End nodes now that the arity is known.
-	for i, a := range args {
-		dim := i
-		ast.Walk(a, func(n ast.Node) bool {
-			if e, ok := n.(*ast.End); ok && e.NumDims == -1 {
-				e.Dim = dim
-				e.NumDims = len(args)
-			}
-			// Do not descend into nested calls: their own arg parsing
-			// already resolved their End nodes.
-			_, isCall := n.(*ast.Call)
-			return !isCall || n == a
-		})
+	// Fill NumDims on this list's End nodes now that the arity is known;
+	// a nested subscript list filled, and took off, its own.
+	for _, e := range p.ends[ends:] {
+		e.NumDims = len(p.exprs) - mark
 	}
-	return args, nil
+	p.ends = p.ends[:ends]
+	return done(&p.exprs, mark, &p.a.Exprs), nil
 }
 
 // matrixLit parses [ ... ; ... ]. Inside, space and comma separate
@@ -879,12 +936,11 @@ func (p *parser) matrixLit() (ast.Expr, error) {
 	t := p.next() // [
 	p.matrixDepth++
 	defer func() { p.matrixDepth-- }()
-	m := &ast.Matrix{P: p.posOf(t)}
-	var row []ast.Expr
+	m := p.a.Matrices.New(ast.Matrix{P: p.posOf(t)})
+	rows, row := len(p.rows), len(p.exprs)
 	flushRow := func() {
-		if len(row) > 0 {
-			m.Rows = append(m.Rows, row)
-			row = nil
+		if len(p.exprs) > row {
+			p.rows = append(p.rows, done(&p.exprs, row, &p.a.Exprs))
 		}
 	}
 	for {
@@ -892,6 +948,7 @@ func (p *parser) matrixLit() (ast.Expr, error) {
 		case p.at(lexer.RBracket):
 			p.next()
 			flushRow()
+			m.Rows = done(&p.rows, rows, &p.a.Rows)
 			return m, nil
 		case p.at(lexer.EOF):
 			return nil, p.errf("unterminated matrix literal")
@@ -905,7 +962,7 @@ func (p *parser) matrixLit() (ast.Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, e)
+			p.exprs = append(p.exprs, e)
 		}
 	}
 }

@@ -123,8 +123,10 @@ type FuncState struct {
 	// Insert — the repository works standalone, without sources).
 	Fn      *ast.Function
 	SrcHash uint64
-	// Loops reports whether Fn's body holds a for or while loop, decided
-	// once per definition (Define).
+	// Loops reports whether Fn's body holds a for or while loop or calls
+	// Fn by its own name, decided once per definition (Define): a
+	// recursion is a loop the body scan can see. A tiered engine compiles
+	// such a function before its first call runs.
 	Loops bool
 	// Gen advances on every Define and Invalidate of the name.
 	Gen     uint64
@@ -439,7 +441,7 @@ func (r *Repository) Define(fn *ast.Function, srcHash uint64) {
 	r.mu.Lock()
 	slot := r.slotLocked(fn.Name)
 	old := slot.state.Load()
-	slot.state.Store(&FuncState{Fn: fn, SrcHash: srcHash, Loops: ast.HasLoop(fn.Body), Gen: old.Gen + 1})
+	slot.state.Store(&FuncState{Fn: fn, SrcHash: srcHash, Loops: ast.HasLoop(fn.Body) || ast.Calls(fn.Body, fn.Name), Gen: old.Gen + 1})
 	if len(old.Entries) > 0 {
 		r.stats.Invalidation++
 	}

@@ -139,6 +139,8 @@ type serverMetrics struct {
 	ingestDropped  atomic.Uint64
 	ingestRejected atomic.Uint64
 
+	panics atomic.Uint64 // handler panics answered by timed
+
 	routes map[string]*hist
 }
 

@@ -35,6 +35,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"sync"
@@ -246,23 +247,40 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 	return sr.ResponseWriter.Write(b)
 }
 
-// timed wraps a handler with its route's latency histogram and a
-// structured request log (route, method, session, status, duration),
-// whose attributes are built only when the logger takes the record.
+// timed wraps a handler with its route's latency histogram, a panic
+// guard and a structured request log (route, method, session, status,
+// duration). The record is at Debug, a 5xx's at Warn and a panic's at
+// Error, and its attributes are built only when the logger takes it. A
+// handler that panics answers a 500 of kind internal when it has written
+// nothing yet, and counts in /metrics; net/http never sees the panic, so
+// the connection lives on.
 func (s *Server) timed(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		sr := &statusRecorder{ResponseWriter: w}
-		h(sr, r)
+		panicked, stack := guard(h, sr, r)
+		if panicked != nil {
+			s.metrics.panics.Add(1)
+			if sr.status == 0 {
+				writeJSON(sr, http.StatusInternalServerError, errorBody{Error: "internal error in route " + route, Kind: "internal"})
+			}
+		}
 		d := time.Since(t0)
 		s.metrics.observe(route, d)
-		ctx := r.Context()
-		if !s.logger.Enabled(ctx, slog.LevelInfo) {
-			return
-		}
 		status := sr.status
 		if status == 0 {
 			status = http.StatusOK
+		}
+		level := slog.LevelDebug
+		switch {
+		case panicked != nil:
+			level = slog.LevelError
+		case status >= http.StatusInternalServerError:
+			level = slog.LevelWarn
+		}
+		ctx := r.Context()
+		if !s.logger.Enabled(ctx, level) {
+			return
 		}
 		attrs := []slog.Attr{
 			slog.String("route", route),
@@ -273,8 +291,26 @@ func (s *Server) timed(route string, h http.HandlerFunc) http.HandlerFunc {
 		if id := r.PathValue("id"); id != "" {
 			attrs = append(attrs, slog.String("session", id))
 		}
-		s.logger.LogAttrs(ctx, slog.LevelInfo, "request", attrs...)
+		if panicked != nil {
+			attrs = append(attrs, slog.String("panic", fmt.Sprint(panicked)), slog.String("stack", string(stack)))
+		}
+		s.logger.LogAttrs(ctx, level, "request", attrs...)
 	}
+}
+
+// guard runs h, and returns what it panicked with, if anything, and the
+// stack it panicked on. http.ErrAbortHandler, net/http's own way to
+// drop a connection, goes on up.
+func guard(h http.HandlerFunc, w http.ResponseWriter, r *http.Request) (panicked any, stack []byte) {
+	defer func() {
+		if panicked = recover(); panicked == http.ErrAbortHandler {
+			panic(panicked)
+		} else if panicked != nil {
+			stack = debug.Stack()
+		}
+	}()
+	h(w, r)
+	return nil, nil
 }
 
 // Request and response bodies pass through pooled buffers. A request
@@ -328,9 +364,11 @@ type errorBody struct {
 	// new one and rebuild its workspace) while a missing workspace
 	// variable is "no_variable" (the session lives on). A create refused
 	// by a draining daemon is "draining", a request body past its limit
-	// "too_large", and a GET of a variable holding NaN or ±Inf, which
-	// JSON cannot carry, "non_finite".
-	Kind string `json:"kind,omitempty"` // "timeout" | "saturated" | "no_session" | "no_variable" | "draining" | "too_large" | "non_finite"
+	// "too_large", a GET of a variable holding NaN or ±Inf, which JSON
+	// cannot carry, "non_finite", and a GET of a sparse variable, which
+	// the wire has no form for, "sparse". A handler that panicked answers
+	// "internal".
+	Kind string `json:"kind,omitempty"` // "timeout" | "saturated" | "no_session" | "no_variable" | "draining" | "too_large" | "non_finite" | "sparse" | "internal"
 }
 
 // Request body limits: an eval body carries one program's source, a
@@ -502,11 +540,14 @@ func (s *Server) handleWorkspace(w http.ResponseWriter, r *http.Request) {
 	buf := takeBuffer()
 	defer releaseBuffer(buf)
 	ok, err := sess.workspaceGet(r.PathValue("name"), buf)
+	var refused *refusal
 	switch {
 	case !ok:
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such variable", Kind: "no_variable"})
+	case errors.As(err, &refused):
+		writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: err.Error(), Kind: refused.kind})
 	case err != nil:
-		writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: err.Error(), Kind: "non_finite"})
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 	default:
 		writeBuffer(w, http.StatusOK, buf)
 	}
@@ -571,6 +612,9 @@ type MetricsSnapshot struct {
 	// replication records received from peers.
 	Node   string      `json:"node,omitempty" metric:"-"`
 	Ingest IngestStats `json:"ingest"`
+	// Panics counts handler panics, each answered with a 500 of kind
+	// internal when nothing was written yet.
+	Panics uint64 `json:"panics" metric:"majic_handler_panics_total,counter" help:"Handler panics, each answered with a 500 of kind internal."`
 }
 
 // IngestStats counts /cluster/ingest traffic (records received from
@@ -605,6 +649,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 	ms.Ingest.Applied = s.metrics.ingestApplied.Load()
 	ms.Ingest.Dropped = s.metrics.ingestDropped.Load()
 	ms.Ingest.Rejected = s.metrics.ingestRejected.Load()
+	ms.Panics = s.metrics.panics.Load()
 	ms.Parallel.Threads = parallel.DefaultThreads()
 	ms.Parallel.Workers = parallel.Workers()
 	ms.BufferPool = mat.ReadPoolStats()

@@ -538,9 +538,9 @@ func (p *panicOut) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
-// TestEvalEpilogueRunsOnPanic: an eval the engine panics out of still
-// ends its generation, lowers the cancel flag and the in-flight gauge,
-// so the session's next eval runs.
+// TestEvalEpilogueRunsOnPanic: an eval the engine panics out of answers
+// a 500 of kind internal, and still ends its generation, lowers the
+// cancel flag and the in-flight gauge, so the session's next eval runs.
 func TestEvalEpilogueRunsOnPanic(t *testing.T) {
 	srv, tc := startServer(t, Options{Engine: core.Options{Tier: core.TierJIT}})
 	id := tc.createSession()
@@ -551,16 +551,14 @@ func TestEvalEpilogueRunsOnPanic(t *testing.T) {
 	gen := sess.gen
 
 	body, _ := json.Marshal(evalRequest{Src: "x = 6 * 7"})
-	func() {
-		defer func() {
-			if r := recover(); r == nil {
-				t.Fatal("the engine did not panic")
-			}
-		}()
-		srv.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", "/sessions/"+id+"/eval", bytes.NewReader(body)))
-	}()
-	if m := srv.Metrics(); m.Evals.Inflight != 0 {
-		t.Errorf("in-flight gauge after the panic: %d, want 0", m.Evals.Inflight)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/sessions/"+id+"/eval", bytes.NewReader(body)))
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || rec.Code != http.StatusInternalServerError || eb.Kind != "internal" {
+		t.Fatalf("eval the engine panicked out of: %d %s, want 500 internal", rec.Code, rec.Body)
+	}
+	if m := srv.Metrics(); m.Evals.Inflight != 0 || m.Panics != 1 {
+		t.Errorf("after the panic: in-flight gauge %d, panics %d, want 0 and 1", m.Evals.Inflight, m.Panics)
 	}
 	if sess.gen != gen+1 {
 		t.Errorf("generation after the panic: %d, want %d", sess.gen, gen+1)

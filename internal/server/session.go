@@ -129,9 +129,9 @@ func (s *session) eval(src string, deadline time.Duration) (output string, timed
 
 // workspaceGet encodes a variable of the session workspace into buf,
 // under the session lock and straight from the value's own slices. It
-// reports whether the variable exists, and an error naming the first
-// element JSON cannot carry (NaN or ±Inf), in which case buf holds
-// nothing.
+// reports whether the variable exists, and a *refusal when the wire
+// cannot carry the value (an element that is NaN or ±Inf, or a sparse
+// value), in which case buf holds nothing.
 func (s *session) workspaceGet(name string, buf *bytes.Buffer) (found bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -142,6 +142,9 @@ func (s *session) workspaceGet(name string, buf *bytes.Buffer) (found bool, err 
 	mv, ok := s.eng.Workspace(name)
 	if !ok {
 		return false, nil
+	}
+	if mv.IsSparse() {
+		return true, &refusal{kind: "sparse", msg: fmt.Sprintf("%s is sparse, and the workspace wire carries dense values only: bind full(%s) to a name and GET that", name, name)}
 	}
 	wv := workspaceValue{
 		Name: name,
@@ -160,11 +163,17 @@ func (s *session) workspaceGet(name string, buf *bytes.Buffer) (found bool, err 
 	return true, json.NewEncoder(buf).Encode(&wv)
 }
 
+// refusal is a workspace value the wire cannot carry, with the
+// errorBody kind that names why.
+type refusal struct{ kind, msg string }
+
+func (r *refusal) Error() string { return r.msg }
+
 // nonFinite names the first element of a part that JSON cannot carry.
 func nonFinite(name, part string, xs []float64) error {
 	for i, x := range xs {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return fmt.Errorf("%s: %s[%d] is %v, and a JSON number is finite", name, part, i, x)
+			return &refusal{kind: "non_finite", msg: fmt.Sprintf("%s: %s[%d] is %v, and a JSON number is finite", name, part, i, x)}
 		}
 	}
 	return nil
