@@ -160,10 +160,11 @@ func (c *cloner) exprList(list []Expr) []Expr {
 	return out
 }
 
-// stmtList clones a statement list; the copy is never nil.
+// stmtList clones a statement list: a nil list stays nil, and an empty
+// one (an else without statements) stays empty.
 func (c *cloner) stmtList(list []Stmt) []Stmt {
 	out := c.Stmts.Window(len(list))
-	if out == nil {
+	if out == nil && list != nil {
 		out = []Stmt{}
 	}
 	for i, s := range list {
@@ -192,10 +193,7 @@ func (c *cloner) stmt(s Stmt) Stmt {
 		return n
 	case *If:
 		n := c.Ifs.New(*x)
-		n.Conds, n.Blocks = c.exprList(x.Conds), c.stmtLists(x.Blocks)
-		if x.Else != nil { // an absent else stays absent
-			n.Else = c.stmtList(x.Else)
-		}
+		n.Conds, n.Blocks, n.Else = c.exprList(x.Conds), c.stmtLists(x.Blocks), c.stmtList(x.Else)
 		return n
 	case *While:
 		n := c.Whiles.New(*x)
@@ -208,10 +206,7 @@ func (c *cloner) stmt(s Stmt) Stmt {
 	case *Switch:
 		n := c.Switches.New(*x)
 		n.Subject, n.CaseVals = c.expr(x.Subject), c.exprList(x.CaseVals)
-		n.CaseBlks = c.stmtLists(x.CaseBlks)
-		if x.Otherwise != nil {
-			n.Otherwise = c.stmtList(x.Otherwise)
-		}
+		n.CaseBlks, n.Otherwise = c.stmtLists(x.CaseBlks), c.stmtList(x.Otherwise)
 		return n
 	case *Break:
 		return c.Breaks.New(*x)
@@ -236,7 +231,7 @@ func (c *cloner) stmt(s Stmt) Stmt {
 func CloneExpr(e Expr) Expr {
 	var c cloner
 	c.countExpr(e)
-	c.Alloc()
+	c.Reset()
 	return c.expr(e)
 }
 
@@ -244,18 +239,47 @@ func CloneExpr(e Expr) Expr {
 func CloneStmts(list []Stmt) []Stmt {
 	var c cloner
 	c.countStmts(list)
-	c.Alloc()
+	c.Reset()
 	return c.stmtList(list)
+}
+
+// countFunction adds what cloning f takes.
+func (c *cloner) countFunction(f *Function) {
+	c.Functions.Need++
+	c.Names.Need += len(f.Ins) + len(f.Outs)
+	c.countStmts(f.Body)
+}
+
+func (c *cloner) function(f *Function) *Function {
+	n := c.Functions.New(*f)
+	n.Ins, n.Outs = c.Names.Copy(f.Ins), c.Names.Copy(f.Outs)
+	n.Body = c.stmtList(f.Body)
+	return n
 }
 
 // CloneFunction deep-copies a function definition.
 func CloneFunction(f *Function) *Function {
 	var c cloner
-	c.Names.Need = len(f.Ins) + len(f.Outs)
-	c.countStmts(f.Body)
-	c.Alloc()
-	n := *f
-	n.Ins, n.Outs = c.Names.Copy(f.Ins), c.Names.Copy(f.Outs)
-	n.Body = c.stmtList(f.Body)
-	return &n
+	c.countFunction(f)
+	c.Reset()
+	return c.function(f)
+}
+
+// CloneFile deep-copies a file, its script and every function from one
+// set of slabs.
+func CloneFile(f *File) *File {
+	var c cloner
+	c.countStmts(f.Stmts)
+	for _, fn := range f.Funcs {
+		c.countFunction(fn)
+	}
+	c.Reset()
+	n := &File{P: f.P, Stmts: c.stmtList(f.Stmts)}
+	if len(f.Funcs) > 0 {
+		n.Funcs = make([]*Function, len(f.Funcs))
+		for i, fn := range f.Funcs {
+			n.Funcs[i] = c.function(fn)
+		}
+	}
+	return n
 }

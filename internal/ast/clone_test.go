@@ -3,8 +3,9 @@ package ast
 import "testing"
 
 // TestCloneSurvivesAShortCount: a clone whose slabs were counted for less
-// than the tree still copies it whole, the nodes past the count allocated
-// one by one, and an append to any list it made writes nothing else.
+// than the tree still copies it whole, the nodes past the count taken
+// from whole arrays the slabs grow by, and an append to any list it made
+// writes nothing else.
 func TestCloneSurvivesAShortCount(t *testing.T) {
 	id := func(n string) *Ident { return &Ident{Name: n} }
 	num := func(v float64) *NumberLit { return &NumberLit{Value: v} }
@@ -25,7 +26,7 @@ func TestCloneSurvivesAShortCount(t *testing.T) {
 	for k := 0; k <= len(body); k++ {
 		var c cloner
 		c.countStmts(body[:k])
-		c.Alloc()
+		c.Reset()
 		out := c.stmtList(body)
 		got := ""
 		for _, s := range out {

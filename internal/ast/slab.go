@@ -1,46 +1,57 @@
 package ast
 
-// Slab hands out values of one kind, taken from one array of Need values
-// made by Alloc. A list it hands out is a window whose capacity is its
-// length, so an append to the list copies instead of writing over its
-// neighbour in the slab. Once the array is spent, the slab allocates each
-// value on its own: a short count costs allocations, never a shared value.
+// Slab hands out values of one kind, taken from one array. A list it
+// hands out is a window whose capacity is its length, so an append to
+// the list copies instead of writing over its neighbour in the slab.
+// Once the array is spent, the slab makes a new whole one, at least twice
+// as long: a short count costs an allocation, never a shared value and
+// never one per value.
 type Slab[T any] struct {
-	Need int // what a count found
-	free []T
+	// Need is what the next Reset's array must hold: what a count
+	// found, or every value handed out since the last Reset.
+	Need int
+	buf  []T // the newest array
+	free []T // what buf has not handed out
 }
 
-// Alloc makes the array of Need values.
-func (s *Slab[T]) Alloc() {
-	if s.Need > 0 {
-		s.free = make([]T, s.Need)
+// Reset readies the slab for a tree of Need values. It takes back every
+// value it handed out, cleared, and makes a new array only when Need is
+// more than its own: a builder that keeps its slabs between trees resets
+// them, and makes no array for a tree no larger than the last.
+func (s *Slab[T]) Reset() {
+	if s.Need > len(s.buf) {
+		s.buf = make([]T, s.Need)
+	} else {
+		clear(s.buf[:len(s.buf)-len(s.free)])
 	}
+	s.free, s.Need = s.buf, 0
+}
+
+// take hands out n values as a window of capacity n.
+func (s *Slab[T]) take(n int) []T {
+	if len(s.free) < n {
+		s.buf = make([]T, max(n, 2*len(s.buf)))
+		s.free = s.buf
+	}
+	w := s.free[:n:n]
+	s.free = s.free[n:]
+	s.Need += n
+	return w
 }
 
 // New takes one value, set to v.
 func (s *Slab[T]) New(v T) *T {
-	if len(s.free) == 0 {
-		p := new(T)
-		*p = v
-		return p
-	}
-	p := &s.free[0]
+	p := &s.take(1)[0]
 	*p = v
-	s.free = s.free[1:]
 	return p
 }
 
 // Window takes n values as a list of capacity n; it is nil when n is 0.
 func (s *Slab[T]) Window(n int) []T {
-	switch {
-	case n == 0:
+	if n == 0 {
 		return nil
-	case len(s.free) < n:
-		return make([]T, n)
 	}
-	w := s.free[:n:n]
-	s.free = s.free[n:]
-	return w
+	return s.take(n)
 }
 
 // Copy takes a window holding list's values; it is nil when list is
@@ -86,34 +97,34 @@ type Slabs struct {
 	Names Slab[string] // Function.Ins and Outs, Global and Clear names
 }
 
-// Alloc makes every slab's array.
-func (s *Slabs) Alloc() {
-	s.NumberLits.Alloc()
-	s.StringLits.Alloc()
-	s.Idents.Alloc()
-	s.Binaries.Alloc()
-	s.Unaries.Alloc()
-	s.Transposes.Alloc()
-	s.Ranges.Alloc()
-	s.Colons.Alloc()
-	s.Ends.Alloc()
-	s.Calls.Alloc()
-	s.Matrices.Alloc()
-	s.ExprStmts.Alloc()
-	s.Assigns.Alloc()
-	s.Ifs.Alloc()
-	s.Whiles.Alloc()
-	s.Fors.Alloc()
-	s.Switches.Alloc()
-	s.Breaks.Alloc()
-	s.Continues.Alloc()
-	s.Returns.Alloc()
-	s.Globals.Alloc()
-	s.Clears.Alloc()
-	s.Functions.Alloc()
-	s.Exprs.Alloc()
-	s.Stmts.Alloc()
-	s.Lists.Alloc()
-	s.Rows.Alloc()
-	s.Names.Alloc()
+// Reset resets every slab.
+func (s *Slabs) Reset() {
+	s.NumberLits.Reset()
+	s.StringLits.Reset()
+	s.Idents.Reset()
+	s.Binaries.Reset()
+	s.Unaries.Reset()
+	s.Transposes.Reset()
+	s.Ranges.Reset()
+	s.Colons.Reset()
+	s.Ends.Reset()
+	s.Calls.Reset()
+	s.Matrices.Reset()
+	s.ExprStmts.Reset()
+	s.Assigns.Reset()
+	s.Ifs.Reset()
+	s.Whiles.Reset()
+	s.Fors.Reset()
+	s.Switches.Reset()
+	s.Breaks.Reset()
+	s.Continues.Reset()
+	s.Returns.Reset()
+	s.Globals.Reset()
+	s.Clears.Reset()
+	s.Functions.Reset()
+	s.Exprs.Reset()
+	s.Stmts.Reset()
+	s.Lists.Reset()
+	s.Rows.Reset()
+	s.Names.Reset()
 }

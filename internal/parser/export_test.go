@@ -1,47 +1,35 @@
 package parser
 
-import (
-	"reflect"
+import "reflect"
 
-	"repro/internal/ast"
-)
-
-// eachNeed calls f with every slab's Need in p.
-func eachNeed(p *parser, f func(need reflect.Value)) {
-	slabs := reflect.ValueOf(&p.a).Elem()
-	for i := 0; i < slabs.NumField(); i++ {
-		f(slabs.Field(i).FieldByName("Need"))
+// ScratchSpans calls f with the address range of each kept parser and of
+// every array it keeps between parses (its slabs and its stacks). It
+// takes up to n parsers, the spare and pooled ones, and gives them back.
+func ScratchSpans(n int, f func(lo, hi uintptr)) {
+	var taken []*parser
+	for range n {
+		p := takeParser()
+		taken = append(taken, p)
+		v := reflect.ValueOf(p)
+		f(v.Pointer(), v.Pointer()+v.Type().Elem().Size())
+		arrays(v.Elem(), f)
+	}
+	for _, p := range taken {
+		p.release()
 	}
 }
 
-// ParseScaled parses src with every slab counted for frac of what the
-// count found.
-func ParseScaled(src string, frac float64) (*ast.File, error) {
-	p, err := newParser(src)
-	defer p.release()
-	if err != nil {
-		return nil, err
-	}
-	p.a = ast.Slabs{}
-	p.count()
-	eachNeed(p, func(need reflect.Value) { need.SetInt(int64(float64(need.Int()) * frac)) })
-	p.a.Alloc()
-	return p.file(src)
-}
-
-// Kinds reports how many kinds of node and of list the count finds in
-// src: how many arrays its parse makes when every count is a bound.
-func Kinds(src string) int {
-	p, err := newParser(src)
-	defer p.release()
-	if err != nil {
-		return 0
-	}
-	kinds := 0
-	eachNeed(p, func(need reflect.Value) {
-		if need.Int() > 0 {
-			kinds++
+// arrays calls f with the range of every slice's backing array in v.
+func arrays(v reflect.Value, f func(lo, hi uintptr)) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			arrays(v.Field(i), f)
 		}
-	})
-	return kinds
+	case reflect.Slice:
+		if v.Cap() > 0 {
+			lo := v.Pointer()
+			f(lo, lo+uintptr(v.Cap())*v.Type().Elem().Size())
+		}
+	}
 }

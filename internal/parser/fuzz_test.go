@@ -2,9 +2,11 @@ package parser_test
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/bench"
 	"repro/internal/lexer"
 	"repro/internal/parser"
@@ -51,6 +53,9 @@ func TestParserNeverPanics(t *testing.T) {
 
 // FuzzParse: on any input the parser returns an AST or a positioned
 // error — a *parser.Error or *lexer.Error on a line ≥ 1 — and never panics.
+// A tree it returns is the input's alone: parsing the input again gives
+// an equal tree, and a tree parsed before it is unchanged after it, so
+// nothing of the parser's scratch leaks into a result.
 // Seeded with every Table 1 program and the token pieces above; random
 // bytes are the fuzzer's own mutations. Run it with
 // go test -run='^$' -fuzz=FuzzParse ./internal/parser.
@@ -61,8 +66,26 @@ func FuzzParse(f *testing.F) {
 	for _, p := range tokenPieces {
 		f.Add(p)
 	}
+	// earlier, parsed before the input, must still equal seed after it;
+	// the input's tree must equal kept, a copy taken when it was returned
+	// that shares no memory with anything a later parse writes.
+	seed, err := parser.Parse(everyKind)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
-		_, err := parser.Parse(src)
+		earlier, _ := parser.Parse(everyKind)
+		file, err := parser.Parse(src)
+		if err == nil {
+			kept := ast.CloneFile(file)
+			again, _ := parser.Parse(src)
+			if !reflect.DeepEqual(file, kept) || !reflect.DeepEqual(again, kept) {
+				t.Fatalf("parser.Parse(%q) twice: the trees differ:\n%s\nthen\n%s", src, ast.Print(file), ast.Print(again))
+			}
+		}
+		if !reflect.DeepEqual(earlier, seed) {
+			t.Fatalf("parsing %q changed a tree parsed before it:\n%s", src, ast.Print(earlier))
+		}
 		line := 1
 		switch e := err.(type) {
 		case nil:
@@ -77,25 +100,4 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("parser.Parse(%q): error on line %d: %v", src, line, err)
 		}
 	})
-}
-
-// TestParseExprNeverPanics covers the expression entry point too.
-func TestParseExprNeverPanics(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	pieces := []string{"x", "1", "(", ")", "[", "]", "+", "*", ":", "end", "'s'", "'", ",", "-"}
-	for trial := 0; trial < 3000; trial++ {
-		var b strings.Builder
-		for i := 0; i < 1+r.Intn(12); i++ {
-			b.WriteString(pieces[r.Intn(len(pieces))])
-		}
-		src := b.String()
-		func() {
-			defer func() {
-				if rec := recover(); rec != nil {
-					t.Fatalf("ParseExpr panicked on %q: %v", src, rec)
-				}
-			}()
-			_, _ = parser.ParseExpr(src)
-		}()
-	}
 }

@@ -7,6 +7,7 @@ package parser
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/lexer"
@@ -36,13 +37,15 @@ type parser struct {
 	endDims []endCtx
 	ends    []*ast.End
 
-	// a is where every node and every list of the tree comes from: one
-	// slab per kind, sized by count before the parse starts.
-	a ast.Slabs
-	// A list is built on its kind's stack and copied, once complete, into
-	// a window of its kind's slab (done). Lists nest, and a nested list
-	// is complete before its enclosing one goes on, so each stack holds
-	// the lists under construction one above the other.
+	// a is the scratch every tree is built in, one slab per kind, and
+	// funcs the file's functions; a is reset, not remade, for the next
+	// parse, and Parse returns a copy (ast.CloneFile) whose arrays the
+	// clone's count sizes exactly. A list is built on its kind's stack and copied, once complete, into a
+	// window of its kind's slab (done). Lists nest, and a nested list is
+	// complete before its enclosing one goes on, so each stack holds the
+	// lists under construction one above the other.
+	a     ast.Slabs
+	funcs []*ast.Function
 	exprs []ast.Expr
 	stmts []ast.Stmt
 	lists [][]ast.Stmt
@@ -58,40 +61,50 @@ type endCtx struct {
 	numDims int // filled when the subscript list is complete; -1 = unknown yet
 }
 
-// parsers holds the parsers Parse and ParseExpr work in: the token slice
-// and the stacks are dead once a parse returns, since the tree keeps
-// texts, not tokens, and lists copied off the stacks. A parser goes back
-// holding no pointer: not into the source, not into the tree, whose
-// slabs are never pooled (the tree lives as long as the definition that
-// holds it).
-var parsers reuse.Pool[parser]
+// parsers holds the parsers Parse works in: the tokens, the stacks and
+// the scratch tree are dead once a parse returns, since the tree keeps
+// texts, not tokens, and Parse returns a copy of it. A parser goes back
+// holding no pointer: not into the source, not into the scratch tree.
+//
+// spare is one parser more, kept where a collection does not reach it.
+// The pool drops a parser that sat out two collections, and the next
+// parse then makes every array the parser kept again, growing each kind
+// from nothing; a session that collects every few parses would pay that
+// over and over. Only a parser whose token slice holds at most
+// spareTokens (four times the largest Table 1 program) is kept there,
+// which bounds what it pins while idle.
+var (
+	parsers reuse.Pool[parser]
+	spare   atomic.Pointer[parser]
+)
 
-// newParser lexes src into a pooled parser and makes its slabs. The
-// caller releases it.
-func newParser(src string) (*parser, error) {
-	p := parsers.Get()
-	var err error
-	p.toks, err = lexer.AppendTokens(p.toks[:0], src)
-	if err == nil {
-		p.count()
-		p.a.Alloc()
+const spareTokens = 2048
+
+// takeParser takes the spare parser, or one from the pool.
+func takeParser() *parser {
+	if p := spare.Swap(nil); p != nil {
+		return p
 	}
-	return p, err
+	return parsers.Get()
 }
 
 func (p *parser) release() {
+	p.a.Reset()
 	clear(p.toks)
 	clear(p.ends[:cap(p.ends)])
+	clear(p.funcs[:cap(p.funcs)])
 	clear(p.exprs[:cap(p.exprs)])
 	clear(p.stmts[:cap(p.stmts)])
 	clear(p.lists[:cap(p.lists)])
 	clear(p.rows[:cap(p.rows)])
 	clear(p.names[:cap(p.names)])
 	*p = parser{
-		toks: p.toks[:0], parenDepth: p.parenDepth[:0], endDims: p.endDims[:0], ends: p.ends[:0],
-		exprs: p.exprs[:0], stmts: p.stmts[:0], lists: p.lists[:0], rows: p.rows[:0], names: p.names[:0],
+		toks: p.toks[:0], parenDepth: p.parenDepth[:0], endDims: p.endDims[:0], ends: p.ends[:0], a: p.a,
+		funcs: p.funcs[:0], exprs: p.exprs[:0], stmts: p.stmts[:0], lists: p.lists[:0], rows: p.rows[:0], names: p.names[:0],
 	}
-	parsers.Put(p)
+	if cap(p.toks) > spareTokens || !spare.CompareAndSwap(nil, p) {
+		parsers.Put(p)
+	}
 }
 
 // done copies the list that starts at mark on stack into a window of s
@@ -104,31 +117,33 @@ func done[T any](stack *[]T, mark int, s *ast.Slab[T]) []T {
 
 // Parse parses a full source file (script statements and/or functions).
 func Parse(src string) (*ast.File, error) {
-	p, err := newParser(src)
+	p := takeParser()
 	defer p.release()
+	var err error
+	if p.toks, err = lexer.AppendTokens(p.toks[:0], src); err != nil {
+		return nil, err
+	}
+	tree, err := p.file(src)
 	if err != nil {
 		return nil, err
 	}
-	return p.file(src)
+	return ast.CloneFile(&tree), nil
 }
 
-func (p *parser) file(src string) (*ast.File, error) {
-	file := &ast.File{P: ast.Pos{Line: 1, Col: 1}}
-	if n := p.a.Functions.Need; n > 0 {
-		file.Funcs = make([]*ast.Function, 0, n)
-	}
+// file parses the tokens into a tree in the parser's scratch.
+func (p *parser) file(src string) (ast.File, error) {
 	p.skipTerms()
 	for !p.at(lexer.EOF) {
 		if p.atKeyword("function") {
 			fn, err := p.function(src)
 			if err != nil {
-				return nil, err
+				return ast.File{}, err
 			}
-			file.Funcs = append(file.Funcs, fn)
+			p.funcs = append(p.funcs, fn)
 		} else {
 			s, err := p.statement()
 			if err != nil {
-				return nil, err
+				return ast.File{}, err
 			}
 			if s != nil {
 				p.stmts = append(p.stmts, s)
@@ -136,26 +151,7 @@ func (p *parser) file(src string) (*ast.File, error) {
 		}
 		p.skipTerms()
 	}
-	file.Stmts = done(&p.stmts, 0, &p.a.Stmts)
-	return file, nil
-}
-
-// ParseExpr parses a single expression (REPL convenience).
-func ParseExpr(src string) (ast.Expr, error) {
-	p, err := newParser(src)
-	defer p.release()
-	if err != nil {
-		return nil, err
-	}
-	e, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
-	p.skipTerms()
-	if !p.at(lexer.EOF) {
-		return nil, p.errf("unexpected %s after expression", p.cur())
-	}
-	return e, nil
+	return ast.File{P: ast.Pos{Line: 1, Col: 1}, Stmts: done(&p.stmts, 0, &p.a.Stmts), Funcs: p.funcs}, nil
 }
 
 func (p *parser) cur() lexer.Token  { return p.toks[p.pos] }

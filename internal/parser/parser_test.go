@@ -1,17 +1,33 @@
 package parser
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/ast"
 )
 
+// parseExpr parses src as a one-statement script and returns the
+// expression it states.
+func parseExpr(src string) (ast.Expr, error) {
+	file, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	if len(file.Stmts) == 1 && len(file.Funcs) == 0 {
+		if s, ok := file.Stmts[0].(*ast.ExprStmt); ok {
+			return s.X, nil
+		}
+	}
+	return nil, fmt.Errorf("%q is not one expression statement", src)
+}
+
 func parseExprString(t *testing.T, src string) string {
 	t.Helper()
-	e, err := ParseExpr(src)
+	e, err := parseExpr(src)
 	if err != nil {
-		t.Fatalf("ParseExpr(%q): %v", src, err)
+		t.Fatalf("parseExpr(%q): %v", src, err)
 	}
 	return ast.ExprString(e)
 }
@@ -60,7 +76,7 @@ func TestPrecedence(t *testing.T) {
 }
 
 func TestImaginaryLiterals(t *testing.T) {
-	e, err := ParseExpr("2 + 3i")
+	e, err := parseExpr("2 + 3i")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +89,7 @@ func TestImaginaryLiterals(t *testing.T) {
 
 func TestIntLiteralFlag(t *testing.T) {
 	n := func(src string) *ast.NumberLit {
-		e, err := ParseExpr(src)
+		e, err := parseExpr(src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +246,7 @@ func TestMultiAssign(t *testing.T) {
 }
 
 func TestEndResolution(t *testing.T) {
-	e, err := ParseExpr("A(end, end-1)")
+	e, err := parseExpr("A(end, end-1)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +261,7 @@ func TestEndResolution(t *testing.T) {
 		t.Errorf("second end: dim=%d ndims=%d", end1.Dim, end1.NumDims)
 	}
 	// nested: inner end belongs to the inner call
-	e, err = ParseExpr("A(B(end))")
+	e, err = parseExpr("A(B(end))")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +273,7 @@ func TestEndResolution(t *testing.T) {
 }
 
 func TestMatrixRows(t *testing.T) {
-	e, err := ParseExpr("[1 2 3; 4 5 6]")
+	e, err := parseExpr("[1 2 3; 4 5 6]")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +291,7 @@ func TestMatrixRows(t *testing.T) {
 		t.Fatalf("newline row split: %d rows", len(m.Rows))
 	}
 	// empty matrix
-	e, err = ParseExpr("[]")
+	e, err = parseExpr("[]")
 	if err != nil {
 		t.Fatal(err)
 	}

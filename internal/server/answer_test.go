@@ -2,10 +2,12 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
@@ -34,6 +36,115 @@ func TestWorkspaceGetSparse(t *testing.T) {
 	}
 }
 
+// get GETs path and reports whether the request went out on a
+// connection an earlier request had used.
+func (tc *testClient) get(path string) (code int, body []byte, reused bool) {
+	tc.t.Helper()
+	trace := &httptrace.ClientTrace{GotConn: func(info httptrace.GotConnInfo) { reused = info.Reused }}
+	req, err := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace), "GET", tc.base+path, nil)
+	if err != nil {
+		tc.t.Fatal(err)
+	}
+	resp, err := tc.c.Do(req)
+	if err != nil {
+		tc.t.Fatalf("GET %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	if body, err = io.ReadAll(resp.Body); err != nil {
+		tc.t.Fatal(err)
+	}
+	return resp.StatusCode, body, reused
+}
+
+// TestWorkspaceGetEveryKind: a GET of a workspace value returns its
+// shape and bits exactly, under its kind, for every kind an eval makes,
+// or a 422 that names why the wire cannot carry it; a value the engine
+// holds as an integer is a double, whichever tier made it. Every
+// request is answered, and the next goes out on the same connection.
+func TestWorkspaceGetEveryKind(t *testing.T) {
+	for _, engine := range []struct {
+		name string
+		opts core.Options
+	}{
+		{"interp", core.Options{Tier: core.TierInterp}},
+		{"jit", core.Options{Tier: core.TierJIT}},
+		{"prod", core.Production()},
+	} {
+		t.Run(engine.name, func(t *testing.T) {
+			_, tc := startServer(t, Options{Engine: engine.opts})
+			id := tc.createSession()
+			// ints runs compiled under jit and prod, where its results
+			// live in integer registers until they return.
+			const src = `r = [1.5 -2.25; 1/3 pi];
+[k, kz] = ints(7);
+b = [3 1] > 2;
+c = 'it''s';
+z = [1+2i, -3.5i];
+e = [];
+s = sparse(1, 2, 5, 3, 3);
+nan = NaN; inf = Inf; ninf = -Inf; cnan = 1 + NaN*1i;
+mz = -0; mzs = [1 -0];
+sub = 2^-1074; subs = [2.5e-310 -4.9e-324];
+function [k, z] = ints(n)
+  k = 0;
+  for i = 1:n
+    k = k + i;
+  end
+  z = -0;
+end`
+			if code, _, eb := tc.eval(id, src); code != http.StatusOK {
+				t.Fatalf("eval: %d %+v", code, eb)
+			}
+			negZero := math.Copysign(0, -1)
+			for _, want := range []struct {
+				name, kind string
+				rows, cols int
+				re, im     []float64
+				text       string
+				refused    string // the 422's kind
+			}{
+				{name: "r", kind: "double", rows: 2, cols: 2, re: []float64{1.5, 1.0 / 3, -2.25, math.Pi}},
+				{name: "k", kind: "double", rows: 1, cols: 1, re: []float64{28}},
+				{name: "kz", kind: "double", rows: 1, cols: 1, re: []float64{negZero}},
+				{name: "b", kind: "logical", rows: 1, cols: 2, re: []float64{1, 0}},
+				{name: "c", kind: "char", rows: 1, cols: 4, text: "it's"},
+				{name: "z", kind: "complex", rows: 1, cols: 2, re: []float64{1, negZero}, im: []float64{2, -3.5}}, // -(0+3.5i)
+				{name: "e", kind: "double"},
+				{name: "s", refused: "sparse"},
+				{name: "nan", refused: "non_finite"},
+				{name: "inf", refused: "non_finite"},
+				{name: "ninf", refused: "non_finite"},
+				{name: "cnan", refused: "non_finite"},
+				{name: "mz", kind: "double", rows: 1, cols: 1, re: []float64{negZero}},
+				{name: "mzs", kind: "double", rows: 1, cols: 2, re: []float64{1, negZero}},
+				{name: "sub", kind: "double", rows: 1, cols: 1, re: []float64{5e-324}},
+				{name: "subs", kind: "double", rows: 1, cols: 2, re: []float64{2.5e-310, -4.9e-324}},
+			} {
+				code, body, reused := tc.get("/sessions/" + id + "/workspace/" + want.name)
+				if !reused {
+					t.Errorf("GET %s went out on a new connection", want.name)
+				}
+				if want.refused != "" {
+					var eb errorBody
+					if err := json.Unmarshal(body, &eb); err != nil || code != http.StatusUnprocessableEntity || eb.Kind != want.refused {
+						t.Errorf("GET %s: %d %s, want 422 %s", want.name, code, body, want.refused)
+					}
+					continue
+				}
+				var got workspaceValue
+				if err := json.Unmarshal(body, &got); err != nil || code != http.StatusOK {
+					t.Errorf("GET %s: %d %s", want.name, code, body)
+					continue
+				}
+				d := cmp.Or(sameBits("re", got.Re, want.re), sameBits("im", got.Im, want.im))
+				if d != "" || got.Kind != want.kind || got.Rows != want.rows || got.Cols != want.cols || got.Text != want.text {
+					t.Errorf("GET %s: %s, want kind %s, %dx%d, text %q; %s", want.name, body, want.kind, want.rows, want.cols, want.text, d)
+				}
+			}
+		})
+	}
+}
+
 // panicking mounts a route on srv that panics, behind timed as every
 // route is.
 func panicking(srv *Server) string {
@@ -52,21 +163,9 @@ func TestHandlerPanicAnswers500(t *testing.T) {
 	path := panicking(srv)
 	var reused []bool
 	get := func(path string) (int, []byte) {
-		trace := &httptrace.ClientTrace{GotConn: func(info httptrace.GotConnInfo) { reused = append(reused, info.Reused) }}
-		req, err := http.NewRequestWithContext(httptrace.WithClientTrace(context.Background(), trace), "GET", tc.base+path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := tc.c.Do(req)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, body
+		code, body, again := tc.get(path)
+		reused = append(reused, again)
+		return code, body
 	}
 	code, body := get(path)
 	var eb errorBody

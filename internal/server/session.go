@@ -146,11 +146,17 @@ func (s *session) workspaceGet(name string, buf *bytes.Buffer) (found bool, err 
 	if mv.IsSparse() {
 		return true, &refusal{kind: "sparse", msg: fmt.Sprintf("%s is sparse, and the workspace wire carries dense values only: bind full(%s) to a name and GET that", name, name)}
 	}
+	kind := mv.Kind()
+	if kind == mat.Int {
+		// An int is a double the engine holds as an integer, which
+		// depends on the tier that made it: the wire says double.
+		kind = mat.Real
+	}
 	wv := workspaceValue{
 		Name: name,
 		Rows: mv.Rows(),
 		Cols: mv.Cols(),
-		Kind: mv.Kind().String(),
+		Kind: kind.String(),
 	}
 	if mv.Kind().IsNumeric() {
 		wv.Re, wv.Im = mv.Re(), mv.Im()
