@@ -4,7 +4,11 @@
 // the interpreter and the code generators consume it.
 package ast
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Pos is a source position.
 type Pos struct {
@@ -91,13 +95,17 @@ const (
 	OpOr     // |
 	OpAndAnd // &&
 	OpOrOr   // ||
+	// OpCase is a switch's case match, which only the parser's lowering
+	// of a switch writes (DESIGN §6). It comes last, so the operator
+	// values compiled code and snapshots hold stay put.
+	OpCase
 )
 
 var binOpNames = [...]string{
 	OpAdd: "+", OpSub: "-", OpMul: "*", OpDiv: "/", OpLDiv: "\\",
 	OpPow: "^", OpEMul: ".*", OpEDiv: "./", OpELDiv: ".\\", OpEPow: ".^",
 	OpEq: "==", OpNe: "~=", OpLt: "<", OpLe: "<=", OpGt: ">", OpGe: ">=",
-	OpAnd: "&", OpOr: "|", OpAndAnd: "&&", OpOrOr: "||",
+	OpAnd: "&", OpOr: "|", OpAndAnd: "&&", OpOrOr: "||", OpCase: "case",
 }
 
 // String returns the MATLAB spelling of the operator.
@@ -253,14 +261,16 @@ type For struct {
 	Body []Stmt
 }
 
-// Switch is a switch/case/otherwise statement.
-type Switch struct {
-	P         Pos
-	Subject   Expr
-	CaseVals  []Expr
-	CaseBlks  [][]Stmt
-	Otherwise []Stmt
-}
+// SwitchTemp names the temporary that holds the subject of a function
+// body's n-th switch: the parser lowers switch s, case c1 ... otherwise ... end to an assignment
+// of s to this temporary and an if/elseif/else chain of case matches
+// (OpCase) on it. No source text lexes to such a name, so it never
+// meets a name of the program.
+func SwitchTemp(n int) string { return "switch#" + strconv.Itoa(n) }
+
+// IsTemp reports whether name is a temporary a lowering made (or the
+// inliner's renaming of one).
+func IsTemp(name string) bool { return strings.IndexByte(name, '#') >= 0 }
 
 // Break is the break statement.
 type Break struct{ P Pos }
@@ -327,7 +337,6 @@ func (n *Assign) Pos() Pos   { return n.P }
 func (n *If) Pos() Pos       { return n.P }
 func (n *While) Pos() Pos    { return n.P }
 func (n *For) Pos() Pos      { return n.P }
-func (n *Switch) Pos() Pos   { return n.P }
 func (n *Break) Pos() Pos    { return n.P }
 func (n *Continue) Pos() Pos { return n.P }
 func (n *Return) Pos() Pos   { return n.P }
@@ -341,7 +350,6 @@ func (n *Assign) stmtNode()   {}
 func (n *If) stmtNode()       {}
 func (n *While) stmtNode()    {}
 func (n *For) stmtNode()      {}
-func (n *Switch) stmtNode()   {}
 func (n *Break) stmtNode()    {}
 func (n *Continue) stmtNode() {}
 func (n *Return) stmtNode()   {}

@@ -82,15 +82,6 @@ func (c *cloner) countStmts(list []Stmt) {
 			c.Fors.Need++
 			c.countExpr(x.Iter)
 			c.countStmts(x.Body)
-		case *Switch:
-			c.Switches.Need++
-			c.countExpr(x.Subject)
-			c.countExprs(x.CaseVals)
-			c.Lists.Need += len(x.CaseBlks)
-			for _, b := range x.CaseBlks {
-				c.countStmts(b)
-			}
-			c.countStmts(x.Otherwise)
 		case *Break:
 			c.Breaks.Need++
 		case *Continue:
@@ -202,11 +193,6 @@ func (c *cloner) stmt(s Stmt) Stmt {
 	case *For:
 		n := c.Fors.New(*x)
 		n.Iter, n.Body = c.expr(x.Iter), c.stmtList(x.Body)
-		return n
-	case *Switch:
-		n := c.Switches.New(*x)
-		n.Subject, n.CaseVals = c.expr(x.Subject), c.exprList(x.CaseVals)
-		n.CaseBlks, n.Otherwise = c.stmtLists(x.CaseBlks), c.stmtList(x.Otherwise)
 		return n
 	case *Break:
 		return c.Breaks.New(*x)

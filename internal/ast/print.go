@@ -107,25 +107,6 @@ func fprint(b *strings.Builder, n Node, depth int) {
 		}
 		ind(b, depth)
 		b.WriteString("end\n")
-	case *Switch:
-		ind(b, depth)
-		fmt.Fprintf(b, "switch %s\n", ExprString(x.Subject))
-		for i, c := range x.CaseVals {
-			ind(b, depth+1)
-			fmt.Fprintf(b, "case %s\n", ExprString(c))
-			for _, s := range x.CaseBlks[i] {
-				fprint(b, s, depth+2)
-			}
-		}
-		if x.Otherwise != nil {
-			ind(b, depth+1)
-			b.WriteString("otherwise\n")
-			for _, s := range x.Otherwise {
-				fprint(b, s, depth+2)
-			}
-		}
-		ind(b, depth)
-		b.WriteString("end\n")
 	case *Break:
 		ind(b, depth)
 		b.WriteString("break;\n")

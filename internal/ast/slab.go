@@ -82,7 +82,6 @@ type Slabs struct {
 	Ifs       Slab[If]
 	Whiles    Slab[While]
 	Fors      Slab[For]
-	Switches  Slab[Switch]
 	Breaks    Slab[Break]
 	Continues Slab[Continue]
 	Returns   Slab[Return]
@@ -90,9 +89,9 @@ type Slabs struct {
 	Clears    Slab[Clear]
 	Functions Slab[Function]
 
-	Exprs Slab[Expr]   // Call.Args, Assign.LHS, If.Conds, Switch.CaseVals, matrix rows
+	Exprs Slab[Expr]   // Call.Args, Assign.LHS, If.Conds, matrix rows
 	Stmts Slab[Stmt]   // statement lists
-	Lists Slab[[]Stmt] // If.Blocks, Switch.CaseBlks
+	Lists Slab[[]Stmt] // If.Blocks
 	Rows  Slab[[]Expr] // Matrix.Rows
 	Names Slab[string] // Function.Ins and Outs, Global and Clear names
 }
@@ -115,7 +114,6 @@ func (s *Slabs) Reset() {
 	s.Ifs.Reset()
 	s.Whiles.Reset()
 	s.Fors.Reset()
-	s.Switches.Reset()
 	s.Breaks.Reset()
 	s.Continues.Reset()
 	s.Returns.Reset()

@@ -49,13 +49,6 @@ func Walk(n Node, f func(Node) bool) {
 	case *For:
 		Walk(x.Iter, f)
 		WalkStmts(x.Body, f)
-	case *Switch:
-		Walk(x.Subject, f)
-		for i, c := range x.CaseVals {
-			Walk(c, f)
-			WalkStmts(x.CaseBlks[i], f)
-		}
-		WalkStmts(x.Otherwise, f)
 	case *Function:
 		WalkStmts(x.Body, f)
 	case *File:

@@ -54,6 +54,21 @@ func EvalBinOpInto(d mat.Donors, op ast.BinOp, l, r *mat.Value) (*mat.Value, err
 		return mat.And(l, r)
 	case ast.OpOr:
 		return mat.Or(l, r)
+	case ast.OpCase:
+		return mat.BoolScalar(caseMatch(l, r)), nil
 	}
 	return nil, mat.Errorf("unknown binary operator %v", op)
+}
+
+// caseMatch is the rule by which a switch's subject matches a case value
+// (DESIGN §6): a char on either side matches a char of the same text, a
+// non-scalar matches nothing, and two scalars match when equal.
+func caseMatch(subj, cv *mat.Value) bool {
+	if subj.Kind() == mat.Char || cv.Kind() == mat.Char {
+		return subj.Kind() == cv.Kind() && subj.Text() == cv.Text()
+	}
+	if !cv.IsScalar() || !subj.IsScalar() {
+		return false
+	}
+	return subj.At(0, 0) == cv.At(0, 0)
 }

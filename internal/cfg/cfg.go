@@ -17,11 +17,9 @@ import (
 // that define the loop variable from the iteration expression.
 type Block struct {
 	ID int
-	// Stmts are Assign, ExprStmt, Global and Clear statements, and last a
-	// Switch whose subject the block evaluates (into ans, as an ExprStmt
-	// would) before its case tests. They are a window onto the body's own
-	// list, whose capacity is its length: nothing writes through it, and
-	// an append copies.
+	// Stmts are Assign, ExprStmt, Global and Clear statements. They are a
+	// window onto the body's own list, whose capacity is its length:
+	// nothing writes through it, and an append copies.
 	Stmts []ast.Stmt
 	// Cond, when non-nil, is evaluated at block end; Succs[0] is the
 	// true edge and Succs[1] the false edge. With Cond nil there is at
@@ -141,11 +139,6 @@ func blocks(list []ast.Stmt) int {
 			n += 3 + blocks(x.Body)
 		case *ast.For:
 			n += 3 + blocks(x.Body)
-		case *ast.Switch:
-			n += 1 + 3*len(x.CaseVals) + blocks(x.Otherwise)
-			for _, blk := range x.CaseBlks {
-				n += blocks(blk)
-			}
 		case *ast.Break, *ast.Continue, *ast.Return:
 			if i+1 < len(list) {
 				n++ // the unreachable code after it
@@ -187,16 +180,11 @@ func (b *builder) stmts(list []ast.Stmt, cur *Block) *Block {
 			cur = b.newBlock()
 			run = i
 		}
-		end := i
-		switch x := s.(type) {
+		switch s.(type) {
 		case *ast.ExprStmt, *ast.Assign, *ast.Global, *ast.Clear:
 			continue
-		case *ast.Switch:
-			if len(x.CaseVals) > 0 {
-				end = i + 1 // the block before the case tests evaluates the subject
-			}
 		}
-		hold(cur, list[run:end])
+		hold(cur, list[run:i])
 		run = i + 1
 		switch x := s.(type) {
 		case *ast.If:
@@ -238,9 +226,6 @@ func (b *builder) stmts(list []ast.Stmt, cur *Block) *Block {
 			}
 			cur = after
 
-		case *ast.Switch:
-			cur = b.switchStmt(x, cur)
-
 		case *ast.Break:
 			if n := len(b.breaks); n > 0 {
 				b.edge(cur, b.breaks[n-1])
@@ -264,16 +249,10 @@ func (b *builder) stmts(list []ast.Stmt, cur *Block) *Block {
 	return cur
 }
 
-// hold gives blk the statements of run, as a window onto the body's list
-// when blk holds none yet. Only the otherwise of a switch without cases
-// continues a block begun in another list; its statements are copied.
+// hold gives blk the statements of run as a window onto the body's list.
 func hold(blk *Block, run []ast.Stmt) {
-	switch {
-	case len(run) == 0:
-	case len(blk.Stmts) == 0:
+	if len(run) > 0 {
 		blk.Stmts = run[:len(run):len(run)]
-	default:
-		blk.Stmts = append(blk.Stmts, run...)
 	}
 }
 
@@ -297,36 +276,6 @@ func (b *builder) ifStmt(x *ast.If, cur *Block) *Block {
 		elseEnd := b.stmts(x.Else, cur)
 		if elseEnd != nil {
 			b.edge(elseEnd, after)
-		}
-	} else {
-		b.edge(cur, after)
-	}
-	return after
-}
-
-func (b *builder) switchStmt(x *ast.Switch, cur *Block) *Block {
-	// Lower as an if-chain on the subject, which the dispatching block
-	// evaluates (the switch ends its Stmts); each test block's Cond is a
-	// case value.
-	after := b.newBlock()
-	for i := range x.CaseVals {
-		test := b.newBlock()
-		test.Cond = x.CaseVals[i]
-		b.edge(cur, test)
-		blk := b.newBlock()
-		b.edge(test, blk)
-		end := b.stmts(x.CaseBlks[i], blk)
-		if end != nil {
-			b.edge(end, after)
-		}
-		next := b.newBlock()
-		b.edge(test, next)
-		cur = next
-	}
-	if x.Otherwise != nil {
-		end := b.stmts(x.Otherwise, cur)
-		if end != nil {
-			b.edge(end, after)
 		}
 	} else {
 		b.edge(cur, after)
@@ -393,10 +342,6 @@ func (g *Graph) String() string {
 		}
 		sb.WriteString("\n")
 		for _, s := range blk.Stmts {
-			if sw, ok := s.(*ast.Switch); ok {
-				sb.WriteString("  switch " + ast.ExprString(sw.Subject) + "\n")
-				continue
-			}
 			sb.WriteString("  " + strings.TrimRight(ast.Print(s), "\n") + "\n")
 		}
 	}

@@ -167,47 +167,6 @@ end`)
 	}
 }
 
-func TestSwitchLowering(t *testing.T) {
-	g := build(t, `
-switch x
-case 1
-  y = 1;
-case 2
-  y = 2;
-otherwise
-  y = 3;
-end
-z = y;`)
-	checkInvariants(t, g)
-	conds := 0
-	for _, b := range g.Blocks {
-		if b.Cond != nil {
-			conds++
-		}
-	}
-	if conds != 2 {
-		t.Errorf("switch with 2 cases lowered to %d condition blocks", conds)
-	}
-}
-
-// TestSwitchWithoutCases: a switch with only an otherwise evaluates no
-// subject, and its otherwise continues the block before it: the one block
-// whose statements come from two lists, so they are a copy.
-func TestSwitchWithoutCases(t *testing.T) {
-	file, err := parser.Parse("a = 1;\nswitch a\notherwise\n  b = 2;\nend\nc = 3;")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := Build(file.Stmts)
-	checkInvariants(t, g)
-	if len(g.Entry.Stmts) != 2 || ast.Print(g.Entry.Stmts[1]) != "b = 2;\n" {
-		t.Fatalf("entry block:\n%s", g)
-	}
-	if _, ok := file.Stmts[1].(*ast.Switch); !ok {
-		t.Fatal("building the graph wrote the body")
-	}
-}
-
 func TestUnreachableAfterReturnPruned(t *testing.T) {
 	g := build(t, `
 function y = f(x)
@@ -287,11 +246,6 @@ end`)
 				collect(x.Body)
 			case *ast.While:
 				collect(x.Body)
-			case *ast.Switch:
-				for _, b := range x.CaseBlks {
-					collect(b)
-				}
-				collect(x.Otherwise)
 			}
 		}
 	}

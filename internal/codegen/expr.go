@@ -145,6 +145,12 @@ func (g *gen) binary(x *ast.Binary) (ir.Bank, int32) {
 	if x.Op == ast.OpAndAnd || x.Op == ast.OpOrOr {
 		return g.shortCircuit(x)
 	}
+	if x.Op == ast.OpCase {
+		if eq, ok := g.caseAsEq(x); ok {
+			return g.binary(eq)
+		}
+		return g.genericBinary(x)
+	}
 
 	if bank, ok := g.scalarArith(ann, lt, rt); ok {
 		return g.scalarBinary(x, bank)
@@ -176,7 +182,12 @@ func (g *gen) binary(x *ast.Binary) (ir.Bank, int32) {
 		return b, r
 	}
 
-	// Generic fallback: boxed operands, polymorphic library call.
+	return g.genericBinary(x)
+}
+
+// genericBinary compiles x as boxed operands and a call of the
+// polymorphic library dispatcher.
+func (g *gen) genericBinary(x *ast.Binary) (ir.Bank, int32) {
 	lb, lr := g.expr(x.L)
 	lv := g.toV(lb, lr)
 	rb, rr := g.expr(x.R)
@@ -184,6 +195,20 @@ func (g *gen) binary(x *ast.Binary) (ir.Bank, int32) {
 	d := g.newReg(ir.BankV)
 	g.emit(ir.Instr{Op: ir.OpGBin, A: d, B: lv, C: rv, D: int32(x.Op), Imm: float64(g.consumed(lv, rv))})
 	return ir.BankV, d
+}
+
+// caseAsEq returns a switch's case match (ast.OpCase) as the == it is on
+// two bool, int or real scalars; the case rule (DESIGN §6) differs from
+// == only on chars and arrays, which take the dispatcher's path.
+func (g *gen) caseAsEq(x *ast.Binary) (*ast.Binary, bool) {
+	lt, rt := g.annOf(x.L), g.annOf(x.R)
+	if x.Op != ast.OpCase || !lt.IsScalar() || !rt.IsScalar() ||
+		!types.LeqI(lt.I, types.IReal) || !types.LeqI(rt.I, types.IReal) {
+		return x, false
+	}
+	eq := *x
+	eq.Op = ast.OpEq
+	return &eq, true
 }
 
 // scalarBinary emits typed scalar instructions.

@@ -38,9 +38,6 @@ func (g *gen) stmt(s ast.Stmt) {
 	case *ast.For:
 		g.forStmt(x)
 
-	case *ast.Switch:
-		g.switchStmt(x)
-
 	case *ast.Break:
 		if len(g.breakPatches) == 0 {
 			panic(unsupported("break outside a loop"))
@@ -238,6 +235,11 @@ func (g *gen) boxedSubscripts(call *ast.Call) []int32 {
 // condFalsePatches compiles a branch that jumps when cond is false,
 // returning instruction indices whose C field needs the target.
 func (g *gen) condFalsePatches(cond ast.Expr) []int {
+	if bin, ok := cond.(*ast.Binary); ok {
+		if eq, ok := g.caseAsEq(bin); ok {
+			cond = eq
+		}
+	}
 	// Fused relational compare-and-branch on typed scalars.
 	if bin, ok := cond.(*ast.Binary); ok && bin.Op.IsRelational() {
 		if at, ok := g.absCompare(bin); ok {
@@ -422,29 +424,6 @@ func (g *gen) popLoop() (contP, brkP []int) {
 	g.breakPatches = g.breakPatches[:top]
 	g.continuePatches = g.continuePatches[:top]
 	return contP, brkP
-}
-
-func (g *gen) switchStmt(x *ast.Switch) {
-	subjT := g.annOf(x.Subject)
-	if !subjT.IsScalar() || !types.LeqI(subjT.I, types.IReal) {
-		panic(unsupported("switch on non-scalar subject"))
-	}
-	sb, sr := g.expr(x.Subject)
-	sf := g.toF(sb, sr)
-	var endPatches []int
-	for i, cv := range x.CaseVals {
-		cb, cr := g.expr(cv)
-		cf := g.toF(cb, cr)
-		at := g.emit(ir.Instr{Op: ir.OpBrFNe, A: sf, B: cf})
-		g.stmts(x.CaseBlks[i])
-		j := g.emit(ir.Instr{Op: ir.OpJmp})
-		endPatches = append(endPatches, j)
-		g.patch([]int{at}, g.here())
-	}
-	if x.Otherwise != nil {
-		g.stmts(x.Otherwise)
-	}
-	g.patch(endPatches, g.here())
 }
 
 func (g *gen) forStmt(x *ast.For) {

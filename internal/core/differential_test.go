@@ -312,6 +312,23 @@ function s = f()
     end
   end
 end`},
+	{name: "switch_subject_draws_once", src: `
+function r = f()
+  r = zeros(1, 4);
+  for k = 1:20
+    switch floor(3*rand())
+    case 0
+      r(1) = r(1) + k;
+    case 1
+      r(2) = r(2) + k;
+    case 2
+      r(3) = r(3) + k;
+    otherwise
+      r(4) = r(4) + k;
+    end
+  end
+  r = [r rand()];
+end`},
 	{name: "args_scalar", src: `
 function y = f(a, b)
   y = 0;
@@ -541,8 +558,127 @@ end`},
 // float64 runs out of integers, a variable name reused across a nest.
 // They ride in diffPrograms (every tier, platform, ablation, the
 // ownership hook) and TestLoopSemantics holds them to the interpreter's
-// bits.
+// bits. The switch rows come first: a switch in a loop is a compiled
+// if-chain of case matches (DESIGN §6), whose rule on chars and arrays is
+// the interpreter's in every tier.
 var loopPrograms = []diffProg{
+	{name: "switch_char_case_numeric_subject", args: []float64{97}, src: `
+function y = f(x)
+  y = 0;
+  for k = 1:2
+    switch x
+    case 'a'
+      y = y + 1;
+    otherwise
+      y = y + 10;
+    end
+  end
+end`},
+	{name: "switch_vector_case", args: []float64{5}, src: `
+function y = f(x)
+  y = 0;
+  for k = x:x+1
+    switch k
+    case [5 6]
+      y = y + 1;
+    case 6
+      y = y + 10;
+    otherwise
+      y = y + 100;
+    end
+  end
+end`},
+	{name: "switch_char_subject", src: `
+function y = f()
+  y = 0;
+  for k = 1:4
+    if k == 1
+      s = 'ab';
+    elseif k == 2
+      s = 'abc';
+    elseif k == 3
+      s = 'abd';
+    else
+      s = 'a';
+    end
+    switch s
+    case 'abcd'
+      y = y + 1;
+    case 'abc'
+      y = y + 10;
+    case 97
+      y = y + 100;
+    case 'ab'
+      y = y + 1000;
+    otherwise
+      y = y + 10000;
+    end
+  end
+end`},
+	{name: "switch_nested", src: `
+function y = f()
+  y = 0;
+  for i = 1:3
+    for j = 1:3
+      switch i
+      case 1
+        switch j
+        case 1
+          y = y + 1;
+        case 2
+          y = y + 2;
+        otherwise
+          y = y + 3;
+        end
+      case 2
+        switch i + j
+        case 4
+          y = y + 40;
+        end
+      otherwise
+        y = y + 100*j;
+      end
+    end
+  end
+end`},
+	{name: "switch_in_inlined_callee", src: `
+function y = f()
+  y = 0;
+  for k = 1:4
+    switch k
+    case 2
+      y = y + g(k);
+    otherwise
+      y = y + g(k) + 1000*g(k + 1);
+    end
+  end
+end
+function r = g(n)
+  switch mod(n, 3)
+  case 0
+    r = 1;
+  case 1
+    r = 10;
+  otherwise
+    r = 100;
+  end
+end`},
+	// Each call draws anew, so the row counts only trips that match no
+	// case: none, when each trip draws once. switch_subject_draws_once
+	// pins the draws themselves.
+	{name: "switch_subject_evaluated_once", src: `
+function y = f()
+  y = 0;
+  for k = 1:20
+    switch floor(3*rand())
+    case 0
+    case 1
+    case 2
+    otherwise
+      y = y + 1;
+    end
+  end
+end`},
 	{name: "loop_var_after_normal_exit", src: `
 function r = f()
   s = 0;
@@ -902,8 +1038,8 @@ func TestTiersMatchInterpreter(t *testing.T) {
 
 // TestLoopSemantics holds loopPrograms to the interpreter bit for bit:
 // under every compiling tier on both platforms (the unroll factors 2 and
-// 4), and under a tiered engine, whose first call of a function that
-// loops runs the code it compiled for it.
+// 4), under a tiered engine, whose first call of a function that loops
+// runs the code it compiled for it, and under a core.Production() one.
 func TestLoopSemantics(t *testing.T) {
 	for _, p := range loopPrograms {
 		p := p
@@ -921,24 +1057,33 @@ func bitIdenticalAcrossTiers(t *testing.T, p diffProg) {
 			payloadEqual(t, tier.String()+"/"+platform.String(), want, []*mat.Value{runTier(t, p, tier, platform)})
 		}
 	}
-	e := newTiered(t)
-	if err := e.Define(p.src); err != nil {
-		t.Fatal(err)
-	}
 	args := make([]*mat.Value, len(p.args))
 	for i, a := range p.args {
 		args[i] = mat.Scalar(a)
 	}
-	for call := 0; call < DefaultTierThreshold+2; call++ {
-		outs, err := e.Call("f", args, 1)
-		if err != nil {
-			t.Fatalf("tiered call %d: %v", call, err)
+	opts := Production()
+	opts.Seed = 12345
+	prod := New(opts)
+	t.Cleanup(prod.Close)
+	for _, e := range []*Engine{newTiered(t), prod} {
+		name := "tiered"
+		if e == prod {
+			name = "prod"
 		}
-		payloadEqual(t, "tiered", want, outs)
-		if call == 0 {
-			checkFirstCall(t, e, "f", args, FirstFunctionLoops(p.src))
+		if err := e.Define(p.src); err != nil {
+			t.Fatal(err)
 		}
-		e.Drain()
+		for call := 0; call < DefaultTierThreshold+2; call++ {
+			outs, err := e.Call("f", args, 1)
+			if err != nil {
+				t.Fatalf("%s call %d: %v", name, call, err)
+			}
+			payloadEqual(t, name, want, outs)
+			if call == 0 && name == "tiered" {
+				checkFirstCall(t, e, "f", args, FirstFunctionLoops(p.src))
+			}
+			e.Drain()
+		}
 	}
 }
 

@@ -455,9 +455,10 @@ func (e *Engine) Workspace(name string) (*mat.Value, bool) {
 }
 
 // WorkspaceNames returns the names bound in the interactive workspace
-// (the REPL's who command).
+// (the REPL's who command), leaving out the temporaries a script's
+// lowered switch binds there.
 func (e *Engine) WorkspaceNames() []string {
-	names := e.workspace.Names()
+	names := slices.DeleteFunc(e.workspace.Names(), ast.IsTemp)
 	sort.Strings(names)
 	return names
 }

@@ -329,6 +329,22 @@ end
 `, "y"), 20)
 }
 
+// TestSwitchTemporaryIsNotListed: a script's switch binds its subject's
+// temporary in the workspace (the parser lowers it), and who leaves the
+// temporary out.
+func TestSwitchTemporaryIsNotListed(t *testing.T) {
+	e := newTestEngine(t)
+	if err := e.EvalString("x = 2;\nswitch x\ncase 2\n  y = 20;\nend"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := e.Workspace("switch#1"); !ok {
+		t.Fatal("the switch bound no temporary")
+	}
+	if got := strings.Join(e.WorkspaceNames(), " "); got != "x y" {
+		t.Errorf("who lists %q, want \"x y\"", got)
+	}
+}
+
 func TestGlobals(t *testing.T) {
 	e := newTestEngine(t)
 	err := e.Define(`

@@ -91,6 +91,37 @@ function y = f(n)
   A(n) = 1;
   y = A(1);
 end`, args: []float64{9}},
+		// A checked load whose value is never read still faults (the
+		// optimiser keeps it).
+		{name: "dead_checked_load", src: `
+function y = f(n)
+  v = zeros(1, 3);
+  t = v(n);
+  y = n;
+end`, args: []float64{5}},
+		// A case value is evaluated only when the cases before it do not
+		// match; a switch without a case still evaluates its subject.
+		{name: "switch_case_value_errors", src: `
+function y = f(n)
+  v = zeros(1, 3);
+  switch n
+  case 1
+    y = 1;
+  case v(n)
+    y = 2;
+  otherwise
+    y = 3;
+  end
+end`, args: []float64{5}},
+		{name: "switch_without_case_subject_errors", src: `
+function y = f(n)
+  v = zeros(1, 3);
+  switch v(n)
+  otherwise
+    y = 1;
+  end
+  y = n;
+end`, args: []float64{5}},
 	}
 	for _, c := range cases {
 		c := c

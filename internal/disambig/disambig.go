@@ -173,11 +173,6 @@ func transfer(blk *cfg.Block, e env, t *Table, classify bool, res Resolver) env 
 				classifyExpr(x.X, e, t, res)
 			}
 			define(e, "ans", t)
-		case *ast.Switch: // the block evaluates its subject (cfg.Block)
-			if classify {
-				classifyExpr(x.Subject, e, t, res)
-			}
-			define(e, "ans", t)
 		case *ast.Assign:
 			if classify {
 				classifyExpr(x.RHS, e, t, res)

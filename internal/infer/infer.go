@@ -466,10 +466,6 @@ func (inf *inferencer) transfer(blk *cfg.Block, env *tenv) *tenv {
 			t := inf.expr(x.X, env)
 			env.set("ans", t)
 			inf.noteVar("ans", t)
-		case *ast.Switch: // the block evaluates its subject (cfg.Block)
-			t := inf.expr(x.Subject, env)
-			env.set("ans", t)
-			inf.noteVar("ans", t)
 		case *ast.Assign:
 			inf.assign(x, env)
 		case *ast.Global:

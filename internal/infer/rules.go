@@ -236,6 +236,9 @@ func newCalculator() *Calculator {
 			return boolResult(types.ScalarShape, types.ScalarShape)
 		})
 	}
+	reg("case", "switch case match", nArgs(2), func(a []types.Type) types.Type {
+		return boolResult(types.ScalarShape, types.ScalarShape)
+	})
 
 	// ---- unary ---------------------------------------------------------------
 	reg("u-", "negate int scalar", func(a []types.Type) bool { return isIntScalar(a[0]) && !mayBeZero(a[0].R) },

@@ -162,13 +162,6 @@ func (h *hinter) collectStmts(stmts []ast.Stmt) {
 		case *ast.For:
 			h.collectExpr(x.Iter)
 			h.collectStmts(x.Body)
-		case *ast.Switch:
-			h.collectExpr(x.Subject)
-			for i, c := range x.CaseVals {
-				h.collectExpr(c)
-				h.collectStmts(x.CaseBlks[i])
-			}
-			h.collectStmts(x.Otherwise)
 		}
 	}
 }

@@ -253,16 +253,6 @@ func (in *inliner) stmt(s ast.Stmt) []ast.Stmt {
 		x.Iter = e
 		x.Body = in.stmts(x.Body)
 		return with(pre, x)
-	case *ast.Switch:
-		pre, e := in.expr(x.Subject, true)
-		x.Subject = e
-		for i := range x.CaseBlks {
-			x.CaseBlks[i] = in.stmts(x.CaseBlks[i])
-		}
-		if x.Otherwise != nil {
-			x.Otherwise = in.stmts(x.Otherwise)
-		}
-		return with(pre, x)
 	}
 	return nil
 }
@@ -525,17 +515,6 @@ func renameStmts(body []ast.Stmt, rename map[string]string, subst map[string]ast
 			}
 			x.Iter = rewriteExpr(x.Iter)
 			for _, s2 := range x.Body {
-				rewriteStmt(s2)
-			}
-		case *ast.Switch:
-			x.Subject = rewriteExpr(x.Subject)
-			for i, c := range x.CaseVals {
-				x.CaseVals[i] = rewriteExpr(c)
-				for _, s2 := range x.CaseBlks[i] {
-					rewriteStmt(s2)
-				}
-			}
-			for _, s2 := range x.Otherwise {
 				rewriteStmt(s2)
 			}
 		}

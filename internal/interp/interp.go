@@ -214,29 +214,6 @@ func (in *Interp) execStmt(s ast.Stmt, env *Env) (ctl, error) {
 	case *ast.For:
 		return in.execFor(x, env)
 
-	case *ast.Switch:
-		subj, err := in.eval(x.Subject, env)
-		if err != nil {
-			return ctlNone, posErr(x.P, err)
-		}
-		for i, cv := range x.CaseVals {
-			v, err := in.eval(cv, env)
-			if err != nil {
-				return ctlNone, posErr(cv.Pos(), err)
-			}
-			match, err := switchMatch(subj, v)
-			if err != nil {
-				return ctlNone, posErr(cv.Pos(), err)
-			}
-			if match {
-				return in.execBlock(x.CaseBlks[i], env)
-			}
-		}
-		if x.Otherwise != nil {
-			return in.execBlock(x.Otherwise, env)
-		}
-		return ctlNone, nil
-
 	case *ast.Break:
 		return ctlBreak, nil
 	case *ast.Continue:
@@ -270,16 +247,6 @@ func (in *Interp) execStmt(s ast.Stmt, env *Env) (ctl, error) {
 		return ctlNone, nil
 	}
 	return ctlNone, fmt.Errorf("unsupported statement %T", s)
-}
-
-func switchMatch(subj, cv *mat.Value) (bool, error) {
-	if subj.Kind() == mat.Char || cv.Kind() == mat.Char {
-		return subj.Kind() == cv.Kind() && subj.Text() == cv.Text(), nil
-	}
-	if !cv.IsScalar() || !subj.IsScalar() {
-		return false, nil
-	}
-	return subj.At(0, 0) == cv.At(0, 0), nil
 }
 
 func (in *Interp) execFor(x *ast.For, env *Env) (ctl, error) {

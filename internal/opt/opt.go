@@ -277,6 +277,8 @@ func sideEffect(in *ir.Instr) bool {
 	switch in.Op {
 	case ir.OpRet,
 		ir.OpFSt1, ir.OpFSt1I, ir.OpFSt1U, ir.OpFSt2, ir.OpFSt2I, ir.OpFSt2U,
+		ir.OpFLd1, ir.OpFLd1I, ir.OpFLd2, ir.OpFLd2I, // a checked load can fault
+		ir.OpCLd1, ir.OpCLd1I, ir.OpCLd2, ir.OpCLd2I,
 		ir.OpFRand, // a draw advances the generator
 		ir.OpVMov, ir.OpVMovSwap, ir.OpVClone, ir.OpVNewZeros, ir.OpVEnsure, ir.OpVMarkShared,
 		ir.OpVConst, ir.OpVDisplay,

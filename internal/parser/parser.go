@@ -51,9 +51,10 @@ type parser struct {
 	lists [][]ast.Stmt
 	rows  [][]ast.Expr
 	names []string
-	// made counts the statements made, which gives a function its
-	// LineCount.
-	made int
+	// made counts the source statements parsed, which gives a function
+	// its LineCount, and switches the switches parsed in the function,
+	// which numbers their temporaries.
+	made, switches int
 }
 
 type endCtx struct {
@@ -140,14 +141,8 @@ func (p *parser) file(src string) (ast.File, error) {
 				return ast.File{}, err
 			}
 			p.funcs = append(p.funcs, fn)
-		} else {
-			s, err := p.statement()
-			if err != nil {
-				return ast.File{}, err
-			}
-			if s != nil {
-				p.stmts = append(p.stmts, s)
-			}
+		} else if err := p.statement(); err != nil {
+			return ast.File{}, err
 		}
 		p.skipTerms()
 	}
@@ -215,6 +210,7 @@ func (p *parser) function(fullSrc string) (*ast.Function, error) {
 	p.next() // 'function'
 	fn := p.a.Functions.New(ast.Function{P: p.posOf(start)})
 	made := p.made
+	p.switches = 0
 
 	// Forms:
 	//   function name
@@ -300,12 +296,8 @@ func (p *parser) block(stops ...string) ([]ast.Stmt, error) {
 		if p.at(lexer.EOF) || p.atKeyword(stops...) || p.atKeyword("function") {
 			return done(&p.stmts, mark, &p.a.Stmts), nil
 		}
-		s, err := p.statement()
-		if err != nil {
+		if err := p.statement(); err != nil {
 			return nil, err
-		}
-		if s != nil {
-			p.stmts = append(p.stmts, s)
 		}
 		p.skipTerms()
 	}
@@ -313,12 +305,18 @@ func (p *parser) block(stops ...string) ([]ast.Stmt, error) {
 
 // --- statements --------------------------------------------------------------
 
-func (p *parser) statement() (ast.Stmt, error) {
+// statement parses one statement onto the statement stack. A switch
+// counts as one, whatever it lowers to.
+func (p *parser) statement() error {
 	s, err := p.stmt()
-	if s != nil {
-		p.made++
+	if err != nil {
+		return err
 	}
-	return s, err
+	p.made++
+	if s != nil {
+		p.stmts = append(p.stmts, s)
+	}
+	return nil
 }
 
 func (p *parser) stmt() (ast.Stmt, error) {
@@ -582,14 +580,23 @@ func (p *parser) forStmt() (ast.Stmt, error) {
 	return p.a.Fors.New(ast.For{P: p.posOf(start), Var: v.Text, Iter: iter, Body: body}), nil
 }
 
+// switchStmt parses switch s, case c1 ... otherwise ... end and lowers
+// it: t = s, then if t case c1 ... elseif t case c2 ... else ... end,
+// where t is the switch's temporary (ast.SwitchTemp) and case the case
+// match (ast.OpCase). So the subject is evaluated once, before any case
+// value. A switch without a case is the assignment and the otherwise's
+// statements. The assignment, and those statements, go on the
+// statement stack; the if is returned.
 func (p *parser) switchStmt() (ast.Stmt, error) {
 	start := p.next() // switch
+	pos := p.posOf(start)
+	p.switches++
+	temp := ast.SwitchTemp(p.switches)
 	subj, err := p.expr()
 	if err != nil {
 		return nil, err
 	}
-	node := p.a.Switches.New(ast.Switch{P: p.posOf(start), Subject: subj})
-	vals, blks := len(p.exprs), len(p.lists)
+	conds, blks := len(p.exprs), len(p.lists)
 	p.skipTerms()
 	for p.atKeyword("case") {
 		p.next()
@@ -601,28 +608,30 @@ func (p *parser) switchStmt() (ast.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.exprs = append(p.exprs, cv)
+		t := p.a.Idents.New(ast.Ident{P: pos, Name: temp})
+		p.exprs = append(p.exprs, p.a.Binaries.New(ast.Binary{P: cv.Pos(), Op: ast.OpCase, L: t, R: cv}))
 		p.lists = append(p.lists, blk)
 	}
-	node.CaseVals = done(&p.exprs, vals, &p.a.Exprs)
-	node.CaseBlks = done(&p.lists, blks, &p.a.Lists)
+	node := ast.If{P: pos, Conds: done(&p.exprs, conds, &p.a.Exprs), Blocks: done(&p.lists, blks, &p.a.Lists)}
 	if p.atKeyword("otherwise") {
 		p.next()
-		blk, err := p.block("end")
-		if err != nil {
+		if node.Else, err = p.block("end"); err != nil {
 			return nil, err
 		}
-		if blk == nil {
-			blk = []ast.Stmt{}
-		}
-		node.Otherwise = blk
 	}
 	if !p.atKeyword("end") {
 		return nil, p.errf("expected 'end' to close switch")
 	}
 	p.next()
 	p.eatSemi()
-	return node, nil
+	p.exprs = append(p.exprs, p.a.Idents.New(ast.Ident{P: pos, Name: temp}))
+	lhs := done(&p.exprs, len(p.exprs)-1, &p.a.Exprs)
+	p.stmts = append(p.stmts, p.a.Assigns.New(ast.Assign{P: pos, LHS: lhs, RHS: subj}))
+	if len(node.Conds) == 0 {
+		p.stmts = append(p.stmts, node.Else...)
+		return nil, nil
+	}
+	return p.a.Ifs.New(node), nil
 }
 
 // --- expressions -------------------------------------------------------------

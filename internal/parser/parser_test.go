@@ -138,7 +138,8 @@ clear x y
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(file.Stmts) != 11 {
+	// The switch lowers to two: its subject's assignment and an if.
+	if len(file.Stmts) != 12 {
 		t.Fatalf("got %d statements", len(file.Stmts))
 	}
 	if a, ok := file.Stmts[0].(*ast.Assign); !ok || a.Display {
@@ -147,7 +148,7 @@ clear x y
 	if a, ok := file.Stmts[1].(*ast.Assign); !ok || !a.Display {
 		t.Error("y = 2 without semicolon must display")
 	}
-	g := file.Stmts[9].(*ast.Global)
+	g := file.Stmts[10].(*ast.Global)
 	if len(g.Names) != 2 || g.Names[0] != "g1" {
 		t.Errorf("global: %+v", g)
 	}
@@ -363,5 +364,85 @@ end
 	}
 	if !strings.Contains(printed, "function s = demo(n)") {
 		t.Errorf("header lost:\n%s", printed)
+	}
+}
+
+// TestSwitchLowering: a switch is its subject's assignment to a
+// temporary and an if-chain of case matches on it, so the subject is
+// evaluated once and before any case value. Its temporaries are
+// numbered per function, a nested switch taking the next number, and it
+// counts as one statement of the function's LineCount.
+func TestSwitchLowering(t *testing.T) {
+	file, err := Parse(`
+function y = f(x)
+  switch x + 1
+  case 1
+    y = 1;
+  case [2 3]
+    y = 2;
+  otherwise
+    switch y
+    case 'a'
+      y = 3;
+    end
+  end
+end
+function y = g(x)
+  switch x
+  case 1
+    y = 1;
+  end
+end`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `switch#1 = (x + 1);
+if (switch#1 case 1)
+  y = 1;
+elseif (switch#1 case [2, 3])
+  y = 2;
+else
+  switch#2 = y;
+  if (switch#2 case 'a')
+    y = 3;
+  end
+end
+`
+	if got := ast.Print(&ast.File{Stmts: file.Funcs[0].Body}); got != want {
+		t.Errorf("lowered f:\n%s\nwant:\n%s", got, want)
+	}
+	if got := ast.Print(file.Funcs[1].Body[0]); got != "switch#1 = x;\n" {
+		t.Errorf("g's temporary: %q", got)
+	}
+	// f: the two switches and their three case statements.
+	if n := file.Funcs[0].LineCount; n != 5 {
+		t.Errorf("f's LineCount is %d, want 5", n)
+	}
+	for _, name := range []string{"switch#1", "inl3_switch#2"} {
+		if !ast.IsTemp(name) {
+			t.Errorf("%s is not a temporary", name)
+		}
+	}
+	if ast.IsTemp("x") {
+		t.Error("x is a temporary")
+	}
+}
+
+// TestSwitchWithoutCases: a switch with only an otherwise is the
+// subject's assignment and the otherwise's statements, and one without
+// either is the assignment alone: the subject is evaluated all the same.
+func TestSwitchWithoutCases(t *testing.T) {
+	for src, want := range map[string]string{
+		"a = 1;\nswitch a\notherwise\n  b = 2;\nend\nc = 3;": "a = 1;\nswitch#1 = a;\nb = 2;\nc = 3;\n",
+		"switch f(1)\nend\nc = 3;":                           "switch#1 = f(1);\nc = 3;\n",
+		"switch a\notherwise\nend":                           "switch#1 = a;\n",
+	} {
+		file, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ast.Print(file); got != want {
+			t.Errorf("%q lowered to\n%s\nwant\n%s", src, got, want)
+		}
 	}
 }

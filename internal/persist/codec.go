@@ -36,7 +36,7 @@ import (
 // what the bytes mean does (v5).
 const (
 	magic        = "MJRP"
-	Version      = 8                     // v8: no V-bank spill slot count (the V bank never spills); v7: a placeholder bit per entry, and no tiering profile section (hotness is counted on the entries); v6: a program carries its constant tables (literals are registers of a constant area, not instructions); v5: scalars cross calls in registers (staged call operands, outputs returned unboxed); v4 added per-entry return summaries and dependencies; v3 the sparsity bit in encoded types; v2 the per-function tiering profile section (dropped in v7)
+	Version      = 9                     // v9: a switch compiles as an if-chain of case matches under one case rule (a v8 switch used another); v8: no V-bank spill slot count (the V bank never spills); v7: a placeholder bit per entry, and no tiering profile section (hotness is counted on the entries); v6: a program carries its constant tables (literals are registers of a constant area, not instructions); v5: scalars cross calls in registers (staged call operands, outputs returned unboxed); v4 added per-entry return summaries and dependencies; v3 the sparsity bit in encoded types; v2 the per-function tiering profile section (dropped in v7)
 	headerLen    = 4 + 2 + 2 + 8 + 4 + 4 // magic, version, flags, fingerprint, payload len, payload crc
 	maxSnapshotB = 1 << 30               // decode refuses payloads beyond 1 GiB
 )

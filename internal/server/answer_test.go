@@ -227,3 +227,50 @@ func TestRequestLogLevels(t *testing.T) {
 		t.Errorf("at Debug, two requests logged %q, want DEBUG DEBUG", got)
 	}
 }
+
+// TestWorkspacePutEveryKind is the PUT half of the kind table: an
+// integral value, a logical, an empty, −0 and subnormals go in through
+// PUT, and each GET answers it bit for bit under its kind: a logical is
+// bound as one. A logical element that is not 0 or 1 (−0 included), or a
+// logical's imaginary part, is a 400 that binds nothing.
+func TestWorkspacePutEveryKind(t *testing.T) {
+	_, tc := startServer(t, Options{Engine: core.Options{Tier: core.TierJIT}})
+	id := tc.createSession()
+	negZero := math.Copysign(0, -1)
+	for _, wv := range []workspaceValue{
+		{Name: "k", Kind: "double", Rows: 1, Cols: 1, Re: []float64{28}},
+		{Name: "b", Kind: "logical", Rows: 1, Cols: 2, Re: []float64{1, 0}},
+		{Name: "e", Kind: "double"},
+		{Name: "mz", Kind: "double", Rows: 1, Cols: 1, Re: []float64{negZero}},
+		{Name: "mzs", Kind: "double", Rows: 1, Cols: 2, Re: []float64{1, negZero}},
+		{Name: "sub", Kind: "double", Rows: 1, Cols: 1, Re: []float64{5e-324}},
+		{Name: "subs", Kind: "double", Rows: 2, Cols: 1, Re: []float64{2.5e-310, -4.9e-324}},
+	} {
+		path := "/sessions/" + id + "/workspace/" + wv.Name
+		if code, body := tc.do("PUT", path, wv); code != http.StatusNoContent {
+			t.Fatalf("PUT %s: %d %s", wv.Name, code, body)
+		}
+		code, body, _ := tc.get(path)
+		var got workspaceValue
+		if err := json.Unmarshal(body, &got); err != nil || code != http.StatusOK {
+			t.Errorf("GET %s: %d %s", wv.Name, code, body)
+			continue
+		}
+		d := cmp.Or(sameBits("re", got.Re, wv.Re), sameBits("im", got.Im, wv.Im))
+		if d != "" || got.Kind != wv.Kind || got.Rows != wv.Rows || got.Cols != wv.Cols {
+			t.Errorf("GET %s: %s, want kind %s, %dx%d; %s", wv.Name, body, wv.Kind, wv.Rows, wv.Cols, d)
+		}
+	}
+	for _, bad := range []workspaceValue{
+		{Kind: "logical", Rows: 1, Cols: 2, Re: []float64{1, 2}},
+		{Kind: "logical", Rows: 1, Cols: 1, Re: []float64{negZero}},
+		{Kind: "logical", Rows: 1, Cols: 1, Re: []float64{1}, Im: []float64{0}},
+	} {
+		if code, body := tc.do("PUT", "/sessions/"+id+"/workspace/bad", bad); code != http.StatusBadRequest {
+			t.Errorf("PUT of %+v: %d %s, want 400", bad, code, body)
+		}
+		if code, _, _ := tc.get("/sessions/" + id + "/workspace/bad"); code != http.StatusNotFound {
+			t.Errorf("GET after a refused PUT of %+v: %d, want 404", bad, code)
+		}
+	}
+}

@@ -91,7 +91,8 @@ func isEvalSeed(src string) bool {
 
 // FuzzWorkspaceSet fuzzes the body of PUT /sessions/{id}/workspace/x. A
 // value it binds must be what encoding/json decodes the body into, bit
-// for bit; it is then read back and used by a program.
+// for bit; it is then read back and used by a program, whose sparse copy
+// of it is read back too.
 func FuzzWorkspaceSet(f *testing.F) {
 	for _, wv := range []workspaceValue{
 		{Name: "x", Rows: 2, Cols: 2, Kind: "double", Re: []float64{1, 2, 3, 4}},
@@ -109,6 +110,8 @@ func FuzzWorkspaceSet(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{' '}, maxWorkspaceBytes+1)) // 413 before it is read
 	f.Add([]byte(`{"rows":1,"cols":3,"re":[-0,null,5e-324],"RE":[1e21,null],"im":null}`))
 	f.Add([]byte(`{"rows":1,"cols":2,"re":[1,1e400]}`))
+	// The eval makes s = sparse(x), whose GET is a 422 of kind sparse.
+	f.Add([]byte(`{"rows":3,"cols":3,"kind":"double","re":[0,0,0,0,5,0,0,-0,5e-324]}`))
 	srv, id := fuzzServer(f)
 	path := "/sessions/" + id + "/workspace/x"
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -119,7 +122,10 @@ func FuzzWorkspaceSet(f *testing.F) {
 			t.Fatalf("PUT %q: %s", body, d)
 		}
 		serve(t, srv, "GET", path, nil)
-		prog, _ := json.Marshal(evalRequest{Src: "y = size(x,1); z = x'; n = numel(z);"})
+		// sparse(x) of an empty x is skipped: a 2^32-by-0 one would
+		// allocate 2^32 row pointers.
+		prog, _ := json.Marshal(evalRequest{Src: "y = size(x,1); z = x'; n = numel(z); if n > 0, s = sparse(x); end"})
 		serve(t, srv, "POST", "/sessions/"+id+"/eval", prog)
+		serve(t, srv, "GET", "/sessions/"+id+"/workspace/s", nil)
 	})
 }

@@ -210,7 +210,18 @@ func (s *session) workspaceSet(name string, wv *workspaceValue) error {
 		}
 		kind := mat.Real
 		var im []float64
-		if len(wv.Im) > 0 {
+		switch {
+		case wv.Kind == "logical":
+			if len(wv.Im) > 0 {
+				return fmt.Errorf("a logical has no imaginary part")
+			}
+			for i, x := range wv.Re {
+				if x != 1 && math.Float64bits(x) != 0 {
+					return fmt.Errorf("re[%d] is %v, and a logical is 0 or 1", i, x)
+				}
+			}
+			kind = mat.Bool
+		case len(wv.Im) > 0:
 			if len(wv.Im) != n {
 				return fmt.Errorf("imaginary part has %d elements, want %d", len(wv.Im), n)
 			}
