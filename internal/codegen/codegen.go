@@ -205,13 +205,7 @@ func Compile(fn *ast.Function, res *infer.Result, tbl *disambig.Table, cfg Confi
 	// Epilogue: an output whose home is an F or I register is staged as it
 	// is (whoever receives it boxes it, if it must); a complex one is
 	// boxed here.
-	epi := len(g.prog.Ins)
-	for _, at := range g.returnPatches {
-		g.prog.Ins[at].C = int32(epi)
-		if g.prog.Ins[at].Op == ir.OpJmp {
-			g.prog.Ins[at].A = int32(epi)
-		}
-	}
+	g.patch(g.returnPatches, len(g.prog.Ins))
 	for _, out := range fn.Outs {
 		s, ok := g.vars[out]
 		if !ok {

@@ -454,14 +454,14 @@ func (g *gen) unary(x *ast.Unary) (ir.Bank, int32) {
 		}
 		v := g.toV(b, r)
 		d := g.newReg(ir.BankV)
-		g.emit(ir.Instr{Op: ir.OpGUn, A: d, B: v, D: unNeg, Imm: float64(g.consumed(v))})
+		g.emit(ir.Instr{Op: ir.OpGUn, A: d, B: v, D: ir.UnNeg, Imm: float64(g.consumed(v))})
 		return ir.BankV, d
 	case ast.OpPos:
 		if b != ir.BankV {
 			return b, r
 		}
 		d := g.newReg(ir.BankV)
-		g.emit(ir.Instr{Op: ir.OpGUn, A: d, B: r, D: unPos})
+		g.emit(ir.Instr{Op: ir.OpGUn, A: d, B: r, D: ir.UnPlus})
 		return ir.BankV, d
 	case ast.OpNot:
 		if ann.IsScalar() && b != ir.BankV {
@@ -472,20 +472,11 @@ func (g *gen) unary(x *ast.Unary) (ir.Bank, int32) {
 		}
 		v := g.toV(b, r)
 		d := g.newReg(ir.BankV)
-		g.emit(ir.Instr{Op: ir.OpGUn, A: d, B: v, D: unNot})
+		g.emit(ir.Instr{Op: ir.OpGUn, A: d, B: v, D: ir.UnNot})
 		return ir.BankV, d
 	}
 	panic(unsupported("unary %v", x.Op))
 }
-
-// Unary op codes for OpGUn.
-const (
-	unNeg int32 = iota
-	unPos
-	unNot
-	unTrans  // .'
-	unCTrans // '
-)
 
 func (g *gen) transpose(x *ast.Transpose) (ir.Bank, int32) {
 	ann := g.annOf(x)
@@ -500,9 +491,9 @@ func (g *gen) transpose(x *ast.Transpose) (ir.Bank, int32) {
 	}
 	v := g.toV(b, r)
 	d := g.newReg(ir.BankV)
-	code := unTrans
+	code := ir.UnTrans
 	if x.Conjugate {
-		code = unCTrans
+		code = ir.UnCTrans
 	}
 	g.emit(ir.Instr{Op: ir.OpGUn, A: d, B: v, D: code, Imm: float64(g.consumed(v))})
 	return ir.BankV, d

@@ -373,12 +373,7 @@ func (g *gen) condTruePatches(cond ast.Expr) []int {
 
 func (g *gen) patch(patches []int, target int) {
 	for _, at := range patches {
-		in := &g.prog.Ins[at]
-		if in.Op == ir.OpJmp {
-			in.A = int32(target)
-		} else {
-			in.C = int32(target)
-		}
+		*g.prog.Ins[at].Target() = int32(target)
 	}
 }
 

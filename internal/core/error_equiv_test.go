@@ -99,6 +99,14 @@ function y = f(n)
   t = v(n);
   y = n;
 end`, args: []float64{5}},
+		// No tier indexes by a logical mask yet (DESIGN §6): the mask's
+		// 0 is a subscript like any other. This pins today's error, which
+		// becomes the selected element when logical indexing lands.
+		{name: "logical_mask_subscript", want: "subscript indices must be positive integers (got 0)", src: `
+function y = f(n)
+  v = [10 20];
+  y = v([1 2] > n);
+end`, args: []float64{1}},
 		// A case value is evaluated only when the cases before it do not
 		// match; a switch without a case still evaluates its subject.
 		{name: "switch_case_value_errors", src: `

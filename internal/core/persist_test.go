@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ir"
 	"repro/internal/mat"
 	"repro/internal/persist"
 	"repro/internal/repo"
@@ -240,30 +241,38 @@ func TestPersistenceCorruptSnapshotColdStarts(t *testing.T) {
 // constant tables do not fit its register banks (bytes from disk or from a
 // peer, damaged where the CRC cannot see or never written by this
 // compiler) is dropped at load — it would read its literals from spill
-// slots, or past the frame — and the function cold-compiles.
+// slots, or past the frame — and the function cold-compiles. So is one
+// with an aux block that runs past the program's pool.
 func TestPersistenceDropsEntryWithMisfitConstants(t *testing.T) {
-	lib := NewLibrary(LibraryOptions{})
-	compileOnce(t, lib, persistSrc, "padd")
-	snap := lib.ExportSnapshot()
-	lib.Close()
-	damaged := 0
-	for i := range snap.Funcs {
-		for j := range snap.Funcs[i].Entries {
-			if p := snap.Funcs[i].Entries[j].Prog; p != nil {
-				p.ConstF = append(p.ConstF, make([]float64, p.NumF+1)...)
-				damaged++
+	for name, damage := range map[string]func(p *ir.Prog){
+		"constants past the banks": func(p *ir.Prog) { p.ConstF = append(p.ConstF, make([]float64, p.NumF+1)...) },
+		"aux block past the pool": func(p *ir.Prog) {
+			p.Ins = append([]ir.Instr{{Op: ir.OpGBuiltin, A: int32(len(p.Aux))}}, p.Ins...)
+		},
+	} {
+		lib := NewLibrary(LibraryOptions{})
+		compileOnce(t, lib, persistSrc, "padd")
+		snap := lib.ExportSnapshot()
+		lib.Close()
+		damaged := 0
+		for i := range snap.Funcs {
+			for j := range snap.Funcs[i].Entries {
+				if p := snap.Funcs[i].Entries[j].Prog; p != nil {
+					damage(p)
+					damaged++
+				}
 			}
 		}
+		if damaged == 0 {
+			t.Fatal("no compiled entry in the snapshot")
+		}
+		warm := NewLibrary(LibraryOptions{})
+		if ls := warm.LoadSnapshot(snap); ls.LoadedEntries != 0 || ls.RejectedEntries != damaged {
+			t.Fatalf("%s: loaded %d, rejected %d of %d damaged entries: %+v", name, ls.LoadedEntries, ls.RejectedEntries, damaged, ls)
+		}
+		compileOnce(t, warm, persistSrc, "padd") // serves, by compiling
+		warm.Close()
 	}
-	if damaged == 0 {
-		t.Fatal("no compiled entry in the snapshot")
-	}
-	warm := NewLibrary(LibraryOptions{})
-	defer warm.Close()
-	if ls := warm.LoadSnapshot(snap); ls.LoadedEntries != 0 || ls.RejectedEntries != damaged {
-		t.Fatalf("loaded %d, rejected %d of %d damaged entries: %+v", ls.LoadedEntries, ls.RejectedEntries, damaged, ls)
-	}
-	compileOnce(t, warm, persistSrc, "padd") // serves, by compiling
 }
 
 // TestPersistenceInterpEntriesRoundTrip: interpret-only decisions

@@ -179,7 +179,7 @@ const (
 
 	// generic boxed operations (the MATLAB C library path)
 	OpGBin     // V[A] = binop[D](V[B], V[C]); Imm: bit 0/1 set when V[B]/V[C] is a consumed temporary (mat.Donors)
-	OpGUn      // V[A] = unop[D](V[B]); Imm: 1 when V[B] is a consumed temporary
+	OpGUn      // V[A] = unop[D](V[B]), D one of UnNeg...; Imm: 1 when V[B] is a consumed temporary
 	OpGIndex   // V[A] = V[B](args); aux at C: [n, argreg...]
 	OpGAssign  // V[A](args) = V[D]; aux at C: [n, argreg...]; result back in V[A]
 	OpGColon   // V[A] = V[B]:V[C]:V[D]
@@ -194,13 +194,12 @@ const (
 	// hold exactly that kind of scalar, abandons the activation. The
 	// registers are ordinary A-D operands, so the optimiser and the
 	// allocator need no knowledge of the call's aux block.
-	OpStageF   // call slot A = F[B]
-	OpStageI   // call slot A = I[B]
-	OpFetchF   // F[A] = call result B (guarded)
-	OpFetchI   // I[A] = call result B (guarded)
-	OpGEMV     // V[A] = Imm*op(M)*x + β*y: aux[B:] = [M, x, y or -1, β], C the transposed-operand flag (GEMVTrans...); Imm ∈ {1, -1}, β ∈ {0, 1, -1}
-	OpVConst   // V[A] = vpool[B] (boxed constant: string or colon marker)
-	OpVDisplay // display V[A] as name vpool[B] (echo of unsuppressed statements)
+	OpStageF // call slot A = F[B]
+	OpStageI // call slot A = I[B]
+	OpFetchF // F[A] = call result B (guarded)
+	OpFetchI // I[A] = call result B (guarded)
+	OpGEMV   // V[A] = Imm*op(M)*x + β*y: aux[B:] = [M, x, y or -1, β], C the transposed-operand flag (GEMVTrans...); Imm ∈ {1, -1}, β ∈ {0, 1, -1}
+	OpVConst // V[A] = vpool[B] (boxed constant: string or colon marker)
 
 	// elementwise fusion: a maximal tree of elementwise operators runs as
 	// one loop over the output with no intermediate arrays. The aux block
@@ -257,7 +256,7 @@ var opNames = map[Op]string{
 	OpVNewZeros: "vnew", OpVEnsure: "vensure",
 	OpVRows: "vrows", OpVCols: "vcols", OpVNumel: "vnumel", OpVMarkShared: "vshare",
 	OpGBin: "gbin", OpGUn: "gun", OpGIndex: "gindex", OpGAssign: "gassign",
-	OpVConst: "vconst", OpVDisplay: "vdisplay",
+	OpVConst: "vconst",
 	OpGColon: "gcolon", OpGCat: "gcat", OpGBuiltin: "gbuiltin", OpCallUser: "call",
 	OpStageF: "stage.f", OpStageI: "stage.i", OpFetchF: "fetch.f", OpFetchI: "fetch.i",
 	OpGEMV:   "gemv",
@@ -281,6 +280,15 @@ const (
 	GEMVNoTrans   int32 = iota
 	GEMVTrans           // M.'
 	GEMVConjTrans       // M'
+)
+
+// Values of OpGUn's field D: the unary operator.
+const (
+	UnNeg    int32 = iota // -x
+	UnPlus                // +x
+	UnNot                 // ~x
+	UnTrans               // x.'
+	UnCTrans              // x'
 )
 
 // Fingerprint hashes the IR's codec-relevant shape: the opcode table
@@ -363,6 +371,10 @@ const (
 	FuseNeg
 	FuseMath // apply MathFns[arg]
 )
+
+// FuseCode is the micro-op program, (code, arg) pairs, of the OpVFused
+// block at aux[at:end], which VOperands has found whole.
+func FuseCode(aux []int32, at, end int) []int32 { return aux[at+3+int(aux[at]) : end] }
 
 // Limits on a single fused kernel: operand count doubles as the fuse
 // slot file size the VM preallocates, and the op cap bounds the stack.
@@ -548,14 +560,14 @@ func (in Instr) format(p *Prog) string {
 			continue
 		case r == target:
 			fmt.Fprintf(&b, "%s@%d", sep, x)
-		case r == word:
+		case r == word || r >= auxSubs:
 			fmt.Fprintf(&b, "%s%d", sep, x)
 		case r == trans:
 			if x == GEMVNoTrans {
 				continue
 			}
 			fmt.Fprintf(&b, "%s%s", sep, [...]string{GEMVTrans: "trans", GEMVConjTrans: "ctrans"}[x])
-		case r == regV:
+		case r.isV():
 			fmt.Fprintf(&b, "%sv%d", sep, x)
 		default:
 			text, isConst := "", false

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -191,6 +192,118 @@ func TestOperandTable(t *testing.T) {
 		}
 		if targets > 1 {
 			t.Errorf("%v: %d branch targets", op, targets)
+		}
+	}
+}
+
+// TestEffectTable: every opcode declares its effect class, and the sets
+// the table derives are the lists the optimiser and the step hook kept
+// before the table held them (written out here): what value numbering may
+// merge, what every pass keeps, and after what the step hook looks.
+func TestEffectTable(t *testing.T) {
+	pure := []Op{OpFAdd, OpFSub, OpFMul, OpFDiv, OpFPow, OpFMod, OpFRem,
+		OpFAnd, OpFOr, OpFCmpEq, OpFCmpNe, OpFCmpLt, OpFCmpLe,
+		OpFNeg, OpFNot, OpFMath, OpItoF, OpFtoI,
+		OpIAdd, OpISub, OpIMul, OpIMod, OpINeg,
+		OpICmpEq, OpICmpNe, OpICmpLt, OpICmpLe,
+		OpCAdd, OpCSub, OpCMul, OpCDiv, OpCPow, OpFPowC, OpCNeg, OpCConj}
+	kept := []Op{OpJmp, OpBrTrueF, OpBrFalseF, OpBrFalseV, OpBrTrueV, OpBrFLt, OpBrFLe, OpBrFEq, OpBrFNe,
+		OpBrFNLt, OpBrFNLe, OpBrILt, OpBrILe, OpBrIEq, OpBrINe, OpBrNCAbs,
+		OpRet,
+		OpFSt1, OpFSt1I, OpFSt1U, OpFSt2, OpFSt2I, OpFSt2U,
+		OpFLd1, OpFLd1I, OpFLd2, OpFLd2I, OpCLd1, OpCLd1I, OpCLd2, OpCLd2I,
+		OpFRand,
+		OpVMov, OpVMovSwap, OpVClone, OpVNewZeros, OpVEnsure, OpVMarkShared, OpVConst,
+		OpGBin, OpGUn, OpGIndex, OpGAssign, OpGColon, OpGCat,
+		OpGBuiltin, OpCallUser, OpGEMV, OpVFused, OpVFuseArgF,
+		OpStageF, OpStageI, OpFetchF, OpFetchI,
+		OpBoxF, OpBoxI, OpBoxC, OpUnboxF, OpUnboxI, OpUnboxC}
+	writesV := []Op{OpVMov, OpVMovSwap, OpVClone, OpBoxF, OpBoxI, OpBoxC,
+		OpVNewZeros, OpVEnsure, OpVConst,
+		OpFSt1, OpFSt1I, OpFSt1U, OpFSt2, OpFSt2I, OpFSt2U,
+		OpGBin, OpGUn, OpGIndex, OpGAssign, OpGColon, OpGCat,
+		OpGBuiltin, OpCallUser, OpGEMV, OpVFused}
+	in := func(ops []Op, o Op) bool {
+		for _, x := range ops {
+			if x == o {
+				return true
+			}
+		}
+		return false
+	}
+	for o := Op(0); o < numOps; o++ {
+		e := o.Effect()
+		if e < Pure || e > Kept {
+			t.Errorf("%v: no effect class declared", o)
+		}
+		if (e == Pure) != in(pure, o) {
+			t.Errorf("%v: pure is %t, want %t", o, e == Pure, in(pure, o))
+		}
+		if (e == Kept) != in(kept, o) {
+			t.Errorf("%v: kept is %t, want %t", o, e == Kept, in(kept, o))
+		}
+		if o.WritesV() != in(writesV, o) {
+			t.Errorf("%v: WritesV is %t, want %t", o, o.WritesV(), in(writesV, o))
+		}
+	}
+}
+
+// TestVOperands: the V registers of each aux layout, with their
+// direction, and the block's extent; a block that does not fit its pool
+// is refused.
+func TestVOperands(t *testing.T) {
+	type vop struct {
+		r int32
+		a Access
+	}
+	cases := []struct {
+		name string
+		in   Instr
+		aux  []int32
+		want []vop
+		end  int
+	}{
+		{"gindex", Instr{Op: OpGIndex, A: 1, B: 2, C: 1}, []int32{9, 2, 3, 4}, []vop{{1, Write}, {2, Read}, {3, Read}, {4, Read}}, 4},
+		{"gassign", Instr{Op: OpGAssign, A: 1, C: 0, D: 2}, []int32{1, 5}, []vop{{1, Update}, {2, Read}, {5, Read}}, 2},
+		{"gcat", Instr{Op: OpGCat, A: 0, B: 0}, []int32{2, 1, 3, 2, 4, 5}, []vop{{0, Write}, {3, Read}, {4, Read}, {5, Read}}, 6},
+		{"gcat, an empty row", Instr{Op: OpGCat, A: 0, B: 0}, []int32{2, 0, 1, 3}, []vop{{0, Write}, {3, Read}}, 4},
+		{"builtin", Instr{Op: OpGBuiltin, A: 0}, []int32{7, 2, 1, 2, 1, 3}, []vop{{1, Write}, {2, Write}, {3, Read}}, 6},
+		{"call, staged", Instr{Op: OpCallUser, A: 0}, []int32{0, 1, Staged, 2, 4, Staged}, []vop{{Staged, Write}, {4, Read}, {Staged, Read}}, 6},
+		{"gemv", Instr{Op: OpGEMV, A: 3, B: 0}, []int32{0, 1, 2, -1}, []vop{{3, Write}, {0, Read}, {1, Read}, {2, Read}}, 4},
+		{"gemv, no y", Instr{Op: OpGEMV, A: 3, B: 1}, []int32{9, 0, 1, -1, 0}, []vop{{3, Write}, {0, Read}, {1, Read}}, 5},
+		{"fused", Instr{Op: OpVFused, A: 3, B: 0}, []int32{2, 1, 2, 0, 2, FuseLoadV, 0, FuseLoadV, 1, FuseAdd, 0}, []vop{{3, Write}, {1, Update}, {2, Update}}, 9},
+		{"swap", Instr{Op: OpVMovSwap, A: 1, B: 2}, nil, []vop{{1, Update}, {2, Update}}, 0},
+		{"store", Instr{Op: OpFSt1, A: 1, B: 0, C: 0}, nil, []vop{{1, Update}}, 0},
+	}
+	for _, c := range cases {
+		var got []vop
+		end, ok := c.in.VOperands(c.aux, func(r int32, a Access) { got = append(got, vop{r, a}) })
+		if !ok || end != c.end || fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s: %v, end %d, %t; want %v, end %d", c.name, got, end, ok, c.want, c.end)
+		}
+		if c.end == 0 {
+			continue
+		}
+		// Every block cut short, and every block moved past the end.
+		for n := c.end - 1; n >= 0; n-- {
+			if _, ok := c.in.VOperands(c.aux[:n], func(int32, Access) {}); ok && n < c.end {
+				t.Errorf("%s: a pool of %d words holds a block ending at %d", c.name, n, c.end)
+			}
+		}
+	}
+	for _, bad := range []struct {
+		in  Instr
+		aux []int32
+	}{
+		{Instr{Op: OpGIndex, C: -1}, []int32{0}},
+		{Instr{Op: OpGIndex, C: 1}, []int32{0}},
+		{Instr{Op: OpGCat, B: 0}, []int32{-1}},
+		{Instr{Op: OpGCat, B: 0}, []int32{1, -2}},
+		{Instr{Op: OpGBuiltin, A: 0}, []int32{0, -1, 0}},
+		{Instr{Op: OpVFused, B: 0}, []int32{0, 0, -1}},
+	} {
+		if _, ok := bad.in.VOperands(bad.aux, func(int32, Access) {}); ok {
+			t.Errorf("%v over %v: accepted", bad.in, bad.aux)
 		}
 	}
 }

@@ -41,7 +41,24 @@ func FuseDst(p *ir.Prog) {
 	}
 	sc := scratchPool.Get()
 	defer sc.put()
-	mentions := countVMentions(p)
+	// mentions[r] counts the mentions of V register r anywhere in p.
+	mentions := make([]int32, p.NumV)
+	note := func(r int32, _ ir.Access) {
+		if r != ir.Staged { // a call operand or output that is not in a V register
+			mentions[r]++
+		}
+	}
+	for i := range p.Ins {
+		p.Ins[i].VOperands(p.Aux, note)
+	}
+	for _, b := range p.Params {
+		if b.Bank == ir.BankV && !b.Slot {
+			note(b.Reg, ir.Read)
+		}
+	}
+	for _, r := range p.OutRegs {
+		note(r, ir.Read)
+	}
 	lead := sc.leaders(p)
 	for pos := range p.Ins {
 		in := &p.Ins[pos]
@@ -69,98 +86,18 @@ func FuseDst(p *ir.Prog) {
 // abortableOver reports whether the fused kernel in reads register x and
 // contains a micro-op whose real path can promote to complex mid-loop.
 func abortableOver(p *ir.Prog, in *ir.Instr, x int32) bool {
-	at := int(in.B)
-	nv := int(p.Aux[at])
 	reads := false
-	for _, r := range p.Aux[at+1 : at+1+nv] {
-		reads = reads || r == x
-	}
-	if !reads {
-		return false
-	}
-	nops := int(p.Aux[at+2+nv])
-	code := p.Aux[at+3+nv : at+3+nv+2*nops]
-	for j := 0; j < nops; j++ {
+	end, _ := in.VOperands(p.Aux, func(r int32, a ir.Access) { reads = reads || r == x && a == ir.Update })
+	code := ir.FuseCode(p.Aux, int(in.B), end)
+	for j := 0; reads && j < len(code); j += 2 {
 		switch {
-		case code[2*j] == ir.FusePow:
+		case code[j] == ir.FusePow:
 			return true
-		case code[2*j] == ir.FuseMath:
-			if f, _ := builtins.Elementary(p.MathFns[code[2*j+1]]); f.Promotes != nil {
+		case code[j] == ir.FuseMath:
+			if f, _ := builtins.Elementary(p.MathFns[code[j+1]]); f.Promotes != nil {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-// countVMentions counts, for every V register, how many times the
-// program mentions it: instruction operands, aux-block operand lists,
-// parameter bindings and output registers all count.
-func countVMentions(p *ir.Prog) []int32 {
-	m := make([]int32, p.NumV)
-	note := func(r int32) {
-		if r != ir.Staged { // a call operand or output that is not in a V register
-			m[r]++
-		}
-	}
-	var buf [4]int32
-	for i := range p.Ins {
-		in := &p.Ins[i]
-		for _, r := range in.VRegs(&buf) {
-			note(r)
-		}
-		// The operands in aux blocks.
-		switch in.Op {
-		case ir.OpGIndex, ir.OpGAssign:
-			at := int(in.C)
-			n := int(p.Aux[at])
-			for _, r := range p.Aux[at+1 : at+1+n] {
-				note(r)
-			}
-		case ir.OpGCat:
-			at := int(in.B)
-			nrows := int(p.Aux[at])
-			at++
-			for r := 0; r < nrows; r++ {
-				ncols := int(p.Aux[at])
-				at++
-				for _, reg := range p.Aux[at : at+ncols] {
-					note(reg)
-				}
-				at += ncols
-			}
-		case ir.OpGBuiltin, ir.OpCallUser:
-			at := int(in.A)
-			nout := int(p.Aux[at+1])
-			for _, r := range p.Aux[at+2 : at+2+nout] {
-				note(r)
-			}
-			nargs := int(p.Aux[at+2+nout])
-			for _, r := range p.Aux[at+3+nout : at+3+nout+nargs] {
-				note(r)
-			}
-		case ir.OpGEMV:
-			at := int(in.B)
-			note(p.Aux[at])
-			note(p.Aux[at+1])
-			if p.Aux[at+2] >= 0 {
-				note(p.Aux[at+2])
-			}
-		case ir.OpVFused:
-			at := int(in.B)
-			nv := int(p.Aux[at])
-			for _, r := range p.Aux[at+1 : at+1+nv] {
-				note(r)
-			}
-		}
-	}
-	for _, b := range p.Params {
-		if b.Bank == ir.BankV && !b.Slot {
-			note(b.Reg)
-		}
-	}
-	for _, r := range p.OutRegs {
-		note(r)
-	}
-	return m
 }

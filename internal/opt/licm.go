@@ -126,7 +126,7 @@ func (l *licm) hoistOne(lo, hi int) {
 	n := 0
 	for pos := lo; pos <= hi; pos++ {
 		in := &p.Ins[pos]
-		if !pure(in.Op) {
+		if in.Op.Effect() != ir.Pure {
 			continue
 		}
 		d, _ := in.Def()
@@ -203,7 +203,7 @@ func eliminateDeadCode(p *ir.Prog, sc *scratch) {
 	var buf [3]ir.Operand
 	removable := func(in *ir.Instr) (ir.Operand, bool) {
 		d, ok := in.Def()
-		return d, ok && !sideEffect(in)
+		return d, ok && in.Op.Effect() != ir.Kept
 	}
 	for pos := range p.Ins {
 		in := &p.Ins[pos]

@@ -13,8 +13,8 @@
 // the sum of the loop spans (program length times nesting depth). A
 // pipeline takes its tables from one pooled scratch (scratch.go), so a
 // warm pipeline allocates only compact's new stream. Which fields of an
-// instruction are registers and which a branch target is ir's knowledge
-// (Instr.Def, Uses, Target); no pass lists opcodes to find that out.
+// instruction are registers, which a branch target and what a pass may do
+// with it is ir's knowledge (Instr.Def, Uses, Target, Op.Effect).
 package opt
 
 import "repro/internal/ir"
@@ -211,7 +211,7 @@ func localCSE(p *ir.Prog, sc *scratch) {
 		if !hasDef {
 			continue
 		}
-		if !pure(in.Op) {
+		if in.Op.Effect() != ir.Pure {
 			newVN(rs.of(dst))
 			continue
 		}
@@ -234,22 +234,6 @@ func localCSE(p *ir.Prog, sc *scratch) {
 	}
 }
 
-// pure reports whether op computes its destination from its scalar
-// operands alone and cannot fault: the instructions value numbering may
-// merge and LICM may move.
-func pure(op ir.Op) bool {
-	switch op {
-	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv, ir.OpFPow, ir.OpFMod, ir.OpFRem,
-		ir.OpFAnd, ir.OpFOr, ir.OpFCmpEq, ir.OpFCmpNe, ir.OpFCmpLt, ir.OpFCmpLe,
-		ir.OpFNeg, ir.OpFNot, ir.OpFMath, ir.OpItoF, ir.OpFtoI,
-		ir.OpIAdd, ir.OpISub, ir.OpIMul, ir.OpIMod, ir.OpINeg,
-		ir.OpICmpEq, ir.OpICmpNe, ir.OpICmpLt, ir.OpICmpLe,
-		ir.OpCAdd, ir.OpCSub, ir.OpCMul, ir.OpCDiv, ir.OpCPow, ir.OpFPowC, ir.OpCNeg, ir.OpCConj:
-		return true
-	}
-	return false
-}
-
 // pureKey builds the value-number key of a pure instruction: its source
 // registers are fields B and C, and OpFMath names its function in C.
 func pureKey(in *ir.Instr, vnOf func(ir.Operand) int32) exprKey {
@@ -266,29 +250,4 @@ func pureKey(in *ir.Instr, vnOf func(ir.Operand) int32) exprKey {
 		key.mathID = in.C
 	}
 	return key
-}
-
-// sideEffect reports whether an instruction must be kept regardless of
-// register liveness.
-func sideEffect(in *ir.Instr) bool {
-	if in.Target() != nil {
-		return true
-	}
-	switch in.Op {
-	case ir.OpRet,
-		ir.OpFSt1, ir.OpFSt1I, ir.OpFSt1U, ir.OpFSt2, ir.OpFSt2I, ir.OpFSt2U,
-		ir.OpFLd1, ir.OpFLd1I, ir.OpFLd2, ir.OpFLd2I, // a checked load can fault
-		ir.OpCLd1, ir.OpCLd1I, ir.OpCLd2, ir.OpCLd2I,
-		ir.OpFRand, // a draw advances the generator
-		ir.OpVMov, ir.OpVMovSwap, ir.OpVClone, ir.OpVNewZeros, ir.OpVEnsure, ir.OpVMarkShared,
-		ir.OpVConst, ir.OpVDisplay,
-		ir.OpGBin, ir.OpGUn, ir.OpGIndex, ir.OpGAssign, ir.OpGColon, ir.OpGCat,
-		ir.OpGBuiltin, ir.OpCallUser, ir.OpGEMV, ir.OpVFused, ir.OpVFuseArgF,
-		ir.OpStageF, ir.OpStageI,
-		ir.OpFetchF, ir.OpFetchI, // a fetch is the return-type guard
-		ir.OpBoxF, ir.OpBoxI, ir.OpBoxC,
-		ir.OpUnboxF, ir.OpUnboxI, ir.OpUnboxC: // unbox ops can fault
-		return true
-	}
-	return false
 }

@@ -40,16 +40,5 @@ func zeroed[T any](s *[]T, n int) []T {
 
 // leaders marks basic-block leader positions.
 func (sc *scratch) leaders(p *ir.Prog) []bool {
-	l := zeroed(&sc.lead, len(p.Ins)+1)
-	l[0] = true
-	for pos := range p.Ins {
-		in := &p.Ins[pos]
-		if t := in.Target(); t != nil {
-			l[*t] = true
-			l[pos+1] = true
-		} else if in.Op == ir.OpRet {
-			l[pos+1] = true
-		}
-	}
-	return l
+	return ir.Leaders(p.Ins, zeroed(&sc.lead, len(p.Ins)+1))
 }

@@ -33,8 +33,9 @@ import (
 // (a snapshot can hold any 16-bit number).
 const lastOp = ir.OpCount
 
-// verify checks the invariants the loop takes on trust, through ir's own
-// operand table. It allocates nothing unless it fails.
+// verify checks the invariants the loop and step take on trust, aux
+// blocks included, through ir's own operand table. It allocates nothing
+// unless it fails.
 func verify(p *ir.Prog) error {
 	if min(p.NumF, p.NumI, p.NumC, p.NumV, p.SlotsF, p.SlotsI, p.SlotsC) < 0 {
 		return fmt.Errorf("vm: %s: negative bank size", p.Name)
@@ -45,7 +46,6 @@ func verify(p *ir.Prog) error {
 	}
 	regs := [...]int32{ir.BankF: p.NumF, ir.BankI: p.NumI, ir.BankC: p.NumC}
 	var uses [3]ir.Operand
-	var vregs [4]int32
 	for pc := range p.Ins {
 		in := &p.Ins[pc]
 		if in.Op > lastOp {
@@ -59,49 +59,85 @@ func verify(p *ir.Prog) error {
 				return operandError(p, pc, u.Bank, *u.Reg, regs[u.Bank])
 			}
 		}
-		for _, r := range in.VRegs(&vregs) {
-			if r < 0 || r >= p.NumV {
-				return operandError(p, pc, ir.BankV, r, p.NumV)
+		bad, outside := int32(0), false
+		end, ok := in.VOperands(p.Aux, func(r int32, _ ir.Access) {
+			if (r < 0 || r >= p.NumV) && !(r == ir.Staged && in.Op == ir.OpCallUser) {
+				bad, outside = r, true
 			}
+		})
+		if !ok {
+			return fmt.Errorf("vm: %s+%d: aux block outside the %d words of aux", p.Name, pc, len(p.Aux))
+		}
+		if outside {
+			return operandError(p, pc, ir.BankV, bad, p.NumV)
 		}
 		if t := in.Target(); t != nil && (*t < 0 || int(*t) >= n) {
 			return fmt.Errorf("vm: %s+%d: branch to %d outside %d instructions", p.Name, pc, *t, n)
 		}
-		if (in.Op == ir.OpFMath || in.Op == ir.OpCMath) && (in.C < 0 || int(in.C) >= len(p.MathFns)) {
-			return fmt.Errorf("vm: %s+%d: math function %d of %d", p.Name, pc, in.C, len(p.MathFns))
+		// The words that are no register: an index into a table of p or of
+		// the frame, or a code the code generator emits.
+		what, x, lim := "", int32(0), 0 // x must lie in [0, lim)
+		switch in.Op {
+		case ir.OpFMath, ir.OpCMath:
+			what, x, lim = "math function", in.C, len(p.MathFns)
+		case ir.OpGUn:
+			what, x, lim = "unary operator", in.D, int(ir.UnCTrans)+1
+		case ir.OpGBuiltin:
+			what, x, lim = "builtin", p.Aux[in.A], len(p.Builtins)
+		case ir.OpCallUser:
+			what, x, lim = "user function", p.Aux[in.A], len(p.Calls)
+		case ir.OpVConst:
+			what, x, lim = "boxed constant", in.B, len(p.VPoolStrs)
+		case ir.OpVFuseArgF:
+			what, x, lim = "fuse slot", in.A, ir.MaxFuseOperands
+		case ir.OpGEMV:
+			what, x, lim = "transposed-operand flag", in.C, int(ir.GEMVConjTrans)+1
+			if b := p.Aux[end-1]; in.Imm != 1 && in.Imm != -1 || b < -1 || b > 1 {
+				return fmt.Errorf("vm: %s+%d: gemv coefficients α = %g, β = %d", p.Name, pc, in.Imm, b)
+			}
+		case ir.OpBrNCAbs:
+			if !ast.BinOp(in.B).IsRelational() {
+				return fmt.Errorf("vm: %s+%d: relation %d", p.Name, pc, in.B)
+			}
+		case ir.OpVFused:
+			if !fusedOK(p, in, end) {
+				return fmt.Errorf("vm: %s+%d: malformed fused kernel at aux %d", p.Name, pc, in.B)
+			}
+		}
+		if what != "" && (x < 0 || int(x) >= lim) {
+			return fmt.Errorf("vm: %s+%d: %s %d of %d", p.Name, pc, what, x, lim)
 		}
 		if in.Op == ir.OpCMath {
 			if f, _ := builtins.Elementary(p.MathFns[in.C]); f.Complex == nil {
 				return fmt.Errorf("vm: %s+%d: %q has no complex form", p.Name, pc, p.MathFns[in.C])
 			}
 		}
-		if in.Op == ir.OpBrNCAbs && !ast.BinOp(in.B).IsRelational() {
-			return fmt.Errorf("vm: %s+%d: relation %d", p.Name, pc, in.B)
-		}
-		if in.Op == ir.OpGEMV {
-			if err := verifyGEMV(p, pc, in); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }
 
-// verifyGEMV checks what gemv takes on trust: the code generator emits
-// α ∈ {1, -1}, β ∈ {0, 1, -1} and one of the three transpose flags.
-func verifyGEMV(p *ir.Prog, pc int, in *ir.Instr) error {
-	if in.C < ir.GEMVNoTrans || in.C > ir.GEMVConjTrans {
-		return fmt.Errorf("vm: %s+%d: transposed-operand flag %d", p.Name, pc, in.C)
+// fusedOK reports whether a fused kernel's micro-ops (ir.FuseLoadV) have
+// known codes and operands in range, and whether its stack stays within
+// 1..MaxFuseOperands values after each and ends holding the result.
+func fusedOK(p *ir.Prog, in *ir.Instr, end int) bool {
+	nv, code := p.Aux[in.B], ir.FuseCode(p.Aux, int(in.B), end)
+	depth := 0
+	for j := 0; j < len(code); j += 2 {
+		switch op, arg := code[j], code[j+1]; {
+		case op == ir.FuseLoadV && arg >= 0 && arg < nv,
+			(op == ir.FuseLoadSF || op == ir.FuseLoadSI) && arg >= 0 && arg < ir.MaxFuseOperands:
+			depth++
+		case op == ir.FuseNeg, op == ir.FuseMath && arg >= 0 && int(arg) < len(p.MathFns):
+		case op >= ir.FuseAdd && op <= ir.FusePow:
+			depth--
+		default:
+			return false
+		}
+		if depth < 1 || depth > ir.MaxFuseOperands {
+			return false
+		}
 	}
-	if in.Imm != 1 && in.Imm != -1 {
-		return fmt.Errorf("vm: %s+%d: gemv coefficient α = %g", p.Name, pc, in.Imm)
-	}
-	if at := int(in.B); at < 0 || at+3 >= len(p.Aux) {
-		return fmt.Errorf("vm: %s+%d: gemv operands out of range at aux %d", p.Name, pc, at)
-	} else if b := p.Aux[at+3]; b < -1 || b > 1 {
-		return fmt.Errorf("vm: %s+%d: gemv coefficient β = %d", p.Name, pc, b)
-	}
-	return nil
+	return depth == 1 && nv <= ir.MaxFuseOperands && len(code) <= 2*ir.MaxFuseOps
 }
 
 func operandError(p *ir.Prog, pc int, b ir.Bank, r, n int32) error {

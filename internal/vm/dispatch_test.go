@@ -17,11 +17,21 @@ import (
 )
 
 // TestPrepareRejects: the loop addresses registers without a bounds
-// check, so Prepare must refuse every program whose operands could reach
-// outside their bank — programs come from snapshots and /cluster/ingest
-// too.
+// check, and step trusts what it reads from aux blocks and the tables
+// words index, so Prepare must refuse every program whose operands could
+// reach outside their bank or table — programs come from snapshots and
+// /cluster/ingest too.
 func TestPrepareRejects(t *testing.T) {
 	ret := ir.Instr{Op: ir.OpRet}
+	mop := func(code, arg int32) []int32 { return []int32{code, arg} }
+	fused := func(nv int32, code ...[]int32) []int32 { // nv operands v0, v0, ...
+		aux := append(make([]int32, nv+1), 0, int32(len(code)))
+		aux[0] = nv
+		for _, c := range code {
+			aux = append(aux, c...)
+		}
+		return aux
+	}
 	for name, p := range map[string]*ir.Prog{
 		"F register equal to NumF": {NumF: 2, Ins: []ir.Instr{{Op: ir.OpFAdd, A: 0, B: 1, C: 2}, ret}},
 		"I use past NumI":          {NumI: 1, Ins: []ir.Instr{{Op: ir.OpItoF, A: 0, B: 1}, ret}, NumF: 1},
@@ -43,22 +53,74 @@ func TestPrepareRejects(t *testing.T) {
 		"no instructions":          {},
 		"negative bank":            {NumF: -1, Ins: []ir.Instr{ret}},
 		"negative spill slots":     {SlotsC: -3, Ins: []ir.Instr{ret}},
+
+		// One row per aux layout and what can go wrong in it.
+		"gindex subscript past NumV":   {NumV: 2, Aux: []int32{1, 2}, Ins: []ir.Instr{{Op: ir.OpGIndex, A: 0, B: 1, C: 0}, ret}},
+		"gindex block past aux":        {NumV: 2, Aux: []int32{2, 1}, Ins: []ir.Instr{{Op: ir.OpGIndex, A: 0, B: 1, C: 0}, ret}},
+		"gindex negative block offset": {NumV: 2, Aux: []int32{1, 1}, Ins: []ir.Instr{{Op: ir.OpGIndex, A: 0, B: 1, C: -1}, ret}},
+		"gassign negative count":       {NumV: 2, Aux: []int32{-1, 1}, Ins: []ir.Instr{{Op: ir.OpGAssign, A: 0, C: 0, D: 1}, ret}},
+		"gcat v7 of one register":      {NumV: 1, Aux: []int32{1, 1, 7}, Ins: []ir.Instr{{Op: ir.OpGCat, A: 0, B: 0}, ret}},
+		"gcat row past aux":            {NumV: 1, Aux: []int32{2, 1, 0}, Ins: []ir.Instr{{Op: ir.OpGCat, A: 0, B: 0}, ret}},
+		"gcat block offset past aux":   {NumV: 1, Aux: []int32{1, 1, 0}, Ins: []ir.Instr{{Op: ir.OpGCat, A: 0, B: 3}, ret}},
+		"builtin output past NumV":     {NumV: 1, Builtins: []string{"abs"}, Aux: []int32{0, 1, 1, 1, 0}, Ins: []ir.Instr{{Op: ir.OpGBuiltin, A: 0}, ret}},
+		"builtin staged argument":      {NumV: 1, Builtins: []string{"abs"}, Aux: []int32{0, 1, 0, 1, ir.Staged}, Ins: []ir.Instr{{Op: ir.OpGBuiltin, A: 0}, ret}},
+		"builtin arguments past aux":   {NumV: 1, Builtins: []string{"abs"}, Aux: []int32{0, 1, 0, 2, 0}, Ins: []ir.Instr{{Op: ir.OpGBuiltin, A: 0}, ret}},
+		"builtin id past Builtins":     {NumV: 1, Builtins: []string{"abs"}, Aux: []int32{1, 1, 0, 1, 0}, Ins: []ir.Instr{{Op: ir.OpGBuiltin, A: 0}, ret}},
+		"call argument past NumV":      {NumV: 1, Calls: []string{"f"}, Aux: []int32{0, 1, 0, 1, 1}, Ins: []ir.Instr{{Op: ir.OpCallUser, A: 0}, ret}},
+		"call outputs past aux":        {NumV: 1, Calls: []string{"f"}, Aux: []int32{0, 3, 0}, Ins: []ir.Instr{{Op: ir.OpCallUser, A: 0}, ret}},
+		"call id past Calls":           {NumV: 1, Calls: []string{"f"}, Aux: []int32{1, 1, 0, 0}, Ins: []ir.Instr{{Op: ir.OpCallUser, A: 0}, ret}},
+		"gemv y past NumV":             {NumV: 1, Aux: []int32{0, 0, 1, 1}, Ins: []ir.Instr{{Op: ir.OpGEMV, A: 0, B: 0, Imm: 1}, ret}},
+		"gemv negative matrix":         {NumV: 1, Aux: []int32{-1, 0, -1, 0}, Ins: []ir.Instr{{Op: ir.OpGEMV, A: 0, B: 0, Imm: 1}, ret}},
+		"fused operand past NumV":      {NumV: 1, Aux: []int32{1, 1, 0, 1, ir.FuseLoadV, 0}, Ins: []ir.Instr{{Op: ir.OpVFused, A: 0, B: 0}, ret}},
+		"fused micro-ops past aux":     {NumV: 1, Aux: []int32{1, 0, 0, 2, ir.FuseLoadV, 0}, Ins: []ir.Instr{{Op: ir.OpVFused, A: 0, B: 0}, ret}},
+		"fused slot 16":                {NumV: 1, Aux: fused(1, mop(ir.FuseLoadV, 0), mop(ir.FuseLoadSF, ir.MaxFuseOperands), mop(ir.FuseAdd, 0)), Ins: []ir.Instr{{Op: ir.OpVFused, A: 0, B: 0}, ret}},
+		"fused micro-op code 42":       {NumV: 1, Aux: fused(1, mop(ir.FuseLoadV, 0), mop(42, 0)), Ins: []ir.Instr{{Op: ir.OpVFused, A: 0, B: 0}, ret}},
+		"fused load of operand 1 of 1": {NumV: 1, Aux: fused(1, mop(ir.FuseLoadV, 1)), Ins: []ir.Instr{{Op: ir.OpVFused, A: 0, B: 0}, ret}},
+		"fused math id past MathFns":   {NumV: 1, MathFns: []string{"sin"}, Aux: fused(1, mop(ir.FuseLoadV, 0), mop(ir.FuseMath, 1)), Ins: []ir.Instr{{Op: ir.OpVFused, A: 0, B: 0}, ret}},
+		"fused stack underflow":        {NumV: 1, Aux: fused(1, mop(ir.FuseLoadV, 0), mop(ir.FuseAdd, 0)), Ins: []ir.Instr{{Op: ir.OpVFused, A: 0, B: 0}, ret}},
+		"fused kernel leaves two":      {NumV: 1, Aux: fused(1, mop(ir.FuseLoadV, 0), mop(ir.FuseLoadV, 0)), Ins: []ir.Instr{{Op: ir.OpVFused, A: 0, B: 0}, ret}},
+		"fused kernel of no micro-op":  {NumV: 1, Aux: fused(1), Ins: []ir.Instr{{Op: ir.OpVFused, A: 0, B: 0}, ret}},
+		"fuse argument slot 16":        {NumF: 1, Ins: []ir.Instr{{Op: ir.OpVFuseArgF, A: ir.MaxFuseOperands, B: 0}, ret}},
+		"gun operator code 5":          {NumV: 1, Ins: []ir.Instr{{Op: ir.OpGUn, A: 0, B: 0, D: ir.UnCTrans + 1}, ret}},
+		"gun negative operator code":   {NumV: 1, Ins: []ir.Instr{{Op: ir.OpGUn, A: 0, B: 0, D: -1}, ret}},
+		"vconst past the pool":         {NumV: 1, VPoolStrs: []ir.VConstDesc{{IsColon: true}}, Ins: []ir.Instr{{Op: ir.OpVConst, A: 0, B: 1}, ret}},
 	} {
 		p.Name, p.Allocated = "bad", true
 		if _, err := Prepare(p); err == nil {
 			t.Errorf("%s: Prepare accepted it", name)
 		}
 	}
-	ok := &ir.Prog{Name: "ok", NumF: 2, NumI: 2, NumC: 1, NumV: 1, MathFns: []string{"sin"}, Aux: []int32{0, 0, -1, 0}, Allocated: true, Ins: []ir.Instr{
-		{Op: ir.OpFMath, A: 1, B: 0, C: 0},
-		{Op: ir.OpCMath, A: 0, B: 0, C: 0},
-		{Op: ir.OpGEMV, A: 0, B: 0, C: ir.GEMVTrans, Imm: -1},
-		{Op: ir.OpBrILt, A: 0, B: 1, C: 0},
-		{Op: ir.OpFLd1, A: 0, B: 0, C: 1},
-		ret,
-	}}
+	ok := &ir.Prog{Name: "ok", NumF: 2, NumI: 2, NumC: 1, NumV: 3, Allocated: true,
+		MathFns: []string{"sin"}, Builtins: []string{"abs"}, Calls: []string{"f"}, VPoolStrs: []ir.VConstDesc{{IsColon: true}},
+		Aux: append([]int32{
+			0, 0, -1, 0, // gemv
+			2, 1, 0, 2, 0, 1, // gcat at 4: [v0 ; v0 v1]
+			1, 2, // subscripts at 10
+			0, 1, 2, 1, 0, // builtin at 12: v2 = abs(v0)
+			0, 1, ir.Staged, 2, 1, ir.Staged, // call at 17: [staged] = f(v1, staged)
+		}, fused(1, mop(ir.FuseLoadV, 0), mop(ir.FuseLoadSF, 15), mop(ir.FuseAdd, 0), mop(ir.FuseMath, 0))...), // at 23
+		Ins: []ir.Instr{
+			{Op: ir.OpFMath, A: 1, B: 0, C: 0},
+			{Op: ir.OpCMath, A: 0, B: 0, C: 0},
+			{Op: ir.OpGEMV, A: 0, B: 0, C: ir.GEMVTrans, Imm: -1},
+			{Op: ir.OpBrILt, A: 0, B: 1, C: 0},
+			{Op: ir.OpFLd1, A: 0, B: 0, C: 1},
+			{Op: ir.OpGCat, A: 1, B: 4},
+			{Op: ir.OpGIndex, A: 2, B: 1, C: 10},
+			{Op: ir.OpGAssign, A: 2, C: 10, D: 0},
+			{Op: ir.OpGBuiltin, A: 12},
+			{Op: ir.OpCallUser, A: 17},
+			{Op: ir.OpVFuseArgF, A: 15, B: 0},
+			{Op: ir.OpVFused, A: 2, B: 23},
+			{Op: ir.OpGUn, A: 1, B: 2, D: ir.UnCTrans},
+			{Op: ir.OpVConst, A: 2, B: 0},
+			ret,
+		}}
 	if _, err := Prepare(ok); err != nil {
 		t.Errorf("a well-formed program: %v", err)
+	}
+	if a := testing.AllocsPerRun(10, func() { _ = verify(ok) }); a != 0 {
+		t.Errorf("verify allocates %v times on a well-formed program", a)
 	}
 }
 
@@ -72,20 +134,19 @@ type fuzzHost struct {
 func (h *fuzzHost) CancelFlag() *cancel.Flag { return &h.flag }
 
 // runnable are the opcodes FuzzPrepare executes as well as verifies: every
-// opcode whose operands the operand table describes in full. The others
-// rest on what the compiler proves (the unchecked subscripts), on aux
-// blocks and spill slots the verifier does not cover and step checks,
-// need a callee (fetch), or allocate what a register says (growing
-// stores, vnew, vensure, the generic operators), which an arbitrary
-// register makes arbitrarily large.
+// opcode whose operands verify checks in full. The others rest on what
+// the compiler proves (the unchecked subscripts), on spill slots the
+// verifier does not cover and step checks, need a callee's result
+// (fetch), or allocate what a register says (growing stores, vnew,
+// vensure, gassign, gcolon, and gbin, whose product can square a size),
+// which an arbitrary register makes arbitrarily large.
 var runnable = func() []ir.Op {
 	var ops []ir.Op
 	for op := ir.OpNop; op <= lastOp; op++ {
 		switch op {
 		case ir.OpFLd1U, ir.OpFLd2U, ir.OpCLd1U, ir.OpCLd2U, ir.OpFSt1U, ir.OpFSt2U,
 			ir.OpFSt1, ir.OpFSt1I, ir.OpFSt2, ir.OpFSt2I, ir.OpVNewZeros, ir.OpVEnsure,
-			ir.OpGBin, ir.OpGUn, ir.OpGIndex, ir.OpGAssign, ir.OpGColon, ir.OpGCat, ir.OpGBuiltin,
-			ir.OpCallUser, ir.OpFetchF, ir.OpFetchI, ir.OpGEMV, ir.OpVConst, ir.OpVFused, ir.OpVFuseArgF,
+			ir.OpGBin, ir.OpGAssign, ir.OpGColon, ir.OpFetchF, ir.OpFetchI,
 			ir.OpFLdSlot, ir.OpFStSlot, ir.OpILdSlot, ir.OpIStSlot, ir.OpCLdSlot, ir.OpCStSlot,
 			ir.OpVCheck, ir.OpCount:
 			continue
@@ -95,17 +156,29 @@ var runnable = func() []ir.Op {
 	return ops
 }()
 
-// fuzzProg decodes data into a program over small banks: six bytes an
-// instruction, the first choosing among the runnable opcodes (high bit
-// set) or any 16-bit opcode number at all, the others fields around
-// each bank's range.
+// fuzzProg decodes data into a program over small banks. The first byte
+// counts the aux words that follow it (mod 32), each a byte mod 32 less 2
+// (so -1 is Staged, 0 a register, micro-op code or slot, up to 29). Then
+// come six bytes an instruction, the first choosing among the runnable
+// opcodes (high bit set) or any 16-bit opcode number at all, the others
+// fields around each bank's range.
 func fuzzProg(data []byte) (p *ir.Prog, runs bool) {
 	p = &ir.Prog{
 		Name: "fuzz", NumF: 4, NumI: 4, NumC: 3, NumV: 3, Allocated: true,
 		ConstF: []float64{1, -0.5}, ConstI: []int64{1, 3}, ConstC: []complex128{1 + 1i},
-		MathFns: []string{"sin", "sqrt"},
-		Params:  []ir.ParamBinding{{Bank: ir.BankV, Reg: 0}},
-		OutRegs: []int32{0},
+		MathFns:   []string{"sin", "sqrt"},
+		Builtins:  []string{"abs", "size", "sum"},
+		Calls:     []string{"f"},
+		VPoolStrs: []ir.VConstDesc{{IsColon: true}, {Str: "ab"}},
+		Params:    []ir.ParamBinding{{Bank: ir.BankV, Reg: 0}},
+		OutRegs:   []int32{0},
+	}
+	if len(data) > 0 {
+		n := min(int(data[0]%32), len(data)-1)
+		for _, b := range data[1 : 1+n] {
+			p.Aux = append(p.Aux, int32(b%32)-2)
+		}
+		data = data[1+n:]
 	}
 	field := func(b byte) int32 { return int32(b%8) - 1 }
 	runs = true
@@ -123,17 +196,35 @@ func fuzzProg(data []byte) (p *ir.Prog, runs bool) {
 }
 
 // FuzzPrepare: every program Prepare accepts has each register operand in
-// its bank, by an independent check through ir's operand table, and
-// runs (when it is made of runnable opcodes) to a result, a *vm.Error or
-// an interruption — never a panic or a fault.
+// its bank, aux blocks included, by a check of its own through ir's
+// operand table, and runs (when it is made of runnable opcodes) to a
+// result, a *vm.Error or an interruption — never a panic or a fault.
 func FuzzPrepare(f *testing.F) {
 	ret := []byte{byte(ir.OpRet), 0, 0, 0, 0, 0}
-	f.Add([]byte{0x80 + 1, 1, 0, 0, 0, 0})                                                         // jmp 0: interrupted
-	f.Add(append([]byte{byte(ir.OpFAdd), 1, 2, 4, 0, 0}, ret...))                                  // fadd f0, f1, =-0.5
-	f.Add(append([]byte{byte(ir.OpFLd1), 1, 1, 3, 0, 0}, ret...))                                  // fld1 f0, v0, =1
-	f.Add(append([]byte{byte(ir.OpFLd1), 1, 1, 3, 0, 0, byte(ir.OpBrFLt), 1, 2, 1, 0, 0}, ret...)) // a loop
-	f.Add(append([]byte{byte(ir.OpFMath), 1, 1, 2, 0, 0}, ret...))                                 // sqrt
-	f.Add(append([]byte{byte(ir.OpVMov), 1, 2, 0, 0, 0, byte(ir.OpFtoI), 1, 1, 0, 0, 0}, ret...))
+	f.Add([]byte{0, 0x80 + 1, 1, 0, 0, 0, 0})                                                         // jmp 0: interrupted
+	f.Add(append([]byte{0, byte(ir.OpFAdd), 1, 2, 4, 0, 0}, ret...))                                  // fadd f0, f1, =-0.5
+	f.Add(append([]byte{0, byte(ir.OpFLd1), 1, 1, 3, 0, 0}, ret...))                                  // fld1 f0, v0, =1
+	f.Add(append([]byte{0, byte(ir.OpFLd1), 1, 1, 3, 0, 0, byte(ir.OpBrFLt), 1, 2, 1, 0, 0}, ret...)) // a loop
+	f.Add(append([]byte{0, byte(ir.OpFMath), 1, 1, 2, 0, 0}, ret...))                                 // sqrt
+	f.Add(append([]byte{0, byte(ir.OpVMov), 1, 2, 0, 0, 0, byte(ir.OpFtoI), 1, 1, 0, 0, 0}, ret...))
+	// Programs with aux blocks; a field byte is its value plus one.
+	withAux := func(aux []int32, ins ...byte) []byte {
+		b := []byte{byte(len(aux))}
+		for _, x := range aux {
+			b = append(b, byte(x+2))
+		}
+		return append(append(b, ins...), ret...)
+	}
+	f.Add(withAux([]int32{1, 2, 0, 0}, // v1 = [v0 v0]; v0 = v1; again: the value doubles every trip
+		byte(ir.OpGCat), 2, 1, 0, 0, 0, byte(ir.OpVMov), 1, 2, 0, 0, 0, byte(ir.OpJmp), 1, 0, 0, 0, 0))
+	f.Add(withAux([]int32{1, 2, 0, 1, 2, 1, 1}, // v2 = ':'; v1 = v0(v2); v2 = abs(v1)
+		byte(ir.OpVConst), 3, 1, 0, 0, 0, byte(ir.OpGIndex), 2, 1, 1, 0, 0, byte(ir.OpGBuiltin), 3, 0, 0, 0, 0))
+	f.Add(withAux([]int32{0, 1, 1, 2, 0, ir.Staged}, // [v1] = f(v0, f0)
+		byte(ir.OpStageF), 2, 1, 0, 0, 0, byte(ir.OpCallUser), 1, 0, 0, 0, 0))
+	f.Add(withAux([]int32{0, 0, -1, 1}, // v2 = -(v0.'*v0)
+		byte(ir.OpGEMV), 3, 1, 2, 0, 0xff))
+	f.Add(withAux([]int32{1, 0, 1, 5, ir.FuseLoadV, 0, ir.FuseNeg, 0, ir.FuseLoadSF, 2, ir.FuseAdd, 0, ir.FuseMath, 1}, // v1 = sqrt(-v0 + f0); v2 = v1.'
+		byte(ir.OpVFuseArgF), 3, 1, 0, 0, 0, byte(ir.OpVFused), 2, 1, 1, 0, 0, byte(ir.OpGUn), 3, 2, 0, 4, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, runs := fuzzProg(data)
 		c, err := Prepare(p)
@@ -142,7 +233,6 @@ func FuzzPrepare(f *testing.F) {
 		}
 		regs := map[ir.Bank]int32{ir.BankF: p.NumF, ir.BankI: p.NumI, ir.BankC: p.NumC}
 		var uses [3]ir.Operand
-		var vregs [4]int32
 		for pc := range p.Ins {
 			in := &p.Ins[pc]
 			ops := in.Uses(&uses)
@@ -154,11 +244,11 @@ func FuzzPrepare(f *testing.F) {
 					t.Fatalf("accepted %v at %d: %v register %d of %d", *in, pc, o.Bank, *o.Reg, regs[o.Bank])
 				}
 			}
-			for _, r := range in.VRegs(&vregs) {
-				if r < 0 || r >= p.NumV {
+			in.VOperands(p.Aux, func(r int32, _ ir.Access) {
+				if (r < 0 || r >= p.NumV) && !(r == ir.Staged && in.Op == ir.OpCallUser) {
 					t.Fatalf("accepted %v at %d: v%d of %d", *in, pc, r, p.NumV)
 				}
-			}
+			})
 			if tg := in.Target(); tg != nil && (*tg < 0 || int(*tg) >= len(p.Ins)) {
 				t.Fatalf("accepted %v at %d: target %d of %d", *in, pc, *tg, len(p.Ins))
 			}
@@ -170,6 +260,13 @@ func FuzzPrepare(f *testing.F) {
 			return
 		}
 		h := &fuzzHost{testHost: newTestHost()}
+		h.calls["f"] = func(args []*mat.Value, nout int) ([]*mat.Value, error) {
+			outs := make([]*mat.Value, nout)
+			for i := range outs {
+				outs[i] = mat.Scalar(float64(len(args)))
+			}
+			return outs, nil
+		}
 		blocks := 0
 		SetBlockHook(func([]ir.Instr) {
 			if blocks++; blocks > 64 {
@@ -177,6 +274,17 @@ func FuzzPrepare(f *testing.F) {
 			}
 		})
 		defer SetBlockHook(nil)
+		// A concatenation in a loop can double a value every trip, and
+		// gemv's product of a column and a row squares its size: the step
+		// hook, which sees every V write, drops what outgrows 256 elements.
+		SetStepHook(func(_ *ir.Prog, _ int, regs, _ []*mat.Value) {
+			for i, v := range regs {
+				if v != nil && v.Numel() > 256 {
+					regs[i] = nil
+				}
+			}
+		})
+		defer SetStepHook(nil)
 		if c, err = Prepare(p); err != nil {
 			t.Fatalf("instrumented: %v", err)
 		}

@@ -14,18 +14,16 @@ import (
 // included.
 func evalUnOp(code int32, v *mat.Value, d mat.Donors) (*mat.Value, error) {
 	switch code {
-	case 0: // neg
+	case ir.UnNeg:
 		return d.Neg(v)
-	case 1: // uplus
+	case ir.UnPlus:
 		return mat.UPlus(v)
-	case 2: // not
+	case ir.UnNot:
 		return mat.Not(v)
-	case 3: // .'
+	case ir.UnTrans:
 		return d.Transpose(v, false)
-	case 4: // '
-		return d.Transpose(v, true)
 	}
-	return nil, fmt.Errorf("unknown unary op %d", code)
+	return d.Transpose(v, true) // ir.UnCTrans, the one code verify leaves
 }
 
 // maxSubs is the most subscripts an indexing instruction can carry.

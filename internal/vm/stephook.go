@@ -78,19 +78,6 @@ func runBlockHook(p *ir.Prog, pc int) {
 	}
 }
 
-// writesV reports whether op assigns a V register.
-func writesV(op ir.Op) bool {
-	switch op {
-	case ir.OpVMov, ir.OpVMovSwap, ir.OpVClone, ir.OpBoxF, ir.OpBoxI, ir.OpBoxC,
-		ir.OpVNewZeros, ir.OpVEnsure, ir.OpVConst,
-		ir.OpFSt1, ir.OpFSt1I, ir.OpFSt1U, ir.OpFSt2, ir.OpFSt2I, ir.OpFSt2U, // a store clones a shared base
-		ir.OpGBin, ir.OpGUn, ir.OpGIndex, ir.OpGAssign, ir.OpGColon, ir.OpGCat,
-		ir.OpGBuiltin, ir.OpCallUser, ir.OpGEMV, ir.OpVFused:
-		return true
-	}
-	return false
-}
-
 // instrumented returns a copy of p with the installed hooks' probes,
 // jump targets moved along: an OpVCheck after every V-writing
 // instruction (checks), an OpCount in front of every basic block
@@ -99,13 +86,8 @@ func writesV(op ir.Op) bool {
 // block it enters.
 func instrumented(p *ir.Prog, checks, blocks bool) *ir.Prog {
 	leader := make([]bool, len(p.Ins)+1)
-	leader[0] = blocks
-	for pos := range p.Ins {
-		if t := p.Ins[pos].Target(); t != nil && blocks {
-			leader[*t], leader[pos+1] = true, true
-		} else if p.Ins[pos].Op == ir.OpRet {
-			leader[pos+1] = blocks
-		}
+	if blocks {
+		ir.Leaders(p.Ins, leader)
 	}
 	remap := make([]int32, len(p.Ins)+1)
 	out := make([]ir.Instr, 0, 2*len(p.Ins))
@@ -117,7 +99,7 @@ func instrumented(p *ir.Prog, checks, blocks bool) *ir.Prog {
 			out = append(out, ir.Instr{Op: ir.OpCount})
 		}
 		out = append(out, in)
-		if checks && writesV(in.Op) {
+		if checks && in.Op.WritesV() {
 			out = append(out, ir.Instr{Op: ir.OpVCheck})
 		}
 		if count >= 0 {

@@ -181,22 +181,14 @@ func Prepare(p *ir.Prog) (*Compiled, error) {
 			}
 			c.callOuts = max(c.callOuts, int(in.B)+1)
 		case ir.OpCallUser, ir.OpGBuiltin:
-			// aux at A: [fnID, nout, dst..., nargs, arg...]
-			at := int(in.A)
-			if at < 0 || at+2 >= len(p.Aux) || p.Aux[at+1] < 0 || at+2+int(p.Aux[at+1]) >= len(p.Aux) {
-				return nil, fmt.Errorf("vm: call operands out of range at aux %d", at)
-			}
-			nout := int(p.Aux[at+1])
-			nargs := int(p.Aux[at+2+nout])
+			var n [3]int // by access: the outputs are written, the arguments read
+			in.VOperands(p.Aux, func(_ int32, a ir.Access) { n[a]++ })
 			if in.Op == ir.OpGBuiltin {
-				c.builtinArgs = max(c.builtinArgs, nargs)
+				c.builtinArgs = max(c.builtinArgs, n[ir.Read])
 				continue
 			}
-			if id := p.Aux[at]; id < 0 || int(id) >= len(p.Calls) {
-				return nil, fmt.Errorf("vm: call of function %d of %d", id, len(p.Calls))
-			}
-			c.callOuts = max(c.callOuts, nout)
-			c.callSlots = max(c.callSlots, nargs)
+			c.callOuts = max(c.callOuts, n[ir.Write])
+			c.callSlots = max(c.callSlots, n[ir.Read])
 			nsites++
 		}
 	}
@@ -580,7 +572,7 @@ func (fr *Frame) ret(c *Compiled, dst []Operand) []Operand {
 // whose common case it missed: everything that allocates, boxes, calls a
 // builtin, can fail or touches a spill slot, the fused kernels and the
 // test hooks. Its banks are checked slices, so an operand the verifier
-// does not cover (an aux block's, a slot's) is bounds-checked here.
+// does not cover (a spill slot's) is bounds-checked here.
 func (fr *Frame) step(c *Compiled, host Host, args []Operand, in *ir.Instr, pc int) error {
 	p := c.P
 	F, I, C, V := fr.banks(c)
@@ -776,8 +768,6 @@ func (fr *Frame) step(c *Compiled, host Host, args []Operand, in *ir.Instr, pc i
 	case ir.OpCount:
 		runBlockHook(p, pc)
 
-	case ir.OpVDisplay: // no compiler pass emits it
-		return fmt.Errorf("unimplemented opcode %v", in.Op)
 	default:
 		return fmt.Errorf("unimplemented opcode %v", in.Op)
 	}
