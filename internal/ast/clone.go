@@ -5,7 +5,7 @@ package ast
 // a slab of exactly that many (Slab).
 
 // cloner counts into, and takes from, one slab per kind.
-type cloner struct{ Slabs }
+type cloner Slabs
 
 // countExpr adds what cloning e takes to the slabs' needs.
 func (c *cloner) countExpr(e Expr) {
@@ -212,21 +212,23 @@ func (c *cloner) stmt(s Stmt) Stmt {
 	panic("ast: clone: unknown statement")
 }
 
-// CloneExpr returns a deep copy of an expression tree. A copy carries
-// what the analyses recorded on each node: its number and its verdict.
-func CloneExpr(e Expr) Expr {
-	var c cloner
-	c.countExpr(e)
-	c.Reset()
-	return c.expr(e)
+// CloneStmts deep-copies a statement list into one exact array per
+// kind. A copy carries what the analyses recorded on each node: its
+// number and its verdict.
+func CloneStmts(list []Stmt) []Stmt {
+	return new(Slabs).CloneStmts(list, 1)
 }
 
-// CloneStmts deep-copies a statement list.
-func CloneStmts(list []Stmt) []Stmt {
+// CloneStmts copies list into s, for a builder that copies the same list
+// again and again. It counts what the copy takes first, and a kind whose
+// slab has less room than that gets a new array of n times the count: n
+// copies take one array per kind, sized from the list rather than from
+// the slab's last array.
+func (s *Slabs) CloneStmts(list []Stmt, n int) []Stmt {
 	var c cloner
 	c.countStmts(list)
-	c.Reset()
-	return c.stmtList(list)
+	s.reserve((*Slabs)(&c), n)
+	return (*cloner)(s).stmtList(list)
 }
 
 // countFunction adds what cloning f takes.
@@ -247,7 +249,7 @@ func (c *cloner) function(f *Function) *Function {
 func CloneFunction(f *Function) *Function {
 	var c cloner
 	c.countFunction(f)
-	c.Reset()
+	(*Slabs)(&c).Reset()
 	return c.function(f)
 }
 
@@ -259,7 +261,7 @@ func CloneFile(f *File) *File {
 	for _, fn := range f.Funcs {
 		c.countFunction(fn)
 	}
-	c.Reset()
+	(*Slabs)(&c).Reset()
 	n := &File{P: f.P, Stmts: c.stmtList(f.Stmts)}
 	if len(f.Funcs) > 0 {
 		n.Funcs = make([]*Function, len(f.Funcs))

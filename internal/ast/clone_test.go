@@ -26,7 +26,7 @@ func TestCloneSurvivesAShortCount(t *testing.T) {
 	for k := 0; k <= len(body); k++ {
 		var c cloner
 		c.countStmts(body[:k])
-		c.Reset()
+		(*Slabs)(&c).Reset()
 		out := c.stmtList(body)
 		got := ""
 		for _, s := range out {

@@ -27,6 +27,15 @@ func (s *Slab[T]) Reset() {
 	s.free, s.Need = s.buf, 0
 }
 
+// reserve gives the slab a new array of n times need values when it has
+// less room than need.
+func (s *Slab[T]) reserve(need, n int) {
+	if len(s.free) < need {
+		s.buf = make([]T, n*need)
+		s.free = s.buf
+	}
+}
+
 // take hands out n values as a window of capacity n.
 func (s *Slab[T]) take(n int) []T {
 	if len(s.free) < n {
@@ -125,4 +134,35 @@ func (s *Slabs) Reset() {
 	s.Lists.Reset()
 	s.Rows.Reset()
 	s.Names.Reset()
+}
+
+// reserve readies every slab for n times what need counts of its kind.
+func (s *Slabs) reserve(need *Slabs, n int) {
+	s.NumberLits.reserve(need.NumberLits.Need, n)
+	s.StringLits.reserve(need.StringLits.Need, n)
+	s.Idents.reserve(need.Idents.Need, n)
+	s.Binaries.reserve(need.Binaries.Need, n)
+	s.Unaries.reserve(need.Unaries.Need, n)
+	s.Transposes.reserve(need.Transposes.Need, n)
+	s.Ranges.reserve(need.Ranges.Need, n)
+	s.Colons.reserve(need.Colons.Need, n)
+	s.Ends.reserve(need.Ends.Need, n)
+	s.Calls.reserve(need.Calls.Need, n)
+	s.Matrices.reserve(need.Matrices.Need, n)
+	s.ExprStmts.reserve(need.ExprStmts.Need, n)
+	s.Assigns.reserve(need.Assigns.Need, n)
+	s.Ifs.reserve(need.Ifs.Need, n)
+	s.Whiles.reserve(need.Whiles.Need, n)
+	s.Fors.reserve(need.Fors.Need, n)
+	s.Breaks.reserve(need.Breaks.Need, n)
+	s.Continues.reserve(need.Continues.Need, n)
+	s.Returns.reserve(need.Returns.Need, n)
+	s.Globals.reserve(need.Globals.Need, n)
+	s.Clears.reserve(need.Clears.Need, n)
+	s.Functions.reserve(need.Functions.Need, n)
+	s.Exprs.reserve(need.Exprs.Need, n)
+	s.Stmts.reserve(need.Stmts.Need, n)
+	s.Lists.reserve(need.Lists.Need, n)
+	s.Rows.reserve(need.Rows.Need, n)
+	s.Names.reserve(need.Names.Need, n)
 }

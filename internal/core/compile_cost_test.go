@@ -181,6 +181,78 @@ func TestCompileCostIsLinear(t *testing.T) {
 	}
 }
 
+// callSites is a caller with k call sites of a small callee, each of
+// whose arguments the callee's written parameter copies: k splices.
+func callSites(k int) string {
+	var b strings.Builder
+	b.WriteString("function s = f(n)\n  s = 0;\n")
+	for i := 1; i <= k; i++ {
+		fmt.Fprintf(&b, "  s = s + sq(n + %d);\n", i)
+	}
+	b.WriteString("end\nfunction y = sq(a)\n  a = a + 1;\n  y = a * a;\nend\n")
+	return b.String()
+}
+
+// selfCalls is a function that calls itself c times, which inlines to
+// MaxRecursion levels: c + c² + c³ splices.
+func selfCalls(c int) string {
+	var b strings.Builder
+	b.WriteString("function y = r(n)\n  if n < 2\n    y = n;\n  else\n    y = 0")
+	for i := 1; i <= c; i++ {
+		fmt.Fprintf(&b, " + r(n - %d)", i)
+	}
+	b.WriteString(";\n  end\nend\n")
+	return b.String()
+}
+
+// TestSpliceCostIsFlat states the inliner's cost contract: a splice
+// allocates per kind of node, from slabs the expansion shares, and not
+// per call site. When a program grows by splices, a callee's call sites
+// doubled or a recursion three levels deep made wider, inline.ExpandDeps
+// allocates less than one object more per splice added: its slabs grow
+// by whole arrays, about log2 of the splices per kind.
+func TestSpliceCostIsFlat(t *testing.T) {
+	const perSplice = 1.0
+	for _, fam := range []struct {
+		name         string
+		src          func(int) string
+		splices      func(int) int
+		small, large int
+	}{
+		{"call sites", callSites, func(k int) int { return k }, 32, 64},
+		{"recursion", selfCalls, func(c int) int { return c + c*c + c*c*c }, 2, 3},
+	} {
+		allocs := func(n int) float64 {
+			file, err := parser.Parse(fam.src(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := mapResolver{}
+			for _, f := range file.Funcs {
+				res[f.Name] = f
+			}
+			fn := file.Funcs[0]
+			if _, deps, _, _ := inline.ExpandDeps(fn, res); len(deps) != 1 {
+				t.Fatalf("%s at %d: spliced %d callees, want 1", fam.name, n, len(deps))
+			}
+			return testing.AllocsPerRun(5, func() { inline.ExpandDeps(fn, res) })
+		}
+		a, b := allocs(fam.small), allocs(fam.large)
+		added := fam.splices(fam.large) - fam.splices(fam.small)
+		t.Logf("%-10s %6.0f -> %6.0f allocations for %3d -> %3d splices: %.2f an added splice",
+			fam.name, a, b, fam.splices(fam.small), fam.splices(fam.large), (b-a)/float64(added))
+		if b-a > perSplice*float64(added) {
+			t.Errorf("%s: %.0f allocations for %d splices, %.0f for %d: %.2f an added splice, budget %.0f",
+				fam.name, a, fam.splices(fam.small), b, fam.splices(fam.large), (b-a)/float64(added), perSplice)
+		}
+	}
+}
+
+// mapResolver resolves the functions of one file.
+type mapResolver map[string]*ast.Function
+
+func (m mapResolver) LookupFunction(name string) *ast.Function { return m[name] }
+
 // TestZeroTripLoopsKeepValues runs what LICM's preheaders must not
 // disturb: a loop that never runs leaves the variables it would have
 // assigned as they were, in optimised code as in the interpreter.

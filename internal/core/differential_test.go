@@ -549,6 +549,40 @@ function r = f(x)
        asin(1) asin(-1) acos(1) acos(-1) asin(nan) acos(3*x) asin(inf) ...
        sqrt(z) log(x)*0 w log2(v) + 0 acos(v) .* 1];
 end`},
+	// A spliced output is never a caller variable: not one that bears its
+	// name, and not the argument of a parameter that is also an output,
+	// which a multi-assignment may overwrite before it reads the next
+	// result (swap). One the callee never assigns is empty, as the
+	// interpreter has it.
+	{name: "inlined_read_only_output", args: []float64{7}, src: `
+function r = f(a)
+  x = 5;
+  r = keep(a) * 10 + x;
+end
+function x = keep(x)
+  if x > 100
+    y = 1;
+  end
+end`},
+	{name: "inlined_unassigned_output", args: []float64{7}, src: `
+function r = f(a)
+  y = 5;
+  r = numel(g(a)) + y;
+end
+function y = g(x)
+  z = x * 2;
+end`},
+	{name: "inlined_swap", args: []float64{3, 7}, src: `
+function r = f(p, q)
+  [p, q] = swap(p, q);
+  [p, t] = g(p);
+  r = p * 1000 + q * 100 + t;
+end
+function [b, a] = swap(a, b)
+end
+function [y, x] = g(x)
+  y = x + 1;
+end`},
 }
 
 // loopPrograms pin what a for loop means, whichever way it is lowered

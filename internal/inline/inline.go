@@ -1,13 +1,21 @@
 // Package inline implements MaJIC's function inliner (paper §2.6.1):
 // calls to small user functions (fewer than 200 lines) are expanded in
 // place, preserving MATLAB's call-by-value semantics by copying actual
-// parameters — except read-only formal parameters, which are not
-// copied. Recursive calls inline at most 3 levels deep to avoid code
-// explosion.
+// parameters — except read-only formal parameters that are not also
+// outputs, which are not copied. Recursive calls inline at most 3 levels
+// deep to avoid code explosion.
+//
+// An expansion allocates per kind of node, not per call site: every
+// splice is a copy of its callee's template, taken from slabs the
+// expansion owns (ast.Slabs.CloneStmts). A splice that finds a kind
+// short of room grows it by as many copies as splices of the callee came
+// before it, so a callee spliced k times takes about log2(k) arrays per
+// kind. The names of a splice are cut from one builder, and a statement
+// that expands is built on one stack and copied once into a window.
 package inline
 
 import (
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -28,29 +36,76 @@ type Resolver interface {
 }
 
 type inliner struct {
-	res      Resolver
-	depth    map[string]int // per-callee inline nesting depth
-	tmpCount int
-	// callee analysis cache
+	res Resolver
+	// info holds the callees met, analysed, by name.
 	info map[string]*calleeInfo
-	// spliced collects the callees whose bodies were expanded at least
-	// once, by name.
-	spliced map[string]*ast.Function
 	// callerVars are the variables of the function being expanded.
 	callerVars map[string]bool
+	// splices numbers the splices made: splice n's names are inl<n>_<v>.
+	splices int
+
+	// a holds every node the splices take and every list an expansion
+	// copies out of the stack.
+	a ast.Slabs
+	// out is the stack statements are expanded onto: a statement's
+	// prelude, then the statement (stmt).
+	out []ast.Stmt
+	// names is the builder the splices' names are cut from.
+	names strings.Builder
+	// rename and subst are the splice being renamed: per variable index
+	// of its callee, the variable's name in the splice ("" where the name
+	// is not a variable), and per parameter the argument substituted for
+	// it (nil where the argument is copied).
+	rename []string
+	subst  []*ast.Ident
 }
 
 type calleeInfo struct {
 	fn *ast.Function
-	// body is the analysed copy of fn.Body: its nodes carry the callee's
-	// verdicts, and every splice is a clone of it.
-	body   []ast.Stmt
-	vars   map[string]bool // callee-local variable names
-	writes map[string]bool // names (re)assigned in the body
-	// free names the builtins and user functions the body refers to. A
-	// caller variable of the same name would capture them once spliced.
-	free map[string]bool
-	ok   bool // inlinable at all
+	// tmpl is what a splice copies: a binding `<formal> = ...` per
+	// parameter, the analysed copy of fn.Body (its nodes carry the
+	// callee's verdicts) and a result `... = <output>` per output.
+	tmpl []ast.Stmt
+	// g numbers the body's names (cfg.Graph.VarID). vars is the rename
+	// table: per variable index, the graph's names and then the
+	// parameters and outputs the body never names.
+	g    *cfg.Graph
+	vars []calleeVar
+	// stubs are the bindings, then the results, of tmpl.
+	stubs []stub
+	// size is the bytes of one splice's names, bar the splice numbers;
+	// nvars counts them.
+	size, nvars int
+	// depth is the callee's inline nesting depth, and splices the splices
+	// made of it.
+	depth, splices int
+	ok             bool // inlinable at all
+}
+
+// stub is a binding or a result of a callee's template, with the
+// variable index of its parameter or output.
+type stub struct {
+	assign ast.Assign
+	ident  ast.Ident
+	lhs    [1]ast.Expr
+	slot   int
+}
+
+// calleeVar is a name of the callee: one its body mentions, or a
+// parameter or output it never names.
+type calleeVar struct {
+	name string
+	// variable is whether the name is a variable; written whether the
+	// body assigns it or it is an output. A splice copies a written
+	// parameter rather than substitute its argument: substituted, an
+	// output would be a caller variable that an earlier result of a
+	// multi-assignment may overwrite before it is read.
+	variable, written bool
+	// free is whether the name is a builtin or user function the body
+	// refers to. A caller variable of the same name would capture it
+	// once spliced.
+	free  bool
+	param int // the parameter the name is, or -1
 }
 
 // Expand returns a copy of fn with eligible calls inlined. The input is
@@ -73,8 +128,8 @@ func Expand(fn *ast.Function, res Resolver) *ast.Function {
 // g and tbl are that body's graph and table; otherwise they are nil, and
 // the expanded body needs its own.
 func ExpandDeps(fn *ast.Function, res Resolver) (out *ast.Function, deps []*ast.Function, g *cfg.Graph, tbl *disambig.Table) {
-	// The maps are made when the first candidate is met: most bodies
-	// call no user function.
+	// The map is made when the first candidate is met: most bodies call
+	// no user function.
 	in := &inliner{res: res}
 	out = ast.CloneFunction(fn)
 	// Disambiguating fn marks its user calls, the candidates, and names
@@ -88,18 +143,15 @@ func ExpandDeps(fn *ast.Function, res Resolver) (out *ast.Function, deps []*ast.
 	}
 	in.callerVars = tbl.Vars
 	out.Body = in.stmts(out.Body)
-	if len(in.spliced) == 0 {
+	if in.splices == 0 {
 		return out, nil, g, tbl
 	}
-	names := make([]string, 0, len(in.spliced))
-	for name := range in.spliced {
-		names = append(names, name)
+	for _, ci := range in.info {
+		if ci.splices > 0 {
+			deps = append(deps, ci.fn)
+		}
 	}
-	sort.Strings(names)
-	deps = make([]*ast.Function, len(names))
-	for i, name := range names {
-		deps[i] = in.spliced[name]
-	}
+	slices.SortFunc(deps, func(a, b *ast.Function) int { return strings.Compare(a.Name, b.Name) })
 	return out, deps, nil, nil
 }
 
@@ -133,200 +185,225 @@ func (in *inliner) analyze(name string) *calleeInfo {
 	// callee's body is shared with every engine that resolves the name,
 	// so it runs over a private copy, which the splices then clone.
 	body := ast.CloneStmts(fn.Body)
-	tbl := disambig.Analyze(cfg.Build(body), fn.Ins, disambig.ResolverFunc(func(nm string) bool {
-		return in.res.LookupFunction(nm) != nil
+	g := cfg.Build(body)
+	res := in.res
+	tbl := disambig.Analyze(g, fn.Ins, disambig.ResolverFunc(func(nm string) bool {
+		return res.LookupFunction(nm) != nil
 	}))
 	if tbl.HasAmbiguous {
 		return ci
 	}
-	ci.fn, ci.body = fn, body
-	ci.vars = tbl.Vars
-	ci.writes, ci.free = map[string]bool{}, map[string]bool{}
+	ci.fn, ci.g, ci.ok = fn, g, true
+
+	// The rename table holds the graph's names, then the parameters and
+	// outputs the graph lacks. The template is a binding per parameter,
+	// the body and a result per output; a binding's right side and a
+	// result's left side are the call site's, set per splice.
+	m, k := len(fn.Ins), len(fn.Outs)
+	ci.vars = make([]calleeVar, len(g.Vars), len(g.Vars)+m+k)
+	for i, v := range g.Vars {
+		ci.vars[i] = calleeVar{name: v, variable: tbl.Vars[v], param: -1}
+	}
+	ci.stubs = make([]stub, m+k)
+	ci.tmpl = make([]ast.Stmt, 0, m+len(body)+k)
+	for p, formal := range fn.Ins {
+		i, ok := g.VarID(formal)
+		if !ok {
+			i = len(ci.vars)
+			ci.vars = append(ci.vars, calleeVar{name: formal, variable: true})
+		}
+		ci.vars[i].param = p
+		st := &ci.stubs[p]
+		st.slot, st.ident = i, ast.Ident{Name: formal}
+		st.lhs[0] = &st.ident
+		st.assign.LHS = st.lhs[:]
+		ci.tmpl = append(ci.tmpl, &st.assign)
+	}
+	ci.tmpl = append(ci.tmpl, body...)
+	for j, output := range fn.Outs {
+		// An output the body never names is still the callee's: renamed,
+		// it is undefined in the caller rather than a caller variable.
+		st := &ci.stubs[m+j]
+		if i, ok := g.VarID(output); ok {
+			st.slot = i
+		} else if p := slices.Index(fn.Ins, output); p >= 0 {
+			st.slot = ci.stubs[p].slot
+		} else {
+			st.slot = len(ci.vars)
+			ci.vars = append(ci.vars, calleeVar{name: output, variable: true, param: -1})
+		}
+		ci.vars[st.slot].written = true
+		st.ident = ast.Ident{Name: output, Kind: ast.Variable}
+		st.assign.LHS, st.assign.RHS = st.lhs[:], &st.ident
+		ci.tmpl = append(ci.tmpl, &st.assign)
+	}
+	for _, v := range ci.vars {
+		if v.variable {
+			ci.size += len("inl_") + len(v.name)
+			ci.nvars++
+		}
+	}
 	ast.WalkStmts(body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.Assign:
 			for _, l := range x.LHS {
 				switch lhs := l.(type) {
 				case *ast.Ident:
-					ci.writes[lhs.Name] = true
+					ci.mark(lhs.Name, false)
 				case *ast.Call:
-					ci.writes[lhs.Name] = true
+					ci.mark(lhs.Name, false)
 				}
 			}
 		case *ast.For:
-			ci.writes[x.Var] = true
+			ci.mark(x.Var, false)
 		case *ast.Ident:
 			if x.Kind == ast.Builtin || x.Kind == ast.UserFunc {
-				ci.free[x.Name] = true
+				ci.mark(x.Name, true)
 			}
 		case *ast.Call:
 			if x.Kind == ast.Builtin || x.Kind == ast.UserFunc {
-				ci.free[x.Name] = true
+				ci.mark(x.Name, true)
 			}
 		}
 		return true
 	})
-	ci.ok = true
 	return ci
+}
+
+// mark records that the body assigns name, or, free, that it refers to
+// name as a builtin or user function.
+func (ci *calleeInfo) mark(name string, free bool) {
+	if i, ok := ci.g.VarID(name); ok {
+		if free {
+			ci.vars[i].free = true
+		} else {
+			ci.vars[i].written = true
+		}
+	}
 }
 
 // stmts expands calls in a statement list. It returns list itself when
 // no statement in it expands into several (a statement may still be
-// rewritten in place), and a new list otherwise.
+// rewritten in place), and otherwise a window of the expanded list.
 func (in *inliner) stmts(list []ast.Stmt) []ast.Stmt {
-	var out []ast.Stmt // nil until a statement expands
+	mark := len(in.out)
 	for i, s := range list {
-		repl := in.stmt(s)
-		if repl != nil && out == nil {
-			out = append(make([]ast.Stmt, 0, len(list)+len(repl)), list[:i]...)
-		}
-		switch {
-		case repl != nil:
-			out = append(out, repl...)
-		case out != nil:
-			out = append(out, s)
+		if in.stmt(s) {
+			// What s expands into is on the stack: the statements before
+			// it go under it, and the rest follow.
+			in.out = slices.Insert(in.out, mark, list[:i]...)
+			in.push(list[i+1:])
+			w := in.a.Stmts.Copy(in.out[mark:])
+			in.out = in.out[:mark]
+			return w
 		}
 	}
-	if out == nil {
-		return list
-	}
-	return out
+	return list
 }
 
-// stmt expands one statement in place. It returns nil when s stays the
-// one statement, and otherwise the statements that replace it: the
-// prelude of its spliced calls followed by s, or by what replaces s.
-func (in *inliner) stmt(s ast.Stmt) []ast.Stmt {
+// push expands the statements of list onto the stack.
+func (in *inliner) push(list []ast.Stmt) {
+	for _, s := range list {
+		if !in.stmt(s) {
+			in.out = append(in.out, s)
+		}
+	}
+}
+
+// stmt expands one statement in place. When s stays the one statement
+// it reports false and leaves the stack as it was; otherwise it has
+// pushed what replaces s: the prelude of its spliced calls followed by
+// s, or by what replaces s.
+func (in *inliner) stmt(s ast.Stmt) bool {
+	mark := len(in.out)
 	switch x := s.(type) {
 	case *ast.ExprStmt:
-		pre, e := in.expr(x.X, true)
-		x.X = e
-		return with(pre, x)
+		x.X = in.expr(x.X, true)
 	case *ast.Assign:
-		// Whole-call multi-assignment [a,b] = f(...) inlines specially.
+		// Whole-call multi-assignment [a,b] = f(...) inlines specially:
+		// each target takes its result.
 		if call, ok := x.RHS.(*ast.Call); ok && in.isInlinableCall(call) && len(x.LHS) >= 1 {
-			if pre, outs, ok := in.expandCall(call, len(x.LHS)); ok {
-				stmts := pre
-				for i, l := range x.LHS {
-					stmts = append(stmts, &ast.Assign{P: x.P, LHS: []ast.Expr{l}, RHS: outs[i]})
+			if results, ok := in.expandCall(call, len(x.LHS)); ok {
+				for i, r := range results {
+					a := r.(*ast.Assign)
+					a.P, a.LHS[0] = x.P, x.LHS[i]
+					in.out = append(in.out, a)
 				}
-				return stmts
+				return true
 			}
 		}
-		var pre []ast.Stmt
 		for _, l := range x.LHS {
 			if call, ok := l.(*ast.Call); ok {
 				// subscripts of an indexed assignment target
 				for i, a := range call.Args {
-					p, e := in.expr(a, true)
-					pre = append(pre, p...)
-					call.Args[i] = e
+					call.Args[i] = in.expr(a, true)
 				}
 			}
 		}
-		p, e := in.expr(x.RHS, true)
-		pre = append(pre, p...)
-		x.RHS = e
-		return with(pre, x)
+		x.RHS = in.expr(x.RHS, true)
 	case *ast.If:
-		var pre []ast.Stmt
 		for i, c := range x.Conds {
 			// Hoisting from an elseif condition would evaluate it
 			// unconditionally: only the first condition inlines.
-			p, e := in.expr(c, i == 0)
-			if i == 0 {
-				pre = p
-			}
-			x.Conds[i] = e
+			x.Conds[i] = in.expr(c, i == 0)
 			x.Blocks[i] = in.stmts(x.Blocks[i])
 		}
 		if x.Else != nil {
 			x.Else = in.stmts(x.Else)
 		}
-		return with(pre, x)
 	case *ast.While:
 		// Never hoist out of a while condition (re-evaluated per
 		// iteration); only the body is expanded.
 		x.Body = in.stmts(x.Body)
 	case *ast.For:
-		pre, e := in.expr(x.Iter, true)
-		x.Iter = e
+		x.Iter = in.expr(x.Iter, true)
 		x.Body = in.stmts(x.Body)
-		return with(pre, x)
 	}
-	return nil
+	if len(in.out) == mark {
+		return false
+	}
+	in.out = append(in.out, s)
+	return true
 }
 
-// with is pre followed by s, or nil when there is no prelude.
-func with(pre []ast.Stmt, s ast.Stmt) []ast.Stmt {
-	if len(pre) == 0 {
-		return nil
-	}
-	return append(pre, s)
-}
-
-// expr rewrites an expression, hoisting inlined calls into pre. hoist
-// is false inside contexts where unconditional evaluation would change
-// semantics (short-circuit right operands).
-func (in *inliner) expr(e ast.Expr, hoist bool) ([]ast.Stmt, ast.Expr) {
+// expr rewrites an expression, pushing the prelude of the calls it
+// inlines. hoist is false inside contexts where unconditional evaluation
+// would change semantics (short-circuit right operands).
+func (in *inliner) expr(e ast.Expr, hoist bool) ast.Expr {
 	switch x := e.(type) {
 	case *ast.Binary:
+		x.L = in.expr(x.L, hoist)
 		if x.Op == ast.OpAndAnd || x.Op == ast.OpOrOr {
-			pre, l := in.expr(x.L, hoist)
-			_, r := in.expr(x.R, false)
-			x.L, x.R = l, r
-			return pre, x
+			hoist = false
 		}
-		p1, l := in.expr(x.L, hoist)
-		p2, r := in.expr(x.R, hoist)
-		x.L, x.R = l, r
-		return append(p1, p2...), x
+		x.R = in.expr(x.R, hoist)
 	case *ast.Unary:
-		p, v := in.expr(x.X, hoist)
-		x.X = v
-		return p, x
+		x.X = in.expr(x.X, hoist)
 	case *ast.Transpose:
-		p, v := in.expr(x.X, hoist)
-		x.X = v
-		return p, x
+		x.X = in.expr(x.X, hoist)
 	case *ast.Range:
-		p1, lo := in.expr(x.Lo, hoist)
-		x.Lo = lo
-		var p2 []ast.Stmt
+		x.Lo = in.expr(x.Lo, hoist)
 		if x.Step != nil {
-			var st ast.Expr
-			p2, st = in.expr(x.Step, hoist)
-			x.Step = st
+			x.Step = in.expr(x.Step, hoist)
 		}
-		p3, hi := in.expr(x.Hi, hoist)
-		x.Hi = hi
-		return append(append(p1, p2...), p3...), x
+		x.Hi = in.expr(x.Hi, hoist)
 	case *ast.Call:
-		var pre []ast.Stmt
 		for i, a := range x.Args {
-			p, v := in.expr(a, hoist)
-			pre = append(pre, p...)
-			x.Args[i] = v
+			x.Args[i] = in.expr(a, hoist)
 		}
 		if hoist && in.isInlinableCall(x) {
-			if p, outs, ok := in.expandCall(x, 1); ok {
-				pre = append(pre, p...)
-				return pre, outs[0]
+			if results, ok := in.expandCall(x, 1); ok {
+				return results[0].(*ast.Assign).RHS
 			}
 		}
-		return pre, x
 	case *ast.Matrix:
-		var pre []ast.Stmt
 		for _, row := range x.Rows {
 			for i, el := range row {
-				p, v := in.expr(el, hoist)
-				pre = append(pre, p...)
-				row[i] = v
+				row[i] = in.expr(el, hoist)
 			}
 		}
-		return pre, x
 	}
-	return nil, e
+	return e
 }
 
 // isInlinableCall checks the call site: a user call with matching arity,
@@ -341,185 +418,182 @@ func (in *inliner) isInlinableCall(call *ast.Call) bool {
 	if !ci.ok || len(call.Args) != len(ci.fn.Ins) {
 		return false
 	}
-	for name := range ci.free {
-		if in.callerVars[name] {
+	for _, v := range ci.vars {
+		if v.free && in.callerVars[v.name] {
 			return false
 		}
 	}
-	return in.depth[call.Name] < MaxRecursion
+	return ci.depth < MaxRecursion
 }
 
-// expandCall splices the callee body, returning the prelude statements
-// and the expressions holding the outputs.
-func (in *inliner) expandCall(call *ast.Call, nout int) ([]ast.Stmt, []ast.Expr, bool) {
+// expandCall splices the callee body: it pushes the prelude, the
+// parameter bindings and the renamed body, and returns one result
+// `... = <output>` per output asked for, whose left side the caller
+// sets.
+func (in *inliner) expandCall(call *ast.Call, nout int) ([]ast.Stmt, bool) {
 	ci := in.analyze(call.Name)
 	if !ci.ok || nout > len(ci.fn.Outs) {
-		return nil, nil, false
+		return nil, false
 	}
-	if in.depth == nil {
-		in.depth, in.spliced = map[string]int{}, map[string]*ast.Function{}
-	}
-	in.depth[call.Name]++
-	defer func() { in.depth[call.Name]-- }()
-	in.spliced[call.Name] = ci.fn
+	// A splice short of room makes room for itself and as many more
+	// splices of the callee as were made before: a callee spliced k times
+	// takes about log2(k) arrays per kind, under twice what its splices
+	// use.
+	room := max(1, ci.splices)
+	in.splices++
+	ci.splices++
+	t := in.a.CloneStmts(ci.tmpl, room)
+	in.name(ci, room)
+	m, k := len(ci.fn.Ins), len(ci.fn.Outs)
+	body, results := t[m:len(t)-k], t[len(t)-k:][:nout]
 
-	in.tmpCount++
-	rename := renames(ci.vars, in.tmpCount)
-
-	var pre []ast.Stmt
 	// Bind parameters. Read-only identifier arguments substitute
 	// directly (the paper's copy elision for read-only formals);
 	// everything else binds through a renamed temporary.
-	subst := map[string]ast.Expr{}
-	for i, formal := range ci.fn.Ins {
-		arg := call.Args[i]
+	in.subst = slices.Grow(in.subst[:0], m)[:m]
+	for p, arg := range call.Args {
+		slot := ci.stubs[p].slot
 		argIdent, argIsIdent := arg.(*ast.Ident)
-		if !ci.writes[formal] && argIsIdent && argIdent.Kind == ast.Variable {
-			subst[formal] = argIdent
-			delete(rename, formal)
+		if !ci.vars[slot].written && argIsIdent && argIdent.Kind == ast.Variable {
+			in.subst[p] = argIdent
 			continue
 		}
-		pre = append(pre, &ast.Assign{
-			P:   call.P,
-			LHS: []ast.Expr{&ast.Ident{P: call.P, Name: rename[formal]}},
-			RHS: arg,
-		})
-	}
-
-	// Splice the renamed body.
-	body := ast.CloneStmts(ci.body)
-	renameStmts(body, rename, subst)
-	// Recursively expand calls inside the inlined body.
-	body = in.stmts(body)
-	pre = append(pre, body...)
-
-	outs := make([]ast.Expr, nout)
-	for i := 0; i < nout; i++ {
-		name := ci.fn.Outs[i]
-		if nn, ok := rename[name]; ok {
-			name = nn
-		}
-		// An output is a variable, which a call it is passed to may substitute.
-		outs[i] = &ast.Ident{P: call.P, Name: name, Kind: ast.Variable}
-	}
-	return pre, outs, true
-}
-
-// renames maps each of vars to its name in splice n, inl<n>_<v>. Every
-// name is a slice of one string: the builder is grown to hold them all
-// first, so it writes each in place and never moves what it wrote.
-func renames(vars map[string]bool, n int) map[string]string {
-	var num [20]byte
-	pfx := strconv.AppendInt(num[:0], int64(n), 10)
-	size := 0
-	for v := range vars {
-		size += len("inl_") + len(pfx) + len(v)
-	}
-	var b strings.Builder
-	b.Grow(size)
-	rename := make(map[string]string, len(vars))
-	for v := range vars {
-		lo := b.Len()
-		b.WriteString("inl")
-		b.Write(pfx)
-		b.WriteByte('_')
-		b.WriteString(v)
-		rename[v] = b.String()[lo:]
-	}
-	return rename
-}
-
-// renameStmts rewrites identifier and call-base names per the rename
-// map, substituting read-only parameters.
-func renameStmts(body []ast.Stmt, rename map[string]string, subst map[string]ast.Expr) {
-	var rewriteExpr func(e ast.Expr) ast.Expr
-	rewriteExpr = func(e ast.Expr) ast.Expr {
-		switch x := e.(type) {
-		case *ast.Ident:
-			if repl, ok := subst[x.Name]; ok {
-				return ast.CloneExpr(repl)
-			}
-			if nn, ok := rename[x.Name]; ok {
-				x.Name = nn
-			}
-			return x
-		case *ast.Binary:
-			x.L = rewriteExpr(x.L)
-			x.R = rewriteExpr(x.R)
-			return x
-		case *ast.Unary:
-			x.X = rewriteExpr(x.X)
-			return x
-		case *ast.Transpose:
-			x.X = rewriteExpr(x.X)
-			return x
-		case *ast.Range:
-			x.Lo = rewriteExpr(x.Lo)
-			if x.Step != nil {
-				x.Step = rewriteExpr(x.Step)
-			}
-			x.Hi = rewriteExpr(x.Hi)
-			return x
-		case *ast.Call:
-			if repl, ok := subst[x.Name]; ok {
-				// Indexing a substituted read-only parameter: the
-				// substitute is an Ident, so re-point the base name.
-				if id, isIdent := repl.(*ast.Ident); isIdent {
-					x.Name = id.Name
-				}
-			} else if nn, ok := rename[x.Name]; ok {
-				x.Name = nn
-			}
-			for i, a := range x.Args {
-				x.Args[i] = rewriteExpr(a)
-			}
-			return x
-		case *ast.Matrix:
-			for _, row := range x.Rows {
-				for i, el := range row {
-					row[i] = rewriteExpr(el)
-				}
-			}
-			return x
-		}
-		return e
-	}
-	var rewriteStmt func(s ast.Stmt)
-	rewriteStmt = func(s ast.Stmt) {
-		switch x := s.(type) {
-		case *ast.ExprStmt:
-			x.X = rewriteExpr(x.X)
-		case *ast.Assign:
-			for i, l := range x.LHS {
-				x.LHS[i] = rewriteExpr(l)
-			}
-			x.RHS = rewriteExpr(x.RHS)
-		case *ast.If:
-			for i, c := range x.Conds {
-				x.Conds[i] = rewriteExpr(c)
-				for _, s2 := range x.Blocks[i] {
-					rewriteStmt(s2)
-				}
-			}
-			for _, s2 := range x.Else {
-				rewriteStmt(s2)
-			}
-		case *ast.While:
-			x.Cond = rewriteExpr(x.Cond)
-			for _, s2 := range x.Body {
-				rewriteStmt(s2)
-			}
-		case *ast.For:
-			if nn, ok := rename[x.Var]; ok {
-				x.Var = nn
-			}
-			x.Iter = rewriteExpr(x.Iter)
-			for _, s2 := range x.Body {
-				rewriteStmt(s2)
-			}
-		}
+		in.subst[p] = nil
+		bind := t[p].(*ast.Assign)
+		lhs := bind.LHS[0].(*ast.Ident)
+		bind.P, bind.RHS = call.P, arg
+		lhs.P, lhs.Name = call.P, in.rename[slot]
+		in.out = append(in.out, bind)
 	}
 	for _, s := range body {
-		rewriteStmt(s)
+		in.renameStmt(ci, s)
+	}
+	for j, r := range results {
+		// An output is a variable, which a call it is passed to may
+		// substitute.
+		out := r.(*ast.Assign).RHS.(*ast.Ident)
+		out.P = call.P
+		in.renameIdent(ci, out, ci.stubs[m+j].slot)
+	}
+
+	// Recursively expand calls inside the inlined body.
+	ci.depth++
+	in.push(body)
+	ci.depth--
+	return results, true
+}
+
+// name cuts the names of the splice in.splices of ci from the builder,
+// inl<n>_<v> for each variable v: in.rename holds them by variable
+// index. A builder without room for them is replaced by one with room
+// for as many more splices of ci as were made before, so the names a
+// splice took are never moved.
+func (in *inliner) name(ci *calleeInfo, room int) {
+	var num [20]byte
+	pfx := strconv.AppendInt(num[:0], int64(in.splices), 10)
+	size := ci.size + ci.nvars*len(pfx)
+	if in.names.Cap()-in.names.Len() < size {
+		in.names = strings.Builder{}
+		in.names.Grow(room * size)
+	}
+	in.rename = slices.Grow(in.rename[:0], len(ci.vars))[:len(ci.vars)]
+	for i, v := range ci.vars {
+		in.rename[i] = ""
+		if v.variable {
+			lo := in.names.Len()
+			in.names.WriteString("inl")
+			in.names.Write(pfx)
+			in.names.WriteByte('_')
+			in.names.WriteString(v.name)
+			in.rename[i] = in.names.String()[lo:]
+		}
+	}
+}
+
+// renameIdent rewrites an identifier of the callee whose variable index
+// is slot: a substituted parameter becomes a copy of its argument, and a
+// variable takes its name in the splice.
+func (in *inliner) renameIdent(ci *calleeInfo, x *ast.Ident, slot int) {
+	if p := ci.vars[slot].param; p >= 0 && in.subst[p] != nil {
+		*x = *in.subst[p]
+	} else if nn := in.rename[slot]; nn != "" {
+		x.Name = nn
+	}
+}
+
+// renameExpr rewrites identifier and call-base names per the splice's
+// rename table, substituting read-only parameters.
+func (in *inliner) renameExpr(ci *calleeInfo, e ast.Expr) {
+	switch x := e.(type) {
+	case *ast.Ident:
+		if slot, ok := ci.g.VarID(x.Name); ok {
+			in.renameIdent(ci, x, slot)
+		}
+	case *ast.Binary:
+		in.renameExpr(ci, x.L)
+		in.renameExpr(ci, x.R)
+	case *ast.Unary:
+		in.renameExpr(ci, x.X)
+	case *ast.Transpose:
+		in.renameExpr(ci, x.X)
+	case *ast.Range:
+		in.renameExpr(ci, x.Lo)
+		in.renameExpr(ci, x.Step)
+		in.renameExpr(ci, x.Hi)
+	case *ast.Call:
+		if slot, ok := ci.g.VarID(x.Name); ok {
+			if p := ci.vars[slot].param; p >= 0 && in.subst[p] != nil {
+				// Indexing a substituted read-only parameter: re-point the
+				// base name at the argument.
+				x.Name = in.subst[p].Name
+			} else if nn := in.rename[slot]; nn != "" {
+				x.Name = nn
+			}
+		}
+		for _, a := range x.Args {
+			in.renameExpr(ci, a)
+		}
+	case *ast.Matrix:
+		for _, row := range x.Rows {
+			for _, el := range row {
+				in.renameExpr(ci, el)
+			}
+		}
+	}
+}
+
+// renameStmt rewrites the names of a spliced statement.
+func (in *inliner) renameStmt(ci *calleeInfo, s ast.Stmt) {
+	switch x := s.(type) {
+	case *ast.ExprStmt:
+		in.renameExpr(ci, x.X)
+	case *ast.Assign:
+		for _, l := range x.LHS {
+			in.renameExpr(ci, l)
+		}
+		in.renameExpr(ci, x.RHS)
+	case *ast.If:
+		for i, c := range x.Conds {
+			in.renameExpr(ci, c)
+			for _, s2 := range x.Blocks[i] {
+				in.renameStmt(ci, s2)
+			}
+		}
+		for _, s2 := range x.Else {
+			in.renameStmt(ci, s2)
+		}
+	case *ast.While:
+		in.renameExpr(ci, x.Cond)
+		for _, s2 := range x.Body {
+			in.renameStmt(ci, s2)
+		}
+	case *ast.For:
+		if slot, ok := ci.g.VarID(x.Var); ok && in.rename[slot] != "" {
+			x.Var = in.rename[slot]
+		}
+		in.renameExpr(ci, x.Iter)
+		for _, s2 := range x.Body {
+			in.renameStmt(ci, s2)
+		}
 	}
 }

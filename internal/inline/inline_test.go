@@ -213,7 +213,7 @@ function y = f(x)
   end
 end`)
 	body := ast.CloneStmts(fn.Body)
-	in := &inliner{res: res, depth: map[string]int{}, info: map[string]*calleeInfo{}, spliced: map[string]*ast.Function{}}
+	in := &inliner{res: res}
 	loop := body[1].(*ast.For)
 	inner := loop.Body
 	if got := in.stmts(body); &got[0] != &body[0] || len(got) != len(body) || &loop.Body[0] != &inner[0] {
@@ -221,6 +221,39 @@ end`)
 	}
 	if n := testing.AllocsPerRun(10, func() { in.stmts(body) }); n != 0 {
 		t.Errorf("an expansion that splices nothing allocated %v times", n)
+	}
+}
+
+// TestSplicedOutputsAreTheCallees: a spliced output is never a caller
+// variable, neither one that bears the output's name (here x or y, both
+// 5) nor the argument of a parameter that is also an output: such a
+// parameter is copied, even where the body only reads it. Substituted,
+// [p, q] = swap(p, q) would assign p before reading it as the second
+// result, and both would end up as the old q. An output the callee never
+// assigns is renamed, so that the caller reads an undefined name and is
+// not compiled.
+func TestSplicedOutputsAreTheCallees(t *testing.T) {
+	const keep = "function r = f(a)\n  x = 5;\n  y = 5;\n  r = keep(a);\nend\n"
+	for _, tc := range []struct {
+		name, src string
+		want      []string
+	}{
+		{"read-only parameter", keep + "function x = keep(x)\n  if x > 100\n    y = 1;\n  end\nend", []string{"inl1_x = a;", "r = inl1_x;"}},
+		{"never assigned", keep + "function y = keep(x)\n  z = x * 2;\nend", []string{"r = inl1_y;"}},
+		{"swapped", "function r = f(p, q)\n  [p, q] = keep(p, q);\n  r = p * 10 + q;\nend\nfunction [b, a] = keep(a, b)\nend",
+			[]string{"inl1_a = p;", "inl1_b = q;", "p = inl1_b;", "q = inl1_a;"}},
+	} {
+		res, fn := parseAll(t, tc.src)
+		out := Expand(fn, res)
+		printed := ast.Print(out)
+		if countCalls(out, "keep") != 0 {
+			t.Errorf("%s: not spliced:\n%s", tc.name, printed)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(printed, w) {
+				t.Errorf("%s: want %q:\n%s", tc.name, w, printed)
+			}
+		}
 	}
 }
 

@@ -196,6 +196,28 @@ func TestOperandTable(t *testing.T) {
 	}
 }
 
+// TestSpillOperands: Spill reports the register and the slot of the six
+// spill-slot instructions, whichever field each is in, and of no other.
+func TestSpillOperands(t *testing.T) {
+	want := map[Op]struct {
+		bank     Bank
+		reg, slt byte
+	}{
+		OpFLdSlot: {BankF, 'A', 'B'}, OpFStSlot: {BankF, 'B', 'A'},
+		OpILdSlot: {BankI, 'A', 'B'}, OpIStSlot: {BankI, 'B', 'A'},
+		OpCLdSlot: {BankC, 'A', 'B'}, OpCStSlot: {BankC, 'B', 'A'},
+	}
+	for op := Op(0); op < numOps; op++ {
+		in := &Instr{Op: op, A: 10, B: 11}
+		fields := map[byte]*int32{'A': &in.A, 'B': &in.B}
+		r, slot, ok := in.Spill()
+		w, spill := want[op]
+		if ok != spill || ok && (r.Bank != w.bank || r.Reg != fields[w.reg] || slot != *fields[w.slt]) {
+			t.Errorf("%v: Spill() = %v register %v, slot %d, %v", op, r.Bank, r.Reg, slot, ok)
+		}
+	}
+}
+
 // TestEffectTable: every opcode declares its effect class, and the sets
 // the table derives are the lists the optimiser and the step hook kept
 // before the table held them (written out here): what value numbering may

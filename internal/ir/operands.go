@@ -204,6 +204,18 @@ func (in *Instr) Uses(buf *[3]Operand) []Operand {
 	return buf[:n]
 }
 
+// Spill returns the register and the spill slot of a spill-slot load or
+// store (fldslot…cstslot), which Def and Uses do not report: the
+// allocator emits these after every pass that asks for them.
+func (in *Instr) Spill() (reg Operand, slot int32, ok bool) {
+	for i, r := range operands[in.Op][:2] {
+		if r >= physF && r <= physC {
+			return Operand{r.bank(), in.field(i)}, *in.field(1 - i), true
+		}
+	}
+	return Operand{}, 0, false
+}
+
 // Access says how an instruction uses a V register.
 type Access uint8
 

@@ -25,9 +25,10 @@ import (
 // register operand of every instruction in range of its bank, every
 // branch target inside the program, every math-function id inside its
 // table, and the last instruction a ret or jmp, so that no pc runs past
-// the end; Prepare sizes the call slots from the instructions that name
-// them. Test instrumentation aside (vmtest), this is the one file that
-// does pointer arithmetic.
+// the end; it also holds every parameter, output and spill slot inside
+// the banks that bind, ret and step index. Prepare sizes the call slots
+// from the instructions that name them. Test instrumentation aside
+// (vmtest), this is the one file that does pointer arithmetic.
 
 // lastOp is the highest opcode the VM executes; verify rejects the rest
 // (a snapshot can hold any 16-bit number).
@@ -44,7 +45,27 @@ func verify(p *ir.Prog) error {
 	if n == 0 || p.Ins[n-1].Op != ir.OpRet && p.Ins[n-1].Op != ir.OpJmp {
 		return fmt.Errorf("vm: %s: control can fall off the end", p.Name)
 	}
-	regs := [...]int32{ir.BankF: p.NumF, ir.BankI: p.NumI, ir.BankC: p.NumC}
+	regs := [...]int32{ir.BankF: p.NumF, ir.BankI: p.NumI, ir.BankC: p.NumC, ir.BankV: p.NumV}
+	slots := [...]int32{ir.BankF: p.SlotsF, ir.BankI: p.SlotsI, ir.BankC: p.SlotsC, ir.BankV: 0}
+	// bind writes each parameter into its register or spill slot, and ret
+	// reads each output from its V register unless it is staged.
+	for k, b := range p.Params {
+		if int(b.Bank) >= len(regs) {
+			return fmt.Errorf("vm: %s: parameter %d in bank %d", p.Name, k+1, b.Bank)
+		}
+		what, lim := "register", regs[b.Bank]
+		if b.Slot {
+			what, lim = "spill slot", slots[b.Bank]
+		}
+		if b.Reg < 0 || b.Reg >= lim {
+			return fmt.Errorf("vm: %s: parameter %d in %v %s %d of %d", p.Name, k+1, b.Bank, what, b.Reg, lim)
+		}
+	}
+	for k, r := range p.OutRegs {
+		if r != ir.Staged && (r < 0 || r >= p.NumV) {
+			return fmt.Errorf("vm: %s: output %d in V register %d outside its bank of %d", p.Name, k+1, r, p.NumV)
+		}
+	}
 	var uses [3]ir.Operand
 	for pc := range p.Ins {
 		in := &p.Ins[pc]
@@ -57,6 +78,14 @@ func verify(p *ir.Prog) error {
 		for _, u := range in.Uses(&uses) {
 			if *u.Reg < 0 || *u.Reg >= regs[u.Bank] {
 				return operandError(p, pc, u.Bank, *u.Reg, regs[u.Bank])
+			}
+		}
+		if r, slot, ok := in.Spill(); ok {
+			if *r.Reg < 0 || *r.Reg >= regs[r.Bank] {
+				return operandError(p, pc, r.Bank, *r.Reg, regs[r.Bank])
+			}
+			if slot < 0 || slot >= slots[r.Bank] {
+				return fmt.Errorf("vm: %s+%d: %v spill slot %d of %d", p.Name, pc, r.Bank, slot, slots[r.Bank])
 			}
 		}
 		bad, outside := int32(0), false

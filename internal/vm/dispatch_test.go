@@ -84,14 +84,33 @@ func TestPrepareRejects(t *testing.T) {
 		"gun operator code 5":          {NumV: 1, Ins: []ir.Instr{{Op: ir.OpGUn, A: 0, B: 0, D: ir.UnCTrans + 1}, ret}},
 		"gun negative operator code":   {NumV: 1, Ins: []ir.Instr{{Op: ir.OpGUn, A: 0, B: 0, D: -1}, ret}},
 		"vconst past the pool":         {NumV: 1, VPoolStrs: []ir.VConstDesc{{IsColon: true}}, Ins: []ir.Instr{{Op: ir.OpVConst, A: 0, B: 1}, ret}},
+
+		// What bind, ret and the spill-slot instructions index.
+		"V parameter v5 of one register": {NumV: 1, Params: []ir.ParamBinding{{Bank: ir.BankV, Reg: 5}}, Ins: []ir.Instr{ret}},
+		"negative F parameter":           {NumF: 1, Params: []ir.ParamBinding{{Bank: ir.BankF, Reg: -1}}, Ins: []ir.Instr{ret}},
+		"I parameter in slot 1 of 1":     {NumI: 4, SlotsI: 1, Params: []ir.ParamBinding{{Bank: ir.BankI, Reg: 1, Slot: true}}, Ins: []ir.Instr{ret}},
+		"V parameter in a spill slot":    {NumV: 1, Params: []ir.ParamBinding{{Bank: ir.BankV, Reg: 0, Slot: true}}, Ins: []ir.Instr{ret}},
+		"parameter of no bank":           {NumV: 1, Params: []ir.ParamBinding{{Bank: ir.BankNone, Reg: 0}}, Ins: []ir.Instr{ret}},
+		"output v5 of one register":      {NumV: 1, OutRegs: []int32{5}, Ins: []ir.Instr{ret}},
+		"output v-2":                     {NumV: 1, OutRegs: []int32{-2}, Ins: []ir.Instr{ret}},
+		"fldslot slot 5 of none":         {NumF: 1, Ins: []ir.Instr{{Op: ir.OpFLdSlot, A: 0, B: 5}, ret}},
+		"fstslot slot 1 of 1":            {NumF: 1, SlotsF: 1, Ins: []ir.Instr{{Op: ir.OpFStSlot, A: 1, B: 0}, ret}},
+		"ildslot negative slot":          {NumI: 1, SlotsI: 2, Ins: []ir.Instr{{Op: ir.OpILdSlot, A: 0, B: -1}, ret}},
+		"istslot slot of the F bank":     {NumI: 1, SlotsF: 3, Ins: []ir.Instr{{Op: ir.OpIStSlot, A: 2, B: 0}, ret}},
+		"cldslot slot 2 of 2":            {NumC: 1, SlotsC: 2, Ins: []ir.Instr{{Op: ir.OpCLdSlot, A: 0, B: 2}, ret}},
+		"cstslot slot 3 of none":         {NumC: 1, Ins: []ir.Instr{{Op: ir.OpCStSlot, A: 3, B: 0}, ret}},
+		"fldslot into f-1":               {NumF: 1, SlotsF: 1, Ins: []ir.Instr{{Op: ir.OpFLdSlot, A: -1, B: 0}, ret}},
+		"cstslot from c1 of one":         {NumC: 1, SlotsC: 1, Ins: []ir.Instr{{Op: ir.OpCStSlot, A: 0, B: 1}, ret}},
 	} {
 		p.Name, p.Allocated = "bad", true
 		if _, err := Prepare(p); err == nil {
 			t.Errorf("%s: Prepare accepted it", name)
 		}
 	}
-	ok := &ir.Prog{Name: "ok", NumF: 2, NumI: 2, NumC: 1, NumV: 3, Allocated: true,
+	ok := &ir.Prog{Name: "ok", NumF: 2, NumI: 2, NumC: 1, NumV: 3, SlotsF: 1, SlotsI: 2, SlotsC: 1, Allocated: true,
 		MathFns: []string{"sin"}, Builtins: []string{"abs"}, Calls: []string{"f"}, VPoolStrs: []ir.VConstDesc{{IsColon: true}},
+		Params:  []ir.ParamBinding{{Bank: ir.BankV, Reg: 2}, {Bank: ir.BankF, Reg: 1}, {Bank: ir.BankI, Reg: 1, Slot: true}, {Bank: ir.BankC, Reg: 0}},
+		OutRegs: []int32{2, ir.Staged},
 		Aux: append([]int32{
 			0, 0, -1, 0, // gemv
 			2, 1, 0, 2, 0, 1, // gcat at 4: [v0 ; v0 v1]
@@ -114,6 +133,9 @@ func TestPrepareRejects(t *testing.T) {
 			{Op: ir.OpVFused, A: 2, B: 23},
 			{Op: ir.OpGUn, A: 1, B: 2, D: ir.UnCTrans},
 			{Op: ir.OpVConst, A: 2, B: 0},
+			{Op: ir.OpFStSlot, A: 0, B: 1},
+			{Op: ir.OpILdSlot, A: 1, B: 1},
+			{Op: ir.OpCLdSlot, A: 0, B: 0},
 			ret,
 		}}
 	if _, err := Prepare(ok); err != nil {
@@ -135,8 +157,7 @@ func (h *fuzzHost) CancelFlag() *cancel.Flag { return &h.flag }
 
 // runnable are the opcodes FuzzPrepare executes as well as verifies: every
 // opcode whose operands verify checks in full. The others rest on what
-// the compiler proves (the unchecked subscripts), on spill slots the
-// verifier does not cover and step checks, need a callee's result
+// the compiler proves (the unchecked subscripts), need a callee's result
 // (fetch), or allocate what a register says (growing stores, vnew,
 // vensure, gassign, gcolon, and gbin, whose product can square a size),
 // which an arbitrary register makes arbitrarily large.
@@ -147,7 +168,6 @@ var runnable = func() []ir.Op {
 		case ir.OpFLd1U, ir.OpFLd2U, ir.OpCLd1U, ir.OpCLd2U, ir.OpFSt1U, ir.OpFSt2U,
 			ir.OpFSt1, ir.OpFSt1I, ir.OpFSt2, ir.OpFSt2I, ir.OpVNewZeros, ir.OpVEnsure,
 			ir.OpGBin, ir.OpGAssign, ir.OpGColon, ir.OpFetchF, ir.OpFetchI,
-			ir.OpFLdSlot, ir.OpFStSlot, ir.OpILdSlot, ir.OpIStSlot, ir.OpCLdSlot, ir.OpCStSlot,
 			ir.OpVCheck, ir.OpCount:
 			continue
 		}
@@ -161,7 +181,11 @@ var runnable = func() []ir.Op {
 // (so -1 is Staged, 0 a register, micro-op code or slot, up to 29). Then
 // come six bytes an instruction, the first choosing among the runnable
 // opcodes (high bit set) or any 16-bit opcode number at all, the others
-// fields around each bank's range.
+// fields around each bank's range. The bytes left over, fewer than six,
+// set the frame: the parameter's bank (mod 5, so BankNone too) and
+// whether it is in a spill slot (high bit set), its register or slot, the
+// output's V register (-1 is Staged), and the spill slots of each scalar
+// bank (mod 4).
 func fuzzProg(data []byte) (p *ir.Prog, runs bool) {
 	p = &ir.Prog{
 		Name: "fuzz", NumF: 4, NumI: 4, NumC: 3, NumV: 3, Allocated: true,
@@ -191,6 +215,19 @@ func fuzzProg(data []byte) (p *ir.Prog, runs bool) {
 			runs = runs && slices.Contains(runnable, in.Op)
 		}
 		p.Ins = append(p.Ins, in)
+	}
+	if len(data) > 0 {
+		p.Params[0] = ir.ParamBinding{Bank: ir.Bank(data[0] % 5), Slot: data[0] >= 0x80}
+	}
+	if len(data) > 1 {
+		p.Params[0].Reg = field(data[1])
+	}
+	if len(data) > 2 {
+		p.OutRegs[0] = field(data[2])
+	}
+	if len(data) > 3 {
+		n := int32(data[3] % 4)
+		p.SlotsF, p.SlotsI, p.SlotsC = n, n, n
 	}
 	return p, runs
 }
@@ -225,13 +262,37 @@ func FuzzPrepare(f *testing.F) {
 		byte(ir.OpGEMV), 3, 1, 2, 0, 0xff))
 	f.Add(withAux([]int32{1, 0, 1, 5, ir.FuseLoadV, 0, ir.FuseNeg, 0, ir.FuseLoadSF, 2, ir.FuseAdd, 0, ir.FuseMath, 1}, // v1 = sqrt(-v0 + f0); v2 = v1.'
 		byte(ir.OpVFuseArgF), 3, 1, 0, 0, 0, byte(ir.OpVFused), 2, 1, 1, 0, 0, byte(ir.OpGUn), 3, 2, 0, 4, 0))
+	// Frames that bind, ret and the spill-slot instructions would index
+	// outside: parameter v5, output v5, fldslot 5 of none, cstslot 2 of 2.
+	f.Add(append(append([]byte{0}, ret...), byte(ir.BankV), 6))
+	f.Add(append(append([]byte{0}, ret...), byte(ir.BankV), 1, 6))
+	f.Add(append([]byte{0, 0x80 + byte(slices.Index(runnable, ir.OpFLdSlot)), 1, 6, 0, 0, 0}, ret...))
+	f.Add(append([]byte{0, 0x80 + byte(slices.Index(runnable, ir.OpCStSlot)), 3, 1, 0, 0, 0}, append(ret, byte(ir.BankV), 1, 1, 2)...))
+	// A spilled F parameter reloaded and stored back, returned staged.
+	f.Add(append([]byte{0, 0x80 + byte(slices.Index(runnable, ir.OpFLdSlot)), 1, 2, 0, 0, 0,
+		0x80 + byte(slices.Index(runnable, ir.OpFStSlot)), 1, 1, 0, 0, 0}, append(ret, 0x80|byte(ir.BankF), 2, 0, 3)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, runs := fuzzProg(data)
 		c, err := Prepare(p)
 		if err != nil {
 			return
 		}
-		regs := map[ir.Bank]int32{ir.BankF: p.NumF, ir.BankI: p.NumI, ir.BankC: p.NumC}
+		regs := map[ir.Bank]int32{ir.BankF: p.NumF, ir.BankI: p.NumI, ir.BankC: p.NumC, ir.BankV: p.NumV}
+		slots := map[ir.Bank]int32{ir.BankF: p.SlotsF, ir.BankI: p.SlotsI, ir.BankC: p.SlotsC}
+		for _, b := range p.Params {
+			if lim, ok := regs[b.Bank]; b.Slot {
+				if lim, ok = slots[b.Bank]; !ok || b.Reg < 0 || b.Reg >= lim {
+					t.Fatalf("accepted parameter %+v: spill slots %d", b, lim)
+				}
+			} else if !ok || b.Reg < 0 || b.Reg >= lim {
+				t.Fatalf("accepted parameter %+v: registers %d", b, lim)
+			}
+		}
+		for _, r := range p.OutRegs {
+			if r != ir.Staged && (r < 0 || r >= p.NumV) {
+				t.Fatalf("accepted output v%d of %d", r, p.NumV)
+			}
+		}
 		var uses [3]ir.Operand
 		for pc := range p.Ins {
 			in := &p.Ins[pc]
@@ -254,6 +315,9 @@ func FuzzPrepare(f *testing.F) {
 			}
 			if (in.Op == ir.OpFMath || in.Op == ir.OpCMath) && (in.C < 0 || int(in.C) >= len(p.MathFns)) {
 				t.Fatalf("accepted %v at %d: math function %d of %d", *in, pc, in.C, len(p.MathFns))
+			}
+			if r, k, ok := in.Spill(); ok && (*r.Reg < 0 || *r.Reg >= regs[r.Bank] || k < 0 || k >= slots[r.Bank]) {
+				t.Fatalf("accepted %v at %d: %v register %d of %d, spill slot %d of %d", *in, pc, r.Bank, *r.Reg, regs[r.Bank], k, slots[r.Bank])
 			}
 		}
 		if !runs {
@@ -288,7 +352,11 @@ func FuzzPrepare(f *testing.F) {
 		if c, err = Prepare(p); err != nil {
 			t.Fatalf("instrumented: %v", err)
 		}
-		_, err = Run(c, h, Boxed(nil, []*mat.Value{mat.FromSlice(2, 2, []float64{1, 2, 3, math.NaN()})}), nil)
+		arg := mat.FromSlice(2, 2, []float64{1, 2, 3, math.NaN()})
+		if p.Params[0].Bank != ir.BankV {
+			arg = mat.IntScalar(2)
+		}
+		_, err = Run(c, h, Boxed(nil, []*mat.Value{arg}), nil)
 		var vmErr *Error
 		if err != nil && !errors.As(err, &vmErr) {
 			t.Fatalf("%v ended in %T %v", p.Disasm(), err, err)

@@ -571,8 +571,8 @@ func (fr *Frame) ret(c *Compiled, dst []Operand) []Operand {
 // step executes the instruction at pc, one the loop does not run or
 // whose common case it missed: everything that allocates, boxes, calls a
 // builtin, can fail or touches a spill slot, the fused kernels and the
-// test hooks. Its banks are checked slices, so an operand the verifier
-// does not cover (a spill slot's) is bounds-checked here.
+// test hooks. Its banks are checked slices; verify has put every spill
+// slot an instruction names inside its bank's slots too.
 func (fr *Frame) step(c *Compiled, host Host, args []Operand, in *ir.Instr, pc int) error {
 	p := c.P
 	F, I, C, V := fr.banks(c)
